@@ -150,8 +150,6 @@ let start (config : config) =
           ~make_server:(fun () ->
             Nearby.Server.create ?latency:w.ctx.latency ~backend:(backend ()) w.ctx.oracle
               ~landmarks:w.landmarks)
-          ~restore_server:(fun data ->
-            Nearby.Server.restore ?latency:w.ctx.latency ~backend:(backend ()) w.ctx.oracle data)
           ~routers:replica_routers ()
       in
       let rpc =
@@ -300,9 +298,7 @@ let scrape t =
   m
 
 (* Fleet staleness snapshot at the current engine time: fresh per-replica
-   trackers every call (catch-up restores replace replica servers, so a
-   retained tracker could point at a dead one), ages merged into one
-   sketch. *)
+   trackers every call, ages merged into one sketch. *)
 let staleness_view t =
   let ages = Prelude.Sketch.create () in
   let oldest = ref 0.0 in

@@ -122,8 +122,6 @@ let run (config : config) =
     Nearby.Cluster.create ~recorder ~metrics ~transport ~client_router
       ~make_server:(fun () ->
         Nearby.Server.create ?latency:w.ctx.latency w.ctx.oracle ~landmarks:w.landmarks)
-      ~restore_server:(fun data ->
-        Nearby.Server.restore ?latency:w.ctx.latency w.ctx.oracle data)
       ~routers:replica_routers ()
   in
   let rpc = Simkit.Rpc.create ~config:config.rpc ~rng:(Prelude.Prng.split w.rng) transport in
@@ -186,9 +184,8 @@ let run (config : config) =
     | None -> Float.nan
   in
   let lag = Simkit.Trace.summary ctrace "cluster_antientropy_lag_ms" in
-  (* Fleet staleness at the horizon: one fresh tracker per replica (the
-     servers may have been replaced by catch-up restores, so trackers are
-     not kept across the run), ages merged into one sketch. *)
+  (* Fleet staleness at the horizon: one fresh tracker per replica, ages
+     merged into one sketch. *)
   let fleet_ages = Prelude.Sketch.create () in
   let oldest = ref 0.0 in
   for i = 0 to Nearby.Cluster.replica_count cluster - 1 do

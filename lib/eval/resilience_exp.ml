@@ -130,8 +130,6 @@ let run_instrumented ?(spans = Simkit.Span.noop) (config : config) =
     Nearby.Cluster.create ~detector_config:config.detector ~transport ~client_router ~spans
       ~make_server:(fun () ->
         Nearby.Server.create ?latency:w.ctx.latency ~spans w.ctx.oracle ~landmarks:w.landmarks)
-      ~restore_server:(fun data ->
-        Nearby.Server.restore ?latency:w.ctx.latency ~spans w.ctx.oracle data)
       ~routers:replica_routers ~recorder ()
   in
   let rpc =

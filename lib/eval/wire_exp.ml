@@ -160,8 +160,6 @@ let run_phase (config : config) ~batched =
     Nearby.Cluster.create ~metrics ~transport ~client_router
       ~make_server:(fun () ->
         Nearby.Server.create ?latency:w.ctx.latency w.ctx.oracle ~landmarks:w.landmarks)
-      ~restore_server:(fun data ->
-        Nearby.Server.restore ?latency:w.ctx.latency w.ctx.oracle data)
       ~routers:replica_routers ()
   in
   let rpc = Simkit.Rpc.create ~config:config.rpc ~rng:(Prelude.Prng.split w.rng) transport in

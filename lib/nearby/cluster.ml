@@ -5,7 +5,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type replica = {
   id : int;
   router : Topology.Graph.node;
-  mutable server : Server.t;
+  server : Server.t;
   mutable alive : bool;
   mutable recovered_at : float option;
       (* Set by [recover], cleared by the sync round that brings the replica
@@ -16,7 +16,6 @@ type t = {
   replicas : replica array;
   transport : Simkit.Transport.t option;
   detector : Simkit.Failure_detector.t option;
-  restore_server : (string -> (Server.t, string) result) option;
   trace : Simkit.Trace.t;
   recorder : Simkit.Flight_recorder.t option;
   spans : Simkit.Span.sink;
@@ -41,7 +40,6 @@ let single ~router server =
     replicas = [| { id = 0; router; server; alive = true; recovered_at = None } |];
     transport = None;
     detector = None;
-    restore_server = None;
     trace = Simkit.Trace.create ();
     recorder = None;
     spans = Simkit.Span.noop;
@@ -56,7 +54,7 @@ let watch_replica t r =
       Simkit.Failure_detector.watch d ~peer:r.id ~router:r.router ~alive:(fun () -> r.alive)
 
 let create ?(detector_config = Simkit.Failure_detector.default_config) ?recorder
-    ?(spans = Simkit.Span.noop) ?metrics ~transport ~client_router ~make_server ~restore_server
+    ?(spans = Simkit.Span.noop) ?metrics ~transport ~client_router ~make_server ?restore_server:_
     ~routers () =
   if Array.length routers = 0 then invalid_arg "Cluster.create: no replicas";
   let distinct = Hashtbl.create 8 in
@@ -90,7 +88,6 @@ let create ?(detector_config = Simkit.Failure_detector.default_config) ?recorder
       replicas;
       transport = Some transport;
       detector = Some detector;
-      restore_server = Some restore_server;
       trace;
       recorder;
       spans;
@@ -450,24 +447,36 @@ let divergence_since t = t.divergence_started_at
 
 (* --- Anti-entropy ------------------------------------------------------ *)
 
+(* Repair traffic rides the transport's accounting as "snapshot" bytes even
+   though the sim applies it synchronously: in a deployment it crosses the
+   network. *)
+let charge_repair t ~src ~dst bytes =
+  Simkit.Trace.add_count t.trace "cluster_sync_bytes" bytes;
+  match t.transport with
+  | Some tr ->
+      Simkit.Transport.charge ~kind:"snapshot" ~dir:"replica" tr ~src:src.router ~dst:dst.router
+        ~size_bytes:bytes
+  | None -> ()
+
 (* One sync round:
    1. pick the most complete live replica as the source (max registered
       peers, ties to the lowest id);
-   2. union phase: any peer a live replica holds that the source lacks is
-      pushed into the source via [register_replica] (no write is ever lost
-      to the wholesale restore that follows);
-   3. catch-up phase: every live replica whose content digest still differs
-      from the source's is rebuilt from the source's snapshot — the
-      recovery path the issue names.  The digest gate is both finer and
-      cheaper than the old peer-id comparison: it catches same-ids,
-      different-paths divergence, and a straggler whose digest already
-      matches skips the snapshot transfer entirely (counter
-      ["cluster_sync_skipped"]).  A replica recovering here closes its
-      [recovered_at] stopwatch into the ["cluster_recovery_ms"] stream.
+   2. summary: each live replica whose content digest differs from the
+      source's sends its bucket summary, and the source names the buckets
+      that differ;
+   3. union phase: each such straggler pushes the entries of those buckets
+      that the source lacks into the source, so no write is lost to the
+      catch-up that follows;
+   4. catch-up phase: every straggler whose digest still differs receives
+      the source's entries of the buckets that now differ, which replace
+      its own there.  A straggler whose digest already matches moves no
+      bytes (counter ["cluster_sync_skipped"]).  A replica recovering here
+      closes its [recovered_at] stopwatch into ["cluster_recovery_ms"].
 
-   A digest comparison runs at both ends of the round, so divergence is
-   detected no later than the next sync tick and reconvergence is recorded
-   the moment the repair lands. *)
+   The cost is the summaries plus the differing buckets, whatever the
+   member count.  A digest comparison runs at both ends of the round, so
+   divergence is detected no later than the next sync tick and
+   reconvergence is recorded the moment the repair lands. *)
 let sync_round t =
   Simkit.Span.with_span t.spans ~name:"sync_round"
     ~clock:(fun () -> now t)
@@ -487,96 +496,91 @@ let sync_round t =
               r.recovered_at <- None
           | None -> ())
         live
-  | live -> (
+  | live ->
       let source = most_complete live in
-      (* Union: push peers the source is missing into the source. *)
+      (* A straggler's summary is sent once: it does not change during the
+         round, so the source can compare it again after the union. *)
+      let summaries = Hashtbl.create 4 in
+      let summary_of r =
+        match Hashtbl.find_opt summaries r.id with
+        | Some summary -> summary
+        | None ->
+            let summary = Server.bucket_summary r.server in
+            charge_repair t ~src:r ~dst:source (String.length summary);
+            Hashtbl.add summaries r.id summary;
+            summary
+      in
+      let differing r =
+        match Server.differing_buckets source.server (summary_of r) with
+        | Ok buckets -> buckets
+        | Error e ->
+            Log.err (fun m -> m "replica %d bucket summary rejected: %s" r.id e);
+            []
+      in
+      let stragglers () =
+        let source_digest = Server.digest source.server in
+        List.filter
+          (fun r -> r.id <> source.id && Server.digest r.server <> source_digest)
+          live
+      in
+      (* Union: push the stragglers' entries the source is missing. *)
       List.iter
         (fun r ->
-          if r.id <> source.id then
-            List.iter
-              (fun peer ->
-                if not (Server.mem source.server peer) then
-                  match Server.info r.server peer with
-                  | Some (info : Server.peer_info) ->
-                      Server.register_replica source.server ~peer
-                        ~attach_router:info.attach_router ~landmark:info.landmark
-                        ~path:info.recorded_path ~probes_spent:info.probes_spent;
-                      Simkit.Trace.incr t.trace "cluster_sync_union";
-                      (* The push crosses the network in a deployment even
-                         though the sim applies it synchronously: charge the
-                         report's bytes to the transport as anti-entropy. *)
-                      (match t.transport with
-                      | Some tr ->
-                          Simkit.Transport.charge ~kind:"snapshot" ~dir:"replica" tr
-                            ~src:r.router ~dst:source.router
-                            ~size_bytes:
-                              (Wire.byte_size
-                                 (Wire.Path_report { peer; path = info.recorded_path }))
-                      | None -> ())
-                  | None -> ())
-              (Server.peer_ids r.server))
-        live;
-      match t.restore_server with
-      | None -> ()
-      | Some restore ->
-          let source_digest = Server.digest source.server in
-          let snapshot = lazy (Server.snapshot source.server) in
-          List.iter
-            (fun r ->
-              (if r.id <> source.id then
-                 if Server.digest r.server = source_digest then
-                   (* Content already identical — the digest gate saves the
-                      whole snapshot transfer. *)
-                   Simkit.Trace.incr t.trace "cluster_sync_skipped"
-                 else begin
-                let data = Lazy.force snapshot in
-                match restore data with
-                | Ok server ->
-                    (* State transfer replaces the registry, not the
-                       replica's history: the replica stayed alive, so its
-                       trace (served joins, latency sketches) must survive
-                       the catch-up restore or per-replica scrapes go dark. *)
-                    Simkit.Trace.merge_into ~into:(Server.trace server)
-                      (Server.trace r.server);
-                    (* The restored replica learned every report now,
-                       whatever the original registration times elsewhere:
-                       re-stamp under the engine clock. *)
-                    Server.set_clock server (fun () -> now t);
-                    Server.refresh_stamps server;
-                    r.server <- server;
-                    Simkit.Trace.incr t.trace "cluster_sync_restores";
-                    Simkit.Trace.add_count t.trace "cluster_sync_bytes" (String.length data);
-                    (match t.transport with
-                    | Some tr ->
-                        Simkit.Transport.charge ~kind:"snapshot" ~dir:"replica" tr
-                          ~src:source.router ~dst:r.router ~size_bytes:(String.length data)
-                    | None -> ());
-                    record t
-                      ~args:
-                        [
-                          ("replica", Simkit.Span.Int r.id);
-                          ("source", Simkit.Span.Int source.id);
-                          ("peers", Simkit.Span.Int (Server.peer_count server));
-                        ]
-                      "sync_restore";
-                    Log.debug (fun m ->
-                        m "replica %d restored from replica %d (%d peers)" r.id source.id
-                          (Server.peer_count server))
-                | Error e -> Log.err (fun m -> m "replica %d restore failed: %s" r.id e)
-              end);
-              match r.recovered_at with
-              | Some since when Server.digest r.server = source_digest ->
-                  Simkit.Trace.observe t.trace "cluster_recovery_ms" (now t -. since);
-                  record t
-                    ~args:
-                      [
-                        ("replica", Simkit.Span.Int r.id);
-                        ("recovery_ms", Simkit.Span.Float (now t -. since));
-                      ]
-                    "back_in_sync";
-                  r.recovered_at <- None
-              | _ -> ())
-            live));
+          let push =
+            Server.snapshot_buckets ~only:(fun peer -> not (Server.mem source.server peer))
+              r.server (differing r)
+          in
+          match Server.apply_buckets source.server push with
+          | Ok 0 -> ()
+          | Ok pushed ->
+              Simkit.Trace.add_count t.trace "cluster_sync_union" pushed;
+              charge_repair t ~src:r ~dst:source (String.length push)
+          | Error e -> Log.err (fun m -> m "union from replica %d failed: %s" r.id e))
+        (stragglers ());
+      (* Catch-up: the source's differing buckets replace the straggler's. *)
+      let repaired = stragglers () in
+      let skipped = List.length live - 1 - List.length repaired in
+      if skipped > 0 then Simkit.Trace.add_count t.trace "cluster_sync_skipped" skipped;
+      List.iter
+        (fun r ->
+          let buckets = differing r in
+          let data = Server.snapshot_buckets source.server buckets in
+          charge_repair t ~src:source ~dst:r (String.length data);
+          match Server.apply_buckets ~replace:buckets r.server data with
+          | Ok written ->
+              Simkit.Trace.incr t.trace "cluster_sync_restores";
+              Simkit.Trace.add_count t.trace "cluster_sync_buckets" (List.length buckets);
+              Simkit.Trace.add_count t.trace "cluster_sync_repaired" written;
+              record t
+                ~args:
+                  [
+                    ("replica", Simkit.Span.Int r.id);
+                    ("source", Simkit.Span.Int source.id);
+                    ("buckets", Simkit.Span.Int (List.length buckets));
+                    ("written", Simkit.Span.Int written);
+                  ]
+                "sync_repair";
+              Log.debug (fun m ->
+                  m "replica %d repaired from replica %d (%d buckets, %d entries)" r.id source.id
+                    (List.length buckets) written)
+          | Error e -> Log.err (fun m -> m "replica %d repair failed: %s" r.id e))
+        repaired;
+      let source_digest = Server.digest source.server in
+      List.iter
+        (fun r ->
+          match r.recovered_at with
+          | Some since when Server.digest r.server = source_digest ->
+              Simkit.Trace.observe t.trace "cluster_recovery_ms" (now t -. since);
+              record t
+                ~args:
+                  [
+                    ("replica", Simkit.Span.Int r.id);
+                    ("recovery_ms", Simkit.Span.Float (now t -. since));
+                  ]
+                "back_in_sync";
+              r.recovered_at <- None
+          | _ -> ())
+        live);
   ignore (digest_check t)
 
 let start_sync t ~period_ms ~until =
@@ -597,8 +601,8 @@ let consistent t =
   match live with
   | [] -> true
   | first :: rest ->
-      let reference = Server.peer_ids first.server in
-      List.for_all (fun r -> Server.peer_ids r.server = reference) rest
+      let reference = Server.digest first.server in
+      List.for_all (fun r -> Server.digest r.server = reference) rest
 
 let check_invariants t =
   Array.iter (fun r -> Server.check_invariants r.server) t.replicas

@@ -7,7 +7,8 @@
     where "believed" is a {!Simkit.Failure_detector} fed by per-replica
     heartbeats, and fail over to the next-closest on retry.  Replicas that
     miss writes (crashed, partitioned, lossy links) are healed by periodic
-    anti-entropy built on {!Server.snapshot}/{!Server.restore}.
+    anti-entropy over {!Server}'s bucket digests, which moves only the
+    buckets that differ.
 
     A {!single}-replica cluster degenerates to a plain server with no
     transport, detector or replication machinery, so the direct protocol
@@ -28,17 +29,19 @@ val create :
   transport:Simkit.Transport.t ->
   client_router:Topology.Graph.node ->
   make_server:(unit -> Server.t) ->
-  restore_server:(string -> (Server.t, string) result) ->
+  ?restore_server:(string -> (Server.t, string) result) ->
   routers:Topology.Graph.node array ->
   unit ->
   t
 (** One replica per entry of [routers] (each built by [make_server], which
     must produce servers over the same oracle and landmarks).  Starts a
     heartbeat watch on every replica, monitored from [client_router].
-    [restore_server] rebuilds a replica from a snapshot during anti-entropy.
+    [restore_server] is ignored: anti-entropy repairs each replica's own
+    server in place, so nothing is rebuilt from a snapshot; the argument is
+    accepted only so that existing callers still compile.
     [recorder] receives one ["cluster"]-kind flight-recorder event per
-    membership change: crash, recover, suspicion, anti-entropy restore,
-    back-in-sync (with the measured recovery time), and the
+    membership change: crash, recover, suspicion, anti-entropy repair
+    (["sync_repair"]), back-in-sync (with the measured recovery time), and the
     divergence/convergence edges of {!digest_check}.  [metrics] receives
     the [wire_replication_amplification] and [cluster_divergent_replicas]
     gauges and the labeled [cluster_digest_checks_total] counters.  Every
@@ -62,9 +65,13 @@ val trace : t -> Simkit.Trace.t
 (** Counters: ["cluster_register"], ["cluster_duplicate_register"],
     ["cluster_replicate_send"/"_apply"/"_skip"], ["cluster_suspected"],
     ["cluster_crashes"], ["cluster_recoveries"], ["cluster_sync_rounds"],
-    ["cluster_sync_union"], ["cluster_sync_restores"],
+    ["cluster_sync_union"] (entries pushed into the source),
+    ["cluster_sync_restores"] (stragglers repaired),
+    ["cluster_sync_buckets"] (buckets the repairs exchanged),
+    ["cluster_sync_repaired"] (straggler registrations written or removed),
     ["cluster_sync_skipped"] (catch-up transfers the digest gate saved),
-    ["cluster_sync_bytes"], ["cluster_client_report_bytes"],
+    ["cluster_sync_bytes"] (every byte repair moved: summaries, union
+    pushes and catch-ups), ["cluster_client_report_bytes"],
     ["cluster_replica_bytes"], ["cluster_digest_checks"]; streams
     ["cluster_recovery_ms"] and ["cluster_antientropy_lag_ms"] (engine time
     from first detected divergence to detected reconvergence, one sample
@@ -188,19 +195,26 @@ val recover : t -> int -> unit
 (** Restart a crashed replica with its on-disk state.  Re-arms its
     heartbeat watch from scratch — the fresh watch must not inherit the
     crashed incarnation's silence timer.  The replica counts as recovered
-    (stream ["cluster_recovery_ms"]) when a sync round confirms its peer
-    set matches the cluster's. *)
+    (stream ["cluster_recovery_ms"]) when a sync round confirms its content
+    digest matches the source's. *)
 
 val sync_round : t -> unit
-(** One anti-entropy round over the live replicas: union missing
-    registrations into the most complete replica, then wholesale
-    {!Server.snapshot}/[restore] any straggler whose {e content digest}
-    differs from the source's — a straggler whose digest already matches
-    skips the transfer (counter ["cluster_sync_skipped"]).  Runs a
-    {!digest_check} at both ends of the round, so divergence is detected
-    no later than the next sync tick and reconvergence is recorded the
-    moment the repair lands.  A restored replica's registration stamps are
-    refreshed to now (it learned every report just now).  Emits one
+(** One anti-entropy round over the live replicas.  The source is the most
+    complete live replica (most registered peers, ties to the lowest id).
+    Each straggler whose {!Server.digest} differs from the source's sends
+    its {!Server.bucket_summary}; only the buckets whose digests differ are
+    exchanged.  First the union: every straggler pushes the entries of
+    those buckets that the source lacks into the source.  Then the
+    catch-up: the source's entries replace the straggler's in the buckets
+    that still differ ({!Server.snapshot_buckets},
+    {!Server.apply_buckets}).  A round therefore costs the summaries plus
+    the differing buckets, not the member count.  Every byte (summaries
+    included) is charged to the transport as [kind="snapshot"]; a
+    straggler whose digest already matches moves none (counter
+    ["cluster_sync_skipped"]).  Repair stamps only the registrations it
+    writes.  Runs a {!digest_check} at both ends of the round, so
+    divergence is detected no later than the next sync tick and
+    reconvergence is recorded the moment the repair lands.  Emits one
     ["sync_round"] span (a root of its own trace) when a sink is
     attached. *)
 
@@ -210,7 +224,9 @@ val start_sync : t -> period_ms:float -> until:float -> unit
     period. *)
 
 val consistent : t -> bool
-(** Every live replica holds the same peer-id set. *)
+(** Every live replica holds the same content: equal {!Server.digest}s
+    (same peers {e and} the same recorded paths), one int64 compare per
+    replica. *)
 
 val check_invariants : t -> unit
 (** {!Server.check_invariants} on every replica, dead or alive. *)

@@ -43,19 +43,27 @@ let hot_router_k = 8
 
 let empty_digest = 0L
 
-let entry_digest ~peer ~routers : int64 =
-  let fnv_prime = 0x100000001b3L in
-  let mix h v =
-    Int64.mul (Int64.logxor h (Int64.of_int v)) fnv_prime
-  in
-  let h = ref (mix 0xcbf29ce484222325L peer) in
-  Array.iter (fun r -> h := mix !h r) routers;
-  h := mix !h (Array.length routers);
+let[@inline] fnv_mix h v = Int64.mul (Int64.logxor h (Int64.of_int v)) 0x100000001b3L
+
+(* A plain loop over a local ref, inlined where it is used: the int64
+   state then stays unboxed, so the hash allocates nothing. *)
+let[@inline] entry_digest ~peer ~routers : int64 =
+  let h = ref (fnv_mix 0xcbf29ce484222325L peer) in
+  for i = 0 to Array.length routers - 1 do
+    h := fnv_mix !h (Array.unsafe_get routers i)
+  done;
   (* splitmix64 finalizer *)
-  let z = !h in
+  let z = fnv_mix !h (Array.length routers) in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* Toggle an entry in a digest stored unboxed at [buf.[off .. off+7]]:
+   XOR is self-inverse, so the same call adds and removes.  Allocation-free
+   (an [int64] returned across modules would be boxed). *)
+let xor_entry_digest buf off ~peer ~routers =
+  Bytes.set_int64_ne buf off
+    (Int64.logxor (Bytes.get_int64_ne buf off) (entry_digest ~peer ~routers))
 
 let combine_digests = Int64.logxor
 

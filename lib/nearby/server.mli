@@ -159,7 +159,8 @@ val digest : t -> int64
     Each registration is stamped with the engine time the server learned of
     it, feeding the report-age distribution ({!Staleness}).  The stamps are
     a server-local observation (when {e this} replica learned the report),
-    deliberately not part of {!snapshot}. *)
+    deliberately not part of {!snapshot}; an anti-entropy repair stamps
+    only the entries it writes. *)
 
 val set_clock : t -> (unit -> float) -> unit
 (** Install the time source (engine milliseconds) used to stamp
@@ -172,11 +173,6 @@ val registration_time : t -> int -> float option
 
 val iter_registration_times : t -> (int -> float -> unit) -> unit
 (** [f peer stamped_at] for every registered peer — the staleness feed. *)
-
-val refresh_stamps : t -> unit
-(** Re-stamp every registered peer at the current clock.  Used after a
-    snapshot restore: the restoring replica learned all reports {e now},
-    whatever their original registration times elsewhere. *)
 
 val neighbors : t -> peer:int -> k:int -> (int * int) list
 (** [(peer, inferred distance)] ascending, at most [k], never containing the
@@ -218,20 +214,63 @@ val flush_spans : t -> unit
     without a span sink. *)
 
 val check_invariants : t -> unit
-(** Every per-landmark tree is internally consistent and every registered
-    peer is in exactly the tree of its landmark. *)
+(** Every per-landmark tree is internally consistent, every registered
+    peer is in exactly the tree of its landmark, the bucket digests equal a
+    fresh recompute over the registrations and XOR-fold to {!digest}, and
+    every peer is indexed once, in its own bucket. *)
+
+(** {1 Bucket digests}
+
+    The registrations are split into {!bucket_count} buckets by a mixed
+    hash of the peer id, and each bucket keeps its own content digest: the
+    XOR of {!Registry_intf.entry_digest} over its [(peer, routers)]
+    entries, maintained on every insert and remove.  Two replicas whose
+    {!digest}s differ compare their bucket digests and exchange only the
+    buckets that differ ({!snapshot_buckets}, {!apply_buckets}). *)
+
+val bucket_count : int
+(** The fixed number of buckets. *)
+
+val bucket_of : int -> int
+(** The bucket of a peer id, in [\[0, bucket_count)]. *)
+
+val bucket_summary : t -> string
+(** Every bucket digest, encoded: a varint bucket count, then one
+    fixed-width 64-bit field per bucket — [8 * bucket_count + 2] bytes. *)
+
+val differing_buckets : t -> string -> (int list, string) result
+(** Decode another replica's {!bucket_summary} and list, ascending, the
+    buckets whose digest differs from this server's.  Total: corrupt input
+    or a different bucket count yields [Error]. *)
 
 (** {1 Persistence}
 
     A management server is a single point of failure; restarting it must
     not force every peer to re-traceroute.  The snapshot is the registered
     state (peers, landmarks, recorded paths) in the {!Prelude.Codec} binary
-    format; restoring rebuilds the path trees. *)
+    format; restoring rebuilds the path trees.  A partial snapshot carries
+    the entries of some buckets in the same entry encoding. *)
 
 val snapshot : t -> string
 (** Serialize the registration state (not the counters, not the probe/
     truncation configuration — those belong to the process, not the
     data). *)
+
+val snapshot_buckets : ?only:(int -> bool) -> t -> int list -> string
+(** A partial snapshot: the registrations of the listed buckets (of those
+    whose peer passes [only], default all), in {!snapshot}'s entry
+    encoding, without the landmark header. *)
+
+val apply_buckets : ?replace:int list -> t -> string -> (int, string) result
+(** Apply a partial snapshot.  An entry this server already holds verbatim
+    is left alone; any other is registered, replacing a differing
+    registration of the same peer.  With [replace], the listed buckets end
+    up holding exactly the snapshot's entries — their other registrations
+    are removed — and an entry outside them is an error.  Written entries
+    are stamped at the current clock (not counted as ["report_refresh"]).
+    Returns the number of registrations written or removed.  Total:
+    corrupt input yields [Error], and is rejected before anything is
+    applied. *)
 
 val restore :
   ?truncate:Traceroute.Truncate.strategy ->
@@ -244,5 +283,6 @@ val restore :
   string ->
   (t, string) result
 (** Rebuild a server from {!snapshot} output over the given oracle (the
-    graph itself is not serialized — the map outlives server restarts).
-    Total: corrupt input yields [Error]. *)
+    graph itself is not serialized — the map outlives server restarts):
+    {!create} with the snapshot's landmarks, then apply every bucket as
+    {!apply_buckets} does.  Total: corrupt input yields [Error]. *)

@@ -21,6 +21,7 @@ module Writer = struct
     emit v
 
   let bool t b = u8 t (if b then 1 else 0)
+  let int64 = Buffer.add_int64_le
 
   let bytes t s =
     varint t (String.length s);
@@ -39,6 +40,7 @@ module type SINK = sig
   val u8 : t -> int -> unit
   val varint : t -> int -> unit
   val bool : t -> bool -> unit
+  val int64 : t -> int64 -> unit
   val bytes : t -> string -> unit
   val list : t -> ('a -> unit) -> 'a list -> unit
 end
@@ -60,6 +62,7 @@ module Sizer = struct
 
   let varint t v = t.count <- t.count + varint_size v
   let bool t _ = t.count <- t.count + 1
+  let int64 t _ = t.count <- t.count + 8
   let bytes t s = t.count <- t.count + varint_size (String.length s) + String.length s
 
   let list t encode items =
@@ -104,6 +107,14 @@ module Reader = struct
     | 0 -> Ok false
     | 1 -> Ok true
     | other -> Error (Malformed (Printf.sprintf "bool byte %d" other))
+
+  let int64 t =
+    if t.pos + 8 > String.length t.data then Error Truncated
+    else begin
+      let v = String.get_int64_le t.data t.pos in
+      t.pos <- t.pos + 8;
+      Ok v
+    end
 
   let bytes t =
     let* len = varint t in

@@ -19,6 +19,10 @@ module Writer : sig
   (** Unsigned LEB128; @raise Invalid_argument on negative input. *)
 
   val bool : t -> bool -> unit
+  val int64 : t -> int64 -> unit
+  (** Fixed-width: eight bytes, little-endian — for values such as hashes
+      whose bits are uniformly spread, where a varint would only grow. *)
+
   val bytes : t -> string -> unit
   (** Varint length prefix followed by the raw bytes. *)
 
@@ -33,6 +37,7 @@ module type SINK = sig
   val u8 : t -> int -> unit
   val varint : t -> int -> unit
   val bool : t -> bool -> unit
+  val int64 : t -> int64 -> unit
   val bytes : t -> string -> unit
   val list : t -> ('a -> unit) -> 'a list -> unit
 end
@@ -50,6 +55,7 @@ module Sizer : sig
   val u8 : t -> int -> unit
   val varint : t -> int -> unit
   val bool : t -> bool -> unit
+  val int64 : t -> int64 -> unit
   val bytes : t -> string -> unit
   val list : t -> ('a -> unit) -> 'a list -> unit
 end
@@ -64,6 +70,7 @@ module Reader : sig
   val u8 : t -> (int, error) result
   val varint : t -> (int, error) result
   val bool : t -> (bool, error) result
+  val int64 : t -> (int64, error) result
   val bytes : t -> (string, error) result
   val list : t -> (t -> ('a, error) result) -> ('a list, error) result
   val error_to_string : error -> string

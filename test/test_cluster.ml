@@ -41,7 +41,6 @@ let make_server fx () = Nearby.Server.create fx.oracle ~landmarks:fx.landmarks
 let make_cluster ?(detector_config = detector_config) fx =
   Nearby.Cluster.create ~detector_config ~transport:fx.transport
     ~client_router:fx.map.core.(0) ~make_server:(make_server fx)
-    ~restore_server:(fun data -> Nearby.Server.restore fx.oracle data)
     ~routers:fx.replica_routers ()
 
 (* Run [peers] joins through [protocol], one every [spacing] ms, and return
@@ -222,13 +221,188 @@ let test_anti_entropy_heals_stale_replica () =
   Alcotest.(check int) "healed" peers
     (Nearby.Server.peer_count (Nearby.Cluster.server_of cluster 2));
   let trace = Nearby.Cluster.trace cluster in
-  Alcotest.(check bool) "restore happened" true
-    (Simkit.Trace.counter trace "cluster_sync_restores" >= 1);
+  Alcotest.(check int) "one straggler repaired" 1
+    (Simkit.Trace.counter trace "cluster_sync_restores");
+  Alcotest.(check int) "repair wrote every missed entry" peers
+    (Simkit.Trace.counter trace "cluster_sync_repaired");
+  Alcotest.(check bool) "only the buckets holding them moved" true
+    (let buckets = Simkit.Trace.counter trace "cluster_sync_buckets" in
+     buckets >= 1 && buckets <= peers);
   Alcotest.(check bool) "recovery time recorded" true
     (match Simkit.Trace.summary trace "cluster_recovery_ms" with
     | Some s -> s.count = 1
     | None -> false);
   Nearby.Cluster.check_invariants cluster
+
+let test_consistent_compares_paths () =
+  (* Same peer ids everywhere, but replica 0 recorded peer 0 from another
+     attachment router: the content differs, so the cluster is not
+     consistent until a sync round repairs it. *)
+  let fx = fixture ~seed:28 () in
+  let cluster = make_cluster fx in
+  let leaves = fx.map.leaves in
+  for i = 0 to Nearby.Cluster.replica_count cluster - 1 do
+    let server = Nearby.Cluster.server_of cluster i in
+    for peer = 0 to 5 do
+      let attach = if peer = 0 && i = 0 then leaves.(Array.length leaves - 1) else leaves.(peer) in
+      ignore (Nearby.Server.join server ~peer ~attach_router:attach)
+    done
+  done;
+  let server i = Nearby.Cluster.server_of cluster i in
+  Alcotest.(check (list int)) "same peer ids" (Nearby.Server.peer_ids (server 0))
+    (Nearby.Server.peer_ids (server 1));
+  Alcotest.(check bool) "different content" false (Nearby.Cluster.consistent cluster);
+  Nearby.Cluster.sync_round cluster;
+  Alcotest.(check bool) "consistent after sync" true (Nearby.Cluster.consistent cluster);
+  Nearby.Cluster.check_invariants cluster
+
+(* 10,000 members on every replica but 8 of them withheld from one: the
+   repair must cost the differing buckets, not the member count. *)
+let test_repair_bytes_scale_with_the_difference () =
+  let fx = fixture ~seed:29 () in
+  let metrics = Simkit.Metrics.create () in
+  Simkit.Transport.set_wire_sinks ~metrics fx.transport;
+  let cluster = make_cluster fx in
+  let members = 10_000 and withheld = 8 in
+  let measurer = Nearby.Cluster.measurement_server cluster in
+  let entries =
+    Array.init members (fun peer ->
+        let attach_router = fx.map.leaves.(peer mod Array.length fx.map.leaves) in
+        let m = Nearby.Server.measure measurer ~attach_router in
+        ( peer,
+          attach_router,
+          Nearby.Server.measurement_landmark m,
+          Nearby.Server.measurement_path m,
+          Nearby.Server.measurement_probes m ))
+  in
+  for i = 0 to 2 do
+    let held = if i = 2 then Array.sub entries withheld (members - withheld) else entries in
+    ignore (Nearby.Server.register_replica_batch (Nearby.Cluster.server_of cluster i) held)
+  done;
+  let snapshot_bytes =
+    String.length (Nearby.Server.snapshot (Nearby.Cluster.server_of cluster 0))
+  in
+  Nearby.Cluster.sync_round cluster;
+  let moved =
+    List.fold_left
+      (fun acc (name, labels, _) ->
+        if name = "wire_bytes_total" && List.assoc_opt "kind" labels = Some "snapshot" then
+          acc + Simkit.Metrics.counter metrics name ~labels
+        else acc)
+      0 (Simkit.Metrics.series metrics)
+  in
+  Alcotest.(check bool) "replicas reconverged" true (Nearby.Cluster.consistent cluster);
+  Alcotest.(check bool)
+    (Printf.sprintf "repair moved %d B, under 5%% of a %d B snapshot" moved snapshot_bytes)
+    true
+    (moved > 0 && moved * 20 < snapshot_bytes);
+  Alcotest.(check int) "the repair bytes are the ones charged" moved
+    (Simkit.Trace.counter (Nearby.Cluster.trace cluster) "cluster_sync_bytes");
+  Alcotest.(check int) "every withheld entry repaired" withheld
+    (Simkit.Trace.counter (Nearby.Cluster.trace cluster) "cluster_sync_repaired")
+
+(* --- Delta repair = full restore, on random replica states ------------- *)
+
+(* Per peer and replica: absent, or registered from one of two attachment
+   routers (two recorded paths for the same id). *)
+type slot = Absent | Version of int
+
+let gen_states =
+  let open QCheck.Gen in
+  let slot = frequency [ (2, return Absent); (3, return (Version 0)); (1, return (Version 1)) ] in
+  let free = list_size (int_bound 30) (triple slot slot slot) in
+  frequency
+    [
+      (4, free);
+      (* Replica 2 down for the whole window: it holds nothing. *)
+      (1, map (List.map (fun (a, b, _) -> (a, b, Absent))) free);
+      (* Already equal. *)
+      (1, map (List.map (fun (a, _, _) -> (a, a, a))) free);
+    ]
+
+let print_states states =
+  let s = function Absent -> "-" | Version v -> string_of_int v in
+  String.concat " " (List.map (fun (a, b, c) -> s a ^ s b ^ s c) states)
+
+let qcheck_delta_repair_matches_full_restore =
+  let fx0 = lazy (fixture ~seed:30 ()) in
+  let measured = Hashtbl.create 64 in
+  (* Version [v] of [peer]: its attachment router and measurement. *)
+  let info peer v =
+    let fx0 = Lazy.force fx0 in
+    let attach_router = fx0.map.leaves.(((2 * peer) + v) mod Array.length fx0.map.leaves) in
+    match Hashtbl.find_opt measured (peer, v) with
+    | Some m -> (attach_router, m)
+    | None ->
+        let m = Nearby.Server.measure (make_server fx0 ()) ~attach_router in
+        Hashtbl.add measured (peer, v) m;
+        (attach_router, m)
+  in
+  QCheck.Test.make ~name:"one sync round = full restore" ~count:150
+    (QCheck.make ~print:print_states gen_states)
+    (fun states ->
+      let fx0 = Lazy.force fx0 in
+      let engine = Simkit.Engine.create () in
+      let fx = { fx0 with engine; transport = Simkit.Transport.create engine fx0.oracle } in
+      let cluster = make_cluster fx in
+      let slots = Array.of_list (List.map (fun (a, b, c) -> [| a; b; c |]) states) in
+      let slot peer i = slots.(peer).(i) in
+      for i = 0 to 2 do
+        Array.iteri
+          (fun peer _ ->
+            match slot peer i with
+            | Absent -> ()
+            | Version v ->
+                let attach_router, m = info peer v in
+                Nearby.Server.register_replica (Nearby.Cluster.server_of cluster i) ~peer
+                  ~attach_router ~landmark:(Nearby.Server.measurement_landmark m)
+                  ~path:(Nearby.Server.measurement_path m)
+                  ~probes_spent:(Nearby.Server.measurement_probes m))
+          slots
+      done;
+      (* The old full restore's outcome: the source (most peers, ties to the
+         lowest id) keeps its versions, then each other replica in id order
+         adds the peers still missing, then every replica copies it. *)
+      let count i = Nearby.Server.peer_count (Nearby.Cluster.server_of cluster i) in
+      let source =
+        List.fold_left (fun best i -> if count i > count best then i else best) 0 [ 1; 2 ]
+      in
+      let expected =
+        Array.mapi
+          (fun peer _ ->
+            List.fold_left
+              (fun acc i -> match acc with Absent -> slot peer i | held -> held)
+              Absent
+              (source :: List.filter (( <> ) source) [ 0; 1; 2 ]))
+          slots
+      in
+      Nearby.Cluster.sync_round cluster;
+      Nearby.Cluster.check_invariants cluster;
+      let digest i = Nearby.Server.digest (Nearby.Cluster.server_of cluster i) in
+      let expected_ids =
+        List.filter (fun peer -> expected.(peer) <> Absent) (List.init (Array.length slots) Fun.id)
+      in
+      digest 0 = digest 1 && digest 1 = digest 2
+      && List.for_all
+           (fun i ->
+             let server = Nearby.Cluster.server_of cluster i in
+             Nearby.Server.peer_ids server = expected_ids
+             && List.for_all
+                  (fun peer ->
+                    match expected.(peer) with
+                    | Absent -> true
+                    | Version v ->
+                        let attach_router, m = info peer v in
+                        Nearby.Server.info server peer
+                        = Some
+                            {
+                              Nearby.Server.attach_router;
+                              landmark = Nearby.Server.measurement_landmark m;
+                              recorded_path = Nearby.Server.measurement_path m;
+                              probes_spent = Nearby.Server.measurement_probes m;
+                            })
+                  expected_ids)
+           [ 0; 1; 2 ])
 
 let test_joins_under_loss_always_terminate () =
   (* The silent-stall regression (20% loss): every join must invoke exactly
@@ -343,6 +517,12 @@ let suite =
       Alcotest.test_case "crash primary fails over" `Quick test_crash_primary_fails_over;
       Alcotest.test_case "anti-entropy heals stale replica" `Quick
         test_anti_entropy_heals_stale_replica;
+      Alcotest.test_case "consistent compares recorded paths" `Quick
+        test_consistent_compares_paths;
+      Alcotest.test_case "repair bytes scale with the difference" `Quick
+        test_repair_bytes_scale_with_the_difference;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
+        qcheck_delta_repair_matches_full_restore;
       Alcotest.test_case "joins under 20% loss terminate" `Quick
         test_joins_under_loss_always_terminate;
       Alcotest.test_case "single-cluster guards" `Quick test_single_cluster_guards;

@@ -58,7 +58,6 @@ let test_divergence_edges_once_per_episode () =
   let cluster =
     Nearby.Cluster.create ~detector_config ~recorder ~metrics ~transport:fx.transport
       ~client_router:fx.map.core.(0) ~make_server:(make_server fx)
-      ~restore_server:(fun data -> Nearby.Server.restore fx.oracle data)
       ~routers:fx.replica_routers ()
   in
   Alcotest.(check (list int)) "healthy cluster is consistent" []
@@ -150,7 +149,8 @@ let test_digest_gate_saves_snapshot_bytes () =
   let _, failed = run_joins fx protocol ~peers:10 ~k:3 ~horizon:30_000.0 in
   Alcotest.(check int) "loss-free joins all land" 0 failed;
   let skipped () = Simkit.Trace.counter (Nearby.Cluster.trace cluster) "cluster_sync_skipped" in
-  let restores () = Simkit.Trace.counter (Nearby.Cluster.trace cluster) "cluster_sync_restores" in
+  let counter name = Simkit.Trace.counter (Nearby.Cluster.trace cluster) name in
+  let restores () = counter "cluster_sync_restores" in
   (* Healthy fleet: every straggler's digest matches the source, so the
      round moves no snapshot bytes at all. *)
   Nearby.Cluster.sync_round cluster;
@@ -165,6 +165,10 @@ let test_digest_gate_saves_snapshot_bytes () =
   Nearby.Cluster.sync_round cluster;
   Simkit.Engine.run fx.engine ~until:40_000.0;
   Alcotest.(check int) "divergent stragglers restored" 2 (restores ());
+  (* Each straggler missed one entry: one bucket exchanged, one entry
+     written, apiece. *)
+  Alcotest.(check int) "one bucket per straggler" 2 (counter "cluster_sync_buckets");
+  Alcotest.(check int) "one entry per straggler" 2 (counter "cluster_sync_repaired");
   Alcotest.(check bool) "snapshot bytes only for real drift" true
     (kind_bytes metrics "snapshot" > 0);
   Nearby.Cluster.check_invariants cluster;

@@ -79,6 +79,56 @@ let test_restore_empty_server () =
       Alcotest.(check int) "empty" 0 (Server.peer_count restored);
       Alcotest.(check (array int)) "landmarks kept" landmarks (Server.landmarks restored)
 
+let test_bucket_repair () =
+  let map, oracle, source = populated ~seed:6 ~peers:60 in
+  let landmarks = Server.landmarks source in
+  (* The straggler misses peers 0-4, holds peer 5 from another router and
+     an extra peer 70 the source never saw. *)
+  let straggler = Server.create oracle ~landmarks in
+  for peer = 6 to 59 do
+    let info = Option.get (Server.info source peer) in
+    Server.register_replica straggler ~peer ~attach_router:info.attach_router
+      ~landmark:info.landmark ~path:info.recorded_path ~probes_spent:info.probes_spent
+  done;
+  ignore (Server.join straggler ~peer:5 ~attach_router:map.leaves.(40));
+  ignore (Server.join straggler ~peer:70 ~attach_router:map.leaves.(41));
+  let buckets =
+    match Server.differing_buckets source (Server.bucket_summary straggler) with
+    | Ok b -> b
+    | Error e -> Alcotest.fail e
+  in
+  let touched = List.sort_uniq compare (List.map Server.bucket_of [ 0; 1; 2; 3; 4; 5; 70 ]) in
+  Alcotest.(check (list int)) "exactly the touched buckets differ" touched buckets;
+  Alcotest.(check int) "summary size" ((8 * Server.bucket_count) + 2)
+    (String.length (Server.bucket_summary source));
+  let data = Server.snapshot_buckets source buckets in
+  (* Corrupt input changes nothing. *)
+  let before = Server.digest straggler in
+  for len = 0 to String.length data - 1 do
+    match Server.apply_buckets ~replace:buckets straggler (String.sub data 0 len) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail (Printf.sprintf "prefix of %d bytes accepted" len)
+  done;
+  (match Server.apply_buckets ~replace:[] straggler data with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "entries outside the replaced buckets accepted");
+  Alcotest.(check bool) "rejected input left the straggler alone" true
+    (Int64.equal before (Server.digest straggler));
+  (* Five missing entries, one replaced, one removed. *)
+  (match Server.apply_buckets ~replace:buckets straggler data with
+  | Ok written -> Alcotest.(check int) "registrations written or removed" 7 written
+  | Error e -> Alcotest.fail e);
+  Server.check_invariants straggler;
+  Alcotest.(check bool) "content equal" true
+    (Int64.equal (Server.digest source) (Server.digest straggler));
+  Alcotest.(check (list int)) "same peers" (Server.peer_ids source) (Server.peer_ids straggler);
+  Alcotest.(check (list (pair int int)))
+    "same answers" (Server.neighbors source ~peer:5 ~k:5)
+    (Server.neighbors straggler ~peer:5 ~k:5);
+  match Server.differing_buckets source (String.sub (Server.bucket_summary source) 0 9) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "truncated summary accepted"
+
 let suite =
   ( "snapshot",
     [
@@ -87,4 +137,5 @@ let suite =
       Alcotest.test_case "deterministic bytes" `Quick test_snapshot_deterministic;
       Alcotest.test_case "corruption rejected" `Quick test_restore_rejects_corruption;
       Alcotest.test_case "empty roundtrip" `Quick test_restore_empty_server;
+      Alcotest.test_case "bucket repair" `Quick test_bucket_repair;
     ] )

@@ -43,6 +43,25 @@ let test_bytes_roundtrip () =
   Alcotest.(check bool) "second empty" true (Codec.Reader.bytes r = Ok "");
   Alcotest.(check bool) "exhausted" true (Codec.Reader.is_exhausted r)
 
+let test_int64_fixed_width () =
+  let values = [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x0123456789abcdefL ] in
+  let w = Codec.Writer.create () and sz = Codec.Sizer.create () in
+  List.iter
+    (fun v ->
+      Codec.Writer.int64 w v;
+      Codec.Sizer.int64 sz v)
+    values;
+  let data = Codec.Writer.contents w in
+  Alcotest.(check int) "eight bytes each" (8 * List.length values) (String.length data);
+  Alcotest.(check int) "sizer agrees" (String.length data) (Codec.Sizer.size sz);
+  let r = Codec.Reader.of_string data in
+  List.iter
+    (fun v -> Alcotest.(check bool) (Int64.to_string v) true (Codec.Reader.int64 r = Ok v))
+    values;
+  let short = Codec.Reader.of_string (String.make 7 '\x00') in
+  Alcotest.(check bool) "seven bytes truncated" true
+    (Codec.Reader.int64 short = Error Codec.Reader.Truncated)
+
 let test_reader_truncated () =
   let r = Codec.Reader.of_string "" in
   Alcotest.(check bool) "u8 on empty" true (Codec.Reader.u8 r = Error Codec.Reader.Truncated);
@@ -268,6 +287,7 @@ let suite =
       q qcheck_varint_roundtrip;
       Alcotest.test_case "u8 bounds" `Quick test_u8_bounds;
       Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
+      Alcotest.test_case "int64 fixed width" `Quick test_int64_fixed_width;
       Alcotest.test_case "reader truncated" `Quick test_reader_truncated;
       Alcotest.test_case "malformed varint" `Quick test_reader_malformed_varint;
       Alcotest.test_case "varint overflow edges" `Quick test_varint_overflow_edges;
