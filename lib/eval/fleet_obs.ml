@@ -362,7 +362,7 @@ let result t =
   let fleet = fleet_trace t in
   let scraped = scrape t in
   let q quant =
-    match Simkit.Trace.sketch_quantile fleet "join_ms" quant with Some v -> v | None -> nan
+    match Simkit.Trace.quantile fleet "join_ms" quant with Some v -> v | None -> nan
   in
   let replica_join_p99_ms =
     Array.init (Nearby.Cluster.replica_count t.cluster) (fun i ->

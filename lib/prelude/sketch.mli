@@ -8,16 +8,17 @@
     per-shard, per-replica and per-backend latency streams roll up into
     fleet-wide tails that carry the {e same} error bound as each input.
 
-    This is the property the P^2 estimator ({!Quantile}) lacks: P^2 keeps
-    five marker points and cannot be combined after the fact.
-    {!Simkit.Trace} therefore runs both — P^2 for cheap live reads, a
-    sketch for anything that must merge. *)
+    This is the only quantile estimator in the tree: every
+    {!Simkit.Trace} stream and every {!Simkit.Timeseries} window answers
+    its quantile reads from one sketch, live or merged.  Memory grows with
+    the spread of the values (one int per bucket between the smallest and
+    the largest), not with the number of samples. *)
 
 type t
 
 val default_alpha : float
 (** 0.01 — a 1% relative-error bound, the default for {!create} and the
-    bound documented for every merged trace quantile. *)
+    bound documented for every trace and window quantile. *)
 
 val create : ?alpha:float -> unit -> t
 (** [alpha] is the relative-error bound; defaults to {!default_alpha}.
@@ -47,5 +48,12 @@ val alpha : t -> float
 val count : t -> int
 val is_empty : t -> bool
 
-val buckets_used : t -> int
-(** Occupied buckets — the sketch's memory footprint in cells. *)
+val bucket_index : t -> float -> int
+(** The index of the bucket {!add} files a value under: [i] for
+    (gamma^(i-1), gamma^i], and one below the lowest such index for the
+    zero bucket, so indexes order like the values they hold. *)
+
+val buckets : t -> (int * float * int) list
+(** The occupied buckets in ascending order, as [(index, upper edge,
+    count)] — the zero bucket first, with upper edge 1e-9.  Counts sum to
+    {!count}; exporters render histograms from this. *)

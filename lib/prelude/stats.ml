@@ -1,5 +1,7 @@
+(* Every field a float, so the record is a flat float block and [add]
+   stores its results unboxed: the count is kept as a float for that. *)
 type t = {
-  mutable n : int;
+  mutable n : float;
   mutable mean_acc : float;
   mutable m2 : float;
   mutable min_v : float;
@@ -7,46 +9,46 @@ type t = {
   mutable sum_acc : float;
 }
 
-let create () = { n = 0; mean_acc = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity; sum_acc = 0.0 }
+let create () = { n = 0.0; mean_acc = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity; sum_acc = 0.0 }
 
 let add t x =
-  t.n <- t.n + 1;
+  t.n <- t.n +. 1.0;
   let delta = x -. t.mean_acc in
-  t.mean_acc <- t.mean_acc +. (delta /. float_of_int t.n);
+  t.mean_acc <- t.mean_acc +. (delta /. t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean_acc));
   if x < t.min_v then t.min_v <- x;
   if x > t.max_v then t.max_v <- x;
   t.sum_acc <- t.sum_acc +. x
 
-let count t = t.n
-let mean t = if t.n = 0 then 0.0 else t.mean_acc
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
+let count t = int_of_float t.n
+let mean t = if t.n = 0.0 then 0.0 else t.mean_acc
+let variance t = if t.n < 2.0 then 0.0 else t.m2 /. (t.n -. 1.0)
 let stddev t = sqrt (variance t)
 
-let min_value t = if t.n = 0 then invalid_arg "Stats.min_value: empty" else t.min_v
-let max_value t = if t.n = 0 then invalid_arg "Stats.max_value: empty" else t.max_v
-let min_opt t = if t.n = 0 then None else Some t.min_v
-let max_opt t = if t.n = 0 then None else Some t.max_v
+let min_value t = if t.n = 0.0 then invalid_arg "Stats.min_value: empty" else t.min_v
+let max_value t = if t.n = 0.0 then invalid_arg "Stats.max_value: empty" else t.max_v
+let min_opt t = if t.n = 0.0 then None else Some t.min_v
+let max_opt t = if t.n = 0.0 then None else Some t.max_v
 let sum t = t.sum_acc
 
 let clear t =
-  t.n <- 0;
+  t.n <- 0.0;
   t.mean_acc <- 0.0;
   t.m2 <- 0.0;
   t.min_v <- infinity;
   t.max_v <- neg_infinity;
   t.sum_acc <- 0.0
 
-let ci95_halfwidth t = if t.n < 2 then 0.0 else 1.96 *. stddev t /. sqrt (float_of_int t.n)
+let ci95_halfwidth t = if t.n < 2.0 then 0.0 else 1.96 *. stddev t /. sqrt t.n
 
 let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
+  if a.n = 0.0 then { b with n = b.n }
+  else if b.n = 0.0 then { a with n = a.n }
   else begin
-    let n = a.n + b.n in
+    let n = a.n +. b.n in
     let delta = b.mean_acc -. a.mean_acc in
-    let mean_acc = a.mean_acc +. (delta *. float_of_int b.n /. float_of_int n) in
-    let m2 = a.m2 +. b.m2 +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n) in
+    let mean_acc = a.mean_acc +. (delta *. b.n /. n) in
+    let m2 = a.m2 +. b.m2 +. (delta *. delta *. a.n *. b.n /. n) in
     {
       n;
       mean_acc;
@@ -58,8 +60,8 @@ let merge a b =
   end
 
 let merge_into ~into src =
-  if src.n > 0 then begin
-    if into.n = 0 then begin
+  if src.n > 0.0 then begin
+    if into.n = 0.0 then begin
       into.n <- src.n;
       into.mean_acc <- src.mean_acc;
       into.m2 <- src.m2;
@@ -68,16 +70,10 @@ let merge_into ~into src =
       into.sum_acc <- src.sum_acc
     end
     else begin
-      let n = into.n + src.n in
+      let n = into.n +. src.n in
       let delta = src.mean_acc -. into.mean_acc in
-      let mean_acc =
-        into.mean_acc +. (delta *. float_of_int src.n /. float_of_int n)
-      in
-      let m2 =
-        into.m2 +. src.m2
-        +. (delta *. delta *. float_of_int into.n *. float_of_int src.n
-           /. float_of_int n)
-      in
+      let mean_acc = into.mean_acc +. (delta *. src.n /. n) in
+      let m2 = into.m2 +. src.m2 +. (delta *. delta *. into.n *. src.n /. n) in
       into.n <- n;
       into.mean_acc <- mean_acc;
       into.m2 <- m2;

@@ -75,13 +75,12 @@ let exemplar_json (e : Trace.exemplar) =
       ("value", Json_str.number e.value);
     ]
 
-let summary_json ?(exemplars = []) (s : Trace.summary) hist =
-  let hist_json =
-    match hist with
-    | None -> "[]"
-    | Some h ->
-        Json_str.arr
-          (List.map (fun (b, c) -> Printf.sprintf "[%d, %d]" b c) (Prelude.Histogram.to_assoc h))
+let summary_json ?(exemplars = []) (s : Trace.summary) buckets =
+  let buckets_json =
+    Json_str.arr
+      (List.map
+         (fun (_, le, c) -> Printf.sprintf "[%s, %d]" (Json_str.number le) c)
+         buckets)
   in
   let fields =
     [
@@ -94,7 +93,7 @@ let summary_json ?(exemplars = []) (s : Trace.summary) hist =
       ("p50", Json_str.number s.Trace.p50);
       ("p90", Json_str.number s.Trace.p90);
       ("p99", Json_str.number s.Trace.p99);
-      ("log2_hist", hist_json);
+      ("buckets", buckets_json);
     ]
     @
     match exemplars with
@@ -111,7 +110,7 @@ let section_json trace =
     Trace.summaries trace
     |> List.map (fun (name, s) ->
            ( name,
-             summary_json ~exemplars:(Trace.exemplars trace name) s (Trace.hist trace name) ))
+             summary_json ~exemplars:(Trace.exemplars trace name) s (Trace.buckets trace name) ))
   in
   Json_str.obj [ ("counters", Json_str.obj counters); ("stats", Json_str.obj stats) ]
 
@@ -148,7 +147,7 @@ let labeled_json m =
                  [ entry "stream"
                      [ ("stats",
                         summary_json ~exemplars:(Trace.exemplars trace key) s
-                          (Trace.hist trace key)) ] ]
+                          (Trace.buckets trace key)) ] ]
              | None -> []
            in
            let gauge =
@@ -247,20 +246,19 @@ let prometheus ?(prefix = "nearby") sections =
           Buffer.add_string buf
             (Printf.sprintf "%s_sum %s\n" metric (prom_number (s.Trace.mean *. float_of_int s.Trace.count)));
           Buffer.add_string buf (Printf.sprintf "%s_count %d\n" metric s.Trace.count);
-          (* Streams with tagged samples additionally expose their log2
-             histogram, each bucket line carrying its latest exemplar in the
-             OpenMetrics style: `... # {trace_id="N"} value`.  Plain
-             Prometheus parsers treat the suffix as a comment. *)
-          match (Trace.exemplars trace name, Trace.hist trace name) with
-          | [], _ | _, None -> ()
-          | exemplars, Some h ->
+          (* Streams with tagged samples additionally expose their sketch
+             buckets as a histogram, each bucket line carrying its latest
+             exemplar in the OpenMetrics style: `... # {trace_id="N"} value`.
+             Plain Prometheus parsers treat the suffix as a comment. *)
+          match Trace.exemplars trace name with
+          | [] -> ()
+          | exemplars ->
               let hist_metric = metric ^ "_hist" in
               Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" hist_metric);
               let cumulative = ref 0 in
               List.iter
-                (fun (bucket, count) ->
+                (fun (bucket, le, count) ->
                   cumulative := !cumulative + count;
-                  let le = Printf.sprintf "%g" (Float.pow 2.0 (float_of_int bucket)) in
                   let exemplar =
                     match
                       List.find_opt (fun (e : Trace.exemplar) -> e.bucket = bucket) exemplars
@@ -271,13 +269,12 @@ let prometheus ?(prefix = "nearby") sections =
                     | None -> ""
                   in
                   Buffer.add_string buf
-                    (Printf.sprintf "%s_bucket{le=\"%s\"} %d%s\n" hist_metric le !cumulative
+                    (Printf.sprintf "%s_bucket{le=\"%g\"} %d%s\n" hist_metric le !cumulative
                        exemplar))
-                (Prelude.Histogram.to_assoc h);
+                (Trace.buckets trace name);
               Buffer.add_string buf
-                (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" hist_metric
-                   (Prelude.Histogram.total h));
-              Buffer.add_string buf (Printf.sprintf "%s_count %d\n" hist_metric (Prelude.Histogram.total h)))
+                (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" hist_metric s.Trace.count);
+              Buffer.add_string buf (Printf.sprintf "%s_count %d\n" hist_metric s.Trace.count))
         (Trace.summaries trace))
     sections;
   Buffer.contents buf

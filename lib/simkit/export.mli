@@ -4,15 +4,16 @@
     {!Trace.t} — e.g. [("server", server_trace); ("registry", timing_trace)].
     Counters export as integers / Prometheus counters; observe streams
     export their full {!Trace.summary} (count, mean, stddev, ci95, min/max,
-    p50/p90/p99, power-of-two histogram) / Prometheus summaries.  Empty
+    p50/p90/p99, and the sketch's [(upper edge, count)] buckets) /
+    Prometheus summaries.  Empty
     streams serialize with [null] min/max/quantiles — serialization never
     raises.
 
     Streams whose samples were tagged with trace ids
     ({!Trace.observe}[ ~trace_id]) additionally export their tail
     exemplars: in JSON as an ["exemplars"] array per stream (bucket,
-    trace_id, value), in Prometheus as a [<stream>_hist] log2 histogram
-    whose bucket lines carry OpenMetrics-style
+    trace_id, value), in Prometheus as a [<stream>_hist] histogram of the
+    stream's sketch buckets whose bucket lines carry OpenMetrics-style
     [# {trace_id="…"} value] exemplar suffixes. *)
 
 type meta = {

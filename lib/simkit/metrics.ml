@@ -105,7 +105,7 @@ let counter t name ~labels = Trace.counter t.trace (canonical_key name labels)
 let summary t name ~labels = Trace.summary t.trace (canonical_key name labels)
 
 let quantile t name ~labels q =
-  Trace.sketch_quantile t.trace (canonical_key name labels) q
+  Trace.quantile t.trace (canonical_key name labels) q
 
 let gauge t name ~labels = Hashtbl.find_opt t.gauges (canonical_key name labels)
 

@@ -54,11 +54,7 @@ let last n xs =
 
 let value_of_window objective (w : Timeseries.summary) =
   match objective with
-  | Quantile_max { q; _ } ->
-      if q = 0.5 then w.p50
-      else if q = 0.9 then w.p90
-      else if q = 0.99 then w.p99
-      else invalid_arg "Slo: only quantiles 0.5, 0.9 and 0.99 are tracked"
+  | Quantile_max { q; _ } -> Prelude.Sketch.quantile w.sketch q
   | Mean_max _ | Mean_min _ -> w.mean
   | Ratio_min _ -> nan
 

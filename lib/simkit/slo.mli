@@ -14,8 +14,8 @@
 
 type objective =
   | Quantile_max of { series : string; q : float; limit : float }
-      (** Per-window quantile must stay at or under [limit].  Only
-          [q] in {0.5, 0.9, 0.99} is tracked by {!Timeseries}. *)
+      (** Per-window quantile must stay at or under [limit]; any [q] in
+          [\[0, 1\]], read from the window's sketch. *)
   | Mean_max of { series : string; limit : float }
   | Mean_min of { series : string; floor : float }
   | Ratio_min of { num : string; den : string; floor : float }

@@ -2,10 +2,10 @@
 
    A series is a bounded ring of windows; window [i] covers simulated time
    [[i * width, (i+1) * width)).  Each window keeps a Welford accumulator
-   and three P² sketches, so a long run holds at most [capacity] windows of
-   O(1) state per series however many samples flow through.  Only windows
-   that received a sample are materialized — a gap in traffic costs
-   nothing and serializes as [null].
+   and one quantile sketch, so a long run holds at most [capacity] windows
+   of bounded state per series however many samples flow through.  Only
+   windows that received a sample are materialized — a gap in traffic
+   costs nothing and serializes as [null].
 
    The clock is the caller's business (engine time in the simulators, an
    operation counter in the CLI drivers); this module never reads a wall
@@ -14,9 +14,7 @@
 type window = {
   index : int;  (* window number: floor (now / width) *)
   st : Prelude.Stats.t;
-  q50 : Prelude.Quantile.t;
-  q90 : Prelude.Quantile.t;
-  q99 : Prelude.Quantile.t;
+  sketch : Prelude.Sketch.t;
 }
 
 type series = {
@@ -40,6 +38,7 @@ type summary = {
   p50 : float;
   p90 : float;
   p99 : float;
+  sketch : Prelude.Sketch.t;
 }
 
 let create ?(capacity = 64) ~window_ms () =
@@ -50,10 +49,11 @@ let create ?(capacity = 64) ~window_ms () =
 let window_ms t = t.window_ms
 let capacity t = t.capacity
 
+(* [Hashtbl.find], as in [Trace.stream]: no option allocated per sample. *)
 let series t name =
-  match Hashtbl.find_opt t.table name with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.table name with
+  | s -> s
+  | exception Not_found ->
       let s = { name; ring = Array.make t.capacity None; latest = -1 } in
       Hashtbl.add t.table name s;
       s
@@ -64,13 +64,7 @@ let series t name =
 let window_index t now = if now <= 0.0 then 0 else int_of_float (Float.floor (now /. t.window_ms))
 
 let fresh_window index =
-  {
-    index;
-    st = Prelude.Stats.create ();
-    q50 = Prelude.Quantile.create ~q:0.5;
-    q90 = Prelude.Quantile.create ~q:0.9;
-    q99 = Prelude.Quantile.create ~q:0.99;
-  }
+  { index; st = Prelude.Stats.create (); sketch = Prelude.Sketch.create () }
 
 let observe_series t s ~now v =
   let index = window_index t now in
@@ -85,9 +79,7 @@ let observe_series t s ~now v =
         w
   in
   Prelude.Stats.add w.st v;
-  Prelude.Quantile.add w.q50 v;
-  Prelude.Quantile.add w.q90 v;
-  Prelude.Quantile.add w.q99 v;
+  Prelude.Sketch.add w.sketch v;
   if index > s.latest then s.latest <- index
 
 let observe t name ~now v = observe_series t (series t name) ~now v
@@ -99,9 +91,10 @@ let summary_of t (w : window) =
     count = Prelude.Stats.count w.st;
     rate_per_s = float_of_int (Prelude.Stats.count w.st) /. (t.window_ms /. 1000.0);
     mean = Prelude.Stats.mean w.st;
-    p50 = Prelude.Quantile.estimate w.q50;
-    p90 = Prelude.Quantile.estimate w.q90;
-    p99 = Prelude.Quantile.estimate w.q99;
+    p50 = Prelude.Sketch.quantile w.sketch 0.5;
+    p90 = Prelude.Sketch.quantile w.sketch 0.9;
+    p99 = Prelude.Sketch.quantile w.sketch 0.99;
+    sketch = w.sketch;
   }
 
 (* Retained range: the [capacity] window indices ending at the newest one

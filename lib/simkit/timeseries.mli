@@ -3,8 +3,9 @@
     Where {!Trace} accumulates whole-run statistics, a timeseries answers
     "what did this stream look like {e per window}": each named series
     chops the caller-supplied clock (engine time, usually) into windows of
-    [window_ms] and keeps count / rate / mean / p50 / p90 / p99 per
-    window, in a bounded ring of the most recent [capacity] windows.  This
+    [window_ms] and keeps a Welford accumulator and a {!Prelude.Sketch}
+    per window — count / rate / mean and any quantile — in a bounded ring
+    of the most recent [capacity] windows.  This
     is the substrate {!Slo} burn rates are evaluated over.
 
     Windows are half-open: a sample at exactly [k * window_ms] lands in
@@ -24,10 +25,15 @@ type summary = {
   count : int;
   rate_per_s : float;  (** [count] scaled to events per second. *)
   mean : float;
-  p50 : float;  (** P² estimates; [nan] on a window with no samples (never
-                    serialized — absent windows are [None]). *)
+  p50 : float;
+      (** Read from [sketch], within relative error
+          {!Prelude.Sketch.default_alpha}; [nan] on a window with no
+          samples (never serialized — absent windows are [None]). *)
   p90 : float;
   p99 : float;
+  sketch : Prelude.Sketch.t;
+      (** The window's own sketch, for any other quantile.  It is live: a
+          later sample in the same window shows up in it. *)
 }
 
 val create : ?capacity:int -> window_ms:float -> unit -> t

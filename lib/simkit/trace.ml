@@ -1,23 +1,15 @@
-(* Every observe stream keeps, besides the Welford accumulator, three P²
-   sketches (p50/p90/p99) and a power-of-two latency histogram, so tails are
-   readable from a long run without retaining samples. *)
-(* One retained sample per log2 bucket: the last trace to land there.  The
-   bucket count is bounded (~64), so exemplar storage is O(1) per stream
-   like everything else here. *)
+(* Every observe stream is a Welford accumulator (count, mean, stddev, CI)
+   plus one mergeable sketch that answers every quantile read, live or
+   merged, so tails are readable from a long run without retaining
+   samples.  Exemplars keep one sample per sketch bucket, the last trace
+   to land there; a stream populates a narrow band of buckets, so their
+   storage stays bounded however many samples flow through. *)
 type exemplar = { bucket : int; trace_id : int; value : float }
 
 type stream = {
   st : Prelude.Stats.t;
-  q50 : Prelude.Quantile.t;
-  q90 : Prelude.Quantile.t;
-  q99 : Prelude.Quantile.t;
-  hist : Prelude.Histogram.t;  (* log2-bucketed: bucket b covers (2^(b-1), 2^b] *)
-  sketch : Prelude.Sketch.t;  (* mergeable; feeds rolled-up quantiles *)
+  sketch : Prelude.Sketch.t;
   exemplars : (int, exemplar) Hashtbl.t;  (* bucket -> latest tagged sample *)
-  mutable merged : bool;
-      (* P² markers cannot absorb a merge, so once foreign samples land in
-         a stream its quantile reads switch to the sketch (error <= alpha);
-         live streams keep the exact-for-small-n P² path. *)
 }
 
 type summary = {
@@ -58,20 +50,17 @@ let of_counters bindings =
   List.iter (fun (name, v) -> add_count t name v) bindings;
   t
 
+(* [Hashtbl.find] rather than [find_opt]: this runs on every observe, and
+   the option would be an allocation per sample. *)
 let stream t name =
-  match Hashtbl.find_opt t.streams name with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.streams name with
+  | s -> s
+  | exception Not_found ->
       let s =
         {
           st = Prelude.Stats.create ();
-          q50 = Prelude.Quantile.create ~q:0.5;
-          q90 = Prelude.Quantile.create ~q:0.9;
-          q99 = Prelude.Quantile.create ~q:0.99;
-          hist = Prelude.Histogram.create ();
           sketch = Prelude.Sketch.create ();
           exemplars = Hashtbl.create 8;
-          merged = false;
         }
       in
       Hashtbl.add t.streams name s;
@@ -80,15 +69,11 @@ let stream t name =
 let observe ?trace_id t name v =
   let s = stream t name in
   Prelude.Stats.add s.st v;
-  Prelude.Quantile.add s.q50 v;
-  Prelude.Quantile.add s.q90 v;
-  Prelude.Quantile.add s.q99 v;
-  Prelude.Histogram.add_log2 s.hist v;
   Prelude.Sketch.add s.sketch v;
   (* Trace id 0 is the noop span sink's null context: not a real trace. *)
   match trace_id with
   | Some id when id <> 0 ->
-      let bucket = Prelude.Histogram.log2_bucket v in
+      let bucket = Prelude.Sketch.bucket_index s.sketch v in
       Hashtbl.replace s.exemplars bucket { bucket; trace_id = id; value = v }
   | _ -> ()
 
@@ -105,16 +90,11 @@ let top_exemplar t name =
   match List.rev (exemplars t name) with e :: _ -> Some e | [] -> None
 
 let stat t name = Option.map (fun s -> s.st) (Hashtbl.find_opt t.streams name)
-let hist t name = Option.map (fun s -> s.hist) (Hashtbl.find_opt t.streams name)
 
-let stream_quantile s q =
-  if s.merged then Prelude.Sketch.quantile s.sketch q
-  else
-    match q with
-    | 0.5 -> Prelude.Quantile.estimate s.q50
-    | 0.9 -> Prelude.Quantile.estimate s.q90
-    | 0.99 -> Prelude.Quantile.estimate s.q99
-    | _ -> invalid_arg "Trace.quantile: only 0.5, 0.9 and 0.99 are tracked"
+let buckets t name =
+  match Hashtbl.find_opt t.streams name with
+  | Some s -> Prelude.Sketch.buckets s.sketch
+  | None -> []
 
 let summary_of_stream s =
   {
@@ -124,27 +104,15 @@ let summary_of_stream s =
     ci95 = Prelude.Stats.ci95_halfwidth s.st;
     min = Prelude.Stats.min_opt s.st;
     max = Prelude.Stats.max_opt s.st;
-    p50 = stream_quantile s 0.5;
-    p90 = stream_quantile s 0.9;
-    p99 = stream_quantile s 0.99;
+    p50 = Prelude.Sketch.quantile s.sketch 0.5;
+    p90 = Prelude.Sketch.quantile s.sketch 0.9;
+    p99 = Prelude.Sketch.quantile s.sketch 0.99;
   }
 
 let summary t name = Option.map summary_of_stream (Hashtbl.find_opt t.streams name)
 
 let quantile t name q =
-  Option.map (fun s -> stream_quantile s q) (Hashtbl.find_opt t.streams name)
-
-let sketch t name = Option.map (fun s -> s.sketch) (Hashtbl.find_opt t.streams name)
-
-let sketch_quantile t name q =
-  Option.map
-    (fun s -> Prelude.Sketch.quantile s.sketch q)
-    (Hashtbl.find_opt t.streams name)
-
-let is_merged t name =
-  match Hashtbl.find_opt t.streams name with
-  | Some s -> s.merged
-  | None -> false
+  Option.map (fun s -> Prelude.Sketch.quantile s.sketch q) (Hashtbl.find_opt t.streams name)
 
 let sorted_bindings table value =
   Hashtbl.fold (fun k v acc -> (k, value v) :: acc) table []
@@ -154,13 +122,9 @@ let counters t = sorted_bindings t.counters (fun r -> !r)
 let stats t = sorted_bindings t.streams (fun s -> s.st)
 let summaries t = sorted_bindings t.streams summary_of_stream
 
-(* Fold [src] into [into].  Counters add; Welford accumulators, log2
-   histograms and sketches merge losslessly; exemplars take [src]'s latest
-   per bucket (a merge is a scrape — the newest cross-link wins).  The P²
-   markers of the destination are left untouched and the stream is flagged
-   [merged], which flips its quantile reads over to the sketch: P² cannot
-   absorb another stream, and silently reporting the pre-merge markers
-   would be worse than the sketch's bounded-error answer. *)
+(* Fold [src] into [into].  Counters add; Welford accumulators and
+   sketches merge losslessly; exemplars take [src]'s latest per bucket (a
+   merge is a scrape — the newest cross-link wins). *)
 let merge_into ?(map_name = Fun.id) ~into src =
   Hashtbl.iter
     (fun name r -> if !r <> 0 then add_count into (map_name name) !r)
@@ -169,10 +133,8 @@ let merge_into ?(map_name = Fun.id) ~into src =
     (fun name s ->
       let dst = stream into (map_name name) in
       Prelude.Stats.merge_into ~into:dst.st s.st;
-      Prelude.Histogram.merge_into ~into:dst.hist s.hist;
       Prelude.Sketch.merge_into ~into:dst.sketch s.sketch;
-      Hashtbl.iter (fun bucket e -> Hashtbl.replace dst.exemplars bucket e) s.exemplars;
-      dst.merged <- true)
+      Hashtbl.iter (fun bucket e -> Hashtbl.replace dst.exemplars bucket e) s.exemplars)
     src.streams
 
 (* Zero in place: callers may hold counter refs (counter_ref) or stats
@@ -183,11 +145,6 @@ let reset t =
   Hashtbl.iter
     (fun _ s ->
       Prelude.Stats.clear s.st;
-      Prelude.Quantile.clear s.q50;
-      Prelude.Quantile.clear s.q90;
-      Prelude.Quantile.clear s.q99;
-      Prelude.Histogram.clear s.hist;
       Prelude.Sketch.clear s.sketch;
-      Hashtbl.reset s.exemplars;
-      s.merged <- false)
+      Hashtbl.reset s.exemplars)
     t.streams

@@ -1,11 +1,12 @@
 (** Simulation metrics collection.
 
     Named counters and named streaming statistics, written by protocol code
-    and read by experiment reports.  Each observe stream is backed by a
-    Welford accumulator, P² quantile sketches (p50/p90/p99) and a
-    power-of-two histogram, so tail latencies are available from O(1) memory
-    per stream.  Purely in-memory; rendering is the caller's business (see
-    {!Export} for the JSON / Prometheus serializations). *)
+    and read by experiment reports.  Each observe stream is a Welford
+    accumulator (count, mean, stddev, CI) plus one mergeable
+    {!Prelude.Sketch} that answers every quantile read, so tail latencies
+    are available without retaining samples.  Purely in-memory; rendering
+    is the caller's business (see {!Export} for the JSON / Prometheus
+    serializations). *)
 
 type t
 
@@ -17,9 +18,9 @@ type summary = {
   min : float option;  (** [None] when the stream is empty. *)
   max : float option;
   p50 : float;
-      (** P² estimate on a live stream, sketch estimate (relative error
-          {!Prelude.Sketch.default_alpha}) once the stream has absorbed a
-          {!merge_into}; [nan] when the stream is empty. *)
+      (** Sketch estimate, within relative error
+          {!Prelude.Sketch.default_alpha}; [nan] when the stream is
+          empty. *)
   p90 : float;
   p99 : float;
 }
@@ -41,18 +42,18 @@ val counter_ref : t -> string -> int ref
 
 val observe : ?trace_id:int -> t -> string -> float -> unit
 (** Append a sample to the named statistic.  With [trace_id], also record
-    the sample as the latest {!exemplar} of its log2 bucket, so the tail of
+    the sample as the latest {!exemplar} of its sketch bucket, so the tail of
     the stream stays cross-linked to concrete traces (OpenMetrics-style).
     Trace id 0 (the noop span sink's {!Span.null_context}) is ignored. *)
 
 type exemplar = {
-  bucket : int;  (** {!Prelude.Histogram.log2_bucket} of the sample. *)
+  bucket : int;  (** {!Prelude.Sketch.bucket_index} of the sample. *)
   trace_id : int;
   value : float;
 }
 
 val exemplars : t -> string -> exemplar list
-(** One exemplar per populated log2 bucket (the latest to land there),
+(** One exemplar per populated sketch bucket (the latest to land there),
     ascending by bucket; [[]] for unknown streams or untagged samples. *)
 
 val top_exemplar : t -> string -> exemplar option
@@ -63,32 +64,15 @@ val stat : t -> string -> Prelude.Stats.t option
 val summary : t -> string -> summary option
 
 val quantile : t -> string -> float -> float option
-(** [quantile t name q] for [q] in {0.5, 0.9, 0.99}; [None] for an unknown
-    stream, [nan] before the first observation.  On a stream that has
-    absorbed a {!merge_into} the estimate comes from the mergeable sketch
-    (relative error at most {!Prelude.Sketch.default_alpha}); on a live
-    stream it is the P² estimate, exact while the stream is small.
-    @raise Invalid_argument for any other [q] on a live stream (merged
-    streams answer any [q] in [\[0, 1\]]). *)
+(** [quantile t name q] for any [q] in [\[0, 1\]], from the stream's
+    sketch whether or not it has absorbed a {!merge_into}: within relative
+    error {!Prelude.Sketch.default_alpha} of the true quantile.  [None]
+    for an unknown stream, [nan] before the first observation.
+    @raise Invalid_argument on [q] outside [\[0, 1\]]. *)
 
-val sketch : t -> string -> Prelude.Sketch.t option
-(** The stream's mergeable quantile sketch (fed on every {!observe}). *)
-
-val sketch_quantile : t -> string -> float -> float option
-(** Any [q] in [\[0, 1\]] from the stream's sketch, live or merged:
-    within relative error {!Prelude.Sketch.default_alpha} of the true
-    quantile.  [None] for unknown streams, [nan] before the first
-    observation. *)
-
-val is_merged : t -> string -> bool
-(** Whether the stream has absorbed foreign samples via {!merge_into}
-    (and therefore reads quantiles from its sketch). *)
-
-val hist : t -> string -> Prelude.Histogram.t option
-(** Power-of-two histogram of the stream, bucketed by
-    {!Prelude.Histogram.log2_bucket}: bucket 0 counts samples <= 1, bucket
-    [b > 0] counts samples in (2^(b-1), 2^b].  Combine histograms across
-    traces with {!Prelude.Histogram.merge_into}. *)
+val buckets : t -> string -> (int * float * int) list
+(** The stream's occupied sketch buckets, ascending, as {!Prelude.Sketch.buckets}
+    gives them; [[]] for an unknown stream. *)
 
 val counters : t -> (string * int) list
 (** Alphabetical. *)
@@ -102,10 +86,8 @@ val summaries : t -> (string * summary) list
 val merge_into : ?map_name:(string -> string) -> into:t -> t -> unit
 (** [merge_into ~into src] folds every counter and stream of [src] into
     [into], leaving [src] unchanged: counters add, Welford accumulators
-    and log2 histograms combine losslessly, quantile sketches merge within
-    their shared error bound, and exemplars keep [src]'s latest per
-    bucket.  Streams that absorb a merge are flagged (see {!is_merged})
-    and answer {!quantile}/{!summary} from the sketch from then on.
+    combine losslessly, quantile sketches merge within their shared error
+    bound, and exemplars keep [src]'s latest per bucket.
     [map_name] renames each counter/stream on the way in — the hook
     {!Metrics.merge_trace} uses to file a whole trace under a label set.
     This is the fleet roll-up primitive: scrape each replica's trace into

@@ -219,7 +219,13 @@ let test_fleet_merged_trace_acceptance () =
   let cluster = Eval.Fleet_obs.cluster t in
   Alcotest.(check int) "three replicas" 3 (Nearby.Cluster.replica_count cluster);
   let fleet = Eval.Fleet_obs.fleet_trace t in
-  Alcotest.(check bool) "fleet stream is merged" true (Trace.is_merged fleet "join_ms");
+  let joins_of trace =
+    match Trace.summary trace "join_ms" with Some s -> s.Trace.count | None -> 0
+  in
+  Alcotest.(check int) "fleet stream pools every replica"
+    (List.fold_left ( + ) 0
+       (List.init 3 (fun i -> joins_of (Nearby.Server.trace (Nearby.Cluster.server_of cluster i)))))
+    (joins_of fleet);
   let bound = 2.0 *. Prelude.Sketch.default_alpha in
   (* Each replica's labeled scrape answers within the sketch bound of the
      replica's own source trace. *)
@@ -234,7 +240,7 @@ let test_fleet_merged_trace_acceptance () =
     in
     let source =
       match
-        Trace.sketch_quantile (Nearby.Server.trace (Nearby.Cluster.server_of cluster i))
+        Trace.quantile (Nearby.Server.trace (Nearby.Cluster.server_of cluster i))
           "join_ms" 0.99
       with
       | Some v -> v
@@ -249,7 +255,7 @@ let test_fleet_merged_trace_acceptance () =
   (* The merged fleet p99 lands inside the per-replica envelope, stretched
      by the sketch bound. *)
   let merged =
-    match Trace.sketch_quantile fleet "join_ms" 0.99 with
+    match Trace.quantile fleet "join_ms" 0.99 with
     | Some v -> v
     | None -> Alcotest.fail "no merged fleet p99"
   in

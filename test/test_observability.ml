@@ -66,16 +66,17 @@ let test_finish_idempotent () =
 
 let test_exemplars () =
   let t = Trace.create () in
-  Trace.observe ~trace_id:7 t "lat" 3.0 (* bucket 2 *);
-  Trace.observe ~trace_id:9 t "lat" 4.0 (* bucket 2: later sample wins *);
-  Trace.observe ~trace_id:11 t "lat" 1000.0 (* bucket 10 *);
+  Trace.observe ~trace_id:7 t "lat" 2.95;
+  Trace.observe ~trace_id:9 t "lat" 3.0 (* same sketch bucket: later sample wins *);
+  Trace.observe ~trace_id:11 t "lat" 1000.0;
   Trace.observe t "lat" 2000.0 (* untagged: not an exemplar *);
   Trace.observe ~trace_id:0 t "lat" 4000.0 (* null context: ignored *);
   (match Trace.exemplars t "lat" with
   | [ a; b ] ->
-      Alcotest.(check int) "low bucket" 2 a.Trace.bucket;
+      let bucket_of v = Prelude.Sketch.bucket_index (Prelude.Sketch.create ()) v in
+      Alcotest.(check int) "low bucket" (bucket_of 3.0) a.Trace.bucket;
       Alcotest.(check int) "latest sample wins the bucket" 9 a.Trace.trace_id;
-      Alcotest.(check int) "high bucket" 10 b.Trace.bucket;
+      Alcotest.(check int) "high bucket" (bucket_of 1000.0) b.Trace.bucket;
       Alcotest.(check int) "tail trace id" 11 b.Trace.trace_id
   | l -> Alcotest.failf "expected 2 exemplars, got %d" (List.length l));
   (match Trace.top_exemplar t "lat" with
@@ -86,6 +87,10 @@ let test_exemplars () =
 let test_exemplar_export () =
   let t = Trace.create () in
   Trace.observe ~trace_id:42 t "join_ms" 100.0;
+  List.iteri
+    (fun i v -> Trace.observe ~trace_id:(100 + i) t "join_ms" v)
+    [ 0.0; 3.0; 250.0; 250.5; 7.0; 1e4 ];
+  List.iter (Trace.observe t "join_ms") [ 1.0; 2.0; 300.0 ];
   Trace.observe t "plain" 5.0;
   let doc = Export.metrics_json [ ("run", t) ] in
   Alcotest.(check bool) "json exemplars present" true (contains "\"exemplars\"" doc);
@@ -97,6 +102,53 @@ let test_exemplar_export () =
   Alcotest.(check bool) "+Inf bucket" true (contains "le=\"+Inf\"" prom);
   (* Streams without exemplars must not grow a histogram block. *)
   Alcotest.(check bool) "plain stream unchanged" false (contains "plain_hist" prom);
+  (* The block is the sketch's buckets: cumulative counts never decrease,
+     +Inf equals the stream count, and each exemplar sits on the line of
+     the bucket its value fell in. *)
+  let bucket_lines =
+    String.split_on_char '\n' prom
+    |> List.filter (String.starts_with ~prefix:"nearby_run_join_ms_hist_bucket{")
+  in
+  let parse line =
+    Scanf.sscanf line "nearby_run_join_ms_hist_bucket{le=%S} %d%s@\n" (fun le n rest ->
+        let exemplar =
+          if rest = "" then None
+          else Scanf.sscanf rest " # {trace_id=%S} %f" (fun id v -> Some (int_of_string id, v))
+        in
+        (le, n, exemplar))
+  in
+  let rows = List.map parse bucket_lines in
+  let rec non_decreasing = function
+    | (_, a, _) :: ((_, b, _) :: _ as rest) -> a <= b && non_decreasing rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "cumulative counts never decrease" true (non_decreasing rows);
+  (match List.rev rows with
+  | ("+Inf", n, None) :: _ -> Alcotest.(check int) "+Inf = stream count" 10 n
+  | _ -> Alcotest.fail "+Inf bucket is not last");
+  let sketch = Prelude.Sketch.create () in
+  List.iter (Prelude.Sketch.add sketch) [ 100.0; 0.0; 3.0; 250.0; 250.5; 7.0; 1e4; 1.0; 2.0; 300.0 ];
+  Alcotest.(check (list string)) "one line per sketch bucket, at its upper edge"
+    (List.map (fun (_, le, _) -> Printf.sprintf "%g" le) (Prelude.Sketch.buckets sketch) @ [ "+Inf" ])
+    (List.map (fun (le, _, _) -> le) rows);
+  let exemplars = Trace.exemplars t "join_ms" in
+  Alcotest.(check int) "one exemplar line per tagged bucket" (List.length exemplars)
+    (List.length (List.filter (fun (_, _, e) -> e <> None) rows));
+  (* An exemplar's value lies in (previous edge, own edge]; edges print
+     with six significant digits, hence the slack. *)
+  ignore
+    (List.fold_left
+       (fun prev (le, _, e) ->
+         let upper = float_of_string le in
+         (match e with
+         | None -> ()
+         | Some (id, v) ->
+             Alcotest.(check bool)
+               (Printf.sprintf "exemplar %d (%g) on the line of its bucket (%g, %s]" id v prev le)
+               true
+               (v > prev *. (1.0 -. 1e-5) && v <= upper *. (1.0 +. 1e-5)));
+         upper)
+       neg_infinity rows);
   (* The document as a whole must stay parseable JSON. *)
   match Json.parse doc with
   | Ok _ -> ()

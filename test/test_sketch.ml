@@ -1,5 +1,6 @@
-(* DDSketch-style mergeable quantile sketch, and the trace-level merge
-   built on it. *)
+(* DDSketch-style mergeable quantile sketch, the trace-level merge built
+   on it, and (suite "quantile") Trace.quantile — the one quantile read
+   path — on known distributions. *)
 
 open Prelude
 
@@ -81,7 +82,7 @@ let test_clear () =
   List.iter (Sketch.add t) [ 1.0; 10.0; 100.0 ];
   Sketch.clear t;
   Alcotest.(check bool) "empty after clear" true (Sketch.is_empty t);
-  Alcotest.(check int) "no buckets" 0 (Sketch.buckets_used t)
+  Alcotest.(check int) "no buckets" 0 (List.length (Sketch.buckets t))
 
 (* Positive-ish sample lists for the properties: heavy spread, including
    the sub-trackable region routed to the zero bucket. *)
@@ -148,22 +149,20 @@ let qcheck_trace_merge_matches_concat =
       Simkit.Trace.counter into "ops" = 7
       && merged_summary.count = pooled_summary.count
       && close merged_summary.mean pooled_summary.mean
-      (* Quantile reads flip to the sketch on the merged stream and match
-         the pooled sketch bit-for-bit (same buckets, same counts). *)
-      && Simkit.Trace.is_merged into "lat_ms"
+      (* Quantile reads match the pooled stream bit-for-bit (same buckets,
+         same counts). *)
       && List.for_all
            (fun q ->
              match
-               ( Simkit.Trace.sketch_quantile into "lat_ms" q,
-                 Simkit.Trace.sketch_quantile pooled "lat_ms" q )
+               ( Simkit.Trace.quantile into "lat_ms" q,
+                 Simkit.Trace.quantile pooled "lat_ms" q )
              with
              | Some a, Some b -> a = b
              | _ -> false)
            [ 0.5; 0.9; 0.99 ])
 
 let test_trace_merge_quantile_read () =
-  (* The public quantile accessor on a merged stream must answer from the
-     sketch (any q), not the unmergeable P2 cells. *)
+  (* The public quantile accessor answers any q on a merged stream. *)
   let t1 = trace_of [] [ 10.0; 20.0 ] and t2 = trace_of [] [ 30.0; 40.0 ] in
   let into = Simkit.Trace.create () in
   Simkit.Trace.merge_into ~into t1;
@@ -175,6 +174,18 @@ let test_trace_merge_quantile_read () =
         (Printf.sprintf "p75 %.2f within bound of 30" v)
         true
         (within_bound ~est:v ~exact:30.0)
+
+(* The one quantile read path: a stream answers the same any-q read before
+   and after it is merged, since both come from the same buckets. *)
+let qcheck_live_read_equals_merged_read =
+  QCheck.Test.make ~name:"live quantile read = read after merge_into" ~count:200
+    QCheck.(pair samples_gen (float_bound_inclusive 1.0))
+    (fun (samples, q) ->
+      QCheck.assume (samples <> []);
+      let live = trace_of [] samples in
+      let into = Simkit.Trace.create () in
+      Simkit.Trace.merge_into ~into live;
+      Simkit.Trace.quantile live "lat_ms" q = Simkit.Trace.quantile into "lat_ms" q)
 
 let suite =
   let q t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t in
@@ -191,4 +202,72 @@ let suite =
       q qcheck_merged_within_bound_of_exact;
       q qcheck_trace_merge_matches_concat;
       Alcotest.test_case "merged trace quantile read" `Quick test_trace_merge_quantile_read;
+      q qcheck_live_read_equals_merged_read;
+    ] )
+
+(* --- Trace.quantile on known distributions ------------------------------ *)
+
+let stream_quantile samples q =
+  let t = trace_of [] (Array.to_list samples) in
+  Option.get (Simkit.Trace.quantile t "lat_ms" q)
+
+let check_within_bound ~q samples =
+  let est = stream_quantile samples q and exact = exact_rank samples q in
+  Alcotest.(check bool)
+    (Printf.sprintf "q=%.2f n=%d: estimate %.3f vs exact %.3f" q (Array.length samples) est exact)
+    true (within_bound ~est ~exact)
+
+let uniform_stream seed n =
+  let rng = Prng.create seed in
+  Array.init n (fun _ -> Prng.float rng 100.0)
+
+let test_quantile_validation () =
+  let t = trace_of [] [ 1.0; 2.0 ] in
+  List.iter
+    (fun q ->
+      Alcotest.check_raises
+        (Printf.sprintf "q = %g" q)
+        (Invalid_argument "Sketch.quantile: q outside [0, 1]")
+        (fun () -> ignore (Simkit.Trace.quantile t "lat_ms" q)))
+    [ -0.1; 1.1 ];
+  Alcotest.(check bool) "unknown stream" true (Simkit.Trace.quantile t "nope" 0.5 = None)
+
+let test_median_uniform () = check_within_bound ~q:0.5 (uniform_stream 1 20_000)
+let test_p95_uniform () = check_within_bound ~q:0.95 (uniform_stream 2 20_000)
+let test_p99_uniform () = check_within_bound ~q:0.99 (uniform_stream 3 50_000)
+
+let test_exponential_tail () =
+  (* Skewed distribution: p95 of Exp(mean 10) is -10 ln 0.05 = 29.96. *)
+  let rng = Prng.create 4 in
+  let samples = Array.init 50_000 (fun _ -> Prng.exponential rng ~mean:10.0) in
+  check_within_bound ~q:0.95 samples;
+  let est = stream_quantile samples 0.95 in
+  Alcotest.(check bool) (Printf.sprintf "p95 of exp: %.2f vs 29.96" est) true
+    (abs_float (est -. 29.957) < 1.5)
+
+let test_monotone_stream () =
+  (* Sorted input is adversarial for marker-based estimators; the sketch
+     does not see order at all. *)
+  check_within_bound ~q:0.5 (Array.init 9999 (fun i -> float_of_int (i + 1)))
+
+let qcheck_between_extremes =
+  QCheck.Test.make ~name:"estimate stays within observed range" ~count:200
+    QCheck.(pair (float_bound_inclusive 1.0) (list_of_size Gen.(int_range 1 60) (float_bound_inclusive 1000.0)))
+    (fun (q, samples) ->
+      let est = stream_quantile (Array.of_list samples) q in
+      let lo = List.fold_left min infinity samples in
+      let hi = List.fold_left max neg_infinity samples in
+      est >= lo && est <= hi)
+
+let quantile_suite =
+  let q t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t in
+  ( "quantile",
+    [
+      Alcotest.test_case "validation" `Quick test_quantile_validation;
+      Alcotest.test_case "median uniform" `Slow test_median_uniform;
+      Alcotest.test_case "p95 uniform" `Slow test_p95_uniform;
+      Alcotest.test_case "p99 uniform" `Slow test_p99_uniform;
+      Alcotest.test_case "exponential tail" `Slow test_exponential_tail;
+      Alcotest.test_case "monotone stream" `Quick test_monotone_stream;
+      q qcheck_between_extremes;
     ] )

@@ -111,9 +111,8 @@ let test_evaluate_empty_series () =
 
 let test_evaluate_quantile () =
   let ts = Timeseries.create ~window_ms:100.0 () in
-  (* One window: 90 fast samples and a 10% tail at 1000; the p99 sees the
-     tail, the median does not.  (A P2 sketch needs a few tail samples to
-     move, hence 10 rather than a single outlier.) *)
+  (* One window: 90 fast samples and a 10% tail at 1000; the p99 and p95
+     see the tail, the median does not. *)
   for i = 0 to 99 do
     Timeseries.observe ts "lat" ~now:(float_of_int i)
       (if i mod 10 = 9 then 1000.0 else 1.0)
@@ -125,7 +124,13 @@ let test_evaluate_quantile () =
   let p50 =
     Slo.evaluate ts (Slo.spec (Slo.Quantile_max { series = "lat"; q = 0.5; limit = 10.0 }))
   in
-  Alcotest.(check bool) "median unaffected" false p50.Slo.breached
+  Alcotest.(check bool) "median unaffected" false p50.Slo.breached;
+  (* Any q reads from the window's sketch, not just the three summarized. *)
+  let p95 =
+    Slo.evaluate ts (Slo.spec (Slo.Quantile_max { series = "lat"; q = 0.95; limit = 10.0 }))
+  in
+  Alcotest.(check bool) "p95 evaluates and sees the tail" true p95.Slo.breached;
+  Alcotest.(check (float 10.0)) "p95 worst is the tail" 1000.0 p95.Slo.worst
 
 let test_evaluate_ratio_aggregates_across_windows () =
   let ts = Timeseries.create ~window_ms:100.0 () in

@@ -21,7 +21,16 @@ let test_stats_known_values () =
   feq "sample variance" (32.0 /. 7.0) (Stats.variance s);
   feq "min" 2.0 (Stats.min_value s);
   feq "max" 9.0 (Stats.max_value s);
-  feq "sum" 40.0 (Stats.sum s)
+  feq "sum" 40.0 (Stats.sum s);
+  (* A flat float record: adding a sample stores unboxed and allocates
+     nothing (the samples are boxed up front, in the list). *)
+  let samples = List.init 10_000 float_of_int in
+  let add = Stats.add s in
+  let before = Gc.minor_words () in
+  List.iter add samples;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "10k adds allocate %.0f minor words" words) true
+    (words < 100.0)
 
 let test_stats_merge_matches_concat () =
   let xs = [ 1.0; 2.0; 3.5 ] and ys = [ -4.0; 0.5; 2.5; 6.0 ] in

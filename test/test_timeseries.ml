@@ -28,7 +28,7 @@ let test_basic_aggregation () =
       Alcotest.(check (float 1e-9)) "w0 rate (2 per 100ms)" 20.0 w0.Timeseries.rate_per_s;
       Alcotest.(check (float 1e-9)) "w0 from_ms" 0.0 w0.Timeseries.from_ms;
       Alcotest.(check int) "w2 index" 2 w2.Timeseries.index;
-      Alcotest.(check (float 1e-9)) "w2 p50" 20.0 w2.Timeseries.p50;
+      Alcotest.(check (float (Prelude.Sketch.default_alpha *. 20.0))) "w2 p50" 20.0 w2.Timeseries.p50;
       Alcotest.(check (float 1e-9)) "w2 from_ms" 200.0 w2.Timeseries.from_ms
   | ws -> Alcotest.fail (Printf.sprintf "expected [Some; None; Some], got %d windows" (List.length ws))
 
@@ -95,6 +95,26 @@ let test_reset_keeps_handles_live () =
       Alcotest.(check (float 1e-9)) "fresh sample visible" 9.0 w.Timeseries.mean
   | _ -> Alcotest.fail "cached handle lost after reset"
 
+let test_window_quantiles_are_sketch_reads () =
+  (* Each window's quantiles are exactly what a sketch over that window's
+     own samples answers. *)
+  let t = Timeseries.create ~window_ms:100.0 () in
+  let rng = Prelude.Prng.create 9 in
+  let per_window = Array.init 3 (fun _ -> Prelude.Sketch.create ()) in
+  for i = 0 to 2_999 do
+    let now = float_of_int (i / 10) and v = Prelude.Prng.exponential rng ~mean:(float_of_int (1 + (i / 1000))) in
+    Timeseries.observe t "lat" ~now v;
+    Prelude.Sketch.add per_window.(i / 1000) v
+  done;
+  List.iteri
+    (fun i w ->
+      let w = Option.get w and sk = per_window.(i) in
+      List.iter
+        (fun (label, q, got) ->
+          Alcotest.(check (float 0.0)) (Printf.sprintf "w%d %s" i label) (Prelude.Sketch.quantile sk q) got)
+        [ ("p50", 0.5, w.Timeseries.p50); ("p90", 0.9, w.Timeseries.p90); ("p99", 0.99, w.Timeseries.p99) ])
+    (Timeseries.windows t "lat")
+
 let test_names_sorted () =
   let t = Timeseries.create ~window_ms:10.0 () in
   Timeseries.observe t "zeta" ~now:0.0 1.0;
@@ -112,4 +132,6 @@ let suite =
       Alcotest.test_case "empty windows serialize null" `Quick test_empty_windows_serialize_null;
       Alcotest.test_case "reset keeps handles live" `Quick test_reset_keeps_handles_live;
       Alcotest.test_case "names sorted" `Quick test_names_sorted;
+      Alcotest.test_case "window quantiles = sketch reads" `Quick
+        test_window_quantiles_are_sketch_reads;
     ] )
