@@ -14,11 +14,13 @@ module Make (Cost : COST) = struct
      A router bucket holds its (cost-to-router, peer) entries in a short
      array of sorted chunks: parallel [costs]/[peers] arrays, ascending by
      (cost, peer).  Compared to the AVL set this replaces, entries cost two
-     unboxed words instead of a five-word tree node, scans are cache-linear,
-     and a sorted batch of additions merges in one pass per touched chunk.
-     Insertion is a binary search to the right chunk plus a [blit]; chunks
-     split at [chunk_cap] so a single insert never moves more than
-     [chunk_cap] words. *)
+     unboxed words instead of a five-word tree node and scans are
+     cache-linear.  Insertion is a binary search to the right chunk plus a
+     [blit]; a chunk starts at [seed_cap] slots, doubles as it fills and
+     splits at [chunk_cap], so a single insert never moves more than
+     [chunk_cap] words.  There is one insertion path: a batch applies its
+     entries one by one through it, so a tree's layout depends only on the
+     sequence of operations, never on how they were batched. *)
 
   let chunk_cap = 512
   let seed_cap = 8
@@ -44,8 +46,8 @@ module Make (Cost : COST) = struct
     landmark : Topology.Graph.node;
     paths : (peer, path) Hashtbl.t;
     buckets : (Topology.Graph.node, bucket) Hashtbl.t;
-    (* Arena of retired full-size chunks, reused by splits and bulk merges
-       so churn does not hammer the allocator. *)
+    (* Arena of retired full-size chunks, reused by splits so churn does
+       not hammer the allocator. *)
     mutable spare : chunk list;
     mutable nspare : int;
     (* XOR of [Registry_intf.entry_digest] per member, kept in lockstep by
@@ -205,91 +207,6 @@ module Make (Cost : COST) = struct
     let pos = chunk_lower c cost p in
     pos < c.clen && entry_compare c.costs.(pos) c.cpeers.(pos) cost p = 0
 
-  (* Merge a sorted run of additions ([acosts]/[apeers], ascending, length
-     [m]) into the bucket in one pass: untouched chunks are kept as-is,
-     touched chunks are rebuilt by a two-pointer merge.  This is what makes
-     [insert_many] amortize — co-attached peers share every router of their
-     path, so a batch lands as one merge per bucket instead of m sorted
-     insertions. *)
-  let bucket_add_sorted t b acosts apeers m =
-    if m = 1 then bucket_add t b acosts.(0) apeers.(0)
-    else if m > 1 then begin
-      if b.nchunks = 0 then begin
-        let pos = ref 0 in
-        while !pos < m do
-          let take = min chunk_cap (m - !pos) in
-          let c = if take = chunk_cap then alloc_full t else fresh_chunk (max seed_cap take) in
-          Array.blit acosts !pos c.costs 0 take;
-          Array.blit apeers !pos c.cpeers 0 take;
-          c.clen <- take;
-          bucket_insert_chunk b b.nchunks c;
-          pos := !pos + take
-        done
-      end
-      else begin
-        let out = ref [] in
-        let push c = out := c :: !out in
-        let ai = ref 0 in
-        for ci = 0 to b.nchunks - 1 do
-          let c = b.chunks.(ci) in
-          (* Additions destined for this chunk: everything below the next
-             chunk's first entry (the last chunk absorbs the rest). *)
-          let hi =
-            if ci = b.nchunks - 1 then m
-            else begin
-              let nxt = b.chunks.(ci + 1) in
-              let lo = ref !ai and hi = ref m in
-              while !lo < !hi do
-                let mid = (!lo + !hi) / 2 in
-                if entry_compare acosts.(mid) apeers.(mid) nxt.costs.(0) nxt.cpeers.(0) < 0 then
-                  lo := mid + 1
-                else hi := mid
-              done;
-              !lo
-            end
-          in
-          if hi = !ai then push c
-          else begin
-            let total = c.clen + (hi - !ai) in
-            let i = ref 0 and j = ref !ai in
-            let cur =
-              ref (if total >= chunk_cap then alloc_full t else fresh_chunk (max seed_cap total))
-            in
-            while !i < c.clen || !j < hi do
-              (if !cur.clen = chunk_cap then begin
-                 push !cur;
-                 cur := alloc_full t
-               end);
-              let d = !cur in
-              if
-                !j >= hi
-                || !i < c.clen
-                   && entry_compare c.costs.(!i) c.cpeers.(!i) acosts.(!j) apeers.(!j) <= 0
-              then begin
-                d.costs.(d.clen) <- c.costs.(!i);
-                d.cpeers.(d.clen) <- c.cpeers.(!i);
-                d.clen <- d.clen + 1;
-                incr i
-              end
-              else begin
-                d.costs.(d.clen) <- acosts.(!j);
-                d.cpeers.(d.clen) <- apeers.(!j);
-                d.clen <- d.clen + 1;
-                incr j
-              end
-            done;
-            push !cur;
-            ai := hi;
-            retire_chunk t c
-          end
-        done;
-        let chunks = Array.of_list (List.rev !out) in
-        b.chunks <- chunks;
-        b.nchunks <- Array.length chunks
-      end;
-      b.total <- b.total + m
-    end
-
   let bucket_of t router =
     match Hashtbl.find_opt t.buckets router with
     | Some b -> b
@@ -323,58 +240,32 @@ module Make (Cost : COST) = struct
     t.digest <-
       Registry_intf.combine_digests t.digest (Registry_intf.entry_digest ~peer ~routers)
 
-  let insert t ~peer ~hops =
-    validate t ~peer ~hops;
+  let apply t peer hops =
     store_path t peer hops;
     Array.iter (fun (router, cost) -> bucket_add t (bucket_of t router) cost peer) hops
 
+  let insert t ~peer ~hops =
+    validate t ~peer ~hops;
+    apply t peer hops
+
+  (* The whole batch is validated first -- intra-batch duplicate peers
+     included -- so a bad entry leaves the tree untouched; then every entry
+     takes the singleton path. *)
   let insert_many t entries =
     let n = Array.length entries in
-    if n = 1 then begin
-      let peer, hops = entries.(0) in
-      insert t ~peer ~hops
-    end
-    else if n > 1 then begin
-      (* Validate the whole batch up front (including intra-batch duplicate
-         peers) so a bad entry leaves the tree untouched. *)
-      let batch = Hashtbl.create (2 * n) in
-      Array.iter
-        (fun (peer, hops) ->
-          validate t ~peer ~hops;
-          if Hashtbl.mem batch peer then invalid_arg "Path_tree.insert: peer already registered";
-          Hashtbl.add batch peer ())
-        entries;
-      let per_router : (int, (Cost.t * peer) list ref) Hashtbl.t = Hashtbl.create 256 in
-      Array.iter
-        (fun (peer, hops) ->
-          store_path t peer hops;
-          Array.iter
-            (fun (router, cost) ->
-              let r =
-                match Hashtbl.find_opt per_router router with
-                | Some r -> r
-                | None ->
-                    let r = ref [] in
-                    Hashtbl.add per_router router r;
-                    r
-              in
-              r := (cost, peer) :: !r)
-            hops)
-        entries;
-      Hashtbl.iter
-        (fun router adds ->
-          let adds = Array.of_list !adds in
-          Array.sort (fun (c1, p1) (c2, p2) -> entry_compare c1 p1 c2 p2) adds;
-          let m = Array.length adds in
-          let acosts = Array.make m Cost.zero and apeers = Array.make m 0 in
-          Array.iteri
-            (fun i (c, p) ->
-              acosts.(i) <- c;
-              apeers.(i) <- p)
-            adds;
-          bucket_add_sorted t (bucket_of t router) acosts apeers m)
-        per_router
-    end
+    for i = 0 to n - 1 do
+      let peer, hops = entries.(i) in
+      validate t ~peer ~hops
+    done;
+    let peers = Array.map fst entries in
+    Array.sort Int.compare peers;
+    for i = 1 to n - 1 do
+      if peers.(i) = peers.(i - 1) then invalid_arg "Path_tree.insert: peer already registered"
+    done;
+    for i = 0 to n - 1 do
+      let peer, hops = entries.(i) in
+      apply t peer hops
+    done
 
   let remove t peer =
     match Hashtbl.find_opt t.paths peer with

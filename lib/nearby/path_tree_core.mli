@@ -35,13 +35,10 @@ module Make (Cost : COST) : sig
       landmark, decreasing costs, or a duplicate peer. *)
 
   val insert_many : t -> (peer * (Topology.Graph.node * Cost.t) array) array -> unit
-  (** Register a whole batch, equivalent to [insert] in array order but
-      amortized: additions are grouped per router and merged into each
-      bucket in one sorted pass, so co-attached peers (who share every
-      router of their path) cost one merge per bucket instead of one
-      descent per peer.  The batch is validated up front — including
-      duplicate peers within the batch — and a failure leaves the tree
-      untouched. *)
+  (** Register a whole batch: [insert] of each entry in array order, down
+      to the chunk layout and {!approx_bytes}.  The batch is validated up
+      front — including duplicate peers within the batch — and a failure
+      leaves the tree untouched. *)
 
   val remove : t -> peer -> unit
   (** @raise Not_found when unregistered. *)

@@ -334,6 +334,26 @@ let register_replica t ~peer ~attach_router ~landmark ~path ~probes_spent =
   stamp t peer;
   Simkit.Trace.incr t.trace "replica_register"
 
+(* A batch's registry write: one [insert_many] per landmark, landmarks in
+   order of first appearance and entries in batch order within each.
+   Returns how many landmarks the batch touched. *)
+let insert_per_landmark t regs =
+  let groups = Hashtbl.create 8 and order = ref [] in
+  Array.iter
+    (fun (peer, routers, info) ->
+      match Hashtbl.find_opt groups info.landmark with
+      | Some group -> group := (peer, routers) :: !group
+      | None ->
+          Hashtbl.add groups info.landmark (ref [ (peer, routers) ]);
+          order := info.landmark :: !order)
+    regs;
+  List.iter
+    (fun lmk ->
+      Registry_intf.insert_many (registry_of t lmk)
+        (Array.of_list (List.rev !(Hashtbl.find groups lmk))))
+    (List.rev !order);
+  Hashtbl.length groups
+
 (* Batch round 2: a whole array of client-measured joins applied in one
    pass.  Per-peer effects (peers table, join/probe/path counters, the
    per-phase latency streams) are exactly [register_measured]'s, but the
@@ -352,39 +372,23 @@ let register_measured_batch ?parent t entries =
         invalid_arg "Server.register_measured: peer already registered";
       Hashtbl.add batch_seen peer ())
     entries;
-  let routers =
-    Array.map (fun (_, _, (r : measurement)) -> registrable_path ~landmark:r.lmk r.reduced) entries
+  let regs =
+    Array.map
+      (fun (peer, attach_router, (r : measurement)) ->
+        ( peer,
+          registrable_path ~landmark:r.lmk r.reduced,
+          { attach_router; landmark = r.lmk; recorded_path = r.reduced; probes_spent = r.cost } ))
+      entries
   in
-  (* Group per landmark, preserving entry order within each group. *)
-  let by_landmark = Hashtbl.create 8 in
-  let order = ref [] in
-  Array.iteri
-    (fun i (peer, _, (r : measurement)) ->
-      match Hashtbl.find_opt by_landmark r.lmk with
-      | Some group -> group := (peer, routers.(i)) :: !group
-      | None ->
-          Hashtbl.add by_landmark r.lmk (ref [ (peer, routers.(i)) ]);
-          order := r.lmk :: !order)
-    entries;
   let batch_ctx = Simkit.Span.context t.spans ?parent () in
-  Simkit.Span.with_context t.spans batch_ctx (fun () ->
-      List.iter
-        (fun lmk ->
-          let group = Array.of_list (List.rev !(Hashtbl.find by_landmark lmk)) in
-          Registry_intf.insert_many (registry_of t lmk) group)
-        (List.rev !order));
+  let landmarks =
+    Simkit.Span.with_context t.spans batch_ctx (fun () -> insert_per_landmark t regs)
+  in
   let infos =
     Array.mapi
-      (fun i (peer, attach_router, (r : measurement)) ->
-        let info =
-          {
-            attach_router;
-            landmark = r.lmk;
-            recorded_path = r.reduced;
-            probes_spent = r.cost;
-          }
-        in
-        record_entry t ~peer ~routers:routers.(i) info;
+      (fun i (peer, routers, info) ->
+        let _, _, (r : measurement) = entries.(i) in
+        record_entry t ~peer ~routers info;
         stamp t peer;
         Simkit.Trace.incr t.trace "join";
         Simkit.Trace.add_count t.trace "probe_packets" r.cost;
@@ -394,14 +398,14 @@ let register_measured_batch ?parent t entries =
         Simkit.Trace.observe t.trace "traceroute_ms" r.traceroute_ms;
         Simkit.Trace.observe t.trace "join_ms" (r.ping_rtt_ms +. r.traceroute_ms);
         info)
-      entries
+      regs
   in
   let reports =
     Array.to_list (Array.map (fun (peer, _, (r : measurement)) -> (peer, r.reduced)) entries)
   in
   Simkit.Trace.add_count t.trace "wire_bytes"
     (Wire.byte_size (Wire.Path_report_batch { reports }));
-  Log.debug (fun m -> m "join batch n=%d landmarks=%d" n (Hashtbl.length by_landmark));
+  Log.debug (fun m -> m "join batch n=%d landmarks=%d" n landmarks);
   if Simkit.Span.enabled t.spans && n > 0 then begin
     let open Simkit.Span in
     let dur =
@@ -410,7 +414,7 @@ let register_measured_batch ?parent t entries =
         0.0 entries
     in
     emit t.spans ~name:"register_batch" ~ts:(now t.spans) ~dur ~ctx:batch_ctx
-      [ ("ops", Int n); ("landmarks", Int (Hashtbl.length by_landmark)) ];
+      [ ("ops", Int n); ("landmarks", Int landmarks) ];
     advance t.spans dur
   end;
   infos
@@ -422,48 +426,29 @@ let register_measured_batch ?parent t entries =
 let register_replica_batch t entries =
   let batch_seen = Hashtbl.create 16 in
   let fresh =
-    List.filter
-      (fun (peer, _, _, _, _) ->
-        let keep = (not (Hashtbl.mem t.peers peer)) && not (Hashtbl.mem batch_seen peer) in
-        if keep then Hashtbl.add batch_seen peer ();
-        keep)
-      (Array.to_list entries)
+    Array.fold_left
+      (fun acc (peer, attach_router, landmark, path, probes_spent) ->
+        if Hashtbl.mem t.peers peer || Hashtbl.mem batch_seen peer then acc
+        else begin
+          if not (Array.mem landmark t.landmark_ids) then
+            invalid_arg "Server.register_replica: unknown landmark";
+          Hashtbl.add batch_seen peer ();
+          ( peer,
+            registrable_path ~landmark path,
+            { attach_router; landmark; recorded_path = path; probes_spent } )
+          :: acc
+        end)
+      [] entries
   in
-  List.iter
-    (fun (_, _, landmark, _, _) ->
-      if not (Array.mem landmark t.landmark_ids) then
-        invalid_arg "Server.register_replica: unknown landmark")
-    fresh;
-  let fresh =
-    List.map
-      (fun (peer, attach_router, landmark, path, probes_spent) ->
-        ( peer,
-          registrable_path ~landmark path,
-          { attach_router; landmark; recorded_path = path; probes_spent } ))
-      fresh
-  in
-  let by_landmark = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun (peer, routers, info) ->
-      match Hashtbl.find_opt by_landmark info.landmark with
-      | Some group -> group := (peer, routers) :: !group
-      | None ->
-          Hashtbl.add by_landmark info.landmark (ref [ (peer, routers) ]);
-          order := info.landmark :: !order)
-    fresh;
-  List.iter
-    (fun lmk ->
-      let group = Array.of_list (List.rev !(Hashtbl.find by_landmark lmk)) in
-      Registry_intf.insert_many (registry_of t lmk) group)
-    (List.rev !order);
-  List.iter
+  let fresh = Array.of_list (List.rev fresh) in
+  ignore (insert_per_landmark t fresh);
+  Array.iter
     (fun (peer, routers, info) ->
       record_entry t ~peer ~routers info;
       stamp t peer)
     fresh;
-  Simkit.Trace.add_count t.trace "replica_register" (List.length fresh);
-  List.length fresh
+  Simkit.Trace.add_count t.trace "replica_register" (Array.length fresh);
+  Array.length fresh
 
 (* Landmarks ordered by hop distance from the peer's landmark: the top-up
    order when the home tree runs dry. *)

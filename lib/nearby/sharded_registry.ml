@@ -28,9 +28,9 @@
    hint (capacity 256) on purpose: OCaml hash tables double on demand at
    amortized O(1) per insert, registries are usually long-lived enough to
    absorb the log2(n) resizes, and no population hint exists at [create]
-   time.  [insert_many] groups a batch into one bulk insert per shard, so
-   shard-local tables grow once per doubling instead of rehashing under
-   interleaved singleton traffic. *)
+   time.  [insert_many] validates the whole batch against [home], then
+   hands each shard its own entries, in batch order, as one
+   [Inner.insert_many]. *)
 
 module Make
     (Inner : Registry_intf.S) (Config : sig

@@ -247,6 +247,160 @@ let qcheck_naive_equivalence =
       let k = 1 + Prelude.Prng.int rng 6 in
       Path_tree.query t ~routers:q_path ~k () = Naive_registry.query naive ~routers:q_path ~k ())
 
+(* --- Batch insert = looped singletons, down to the layout --- *)
+
+(* What a tree must look like from outside: payload estimate, digest and
+   introspection ([layout]), and a member's answer.  Two trees agreeing on
+   all of them hold the same entries in the same chunk capacities. *)
+module type LAYOUT_SUBJECT = sig
+  type t
+  type path
+
+  val name : string
+  val create : landmark:int -> t
+  val path : int array -> path
+  val insert : t -> peer:int -> path -> unit
+  val insert_many : t -> (int * path) array -> unit
+  val remove : t -> int -> unit
+  val check_invariants : t -> unit
+  val layout : t -> string
+  val answer : t -> peer:int -> string
+end
+
+let layout_string ~bytes ~digest introspection =
+  Printf.sprintf "bytes=%d digest=%Ld %s" bytes digest
+    (Registry_intf.introspection_json introspection)
+
+module Hop_subject = struct
+  type t = Path_tree.t
+  type path = int array
+
+  let name = "path_tree"
+  let create = Path_tree.create
+  let path routers = routers
+  let insert t ~peer routers = Path_tree.insert t ~peer ~routers
+  let insert_many = Path_tree.insert_many
+  let remove = Path_tree.remove
+  let check_invariants = Path_tree.check_invariants
+
+  let layout t =
+    let i = Path_tree.introspect t in
+    layout_string ~bytes:i.approx_bytes ~digest:(Path_tree.digest t) i
+
+  let answer t ~peer =
+    String.concat ","
+      (List.map (fun (p, d) -> Printf.sprintf "%d:%d" p d) (Path_tree.query_member t ~peer ~k:5))
+end
+
+(* Float costs: cumulative per-router link latencies, distinct per peer at
+   a shared router. *)
+module Latency_subject = struct
+  type t = Latency_tree.t
+  type path = (int * float) array
+
+  let name = "latency_tree"
+  let create = Latency_tree.create
+
+  let path routers =
+    let cost = ref 0.0 in
+    Array.mapi
+      (fun i r ->
+        if i > 0 then cost := !cost +. (0.25 *. float_of_int (1 + (r * 7919 mod 13)));
+        (r, !cost))
+      routers
+
+  let insert t ~peer hops = Latency_tree.insert t ~peer ~hops
+  let insert_many = Latency_tree.insert_many
+  let remove = Latency_tree.remove
+  let check_invariants = Latency_tree.check_invariants
+
+  let layout t =
+    let bytes = Latency_tree.approx_bytes t in
+    layout_string ~bytes ~digest:(Latency_tree.digest t)
+      (Registry_intf.introspection_of_buckets ~members:(Latency_tree.member_count t)
+         ~approx_bytes:bytes (Latency_tree.iter_buckets t))
+
+  let answer t ~peer =
+    String.concat ","
+      (List.map (fun (p, d) -> Printf.sprintf "%d:%h" p d) (Latency_tree.query_member t ~peer ~k:5))
+end
+
+(* Random members on a random sink tree, registered in sub-batches of
+   1-64 with a few removes after each; the batched tree and the looped one
+   must be indistinguishable after every step.  Up to 700 members, so the
+   landmark bucket also splits past its 512-entry chunk. *)
+let qcheck_batch_layout (module S : LAYOUT_SUBJECT) =
+  QCheck.Test.make
+    ~name:(S.name ^ ": insert_many builds the looped-insert tree")
+    ~count:25
+    QCheck.(pair small_int (int_range 1 700))
+    (fun (seed, n_peers) ->
+      let rng = Prelude.Prng.create (seed + 4242) in
+      let n_routers = 60 in
+      let parent = Array.init n_routers (fun r -> if r = 0 then -1 else Prelude.Prng.int rng r) in
+      let path_from r =
+        let rec climb r acc = if r = 0 then List.rev (0 :: acc) else climb parent.(r) (r :: acc) in
+        S.path (Array.of_list (climb r []))
+      in
+      let batched = S.create ~landmark:0 and looped = S.create ~landmark:0 in
+      let live = ref [] in
+      let next = ref 0 in
+      while !next < n_peers do
+        let size = min (1 + Prelude.Prng.int rng 64) (n_peers - !next) in
+        let batch =
+          Array.init size (fun i -> (!next + i, path_from (Prelude.Prng.int rng n_routers)))
+        in
+        next := !next + size;
+        S.insert_many batched batch;
+        Array.iter (fun (peer, path) -> S.insert looped ~peer path) batch;
+        live := List.rev_append (Array.to_list (Array.map fst batch)) !live;
+        for _ = 1 to Prelude.Prng.int rng 4 do
+          match !live with
+          | [] -> ()
+          | members ->
+              let victim = List.nth members (Prelude.Prng.int rng (List.length members)) in
+              S.remove batched victim;
+              S.remove looped victim;
+              live := List.filter (fun p -> p <> victim) members
+        done;
+        S.check_invariants batched;
+        S.check_invariants looped;
+        let fingerprint t =
+          S.layout t :: List.map (fun peer -> S.answer t ~peer) (List.sort compare !live)
+        in
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s after %d registrations" S.name !next)
+          (fingerprint looped) (fingerprint batched)
+      done;
+      true)
+
+(* A small batch costs what its singletons cost: the batch machinery is
+   the up-front validation only, a constant few dozen words. *)
+let test_batch_allocates_like_singletons () =
+  let rng = Prelude.Prng.create 31 in
+  let n_routers = 200 in
+  let parent = Array.init n_routers (fun r -> if r = 0 then -1 else Prelude.Prng.int rng r) in
+  let path_from r =
+    let rec climb r acc = if r = 0 then List.rev (0 :: acc) else climb parent.(r) (r :: acc) in
+    Array.of_list (climb r [])
+  in
+  let population = Array.init 2000 (fun peer -> (peer, path_from (Prelude.Prng.int rng n_routers))) in
+  let batched = Path_tree.create ~landmark:0 and looped = Path_tree.create ~landmark:0 in
+  Path_tree.insert_many batched population;
+  Path_tree.insert_many looped population;
+  let entries = Array.init 4 (fun i -> (2000 + i, path_from (Prelude.Prng.int rng n_routers))) in
+  let insert (peer, routers) = Path_tree.insert looped ~peer ~routers in
+  let before = Gc.minor_words () in
+  Path_tree.insert_many batched entries;
+  let batch_words = Gc.minor_words () -. before in
+  let before = Gc.minor_words () in
+  Array.iter insert entries;
+  let loop_words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "4-entry batch %.0f words vs 4 inserts %.0f" batch_words loop_words)
+    true
+    (batch_words <= loop_words +. 64.0)
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t in
   ( "path_tree",
@@ -270,4 +424,8 @@ let suite =
       q qcheck_insert_remove_roundtrip;
       Alcotest.test_case "naive registry fixture" `Quick test_naive_matches_on_fixture;
       q qcheck_naive_equivalence;
+      q (qcheck_batch_layout (module Hop_subject));
+      q (qcheck_batch_layout (module Latency_subject));
+      Alcotest.test_case "small batch allocates like singletons" `Quick
+        test_batch_allocates_like_singletons;
     ] )
