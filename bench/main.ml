@@ -112,7 +112,32 @@ let micro_tests () =
                latencies.(!i land 1023)));
     ]
   in
-  Test.make_grouped ~name:"micro" (insert_tests @ query_tests @ substrate @ observe)
+  (* The per-event and per-write costs every join pays: one schedule and one
+     step against a steady backlog of 1,024 events whose delays tie often,
+     and a labeled counter write cycling through eight {kind, dir} series. *)
+  let runtime =
+    let engine = Simkit.Engine.create () in
+    let delays = Array.init 1024 (fun i -> float_of_int (i mod 7)) in
+    Array.iter (fun delay -> Simkit.Engine.schedule engine ~delay ignore) delays;
+    let metrics = Simkit.Metrics.create () in
+    let labels =
+      Array.init 8 (fun i ->
+          [ ("kind", Printf.sprintf "kind%d" (i land 3)); ("dir", if i < 4 then "request" else "reply") ])
+    in
+    let i = ref 0 in
+    [
+      Test.make ~name:"simkit/engine/schedule+step"
+        (Staged.stage (fun () ->
+             incr i;
+             Simkit.Engine.schedule engine ~delay:delays.(!i land 1023) ignore;
+             ignore (Simkit.Engine.step engine)));
+      Test.make ~name:"simkit/metrics/incr"
+        (Staged.stage (fun () ->
+             incr i;
+             Simkit.Metrics.incr metrics "wire_msgs_total" ~labels:labels.(!i land 7)));
+    ]
+  in
+  Test.make_grouped ~name:"micro" (insert_tests @ query_tests @ substrate @ observe @ runtime)
 
 let run_micro () =
   print_endline "== Bechamel micro-benchmarks (ns/op, OLS on monotonic clock) ==";

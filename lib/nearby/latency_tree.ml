@@ -3,7 +3,8 @@ include Path_tree_core.Make (struct
 
   let zero = 0.0
   let add = ( +. )
-  let compare = compare
+  let compare = Float.compare
+  let blit = Array.blit
 end)
 
 let hops_of_route ~latency route =

@@ -12,7 +12,8 @@ include module type of Path_tree_core.Make (struct
 
   let zero = 0.0
   let add = ( +. )
-  let compare = compare
+  let compare = Float.compare
+  let blit = Array.blit
 end)
 
 val hops_of_route :

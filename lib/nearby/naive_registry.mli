@@ -43,7 +43,6 @@ val query_into :
   t ->
   routers:Topology.Graph.node array ->
   best:(int * int) Topk.t ->
-  seen:(int, unit) Hashtbl.t ->
   exclude:(int -> bool) ->
   unit
 (** Batch operations derived from the singletons

@@ -6,7 +6,8 @@ module Core = Path_tree_core.Make (struct
 
   let zero = 0
   let add = ( + )
-  let compare = compare
+  let compare = Int.compare
+  let blit = Path_tree_core.int_blit
 end)
 
 type peer = int
@@ -18,26 +19,37 @@ let member_count = Core.member_count
 let mem = Core.mem
 let router_count = Core.router_count
 
-let hops_of_routers routers = Array.mapi (fun i r -> (r, i)) routers
+(* A hop cost is the router's position in the path, so one shared,
+   read-only [0; 1; 2; ...] array is the cost array of every path up to its
+   length; the core reads only the prefix a path needs. *)
+let positions = Array.init 256 Fun.id
 
-let insert t ~peer ~routers = Core.insert t ~peer ~hops:(hops_of_routers routers)
+let costs_for routers =
+  let len = Array.length routers in
+  if len <= Array.length positions then positions else Array.init len Fun.id
+
+let insert t ~peer ~routers = Core.insert_path t ~peer ~routers ~costs:(costs_for routers)
 let remove = Core.remove
-let path_of t peer = Option.map (Array.map fst) (Core.hops_of t peer)
-let depth t peer = Option.map (fun h -> Array.length h - 1) (Core.hops_of t peer)
+let path_of = Core.routers_of
+let depth t peer = Option.map (fun r -> Array.length r - 1) (Core.routers_of t peer)
 let meeting_point = Core.meeting_point
 let dtree = Core.dtree
 
-let query t ~routers ~k ?exclude () = Core.query t ~hops:(hops_of_routers routers) ~k ?exclude ()
+let query t ~routers ~k ?exclude () =
+  Core.query_path t ~routers ~costs:(costs_for routers) ~k ?exclude ()
+
 let query_member t ~peer ~k = Core.query_member t ~peer ~k
 
 let insert_many t entries =
-  Core.insert_many t (Array.map (fun (peer, routers) -> (peer, hops_of_routers routers)) entries)
+  Core.insert_many_paths t
+    (Array.map (fun (peer, routers) -> (peer, routers, costs_for routers)) entries)
 
 let query_many t ~queries ~k ?exclude () =
-  Core.query_many t ~queries:(Array.map hops_of_routers queries) ~k ?exclude ()
+  Core.query_many t ~queries:(Array.map (fun r -> (r, costs_for r)) queries) ~k ?exclude ()
 
-let query_into t ~routers ~best ~seen ~exclude =
-  Core.query_into t ~hops:(hops_of_routers routers) ~best ~seen ~exclude
+let query_into t ~routers ~best ~exclude =
+  Core.query_into t ~routers ~costs:(costs_for routers) ~best ~exclude
+
 let iter_members = Core.iter_members
 let check_invariants = Core.check_invariants
 let digest = Core.digest

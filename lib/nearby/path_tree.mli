@@ -73,19 +73,18 @@ val query_many :
   ?exclude:(int -> peer -> bool) ->
   unit ->
   (peer * int) list array
-(** One {!query} answer per path, selector and dedup state reused across
-    the batch; [exclude] additionally receives the query index. *)
+(** One {!query} answer per path, one selector reused across the batch;
+    [exclude] additionally receives the query index. *)
 
 val query_into :
   t ->
   routers:Topology.Graph.node array ->
   best:(int * peer) Topk.t ->
-  seen:(peer, unit) Hashtbl.t ->
   exclude:(peer -> bool) ->
   unit
 (** Offer candidates into a caller-owned selector (ordered by (dtree,
     peer)); the seam the sharded scatter uses to carry one tightening
-    bound across shards. *)
+    bound across disjoint shards (see {!Path_tree_core.Make.query_into}). *)
 
 val iter_members : t -> (peer -> unit) -> unit
 

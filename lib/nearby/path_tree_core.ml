@@ -4,7 +4,38 @@ module type COST = sig
   val zero : t
   val add : t -> t -> t
   val compare : t -> t -> int
+  val blit : t array -> int -> t array -> int -> int -> unit
 end
+
+(* [Array.blit] for int arrays without the write barrier.  [Array.blit]
+   calls [caml_modify] per element when the destination lives in the major
+   heap, which a long-lived chunk always does; an [int array] holds no
+   pointers, so a plain loop is safe.  Overlapping ranges copy like
+   [memmove]. *)
+let int_blit (src : int array) soff (dst : int array) doff len =
+  if
+    len < 0 || soff < 0 || doff < 0
+    || soff > Array.length src - len
+    || doff > Array.length dst - len
+  then invalid_arg "Path_tree_core.int_blit";
+  if doff > soff then
+    for i = len - 1 downto 0 do
+      Array.unsafe_set dst (doff + i) (Array.unsafe_get src (soff + i))
+    done
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (doff + i) (Array.unsafe_get src (soff + i))
+    done
+
+(* Peer- and router-keyed tables: [Int.equal] instead of the polymorphic
+   compare a generic [Hashtbl] calls per probe.  The hash is
+   [Hashtbl.hash], so iteration order matches a generic table's. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
 
 module Make (Cost : COST) = struct
   type peer = int
@@ -16,11 +47,13 @@ module Make (Cost : COST) = struct
      (cost, peer).  Compared to the AVL set this replaces, entries cost two
      unboxed words instead of a five-word tree node and scans are
      cache-linear.  Insertion is a binary search to the right chunk plus a
-     [blit]; a chunk starts at [seed_cap] slots, doubles as it fills and
+     shift; a chunk starts at [seed_cap] slots, doubles as it fills and
      splits at [chunk_cap], so a single insert never moves more than
-     [chunk_cap] words.  There is one insertion path: a batch applies its
-     entries one by one through it, so a tree's layout depends only on the
-     sequence of operations, never on how they were batched. *)
+     [chunk_cap] entries.  Shifts go through [Cost.blit] and [int_blit],
+     never the write barrier for int or float entries.  There is one
+     insertion path: a batch applies its entries one by one through it, so
+     a tree's layout depends only on the sequence of operations, never on
+     how they were batched. *)
 
   let chunk_cap = 512
   let seed_cap = 8
@@ -44,31 +77,31 @@ module Make (Cost : COST) = struct
 
   type t = {
     landmark : Topology.Graph.node;
-    paths : (peer, path) Hashtbl.t;
-    buckets : (Topology.Graph.node, bucket) Hashtbl.t;
+    paths : path Itbl.t;
+    buckets : bucket Itbl.t;
     (* Arena of retired full-size chunks, reused by splits so churn does
        not hammer the allocator. *)
     mutable spare : chunk list;
     mutable nspare : int;
     (* XOR of [Registry_intf.entry_digest] per member, kept in lockstep by
-       [store_path]/[remove]. *)
+       [apply]/[remove]. *)
     mutable digest : int64;
   }
 
   let create ~landmark =
     {
       landmark;
-      paths = Hashtbl.create 64;
-      buckets = Hashtbl.create 256;
+      paths = Itbl.create 64;
+      buckets = Itbl.create 256;
       spare = [];
       nspare = 0;
       digest = Registry_intf.empty_digest;
     }
 
   let landmark t = t.landmark
-  let member_count t = Hashtbl.length t.paths
-  let mem t p = Hashtbl.mem t.paths p
-  let router_count t = Hashtbl.length t.buckets
+  let member_count t = Itbl.length t.paths
+  let mem t p = Itbl.mem t.paths p
+  let router_count t = Itbl.length t.buckets
   let digest t = t.digest
 
   let entry_compare c1 p1 c2 p2 =
@@ -93,13 +126,18 @@ module Make (Cost : COST) = struct
       t.nspare <- t.nspare + 1
     end
 
+  (* Move [len] entries of [src] from [soff] to [dst] at [doff]. *)
+  let move_entries src soff dst doff len =
+    Cost.blit src.costs soff dst.costs doff len;
+    int_blit src.cpeers soff dst.cpeers doff len
+
   let ensure_room c =
     let cap = Array.length c.costs in
     if c.clen = cap then begin
       let ncap = min chunk_cap (2 * cap) in
       let costs = Array.make ncap Cost.zero and cpeers = Array.make ncap 0 in
-      Array.blit c.costs 0 costs 0 c.clen;
-      Array.blit c.cpeers 0 cpeers 0 c.clen;
+      Cost.blit c.costs 0 costs 0 c.clen;
+      int_blit c.cpeers 0 cpeers 0 c.clen;
       c.costs <- costs;
       c.cpeers <- cpeers
     end
@@ -142,8 +180,7 @@ module Make (Cost : COST) = struct
     let half = c.clen / 2 in
     let upper = alloc_full t in
     let ulen = c.clen - half in
-    Array.blit c.costs half upper.costs 0 ulen;
-    Array.blit c.cpeers half upper.cpeers 0 ulen;
+    move_entries c half upper 0 ulen;
     upper.clen <- ulen;
     c.clen <- half;
     bucket_insert_chunk b (ci + 1) upper
@@ -151,8 +188,7 @@ module Make (Cost : COST) = struct
   let chunk_insert_at c pos cost p =
     ensure_room c;
     let n = c.clen in
-    Array.blit c.costs pos c.costs (pos + 1) (n - pos);
-    Array.blit c.cpeers pos c.cpeers (pos + 1) (n - pos);
+    move_entries c pos c (pos + 1) (n - pos);
     c.costs.(pos) <- cost;
     c.cpeers.(pos) <- p;
     c.clen <- n + 1
@@ -187,8 +223,7 @@ module Make (Cost : COST) = struct
       let c = b.chunks.(ci) in
       let pos = chunk_lower c cost p in
       if pos < c.clen && entry_compare c.costs.(pos) c.cpeers.(pos) cost p = 0 then begin
-        Array.blit c.costs (pos + 1) c.costs pos (c.clen - pos - 1);
-        Array.blit c.cpeers (pos + 1) c.cpeers pos (c.clen - pos - 1);
+        move_entries c (pos + 1) c pos (c.clen - pos - 1);
         c.clen <- c.clen - 1;
         b.total <- b.total - 1;
         if c.clen = 0 then begin
@@ -208,88 +243,97 @@ module Make (Cost : COST) = struct
     pos < c.clen && entry_compare c.costs.(pos) c.cpeers.(pos) cost p = 0
 
   let bucket_of t router =
-    match Hashtbl.find_opt t.buckets router with
-    | Some b -> b
-    | None ->
+    match Itbl.find t.buckets router with
+    | b -> b
+    | exception Not_found ->
         let b = { chunks = [||]; nchunks = 0; total = 0 } in
-        Hashtbl.add t.buckets router b;
+        Itbl.add t.buckets router b;
         b
 
-  (* --- Registration ----------------------------------------------------- *)
+  (* --- Registration -----------------------------------------------------
 
-  let validate t ~peer ~hops =
-    let len = Array.length hops in
+     A path arrives either as [(router, cost)] hops or as parallel
+     [routers]/[costs] arrays, where only the first [Array.length routers]
+     costs are read (so {!Path_tree} can pass one shared positions array). *)
+
+  let split hops = (Array.map fst hops, Array.map snd hops)
+
+  let validate t ~peer ~routers ~costs =
+    let len = Array.length routers in
     if len = 0 then invalid_arg "Path_tree.insert: empty path";
-    if fst hops.(len - 1) <> t.landmark then
+    if routers.(len - 1) <> t.landmark then
       invalid_arg "Path_tree.insert: path must end at the landmark";
+    if Array.length costs < len then invalid_arg "Path_tree.insert: fewer costs than routers";
     for i = 1 to len - 1 do
-      if Cost.compare (snd hops.(i - 1)) (snd hops.(i)) > 0 then
+      if Cost.compare costs.(i - 1) costs.(i) > 0 then
         invalid_arg "Path_tree.insert: costs must be non-decreasing"
     done;
-    if Hashtbl.mem t.paths peer then invalid_arg "Path_tree.insert: peer already registered"
+    if Itbl.mem t.paths peer then invalid_arg "Path_tree.insert: peer already registered"
 
-  let store_path t peer hops =
-    let len = Array.length hops in
-    let routers = Array.make len 0 and pcosts = Array.make len Cost.zero in
-    for i = 0 to len - 1 do
-      let router, cost = hops.(i) in
-      routers.(i) <- router;
-      pcosts.(i) <- cost
-    done;
-    Hashtbl.add t.paths peer { routers; pcosts };
+  (* Register a validated path, copying it so the caller keeps its arrays. *)
+  let apply t peer routers costs =
+    let len = Array.length routers in
+    let routers = Array.copy routers and pcosts = Array.sub costs 0 len in
+    Itbl.add t.paths peer { routers; pcosts };
     t.digest <-
-      Registry_intf.combine_digests t.digest (Registry_intf.entry_digest ~peer ~routers)
+      Registry_intf.combine_digests t.digest (Registry_intf.entry_digest ~peer ~routers);
+    for i = 0 to len - 1 do
+      bucket_add t (bucket_of t routers.(i)) pcosts.(i) peer
+    done
 
-  let apply t peer hops =
-    store_path t peer hops;
-    Array.iter (fun (router, cost) -> bucket_add t (bucket_of t router) cost peer) hops
+  let insert_path t ~peer ~routers ~costs =
+    validate t ~peer ~routers ~costs;
+    apply t peer routers costs
 
   let insert t ~peer ~hops =
-    validate t ~peer ~hops;
-    apply t peer hops
+    let routers, costs = split hops in
+    insert_path t ~peer ~routers ~costs
 
   (* The whole batch is validated first -- intra-batch duplicate peers
      included -- so a bad entry leaves the tree untouched; then every entry
      takes the singleton path. *)
-  let insert_many t entries =
+  let insert_many_paths t entries =
     let n = Array.length entries in
+    let peers = Array.make n 0 in
     for i = 0 to n - 1 do
-      let peer, hops = entries.(i) in
-      validate t ~peer ~hops
+      let peer, routers, costs = entries.(i) in
+      validate t ~peer ~routers ~costs;
+      peers.(i) <- peer
     done;
-    let peers = Array.map fst entries in
     Array.sort Int.compare peers;
     for i = 1 to n - 1 do
       if peers.(i) = peers.(i - 1) then invalid_arg "Path_tree.insert: peer already registered"
     done;
     for i = 0 to n - 1 do
-      let peer, hops = entries.(i) in
-      apply t peer hops
+      let peer, routers, costs = entries.(i) in
+      apply t peer routers costs
     done
 
-  let remove t peer =
-    match Hashtbl.find_opt t.paths peer with
-    | None -> raise Not_found
-    | Some path ->
-        Hashtbl.remove t.paths peer;
-        t.digest <-
-          Registry_intf.combine_digests t.digest
-            (Registry_intf.entry_digest ~peer ~routers:path.routers);
-        for i = 0 to Array.length path.routers - 1 do
-          match Hashtbl.find_opt t.buckets path.routers.(i) with
-          | None -> ()
-          | Some b ->
-              bucket_remove t b path.pcosts.(i) peer;
-              if b.total = 0 then Hashtbl.remove t.buckets path.routers.(i)
-        done
+  let insert_many t entries =
+    insert_many_paths t
+      (Array.map
+         (fun (peer, hops) ->
+           let routers, costs = split hops in
+           (peer, routers, costs))
+         entries)
 
-  let hops_of t peer =
-    Option.map
-      (fun p -> Array.init (Array.length p.routers) (fun i -> (p.routers.(i), p.pcosts.(i))))
-      (Hashtbl.find_opt t.paths peer)
+  let remove t peer =
+    let path = Itbl.find t.paths peer in
+    Itbl.remove t.paths peer;
+    t.digest <-
+      Registry_intf.combine_digests t.digest (Registry_intf.entry_digest ~peer ~routers:path.routers);
+    for i = 0 to Array.length path.routers - 1 do
+      match Itbl.find_opt t.buckets path.routers.(i) with
+      | None -> ()
+      | Some b ->
+          bucket_remove t b path.pcosts.(i) peer;
+          if b.total = 0 then Itbl.remove t.buckets path.routers.(i)
+    done
+
+  let routers_of t peer = Option.map (fun p -> Array.copy p.routers) (Itbl.find_opt t.paths peer)
 
   let meeting_point t p1 p2 =
-    match (Hashtbl.find_opt t.paths p1, Hashtbl.find_opt t.paths p2) with
+    match (Itbl.find_opt t.paths p1, Itbl.find_opt t.paths p2) with
     | Some path1, Some path2 ->
         let len1 = Array.length path1.routers and len2 = Array.length path2.routers in
         (* Longest common router suffix: both paths end at the landmark. *)
@@ -311,91 +355,102 @@ module Make (Cost : COST) = struct
 
   (* The k best (cost, peer) candidates accumulate in the shared bounded
      selector: O(log k) per offer, equal-cost ties to the lower peer id. *)
-  let candidate_compare (c1, p1) (c2, p2) =
-    match Cost.compare c1 c2 with 0 -> Int.compare p1 p2 | c -> c
+  let candidate_compare (c1, p1) (c2, p2) = entry_compare c1 p1 c2 p2
 
   let beats_worst best cost =
-    match Topk.worst best with None -> true | Some (w, _) -> Cost.compare cost w <= 0
+    (not (Topk.is_full best)) || Cost.compare cost (fst (Topk.worst_exn best)) <= 0
 
-  (* Offer every candidate along [hops] into the caller's accumulator.
-     [best] and [seen] may be shared across calls (the sharded scatter seeds
-     the bound from the home shard; [query_many] reuses one pair across the
-     whole batch).
+  (* Does [best] already hold [p]?  At most k probes, no allocation. *)
+  let rec holds best p i =
+    i < Topk.length best && (snd (Topk.get best i) = p || holds best p (i + 1))
 
-     Cutoffs: the walk stops once the walk cost alone can no longer tie the
-     k-th best, and a bucket scan stops at the first entry losing the full
-     lexicographic (cost, peer) comparison.  Buckets iterate ascending by
-     (dist, peer), and a peer listed later in the walk appears at a
-     candidate distance no smaller than its earlier one (path costs are
-     non-decreasing and tree routes traverse shared routers in a consistent
-     order), so nothing cut here could have been accepted later: by the time
-     the same peer resurfaces the selector's worst is only tighter.  This
-     turns the former O(#co-attached) tie scans into O(k) per bucket. *)
-  let query_into t ~hops ~best ~seen ~exclude =
-    let len = Array.length hops in
-    let i = ref 0 in
-    let walking = ref true in
-    while !walking && !i < len do
-      let router, walk_cost = hops.(!i) in
-      if not (beats_worst best walk_cost) then walking := false
-      else begin
-        (match Hashtbl.find_opt t.buckets router with
-        | None -> ()
-        | Some b -> (
-            try
-              for ci = 0 to b.nchunks - 1 do
-                let c = b.chunks.(ci) in
-                for e = 0 to c.clen - 1 do
-                  let p = c.cpeers.(e) in
-                  let candidate = Cost.add walk_cost c.costs.(e) in
-                  if not (Topk.accepts best (candidate, p)) then raise_notrace Exit;
-                  if not (Hashtbl.mem seen p) then begin
-                    Hashtbl.add seen p ();
-                    if not (exclude p) then Topk.offer best (candidate, p)
-                  end
-                done
-              done
-            with Exit -> ()));
+  (* Offer the entries of [router]'s bucket, reached at [walk_cost].
+
+     The scan stops at the first entry losing the full lexicographic
+     (cost, peer) comparison against the k-th best: buckets iterate
+     ascending by (cost, peer), so nothing after it could enter.
+
+     A peer crossing several routers of the walk is listed in each of their
+     buckets, and it is deduplicated without a seen-table: its first
+     listing is its meeting point (sink-tree property), and a peer listed
+     later in the walk appears at a candidate distance no smaller than its
+     earlier one, since path costs are non-decreasing and tree routes
+     traverse shared routers in a consistent order.  So when it resurfaces
+     it is either still held in [best] -- which the ≤ k probes of [holds]
+     find -- or it was displaced by k strictly better candidates and the
+     cutoff rejects it again.  Nothing allocates per entry but the tuple
+     of an accepted offer. *)
+  let scan_bucket t router walk_cost best exclude =
+    match Itbl.find t.buckets router with
+    | exception Not_found -> ()
+    | b -> (
+        try
+          for ci = 0 to b.nchunks - 1 do
+            let c = b.chunks.(ci) in
+            for e = 0 to c.clen - 1 do
+              let p = c.cpeers.(e) in
+              let candidate = Cost.add walk_cost c.costs.(e) in
+              if Topk.is_full best then begin
+                let worst_cost, worst_peer = Topk.worst_exn best in
+                if entry_compare candidate p worst_cost worst_peer > 0 then raise_notrace Exit
+              end;
+              if not (exclude p || holds best p 0) then Topk.offer best (candidate, p)
+            done
+          done
+        with Exit -> ())
+
+  (* Walk the query path outward, offering every candidate into the
+     caller's accumulator.  [best] may be shared across calls: the sharded
+     scatter seeds the bound from the home shard (shards are disjoint, so
+     nothing crosses them twice), and [query_many] reuses one selector
+     across the batch.  The walk stops once the walk cost alone can no
+     longer tie the k-th best. *)
+  let query_into t ~routers ~costs ~best ~exclude =
+    if Topk.capacity best > 0 then begin
+      let len = Array.length routers in
+      let i = ref 0 in
+      while !i < len && beats_worst best costs.(!i) do
+        scan_bucket t routers.(!i) costs.(!i) best exclude;
         incr i
-      end
-    done
+      done
+    end
 
   let drain best = List.map (fun (cost, p) -> (p, cost)) (Topk.to_sorted_list best)
 
-  let query t ~hops ~k ?(exclude = fun _ -> false) () =
+  let query_path t ~routers ~costs ~k ?(exclude = fun _ -> false) () =
     if k <= 0 then []
     else begin
-      let seen = Hashtbl.create 64 in
       let best = Topk.create ~k candidate_compare in
-      query_into t ~hops ~best ~seen ~exclude;
+      query_into t ~routers ~costs ~best ~exclude;
       drain best
     end
+
+  let query t ~hops ~k ?exclude () =
+    let routers, costs = split hops in
+    query_path t ~routers ~costs ~k ?exclude ()
 
   let query_many t ~queries ~k ?(exclude = fun _ _ -> false) () =
     let n = Array.length queries in
     if k <= 0 then Array.make n []
     else begin
-      (* One selector and one dedup table for the whole batch: [clear]
-         keeps their capacity, so per-query allocation drops to the result
-         list itself. *)
-      let seen = Hashtbl.create 64 in
+      (* One selector for the whole batch: [clear] keeps its capacity, so
+         per-query allocation drops to the result list itself. *)
       let best = Topk.create ~k candidate_compare in
       Array.mapi
-        (fun qi hops ->
-          Hashtbl.clear seen;
+        (fun qi (routers, costs) ->
           Topk.clear best;
-          query_into t ~hops ~best ~seen ~exclude:(fun p -> exclude qi p);
+          query_into t ~routers ~costs ~best ~exclude:(fun p -> exclude qi p);
           drain best)
         queries
     end
 
+  (* The member's own stored path is the query path: nothing to copy. *)
   let query_member t ~peer ~k =
-    match hops_of t peer with
-    | None -> raise Not_found
-    | Some hops -> query t ~hops ~k ~exclude:(fun p -> p = peer) ()
+    let path = Itbl.find t.paths peer in
+    query_path t ~routers:path.routers ~costs:path.pcosts ~k ~exclude:(Int.equal peer) ()
 
-  let iter_members t f = Hashtbl.iter (fun p _ -> f p) t.paths
-  let iter_buckets t f = Hashtbl.iter (fun router b -> f router b.total) t.buckets
+  let iter_members t f = Itbl.iter (fun p _ -> f p) t.paths
+  let iter_buckets t f = Itbl.iter (fun router b -> f router b.total) t.buckets
 
   (* Rough payload estimate in machine words times 8.  Paths: hash binding
      (3) + record (3) + two unboxed arrays (1 + len each).  Buckets: hash
@@ -404,10 +459,8 @@ module Make (Cost : COST) = struct
      comparison, not accounting. *)
   let approx_bytes t =
     let words = ref 0 in
-    Hashtbl.iter
-      (fun _ p -> words := !words + 8 + (2 * Array.length p.routers))
-      t.paths;
-    Hashtbl.iter
+    Itbl.iter (fun _ p -> words := !words + 8 + (2 * Array.length p.routers)) t.paths;
+    Itbl.iter
       (fun _ b ->
         words := !words + 8 + Array.length b.chunks;
         for ci = 0 to b.nchunks - 1 do
@@ -418,7 +471,7 @@ module Make (Cost : COST) = struct
 
   let check_invariants t =
     let fail fmt = Printf.ksprintf failwith fmt in
-    Hashtbl.iter
+    Itbl.iter
       (fun peer p ->
         let len = Array.length p.routers in
         if len = 0 then fail "peer %d has an empty path" peer;
@@ -426,7 +479,7 @@ module Make (Cost : COST) = struct
         if p.routers.(len - 1) <> t.landmark then
           fail "peer %d path does not end at the landmark" peer;
         for i = 0 to len - 1 do
-          match Hashtbl.find_opt t.buckets p.routers.(i) with
+          match Itbl.find_opt t.buckets p.routers.(i) with
           | None -> fail "peer %d: router %d has no bucket" peer p.routers.(i)
           | Some b ->
               if not (bucket_mem b p.pcosts.(i) peer) then
@@ -435,7 +488,7 @@ module Make (Cost : COST) = struct
       t.paths;
     (* Conversely, every bucket entry must be justified by a registered
        path, and the chunk structure itself must be sound. *)
-    Hashtbl.iter
+    Itbl.iter
       (fun router b ->
         if b.total = 0 then fail "router %d has an empty bucket" router;
         if b.nchunks > Array.length b.chunks then fail "router %d: nchunks out of range" router;
@@ -457,7 +510,7 @@ module Make (Cost : COST) = struct
               > 0
             then fail "router %d: chunks %d and %d out of order" router (ci - 1) ci;
             let peer = c.cpeers.(e) and cost = c.costs.(e) in
-            match Hashtbl.find_opt t.paths peer with
+            match Itbl.find_opt t.paths peer with
             | None -> fail "bucket of router %d references unknown peer %d" router peer
             | Some p ->
                 let justified = ref false in
@@ -473,7 +526,7 @@ module Make (Cost : COST) = struct
           fail "router %d: bucket total %d but %d entries" router b.total !counted)
       t.buckets;
     let recomputed =
-      Hashtbl.fold
+      Itbl.fold
         (fun peer p acc ->
           Registry_intf.combine_digests acc
             (Registry_intf.entry_digest ~peer ~routers:p.routers))

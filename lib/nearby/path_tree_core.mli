@@ -12,8 +12,24 @@ module type COST = sig
 
   val zero : t
   val add : t -> t -> t
+
   val compare : t -> t -> int
+  (** A total order.  Bind the monomorphic compare of the type
+      ([Int.compare], [Float.compare]): the bucket searches call it on every
+      probe, and the polymorphic [compare] would go through the runtime's
+      generic [caml_compare] each time. *)
+
+  val blit : t array -> int -> t array -> int -> int -> unit
+  (** [Array.blit] on cost arrays: moves the chunk entries on every insert
+      and remove.  Immediate costs pass {!int_blit}, which skips the write
+      barrier; float arrays are flat, so [Array.blit] is already a
+      [memmove]; boxed costs must pass [Array.blit]. *)
 end
+
+val int_blit : int array -> int -> int array -> int -> int -> unit
+(** [Array.blit] for int arrays, without the per-element write barrier
+    [Array.blit] pays when the destination is in the major heap.
+    @raise Invalid_argument on an out-of-bounds range. *)
 
 module Make (Cost : COST) : sig
   type t
@@ -34,16 +50,29 @@ module Make (Cost : COST) : sig
       @raise Invalid_argument on an empty path, a path not ending at the
       landmark, decreasing costs, or a duplicate peer. *)
 
+  val insert_path :
+    t -> peer:peer -> routers:Topology.Graph.node array -> costs:Cost.t array -> unit
+  (** {!insert} with the path as parallel arrays: [costs.(i)] is the cost
+      to [routers.(i)].  Only the first [Array.length routers] costs are
+      read, so one long array can serve many paths; both are copied.
+      @raise Invalid_argument as {!insert}, and when [costs] is shorter
+      than [routers]. *)
+
   val insert_many : t -> (peer * (Topology.Graph.node * Cost.t) array) array -> unit
   (** Register a whole batch: [insert] of each entry in array order, down
       to the chunk layout and {!approx_bytes}.  The batch is validated up
       front — including duplicate peers within the batch — and a failure
       leaves the tree untouched. *)
 
+  val insert_many_paths : t -> (peer * Topology.Graph.node array * Cost.t array) array -> unit
+  (** {!insert_many} over [(peer, routers, costs)] entries, read as
+      {!insert_path} reads them. *)
+
   val remove : t -> peer -> unit
   (** @raise Not_found when unregistered. *)
 
-  val hops_of : t -> peer -> (Topology.Graph.node * Cost.t) array option
+  val routers_of : t -> peer -> Topology.Graph.node array option
+  (** The registered router sequence (a copy). *)
 
   val meeting_point : t -> peer -> peer -> (Topology.Graph.node * Cost.t * Cost.t) option
   (** Deepest common router of the two registered paths and each peer's cost
@@ -62,6 +91,17 @@ module Make (Cost : COST) : sig
   (** At most [k] registered peers with the smallest inferred distance to
       the query path, ascending, ties toward the lower peer id. *)
 
+  val query_path :
+    t ->
+    routers:Topology.Graph.node array ->
+    costs:Cost.t array ->
+    k:int ->
+    ?exclude:(peer -> bool) ->
+    unit ->
+    (peer * Cost.t) list
+  (** {!query} with the path as parallel arrays, read as {!insert_path}
+      reads them. *)
+
   val candidate_compare : Cost.t * peer -> Cost.t * peer -> int
   (** Lexicographic (cost, peer) order used for all answers: build a
       {!Topk.t} with this compare to share an accumulator with
@@ -69,31 +109,33 @@ module Make (Cost : COST) : sig
 
   val query_into :
     t ->
-    hops:(Topology.Graph.node * Cost.t) array ->
+    routers:Topology.Graph.node array ->
+    costs:Cost.t array ->
     best:(Cost.t * peer) Topk.t ->
-    seen:(peer, unit) Hashtbl.t ->
     exclude:(peer -> bool) ->
     unit
   (** Offer this tree's candidates for the query path into a caller-owned
-      accumulator.  [best] must order by {!candidate_compare}; [seen]
-      dedupes peers across routers (and across trees when shared).  A
-      caller scattering over several disjoint trees passes the same [best]
-      and [seen] to each so the bound tightens as it goes; [query] is
-      [query_into] on fresh state. *)
+      accumulator.  [best] must order by {!candidate_compare}.  A peer met
+      at several routers of the walk is offered once: duplicates are found
+      among the ≤ k entries [best] holds, no seen-table is kept.  A caller
+      scattering over several {e disjoint} trees passes the same [best] to
+      each so the bound tightens as it goes; [query_path] is [query_into]
+      on a fresh selector. *)
 
   val query_many :
     t ->
-    queries:(Topology.Graph.node * Cost.t) array array ->
+    queries:(Topology.Graph.node array * Cost.t array) array ->
     k:int ->
     ?exclude:(int -> peer -> bool) ->
     unit ->
     (peer * Cost.t) list array
-  (** One answer per query path, each equal to the corresponding [query]
-      ([exclude] additionally receives the query index).  The selector and
-      dedup table are reused across the batch. *)
+  (** One answer per [(routers, costs)] query path, each equal to the
+      corresponding [query_path] ([exclude] additionally receives the
+      query index).  The selector is reused across the batch. *)
 
   val query_member : t -> peer:peer -> k:int -> (peer * Cost.t) list
-  (** @raise Not_found when unregistered. *)
+  (** {!query_path} along the member's stored path, excluding itself.
+      @raise Not_found when unregistered. *)
 
   val iter_members : t -> (peer -> unit) -> unit
 

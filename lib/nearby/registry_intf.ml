@@ -196,19 +196,20 @@ module type S = sig
     (peer * int) list array
   (** One answer per query, each identical to the corresponding [query];
       [exclude] additionally receives the query index.  Batch-aware
-      backends reuse their selector and dedup state across the batch. *)
+      backends reuse their selector across the batch. *)
 
   val query_into :
     t ->
     routers:Topology.Graph.node array ->
     best:(int * peer) Topk.t ->
-    seen:(peer, unit) Hashtbl.t ->
     exclude:(peer -> bool) ->
     unit
   (** Offer this backend's candidates into a caller-owned bounded selector
-      ([best] must order by lexicographic (dtree, peer)).  The sharded
-      scatter uses this to carry one tightening bound across disjoint
-      shards instead of merging k results per shard. *)
+      ([best] must order by lexicographic (dtree, peer)), each peer at most
+      once.  The sharded scatter uses this to carry one tightening bound
+      across disjoint shards instead of merging k results per shard;
+      disjointness is what lets a backend deduplicate against the entries
+      [best] holds rather than a seen-table. *)
 
   val stats : t -> (string * int) list
   val introspect : t -> introspection
@@ -251,13 +252,9 @@ module Derive_batch (B : SINGLETON) = struct
   let query_many t ~queries ~k ?(exclude = fun _ _ -> false) () =
     Array.mapi (fun qi routers -> B.query t ~routers ~k ~exclude:(fun p -> exclude qi p) ()) queries
 
-  let query_into t ~routers ~best ~seen ~exclude =
+  let query_into t ~routers ~best ~exclude =
     List.iter
-      (fun (p, d) ->
-        if not (Hashtbl.mem seen p) then begin
-          Hashtbl.add seen p ();
-          Topk.offer best (d, p)
-        end)
+      (fun (p, d) -> Topk.offer best (d, p))
       (B.query t ~routers ~k:(Topk.capacity best) ~exclude ())
 end
 

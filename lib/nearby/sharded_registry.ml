@@ -11,8 +11,8 @@
 
    Two scatter strategies:
 
-   - Sequential (the default on one core): one bounded selector and one
-     dedup table are carried across the shards via [query_into], visiting
+   - Sequential (the default on one core): one bounded selector is
+     carried across the shards via [query_into], visiting
      the query path's own home shard first.  Co-attached peers -- the
      nearest answers -- live on that home shard by construction, so the
      bound is tight after the first shard and each remaining shard usually
@@ -242,14 +242,14 @@ module Make
      co-attached at [routers.(0)] all live on that shard, so [best] leaves
      it holding the tightest possible bound and the other shards' walks cut
      off almost immediately. *)
-  let scatter_into t ~routers ~best ~seen ~exclude =
+  let scatter_into t ~routers ~best ~exclude =
     if Array.length routers > 0 then begin
       let visit s =
         match Config.metrics with
-        | None -> Inner.query_into t.shards.(s) ~routers ~best ~seen ~exclude
+        | None -> Inner.query_into t.shards.(s) ~routers ~best ~exclude
         | Some _ ->
             let t0 = clock () in
-            Inner.query_into t.shards.(s) ~routers ~best ~seen ~exclude;
+            Inner.query_into t.shards.(s) ~routers ~best ~exclude;
             observe_shard shard_query_ns s ~elapsed:(clock () -. t0) ~n:1
       in
       let first = shard_of_router routers.(0) in
@@ -280,9 +280,7 @@ module Make
           if timing then
             Array.iteri (fun s e -> observe_shard shard_query_ns s ~elapsed:e ~n:1) elapsed;
           Array.iter (fun part -> List.iter (fun (p, d) -> Topk.offer best (d, p)) part) parts
-      | None ->
-          let seen = Hashtbl.create 64 in
-          scatter_into t ~routers ~best ~seen ~exclude);
+      | None -> scatter_into t ~routers ~best ~exclude);
       drain best
     end
 
@@ -311,15 +309,13 @@ module Make
               done;
               drain best)
       | _ ->
-          (* Query-major with shared accumulators: the bound carries from
-             the home shard, and [clear] keeps capacity across the batch. *)
+          (* Query-major with a shared selector: the bound carries from the
+             home shard, and [clear] keeps capacity across the batch. *)
           let best = Topk.create ~k candidate_compare in
-          let seen = Hashtbl.create 64 in
           Array.mapi
             (fun qi routers ->
               Topk.clear best;
-              Hashtbl.clear seen;
-              scatter_into t ~routers ~best ~seen ~exclude:(fun p -> exclude qi p);
+              scatter_into t ~routers ~best ~exclude:(fun p -> exclude qi p);
               drain best)
             queries
 

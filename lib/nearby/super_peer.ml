@@ -48,9 +48,9 @@ module Registry = struct
     t.queries_handled <- t.queries_handled + Array.length queries;
     Path_tree.query_many t.tree ~queries ~k ?exclude ()
 
-  let query_into t ~routers ~best ~seen ~exclude =
+  let query_into t ~routers ~best ~exclude =
     t.queries_handled <- t.queries_handled + 1;
-    Path_tree.query_into t.tree ~routers ~best ~seen ~exclude
+    Path_tree.query_into t.tree ~routers ~best ~exclude
 
   let stats t =
     [

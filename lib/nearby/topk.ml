@@ -28,11 +28,16 @@ let clear t = t.size <- 0
 (* The current k-th best element, once k candidates are held. *)
 let worst t = if t.size < t.k then None else Some t.heap.(0)
 
-(* Would [x] enter the heap, or tie the k-th best?  The "or tie" matters to
-   callers using it as a scan cutoff: an equal-cost candidate with a lower
-   peer id still displaces the current worst. *)
-let accepts t x =
-  match worst t with None -> t.k > 0 | Some w -> t.compare x w <= 0
+(* [worst] without the option, for scan loops that test [is_full] first. *)
+let worst_exn t =
+  if t.k = 0 || t.size < t.k then invalid_arg "Topk.worst_exn: fewer than k held";
+  t.heap.(0)
+
+(* The [i]-th held element in heap order, [0 <= i < length t]: lets a scan
+   probe what is held without a closure or a list. *)
+let get t i =
+  if i < 0 || i >= t.size then invalid_arg "Topk.get: index out of range";
+  t.heap.(i)
 
 let swap t i j =
   let tmp = t.heap.(i) in
@@ -86,8 +91,3 @@ let to_sorted_list t =
   let out = Array.sub t.heap 0 t.size in
   Array.sort t.compare out;
   Array.to_list out
-
-let iter t f =
-  for i = 0 to t.size - 1 do
-    f t.heap.(i)
-  done

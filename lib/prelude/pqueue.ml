@@ -1,22 +1,22 @@
 type 'a entry = { prio : float; value : 'a }
 type 'a t = { mutable data : 'a entry array; mutable size : int }
 
-let create ?(capacity = 16) () =
-  let capacity = max capacity 1 in
-  { data = Array.make capacity { prio = 0.0; value = Obj.magic 0 }; size = 0 }
+(* Every slot at or past [size] holds this placeholder, never a real entry:
+   a popped or cleared value must not stay reachable from the queue. *)
+let vacant_slot : unit entry = { prio = 0.0; value = () }
+let vacant () : 'a entry = Obj.magic vacant_slot
 
+let create ?(capacity = 16) () = { data = Array.make (max capacity 1) (vacant ()); size = 0 }
 let length q = q.size
 let is_empty q = q.size = 0
 
 let grow q =
-  let data = Array.make (2 * Array.length q.data) q.data.(0) in
+  let data = Array.make (2 * Array.length q.data) (vacant ()) in
   Array.blit q.data 0 data 0 q.size;
   q.data <- data
 
 let push q ~priority v =
-  if q.size = Array.length q.data then begin
-    if q.size = 0 then q.data <- Array.make 16 { prio = priority; value = v } else grow q
-  end;
+  if q.size = Array.length q.data then grow q;
   let i = ref q.size in
   q.size <- q.size + 1;
   q.data.(!i) <- { prio = priority; value = v };
@@ -55,10 +55,9 @@ let pop q =
   else begin
     let top = q.data.(0) in
     q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.data.(0) <- q.data.(q.size);
-      sift_down q
-    end;
+    q.data.(0) <- q.data.(q.size);
+    q.data.(q.size) <- vacant ();
+    if q.size > 0 then sift_down q;
     Some (top.prio, top.value)
   end
 
@@ -68,7 +67,10 @@ let pop_exn q =
   | None -> invalid_arg "Pqueue.pop_exn: empty queue"
 
 let peek q = if q.size = 0 then None else Some (q.data.(0).prio, q.data.(0).value)
-let clear q = q.size <- 0
+
+let clear q =
+  Array.fill q.data 0 q.size (vacant ());
+  q.size <- 0
 
 let iter_unordered q f =
   for i = 0 to q.size - 1 do

@@ -1,9 +1,10 @@
 (** Mutable binary-heap priority queue with [float] priorities.
 
-    Used both as the simulator event queue and inside Dijkstra.  Lower
-    priority values pop first.  The heap stores arbitrary payloads and allows
-    duplicate priorities; ties pop in unspecified order, so callers that need
-    determinism must encode the tie-break into the priority or payload. *)
+    Used inside Dijkstra.  Lower priority values pop first.  The heap
+    stores arbitrary payloads and allows duplicate priorities; ties pop in
+    unspecified order, so callers that need determinism must encode the
+    tie-break into the priority or payload.  Popped and cleared values are
+    not retained by the queue. *)
 
 type 'a t
 

@@ -1,9 +1,12 @@
 (** Discrete-event simulation engine (the PeerSim replacement's heart).
 
     Events are closures scheduled at absolute simulated times (milliseconds,
-    [float]).  Equal-time events fire in schedule (FIFO) order, which makes
+    [float]).  Equal-time events fire in schedule (FIFO) order — the queue
+    is one heap ordered by (time, schedule sequence number) — which makes
     whole runs deterministic given deterministic event bodies.  Events may
-    schedule further events. *)
+    schedule further events, including at the current time: those run
+    after every event already due then.  The queue drops its reference to
+    an event's closure once the event has run. *)
 
 type t
 

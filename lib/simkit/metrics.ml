@@ -9,15 +9,45 @@
    Cardinality is bounded per base name: once a name has [max_series]
    distinct label sets, further label sets collapse into one reserved
    `{other="true"}` overflow series instead of growing the table without
-   bound (a scrape with runaway label values must degrade, not OOM). *)
+   bound (a scrape with runaway label values must degrade, not OOM).
+
+   Building a canonical key sorts, escapes and concatenates, so writes go
+   through a memo from (name, labels as written) to the resolved series
+   and its trace cells: a repeated write hashes the name and the label
+   list and bumps the cell, allocating nothing. *)
 
 type labels = (string * string) list
 
+(* A registered series: its identity and, once written, the trace cells
+   behind it.  Cells live in the backing trace and survive [Trace.reset]
+   (zeroed in place), so a series resolved once stays valid. *)
+type series = {
+  name : string;
+  labels : labels;  (* sorted *)
+  key : string;
+  mutable counter : int ref option;
+  mutable stream : Trace.stream option;
+}
+
+(* Label sets exactly as a caller wrote them, order included. *)
+module Label_tbl = Hashtbl.Make (struct
+  type t = labels
+
+  let equal = List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && String.equal v1 v2)
+  let hash = Hashtbl.hash
+end)
+
+module Name_tbl = Hashtbl.Make (String)
+
 type t = {
   trace : Trace.t;
-  series : (string, string * labels) Hashtbl.t;  (* canonical key -> identity *)
+  series : (string, series) Hashtbl.t;  (* canonical key -> series *)
   per_name : (string, int) Hashtbl.t;  (* base name -> distinct label sets *)
   gauges : (string, float) Hashtbl.t;  (* canonical key -> last set value *)
+  (* (name, labels as written) -> its own series: a repeated write builds
+     no key.  Only label sets under the cap are memoized, so every write
+     past it still resolves, and counts, as an overflow. *)
+  memo : series Label_tbl.t Name_tbl.t;
   max_series : int;
   mutable overflow_routed : int;
 }
@@ -32,6 +62,7 @@ let create ?(max_series_per_name = 64) () =
     series = Hashtbl.create 64;
     per_name = Hashtbl.create 16;
     gauges = Hashtbl.create 16;
+    memo = Name_tbl.create 16;
     max_series = max_series_per_name;
     overflow_routed = 0;
   }
@@ -68,38 +99,78 @@ let canonical_key name labels =
           (List.map (fun (k, v) -> k ^ "=\"" ^ escape v ^ "\"") sorted)
       ^ "}"
 
-(* The canonical key for (name, labels), registering the series on first
-   sight and rerouting to the overflow series once the name is at its
-   cardinality cap. *)
+let register t name labels key ~used =
+  let s = { name; labels; key; counter = None; stream = None } in
+  Hashtbl.add t.series key s;
+  Hashtbl.replace t.per_name name (used + 1);
+  s
+
+(* The series for (name, labels), registering it on first sight and
+   rerouting to the overflow series once the name is at its cardinality
+   cap. *)
 let resolve t name labels =
   let labels = sort_labels labels in
   let key = canonical_key name labels in
   match Hashtbl.find_opt t.series key with
-  | Some _ -> key
+  | Some s -> s
   | None ->
       let used = Option.value ~default:0 (Hashtbl.find_opt t.per_name name) in
       if used >= t.max_series && labels <> overflow_labels then begin
         t.overflow_routed <- t.overflow_routed + 1;
         let key = canonical_key name overflow_labels in
-        if not (Hashtbl.mem t.series key) then begin
-          Hashtbl.add t.series key (name, overflow_labels);
-          Hashtbl.replace t.per_name name (used + 1)
-        end;
-        key
+        match Hashtbl.find_opt t.series key with
+        | Some s -> s
+        | None -> register t name overflow_labels key ~used
       end
-      else begin
-        Hashtbl.add t.series key (name, labels);
-        Hashtbl.replace t.per_name name (used + 1);
-        key
-      end
+      else register t name labels key ~used
 
-let incr t name ~labels = Trace.incr t.trace (resolve t name labels)
-let add_count t name ~labels k = Trace.add_count t.trace (resolve t name labels) k
+(* The write path: the memo first, [resolve] (and memoizing what it did
+   not reroute) on a miss. *)
+let series_of t name labels =
+  match Label_tbl.find (Name_tbl.find t.memo name) labels with
+  | s -> s
+  | exception Not_found ->
+      let routed = t.overflow_routed in
+      let s = resolve t name labels in
+      if t.overflow_routed = routed then begin
+        let by_labels =
+          match Name_tbl.find_opt t.memo name with
+          | Some tbl -> tbl
+          | None ->
+              let tbl = Label_tbl.create 8 in
+              Name_tbl.add t.memo name tbl;
+              tbl
+        in
+        Label_tbl.add by_labels labels s
+      end;
+      s
+
+let counter_cell t s =
+  match s.counter with
+  | Some r -> r
+  | None ->
+      let r = Trace.counter_ref t.trace s.key in
+      s.counter <- Some r;
+      r
+
+let stream_cell t s =
+  match s.stream with
+  | Some st -> st
+  | None ->
+      let st = Trace.stream_ref t.trace s.key in
+      s.stream <- Some st;
+      st
+
+let incr t name ~labels = incr (counter_cell t (series_of t name labels))
+
+let add_count t name ~labels k =
+  let r = counter_cell t (series_of t name labels) in
+  r := !r + k
 
 let observe ?trace_id t name ~labels v =
-  Trace.observe ?trace_id t.trace (resolve t name labels) v
+  Trace.observe_ref ?trace_id (stream_cell t (series_of t name labels)) v
 
-let set t name ~labels v = Hashtbl.replace t.gauges (resolve t name labels) v
+let set t name ~labels v = Hashtbl.replace t.gauges (series_of t name labels).key v
 
 let counter t name ~labels = Trace.counter t.trace (canonical_key name labels)
 let summary t name ~labels = Trace.summary t.trace (canonical_key name labels)
@@ -110,7 +181,7 @@ let quantile t name ~labels q =
 let gauge t name ~labels = Hashtbl.find_opt t.gauges (canonical_key name labels)
 
 let series t =
-  Hashtbl.fold (fun key (name, labels) acc -> (name, labels, key) :: acc) t.series []
+  Hashtbl.fold (fun key s acc -> (s.name, s.labels, key) :: acc) t.series []
   |> List.sort (fun (_, _, a) (_, _, b) -> compare a b)
 
 let names t =
@@ -128,18 +199,14 @@ let gauge_bindings t =
 
 let merge_trace t ~labels src =
   let labels = sort_labels labels in
-  Trace.merge_into ~map_name:(fun name -> resolve t name labels) ~into:t.trace src
+  Trace.merge_into ~map_name:(fun name -> (resolve t name labels).key) ~into:t.trace src
+
+(* [into]'s key for one of [src]'s keys. *)
+let rekey ~into src key =
+  match Hashtbl.find_opt src.series key with
+  | Some s -> (resolve into s.name s.labels).key
+  | None -> key (* unlabeled stream written straight to the trace *)
 
 let merge_into ~into src =
-  Trace.merge_into
-    ~map_name:(fun key ->
-      match Hashtbl.find_opt src.series key with
-      | Some (name, labels) -> resolve into name labels
-      | None -> key (* unlabeled stream written straight to the trace *))
-    ~into:into.trace src.trace;
-  Hashtbl.iter
-    (fun key v ->
-      match Hashtbl.find_opt src.series key with
-      | Some (name, labels) -> Hashtbl.replace into.gauges (resolve into name labels) v
-      | None -> Hashtbl.replace into.gauges key v)
-    src.gauges
+  Trace.merge_into ~map_name:(rekey ~into src) ~into:into.trace src.trace;
+  Hashtbl.iter (fun key v -> Hashtbl.replace into.gauges (rekey ~into src key) v) src.gauges

@@ -31,16 +31,21 @@ type t = {
 
 let create () = { counters = Hashtbl.create 16; streams = Hashtbl.create 16 }
 
+(* [Hashtbl.find] rather than [find_opt]: no option per write. *)
 let counter_ref t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.counters name with
+  | r -> r
+  | exception Not_found ->
       let r = ref 0 in
       Hashtbl.add t.counters name r;
       r
 
 let incr t name = incr (counter_ref t name)
-let add_count t name k = counter_ref t name := !(counter_ref t name) + k
+
+let add_count t name k =
+  let r = counter_ref t name in
+  r := !r + k
+
 let counter t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
 (* Adapter for subsystems that keep plain integer counters (Transport):
@@ -52,7 +57,7 @@ let of_counters bindings =
 
 (* [Hashtbl.find] rather than [find_opt]: this runs on every observe, and
    the option would be an allocation per sample. *)
-let stream t name =
+let stream_ref t name =
   match Hashtbl.find t.streams name with
   | s -> s
   | exception Not_found ->
@@ -66,8 +71,7 @@ let stream t name =
       Hashtbl.add t.streams name s;
       s
 
-let observe ?trace_id t name v =
-  let s = stream t name in
+let observe_ref ?trace_id s v =
   Prelude.Stats.add s.st v;
   Prelude.Sketch.add s.sketch v;
   (* Trace id 0 is the noop span sink's null context: not a real trace. *)
@@ -76,6 +80,8 @@ let observe ?trace_id t name v =
       let bucket = Prelude.Sketch.bucket_index s.sketch v in
       Hashtbl.replace s.exemplars bucket { bucket; trace_id = id; value = v }
   | _ -> ()
+
+let observe ?trace_id t name v = observe_ref ?trace_id (stream_ref t name) v
 
 let exemplars t name =
   match Hashtbl.find_opt t.streams name with
@@ -131,15 +137,16 @@ let merge_into ?(map_name = Fun.id) ~into src =
     src.counters;
   Hashtbl.iter
     (fun name s ->
-      let dst = stream into (map_name name) in
+      let dst = stream_ref into (map_name name) in
       Prelude.Stats.merge_into ~into:dst.st s.st;
       Prelude.Sketch.merge_into ~into:dst.sketch s.sketch;
       Hashtbl.iter (fun bucket e -> Hashtbl.replace dst.exemplars bucket e) s.exemplars)
     src.streams
 
-(* Zero in place: callers may hold counter refs (counter_ref) or stats
-   handles (stat) across a reset; dropping the cells via Hashtbl.reset would
-   leave those handles silently counting into orphaned storage. *)
+(* Zero in place: callers may hold counter refs (counter_ref), streams
+   (stream_ref) or stats handles (stat) across a reset; dropping the cells
+   via Hashtbl.reset would leave those handles silently counting into
+   orphaned storage. *)
 let reset t =
   Hashtbl.iter (fun _ r -> r := 0) t.counters;
   Hashtbl.iter

@@ -46,6 +46,17 @@ val observe : ?trace_id:int -> t -> string -> float -> unit
     the stream stays cross-linked to concrete traces (OpenMetrics-style).
     Trace id 0 (the noop span sink's {!Span.null_context}) is ignored. *)
 
+type stream
+(** The live cell behind an observe stream. *)
+
+val stream_ref : t -> string -> stream
+(** The named stream, created empty on first use, for hot paths that
+    write it repeatedly without a name lookup ({!Metrics} caches these).
+    Like a {!counter_ref}, it stays valid across {!reset}. *)
+
+val observe_ref : ?trace_id:int -> stream -> float -> unit
+(** {!observe} into a stream obtained from {!stream_ref}. *)
+
 type exemplar = {
   bucket : int;  (** {!Prelude.Sketch.bucket_index} of the sample. *)
   trace_id : int;
@@ -95,4 +106,5 @@ val merge_into : ?map_name:(string -> string) -> into:t -> t -> unit
 
 val reset : t -> unit
 (** Zero every counter and stream {e in place}: handles previously obtained
-    through {!counter_ref} or {!stat} keep pointing at live cells. *)
+    through {!counter_ref}, {!stream_ref} or {!stat} keep pointing at live
+    cells. *)

@@ -90,12 +90,15 @@ let partitioned t ~src ~dst =
   | Some cut -> Hashtbl.mem cut src <> Hashtbl.mem cut dst
 
 let one_way_delay t ~src ~dst =
-  match Traceroute.Route_oracle.route t.oracle ~src ~dst with
-  | [] -> infinity
-  | routers -> (
-      match t.latency with
-      | Some table -> Topology.Latency.path_latency table routers
-      | None -> float_of_int (List.length routers - 1))
+  match t.latency with
+  | Some table -> (
+      match Traceroute.Route_oracle.route t.oracle ~src ~dst with
+      | [] -> infinity
+      | routers -> Topology.Latency.path_latency table routers)
+  | None -> (
+      match Traceroute.Route_oracle.route_length t.oracle ~src ~dst with
+      | hops when hops = max_int -> infinity
+      | hops -> float_of_int hops)
 
 let jitter t delay =
   match t.rng with

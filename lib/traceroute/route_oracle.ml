@@ -80,10 +80,22 @@ let route t ~src ~dst =
     end
   end
 
+(* Count the links by walking the sink tree's parent array: no route list
+   is built (the transport asks on every delivered message). *)
 let route_length t ~src ~dst =
-  match route t ~src ~dst with
-  | [] -> max_int
-  | routers -> List.length routers - 1
+  if src = dst then 0
+  else begin
+    let parents = tree t dst in
+    if parents.(src) = -1 then max_int
+    else begin
+      let hops = ref 0 and v = ref src in
+      while !v <> dst do
+        v := parents.(!v);
+        incr hops
+      done;
+      !hops
+    end
+  end
 
 let cached_destinations t =
   match t.cache with

@@ -56,6 +56,29 @@ let test_pq_iter_unordered () =
   Pqueue.iter_unordered q (fun _ v -> sum := !sum + v);
   Alcotest.(check int) "visits all" 6 !sum
 
+(* Popped and cleared values are collectable: the queue's vacated slots
+   hold no reference to them. *)
+let[@inline never] push_tracked q weak i ~priority =
+  let v = Bytes.make 64 'x' in
+  Weak.set weak i (Some v);
+  Pqueue.push q ~priority v
+
+let test_pq_releases_values () =
+  let q = Pqueue.create () and weak = Weak.create 4 in
+  push_tracked q weak 0 ~priority:1.0;
+  push_tracked q weak 1 ~priority:2.0;
+  ignore (Pqueue.pop q);
+  ignore (Pqueue.pop q);
+  push_tracked q weak 2 ~priority:3.0;
+  push_tracked q weak 3 ~priority:4.0;
+  Pqueue.clear q;
+  Gc.full_major ();
+  List.iter
+    (fun i -> Alcotest.(check bool) (Printf.sprintf "value %d collected" i) false (Weak.check weak i))
+    [ 0; 1; 2; 3 ];
+  (* The queue itself is still live: it is its slots that let go. *)
+  Alcotest.(check int) "queue still usable" 0 (Pqueue.length q)
+
 let qcheck_pq_sorts =
   QCheck.Test.make ~name:"pqueue pops in priority order" ~count:300
     QCheck.(list (float_bound_inclusive 1000.0))
@@ -242,6 +265,7 @@ let suite =
       Alcotest.test_case "pqueue peek" `Quick test_pq_peek_stable;
       Alcotest.test_case "pqueue clear/reuse" `Quick test_pq_clear_and_reuse;
       Alcotest.test_case "pqueue iter_unordered" `Quick test_pq_iter_unordered;
+      Alcotest.test_case "pqueue releases popped values" `Quick test_pq_releases_values;
       q qcheck_pq_sorts;
       Alcotest.test_case "vec basic" `Quick test_vec_basic;
       Alcotest.test_case "vec bounds" `Quick test_vec_bounds;

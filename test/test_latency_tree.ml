@@ -104,6 +104,57 @@ let test_metric_ablation_smoke () =
       Alcotest.(check bool) "ratios >= 1" true (r.ratio_hops >= 1.0 && r.ratio_latency >= 1.0))
     rows
 
+(* Zero-latency links make candidate costs tie along the walk: a peer met
+   at a router and again one zero-latency link further out is offered at
+   the same cost twice, and only the selector's held entries stop it
+   counting twice.  The reference is the naive scan over the same sink
+   tree with every zero-latency link contracted: a router whose link
+   toward the landmark costs 0 is dropped from the paths, so a router's
+   position in a contracted path is its latency from the peer, and the
+   contracted meeting point sits at the same latencies. *)
+let qcheck_zero_latency_links_match_naive =
+  QCheck.Test.make ~name:"zero-latency links: latency tree = naive registry" ~count:200
+    QCheck.(pair small_int (int_range 2 60))
+    (fun (seed, n_peers) ->
+      let rng = Prelude.Prng.create (seed + 1009) in
+      let n_routers = 25 in
+      let parent = Array.init n_routers (fun r -> if r = 0 then -1 else Prelude.Prng.int rng r) in
+      (* Latency of the link from router r toward the landmark: mostly 0. *)
+      let link = Array.init n_routers (fun r -> if r > 0 && Prelude.Prng.int rng 3 = 0 then 1 else 0) in
+      let route r =
+        let rec climb r acc = if r = 0 then List.rev (0 :: acc) else climb parent.(r) (r :: acc) in
+        climb r []
+      in
+      let hops r =
+        let cost = ref 0 in
+        Array.of_list
+          (List.map
+             (fun router ->
+               let c = !cost in
+               cost := c + link.(router);
+               (router, float_of_int c))
+             (route r))
+      in
+      let contracted r =
+        Array.of_list (List.filter (fun router -> router = 0 || link.(router) = 1) (route r))
+      in
+      let tree = Latency_tree.create ~landmark:0 and naive = Naive_registry.create ~landmark:0 in
+      for peer = 0 to n_peers - 1 do
+        let attach = Prelude.Prng.int rng n_routers in
+        Latency_tree.insert tree ~peer ~hops:(hops attach);
+        Naive_registry.insert naive ~peer ~routers:(contracted attach)
+      done;
+      let as_int = List.map (fun (p, c) -> (p, int_of_float c)) in
+      let k = 1 + Prelude.Prng.int rng 6 in
+      let q = Prelude.Prng.int rng n_routers in
+      as_int (Latency_tree.query tree ~hops:(hops q) ~k ())
+      = Naive_registry.query naive ~routers:(contracted q) ~k ()
+      && List.for_all
+           (fun peer ->
+             as_int (Latency_tree.query_member tree ~peer ~k)
+             = Naive_registry.query_member naive ~peer ~k)
+           (List.init n_peers Fun.id))
+
 (* Exercise the functor with a third, non-numeric cost: lexicographic
    (latency, hops) pairs - minimizing latency with hop count as the
    tie-break.  This is what a deployment that records both would use. *)
@@ -113,6 +164,9 @@ module Pair_cost = struct
   let zero = (0.0, 0)
   let add (a, b) (c, d) = (a +. c, b + d)
   let compare = compare
+
+  (* Boxed entries: chunk shifts must keep the write barrier. *)
+  let blit = Array.blit
 end
 
 module Pair_tree = Nearby.Path_tree_core.Make (Pair_cost)
@@ -149,4 +203,6 @@ let suite =
       Alcotest.test_case "remove" `Quick test_remove_and_members;
       Alcotest.test_case "metric ablation" `Slow test_metric_ablation_smoke;
       Alcotest.test_case "custom cost functor instance" `Quick test_custom_cost_instance;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
+        qcheck_zero_latency_links_match_naive;
     ] )

@@ -74,6 +74,82 @@ let test_cardinality_cap () =
   Alcotest.(check int) "other name untouched" 1
     (Metrics.counter m "small" ~labels:[ ("x", "1") ])
 
+(* Writes go through a memo of (name, labels as written): both orders of
+   one label set land on the same series. *)
+let test_memo_label_orders () =
+  let m = Metrics.create () in
+  let ab = [ ("kind", "report"); ("dir", "sent") ] and ba = [ ("dir", "sent"); ("kind", "report") ] in
+  for _ = 1 to 3 do
+    Metrics.incr m "wire_msgs_total" ~labels:ab;
+    Metrics.add_count m "wire_msgs_total" ~labels:ba 2;
+    Metrics.observe m "wire_ms" ~labels:ab 1.0;
+    Metrics.observe m "wire_ms" ~labels:ba 3.0
+  done;
+  Alcotest.(check int) "one counter" 9 (Metrics.counter m "wire_msgs_total" ~labels:ab);
+  Alcotest.(check int) "one counter series" 1 (Metrics.series_count m "wire_msgs_total");
+  (match Metrics.summary m "wire_ms" ~labels:ba with
+  | None -> Alcotest.fail "stream missing"
+  | Some s ->
+      Alcotest.(check int) "one stream" 6 s.count;
+      Alcotest.(check (float 1e-9)) "both orders' samples" 2.0 s.mean);
+  Alcotest.(check int) "two series in all" 2 (List.length (Metrics.series m));
+  Alcotest.(check int) "nothing rerouted" 0 (Metrics.overflow_routed m)
+
+(* A repeated labeled write builds no key: the memo hit and the cell bump
+   allocate nothing. *)
+let test_repeated_incr_allocation () =
+  let m = Metrics.create () in
+  let labels = [ ("kind", "report"); ("dir", "sent") ] in
+  Metrics.incr m "wire_msgs_total" ~labels;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Metrics.incr m "wire_msgs_total" ~labels
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "counted" 1_001 (Metrics.counter m "wire_msgs_total" ~labels);
+  Alcotest.(check bool) (Printf.sprintf "1,000 incrs allocate %.0f words" words) true (words <= 16.0)
+
+(* The memo holds only label sets under the cap: a label set past it is
+   rerouted, and counted as rerouted, on every write. *)
+let test_memo_keeps_overflow_routing () =
+  let m = Metrics.create ~max_series_per_name:2 () in
+  let peer i = [ ("peer", string_of_int i) ] in
+  Metrics.incr m "per_peer" ~labels:(peer 1);
+  Metrics.incr m "per_peer" ~labels:(peer 2);
+  let late = peer 3 in
+  for _ = 1 to 5 do
+    Metrics.incr m "per_peer" ~labels:late
+  done;
+  Metrics.add_count m "per_peer" ~labels:(peer 4) 3;
+  Metrics.incr m "per_peer" ~labels:(peer 1);
+  Alcotest.(check int) "every late write overflowed" 8
+    (Metrics.counter m "per_peer" ~labels:Metrics.overflow_labels);
+  Alcotest.(check int) "every late write counted" 6 (Metrics.overflow_routed m);
+  Alcotest.(check int) "late label set never stored" 0 (Metrics.counter m "per_peer" ~labels:late);
+  Alcotest.(check int) "series under the cap still written" 2
+    (Metrics.counter m "per_peer" ~labels:(peer 1));
+  Alcotest.(check int) "cap + overflow" 3 (Metrics.series_count m "per_peer")
+
+(* [Trace.reset] zeroes cells in place, so the cells a memoized series
+   holds stay the live ones. *)
+let test_reset_keeps_cached_cells () =
+  let m = Metrics.create () in
+  let l = [ ("outcome", "ok") ] in
+  Metrics.incr m "rpc_outcomes" ~labels:l;
+  Metrics.observe m "rpc_latency_ms" ~labels:l 5.0;
+  Trace.reset (Metrics.trace m);
+  Alcotest.(check int) "counter zeroed" 0 (Metrics.counter m "rpc_outcomes" ~labels:l);
+  Metrics.incr m "rpc_outcomes" ~labels:l;
+  Metrics.observe m "rpc_latency_ms" ~labels:l 7.0;
+  Alcotest.(check int) "counter written after reset" 1 (Metrics.counter m "rpc_outcomes" ~labels:l);
+  Alcotest.(check int) "flat view agrees" 1
+    (Trace.counter (Metrics.trace m) (Metrics.canonical_key "rpc_outcomes" l));
+  match Metrics.summary m "rpc_latency_ms" ~labels:l with
+  | None -> Alcotest.fail "stream missing"
+  | Some s ->
+      Alcotest.(check int) "stream written after reset" 1 s.count;
+      Alcotest.(check (float 1e-9)) "only the new sample" 7.0 s.mean
+
 let test_merge_trace_under_label () =
   let flat = Trace.create () in
   Trace.add_count flat "join" 3;
@@ -295,6 +371,13 @@ let suite =
       Alcotest.test_case "counter/stream/gauge roundtrip" `Quick
         test_counter_stream_gauge_roundtrip;
       Alcotest.test_case "cardinality cap" `Quick test_cardinality_cap;
+      Alcotest.test_case "memo: label orders share a series" `Quick test_memo_label_orders;
+      Alcotest.test_case "memo: repeated incr allocates nothing" `Quick
+        test_repeated_incr_allocation;
+      Alcotest.test_case "memo: overflow still routed per write" `Quick
+        test_memo_keeps_overflow_routing;
+      Alcotest.test_case "memo: reset keeps cached cells live" `Quick
+        test_reset_keeps_cached_cells;
       Alcotest.test_case "merge_trace under label" `Quick test_merge_trace_under_label;
       Alcotest.test_case "merge_into" `Quick test_merge_into;
       Alcotest.test_case "labeled exporters" `Quick test_prometheus_labeled;

@@ -401,6 +401,32 @@ let test_batch_allocates_like_singletons () =
     true
     (batch_words <= loop_words +. 64.0)
 
+(* A member query reads the member's stored path in place and keeps no
+   seen-table: what it allocates is the k-slot selector, the tuples of
+   accepted offers and the answer list, nothing per bucket entry. *)
+let test_query_member_allocation () =
+  let rng = Prelude.Prng.create 37 in
+  let n_routers = 200 in
+  let parent = Array.init n_routers (fun r -> if r = 0 then -1 else Prelude.Prng.int rng r) in
+  let path_from r =
+    let rec climb r acc = if r = 0 then List.rev (0 :: acc) else climb parent.(r) (r :: acc) in
+    Array.of_list (climb r [])
+  in
+  let t = Path_tree.create ~landmark:0 in
+  for peer = 0 to 1_999 do
+    Path_tree.insert t ~peer ~routers:(path_from (Prelude.Prng.int rng n_routers))
+  done;
+  let k = 5 and queries = 200 in
+  ignore (Path_tree.query_member t ~peer:0 ~k);
+  let before = Gc.minor_words () in
+  for peer = 0 to queries - 1 do
+    ignore (Path_tree.query_member t ~peer ~k)
+  done;
+  let per_query = (Gc.minor_words () -. before) /. float_of_int queries in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per k=%d member query" per_query k)
+    true (per_query <= 150.0)
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t in
   ( "path_tree",
@@ -426,6 +452,7 @@ let suite =
       q qcheck_naive_equivalence;
       q (qcheck_batch_layout (module Hop_subject));
       q (qcheck_batch_layout (module Latency_subject));
+      Alcotest.test_case "member query allocation" `Quick test_query_member_allocation;
       Alcotest.test_case "small batch allocates like singletons" `Quick
         test_batch_allocates_like_singletons;
     ] )

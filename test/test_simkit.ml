@@ -298,6 +298,76 @@ let qcheck_engine_total_order =
       let times = List.rev !fired in
       List.length times = List.length delays && times = List.sort compare delays)
 
+(* A random schedule: each event fires [delay] ms after it was scheduled
+   and, when it runs, schedules its children.  Delays of 0-2 ms make time
+   ties common, and a child with delay 0 is a same-time event scheduled by
+   a running one. *)
+type ev = Ev of int * ev list
+
+let gen_schedule =
+  let open QCheck.Gen in
+  let ev =
+    fix (fun self depth ->
+        map2
+          (fun delay kids -> Ev (delay, kids))
+          (int_bound 2)
+          (if depth = 0 then return [] else list_size (int_bound 3) (self (depth - 1))))
+  in
+  list_size (int_bound 25) (ev 3)
+
+(* The reference: every scheduled event gets the next sequence number, and
+   the pending event with the least (time, seq) runs next. *)
+let reference_order roots =
+  let pending = ref [] and next = ref 0 and log = ref [] in
+  let schedule now (Ev (delay, kids)) =
+    pending := (now +. float_of_int delay, !next, kids) :: !pending;
+    incr next
+  in
+  List.iter (schedule 0.0) roots;
+  while !pending <> [] do
+    let ((time, seq, kids) as first) =
+      List.fold_left
+        (fun ((t1, s1, _) as a) ((t2, s2, _) as b) -> if (t2, s2) < (t1, s1) then b else a)
+        (List.hd !pending) !pending
+    in
+    pending := List.filter (fun e -> e != first) !pending;
+    log := (seq, time) :: !log;
+    List.iter (schedule time) kids
+  done;
+  List.rev !log
+
+let qcheck_engine_time_seq_order =
+  QCheck.Test.make ~name:"engine runs random schedules in (time, seq) order" ~count:300
+    (QCheck.make gen_schedule)
+    (fun roots ->
+      let e = Engine.create () in
+      let next = ref 0 and log = ref [] in
+      let rec schedule (Ev (delay, kids)) =
+        let seq = !next in
+        incr next;
+        Engine.schedule e ~delay:(float_of_int delay) (fun () ->
+            log := (seq, Engine.now e) :: !log;
+            List.iter schedule kids)
+      in
+      List.iter schedule roots;
+      Engine.run e;
+      List.rev !log = reference_order roots && Engine.pending e = 0)
+
+(* An executed event's closure is not kept alive by the queue. *)
+let[@inline never] schedule_with_payload e weak ~delay =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some payload);
+  Engine.schedule e ~delay (fun () -> ignore (Bytes.length payload))
+
+let test_engine_releases_run_events () =
+  let e = Engine.create () in
+  let weak = Weak.create 1 in
+  schedule_with_payload e weak ~delay:1.0;
+  ignore (Engine.step e);
+  Gc.full_major ();
+  Alcotest.(check bool) "run closure collected" false (Weak.check weak 0);
+  Alcotest.(check int) "queue drained" 0 (Engine.pending e)
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t in
   ( "simkit",
@@ -325,4 +395,6 @@ let suite =
       Alcotest.test_case "churn population" `Quick test_churn_population_estimate;
       Alcotest.test_case "trace" `Quick test_trace;
       q qcheck_engine_total_order;
+      q qcheck_engine_time_seq_order;
+      Alcotest.test_case "engine releases run events" `Quick test_engine_releases_run_events;
     ] )
