@@ -137,7 +137,76 @@ let micro_tests () =
              Simkit.Metrics.incr metrics "wire_msgs_total" ~labels:labels.(!i land 7)));
     ]
   in
-  Test.make_grouped ~name:"micro" (insert_tests @ query_tests @ substrate @ observe @ runtime)
+  (* What one join's plumbing costs, callback by callback, on the shape of
+     the stack benchmark: a 2,000-router map, 8 medium-degree landmarks, 3
+     replica routers, peers cycling over 64 leaves whose route trees are
+     built before timing starts. *)
+  let join_path =
+    let map = Topology.Gen_magoni.generate (Topology.Gen_magoni.default_params 2000) ~seed:1 in
+    let rng = Prelude.Prng.create 1 in
+    let place count = Nearby.Landmark.place map.graph Nearby.Landmark.Medium_degree ~count ~rng in
+    let landmarks = place 8 in
+    let replicas = place 3 in
+    let oracle = Traceroute.Route_oracle.create map.graph in
+    let peers = Array.sub map.leaves 0 64 in
+    Array.iter
+      (fun dst -> ignore (Traceroute.Route_oracle.route_length oracle ~src:map.core.(0) ~dst))
+      (Array.concat [ landmarks; replicas; peers ]);
+    let server = Nearby.Server.create oracle ~landmarks in
+    let engine = Simkit.Engine.create () in
+    let transport =
+      Simkit.Transport.create ~rng:(Prelude.Prng.create 2) ~metrics:(Simkit.Metrics.create ())
+        engine oracle
+    in
+    (* The cluster's detector heartbeats run on an engine of their own,
+       never stepped: [target] reads only delays and suspicions. *)
+    let cluster =
+      Nearby.Cluster.create
+        ~transport:(Simkit.Transport.create (Simkit.Engine.create ()) oracle)
+        ~client_router:map.core.(0)
+        ~make_server:(fun () -> Nearby.Server.create oracle ~landmarks)
+        ~routers:replicas ()
+    in
+    let rpc = Simkit.Rpc.create ~rng:(Prelude.Prng.create 3) transport in
+    let i = ref 0 in
+    let next_peer () =
+      incr i;
+      peers.(!i land 63)
+    in
+    let parts = [ ("path_report", 60); ("query", 4) ] and reply = [ ("reply", 20) ] in
+    let settled = ref false in
+    [
+      Test.make ~name:"nearby/server/measure"
+        (Staged.stage (fun () ->
+             ignore (Nearby.Server.measure server ~attach_router:(next_peer ()))));
+      (* A send and the step that delivers it, so the queue stays empty. *)
+      Test.make ~name:"simkit/transport/send_parts"
+        (Staged.stage (fun () ->
+             Simkit.Transport.send_parts ~dir:"request" transport ~src:(next_peer ())
+               ~dst:replicas.(0) ~parts ignore;
+             ignore (Simkit.Engine.step engine)));
+      Test.make ~name:"nearby/cluster/target"
+        (Staged.stage (fun () ->
+             ignore (Nearby.Cluster.target cluster ~src:(next_peer ()) ~attempt:1)));
+      (* One call stepped until its reply settles it; the timeouts of earlier
+         calls fire (as no-ops) along the way, as they do in a run. *)
+      Test.make ~name:"simkit/rpc/call+settle"
+        (Staged.stage (fun () ->
+             settled := false;
+             Simkit.Rpc.call rpc ~src:(next_peer ())
+               ~dst:(fun ~attempt:_ -> Some replicas.(0))
+               ~request_parts:parts
+               ~reply_parts:(fun _ -> reply)
+               ~handle:(fun ~dst:_ -> Some ())
+               ~on_reply:(fun () -> settled := true)
+               ~on_give_up:ignore;
+             while not !settled do
+               ignore (Simkit.Engine.step engine)
+             done));
+    ]
+  in
+  Test.make_grouped ~name:"micro"
+    (insert_tests @ query_tests @ substrate @ observe @ runtime @ join_path)
 
 let run_micro () =
   print_endline "== Bechamel micro-benchmarks (ns/op, OLS on monotonic clock) ==";

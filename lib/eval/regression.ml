@@ -12,7 +12,8 @@
    A metric present in the baseline but missing from the current document
    fails the gate: silently dropping a measurement is how regressions
    hide.  New metrics in the current document pass (they will gate once
-   the baseline is updated). *)
+   the baseline is updated).  A metric the producing machine cannot
+   measure carries the reason, and is reported as skipped, not passed. *)
 
 type direction = Higher_better | Lower_better | Exact
 
@@ -21,14 +22,21 @@ type metric = {
   value : float;
   direction : direction;
   tolerance : float;  (* allowed fractional drift in the bad direction *)
+  skip : string option;
 }
+
+type status = Pass | Fail | Skipped of string
 
 type comparison = {
   name : string;
   baseline : float;
   current : float option;  (* None: metric disappeared *)
-  ok : bool;
+  status : status;
 }
+
+let gate ?skip name value direction tolerance = { name; value; direction; tolerance; skip }
+let exact name value = gate name value Exact 0.0
+let flag name b = exact name (if b then 1.0 else 0.0)
 
 (* --- Extraction -------------------------------------------------------- *)
 
@@ -48,6 +56,21 @@ let str doc path_keys =
   match Option.bind (Simkit.Json.path path_keys doc) Simkit.Json.to_string with
   | Some v -> v
   | None -> fail "missing string at %s" (String.concat "." path_keys)
+
+(* A sharded backend's query scatters over a pool of domains: on a machine
+   with fewer domains than shards it measures the pool's contention, not
+   the backend, so its throughput gate is skipped there. *)
+let query_skip doc backend =
+  match String.split_on_char ':' backend with
+  | [ "sharded"; shards ] -> (
+      let domains =
+        Option.bind (Simkit.Json.path [ "meta"; "domains" ] doc) Simkit.Json.to_float
+      in
+      match (domains, int_of_string_opt shards) with
+      | Some d, Some n when int_of_float d < n ->
+          Some (Printf.sprintf "meta.domains %d < %d shards" (int_of_float d) n)
+      | _ -> None)
+  | _ -> None
 
 let rows doc key =
   match Option.bind (Simkit.Json.member key doc) Simkit.Json.to_list with
@@ -88,34 +111,18 @@ let sweep_metrics doc =
       let key metric = Printf.sprintf "registry/sweep/%d/%s/%s" n b metric in
       let structural =
         [
-          {
-            name = key "answers_identical";
-            value = (if boolean row [ "answers_identical" ] then 1.0 else 0.0);
-            direction = Exact;
-            tolerance = 0.0;
-          };
-          {
-            name = key "members";
-            value = num row [ "members" ];
-            direction = Exact;
-            tolerance = 0.0;
-          };
-          {
-            name = key "bytes_per_member";
-            value = num row [ "approx_bytes" ] /. Float.max 1.0 (num row [ "members" ]);
-            direction = Lower_better;
-            tolerance = 0.5;
-          };
+          flag (key "answers_identical") (boolean row [ "answers_identical" ]);
+          exact (key "members") (num row [ "members" ]);
+          gate (key "bytes_per_member")
+            (num row [ "approx_bytes" ] /. Float.max 1.0 (num row [ "members" ]))
+            Lower_better 0.5;
         ]
       in
       if b = "tree" then structural
       else
-        {
-          name = key "query_rel_tree";
-          value = num row [ "query_ops_per_s" ] /. tree_query_at n;
-          direction = Higher_better;
-          tolerance = 0.5;
-        }
+        gate ?skip:(query_skip doc b) (key "query_rel_tree")
+          (num row [ "query_ops_per_s" ] /. tree_query_at n)
+          Higher_better 0.5
         :: structural)
     rows
 
@@ -135,28 +142,21 @@ let registry_metrics doc =
     (fun row ->
       let b = name_of row in
       let identical =
-        {
-          name = Printf.sprintf "registry/%s/answers_identical" b;
-          value = (if boolean row [ "answers_identical" ] then 1.0 else 0.0);
-          direction = Exact;
-          tolerance = 0.0;
-        }
+        flag
+          (Printf.sprintf "registry/%s/answers_identical" b)
+          (boolean row [ "answers_identical" ])
       in
       if b = "tree" then [ identical ]
       else
         [
-          {
-            name = Printf.sprintf "registry/%s/insert_rel_tree" b;
-            value = num row [ "insert_ops_per_s" ] /. tree_insert;
-            direction = Higher_better;
-            tolerance = 0.6;
-          };
-          {
-            name = Printf.sprintf "registry/%s/query_rel_tree" b;
-            value = num row [ "query_ops_per_s" ] /. tree_query;
-            direction = Higher_better;
-            tolerance = 0.6;
-          };
+          gate
+            (Printf.sprintf "registry/%s/insert_rel_tree" b)
+            (num row [ "insert_ops_per_s" ] /. tree_insert)
+            Higher_better 0.6;
+          gate ?skip:(query_skip doc b)
+            (Printf.sprintf "registry/%s/query_rel_tree" b)
+            (num row [ "query_ops_per_s" ] /. tree_query)
+            Higher_better 0.6;
           identical;
         ])
     backends
@@ -167,18 +167,8 @@ let registry_metrics doc =
    bucketing regression shows up as a bound violation, not noise. *)
 let obs_sketch_metrics doc =
   [
-    {
-      name = "obs/sketch/within_bound";
-      value = (if boolean doc [ "sketch"; "within_bound" ] then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "obs/sketch/max_rel_err";
-      value = num doc [ "sketch"; "max_rel_err" ];
-      direction = Lower_better;
-      tolerance = 0.5;
-    };
+    flag "obs/sketch/within_bound" (boolean doc [ "sketch"; "within_bound" ]);
+    gate "obs/sketch/max_rel_err" (num doc [ "sketch"; "max_rel_err" ]) Lower_better 0.5;
   ]
 
 (* The merged fleet view runs on the simulated clock, so completion and
@@ -186,30 +176,10 @@ let obs_sketch_metrics doc =
    tolerances); the sketch-bound check is structural and gates exactly. *)
 let obs_fleet_metrics doc =
   [
-    {
-      name = "obs/fleet/completion_rate";
-      value = num doc [ "fleet"; "completion_rate" ];
-      direction = Higher_better;
-      tolerance = 0.02;
-    };
-    {
-      name = "obs/fleet/merged_p99_ms";
-      value = num doc [ "fleet"; "merged_p99_ms" ];
-      direction = Lower_better;
-      tolerance = 0.15;
-    };
-    {
-      name = "obs/fleet/within_bound";
-      value = (if boolean doc [ "fleet"; "within_bound" ] then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "obs/fleet/shard_skew";
-      value = num doc [ "fleet"; "shard_skew" ];
-      direction = Lower_better;
-      tolerance = 0.5;
-    };
+    gate "obs/fleet/completion_rate" (num doc [ "fleet"; "completion_rate" ]) Higher_better 0.02;
+    gate "obs/fleet/merged_p99_ms" (num doc [ "fleet"; "merged_p99_ms" ]) Lower_better 0.15;
+    flag "obs/fleet/within_bound" (boolean doc [ "fleet"; "within_bound" ]);
+    gate "obs/fleet/shard_skew" (num doc [ "fleet"; "shard_skew" ]) Lower_better 0.5;
   ]
 
 (* BENCH_obs.json: p99 latency relative to the tree backend.  Tails are the
@@ -230,7 +200,6 @@ let obs_metrics doc =
   List.concat_map
     (fun row ->
       let b = name_of row in
-      let exact name value = { name; value; direction = Exact; tolerance = 0.0 } in
       let structural =
         [
           exact
@@ -249,18 +218,14 @@ let obs_metrics doc =
       if b = "tree" then structural
       else
         [
-          {
-            name = Printf.sprintf "obs/%s/insert_p99_rel_tree" b;
-            value = num row [ "insert_ns"; "p99" ] /. tree_insert;
-            direction = Lower_better;
-            tolerance = 1.5;
-          };
-          {
-            name = Printf.sprintf "obs/%s/query_p99_rel_tree" b;
-            value = num row [ "query_ns"; "p99" ] /. tree_query;
-            direction = Lower_better;
-            tolerance = 1.5;
-          };
+          gate
+            (Printf.sprintf "obs/%s/insert_p99_rel_tree" b)
+            (num row [ "insert_ns"; "p99" ] /. tree_insert)
+            Lower_better 1.5;
+          gate
+            (Printf.sprintf "obs/%s/query_p99_rel_tree" b)
+            (num row [ "query_ns"; "p99" ] /. tree_query)
+            Lower_better 1.5;
         ]
         @ structural)
     backends
@@ -276,24 +241,9 @@ let resilience_metrics doc =
              (int_of_float (num row [ "replicas" ]))
          in
          [
-           {
-             name = key ^ "/completion_rate";
-             value = num row [ "completion_rate" ];
-             direction = Higher_better;
-             tolerance = 0.02;
-           };
-           {
-             name = key ^ "/join_p99_ms";
-             value = num row [ "join_p99_ms" ];
-             direction = Lower_better;
-             tolerance = 0.15;
-           };
-           {
-             name = key ^ "/consistent";
-             value = (if boolean row [ "consistent" ] then 1.0 else 0.0);
-             direction = Exact;
-             tolerance = 0.0;
-           };
+           gate (key ^ "/completion_rate") (num row [ "completion_rate" ]) Higher_better 0.02;
+           gate (key ^ "/join_p99_ms") (num row [ "join_p99_ms" ]) Lower_better 0.15;
+           flag (key ^ "/consistent") (boolean row [ "consistent" ]);
          ])
 
 let load_metrics doc =
@@ -303,46 +253,15 @@ let load_metrics doc =
            Printf.sprintf "load/%s/%s" (str row [ "arrival" ]) (str row [ "policy" ])
          in
          [
-           {
-             name = key ^ "/completion_rate";
-             value = num row [ "completion_rate" ];
-             direction = Higher_better;
-             tolerance = 0.02;
-           };
-           {
-             name = key ^ "/join_p99_ms";
-             value = num row [ "join_p99_ms" ];
-             direction = Lower_better;
-             tolerance = 0.15;
-           };
-           {
-             name = key ^ "/goodput_per_s";
-             value = num row [ "goodput_per_s" ];
-             direction = Higher_better;
-             tolerance = 0.1;
-           };
-           {
-             name = key ^ "/shed_fraction";
-             value = num row [ "shed_fraction" ];
-             direction = Lower_better;
-             tolerance = 0.2;
-           };
+           gate (key ^ "/completion_rate") (num row [ "completion_rate" ]) Higher_better 0.02;
+           gate (key ^ "/join_p99_ms") (num row [ "join_p99_ms" ]) Lower_better 0.15;
+           gate (key ^ "/goodput_per_s") (num row [ "goodput_per_s" ]) Higher_better 0.1;
+           gate (key ^ "/shed_fraction") (num row [ "shed_fraction" ]) Lower_better 0.2;
            (* The headline bit: under the flash crowd the SLO shedder holds
               the admitted p99 inside the budget, drop-tail does not. *)
-           {
-             name = key ^ "/p99_within_budget";
-             value = (if boolean row [ "p99_within_budget" ] then 1.0 else 0.0);
-             direction = Exact;
-             tolerance = 0.0;
-           };
-           {
-             name = key ^ "/sheds_when_saturated";
-             value =
-               (if num row [ "saturation" ] > 1.0 = (num row [ "shed_fraction" ] > 0.0) then 1.0
-                else 0.0);
-             direction = Exact;
-             tolerance = 0.0;
-           };
+           flag (key ^ "/p99_within_budget") (boolean row [ "p99_within_budget" ]);
+           flag (key ^ "/sheds_when_saturated")
+             (num row [ "saturation" ] > 1.0 = (num row [ "shed_fraction" ] > 0.0));
          ])
 
 (* BENCH_wire.json: byte counts on the simulated wire are pure functions
@@ -352,110 +271,31 @@ let load_metrics doc =
 let wire_metrics doc =
   let w path = num doc ("wire" :: path) in
   [
-    {
-      name = "wire/completion_rate";
-      value = w [ "completion_rate" ];
-      direction = Higher_better;
-      tolerance = 0.02;
-    };
-    {
-      name = "wire/bytes_per_join";
-      value = w [ "bytes_per_join" ];
-      direction = Lower_better;
-      tolerance = 0.1;
-    };
-    {
-      name = "wire/bytes_per_query";
-      value = w [ "bytes_per_query" ];
-      direction = Lower_better;
-      tolerance = 0.1;
-    };
-    {
-      name = "wire/replication_amplification";
-      value = w [ "replication_amplification" ];
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "wire/snapshot_bytes_per_join";
-      value = w [ "snapshot_bytes" ] /. Float.max 1.0 (w [ "joins" ]);
-      direction = Lower_better;
-      tolerance = 0.5;
-    };
-    {
-      name = "wire/batch_saving_ratio";
-      value = w [ "batch_saving_ratio" ];
-      direction = Higher_better;
-      tolerance = 0.05;
-    };
-    {
-      name = "wire/batch_saves_bytes";
-      value = (if w [ "batch_saving_ratio" ] > 1.0 then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "wire/accounted";
-      value = (if boolean doc [ "wire"; "accounted" ] then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
+    gate "wire/completion_rate" (w [ "completion_rate" ]) Higher_better 0.02;
+    gate "wire/bytes_per_join" (w [ "bytes_per_join" ]) Lower_better 0.1;
+    gate "wire/bytes_per_query" (w [ "bytes_per_query" ]) Lower_better 0.1;
+    exact "wire/replication_amplification" (w [ "replication_amplification" ]);
+    gate "wire/snapshot_bytes_per_join"
+      (w [ "snapshot_bytes" ] /. Float.max 1.0 (w [ "joins" ]))
+      Lower_better 0.5;
+    gate "wire/batch_saving_ratio" (w [ "batch_saving_ratio" ]) Higher_better 0.05;
+    flag "wire/batch_saves_bytes" (w [ "batch_saving_ratio" ] > 1.0);
+    flag "wire/accounted" (boolean doc [ "wire"; "accounted" ]);
   ]
 
 let health_metrics doc =
   let h path = num doc ("health" :: path) in
   [
-    {
-      name = "health/completion_rate";
-      value = h [ "completion_rate" ];
-      direction = Higher_better;
-      tolerance = 0.02;
-    };
+    gate "health/completion_rate" (h [ "completion_rate" ]) Higher_better 0.02;
     (* Structural: the loss burst must produce at least one detected
        divergence episode, and every episode must close. *)
-    {
-      name = "health/divergence_detected";
-      value = (if h [ "divergence_episodes" ] > 0.0 then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "health/episodes_closed";
-      value =
-        (if h [ "divergence_episodes" ] = h [ "convergence_episodes" ] then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "health/converged";
-      value = (if boolean doc [ "health"; "converged" ] then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "health/detection_latency_ms";
-      value = h [ "detection_latency_ms" ];
-      direction = Lower_better;
-      tolerance = 0.5;
-    };
-    {
-      name = "health/lag_p50_ms";
-      value = h [ "lag_p50_ms" ];
-      direction = Lower_better;
-      tolerance = 0.5;
-    };
-    {
-      name = "health/report_age_p50_ms";
-      value = h [ "report_age_p50_ms" ];
-      direction = Lower_better;
-      tolerance = 0.25;
-    };
-    {
-      name = "health/digest_gate_saves_transfers";
-      value = (if h [ "sync_skipped" ] > 0.0 then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
+    flag "health/divergence_detected" (h [ "divergence_episodes" ] > 0.0);
+    flag "health/episodes_closed" (h [ "divergence_episodes" ] = h [ "convergence_episodes" ]);
+    flag "health/converged" (boolean doc [ "health"; "converged" ]);
+    gate "health/detection_latency_ms" (h [ "detection_latency_ms" ]) Lower_better 0.5;
+    gate "health/lag_p50_ms" (h [ "lag_p50_ms" ]) Lower_better 0.5;
+    gate "health/report_age_p50_ms" (h [ "report_age_p50_ms" ]) Lower_better 0.25;
+    flag "health/digest_gate_saves_transfers" (h [ "sync_skipped" ] > 0.0);
   ]
 
 (* --- Comparison -------------------------------------------------------- *)
@@ -468,22 +308,22 @@ let within (m : metric) ~baseline ~current =
 
 (* [baseline]/[current] are the same extractor applied to the two
    documents; direction and tolerance are taken from the baseline side so
-   a tolerance edit gates from the commit that updates the baseline. *)
+   a tolerance edit gates from the commit that updates the baseline.  A
+   skip is taken from the current side: it describes the machine that
+   just ran. *)
 let compare_metrics ~baseline ~current =
   List.map
     (fun (b : metric) ->
+      let compared current status = { name = b.name; baseline = b.value; current; status } in
       match List.find_opt (fun (c : metric) -> c.name = b.name) current with
-      | None -> { name = b.name; baseline = b.value; current = None; ok = false }
+      | None -> compared None Fail
+      | Some { skip = Some reason; value; _ } -> compared (Some value) (Skipped reason)
       | Some c ->
-          {
-            name = b.name;
-            baseline = b.value;
-            current = Some c.value;
-            ok = within b ~baseline:b.value ~current:c.value;
-          })
+          compared (Some c.value)
+            (if within b ~baseline:b.value ~current:c.value then Pass else Fail))
     baseline
 
-let failures comparisons = List.filter (fun c -> not c.ok) comparisons
+let failures comparisons = List.filter (fun c -> c.status = Fail) comparisons
 
 let print comparisons =
   Prelude.Table.print
@@ -496,6 +336,9 @@ let print comparisons =
            (match c.current with
            | Some v -> Prelude.Table.float_cell ~decimals:4 v
            | None -> "MISSING");
-           (if c.ok then "ok" else "FAIL");
+           (match c.status with
+           | Pass -> "ok"
+           | Fail -> "FAIL"
+           | Skipped reason -> "skipped: " ^ reason);
          ])
        comparisons)

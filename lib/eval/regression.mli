@@ -12,18 +12,31 @@ type direction =
   | Lower_better  (** Fails when current > baseline × (1 + tolerance). *)
   | Exact
 
-type metric = { name : string; value : float; direction : direction; tolerance : float }
+type metric = {
+  name : string;
+  value : float;
+  direction : direction;
+  tolerance : float;
+  skip : string option;
+      (** Why the machine that produced the document cannot measure this
+          gate; compared against it, the gate is skipped with the reason. *)
+}
+
+type status = Pass | Fail | Skipped of string
 
 type comparison = {
   name : string;
   baseline : float;
   current : float option;  (** [None]: the metric disappeared — a failure. *)
-  ok : bool;
+  status : status;
 }
 
 val registry_metrics : Simkit.Json.t -> metric list
 (** From BENCH_registry.json: per-backend insert/query throughput relative
-    to tree (tolerance 0.6) and the answers-identical invariant (exact).
+    to tree (tolerance 0.6) and the answers-identical invariant (exact),
+    and the same per sweep point.  A [sharded:N] query throughput gate
+    carries a skip when the document's [meta.domains] is below [N]: the
+    scatter then measures contention for too few cores.
     @raise Failure on a malformed document. *)
 
 val obs_metrics : Simkit.Json.t -> metric list
@@ -60,7 +73,7 @@ val health_metrics : Simkit.Json.t -> metric list
 
 val compare_metrics : baseline:metric list -> current:metric list -> comparison list
 (** One comparison per baseline metric; thresholds come from the baseline
-    side. *)
+    side, a skip from the current side ({!Skipped}, not a failure). *)
 
 val failures : comparison list -> comparison list
 val print : comparison list -> unit

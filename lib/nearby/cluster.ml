@@ -25,27 +25,54 @@ type t = {
          [None] while the live replicas' digests agree.  Edge state for the
          divergence/convergence flight-recorder events and the
          ["cluster_antientropy_lag_ms"] stopwatch. *)
+  delays : float array;  (* [target]'s per-replica scratch; nan = not a candidate *)
+  (* The write path's counters, resolved once in [trace], and the
+     amplification gauge, resolved at its first value. *)
+  registered : int ref;
+  client_report_bytes : int ref;
+  replica_bytes : int ref;
+  replicate_send : int ref;
+  replicate_apply : int ref;
+  replicate_skip : int ref;
+  mutable amplification : Simkit.Metrics.gauge option;
 }
 
 let engine t = Option.map Simkit.Transport.engine t.transport
-let now t = match engine t with Some e -> Simkit.Engine.now e | None -> 0.0
+
+let now t =
+  match t.transport with Some tr -> Simkit.Engine.now (Simkit.Transport.engine tr) | None -> 0.0
 
 let record t ~args detail =
   match t.recorder with
   | None -> ()
   | Some r -> Simkit.Flight_recorder.record r ~ts:(now t) ~kind:"cluster" ~args detail
 
-let single ~router server =
+let make ~replicas ~transport ~detector ~trace ~recorder ~spans ~metrics =
+  let cell = Simkit.Trace.counter_ref trace in
   {
-    replicas = [| { id = 0; router; server; alive = true; recovered_at = None } |];
-    transport = None;
-    detector = None;
-    trace = Simkit.Trace.create ();
-    recorder = None;
-    spans = Simkit.Span.noop;
-    metrics = None;
+    replicas;
+    transport;
+    detector;
+    trace;
+    recorder;
+    spans;
+    metrics;
     divergence_started_at = None;
+    delays = Array.make (Array.length replicas) nan;
+    registered = cell "cluster_register";
+    client_report_bytes = cell "cluster_client_report_bytes";
+    replica_bytes = cell "cluster_replica_bytes";
+    replicate_send = cell "cluster_replicate_send";
+    replicate_apply = cell "cluster_replicate_apply";
+    replicate_skip = cell "cluster_replicate_skip";
+    amplification = None;
   }
+
+let single ~router server =
+  make
+    ~replicas:[| { id = 0; router; server; alive = true; recovered_at = None } |]
+    ~transport:None ~detector:None ~trace:(Simkit.Trace.create ()) ~recorder:None
+    ~spans:Simkit.Span.noop ~metrics:None
 
 let watch_replica t r =
   match t.detector with
@@ -84,16 +111,8 @@ let create ?(detector_config = Simkit.Failure_detector.default_config) ?recorder
         Log.debug (fun m -> m "replica %d suspected" id))
   in
   let t =
-    {
-      replicas;
-      transport = Some transport;
-      detector = Some detector;
-      trace;
-      recorder;
-      spans;
-      metrics;
-      divergence_started_at = None;
-    }
+    make ~replicas ~transport:(Some transport) ~detector:(Some detector) ~trace ~recorder ~spans
+      ~metrics
   in
   Array.iter (fun r -> watch_replica t r) replicas;
   (* Registration stamps read the engine clock, so report staleness is in
@@ -152,25 +171,41 @@ let live_count t =
   Array.fold_left (fun acc r -> if r.alive then acc + 1 else acc) 0 t.replicas
 
 (* Candidate targets ordered primary-first: ascending (network delay from
-   [src], id).  Attempt n takes the (n-1 mod live)-th entry, so a retry
+   [src], id).  Attempt n takes the (n-1 mod live)-th of them, so a retry
    fails over to the next-closest believed-live replica immediately instead
-   of burning its whole budget on a dead primary. *)
+   of burning its whole budget on a dead primary.  The k-th candidate is
+   the one with exactly k candidates ordered before it: no list, no sort. *)
 let target t ~src ~attempt =
   let transport =
     match t.transport with
     | Some tr -> tr
     | None -> invalid_arg "Cluster.target: single-server cluster has no transport"
   in
-  let candidates =
-    Array.to_list t.replicas
-    |> List.filter (believed_live t)
-    |> List.map (fun r -> ((Simkit.Transport.one_way_delay transport ~src ~dst:r.router, r.id), r))
-    |> List.sort compare
-    |> List.map snd
-  in
-  match candidates with
-  | [] -> None
-  | _ -> Some (List.nth candidates ((attempt - 1) mod List.length candidates)).id
+  let n = Array.length t.replicas and d = t.delays in
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    let r = t.replicas.(i) in
+    if believed_live t r then begin
+      d.(i) <- Simkit.Transport.one_way_delay transport ~src ~dst:r.router;
+      incr live
+    end
+    else d.(i) <- nan
+  done;
+  if !live = 0 then None
+  else begin
+    let rank = (attempt - 1) mod !live and found = ref (-1) and i = ref 0 in
+    while !found < 0 do
+      if not (Float.is_nan d.(!i)) then begin
+        let before = ref 0 in
+        for j = 0 to n - 1 do
+          if d.(j) < d.(!i) || (d.(j) = d.(!i) && j < !i) then incr before
+        done;
+        if !before = rank then found := !i
+      end;
+      incr i
+    done;
+    Some t.replicas.(!found).id
+  end
 
 (* Replication amplification: how many bytes the cluster moves per byte a
    client uploads — (client report bytes + replica fan-out bytes) / client
@@ -179,18 +214,24 @@ let target t ~src ~attempt =
    snapshot traffic is deliberately excluded (it is repair cost, not write
    cost).  [nan] until the first client report arrives. *)
 let replication_amplification t =
-  let client = Simkit.Trace.counter t.trace "cluster_client_report_bytes" in
-  let replica = Simkit.Trace.counter t.trace "cluster_replica_bytes" in
+  let client = !(t.client_report_bytes) in
   if client = 0 then Float.nan
-  else float_of_int (client + replica) /. float_of_int client
+  else float_of_int (client + !(t.replica_bytes)) /. float_of_int client
 
 let update_amplification t =
   match t.metrics with
   | None -> ()
-  | Some m ->
-      let amp = replication_amplification t in
-      if not (Float.is_nan amp) then
-        Simkit.Metrics.set m "wire_replication_amplification" ~labels:[] amp
+  | Some m when !(t.client_report_bytes) > 0 ->
+      let g =
+        match t.amplification with
+        | Some g -> g
+        | None ->
+            let g = Simkit.Metrics.gauge_ref m "wire_replication_amplification" ~labels:[] in
+            t.amplification <- Some g;
+            g
+      in
+      g.value <- replication_amplification t
+  | Some _ -> ()
 
 (* Write fan-out: the processing replica pushes the registration to every
    other replica.  Replication messages ride the transport (paying latency,
@@ -203,7 +244,8 @@ let fan_out ?parent t ~from_replica ~peer ~attach_router ~measurement =
   let src = t.replicas.(from_replica).router in
   let report = Wire.Path_report { peer; path } in
   let bytes = Wire.byte_size report in
-  Simkit.Trace.add_count t.trace "cluster_client_report_bytes" bytes;
+  let traced = Simkit.Span.enabled t.spans in
+  t.client_report_bytes := !(t.client_report_bytes) + bytes;
   Array.iter
     (fun (o : replica) ->
       if o.id <> from_replica then begin
@@ -212,23 +254,25 @@ let fan_out ?parent t ~from_replica ~peer ~attach_router ~measurement =
            to the join that caused it.  A message the transport drops
            leaves its span open (never emitted), like the write it lost. *)
         let span =
-          Simkit.Span.start_span t.spans ~name:"replicate" ~ts:(now t) ?parent ~tid:peer
-            [ ("peer", Simkit.Span.Int peer); ("to_replica", Simkit.Span.Int o.id) ]
+          if traced then
+            Simkit.Span.start_span t.spans ~name:"replicate" ~ts:(now t) ?parent ~tid:peer
+              [ ("peer", Simkit.Span.Int peer); ("to_replica", Simkit.Span.Int o.id) ]
+          else Simkit.Span.none
         in
         let apply () =
           (if o.alive && not (Server.mem o.server peer) then begin
              Server.register_replica o.server ~peer ~attach_router ~landmark ~path ~probes_spent;
-             Simkit.Trace.incr t.trace "cluster_replicate_apply";
+             incr t.replicate_apply;
              Simkit.Span.add_arg span "outcome" (Simkit.Span.Str "applied")
            end
            else begin
-             Simkit.Trace.incr t.trace "cluster_replicate_skip";
+             incr t.replicate_skip;
              Simkit.Span.add_arg span "outcome" (Simkit.Span.Str "skipped")
            end);
-          Simkit.Span.finish ~ts:(now t) span
+          if traced then Simkit.Span.finish ~ts:(now t) span
         in
-        Simkit.Trace.incr t.trace "cluster_replicate_send";
-        Simkit.Trace.add_count t.trace "cluster_replica_bytes" bytes;
+        incr t.replicate_send;
+        t.replica_bytes := !(t.replica_bytes) + bytes;
         match t.transport with
         | Some tr ->
             Simkit.Transport.send ~kind:(Wire.kind report) ~dir:"replica" tr ~src ~dst:o.router
@@ -253,7 +297,7 @@ let fan_out_batch ?parent t ~from_replica ~entries =
     in
     let batch = Wire.Path_report_batch { reports } in
     let bytes = Wire.byte_size batch in
-    Simkit.Trace.add_count t.trace "cluster_client_report_bytes" bytes;
+    t.client_report_bytes := !(t.client_report_bytes) + bytes;
     let replica_entries =
       Array.map
         (fun (peer, attach_router, m) ->
@@ -274,19 +318,18 @@ let fan_out_batch ?parent t ~from_replica ~entries =
           let apply () =
             (if o.alive then begin
                let applied = Server.register_replica_batch o.server replica_entries in
-               Simkit.Trace.add_count t.trace "cluster_replicate_apply" applied;
-               if applied < n then
-                 Simkit.Trace.add_count t.trace "cluster_replicate_skip" (n - applied);
+               t.replicate_apply := !(t.replicate_apply) + applied;
+               t.replicate_skip := !(t.replicate_skip) + (n - applied);
                Simkit.Span.add_arg span "applied" (Simkit.Span.Int applied)
              end
              else begin
-               Simkit.Trace.add_count t.trace "cluster_replicate_skip" n;
+               t.replicate_skip := !(t.replicate_skip) + n;
                Simkit.Span.add_arg span "outcome" (Simkit.Span.Str "skipped")
              end);
             Simkit.Span.finish ~ts:(now t) span
           in
-          Simkit.Trace.incr t.trace "cluster_replicate_send";
-          Simkit.Trace.add_count t.trace "cluster_replica_bytes" bytes;
+          incr t.replicate_send;
+          t.replica_bytes := !(t.replica_bytes) + bytes;
           match t.transport with
           | Some tr ->
               Simkit.Transport.send ~kind:(Wire.kind batch) ~dir:"replica" tr ~src ~dst:o.router
@@ -302,7 +345,8 @@ let handle_registration ?parent t ~replica ~peer ~attach_router ~measurement ~k 
      so server-side spans land at (roughly) the simulated time the request
      arrived rather than wherever the sink clock last stopped.  [advance]
      ignores negative deltas, so this only ever moves forward. *)
-  Simkit.Span.advance t.spans (now t -. Simkit.Span.now t.spans);
+  if Simkit.Span.enabled t.spans then
+    Simkit.Span.advance t.spans (now t -. Simkit.Span.now t.spans);
   let r = t.replicas.(replica) in
   if not r.alive then None
   else begin
@@ -311,7 +355,7 @@ let handle_registration ?parent t ~replica ~peer ~attach_router ~measurement ~k 
       Simkit.Trace.incr t.trace "cluster_duplicate_register"
     else begin
       ignore (Server.register_measured ?parent r.server ~peer ~attach_router measurement);
-      Simkit.Trace.incr t.trace "cluster_register";
+      incr t.registered;
       fan_out ?parent t ~from_replica:replica ~peer ~attach_router ~measurement
     end;
     Some (Option.get (Server.info r.server peer), Server.neighbors r.server ~peer ~k)
@@ -335,7 +379,7 @@ let handle_registration_batch ?parent t ~replica ~entries ~k =
     if dup > 0 then Simkit.Trace.add_count t.trace "cluster_duplicate_register" dup;
     if Array.length fresh > 0 then begin
       ignore (Server.register_measured_batch ?parent r.server fresh);
-      Simkit.Trace.add_count t.trace "cluster_register" (Array.length fresh);
+      t.registered := !(t.registered) + Array.length fresh;
       fan_out_batch ?parent t ~from_replica:replica ~entries:fresh
     end;
     Some

@@ -92,38 +92,45 @@ let join_direct ?rng t ~peer ~attach_router ~k ~on_complete ~on_failure =
    hang off it, so a failed-over join is still one causal tree. *)
 let join_resilient ?rng ?on_trace t ~rpc ~peer ~attach_router ~k ~on_complete ~on_failure =
   let spans = Simkit.Rpc.spans rpc in
-  let now () = Simkit.Engine.now t.engine in
+  let traced = Simkit.Span.enabled spans in
   let join_span =
-    Simkit.Span.start_span spans ~name:"join" ~ts:(now ()) ~tid:peer
-      [ ("peer", Simkit.Span.Int peer); ("attach_router", Simkit.Span.Int attach_router) ]
+    if traced then
+      Simkit.Span.start_span spans ~name:"join" ~ts:(Simkit.Engine.now t.engine) ~tid:peer
+        [ ("peer", Simkit.Span.Int peer); ("attach_router", Simkit.Span.Int attach_router) ]
+    else Simkit.Span.none
   in
   let join_ctx = Simkit.Span.context_of join_span in
   (match on_trace with Some f -> f join_ctx | None -> ());
   let measurement = Server.measure ?rng (server t) ~attach_router in
-  Simkit.Span.emit spans ~name:"measure" ~ts:(now ())
-    ~dur:(Server.measurement_duration_ms measurement)
-    ~tid:peer
-    ~ctx:(Simkit.Span.context spans ~parent:join_ctx ())
-    [ ("probes", Simkit.Span.Int (Server.measurement_probes measurement)) ];
+  if traced then
+    Simkit.Span.emit spans ~name:"measure" ~ts:(Simkit.Engine.now t.engine)
+      ~dur:(Server.measurement_duration_ms measurement)
+      ~tid:peer
+      ~ctx:(Simkit.Span.context spans ~parent:join_ctx ())
+      [ ("probes", Simkit.Span.Int (Server.measurement_probes measurement)) ];
+  (* Each part is sized once: the retries resend these bytes. *)
   let report = Wire.Path_report { peer; path = Server.measurement_path measurement } in
   let query = Wire.Neighbor_request { peer; k } in
   let request_parts =
     [ (Wire.kind report, Wire.byte_size report); (Wire.kind query, Wire.byte_size query) ]
   in
-  let request_bytes = Wire.byte_size report + Wire.byte_size query in
-  let reply_wire (_, reply) = Wire.Neighbor_reply { peer; neighbors = reply } in
-  let reply_bytes r = Wire.byte_size (reply_wire r) in
-  let reply_parts r = [ (Wire.kind (reply_wire r), Wire.byte_size (reply_wire r)) ] in
+  let reply_parts (_, neighbors) =
+    let reply = Wire.Neighbor_reply { peer; neighbors } in
+    [ (Wire.kind reply, Wire.byte_size reply) ]
+  in
   let finish outcome =
-    Simkit.Span.add_arg join_span "outcome" (Simkit.Span.Str outcome);
-    Simkit.Span.finish ~ts:(now ()) join_span
+    if traced then begin
+      Simkit.Span.add_arg join_span "outcome" (Simkit.Span.Str outcome);
+      Simkit.Span.finish ~ts:(Simkit.Engine.now t.engine) join_span
+    end
   in
   Simkit.Engine.schedule t.engine ~delay:(Server.measurement_duration_ms measurement) (fun () ->
-      Simkit.Rpc.call ~parent:join_ctx ~request_parts ~reply_parts rpc ~src:attach_router
+      Simkit.Rpc.call ~parent:join_ctx rpc ~src:attach_router
         ~dst:(fun ~attempt ->
-          Cluster.target t.cluster ~src:attach_router ~attempt
-          |> Option.map (Cluster.replica_router t.cluster))
-        ~request_bytes ~reply_bytes
+          match Cluster.target t.cluster ~src:attach_router ~attempt with
+          | Some replica -> Some (Cluster.replica_router t.cluster replica)
+          | None -> None)
+        ~request_parts ~reply_parts
         ~handle:(fun ~dst ->
           match Cluster.replica_at t.cluster ~router:dst with
           | None -> None
@@ -218,27 +225,25 @@ let join_many ?rng ?on_trace ?(on_failure = fun () -> ()) t ~entries ~k ~on_comp
             (Wire.kind (Wire.Neighbor_request { peer = 0; k }), query_bytes);
           ]
         in
-        let request_bytes = Wire.byte_size batch + query_bytes in
-        let reply_bytes answers =
-          Array.to_list answers
-          |> List.mapi (fun i (_, reply) ->
-                 let peer, _, _ = measured.(i) in
-                 Wire.byte_size (Wire.Neighbor_reply { peer; neighbors = reply }))
-          |> List.fold_left ( + ) 0
-        in
         let reply_parts answers =
-          [ (Wire.kind (Wire.Neighbor_reply { peer = 0; neighbors = [] }), reply_bytes answers) ]
+          let bytes = ref 0 in
+          Array.iteri
+            (fun i (_, neighbors) ->
+              let peer, _, _ = measured.(i) in
+              bytes := !bytes + Wire.byte_size (Wire.Neighbor_reply { peer; neighbors }))
+            answers;
+          [ (Wire.kind (Wire.Neighbor_reply { peer = 0; neighbors = [] }), !bytes) ]
         in
         let finish outcome =
           Simkit.Span.add_arg join_span "outcome" (Simkit.Span.Str outcome);
           Simkit.Span.finish ~ts:(now ()) join_span
         in
         Simkit.Engine.schedule t.engine ~delay:measure_ms (fun () ->
-            Simkit.Rpc.call ~parent:join_ctx ~request_parts ~reply_parts rpc ~src
+            Simkit.Rpc.call ~parent:join_ctx rpc ~src
               ~dst:(fun ~attempt ->
                 Cluster.target t.cluster ~src ~attempt
                 |> Option.map (Cluster.replica_router t.cluster))
-              ~request_bytes ~reply_bytes
+              ~request_parts ~reply_parts
               ~handle:(fun ~dst ->
                 match Cluster.replica_at t.cluster ~router:dst with
                 | None -> None

@@ -268,7 +268,9 @@ let register_measured ?parent t ~peer ~attach_router (r : measurement) =
   let join_ctx = Simkit.Span.context t.spans ?parent () in
   let register_ctx = Simkit.Span.context t.spans ~parent:join_ctx () in
   let info = { attach_router; landmark; recorded_path; probes_spent } in
-  Simkit.Span.with_context t.spans register_ctx (fun () -> add_entry t ~peer ~routers info);
+  if Simkit.Span.enabled t.spans then
+    Simkit.Span.with_context t.spans register_ctx (fun () -> add_entry t ~peer ~routers info)
+  else add_entry t ~peer ~routers info;
   stamp t peer;
   Log.debug (fun m ->
       m "join peer=%d router=%d landmark=%d hops=%d probes=%d" peer attach_router landmark

@@ -33,7 +33,9 @@ let tag = function
 
 (* The encoder is written once against [Codec.SINK] and instantiated twice:
    over [Writer] to produce bytes, over [Sizer] to measure them — so
-   [byte_size] cannot drift from [encode] and allocates nothing. *)
+   [byte_size] cannot drift from [encode].  Sizing a report allocates
+   nothing: the hops are emitted straight from their array by a closed
+   function, into the domain's shared sizer. *)
 module Emit (S : Prelude.Codec.SINK) = struct
   (* Hops are encoded as varints shifted by one so that 0 can mean an
      anonymous hop. *)
@@ -45,7 +47,7 @@ module Emit (S : Prelude.Codec.SINK) = struct
     S.varint w peer;
     S.varint w path.src;
     S.varint w path.dst;
-    S.list w (hop w) (Array.to_list path.hops)
+    S.array w hop path.hops
 
   let message w m =
     S.u8 w protocol_version;
@@ -76,9 +78,10 @@ let encode message =
   Prelude.Codec.Writer.contents w
 
 let byte_size message =
-  let s = Prelude.Codec.Sizer.create () in
+  let s = Prelude.Codec.Sizer.shared () in
+  let before = Prelude.Codec.Sizer.size s in
   Emit_size.message s message;
-  Prelude.Codec.Sizer.size s
+  Prelude.Codec.Sizer.size s - before
 
 let decode_hop r =
   match Prelude.Codec.Reader.varint r with

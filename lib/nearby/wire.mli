@@ -32,9 +32,10 @@ val decode : string -> (message, string) result
 
 val byte_size : message -> int
 (** Exactly [String.length (encode m)], computed by a counting pass over
-    the same emitter ({!Prelude.Codec.Sizer}) — no buffer is allocated.
-    Used by the simulator to charge realistic message sizes on hot
-    paths. *)
+    the same emitter ({!Prelude.Codec.Sizer}) — no buffer is allocated,
+    and sizing a {!Path_report}, {!Neighbor_request} or {!Ping_request}
+    allocates nothing at all.  Used by the simulator to charge realistic
+    message sizes on hot paths. *)
 
 val kind : message -> string
 (** The wire-observability label for the message family — the [kind=]

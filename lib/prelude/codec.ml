@@ -30,6 +30,12 @@ module Writer = struct
   let list t encode items =
     varint t (List.length items);
     List.iter encode items
+
+  let array t encode items =
+    varint t (Array.length items);
+    for i = 0 to Array.length items - 1 do
+      encode t items.(i)
+    done
 end
 
 (* Shared emitting surface of [Writer] and [Sizer], so an encoder can be
@@ -43,6 +49,7 @@ module type SINK = sig
   val int64 : t -> int64 -> unit
   val bytes : t -> string -> unit
   val list : t -> ('a -> unit) -> 'a list -> unit
+  val array : t -> (t -> 'a -> unit) -> 'a array -> unit
 end
 
 module Sizer = struct
@@ -50,6 +57,11 @@ module Sizer = struct
 
   let create () = { count = 0 }
   let size t = t.count
+
+  (* One sizer per domain, for measuring without allocating one: callers
+     read its count before and after. *)
+  let key = Domain.DLS.new_key create
+  let shared () = Domain.DLS.get key
 
   let u8 t v =
     if v < 0 || v > 255 then invalid_arg "Codec.Sizer.u8: outside [0, 255]";
@@ -68,6 +80,12 @@ module Sizer = struct
   let list t encode items =
     varint t (List.length items);
     List.iter encode items
+
+  let array t encode items =
+    varint t (Array.length items);
+    for i = 0 to Array.length items - 1 do
+      encode t items.(i)
+    done
 end
 
 module Reader = struct

@@ -29,6 +29,11 @@ module Writer : sig
   val list : t -> ('a -> unit) -> 'a list -> unit
   (** Varint count followed by each element (use a closure over the
       writer). *)
+
+  val array : t -> (t -> 'a -> unit) -> 'a array -> unit
+  (** Varint count followed by each element, the same bytes {!list} writes
+      for the array's elements.  The element encoder is handed the writer,
+      so a closed function encodes without a closure per call. *)
 end
 
 module type SINK = sig
@@ -40,6 +45,7 @@ module type SINK = sig
   val int64 : t -> int64 -> unit
   val bytes : t -> string -> unit
   val list : t -> ('a -> unit) -> 'a list -> unit
+  val array : t -> (t -> 'a -> unit) -> 'a array -> unit
 end
 (** The emitting surface shared by {!Writer} and {!Sizer}.  Encoders written
     against [SINK] can be instantiated once to produce bytes and once to
@@ -52,12 +58,18 @@ module Sizer : sig
   val size : t -> int
   (** Bytes the same sequence of calls would have appended to a {!Writer}. *)
 
+  val shared : unit -> t
+  (** The calling domain's own sizer, never reset: measure a value as the
+      difference of {!size} before and after emitting it, with no sizer
+      allocated per measurement. *)
+
   val u8 : t -> int -> unit
   val varint : t -> int -> unit
   val bool : t -> bool -> unit
   val int64 : t -> int64 -> unit
   val bytes : t -> string -> unit
   val list : t -> ('a -> unit) -> 'a list -> unit
+  val array : t -> (t -> 'a -> unit) -> 'a array -> unit
 end
 
 module Reader : sig

@@ -33,9 +33,6 @@ val capture_meta : ?seed:int -> ?backends:string list -> ?extra:(string * string
     domain count), so artifact trajectories (BENCH_*.json) are comparable
     across commits, toolchains and machines. *)
 
-val meta_json : meta -> string
-(** The metadata as one JSON object. *)
-
 val bench_json :
   ?seed:int -> ?backends:string list -> ?params:(string * string) list ->
   (string * string) list -> string

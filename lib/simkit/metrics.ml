@@ -39,11 +39,14 @@ end)
 
 module Name_tbl = Hashtbl.Make (String)
 
+(* All-float, so the value is stored flat and a set allocates nothing. *)
+type gauge = { mutable value : float }
+
 type t = {
   trace : Trace.t;
   series : (string, series) Hashtbl.t;  (* canonical key -> series *)
   per_name : (string, int) Hashtbl.t;  (* base name -> distinct label sets *)
-  gauges : (string, float) Hashtbl.t;  (* canonical key -> last set value *)
+  gauges : (string, gauge) Hashtbl.t;  (* canonical key -> last set value *)
   (* (name, labels as written) -> its own series: a repeated write builds
      no key.  Only label sets under the cap are memoized, so every write
      past it still resolves, and counts, as an overflow. *)
@@ -161,16 +164,23 @@ let stream_cell t s =
       s.stream <- Some st;
       st
 
-let incr t name ~labels = incr (counter_cell t (series_of t name labels))
+let counter_ref t name ~labels = counter_cell t (series_of t name labels)
+let incr t name ~labels = incr (counter_ref t name ~labels)
 
 let add_count t name ~labels k =
-  let r = counter_cell t (series_of t name labels) in
+  let r = counter_ref t name ~labels in
   r := !r + k
 
 let observe ?trace_id t name ~labels v =
   Trace.observe_ref ?trace_id (stream_cell t (series_of t name labels)) v
 
-let set t name ~labels v = Hashtbl.replace t.gauges (series_of t name labels).key v
+let gauge_cell t key =
+  match Hashtbl.find_opt t.gauges key with
+  | Some g -> g
+  | None -> let g = { value = nan } in Hashtbl.add t.gauges key g; g
+
+let gauge_ref t name ~labels = gauge_cell t (series_of t name labels).key
+let set t name ~labels v = (gauge_ref t name ~labels).value <- v
 
 let counter t name ~labels = Trace.counter t.trace (canonical_key name labels)
 let summary t name ~labels = Trace.summary t.trace (canonical_key name labels)
@@ -178,15 +188,12 @@ let summary t name ~labels = Trace.summary t.trace (canonical_key name labels)
 let quantile t name ~labels q =
   Trace.quantile t.trace (canonical_key name labels) q
 
-let gauge t name ~labels = Hashtbl.find_opt t.gauges (canonical_key name labels)
+let gauge t name ~labels =
+  Option.map (fun g -> g.value) (Hashtbl.find_opt t.gauges (canonical_key name labels))
 
 let series t =
   Hashtbl.fold (fun key s acc -> (s.name, s.labels, key) :: acc) t.series []
   |> List.sort (fun (_, _, a) (_, _, b) -> compare a b)
-
-let names t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.per_name []
-  |> List.sort compare
 
 let series_count t name =
   Option.value ~default:0 (Hashtbl.find_opt t.per_name name)
@@ -194,7 +201,7 @@ let series_count t name =
 let overflow_routed t = t.overflow_routed
 let trace t = t.trace
 let gauge_bindings t =
-  Hashtbl.fold (fun key v acc -> (key, v) :: acc) t.gauges []
+  Hashtbl.fold (fun key g acc -> (key, g.value) :: acc) t.gauges []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let merge_trace t ~labels src =
@@ -209,4 +216,4 @@ let rekey ~into src key =
 
 let merge_into ~into src =
   Trace.merge_into ~map_name:(rekey ~into src) ~into:into.trace src.trace;
-  Hashtbl.iter (fun key v -> Hashtbl.replace into.gauges (rekey ~into src key) v) src.gauges
+  Hashtbl.iter (fun key g -> (gauge_cell into (rekey ~into src key)).value <- g.value) src.gauges

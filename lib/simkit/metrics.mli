@@ -39,6 +39,9 @@ val canonical_key : string -> labels -> string
 
 val incr : t -> string -> labels:labels -> unit
 val add_count : t -> string -> labels:labels -> int -> unit
+val counter_ref : t -> string -> labels:labels -> int ref
+(** The cell a write would bump, for hot paths to bump directly; past the
+    cap it is the overflow series' cell, counted once in {!overflow_routed}. *)
 
 val observe : ?trace_id:int -> t -> string -> labels:labels -> float -> unit
 (** Append a sample to the labeled stream ({!Trace.observe} semantics,
@@ -46,6 +49,12 @@ val observe : ?trace_id:int -> t -> string -> labels:labels -> float -> unit
 
 val set : t -> string -> labels:labels -> float -> unit
 (** Gauge write: last value wins (shard occupancy, utilization shares). *)
+
+type gauge = { mutable value : float }
+
+val gauge_ref : t -> string -> labels:labels -> gauge
+(** The gauge's cell, for hot paths to set directly; it reads [nan] until
+    set, so resolve it where its first value is set. *)
 
 (** {1 Reading} *)
 
@@ -62,9 +71,6 @@ val gauge : t -> string -> labels:labels -> float option
 val series : t -> (string * labels * string) list
 (** Every registered series as [(name, labels, canonical key)], sorted by
     canonical key. *)
-
-val names : t -> string list
-(** Distinct base names, sorted. *)
 
 val series_count : t -> string -> int
 (** Distinct label sets stored under the base name (the overflow series

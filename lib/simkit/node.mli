@@ -38,5 +38,3 @@ val is_live : t -> bool
 
 val setup_delay : t -> float
 (** [up_at - joined_at] for the latest join; [nan] while still joining. *)
-
-val state_to_string : state -> string

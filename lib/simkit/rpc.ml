@@ -41,16 +41,12 @@ let create ?(config = default_config) ?rng ?trace ?labeled ?recorder
 
 (* Dimensional mirror of the outcome counters: one `rpc_outcomes` series
    per outcome label, so a fleet dashboard reads the ok/timeout mix
-   without knowing each flat counter name. *)
-let labeled_outcome t outcome =
-  match t.labeled with
-  | None -> ()
-  | Some m -> Metrics.incr m "rpc_outcomes" ~labels:[ ("outcome", outcome) ]
+   without knowing each flat counter name.  Call sites pass constant label
+   lists, so a write builds none. *)
+let labeled_outcome t labels =
+  match t.labeled with None -> () | Some m -> Metrics.incr m "rpc_outcomes" ~labels
 
-let labeled_latency t outcome v =
-  match t.labeled with
-  | None -> ()
-  | Some m -> Metrics.observe m "rpc_latency_ms" ~labels:[ ("outcome", outcome) ] v
+let ok = [ ("outcome", "ok") ]
 
 let trace t = t.trace
 let spans t = t.spans
@@ -73,121 +69,125 @@ let backoff_ms t ~attempt =
 
 (* Flight-recorder taps: every notable outcome leaves one event, stamped
    with the engine clock, so a post-breach dump shows which calls were
-   timing out, failing over or dying against a downed server. *)
+   timing out, failing over or dying against a downed server.  Call sites
+   build the args only when a recorder is attached. *)
 let record t ~args detail =
   match t.recorder with
   | None -> ()
   | Some r -> Flight_recorder.record r ~ts:(Engine.now (engine t)) ~kind:"rpc" ~args detail
 
-let call ?parent ?request_parts ?reply_parts t ~src ~dst ~request_bytes ~reply_bytes
-    ~handle ~on_reply ~on_give_up =
-  let engine = engine t in
-  (* Wire attribution: attempt 1 charges the caller's kind breakdown;
-     every later attempt is overhead the retry loop added, so its bytes
-     are relabeled wholesale as kind "retry" — the codec/delta work can
-     then separate protocol cost from resilience cost. *)
-  let request_parts_of ~attempt:n =
-    match request_parts with
-    | Some parts when n = 1 -> parts
-    | Some parts -> [ ("retry", List.fold_left (fun acc (_, b) -> acc + b) 0 parts) ]
-    | None when n > 1 -> [ ("retry", request_bytes) ]
-    | None -> [ ("other", request_bytes) ]
-  in
-  let reply_parts_of v =
-    match reply_parts with Some f -> f v | None -> [ ("other", reply_bytes v) ]
-  in
+let close t span outcome =
+  if Span.enabled t.spans then begin
+    Span.add_arg span "outcome" (Span.Str outcome);
+    Span.finish ~ts:(Engine.now (engine t)) span
+  end
+
+let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_give_up =
+  let engine = engine t and traced = Span.enabled t.spans in
   Trace.incr t.trace "rpc_calls";
   let started_at = Engine.now engine in
-  (* One cell per call: the first reply to arrive settles it; later replies
-     from slower attempts and stale timeout events are ignored. *)
-  let settled = ref false in
-  let give_up () =
-    settled := true;
-    Trace.incr t.trace "rpc_gave_up";
-    labeled_outcome t "gave_up";
-    record t ~args:[ ("src", Span.Int src) ] "gave_up";
-    on_give_up ()
+  (* What a timeout does while the call is unsettled.  Settling empties the
+     cell: a timeout still queued for a settled call holds the cell alone,
+     not the callbacks and what they capture.  The first reply to arrive
+     settles the call; later replies and stale timeouts find it empty. *)
+  let on_timeout = ref None in
+  let settle () =
+    let unsettled = Option.is_some !on_timeout in
+    on_timeout := None;
+    unsettled
   in
-  let rec attempt n =
-    if not !settled then begin
-      if n > t.config.max_attempts then give_up ()
-      else begin
-        Trace.incr t.trace "rpc_attempts";
-        if n > 1 then Trace.incr t.trace "rpc_retries";
-        (* One child span per attempt: the retry index and per-attempt
-           target make client-side failover visible as sibling spans of one
-           trace.  Spans run on the engine clock, not the sink's. *)
-        let span =
+  let attempt n =
+    if Option.is_some !on_timeout then begin
+      Trace.incr t.trace "rpc_attempts";
+      if n > 1 then Trace.incr t.trace "rpc_retries";
+      (* One child span per attempt: the retry index and per-attempt target
+         make client-side failover visible as sibling spans of one trace.
+         Spans run on the engine clock, not the sink's. *)
+      let span =
+        if traced then
           Span.start_span t.spans ~name:"rpc_attempt" ~ts:(Engine.now engine) ?parent ~tid:src
             [ ("attempt", Span.Int n); ("src", Span.Int src) ]
-        in
-        let close outcome =
-          Span.add_arg span "outcome" (Span.Str outcome);
-          Span.finish ~ts:(Engine.now engine) span
-        in
-        (match dst ~attempt:n with
-        | None ->
-            (* No live target known right now; the backoff below doubles as
-               a wait for one to come back. *)
-            Trace.incr t.trace "rpc_no_target";
-            labeled_outcome t "no_target";
+        else Span.none
+      in
+      (match dst ~attempt:n with
+      | None ->
+          (* No live target known right now; the backoff below doubles as
+             a wait for one to come back. *)
+          Trace.incr t.trace "rpc_no_target";
+          labeled_outcome t [ ("outcome", "no_target") ];
+          if Option.is_some t.recorder then
             record t ~args:[ ("src", Span.Int src); ("attempt", Span.Int n) ] "no_target";
-            close "no_target"
-        | Some target ->
-            Span.add_arg span "target" (Span.Int target);
-            Transport.send_parts ~dir:"request" t.transport ~src ~dst:target
-              ~parts:(request_parts_of ~attempt:n) (fun () ->
-                (* The attempt's context is ambient while the server-side
-                   handler runs, so its instrumentation parents under this
-                   exact attempt without signature threading. *)
-                match
+          close t span "no_target"
+      | Some target ->
+          if traced then Span.add_arg span "target" (Span.Int target);
+          (* Wire attribution: attempt 1 charges the caller's kind
+             breakdown; every later attempt is overhead the retry loop
+             added, so its bytes are relabeled wholesale as kind "retry". *)
+          let parts =
+            if n = 1 then request_parts
+            else [ ("retry", List.fold_left (fun acc (_, b) -> acc + b) 0 request_parts) ]
+          in
+          Transport.send_parts ~dir:"request" t.transport ~src ~dst:target ~parts (fun () ->
+              (* The attempt's context is ambient while the server-side
+                 handler runs, so its instrumentation parents under this
+                 exact attempt without signature threading.  A request
+                 still in flight when the call settles is served all the
+                 same. *)
+              match
+                if traced then
                   Span.with_context t.spans (Span.context_of span) (fun () -> handle ~dst:target)
-                with
-                | None ->
-                    (* The server was down when the request arrived: it is
-                       consumed without a reply, exactly like a lost one. *)
-                    Trace.incr t.trace "rpc_unserved";
-                    labeled_outcome t "unserved";
-                    record t
-                      ~args:[ ("src", Span.Int src); ("dst", Span.Int target) ]
-                      "unserved"
-                | Some v ->
-                    Transport.send_parts ~dir:"reply" t.transport ~src:target ~dst:src
-                      ~parts:(reply_parts_of v) (fun () ->
-                        if not !settled then begin
-                          settled := true;
-                          Trace.incr t.trace "rpc_ok";
-                          labeled_outcome t "ok";
-                          Trace.observe t.trace "rpc_latency_ms" (Engine.now engine -. started_at);
-                          labeled_latency t "ok" (Engine.now engine -. started_at);
-                          record t
+                else handle ~dst:target
+              with
+              | None ->
+                  (* The server was down when the request arrived: it is
+                     consumed without a reply, exactly like a lost one. *)
+                  Trace.incr t.trace "rpc_unserved";
+                  labeled_outcome t [ ("outcome", "unserved") ];
+                  if Option.is_some t.recorder then
+                    record t ~args:[ ("src", Span.Int src); ("dst", Span.Int target) ] "unserved"
+              | Some v ->
+                  Transport.send_parts ~dir:"reply" t.transport ~src:target ~dst:src
+                    ~parts:(reply_parts v) (fun () ->
+                      if settle () then begin
+                        let latency = Engine.now engine -. started_at in
+                        Trace.incr t.trace "rpc_ok";
+                        labeled_outcome t ok;
+                        Trace.observe t.trace "rpc_latency_ms" latency;
+                        (match t.labeled with
+                        | Some m -> Metrics.observe m "rpc_latency_ms" ~labels:ok latency
+                        | None -> ());
+                        if Option.is_some t.recorder then
+                          record t "ok"
                             ~args:
-                              [
-                                ("src", Span.Int src);
-                                ("dst", Span.Int target);
-                                ("attempts", Span.Int n);
-                                ("latency_ms", Span.Float (Engine.now engine -. started_at));
-                              ]
-                            "ok";
-                          close "ok";
-                          on_reply v
-                        end)));
-        Engine.schedule engine ~delay:t.config.timeout_ms (fun () ->
-            if not !settled then begin
-              Trace.incr t.trace "rpc_timeouts";
-              labeled_outcome t "timeout";
-              record t ~args:[ ("src", Span.Int src); ("attempt", Span.Int n) ] "timeout";
-              close "timeout";
-              if n >= t.config.max_attempts then give_up ()
-              else
-                Engine.schedule engine ~delay:(backoff_ms t ~attempt:n) (fun () -> attempt (n + 1))
-            end
-            else
-              (* The call settled through another attempt while this one was
-                 in flight; [finish] is idempotent, so this only closes
+                              [ ("src", Span.Int src); ("dst", Span.Int target);
+                                ("attempts", Span.Int n); ("latency_ms", Span.Float latency) ];
+                        close t span "ok";
+                        on_reply v
+                      end)));
+      Engine.schedule engine ~delay:t.config.timeout_ms (fun () ->
+          match !on_timeout with
+          | Some expire -> expire n span
+          | None ->
+              (* The call settled through another attempt while this one
+                 was in flight; [finish] is idempotent, so this only closes
                  spans that were left open (e.g. an unserved request). *)
-              close "superseded")
-      end
+              close t span "superseded")
     end
   in
+  on_timeout :=
+    Some
+      (fun n span ->
+        Trace.incr t.trace "rpc_timeouts";
+        labeled_outcome t [ ("outcome", "timeout") ];
+        if Option.is_some t.recorder then
+          record t ~args:[ ("src", Span.Int src); ("attempt", Span.Int n) ] "timeout";
+        close t span "timeout";
+        if n < t.config.max_attempts then
+          Engine.schedule engine ~delay:(backoff_ms t ~attempt:n) (fun () -> attempt (n + 1))
+        else if settle () then begin
+          Trace.incr t.trace "rpc_gave_up";
+          labeled_outcome t [ ("outcome", "gave_up") ];
+          if Option.is_some t.recorder then record t ~args:[ ("src", Span.Int src) ] "gave_up";
+          on_give_up ()
+        end);
   attempt 1

@@ -52,13 +52,11 @@ val create :
 
 val call :
   ?parent:Span.context ->
-  ?request_parts:(string * int) list ->
-  ?reply_parts:('a -> (string * int) list) ->
   t ->
   src:Topology.Graph.node ->
   dst:(attempt:int -> Topology.Graph.node option) ->
-  request_bytes:int ->
-  reply_bytes:('a -> int) ->
+  request_parts:(string * int) list ->
+  reply_parts:('a -> (string * int) list) ->
   handle:(dst:Topology.Graph.node -> 'a option) ->
   on_reply:('a -> unit) ->
   on_give_up:(unit -> unit) ->
@@ -68,9 +66,9 @@ val call :
     no target is believed live (the attempt is skipped but still consumes
     one of the [max_attempts], with the backoff doubling as a wait for a
     target to return).  [handle ~dst] runs at the target when the request
-    arrives: [Some v] sends [v] back in a reply of [reply_bytes v] bytes,
-    [None] means the server was down and the request died unanswered.
-    Exactly one of [on_reply] / [on_give_up] fires per call.
+    arrives: [Some v] sends [v] back in a reply, [None] means the server
+    was down and the request died unanswered.  Exactly one of [on_reply] /
+    [on_give_up] fires per call.
 
     With a span sink attached, each attempt becomes one ["rpc_attempt"]
     span — a child of [parent] when given, so retries and failovers show
@@ -79,13 +77,15 @@ val call :
     outcome (["ok"] / ["timeout"] / ["no_target"] / ["superseded"] for an
     attempt overtaken by another's late reply).
 
-    {b Wire attribution.} [request_parts] is the first attempt's
-    per-kind byte breakdown (its sum should equal [request_bytes]);
-    [reply_parts v] likewise for the reply (sum = [reply_bytes v]).
-    Every attempt after the first charges its request bytes to kind
-    ["retry"] instead — retry overhead stays separable from protocol
-    cost.  Without parts, bytes land under kind ["other"] (still
-    ["retry"] on re-attempts).  Directions are ["request"] / ["reply"]. *)
+    {b Parts are the only size input.}  A message's size is the sum of its
+    [(kind, bytes)] parts, charged per kind: [request_parts] for the first
+    attempt, [reply_parts v] for a reply, each sized once by the caller.
+    Later attempts charge their request's total to kind ["retry"], so retry
+    overhead stays separable from protocol cost.  Directions are
+    ["request"] / ["reply"].
+
+    Settling (the first reply, or the give-up) releases the callbacks and
+    what they capture, though the call's last timeout may stay queued. *)
 
 val backoff_ms : t -> attempt:int -> float
 (** The (jittered) backoff charged after attempt [attempt] times out —

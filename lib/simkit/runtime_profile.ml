@@ -92,7 +92,6 @@ let phase t name f =
   Fun.protect ~finally f
 
 let note_pool t pool = t.pool <- Some (Prelude.Domain_pool.utilization pool)
-let set_pool t u = t.pool <- Some u
 let pool t = t.pool
 let overhead_ns t = t.overhead_ns
 

@@ -41,9 +41,6 @@ val note_pool : t -> Prelude.Domain_pool.t -> unit
 (** Snapshot the pool's {!Prelude.Domain_pool.utilization} into the
     profile (replacing any previous snapshot). *)
 
-val set_pool : t -> Prelude.Domain_pool.utilization -> unit
-(** Store an already-taken utilization snapshot. *)
-
 val pool : t -> Prelude.Domain_pool.utilization option
 
 val overhead_ns : t -> float

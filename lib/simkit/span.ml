@@ -90,17 +90,19 @@ type span = {
   mutable finished : bool;
 }
 
+(* Every start on the noop sink returns this one span, already finished,
+   so [add_arg] and [finish] on it do nothing. *)
+let none =
+  { sink = Noop; span_ctx = null_context; span_name = ""; t0 = 0.0; span_tid = 0; open_args = [];
+    finished = true }
+
 let start_span sink ~name ?ts ?parent ?(tid = 0) args =
-  let ts = match ts with Some t -> t | None -> now sink in
-  {
-    sink;
-    span_ctx = context sink ?parent ();
-    span_name = name;
-    t0 = ts;
-    span_tid = tid;
-    open_args = args;
-    finished = false;
-  }
+  match sink with
+  | Noop -> none
+  | Buffer _ ->
+      let ts = match ts with Some t -> t | None -> now sink in
+      { sink; span_ctx = context sink ?parent (); span_name = name; t0 = ts; span_tid = tid;
+        open_args = args; finished = false }
 
 let context_of s = s.span_ctx
 let add_arg s key v = if not s.finished then s.open_args <- (key, v) :: s.open_args
@@ -111,13 +113,10 @@ let add_arg s key v = if not s.finished then s.open_args <- (key, v) :: s.open_a
 let finish ?ts ?(args = []) s =
   if not s.finished then begin
     s.finished <- true;
-    match s.sink with
-    | Noop -> ()
-    | Buffer _ ->
-        let t1 = match ts with Some t -> t | None -> now s.sink in
-        emit s.sink ~name:s.span_name ~ts:s.t0 ~dur:(Float.max 0.0 (t1 -. s.t0)) ~tid:s.span_tid
-          ~ctx:s.span_ctx
-          (List.rev s.open_args @ args)
+    let t1 = match ts with Some t -> t | None -> now s.sink in
+    emit s.sink ~name:s.span_name ~ts:s.t0 ~dur:(Float.max 0.0 (t1 -. s.t0)) ~tid:s.span_tid
+      ~ctx:s.span_ctx
+      (List.rev s.open_args @ args)
   end
 
 (* Scoped form: the span closes on every exit path (exceptions included,

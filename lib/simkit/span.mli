@@ -94,6 +94,10 @@ val start_span :
   sink -> name:string -> ?ts:float -> ?parent:context -> ?tid:int ->
   (string * value) list -> span
 
+val none : span
+(** What {!start_span} returns on the noop sink, allocating nothing: a
+    finished span with {!null_context}. *)
+
 val context_of : span -> context
 (** The span's own context — pass it as [?parent] to causally-dependent
     work. *)

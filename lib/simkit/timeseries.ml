@@ -46,8 +46,6 @@ let create ?(capacity = 64) ~window_ms () =
   if capacity < 1 then invalid_arg "Timeseries.create: capacity must be at least 1";
   { window_ms; capacity; table = Hashtbl.create 8 }
 
-let window_ms t = t.window_ms
-let capacity t = t.capacity
 
 (* [Hashtbl.find], as in [Trace.stream]: no option allocated per sample. *)
 let series t name =

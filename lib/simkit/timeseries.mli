@@ -40,9 +40,6 @@ val create : ?capacity:int -> window_ms:float -> unit -> t
 (** [capacity] bounds the ring per series (default 64 windows).
     @raise Invalid_argument on a non-positive width or capacity. *)
 
-val window_ms : t -> float
-val capacity : t -> int
-
 val series : t -> string -> series
 (** The live handle behind a named series (created empty on first use). *)
 

@@ -125,7 +125,6 @@ let sorted_bindings table value =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let counters t = sorted_bindings t.counters (fun r -> !r)
-let stats t = sorted_bindings t.streams (fun s -> s.st)
 let summaries t = sorted_bindings t.streams summary_of_stream
 
 (* Fold [src] into [into].  Counters add; Welford accumulators and

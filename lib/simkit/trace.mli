@@ -88,9 +88,6 @@ val buckets : t -> string -> (int * float * int) list
 val counters : t -> (string * int) list
 (** Alphabetical. *)
 
-val stats : t -> (string * Prelude.Stats.t) list
-(** Alphabetical. *)
-
 val summaries : t -> (string * summary) list
 (** Alphabetical. *)
 

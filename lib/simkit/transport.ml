@@ -5,6 +5,12 @@ type tally = {
   mutable t_recv_msgs : int;
 }
 
+module Int_tbl = Hashtbl.Make (Int)
+
+(* The [wire_bytes_total] / [wire_msgs_total] cells of one (kind, dir)
+   pair, resolved at its first frame. *)
+type wire_cells = { kind : string; dir : string; bytes : int ref; msgs : int ref }
+
 type talker = {
   node : Topology.Graph.node;
   sent_bytes : int;
@@ -29,9 +35,11 @@ type t = {
   mutable dropped_loss_bytes : int;
   mutable dropped_unreachable_bytes : int;
   mutable dropped_partition_bytes : int;
+  delay : float array;  (* one cell: the delay the last route walk found *)
   mutable metrics : Metrics.t option;
+  mutable wire_cells : wire_cells list;
   mutable timeseries : Timeseries.t option;
-  talkers : (Topology.Graph.node, tally) Hashtbl.t;
+  talkers : tally Int_tbl.t;
 }
 
 let default_kind = "other"
@@ -60,15 +68,17 @@ let create ?latency ?rng ?(loss_prob = 0.0) ?metrics ?timeseries engine oracle =
     dropped_loss_bytes = 0;
     dropped_unreachable_bytes = 0;
     dropped_partition_bytes = 0;
+    delay = [| 0.0 |];
     metrics;
+    wire_cells = [];
     timeseries;
-    talkers = Hashtbl.create 64;
+    talkers = Int_tbl.create 64;
   }
 
 let engine t = t.engine
 
 let set_wire_sinks ?metrics ?timeseries t =
-  (match metrics with Some _ -> t.metrics <- metrics | None -> ());
+  if Option.is_some metrics then (t.metrics <- metrics; t.wire_cells <- []);
   match timeseries with Some _ -> t.timeseries <- timeseries | None -> ()
 
 let set_loss_prob t loss_prob =
@@ -89,16 +99,23 @@ let partitioned t ~src ~dst =
   | None -> false
   | Some cut -> Hashtbl.mem cut src <> Hashtbl.mem cut dst
 
-let one_way_delay t ~src ~dst =
+(* One walk of the route: its link count ([max_int] when unreachable),
+   with the one-way delay left in [t.delay] — 1 ms a link, or the latency
+   table's sum over the routers walked. *)
+let walk t ~src ~dst =
   match t.latency with
+  | None ->
+      let hops = Traceroute.Route_oracle.route_length t.oracle ~src ~dst in
+      t.delay.(0) <- float_of_int hops;
+      hops
   | Some table -> (
       match Traceroute.Route_oracle.route t.oracle ~src ~dst with
-      | [] -> infinity
-      | routers -> Topology.Latency.path_latency table routers)
-  | None -> (
-      match Traceroute.Route_oracle.route_length t.oracle ~src ~dst with
-      | hops when hops = max_int -> infinity
-      | hops -> float_of_int hops)
+      | [] -> max_int
+      | routers ->
+          t.delay.(0) <- Topology.Latency.path_latency table routers;
+          List.length routers - 1)
+
+let one_way_delay t ~src ~dst = if walk t ~src ~dst = max_int then infinity else t.delay.(0)
 
 let jitter t delay =
   match t.rng with
@@ -112,12 +129,30 @@ let lost t =
 let parts_total parts = List.fold_left (fun acc (_, b) -> acc + b) 0 parts
 
 let tally_of t node =
-  match Hashtbl.find_opt t.talkers node with
-  | Some tl -> tl
-  | None ->
+  match Int_tbl.find t.talkers node with
+  | tl -> tl
+  | exception Not_found ->
       let tl = { t_sent_bytes = 0; t_recv_bytes = 0; t_sent_msgs = 0; t_recv_msgs = 0 } in
-      Hashtbl.replace t.talkers node tl;
+      Int_tbl.replace t.talkers node tl;
       tl
+
+let rec wire_cells t m ~kind ~dir = function
+  | c :: _ when String.equal c.kind kind && String.equal c.dir dir -> c
+  | _ :: rest -> wire_cells t m ~kind ~dir rest
+  | [] ->
+      let labels = [ ("kind", kind); ("dir", dir) ] in
+      let bytes = Metrics.counter_ref m "wire_bytes_total" ~labels in
+      let c = { kind; dir; bytes; msgs = Metrics.counter_ref m "wire_msgs_total" ~labels } in
+      t.wire_cells <- c :: t.wire_cells;
+      c
+
+let rec count_parts t m ~dir = function
+  | [] -> ()
+  | (kind, bytes) :: rest ->
+      let c = wire_cells t m ~kind ~dir t.wire_cells in
+      c.bytes := !(c.bytes) + bytes;
+      incr c.msgs;
+      count_parts t m ~dir rest
 
 let account_drop t ~reason ~total =
   (match reason with
@@ -142,14 +177,13 @@ let account_drop t ~reason ~total =
       Metrics.add_count m "wire_dropped_bytes_total" ~labels:[ ("reason", reason) ] total;
       Metrics.incr m "wire_dropped_msgs_total" ~labels:[ ("reason", reason) ]
 
-(* One delivered message: whole-run counters, per-endpoint tallies, then the
-   dimensional view — each [(kind, bytes)] part feeds its own labeled series,
-   so one frame carrying a report and a query splits cleanly by kind while
-   counting once in [messages_sent]. *)
-let account_delivered t ~src ~dst ~dir ~parts ~total =
+(* One delivered message over a route of [hops] links: whole-run counters,
+   per-endpoint tallies, then the dimensional view — each [(kind, bytes)]
+   part feeds its own labeled series, so one frame carrying a report and a
+   query splits cleanly by kind while counting once in [messages_sent]. *)
+let account_delivered t ~src ~dst ~dir ~parts ~total ~hops =
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + total;
-  let hops = Traceroute.Route_oracle.route_length t.oracle ~src ~dst in
   if hops <> max_int then t.link_bytes <- t.link_bytes + (total * hops);
   let s = tally_of t src and d = tally_of t dst in
   s.t_sent_bytes <- s.t_sent_bytes + total;
@@ -158,13 +192,7 @@ let account_delivered t ~src ~dst ~dir ~parts ~total =
   d.t_recv_msgs <- d.t_recv_msgs + 1;
   (match t.metrics with
   | None -> ()
-  | Some m ->
-      List.iter
-        (fun (kind, bytes) ->
-          let labels = [ ("kind", kind); ("dir", dir) ] in
-          Metrics.add_count m "wire_bytes_total" ~labels bytes;
-          Metrics.incr m "wire_msgs_total" ~labels)
-        parts);
+  | Some m -> count_parts t m ~dir parts);
   match t.timeseries with
   | None -> ()
   | Some ts ->
@@ -177,13 +205,13 @@ let account_delivered t ~src ~dst ~dir ~parts ~total =
 
 let send_parts ?(dir = default_dir) t ~src ~dst ~parts handler =
   let total = parts_total parts in
-  let delay = one_way_delay t ~src ~dst in
-  if delay = infinity then account_drop t ~reason:`Unreachable ~total
+  let hops = walk t ~src ~dst in
+  if hops = max_int then account_drop t ~reason:`Unreachable ~total
   else if partitioned t ~src ~dst then account_drop t ~reason:`Partition ~total
   else if lost t then account_drop t ~reason:`Loss ~total
   else begin
-    account_delivered t ~src ~dst ~dir ~parts ~total;
-    Engine.schedule t.engine ~delay:(jitter t delay) handler
+    account_delivered t ~src ~dst ~dir ~parts ~total ~hops;
+    Engine.schedule t.engine ~delay:(jitter t t.delay.(0)) handler
   end
 
 let send ?(kind = default_kind) ?dir t ~src ~dst ~size_bytes handler =
@@ -191,21 +219,12 @@ let send ?(kind = default_kind) ?dir t ~src ~dst ~size_bytes handler =
 
 let charge ?(kind = default_kind) ?(dir = default_dir) t ~src ~dst ~size_bytes =
   account_delivered t ~src ~dst ~dir ~parts:[ (kind, size_bytes) ] ~total:size_bytes
-
-(* Loss is drawn independently per leg: the request's Bernoulli draw happens
-   at call time, the reply's at request-delivery time.  Either leg dying
-   alone kills the RTT — the failure probability of an RPC under loss p is
-   1 - (1-p)^2, not p. *)
-let rpc ?kind t ~src ~dst ~request_bytes ~reply_bytes handler =
-  send ?kind ~dir:"request" t ~src ~dst ~size_bytes:request_bytes (fun () ->
-      send ?kind ~dir:"reply" t ~src:dst ~dst:src ~size_bytes:reply_bytes handler)
+    ~hops:(Traceroute.Route_oracle.route_length t.oracle ~src ~dst)
 
 let messages_sent t = t.messages
 let link_bytes t = t.link_bytes
 let bytes_sent t = t.bytes
 let dropped_loss t = t.dropped_loss
-let dropped_unreachable t = t.dropped_unreachable
-let dropped_partition t = t.dropped_partition
 let messages_dropped t = t.dropped_loss + t.dropped_unreachable + t.dropped_partition
 let dropped_loss_bytes t = t.dropped_loss_bytes
 let dropped_unreachable_bytes t = t.dropped_unreachable_bytes
@@ -214,12 +233,12 @@ let dropped_partition_bytes t = t.dropped_partition_bytes
 let bytes_dropped t =
   t.dropped_loss_bytes + t.dropped_unreachable_bytes + t.dropped_partition_bytes
 
-let endpoint_count t = Hashtbl.length t.talkers
+let endpoint_count t = Int_tbl.length t.talkers
 
 let top_talkers t ~k =
   if k < 0 then invalid_arg "Transport.top_talkers: negative k";
   let all =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun node tl acc ->
         {
           node;

@@ -2,7 +2,9 @@
 
     One-way delay is the forwarding-route latency between the attachment
     routers (halved ping); delivery is an engine event.  Message and byte
-    counters feed the protocol-cost reports.
+    counters feed the protocol-cost reports.  Each message walks its route
+    once: the one walk gives its delay and the link count behind
+    {!link_bytes}.
 
     {b Wire accounting.} Every byte offered to the transport is
     attributable.  Each send carries a message-kind label (the
@@ -21,7 +23,7 @@
     Fault injection is three independent mechanisms, each counted in its
     own drop bucket (messages {e and} bytes):
     - {e loss}: every message is dropped with probability [loss_prob],
-      drawn independently per message (so the two legs of an {!rpc} fail
+      drawn independently per message (so the two legs of an {!Rpc} call fail
       independently); mutable at runtime via {!set_loss_prob} for scripted
       loss windows (see {!Fault});
     - {e unreachable}: no forwarding route between the routers;
@@ -111,21 +113,6 @@ val charge :
     {!send} feeds: [messages], [bytes], [link_bytes], labeled series,
     talker tallies. *)
 
-val rpc :
-  ?kind:string ->
-  t ->
-  src:Topology.Graph.node ->
-  dst:Topology.Graph.node ->
-  request_bytes:int ->
-  reply_bytes:int ->
-  (unit -> unit) ->
-  unit
-(** Request + reply: the handler fires after a full RTT.  Both legs carry
-    [kind]; directions are [request] and [reply].  Loss injection is
-    drawn independently for the request and the reply leg, so the RPC
-    failure probability under loss [p] is [1 - (1-p)^2].  No timeout or
-    retry — that is {!Rpc}'s job. *)
-
 val one_way_delay : t -> src:Topology.Graph.node -> dst:Topology.Graph.node -> float
 (** The delay [send] would use right now (jitter-free). *)
 
@@ -138,12 +125,6 @@ val link_bytes : t -> int
 
 val dropped_loss : t -> int
 (** Messages killed by loss injection. *)
-
-val dropped_unreachable : t -> int
-(** Messages between routers with no forwarding route. *)
-
-val dropped_partition : t -> int
-(** Messages that crossed a scripted partition boundary. *)
 
 val messages_dropped : t -> int
 (** All drop buckets summed. *)

@@ -4,13 +4,18 @@ let default_config = { max_ttl = 64; drop_prob = 0.0; probes_per_hop = 1 }
 
 type result = { path : Path.t; probes_sent : int; rtt_ms : float option }
 
+(* Without a latency table a link costs 1 ms, so the hop count is the
+   one-way latency and no route is materialized. *)
 let one_way_latency ?latency oracle ~src ~dst =
-  match Route_oracle.route oracle ~src ~dst with
-  | [] -> infinity
-  | routers -> (
-      match latency with
-      | Some table -> Topology.Latency.path_latency table routers
-      | None -> float_of_int (List.length routers - 1))
+  match latency with
+  | None -> (
+      match Route_oracle.route_length oracle ~src ~dst with
+      | n when n = max_int -> infinity
+      | n -> float_of_int n)
+  | Some table -> (
+      match Route_oracle.route oracle ~src ~dst with
+      | [] -> infinity
+      | routers -> Topology.Latency.path_latency table routers)
 
 let noisy rng v =
   match rng with
@@ -26,11 +31,9 @@ let run ?(config = default_config) ?latency ?rng oracle ~src ~dst =
   if config.probes_per_hop < 1 then invalid_arg "Probe.run: probes_per_hop must be >= 1";
   if config.drop_prob < 0.0 || config.drop_prob >= 1.0 then
     invalid_arg "Probe.run: drop_prob must be in [0,1)";
-  let route = Route_oracle.route oracle ~src ~dst in
-  match route with
-  | [] -> { path = { Path.src; dst; hops = [||] }; probes_sent = 0; rtt_ms = None }
+  match Route_oracle.route_array oracle ~src ~dst with
+  | [||] -> { path = { Path.src; dst; hops = [||] }; probes_sent = 0; rtt_ms = None }
   | routers ->
-      let routers = Array.of_list routers in
       let n_hops = Array.length routers - 1 in
       let recorded = min n_hops config.max_ttl in
       let probes = ref 0 in

@@ -68,20 +68,8 @@ let next_hop t ~dst v =
     match parents.(v) with -1 -> None | next -> Some next
   end
 
-let route t ~src ~dst =
-  if src = dst then [ src ]
-  else begin
-    let parents = tree t dst in
-    if parents.(src) = -1 then []
-    else begin
-      (* Walk the sink tree from src down to its root dst. *)
-      let rec walk v acc = if v = dst then List.rev (dst :: acc) else walk parents.(v) (v :: acc) in
-      walk src []
-    end
-  end
-
-(* Count the links by walking the sink tree's parent array: no route list
-   is built (the transport asks on every delivered message). *)
+(* Count the links by walking the sink tree's parent array: no route is
+   built (the transport asks on every delivered message). *)
 let route_length t ~src ~dst =
   if src = dst then 0
   else begin
@@ -96,6 +84,22 @@ let route_length t ~src ~dst =
       !hops
     end
   end
+
+(* Read the route straight off the parent array into an array sized by
+   [route_length]. *)
+let route_array t ~src ~dst =
+  match route_length t ~src ~dst with
+  | n when n = max_int -> [||]
+  | 0 -> [| src |]
+  | n ->
+      let parents = tree t dst in
+      let routers = Array.make (n + 1) src in
+      for i = 1 to n do
+        routers.(i) <- parents.(routers.(i - 1))
+      done;
+      routers
+
+let route t ~src ~dst = Array.to_list (route_array t ~src ~dst)
 
 let cached_destinations t =
   match t.cache with

@@ -35,6 +35,10 @@ val route : t -> src:Topology.Graph.node -> dst:Topology.Graph.node -> Topology.
 (** The router sequence from [src] to [dst], both inclusive; [[]] when
     unreachable; [[src]] when [src = dst]. *)
 
+val route_array : t -> src:Topology.Graph.node -> dst:Topology.Graph.node -> Topology.Graph.node array
+(** {!route} as an array, built with no intermediate list: [[||]] when
+    unreachable, [[|src|]] when [src = dst]. *)
+
 val route_length : t -> src:Topology.Graph.node -> dst:Topology.Graph.node -> int
 (** Links traversed by {!route}; [max_int] when unreachable.  Note this is
     the length of the deterministic forwarding route, which for weighted

@@ -20,6 +20,7 @@ type strategy =
 
 val apply : ?graph:Topology.Graph.t -> strategy -> Path.t -> Path.t
 (** Reduce a path.  Source and destination hops are always kept when present.
+    [Full] returns the path itself, not a copy.
     @raise Invalid_argument when [Min_degree] is used without [graph], or a
     strategy parameter is < 1. *)
 

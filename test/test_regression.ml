@@ -154,6 +154,49 @@ let test_gate_fails_on_missing_metric () =
       Alcotest.(check bool) "flagged as missing" true (c.current = None))
     failures
 
+(* A sharded:4 query measured on a machine with fewer domains than shards
+   is skipped with its reason, never silently passed; with enough domains
+   (or none recorded) the same collapse fails as it should. *)
+let test_gate_skips_sharded_query_below_shard_count () =
+  let doc ~domains ~sharded_query =
+    parse_exn
+      (Printf.sprintf
+         {| {"meta": {"domains": %d},
+             "backends": [
+               {"backend": "tree", "insert_ops_per_s": 1000.0, "query_ops_per_s": 2000.0,
+                "answers_identical": true},
+               {"backend": "sharded:4", "insert_ops_per_s": 900.0, "query_ops_per_s": %g,
+                "answers_identical": true}
+             ],
+             "sweep": [
+               {"n": 10000, "backend": "tree", "query_ops_per_s": 2000.0,
+                "answers_identical": true, "members": 10000, "approx_bytes": 4000000},
+               {"n": 10000, "backend": "sharded:4", "query_ops_per_s": %g,
+                "answers_identical": true, "members": 10000, "approx_bytes": 4000000}
+             ]} |}
+         domains sharded_query sharded_query)
+  in
+  let baseline = Eval.Regression.registry_metrics (doc ~domains:8 ~sharded_query:2000.0) in
+  let compare domains =
+    Eval.Regression.compare_metrics ~baseline
+      ~current:(Eval.Regression.registry_metrics (doc ~domains ~sharded_query:300.0))
+  in
+  let names = List.map (fun (c : Eval.Regression.comparison) -> c.name) in
+  let gates =
+    [ "registry/sharded:4/query_rel_tree"; "registry/sweep/10000/sharded:4/query_rel_tree" ]
+  in
+  let on_two = compare 2 in
+  Alcotest.(check (list string)) "no failure on 2 domains" []
+    (names (Eval.Regression.failures on_two));
+  Alcotest.(check (list string)) "both query gates skipped" gates
+    (names
+       (List.filter
+          (fun (c : Eval.Regression.comparison) ->
+            c.status = Eval.Regression.Skipped "meta.domains 2 < 4 shards")
+          on_two));
+  Alcotest.(check (list string)) "gated on 4 domains" gates
+    (names (Eval.Regression.failures (compare 4)))
+
 let test_resilience_metrics_shape () =
   let doc =
     parse_exn
@@ -200,4 +243,6 @@ let suite =
       Alcotest.test_case "flipped invariant fails" `Quick test_gate_fails_on_flipped_invariant;
       Alcotest.test_case "missing metric fails" `Quick test_gate_fails_on_missing_metric;
       Alcotest.test_case "resilience tolerances" `Quick test_resilience_metrics_shape;
+      Alcotest.test_case "sharded query skipped below shard count" `Quick
+        test_gate_skips_sharded_query_below_shard_count;
     ] )

@@ -41,8 +41,8 @@ let test_clean_call_single_attempt () =
   let got = ref None and done_at = ref nan in
   Rpc.call rpc ~src:d.p1
     ~dst:(fun ~attempt:_ -> Some d.lmk)
-    ~request_bytes:50
-    ~reply_bytes:(fun _ -> 500)
+    ~request_parts:[ ("other", 50) ]
+    ~reply_parts:(fun _ -> [ ("other", 500) ])
     ~handle:(fun ~dst:_ -> Some 42)
     ~on_reply:(fun v ->
       got := Some v;
@@ -68,8 +68,8 @@ let test_gives_up_after_max_attempts () =
   let gave_up_at = ref nan in
   Rpc.call rpc ~src:0
     ~dst:(fun ~attempt:_ -> Some 2)
-    ~request_bytes:10
-    ~reply_bytes:(fun _ -> 10)
+    ~request_parts:[ ("other", 10) ]
+    ~reply_parts:(fun _ -> [ ("other", 10) ])
     ~handle:(fun ~dst:_ -> Some ())
     ~on_reply:(fun () -> Alcotest.fail "replied through a dead link")
     ~on_give_up:(fun () -> gave_up_at := Engine.now e);
@@ -94,8 +94,8 @@ let test_retry_fails_over_to_second_target () =
   let got = ref None and asked = ref [] in
   Rpc.call rpc ~src:0
     ~dst:(fun ~attempt -> if attempt = 1 then Some 3 else Some 2)
-    ~request_bytes:10
-    ~reply_bytes:(fun _ -> 10)
+    ~request_parts:[ ("other", 10) ]
+    ~reply_parts:(fun _ -> [ ("other", 10) ])
     ~handle:(fun ~dst ->
       asked := dst :: !asked;
       Some dst)
@@ -119,8 +119,8 @@ let test_unserved_then_recovered () =
   let got = ref None in
   Rpc.call rpc ~src:d.p1
     ~dst:(fun ~attempt:_ -> Some d.lmk)
-    ~request_bytes:10
-    ~reply_bytes:(fun _ -> 10)
+    ~request_parts:[ ("other", 10) ]
+    ~reply_parts:(fun _ -> [ ("other", 10) ])
     ~handle:(fun ~dst:_ -> if !up then Some () else None)
     ~on_reply:(fun v -> got := Some v)
     ~on_give_up:(fun () -> Alcotest.fail "gave up on a recovered server");
@@ -141,8 +141,8 @@ let test_settles_once_under_duplicate_replies () =
   let replies = ref 0 and served = ref 0 in
   Rpc.call rpc ~src:d.p1
     ~dst:(fun ~attempt:_ -> Some d.lmk)
-    ~request_bytes:10
-    ~reply_bytes:(fun _ -> 10)
+    ~request_parts:[ ("other", 10) ]
+    ~reply_parts:(fun _ -> [ ("other", 10) ])
     ~handle:(fun ~dst:_ ->
       incr served;
       Some ())
@@ -162,8 +162,8 @@ let test_no_target_still_terminates () =
   let gave_up = ref false in
   Rpc.call rpc ~src:d.p1
     ~dst:(fun ~attempt:_ -> None)
-    ~request_bytes:10
-    ~reply_bytes:(fun _ -> 10)
+    ~request_parts:[ ("other", 10) ]
+    ~reply_parts:(fun _ -> [ ("other", 10) ])
     ~handle:(fun ~dst:_ -> Some ())
     ~on_reply:(fun () -> Alcotest.fail "replied with no target")
     ~on_give_up:(fun () -> gave_up := true);
@@ -189,6 +189,36 @@ let test_backoff_jitter_spread () =
   Alcotest.(check (float 1e-9)) "deterministic without jitter" 100.0
     (Rpc.backoff_ms no_jitter ~attempt:2)
 
+(* Settling releases what the call's callbacks capture, although the
+   attempt's timeout is still queued: a block only [on_reply] holds is
+   collected while the call's last event waits in the engine. *)
+let test_settled_call_lets_go () =
+  let d, transport = drawing () in
+  let e = Transport.engine transport in
+  let rpc = Rpc.create ~config transport in
+  let held = Weak.create 1 and replied = ref false in
+  let start () =
+    let block = Array.make 64 0 in
+    Weak.set held 0 (Some block);
+    Rpc.call rpc ~src:d.p1
+      ~dst:(fun ~attempt:_ -> Some d.lmk)
+      ~request_parts:[ ("other", 10) ]
+      ~reply_parts:(fun _ -> [ ("other", 10) ])
+      ~handle:(fun ~dst:_ -> Some ())
+      ~on_reply:(fun () -> replied := Array.length (Sys.opaque_identity block) = 64)
+      ~on_give_up:(fun () -> Alcotest.fail "gave up on a clean call")
+  in
+  start ();
+  (* The reply lands at 10 ms; the 100 ms timeout stays queued. *)
+  Engine.run ~until:50.0 e;
+  Alcotest.(check bool) "settled" true !replied;
+  Alcotest.(check int) "timeout still queued" 1 (Engine.pending e);
+  Gc.full_major ();
+  Alcotest.(check bool) "on_reply's capture collected" false (Weak.check held 0);
+  Engine.run e;
+  Alcotest.(check int) "one attempt" 1 (counter rpc "rpc_attempts");
+  Alcotest.(check int) "no timeout counted" 0 (counter rpc "rpc_timeouts")
+
 let suite =
   ( "rpc",
     [
@@ -201,4 +231,5 @@ let suite =
         test_settles_once_under_duplicate_replies;
       Alcotest.test_case "no target terminates" `Quick test_no_target_still_terminates;
       Alcotest.test_case "backoff jitter spread" `Quick test_backoff_jitter_spread;
+      Alcotest.test_case "a settled call lets go" `Quick test_settled_call_lets_go;
     ] )

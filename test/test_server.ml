@@ -410,6 +410,26 @@ let test_register_replica_batch_idempotent () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown landmark accepted"
 
+(* The measurement on a warm route oracle allocates the recorded path and
+   the measurement record: pings read hop counts, the trace is read
+   straight into its hop array, and the full strategy keeps that path. *)
+let test_measure_allocation () =
+  let map, oracle, lmks, _ = make_workload ~seed:5 () in
+  let server = Server.create oracle ~landmarks:lmks in
+  let attach_router = map.leaves.(0) in
+  let first = Server.measure server ~attach_router in
+  let before = Gc.minor_words () in
+  let m = Server.measure server ~attach_router in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "same path" true
+    (Traceroute.Path.equal (Server.measurement_path first) (Server.measurement_path m));
+  let hops = Traceroute.Path.hop_count (Server.measurement_path m) in
+  Alcotest.(check int) "a 4-hop route" 4 hops;
+  (* 81 words measured. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "measure allocates %.0f words" words)
+    true (words <= 88.0)
+
 let suite =
   ( "server",
     [
@@ -432,5 +452,6 @@ let suite =
       Alcotest.test_case "matches naive reference" `Quick test_matches_naive_reference;
       Alcotest.test_case "reverse introductions" `Quick test_reverse_introductions;
       Alcotest.test_case "deterministic" `Quick test_deterministic_without_rng;
+      Alcotest.test_case "measure allocation" `Quick test_measure_allocation;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) qcheck_server_model;
     ] )

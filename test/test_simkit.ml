@@ -99,11 +99,21 @@ let test_transport_delay () =
   Alcotest.(check int) "counted" 1 (Transport.messages_sent t);
   Alcotest.(check int) "bytes" 100 (Transport.bytes_sent t)
 
+(* A request/reply over the transport: one Rpc attempt. *)
+let rpc t ~src ~dst ~request_bytes ~reply_bytes on_reply =
+  let config = { Rpc.default_config with max_attempts = 1 } in
+  Rpc.call (Rpc.create ~config t) ~src
+    ~dst:(fun ~attempt:_ -> Some dst)
+    ~request_parts:[ ("other", request_bytes) ]
+    ~reply_parts:(fun () -> [ ("other", reply_bytes) ])
+    ~handle:(fun ~dst:_ -> Some ())
+    ~on_reply ~on_give_up:ignore
+
 let test_transport_rpc () =
   let d, t = drawing_transport () in
   let e = Transport.engine t in
   let done_at = ref (-1.0) in
-  Transport.rpc t ~src:d.p1 ~dst:d.lmk ~request_bytes:50 ~reply_bytes:500 (fun () ->
+  rpc t ~src:d.p1 ~dst:d.lmk ~request_bytes:50 ~reply_bytes:500 (fun () ->
       done_at := Engine.now e);
   Engine.run e;
   Alcotest.(check (float 1e-9)) "full rtt" 10.0 !done_at;
@@ -199,8 +209,7 @@ let test_transport_rpc_loss_independent_per_leg () =
   let completed = ref 0 in
   let n = 400 in
   for _ = 1 to n do
-    Transport.rpc t ~src:d.p1 ~dst:d.p2 ~request_bytes:10 ~reply_bytes:10 (fun () ->
-        incr completed)
+    rpc t ~src:d.p1 ~dst:d.p2 ~request_bytes:10 ~reply_bytes:10 (fun () -> incr completed)
   done;
   Engine.run e;
   (* Binomial(400, 0.25): mean 100, stddev ~8.7; +-5 sigma. *)

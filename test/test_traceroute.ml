@@ -271,6 +271,120 @@ let qcheck_truncate_keeps_endpoints =
           Array.length known >= 1 && known.(0) = 0 && known.(Array.length known - 1) = len)
         [ Truncate.Full; Truncate.Every_k k; Truncate.Last_k k; Truncate.First_k k ])
 
+(* The measurement computed the old way, from the route as a list, with
+   the route walked hop by hop through [next_hop]. *)
+module Reference = struct
+  let route oracle ~src ~dst =
+    if src = dst then [ src ]
+    else
+      let rec walk v acc =
+        match Route_oracle.next_hop oracle ~dst v with
+        | Some next -> walk next (v :: acc)
+        | None -> if v = dst then List.rev (v :: acc) else []
+      in
+      walk src []
+
+  let one_way ?latency oracle ~src ~dst =
+    match route oracle ~src ~dst with
+    | [] -> infinity
+    | routers -> (
+        match latency with
+        | Some table -> Topology.Latency.path_latency table routers
+        | None -> float_of_int (List.length routers - 1))
+
+  let noisy rng v =
+    match rng with
+    | None -> v
+    | Some rng -> v *. (1.0 +. (0.05 *. (Prelude.Prng.unit_float rng -. 0.5) *. 2.0))
+
+  let ping ?latency ?rng oracle ~src ~dst =
+    let one_way = one_way ?latency oracle ~src ~dst in
+    if one_way = infinity then infinity else noisy rng (2.0 *. one_way)
+
+  let run (config : Probe.config) ?latency ?rng oracle ~src ~dst =
+    match route oracle ~src ~dst with
+    | [] -> { Probe.path = { Path.src; dst; hops = [||] }; probes_sent = 0; rtt_ms = None }
+    | routers ->
+        let routers = Array.of_list routers in
+        let n_hops = Array.length routers - 1 in
+        let recorded = min n_hops config.max_ttl in
+        let probes = ref 0 in
+        let hops = Array.make (recorded + 1) Path.Anonymous in
+        hops.(0) <- Path.Known src;
+        for i = 1 to recorded do
+          probes := !probes + config.probes_per_hop;
+          let router = routers.(i) in
+          let responds =
+            router = dst || router = src
+            ||
+            match rng with
+            | None -> true
+            | Some rng ->
+                let rec any k =
+                  k > 0 && (Prelude.Prng.unit_float rng >= config.drop_prob || any (k - 1))
+                in
+                any config.probes_per_hop
+          in
+          hops.(i) <- (if responds then Path.Known router else Path.Anonymous)
+        done;
+        let path = { Path.src; dst; hops } in
+        let rtt_ms =
+          if Path.is_complete path then begin
+            let one_way =
+              match latency with
+              | Some table -> Topology.Latency.path_latency table (Array.to_list routers)
+              | None -> float_of_int n_hops
+            in
+            Some (noisy rng (2.0 *. one_way))
+          end
+          else None
+        in
+        { Probe.path; probes_sent = !probes; rtt_ms }
+end
+
+(* The measurement is simulation-identical to the route-list computation:
+   same pings, same traces, and the same rng draws in the same order (the
+   two rngs end in the same state).  Graphs are random with one isolated
+   router, so unreachable pairs occur on every graph; every case also
+   probes a router to itself. *)
+let qcheck_measurement_identity =
+  QCheck.Test.make ~name:"ping and trace match the route-list computation" ~count:300
+    QCheck.(quad (int_range 3 24) small_nat (int_range 1 6) bool)
+    (fun (n, seed, max_ttl, with_latency) ->
+      let g_rng = Prelude.Prng.create seed in
+      let edges = ref [] in
+      for u = 0 to n - 2 do
+        for v = u + 1 to n - 2 do
+          if Prelude.Prng.unit_float g_rng < 0.25 then edges := (u, v) :: !edges
+        done
+      done;
+      let g = Topology.Graph.of_edges ~node_count:n !edges in
+      let oracle = Route_oracle.create g in
+      let latency =
+        if with_latency then
+          Some (Topology.Latency.assign g (Topology.Latency.Uniform { lo = 1.0; hi = 9.0 }) ~seed)
+        else None
+      in
+      let config = { Probe.max_ttl; drop_prob = 0.3; probes_per_hop = 1 + (seed mod 3) } in
+      let pairs =
+        (0, 0) :: (0, n - 1) :: (n - 1, 0)
+        :: List.init 12 (fun _ -> (Prelude.Prng.int g_rng n, Prelude.Prng.int g_rng n))
+      in
+      let a = Prelude.Prng.create (seed + 1) and b = Prelude.Prng.create (seed + 1) in
+      let same_result (r : Probe.result) (e : Probe.result) =
+        Path.equal r.path e.path && r.probes_sent = e.probes_sent && r.rtt_ms = e.rtt_ms
+      in
+      List.for_all
+        (fun (src, dst) ->
+          Probe.ping ?latency ~rng:a oracle ~src ~dst = Reference.ping ?latency ~rng:b oracle ~src ~dst
+          && Probe.ping ?latency oracle ~src ~dst = Reference.ping ?latency oracle ~src ~dst
+          && same_result
+               (Probe.run ~config ?latency ~rng:a oracle ~src ~dst)
+               (Reference.run config ?latency ~rng:b oracle ~src ~dst)
+          && same_result (Probe.run ~config oracle ~src ~dst) (Reference.run config oracle ~src ~dst))
+        pairs
+      && Prelude.Prng.bits64 a = Prelude.Prng.bits64 b)
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t in
   ( "traceroute",
@@ -300,4 +414,5 @@ let suite =
       Alcotest.test_case "probe cost" `Quick test_probe_cost;
       Alcotest.test_case "describe" `Quick test_describe;
       q qcheck_truncate_keeps_endpoints;
+      q qcheck_measurement_identity;
     ] )

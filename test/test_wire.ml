@@ -222,6 +222,26 @@ let test_wire_sizes_reasonable () =
   Alcotest.(check bool) (Printf.sprintf "path report is %d bytes" size) true (size < 64);
   Alcotest.(check int) "size = encode length" (String.length (Wire.encode m)) size
 
+(* Sizing a report walks its hop array in place: no list, no sizer, no
+   closure per call.  The bytes are the ones the list encoding wrote. *)
+let test_wire_report_size_allocates_nothing () =
+  let hops =
+    Array.init 13 (fun i ->
+        if i = 6 then Traceroute.Path.Anonymous else Traceroute.Path.Known (i * 150))
+  in
+  let m = Wire.Path_report { peer = 1000; path = { Traceroute.Path.src = 0; dst = 1800; hops } } in
+  Alcotest.(check string) "encoded bytes"
+    "\x01\x02\xe8\x07\x00\x88\x0e\x0d\x01\x97\x01\xad\x02\xc3\x03\xd9\x04\xef\x05\x00\x9b\x08\xb1\x09\xc7\x0a\xdd\x0b\xf3\x0c\x89\x0e"
+    (Wire.encode m);
+  let size = Wire.byte_size m in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Sys.opaque_identity (Wire.byte_size m))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "size = encode length" (String.length (Wire.encode m)) size;
+  Alcotest.(check (float 0.0)) "minor words over 1,000 sizings" 0.0 words
+
 let qcheck_wire_neighbor_reply_roundtrip =
   QCheck.Test.make ~name:"wire neighbor-reply roundtrip" ~count:300
     QCheck.(pair (int_bound 10000) (small_list (pair (int_bound 5000) (int_bound 64))))
@@ -300,6 +320,8 @@ let suite =
       Alcotest.test_case "trailing garbage" `Quick test_wire_trailing_garbage;
       Alcotest.test_case "bad version/tag" `Quick test_wire_bad_version_and_tag;
       Alcotest.test_case "sizes reasonable" `Quick test_wire_sizes_reasonable;
+      Alcotest.test_case "report sizing allocates nothing" `Quick
+        test_wire_report_size_allocates_nothing;
       Alcotest.test_case "batch beats singleton reports" `Quick test_wire_batch_beats_singletons;
       q qcheck_wire_batch_size_exact;
       q qcheck_wire_neighbor_reply_roundtrip;

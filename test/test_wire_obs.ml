@@ -168,6 +168,27 @@ let test_amplification_gauge () =
   | Some v -> Alcotest.(check (float 1e-9)) "gauge = replica count" 3.0 v
   | None -> Alcotest.fail "wire_replication_amplification gauge missing"
 
+(* A labeled two-part frame walks its route once and bumps cells resolved
+   at the first frame of each (kind, dir): what it allocates is the
+   delivery event and its delay, not the accounting. *)
+let test_send_parts_allocation () =
+  let metrics = Metrics.create () in
+  let d, t = fixture ~metrics ~rng:(Prelude.Prng.create 3) () in
+  let e = Transport.engine t in
+  let parts = [ ("path_report", 30); ("query", 20) ] and handler () = () in
+  let send () = Transport.send_parts ~dir:"request" t ~src:d.p1 ~dst:d.lmk ~parts handler in
+  send ();
+  Engine.run e;
+  let before = Gc.minor_words () in
+  send ();
+  let words = Gc.minor_words () -. before in
+  Engine.run e;
+  Alcotest.(check int) "both frames counted" 4
+    (counter metrics "wire_msgs_total" ~kind:"path_report" ~dir:"request"
+    + counter metrics "wire_msgs_total" ~kind:"query" ~dir:"request");
+  (* 31 words measured, most of them the jitter draw. *)
+  Alcotest.(check bool) (Printf.sprintf "one send allocates %.0f words" words) true (words <= 36.0)
+
 let suite =
   ( "wire-obs",
     [
@@ -176,4 +197,5 @@ let suite =
       Alcotest.test_case "top talkers" `Quick test_top_talkers;
       Alcotest.test_case "wire_exp invariants" `Slow test_wire_exp_invariants;
       Alcotest.test_case "amplification gauge" `Quick test_amplification_gauge;
+      Alcotest.test_case "labeled two-part send allocation" `Quick test_send_parts_allocation;
     ] )
