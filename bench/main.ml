@@ -244,101 +244,35 @@ let run_micro () =
 
 let banner title = Printf.printf "\n================ %s ================\n%!" title
 
+(* Most sections: a banner, then one result at the paper-scale or the
+   quick configuration, printed. *)
+let simple title default quick run print ~full =
+  banner title;
+  print (run (if full then default else quick))
+
+(* The paper's measured figure.  Only the paper configuration ([--full])
+   writes BENCH_fig2.json and its gates: quick scale does not show the
+   flat shape, so its numbers would not match the baseline. *)
 let run_fig2 ~full =
   banner "fig2 (the paper's measured figure)";
   let config = if full then Eval.Fig2.default_config else Eval.Fig2.quick_config in
-  Eval.Fig2.print (Eval.Fig2.run config)
-
-let run_complexity ~full =
-  banner "complexity table (O(log n) insert / O(1) query)";
-  let config = if full then Eval.Complexity.default_config else Eval.Complexity.quick_config in
-  Eval.Complexity.print (Eval.Complexity.run config)
-
-let run_landmarks ~full =
-  banner "E1 landmark count x placement";
-  let config =
-    if full then Eval.Landmark_sweep.default_config else Eval.Landmark_sweep.quick_config
-  in
-  Eval.Landmark_sweep.print (Eval.Landmark_sweep.run config);
-  print_newline ();
-  Eval.Landmark_sweep.print_ablation (Eval.Landmark_sweep.run_round1_ablation config)
-
-let run_superpeers ~full =
-  banner "E2 super-peers";
-  let config =
-    if full then Eval.Super_peer_exp.default_config else Eval.Super_peer_exp.quick_config
-  in
-  Eval.Super_peer_exp.print (Eval.Super_peer_exp.run config)
-
-let run_churn ~full =
-  banner "E3 churn / failures / handover";
-  let config = if full then Eval.Churn_exp.default_config else Eval.Churn_exp.quick_config in
-  Eval.Churn_exp.print (Eval.Churn_exp.run config)
-
-let run_truncate ~full =
-  banner "E4 decreased traceroute";
-  let config = if full then Eval.Truncate_exp.default_config else Eval.Truncate_exp.quick_config in
-  Eval.Truncate_exp.print (Eval.Truncate_exp.run config)
-
-let run_setup_delay ~full =
-  banner "E5 setup delay vs quality";
-  let config = if full then Eval.Setup_delay.default_config else Eval.Setup_delay.quick_config in
-  Eval.Setup_delay.print (Eval.Setup_delay.run config)
-
-let run_metric ~full =
-  banner "ablation: hop vs latency dtree";
-  let config =
-    if full then Eval.Metric_ablation.default_config else Eval.Metric_ablation.quick_config
-  in
-  Eval.Metric_ablation.print (Eval.Metric_ablation.run config)
-
-let run_streaming ~full =
-  banner "application: mesh live streaming";
-  let config =
-    if full then Eval.Streaming_exp.default_config else Eval.Streaming_exp.quick_config
-  in
-  Eval.Streaming_exp.print (Eval.Streaming_exp.run config)
-
-let run_stretch ~full =
-  banner "stretch analysis (graph-oriented dtree vs d)";
-  let config =
-    if full then Eval.Stretch_analysis.default_config else Eval.Stretch_analysis.quick_config
-  in
-  Eval.Stretch_analysis.print (Eval.Stretch_analysis.run config)
-
-let run_maintenance ~full =
-  banner "maintenance: frozen vs refreshed neighbor sets under churn";
-  let config =
-    if full then Eval.Maintenance_exp.default_config else Eval.Maintenance_exp.quick_config
-  in
-  Eval.Maintenance_exp.print (Eval.Maintenance_exp.run config)
-
-let run_topology_sensitivity ~full =
-  banner "topology sensitivity (heavy tail vs homogeneous maps)";
-  let config =
-    if full then Eval.Topology_sensitivity.default_config else Eval.Topology_sensitivity.quick_config
-  in
-  Eval.Topology_sensitivity.print (Eval.Topology_sensitivity.run config)
-
-let run_dht ~full =
-  banner "dht: decentralized directory (Chord)";
-  let config = if full then Eval.Dht_exp.default_config else Eval.Dht_exp.quick_config in
-  Eval.Dht_exp.print (Eval.Dht_exp.run config)
-
-let run_inflation ~full =
-  banner "inflation: robustness to policy routing";
-  let config = if full then Eval.Inflation_exp.default_config else Eval.Inflation_exp.quick_config in
-  Eval.Inflation_exp.print (Eval.Inflation_exp.run config)
-
-let run_bulk ~full =
-  banner "application: bulk file swarm";
-  let config = if full then Eval.Bulk_exp.default_config else Eval.Bulk_exp.quick_config in
-  Eval.Bulk_exp.print (Eval.Bulk_exp.run config)
-
-let run_joining ~full =
-  banner "joining: newcomer time-to-playback mid-stream";
-  let config = if full then Eval.Joining_exp.default_config else Eval.Joining_exp.quick_config in
-  Eval.Joining_exp.print (Eval.Joining_exp.run config)
+  let rows = Eval.Fig2.run config in
+  Eval.Fig2.print rows;
+  if full then begin
+    Simkit.Export.write_bench ~path:"BENCH_fig2.json"
+      ~params:
+        [
+          ("routers", string_of_int config.routers);
+          ("landmark_count", string_of_int config.landmark_count);
+          ("k", string_of_int config.k);
+          ("seeds", String.concat " " (List.map string_of_int config.seeds));
+        ]
+      [
+        ("rows", Simkit.Json_str.arr (List.map Eval.Fig2.row_json rows));
+        ("gates", Eval.Regression.to_json (Eval.Fig2.gates rows));
+      ];
+    Printf.printf "wrote BENCH_fig2.json (%d population sizes)\n%!" (List.length rows)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Registry backend throughput *)
@@ -357,16 +291,6 @@ let wall_ops f =
   let ops = f () in
   let dt = Unix.gettimeofday () -. t0 in
   float_of_int ops /. Float.max dt 1e-9
-
-type sweep_row = {
-  sw_n : int;
-  sw_backend : string;
-  sw_insert_ops : float;
-  sw_query_ops : float;
-  sw_members : int;
-  sw_bytes : int;
-  sw_identical : bool;
-}
 
 (* The million-member scaling sweep: tree vs sharded:4 at growing
    populations, built with the batch interface ([insert_many] in 8192-entry
@@ -428,8 +352,8 @@ let run_sweep ~sweep_max =
             in
             let intro = Nearby.Registry_intf.introspect reg in
             {
-              sw_n = n;
-              sw_backend = Eval.Backends.to_string spec;
+              Eval.Registry_gates.sw_n = n;
+              sw_spec = spec;
               sw_insert_ops = insert_ops;
               sw_query_ops = query_ops;
               sw_members = intro.Nearby.Registry_intf.members;
@@ -444,10 +368,10 @@ let run_sweep ~sweep_max =
       [ "n"; "backend"; "insert ops/s"; "query ops/s"; "members"; "~MiB"; "B/member";
         "answers = tree" ]
     (List.map
-       (fun r ->
+       (fun (r : Eval.Registry_gates.sweep_row) ->
          [
            string_of_int r.sw_n;
-           r.sw_backend;
+           Eval.Backends.to_string r.sw_spec;
            Prelude.Table.float_cell ~decimals:0 r.sw_insert_ops;
            Prelude.Table.float_cell ~decimals:0 r.sw_query_ops;
            string_of_int r.sw_members;
@@ -458,12 +382,12 @@ let run_sweep ~sweep_max =
        rows);
   rows
 
-let sweep_row_json r =
+let sweep_row_json (r : Eval.Registry_gates.sweep_row) =
   Printf.sprintf
     "    {\"n\": %d, \"backend\": %s, \"insert_ops_per_s\": %.0f, \"query_ops_per_s\": %.0f, \
      \"members\": %d, \"approx_bytes\": %d, \"answers_identical\": %b}"
     r.sw_n
-    (Simkit.Json_str.quote r.sw_backend)
+    (Simkit.Json_str.quote (Eval.Backends.to_string r.sw_spec))
     r.sw_insert_ops r.sw_query_ops r.sw_members r.sw_bytes r.sw_identical
 
 let run_registry ~full ~sweep_max =
@@ -502,37 +426,41 @@ let run_registry ~full ~sweep_max =
           done;
           query_count)
     in
-    (Eval.Backends.to_string spec, !insert_ops, query_ops, answers)
+    (spec, !insert_ops, query_ops, answers)
   in
   let results = List.map run_backend Eval.Backends.all in
   let reference =
     match results with
-    | ("tree", _, _, answers) :: _ -> answers
+    | (Eval.Backends.Tree, _, _, answers) :: _ -> answers
     | _ -> failwith "registry bench: tree backend must run first"
   in
   let rows =
     List.map
-      (fun (name, insert_ops, query_ops, answers) ->
-        (name, insert_ops, query_ops, answers = reference))
+      (fun (spec, insert_ops, query_ops, answers) ->
+        { Eval.Registry_gates.spec; insert_ops; query_ops; identical = answers = reference })
       results
   in
   Prelude.Table.print
     ~header:[ "backend"; "insert ops/s"; "query ops/s"; "answers = tree" ]
     (List.map
-       (fun (name, insert_ops, query_ops, identical) ->
+       (fun (r : Eval.Registry_gates.row) ->
          [
-           name;
-           Prelude.Table.float_cell ~decimals:0 insert_ops;
-           Prelude.Table.float_cell ~decimals:0 query_ops;
-           string_of_bool identical;
+           Eval.Backends.to_string r.spec;
+           Prelude.Table.float_cell ~decimals:0 r.insert_ops;
+           Prelude.Table.float_cell ~decimals:0 r.query_ops;
+           string_of_bool r.identical;
          ])
        rows);
   let sweep_rows = run_sweep ~sweep_max in
-  let row_json (name, insert_ops, query_ops, identical) =
+  let row_json (r : Eval.Registry_gates.row) =
     Printf.sprintf
       "{\"backend\": %s, \"insert_ops_per_s\": %.0f, \"query_ops_per_s\": %.0f, \
        \"answers_identical\": %b}"
-      (Simkit.Json_str.quote name) insert_ops query_ops identical
+      (Simkit.Json_str.quote (Eval.Backends.to_string r.spec)) r.insert_ops r.query_ops r.identical
+  in
+  (* The sharded skip describes this machine. *)
+  let gates =
+    Eval.Registry_gates.registry ~domains:(Domain.recommended_domain_count ()) rows sweep_rows
   in
   Simkit.Export.write_bench ~path:"BENCH_registry.json" ~seed:7
     ~backends:(List.map Eval.Backends.to_string Eval.Backends.all)
@@ -543,9 +471,10 @@ let run_registry ~full ~sweep_max =
       ("backends", "[" ^ String.concat ", " (List.map row_json rows) ^ "]");
       ( "sweep",
         "[" ^ String.concat ", " (List.map (fun r -> String.trim (sweep_row_json r)) sweep_rows) ^ "]" );
+      ("gates", Eval.Regression.to_json gates);
     ];
   Printf.printf "wrote BENCH_registry.json (%d-peer workload, sweep to %d)\n%!" population
-    (List.fold_left (fun acc r -> Int.max acc r.sw_n) 0 sweep_rows)
+    (List.fold_left (fun acc (r : Eval.Registry_gates.sweep_row) -> Int.max acc r.sw_n) 0 sweep_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Observability: per-backend latency quantiles through the instrumented
@@ -584,12 +513,14 @@ let run_obs ~full =
       | None -> failwith ("bench obs: missing stream " ^ name)
     in
     let exemplar_count name = List.length (Simkit.Trace.exemplars metrics name) in
-    ( Eval.Backends.to_string spec,
-      summary Nearby.Instrumented_registry.insert_ns,
-      summary Nearby.Instrumented_registry.query_ns,
-      exemplar_count Nearby.Instrumented_registry.insert_ns,
-      exemplar_count Nearby.Instrumented_registry.query_ns,
-      Nearby.Registry_intf.introspect reg )
+    {
+      Eval.Registry_gates.o_spec = spec;
+      insert_ns = summary Nearby.Instrumented_registry.insert_ns;
+      query_ns = summary Nearby.Instrumented_registry.query_ns;
+      insert_exemplars = exemplar_count Nearby.Instrumented_registry.insert_ns;
+      query_exemplars = exemplar_count Nearby.Instrumented_registry.query_ns;
+      introspect = Nearby.Registry_intf.introspect reg;
+    }
   in
   let results = List.map run_backend Eval.Backends.all in
   let cell = Prelude.Table.float_cell ~decimals:0 in
@@ -598,11 +529,12 @@ let run_obs ~full =
       [ "backend"; "insert p50 ns"; "insert p99 ns"; "query p50 ns"; "query p99 ns";
         "exemplars"; "members"; "routers"; "~KiB" ]
     (List.map
-       (fun (name, (ins : Simkit.Trace.summary), (q : Simkit.Trace.summary), ins_ex, q_ex,
-             (intro : Nearby.Registry_intf.introspection)) ->
-         [ name; cell ins.p50; cell ins.p99; cell q.p50; cell q.p99;
-           string_of_int (ins_ex + q_ex); string_of_int intro.members;
-           string_of_int intro.routers; string_of_int (intro.approx_bytes / 1024) ])
+       (fun (r : Eval.Registry_gates.obs_row) ->
+         [ Eval.Backends.to_string r.o_spec; cell r.insert_ns.p50; cell r.insert_ns.p99;
+           cell r.query_ns.p50; cell r.query_ns.p99;
+           string_of_int (r.insert_exemplars + r.query_exemplars);
+           string_of_int r.introspect.members; string_of_int r.introspect.routers;
+           string_of_int (r.introspect.approx_bytes / 1024) ])
        results);
   (* Sketch fidelity: the merged fleet quantiles below are only as good as
      the sketch, so gate its relative error against exact order statistics
@@ -678,12 +610,13 @@ let run_obs ~full =
       "{\"count\": %d, \"mean\": %s, \"p50\": %s, \"p90\": %s, \"p99\": %s, \"max\": %s}" s.count
       (n s.mean) (n s.p50) (n s.p90) (n s.p99) (Simkit.Json_str.number_opt s.max)
   in
-  let row_json (name, ins, q, ins_ex, q_ex, intro) =
+  let row_json (r : Eval.Registry_gates.obs_row) =
     Printf.sprintf
       "    {\"backend\": %s, \"insert_ns\": %s, \"query_ns\": %s, \"insert_exemplars\": %d, \
        \"query_exemplars\": %d, \"introspect\": %s}"
-      (Simkit.Json_str.quote name) (quantiles_json ins) (quantiles_json q) ins_ex q_ex
-      (Nearby.Registry_intf.introspection_json intro)
+      (Simkit.Json_str.quote (Eval.Backends.to_string r.o_spec)) (quantiles_json r.insert_ns)
+      (quantiles_json r.query_ns) r.insert_exemplars r.query_exemplars
+      (Nearby.Registry_intf.introspection_json r.introspect)
   in
   let sketch_json =
     Printf.sprintf
@@ -699,6 +632,10 @@ let run_obs ~full =
       (Simkit.Json_str.number sketch_max_err)
       sketch_within
   in
+  let fleet_completion =
+    float_of_int fleet_result.Eval.Fleet_obs.completed
+    /. float_of_int fleet_result.Eval.Fleet_obs.joins
+  in
   let fleet_json =
     let r = fleet_result in
     Printf.sprintf
@@ -708,8 +645,7 @@ let run_obs ~full =
       (Nearby.Cluster.replica_count cluster)
       Eval.Fleet_obs.quick_config.Eval.Fleet_obs.shards r.Eval.Fleet_obs.joins
       r.Eval.Fleet_obs.completed
-      (Simkit.Json_str.number
-         (float_of_int r.Eval.Fleet_obs.completed /. float_of_int r.Eval.Fleet_obs.joins))
+      (Simkit.Json_str.number fleet_completion)
       (Simkit.Json_str.number r.Eval.Fleet_obs.fleet_join_p50_ms)
       (Simkit.Json_str.number r.Eval.Fleet_obs.fleet_join_p99_ms)
       (String.concat ", "
@@ -717,6 +653,10 @@ let run_obs ~full =
       fleet_within
       (Simkit.Json_str.number r.Eval.Fleet_obs.shard_skew)
       r.Eval.Fleet_obs.rpc_ok
+  in
+  let gates =
+    Eval.Registry_gates.obs ~sketch_max_err ~sketch_within ~fleet:fleet_result ~fleet_completion
+      ~fleet_within results
   in
   Simkit.Export.write_bench ~path:"BENCH_obs.json" ~seed
     ~backends:(List.map Eval.Backends.to_string Eval.Backends.all)
@@ -730,6 +670,7 @@ let run_obs ~full =
       ("backends", "[" ^ String.concat ", " (List.map (fun r -> String.trim (row_json r)) results) ^ "]");
       ("sketch", sketch_json);
       ("fleet", fleet_json);
+      ("gates", Eval.Regression.to_json gates);
     ];
   Printf.printf "wrote BENCH_obs.json (%d-peer workload, %d queries)\n%!" population query_count
 
@@ -784,6 +725,7 @@ let run_resilience ~full =
     [
       ( "runs",
         "[" ^ String.concat ", " (List.map Eval.Resilience_exp.result_json results) ^ "]" );
+      ("gates", Eval.Regression.to_json (List.concat_map Eval.Resilience_exp.gates results));
     ];
   Printf.printf "wrote BENCH_resilience.json (%d runs)\n%!" (List.length results)
 
@@ -842,7 +784,10 @@ let run_load ~full =
         ("queue_cap", string_of_int base.Eval.Load_exp.queue_cap);
         ("slo_budget_ms", string_of_float base.Eval.Load_exp.slo_budget_ms);
       ]
-    [ ("runs", "[" ^ String.concat ", " (List.map Eval.Load_exp.result_json results) ^ "]") ];
+    [
+      ("runs", "[" ^ String.concat ", " (List.map Eval.Load_exp.result_json results) ^ "]");
+      ("gates", Eval.Regression.to_json (List.concat_map Eval.Load_exp.gates results));
+    ];
   Printf.printf "wrote BENCH_load.json (%d runs)\n%!" (List.length results)
 
 (* ------------------------------------------------------------------ *)
@@ -864,7 +809,10 @@ let run_wire ~full =
         ("batch", string_of_int config.Eval.Wire_exp.batch);
         ("loss", string_of_float config.Eval.Wire_exp.loss);
       ]
-    [ ("wire", Eval.Wire_exp.result_json r) ];
+    [
+      ("wire", Eval.Wire_exp.result_json r);
+      ("gates", Eval.Regression.to_json (Eval.Wire_exp.gates r));
+    ];
   Printf.printf "wrote BENCH_wire.json (%d joins x %d replicas)\n%!" config.Eval.Wire_exp.peers
     config.Eval.Wire_exp.replicas
 
@@ -889,25 +837,24 @@ let run_health ~full =
         ("sync_period_ms", string_of_float config.Eval.Health_exp.sync_period_ms);
         ("check_period_ms", string_of_float config.Eval.Health_exp.check_period_ms);
       ]
-    [ ("health", Eval.Health_exp.result_json r) ];
+    [
+      ("health", Eval.Health_exp.result_json r);
+      ("gates", Eval.Regression.to_json (Eval.Health_exp.gates r));
+    ];
   Printf.printf "wrote BENCH_health.json (%d joins x %d replicas)\n%!"
     config.Eval.Health_exp.peers config.Eval.Health_exp.replicas
 
 (* ------------------------------------------------------------------ *)
-(* Regression gate: BENCH_*.json (current working tree) vs the committed
-   baselines under bench/baselines/.  All timing metrics are normalized to
-   the tree backend within each run, so the comparison survives machine
-   changes; `--update` refreshes the baselines instead of judging. *)
+(* Regression gate: the gates each BENCH_*.json in the working directory
+   carries vs the committed baselines under bench/baselines/; `--update`
+   refreshes the baselines instead of judging. *)
 
-let regress_pairs =
-  [
-    ("BENCH_registry.json", Eval.Regression.registry_metrics);
-    ("BENCH_obs.json", Eval.Regression.obs_metrics);
-    ("BENCH_resilience.json", Eval.Regression.resilience_metrics);
-    ("BENCH_load.json", Eval.Regression.load_metrics);
-    ("BENCH_wire.json", Eval.Regression.wire_metrics);
-    ("BENCH_health.json", Eval.Regression.health_metrics);
-  ]
+let bench_files dir =
+  if not (Sys.file_exists dir) then []
+  else
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+    |> List.sort compare
 
 let copy_file src dst =
   let ic = open_in_bin src in
@@ -917,163 +864,156 @@ let copy_file src dst =
   in
   Simkit.Export.write_file dst data
 
-let run_regress ~baseline_dir ~update ~pairs =
+let run_regress ~baseline_dir ~update files =
   banner "bench regression gate";
+  let files =
+    match files with [] -> bench_files (if update then "." else baseline_dir) | files -> files
+  in
+  if files = [] then begin
+    Printf.eprintf "regress: no BENCH_*.json to %s\n" (if update then "copy" else "gate");
+    exit 1
+  end;
+  let baseline_of file = Filename.concat baseline_dir (Filename.basename file) in
   if update then begin
     (if not (Sys.file_exists baseline_dir) then Sys.mkdir baseline_dir 0o755);
     List.iter
-      (fun (file, _) ->
+      (fun file ->
         if not (Sys.file_exists file) then begin
           Printf.eprintf "regress --update: %s not found; generate it first\n" file;
           exit 1
         end;
-        copy_file file (Filename.concat baseline_dir file);
-        Printf.printf "baseline updated: %s\n" (Filename.concat baseline_dir file))
-      pairs
+        copy_file file (baseline_of file);
+        Printf.printf "baseline updated: %s\n" (baseline_of file))
+      files
   end
   else begin
-    let failed = ref 0 in
-    List.iter
-      (fun (file, extract) ->
-        let baseline_path = Filename.concat baseline_dir file in
-        let load path =
-          match Simkit.Json.of_file path with
-          | Ok doc -> doc
-          | Error e ->
-              Printf.eprintf "regress: cannot read %s: %s\n" path e;
-              exit 1
-        in
-        if not (Sys.file_exists baseline_path) then begin
-          Printf.eprintf "regress: no baseline %s (run with --update to create)\n" baseline_path;
-          exit 1
-        end;
-        if not (Sys.file_exists file) then begin
-          Printf.eprintf "regress: %s not found; generate it first\n" file;
-          exit 1
-        end;
-        let comparisons =
-          Eval.Regression.compare_metrics
-            ~baseline:(extract (load baseline_path))
-            ~current:(extract (load file))
-        in
-        Printf.printf "\n-- %s --\n" file;
-        Eval.Regression.print comparisons;
-        failed := !failed + List.length (Eval.Regression.failures comparisons))
-      pairs;
-    if !failed > 0 then begin
-      Printf.eprintf "\nregress: %d metric(s) beyond tolerance\n" !failed;
+    let gates path = Result.bind (Simkit.Json.of_file path) Eval.Regression.of_document in
+    (* An unreadable document fails its file and the others are still
+       compared. *)
+    let failed =
+      List.fold_left
+        (fun failed file ->
+          Printf.printf "\n-- %s --\n" file;
+          match (gates (baseline_of file), gates file) with
+          | Ok baseline, Ok current ->
+              let comparisons = Eval.Regression.compare_gates ~baseline ~current in
+              Eval.Regression.print comparisons;
+              failed + List.length (Eval.Regression.failures comparisons)
+          | Error e, _ | _, Error e ->
+              Printf.printf "FAIL: %s\n" e;
+              failed + 1)
+        0 files
+    in
+    if failed > 0 then begin
+      Printf.eprintf "\nregress: %d gate(s) failed\n" failed;
       exit 1
     end
-    else Printf.printf "\nregress: all metrics within tolerance\n"
+    else Printf.printf "\nregress: all gates within tolerance\n"
   end
 
-let run_all ~full ~sweep_max =
-  run_micro ();
-  run_fig2 ~full;
-  run_complexity ~full;
-  run_landmarks ~full;
-  run_superpeers ~full;
-  run_churn ~full;
-  run_truncate ~full;
-  run_setup_delay ~full;
-  run_metric ~full;
-  run_streaming ~full;
-  run_stretch ~full;
-  run_maintenance ~full;
-  run_topology_sensitivity ~full;
-  run_registry ~full ~sweep_max;
-  run_obs ~full;
-  run_dht ~full;
-  run_inflation ~full;
-  run_bulk ~full;
-  run_joining ~full;
-  run_resilience ~full;
-  run_load ~full;
-  run_wire ~full;
-  run_health ~full
+(* ------------------------------------------------------------------ *)
+(* Every section, in the order a bare run executes them. *)
+
+let sweep_max = ref 1_000_000
+
+let experiments =
+  [
+    ("micro", fun ~full:_ -> run_micro ());
+    ("fig2", run_fig2);
+    ( "complexity",
+      Eval.Complexity.(
+        simple "complexity table (O(log n) insert / O(1) query)" default_config quick_config run
+          print) );
+    ( "landmarks",
+      Eval.Landmark_sweep.(
+        simple "E1 landmark count x placement" default_config quick_config
+          (fun config -> (run config, run_round1_ablation config))
+          (fun (rows, ablation) ->
+            print rows;
+            print_newline ();
+            print_ablation ablation)) );
+    ("superpeers", Eval.Super_peer_exp.(simple "E2 super-peers" default_config quick_config run print));
+    ( "churn",
+      Eval.Churn_exp.(
+        simple "E3 churn / failures / handover" default_config quick_config run print) );
+    ( "truncate",
+      Eval.Truncate_exp.(simple "E4 decreased traceroute" default_config quick_config run print) );
+    ( "setup-delay",
+      Eval.Setup_delay.(simple "E5 setup delay vs quality" default_config quick_config run print) );
+    ( "metric",
+      Eval.Metric_ablation.(
+        simple "ablation: hop vs latency dtree" default_config quick_config run print) );
+    ( "streaming",
+      Eval.Streaming_exp.(
+        simple "application: mesh live streaming" default_config quick_config run print) );
+    ( "stretch",
+      Eval.Stretch_analysis.(
+        simple "stretch analysis (graph-oriented dtree vs d)" default_config quick_config run
+          print) );
+    ( "maintenance",
+      Eval.Maintenance_exp.(
+        simple "maintenance: frozen vs refreshed neighbor sets under churn" default_config
+          quick_config run print) );
+    ( "topologies",
+      Eval.Topology_sensitivity.(
+        simple "topology sensitivity (heavy tail vs homogeneous maps)" default_config
+          quick_config run print) );
+    ("registry", fun ~full -> run_registry ~full ~sweep_max:!sweep_max);
+    ("obs", run_obs);
+    ( "dht",
+      Eval.Dht_exp.(
+        simple "dht: decentralized directory (Chord)" default_config quick_config run print) );
+    ( "inflation",
+      Eval.Inflation_exp.(
+        simple "inflation: robustness to policy routing" default_config quick_config run print) );
+    ( "bulk",
+      Eval.Bulk_exp.(simple "application: bulk file swarm" default_config quick_config run print) );
+    ( "joining",
+      Eval.Joining_exp.(
+        simple "joining: newcomer time-to-playback mid-stream" default_config quick_config run
+          print) );
+    ("resilience", run_resilience);
+    ("load", run_load);
+    ("wire", run_wire);
+    ("health", run_health);
+  ]
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let full = List.mem "--full" args in
-  let args = List.filter (fun a -> a <> "--full") args in
-  (* --csv DIR: also capture every printed table as a CSV file. *)
-  let rec extract_csv acc = function
-    | "--csv" :: dir :: rest ->
-        Prelude.Table.set_csv_sink (Some dir);
-        List.rev_append acc rest
-    | x :: rest -> extract_csv (x :: acc) rest
-    | [] -> List.rev acc
+  let full = ref false and update = ref false and args = ref [] in
+  let baseline_dir = ref (Filename.concat "bench" "baselines") in
+  let names = String.concat " " (List.map fst experiments) in
+  let usage =
+    Printf.sprintf "usage: main.exe [SECTION | regress [FILE...]] [OPTION...]\nsections: %s\n"
+      names
   in
-  let args = extract_csv [] args in
-  (* regress options: --baseline DIR (default bench/baselines), --update. *)
-  let update = List.mem "--update" args in
-  let args = List.filter (fun a -> a <> "--update") args in
-  let rec extract_baseline acc dir = function
-    | "--baseline" :: d :: rest -> extract_baseline acc d rest
-    | x :: rest -> extract_baseline (x :: acc) dir rest
-    | [] -> (List.rev acc, dir)
+  let specs =
+    [
+      ("--full", Arg.Set full, " Run the paper-scale configurations");
+      ( "--csv",
+        Arg.String (fun dir -> Prelude.Table.set_csv_sink (Some dir)),
+        "DIR Also write every printed table as a CSV file under DIR" );
+      ( "--sweep-max",
+        Arg.Int
+          (fun n ->
+            if n > 0 then sweep_max := n
+            else raise (Arg.Bad (Printf.sprintf "bad --sweep-max %d (want a positive int)" n))),
+        "N Cap the registry scaling sweep (default 1000000)" );
+      ("--baseline", Arg.Set_string baseline_dir, "DIR regress: baseline directory (bench/baselines)");
+      ("--update", Arg.Set update, " regress: copy the BENCH files into the baseline directory");
+    ]
   in
-  let args, baseline_dir = extract_baseline [] (Filename.concat "bench" "baselines") args in
-  (* --sweep-max N caps the registry scaling sweep (default: the full
-     million) — the CI scale job trims it to 100k. *)
-  let rec extract_sweep_max acc cap = function
-    | "--sweep-max" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some cap when cap > 0 -> extract_sweep_max acc cap rest
-        | Some _ | None ->
-            Printf.eprintf "bad --sweep-max %S (want a positive int)\n" n;
-            exit 1)
-    | x :: rest -> extract_sweep_max (x :: acc) cap rest
-    | [] -> (List.rev acc, cap)
-  in
-  let args, sweep_max = extract_sweep_max [] 1_000_000 args in
-  match args with
-  | [] -> run_all ~full ~sweep_max
-  | [ "micro" ] -> run_micro ()
-  | [ "fig2" ] -> run_fig2 ~full
-  | [ "complexity" ] -> run_complexity ~full
-  | [ "landmarks" ] -> run_landmarks ~full
-  | [ "superpeers" ] -> run_superpeers ~full
-  | [ "churn" ] -> run_churn ~full
-  | [ "truncate" ] -> run_truncate ~full
-  | [ "setup-delay" ] -> run_setup_delay ~full
-  | [ "metric" ] -> run_metric ~full
-  | [ "streaming" ] -> run_streaming ~full
-  | [ "stretch" ] -> run_stretch ~full
-  | [ "maintenance" ] -> run_maintenance ~full
-  | [ "topologies" ] -> run_topology_sensitivity ~full
-  | [ "registry" ] -> run_registry ~full ~sweep_max
-  | [ "obs" ] -> run_obs ~full
-  | [ "dht" ] -> run_dht ~full
-  | [ "inflation" ] -> run_inflation ~full
-  | [ "bulk" ] -> run_bulk ~full
-  | [ "joining" ] -> run_joining ~full
-  | [ "resilience" ] -> run_resilience ~full
-  | [ "load" ] -> run_load ~full
-  | [ "wire" ] -> run_wire ~full
-  | [ "health" ] -> run_health ~full
-  (* `regress [FILE...]` gates only the named BENCH files (default: all) —
-     the CI scale job regenerates and judges just BENCH_registry.json. *)
-  | "regress" :: onlys ->
-      let pairs =
-        match onlys with
-        | [] -> regress_pairs
-        | _ ->
-            List.iter
-              (fun f ->
-                if not (List.mem_assoc f regress_pairs) then begin
-                  Printf.eprintf "regress: unknown bench file %S (known: %s)\n" f
-                    (String.concat " " (List.map fst regress_pairs));
-                  exit 1
-                end)
-              onlys;
-            List.filter (fun (file, _) -> List.mem file onlys) regress_pairs
-      in
-      run_regress ~baseline_dir ~update ~pairs
+  (try Arg.parse_argv Sys.argv (Arg.align specs) (fun a -> args := a :: !args) usage with
+  | Arg.Help msg ->
+      print_string msg;
+      exit 0
+  | Arg.Bad msg ->
+      prerr_string msg;
+      exit 1);
+  match List.rev !args with
+  | [] -> List.iter (fun (_, run) -> run ~full:!full) experiments
+  | "regress" :: files -> run_regress ~baseline_dir:!baseline_dir ~update:!update files
+  | [ name ] when List.mem_assoc name experiments -> (List.assoc name experiments) ~full:!full
   | other ->
-      Printf.eprintf
-        "unknown bench %S; available: micro fig2 complexity landmarks superpeers churn truncate \
-         setup-delay metric streaming stretch maintenance topologies registry obs dht inflation \
-         bulk joining resilience load wire health regress [--full]\n"
-        (String.concat " " other);
+      Printf.eprintf "unknown bench %S; available: %s regress [--full]\n" (String.concat " " other)
+        names;
       exit 1

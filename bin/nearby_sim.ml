@@ -621,8 +621,8 @@ let load_cmd =
 let registry_cmd =
   let backend_arg =
     let doc =
-      "Registry backend(s) to exercise: $(b,tree), $(b,naive), $(b,dht), $(b,super), \
-       $(b,sharded:N), or $(b,all)."
+      "Registry backend(s) to exercise: $(b,tree), $(b,naive), $(b,dht), $(b,sharded:N), or \
+       $(b,all)."
     in
     Arg.(value & opt string "all" & info [ "backend" ] ~doc ~docv:"BACKEND")
   in

@@ -5,7 +5,6 @@ type spec =
   | Tree  (** The paper's path tree ({!Nearby.Path_tree}). *)
   | Naive  (** Exhaustive-scan strawman ({!Nearby.Naive_registry}). *)
   | Dht  (** Chord-distributed directory ({!Dht.Registry}). *)
-  | Super  (** Super-peer region store ({!Nearby.Super_peer.Registry}). *)
   | Sharded of { shards : int }
       (** Hash-partitioned path trees ({!Nearby.Sharded_registry}). *)
 
@@ -13,7 +12,6 @@ let to_string = function
   | Tree -> "tree"
   | Naive -> "naive"
   | Dht -> "dht"
-  | Super -> "super"
   | Sharded { shards } -> Printf.sprintf "sharded:%d" shards
 
 let of_string s =
@@ -21,7 +19,6 @@ let of_string s =
   | "tree" -> Ok Tree
   | "naive" -> Ok Naive
   | "dht" -> Ok Dht
-  | "super" -> Ok Super
   | "sharded" -> Ok (Sharded { shards = 4 })
   | spec -> (
       match String.index_opt spec ':' with
@@ -33,14 +30,13 @@ let of_string s =
               Error (Printf.sprintf "bad shard count %S (want sharded:N, N >= 1)" arg))
       | _ ->
           Error
-            (Printf.sprintf "unknown backend %S (expected tree, naive, dht, super or sharded:N)" s))
+            (Printf.sprintf "unknown backend %S (expected tree, naive, dht or sharded:N)" s))
 
 (* The sweep axis: every backend, sharded at the benchmark's default width. *)
-let all = [ Tree; Naive; Dht; Super; Sharded { shards = 4 } ]
+let all = [ Tree; Naive; Dht; Sharded { shards = 4 } ]
 
 let backend : spec -> (module Nearby.Registry_intf.S) = function
   | Tree -> (module Nearby.Path_tree)
   | Naive -> (module Nearby.Naive_registry)
   | Dht -> Dht.Registry.backend ()
-  | Super -> (module Nearby.Super_peer.Registry)
   | Sharded { shards } -> Nearby.Sharded_registry.make ~shards ()

@@ -66,6 +66,32 @@ let run config =
       })
     config.peer_counts
 
+let row_json r =
+  let num = Simkit.Json_str.number in
+  Simkit.Json_str.obj
+    [
+      ("n", string_of_int r.n);
+      ("d_over_dclosest", num r.ratio_proposed);
+      ("d_over_dclosest_ci", num r.ratio_proposed_ci);
+      ("drandom_over_dclosest", num r.ratio_random);
+      ("drandom_over_dclosest_ci", num r.ratio_random_ci);
+      ("hit_ratio", num r.hit_proposed);
+    ]
+
+(* The paper's reading: D/Dclosest low (~1.1-1.2) and flat across n, and
+   always below the random selection's ratio. *)
+let gates rows =
+  Regression.(
+    List.map
+      (fun r -> gate (Printf.sprintf "fig2/%d/d_over_dclosest" r.n) r.ratio_proposed Lower_better 0.05)
+      rows
+    @ [
+        flag "fig2/d_over_dclosest_in_1.0_1.3"
+          (List.for_all (fun r -> r.ratio_proposed >= 1.0 && r.ratio_proposed <= 1.3) rows);
+        flag "fig2/random_above_proposed"
+          (List.for_all (fun r -> r.ratio_random > r.ratio_proposed) rows);
+      ])
+
 let print rows =
   print_endline "fig2: neighbor-set quality vs population size";
   print_endline "  (paper: D/Dclosest ~1.1-1.2 and flat; Drandom/Dclosest ~2.2-2.4 and noisy)";

@@ -29,6 +29,14 @@ type row = {
 }
 
 val run : config -> row list
+val row_json : row -> string
+(** One row as a JSON object (the ["rows"] of BENCH_fig2.json). *)
+
+val gates : row list -> Regression.gate list
+(** Per n, D/Dclosest (lower is better, 0.05), plus two exact flags: every
+    D/Dclosest lies in [1.0, 1.3] (paper ~1.1–1.2), and Drandom/Dclosest
+    exceeds D/Dclosest at every n. *)
+
 val print : row list -> unit
 (** Table plus an ASCII rendering of the two series, matching the paper's
     axes. *)

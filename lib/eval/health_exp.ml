@@ -251,6 +251,32 @@ let result_json (r : result) =
     (fl r.report_age_p90_ms) (fl r.report_age_p99_ms) (fl r.report_age_oldest_ms)
     r.refresh_total (fl r.refresh_rate_hz) r.final_divergent r.converged
 
+let gates (r : result) =
+  Regression.
+    [
+      gate "health/completion_rate" r.completion_rate Higher_better 0.02;
+      (* Structural: the loss burst produces a detected divergence episode,
+         every episode closes, and anti-entropy pays for real repairs while
+         the digest gate saves transfers on the healthy rounds. *)
+      flag "health/divergence_detected" (r.divergence_episodes > 0);
+      flag "health/episodes_closed" (r.divergence_episodes = r.convergence_episodes);
+      flag "health/converged" r.converged;
+      gate "health/detection_latency_ms" r.detection_latency_ms Lower_better 0.5;
+      gate "health/lag_p50_ms" r.lag_p50_ms Lower_better 0.5;
+      gate "health/report_age_p50_ms" r.report_age_p50_ms Lower_better 0.25;
+      flag "health/digest_gate_saves_transfers" (r.sync_skipped > 0);
+      flag "health/check_read_divergent" (r.checks_divergent >= 1);
+      flag "health/replica_diverged" (r.max_divergent_replicas >= 1);
+      flag "health/lag_per_episode" (r.lag_count = r.divergence_episodes);
+      flag "health/straggler_restored" (r.sync_restores >= 1);
+      flag "health/snapshot_bytes_on_wire" (r.snapshot_wire_bytes > 0);
+      flag "health/refreshes_cover_joins" (r.refresh_total >= r.completed);
+      flag "health/report_age_ordered"
+        (0.0 <= r.report_age_p50_ms
+        && r.report_age_p50_ms <= r.report_age_p99_ms
+        && r.report_age_p99_ms <= r.report_age_oldest_ms);
+    ]
+
 let print (r : result) =
   Printf.printf "Health: joins=%d completed=%d episodes=%d converged=%b\n" r.joins r.completed
     r.divergence_episodes r.converged;

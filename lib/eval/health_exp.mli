@@ -76,4 +76,12 @@ val result_json : result -> string
 (** The result as one JSON object (the ["health"] section of
     BENCH_health.json). *)
 
+val gates : result -> Regression.gate list
+(** Completion rate (0.02), detection latency and lag p50 (0.5 —
+    poll-period quantized), report age p50 (0.25), and exact structural
+    bits: divergence detected and every episode closed with one lag
+    sample, the run reconverged, the digest gate saved transfers, real
+    drift paid for snapshot restores, refreshes cover the joins, and the
+    report-age quantiles are ordered. *)
+
 val print : result -> unit

@@ -307,6 +307,20 @@ let result_json (r : result) =
     (fl r.join_p99_ms) (fl r.wait_p50_ms) (fl r.wait_p99_ms) r.max_queue_depth r.slo_budget_ms
     r.p99_within_budget r.slo_sheds_opened r.leaves r.handovers r.final_peers
 
+let gates (r : result) =
+  let key = Printf.sprintf "load/%s/%s/%s" r.arrival r.policy in
+  Regression.
+    [
+      gate (key "completion_rate") r.completion_rate Higher_better 0.02;
+      gate (key "join_p99_ms") r.join_p99_ms Lower_better 0.15;
+      gate (key "goodput_per_s") r.goodput_per_s Higher_better 0.1;
+      gate (key "shed_fraction") r.shed_fraction Lower_better 0.2;
+      (* The headline bit: under the flash crowd the SLO shedder holds the
+         admitted p99 inside the budget, drop-tail does not. *)
+      flag (key "p99_within_budget") r.p99_within_budget;
+      flag (key "sheds_when_saturated") (r.saturation > 1.0 = (r.shed_fraction > 0.0));
+    ]
+
 let print (r : result) =
   Printf.printf "Load: arrival=%s policy=%s saturation=%.2fx\n" r.arrival r.policy r.saturation;
   Prelude.Table.print

@@ -103,4 +103,9 @@ val run_instrumented : config -> result * artifacts
 val run : config -> result
 
 val result_json : result -> string
+val gates : result -> Regression.gate list
+(** Per arrival × policy: completion rate (0.02), admitted-join p99 in
+    simulated ms (0.15), goodput (0.1), shed fraction (0.2), and exact
+    [p99_within_budget] and sheds-iff-saturated bits. *)
+
 val print : result -> unit

@@ -1,0 +1,118 @@
+(* The gates of the registry and obs bench sections.  bench/main.ml
+   measures the rows; the gate decision lives here so a test reaches the
+   same list the emitter writes. *)
+
+open Regression
+
+type row = { spec : Backends.spec; insert_ops : float; query_ops : float; identical : bool }
+
+type sweep_row = {
+  sw_n : int;
+  sw_spec : Backends.spec;
+  sw_insert_ops : float;
+  sw_query_ops : float;
+  sw_members : int;
+  sw_bytes : int;
+  sw_identical : bool;
+}
+
+type obs_row = {
+  o_spec : Backends.spec;
+  insert_ns : Simkit.Trace.summary;
+  query_ns : Simkit.Trace.summary;
+  insert_exemplars : int;
+  query_exemplars : int;
+  introspect : Nearby.Registry_intf.introspection;
+}
+
+let rel_tree ?(skip = fun _ -> None) key direction tolerance rows =
+  match List.assoc_opt Backends.Tree rows with
+  | None -> invalid_arg "Registry_gates.rel_tree: no tree row"
+  | Some tree ->
+      List.filter_map
+        (fun (spec, v) ->
+          if spec = Backends.Tree then None
+          else
+            Some
+              (gate ?skip:(skip spec) (key (Backends.to_string spec)) (v /. tree) direction
+                 tolerance))
+        rows
+
+(* A sharded backend's query scatters over a pool of domains: on a machine
+   with fewer domains than shards it measures the pool's contention, not
+   the backend. *)
+let sharded_skip ~domains = function
+  | Backends.Sharded { shards } when domains < shards ->
+      Some (Printf.sprintf "%d domains < %d shards" domains shards)
+  | _ -> None
+
+(* Per sweep point: exact structural gates (member counts, cross-backend
+   answer equivalence), bytes/member (a pure allocation count, so it needs
+   no normalization, only slack for rounding) and sharded query throughput
+   relative to the tree of the same point.  Points above 100k members are
+   not gated: CI sweeps to 100k, and a gate present in the baseline but
+   missing from the current document fails by design. *)
+let sweep ~query_skip rows =
+  List.sort_uniq compare (List.map (fun r -> r.sw_n) rows)
+  |> List.filter (fun n -> n <= 100_000)
+  |> List.concat_map (fun n ->
+         let at_n = List.filter (fun r -> r.sw_n = n) rows in
+         let key b metric = Printf.sprintf "registry/sweep/%d/%s/%s" n b metric in
+         rel_tree ~skip:query_skip
+           (fun b -> key b "query_rel_tree")
+           Higher_better 0.5
+           (List.map (fun r -> (r.sw_spec, r.sw_query_ops)) at_n)
+         @ List.concat_map
+             (fun r ->
+               let key = key (Backends.to_string r.sw_spec) in
+               [
+                 flag (key "answers_identical") r.sw_identical;
+                 exact (key "members") (float_of_int r.sw_members);
+                 gate (key "bytes_per_member")
+                   (float_of_int r.sw_bytes /. Float.max 1.0 (float_of_int r.sw_members))
+                   Lower_better 0.5;
+               ])
+             at_n)
+
+(* Throughput relative to the tree backend of the same run, plus the
+   answers-identical invariant. *)
+let registry ~domains rows sweep_rows =
+  let query_skip = sharded_skip ~domains in
+  let column f = List.map (fun r -> (r.spec, f r)) rows in
+  rel_tree (Printf.sprintf "registry/%s/insert_rel_tree") Higher_better 0.6
+    (column (fun r -> r.insert_ops))
+  @ rel_tree ~skip:query_skip (Printf.sprintf "registry/%s/query_rel_tree") Higher_better 0.6
+      (column (fun r -> r.query_ops))
+  @ List.map
+      (fun r ->
+        flag (Printf.sprintf "registry/%s/answers_identical" (Backends.to_string r.spec)) r.identical)
+      rows
+  @ sweep ~query_skip sweep_rows
+
+(* p99 relative to the tree backend: tails are the noisiest numbers
+   gated, hence the widest tolerance.  Exemplars must be present (the
+   trace-id tagging path stays wired up) and the introspection counts,
+   the sketch error and the simulated-clock fleet view are deterministic
+   in the seed. *)
+let obs ~sketch_max_err ~sketch_within ~(fleet : Fleet_obs.result) ~fleet_completion ~fleet_within
+    rows =
+  let p99 (pick : obs_row -> Simkit.Trace.summary) = List.map (fun r -> (r.o_spec, (pick r).p99)) rows in
+  rel_tree (Printf.sprintf "obs/%s/insert_p99_rel_tree") Lower_better 1.5 (p99 (fun r -> r.insert_ns))
+  @ rel_tree (Printf.sprintf "obs/%s/query_p99_rel_tree") Lower_better 1.5 (p99 (fun r -> r.query_ns))
+  @ List.concat_map
+      (fun r ->
+        let key = Printf.sprintf "obs/%s/%s" (Backends.to_string r.o_spec) in
+        [
+          flag (key "exemplars_present") (r.insert_exemplars > 0 && r.query_exemplars > 0);
+          exact (key "introspect_members") (float_of_int r.introspect.members);
+          exact (key "introspect_routers") (float_of_int r.introspect.routers);
+        ])
+      rows
+  @ [
+      flag "obs/sketch/within_bound" sketch_within;
+      gate "obs/sketch/max_rel_err" sketch_max_err Lower_better 0.5;
+      gate "obs/fleet/completion_rate" fleet_completion Higher_better 0.02;
+      gate "obs/fleet/merged_p99_ms" fleet.fleet_join_p99_ms Lower_better 0.15;
+      flag "obs/fleet/within_bound" fleet_within;
+      gate "obs/fleet/shard_skew" fleet.shard_skew Lower_better 0.5;
+    ]

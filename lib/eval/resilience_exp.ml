@@ -316,6 +316,17 @@ let result_json (r : result) =
     r.dropped_loss r.dropped_unreachable r.dropped_partition
     (String.concat ", " (List.map Simkit.Json_str.quote r.slo_breaches))
 
+(* Deterministic in the seed (simulated clock, no wall time), so the
+   tolerances are tight. *)
+let gates (r : result) =
+  let key = Printf.sprintf "resilience/%s/r%d/%s" r.scenario r.replicas in
+  Regression.
+    [
+      gate (key "completion_rate") r.completion_rate Higher_better 0.02;
+      gate (key "join_p99_ms") r.join_p99_ms Lower_better 0.15;
+      flag (key "consistent") r.consistent;
+    ]
+
 let print (r : result) =
   Printf.printf "Resilience: scenario=%s replicas=%d loss=%.2f\n" r.scenario r.replicas r.loss;
   Prelude.Table.print

@@ -104,4 +104,8 @@ val run_instrumented : ?spans:Simkit.Span.sink -> config -> result * artifacts
 val result_json : result -> string
 (** One JSON object (no trailing newline). *)
 
+val gates : result -> Regression.gate list
+(** Completion rate (0.02), join p99 in simulated ms (0.15) and the
+    consistency bit (exact), keyed by scenario and replica count. *)
+
 val print : result -> unit

@@ -289,6 +289,32 @@ let result_json (r : result) =
     r.singleton_report_bytes r.batch_joins r.batch_completed r.batch_report_bytes
     (fl r.batch_saving_ratio) (fl r.batch_bytes_per_join) r.accounted
 
+(* Byte counts on the simulated wire are pure functions of the seed, so
+   everything gates tightly and the structural bits exactly. *)
+let gates (r : result) =
+  let moved kind = List.exists (fun (k : kind_row) -> k.kind = kind && k.bytes > 0) r.kinds in
+  Regression.(
+    [
+      gate "wire/completion_rate" r.completion_rate Higher_better 0.02;
+      gate "wire/bytes_per_join" r.bytes_per_join Lower_better 0.1;
+      gate "wire/bytes_per_query" r.bytes_per_query Lower_better 0.1;
+      exact "wire/replication_amplification" r.replication_amplification;
+      gate "wire/snapshot_bytes_per_join"
+        (float_of_int r.snapshot_bytes /. Float.max 1.0 (float_of_int r.joins))
+        Lower_better 0.5;
+      gate "wire/batch_saving_ratio" r.batch_saving_ratio Higher_better 0.05;
+      flag "wire/batch_saves_bytes" (r.batch_saving_ratio > 1.0);
+      flag "wire/accounted" r.accounted;
+      flag "wire/loss_burst_dropped_bytes" (r.dropped_loss_bytes > 0);
+      flag "wire/top_talkers_tallied" (r.top_talkers <> []);
+    ]
+    (* Every kind the protocol speaks moves bytes in one run: reports and
+       queries from the joins, replies back, retries and snapshots from the
+       loss burst, fd probes from the replica heartbeats. *)
+    @ List.map
+        (fun kind -> flag (Printf.sprintf "wire/%s/moved_bytes" kind) (moved kind))
+        [ "path_report"; "query"; "reply"; "retry"; "snapshot"; "fd_probe" ])
+
 let print (r : result) =
   Printf.printf "Wire: joins=%d completed=%d accounted=%b\n" r.joins r.completed r.accounted;
   Prelude.Table.print

@@ -85,4 +85,11 @@ val result_json : result -> string
 (** The result as one JSON object (the ["wire"] section of
     BENCH_wire.json). *)
 
+val gates : result -> Regression.gate list
+(** Bytes/join and bytes/query (0.1), snapshot repair bytes per join
+    (0.5), the batching saving ratio (0.05), and exact structural bits:
+    accounting reconciles, amplification equals the committed value,
+    batching saves upload bytes, the loss burst drops bytes, endpoints are
+    tallied, and each of the six message kinds moves bytes. *)
+
 val print : result -> unit

@@ -3,7 +3,7 @@
    [make] wraps a packed [Registry_intf.S] so every insert/remove/query is
    timed with a monotonic-enough wall clock and folded into a shared
    [Simkit.Trace] under uniform stream names — the same names for [tree],
-   [naive], [dht], [super] and [sharded:N], which is what lets the metrics
+   [naive], [dht] and [sharded:N], which is what lets the metrics
    exporter and `bench obs` report identical per-backend latency quantiles.
 
    With a span sink attached, every operation additionally becomes one

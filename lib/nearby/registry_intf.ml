@@ -1,9 +1,9 @@
 (* The one seam every registry backend plugs into.
 
    The paper's contribution is a server data structure for "store recorded
-   paths, answer k-nearest"; the repo grew four divergent implementations
-   of that contract (path tree, naive scan, super-peer region store, DHT
-   directory) plus a sharded composite.  This module type is the shared
+   paths, answer k-nearest"; the repo grew three divergent implementations
+   of that contract (path tree, naive scan, DHT directory) plus a sharded
+   composite.  This module type is the shared
    surface: the server, the experiments, the CLI and the benchmarks all
    talk to a first-class [(module S)] instead of a concrete backend, so a
    new backend (batching, caching, async, ...) is one module away.

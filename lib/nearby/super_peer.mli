@@ -10,12 +10,6 @@
     the same data structure), so the experiment's interest is the {e load
     split} across super-peers and the lost cross-tree top-up. *)
 
-module Registry : Registry_intf.S
-(** A region's store: one {!Path_tree} plus the join/query load counters a
-    delegated super-peer reports ([backend_name] is ["super"]; [stats]
-    includes ["joins_handled"] and ["queries_handled"]).  Usable standalone
-    as a registry backend through the shared seam. *)
-
 type t
 
 type region_load = {

@@ -66,169 +66,209 @@ let test_json_roundtrips_own_exporters () =
 
 (* --- Regression gate --------------------------------------------------- *)
 
-let registry_doc ~dht_query =
-  parse_exn
-    (Printf.sprintf
-       {| {"backends": [
-            {"backend": "tree", "insert_ops_per_s": 1000.0, "query_ops_per_s": 2000.0,
-             "answers_identical": true},
-            {"backend": "dht", "insert_ops_per_s": 500.0, "query_ops_per_s": %g,
-             "answers_identical": true}
-          ]} |}
-       dht_query)
+module R = Eval.Regression
+
+(* Gates travel through a document: written by the emitter, read back by
+   the comparator. *)
+let through_document gates =
+  match
+    R.of_document (parse_exn (Simkit.Export.bench_json [ ("gates", R.to_json gates) ]))
+  with
+  | Ok gates -> gates
+  | Error e -> Alcotest.fail e
+
+let compare ~baseline ~current =
+  R.compare_gates ~baseline:(through_document baseline) ~current:(through_document current)
+
+let names = List.map (fun (c : R.comparison) -> c.name)
+let failed ~baseline ~current = names (R.failures (compare ~baseline ~current))
+
+(* The registry emitter's gates, from its typed rows, on a machine with
+   domains to spare unless told otherwise. *)
+module G = Eval.Registry_gates
+
+let row ?(identical = true) spec insert_ops query_ops = { G.spec; insert_ops; query_ops; identical }
+
+let sweep_row n spec query_ops =
+  {
+    G.sw_n = n;
+    sw_spec = spec;
+    sw_insert_ops = 1000.0;
+    sw_query_ops = query_ops;
+    sw_members = n;
+    sw_bytes = 100 * n;
+    sw_identical = true;
+  }
+
+let registry ?identical ~dht_query () =
+  G.registry ~domains:8
+    [ row Eval.Backends.Tree 1000.0 2000.0; row ?identical Eval.Backends.Dht 500.0 dht_query ]
+    []
 
 let test_gate_passes_identical () =
-  let doc = registry_doc ~dht_query:1000.0 in
-  let metrics = Eval.Regression.registry_metrics doc in
-  let comparisons = Eval.Regression.compare_metrics ~baseline:metrics ~current:metrics in
-  Alcotest.(check int) "no failures" 0 (List.length (Eval.Regression.failures comparisons))
+  let gates = registry ~dht_query:1000.0 () in
+  Alcotest.(check (list string)) "no failures" [] (failed ~baseline:gates ~current:gates)
 
 let test_gate_normalizes_to_tree () =
-  (* Both backends 2x slower in absolute terms: relative metrics are
+  (* Both backends 2x slower in absolute terms: relative gates are
      unchanged, so a slower CI machine does not fail the gate. *)
-  let baseline = Eval.Regression.registry_metrics (registry_doc ~dht_query:1000.0) in
   let scaled =
-    parse_exn
-      {| {"backends": [
-           {"backend": "tree", "insert_ops_per_s": 500.0, "query_ops_per_s": 1000.0,
-            "answers_identical": true},
-           {"backend": "dht", "insert_ops_per_s": 250.0, "query_ops_per_s": 500.0,
-            "answers_identical": true}
-         ]} |}
+    G.registry ~domains:8
+      [ row Eval.Backends.Tree 500.0 1000.0; row Eval.Backends.Dht 250.0 500.0 ]
+      []
   in
-  let current = Eval.Regression.registry_metrics scaled in
-  let comparisons = Eval.Regression.compare_metrics ~baseline ~current in
-  Alcotest.(check int) "machine speed cancels" 0
-    (List.length (Eval.Regression.failures comparisons))
+  Alcotest.(check (list string)) "machine speed cancels" []
+    (failed ~baseline:(registry ~dht_query:1000.0 ()) ~current:scaled)
 
 let test_gate_catches_relative_regression () =
-  let baseline = Eval.Regression.registry_metrics (registry_doc ~dht_query:1000.0) in
   (* dht query throughput drops 80% relative to tree — beyond the 60%
      tolerance. *)
-  let current = Eval.Regression.registry_metrics (registry_doc ~dht_query:200.0) in
-  let failures =
-    Eval.Regression.failures (Eval.Regression.compare_metrics ~baseline ~current)
-  in
-  Alcotest.(check (list string)) "exactly the degraded metric"
+  Alcotest.(check (list string)) "exactly the degraded gate"
     [ "registry/dht/query_rel_tree" ]
-    (List.map (fun (c : Eval.Regression.comparison) -> c.name) failures)
+    (failed ~baseline:(registry ~dht_query:1000.0 ()) ~current:(registry ~dht_query:200.0 ()))
 
 let test_gate_fails_on_flipped_invariant () =
-  let baseline = Eval.Regression.registry_metrics (registry_doc ~dht_query:1000.0) in
-  let broken =
-    parse_exn
-      {| {"backends": [
-           {"backend": "tree", "insert_ops_per_s": 1000.0, "query_ops_per_s": 2000.0,
-            "answers_identical": true},
-           {"backend": "dht", "insert_ops_per_s": 500.0, "query_ops_per_s": 1000.0,
-            "answers_identical": false}
-         ]} |}
-  in
-  let failures =
-    Eval.Regression.failures
-      (Eval.Regression.compare_metrics ~baseline
-         ~current:(Eval.Regression.registry_metrics broken))
-  in
-  Alcotest.(check bool) "exact boolean gates" true
-    (List.exists
-       (fun (c : Eval.Regression.comparison) -> c.name = "registry/dht/answers_identical")
-       failures)
+  Alcotest.(check (list string)) "exact boolean gates"
+    [ "registry/dht/answers_identical" ]
+    (failed ~baseline:(registry ~dht_query:1000.0 ())
+       ~current:(registry ~identical:false ~dht_query:1000.0 ()))
 
 let test_gate_fails_on_missing_metric () =
-  let baseline = Eval.Regression.registry_metrics (registry_doc ~dht_query:1000.0) in
-  let shrunk =
-    parse_exn
-      {| {"backends": [
-           {"backend": "tree", "insert_ops_per_s": 1000.0, "query_ops_per_s": 2000.0,
-            "answers_identical": true}
-         ]} |}
-  in
+  let shrunk = G.registry ~domains:8 [ row Eval.Backends.Tree 1000.0 2000.0 ] [] in
   let failures =
-    Eval.Regression.failures
-      (Eval.Regression.compare_metrics ~baseline
-         ~current:(Eval.Regression.registry_metrics shrunk))
+    R.failures (compare ~baseline:(registry ~dht_query:1000.0 ()) ~current:shrunk)
   in
-  Alcotest.(check int) "every dht metric missing fails" 3 (List.length failures);
+  Alcotest.(check int) "every dht gate missing fails" 3 (List.length failures);
   List.iter
-    (fun (c : Eval.Regression.comparison) ->
-      Alcotest.(check bool) "flagged as missing" true (c.current = None))
+    (fun (c : R.comparison) ->
+      Alcotest.(check bool) "flagged as missing" true (c.current = None && c.status = Fail "missing"))
     failures
 
-(* A sharded:4 query measured on a machine with fewer domains than shards
-   is skipped with its reason, never silently passed; with enough domains
-   (or none recorded) the same collapse fails as it should. *)
+(* A sharded:4 query measured with fewer domains than shards is skipped
+   with its reason, never silently passed, in the backends row and in the
+   sweep; with enough domains the same collapse fails as it should.  Sweep
+   points above 100k members are not gated. *)
 let test_gate_skips_sharded_query_below_shard_count () =
-  let doc ~domains ~sharded_query =
-    parse_exn
-      (Printf.sprintf
-         {| {"meta": {"domains": %d},
-             "backends": [
-               {"backend": "tree", "insert_ops_per_s": 1000.0, "query_ops_per_s": 2000.0,
-                "answers_identical": true},
-               {"backend": "sharded:4", "insert_ops_per_s": 900.0, "query_ops_per_s": %g,
-                "answers_identical": true}
-             ],
-             "sweep": [
-               {"n": 10000, "backend": "tree", "query_ops_per_s": 2000.0,
-                "answers_identical": true, "members": 10000, "approx_bytes": 4000000},
-               {"n": 10000, "backend": "sharded:4", "query_ops_per_s": %g,
-                "answers_identical": true, "members": 10000, "approx_bytes": 4000000}
-             ]} |}
-         domains sharded_query sharded_query)
+  let sharded = Eval.Backends.Sharded { shards = 4 } in
+  let gates ~domains query =
+    G.registry ~domains
+      [ row Eval.Backends.Tree 1000.0 2000.0; row sharded 900.0 query ]
+      (List.concat_map
+         (fun n -> [ sweep_row n Eval.Backends.Tree 2000.0; sweep_row n sharded query ])
+         [ 10_000; 1_000_000 ])
   in
-  let baseline = Eval.Regression.registry_metrics (doc ~domains:8 ~sharded_query:2000.0) in
-  let compare domains =
-    Eval.Regression.compare_metrics ~baseline
-      ~current:(Eval.Regression.registry_metrics (doc ~domains ~sharded_query:300.0))
-  in
-  let names = List.map (fun (c : Eval.Regression.comparison) -> c.name) in
-  let gates =
+  let baseline = gates ~domains:8 2000.0 in
+  let compare domains = compare ~baseline ~current:(gates ~domains 300.0) in
+  let query_gates =
     [ "registry/sharded:4/query_rel_tree"; "registry/sweep/10000/sharded:4/query_rel_tree" ]
   in
   let on_two = compare 2 in
-  Alcotest.(check (list string)) "no failure on 2 domains" []
-    (names (Eval.Regression.failures on_two));
-  Alcotest.(check (list string)) "both query gates skipped" gates
-    (names
-       (List.filter
-          (fun (c : Eval.Regression.comparison) ->
-            c.status = Eval.Regression.Skipped "meta.domains 2 < 4 shards")
-          on_two));
-  Alcotest.(check (list string)) "gated on 4 domains" gates
-    (names (Eval.Regression.failures (compare 4)))
+  Alcotest.(check (list string)) "no failure on 2 domains" [] (names (R.failures on_two));
+  Alcotest.(check (list string)) "query gates skipped" query_gates
+    (names (List.filter (fun (c : R.comparison) -> c.status = Skipped "2 domains < 4 shards") on_two));
+  Alcotest.(check (list string)) "gated on 4 domains" query_gates (names (R.failures (compare 4)));
+  Alcotest.(check bool) "no 1M sweep gate" false
+    (List.exists (fun (g : R.gate) -> String.starts_with ~prefix:"registry/sweep/1000000/" g.name)
+       baseline)
+
+let resilience_result : Eval.Resilience_exp.result =
+  {
+    scenario = "crash-primary";
+    replicas = 3;
+    loss = 0.0;
+    joins = 100;
+    completed = 100;
+    failed = 0;
+    completion_rate = 1.0;
+    join_p50_ms = 60.0;
+    join_p99_ms = 120.5;
+    rpc_attempts = 110;
+    rpc_retries = 10;
+    rpc_timeouts = 10;
+    rpc_gave_up = 0;
+    suspicions = 1;
+    sync_rounds = 5;
+    recovery_ms = Some 900.0;
+    consistent = true;
+    live_peer_counts = [ 100; 100 ];
+    dropped_loss = 0;
+    dropped_unreachable = 10;
+    dropped_partition = 0;
+    slo_breaches = [];
+  }
 
 let test_resilience_metrics_shape () =
-  let doc =
-    parse_exn
-      {| {"runs": [
-           {"scenario": "crash-primary", "replicas": 3, "completion_rate": 1.0,
-            "join_p99_ms": 120.5, "consistent": true}
-         ]} |}
-  in
-  let metrics = Eval.Regression.resilience_metrics doc in
+  let gates r = Eval.Resilience_exp.gates r in
   Alcotest.(check (list string)) "per scenario x replicas keys"
     [
       "resilience/crash-primary/r3/completion_rate";
       "resilience/crash-primary/r3/join_p99_ms";
       "resilience/crash-primary/r3/consistent";
     ]
-    (List.map (fun (m : Eval.Regression.metric) -> m.name) metrics);
+    (List.map (fun (g : R.gate) -> g.name) (gates resilience_result));
   (* join_p99 is Lower_better: a 10% slowdown sits inside the 15% band,
      a 30% one does not. *)
-  let bump f =
-    List.map
-      (fun (m : Eval.Regression.metric) ->
-        if m.name = "resilience/crash-primary/r3/join_p99_ms" then
-          { m with Eval.Regression.value = m.value *. f }
-        else m)
-      metrics
+  let slower f = gates { resilience_result with join_p99_ms = resilience_result.join_p99_ms *. f } in
+  let baseline = gates resilience_result in
+  Alcotest.(check int) "10%% slower passes" 0 (List.length (failed ~baseline ~current:(slower 1.10)));
+  Alcotest.(check int) "30%% slower fails" 1 (List.length (failed ~baseline ~current:(slower 1.30)))
+
+let test_gates_round_trip () =
+  let gates =
+    R.
+      [
+        gate "a/higher" 1234.5 Higher_better 0.6;
+        gate ~skip:"2 domains < 4 shards" "a/skipped" 0.25 Higher_better 0.5;
+        gate "a/lower" 0.125 Lower_better 1.5;
+        flag "a/flag" true;
+        exact "a/members" 100000.0;
+      ]
   in
-  let failures current =
-    List.length
-      (Eval.Regression.failures (Eval.Regression.compare_metrics ~baseline:metrics ~current))
+  Alcotest.(check bool) "read back equal" true (through_document gates = gates)
+
+(* A burst that causes no detectable divergence leaves the detection
+   latency nan, written as null: that gate fails with its reason, and
+   nothing raises. *)
+let test_null_gate_value_fails () =
+  let result : Eval.Health_exp.result =
+    {
+      joins = 1200;
+      completed = 1200;
+      failed = 0;
+      completion_rate = 1.0;
+      digest_checks = 60;
+      checks_consistent = 50;
+      checks_divergent = 10;
+      divergence_episodes = 2;
+      convergence_episodes = 2;
+      max_divergent_replicas = 2;
+      detection_latency_ms = 250.0;
+      lag_count = 2;
+      lag_p50_ms = 742.0;
+      lag_max_ms = 900.0;
+      sync_rounds = 10;
+      sync_restores = 4;
+      sync_skipped = 16;
+      sync_bytes = 4096;
+      snapshot_wire_bytes = 5000;
+      report_age_p50_ms = 15_000.0;
+      report_age_p90_ms = 20_000.0;
+      report_age_p99_ms = 25_000.0;
+      report_age_oldest_ms = 26_000.0;
+      refresh_total = 3000;
+      refresh_rate_hz = 160.0;
+      final_divergent = 0;
+      converged = true;
+    }
   in
-  Alcotest.(check int) "10%% slower passes" 0 (failures (bump 1.10));
-  Alcotest.(check int) "30%% slower fails" 1 (failures (bump 1.30))
+  let comparisons =
+    compare ~baseline:(Eval.Health_exp.gates result)
+      ~current:(Eval.Health_exp.gates { result with detection_latency_ms = Float.nan })
+  in
+  Alcotest.(check (list string)) "one failing gate" [ "health/detection_latency_ms" ]
+    (names (R.failures comparisons));
+  Alcotest.(check bool) "with its reason" true
+    (List.exists (fun (c : R.comparison) -> c.status = Fail "not a finite number") comparisons)
 
 let suite =
   ( "regression-gate",
@@ -245,4 +285,6 @@ let suite =
       Alcotest.test_case "resilience tolerances" `Quick test_resilience_metrics_shape;
       Alcotest.test_case "sharded query skipped below shard count" `Quick
         test_gate_skips_sharded_query_below_shard_count;
+      Alcotest.test_case "gates round-trip through a document" `Quick test_gates_round_trip;
+      Alcotest.test_case "null gate value fails, no exception" `Quick test_null_gate_value_fails;
     ] )
