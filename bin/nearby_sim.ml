@@ -937,7 +937,14 @@ let verify_cmd =
         done;
         match Nearby.Server.restore oracle (Nearby.Server.snapshot server) with
         | Ok restored ->
-            assert (Nearby.Server.peer_count restored = Nearby.Server.peer_count server)
+            Nearby.Server.check_invariants restored;
+            assert (Nearby.Server.peer_count restored = Nearby.Server.peer_count server);
+            assert (Int64.equal (Nearby.Server.digest restored) (Nearby.Server.digest server));
+            for peer = 0 to 30 do
+              assert (
+                Nearby.Server.neighbors restored ~peer ~k:4
+                = Nearby.Server.neighbors server ~peer ~k:4)
+            done
         | Error e -> failwith e);
     check "chord + kademlia invariants and lookup consistency" (fun () ->
         let members = Array.init 48 (fun i -> 100 + (i * 13)) in

@@ -21,7 +21,6 @@ type t = {
   mutable lookups : int;
   mutable overlay_hops : int;
   mutable migrated : int;
-  mutable digest : int64;
   (* The requester-side entry point rotates round robin, as a real client
      would pick a random known ring member. *)
   mutable entry_cursor : int;
@@ -40,13 +39,11 @@ let create ?virtual_nodes ~landmark dht_nodes =
     lookups = 0;
     overlay_hops = 0;
     migrated = 0;
-    digest = Nearby.Registry_intf.empty_digest;
     entry_cursor = 0;
   }
 
 let landmark t = t.landmark
 let member_count t = Hashtbl.length t.paths
-let digest t = t.digest
 
 (* One DHT lookup for the bucket of [router]: route from a rotating entry
    member and account the overlay hops. *)
@@ -73,9 +70,6 @@ let insert t ~peer ~routers =
     invalid_arg "Directory.insert: path must end at the landmark";
   if Hashtbl.mem t.paths peer then invalid_arg "Directory.insert: peer already registered";
   Hashtbl.add t.paths peer (Array.copy routers);
-  t.digest <-
-    Nearby.Registry_intf.combine_digests t.digest
-      (Nearby.Registry_intf.entry_digest ~peer ~routers);
   Array.iteri
     (fun dist router ->
       let store = locate t router in
@@ -88,9 +82,6 @@ let remove t ~peer =
   | None -> raise Not_found
   | Some routers ->
       Hashtbl.remove t.paths peer;
-      t.digest <-
-        Nearby.Registry_intf.combine_digests t.digest
-          (Nearby.Registry_intf.entry_digest ~peer ~routers);
       Array.iteri
         (fun dist router ->
           let store = locate t router in
@@ -221,81 +212,7 @@ let check_invariants t =
                     fail "bucket of router %d has stale entry for peer %d" router peer)
             !b)
         store.buckets)
-    t.stores;
-  let recomputed =
-    Hashtbl.fold
-      (fun peer routers acc ->
-        Nearby.Registry_intf.combine_digests acc
-          (Nearby.Registry_intf.entry_digest ~peer ~routers))
-      t.paths Nearby.Registry_intf.empty_digest
-  in
-  if recomputed <> t.digest then
-    fail "incremental digest %Ld disagrees with recomputed %Ld" t.digest recomputed
-
-(* --- Persistence ------------------------------------------------------- *)
-
-let snapshot_version = 1
-
-let snapshot t =
-  let w = Prelude.Codec.Writer.create ~capacity:1024 () in
-  let open Prelude.Codec.Writer in
-  u8 w snapshot_version;
-  varint w t.landmark;
-  (match t.virtual_nodes with
-  | None -> bool w false
-  | Some v ->
-      bool w true;
-      varint w v);
-  list w (varint w) (List.sort compare (Array.to_list (Chord.members t.ring)));
-  let entries = Hashtbl.fold (fun peer path acc -> (peer, path) :: acc) t.paths [] in
-  list w
-    (fun (peer, routers) ->
-      varint w peer;
-      list w (varint w) (Array.to_list routers))
-    (List.sort compare entries);
-  contents w
-
-let restore data =
-  let open Prelude.Codec.Reader in
-  let ( let* ) = Result.bind in
-  let r = of_string data in
-  let result =
-    let* version = u8 r in
-    if version <> snapshot_version then
-      Error (Malformed (Printf.sprintf "unsupported registry snapshot version %d" version))
-    else
-      let* landmark = varint r in
-      let* has_virtual = bool r in
-      let* virtual_nodes =
-        if has_virtual then Result.map Option.some (varint r) else Ok None
-      in
-      let* members = list r varint in
-      let* entries =
-        list r (fun r ->
-            let* peer = varint r in
-            let* routers = list r varint in
-            Ok (peer, routers))
-      in
-      if not (is_exhausted r) then Error (Malformed "trailing bytes")
-      else Ok (landmark, virtual_nodes, members, entries)
-  in
-  match result with
-  | Error e -> Error (error_to_string e)
-  | Ok (landmark, virtual_nodes, members, entries) -> (
-      match create ?virtual_nodes ~landmark (Array.of_list members) with
-      | exception Invalid_argument msg -> Error msg
-      | t -> (
-          match
-            List.iter
-              (fun (peer, routers) -> insert t ~peer ~routers:(Array.of_list routers))
-              entries
-          with
-          | () ->
-              (* Rebuilding is not client traffic. *)
-              t.lookups <- 0;
-              t.overlay_hops <- 0;
-              Ok t
-          | exception Invalid_argument msg -> Error msg))
+    t.stores
 
 let reset_counters t =
   t.lookups <- 0;

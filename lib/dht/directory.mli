@@ -67,24 +67,11 @@ val approx_bytes : t -> int
 (** Rough payload size (paths + bucket entries) in bytes, excluding ring
     metadata; an estimate for cross-backend comparison. *)
 
-val digest : t -> int64
-(** Order-independent content digest over the registered paths (see
-    {!Nearby.Registry_intf.S.digest}); independent of the ring layout. *)
-
 val check_invariants : t -> unit
 (** Every bucket entry sits on the ring node owning its router key and is
     justified by a registered path, and vice versa.  Reads ownership
     directly (no lookup traffic is counted).  @raise Failure on
     violation. *)
-
-val snapshot : t -> string
-(** Ring configuration (members, virtual nodes) and registered paths in the
-    {!Prelude.Codec} binary format. *)
-
-val restore : string -> (t, string) result
-(** Rebuild the ring and re-insert every path, then zero the traffic
-    counters (rebuilding is not client traffic).  Corrupt input yields
-    [Error]. *)
 
 (** {1 Membership dynamics}
 

@@ -57,9 +57,6 @@ module Make (Config : CONFIG) : Nearby.Registry_intf.S with type t = Directory.t
     Nearby.Registry_intf.introspection_of_buckets ~members:(member_count t)
       ~approx_bytes:(Directory.approx_bytes t) (Directory.iter_buckets t)
 
-  let digest = Directory.digest
-  let snapshot = Directory.snapshot
-  let restore = Directory.restore
   let check_invariants = Directory.check_invariants
 end
 

@@ -123,9 +123,6 @@ let make ?(clock = default_clock) ?(spans = Simkit.Span.noop) ?labeled ~metrics
 
     let stats = B.stats
     let introspect = B.introspect
-    let digest = B.digest
-    let snapshot = B.snapshot
-    let restore = B.restore
     let check_invariants = B.check_invariants
   end)
 

@@ -1,14 +1,7 @@
-type t = {
-  landmark : Topology.Graph.node;
-  paths : (int, int array) Hashtbl.t;
-  mutable digest : int64;
-}
+type t = { landmark : Topology.Graph.node; paths : (int, int array) Hashtbl.t }
 
-let create ~landmark =
-  { landmark; paths = Hashtbl.create 64; digest = Registry_intf.empty_digest }
-
+let create ~landmark = { landmark; paths = Hashtbl.create 64 }
 let landmark t = t.landmark
-let digest t = t.digest
 let member_count t = Hashtbl.length t.paths
 let mem t peer = Hashtbl.mem t.paths peer
 let path_of t peer = Option.map Array.copy (Hashtbl.find_opt t.paths peer)
@@ -19,16 +12,11 @@ let insert t ~peer ~routers =
   if routers.(Array.length routers - 1) <> t.landmark then
     invalid_arg "Naive_registry.insert: path must end at the landmark";
   if Hashtbl.mem t.paths peer then invalid_arg "Naive_registry.insert: peer already registered";
-  Hashtbl.add t.paths peer (Array.copy routers);
-  t.digest <- Registry_intf.combine_digests t.digest (Registry_intf.entry_digest ~peer ~routers)
+  Hashtbl.add t.paths peer (Array.copy routers)
 
 let remove t peer =
-  match Hashtbl.find_opt t.paths peer with
-  | None -> raise Not_found
-  | Some routers ->
-      Hashtbl.remove t.paths peer;
-      t.digest <-
-        Registry_intf.combine_digests t.digest (Registry_intf.entry_digest ~peer ~routers)
+  if not (Hashtbl.mem t.paths peer) then raise Not_found;
+  Hashtbl.remove t.paths peer
 
 let dtree_paths a b =
   let la = Array.length a and lb = Array.length b in
@@ -102,56 +90,4 @@ let check_invariants t =
       if len = 0 then failwith (Printf.sprintf "peer %d has an empty path" peer);
       if path.(len - 1) <> t.landmark then
         failwith (Printf.sprintf "peer %d path does not end at the landmark" peer))
-    t.paths;
-  let recomputed =
-    Hashtbl.fold
-      (fun peer routers acc ->
-        Registry_intf.combine_digests acc (Registry_intf.entry_digest ~peer ~routers))
-      t.paths Registry_intf.empty_digest
-  in
-  if recomputed <> t.digest then
-    failwith
-      (Printf.sprintf "incremental digest %Ld disagrees with recomputed %Ld" t.digest recomputed)
-
-let snapshot_version = 1
-
-let snapshot t =
-  let w = Prelude.Codec.Writer.create ~capacity:1024 () in
-  let open Prelude.Codec.Writer in
-  u8 w snapshot_version;
-  varint w t.landmark;
-  let entries = Hashtbl.fold (fun peer path acc -> (peer, path) :: acc) t.paths [] in
-  list w
-    (fun (peer, routers) ->
-      varint w peer;
-      list w (varint w) (Array.to_list routers))
-    (List.sort compare entries);
-  contents w
-
-let restore data =
-  let open Prelude.Codec.Reader in
-  let ( let* ) = Result.bind in
-  let r = of_string data in
-  let result =
-    let* version = u8 r in
-    if version <> snapshot_version then
-      Error (Malformed (Printf.sprintf "unsupported registry snapshot version %d" version))
-    else
-      let* landmark = varint r in
-      let* entries =
-        list r (fun r ->
-            let* peer = varint r in
-            let* routers = list r varint in
-            Ok (peer, routers))
-      in
-      if not (is_exhausted r) then Error (Malformed "trailing bytes") else Ok (landmark, entries)
-  in
-  match result with
-  | Error e -> Error (error_to_string e)
-  | Ok (landmark, entries) -> (
-      let t = create ~landmark in
-      match
-        List.iter (fun (peer, routers) -> insert t ~peer ~routers:(Array.of_list routers)) entries
-      with
-      | () -> Ok t
-      | exception Invalid_argument msg -> Error msg)
+    t.paths

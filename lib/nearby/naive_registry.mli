@@ -60,9 +60,4 @@ val introspect : t -> Registry_intf.introspection
 (** Derived by scanning the stored paths (no per-router index exists):
     occupancy counts how many paths cross each router. *)
 
-val digest : t -> int64
-(** Order-independent content digest (see {!Registry_intf.S.digest}). *)
-
-val snapshot : t -> string
-val restore : string -> (t, string) result
 val check_invariants : t -> unit

@@ -52,7 +52,6 @@ let query_into t ~routers ~best ~exclude =
 
 let iter_members = Core.iter_members
 let check_invariants = Core.check_invariants
-let digest = Core.digest
 
 (* --- Registry_intf.S ---------------------------------------------------- *)
 
@@ -62,47 +61,3 @@ let stats t = [ ("members", member_count t); ("routers", router_count t) ]
 let introspect t =
   Registry_intf.introspection_of_buckets ~members:(member_count t)
     ~approx_bytes:(Core.approx_bytes t) (Core.iter_buckets t)
-
-let snapshot_version = 1
-
-let snapshot t =
-  let w = Prelude.Codec.Writer.create ~capacity:1024 () in
-  let open Prelude.Codec.Writer in
-  u8 w snapshot_version;
-  varint w (landmark t);
-  let entries = ref [] in
-  iter_members t (fun peer -> entries := (peer, Option.get (path_of t peer)) :: !entries);
-  list w
-    (fun (peer, routers) ->
-      varint w peer;
-      list w (varint w) (Array.to_list routers))
-    (List.sort compare !entries);
-  contents w
-
-let restore data =
-  let open Prelude.Codec.Reader in
-  let ( let* ) = Result.bind in
-  let r = of_string data in
-  let result =
-    let* version = u8 r in
-    if version <> snapshot_version then
-      Error (Malformed (Printf.sprintf "unsupported registry snapshot version %d" version))
-    else
-      let* landmark = varint r in
-      let* entries =
-        list r (fun r ->
-            let* peer = varint r in
-            let* routers = list r varint in
-            Ok (peer, routers))
-      in
-      if not (is_exhausted r) then Error (Malformed "trailing bytes") else Ok (landmark, entries)
-  in
-  match result with
-  | Error e -> Error (error_to_string e)
-  | Ok (landmark, entries) -> (
-      let t = create ~landmark in
-      match
-        List.iter (fun (peer, routers) -> insert t ~peer ~routers:(Array.of_list routers)) entries
-      with
-      | () -> Ok t
-      | exception Invalid_argument msg -> Error msg)

@@ -109,13 +109,3 @@ val introspect : t -> Registry_intf.introspection
 (** Bucket occupancy straight off the router table: one histogram sample
     per router (value = bucket cardinality), hot routers the largest
     buckets. *)
-
-val digest : t -> int64
-(** Order-independent content digest (see {!Registry_intf.S.digest}). *)
-
-val snapshot : t -> string
-(** Registered peers and their router paths in the {!Prelude.Codec} binary
-    format (sorted by peer id, so equal state yields equal bytes). *)
-
-val restore : string -> (t, string) result
-(** Inverse of {!snapshot}; corrupt input yields [Error]. *)

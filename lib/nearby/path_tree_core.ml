@@ -83,26 +83,15 @@ module Make (Cost : COST) = struct
        not hammer the allocator. *)
     mutable spare : chunk list;
     mutable nspare : int;
-    (* XOR of [Registry_intf.entry_digest] per member, kept in lockstep by
-       [apply]/[remove]. *)
-    mutable digest : int64;
   }
 
   let create ~landmark =
-    {
-      landmark;
-      paths = Itbl.create 64;
-      buckets = Itbl.create 256;
-      spare = [];
-      nspare = 0;
-      digest = Registry_intf.empty_digest;
-    }
+    { landmark; paths = Itbl.create 64; buckets = Itbl.create 256; spare = []; nspare = 0 }
 
   let landmark t = t.landmark
   let member_count t = Itbl.length t.paths
   let mem t p = Itbl.mem t.paths p
   let router_count t = Itbl.length t.buckets
-  let digest t = t.digest
 
   let entry_compare c1 p1 c2 p2 =
     match Cost.compare c1 c2 with 0 -> Int.compare p1 p2 | c -> c
@@ -275,8 +264,6 @@ module Make (Cost : COST) = struct
     let len = Array.length routers in
     let routers = Array.copy routers and pcosts = Array.sub costs 0 len in
     Itbl.add t.paths peer { routers; pcosts };
-    t.digest <-
-      Registry_intf.combine_digests t.digest (Registry_intf.entry_digest ~peer ~routers);
     for i = 0 to len - 1 do
       bucket_add t (bucket_of t routers.(i)) pcosts.(i) peer
     done
@@ -320,8 +307,6 @@ module Make (Cost : COST) = struct
   let remove t peer =
     let path = Itbl.find t.paths peer in
     Itbl.remove t.paths peer;
-    t.digest <-
-      Registry_intf.combine_digests t.digest (Registry_intf.entry_digest ~peer ~routers:path.routers);
     for i = 0 to Array.length path.routers - 1 do
       match Itbl.find_opt t.buckets path.routers.(i) with
       | None -> ()
@@ -524,14 +509,5 @@ module Make (Cost : COST) = struct
         done;
         if !counted <> b.total then
           fail "router %d: bucket total %d but %d entries" router b.total !counted)
-      t.buckets;
-    let recomputed =
-      Itbl.fold
-        (fun peer p acc ->
-          Registry_intf.combine_digests acc
-            (Registry_intf.entry_digest ~peer ~routers:p.routers))
-        t.paths Registry_intf.empty_digest
-    in
-    if recomputed <> t.digest then
-      fail "incremental digest %Ld disagrees with recomputed %Ld" t.digest recomputed
+      t.buckets
 end

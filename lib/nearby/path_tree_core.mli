@@ -147,12 +147,6 @@ module Make (Cost : COST) : sig
   (** Rough payload size (paths + buckets) in bytes; an estimate for
       cross-backend comparison, not an exact heap measurement. *)
 
-  val digest : t -> int64
-  (** Order-independent content digest over the registered
-      [(peer, routers)] entries (costs excluded — they are derived from
-      the router sequence): XOR of {!Registry_intf.entry_digest} per
-      member, maintained in O(1) on insert/remove. *)
-
   val check_invariants : t -> unit
   (** @raise Failure on a violated structural invariant (test hook). *)
 end

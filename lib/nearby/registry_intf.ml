@@ -12,60 +12,21 @@
    - [insert] rejects empty paths, paths not ending at the landmark and
      duplicate peers with [Invalid_argument]; [remove]/[query_member]
      raise [Not_found] for unknown peers.
+   - [path_of] returns exactly the routers [insert] stored for the peer.
    - [query] returns at most [k] (peer, dtree) pairs in ascending
      (dtree, peer) order -- equal-cost ties break to the lower peer id --
      so two correct backends return byte-identical answers.
-   - [snapshot]/[restore] round-trip the full registry state through the
-     [Prelude.Codec] binary format; every corrupt input yields [Error]. *)
+
+   A backend is only the paper's index: store each peer's path, answer
+   k-nearest.  Whether two replicas hold the same state, and how that
+   state is persisted, is the server's business ([Server.digest],
+   [Server.snapshot]), decided once above every backend. *)
 
 type peer = int
 
 (* How many of the busiest routers [introspect] names.  A constant rather
    than a parameter so every backend's top-k is comparable. *)
 let hot_router_k = 8
-
-(* --- Content digests ----------------------------------------------------
-
-   A registry's content digest is the XOR of one 64-bit hash per
-   [(peer, routers)] entry.  XOR is commutative and self-inverse, so the
-   digest is order-independent and every backend can maintain it
-   incrementally: XOR the entry hash in on insert, XOR the same hash out
-   on remove — O(1) either way, no rescans.  Two registries hold the same
-   members with the same recorded paths iff (up to 64-bit collision) their
-   digests match, which is what the cluster's divergence detector
-   compares.
-
-   The entry hash is FNV-1a over the peer id and the router sequence
-   (costs are derived from position, so hashing the sequence covers them),
-   finished with a splitmix64-style avalanche so single-bit input changes
-   flip about half the output bits — without it, XOR-combining many
-   near-identical FNV states would cancel structure. *)
-
-let empty_digest = 0L
-
-let[@inline] fnv_mix h v = Int64.mul (Int64.logxor h (Int64.of_int v)) 0x100000001b3L
-
-(* A plain loop over a local ref, inlined where it is used: the int64
-   state then stays unboxed, so the hash allocates nothing. *)
-let[@inline] entry_digest ~peer ~routers : int64 =
-  let h = ref (fnv_mix 0xcbf29ce484222325L peer) in
-  for i = 0 to Array.length routers - 1 do
-    h := fnv_mix !h (Array.unsafe_get routers i)
-  done;
-  (* splitmix64 finalizer *)
-  let z = fnv_mix !h (Array.length routers) in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-(* Toggle an entry in a digest stored unboxed at [buf.[off .. off+7]]:
-   XOR is self-inverse, so the same call adds and removes.  Allocation-free
-   (an [int64] returned across modules would be boxed). *)
-let xor_entry_digest buf off ~peer ~routers =
-  Bytes.set_int64_ne buf off
-    (Int64.logxor (Bytes.get_int64_ne buf off) (entry_digest ~peer ~routers))
-
-let combine_digests = Int64.logxor
 
 (* A structural X-ray of a backend: how its storage is distributed over
    routers, which routers are hottest, and roughly how much memory it
@@ -213,16 +174,6 @@ module type S = sig
 
   val stats : t -> (string * int) list
   val introspect : t -> introspection
-
-  val digest : t -> int64
-  (** Order-independent 64-bit content digest over the registry's
-      [(peer, routers)] entries: XOR of {!entry_digest} per member,
-      {!empty_digest} when empty.  Maintained incrementally (O(1) per
-      insert/remove), equal across backends holding the same members, and
-      preserved by [snapshot]/[restore]. *)
-
-  val snapshot : t -> string
-  val restore : string -> (t, string) result
   val check_invariants : t -> unit
 end
 
@@ -353,20 +304,6 @@ let stats (Registry r) =
 let introspect (Registry r) =
   let module B = (val r.backend) in
   B.introspect r.state
-
-let digest (Registry r) =
-  let module B = (val r.backend) in
-  B.digest r.state
-
-let snapshot (Registry r) =
-  let module B = (val r.backend) in
-  B.snapshot r.state
-
-let restore ?trace (module B : S) data =
-  let trace = match trace with Some t -> t | None -> Simkit.Trace.create () in
-  match B.restore data with
-  | Ok state -> Ok (Registry { backend = (module B); state; trace })
-  | Error e -> Error e
 
 let check_invariants (Registry r) =
   let module B = (val r.backend) in

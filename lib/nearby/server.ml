@@ -40,9 +40,9 @@ type t = {
   open_joins : (int, float * Simkit.Span.context) Hashtbl.t;
   (* Delta anti-entropy state.  The peers are split into [bucket_count]
      buckets by a mixed hash of the peer id; [bucket_digests] holds each
-     bucket's content digest (the XOR of [Registry_intf.entry_digest] over
-     its entries) as 8 unboxed bytes, and [bucket_members] its peer ids, so
-     a repair touches only the buckets whose digests differ. *)
+     bucket's content digest (the XOR of [entry_digest] over its entries)
+     as 8 unboxed bytes, and [bucket_members] its peer ids, so a repair
+     touches only the buckets whose digests differ. *)
   bucket_digests : Bytes.t;
   bucket_members : Prelude.Vec.t array;
 }
@@ -131,14 +131,6 @@ let introspection t =
   Registry_intf.merge_introspections
     (Hashtbl.fold (fun _ reg acc -> Registry_intf.introspect reg :: acc) t.registries [])
 
-(* The per-landmark registries partition the peers, so the XOR-merge of
-   their digests is the whole-server content digest — the value replicas
-   compare to detect divergence. *)
-let digest t =
-  Hashtbl.fold
-    (fun _ reg acc -> Registry_intf.combine_digests acc (Registry_intf.digest reg))
-    t.registries Registry_intf.empty_digest
-
 let peer_ids t = Hashtbl.fold (fun peer _ acc -> peer :: acc) t.peers [] |> List.sort compare
 
 (* Everything one join measured, kept so spans and per-phase stats can
@@ -194,6 +186,52 @@ let registrable_path ~landmark path =
   if n > 0 && routers.(n - 1) = landmark then routers
   else Array.append routers [| landmark |]
 
+(* --- Content digests ---------------------------------------------------
+
+   The server's content digest is the XOR of one 64-bit hash per
+   [(peer, routers)] registration.  XOR is commutative and self-inverse, so
+   the digest is order-independent and maintained incrementally: XOR the
+   entry hash in on insert, XOR the same hash out on remove.  Two replicas
+   hold the same registrations iff (up to 64-bit collision) their digests
+   match, whatever registry backend each runs.
+
+   The entry hash is FNV-1a over the peer id and the router sequence
+   (costs are derived from position, so hashing the sequence covers them),
+   finished with a splitmix64-style avalanche so single-bit input changes
+   flip about half the output bits — without it, XOR-combining many
+   near-identical FNV states would cancel structure. *)
+
+let[@inline] fnv_mix h v = Int64.mul (Int64.logxor h (Int64.of_int v)) 0x100000001b3L
+
+(* A plain loop over a local ref, inlined where it is used: the int64
+   state then stays unboxed, so the hash allocates nothing. *)
+let[@inline] entry_digest ~peer ~routers : int64 =
+  let h = ref (fnv_mix 0xcbf29ce484222325L peer) in
+  for i = 0 to Array.length routers - 1 do
+    h := fnv_mix !h (Array.unsafe_get routers i)
+  done;
+  (* splitmix64 finalizer *)
+  let z = fnv_mix !h (Array.length routers) in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* Toggle an entry in a digest stored unboxed at [buf.[off .. off+7]]:
+   XOR is self-inverse, so the same call adds and removes. *)
+let xor_entry_digest buf off ~peer ~routers =
+  Bytes.set_int64_ne buf off
+    (Int64.logxor (Bytes.get_int64_ne buf off) (entry_digest ~peer ~routers))
+
+(* The buckets partition the registrations, so the XOR-fold of their
+   digests is the whole-server digest — the value replicas compare to
+   detect divergence. *)
+let digest t =
+  let d = ref 0L in
+  for b = 0 to bucket_count - 1 do
+    d := Int64.logxor !d (Bytes.get_int64_ne t.bucket_digests (8 * b))
+  done;
+  !d
+
 (* --- Bucket state ------------------------------------------------------ *)
 
 (* The one place a registration enters or leaves the bucket state: every
@@ -201,7 +239,7 @@ let registrable_path ~landmark path =
    toggle allocates nothing. *)
 let account t ~peer ~routers ~add =
   let b = bucket_of peer in
-  Registry_intf.xor_entry_digest t.bucket_digests (8 * b) ~peer ~routers;
+  xor_entry_digest t.bucket_digests (8 * b) ~peer ~routers;
   let members = t.bucket_members.(b) in
   if add then Prelude.Vec.push members peer
   else begin
@@ -574,30 +612,27 @@ let handover ?rng t ~peer ~attach_router =
 
 let check_invariants t =
   Hashtbl.iter (fun _ reg -> Registry_intf.check_invariants reg) t.registries;
+  let fresh = Bytes.make (8 * bucket_count) '\000' in
   Hashtbl.iter
     (fun peer (info : peer_info) ->
-      if not (Registry_intf.mem (registry_of t info.landmark) peer) then
-        failwith (Printf.sprintf "peer %d missing from its landmark tree" peer);
+      let routers = registrable_path ~landmark:info.landmark info.recorded_path in
+      if Registry_intf.path_of (registry_of t info.landmark) peer <> Some routers then
+        failwith (Printf.sprintf "peer %d: its landmark tree does not hold its path" peer);
       Array.iter
         (fun lmk ->
           if lmk <> info.landmark && Registry_intf.mem (registry_of t lmk) peer then
             failwith (Printf.sprintf "peer %d registered in a foreign tree" peer))
-        t.landmark_ids)
+        t.landmark_ids;
+      xor_entry_digest fresh (8 * bucket_of peer) ~peer ~routers)
     t.peers;
-  let fresh = Bytes.make (8 * bucket_count) '\000' in
-  Hashtbl.iter
-    (fun peer info ->
-      Registry_intf.xor_entry_digest fresh (8 * bucket_of peer) ~peer
-        ~routers:(registrable_path ~landmark:info.landmark info.recorded_path))
-    t.peers;
+  let members =
+    Hashtbl.fold (fun _ reg acc -> acc + Registry_intf.member_count reg) t.registries 0
+  in
+  if members <> peer_count t then
+    failwith
+      (Printf.sprintf "landmark trees hold %d members, %d registered" members (peer_count t));
   if not (Bytes.equal fresh t.bucket_digests) then
     failwith "bucket digests differ from a recompute over the registrations";
-  let folded = ref Registry_intf.empty_digest in
-  for b = 0 to bucket_count - 1 do
-    folded := Registry_intf.combine_digests !folded (Bytes.get_int64_ne t.bucket_digests (8 * b))
-  done;
-  if not (Int64.equal !folded (digest t)) then
-    failwith "bucket digests do not fold to the server digest";
   let indexed = Hashtbl.create (Hashtbl.length t.peers) in
   Array.iteri
     (fun b members ->

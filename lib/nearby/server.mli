@@ -149,10 +149,12 @@ val peer_ids : t -> int list
 
 val digest : t -> int64
 (** Order-independent content digest over every registered [(peer, routers)]
-    entry, XOR-folded across the per-landmark registries (they partition the
-    peers).  Two replicas hold the same registrations iff their digests
-    match (modulo 64-bit collisions) — the cheap anti-entropy comparison
-    key; see {!Registry_intf.S.digest}. *)
+    entry: the XOR of one 64-bit hash per entry, [0L] when empty, and the
+    same value whatever registry backend holds the paths.  Maintained as
+    the XOR-fold of the bucket digests (below), so each registration is
+    hashed once.  Two replicas hold the same registrations iff their
+    digests match (modulo 64-bit collisions) — the cheap anti-entropy
+    comparison key. *)
 
 (** {1 Report staleness}
 
@@ -214,17 +216,19 @@ val flush_spans : t -> unit
     without a span sink. *)
 
 val check_invariants : t -> unit
-(** Every per-landmark tree is internally consistent, every registered
-    peer is in exactly the tree of its landmark, the bucket digests equal a
-    fresh recompute over the registrations and XOR-fold to {!digest}, and
-    every peer is indexed once, in its own bucket. *)
+(** Every per-landmark tree is internally consistent; every registered
+    peer is in exactly the tree of its landmark, which stores its
+    registrable path ({!Registry_intf.S.path_of}); the trees' member counts
+    sum to {!peer_count}; the bucket digests equal a fresh recompute over
+    the registrations; and every peer is indexed once, in its own bucket.
+    @raise Failure on violation. *)
 
 (** {1 Bucket digests}
 
     The registrations are split into {!bucket_count} buckets by a mixed
     hash of the peer id, and each bucket keeps its own content digest: the
-    XOR of {!Registry_intf.entry_digest} over its [(peer, routers)]
-    entries, maintained on every insert and remove.  Two replicas whose
+    XOR of the entry hashes over its [(peer, routers)] entries, maintained
+    on every insert and remove; they fold to {!digest}.  Two replicas whose
     {!digest}s differ compare their bucket digests and exchange only the
     buckets that differ ({!snapshot_buckets}, {!apply_buckets}). *)
 
@@ -248,8 +252,10 @@ val differing_buckets : t -> string -> (int list, string) result
     A management server is a single point of failure; restarting it must
     not force every peer to re-traceroute.  The snapshot is the registered
     state (peers, landmarks, recorded paths) in the {!Prelude.Codec} binary
-    format; restoring rebuilds the path trees.  A partial snapshot carries
-    the entries of some buckets in the same entry encoding. *)
+    format — the one persistence format: registry backends have none, and
+    restoring re-inserts every path into whichever backend is given.  A
+    partial snapshot carries the entries of some buckets in the same entry
+    encoding. *)
 
 val snapshot : t -> string
 (** Serialize the registration state (not the counters, not the probe/

@@ -329,15 +329,6 @@ module Make
     let largest = Array.fold_left (fun m s -> max m (Inner.member_count s)) 0 t.shards in
     ("largest_shard", largest) :: ("shards", shard_count) :: inner |> List.sort compare
 
-  (* Shards partition the members, so the composite digest is the XOR-merge
-     of the per-shard digests — the same combine the shards themselves use
-     per entry, hence independent of both insertion order and shard
-     placement. *)
-  let digest t =
-    Array.fold_left
-      (fun acc shard -> Registry_intf.combine_digests acc (Inner.digest shard))
-      Registry_intf.empty_digest t.shards
-
   (* Per-shard introspections merge bucket-wise: a router whose bucket is
      split across shards counts once per physical bucket, which is the
      storage-level truth for a scatter-gather store.  The home table keeps
@@ -367,64 +358,6 @@ module Make
     if members <> Hashtbl.length t.home then
       failwith
         (Printf.sprintf "shards hold %d members, home table %d" members (Hashtbl.length t.home))
-
-  let snapshot_version = 1
-
-  let snapshot t =
-    let w = Prelude.Codec.Writer.create ~capacity:1024 () in
-    let open Prelude.Codec.Writer in
-    u8 w snapshot_version;
-    varint w shard_count;
-    varint w t.landmark;
-    list w (fun shard -> bytes w (Inner.snapshot shard)) (Array.to_list t.shards);
-    contents w
-
-  let restore data =
-    let open Prelude.Codec.Reader in
-    let ( let* ) = Result.bind in
-    let r = of_string data in
-    let result =
-      let* version = u8 r in
-      if version <> snapshot_version then
-        Error (Malformed (Printf.sprintf "unsupported registry snapshot version %d" version))
-      else
-        let* shards = varint r in
-        let* landmark = varint r in
-        let* blobs = list r bytes in
-        if not (is_exhausted r) then Error (Malformed "trailing bytes")
-        else Ok (shards, landmark, blobs)
-    in
-    match result with
-    | Error e -> Error (error_to_string e)
-    | Ok (shards, landmark, blobs) ->
-        if shards <> shard_count || List.length blobs <> shard_count then
-          Error
-            (Printf.sprintf "snapshot has %d shards, this backend is configured for %d" shards
-               shard_count)
-        else begin
-          let restored = List.map Inner.restore blobs in
-          match
-            List.find_map (function Error e -> Some e | Ok _ -> None) restored
-          with
-          | Some e -> Error e
-          | None ->
-              let shards =
-                Array.of_list (List.map (function Ok s -> s | Error _ -> assert false) restored)
-              in
-              let t =
-                { landmark; shards; home = Hashtbl.create 256; occ = occ_labels landmark }
-              in
-              let clash = ref None in
-              Array.iteri
-                (fun s shard ->
-                  Inner.iter_members shard (fun peer ->
-                      if Hashtbl.mem t.home peer then clash := Some peer
-                      else Hashtbl.add t.home peer s))
-                t.shards;
-              (match !clash with
-              | Some peer -> Error (Printf.sprintf "peer %d appears in several shards" peer)
-              | None -> Ok t)
-        end
 end
 
 (* Runtime construction: [make ~shards ()] packs a sharded backend over any

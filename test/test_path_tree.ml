@@ -249,8 +249,9 @@ let qcheck_naive_equivalence =
 
 (* --- Batch insert = looped singletons, down to the layout --- *)
 
-(* What a tree must look like from outside: payload estimate, digest and
-   introspection ([layout]), and a member's answer.  Two trees agreeing on
+(* What a tree must look like from outside: payload estimate, every
+   member's stored path and introspection ([layout]), and a member's
+   answer.  Two trees agreeing on
    all of them hold the same entries in the same chunk capacities. *)
 module type LAYOUT_SUBJECT = sig
   type t
@@ -267,8 +268,18 @@ module type LAYOUT_SUBJECT = sig
   val answer : t -> peer:int -> string
 end
 
-let layout_string ~bytes ~digest introspection =
-  Printf.sprintf "bytes=%d digest=%Ld %s" bytes digest
+(* Members ascending, each with its stored router sequence. *)
+let layout_string ~bytes ~iter_members ~path_of introspection =
+  let members = ref [] in
+  iter_members (fun p -> members := p :: !members);
+  let paths =
+    List.map
+      (fun p ->
+        Printf.sprintf "%d:%s" p
+          (String.concat "." (List.map string_of_int (Array.to_list (Option.get (path_of p))))))
+      (List.sort Int.compare !members)
+  in
+  Printf.sprintf "bytes=%d paths=%s %s" bytes (String.concat "," paths)
     (Registry_intf.introspection_json introspection)
 
 module Hop_subject = struct
@@ -285,7 +296,8 @@ module Hop_subject = struct
 
   let layout t =
     let i = Path_tree.introspect t in
-    layout_string ~bytes:i.approx_bytes ~digest:(Path_tree.digest t) i
+    layout_string ~bytes:i.approx_bytes ~iter_members:(Path_tree.iter_members t)
+      ~path_of:(Path_tree.path_of t) i
 
   let answer t ~peer =
     String.concat ","
@@ -316,7 +328,8 @@ module Latency_subject = struct
 
   let layout t =
     let bytes = Latency_tree.approx_bytes t in
-    layout_string ~bytes ~digest:(Latency_tree.digest t)
+    layout_string ~bytes ~iter_members:(Latency_tree.iter_members t)
+      ~path_of:(Latency_tree.routers_of t)
       (Registry_intf.introspection_of_buckets ~members:(Latency_tree.member_count t)
          ~approx_bytes:bytes (Latency_tree.iter_buckets t))
 

@@ -1,5 +1,6 @@
 (* The unified registry seam: every backend must answer identically, keep
-   its invariants under churn, and round-trip through snapshot/restore. *)
+   its invariants under churn, give the server the same content digest,
+   and round-trip through the server's snapshot/restore. *)
 
 open Nearby
 
@@ -264,129 +265,106 @@ let qcheck_churn =
         members;
       true)
 
-(* --- Content digests ---------------------------------------------------- *)
+(* --- Server content digests per backend ---------------------------------- *)
 
-(* The digest is an XOR over per-entry hashes, so three laws pin it down:
-   insertion order cannot matter, every backend must agree on identical
-   content, and removing entries must land exactly on the digest of a fresh
-   registry holding the remainder. *)
+(* The server owns the content digest: an XOR over per-registration
+   hashes, so three laws pin it down whatever backend stores the paths.
+   Join order cannot matter, every backend must agree on identical content,
+   and leaving must land exactly on the digest of a server that only ever
+   saw the remainder. *)
 let qcheck_digest =
   QCheck.Test.make ~name:"content digests are order-free and backend-free" ~count:15
     QCheck.(make Gen.(pair small_nat bool))
     (fun (seed, waxman) ->
       let sc = if waxman then waxman_scenario ~seed else transit_stub_scenario ~seed in
+      let oracle = Traceroute.Route_oracle.create sc.graph in
       let rng = Prelude.Prng.create (seed + 13) in
-      let peers = 30 in
-      let entries =
-        List.init peers (fun peer -> (peer, sc.route_of (attach_router sc rng)))
+      let landmarks = Landmark.place sc.graph Landmark.Medium_degree ~count:3 ~rng in
+      let attach = List.init 30 (fun peer -> (peer, attach_router sc rng)) in
+      let server_of spec joins =
+        let server = Server.create ~backend:(backend_of spec) oracle ~landmarks in
+        List.iter
+          (fun (peer, attach_router) -> ignore (Server.join server ~peer ~attach_router))
+          joins;
+        server
       in
-      let forward = fresh_registries sc in
-      let backward = fresh_registries sc in
+      let reference = Server.digest (server_of (List.hd specs) attach) in
+      Alcotest.(check bool) "nonempty digest differs from the empty one" true (reference <> 0L);
       List.iter
-        (fun (peer, routers) ->
-          List.iter (fun reg -> Registry_intf.insert reg ~peer ~routers) forward)
-        entries;
-      List.iter
-        (fun (peer, routers) ->
-          List.iter (fun reg -> Registry_intf.insert reg ~peer ~routers) backward)
-        (List.rev entries);
-      let reference = Registry_intf.digest (List.hd forward) in
-      Alcotest.(check bool) "nonempty digest differs from empty" true
-        (reference <> Registry_intf.empty_digest);
-      List.iter2
-        (fun spec (fwd, bwd) ->
+        (fun spec ->
           let name = spec_name spec in
+          let forward = server_of spec attach in
           Alcotest.(check int64)
-            (name ^ ": insertion order cannot change the digest")
-            (Registry_intf.digest fwd) (Registry_intf.digest bwd);
+            (name ^ ": join order cannot change the digest")
+            (Server.digest forward)
+            (Server.digest (server_of spec (List.rev attach)));
           Alcotest.(check int64)
             (name ^ ": digest agrees with the path tree's")
-            reference (Registry_intf.digest fwd))
-        specs
-        (List.combine forward backward);
-      (* Remove the even peers; the digest must land on the digest of a
-         fresh registry that only ever saw the odd ones. *)
-      let survivors = List.filter (fun (peer, _) -> peer mod 2 = 1) entries in
-      let rebuilt = fresh_registries sc in
-      List.iter
-        (fun (peer, routers) ->
-          List.iter (fun reg -> Registry_intf.insert reg ~peer ~routers) rebuilt)
-        survivors;
-      List.iter
-        (fun reg ->
-          List.iter
-            (fun (peer, _) -> if peer mod 2 = 0 then Registry_intf.remove reg peer)
-            entries)
-        forward;
-      List.iter2
-        (fun spec (reg, fresh) ->
+            reference (Server.digest forward);
+          (* The even peers leave; the digest must land on that of a server
+             that only ever saw the odd ones. *)
+          List.iter (fun (peer, _) -> if peer mod 2 = 0 then Server.leave forward ~peer) attach;
           Alcotest.(check int64)
-            (spec_name spec ^ ": removal inverts the digest")
-            (Registry_intf.digest fresh) (Registry_intf.digest reg);
-          Registry_intf.check_invariants reg)
-        specs
-        (List.combine forward rebuilt);
+            (name ^ ": leaving inverts the digest")
+            (Server.digest (server_of spec (List.filter (fun (peer, _) -> peer mod 2 = 1) attach)))
+            (Server.digest forward);
+          Server.check_invariants forward)
+        specs;
       true)
 
-(* --- Snapshot / restore through the unified interface ------------------ *)
+(* --- Snapshot / restore per backend --------------------------------------- *)
 
-let populated_registry spec ~seed ~peers =
+(* The snapshot format is the server's, so every backend must restore from
+   it alike: same answers, same digest, and a state that keeps working. *)
+let populated_server spec ~seed ~peers =
   let sc = transit_stub_scenario ~seed in
+  let oracle = Traceroute.Route_oracle.create sc.graph in
   let rng = Prelude.Prng.create (seed + 3) in
-  let reg = Registry_intf.create (backend_of spec) ~landmark:sc.landmark in
+  let landmarks = Landmark.place sc.graph Landmark.Medium_degree ~count:3 ~rng in
+  let server = Server.create ~backend:(backend_of spec) oracle ~landmarks in
   for peer = 0 to peers - 1 do
-    Registry_intf.insert reg ~peer ~routers:(sc.route_of (attach_router sc rng))
+    ignore (Server.join server ~peer ~attach_router:(attach_router sc rng))
   done;
-  (sc, reg)
+  (sc, oracle, server)
 
 let test_snapshot_roundtrip () =
   List.iter
     (fun spec ->
       let name = spec_name spec in
-      let sc, reg = populated_registry spec ~seed:2 ~peers:30 in
-      let blob = Registry_intf.snapshot reg in
-      Alcotest.(check bool)
-        (name ^ ": snapshot deterministic")
-        true
-        (blob = Registry_intf.snapshot reg);
-      match Registry_intf.restore (backend_of spec) blob with
+      let _, oracle, server = populated_server spec ~seed:2 ~peers:30 in
+      let blob = Server.snapshot server in
+      Alcotest.(check bool) (name ^ ": snapshot deterministic") true (blob = Server.snapshot server);
+      match Server.restore ~backend:(backend_of spec) oracle blob with
       | Error e -> Alcotest.fail (Printf.sprintf "%s: restore failed: %s" name e)
       | Ok restored ->
-          Registry_intf.check_invariants restored;
-          Alcotest.(check int)
-            (name ^ ": member count")
-            (Registry_intf.member_count reg)
-            (Registry_intf.member_count restored);
-          Alcotest.(check int)
-            (name ^ ": landmark")
-            (Registry_intf.landmark reg)
-            (Registry_intf.landmark restored);
-          Alcotest.(check int64)
-            (name ^ ": digest preserved")
-            (Registry_intf.digest reg)
-            (Registry_intf.digest restored);
+          Server.check_invariants restored;
+          Alcotest.(check int) (name ^ ": peer count") (Server.peer_count server)
+            (Server.peer_count restored);
+          Alcotest.(check (array int)) (name ^ ": landmarks") (Server.landmarks server)
+            (Server.landmarks restored);
+          Alcotest.(check int64) (name ^ ": digest preserved") (Server.digest server)
+            (Server.digest restored);
           for peer = 0 to 29 do
             Alcotest.(check (list (pair int int)))
               (Printf.sprintf "%s: peer %d answers preserved" name peer)
-              (Registry_intf.query_member reg ~peer ~k:5)
-              (Registry_intf.query_member restored ~peer ~k:5)
+              (Server.neighbors server ~peer ~k:5)
+              (Server.neighbors restored ~peer ~k:5)
           done;
-          (* The restored registry must keep working. *)
-          Registry_intf.insert restored ~peer:100 ~routers:(sc.route_of sc.landmark);
-          Registry_intf.remove restored 0;
-          Registry_intf.check_invariants restored;
-          Alcotest.(check int) (name ^ ": evolved population") 30
-            (Registry_intf.member_count restored))
+          (* The restored server must keep working. *)
+          ignore (Server.join restored ~peer:100 ~attach_router:0);
+          Server.leave restored ~peer:0;
+          Server.check_invariants restored;
+          Alcotest.(check int) (name ^ ": evolved population") 30 (Server.peer_count restored))
     specs
 
 let test_restore_rejects_corruption () =
   List.iter
     (fun spec ->
       let name = spec_name spec in
-      let _, reg = populated_registry spec ~seed:5 ~peers:8 in
-      let blob = Registry_intf.snapshot reg in
+      let _, oracle, server = populated_server spec ~seed:5 ~peers:8 in
+      let blob = Server.snapshot server in
       let expect_error what data =
-        match Registry_intf.restore (backend_of spec) data with
+        match Server.restore ~backend:(backend_of spec) oracle data with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail (Printf.sprintf "%s: %s not rejected" name what)
       in
@@ -396,8 +374,7 @@ let test_restore_rejects_corruption () =
       done;
       (* ...as must trailing garbage and an alien version byte. *)
       expect_error "trailing bytes" (blob ^ "\x00");
-      expect_error "bad version"
-        ("\xfe" ^ String.sub blob 1 (String.length blob - 1)))
+      expect_error "bad version" ("\xfe" ^ String.sub blob 1 (String.length blob - 1)))
     specs
 
 let test_trace_counters_uniform () =

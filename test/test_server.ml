@@ -430,6 +430,38 @@ let test_measure_allocation () =
     (Printf.sprintf "measure allocates %.0f words" words)
     true (words <= 88.0)
 
+(* A broken backend: the path tree, but each path is stored without its
+   first router.  Its own structure stays sound, so only the server's
+   content check against the registrations can tell. *)
+module Clipped_tree : Registry_intf.S = struct
+  include Path_tree
+
+  let backend_name = "clipped"
+
+  let clip routers =
+    let n = Array.length routers in
+    if n > 1 then Array.sub routers 1 (n - 1) else routers
+
+  let insert t ~peer ~routers = Path_tree.insert t ~peer ~routers:(clip routers)
+
+  let insert_many t entries =
+    Path_tree.insert_many t (Array.map (fun (p, r) -> (p, clip r)) entries)
+end
+
+let test_invariants_check_content () =
+  let map, oracle, lmks, _ = make_workload ~seed:7 () in
+  let fill backend =
+    let server = Server.create ~backend oracle ~landmarks:lmks in
+    for peer = 0 to 9 do
+      ignore (Server.join server ~peer ~attach_router:map.leaves.(peer))
+    done;
+    server
+  in
+  Server.check_invariants (fill (module Path_tree));
+  match Server.check_invariants (fill (module Clipped_tree)) with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "a backend storing clipped paths passed the invariants"
+
 let suite =
   ( "server",
     [
@@ -453,5 +485,6 @@ let suite =
       Alcotest.test_case "reverse introductions" `Quick test_reverse_introductions;
       Alcotest.test_case "deterministic" `Quick test_deterministic_without_rng;
       Alcotest.test_case "measure allocation" `Quick test_measure_allocation;
+      Alcotest.test_case "invariants check content" `Quick test_invariants_check_content;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) qcheck_server_model;
     ] )
