@@ -82,6 +82,13 @@ let micro_tests () =
              let src = map.leaves.(!counter mod leaf_count) in
              incr counter;
              ignore (Topology.Bfs.distances map.graph src)));
+      (* The transport and the pings ask for route lengths on every
+         message: one read of a cached sink tree. *)
+      Test.make ~name:"traceroute/oracle/route_length"
+        (Staged.stage (fun () ->
+             let src = map.leaves.(!counter mod leaf_count) in
+             incr counter;
+             ignore (Traceroute.Route_oracle.route_length oracle ~src ~dst:map.core.(0))));
       Test.make ~name:"traceroute/probe/cached-tree"
         (Staged.stage (fun () ->
              let src = map.leaves.(!counter mod leaf_count) in
@@ -175,10 +182,32 @@ let micro_tests () =
     in
     let parts = [ ("path_report", 60); ("query", 4) ] and reply = [ ("reply", 20) ] in
     let settled = ref false in
+    (* A replica holding 2,000 members applies a fan-out write: the 64
+       peers' measurements are taken once, and each run registers a fresh
+       peer id and leaves it again, so the population stays put. *)
+    let replica = Nearby.Server.create oracle ~landmarks in
+    let measured = Array.map (fun r -> (r, Nearby.Server.measure server ~attach_router:r)) peers in
+    let register peer =
+      let attach_router, m = measured.(peer land 63) in
+      Nearby.Server.register_replica replica ~peer ~attach_router
+        ~landmark:(Nearby.Server.measurement_landmark m)
+        ~path:(Nearby.Server.measurement_path m)
+        ~probes_spent:(Nearby.Server.measurement_probes m)
+    in
+    for peer = 0 to 1_999 do
+      register peer
+    done;
+    let next_replica_peer = ref 2_000 in
     [
       Test.make ~name:"nearby/server/measure"
         (Staged.stage (fun () ->
              ignore (Nearby.Server.measure server ~attach_router:(next_peer ()))));
+      Test.make ~name:"nearby/server/register_replica"
+        (Staged.stage (fun () ->
+             let peer = !next_replica_peer in
+             incr next_replica_peer;
+             register peer;
+             Nearby.Server.leave replica ~peer));
       (* A send and the step that delivers it, so the queue stays empty. *)
       Test.make ~name:"simkit/transport/send_parts"
         (Staged.stage (fun () ->

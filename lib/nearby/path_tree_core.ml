@@ -27,15 +27,7 @@ let int_blit (src : int array) soff (dst : int array) doff len =
       Array.unsafe_set dst (doff + i) (Array.unsafe_get src (soff + i))
     done
 
-(* Peer- and router-keyed tables: [Int.equal] instead of the polymorphic
-   compare a generic [Hashtbl] calls per probe.  The hash is
-   [Hashtbl.hash], so iteration order matches a generic table's. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
+module Itbl = Prelude.Int_tbl
 
 module Make (Cost : COST) = struct
   type peer = int
@@ -72,26 +64,37 @@ module Make (Cost : COST) = struct
   }
 
   (* A registered path, flattened to parallel arrays: half the words of a
-     (router, cost) pair array, and unboxed for both int and float costs. *)
+     (router, cost) pair array, and unboxed for both int and float costs.
+     [pcosts] is the caller's array, kept by reference and read only up to
+     [Array.length routers]: every {!Path_tree} path shares one positions
+     array, so a hop path stores no costs of its own. *)
   type path = { routers : int array; pcosts : Cost.t array }
 
   type t = {
     landmark : Topology.Graph.node;
     paths : path Itbl.t;
-    buckets : bucket Itbl.t;
+    (* Router ids are dense graph node ids, so a router's bucket is found
+       by indexing, not hashing.  The array grows to the largest router an
+       insert names; a router without entries holds [empty_bucket]. *)
+    mutable buckets : bucket array;
+    mutable live : int;  (* routers whose bucket is not [empty_bucket] *)
     (* Arena of retired full-size chunks, reused by splits so churn does
        not hammer the allocator. *)
     mutable spare : chunk list;
     mutable nspare : int;
   }
 
+  (* Shared by every empty slot of every tree: never written, since
+     [bucket_of] swaps in a fresh bucket before the first entry. *)
+  let empty_bucket = { chunks = [||]; nchunks = 0; total = 0 }
+
   let create ~landmark =
-    { landmark; paths = Itbl.create 64; buckets = Itbl.create 256; spare = []; nspare = 0 }
+    { landmark; paths = Itbl.create 64; buckets = [||]; live = 0; spare = []; nspare = 0 }
 
   let landmark t = t.landmark
   let member_count t = Itbl.length t.paths
   let mem t p = Itbl.mem t.paths p
-  let router_count t = Itbl.length t.buckets
+  let router_count t = t.live
 
   let entry_compare c1 p1 c2 p2 =
     match Cost.compare c1 c2 with 0 -> Int.compare p1 p2 | c -> c
@@ -231,19 +234,35 @@ module Make (Cost : COST) = struct
     let pos = chunk_lower c cost p in
     pos < c.clen && entry_compare c.costs.(pos) c.cpeers.(pos) cost p = 0
 
+  (* The live bucket of [router], created (and the index grown) on first
+     use.  [router] is non-negative: [validate] checked it. *)
   let bucket_of t router =
-    match Itbl.find t.buckets router with
-    | b -> b
-    | exception Not_found ->
-        let b = { chunks = [||]; nchunks = 0; total = 0 } in
-        Itbl.add t.buckets router b;
-        b
+    let n = Array.length t.buckets in
+    if router >= n then begin
+      let grown = Array.make (router + 1) empty_bucket in
+      Array.blit t.buckets 0 grown 0 n;
+      t.buckets <- grown
+    end;
+    let b = t.buckets.(router) in
+    if b != empty_bucket then b
+    else begin
+      let b = { chunks = [||]; nchunks = 0; total = 0 } in
+      t.buckets.(router) <- b;
+      t.live <- t.live + 1;
+      b
+    end
+
+  (* [router]'s bucket, [empty_bucket] when it has none: reads need no
+     bucket of their own. *)
+  let find_bucket t router =
+    if router >= 0 && router < Array.length t.buckets then t.buckets.(router) else empty_bucket
 
   (* --- Registration -----------------------------------------------------
 
      A path arrives either as [(router, cost)] hops or as parallel
      [routers]/[costs] arrays, where only the first [Array.length routers]
-     costs are read (so {!Path_tree} can pass one shared positions array). *)
+     costs are read (so {!Path_tree} can pass one shared positions array).
+     The routers are copied; the costs are kept as given. *)
 
   let split hops = (Array.map fst hops, Array.map snd hops)
 
@@ -253,19 +272,20 @@ module Make (Cost : COST) = struct
     if routers.(len - 1) <> t.landmark then
       invalid_arg "Path_tree.insert: path must end at the landmark";
     if Array.length costs < len then invalid_arg "Path_tree.insert: fewer costs than routers";
-    for i = 1 to len - 1 do
-      if Cost.compare costs.(i - 1) costs.(i) > 0 then
+    for i = 0 to len - 1 do
+      if routers.(i) < 0 then invalid_arg "Path_tree.insert: negative router";
+      if i > 0 && Cost.compare costs.(i - 1) costs.(i) > 0 then
         invalid_arg "Path_tree.insert: costs must be non-decreasing"
     done;
     if Itbl.mem t.paths peer then invalid_arg "Path_tree.insert: peer already registered"
 
-  (* Register a validated path, copying it so the caller keeps its arrays. *)
+  (* Register a validated path: the routers are copied, so the caller
+     keeps its array; [costs] is shared, read-only. *)
   let apply t peer routers costs =
-    let len = Array.length routers in
-    let routers = Array.copy routers and pcosts = Array.sub costs 0 len in
-    Itbl.add t.paths peer { routers; pcosts };
-    for i = 0 to len - 1 do
-      bucket_add t (bucket_of t routers.(i)) pcosts.(i) peer
+    let routers = Array.copy routers in
+    Itbl.add t.paths peer { routers; pcosts = costs };
+    for i = 0 to Array.length routers - 1 do
+      bucket_add t (bucket_of t routers.(i)) costs.(i) peer
     done
 
   let insert_path t ~peer ~routers ~costs =
@@ -308,11 +328,16 @@ module Make (Cost : COST) = struct
     let path = Itbl.find t.paths peer in
     Itbl.remove t.paths peer;
     for i = 0 to Array.length path.routers - 1 do
-      match Itbl.find_opt t.buckets path.routers.(i) with
-      | None -> ()
-      | Some b ->
-          bucket_remove t b path.pcosts.(i) peer;
-          if b.total = 0 then Itbl.remove t.buckets path.routers.(i)
+      let router = path.routers.(i) in
+      let b = t.buckets.(router) in
+      (* [empty_bucket] when a router repeats in the path. *)
+      if b != empty_bucket then begin
+        bucket_remove t b path.pcosts.(i) peer;
+        if b.total = 0 then begin
+          t.buckets.(router) <- empty_bucket;
+          t.live <- t.live - 1
+        end
+      end
     done
 
   let routers_of t peer = Option.map (fun p -> Array.copy p.routers) (Itbl.find_opt t.paths peer)
@@ -366,23 +391,21 @@ module Make (Cost : COST) = struct
      cutoff rejects it again.  Nothing allocates per entry but the tuple
      of an accepted offer. *)
   let scan_bucket t router walk_cost best exclude =
-    match Itbl.find t.buckets router with
-    | exception Not_found -> ()
-    | b -> (
-        try
-          for ci = 0 to b.nchunks - 1 do
-            let c = b.chunks.(ci) in
-            for e = 0 to c.clen - 1 do
-              let p = c.cpeers.(e) in
-              let candidate = Cost.add walk_cost c.costs.(e) in
-              if Topk.is_full best then begin
-                let worst_cost, worst_peer = Topk.worst_exn best in
-                if entry_compare candidate p worst_cost worst_peer > 0 then raise_notrace Exit
-              end;
-              if not (exclude p || holds best p 0) then Topk.offer best (candidate, p)
-            done
-          done
-        with Exit -> ())
+    let b = find_bucket t router in
+    try
+      for ci = 0 to b.nchunks - 1 do
+        let c = b.chunks.(ci) in
+        for e = 0 to c.clen - 1 do
+          let p = c.cpeers.(e) in
+          let candidate = Cost.add walk_cost c.costs.(e) in
+          if Topk.is_full best then begin
+            let worst_cost, worst_peer = Topk.worst_exn best in
+            if entry_compare candidate p worst_cost worst_peer > 0 then raise_notrace Exit
+          end;
+          if not (exclude p || holds best p 0) then Topk.offer best (candidate, p)
+        done
+      done
+    with Exit -> ()
 
   (* Walk the query path outward, offering every candidate into the
      caller's accumulator.  [best] may be shared across calls: the sharded
@@ -435,23 +458,26 @@ module Make (Cost : COST) = struct
     query_path t ~routers:path.routers ~costs:path.pcosts ~k ~exclude:(Int.equal peer) ()
 
   let iter_members t f = Itbl.iter (fun p _ -> f p) t.paths
-  let iter_buckets t f = Itbl.iter (fun router b -> f router b.total) t.buckets
+
+  let iter_buckets t f =
+    Array.iteri (fun router b -> if b != empty_bucket then f router b.total) t.buckets
 
   (* Rough payload estimate in machine words times 8.  Paths: hash binding
-     (3) + record (3) + two unboxed arrays (1 + len each).  Buckets: hash
-     binding (3) + record (4) + chunk pointer array + per chunk a record (4)
-     and two arrays at their allocated capacity.  Good for cross-backend
+     (3) + record (3) + the router array (1 + len); the cost arrays are the
+     caller's (one shared positions array for every hop path) and are not
+     counted.  Buckets: the router index (1 + its length), then per live
+     bucket a record (4) + chunk pointer array + per chunk a record (4) and
+     two arrays at their allocated capacity.  Good for cross-backend
      comparison, not accounting. *)
   let approx_bytes t =
-    let words = ref 0 in
-    Itbl.iter (fun _ p -> words := !words + 8 + (2 * Array.length p.routers)) t.paths;
-    Itbl.iter
-      (fun _ b ->
-        words := !words + 8 + Array.length b.chunks;
+    let words = ref (1 + Array.length t.buckets) in
+    Itbl.iter (fun _ p -> words := !words + 7 + Array.length p.routers) t.paths;
+    iter_buckets t (fun router _ ->
+        let b = t.buckets.(router) in
+        words := !words + 5 + Array.length b.chunks;
         for ci = 0 to b.nchunks - 1 do
           words := !words + 6 + (2 * Array.length b.chunks.(ci).costs)
-        done)
-      t.buckets;
+        done);
     8 * !words
 
   let check_invariants t =
@@ -460,21 +486,24 @@ module Make (Cost : COST) = struct
       (fun peer p ->
         let len = Array.length p.routers in
         if len = 0 then fail "peer %d has an empty path" peer;
-        if Array.length p.pcosts <> len then fail "peer %d has ragged path arrays" peer;
+        if Array.length p.pcosts < len then fail "peer %d has fewer costs than routers" peer;
         if p.routers.(len - 1) <> t.landmark then
           fail "peer %d path does not end at the landmark" peer;
         for i = 0 to len - 1 do
-          match Itbl.find_opt t.buckets p.routers.(i) with
-          | None -> fail "peer %d: router %d has no bucket" peer p.routers.(i)
-          | Some b ->
-              if not (bucket_mem b p.pcosts.(i) peer) then
-                fail "peer %d missing from bucket of router %d" peer p.routers.(i)
+          let b = find_bucket t p.routers.(i) in
+          if b == empty_bucket then fail "peer %d: router %d has no bucket" peer p.routers.(i);
+          if not (bucket_mem b p.pcosts.(i) peer) then
+            fail "peer %d missing from bucket of router %d" peer p.routers.(i)
         done)
       t.paths;
+    if empty_bucket.nchunks <> 0 || empty_bucket.total <> 0 then fail "the empty bucket was written";
+    let live = ref 0 in
+    iter_buckets t (fun _ _ -> incr live);
+    if !live <> t.live then fail "%d live buckets counted as %d" !live t.live;
     (* Conversely, every bucket entry must be justified by a registered
        path, and the chunk structure itself must be sound. *)
-    Itbl.iter
-      (fun router b ->
+    iter_buckets t (fun router _ ->
+        let b = t.buckets.(router) in
         if b.total = 0 then fail "router %d has an empty bucket" router;
         if b.nchunks > Array.length b.chunks then fail "router %d: nchunks out of range" router;
         let counted = ref 0 in
@@ -509,5 +538,4 @@ module Make (Cost : COST) = struct
         done;
         if !counted <> b.total then
           fail "router %d: bucket total %d but %d entries" router b.total !counted)
-      t.buckets
 end

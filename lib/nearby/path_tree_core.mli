@@ -41,6 +41,7 @@ module Make (Cost : COST) : sig
   val member_count : t -> int
   val mem : t -> peer -> bool
   val router_count : t -> int
+  (** Routers whose bucket holds at least one entry. *)
 
   val insert : t -> peer:peer -> hops:(Topology.Graph.node * Cost.t) array -> unit
   (** [hops.(i)] is the i-th router of the peer's recorded path paired with
@@ -48,13 +49,14 @@ module Make (Cost : COST) : sig
       Costs must be non-decreasing from [hops.(0)] (normally [(attach,
       zero)]).
       @raise Invalid_argument on an empty path, a path not ending at the
-      landmark, decreasing costs, or a duplicate peer. *)
+      landmark, a negative router, decreasing costs, or a duplicate peer. *)
 
   val insert_path :
     t -> peer:peer -> routers:Topology.Graph.node array -> costs:Cost.t array -> unit
   (** {!insert} with the path as parallel arrays: [costs.(i)] is the cost
       to [routers.(i)].  Only the first [Array.length routers] costs are
-      read, so one long array can serve many paths; both are copied.
+      read, so one long array can serve many paths.  [routers] is copied;
+      [costs] is kept by reference and must not be mutated afterwards.
       @raise Invalid_argument as {!insert}, and when [costs] is shorter
       than [routers]. *)
 
@@ -140,12 +142,13 @@ module Make (Cost : COST) : sig
   val iter_members : t -> (peer -> unit) -> unit
 
   val iter_buckets : t -> (Topology.Graph.node -> int -> unit) -> unit
-  (** [f router size] per router bucket, unspecified order — the feed for
-      registry introspection (occupancy histograms, hot routers). *)
+  (** [f router size] per non-empty router bucket, unspecified order — the
+      feed for registry introspection (occupancy histograms, hot routers). *)
 
   val approx_bytes : t -> int
-  (** Rough payload size (paths + buckets) in bytes; an estimate for
-      cross-backend comparison, not an exact heap measurement. *)
+  (** Rough payload size (paths, the router index and buckets) in bytes,
+      not counting the callers' cost arrays; an estimate for cross-backend
+      comparison, not an exact heap measurement. *)
 
   val check_invariants : t -> unit
   (** @raise Failure on a violated structural invariant (test hook). *)

@@ -35,10 +35,9 @@ let rtt t src dst = Traceroute.Probe.ping ?latency:t.latency t.oracle ~src ~dst
 (* Sequential TTL probing: hop i costs one round trip to router i, so the
    tool's completion time is the sum of prefix RTTs along the route. *)
 let traceroute_delay t ~src ~dst =
-  match Traceroute.Route_oracle.route t.oracle ~src ~dst with
-  | [] -> infinity
+  match Traceroute.Route_oracle.route_array t.oracle ~src ~dst with
+  | [||] -> infinity
   | routers ->
-      let routers = Array.of_list routers in
       let acc = ref 0.0 in
       for i = 1 to Array.length routers - 1 do
         acc := !acc +. rtt t src routers.(i)

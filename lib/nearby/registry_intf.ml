@@ -212,19 +212,30 @@ end
 (* A backend packed with its state and a metrics sink: the dynamic form the
    server and the experiments route every call through.  The trace records
    "registry_insert" / "registry_remove" / "registry_query" identically for
-   every backend; backend-specific costs (overlay hops, lookups, shard
-   sizes) surface through [stats]. *)
+   every backend, through cells resolved at their first write;
+   backend-specific costs (overlay hops, lookups, shard sizes) surface
+   through [stats]. *)
 type t =
   | Registry : {
       backend : (module S with type t = 'a);
       state : 'a;
-      trace : Simkit.Trace.t;
+      inserts : Simkit.Trace.counter_cell;
+      removes : Simkit.Trace.counter_cell;
+      queries : Simkit.Trace.counter_cell;
     }
       -> t
 
 let create ?trace (module B : S) ~landmark =
   let trace = match trace with Some t -> t | None -> Simkit.Trace.create () in
-  Registry { backend = (module B); state = B.create ~landmark; trace }
+  let cell = Simkit.Trace.counter_cell trace in
+  Registry
+    {
+      backend = (module B);
+      state = B.create ~landmark;
+      inserts = cell "registry_insert";
+      removes = cell "registry_remove";
+      queries = cell "registry_query";
+    }
 
 let name (Registry r) =
   let module B = (val r.backend) in
@@ -236,12 +247,12 @@ let landmark (Registry r) =
 
 let insert (Registry r) ~peer ~routers =
   let module B = (val r.backend) in
-  Simkit.Trace.incr r.trace "registry_insert";
+  Simkit.Trace.cell_incr r.inserts;
   B.insert r.state ~peer ~routers
 
 let remove (Registry r) peer =
   let module B = (val r.backend) in
-  Simkit.Trace.incr r.trace "registry_remove";
+  Simkit.Trace.cell_incr r.removes;
   B.remove r.state peer
 
 let mem (Registry r) peer =
@@ -266,29 +277,29 @@ let dtree (Registry r) p1 p2 =
 
 let query (Registry r) ~routers ~k ?(exclude = fun _ -> false) () =
   let module B = (val r.backend) in
-  Simkit.Trace.incr r.trace "registry_query";
+  Simkit.Trace.cell_incr r.queries;
   B.query r.state ~routers ~k ~exclude ()
 
 let query_member (Registry r) ~peer ~k =
   let module B = (val r.backend) in
-  Simkit.Trace.incr r.trace "registry_query";
+  Simkit.Trace.cell_incr r.queries;
   B.query_member r.state ~peer ~k
 
 (* Batch calls keep the per-op counter semantics: a batch of n counts as n,
    so dashboards cannot tell (and need not care) how calls were batched. *)
 let insert_many (Registry r) entries =
   let module B = (val r.backend) in
-  Simkit.Trace.add_count r.trace "registry_insert" (Array.length entries);
+  Simkit.Trace.cell_add r.inserts (Array.length entries);
   B.insert_many r.state entries
 
 let query_many (Registry r) ~queries ~k ?(exclude = fun _ _ -> false) () =
   let module B = (val r.backend) in
-  Simkit.Trace.add_count r.trace "registry_query" (Array.length queries);
+  Simkit.Trace.cell_add r.queries (Array.length queries);
   B.query_many r.state ~queries ~k ~exclude ()
 
 let query_member_many (Registry r) ~peers ~k =
   let module B = (val r.backend) in
-  Simkit.Trace.add_count r.trace "registry_query" (Array.length peers);
+  Simkit.Trace.cell_add r.queries (Array.length peers);
   let queries =
     Array.map
       (fun peer ->

@@ -11,6 +11,45 @@ type peer_info = {
   probes_spent : int;
 }
 
+(* Peer-keyed tables: monomorphic probes, and a generic table's iteration
+   order (see [Prelude.Int_tbl]). *)
+module Peer_tbl = Prelude.Int_tbl
+
+(* The trace cells the server writes, each resolved at its first write. *)
+type cells = {
+  refreshes : Simkit.Trace.counter_cell;
+  joins : Simkit.Trace.counter_cell;
+  probe_packets : Simkit.Trace.counter_cell;
+  wire_bytes : Simkit.Trace.counter_cell;
+  path_hops : Simkit.Trace.stream_cell;
+  ping_round_ms : Simkit.Trace.stream_cell;
+  traceroute_ms : Simkit.Trace.stream_cell;
+  join_ms : Simkit.Trace.stream_cell;
+  replica_registers : Simkit.Trace.counter_cell;
+  queries : Simkit.Trace.counter_cell;
+  topups : Simkit.Trace.counter_cell;
+  leaves : Simkit.Trace.counter_cell;
+  handovers : Simkit.Trace.counter_cell;
+}
+
+let cells_of trace =
+  let counter = Simkit.Trace.counter_cell trace and stream = Simkit.Trace.stream_cell trace in
+  {
+    refreshes = counter "report_refresh";
+    joins = counter "join";
+    probe_packets = counter "probe_packets";
+    wire_bytes = counter "wire_bytes";
+    path_hops = stream "path_hops";
+    ping_round_ms = stream "ping_round_ms";
+    traceroute_ms = stream "traceroute_ms";
+    join_ms = stream "join_ms";
+    replica_registers = counter "replica_register";
+    queries = counter "query";
+    topups = counter "cross_tree_topup";
+    leaves = counter "leave";
+    handovers = counter "handover";
+  }
+
 type t = {
   oracle : Traceroute.Route_oracle.t;
   latency : Topology.Latency.t option;
@@ -21,7 +60,7 @@ type t = {
   landmark_ids : Topology.Graph.node array;
   backend : (module Registry_intf.S);
   registries : (Topology.Graph.node, Registry_intf.t) Hashtbl.t;
-  peers : (int, peer_info) Hashtbl.t;
+  peers : peer_info Peer_tbl.t;
   (* Engine time at which this server last learned each peer's report:
      stamped on every registration path (join, replica apply, repair or
      restore, handover re-join), dropped on leave.  A side table, deliberately NOT
@@ -29,15 +68,16 @@ type t = {
      not of the data, and serializing it would perturb every snapshot byte
      baseline.  [clock] defaults to a constant 0.0 until {!set_clock}
      wires the simulation engine in. *)
-  registered_at : (int, float) Hashtbl.t;
+  registered_at : float Peer_tbl.t;
   mutable clock : unit -> float;
   trace : Simkit.Trace.t;
+  cells : cells;
   spans : Simkit.Span.sink;
   (* Peers whose join span is still open: closed by their first query (so
      the span encloses the whole two-round protocol), or by leave/flush.
      The context keeps the query and the close causally linked to the
      join's trace. *)
-  open_joins : (int, float * Simkit.Span.context) Hashtbl.t;
+  open_joins : (float * Simkit.Span.context) Peer_tbl.t;
   (* Delta anti-entropy state.  The peers are split into [bucket_count]
      buckets by a mixed hash of the peer id; [bucket_digests] holds each
      bucket's content digest (the XOR of [entry_digest] over its entries)
@@ -86,12 +126,13 @@ let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Pr
     landmark_ids = Array.copy landmarks;
     backend;
     registries;
-    peers = Hashtbl.create 256;
-    registered_at = Hashtbl.create 256;
+    peers = Peer_tbl.create 256;
+    registered_at = Peer_tbl.create 256;
     clock = (fun () -> 0.0);
     trace;
+    cells = cells_of trace;
     spans;
-    open_joins = Hashtbl.create 16;
+    open_joins = Peer_tbl.create 16;
     bucket_digests = Bytes.make (8 * bucket_count) '\000';
     bucket_members = Array.init bucket_count (fun _ -> Prelude.Vec.create ~capacity:1 ());
   }
@@ -101,17 +142,25 @@ let set_clock t clock = t.clock <- clock
 (* Stamp (or re-stamp) a peer's report as learned now.  Counted so the
    staleness view can report a per-window refresh rate. *)
 let stamp t peer =
-  Hashtbl.replace t.registered_at peer (t.clock ());
-  Simkit.Trace.incr t.trace "report_refresh"
+  Peer_tbl.replace t.registered_at peer (t.clock ());
+  Simkit.Trace.cell_incr t.cells.refreshes
 
-let registration_time t peer = Hashtbl.find_opt t.registered_at peer
-let iter_registration_times t f = Hashtbl.iter f t.registered_at
+let registration_time t peer = Peer_tbl.find_opt t.registered_at peer
+let iter_registration_times t f = Peer_tbl.iter f t.registered_at
+
+(* Membership by [Int.equal]: [Array.mem] would call the polymorphic
+   compare per landmark. *)
+let is_landmark t lmk =
+  let rec from i =
+    i < Array.length t.landmark_ids && (Int.equal t.landmark_ids.(i) lmk || from (i + 1))
+  in
+  from 0
 
 let graph t = Traceroute.Route_oracle.graph t.oracle
 let landmarks t = Array.copy t.landmark_ids
-let peer_count t = Hashtbl.length t.peers
-let mem t peer = Hashtbl.mem t.peers peer
-let info t peer = Hashtbl.find_opt t.peers peer
+let peer_count t = Peer_tbl.length t.peers
+let mem t peer = Peer_tbl.mem t.peers peer
+let info t peer = Peer_tbl.find_opt t.peers peer
 let trace t = t.trace
 let registry_of t lmk = Hashtbl.find t.registries lmk
 
@@ -131,7 +180,7 @@ let introspection t =
   Registry_intf.merge_introspections
     (Hashtbl.fold (fun _ reg acc -> Registry_intf.introspect reg :: acc) t.registries [])
 
-let peer_ids t = Hashtbl.fold (fun peer _ acc -> peer :: acc) t.peers [] |> List.sort compare
+let peer_ids t = Peer_tbl.fold (fun peer _ acc -> peer :: acc) t.peers [] |> List.sort compare
 
 (* Everything one join measured, kept so spans and per-phase stats can
    report simulated durations alongside the recorded path. *)
@@ -252,7 +301,7 @@ let account t ~peer ~routers ~add =
 (* Peers table and bucket state of one registration whose registry write
    the caller made (batch paths write once per landmark). *)
 let record_entry t ~peer ~routers info =
-  Hashtbl.add t.peers peer info;
+  Peer_tbl.add t.peers peer info;
   account t ~peer ~routers ~add:true
 
 let add_entry t ~peer ~routers info =
@@ -261,21 +310,21 @@ let add_entry t ~peer ~routers info =
 
 let remove_entry t ~peer info =
   Registry_intf.remove (registry_of t info.landmark) peer;
-  Hashtbl.remove t.peers peer;
-  Hashtbl.remove t.registered_at peer;
+  Peer_tbl.remove t.peers peer;
+  Peer_tbl.remove t.registered_at peer;
   account t ~peer ~routers:(registrable_path ~landmark:info.landmark info.recorded_path) ~add:false
 
 (* Emit the still-open join span of [peer], closing it at the current span
    clock; the span then encloses ping_round, traceroute, register and (when
    one happened before the close) the peer's first query. *)
 let close_join_span t ~peer =
-  match Hashtbl.find_opt t.open_joins peer with
+  match Peer_tbl.find_opt t.open_joins peer with
   | None -> ()
   | Some (t0, ctx) ->
-      Hashtbl.remove t.open_joins peer;
+      Peer_tbl.remove t.open_joins peer;
       let now = Simkit.Span.now t.spans in
       let args =
-        match Hashtbl.find_opt t.peers peer with
+        match Peer_tbl.find_opt t.peers peer with
         | None -> [ ("peer", Simkit.Span.Int peer) ]
         | Some info ->
             [
@@ -288,14 +337,25 @@ let close_join_span t ~peer =
       Simkit.Span.emit t.spans ~name:"join" ~ts:t0 ~dur:(now -. t0) ~tid:peer ~ctx args
 
 let flush_spans t =
-  Hashtbl.fold (fun peer _ acc -> peer :: acc) t.open_joins []
+  Peer_tbl.fold (fun peer _ acc -> peer :: acc) t.open_joins []
   |> List.iter (fun peer -> close_join_span t ~peer)
+
+(* The join counters and the per-phase cost of the two-round protocol, in
+   simulated milliseconds: the same for a singleton and a batched join. *)
+let count_join t (r : measurement) =
+  let c = t.cells in
+  Simkit.Trace.cell_incr c.joins;
+  Simkit.Trace.cell_add c.probe_packets r.cost;
+  Simkit.Trace.cell_observe c.path_hops (float_of_int (Traceroute.Path.hop_count r.reduced));
+  Simkit.Trace.cell_observe c.ping_round_ms r.ping_rtt_ms;
+  Simkit.Trace.cell_observe c.traceroute_ms r.traceroute_ms;
+  Simkit.Trace.cell_observe c.join_ms (r.ping_rtt_ms +. r.traceroute_ms)
 
 (* Round 2 server side: store a client-measured path and answer the join
    counters/spans.  Split from [join] so a replicated cluster can measure
    once at the client and register the same measurement on any replica. *)
 let register_measured ?parent t ~peer ~attach_router (r : measurement) =
-  if Hashtbl.mem t.peers peer then
+  if Peer_tbl.mem t.peers peer then
     invalid_arg "Server.register_measured: peer already registered";
   let landmark = r.lmk and recorded_path = r.reduced and probes_spent = r.cost in
   let routers = registrable_path ~landmark recorded_path in
@@ -314,15 +374,9 @@ let register_measured ?parent t ~peer ~attach_router (r : measurement) =
       m "join peer=%d router=%d landmark=%d hops=%d probes=%d" peer attach_router landmark
         (Traceroute.Path.hop_count recorded_path)
         probes_spent);
-  Simkit.Trace.incr t.trace "join";
-  Simkit.Trace.add_count t.trace "probe_packets" probes_spent;
-  Simkit.Trace.add_count t.trace "wire_bytes"
+  count_join t r;
+  Simkit.Trace.cell_add t.cells.wire_bytes
     (Wire.byte_size (Wire.Path_report { peer; path = recorded_path }));
-  Simkit.Trace.observe t.trace "path_hops" (float_of_int (Traceroute.Path.hop_count recorded_path));
-  (* Per-phase cost of the two-round protocol, in simulated milliseconds. *)
-  Simkit.Trace.observe t.trace "ping_round_ms" r.ping_rtt_ms;
-  Simkit.Trace.observe t.trace "traceroute_ms" r.traceroute_ms;
-  Simkit.Trace.observe t.trace "join_ms" (r.ping_rtt_ms +. r.traceroute_ms);
   if Simkit.Span.enabled t.spans then begin
     let open Simkit.Span in
     let t0 = now t.spans in
@@ -352,27 +406,27 @@ let register_measured ?parent t ~peer ~attach_router (r : measurement) =
         ("probes_spent", Int probes_spent);
       ];
     advance t.spans (r.ping_rtt_ms +. r.traceroute_ms);
-    Hashtbl.replace t.open_joins peer (t0, join_ctx)
+    Peer_tbl.replace t.open_joins peer (t0, join_ctx)
   end;
   info
 
 let join ?rng t ~peer ~attach_router =
-  if Hashtbl.mem t.peers peer then invalid_arg "Server.join: peer already registered";
+  if Peer_tbl.mem t.peers peer then invalid_arg "Server.join: peer already registered";
   register_measured t ~peer ~attach_router (measure ?rng t ~attach_router)
 
 (* Replication apply: a peer measured and registered elsewhere lands here
    verbatim.  No join counters or spans — this is cluster traffic, not a
    protocol join — only the [replica_register] counter. *)
 let register_replica t ~peer ~attach_router ~landmark ~path ~probes_spent =
-  if Hashtbl.mem t.peers peer then
+  if Peer_tbl.mem t.peers peer then
     invalid_arg "Server.register_replica: peer already registered";
-  if not (Array.mem landmark t.landmark_ids) then
+  if not (is_landmark t landmark) then
     invalid_arg "Server.register_replica: unknown landmark";
   add_entry t ~peer
     ~routers:(registrable_path ~landmark path)
     { attach_router; landmark; recorded_path = path; probes_spent };
   stamp t peer;
-  Simkit.Trace.incr t.trace "replica_register"
+  Simkit.Trace.cell_incr t.cells.replica_registers
 
 (* A batch's registry write: one [insert_many] per landmark, landmarks in
    order of first appearance and entries in batch order within each.
@@ -408,7 +462,7 @@ let register_measured_batch ?parent t entries =
   let batch_seen = Hashtbl.create (2 * n) in
   Array.iter
     (fun (peer, _, _) ->
-      if Hashtbl.mem t.peers peer || Hashtbl.mem batch_seen peer then
+      if Peer_tbl.mem t.peers peer || Hashtbl.mem batch_seen peer then
         invalid_arg "Server.register_measured: peer already registered";
       Hashtbl.add batch_seen peer ())
     entries;
@@ -430,21 +484,14 @@ let register_measured_batch ?parent t entries =
         let _, _, (r : measurement) = entries.(i) in
         record_entry t ~peer ~routers info;
         stamp t peer;
-        Simkit.Trace.incr t.trace "join";
-        Simkit.Trace.add_count t.trace "probe_packets" r.cost;
-        Simkit.Trace.observe t.trace "path_hops"
-          (float_of_int (Traceroute.Path.hop_count r.reduced));
-        Simkit.Trace.observe t.trace "ping_round_ms" r.ping_rtt_ms;
-        Simkit.Trace.observe t.trace "traceroute_ms" r.traceroute_ms;
-        Simkit.Trace.observe t.trace "join_ms" (r.ping_rtt_ms +. r.traceroute_ms);
+        count_join t r;
         info)
       regs
   in
   let reports =
     Array.to_list (Array.map (fun (peer, _, (r : measurement)) -> (peer, r.reduced)) entries)
   in
-  Simkit.Trace.add_count t.trace "wire_bytes"
-    (Wire.byte_size (Wire.Path_report_batch { reports }));
+  Simkit.Trace.cell_add t.cells.wire_bytes (Wire.byte_size (Wire.Path_report_batch { reports }));
   Log.debug (fun m -> m "join batch n=%d landmarks=%d" n landmarks);
   if Simkit.Span.enabled t.spans && n > 0 then begin
     let open Simkit.Span in
@@ -468,9 +515,9 @@ let register_replica_batch t entries =
   let fresh =
     Array.fold_left
       (fun acc (peer, attach_router, landmark, path, probes_spent) ->
-        if Hashtbl.mem t.peers peer || Hashtbl.mem batch_seen peer then acc
+        if Peer_tbl.mem t.peers peer || Hashtbl.mem batch_seen peer then acc
         else begin
-          if not (Array.mem landmark t.landmark_ids) then
+          if not (is_landmark t landmark) then
             invalid_arg "Server.register_replica: unknown landmark";
           Hashtbl.add batch_seen peer ();
           ( peer,
@@ -487,7 +534,7 @@ let register_replica_batch t entries =
       record_entry t ~peer ~routers info;
       stamp t peer)
     fresh;
-  Simkit.Trace.add_count t.trace "replica_register" (Array.length fresh);
+  Simkit.Trace.cell_add t.cells.replica_registers (Array.length fresh);
   Array.length fresh
 
 (* Landmarks ordered by hop distance from the peer's landmark: the top-up
@@ -502,7 +549,7 @@ let topup_order t ~home =
     others
 
 let neighbors_of_path t ~path ~k ?(exclude = fun _ -> false) () =
-  Simkit.Trace.incr t.trace "query";
+  Simkit.Trace.cell_incr t.cells.queries;
   let landmark = path.Traceroute.Path.dst in
   let routers = registrable_path ~landmark path in
   let home =
@@ -532,7 +579,7 @@ let neighbors_of_path t ~path ~k ?(exclude = fun _ -> false) () =
                 Hashtbl.add already p ();
                 extra := (p, max_int) :: !extra;
                 decr missing;
-                Simkit.Trace.incr t.trace "cross_tree_topup"
+                Simkit.Trace.cell_incr t.cells.topups
               end)
             (List.sort compare !members)
         end)
@@ -541,21 +588,21 @@ let neighbors_of_path t ~path ~k ?(exclude = fun _ -> false) () =
   end
 
 let neighbors t ~peer ~k =
-  match Hashtbl.find_opt t.peers peer with
+  match Peer_tbl.find_opt t.peers peer with
   | None -> raise Not_found
   | Some info ->
       (* The query joins the peer's still-open join trace when there is
          one; a later re-query starts a trace of its own.  Running the
          lookup with the context ambient parents any registry op spans. *)
       let parent =
-        Option.map (fun (_, ctx) -> ctx) (Hashtbl.find_opt t.open_joins peer)
+        Option.map (fun (_, ctx) -> ctx) (Peer_tbl.find_opt t.open_joins peer)
       in
       let query_ctx = Simkit.Span.context t.spans ?parent () in
       let reply =
         Simkit.Span.with_context t.spans query_ctx (fun () ->
             neighbors_of_path t ~path:info.recorded_path ~k ~exclude:(fun p -> p = peer) ())
       in
-      Simkit.Trace.add_count t.trace "wire_bytes"
+      Simkit.Trace.cell_add t.cells.wire_bytes
         (Wire.byte_size (Wire.Neighbor_request { peer; k })
         + Wire.byte_size
             (Wire.Neighbor_reply
@@ -580,7 +627,7 @@ let neighbors t ~peer ~k =
       reply
 
 let reverse_introductions t ~peer ~k =
-  match Hashtbl.find_opt t.peers peer with
+  match Peer_tbl.find_opt t.peers peer with
   | None -> raise Not_found
   | Some info ->
       let reg = registry_of t info.landmark in
@@ -595,25 +642,25 @@ let reverse_introductions t ~peer ~k =
       |> List.filteri (fun i _ -> i < k)
 
 let leave t ~peer =
-  match Hashtbl.find_opt t.peers peer with
+  match Peer_tbl.find_opt t.peers peer with
   | None -> raise Not_found
   | Some info ->
       close_join_span t ~peer;
       remove_entry t ~peer info;
       Log.debug (fun m -> m "leave peer=%d landmark=%d" peer info.landmark);
-      Simkit.Trace.incr t.trace "leave"
+      Simkit.Trace.cell_incr t.cells.leaves
 
 let handover ?rng t ~peer ~attach_router =
-  if not (Hashtbl.mem t.peers peer) then raise Not_found;
+  if not (Peer_tbl.mem t.peers peer) then raise Not_found;
   leave t ~peer;
   let info = join ?rng t ~peer ~attach_router in
-  Simkit.Trace.incr t.trace "handover";
+  Simkit.Trace.cell_incr t.cells.handovers;
   info
 
 let check_invariants t =
   Hashtbl.iter (fun _ reg -> Registry_intf.check_invariants reg) t.registries;
   let fresh = Bytes.make (8 * bucket_count) '\000' in
-  Hashtbl.iter
+  Peer_tbl.iter
     (fun peer (info : peer_info) ->
       let routers = registrable_path ~landmark:info.landmark info.recorded_path in
       if Registry_intf.path_of (registry_of t info.landmark) peer <> Some routers then
@@ -633,15 +680,15 @@ let check_invariants t =
       (Printf.sprintf "landmark trees hold %d members, %d registered" members (peer_count t));
   if not (Bytes.equal fresh t.bucket_digests) then
     failwith "bucket digests differ from a recompute over the registrations";
-  let indexed = Hashtbl.create (Hashtbl.length t.peers) in
+  let indexed = Hashtbl.create (Peer_tbl.length t.peers) in
   Array.iteri
     (fun b members ->
       Prelude.Vec.iter members (fun peer ->
-          if bucket_of peer <> b || (not (Hashtbl.mem t.peers peer)) || Hashtbl.mem indexed peer
+          if bucket_of peer <> b || (not (Peer_tbl.mem t.peers peer)) || Hashtbl.mem indexed peer
           then failwith (Printf.sprintf "peer %d misindexed in bucket %d" peer b);
           Hashtbl.add indexed peer ()))
     t.bucket_members;
-  if Hashtbl.length indexed <> Hashtbl.length t.peers then
+  if Hashtbl.length indexed <> Peer_tbl.length t.peers then
     failwith "registered peers missing from the bucket index"
 
 (* --- Bucket summaries -------------------------------------------------- *)
@@ -709,7 +756,7 @@ let snapshot t =
   let open Prelude.Codec.Writer in
   u8 w snapshot_version;
   list w (varint w) (Array.to_list t.landmark_ids);
-  write_entries w (Hashtbl.fold (fun peer info acc -> (peer, info) :: acc) t.peers []);
+  write_entries w (Peer_tbl.fold (fun peer info acc -> (peer, info) :: acc) t.peers []);
   contents w
 
 let snapshot_buckets ?(only = fun _ -> true) t buckets =
@@ -717,7 +764,7 @@ let snapshot_buckets ?(only = fun _ -> true) t buckets =
   List.iter
     (fun b ->
       Prelude.Vec.iter t.bucket_members.(b) (fun peer ->
-          if only peer then entries := (peer, Hashtbl.find t.peers peer) :: !entries))
+          if only peer then entries := (peer, Peer_tbl.find t.peers peer) :: !entries))
     (List.sort_uniq Int.compare buckets);
   let w = Prelude.Codec.Writer.create () in
   write_entries w !entries;
@@ -737,7 +784,7 @@ let apply_entries t ~replaced r =
     | [] -> Ok ()
     | (peer, info) :: rest ->
         if peer <= prev then Error (Malformed "snapshot entries out of order")
-        else if not (Array.mem info.landmark t.landmark_ids) then
+        else if not (is_landmark t info.landmark) then
           Error (Malformed "snapshot references an unknown landmark")
         else if not (match replaced with None -> true | Some set -> set.(bucket_of peer)) then
           Error (Malformed "snapshot entry outside the replaced buckets")
@@ -767,20 +814,20 @@ let apply_entries t ~replaced r =
               t.bucket_members;
             List.iter
               (fun peer ->
-                remove_entry t ~peer (Hashtbl.find t.peers peer);
+                remove_entry t ~peer (Peer_tbl.find t.peers peer);
                 incr changed)
               !stale)
           replaced;
         List.iter
           (fun (peer, info) ->
-            match Hashtbl.find_opt t.peers peer with
+            match Peer_tbl.find_opt t.peers peer with
             | Some held when held = info -> ()
             | held ->
                 Option.iter (remove_entry t ~peer) held;
                 add_entry t ~peer
                   ~routers:(registrable_path ~landmark:info.landmark info.recorded_path)
                   info;
-                Hashtbl.replace t.registered_at peer (t.clock ());
+                Peer_tbl.replace t.registered_at peer (t.clock ());
                 incr changed)
           entries
       in

@@ -171,8 +171,8 @@ let add_count t name ~labels k =
   let r = counter_ref t name ~labels in
   r := !r + k
 
-let observe ?trace_id t name ~labels v =
-  Trace.observe_ref ?trace_id (stream_cell t (series_of t name labels)) v
+let stream_ref t name ~labels = stream_cell t (series_of t name labels)
+let observe ?trace_id t name ~labels v = Trace.observe_ref ?trace_id (stream_ref t name ~labels) v
 
 let gauge_cell t key =
   match Hashtbl.find_opt t.gauges key with

@@ -47,6 +47,10 @@ val observe : ?trace_id:int -> t -> string -> labels:labels -> float -> unit
 (** Append a sample to the labeled stream ({!Trace.observe} semantics,
     exemplar tagging included). *)
 
+val stream_ref : t -> string -> labels:labels -> Trace.stream
+(** The stream an {!observe} would append to, for hot paths to write with
+    {!Trace.observe_ref}; routed past the cap as {!counter_ref} is. *)
+
 val set : t -> string -> labels:labels -> float -> unit
 (** Gauge write: last value wins (shard occupancy, utilization shares). *)
 

@@ -23,21 +23,66 @@ let validate_config c =
   if c.jitter_frac < 0.0 || c.jitter_frac >= 1.0 then
     invalid_arg "Rpc: jitter_frac outside [0, 1)"
 
+(* The trace cells of the outcome counters and the latency stream, each
+   resolved at its first write. *)
+type cells = {
+  calls : Trace.counter_cell;
+  attempts : Trace.counter_cell;
+  retries : Trace.counter_cell;
+  no_target : Trace.counter_cell;
+  unserved : Trace.counter_cell;
+  ok_count : Trace.counter_cell;
+  latency : Trace.stream_cell;
+  timeouts : Trace.counter_cell;
+  gave_up : Trace.counter_cell;
+}
+
+(* The labeled series every successful call writes; a cell keeps the
+   series its first write resolved to. *)
+type ok_series = { outcome : Trace.counter_cell; ok_latency : Trace.stream_cell }
+
 type t = {
   config : config;
   transport : Transport.t;
   rng : Prelude.Prng.t option;
   trace : Trace.t;
+  cells : cells;
   labeled : Metrics.t option;
+  labeled_ok : ok_series option;
   recorder : Flight_recorder.t option;
   spans : Span.sink;
 }
+
+let ok = [ ("outcome", "ok") ]
 
 let create ?(config = default_config) ?rng ?trace ?labeled ?recorder
     ?(spans = Span.noop) transport =
   validate_config config;
   let trace = match trace with Some t -> t | None -> Trace.create () in
-  { config; transport; rng; trace; labeled; recorder; spans }
+  let cell = Trace.counter_cell trace in
+  let cells =
+    {
+      calls = cell "rpc_calls";
+      attempts = cell "rpc_attempts";
+      retries = cell "rpc_retries";
+      no_target = cell "rpc_no_target";
+      unserved = cell "rpc_unserved";
+      ok_count = cell "rpc_ok";
+      latency = Trace.stream_cell trace "rpc_latency_ms";
+      timeouts = cell "rpc_timeouts";
+      gave_up = cell "rpc_gave_up";
+    }
+  in
+  let labeled_ok =
+    Option.map
+      (fun m ->
+        {
+          outcome = lazy (Metrics.counter_ref m "rpc_outcomes" ~labels:ok);
+          ok_latency = lazy (Metrics.stream_ref m "rpc_latency_ms" ~labels:ok);
+        })
+      labeled
+  in
+  { config; transport; rng; trace; cells; labeled; labeled_ok; recorder; spans }
 
 (* Dimensional mirror of the outcome counters: one `rpc_outcomes` series
    per outcome label, so a fleet dashboard reads the ok/timeout mix
@@ -45,8 +90,6 @@ let create ?(config = default_config) ?rng ?trace ?labeled ?recorder
    lists, so a write builds none. *)
 let labeled_outcome t labels =
   match t.labeled with None -> () | Some m -> Metrics.incr m "rpc_outcomes" ~labels
-
-let ok = [ ("outcome", "ok") ]
 
 let trace t = t.trace
 let spans t = t.spans
@@ -84,7 +127,7 @@ let close t span outcome =
 
 let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_give_up =
   let engine = engine t and traced = Span.enabled t.spans in
-  Trace.incr t.trace "rpc_calls";
+  Trace.cell_incr t.cells.calls;
   let started_at = Engine.now engine in
   (* What a timeout does while the call is unsettled.  Settling empties the
      cell: a timeout still queued for a settled call holds the cell alone,
@@ -98,8 +141,8 @@ let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_g
   in
   let attempt n =
     if Option.is_some !on_timeout then begin
-      Trace.incr t.trace "rpc_attempts";
-      if n > 1 then Trace.incr t.trace "rpc_retries";
+      Trace.cell_incr t.cells.attempts;
+      if n > 1 then Trace.cell_incr t.cells.retries;
       (* One child span per attempt: the retry index and per-attempt target
          make client-side failover visible as sibling spans of one trace.
          Spans run on the engine clock, not the sink's. *)
@@ -113,7 +156,7 @@ let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_g
       | None ->
           (* No live target known right now; the backoff below doubles as
              a wait for one to come back. *)
-          Trace.incr t.trace "rpc_no_target";
+          Trace.cell_incr t.cells.no_target;
           labeled_outcome t [ ("outcome", "no_target") ];
           if Option.is_some t.recorder then
             record t ~args:[ ("src", Span.Int src); ("attempt", Span.Int n) ] "no_target";
@@ -141,7 +184,7 @@ let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_g
               | None ->
                   (* The server was down when the request arrived: it is
                      consumed without a reply, exactly like a lost one. *)
-                  Trace.incr t.trace "rpc_unserved";
+                  Trace.cell_incr t.cells.unserved;
                   labeled_outcome t [ ("outcome", "unserved") ];
                   if Option.is_some t.recorder then
                     record t ~args:[ ("src", Span.Int src); ("dst", Span.Int target) ] "unserved"
@@ -150,11 +193,12 @@ let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_g
                     ~parts:(reply_parts v) (fun () ->
                       if settle () then begin
                         let latency = Engine.now engine -. started_at in
-                        Trace.incr t.trace "rpc_ok";
-                        labeled_outcome t ok;
-                        Trace.observe t.trace "rpc_latency_ms" latency;
-                        (match t.labeled with
-                        | Some m -> Metrics.observe m "rpc_latency_ms" ~labels:ok latency
+                        Trace.cell_incr t.cells.ok_count;
+                        Trace.cell_observe t.cells.latency latency;
+                        (match t.labeled_ok with
+                        | Some s ->
+                            Trace.cell_incr s.outcome;
+                            Trace.cell_observe s.ok_latency latency
                         | None -> ());
                         if Option.is_some t.recorder then
                           record t "ok"
@@ -177,7 +221,7 @@ let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_g
   on_timeout :=
     Some
       (fun n span ->
-        Trace.incr t.trace "rpc_timeouts";
+        Trace.cell_incr t.cells.timeouts;
         labeled_outcome t [ ("outcome", "timeout") ];
         if Option.is_some t.recorder then
           record t ~args:[ ("src", Span.Int src); ("attempt", Span.Int n) ] "timeout";
@@ -185,7 +229,7 @@ let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_g
         if n < t.config.max_attempts then
           Engine.schedule engine ~delay:(backoff_ms t ~attempt:n) (fun () -> attempt (n + 1))
         else if settle () then begin
-          Trace.incr t.trace "rpc_gave_up";
+          Trace.cell_incr t.cells.gave_up;
           labeled_outcome t [ ("outcome", "gave_up") ];
           if Option.is_some t.recorder then record t ~args:[ ("src", Span.Int src) ] "gave_up";
           on_give_up ()

@@ -83,6 +83,21 @@ let observe_ref ?trace_id s v =
 
 let observe ?trace_id t name v = observe_ref ?trace_id (stream_ref t name) v
 
+(* Cells resolved at their first write: a hot path holds the cell, not the
+   name, and a name it never writes stays out of [counters]/[summaries]. *)
+type counter_cell = int ref Lazy.t
+type stream_cell = stream Lazy.t
+
+let counter_cell t name = lazy (counter_ref t name)
+let stream_cell t name = lazy (stream_ref t name)
+let cell_incr (c : counter_cell) = Stdlib.incr (Lazy.force c)
+
+let cell_add (c : counter_cell) k =
+  let r = Lazy.force c in
+  r := !r + k
+
+let cell_observe (c : stream_cell) v = observe_ref (Lazy.force c) v
+
 let exemplars t name =
   match Hashtbl.find_opt t.streams name with
   | None -> []

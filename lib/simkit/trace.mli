@@ -57,6 +57,27 @@ val stream_ref : t -> string -> stream
 val observe_ref : ?trace_id:int -> stream -> float -> unit
 (** {!observe} into a stream obtained from {!stream_ref}. *)
 
+type counter_cell = int ref Lazy.t
+(** A counter cell resolved at its first [Lazy.force]: hot paths build
+    one per name up front and write it without hashing the name, while a
+    name never written still does not appear in {!counters}.  A labeled
+    series' cell is [lazy (Metrics.counter_ref m name ~labels)]. *)
+
+type stream_cell = stream Lazy.t
+(** {!counter_cell} for an observe stream. *)
+
+val counter_cell : t -> string -> counter_cell
+val stream_cell : t -> string -> stream_cell
+
+val cell_incr : counter_cell -> unit
+(** {!incr} through a cell. *)
+
+val cell_add : counter_cell -> int -> unit
+(** {!add_count} through a cell. *)
+
+val cell_observe : stream_cell -> float -> unit
+(** {!observe} (untagged) through a cell. *)
+
 type exemplar = {
   bucket : int;  (** {!Prelude.Sketch.bucket_index} of the sample. *)
   trace_id : int;

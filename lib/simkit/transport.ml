@@ -1,12 +1,3 @@
-type tally = {
-  mutable t_sent_bytes : int;
-  mutable t_recv_bytes : int;
-  mutable t_sent_msgs : int;
-  mutable t_recv_msgs : int;
-}
-
-module Int_tbl = Hashtbl.Make (Int)
-
 (* The [wire_bytes_total] / [wire_msgs_total] cells of one (kind, dir)
    pair, resolved at its first frame. *)
 type wire_cells = { kind : string; dir : string; bytes : int ref; msgs : int ref }
@@ -39,7 +30,13 @@ type t = {
   mutable metrics : Metrics.t option;
   mutable wire_cells : wire_cells list;
   mutable timeseries : Timeseries.t option;
-  talkers : tally Int_tbl.t;
+  (* Per-endpoint tallies, indexed by graph node: endpoints are nodes, so
+     a delivery bumps four array cells instead of probing a table. *)
+  out_bytes : int array;
+  in_bytes : int array;
+  out_msgs : int array;
+  in_msgs : int array;
+  mutable endpoints : int;  (* nodes with at least one message tallied *)
 }
 
 let default_kind = "other"
@@ -52,6 +49,7 @@ let check_loss_prob ~who ~rng loss_prob =
 
 let create ?latency ?rng ?(loss_prob = 0.0) ?metrics ?timeseries engine oracle =
   check_loss_prob ~who:"Transport.create" ~rng loss_prob;
+  let nodes = Topology.Graph.node_count (Traceroute.Route_oracle.graph oracle) in
   {
     engine;
     oracle;
@@ -72,7 +70,11 @@ let create ?latency ?rng ?(loss_prob = 0.0) ?metrics ?timeseries engine oracle =
     metrics;
     wire_cells = [];
     timeseries;
-    talkers = Int_tbl.create 64;
+    out_bytes = Array.make nodes 0;
+    in_bytes = Array.make nodes 0;
+    out_msgs = Array.make nodes 0;
+    in_msgs = Array.make nodes 0;
+    endpoints = 0;
   }
 
 let engine t = t.engine
@@ -109,11 +111,11 @@ let walk t ~src ~dst =
       t.delay.(0) <- float_of_int hops;
       hops
   | Some table -> (
-      match Traceroute.Route_oracle.route t.oracle ~src ~dst with
-      | [] -> max_int
+      match Traceroute.Route_oracle.route_array t.oracle ~src ~dst with
+      | [||] -> max_int
       | routers ->
           t.delay.(0) <- Topology.Latency.path_latency table routers;
-          List.length routers - 1)
+          Array.length routers - 1)
 
 let one_way_delay t ~src ~dst = if walk t ~src ~dst = max_int then infinity else t.delay.(0)
 
@@ -128,13 +130,9 @@ let lost t =
 
 let parts_total parts = List.fold_left (fun acc (_, b) -> acc + b) 0 parts
 
-let tally_of t node =
-  match Int_tbl.find t.talkers node with
-  | tl -> tl
-  | exception Not_found ->
-      let tl = { t_sent_bytes = 0; t_recv_bytes = 0; t_sent_msgs = 0; t_recv_msgs = 0 } in
-      Int_tbl.replace t.talkers node tl;
-      tl
+(* Count [node] as an endpoint before its first tallied message. *)
+let touch t node =
+  if t.out_msgs.(node) = 0 && t.in_msgs.(node) = 0 then t.endpoints <- t.endpoints + 1
 
 let rec wire_cells t m ~kind ~dir = function
   | c :: _ when String.equal c.kind kind && String.equal c.dir dir -> c
@@ -185,11 +183,12 @@ let account_delivered t ~src ~dst ~dir ~parts ~total ~hops =
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + total;
   if hops <> max_int then t.link_bytes <- t.link_bytes + (total * hops);
-  let s = tally_of t src and d = tally_of t dst in
-  s.t_sent_bytes <- s.t_sent_bytes + total;
-  s.t_sent_msgs <- s.t_sent_msgs + 1;
-  d.t_recv_bytes <- d.t_recv_bytes + total;
-  d.t_recv_msgs <- d.t_recv_msgs + 1;
+  touch t src;
+  t.out_bytes.(src) <- t.out_bytes.(src) + total;
+  t.out_msgs.(src) <- t.out_msgs.(src) + 1;
+  touch t dst;
+  t.in_bytes.(dst) <- t.in_bytes.(dst) + total;
+  t.in_msgs.(dst) <- t.in_msgs.(dst) + 1;
   (match t.metrics with
   | None -> ()
   | Some m -> count_parts t m ~dir parts);
@@ -233,29 +232,29 @@ let dropped_partition_bytes t = t.dropped_partition_bytes
 let bytes_dropped t =
   t.dropped_loss_bytes + t.dropped_unreachable_bytes + t.dropped_partition_bytes
 
-let endpoint_count t = Int_tbl.length t.talkers
+let endpoint_count t = t.endpoints
 
 let top_talkers t ~k =
   if k < 0 then invalid_arg "Transport.top_talkers: negative k";
-  let all =
-    Int_tbl.fold
-      (fun node tl acc ->
+  let all = ref [] in
+  for node = Array.length t.out_msgs - 1 downto 0 do
+    if t.out_msgs.(node) > 0 || t.in_msgs.(node) > 0 then
+      all :=
         {
           node;
-          sent_bytes = tl.t_sent_bytes;
-          recv_bytes = tl.t_recv_bytes;
-          sent_msgs = tl.t_sent_msgs;
-          recv_msgs = tl.t_recv_msgs;
+          sent_bytes = t.out_bytes.(node);
+          recv_bytes = t.in_bytes.(node);
+          sent_msgs = t.out_msgs.(node);
+          recv_msgs = t.in_msgs.(node);
         }
-        :: acc)
-      t.talkers []
-  in
+        :: !all
+  done;
   let volume tk = tk.sent_bytes + tk.recv_bytes in
   let sorted =
     List.sort
       (fun a b ->
         match compare (volume b) (volume a) with 0 -> compare a.node b.node | c -> c)
-      all
+      !all
   in
   List.filteri (fun i _ -> i < k) sorted
 

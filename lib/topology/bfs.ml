@@ -62,25 +62,28 @@ let distances_within g src radius =
   done;
   List.rev !acc
 
-let parents g src =
+(* One pass fills both arrays: a node's depth is set at its discovery,
+   which also marks it seen. *)
+let tree g src =
   (* Neighbor slices are sorted by id, so first-discovery order is
      deterministic: the lowest-id shortest-path tree. *)
   let n = Graph.node_count g in
   let parent = Array.make n (-1) in
-  let seen = Prelude.Bitset.create n in
-  Prelude.Bitset.add seen src;
+  let depth = Array.make n max_int in
+  depth.(src) <- 0;
   let queue = Queue.create () in
   Queue.add src queue;
   while not (Queue.is_empty queue) do
     let u = Queue.take queue in
+    let du = depth.(u) + 1 in
     Graph.iter_neighbors g u (fun v ->
-        if not (Prelude.Bitset.mem seen v) then begin
-          Prelude.Bitset.add seen v;
+        if depth.(v) = max_int then begin
+          depth.(v) <- du;
           parent.(v) <- u;
           Queue.add v queue
         end)
   done;
-  parent
+  (parent, depth)
 
 let path_to ~parents ~src v =
   if v = src then [ src ]

@@ -15,10 +15,12 @@ val distances_within : Graph.t -> Graph.node -> int -> (Graph.node * int) list
 (** [distances_within g src radius] is every node at hop distance <= radius,
     paired with its distance, in increasing distance order. *)
 
-val parents : Graph.t -> Graph.node -> int array
-(** BFS tree: [parents.(v)] is the predecessor of [v] on a deterministic
-    (lowest-id-first) shortest path from the source; the source and
-    unreachable nodes map to [-1]. *)
+val tree : Graph.t -> Graph.node -> int array * int array
+(** BFS tree, as [(parents, depths)] from one traversal: [parents.(v)] is
+    the predecessor of [v] on a deterministic (lowest-id-first) shortest
+    path from the source, [-1] at the source and at unreachable nodes;
+    [depths.(v)] is [v]'s hop distance from the source ([max_int] when
+    unreachable), as {!distances} gives it. *)
 
 val path_to : parents:int array -> src:Graph.node -> Graph.node -> Graph.node list
 (** [path_to ~parents ~src v] reconstructs the node sequence [src .. v] from a

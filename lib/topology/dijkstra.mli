@@ -13,6 +13,10 @@ val distance :
   Graph.t -> weight:(Graph.node -> Graph.node -> float) -> Graph.node -> Graph.node -> float
 (** Single-pair weighted distance with early exit. *)
 
-val parents : Graph.t -> weight:(Graph.node -> Graph.node -> float) -> Graph.node -> int array
-(** Shortest-path tree with deterministic tie-breaking (on equal distance the
-    lower-id parent wins); source and unreachable nodes map to [-1]. *)
+val tree :
+  Graph.t -> weight:(Graph.node -> Graph.node -> float) -> Graph.node -> int array * int array
+(** Shortest-path tree, as [(parents, depths)] from one run: [parents]
+    breaks ties deterministically (on equal distance the lower-id parent
+    wins) and maps the source and unreachable nodes to [-1]; [depths.(v)]
+    is the number of links from [v] to the source along [parents] ([0] at
+    the source, [max_int] when unreachable). *)

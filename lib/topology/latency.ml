@@ -34,9 +34,9 @@ let get t u v =
 
 let weight_fn t u v = get t u v
 
-let path_latency t path =
-  let rec loop acc = function
-    | a :: (b :: _ as rest) -> loop (acc +. get t a b) rest
-    | [ _ ] | [] -> acc
-  in
-  loop 0.0 path
+let path_latency t routers =
+  let acc = ref 0.0 in
+  for i = 1 to Array.length routers - 1 do
+    acc := !acc +. get t routers.(i - 1) routers.(i)
+  done;
+  !acc

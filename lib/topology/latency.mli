@@ -25,5 +25,5 @@ val get : t -> Graph.node -> Graph.node -> float
 val weight_fn : t -> Graph.node -> Graph.node -> float
 (** [get] packaged for {!Dijkstra}. *)
 
-val path_latency : t -> Graph.node list -> float
-(** Sum over consecutive pairs of a router path. *)
+val path_latency : t -> Graph.node array -> float
+(** Sum over consecutive pairs of a router path, left to right. *)

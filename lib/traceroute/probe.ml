@@ -13,8 +13,8 @@ let one_way_latency ?latency oracle ~src ~dst =
       | n when n = max_int -> infinity
       | n -> float_of_int n)
   | Some table -> (
-      match Route_oracle.route oracle ~src ~dst with
-      | [] -> infinity
+      match Route_oracle.route_array oracle ~src ~dst with
+      | [||] -> infinity
       | routers -> Topology.Latency.path_latency table routers)
 
 let noisy rng v =
@@ -62,7 +62,7 @@ let run ?(config = default_config) ?latency ?rng oracle ~src ~dst =
         if Path.is_complete path then begin
           let one_way =
             match latency with
-            | Some table -> Topology.Latency.path_latency table (Array.to_list routers)
+            | Some table -> Topology.Latency.path_latency table routers
             | None -> float_of_int n_hops
           in
           Some (noisy rng (2.0 *. one_way))

@@ -42,7 +42,9 @@ val route_array : t -> src:Topology.Graph.node -> dst:Topology.Graph.node -> Top
 val route_length : t -> src:Topology.Graph.node -> dst:Topology.Graph.node -> int
 (** Links traversed by {!route}; [max_int] when unreachable.  Note this is
     the length of the deterministic forwarding route, which for weighted
-    routing can exceed the hop-count shortest path. *)
+    routing can exceed the hop-count shortest path.  Each sink tree records
+    every node's depth when it is built, so once [dst]'s tree exists this
+    is one array read: constant time, no allocation. *)
 
 val next_hop : t -> dst:Topology.Graph.node -> Topology.Graph.node -> Topology.Graph.node option
 (** [next_hop t ~dst v] is the router after [v] on [v]'s route to [dst];

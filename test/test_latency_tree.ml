@@ -185,12 +185,36 @@ let test_custom_cost_instance () =
       Alcotest.(check bool) "costs carried" true (c0 = (2.0, 2) && c1 = (8.0, 1))
   | None -> Alcotest.fail "no meeting point");
   let query_hops = [| (30, (0.0, 0)); (5, (1.0, 1)); (9, (8.0, 2)) |] in
-  match Pair_tree.query t ~hops:query_hops ~k:2 () with
+  (match Pair_tree.query t ~hops:query_hops ~k:2 () with
   | [ (first, (lat1, _)); (second, (lat2, _)) ] ->
       Alcotest.(check int) "low latency wins" 0 first;
       Alcotest.(check int) "slow peer second" 1 second;
       Alcotest.(check bool) "latencies ordered" true (lat1 <= lat2)
-  | other -> Alcotest.fail (Printf.sprintf "unexpected reply of %d" (List.length other))
+  | other -> Alcotest.fail (Printf.sprintf "unexpected reply of %d" (List.length other)));
+  (* Router-indexed buckets: a negative router is refused, a far router id
+     grows the index, and emptied routers leave the count. *)
+  Alcotest.check_raises "negative router" (Invalid_argument "Path_tree.insert: negative router")
+    (fun () -> Pair_tree.insert t ~peer:2 ~hops:[| (-1, (0.0, 0)); (9, (1.0, 1)) |]);
+  (* One cost array longer than either path serves both, read only up to
+     each path's length and kept as given. *)
+  let shared = [| (0.0, 0); (1.0, 1); (2.0, 2); (3.0, 3) |] in
+  Pair_tree.insert_path t ~peer:2 ~routers:[| 4000; 5; 9 |] ~costs:shared;
+  Pair_tree.insert_path t ~peer:3 ~routers:[| 4001; 9 |] ~costs:shared;
+  Pair_tree.check_invariants t;
+  Alcotest.(check int) "routers with far ids" 7 (Pair_tree.router_count t);
+  Alcotest.(check bool) "shared costs read per path" true
+    (Pair_tree.meeting_point t 2 3 = Some (9, (2.0, 2), (1.0, 1)));
+  Pair_tree.remove t 2;
+  Pair_tree.remove t 0;
+  Pair_tree.check_invariants t;
+  (* Left: peer 1 (20, 5, 9) and peer 3 (4001, 9). *)
+  Alcotest.(check int) "emptied routers dropped" 4 (Pair_tree.router_count t);
+  let seen = ref [] in
+  Pair_tree.iter_buckets t (fun router size -> seen := (router, size) :: !seen);
+  Alcotest.(check (list (pair int int)))
+    "live buckets only"
+    [ (5, 1); (9, 2); (20, 1); (4001, 1) ]
+    (List.sort compare !seen)
 
 let suite =
   ( "latency_tree",

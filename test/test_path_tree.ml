@@ -38,6 +38,14 @@ let test_insert_validation () =
   Alcotest.check_raises "duplicate peer" (Invalid_argument "Path_tree.insert: peer already registered")
     (fun () -> Path_tree.insert t ~peer:0 ~routers:path_a)
 
+let test_negative_router_rejected () =
+  let t = populated () in
+  Alcotest.check_raises "negative router" (Invalid_argument "Path_tree.insert: negative router")
+    (fun () -> Path_tree.insert t ~peer:9 ~routers:[| 10; -3; lmk |]);
+  Alcotest.(check bool) "not registered" false (Path_tree.mem t 9);
+  Alcotest.(check int) "routers unchanged" 8 (Path_tree.router_count t);
+  Path_tree.check_invariants t
+
 let test_meeting_point () =
   let t = populated () in
   (match Path_tree.meeting_point t 0 1 with
@@ -247,6 +255,96 @@ let qcheck_naive_equivalence =
       let k = 1 + Prelude.Prng.int rng 6 in
       Path_tree.query t ~routers:q_path ~k () = Naive_registry.query naive ~routers:q_path ~k ())
 
+(* Router ids spread over [0, 5000): the router index grows to the largest
+   id named and holds empty slots between them.  Each step inserts,
+   removes or queries; after every step the tree answers as the naive
+   scan does, counts exactly the routers some registered path crosses
+   (so the count drops as routers empty), and passes its invariants. *)
+let qcheck_sparse_routers_match_naive =
+  QCheck.Test.make ~name:"sparse router ids: path tree = naive, step by step" ~count:100
+    QCheck.(pair small_nat (int_range 1 80))
+    (fun (seed, steps) ->
+      let rng = Prelude.Prng.create (seed + 4242) in
+      let n_nodes = 40 in
+      (* A random sink tree on 40 nodes, relabelled with distinct ids in
+         [0, 5000); node 0 is the landmark. *)
+      let ids = Array.make n_nodes 0 and used = Hashtbl.create 64 in
+      for i = 0 to n_nodes - 1 do
+        let rec fresh () =
+          let id = Prelude.Prng.int rng 5000 in
+          if Hashtbl.mem used id then fresh () else id
+        in
+        let id = fresh () in
+        Hashtbl.add used id ();
+        ids.(i) <- id
+      done;
+      let parent = Array.init n_nodes (fun r -> if r = 0 then -1 else Prelude.Prng.int rng r) in
+      let path_from r =
+        let rec climb r acc = if r = 0 then List.rev (0 :: acc) else climb parent.(r) (r :: acc) in
+        Array.of_list (List.map (fun node -> ids.(node)) (climb r []))
+      in
+      let landmark = ids.(0) in
+      let t = Path_tree.create ~landmark and naive = Naive_registry.create ~landmark in
+      let members = ref [] and next = ref 0 in
+      let distinct_routers () =
+        let seen = Hashtbl.create 64 in
+        Naive_registry.iter_members naive (fun p ->
+            Array.iter
+              (fun r -> Hashtbl.replace seen r ())
+              (Option.get (Naive_registry.path_of naive p)));
+        Hashtbl.length seen
+      in
+      let ok = ref true in
+      for _ = 1 to steps do
+        (match Prelude.Prng.int rng 3 with
+        | 0 | 1 when !members = [] || Prelude.Prng.int rng 3 > 0 ->
+            let peer = !next and routers = path_from (Prelude.Prng.int rng n_nodes) in
+            incr next;
+            Path_tree.insert t ~peer ~routers;
+            Naive_registry.insert naive ~peer ~routers;
+            members := peer :: !members
+        | 0 | 1 ->
+            let peer = List.nth !members (Prelude.Prng.int rng (List.length !members)) in
+            Path_tree.remove t peer;
+            Naive_registry.remove naive peer;
+            members := List.filter (( <> ) peer) !members
+        | _ ->
+            let routers = path_from (Prelude.Prng.int rng n_nodes) in
+            let k = 1 + Prelude.Prng.int rng 6 in
+            if Path_tree.query t ~routers ~k () <> Naive_registry.query naive ~routers ~k () then
+              ok := false);
+        Path_tree.check_invariants t;
+        if Path_tree.router_count t <> distinct_routers () then ok := false;
+        List.iter
+          (fun peer ->
+            if Path_tree.query_member t ~peer ~k:3 <> Naive_registry.query_member naive ~peer ~k:3
+            then ok := false)
+          !members
+      done;
+      !ok)
+
+(* A registered hop path stores its routers and shares the one positions
+   array for its costs: an insert whose buckets all have room allocates
+   the router copy, the path record and the table binding, and no cost
+   array (which would add another [1 + length] words). *)
+let test_insert_allocates_no_cost_array () =
+  let len = 64 in
+  let routers = Array.init len (fun i -> if i = len - 1 then 0 else 1000 + i) in
+  let t = Path_tree.create ~landmark:0 in
+  (* Nine members put every router's bucket in a 16-slot chunk, so the
+     tenth insert grows nothing. *)
+  for peer = 0 to 8 do
+    Path_tree.insert t ~peer ~routers
+  done;
+  let before = Gc.minor_words () in
+  Path_tree.insert t ~peer:9 ~routers;
+  let words = Gc.minor_words () -. before in
+  Path_tree.check_invariants t;
+  Alcotest.(check bool)
+    (Printf.sprintf "a %d-router insert allocates %.0f words" len words)
+    true
+    (words <= float_of_int (len + 16))
+
 (* --- Batch insert = looped singletons, down to the layout --- *)
 
 (* What a tree must look like from outside: payload estimate, every
@@ -446,6 +544,7 @@ let suite =
     [
       Alcotest.test_case "accessors" `Quick test_basic_accessors;
       Alcotest.test_case "insert validation" `Quick test_insert_validation;
+      Alcotest.test_case "negative router rejected" `Quick test_negative_router_rejected;
       Alcotest.test_case "meeting point" `Quick test_meeting_point;
       Alcotest.test_case "meeting point symmetry" `Quick test_meeting_point_symmetry;
       Alcotest.test_case "dtree" `Quick test_dtree;
@@ -463,6 +562,9 @@ let suite =
       q qcheck_insert_remove_roundtrip;
       Alcotest.test_case "naive registry fixture" `Quick test_naive_matches_on_fixture;
       q qcheck_naive_equivalence;
+      q qcheck_sparse_routers_match_naive;
+      Alcotest.test_case "insert allocates no cost array" `Quick
+        test_insert_allocates_no_cost_array;
       q (qcheck_batch_layout (module Hop_subject));
       q (qcheck_batch_layout (module Latency_subject));
       Alcotest.test_case "member query allocation" `Quick test_query_member_allocation;

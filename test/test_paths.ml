@@ -28,7 +28,8 @@ let test_bfs_within () =
 
 let test_bfs_parents_path () =
   let g = forest () in
-  let parents = Bfs.parents g 0 in
+  let parents, depths = Bfs.tree g 0 in
+  Alcotest.(check (array int)) "depths are distances" (Bfs.distances g 0) depths;
   Alcotest.(check (list int)) "path to 3" [ 0; 1; 2; 3 ] (Bfs.path_to ~parents ~src:0 3);
   Alcotest.(check (list int)) "path to source" [ 0 ] (Bfs.path_to ~parents ~src:0 0);
   Alcotest.(check (list int)) "unreachable" [] (Bfs.path_to ~parents ~src:0 6)
@@ -37,7 +38,7 @@ let test_bfs_parents_deterministic () =
   (* A 4-cycle: two shortest paths from 0 to 2; the lowest-id parent (1) must
      win over 3. *)
   let g = Graph.of_edges ~node_count:4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
-  let parents = Bfs.parents g 0 in
+  let parents, _ = Bfs.tree g 0 in
   Alcotest.(check int) "parent of 2 is 1" 1 parents.(2)
 
 let test_eccentricity () =
@@ -67,8 +68,9 @@ let test_dijkstra_weighted_detour () =
   let g = Graph.of_edges ~node_count:3 [ (0, 1); (1, 2); (0, 2) ] in
   let weight u v = match (min u v, max u v) with 0, 2 -> 10.0 | _ -> 1.5 in
   Alcotest.(check (float 1e-9)) "takes the detour" 3.0 (Dijkstra.distance g ~weight 0 2);
-  let parents = Dijkstra.parents g ~weight 0 in
-  Alcotest.(check int) "parent of 2 is 1" 1 parents.(2)
+  let parents, depths = Dijkstra.tree g ~weight 0 in
+  Alcotest.(check int) "parent of 2 is 1" 1 parents.(2);
+  Alcotest.(check (array int)) "links to the source" [| 0; 1; 2 |] depths
 
 let test_dijkstra_negative_weight () =
   let g = Graph.of_edges ~node_count:2 [ (0, 1) ] in
@@ -150,7 +152,7 @@ let test_latency_models () =
   let g = path5 () in
   let hop = Latency.assign g Latency.Hop_count ~seed:1 in
   Alcotest.(check (float 1e-9)) "hop model" 1.0 (Latency.get hop 0 1);
-  Alcotest.(check (float 1e-9)) "path latency" 4.0 (Latency.path_latency hop [ 0; 1; 2; 3; 4 ]);
+  Alcotest.(check (float 1e-9)) "path latency" 4.0 (Latency.path_latency hop [| 0; 1; 2; 3; 4 |]);
   let uni = Latency.assign g (Latency.Uniform { lo = 2.0; hi = 5.0 }) ~seed:2 in
   List.iter
     (fun (u, v) ->

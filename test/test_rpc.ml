@@ -219,6 +219,59 @@ let test_settled_call_lets_go () =
   Alcotest.(check int) "one attempt" 1 (counter rpc "rpc_attempts");
   Alcotest.(check int) "no timeout counted" 0 (counter rpc "rpc_timeouts")
 
+(* One clean call writes the flat and labeled names a per-name write
+   created, through cells resolved at their first write: no failure-path
+   name appears.  A call that is never served writes no success name. *)
+let test_trace_names_after_one_call () =
+  let d, transport = drawing () in
+  let labeled = Metrics.create () in
+  let rpc = Rpc.create ~config ~labeled transport in
+  Rpc.call rpc ~src:d.p1
+    ~dst:(fun ~attempt:_ -> Some d.lmk)
+    ~request_parts:[ ("other", 50) ]
+    ~reply_parts:(fun _ -> [ ("other", 500) ])
+    ~handle:(fun ~dst:_ -> Some 42)
+    ~on_reply:ignore ~on_give_up:ignore;
+  Engine.run (Transport.engine transport);
+  Alcotest.(check (list (pair string int)))
+    "counters"
+    [ ("rpc_attempts", 1); ("rpc_calls", 1); ("rpc_ok", 1) ]
+    (Trace.counters (Rpc.trace rpc));
+  Alcotest.(check (list string)) "streams" [ "rpc_latency_ms" ]
+    (List.map fst (Trace.summaries (Rpc.trace rpc)));
+  Alcotest.(check (list string))
+    "labeled series"
+    [ {|rpc_latency_ms{outcome="ok"}|}; {|rpc_outcomes{outcome="ok"}|} ]
+    (List.map (fun (_, _, key) -> key) (Metrics.series labeled));
+  Alcotest.(check int) "labeled ok" 1 (Metrics.counter labeled "rpc_outcomes" ~labels:[ ("outcome", "ok") ]);
+  Alcotest.(check (option int))
+    "labeled latency samples" (Some 1)
+    (Option.map
+       (fun (s : Trace.summary) -> s.count)
+       (Metrics.summary labeled "rpc_latency_ms" ~labels:[ ("outcome", "ok") ]));
+  let labeled = Metrics.create () in
+  let rpc = Rpc.create ~config ~labeled transport in
+  Rpc.call rpc ~src:d.p1
+    ~dst:(fun ~attempt:_ -> Some d.lmk)
+    ~request_parts:[ ("other", 50) ]
+    ~reply_parts:(fun _ -> [ ("other", 500) ])
+    ~handle:(fun ~dst:_ -> None)
+    ~on_reply:ignore ~on_give_up:ignore;
+  Engine.run (Transport.engine transport);
+  Alcotest.(check (list string))
+    "unserved counters"
+    [ "rpc_attempts"; "rpc_calls"; "rpc_gave_up"; "rpc_retries"; "rpc_timeouts"; "rpc_unserved" ]
+    (List.map fst (Trace.counters (Rpc.trace rpc)));
+  Alcotest.(check (list string)) "no latency stream" [] (List.map fst (Trace.summaries (Rpc.trace rpc)));
+  Alcotest.(check (list string))
+    "unserved labeled series"
+    [
+      {|rpc_outcomes{outcome="gave_up"}|};
+      {|rpc_outcomes{outcome="timeout"}|};
+      {|rpc_outcomes{outcome="unserved"}|};
+    ]
+    (List.map (fun (_, _, key) -> key) (Metrics.series labeled))
+
 let suite =
   ( "rpc",
     [
@@ -232,4 +285,5 @@ let suite =
       Alcotest.test_case "no target terminates" `Quick test_no_target_still_terminates;
       Alcotest.test_case "backoff jitter spread" `Quick test_backoff_jitter_spread;
       Alcotest.test_case "a settled call lets go" `Quick test_settled_call_lets_go;
+      Alcotest.test_case "trace names after one call" `Quick test_trace_names_after_one_call;
     ] )

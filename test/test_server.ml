@@ -462,6 +462,38 @@ let test_invariants_check_content () =
   | exception Failure _ -> ()
   | () -> Alcotest.fail "a backend storing clipped paths passed the invariants"
 
+(* Trace cells are resolved at their first write: one join and its query
+   create exactly the names a per-name write created, and none of the
+   names the join never writes (leave, handover, replica and top-up
+   counters, registry removes). *)
+let test_trace_names_after_one_join () =
+  let map = Topology.Gen_magoni.generate (Topology.Gen_magoni.default_params 400) ~seed:3 in
+  let oracle = Traceroute.Route_oracle.create map.graph in
+  let rng = Prelude.Prng.create 3 in
+  let lmks = Landmark.place map.graph Landmark.Medium_degree ~count:4 ~rng in
+  let server = Server.create oracle ~landmarks:lmks in
+  Alcotest.(check (list string)) "fresh server writes nothing" []
+    (List.map fst (Simkit.Trace.counters (Server.trace server)));
+  ignore (Server.join server ~peer:0 ~attach_router:map.leaves.(0));
+  ignore (Server.neighbors server ~peer:0 ~k:5);
+  let trace = Server.trace server in
+  Alcotest.(check (list (pair string int)))
+    "counters"
+    [
+      ("join", 1);
+      ("probe_packets", 9);
+      ("query", 1);
+      ("registry_insert", 1);
+      ("registry_query", 1);
+      ("report_refresh", 1);
+      ("wire_bytes", 25);
+    ]
+    (Simkit.Trace.counters trace);
+  Alcotest.(check (list (pair string int)))
+    "streams"
+    [ ("join_ms", 1); ("path_hops", 1); ("ping_round_ms", 1); ("traceroute_ms", 1) ]
+    (List.map (fun (name, (s : Simkit.Trace.summary)) -> (name, s.count)) (Simkit.Trace.summaries trace))
+
 let suite =
   ( "server",
     [
@@ -487,4 +519,5 @@ let suite =
       Alcotest.test_case "measure allocation" `Quick test_measure_allocation;
       Alcotest.test_case "invariants check content" `Quick test_invariants_check_content;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) qcheck_server_model;
+      Alcotest.test_case "trace names after one join" `Quick test_trace_names_after_one_join;
     ] )

@@ -284,12 +284,20 @@ module Reference = struct
       in
       walk src []
 
+  (* Link latencies summed left to right over the route list. *)
+  let list_latency table routers =
+    let rec sum acc = function
+      | a :: (b :: _ as rest) -> sum (acc +. Topology.Latency.get table a b) rest
+      | [ _ ] | [] -> acc
+    in
+    sum 0.0 routers
+
   let one_way ?latency oracle ~src ~dst =
     match route oracle ~src ~dst with
     | [] -> infinity
     | routers -> (
         match latency with
-        | Some table -> Topology.Latency.path_latency table routers
+        | Some table -> list_latency table routers
         | None -> float_of_int (List.length routers - 1))
 
   let noisy rng v =
@@ -332,7 +340,7 @@ module Reference = struct
           if Path.is_complete path then begin
             let one_way =
               match latency with
-              | Some table -> Topology.Latency.path_latency table (Array.to_list routers)
+              | Some table -> list_latency table (Array.to_list routers)
               | None -> float_of_int n_hops
             in
             Some (noisy rng (2.0 *. one_way))
@@ -385,6 +393,68 @@ let qcheck_measurement_identity =
         pairs
       && Prelude.Prng.bits64 a = Prelude.Prng.bits64 b)
 
+(* Every oracle reads a route's length off its sink tree's depth array:
+   the length must be the route's link count, [max_int] exactly when
+   there is no route, 0 to itself, and free once the tree is built.  The
+   route itself must follow the parent array link by link to [dst], so
+   the depths are checked against the parents, not against themselves.
+   Graphs are random with one isolated router, so every graph is
+   disconnected; the bounded oracle holds two trees and keeps evicting. *)
+let qcheck_route_length_is_tree_depth =
+  QCheck.Test.make ~name:"route_length is the sink tree's depth, for every oracle" ~count:100
+    QCheck.(pair (int_range 3 24) small_nat)
+    (fun (n, seed) ->
+      let g_rng = Prelude.Prng.create (seed + 11) in
+      let edges = ref [] in
+      for u = 0 to n - 2 do
+        for v = u + 1 to n - 2 do
+          if Prelude.Prng.unit_float g_rng < 0.25 then edges := (u, v) :: !edges
+        done
+      done;
+      let g = Topology.Graph.of_edges ~node_count:n !edges in
+      let table = Topology.Latency.assign g (Topology.Latency.Uniform { lo = 1.0; hi = 9.0 }) ~seed in
+      let oracles =
+        [
+          Route_oracle.create g;
+          Route_oracle.create_weighted g ~weight:(Topology.Latency.weight_fn table);
+          Route_oracle.create_inflated g ~inflation:(float_of_int (seed mod 4)) ~seed;
+          Route_oracle.create ~max_cached_trees:2 g;
+        ]
+      in
+      let consistent oracle ~src ~dst =
+        let len = Route_oracle.route_length oracle ~src ~dst in
+        let route = Route_oracle.route_array oracle ~src ~dst in
+        let follows_tree () =
+          let last = Array.length route - 1 in
+          route.(0) = src
+          && route.(last) = dst
+          && List.for_all
+               (fun i -> Route_oracle.next_hop oracle ~dst route.(i) = Some route.(i + 1))
+               (List.init last Fun.id)
+        in
+        if src = dst then len = 0 && route = [| src |]
+        else if len = max_int then route = [||]
+        else route <> [||] && len = Array.length route - 1 && follows_tree ()
+      in
+      (* Once [dst]'s tree is built, asking for any source's length
+         allocates nothing (a boxed float for the counter reads aside). *)
+      let free oracle ~dst =
+        ignore (Route_oracle.route_length oracle ~src:((dst + 1) mod n) ~dst);
+        let before = Gc.minor_words () in
+        for src = 0 to n - 1 do
+          ignore (Sys.opaque_identity (Route_oracle.route_length oracle ~src ~dst))
+        done;
+        Gc.minor_words () -. before <= 4.0
+      in
+      List.for_all
+        (fun oracle ->
+          List.for_all
+            (fun dst ->
+              free oracle ~dst
+              && List.for_all (fun src -> consistent oracle ~src ~dst) (List.init n Fun.id))
+            (List.init n Fun.id))
+        oracles)
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t in
   ( "traceroute",
@@ -415,4 +485,5 @@ let suite =
       Alcotest.test_case "describe" `Quick test_describe;
       q qcheck_truncate_keeps_endpoints;
       q qcheck_measurement_identity;
+      q qcheck_route_length_is_tree_depth;
     ] )
