@@ -38,6 +38,8 @@ module Make (Config : CONFIG) : Nearby.Registry_intf.S with type t = Directory.t
   include Nearby.Registry_intf.Derive_batch (struct
     type nonrec t = t
 
+    let landmark = landmark
+    let mem = mem
     let insert = insert
     let query = query
   end)

@@ -233,111 +233,87 @@ let update_amplification t =
       g.value <- replication_amplification t
   | Some _ -> ()
 
-(* Write fan-out: the processing replica pushes the registration to every
-   other replica.  Replication messages ride the transport (paying latency,
-   loss and partitions); a replica that is down when the message lands
-   simply misses the write — anti-entropy heals it later. *)
-let fan_out ?parent t ~from_replica ~peer ~attach_router ~measurement =
-  let landmark = Server.measurement_landmark measurement in
-  let path = Server.measurement_path measurement in
-  let probes_spent = Server.measurement_probes measurement in
+(* The apply rule of every replication message, per entry: a replica that
+   is down when the message lands, or already holds the peer, skips the
+   entry -- the idempotence a replayed fan-out needs; anti-entropy heals a
+   missed write later.  Returns whether the entry was applied. *)
+let apply_entry t (o : replica) ~peer ~attach_router ~measurement =
+  if o.alive && not (Server.mem o.server peer) then begin
+    Server.register_replica o.server ~peer ~attach_router
+      ~landmark:(Server.measurement_landmark measurement)
+      ~path:(Server.measurement_path measurement)
+      ~probes_spent:(Server.measurement_probes measurement);
+    incr t.replicate_apply;
+    true
+  end
+  else begin
+    incr t.replicate_skip;
+    false
+  end
+
+(* Write fan-out: the processing replica sends [msg] to every other
+   replica, riding the transport (paying latency, loss and partitions);
+   [deliver o span] applies it when it lands on [o].  One [name] span per
+   target, tagged [arg = value], is open from send to transport delivery,
+   so in a trace tree the replication lag is visible next to the join that
+   caused it.  A message the transport drops leaves its span open (never
+   emitted), like the write it lost. *)
+let send_to_others ?parent t ~from_replica ~msg ~name ~tid ~arg ~value deliver =
   let src = t.replicas.(from_replica).router in
-  let report = Wire.Path_report { peer; path } in
-  let bytes = Wire.byte_size report in
+  let bytes = Wire.byte_size msg in
   let traced = Simkit.Span.enabled t.spans in
   t.client_report_bytes := !(t.client_report_bytes) + bytes;
-  Array.iter
-    (fun (o : replica) ->
-      if o.id <> from_replica then begin
-        (* One replicate span per target, open from send to transport
-           delivery — in a trace tree the replication lag is visible next
-           to the join that caused it.  A message the transport drops
-           leaves its span open (never emitted), like the write it lost. *)
-        let span =
-          if traced then
-            Simkit.Span.start_span t.spans ~name:"replicate" ~ts:(now t) ?parent ~tid:peer
-              [ ("peer", Simkit.Span.Int peer); ("to_replica", Simkit.Span.Int o.id) ]
-          else Simkit.Span.none
-        in
-        let apply () =
-          (if o.alive && not (Server.mem o.server peer) then begin
-             Server.register_replica o.server ~peer ~attach_router ~landmark ~path ~probes_spent;
-             incr t.replicate_apply;
-             Simkit.Span.add_arg span "outcome" (Simkit.Span.Str "applied")
-           end
-           else begin
-             incr t.replicate_skip;
-             Simkit.Span.add_arg span "outcome" (Simkit.Span.Str "skipped")
-           end);
-          if traced then Simkit.Span.finish ~ts:(now t) span
-        in
-        incr t.replicate_send;
-        t.replica_bytes := !(t.replica_bytes) + bytes;
-        match t.transport with
-        | Some tr ->
-            Simkit.Transport.send ~kind:(Wire.kind report) ~dir:"replica" tr ~src ~dst:o.router
-              ~size_bytes:bytes apply
-        | None -> apply ()
-      end)
-    t.replicas;
+  for i = 0 to Array.length t.replicas - 1 do
+    let o = t.replicas.(i) in
+    if o.id <> from_replica then begin
+      let span =
+        if traced then
+          Simkit.Span.start_span t.spans ~name ~ts:(now t) ?parent ~tid
+            [ (arg, Simkit.Span.Int value); ("to_replica", Simkit.Span.Int o.id) ]
+        else Simkit.Span.none
+      in
+      let apply () =
+        deliver o span;
+        if traced then Simkit.Span.finish ~ts:(now t) span
+      in
+      incr t.replicate_send;
+      t.replica_bytes := !(t.replica_bytes) + bytes;
+      match t.transport with
+      | Some tr ->
+          Simkit.Transport.send ~kind:(Wire.kind msg) ~dir:"replica" tr ~src ~dst:o.router
+            ~size_bytes:bytes apply
+      | None -> apply ()
+    end
+  done;
   update_amplification t
 
-(* Batched write fan-out: the whole batch rides to each peer replica as one
-   {!Wire.Path_report_batch} message — one transport send, one varint-packed
-   payload — instead of one {!Wire.Path_report} per (peer, target).  The
-   apply side is one [register_replica_batch] (skip-idempotent), so the
-   replicate_apply/skip counters still add up per entry while the send
-   counter counts messages, which is exactly the batching win. *)
+let fan_out ?parent t ~from_replica ~peer ~attach_router ~measurement =
+  let msg = Wire.Path_report { peer; path = Server.measurement_path measurement } in
+  send_to_others ?parent t ~from_replica ~msg ~name:"replicate" ~tid:peer ~arg:"peer" ~value:peer
+    (fun o span ->
+      Simkit.Span.add_arg span "outcome"
+        (if apply_entry t o ~peer ~attach_router ~measurement then Simkit.Span.Str "applied"
+         else Simkit.Span.Str "skipped"))
+
+(* Batched write fan-out: the whole batch rides to each other replica as
+   one {!Wire.Path_report_batch} -- one transport send, one varint-packed
+   payload -- and lands as the singleton apply rule in a loop.  The
+   replicate_apply/skip counters add up per entry while the send counter
+   counts messages, which is exactly the batching win. *)
 let fan_out_batch ?parent t ~from_replica ~entries =
   let n = Array.length entries in
   if n > 0 then begin
-    let src = t.replicas.(from_replica).router in
     let reports =
       Array.to_list (Array.map (fun (peer, _, m) -> (peer, Server.measurement_path m)) entries)
     in
-    let batch = Wire.Path_report_batch { reports } in
-    let bytes = Wire.byte_size batch in
-    t.client_report_bytes := !(t.client_report_bytes) + bytes;
-    let replica_entries =
-      Array.map
-        (fun (peer, attach_router, m) ->
-          ( peer,
-            attach_router,
-            Server.measurement_landmark m,
-            Server.measurement_path m,
-            Server.measurement_probes m ))
-        entries
-    in
-    Array.iter
-      (fun (o : replica) ->
-        if o.id <> from_replica then begin
-          let span =
-            Simkit.Span.start_span t.spans ~name:"replicate_batch" ~ts:(now t) ?parent
-              [ ("ops", Simkit.Span.Int n); ("to_replica", Simkit.Span.Int o.id) ]
-          in
-          let apply () =
-            (if o.alive then begin
-               let applied = Server.register_replica_batch o.server replica_entries in
-               t.replicate_apply := !(t.replicate_apply) + applied;
-               t.replicate_skip := !(t.replicate_skip) + (n - applied);
-               Simkit.Span.add_arg span "applied" (Simkit.Span.Int applied)
-             end
-             else begin
-               t.replicate_skip := !(t.replicate_skip) + n;
-               Simkit.Span.add_arg span "outcome" (Simkit.Span.Str "skipped")
-             end);
-            Simkit.Span.finish ~ts:(now t) span
-          in
-          incr t.replicate_send;
-          t.replica_bytes := !(t.replica_bytes) + bytes;
-          match t.transport with
-          | Some tr ->
-              Simkit.Transport.send ~kind:(Wire.kind batch) ~dir:"replica" tr ~src ~dst:o.router
-                ~size_bytes:bytes apply
-          | None -> apply ()
-        end)
-      t.replicas;
-    update_amplification t
+    send_to_others ?parent t ~from_replica ~msg:(Wire.Path_report_batch { reports })
+      ~name:"replicate_batch" ~tid:0 ~arg:"ops" ~value:n (fun o span ->
+        let applied = ref 0 in
+        Array.iter
+          (fun (peer, attach_router, measurement) ->
+            if apply_entry t o ~peer ~attach_router ~measurement then incr applied)
+          entries;
+        Simkit.Span.add_arg span "applied" (Simkit.Span.Int !applied))
   end
 
 let handle_registration ?parent t ~replica ~peer ~attach_router ~measurement ~k =

@@ -84,42 +84,42 @@ let make ?(clock = default_clock) ?(spans = Simkit.Span.noop) ?labeled ~metrics
     let query_member t ~peer ~k =
       observe_query (timed "registry_query" query_ns (fun () -> B.query_member t ~peer ~k))
 
-    (* A batch is one span (tagged with its size), not n: that is the point
-       of batching, and span sinks stay proportional to call volume.  The
-       per-op latency streams still receive one sample per operation — the
-       amortized cost, batch time / n — so quantiles over a mixed
-       singleton/batch workload stay comparable and a batched deployment
-       shows up as the latency drop it actually is. *)
-    let timed_batch span_name stream n f =
-      if n = 0 then f ()
-      else
-        Simkit.Span.with_span spans ~name:span_name ?parent:(Simkit.Span.current spans)
-          [ ("ops", Simkit.Span.Int n) ]
-          (fun ctx ->
-            let t0 = clock () in
-            let r = f () in
-            let per_op = (clock () -. t0) /. float_of_int n in
-            for _ = 1 to n do
-              Simkit.Trace.observe ~trace_id:ctx.Simkit.Span.trace_id metrics stream per_op;
-              labeled_observe ~trace_id:ctx.Simkit.Span.trace_id stream per_op
-            done;
-            r)
+    (* A batch insert is the timed [insert] in a loop: one span and one
+       sample per entry. *)
+    include Registry_intf.Derive_batch (struct
+      type nonrec t = t
 
-    let insert_many t entries =
-      timed_batch "registry_insert_many" insert_ns (Array.length entries) (fun () ->
-          B.insert_many t entries)
+      let landmark = landmark
+      let mem = mem
+      let insert = insert
+      let query = query
+    end)
 
+    (* A query batch is one span (tagged with its size), not n: span sinks
+       stay proportional to call volume.  The latency stream still receives
+       one sample per query — the amortized cost, batch time / n — so
+       quantiles over a mixed singleton/batch workload stay comparable. *)
     let query_many t ~queries ~k ?(exclude = fun _ _ -> false) () =
+      let n = Array.length queries in
+      let run () = B.query_many t ~queries ~k ~exclude () in
       let results =
-        timed_batch "registry_query_many" query_ns (Array.length queries) (fun () ->
-            B.query_many t ~queries ~k ~exclude ())
+        if n = 0 then run ()
+        else
+          Simkit.Span.with_span spans ~name:"registry_query_many"
+            ?parent:(Simkit.Span.current spans)
+            [ ("ops", Simkit.Span.Int n) ]
+            (fun ctx ->
+              let t0 = clock () in
+              let r = run () in
+              let per_op = (clock () -. t0) /. float_of_int n in
+              for _ = 1 to n do
+                Simkit.Trace.observe ~trace_id:ctx.Simkit.Span.trace_id metrics query_ns per_op;
+                labeled_observe ~trace_id:ctx.Simkit.Span.trace_id query_ns per_op
+              done;
+              r)
       in
       Array.iter (fun r -> ignore (observe_query r)) results;
       results
-
-    (* Candidate offering into a caller-owned selector has no result list of
-       its own; the caller times the whole scatter.  Pass through. *)
-    let query_into = B.query_into
 
     let stats = B.stats
     let introspect = B.introspect

@@ -58,6 +58,8 @@ let query_member t ~peer ~k =
 include Registry_intf.Derive_batch (struct
   type nonrec t = t
 
+  let landmark = landmark
+  let mem = mem
   let insert = insert
   let query = query
 end)

@@ -38,13 +38,6 @@ val query_many :
   ?exclude:(int -> int -> bool) ->
   unit ->
   (int * int) list array
-
-val query_into :
-  t ->
-  routers:Topology.Graph.node array ->
-  best:(int * int) Topk.t ->
-  exclude:(int -> bool) ->
-  unit
 (** Batch operations derived from the singletons
     ({!Registry_intf.Derive_batch}): the reference semantics the
     batch-aware backends are tested against. *)

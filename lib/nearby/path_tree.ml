@@ -40,10 +40,17 @@ let query t ~routers ~k ?exclude () =
 
 let query_member t ~peer ~k = Core.query_member t ~peer ~k
 
-let insert_many t entries =
-  Core.insert_many_paths t
-    (Array.map (fun (peer, routers) -> (peer, routers, costs_for routers)) entries)
+include Registry_intf.Derive_batch (struct
+  type nonrec t = t
 
+  let landmark = landmark
+  let mem = mem
+  let insert = insert
+  let query = query
+end)
+
+(* One selector reused across the batch, rather than the derived loop's
+   one per query. *)
 let query_many t ~queries ~k ?exclude () =
   Core.query_many t ~queries:(Array.map (fun r -> (r, costs_for r)) queries) ~k ?exclude ()
 

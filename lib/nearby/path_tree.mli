@@ -62,9 +62,9 @@ val query_member : t -> peer:peer -> k:int -> (peer * int) list
     @raise Not_found when unregistered. *)
 
 val insert_many : t -> (peer * Topology.Graph.node array) array -> unit
-(** Batch {!insert}: validated up front (a bad entry applies nothing),
-    then each entry inserted in array order, leaving exactly the tree the
-    looped singletons would (see {!Path_tree_core.Make.insert_many}). *)
+(** Batch {!insert} from {!Registry_intf.Derive_batch}: validated up
+    front (a bad entry applies nothing), then each entry inserted in array
+    order, leaving exactly the tree the looped singletons would. *)
 
 val query_many :
   t ->

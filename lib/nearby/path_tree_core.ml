@@ -43,9 +43,8 @@ module Make (Cost : COST) = struct
      splits at [chunk_cap], so a single insert never moves more than
      [chunk_cap] entries.  Shifts go through [Cost.blit] and [int_blit],
      never the write barrier for int or float entries.  There is one
-     insertion path: a batch applies its entries one by one through it, so
-     a tree's layout depends only on the sequence of operations, never on
-     how they were batched. *)
+     insertion path, so a tree's layout depends only on the sequence of
+     operations. *)
 
   let chunk_cap = 512
   let seed_cap = 8
@@ -279,50 +278,19 @@ module Make (Cost : COST) = struct
     done;
     if Itbl.mem t.paths peer then invalid_arg "Path_tree.insert: peer already registered"
 
-  (* Register a validated path: the routers are copied, so the caller
-     keeps its array; [costs] is shared, read-only. *)
-  let apply t peer routers costs =
+  (* Register a path: the routers are copied, so the caller keeps its
+     array; [costs] is shared, read-only. *)
+  let insert_path t ~peer ~routers ~costs =
+    validate t ~peer ~routers ~costs;
     let routers = Array.copy routers in
     Itbl.add t.paths peer { routers; pcosts = costs };
     for i = 0 to Array.length routers - 1 do
       bucket_add t (bucket_of t routers.(i)) costs.(i) peer
     done
 
-  let insert_path t ~peer ~routers ~costs =
-    validate t ~peer ~routers ~costs;
-    apply t peer routers costs
-
   let insert t ~peer ~hops =
     let routers, costs = split hops in
     insert_path t ~peer ~routers ~costs
-
-  (* The whole batch is validated first -- intra-batch duplicate peers
-     included -- so a bad entry leaves the tree untouched; then every entry
-     takes the singleton path. *)
-  let insert_many_paths t entries =
-    let n = Array.length entries in
-    let peers = Array.make n 0 in
-    for i = 0 to n - 1 do
-      let peer, routers, costs = entries.(i) in
-      validate t ~peer ~routers ~costs;
-      peers.(i) <- peer
-    done;
-    Array.sort Int.compare peers;
-    for i = 1 to n - 1 do
-      if peers.(i) = peers.(i - 1) then invalid_arg "Path_tree.insert: peer already registered"
-    done;
-    for i = 0 to n - 1 do
-      let peer, routers, costs = entries.(i) in
-      apply t peer routers costs
-    done
-
-  let insert_many t entries =
-    insert_many_paths t
-      (Array.map
-         (fun (peer, hops) ->
-           let routers, costs = split hops in
-           (peer, routers, costs))
-         entries)
 
   let remove t peer =
     let path = Itbl.find t.paths peer in

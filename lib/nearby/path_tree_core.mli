@@ -60,16 +60,6 @@ module Make (Cost : COST) : sig
       @raise Invalid_argument as {!insert}, and when [costs] is shorter
       than [routers]. *)
 
-  val insert_many : t -> (peer * (Topology.Graph.node * Cost.t) array) array -> unit
-  (** Register a whole batch: [insert] of each entry in array order, down
-      to the chunk layout and {!approx_bytes}.  The batch is validated up
-      front — including duplicate peers within the batch — and a failure
-      leaves the tree untouched. *)
-
-  val insert_many_paths : t -> (peer * Topology.Graph.node array * Cost.t array) array -> unit
-  (** {!insert_many} over [(peer, routers, costs)] entries, read as
-      {!insert_path} reads them. *)
-
   val remove : t -> peer -> unit
   (** @raise Not_found when unregistered. *)
 

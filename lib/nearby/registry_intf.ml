@@ -10,8 +10,10 @@
 
    Conventions every implementation must honour:
    - [insert] rejects empty paths, paths not ending at the landmark and
-     duplicate peers with [Invalid_argument]; [remove]/[query_member]
+     duplicate peers with [Invalid_argument] (the path tree, which indexes
+     buckets by router, also negative routers); [remove]/[query_member]
      raise [Not_found] for unknown peers.
+   - [insert_many] is {!Derive_batch}'s: no backend writes its own.
    - [path_of] returns exactly the routers [insert] stored for the peer.
    - [query] returns at most [k] (peer, dtree) pairs in ascending
      (dtree, peer) order -- equal-cost ties break to the lower peer id --
@@ -143,10 +145,9 @@ module type S = sig
   val query_member : t -> peer:peer -> k:int -> (peer * int) list
 
   val insert_many : t -> (peer * Topology.Graph.node array) array -> unit
-  (** Register a batch, equivalent to [insert] in array order (and as
-      atomic as the backend can make it: the path tree validates the whole
-      batch before touching state).  Backends without a native batch path
-      derive this from [insert] via {!Derive_batch}. *)
+  (** Register a batch: [insert] of each entry in array order, after the
+      whole batch is checked, so a bad entry leaves the backend untouched.
+      Every backend takes it from {!Derive_batch}. *)
 
   val query_many :
     t ->
@@ -159,19 +160,6 @@ module type S = sig
       [exclude] additionally receives the query index.  Batch-aware
       backends reuse their selector across the batch. *)
 
-  val query_into :
-    t ->
-    routers:Topology.Graph.node array ->
-    best:(int * peer) Topk.t ->
-    exclude:(peer -> bool) ->
-    unit
-  (** Offer this backend's candidates into a caller-owned bounded selector
-      ([best] must order by lexicographic (dtree, peer)), each peer at most
-      once.  The sharded scatter uses this to carry one tightening bound
-      across disjoint shards instead of merging k results per shard;
-      disjointness is what lets a backend deduplicate against the entries
-      [best] holds rather than a seen-table. *)
-
   val stats : t -> (string * int) list
   val introspect : t -> introspection
   val check_invariants : t -> unit
@@ -182,6 +170,8 @@ end
 module type SINGLETON = sig
   type t
 
+  val landmark : t -> Topology.Graph.node
+  val mem : t -> peer -> bool
   val insert : t -> peer:peer -> routers:Topology.Graph.node array -> unit
 
   val query :
@@ -193,20 +183,31 @@ module type SINGLETON = sig
     (peer * int) list
 end
 
-(* Default batch operations, derived from the singletons: semantically the
-   reference implementation every native batch path must match (the qcheck
-   agreement property pins this).  Backends [include] this and override
-   what they can do better. *)
+(* The batch operations, derived from the singletons.  [insert_many] is
+   the only batch insert there is: it checks every entry the way [insert]
+   would -- peers repeated inside the batch included -- before the first
+   write, then loops [insert], so a batched backend is the looped one.
+   [query_many] is the reference loop a backend may override with a
+   batch-shaped read. *)
 module Derive_batch (B : SINGLETON) = struct
-  let insert_many t entries = Array.iter (fun (peer, routers) -> B.insert t ~peer ~routers) entries
+  let insert_many t entries =
+    let landmark = B.landmark t in
+    let seen = Prelude.Int_tbl.create (Array.length entries) in
+    Array.iter
+      (fun (peer, routers) ->
+        let len = Array.length routers in
+        if len = 0 then invalid_arg "insert_many: empty path";
+        if routers.(len - 1) <> landmark then
+          invalid_arg "insert_many: path must end at the landmark";
+        Array.iter (fun r -> if r < 0 then invalid_arg "insert_many: negative router") routers;
+        if B.mem t peer || Prelude.Int_tbl.mem seen peer then
+          invalid_arg "insert_many: peer already registered";
+        Prelude.Int_tbl.add seen peer ())
+      entries;
+    Array.iter (fun (peer, routers) -> B.insert t ~peer ~routers) entries
 
   let query_many t ~queries ~k ?(exclude = fun _ _ -> false) () =
     Array.mapi (fun qi routers -> B.query t ~routers ~k ~exclude:(fun p -> exclude qi p) ()) queries
-
-  let query_into t ~routers ~best ~exclude =
-    List.iter
-      (fun (p, d) -> Topk.offer best (d, p))
-      (B.query t ~routers ~k:(Topk.capacity best) ~exclude ())
 end
 
 (* A backend packed with its state and a metrics sink: the dynamic form the

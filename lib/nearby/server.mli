@@ -110,15 +110,16 @@ val register_measured_batch :
   (int * Topology.Graph.node * measurement) array ->
   peer_info array
 (** Round 2 for a whole batch of [(peer, attach_router, measurement)]
-    entries in one pass.  Per-peer counters and latency streams match n
-    calls to {!register_measured}, but the registry write is one
-    {!Registry_intf.insert_many} per landmark, the wire accounting charges
-    a single packed {!Wire.Path_report_batch}, and with a span sink the
-    batch is one [register_batch] span (no per-peer phase spans, no open
+    entries: the batch is checked, then each entry is stored as
+    {!register_measured} stores it, so registry state, per-peer counters
+    and latency streams match n singleton calls.  What differs is what a
+    batch changes on the wire: the accounting charges a single packed
+    {!Wire.Path_report_batch}, and with a span sink the batch is one
+    [register_batch] span (arg [ops]; no per-peer phase spans, no open
     join span) whose duration — and the span clock advance — is the
     slowest measurement, the batch being one concurrent round.  Returns
     the infos in entry order.  @raise Invalid_argument when any peer is
-    already registered (nothing is applied). *)
+    already registered or repeated in the batch (nothing is applied). *)
 
 val register_replica :
   t ->
@@ -132,17 +133,6 @@ val register_replica :
     another replica.  Bumps only the ["replica_register"] counter — no join
     counters, no spans.  @raise Invalid_argument when the peer is already
     registered or the landmark is unknown. *)
-
-val register_replica_batch :
-  t ->
-  (int * Topology.Graph.node * Topology.Graph.node * Traceroute.Path.t * int) array ->
-  int
-(** Batched {!register_replica}: [(peer, attach_router, landmark, path,
-    probes_spent)] entries applied with one {!Registry_intf.insert_many}
-    per landmark.  Unlike the singleton, entries whose peer is already
-    present are {e skipped} — a replayed fan-out must be idempotent — and
-    the number actually applied is returned.  @raise Invalid_argument when
-    a fresh entry names an unknown landmark. *)
 
 val peer_ids : t -> int list
 (** Registered peer ids, ascending — the anti-entropy comparison key. *)

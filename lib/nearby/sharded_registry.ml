@@ -1,5 +1,5 @@
 (* A horizontally scaled management store: router buckets hash-partitioned
-   across N independent shards, each a full registry backend of its own.
+   across N independent shards, each a path tree of its own.
 
    A peer's home shard is the hash of its attachment router (the first
    router of its recorded path), so every bucket the peer occupies lives on
@@ -12,7 +12,7 @@
    Two scatter strategies:
 
    - Sequential (the default on one core): one bounded selector is
-     carried across the shards via [query_into], visiting
+     carried across the shards via [Path_tree.query_into], visiting
      the query path's own home shard first.  Co-attached peers -- the
      nearest answers -- live on that home shard by construction, so the
      bound is tight after the first shard and each remaining shard usually
@@ -28,12 +28,9 @@
    hint (capacity 256) on purpose: OCaml hash tables double on demand at
    amortized O(1) per insert, registries are usually long-lived enough to
    absorb the log2(n) resizes, and no population hint exists at [create]
-   time.  [insert_many] validates the whole batch against [home], then
-   hands each shard its own entries, in batch order, as one
-   [Inner.insert_many]. *)
+   time. *)
 
-module Make
-    (Inner : Registry_intf.S) (Config : sig
+module Make (Config : sig
       val shards : int
 
       val query_domains : int
@@ -58,7 +55,7 @@ module Make
     end) : Registry_intf.S = struct
   type t = {
     landmark : Topology.Graph.node;
-    shards : Inner.t array;
+    shards : Path_tree.t array;
     home : (int, int) Hashtbl.t;  (* peer -> shard index *)
     occ : (string * string) list array;  (* occupancy-gauge labels, per shard *)
   }
@@ -100,7 +97,7 @@ module Make
     | None -> ()
     | Some m ->
         Simkit.Metrics.set m shard_members ~labels:t.occ.(s)
-          (float_of_int (Inner.member_count t.shards.(s)))
+          (float_of_int (Path_tree.member_count t.shards.(s)))
 
   let pool =
     lazy
@@ -120,7 +117,7 @@ module Make
     if shard_count < 1 then invalid_arg "Sharded_registry.create: need at least one shard";
     {
       landmark;
-      shards = Array.init shard_count (fun _ -> Inner.create ~landmark);
+      shards = Array.init shard_count (fun _ -> Path_tree.create ~landmark);
       home = Hashtbl.create 256;
       occ = occ_labels landmark;
     }
@@ -142,66 +139,19 @@ module Make
     if Hashtbl.mem t.home peer then invalid_arg "Sharded_registry.insert: peer already registered";
     let s = shard_of_router routers.(0) in
     (match Config.metrics with
-    | None -> Inner.insert t.shards.(s) ~peer ~routers
+    | None -> Path_tree.insert t.shards.(s) ~peer ~routers
     | Some _ ->
         let t0 = clock () in
-        Inner.insert t.shards.(s) ~peer ~routers;
+        Path_tree.insert t.shards.(s) ~peer ~routers;
         observe_shard shard_insert_ns s ~elapsed:(clock () -. t0) ~n:1);
     Hashtbl.add t.home peer s;
     set_occupancy t s
-
-  let insert_many t entries =
-    let n = Array.length entries in
-    if n = 1 then begin
-      let peer, routers = entries.(0) in
-      insert t ~peer ~routers
-    end
-    else if n > 1 then begin
-      (* Validate the whole batch (against the store and within itself)
-         before touching any shard; with a well-formed batch each shard's
-         own bulk insert then cannot fail halfway. *)
-      let batch = Hashtbl.create (2 * n) in
-      Array.iter
-        (fun (peer, routers) ->
-          let len = Array.length routers in
-          if len = 0 then invalid_arg "Sharded_registry.insert: empty path";
-          if routers.(len - 1) <> t.landmark then
-            invalid_arg "Sharded_registry.insert: path must end at the landmark";
-          if Hashtbl.mem t.home peer || Hashtbl.mem batch peer then
-            invalid_arg "Sharded_registry.insert: peer already registered";
-          Hashtbl.add batch peer ())
-        entries;
-      (* One bulk insert per home shard, preserving batch order within each
-         shard so the result is exactly the looped-singleton state. *)
-      let groups = Array.make shard_count [] in
-      for i = n - 1 downto 0 do
-        let _, routers = entries.(i) in
-        let s = shard_of_router routers.(0) in
-        groups.(s) <- entries.(i) :: groups.(s)
-      done;
-      Array.iteri
-        (fun s group ->
-          match group with
-          | [] -> ()
-          | group ->
-              let arr = Array.of_list group in
-              (match Config.metrics with
-              | None -> Inner.insert_many t.shards.(s) arr
-              | Some _ ->
-                  let t0 = clock () in
-                  Inner.insert_many t.shards.(s) arr;
-                  observe_shard shard_insert_ns s ~elapsed:(clock () -. t0)
-                    ~n:(Array.length arr));
-              Array.iter (fun (peer, _) -> Hashtbl.add t.home peer s) arr;
-              set_occupancy t s)
-        groups
-    end
 
   let remove t peer =
     match Hashtbl.find_opt t.home peer with
     | None -> raise Not_found
     | Some s ->
-        Inner.remove t.shards.(s) peer;
+        Path_tree.remove t.shards.(s) peer;
         Hashtbl.remove t.home peer;
         set_occupancy t s
 
@@ -211,17 +161,17 @@ module Make
   let path_of t peer =
     match Hashtbl.find_opt t.home peer with
     | None -> None
-    | Some s -> Inner.path_of t.shards.(s) peer
+    | Some s -> Path_tree.path_of t.shards.(s) peer
 
   let iter_members t f = Hashtbl.iter (fun p _ -> f p) t.home
 
   let dtree t p1 p2 =
     match (Hashtbl.find_opt t.home p1, Hashtbl.find_opt t.home p2) with
-    | Some s1, Some s2 when s1 = s2 -> Inner.dtree t.shards.(s1) p1 p2
+    | Some s1, Some s2 when s1 = s2 -> Path_tree.dtree t.shards.(s1) p1 p2
     | Some s1, Some s2 -> (
         (* Different shards: rank from the registered paths, exactly as any
            single-store backend would from its bucket structure. *)
-        match (Inner.path_of t.shards.(s1) p1, Inner.path_of t.shards.(s2) p2) with
+        match (Path_tree.path_of t.shards.(s1) p1, Path_tree.path_of t.shards.(s2) p2) with
         | Some a, Some b ->
             let la = Array.length a and lb = Array.length b in
             let max_j = min la lb in
@@ -246,10 +196,10 @@ module Make
     if Array.length routers > 0 then begin
       let visit s =
         match Config.metrics with
-        | None -> Inner.query_into t.shards.(s) ~routers ~best ~exclude
+        | None -> Path_tree.query_into t.shards.(s) ~routers ~best ~exclude
         | Some _ ->
             let t0 = clock () in
-            Inner.query_into t.shards.(s) ~routers ~best ~exclude;
+            Path_tree.query_into t.shards.(s) ~routers ~best ~exclude;
             observe_shard shard_query_ns s ~elapsed:(clock () -. t0) ~n:1
       in
       let first = shard_of_router routers.(0) in
@@ -258,8 +208,6 @@ module Make
         if s <> first then visit s
       done
     end
-
-  let query_into = scatter_into
 
   let usable_pool t =
     if member_count t < Config.parallel_threshold then None else Lazy.force pool
@@ -275,7 +223,7 @@ module Make
           let timing = Option.is_some Config.metrics in
           Prelude.Domain_pool.run pool shard_count (fun s ->
               let t0 = if timing then clock () else 0.0 in
-              parts.(s) <- Inner.query t.shards.(s) ~routers ~k ~exclude ();
+              parts.(s) <- Path_tree.query t.shards.(s) ~routers ~k ~exclude ();
               if timing then elapsed.(s) <- clock () -. t0);
           if timing then
             Array.iteri (fun s e -> observe_shard shard_query_ns s ~elapsed:e ~n:1) elapsed;
@@ -283,6 +231,15 @@ module Make
       | None -> scatter_into t ~routers ~best ~exclude);
       drain best
     end
+
+  include Registry_intf.Derive_batch (struct
+    type nonrec t = t
+
+    let landmark = landmark
+    let mem = mem
+    let insert = insert
+    let query = query
+  end)
 
   let query_many t ~queries ~k ?(exclude = fun _ _ -> false) () =
     let n = Array.length queries in
@@ -298,7 +255,7 @@ module Make
           let timing = Option.is_some Config.metrics in
           Prelude.Domain_pool.run pool shard_count (fun s ->
               let t0 = if timing then clock () else 0.0 in
-              parts.(s) <- Inner.query_many t.shards.(s) ~queries ~k ~exclude ();
+              parts.(s) <- Path_tree.query_many t.shards.(s) ~queries ~k ~exclude ();
               if timing then elapsed.(s) <- clock () -. t0);
           if timing then
             Array.iteri (fun s e -> observe_shard shard_query_ns s ~elapsed:e ~n) elapsed;
@@ -325,8 +282,8 @@ module Make
     | Some routers -> query t ~routers ~k ~exclude:(fun p -> p = peer) ()
 
   let stats t =
-    let inner = Registry_intf.merge_stats (Array.to_list (Array.map Inner.stats t.shards)) in
-    let largest = Array.fold_left (fun m s -> max m (Inner.member_count s)) 0 t.shards in
+    let inner = Registry_intf.merge_stats (Array.to_list (Array.map Path_tree.stats t.shards)) in
+    let largest = Array.fold_left (fun m s -> max m (Path_tree.member_count s)) 0 t.shards in
     ("largest_shard", largest) :: ("shards", shard_count) :: inner |> List.sort compare
 
   (* Per-shard introspections merge bucket-wise: a router whose bucket is
@@ -337,7 +294,7 @@ module Make
   let introspect t =
     let merged =
       Registry_intf.merge_introspections
-        (Array.to_list (Array.map Inner.introspect t.shards))
+        (Array.to_list (Array.map Path_tree.introspect t.shards))
     in
     {
       merged with
@@ -346,34 +303,30 @@ module Make
     }
 
   let check_invariants t =
-    Array.iter Inner.check_invariants t.shards;
+    Array.iter Path_tree.check_invariants t.shards;
     Hashtbl.iter
       (fun peer s ->
         if s < 0 || s >= shard_count then
           failwith (Printf.sprintf "peer %d assigned to shard %d of %d" peer s shard_count);
-        if not (Inner.mem t.shards.(s) peer) then
+        if not (Path_tree.mem t.shards.(s) peer) then
           failwith (Printf.sprintf "peer %d missing from its home shard %d" peer s))
       t.home;
-    let members = Array.fold_left (fun acc s -> acc + Inner.member_count s) 0 t.shards in
+    let members = Array.fold_left (fun acc s -> acc + Path_tree.member_count s) 0 t.shards in
     if members <> Hashtbl.length t.home then
       failwith
         (Printf.sprintf "shards hold %d members, home table %d" members (Hashtbl.length t.home))
 end
 
-(* Runtime construction: [make ~shards ()] packs a sharded backend over any
-   inner backend (the paper's path tree by default) as a first-class
-   module, ready for [Server.create ~backend] or the CLI's --backend flag.
-   [query_domains] and [parallel_threshold] tune the Domain-parallel
-   scatter (defaults: size from the machine, engage at 4096 members). *)
-let make ?inner ?(query_domains = 0) ?(parallel_threshold = 4096) ?metrics ~shards () :
+(* Runtime construction: [make ~shards ()] packs a sharded path tree as a
+   first-class module, ready for [Server.create ~backend] or the CLI's
+   --backend flag.  [query_domains] and [parallel_threshold] tune the
+   Domain-parallel scatter (defaults: size from the machine, engage at
+   4096 members). *)
+let make ?(query_domains = 0) ?(parallel_threshold = 4096) ?metrics ~shards () :
     (module Registry_intf.S) =
-  let inner = Option.value ~default:(module Path_tree : Registry_intf.S) inner in
-  let module I = (val inner : Registry_intf.S) in
-  (module Make
-            (I)
-            (struct
-              let shards = shards
-              let query_domains = query_domains
-              let parallel_threshold = parallel_threshold
-              let metrics = metrics
-            end) : Registry_intf.S)
+  (module Make (struct
+    let shards = shards
+    let query_domains = query_domains
+    let parallel_threshold = parallel_threshold
+    let metrics = metrics
+  end) : Registry_intf.S)

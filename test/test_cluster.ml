@@ -268,16 +268,17 @@ let test_repair_bytes_scale_with_the_difference () =
   let entries =
     Array.init members (fun peer ->
         let attach_router = fx.map.leaves.(peer mod Array.length fx.map.leaves) in
-        let m = Nearby.Server.measure measurer ~attach_router in
-        ( peer,
-          attach_router,
-          Nearby.Server.measurement_landmark m,
-          Nearby.Server.measurement_path m,
-          Nearby.Server.measurement_probes m ))
+        (peer, attach_router, Nearby.Server.measure measurer ~attach_router))
   in
   for i = 0 to 2 do
     let held = if i = 2 then Array.sub entries withheld (members - withheld) else entries in
-    ignore (Nearby.Server.register_replica_batch (Nearby.Cluster.server_of cluster i) held)
+    Array.iter
+      (fun (peer, attach_router, m) ->
+        Nearby.Server.register_replica (Nearby.Cluster.server_of cluster i) ~peer ~attach_router
+          ~landmark:(Nearby.Server.measurement_landmark m)
+          ~path:(Nearby.Server.measurement_path m)
+          ~probes_spent:(Nearby.Server.measurement_probes m))
+      held
   done;
   let snapshot_bytes =
     String.length (Nearby.Server.snapshot (Nearby.Cluster.server_of cluster 0))
@@ -507,6 +508,52 @@ let test_join_many_resilient_replicates_as_one_message () =
   Alcotest.(check bool) "replicas consistent" true (Nearby.Cluster.consistent cluster);
   Nearby.Cluster.check_invariants cluster
 
+(* A replayed batch fan-out applies each entry once.  Registering one batch
+   on two replicas before either fan-out lands (a retry that failed over
+   before the first reply) sends the third replica the same batch twice:
+   the first delivery applies every entry, the replay and the two
+   primaries' copies skip them. *)
+let test_replayed_batch_fan_out_applies_once () =
+  let fx = fixture ~seed:33 () in
+  let cluster = make_cluster fx in
+  let n = 20 in
+  let measurer = Nearby.Cluster.measurement_server cluster in
+  let entries =
+    Array.map
+      (fun (peer, attach_router) ->
+        (peer, attach_router, Nearby.Server.measure measurer ~attach_router))
+      (batch_entries fx ~peers:n)
+  in
+  let handle replica =
+    match Nearby.Cluster.handle_registration_batch cluster ~replica ~entries ~k:3 with
+    | Some replies -> Alcotest.(check int) "every entry answered" n (Array.length replies)
+    | None -> Alcotest.fail "live replica did not answer"
+  in
+  handle 0;
+  handle 1;
+  Simkit.Engine.run fx.engine ~until:5_000.0;
+  let c name = Simkit.Trace.counter (Nearby.Cluster.trace cluster) name in
+  let applied i =
+    Simkit.Trace.counter (Nearby.Server.trace (Nearby.Cluster.server_of cluster i)) "replica_register"
+  in
+  Alcotest.(check int) "two batch messages per primary" 4 (c "cluster_replicate_send");
+  Alcotest.(check (list int)) "each entry applied once, on the third replica" [ 0; 0; n ]
+    (List.init 3 applied);
+  Alcotest.(check int) "apply counter" n (c "cluster_replicate_apply");
+  Alcotest.(check int) "the replay and the primaries' copies skip" (3 * n)
+    (c "cluster_replicate_skip");
+  Alcotest.(check bool) "replicas consistent" true (Nearby.Cluster.consistent cluster);
+  Nearby.Cluster.check_invariants cluster;
+  (* The apply rule's singleton step still rejects an unknown landmark. *)
+  let _, attach_router, m = entries.(0) in
+  match
+    Nearby.Server.register_replica (Nearby.Cluster.server_of cluster 2) ~peer:(n + 50)
+      ~attach_router ~landmark:(-1) ~path:(Nearby.Server.measurement_path m)
+      ~probes_spent:(Nearby.Server.measurement_probes m)
+  with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "unknown landmark accepted"
+
 let suite =
   ( "cluster",
     [
@@ -530,4 +577,6 @@ let suite =
         test_join_many_direct_matches_bulk_server;
       Alcotest.test_case "join_many replicates batch as one message" `Quick
         test_join_many_resilient_replicates_as_one_message;
+      Alcotest.test_case "replayed fan-out applies once" `Quick
+        test_replayed_batch_fan_out_applies_once;
     ] )

@@ -347,103 +347,36 @@ let test_insert_allocates_no_cost_array () =
 
 (* --- Batch insert = looped singletons, down to the layout --- *)
 
-(* What a tree must look like from outside: payload estimate, every
-   member's stored path and introspection ([layout]), and a member's
-   answer.  Two trees agreeing on
-   all of them hold the same entries in the same chunk capacities. *)
-module type LAYOUT_SUBJECT = sig
-  type t
-  type path
-
-  val name : string
-  val create : landmark:int -> t
-  val path : int array -> path
-  val insert : t -> peer:int -> path -> unit
-  val insert_many : t -> (int * path) array -> unit
-  val remove : t -> int -> unit
-  val check_invariants : t -> unit
-  val layout : t -> string
-  val answer : t -> peer:int -> string
-end
-
-(* Members ascending, each with its stored router sequence. *)
-let layout_string ~bytes ~iter_members ~path_of introspection =
+(* What a tree looks like from outside: payload estimate, every member's
+   stored path (members ascending) and introspection.  Two trees agreeing
+   on it, and on every member's answer, hold the same entries in the same
+   chunk capacities. *)
+let layout t =
+  let i = Path_tree.introspect t in
   let members = ref [] in
-  iter_members (fun p -> members := p :: !members);
+  Path_tree.iter_members t (fun p -> members := p :: !members);
   let paths =
     List.map
       (fun p ->
         Printf.sprintf "%d:%s" p
-          (String.concat "." (List.map string_of_int (Array.to_list (Option.get (path_of p))))))
+          (String.concat "."
+             (List.map string_of_int (Array.to_list (Option.get (Path_tree.path_of t p))))))
       (List.sort Int.compare !members)
   in
-  Printf.sprintf "bytes=%d paths=%s %s" bytes (String.concat "," paths)
-    (Registry_intf.introspection_json introspection)
+  Printf.sprintf "bytes=%d paths=%s %s" i.approx_bytes (String.concat "," paths)
+    (Registry_intf.introspection_json i)
 
-module Hop_subject = struct
-  type t = Path_tree.t
-  type path = int array
+let answer t ~peer =
+  String.concat ","
+    (List.map (fun (p, d) -> Printf.sprintf "%d:%d" p d) (Path_tree.query_member t ~peer ~k:5))
 
-  let name = "path_tree"
-  let create = Path_tree.create
-  let path routers = routers
-  let insert t ~peer routers = Path_tree.insert t ~peer ~routers
-  let insert_many = Path_tree.insert_many
-  let remove = Path_tree.remove
-  let check_invariants = Path_tree.check_invariants
-
-  let layout t =
-    let i = Path_tree.introspect t in
-    layout_string ~bytes:i.approx_bytes ~iter_members:(Path_tree.iter_members t)
-      ~path_of:(Path_tree.path_of t) i
-
-  let answer t ~peer =
-    String.concat ","
-      (List.map (fun (p, d) -> Printf.sprintf "%d:%d" p d) (Path_tree.query_member t ~peer ~k:5))
-end
-
-(* Float costs: cumulative per-router link latencies, distinct per peer at
-   a shared router. *)
-module Latency_subject = struct
-  type t = Latency_tree.t
-  type path = (int * float) array
-
-  let name = "latency_tree"
-  let create = Latency_tree.create
-
-  let path routers =
-    let cost = ref 0.0 in
-    Array.mapi
-      (fun i r ->
-        if i > 0 then cost := !cost +. (0.25 *. float_of_int (1 + (r * 7919 mod 13)));
-        (r, !cost))
-      routers
-
-  let insert t ~peer hops = Latency_tree.insert t ~peer ~hops
-  let insert_many = Latency_tree.insert_many
-  let remove = Latency_tree.remove
-  let check_invariants = Latency_tree.check_invariants
-
-  let layout t =
-    let bytes = Latency_tree.approx_bytes t in
-    layout_string ~bytes ~iter_members:(Latency_tree.iter_members t)
-      ~path_of:(Latency_tree.routers_of t)
-      (Registry_intf.introspection_of_buckets ~members:(Latency_tree.member_count t)
-         ~approx_bytes:bytes (Latency_tree.iter_buckets t))
-
-  let answer t ~peer =
-    String.concat ","
-      (List.map (fun (p, d) -> Printf.sprintf "%d:%h" p d) (Latency_tree.query_member t ~peer ~k:5))
-end
-
-(* Random members on a random sink tree, registered in sub-batches of
-   1-64 with a few removes after each; the batched tree and the looped one
-   must be indistinguishable after every step.  Up to 700 members, so the
-   landmark bucket also splits past its 512-entry chunk. *)
-let qcheck_batch_layout (module S : LAYOUT_SUBJECT) =
-  QCheck.Test.make
-    ~name:(S.name ^ ": insert_many builds the looped-insert tree")
-    ~count:25
+(* Random members on a random sink tree, registered through the derived
+   [insert_many] in sub-batches of 1-64 with a few removes after each; the
+   batched tree and the looped one must be indistinguishable after every
+   step.  Up to 700 members, so the landmark bucket also splits past its
+   512-entry chunk. *)
+let qcheck_batch_layout =
+  QCheck.Test.make ~name:"path_tree: insert_many builds the looped-insert tree" ~count:25
     QCheck.(pair small_int (int_range 1 700))
     (fun (seed, n_peers) ->
       let rng = Prelude.Prng.create (seed + 4242) in
@@ -451,9 +384,9 @@ let qcheck_batch_layout (module S : LAYOUT_SUBJECT) =
       let parent = Array.init n_routers (fun r -> if r = 0 then -1 else Prelude.Prng.int rng r) in
       let path_from r =
         let rec climb r acc = if r = 0 then List.rev (0 :: acc) else climb parent.(r) (r :: acc) in
-        S.path (Array.of_list (climb r []))
+        Array.of_list (climb r [])
       in
-      let batched = S.create ~landmark:0 and looped = S.create ~landmark:0 in
+      let batched = Path_tree.create ~landmark:0 and looped = Path_tree.create ~landmark:0 in
       let live = ref [] in
       let next = ref 0 in
       while !next < n_peers do
@@ -462,31 +395,29 @@ let qcheck_batch_layout (module S : LAYOUT_SUBJECT) =
           Array.init size (fun i -> (!next + i, path_from (Prelude.Prng.int rng n_routers)))
         in
         next := !next + size;
-        S.insert_many batched batch;
-        Array.iter (fun (peer, path) -> S.insert looped ~peer path) batch;
+        Path_tree.insert_many batched batch;
+        Array.iter (fun (peer, routers) -> Path_tree.insert looped ~peer ~routers) batch;
         live := List.rev_append (Array.to_list (Array.map fst batch)) !live;
         for _ = 1 to Prelude.Prng.int rng 4 do
           match !live with
           | [] -> ()
           | members ->
               let victim = List.nth members (Prelude.Prng.int rng (List.length members)) in
-              S.remove batched victim;
-              S.remove looped victim;
+              Path_tree.remove batched victim;
+              Path_tree.remove looped victim;
               live := List.filter (fun p -> p <> victim) members
         done;
-        S.check_invariants batched;
-        S.check_invariants looped;
-        let fingerprint t =
-          S.layout t :: List.map (fun peer -> S.answer t ~peer) (List.sort compare !live)
-        in
+        Path_tree.check_invariants batched;
+        Path_tree.check_invariants looped;
+        let fingerprint t = layout t :: List.map (fun peer -> answer t ~peer) (List.sort compare !live) in
         Alcotest.(check (list string))
-          (Printf.sprintf "%s after %d registrations" S.name !next)
+          (Printf.sprintf "after %d registrations" !next)
           (fingerprint looped) (fingerprint batched)
       done;
       true)
 
-(* A small batch costs what its singletons cost: the batch machinery is
-   the up-front validation only, a constant few dozen words. *)
+(* A small batch costs what its singletons cost: the derived batch adds
+   only its up-front check, a constant few dozen words. *)
 let test_batch_allocates_like_singletons () =
   let rng = Prelude.Prng.create 31 in
   let n_routers = 200 in
@@ -565,8 +496,7 @@ let suite =
       q qcheck_sparse_routers_match_naive;
       Alcotest.test_case "insert allocates no cost array" `Quick
         test_insert_allocates_no_cost_array;
-      q (qcheck_batch_layout (module Hop_subject));
-      q (qcheck_batch_layout (module Latency_subject));
+      q qcheck_batch_layout;
       Alcotest.test_case "member query allocation" `Quick test_query_member_allocation;
       Alcotest.test_case "small batch allocates like singletons" `Quick
         test_batch_allocates_like_singletons;

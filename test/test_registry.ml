@@ -163,35 +163,40 @@ let qcheck_batch_agreement =
         named;
       true)
 
-(* Batch validation is atomic for the tree-based backends: a bad batch
-   (duplicate peer inside it) must leave no partial state behind. *)
-let test_batch_rejects_duplicates_atomically () =
+(* Batch validation is atomic on every backend: a batch with any entry
+   [insert] would reject -- a duplicate peer, against the population or
+   inside the batch, an empty path, a path not ending at the landmark, a
+   negative router -- is rejected before its valid entries are applied. *)
+let test_batch_rejects_bad_entries_atomically () =
   let sc = transit_stub_scenario ~seed:6 in
   let rng = Prelude.Prng.create 17 in
+  let route () = sc.route_of (attach_router sc rng) in
   List.iter
-    (fun (name, backend) ->
-      let reg = Registry_intf.create backend ~landmark:sc.landmark in
-      Registry_intf.insert reg ~peer:0 ~routers:(sc.route_of (attach_router sc rng));
+    (fun spec ->
+      let name = spec_name spec in
+      let reg = Registry_intf.create (backend_of spec) ~landmark:sc.landmark in
+      Registry_intf.insert reg ~peer:0 ~routers:(route ());
+      let elsewhere = if sc.landmark = 0 then 1 else 0 in
       let bad_batches =
         [
-          (* Duplicate against the registered population. *)
-          [| (1, sc.route_of (attach_router sc rng)); (0, sc.route_of (attach_router sc rng)) |];
-          (* Duplicate inside the batch itself. *)
-          [| (2, sc.route_of (attach_router sc rng)); (2, sc.route_of (attach_router sc rng)) |];
+          ("duplicate of a member", [| (1, route ()); (0, route ()) |]);
+          ("duplicate inside the batch", [| (2, route ()); (2, route ()) |]);
+          ("empty path", [| (3, route ()); (4, [||]) |]);
+          ("path not ending at the landmark", [| (5, route ()); (6, [| sc.landmark; elsewhere |]) |]);
+          ("negative router", [| (7, route ()); (8, [| -1; sc.landmark |]) |]);
         ]
       in
       List.iter
-        (fun batch ->
+        (fun (what, batch) ->
           (match Registry_intf.insert_many reg batch with
           | exception Invalid_argument _ -> ()
-          | () -> Alcotest.fail (name ^ ": bad batch accepted"));
+          | () -> Alcotest.fail (Printf.sprintf "%s: %s accepted" name what));
           Registry_intf.check_invariants reg;
-          Alcotest.(check int) (name ^ ": nothing applied") 1 (Registry_intf.member_count reg))
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s applies nothing" name what)
+            1 (Registry_intf.member_count reg))
         bad_batches)
-    [
-      ("tree", (module Path_tree : Registry_intf.S));
-      ("sharded:4", Sharded_registry.make ~shards:4 ());
-    ]
+    specs
 
 (* --- Invariants and agreement under churn ------------------------------ *)
 
@@ -430,7 +435,7 @@ let suite =
       Alcotest.test_case "uniform trace counters" `Quick test_trace_counters_uniform;
       Alcotest.test_case "backend spec parsing" `Quick test_backend_names;
       Alcotest.test_case "batch insert validation is atomic" `Quick
-        test_batch_rejects_duplicates_atomically;
+        test_batch_rejects_bad_entries_atomically;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) qcheck_equivalence;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) qcheck_batch_agreement;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) qcheck_churn;

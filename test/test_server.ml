@@ -374,42 +374,6 @@ let test_register_measured_batch_matches_singletons () =
   | _ -> Alcotest.fail "duplicate batch accepted");
   Alcotest.(check int) "nothing applied" n (Server.peer_count batch_server)
 
-let test_register_replica_batch_idempotent () =
-  let map, oracle, lmks, _ = make_workload ~seed:9 () in
-  let primary = Server.create oracle ~landmarks:lmks in
-  let replica = Server.create oracle ~landmarks:lmks in
-  let n = 25 in
-  for peer = 0 to n - 1 do
-    ignore (Server.join primary ~peer ~attach_router:map.leaves.(peer mod Array.length map.leaves))
-  done;
-  let entries =
-    Array.init n (fun peer ->
-        let info = Option.get (Server.info primary peer) in
-        (peer, info.Server.attach_router, info.landmark, info.recorded_path, info.probes_spent))
-  in
-  Alcotest.(check int) "all applied" n (Server.register_replica_batch replica entries);
-  Server.check_invariants replica;
-  Alcotest.(check int) "replica population" n (Server.peer_count replica);
-  Alcotest.(check int) "replica counter" n
-    (Simkit.Trace.counter (Server.trace replica) "replica_register");
-  for peer = 0 to n - 1 do
-    Alcotest.(check (list (pair int int)))
-      (Printf.sprintf "replica answers like primary for %d" peer)
-      (Server.neighbors primary ~peer ~k:3)
-      (Server.neighbors replica ~peer ~k:3)
-  done;
-  (* Replay: every entry already present is skipped, not an error. *)
-  Alcotest.(check int) "replay applies nothing" 0 (Server.register_replica_batch replica entries);
-  Alcotest.(check int) "population unchanged" n (Server.peer_count replica);
-  (* A fresh entry naming an unknown landmark still fails loudly. *)
-  let peer, attach, _, path, probes = entries.(0) in
-  ignore peer;
-  match
-    Server.register_replica_batch replica [| (n + 50, attach, -1, path, probes) |]
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unknown landmark accepted"
-
 (* The measurement on a warm route oracle allocates the recorded path and
    the measurement record: pings read hop counts, the trace is read
    straight into its hop array, and the full strategy keeps that path. *)
@@ -444,8 +408,14 @@ module Clipped_tree : Registry_intf.S = struct
 
   let insert t ~peer ~routers = Path_tree.insert t ~peer ~routers:(clip routers)
 
-  let insert_many t entries =
-    Path_tree.insert_many t (Array.map (fun (p, r) -> (p, clip r)) entries)
+  include Registry_intf.Derive_batch (struct
+    type nonrec t = t
+
+    let landmark = landmark
+    let mem = mem
+    let insert = insert
+    let query = query
+  end)
 end
 
 let test_invariants_check_content () =
@@ -501,7 +471,6 @@ let suite =
       Alcotest.test_case "join registers" `Quick test_join_registers;
       Alcotest.test_case "batch registration = singletons" `Quick
         test_register_measured_batch_matches_singletons;
-      Alcotest.test_case "replica batch idempotent" `Quick test_register_replica_batch_idempotent;
       Alcotest.test_case "join picks closest landmark" `Quick test_join_picks_closest_landmark;
       Alcotest.test_case "join duplicate" `Quick test_join_duplicate;
       Alcotest.test_case "neighbors sane" `Quick test_neighbors_sane;
