@@ -524,10 +524,14 @@ let run_obs ~full =
     (* A live sink so every op is one root trace: the middleware tags each
        latency sample with its trace id, which is what populates the tail
        exemplars this bench gates on.  The span machinery sits outside the
-       timed window, so the ns quantiles are unaffected. *)
+       timed window, so the ns quantiles are unaffected.  The monotonic
+       clock reads nanoseconds: the middleware's default wall clock is
+       microsecond-granular, which rounds a sub-microsecond insert to 0 or
+       1,000 ns and makes its p99 a coin flip. *)
     let spans = Simkit.Span.buffer () in
     let backend =
-      Nearby.Instrumented_registry.wrap ~metrics ~spans (Eval.Backends.backend spec)
+      Nearby.Instrumented_registry.wrap ~clock:Monotonic_clock.get ~metrics ~spans
+        (Eval.Backends.backend spec)
     in
     let reg = Nearby.Registry_intf.create backend ~landmark in
     for peer = 0 to population - 1 do

@@ -1014,6 +1014,53 @@ let verify_cmd =
           let answer = Nearby.Server.neighbors reference ~peer ~k in
           List.iter (fun s -> assert (Nearby.Server.neighbors s ~peer ~k = answer)) servers
         done);
+    check "replica snapshots survive restore byte for byte after a lossy run" (fun () ->
+        (* Lossy probes and a lossy network: traces lose hops, joins retry
+           and fail over, replicas diverge.  Whatever each replica holds,
+           its snapshot restored and snapshotted again is the same bytes
+           with the same digest. *)
+        let map = Topology.Gen_magoni.generate (Topology.Gen_magoni.default_params 400) ~seed in
+        let oracle = Traceroute.Route_oracle.create map.graph in
+        let place_rng = Prelude.Prng.create (seed + 2000) in
+        let landmarks =
+          Nearby.Landmark.place map.graph Nearby.Landmark.Medium_degree ~count:3 ~rng:place_rng
+        in
+        let routers =
+          Nearby.Landmark.place map.graph Nearby.Landmark.High_degree ~count:3 ~rng:place_rng
+        in
+        let probe_config = { Traceroute.Probe.default_config with drop_prob = 0.2 } in
+        let engine = Simkit.Engine.create () in
+        let transport =
+          Simkit.Transport.create ~rng:(Prelude.Prng.create (seed + 3000)) ~loss_prob:0.2 engine
+            oracle
+        in
+        let cluster =
+          Nearby.Cluster.create ~transport ~client_router:map.core.(0)
+            ~make_server:(fun () -> Nearby.Server.create ~probe_config oracle ~landmarks)
+            ~routers ()
+        in
+        let protocol = Nearby.Protocol.create_resilient ~rpc:(Simkit.Rpc.create transport) cluster in
+        let probe_rng = Prelude.Prng.create (seed + 4000) in
+        let peers = 120 in
+        for peer = 0 to peers - 1 do
+          Simkit.Engine.schedule_at engine ~time:(50.0 *. float_of_int peer) (fun () ->
+              Nearby.Protocol.join ~rng:probe_rng protocol ~peer
+                ~attach_router:map.leaves.(peer mod Array.length map.leaves)
+                ~k:4
+                ~on_complete:(fun _ _ -> ()))
+        done;
+        Simkit.Engine.run engine ~until:(50.0 *. float_of_int peers +. 10_000.0);
+        for i = 0 to Nearby.Cluster.replica_count cluster - 1 do
+          let server = Nearby.Cluster.server_of cluster i in
+          assert (Nearby.Server.peer_count server > 0);
+          let data = Nearby.Server.snapshot server in
+          match Nearby.Server.restore oracle data with
+          | Error e -> failwith e
+          | Ok restored ->
+              Nearby.Server.check_invariants restored;
+              assert (String.equal (Nearby.Server.snapshot restored) data);
+              assert (Int64.equal (Nearby.Server.digest restored) (Nearby.Server.digest server))
+        done);
     check "chord + kademlia invariants and lookup consistency" (fun () ->
         let members = Array.init 48 (fun i -> 100 + (i * 13)) in
         let chord = Dht.Chord.build ~virtual_nodes:4 members in

@@ -143,7 +143,7 @@ let stats t =
   { lookups = t.lookups; overlay_hops = t.overlay_hops; buckets_per_node = per_node }
 
 let mem t peer = Hashtbl.mem t.paths peer
-let path_of t peer = Option.map Array.copy (Hashtbl.find_opt t.paths peer)
+let path_of t peer = Hashtbl.find_opt t.paths peer
 let iter_members t f = Hashtbl.iter (fun p _ -> f p) t.paths
 
 (* Direct walk over every node store (no lookup traffic counted): the feed

@@ -28,6 +28,8 @@ val member_count : t -> int
 
 val mem : t -> int -> bool
 val path_of : t -> int -> Topology.Graph.node array option
+(** The stored routers, not a copy ({!Nearby.Registry_intf.S.path_of}). *)
+
 val iter_members : t -> (int -> unit) -> unit
 
 val dtree : t -> int -> int -> int option

@@ -74,7 +74,7 @@ let run config =
     match Nearby.Server.info server peer with
     | None -> ()
     | Some info ->
-        let routers = Traceroute.Path.known_routers info.recorded_path in
+        let routers = Option.get (Nearby.Server.path_of server peer) in
         let dir = Hashtbl.find directories info.landmark in
         let before = Dht.Directory.stats dir in
         Dht.Directory.insert dir ~peer ~routers;
@@ -134,7 +134,7 @@ let run config =
         Dht.Directory.insert
           (Hashtbl.find directories_v1 info.landmark)
           ~peer
-          ~routers:(Traceroute.Path.known_routers info.recorded_path)
+          ~routers:(Option.get (Nearby.Server.path_of server peer))
   done;
   let bucket_counts_v1 = bucket_counts_of directories_v1 in
   let super_counts =
@@ -147,9 +147,9 @@ let run config =
   let ring_members = storage_nodes in
   let cursor = ref 0 in
   for peer = 0 to n - 1 do
-    match Nearby.Server.info server peer with
+    match Nearby.Server.path_of server peer with
     | None -> ()
-    | Some info ->
+    | Some routers ->
         Array.iter
           (fun router ->
             let entry = ring_members.(!cursor mod Array.length ring_members) in
@@ -157,7 +157,7 @@ let run config =
             let _, hops = Dht.Kademlia.lookup kad ~from:entry ~key:router in
             kad_hops := !kad_hops + hops;
             incr kad_lookups)
-          (Traceroute.Path.known_routers info.recorded_path)
+          routers
   done;
   (* Membership dynamics: cost of one storage-node join, as a fraction of
      all stored buckets (consistent hashing promises ~1/(N+1)). *)
@@ -185,12 +185,6 @@ let run config =
      the per-landmark path tree (the cross-tree top-up entries of the
      central reply are server behaviour, not backend behaviour, so the
      reference is the home-tree answer). *)
-  let routers_of (info : Nearby.Server.peer_info) =
-    let routers = Traceroute.Path.known_routers info.recorded_path in
-    let nr = Array.length routers in
-    if nr > 0 && routers.(nr - 1) = info.landmark then routers
-    else Array.append routers [| info.landmark |]
-  in
   let reference = Hashtbl.create n in
   let backend_rows =
     List.map
@@ -208,7 +202,8 @@ let run config =
           | Some info ->
               Nearby.Registry_intf.insert
                 (Hashtbl.find registries info.landmark)
-                ~peer ~routers:(routers_of info)
+                ~peer
+                ~routers:(Option.get (Nearby.Server.path_of server peer))
         done;
         let identical = ref true in
         for peer = 0 to n - 1 do

@@ -55,15 +55,15 @@ let observe t name v =
    attachment router.  The reply is compared against the best set of the
    same size, so short replies (tiny populations) stay comparable. *)
 let audit_reply t ~peer ~reply =
-  match Server.info t.server peer with
+  match Server.attach_router t.server peer with
   | None -> Simkit.Trace.incr t.trace "audit_no_info"
-  | Some (info : Server.peer_info) ->
-      let dist = Topology.Bfs.distances (Server.graph t.server) info.attach_router in
+  | Some attach_router ->
+      let dist = Topology.Bfs.distances (Server.graph t.server) attach_router in
       let cost id =
-        match Server.info t.server id with
+        match Server.attach_router t.server id with
         | None -> unreachable_cost
-        | Some (i : Server.peer_info) ->
-            let d = dist.(i.attach_router) in
+        | Some router ->
+            let d = dist.(router) in
             if d = max_int then unreachable_cost else d
       in
       let truth =

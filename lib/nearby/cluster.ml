@@ -326,15 +326,20 @@ let handle_registration ?parent t ~replica ~peer ~attach_router ~measurement ~k 
   let r = t.replicas.(replica) in
   if not r.alive then None
   else begin
-    if Server.mem r.server peer then
-      (* A retry whose predecessor's reply was lost: idempotent re-answer. *)
-      Simkit.Trace.incr t.trace "cluster_duplicate_register"
-    else begin
-      ignore (Server.register_measured ?parent r.server ~peer ~attach_router measurement);
-      incr t.registered;
-      fan_out ?parent t ~from_replica:replica ~peer ~attach_router ~measurement
-    end;
-    Some (Option.get (Server.info r.server peer), Server.neighbors r.server ~peer ~k)
+    let info =
+      if Server.mem r.server peer then begin
+        (* A retry whose predecessor's reply was lost: idempotent re-answer. *)
+        Simkit.Trace.incr t.trace "cluster_duplicate_register";
+        Option.get (Server.info r.server peer)
+      end
+      else begin
+        let info = Server.register_measured ?parent r.server ~peer ~attach_router measurement in
+        incr t.registered;
+        fan_out ?parent t ~from_replica:replica ~peer ~attach_router ~measurement;
+        info
+      end
+    in
+    Some (info, Server.neighbors r.server ~peer ~k)
   end
 
 (* Batched registration: the replica applies all fresh entries as one
@@ -353,16 +358,29 @@ let handle_registration_batch ?parent t ~replica ~entries ~k =
     in
     let dup = Array.length entries - Array.length fresh in
     if dup > 0 then Simkit.Trace.add_count t.trace "cluster_duplicate_register" dup;
-    if Array.length fresh > 0 then begin
-      ignore (Server.register_measured_batch ?parent r.server fresh);
-      t.registered := !(t.registered) + Array.length fresh;
-      fan_out_batch ?parent t ~from_replica:replica ~entries:fresh
-    end;
-    Some
-      (Array.map
-         (fun (peer, _, _) ->
-           (Option.get (Server.info r.server peer), Server.neighbors r.server ~peer ~k))
-         entries)
+    let infos =
+      if Array.length fresh = 0 then [||]
+      else begin
+        let infos = Server.register_measured_batch ?parent r.server fresh in
+        t.registered := !(t.registered) + Array.length fresh;
+        fan_out_batch ?parent t ~from_replica:replica ~entries:fresh;
+        infos
+      end
+    in
+    (* [fresh] keeps the batch order, so its infos are taken in step; only
+       a duplicate's info is built by the server. *)
+    let next = ref 0 in
+    let answer (peer, _, _) =
+      let info =
+        if !next < Array.length fresh && (let p, _, _ = fresh.(!next) in p = peer) then begin
+          incr next;
+          infos.(!next - 1)
+        end
+        else Option.get (Server.info r.server peer)
+      in
+      (info, Server.neighbors r.server ~peer ~k)
+    in
+    Some (Array.map answer entries)
   end
 
 (* Direct path: both protocol rounds on one replica, exactly the pre-cluster

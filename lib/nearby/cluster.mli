@@ -151,7 +151,9 @@ val handle_registration :
     on [replica], fan the write out to the other replicas, and answer the
     neighbor query.  Idempotent — a retried RPC whose first reply was lost
     re-answers without re-registering.  [None] when the replica is down
-    (the RPC times out).
+    (the RPC times out).  A fresh registration answers with
+    {!Server.register_measured}'s info, which shares the measurement's
+    path; a retry answers with {!Server.info}.
 
     [parent] (normally the RPC attempt's span context) parents both the
     server-side join subtree and one ["replicate"] span per fan-out

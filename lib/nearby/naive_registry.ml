@@ -4,7 +4,7 @@ let create ~landmark = { landmark; paths = Hashtbl.create 64 }
 let landmark t = t.landmark
 let member_count t = Hashtbl.length t.paths
 let mem t peer = Hashtbl.mem t.paths peer
-let path_of t peer = Option.map Array.copy (Hashtbl.find_opt t.paths peer)
+let path_of t peer = Hashtbl.find_opt t.paths peer
 let iter_members t f = Hashtbl.iter (fun p _ -> f p) t.paths
 
 let insert t ~peer ~routers =

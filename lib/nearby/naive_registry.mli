@@ -14,6 +14,8 @@ val landmark : t -> Topology.Graph.node
 val member_count : t -> int
 val mem : t -> int -> bool
 val path_of : t -> int -> Topology.Graph.node array option
+(** The stored routers, not a copy ({!Registry_intf.S.path_of}). *)
+
 val iter_members : t -> (int -> unit) -> unit
 
 val insert : t -> peer:int -> routers:Topology.Graph.node array -> unit

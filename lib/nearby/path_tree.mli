@@ -39,6 +39,8 @@ val remove : t -> peer -> unit
 (** @raise Not_found when the peer is not registered. *)
 
 val path_of : t -> peer -> Topology.Graph.node array option
+(** The stored routers, not a copy ({!Registry_intf.S.path_of}). *)
+
 val depth : t -> peer -> int option
 (** Links between the peer's attachment router and the landmark. *)
 

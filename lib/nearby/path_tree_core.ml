@@ -308,7 +308,8 @@ module Make (Cost : COST) = struct
       end
     done
 
-  let routers_of t peer = Option.map (fun p -> Array.copy p.routers) (Itbl.find_opt t.paths peer)
+  let routers_of t peer =
+    match Itbl.find t.paths peer with p -> Some p.routers | exception Not_found -> None
 
   let meeting_point t p1 p2 =
     match (Itbl.find_opt t.paths p1, Itbl.find_opt t.paths p2) with

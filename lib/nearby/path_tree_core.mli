@@ -64,7 +64,8 @@ module Make (Cost : COST) : sig
   (** @raise Not_found when unregistered. *)
 
   val routers_of : t -> peer -> Topology.Graph.node array option
-  (** The registered router sequence (a copy). *)
+  (** The registered router sequence: the stored array, not a copy, which
+      the caller must not modify. *)
 
   val meeting_point : t -> peer -> peer -> (Topology.Graph.node * Cost.t * Cost.t) option
   (** Deepest common router of the two registered paths and each peer's cost

@@ -14,7 +14,9 @@
      buckets by router, also negative routers); [remove]/[query_member]
      raise [Not_found] for unknown peers.
    - [insert_many] is {!Derive_batch}'s: no backend writes its own.
-   - [path_of] returns exactly the routers [insert] stored for the peer.
+   - [path_of] returns exactly the routers [insert] stored for the peer:
+     the stored array itself, which callers only read.  The server's
+     member record references that array rather than keeping a copy.
    - [query] returns at most [k] (peer, dtree) pairs in ascending
      (dtree, peer) order -- equal-cost ties break to the lower peer id --
      so two correct backends return byte-identical answers.

@@ -50,6 +50,21 @@ let cells_of trace =
     handovers = counter "handover";
   }
 
+(* What the server keeps per member.  [routers] is the array the member's
+   landmark tree stores, read back once at registration: the path exists
+   once, and a query or a leave reaches it without probing the tree's own
+   table (on query-250k that probe cost about a fifth of the query rate).
+   [stamped_at] is when this server last learned the member's report, the
+   staleness feed; it is not part of [snapshot], being a property of the
+   replica's view, not of the data. *)
+type member = {
+  attach : Topology.Graph.node;
+  home : Topology.Graph.node;
+  probes : int;
+  routers : Topology.Graph.node array;
+  stamped_at : float;
+}
+
 type t = {
   oracle : Traceroute.Route_oracle.t;
   latency : Topology.Latency.t option;
@@ -60,24 +75,23 @@ type t = {
   landmark_ids : Topology.Graph.node array;
   backend : (module Registry_intf.S);
   registries : (Topology.Graph.node, Registry_intf.t) Hashtbl.t;
-  peers : peer_info Peer_tbl.t;
-  (* Engine time at which this server last learned each peer's report:
-     stamped on every registration path (join, replica apply, repair or
-     restore, handover re-join), dropped on leave.  A side table, deliberately NOT
-     part of [snapshot] — staleness is a property of the replica's view,
-     not of the data, and serializing it would perturb every snapshot byte
-     baseline.  [clock] defaults to a constant 0.0 until {!set_clock}
-     wires the simulation engine in. *)
-  registered_at : float Peer_tbl.t;
+  peers : member Peer_tbl.t;
+  (* [clock] defaults to a constant 0.0 until {!set_clock} wires the
+     simulation engine in. *)
   mutable clock : unit -> float;
+  (* One shared [Known r] block per router, indexed by router and grown on
+     demand: a {!peer_info} view of a member's path then costs its hop
+     array, not a block per hop. *)
+  mutable known : Traceroute.Path.hop array;
   trace : Simkit.Trace.t;
   cells : cells;
   spans : Simkit.Span.sink;
   (* Peers whose join span is still open: closed by their first query (so
      the span encloses the whole two-round protocol), or by leave/flush.
      The context keeps the query and the close causally linked to the
-     join's trace. *)
-  open_joins : (float * Simkit.Span.context) Peer_tbl.t;
+     join's trace.  The hop count is the measured path's, which the
+     member record does not keep. *)
+  open_joins : (float * Simkit.Span.context * int) Peer_tbl.t;
   (* Delta anti-entropy state.  The peers are split into [bucket_count]
      buckets by a mixed hash of the peer id; [bucket_digests] holds each
      bucket's content digest (the XOR of [entry_digest] over its entries)
@@ -127,8 +141,8 @@ let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Pr
     backend;
     registries;
     peers = Peer_tbl.create 256;
-    registered_at = Peer_tbl.create 256;
     clock = (fun () -> 0.0);
+    known = [||];
     trace;
     cells = cells_of trace;
     spans;
@@ -139,8 +153,10 @@ let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Pr
 
 let set_clock t clock = t.clock <- clock
 
-let registration_time t peer = Peer_tbl.find_opt t.registered_at peer
-let iter_registration_times t f = Peer_tbl.iter f t.registered_at
+let registration_time t peer =
+  Option.map (fun m -> m.stamped_at) (Peer_tbl.find_opt t.peers peer)
+
+let iter_registration_times t f = Peer_tbl.iter (fun peer m -> f peer m.stamped_at) t.peers
 
 (* Membership by [Int.equal]: [Array.mem] would call the polymorphic
    compare per landmark. *)
@@ -154,9 +170,51 @@ let graph t = Traceroute.Route_oracle.graph t.oracle
 let landmarks t = Array.copy t.landmark_ids
 let peer_count t = Peer_tbl.length t.peers
 let mem t peer = Peer_tbl.mem t.peers peer
-let info t peer = Peer_tbl.find_opt t.peers peer
 let trace t = t.trace
 let registry_of t lmk = Hashtbl.find t.registries lmk
+
+(* The routers [peer]'s landmark tree stores: its own array, not a copy. *)
+let tree_path t ~home peer =
+  match Registry_intf.path_of (registry_of t home) peer with
+  | Some routers -> routers
+  | None -> failwith (Printf.sprintf "peer %d: its landmark tree does not hold its path" peer)
+
+let path_of t peer = Option.map (fun m -> Array.copy m.routers) (Peer_tbl.find_opt t.peers peer)
+
+let known t router =
+  let n = Array.length t.known in
+  if router >= n then begin
+    let grown = Array.make (max (router + 1) (2 * n)) Traceroute.Path.Anonymous in
+    Array.blit t.known 0 grown 0 n;
+    t.known <- grown
+  end;
+  match t.known.(router) with
+  | Traceroute.Path.Known _ as hop -> hop
+  | Anonymous ->
+      let hop = Traceroute.Path.Known router in
+      t.known.(router) <- hop;
+      hop
+
+(* The view's path: the registered routers, fully identified, from the
+   attach router. *)
+let view_path t m : Traceroute.Path.t =
+  { src = m.attach; dst = m.home; hops = Array.map (known t) m.routers }
+
+let info t peer =
+  Option.map
+    (fun m ->
+      {
+        attach_router = m.attach;
+        landmark = m.home;
+        recorded_path = view_path t m;
+        probes_spent = m.probes;
+      })
+    (Peer_tbl.find_opt t.peers peer)
+
+(* One [Some] per call, as a plain table lookup costs: audit asks this of
+   every member on every audited reply. *)
+let attach_router t peer =
+  match Peer_tbl.find t.peers peer with m -> Some m.attach | exception Not_found -> None
 
 let backend_name t =
   let module B = (val t.backend : Registry_intf.S) in
@@ -293,27 +351,26 @@ let account t ~peer ~routers ~add =
   end
 
 (* The server's side of one registration whose path its landmark tree
-   holds: the peers table, the bucket state and the registration stamp.
-   Only a client's report counts as a [report_refresh]; learning a report
-   through repair does not. *)
-let record t ~peer ~routers ~refresh info =
-  Peer_tbl.add t.peers peer info;
+   holds: the member record, stamped now, and the bucket state.  Only a
+   client's report counts as a [report_refresh]; learning a report through
+   repair does not. *)
+let record t ~peer ~routers ~refresh ~attach ~home ~probes =
+  Peer_tbl.add t.peers peer
+    { attach; home; probes; routers = tree_path t ~home peer; stamped_at = t.clock () };
   account t ~peer ~routers ~add:true;
-  Peer_tbl.replace t.registered_at peer (t.clock ());
   if refresh then Simkit.Trace.cell_incr t.cells.refreshes
 
 (* The per-entry store every registration path goes through -- join,
    replica apply and snapshot apply; a batch join runs its two halves as
    two loops (see [register_measured_batch]). *)
-let store t ~peer ~routers ~refresh info =
-  Registry_intf.insert (registry_of t info.landmark) ~peer ~routers;
-  record t ~peer ~routers ~refresh info
+let store t ~peer ~routers ~refresh ~attach ~home ~probes =
+  Registry_intf.insert (registry_of t home) ~peer ~routers;
+  record t ~peer ~routers ~refresh ~attach ~home ~probes
 
-let remove_entry t ~peer info =
-  Registry_intf.remove (registry_of t info.landmark) peer;
+let remove_entry t ~peer m =
+  Registry_intf.remove (registry_of t m.home) peer;
   Peer_tbl.remove t.peers peer;
-  Peer_tbl.remove t.registered_at peer;
-  account t ~peer ~routers:(registrable_path ~landmark:info.landmark info.recorded_path) ~add:false
+  account t ~peer ~routers:m.routers ~add:false
 
 (* Emit the still-open join span of [peer], closing it at the current span
    clock; the span then encloses ping_round, traceroute, register and (when
@@ -321,18 +378,18 @@ let remove_entry t ~peer info =
 let close_join_span t ~peer =
   match Peer_tbl.find_opt t.open_joins peer with
   | None -> ()
-  | Some (t0, ctx) ->
+  | Some (t0, ctx, hops) ->
       Peer_tbl.remove t.open_joins peer;
       let now = Simkit.Span.now t.spans in
       let args =
         match Peer_tbl.find_opt t.peers peer with
         | None -> [ ("peer", Simkit.Span.Int peer) ]
-        | Some info ->
+        | Some m ->
             [
               ("peer", Simkit.Span.Int peer);
-              ("landmark", Simkit.Span.Int info.landmark);
-              ("probes_spent", Simkit.Span.Int info.probes_spent);
-              ("hops", Simkit.Span.Int (Traceroute.Path.hop_count info.recorded_path));
+              ("landmark", Simkit.Span.Int m.home);
+              ("probes_spent", Simkit.Span.Int m.probes);
+              ("hops", Simkit.Span.Int hops);
             ]
       in
       Simkit.Span.emit t.spans ~name:"join" ~ts:t0 ~dur:(now -. t0) ~tid:peer ~ctx args
@@ -366,11 +423,12 @@ let register_measured ?parent t ~peer ~attach_router (r : measurement) =
      span ambient, so timing middleware parents its op spans correctly. *)
   let join_ctx = Simkit.Span.context t.spans ?parent () in
   let register_ctx = Simkit.Span.context t.spans ~parent:join_ctx () in
-  let info = { attach_router; landmark; recorded_path; probes_spent } in
   if Simkit.Span.enabled t.spans then
     Simkit.Span.with_context t.spans register_ctx (fun () ->
-        store t ~peer ~routers ~refresh:true info)
-  else store t ~peer ~routers ~refresh:true info;
+        store t ~peer ~routers ~refresh:true ~attach:attach_router ~home:landmark
+          ~probes:probes_spent)
+  else
+    store t ~peer ~routers ~refresh:true ~attach:attach_router ~home:landmark ~probes:probes_spent;
   Log.debug (fun m ->
       m "join peer=%d router=%d landmark=%d hops=%d probes=%d" peer attach_router landmark
         (Traceroute.Path.hop_count recorded_path)
@@ -407,9 +465,9 @@ let register_measured ?parent t ~peer ~attach_router (r : measurement) =
         ("probes_spent", Int probes_spent);
       ];
     advance t.spans (r.ping_rtt_ms +. r.traceroute_ms);
-    Peer_tbl.replace t.open_joins peer (t0, join_ctx)
+    Peer_tbl.replace t.open_joins peer (t0, join_ctx, Traceroute.Path.hop_count recorded_path)
   end;
-  info
+  { attach_router; landmark; recorded_path; probes_spent }
 
 let join ?rng t ~peer ~attach_router =
   if Peer_tbl.mem t.peers peer then invalid_arg "Server.join: peer already registered";
@@ -425,8 +483,7 @@ let register_replica t ~peer ~attach_router ~landmark ~path ~probes_spent =
     invalid_arg "Server.register_replica: unknown landmark";
   store t ~peer
     ~routers:(registrable_path ~landmark path)
-    ~refresh:true
-    { attach_router; landmark; recorded_path = path; probes_spent };
+    ~refresh:true ~attach:attach_router ~home:landmark ~probes:probes_spent;
   Simkit.Trace.cell_incr t.cells.replica_registers
 
 (* Batch round 2: a whole array of client-measured joins, checked as a
@@ -470,12 +527,10 @@ let register_measured_batch ?parent t entries =
   let infos =
     Array.mapi
       (fun i (peer, attach_router, (r : measurement)) ->
-        let info =
-          { attach_router; landmark = r.lmk; recorded_path = r.reduced; probes_spent = r.cost }
-        in
-        record t ~peer ~routers:routers.(i) ~refresh:true info;
+        record t ~peer ~routers:routers.(i) ~refresh:true ~attach:attach_router ~home:r.lmk
+          ~probes:r.cost;
         count_join t r;
-        info)
+        { attach_router; landmark = r.lmk; recorded_path = r.reduced; probes_spent = r.cost })
       entries
   in
   let reports =
@@ -506,19 +561,11 @@ let topup_order t ~home =
         (Traceroute.Route_oracle.route_length t.oracle ~src:home ~dst:b))
     others
 
-let neighbors_of_path t ~path ~k ?(exclude = fun _ -> false) () =
-  Simkit.Trace.cell_incr t.cells.queries;
-  let landmark = path.Traceroute.Path.dst in
-  let routers = registrable_path ~landmark path in
-  let home =
-    match Hashtbl.find_opt t.registries landmark with
-    | Some reg -> reg
-    | None -> invalid_arg "Server.neighbors_of_path: unknown landmark"
-  in
-  let result = Registry_intf.query home ~routers ~k ~exclude () in
+(* Fill a home-tree answer up to [k] from the other landmark registries,
+   closest landmark first; top-up entries carry distance [max_int]. *)
+let top_up t ~home ~k ~exclude result =
   if List.length result >= k then result
   else begin
-    (* Top up from the other landmark registries, closest landmark first. *)
     let missing = ref (k - List.length result) in
     let already = Hashtbl.create 16 in
     List.iter (fun (p, _) -> Hashtbl.add already p ()) result;
@@ -541,24 +588,29 @@ let neighbors_of_path t ~path ~k ?(exclude = fun _ -> false) () =
               end)
             (List.sort compare !members)
         end)
-      (topup_order t ~home:landmark);
+      (topup_order t ~home);
     result @ List.rev !extra
   end
 
+(* A member's query walks the routers its record shares with its tree:
+   nothing is rebuilt per query. *)
 let neighbors t ~peer ~k =
   match Peer_tbl.find_opt t.peers peer with
   | None -> raise Not_found
-  | Some info ->
+  | Some m ->
       (* The query joins the peer's still-open join trace when there is
          one; a later re-query starts a trace of its own.  Running the
          lookup with the context ambient parents any registry op spans. *)
       let parent =
-        Option.map (fun (_, ctx) -> ctx) (Peer_tbl.find_opt t.open_joins peer)
+        Option.map (fun (_, ctx, _) -> ctx) (Peer_tbl.find_opt t.open_joins peer)
       in
       let query_ctx = Simkit.Span.context t.spans ?parent () in
       let reply =
         Simkit.Span.with_context t.spans query_ctx (fun () ->
-            neighbors_of_path t ~path:info.recorded_path ~k ~exclude:(fun p -> p = peer) ())
+            Simkit.Trace.cell_incr t.cells.queries;
+            let exclude = Int.equal peer in
+            top_up t ~home:m.home ~k ~exclude
+              (Registry_intf.query (registry_of t m.home) ~routers:m.routers ~k ~exclude ()))
       in
       Simkit.Trace.cell_add t.cells.wire_bytes
         (Wire.byte_size (Wire.Neighbor_request { peer; k })
@@ -575,7 +627,7 @@ let neighbors t ~peer ~k =
             ("k", Int k);
             ("candidates", Int (List.length reply));
             ("dtree_best", Int dtree_best);
-            ("probes_spent", Int info.probes_spent);
+            ("probes_spent", Int m.probes);
           ];
         (* The first query completes the newcomer's discovery: close its
            join span here so the span covers the whole protocol. *)
@@ -587,8 +639,8 @@ let neighbors t ~peer ~k =
 let reverse_introductions t ~peer ~k =
   match Peer_tbl.find_opt t.peers peer with
   | None -> raise Not_found
-  | Some info ->
-      let reg = registry_of t info.landmark in
+  | Some m ->
+      let reg = registry_of t m.home in
       (* Candidates: anyone near the newcomer (take extra in case of ties);
          keep those whose own k-NN now contains the newcomer. *)
       let nearby = Registry_intf.query_member reg ~peer ~k:(2 * k) in
@@ -602,10 +654,10 @@ let reverse_introductions t ~peer ~k =
 let leave t ~peer =
   match Peer_tbl.find_opt t.peers peer with
   | None -> raise Not_found
-  | Some info ->
+  | Some m ->
       close_join_span t ~peer;
-      remove_entry t ~peer info;
-      Log.debug (fun m -> m "leave peer=%d landmark=%d" peer info.landmark);
+      remove_entry t ~peer m;
+      Log.debug (fun log -> log "leave peer=%d landmark=%d" peer m.home);
       Simkit.Trace.cell_incr t.cells.leaves
 
 let handover ?rng t ~peer ~attach_router =
@@ -619,13 +671,13 @@ let check_invariants t =
   Hashtbl.iter (fun _ reg -> Registry_intf.check_invariants reg) t.registries;
   let fresh = Bytes.make (8 * bucket_count) '\000' in
   Peer_tbl.iter
-    (fun peer (info : peer_info) ->
-      let routers = registrable_path ~landmark:info.landmark info.recorded_path in
-      if Registry_intf.path_of (registry_of t info.landmark) peer <> Some routers then
-        failwith (Printf.sprintf "peer %d: its landmark tree does not hold its path" peer);
+    (fun peer m ->
+      let routers = tree_path t ~home:m.home peer in
+      if routers != m.routers then
+        failwith (Printf.sprintf "peer %d: its record does not share its tree's path" peer);
       Array.iter
         (fun lmk ->
-          if lmk <> info.landmark && Registry_intf.mem (registry_of t lmk) peer then
+          if lmk <> m.home && Registry_intf.mem (registry_of t lmk) peer then
             failwith (Printf.sprintf "peer %d registered in a foreign tree" peer))
         t.landmark_ids;
       xor_entry_digest fresh (8 * bucket_of peer) ~peer ~routers)
@@ -683,29 +735,33 @@ let differing_buckets t summary =
 let snapshot_version = 1
 
 (* The snapshot entry codec, shared by full and partial snapshots.  Entries
-   go out ascending by peer id, which the decoder enforces. *)
-let write_entries w entries =
+   go out ascending by peer id, which the decoder enforces.  The path is
+   the registered routers as a fully identified path from the attach
+   router: for a complete trace, exactly the report the client sent. *)
+let write_entries t w entries =
   let open Prelude.Codec.Writer in
   list w
-    (fun (peer, info) ->
+    (fun (peer, m) ->
       varint w peer;
-      varint w info.attach_router;
-      varint w info.landmark;
-      varint w info.probes_spent;
-      bytes w (Wire.encode (Wire.Path_report { peer; path = info.recorded_path })))
+      varint w m.attach;
+      varint w m.home;
+      varint w m.probes;
+      bytes w (Wire.encode (Wire.Path_report { peer; path = view_path t m })))
     (List.sort (fun (a, _) (b, _) -> Int.compare a b) entries)
 
+(* An entry decodes to [(peer, attach router, landmark, probes, routers)],
+   the routers as the server registers the reported path. *)
 let read_entry r =
   let open Prelude.Codec.Reader in
   let ( let* ) = Result.bind in
   let* peer = varint r in
-  let* attach_router = varint r in
-  let* landmark = varint r in
-  let* probes_spent = varint r in
+  let* attach = varint r in
+  let* home = varint r in
+  let* probes = varint r in
   let* encoded_path = bytes r in
   match Wire.decode encoded_path with
   | Ok (Wire.Path_report { peer = p; path }) when p = peer ->
-      Ok (peer, { attach_router; landmark; recorded_path = path; probes_spent })
+      Ok (peer, attach, home, probes, registrable_path ~landmark:home path)
   | Ok _ -> Error (Malformed "snapshot entry is not a path report")
   | Error e -> Error (Malformed e)
 
@@ -714,7 +770,7 @@ let snapshot t =
   let open Prelude.Codec.Writer in
   u8 w snapshot_version;
   list w (varint w) (Array.to_list t.landmark_ids);
-  write_entries w (Peer_tbl.fold (fun peer info acc -> (peer, info) :: acc) t.peers []);
+  write_entries t w (Peer_tbl.fold (fun peer m acc -> (peer, m) :: acc) t.peers []);
   contents w
 
 let snapshot_buckets ?(only = fun _ -> true) t buckets =
@@ -725,7 +781,7 @@ let snapshot_buckets ?(only = fun _ -> true) t buckets =
           if only peer then entries := (peer, Peer_tbl.find t.peers peer) :: !entries))
     (List.sort_uniq Int.compare buckets);
   let w = Prelude.Codec.Writer.create () in
-  write_entries w !entries;
+  write_entries t w !entries;
   Prelude.Codec.Writer.contents w
 
 (* Decode the rest of [r] as snapshot entries and make [t] agree with them:
@@ -740,9 +796,9 @@ let apply_entries t ~replaced r =
   let ( let* ) = Result.bind in
   let rec check prev = function
     | [] -> Ok ()
-    | (peer, info) :: rest ->
+    | (peer, _, home, _, _) :: rest ->
         if peer <= prev then Error (Malformed "snapshot entries out of order")
-        else if not (is_landmark t info.landmark) then
+        else if not (is_landmark t home) then
           Error (Malformed "snapshot references an unknown landmark")
         else if not (match replaced with None -> true | Some set -> set.(bucket_of peer)) then
           Error (Malformed "snapshot entry outside the replaced buckets")
@@ -762,7 +818,7 @@ let apply_entries t ~replaced r =
         Option.iter
           (fun set ->
             let incoming = Hashtbl.create (List.length entries) in
-            List.iter (fun (peer, _) -> Hashtbl.replace incoming peer ()) entries;
+            List.iter (fun (peer, _, _, _, _) -> Hashtbl.replace incoming peer ()) entries;
             let stale = ref [] in
             Array.iteri
               (fun b members ->
@@ -777,14 +833,15 @@ let apply_entries t ~replaced r =
               !stale)
           replaced;
         List.iter
-          (fun (peer, info) ->
+          (fun (peer, attach, home, probes, routers) ->
             match Peer_tbl.find_opt t.peers peer with
-            | Some held when held = info -> ()
+            | Some held
+              when held.attach = attach && held.home = home && held.probes = probes
+                   && held.routers = routers ->
+                ()
             | held ->
                 Option.iter (remove_entry t ~peer) held;
-                store t ~peer
-                  ~routers:(registrable_path ~landmark:info.landmark info.recorded_path)
-                  ~refresh:false info;
+                store t ~peer ~routers ~refresh:false ~attach ~home ~probes;
                 incr changed)
           entries
       in

@@ -24,8 +24,15 @@ type peer_info = {
   attach_router : Topology.Graph.node;
   landmark : Topology.Graph.node;
   recorded_path : Traceroute.Path.t;
+      (** From {!info}: the registered routers as a fully identified path
+          from [attach_router] to [landmark].  Anonymous hops of the
+          original trace are not kept, and a trace that stopped short ends
+          at the appended landmark.  From a join: the measured path itself. *)
   probes_spent : int;  (** Total probe packets this peer's join cost. *)
 }
+(** A view of one registration.  The server does not store it: a member's
+    routers live only in its landmark's tree, whose array a small
+    per-member record references. *)
 
 val create :
   ?truncate:Traceroute.Truncate.strategy ->
@@ -63,7 +70,18 @@ val graph : t -> Topology.Graph.t
 val landmarks : t -> Topology.Graph.node array
 val peer_count : t -> int
 val mem : t -> int -> bool
+
 val info : t -> int -> peer_info option
+(** The registration of a peer, built on demand from its member record and
+    the routers its landmark tree holds. *)
+
+val path_of : t -> int -> Topology.Graph.node array option
+(** The routers registered for a peer, as its landmark tree stores them (a
+    fresh copy); [None] when unregistered. *)
+
+val attach_router : t -> int -> Topology.Graph.node option
+(** The router a peer registered from, without building its {!info} view;
+    [None] when unregistered. *)
 
 val join : ?rng:Prelude.Prng.t -> t -> peer:int -> attach_router:Topology.Graph.node -> peer_info
 (** Execute both protocol rounds for a newcomer.  Deterministic without
@@ -98,7 +116,8 @@ val register_measured :
   ?parent:Simkit.Span.context ->
   t -> peer:int -> attach_router:Topology.Graph.node -> measurement -> peer_info
 (** Round 2 server side: register the measured path and account the join
-    (counters, spans).  With a span sink, the join span (and its
+    (counters, spans).  The returned info shares the measurement's path.
+    With a span sink, the join span (and its
     ping_round/traceroute/register children) roots a fresh trace, or joins
     [parent]'s trace when given — that is how a cluster-routed registration
     stays causally linked to the RPC attempt that carried it.
@@ -118,8 +137,9 @@ val register_measured_batch :
     [register_batch] span (arg [ops]; no per-peer phase spans, no open
     join span) whose duration — and the span clock advance — is the
     slowest measurement, the batch being one concurrent round.  Returns
-    the infos in entry order.  @raise Invalid_argument when any peer is
-    already registered or repeated in the batch (nothing is applied). *)
+    the infos in entry order, each sharing its measurement's path.
+    @raise Invalid_argument when any peer is already registered or
+    repeated in the batch (nothing is applied). *)
 
 val register_replica :
   t ->
@@ -178,11 +198,6 @@ val reverse_introductions : t -> peer:int -> k:int -> (int * int) list
     candidates; [(peer, inferred distance)] pairs, ascending.
     @raise Not_found for an unregistered peer. *)
 
-val neighbors_of_path :
-  t -> path:Traceroute.Path.t -> k:int -> ?exclude:(int -> bool) -> unit -> (int * int) list
-(** Answer an explicit recorded path without registering it — the server-side
-    primitive behind {!neighbors} and the protocol simulation. *)
-
 val leave : t -> peer:int -> unit
 (** Deregister (graceful or detected failure).  @raise Not_found when
     unregistered. *)
@@ -207,10 +222,11 @@ val flush_spans : t -> unit
 
 val check_invariants : t -> unit
 (** Every per-landmark tree is internally consistent; every registered
-    peer is in exactly the tree of its landmark, which stores its
-    registrable path ({!Registry_intf.S.path_of}); the trees' member counts
+    peer is in exactly the tree of its landmark; the trees' member counts
     sum to {!peer_count}; the bucket digests equal a fresh recompute over
-    the registrations; and every peer is indexed once, in its own bucket.
+    the routers the trees hold ({!Registry_intf.S.path_of}), so a tree
+    holding other routers than it was given is caught; and every peer is
+    indexed once, in its own bucket.
     @raise Failure on violation. *)
 
 (** {1 Bucket digests}
@@ -241,9 +257,11 @@ val differing_buckets : t -> string -> (int list, string) result
 
     A management server is a single point of failure; restarting it must
     not force every peer to re-traceroute.  The snapshot is the registered
-    state (peers, landmarks, recorded paths) in the {!Prelude.Codec} binary
-    format — the one persistence format: registry backends have none, and
-    restoring re-inserts every path into whichever backend is given.  A
+    state (landmarks; per peer its attach router, landmark, probe cost and
+    registered routers, the routers as a fully identified
+    {!Wire.Path_report}) in the {!Prelude.Codec} binary format — the one
+    persistence format: registry backends have none, and restoring
+    re-inserts every path into whichever backend is given.  A
     partial snapshot carries the entries of some buckets in the same entry
     encoding. *)
 

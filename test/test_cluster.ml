@@ -554,6 +554,47 @@ let test_replayed_batch_fan_out_applies_once () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "unknown landmark accepted"
 
+(* A fresh registration's reply carries the measurement's own path, not a
+   view rebuilt from the stored routers; only a retry's reply is rebuilt,
+   and it shows the same registration.  The batch reply does the same for
+   each entry, a repeated entry included. *)
+let test_registration_reply_shares_path () =
+  let fx = fixture ~seed:34 () in
+  let cluster = make_cluster fx in
+  let measurer = Nearby.Cluster.measurement_server cluster in
+  let entries =
+    Array.map
+      (fun (peer, attach_router) ->
+        (peer, attach_router, Nearby.Server.measure measurer ~attach_router))
+      (batch_entries fx ~peers:4)
+  in
+  let single () =
+    let peer, attach_router, measurement = entries.(0) in
+    match Nearby.Cluster.handle_registration cluster ~replica:0 ~peer ~attach_router ~measurement ~k:3 with
+    | Some (info, _) -> info
+    | None -> Alcotest.fail "live replica did not answer"
+  in
+  let _, _, m0 = entries.(0) in
+  let first = single () in
+  Alcotest.(check bool) "fresh reply shares the path" true
+    (first.recorded_path == Nearby.Server.measurement_path m0);
+  let retry = single () in
+  Alcotest.(check bool) "retry reply is rebuilt" false (retry.recorded_path == first.recorded_path);
+  Alcotest.(check bool) "retry shows the same registration" true (retry = first);
+  match Nearby.Cluster.handle_registration_batch cluster ~replica:0 ~entries ~k:3 with
+  | None -> Alcotest.fail "live replica did not answer"
+  | Some replies ->
+      Array.iteri
+        (fun i ((info : Nearby.Server.peer_info), _) ->
+          let _, _, m = entries.(i) in
+          Alcotest.(check bool)
+            (Printf.sprintf "entry %d: %s" i (if i = 0 then "repeat rebuilt" else "fresh shares"))
+            (i > 0)
+            (info.recorded_path == Nearby.Server.measurement_path m);
+          Alcotest.(check bool) (Printf.sprintf "entry %d: same path" i) true
+            (Traceroute.Path.equal info.recorded_path (Nearby.Server.measurement_path m)))
+        replies
+
 let suite =
   ( "cluster",
     [
@@ -577,6 +618,8 @@ let suite =
         test_join_many_direct_matches_bulk_server;
       Alcotest.test_case "join_many replicates batch as one message" `Quick
         test_join_many_resilient_replicates_as_one_message;
+      Alcotest.test_case "registration reply shares the measured path" `Quick
+        test_registration_reply_shares_path;
       Alcotest.test_case "replayed fan-out applies once" `Quick
         test_replayed_batch_fan_out_applies_once;
     ] )

@@ -24,7 +24,10 @@ let test_basic_accessors () =
   Alcotest.(check bool) "not mem" false (Path_tree.mem t 9);
   Alcotest.(check (option int)) "depth a" (Some 4) (Path_tree.depth t 0);
   Alcotest.(check (option int)) "depth c" (Some 2) (Path_tree.depth t 2);
-  Alcotest.(check (option (array int))) "path_of copies" (Some path_a) (Path_tree.path_of t 0);
+  Alcotest.(check (option (array int))) "path_of" (Some path_a) (Path_tree.path_of t 0);
+  Alcotest.(check bool)
+    "path_of returns the stored routers" true
+    (Option.get (Path_tree.path_of t 0) == Option.get (Path_tree.path_of t 0));
   (* Distinct routers: 10 11 3 2 100 20 21 30 = 8. *)
   Alcotest.(check int) "router count" 8 (Path_tree.router_count t)
 

@@ -316,6 +316,61 @@ let qcheck_server_model =
           step_ok && Server.peer_count server = Hashtbl.length model)
         ops)
 
+(* The landmark tree is the only store of a member's routers, so every
+   registration path -- join, leave, handover and bucket repair, with
+   lossy probes whose traces lose hops or stop short -- must leave views
+   that rebuild exactly the stored routers. *)
+let qcheck_views_rebuild_stored_routers =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun p -> `Join (p mod 40)) small_nat);
+          (2, map (fun p -> `Leave (p mod 40)) small_nat);
+          (1, map (fun p -> `Handover (p mod 40)) small_nat);
+          (2, map2 (fun p replace -> `Repair (p mod 40, replace)) small_nat bool);
+        ])
+  in
+  QCheck.Test.make ~name:"views rebuild the stored routers" ~count:40
+    QCheck.(make Gen.(pair small_nat (list_size (int_range 1 30) op_gen)))
+    (fun (seed, ops) ->
+      let map = Topology.Gen_magoni.generate (Topology.Gen_magoni.default_params 200) ~seed:4 in
+      let oracle = Traceroute.Route_oracle.create map.graph in
+      let rng = Prelude.Prng.create seed in
+      let landmarks = Landmark.place map.graph Landmark.Medium_degree ~count:3 ~rng in
+      let probe_config = { Traceroute.Probe.default_config with drop_prob = 0.3; max_ttl = 5 } in
+      let create () = Server.create ~probe_config oracle ~landmarks in
+      let server = create () and source = create () in
+      let router_of p = map.leaves.(p mod Array.length map.leaves) in
+      (* The repair source holds every peer, each from another router. *)
+      for p = 0 to 39 do
+        ignore (Server.join ~rng source ~peer:p ~attach_router:(router_of (p + 11)))
+      done;
+      List.iter
+        (function
+          | `Join p ->
+              if not (Server.mem server p) then
+                ignore (Server.join ~rng server ~peer:p ~attach_router:(router_of p))
+          | `Leave p -> if Server.mem server p then Server.leave server ~peer:p
+          | `Handover p ->
+              if Server.mem server p then
+                ignore (Server.handover ~rng server ~peer:p ~attach_router:(router_of (p + 7)))
+          | `Repair (p, replace) -> (
+              let bucket = Server.bucket_of p in
+              let data = Server.snapshot_buckets source [ bucket ] in
+              let replace = if replace then Some [ bucket ] else None in
+              match Server.apply_buckets ?replace server data with
+              | Ok _ -> ()
+              | Error e -> failwith e))
+        ops;
+      Server.check_invariants server;
+      List.for_all
+        (fun p ->
+          let info = Option.get (Server.info server p) in
+          Traceroute.Path.known_routers info.recorded_path = Option.get (Server.path_of server p)
+          && Traceroute.Path.anonymous_count info.recorded_path = 0)
+        (Server.peer_ids server))
+
 (* --- Batch registration ------------------------------------------------ *)
 
 let test_register_measured_batch_matches_singletons () =
@@ -393,6 +448,53 @@ let test_measure_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "measure allocates %.0f words" words)
     true (words <= 88.0)
+
+(* A member's query walks the routers its record shares with its tree, so
+   nothing is rebuilt per hop: a 3-hop and a 12-hop member whose k best
+   candidates all sit on their first router allocate the same words. *)
+let test_neighbors_allocation_flat_in_hops () =
+  let _, oracle, _, _ = make_workload ~seed:5 () in
+  let landmark = 0 and k = 4 in
+  let server = Server.create oracle ~landmarks:[| landmark |] in
+  let register peer routers =
+    let src = List.hd routers in
+    Server.register_replica server ~peer ~attach_router:src ~landmark
+      ~path:(Traceroute.Path.of_routers ~src ~dst:landmark routers)
+      ~probes_spent:0
+  in
+  let short = [ 10; 11; 12; landmark ] and long = List.init 12 (fun i -> 20 + i) @ [ landmark ] in
+  for i = 0 to k do
+    register i short;
+    register (100 + i) long
+  done;
+  let words peer =
+    ignore (Server.neighbors server ~peer ~k);
+    let before = Gc.minor_words () in
+    ignore (Server.neighbors server ~peer ~k);
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (list int)) "hops" [ 3; 12 ]
+    (List.map (fun p -> Array.length (Option.get (Server.path_of server p)) - 1) [ 0; 100 ]);
+  Alcotest.(check (float 0.0)) "same words for 3 and 12 hops" (words 0) (words 100)
+
+(* The server's state per member, the route oracle's excluded: the member
+   record and its table entry, the landmark tree (which alone holds the
+   routers) and the bucket index.  387 B per member measured, and the
+   bound is 5% above it; with a second copy of each path (a boxed
+   recorded path per member) and a separate stamp table, the same
+   population held 599 B. *)
+let test_state_bytes_per_member () =
+  let map, oracle, lmks, _ = make_workload ~seed:8 () in
+  let server = Server.create oracle ~landmarks:lmks in
+  let members = 2_000 in
+  for peer = 0 to members - 1 do
+    ignore
+      (Server.join server ~peer ~attach_router:map.leaves.(peer mod Array.length map.leaves))
+  done;
+  let bytes =
+    8 * (Obj.reachable_words (Obj.repr server) - Obj.reachable_words (Obj.repr oracle)) / members
+  in
+  Alcotest.(check bool) (Printf.sprintf "%d B per member" bytes) true (bytes <= 406)
 
 (* A broken backend: the path tree, but each path is stored without its
    first router.  Its own structure stays sound, so only the server's
@@ -487,6 +589,11 @@ let suite =
       Alcotest.test_case "deterministic" `Quick test_deterministic_without_rng;
       Alcotest.test_case "measure allocation" `Quick test_measure_allocation;
       Alcotest.test_case "invariants check content" `Quick test_invariants_check_content;
+      Alcotest.test_case "neighbors allocation flat in hops" `Quick
+        test_neighbors_allocation_flat_in_hops;
+      Alcotest.test_case "state bytes per member" `Quick test_state_bytes_per_member;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) qcheck_server_model;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
+        qcheck_views_rebuild_stored_routers;
       Alcotest.test_case "trace names after one join" `Quick test_trace_names_after_one_join;
     ] )

@@ -129,6 +129,49 @@ let test_bucket_repair () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated summary accepted"
 
+(* An incoming entry is already held when it would register the routers
+   the tree stores, whatever anonymous hops its trace kept or whether it
+   stopped short of the landmark; anything else is written. *)
+let test_apply_compares_registered_routers () =
+  let _, oracle, _ = fixture ~seed:9 in
+  let l = 0 in
+  let server = Server.create oracle ~landmarks:[| l |] in
+  let register peer routers =
+    let src = List.hd routers in
+    Server.register_replica server ~peer ~attach_router:src ~landmark:l
+      ~path:(Traceroute.Path.of_routers ~src ~dst:l routers)
+      ~probes_spent:3
+  in
+  register 1 [ 5; 6; l ];
+  register 2 [ 7; l; l ];
+  let entry peer hops =
+    let open Prelude.Codec.Writer in
+    let src = match hops.(0) with Traceroute.Path.Known r -> r | Anonymous -> 0 in
+    let w = create () in
+    list w
+      (fun () ->
+        varint w peer;
+        varint w src;
+        varint w l;
+        varint w 3;
+        bytes w (Wire.encode (Wire.Path_report { peer; path = { src; dst = l; hops } })))
+      [ () ];
+    contents w
+  in
+  let written name expected data =
+    match Server.apply_buckets server data with
+    | Ok n -> Alcotest.(check int) name expected n
+    | Error e -> Alcotest.fail e
+  in
+  let known r = Traceroute.Path.Known r in
+  written "an anonymous hop, same routers: held" 0
+    (entry 1 [| known 5; Anonymous; known 6; known l |]);
+  written "stopped short, same routers: held" 0 (entry 1 [| known 5; known 6 |]);
+  written "other routers: written" 1 (entry 1 [| known 5; known 8; known l |]);
+  Alcotest.(check (option (array int))) "the new routers" (Some [| 5; 8; l |]) (Server.path_of server 1);
+  written "a repeated landmark is a router: written" 1 (entry 2 [| known 7; known l |]);
+  Server.check_invariants server
+
 let suite =
   ( "snapshot",
     [
@@ -138,4 +181,6 @@ let suite =
       Alcotest.test_case "corruption rejected" `Quick test_restore_rejects_corruption;
       Alcotest.test_case "empty roundtrip" `Quick test_restore_empty_server;
       Alcotest.test_case "bucket repair" `Quick test_bucket_repair;
+      Alcotest.test_case "apply compares registered routers" `Quick
+        test_apply_compares_registered_routers;
     ] )
