@@ -312,23 +312,13 @@ let time_ops f =
   let dt = Sys.time () -. t0 in
   float_of_int ops /. Float.max dt 1e-9
 
-(* Wall-clock throughput for the scaling sweep: [Sys.time] counts process
-   CPU seconds, which over-charges anything that fans work out to Domain
-   workers, so the sweep times on the wall instead. *)
-let wall_ops f =
-  let t0 = Unix.gettimeofday () in
-  let ops = f () in
-  let dt = Unix.gettimeofday () -. t0 in
-  float_of_int ops /. Float.max dt 1e-9
-
-(* The million-member scaling sweep: tree vs sharded:4 at growing
-   populations, built with the batch interface ([insert_many] in 8192-entry
-   chunks) and queried with [query_member_many], cross-checking answer
-   equivalence at every point.  One build per (n, backend) — a 1M build is
-   seconds long, repetition buys nothing — while the query batch repeats
-   until the clock has something to measure. *)
+(* The million-member scaling sweep of the path tree: built with the batch
+   interface ([insert_many] in 8192-entry chunks), then queried with
+   [query_member] in a loop.  One build per point -- a 1M build is seconds
+   long, repetition buys nothing -- while the query loop repeats until the
+   clock has something to measure. *)
 let run_sweep ~sweep_max =
-  banner "registry scaling sweep (batch insert/query, tree vs sharded)";
+  banner "registry scaling sweep: path tree (batch insert, looped member queries)";
   let sizes = List.filter (fun n -> n <= sweep_max) [ 10_000; 100_000; 1_000_000 ] in
   if sizes = [] then invalid_arg "bench registry: --sweep-max below the smallest sweep point";
   let k = 5 in
@@ -336,88 +326,66 @@ let run_sweep ~sweep_max =
   let fx = make_fixture ~routers:2000 ~population:0 ~seed:7 in
   let landmark = Nearby.Path_tree.landmark fx.tree in
   let route_of peer = fx.routes.(peer mod Array.length fx.routes) in
-  let specs = [ Eval.Backends.Tree; Eval.Backends.Sharded { shards = 4 } ] in
   let rows =
-    List.concat_map
+    List.map
       (fun n ->
         let query_count = min n 2_000 in
         let stride = n / query_count in
-        let queries = Array.init query_count (fun i -> i * stride) in
-        let reference = ref None in
-        List.map
-          (fun spec ->
-            let reg = Nearby.Registry_intf.create (Eval.Backends.backend spec) ~landmark in
-            let insert_ops =
-              wall_ops (fun () ->
-                  let peer = ref 0 in
-                  while !peer < n do
-                    let m = min chunk (n - !peer) in
-                    let base = !peer in
-                    Nearby.Registry_intf.insert_many reg
-                      (Array.init m (fun i -> (base + i, route_of (base + i))));
-                    peer := base + m
-                  done;
-                  n)
-            in
-            let answers = Nearby.Registry_intf.query_member_many reg ~peers:queries ~k in
-            let reps = ref 1 in
-            let t0 = Unix.gettimeofday () in
-            let elapsed () = Unix.gettimeofday () -. t0 in
-            while !reps < 50 && (!reps < 3 || elapsed () < 0.5) do
-              ignore (Nearby.Registry_intf.query_member_many reg ~peers:queries ~k);
-              incr reps
-            done;
-            (* The first batch ran outside the window; count only the timed
-               reps.  [reps] includes it, so subtract one. *)
-            let query_ops =
-              float_of_int ((!reps - 1) * query_count) /. Float.max (elapsed ()) 1e-9
-            in
-            let identical =
-              match !reference with
-              | None ->
-                  reference := Some answers;
-                  true
-              | Some r -> answers = r
-            in
-            let intro = Nearby.Registry_intf.introspect reg in
-            {
-              Eval.Registry_gates.sw_n = n;
-              sw_spec = spec;
-              sw_insert_ops = insert_ops;
-              sw_query_ops = query_ops;
-              sw_members = intro.Nearby.Registry_intf.members;
-              sw_bytes = intro.Nearby.Registry_intf.approx_bytes;
-              sw_identical = identical;
-            })
-          specs)
+        let reg = Nearby.Registry_intf.create (module Nearby.Path_tree) ~landmark in
+        let insert_ops =
+          time_ops (fun () ->
+              let peer = ref 0 in
+              while !peer < n do
+                let m = min chunk (n - !peer) in
+                let base = !peer in
+                Nearby.Registry_intf.insert_many reg
+                  (Array.init m (fun i -> (base + i, route_of (base + i))));
+                peer := base + m
+              done;
+              n)
+        in
+        let query_ops =
+          time_ops (fun () ->
+              let t0 = Sys.time () in
+              let reps = ref 0 in
+              while !reps < 50 && (!reps < 3 || Sys.time () -. t0 < 0.5) do
+                for i = 0 to query_count - 1 do
+                  ignore (Nearby.Registry_intf.query_member reg ~peer:(i * stride) ~k)
+                done;
+                incr reps
+              done;
+              !reps * query_count)
+        in
+        let intro = Nearby.Registry_intf.introspect reg in
+        {
+          Eval.Registry_gates.sw_n = n;
+          sw_insert_ops = insert_ops;
+          sw_query_ops = query_ops;
+          sw_members = intro.Nearby.Registry_intf.members;
+          sw_bytes = intro.Nearby.Registry_intf.approx_bytes;
+        })
       sizes
   in
   Prelude.Table.print
-    ~header:
-      [ "n"; "backend"; "insert ops/s"; "query ops/s"; "members"; "~MiB"; "B/member";
-        "answers = tree" ]
+    ~header:[ "n"; "insert ops/s"; "query ops/s"; "members"; "~MiB"; "B/member" ]
     (List.map
        (fun (r : Eval.Registry_gates.sweep_row) ->
          [
            string_of_int r.sw_n;
-           Eval.Backends.to_string r.sw_spec;
            Prelude.Table.float_cell ~decimals:0 r.sw_insert_ops;
            Prelude.Table.float_cell ~decimals:0 r.sw_query_ops;
            string_of_int r.sw_members;
            Prelude.Table.float_cell ~decimals:1 (float_of_int r.sw_bytes /. 1048576.0);
            string_of_int (r.sw_bytes / Int.max 1 r.sw_members);
-           string_of_bool r.sw_identical;
          ])
        rows);
   rows
 
 let sweep_row_json (r : Eval.Registry_gates.sweep_row) =
   Printf.sprintf
-    "    {\"n\": %d, \"backend\": %s, \"insert_ops_per_s\": %.0f, \"query_ops_per_s\": %.0f, \
-     \"members\": %d, \"approx_bytes\": %d, \"answers_identical\": %b}"
-    r.sw_n
-    (Simkit.Json_str.quote (Eval.Backends.to_string r.sw_spec))
-    r.sw_insert_ops r.sw_query_ops r.sw_members r.sw_bytes r.sw_identical
+    "    {\"n\": %d, \"backend\": \"tree\", \"insert_ops_per_s\": %.0f, \"query_ops_per_s\": %.0f, \
+     \"members\": %d, \"approx_bytes\": %d}"
+    r.sw_n r.sw_insert_ops r.sw_query_ops r.sw_members r.sw_bytes
 
 let run_registry ~full ~sweep_max =
   banner "registry backends: insert/query throughput (unified interface)";
@@ -487,10 +455,7 @@ let run_registry ~full ~sweep_max =
        \"answers_identical\": %b}"
       (Simkit.Json_str.quote (Eval.Backends.to_string r.spec)) r.insert_ops r.query_ops r.identical
   in
-  (* The sharded skip describes this machine. *)
-  let gates =
-    Eval.Registry_gates.registry ~domains:(Domain.recommended_domain_count ()) rows sweep_rows
-  in
+  let gates = Eval.Registry_gates.registry rows sweep_rows in
   Simkit.Export.write_bench ~path:"BENCH_registry.json" ~seed:7
     ~backends:(List.map Eval.Backends.to_string Eval.Backends.all)
     [
@@ -591,7 +556,7 @@ let run_obs ~full =
   in
   let sketch_max_err = List.fold_left (fun m (_, e) -> Float.max m e) 0.0 sketch_err in
   let sketch_within = sketch_max_err <= 2.0 *. Prelude.Sketch.default_alpha in
-  (* Fleet-wide merged view: a replicated cluster over sharded registries,
+  (* Fleet-wide merged view: a replicated cluster of path-tree servers,
      scraped per replica and folded into one trace.  Simulated clock, so
      every number is deterministic in the seed. *)
   let fleet_result, fleet =
@@ -629,14 +594,13 @@ let run_obs ~full =
     && fleet_result.Eval.Fleet_obs.fleet_join_p99_ms <= hi *. (1.0 +. (2.0 *. alpha))
   in
   Printf.printf
-    "fleet: %d/%d joins, merged p99 %.1f ms (replicas %s), shard skew %.2f, sketch max rel \
-     err %.5f\n%!"
+    "fleet: %d/%d joins, merged p99 %.1f ms (replicas %s), sketch max rel err %.5f\n%!"
     fleet_result.Eval.Fleet_obs.completed fleet_result.Eval.Fleet_obs.joins
     fleet_result.Eval.Fleet_obs.fleet_join_p99_ms
     (String.concat " "
        (List.map (Printf.sprintf "%.1f")
           (Array.to_list fleet_result.Eval.Fleet_obs.replica_join_p99_ms)))
-    fleet_result.Eval.Fleet_obs.shard_skew sketch_max_err;
+    sketch_max_err;
   let quantiles_json (s : Simkit.Trace.summary) =
     let n = Simkit.Json_str.number in
     Printf.sprintf
@@ -672,20 +636,17 @@ let run_obs ~full =
   let fleet_json =
     let r = fleet_result in
     Printf.sprintf
-      "{\"replicas\": %d, \"shards\": %d, \"joins\": %d, \"completed\": %d, \
+      "{\"replicas\": %d, \"joins\": %d, \"completed\": %d, \
        \"completion_rate\": %s, \"merged_p50_ms\": %s, \"merged_p99_ms\": %s, \
-       \"replica_p99_ms\": [%s], \"within_bound\": %b, \"shard_skew\": %s, \"rpc_ok\": %d}"
-      (Nearby.Cluster.replica_count cluster)
-      Eval.Fleet_obs.quick_config.Eval.Fleet_obs.shards r.Eval.Fleet_obs.joins
+       \"replica_p99_ms\": [%s], \"within_bound\": %b, \"rpc_ok\": %d}"
+      (Nearby.Cluster.replica_count cluster) r.Eval.Fleet_obs.joins
       r.Eval.Fleet_obs.completed
       (Simkit.Json_str.number fleet_completion)
       (Simkit.Json_str.number r.Eval.Fleet_obs.fleet_join_p50_ms)
       (Simkit.Json_str.number r.Eval.Fleet_obs.fleet_join_p99_ms)
       (String.concat ", "
          (List.map Simkit.Json_str.number (Array.to_list r.Eval.Fleet_obs.replica_join_p99_ms)))
-      fleet_within
-      (Simkit.Json_str.number r.Eval.Fleet_obs.shard_skew)
-      r.Eval.Fleet_obs.rpc_ok
+      fleet_within r.Eval.Fleet_obs.rpc_ok
   in
   let gates =
     Eval.Registry_gates.obs ~sketch_max_err ~sketch_within ~fleet:fleet_result ~fleet_completion

@@ -621,8 +621,7 @@ let load_cmd =
 let registry_cmd =
   let backend_arg =
     let doc =
-      "Registry backend(s) to exercise: $(b,tree), $(b,naive), $(b,dht), $(b,sharded:N), or \
-       $(b,all)."
+      "Registry backend(s) to exercise: $(b,tree), $(b,naive), $(b,dht), or $(b,all)."
     in
     Arg.(value & opt string "all" & info [ "backend" ] ~doc ~docv:"BACKEND")
   in
@@ -1192,10 +1191,6 @@ let top_cmd =
     let doc = "Number of management-server replicas." in
     Arg.(value & opt int 3 & info [ "replicas" ] ~doc ~docv:"N")
   in
-  let shards_arg =
-    let doc = "Shards per replica's registry backend." in
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc ~docv:"N")
-  in
   let metrics_out_arg =
     let doc =
       "Write the final JSON metrics snapshot (merged fleet section, labeled series, runtime \
@@ -1203,7 +1198,7 @@ let top_cmd =
     in
     Arg.(value & opt (some string) None & info [ "metrics-out" ] ~doc ~docv:"FILE")
   in
-  let run quick seed routers peers k replicas shards once frames refresh_ms slos metrics_out
+  let run quick seed routers peers k replicas once frames refresh_ms slos metrics_out
       prom_out =
     match parse_slos slos with
     | Error e -> `Error (false, e)
@@ -1215,7 +1210,7 @@ let top_cmd =
         let config = override routers (fun c v -> { c with Eval.Fleet_obs.routers = v }) config in
         let config = override peers (fun c v -> { c with Eval.Fleet_obs.peers = v }) config in
         let config = override k (fun c v -> { c with Eval.Fleet_obs.k = v }) config in
-        let config = { config with Eval.Fleet_obs.replicas; shards } in
+        let config = { config with Eval.Fleet_obs.replicas } in
         let config =
           if slo_list = [] then config else { config with Eval.Fleet_obs.slos = slo_list }
         in
@@ -1244,10 +1239,7 @@ let top_cmd =
             | Some file ->
                 let meta =
                   Simkit.Export.capture_meta ~seed:config.Eval.Fleet_obs.seed
-                    ~extra:
-                      [
-                        ("replicas", string_of_int replicas); ("shards", string_of_int shards);
-                      ]
+                    ~extra:[ ("replicas", string_of_int replicas) ]
                     ()
                 in
                 Simkit.Export.write_file file
@@ -1277,14 +1269,13 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "Live fleet dashboard: a replicated cluster over sharded registries fills with joins \
-          while refreshing panels show ops/s, join p50/p99, SLO burn status, GC and \
-          domain-pool utilization, and shard occupancy skew.  $(b,--once) renders a single \
-          final frame for CI.")
+         "Live fleet dashboard: a replicated cluster fills with joins while refreshing panels \
+          show ops/s, join p50/p99, SLO burn status and GC per phase.  $(b,--once) renders a \
+          single final frame for CI.")
     Term.(
       ret
         (const run $ quick_flag $ seed_opt $ routers_opt $ peers_opt $ k_opt $ replicas_arg
-       $ shards_arg $ once_arg $ frames_arg $ refresh_arg $ slo_opt $ metrics_out_arg
+       $ once_arg $ frames_arg $ refresh_arg $ slo_opt $ metrics_out_arg
        $ prom_out_opt))
 
 let () =

@@ -2,9 +2,9 @@
 
    The server talks to its per-landmark store through the first-class
    [Nearby.Registry_intf.S] seam, so the same deployment runs centralized
-   (path tree), decentralized over a Chord ring, delegated to super-peer
-   region stores, or hash-sharded — answers are identical, only the cost
-   model changes.  This example joins one swarm under every backend,
+   (path tree), decentralized over a Chord ring, or delegated to
+   super-peer region stores — answers are identical, only the cost model
+   changes.  This example joins one swarm under every backend,
    verifies the replies match, and prints what each backend reports
    through the uniform [stats] channel. *)
 

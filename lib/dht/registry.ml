@@ -41,7 +41,6 @@ module Make (Config : CONFIG) : Nearby.Registry_intf.S with type t = Directory.t
     let landmark = landmark
     let mem = mem
     let insert = insert
-    let query = query
   end)
 
   let stats t =

@@ -79,8 +79,11 @@ let run config =
             done;
             config.queries_per_size)
       in
-      (* Ablation: the same queries against the exhaustive-scan registry.
-         Fewer iterations — it is orders of magnitude slower at large n. *)
+      (* Ablation: the same queries against the exhaustive-scan registry,
+         in batches of fewer queries -- it is orders of magnitude slower at
+         large n.  Batches repeat until the timed section reaches 20 ms: at
+         small n one batch is a fraction of a millisecond, where a single
+         preemption would swamp the per-query cost. *)
       let naive = Nearby.Naive_registry.create ~landmark in
       for peer = 0 to n - 1 do
         Nearby.Naive_registry.insert naive ~peer ~routers:routes.(leaf_of.(peer))
@@ -88,11 +91,15 @@ let run config =
       let naive_iters = max 10 (config.queries_per_size / 20) in
       let naive_query_us =
         time_us (fun () ->
-            for q = 0 to naive_iters - 1 do
-              let peer = q mod n in
-              ignore (Nearby.Naive_registry.query_member naive ~peer ~k:config.k)
+            let t0 = Sys.time () in
+            let q = ref 0 in
+            while !q = 0 || Sys.time () -. t0 < 0.02 do
+              for _ = 1 to naive_iters do
+                ignore (Nearby.Naive_registry.query_member naive ~peer:(!q mod n) ~k:config.k);
+                incr q
+              done
             done;
-            naive_iters)
+            !q)
       in
       {
         n;

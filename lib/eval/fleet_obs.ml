@@ -1,20 +1,18 @@
 (* The fleet observability workload behind `nearby_sim top`, `bench obs`'s
    fleet section and the dimensional-metrics acceptance tests: a healthy
-   N-replica cluster (no fault script) whose replicas each run a sharded
-   registry backend, every layer wired into one labeled metrics registry.
+   N-replica cluster (no fault script) whose replicas each run the path
+   tree, every layer wired into one labeled metrics registry.
 
-   One run produces every view the tentpole promises:
+   One run produces every view:
 
-   - per-shard series from {!Nearby.Sharded_registry}
-     ([registry_shard_*_ns{shard="i"}], occupancy gauges);
    - per-backend series from {!Nearby.Instrumented_registry}
-     ([registry_*_ns{backend="sharded:4"}]);
+     ([registry_*_ns{backend="tree"}]);
    - per-outcome RPC series ([rpc_outcomes{outcome="ok"}], ...);
    - per-replica series from {!Nearby.Cluster.scrape}
      ([join_ms{replica="2"}], ...) plus the merged fleet trace from
      {!Nearby.Cluster.fleet_trace};
    - a {!Simkit.Runtime_profile} of the run itself (GC deltas per phase,
-     domain-pool utilization, observe-path overhead).
+     observe-path overhead).
 
    The engine can be advanced in slices ({!advance}), so the live
    dashboard renders a frame between slices and watches the fleet fill
@@ -27,7 +25,6 @@ type config = {
   landmark_count : int;
   k : int;
   replicas : int;
-  shards : int;
   arrival_window_ms : float;
   sync_period_ms : float;
   window_ms : float;  (** Timeseries / SLO window width. *)
@@ -57,7 +54,6 @@ let default_config =
     landmark_count = 8;
     k = 5;
     replicas = 3;
-    shards = 4;
     arrival_window_ms = 8_000.0;
     sync_period_ms = 2_000.0;
     window_ms = 500.0;
@@ -100,7 +96,6 @@ let worst_rpc_ms (c : Simkit.Rpc.config) =
 
 let start (config : config) =
   if config.replicas < 1 then invalid_arg "Fleet_obs: replicas must be >= 1";
-  if config.shards < 1 then invalid_arg "Fleet_obs: shards must be >= 1";
   if config.window_ms <= 0.0 then invalid_arg "Fleet_obs: window_ms must be positive";
   let metrics = Simkit.Metrics.create () in
   let runtime = Simkit.Runtime_profile.create () in
@@ -133,22 +128,14 @@ let start (config : config) =
         Nearby.Landmark.place (Workload.graph w) Medium_degree ~count:config.replicas
           ~rng:(Prelude.Prng.split w.rng)
       in
-      (* Every replica's backend writes into the shared registry: the
-         sharded store adds {shard=...} series, the instrumented wrapper
-         the {backend=...} mirror.  The low parallel threshold pushes the
-         query scatter onto the shared domain pool even at quick-config
-         populations, so the dashboard's pool-utilization panel shows a
-         pool that actually ran. *)
-      let backend () =
-        Nearby.Instrumented_registry.wrap ~labeled:metrics
-          (Nearby.Sharded_registry.make ~shards:config.shards ~parallel_threshold:8
-             ~metrics ())
-      in
+      (* Every replica's backend writes its {backend=...} mirror into the
+         shared registry. *)
+      let backend = Nearby.Instrumented_registry.wrap ~labeled:metrics (module Nearby.Path_tree) in
       let recorder = Simkit.Flight_recorder.create () in
       let cluster =
         Nearby.Cluster.create ~recorder ~metrics ~transport ~client_router:w.map.core.(0)
           ~make_server:(fun () ->
-            Nearby.Server.create ?latency:w.ctx.latency ~backend:(backend ()) w.ctx.oracle
+            Nearby.Server.create ?latency:w.ctx.latency ~backend w.ctx.oracle
               ~landmarks:w.landmarks)
           ~routers:replica_routers ()
       in
@@ -286,8 +273,7 @@ let fleet_trace t = Nearby.Cluster.fleet_trace t.cluster
 
 let advance t ~until =
   Simkit.Runtime_profile.phase t.runtime "run" (fun () ->
-      Simkit.Engine.run t.engine ~until:(Float.min until t.horizon));
-  Simkit.Runtime_profile.note_pool t.runtime (Prelude.Domain_pool.shared ())
+      Simkit.Engine.run t.engine ~until:(Float.min until t.horizon))
 
 (* A fresh per-replica scrape: replica-labeled series double-count if the
    same registry is scraped twice, so every caller that wants the
@@ -320,9 +306,6 @@ type result = {
   replica_join_p99_ms : float array;
   rpc_ok : int;
   rpc_timeouts : int;
-  shard_members : float array;  (** Occupancy summed per shard across landmarks. *)
-  shard_skew : float;  (** max / mean shard occupancy; [nan] when empty. *)
-  pool_busy_share : float;  (** Busy fraction of the shared domain pool. *)
   overhead_ns : float;  (** Observe-path self-overhead of the profiler. *)
   wire_bytes : int;  (** Delivered bytes, all kinds. *)
   wire_dropped_bytes : int;
@@ -332,30 +315,6 @@ type result = {
   report_age_p50_ms : float;  (** Fleet report-age median at the horizon. *)
   report_age_oldest_ms : float;  (** Stalest report still served. *)
 }
-
-(* Sum the {landmark, shard} occupancy gauges per shard.  Replicas
-   overwrite each other's gauges (same labels); a quiesced healthy fleet
-   is consistent, so the surviving values are any replica's true counts. *)
-let shard_occupancy t =
-  let totals = Array.make t.config.shards 0.0 in
-  List.iter
-    (fun (name, labels, _key) ->
-      if name = "registry_shard_members" then
-        match List.assoc_opt "shard" labels with
-        | Some s -> (
-            let s = int_of_string s in
-            match Simkit.Metrics.gauge t.metrics "registry_shard_members" ~labels with
-            | Some v when s >= 0 && s < t.config.shards -> totals.(s) <- totals.(s) +. v
-            | _ -> ())
-        | None -> ())
-    (Simkit.Metrics.series t.metrics);
-  totals
-
-let skew_of totals =
-  let n = Array.length totals in
-  let sum = Array.fold_left ( +. ) 0.0 totals in
-  if n = 0 || sum <= 0.0 then nan
-  else Array.fold_left Float.max neg_infinity totals /. (sum /. float_of_int n)
 
 let result t =
   if not (finished t) then advance t ~until:t.horizon;
@@ -375,13 +334,6 @@ let result t =
         | None -> nan)
   in
   let rpc_trace = Simkit.Rpc.trace t.rpc in
-  let shard_members = shard_occupancy t in
-  let pool_busy_share =
-    match Simkit.Runtime_profile.pool t.runtime with
-    | Some (u : Prelude.Domain_pool.utilization) when u.wall_ns > 0.0 ->
-        u.busy_ns /. u.wall_ns
-    | _ -> 0.0
-  in
   let ages, oldest_age = staleness_view t in
   {
     joins = t.config.peers;
@@ -392,9 +344,6 @@ let result t =
     replica_join_p99_ms;
     rpc_ok = Simkit.Trace.counter rpc_trace "rpc_ok";
     rpc_timeouts = Simkit.Trace.counter rpc_trace "rpc_timeouts";
-    shard_members;
-    shard_skew = skew_of shard_members;
-    pool_busy_share;
     overhead_ns = Simkit.Runtime_profile.overhead_ns t.runtime;
     wire_bytes = Simkit.Transport.bytes_sent t.transport;
     wire_dropped_bytes = Simkit.Transport.bytes_dropped t.transport;
@@ -445,8 +394,8 @@ let render t =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let fleet = fleet_trace t in
   let registrations = Simkit.Trace.counter fleet "cluster_register" in
-  add "nearby fleet top — t=%.1fs / %.1fs  replicas=%d shards=%d  live=%d/%d\n"
-    (now t /. 1000.0) (t.horizon /. 1000.0) t.config.replicas t.config.shards
+  add "nearby fleet top — t=%.1fs / %.1fs  replicas=%d  live=%d/%d\n"
+    (now t /. 1000.0) (t.horizon /. 1000.0) t.config.replicas
     (Nearby.Cluster.live_count t.cluster)
     (Nearby.Cluster.replica_count t.cluster);
   add "joins: %d started, %d completed, %d failed (%d cluster registrations)\n\n"
@@ -590,7 +539,7 @@ let render t =
     | mix ->
         String.concat " " (List.map (fun (reason, n) -> Printf.sprintf "%s=%d" reason n) mix))
     (if Nearby.Admission.shedding t.admission then "  [SHEDDING]" else "");
-  (* Runtime: GC deltas per phase plus pool utilization. *)
+  (* Runtime: GC deltas per phase. *)
   add "[runtime]\n";
   List.iter
     (fun (p : Simkit.Runtime_profile.phase) ->
@@ -600,21 +549,6 @@ let render t =
         (p.gc.major_words /. 1e6)
         p.gc.minor_collections p.gc.major_collections)
     (Simkit.Runtime_profile.phases t.runtime);
-  (match Simkit.Runtime_profile.pool t.runtime with
-  | Some (u : Prelude.Domain_pool.utilization) ->
-      add "  pool   domains=%d busy=%.1f%% jobs=%d tasks=%d\n" u.domains
-        (if u.wall_ns > 0.0 then 100.0 *. u.busy_ns /. u.wall_ns else 0.0)
-        u.jobs u.tasks
-  | None -> add "  pool   (not engaged)\n");
   add "  observe-path overhead: %.2fms\n"
     (Simkit.Runtime_profile.overhead_ns t.runtime /. 1e6);
-  (* Shard occupancy skew. *)
-  let totals = shard_occupancy t in
-  let vmax = Array.fold_left Float.max 0.0 totals in
-  add "[shards] occupancy (summed over landmarks), skew=%s\n"
-    (let s = skew_of totals in
-     if Float.is_nan s then "-" else Printf.sprintf "%.2f" s);
-  Array.iteri
-    (fun s v -> add "  shard %d %6.0f %s\n" s v (bar 32 v vmax))
-    totals;
   Buffer.contents buf

@@ -1,18 +1,15 @@
 (** Fleet-wide dimensional-metrics workload and the `top` dashboard.
 
-    A healthy [replicas]-way cluster whose servers run a
-    [sharded:N] registry backend, with every layer writing into one
-    labeled {!Simkit.Metrics} registry:
+    A healthy [replicas]-way cluster whose servers run the path tree,
+    with every layer writing into one labeled {!Simkit.Metrics}
+    registry:
 
-    - per-shard timings and occupancy gauges
-      ([registry_shard_*_ns{shard="i"}],
-      [registry_shard_members{landmark=...,shard=...}]);
-    - per-backend mirrors ([registry_*_ns{backend="sharded:4"}]);
+    - per-backend mirrors ([registry_*_ns{backend="tree"}]);
     - per-outcome RPC counters ([rpc_outcomes{outcome=...}]);
     - per-replica scrape series ([join_ms{replica="i"}]) next to the
       merged fleet trace of {!Nearby.Cluster.fleet_trace};
-    - a {!Simkit.Runtime_profile} (GC deltas per phase, domain-pool
-      utilization, observe-path overhead).
+    - a {!Simkit.Runtime_profile} (GC deltas per phase, observe-path
+      overhead).
 
     The engine advances in slices, so `nearby_sim top` renders a frame
     between slices and watches the fleet fill up in simulated time. *)
@@ -23,7 +20,6 @@ type config = {
   landmark_count : int;
   k : int;
   replicas : int;
-  shards : int;
   arrival_window_ms : float;
   sync_period_ms : float;
   window_ms : float;  (** Timeseries / SLO window width, ms. *)
@@ -46,7 +42,7 @@ val default_slos : Simkit.Slo.spec list
     objectives. *)
 
 val default_config : config
-(** 2000 routers, 300 peers, 3 replicas over [sharded:4]. *)
+(** 2000 routers, 300 peers, 3 replicas. *)
 
 val quick_config : config
 (** CI-sized: 800 routers, 120 peers. *)
@@ -58,11 +54,11 @@ type t
 val start : config -> t
 (** Build the workload, cluster, RPC layer and schedule every join;
     nothing has executed yet.  @raise Invalid_argument on a non-positive
-    replica, shard or window configuration. *)
+    replica or window configuration. *)
 
 val advance : t -> until:float -> unit
-(** Run the engine up to [min until horizon] (a profiled ["run"] phase),
-    then refresh the domain-pool utilization snapshot. *)
+(** Run the engine up to [min until horizon] (a profiled ["run"]
+    phase). *)
 
 val horizon : t -> float
 (** Engine time by which every join has resolved (worst-case RPC
@@ -71,7 +67,7 @@ val horizon : t -> float
 val now : t -> float
 val finished : t -> bool
 val metrics : t -> Simkit.Metrics.t
-(** The shared labeled registry (shard / backend / RPC series). *)
+(** The shared labeled registry (backend / RPC series). *)
 
 val timeseries : t -> Simkit.Timeseries.t
 val runtime : t -> Simkit.Runtime_profile.t
@@ -108,9 +104,6 @@ type result = {
   replica_join_p99_ms : float array;  (** Labeled per-replica p99s. *)
   rpc_ok : int;
   rpc_timeouts : int;
-  shard_members : float array;  (** Occupancy summed per shard across landmarks. *)
-  shard_skew : float;  (** max / mean shard occupancy; [nan] when empty. *)
-  pool_busy_share : float;  (** Busy fraction of the shared domain pool. *)
   overhead_ns : float;  (** Profiler observe-path self-overhead. *)
   wire_bytes : int;  (** Delivered bytes, all kinds. *)
   wire_dropped_bytes : int;
@@ -135,6 +128,5 @@ val render : t -> string
 (** One dashboard frame: header, ops/s and join-latency sparklines, SLO
     status lines, RPC outcome mix, the wire panel (per-kind byte mix,
     replication amplification, top talkers, bandwidth sparkline), the
-    admission panel (queue-depth sparkline plus shed mix), runtime (GC per
-    phase, pool utilization, overhead) and per-shard occupancy bars.
-    Plain text, no escape sequences. *)
+    admission panel (queue-depth sparkline plus shed mix) and runtime (GC
+    per phase, overhead).  Plain text, no escape sequences. *)

@@ -8,12 +8,10 @@ type row = { spec : Backends.spec; insert_ops : float; query_ops : float; identi
 
 type sweep_row = {
   sw_n : int;
-  sw_spec : Backends.spec;
   sw_insert_ops : float;
   sw_query_ops : float;
   sw_members : int;
   sw_bytes : int;
-  sw_identical : bool;
 }
 
 type obs_row = {
@@ -25,7 +23,7 @@ type obs_row = {
   introspect : Nearby.Registry_intf.introspection;
 }
 
-let rel_tree ?(skip = fun _ -> None) key direction tolerance rows =
+let rel_tree key direction tolerance rows =
   match List.assoc_opt Backends.Tree rows with
   | None -> invalid_arg "Registry_gates.rel_tree: no tree row"
   | Some tree ->
@@ -33,61 +31,38 @@ let rel_tree ?(skip = fun _ -> None) key direction tolerance rows =
         (fun (spec, v) ->
           if spec = Backends.Tree then None
           else
-            Some
-              (gate ?skip:(skip spec) (key (Backends.to_string spec)) (v /. tree) direction
-                 tolerance))
+            Some (gate (key (Backends.to_string spec)) (v /. tree) direction tolerance))
         rows
 
-(* A sharded backend's query scatters over a pool of domains: on a machine
-   with fewer domains than shards it measures the pool's contention, not
-   the backend. *)
-let sharded_skip ~domains = function
-  | Backends.Sharded { shards } when domains < shards ->
-      Some (Printf.sprintf "%d domains < %d shards" domains shards)
-  | _ -> None
-
-(* Per sweep point: exact structural gates (member counts, cross-backend
-   answer equivalence), bytes/member (a pure allocation count, so it needs
-   no normalization, only slack for rounding) and sharded query throughput
-   relative to the tree of the same point.  Points above 100k members are
-   not gated: CI sweeps to 100k, and a gate present in the baseline but
-   missing from the current document fails by design. *)
-let sweep ~query_skip rows =
-  List.sort_uniq compare (List.map (fun r -> r.sw_n) rows)
-  |> List.filter (fun n -> n <= 100_000)
-  |> List.concat_map (fun n ->
-         let at_n = List.filter (fun r -> r.sw_n = n) rows in
-         let key b metric = Printf.sprintf "registry/sweep/%d/%s/%s" n b metric in
-         rel_tree ~skip:query_skip
-           (fun b -> key b "query_rel_tree")
-           Higher_better 0.5
-           (List.map (fun r -> (r.sw_spec, r.sw_query_ops)) at_n)
-         @ List.concat_map
-             (fun r ->
-               let key = key (Backends.to_string r.sw_spec) in
-               [
-                 flag (key "answers_identical") r.sw_identical;
-                 exact (key "members") (float_of_int r.sw_members);
-                 gate (key "bytes_per_member")
-                   (float_of_int r.sw_bytes /. Float.max 1.0 (float_of_int r.sw_members))
-                   Lower_better 0.5;
-               ])
-             at_n)
+(* Per tree sweep point: the exact member count and bytes/member (a pure
+   allocation count, so it needs no normalization, only slack for
+   rounding).  Points above 100k members are not gated: CI sweeps to 100k,
+   and a gate present in the baseline but missing from the current
+   document fails by design. *)
+let sweep rows =
+  List.filter (fun r -> r.sw_n <= 100_000) rows
+  |> List.concat_map (fun r ->
+         let key = Printf.sprintf "registry/sweep/%d/tree/%s" r.sw_n in
+         [
+           exact (key "members") (float_of_int r.sw_members);
+           gate (key "bytes_per_member")
+             (float_of_int r.sw_bytes /. Float.max 1.0 (float_of_int r.sw_members))
+             Lower_better 0.5;
+         ])
 
 (* Throughput relative to the tree backend of the same run, plus the
    answers-identical invariant. *)
-let registry ~domains rows sweep_rows =
-  let query_skip = sharded_skip ~domains in
+let registry rows sweep_rows =
   let column f = List.map (fun r -> (r.spec, f r)) rows in
   rel_tree (Printf.sprintf "registry/%s/insert_rel_tree") Higher_better 0.6
     (column (fun r -> r.insert_ops))
-  @ rel_tree ~skip:query_skip (Printf.sprintf "registry/%s/query_rel_tree") Higher_better 0.6
+  @ rel_tree (Printf.sprintf "registry/%s/query_rel_tree") Higher_better 0.6
       (column (fun r -> r.query_ops))
   @ List.map
       (fun r ->
         flag (Printf.sprintf "registry/%s/answers_identical" (Backends.to_string r.spec)) r.identical)
       rows
-  @ sweep ~query_skip sweep_rows
+  @ sweep sweep_rows
 
 (* p99 relative to the tree backend: tails are the noisiest numbers
    gated, hence the widest tolerance.  Exemplars must be present (the
@@ -114,5 +89,4 @@ let obs ~sketch_max_err ~sketch_within ~(fleet : Fleet_obs.result) ~fleet_comple
       gate "obs/fleet/completion_rate" fleet_completion Higher_better 0.02;
       gate "obs/fleet/merged_p99_ms" fleet.fleet_join_p99_ms Lower_better 0.15;
       flag "obs/fleet/within_bound" fleet_within;
-      gate "obs/fleet/shard_skew" fleet.shard_skew Lower_better 0.5;
     ]

@@ -8,15 +8,13 @@ type row = {
   identical : bool;  (** Answers equal the tree backend's. *)
 }
 
-(** One point of the scaling sweep. *)
+(** One point of the tree's scaling sweep. *)
 type sweep_row = {
   sw_n : int;
-  sw_spec : Backends.spec;
   sw_insert_ops : float;
   sw_query_ops : float;
   sw_members : int;
   sw_bytes : int;
-  sw_identical : bool;
 }
 
 type obs_row = {
@@ -29,7 +27,6 @@ type obs_row = {
 }
 
 val rel_tree :
-  ?skip:(Backends.spec -> string option) ->
   (string -> string) ->
   Regression.direction ->
   float ->
@@ -40,16 +37,10 @@ val rel_tree :
     row's from the same run — machine speed cancels.
     @raise Invalid_argument without a tree row. *)
 
-val sharded_skip : domains:int -> Backends.spec -> string option
-(** The skip reason for a [sharded:N] query gate measured with fewer than
-    [N] domains: the scatter then measures contention for too few cores. *)
-
-val registry : domains:int -> row list -> sweep_row list -> Regression.gate list
+val registry : row list -> sweep_row list -> Regression.gate list
 (** Insert and query throughput relative to tree (0.6) and the
     answers-identical flag per backend row; per sweep point at n ≤ 100k,
-    query throughput relative to tree (0.5), answers-identical, members and
-    bytes/member.  Every [sharded:N] query gate carries
-    {!sharded_skip}[ ~domains]. *)
+    members and bytes/member. *)
 
 val obs :
   sketch_max_err:float ->
@@ -61,4 +52,4 @@ val obs :
   Regression.gate list
 (** Insert/query p99 relative to tree (1.5), exemplar presence and
     introspection counts per backend, the sketch's error bound and the
-    fleet view's completion, merged p99, envelope flag and shard skew. *)
+    fleet view's completion, merged p99 and envelope flag. *)

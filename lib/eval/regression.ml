@@ -14,10 +14,9 @@ type gate = {
   value : float;
   direction : direction;
   tolerance : float;  (* allowed fractional drift in the bad direction *)
-  skip : string option;
 }
 
-type status = Pass | Fail of string | Skipped of string
+type status = Pass | Fail of string
 
 type comparison = {
   name : string;
@@ -26,7 +25,7 @@ type comparison = {
   status : status;
 }
 
-let gate ?skip name value direction tolerance = { name; value; direction; tolerance; skip }
+let gate name value direction tolerance = { name; value; direction; tolerance }
 let exact name value = gate name value Exact 0.0
 let flag name b = exact name (if b then 1.0 else 0.0)
 
@@ -40,13 +39,12 @@ let to_json gates =
     (List.map
        (fun (g : gate) ->
          Simkit.Json_str.obj
-           ([
-              ("name", q g.name);
-              ("value", num g.value);
-              ("direction", q (List.assoc g.direction directions));
-              ("tolerance", num g.tolerance);
-            ]
-           @ match g.skip with Some reason -> [ ("skip", q reason) ] | None -> []))
+           [
+             ("name", q g.name);
+             ("value", num g.value);
+             ("direction", q (List.assoc g.direction directions));
+             ("tolerance", num g.tolerance);
+           ])
        gates)
 
 (* A null value (how a nan is written) reads back as nan: the comparison
@@ -60,7 +58,7 @@ let gate_of_json item =
   match (field "name" Simkit.Json.to_string, direction, field "tolerance" Simkit.Json.to_float) with
   | Some name, Some direction, Some tolerance ->
       let value = Option.value (field "value" Simkit.Json.to_float) ~default:Float.nan in
-      Ok (gate ?skip:(field "skip" Simkit.Json.to_string) name value direction tolerance)
+      Ok (gate name value direction tolerance)
   | _ -> Error "malformed gate entry"
 
 let of_document doc =
@@ -80,15 +78,13 @@ let within (b : gate) current =
   | Lower_better -> current <= b.value *. (1.0 +. b.tolerance)
 
 (* Direction and tolerance are taken from the baseline side so a tolerance
-   edit gates from the commit that updates the baseline.  A skip is taken
-   from the current side: it describes the machine that just ran. *)
+   edit gates from the commit that updates the baseline. *)
 let compare_gates ~baseline ~current =
   List.map
     (fun (b : gate) ->
       let compared current status = { name = b.name; baseline = b.value; current; status } in
       match List.find_opt (fun (c : gate) -> c.name = b.name) current with
       | None -> compared None (Fail "missing")
-      | Some { skip = Some reason; value; _ } -> compared (Some value) (Skipped reason)
       | Some c when not (Float.is_finite b.value && Float.is_finite c.value) ->
           compared (Some c.value) (Fail "not a finite number")
       | Some c ->
@@ -96,7 +92,7 @@ let compare_gates ~baseline ~current =
     baseline
 
 let failures comparisons =
-  List.filter (fun c -> match c.status with Fail _ -> true | Pass | Skipped _ -> false) comparisons
+  List.filter (fun c -> match c.status with Fail _ -> true | Pass -> false) comparisons
 
 let print comparisons =
   Prelude.Table.print
@@ -109,9 +105,6 @@ let print comparisons =
            (match c.current with
            | Some v -> Prelude.Table.float_cell ~decimals:4 v
            | None -> "MISSING");
-           (match c.status with
-           | Pass -> "ok"
-           | Fail reason -> "FAIL: " ^ reason
-           | Skipped reason -> "skipped: " ^ reason);
+           (match c.status with Pass -> "ok" | Fail reason -> "FAIL: " ^ reason);
          ])
        comparisons)

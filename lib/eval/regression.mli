@@ -16,12 +16,9 @@ type gate = {
   value : float;  (** Non-finite values are written as [null] and fail. *)
   direction : direction;
   tolerance : float;
-  skip : string option;
-      (** Why the machine that produced the document cannot measure this
-          gate; compared against it, the gate is skipped with the reason. *)
 }
 
-type status = Pass | Fail of string | Skipped of string
+type status = Pass | Fail of string
 
 type comparison = {
   name : string;
@@ -30,7 +27,7 @@ type comparison = {
   status : status;
 }
 
-val gate : ?skip:string -> string -> float -> direction -> float -> gate
+val gate : string -> float -> direction -> float -> gate
 val exact : string -> float -> gate
 val flag : string -> bool -> gate  (** Exact; true is 1, false is 0. *)
 
@@ -42,8 +39,7 @@ val of_document : Simkit.Json.t -> (gate list, string) result
 
 val compare_gates : baseline:gate list -> current:gate list -> comparison list
 (** One comparison per baseline gate; direction and tolerance come from the
-    baseline side, a skip from the current side ({!Skipped}, not a
-    failure).  A missing or non-finite gate fails with its reason. *)
+    baseline side.  A missing or non-finite gate fails with its reason. *)
 
 val failures : comparison list -> comparison list
 val print : comparison list -> unit

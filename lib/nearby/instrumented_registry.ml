@@ -3,8 +3,8 @@
    [make] wraps a packed [Registry_intf.S] so every insert/remove/query is
    timed with a monotonic-enough wall clock and folded into a shared
    [Simkit.Trace] under uniform stream names — the same names for [tree],
-   [naive], [dht] and [sharded:N], which is what lets the metrics
-   exporter and `bench obs` report identical per-backend latency quantiles.
+   [naive] and [dht], which is what lets the metrics exporter and
+   `bench obs` report identical per-backend latency quantiles.
 
    With a span sink attached, every operation additionally becomes one
    span, parented under whatever context is ambient ([Span.with_context] /
@@ -92,34 +92,7 @@ let make ?(clock = default_clock) ?(spans = Simkit.Span.noop) ?labeled ~metrics
       let landmark = landmark
       let mem = mem
       let insert = insert
-      let query = query
     end)
-
-    (* A query batch is one span (tagged with its size), not n: span sinks
-       stay proportional to call volume.  The latency stream still receives
-       one sample per query — the amortized cost, batch time / n — so
-       quantiles over a mixed singleton/batch workload stay comparable. *)
-    let query_many t ~queries ~k ?(exclude = fun _ _ -> false) () =
-      let n = Array.length queries in
-      let run () = B.query_many t ~queries ~k ~exclude () in
-      let results =
-        if n = 0 then run ()
-        else
-          Simkit.Span.with_span spans ~name:"registry_query_many"
-            ?parent:(Simkit.Span.current spans)
-            [ ("ops", Simkit.Span.Int n) ]
-            (fun ctx ->
-              let t0 = clock () in
-              let r = run () in
-              let per_op = (clock () -. t0) /. float_of_int n in
-              for _ = 1 to n do
-                Simkit.Trace.observe ~trace_id:ctx.Simkit.Span.trace_id metrics query_ns per_op;
-                labeled_observe ~trace_id:ctx.Simkit.Span.trace_id query_ns per_op
-              done;
-              r)
-      in
-      Array.iter (fun r -> ignore (observe_query r)) results;
-      results
 
     let stats = B.stats
     let introspect = B.introspect

@@ -53,15 +53,12 @@ let query_member t ~peer ~k =
 
 (* --- Registry_intf.S ---------------------------------------------------- *)
 
-(* The ablation baseline has no batch-shaped win to exploit: the derived
-   loops are the reference semantics. *)
 include Registry_intf.Derive_batch (struct
   type nonrec t = t
 
   let landmark = landmark
   let mem = mem
   let insert = insert
-  let query = query
 end)
 
 let backend_name = "naive"

@@ -33,16 +33,8 @@ val query_member : t -> peer:int -> k:int -> (int * int) list
 (** @raise Not_found when unregistered. *)
 
 val insert_many : t -> (int * Topology.Graph.node array) array -> unit
-val query_many :
-  t ->
-  queries:Topology.Graph.node array array ->
-  k:int ->
-  ?exclude:(int -> int -> bool) ->
-  unit ->
-  (int * int) list array
-(** Batch operations derived from the singletons
-    ({!Registry_intf.Derive_batch}): the reference semantics the
-    batch-aware backends are tested against. *)
+(** Batch {!insert} derived from the singletons
+    ({!Registry_intf.Derive_batch}). *)
 
 (** {1 Registry backend surface} — completes {!Registry_intf.S}. *)
 

@@ -46,16 +46,7 @@ include Registry_intf.Derive_batch (struct
   let landmark = landmark
   let mem = mem
   let insert = insert
-  let query = query
 end)
-
-(* One selector reused across the batch, rather than the derived loop's
-   one per query. *)
-let query_many t ~queries ~k ?exclude () =
-  Core.query_many t ~queries:(Array.map (fun r -> (r, costs_for r)) queries) ~k ?exclude ()
-
-let query_into t ~routers ~best ~exclude =
-  Core.query_into t ~routers ~costs:(costs_for routers) ~best ~exclude
 
 let iter_members = Core.iter_members
 let check_invariants = Core.check_invariants

@@ -68,26 +68,6 @@ val insert_many : t -> (peer * Topology.Graph.node array) array -> unit
     front (a bad entry applies nothing), then each entry inserted in array
     order, leaving exactly the tree the looped singletons would. *)
 
-val query_many :
-  t ->
-  queries:Topology.Graph.node array array ->
-  k:int ->
-  ?exclude:(int -> peer -> bool) ->
-  unit ->
-  (peer * int) list array
-(** One {!query} answer per path, one selector reused across the batch;
-    [exclude] additionally receives the query index. *)
-
-val query_into :
-  t ->
-  routers:Topology.Graph.node array ->
-  best:(int * peer) Topk.t ->
-  exclude:(peer -> bool) ->
-  unit
-(** Offer candidates into a caller-owned selector (ordered by (dtree,
-    peer)); the seam the sharded scatter uses to carry one tightening
-    bound across disjoint shards (see {!Path_tree_core.Make.query_into}). *)
-
 val iter_members : t -> (peer -> unit) -> unit
 
 val check_invariants : t -> unit

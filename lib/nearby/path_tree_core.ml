@@ -376,21 +376,17 @@ module Make (Cost : COST) = struct
       done
     with Exit -> ()
 
-  (* Walk the query path outward, offering every candidate into the
-     caller's accumulator.  [best] may be shared across calls: the sharded
-     scatter seeds the bound from the home shard (shards are disjoint, so
-     nothing crosses them twice), and [query_many] reuses one selector
-     across the batch.  The walk stops once the walk cost alone can no
-     longer tie the k-th best. *)
+  (* Walk the query path outward, offering every candidate into [best].
+     A peer met at several routers of the walk is offered once: [holds]
+     finds it among the <= k entries held, so no seen-table is kept.  The
+     walk stops once the walk cost alone can no longer tie the k-th best. *)
   let query_into t ~routers ~costs ~best ~exclude =
-    if Topk.capacity best > 0 then begin
-      let len = Array.length routers in
-      let i = ref 0 in
-      while !i < len && beats_worst best costs.(!i) do
-        scan_bucket t routers.(!i) costs.(!i) best exclude;
-        incr i
-      done
-    end
+    let len = Array.length routers in
+    let i = ref 0 in
+    while !i < len && beats_worst best costs.(!i) do
+      scan_bucket t routers.(!i) costs.(!i) best exclude;
+      incr i
+    done
 
   let drain best = List.map (fun (cost, p) -> (p, cost)) (Topk.to_sorted_list best)
 
@@ -405,21 +401,6 @@ module Make (Cost : COST) = struct
   let query t ~hops ~k ?exclude () =
     let routers, costs = split hops in
     query_path t ~routers ~costs ~k ?exclude ()
-
-  let query_many t ~queries ~k ?(exclude = fun _ _ -> false) () =
-    let n = Array.length queries in
-    if k <= 0 then Array.make n []
-    else begin
-      (* One selector for the whole batch: [clear] keeps its capacity, so
-         per-query allocation drops to the result list itself. *)
-      let best = Topk.create ~k candidate_compare in
-      Array.mapi
-        (fun qi (routers, costs) ->
-          Topk.clear best;
-          query_into t ~routers ~costs ~best ~exclude:(fun p -> exclude qi p);
-          drain best)
-        queries
-    end
 
   (* The member's own stored path is the query path: nothing to copy. *)
   let query_member t ~peer ~k =

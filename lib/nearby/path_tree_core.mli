@@ -95,37 +95,6 @@ module Make (Cost : COST) : sig
   (** {!query} with the path as parallel arrays, read as {!insert_path}
       reads them. *)
 
-  val candidate_compare : Cost.t * peer -> Cost.t * peer -> int
-  (** Lexicographic (cost, peer) order used for all answers: build a
-      {!Topk.t} with this compare to share an accumulator with
-      {!query_into}. *)
-
-  val query_into :
-    t ->
-    routers:Topology.Graph.node array ->
-    costs:Cost.t array ->
-    best:(Cost.t * peer) Topk.t ->
-    exclude:(peer -> bool) ->
-    unit
-  (** Offer this tree's candidates for the query path into a caller-owned
-      accumulator.  [best] must order by {!candidate_compare}.  A peer met
-      at several routers of the walk is offered once: duplicates are found
-      among the ≤ k entries [best] holds, no seen-table is kept.  A caller
-      scattering over several {e disjoint} trees passes the same [best] to
-      each so the bound tightens as it goes; [query_path] is [query_into]
-      on a fresh selector. *)
-
-  val query_many :
-    t ->
-    queries:(Topology.Graph.node array * Cost.t array) array ->
-    k:int ->
-    ?exclude:(int -> peer -> bool) ->
-    unit ->
-    (peer * Cost.t) list array
-  (** One answer per [(routers, costs)] query path, each equal to the
-      corresponding [query_path] ([exclude] additionally receives the
-      query index).  The selector is reused across the batch. *)
-
   val query_member : t -> peer:peer -> k:int -> (peer * Cost.t) list
   (** {!query_path} along the member's stored path, excluding itself.
       @raise Not_found when unregistered. *)

@@ -1,12 +1,12 @@
 (* The one seam every registry backend plugs into.
 
    The paper's contribution is a server data structure for "store recorded
-   paths, answer k-nearest"; the repo grew three divergent implementations
-   of that contract (path tree, naive scan, DHT directory) plus a sharded
-   composite.  This module type is the shared
-   surface: the server, the experiments, the CLI and the benchmarks all
-   talk to a first-class [(module S)] instead of a concrete backend, so a
-   new backend (batching, caching, async, ...) is one module away.
+   paths, answer k-nearest"; the repo has three implementations of that
+   contract (path tree, naive scan, DHT directory).  This module type is
+   the shared surface: the server, the experiments, the CLI and the
+   benchmarks all talk to a first-class [(module S)] instead of a concrete
+   backend, so a new backend (batching, caching, async, ...) is one module
+   away.
 
    Conventions every implementation must honour:
    - [insert] rejects empty paths, paths not ending at the landmark and
@@ -64,10 +64,9 @@ let introspection_of_buckets ~members ~approx_bytes iter =
   in
   { members; routers = !routers; occupancy; hot_routers; approx_bytes }
 
-(* Combine per-shard / per-landmark introspections: occupancies merge
-   bucket-wise, hot lists re-rank summed per-router sizes, counts add.
-   Members add too — callers merging views of the *same* peers (rather
-   than a partition) should correct that field themselves. *)
+(* Combine per-landmark introspections: occupancies merge bucket-wise, hot
+   lists re-rank summed per-router sizes, counts add.  Members add too:
+   the landmark trees partition the server's peers. *)
 let merge_introspections = function
   | [] ->
       {
@@ -151,46 +150,25 @@ module type S = sig
       whole batch is checked, so a bad entry leaves the backend untouched.
       Every backend takes it from {!Derive_batch}. *)
 
-  val query_many :
-    t ->
-    queries:Topology.Graph.node array array ->
-    k:int ->
-    ?exclude:(int -> peer -> bool) ->
-    unit ->
-    (peer * int) list array
-  (** One answer per query, each identical to the corresponding [query];
-      [exclude] additionally receives the query index.  Batch-aware
-      backends reuse their selector across the batch. *)
-
   val stats : t -> (string * int) list
   val introspect : t -> introspection
   val check_invariants : t -> unit
 end
 
-(* The singleton surface a backend must already have for its batch
-   operations to be derived mechanically. *)
+(* The singleton surface a backend must already have for its batch insert
+   to be derived mechanically. *)
 module type SINGLETON = sig
   type t
 
   val landmark : t -> Topology.Graph.node
   val mem : t -> peer -> bool
   val insert : t -> peer:peer -> routers:Topology.Graph.node array -> unit
-
-  val query :
-    t ->
-    routers:Topology.Graph.node array ->
-    k:int ->
-    ?exclude:(peer -> bool) ->
-    unit ->
-    (peer * int) list
 end
 
-(* The batch operations, derived from the singletons.  [insert_many] is
-   the only batch insert there is: it checks every entry the way [insert]
+(* The batch insert, derived from the singletons.  [insert_many] is the
+   only batch insert there is: it checks every entry the way [insert]
    would -- peers repeated inside the batch included -- before the first
-   write, then loops [insert], so a batched backend is the looped one.
-   [query_many] is the reference loop a backend may override with a
-   batch-shaped read. *)
+   write, then loops [insert], so a batched backend is the looped one. *)
 module Derive_batch (B : SINGLETON) = struct
   let insert_many t entries =
     let landmark = B.landmark t in
@@ -207,16 +185,13 @@ module Derive_batch (B : SINGLETON) = struct
         Prelude.Int_tbl.add seen peer ())
       entries;
     Array.iter (fun (peer, routers) -> B.insert t ~peer ~routers) entries
-
-  let query_many t ~queries ~k ?(exclude = fun _ _ -> false) () =
-    Array.mapi (fun qi routers -> B.query t ~routers ~k ~exclude:(fun p -> exclude qi p) ()) queries
 end
 
 (* A backend packed with its state and a metrics sink: the dynamic form the
    server and the experiments route every call through.  The trace records
    "registry_insert" / "registry_remove" / "registry_query" identically for
    every backend, through cells resolved at their first write;
-   backend-specific costs (overlay hops, lookups, shard sizes) surface
+   backend-specific costs (overlay hops, lookups) surface
    through [stats]. *)
 type t =
   | Registry : {
@@ -288,28 +263,12 @@ let query_member (Registry r) ~peer ~k =
   Simkit.Trace.cell_incr r.queries;
   B.query_member r.state ~peer ~k
 
-(* Batch calls keep the per-op counter semantics: a batch of n counts as n,
+(* A batch keeps the per-op counter semantics: a batch of n counts as n,
    so dashboards cannot tell (and need not care) how calls were batched. *)
 let insert_many (Registry r) entries =
   let module B = (val r.backend) in
   Simkit.Trace.cell_add r.inserts (Array.length entries);
   B.insert_many r.state entries
-
-let query_many (Registry r) ~queries ~k ?(exclude = fun _ _ -> false) () =
-  let module B = (val r.backend) in
-  Simkit.Trace.cell_add r.queries (Array.length queries);
-  B.query_many r.state ~queries ~k ~exclude ()
-
-let query_member_many (Registry r) ~peers ~k =
-  let module B = (val r.backend) in
-  Simkit.Trace.cell_add r.queries (Array.length peers);
-  let queries =
-    Array.map
-      (fun peer ->
-        match B.path_of r.state peer with Some routers -> routers | None -> raise Not_found)
-      peers
-  in
-  B.query_many r.state ~queries ~k ~exclude:(fun qi p -> p = peers.(qi)) ()
 
 let stats (Registry r) =
   let module B = (val r.backend) in

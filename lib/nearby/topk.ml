@@ -19,11 +19,6 @@ let create ~k compare =
 
 let length t = t.size
 let is_full t = t.size >= t.k
-let capacity t = t.k
-
-(* Forget the held elements but keep the arrays: batch loops reuse one
-   selector across queries instead of allocating k slots per query. *)
-let clear t = t.size <- 0
 
 (* The current k-th best element, once k candidates are held. *)
 let worst t = if t.size < t.k then None else Some t.heap.(0)

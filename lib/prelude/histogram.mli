@@ -23,7 +23,7 @@ val add_log2 : t -> float -> unit
 
 val merge_into : into:t -> t -> unit
 (** [merge_into ~into src] adds every count of [src] into [into] (e.g. to
-    combine per-shard or per-replica histograms into one view); [src] is
+    combine per-landmark or per-replica histograms into one view); [src] is
     unchanged. *)
 
 val clear : t -> unit

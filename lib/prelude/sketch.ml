@@ -5,7 +5,7 @@
    reports the value 2*gamma^i/(gamma+1) — the point whose worst-case
    relative error against anything in the bucket is exactly alpha.  Two
    sketches with the same alpha merge by adding bucket counts, which is
-   what lets per-shard and per-replica latency streams roll up into one
+   what lets per-replica and per-backend latency streams roll up into one
    fleet-wide tail.
 
    Counts live in one dense array over a contiguous run of bucket indexes

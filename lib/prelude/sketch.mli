@@ -5,8 +5,8 @@
     [alpha] of the true order statistic — [|estimate - exact| <= alpha *
     exact] — regardless of how many samples were added.  Two sketches
     built with the same [alpha] merge exactly (bucket counts add), so
-    per-shard, per-replica and per-backend latency streams roll up into
-    fleet-wide tails that carry the {e same} error bound as each input.
+    per-replica and per-backend latency streams roll up into fleet-wide
+    tails that carry the {e same} error bound as each input.
 
     This is the only quantile estimator in the tree: every
     {!Simkit.Trace} stream and every {!Simkit.Timeseries} window answers

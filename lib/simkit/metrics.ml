@@ -2,8 +2,8 @@
 
    Every labeled series is one stream/counter of a backing Trace, keyed by
    its canonical flattened name `name{k="v",...}` with the label set
-   sorted — `{shard=3,backend=tree}` and `{backend=tree,shard=3}` are the
-   same series.  A side table maps each canonical key back to its (name,
+   sorted — `{replica=3,backend=tree}` and `{backend=tree,replica=3}` are
+   the same series.  A side table maps each canonical key back to its (name,
    labels) pair for the exporters.
 
    Cardinality is bounded per base name: once a name has [max_series]

@@ -1,15 +1,15 @@
 (** Labeled (dimensional) metrics.
 
     A registry of metric series identified by a base name plus a label
-    set — [registry_query_ns{backend="sharded", shard="3"}] — in the
+    set — [registry_query_ns{backend="tree", replica="2"}] — in the
     Prometheus data model.  Label sets are canonicalized (sorted by key),
     so label order never splits a series.  Each labeled series is backed
     by one {!Trace} counter or stream, which gives every series the full
     Welford/histogram/sketch machinery and makes registries mergeable:
     {!merge_trace} files a whole subsystem trace under a label set, and
     {!merge_into} rolls one registry up into another — the mechanism
-    behind per-shard, per-replica and per-backend streams combining into
-    one fleet-wide view.
+    behind per-replica and per-backend streams combining into one
+    fleet-wide view.
 
     {b Cardinality bound.} Per base name at most [max_series_per_name]
     distinct label sets are stored; further label sets collapse into the
@@ -52,7 +52,7 @@ val stream_ref : t -> string -> labels:labels -> Trace.stream
     {!Trace.observe_ref}; routed past the cap as {!counter_ref} is. *)
 
 val set : t -> string -> labels:labels -> float -> unit
-(** Gauge write: last value wins (shard occupancy, utilization shares). *)
+(** Gauge write: last value wins (occupancy, utilization shares). *)
 
 type gauge = { mutable value : float }
 

@@ -1,4 +1,4 @@
-(* Runtime (GC + domain) profiling for measured phases.
+(* Runtime (GC) profiling for measured phases.
 
    [phase t name f] brackets [f] with Gc.quick_stat and wall-clock reads
    and accumulates the deltas under [name].  quick_stat reads no heap
@@ -29,19 +29,12 @@ type t = {
   phases : (string, phase) Hashtbl.t;
   mutable order : string list;  (* first-start order, reversed *)
   mutable overhead_ns : float;
-  mutable pool : Prelude.Domain_pool.utilization option;
 }
 
 let default_clock () = Unix.gettimeofday () *. 1e9
 
 let create ?(clock = default_clock) () =
-  {
-    clock;
-    phases = Hashtbl.create 8;
-    order = [];
-    overhead_ns = 0.0;
-    pool = None;
-  }
+  { clock; phases = Hashtbl.create 8; order = []; overhead_ns = 0.0 }
 
 let zero_gc =
   {
@@ -91,8 +84,6 @@ let phase t name f =
   in
   Fun.protect ~finally f
 
-let note_pool t pool = t.pool <- Some (Prelude.Domain_pool.utilization pool)
-let pool t = t.pool
 let overhead_ns t = t.overhead_ns
 
 let phases t =
@@ -122,29 +113,9 @@ let phase_json p =
       ("gc", gc_json p.gc);
     ]
 
-let pool_json (u : Prelude.Domain_pool.utilization) =
-  let share =
-    let capacity = u.busy_ns +. u.idle_ns in
-    if capacity > 0.0 then u.busy_ns /. capacity else 0.0
-  in
+let to_json t =
   Json_str.obj
     [
-      ("domains", string_of_int u.domains);
-      ("wall_ns", Json_str.number u.wall_ns);
-      ("busy_ns", Json_str.number u.busy_ns);
-      ("idle_ns", Json_str.number u.idle_ns);
-      ("busy_share", Json_str.number share);
-      ("jobs", string_of_int u.jobs);
-      ("tasks", string_of_int u.tasks);
-    ]
-
-let to_json t =
-  let fields =
-    [
-      ( "phases",
-        Json_str.obj (List.map (fun p -> (p.name, phase_json p)) (phases t)) );
+      ("phases", Json_str.obj (List.map (fun p -> (p.name, phase_json p)) (phases t)));
       ("overhead_ns", Json_str.number t.overhead_ns);
     ]
-    @ match t.pool with None -> [] | Some u -> [ ("domain_pool", pool_json u) ]
-  in
-  Json_str.obj fields

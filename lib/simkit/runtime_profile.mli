@@ -1,13 +1,12 @@
-(** Runtime profiling: GC deltas per phase, domain-pool utilization, and
-    the profiler's own overhead.
+(** Runtime profiling: GC deltas per phase and the profiler's own
+    overhead.
 
     Latency streams say {e how long} an operation took; this module says
     {e what the runtime was doing} — allocation pressure, collection
-    counts, heap growth per named phase, how busy the worker domains
-    were — so a tail regression can be attributed to GC or scheduling
-    rather than guessed at.  Readings come from [Gc.quick_stat] (no heap
-    census, cheap enough to bracket every phase) and
-    {!Prelude.Domain_pool.utilization}. *)
+    counts, heap growth per named phase — so a tail regression can be
+    attributed to GC rather than guessed at.  Readings come from
+    [Gc.quick_stat] (no heap census, cheap enough to bracket every
+    phase). *)
 
 type gc_delta = {
   minor_words : float;  (** words allocated in the minor heap *)
@@ -37,12 +36,6 @@ val phase : t -> string -> (unit -> 'a) -> 'a
     under [name].  Re-entering a name accumulates (runs increments).
     Exceptions propagate; the partial run is still recorded. *)
 
-val note_pool : t -> Prelude.Domain_pool.t -> unit
-(** Snapshot the pool's {!Prelude.Domain_pool.utilization} into the
-    profile (replacing any previous snapshot). *)
-
-val pool : t -> Prelude.Domain_pool.utilization option
-
 val overhead_ns : t -> float
 (** Time spent inside the profiling brackets themselves (clock and
     [Gc.quick_stat] reads) — the observe path's self-cost, kept separate
@@ -54,6 +47,5 @@ val phases : t -> phase list
 val find : t -> string -> phase option
 
 val to_json : t -> string
-(** [{"phases": {name: {runs, wall_ns, gc: {...}}, …}, "overhead_ns": …,
-    "domain_pool": {…}?}] — the [runtime] section of
-    {!Export.metrics_json}. *)
+(** [{"phases": {name: {runs, wall_ns, gc: {...}}, …}, "overhead_ns": …}]
+    — the [runtime] section of {!Export.metrics_json}. *)

@@ -210,52 +210,6 @@ let qcheck_uf_count =
       let merges = List.fold_left (fun acc (a, b) -> if Union_find.union uf a b then acc + 1 else acc) 0 pairs in
       Union_find.count_sets uf = 20 - merges)
 
-(* --- Domain_pool --- *)
-
-(* 2-domain pools (1 spawned worker + the caller) work even on a 1-core
-   box, so these tests exercise the real cross-domain path everywhere. *)
-
-let test_pool_runs_all_tasks () =
-  let pool = Domain_pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      Alcotest.(check int) "size" 2 (Domain_pool.size pool);
-      let results = Array.make 100 0 in
-      Domain_pool.run pool 100 (fun i -> results.(i) <- i * i);
-      Array.iteri (fun i v -> Alcotest.(check int) (Printf.sprintf "task %d" i) (i * i) v) results;
-      (* The pool is persistent: a second job reuses the same workers. *)
-      let seen = Array.make 8 0 in
-      Domain_pool.run pool 8 (fun i -> seen.(i) <- i + 1);
-      Alcotest.(check int) "second job" 36 (Array.fold_left ( + ) 0 seen))
-
-let test_pool_propagates_exception () =
-  let pool = Domain_pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      (match Domain_pool.run pool 5 (fun i -> if i = 3 then failwith "boom") with
-      | exception Failure m -> Alcotest.(check string) "exn" "boom" m
-      | () -> Alcotest.fail "task exception swallowed");
-      (* A failed job must not poison the pool. *)
-      let ok = Array.make 4 false in
-      Domain_pool.run pool 4 (fun i -> ok.(i) <- true);
-      Alcotest.(check bool) "pool alive after exn" true (Array.for_all Fun.id ok))
-
-let test_pool_reentrant_falls_back () =
-  let pool = Domain_pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      let inner = Atomic.make 0 in
-      (* [run] from inside a task must degrade to sequential execution on
-         the calling domain, not deadlock on the busy pool. *)
-      Domain_pool.run pool 2 (fun _ -> Domain_pool.run pool 3 (fun _ -> Atomic.incr inner));
-      Alcotest.(check int) "inner tasks ran" 6 (Atomic.get inner);
-      Domain_pool.shutdown pool;
-      (* Shutdown is idempotent (the Fun.protect finalizer runs it again). *)
-      Domain_pool.shutdown pool)
-
 let suite =
   let q t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t in
   ( "containers",
@@ -279,7 +233,4 @@ let suite =
       Alcotest.test_case "union_find basic" `Quick test_uf_basic;
       Alcotest.test_case "union_find transitivity" `Quick test_uf_transitivity;
       q qcheck_uf_count;
-      Alcotest.test_case "domain_pool runs all tasks" `Quick test_pool_runs_all_tasks;
-      Alcotest.test_case "domain_pool propagates exceptions" `Quick test_pool_propagates_exception;
-      Alcotest.test_case "domain_pool reentrant fallback" `Quick test_pool_reentrant_falls_back;
     ] )

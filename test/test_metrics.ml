@@ -275,8 +275,8 @@ let test_bench_json_meta_keys () =
     "no knobs" expected
     (meta_keys (Export.bench_json [ ("runs", "[]") ]))
 
-(* The acceptance scenario: a 3-replica cluster over sharded:4 exports one
-   merged fleet-wide trace whose per-label p99s and merged p99 stay within
+(* The acceptance scenario: a 3-replica cluster of path-tree servers
+   exports one merged fleet-wide trace whose per-label p99s and merged p99 stay within
    the documented sketch error bound of the per-replica source traces. *)
 let test_fleet_merged_trace_acceptance () =
   let config =
@@ -285,7 +285,6 @@ let test_fleet_merged_trace_acceptance () =
       routers = 400;
       peers = 60;
       replicas = 3;
-      shards = 4;
       seed = 5;
     }
   in
@@ -354,7 +353,6 @@ let test_fleet_merged_trace_acceptance () =
       "[wire]";
       "[admission";
       "[runtime]";
-      "[shards]";
     ];
   Alcotest.(check bool) "no escape sequences" true (not (String.contains frame '\027'));
   (* The generously-provisioned front door admits everything. *)

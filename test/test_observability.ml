@@ -319,18 +319,6 @@ let test_merge_introspections () =
   let empty = Nearby.Registry_intf.merge_introspections [] in
   Alcotest.(check int) "empty merge" 0 empty.Nearby.Registry_intf.members
 
-let test_sharded_introspect_members () =
-  (* A sharded registry partitions peers but shares routers: members must
-     come from the authoritative home table, not the per-shard sum. *)
-  let reg =
-    Nearby.Registry_intf.create
-      (Eval.Backends.backend (Eval.Backends.Sharded { shards = 4 }))
-      ~landmark:lmk
-  in
-  List.iter (fun (peer, routers) -> Nearby.Registry_intf.insert reg ~peer ~routers) paths;
-  let i = Nearby.Registry_intf.introspect reg in
-  Alcotest.(check int) "members not double counted" 4 i.Nearby.Registry_intf.members
-
 (* --- instrumented registry causality ------------------------------------ *)
 
 let test_instrumented_spans_parent_on_ambient () =
@@ -410,7 +398,6 @@ let suite =
       Alcotest.test_case "multiple roots" `Quick test_multiple_roots_kept_longest;
       Alcotest.test_case "introspect all backends" `Quick test_introspect_all_backends;
       Alcotest.test_case "merge introspections" `Quick test_merge_introspections;
-      Alcotest.test_case "sharded members exact" `Quick test_sharded_introspect_members;
       Alcotest.test_case "instrumented spans parent on ambient" `Quick
         test_instrumented_spans_parent_on_ambient;
       Alcotest.test_case "failover joins stay one trace" `Quick

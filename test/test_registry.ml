@@ -103,27 +103,16 @@ let qcheck_equivalence =
 
 (* --- Batch/singleton agreement ----------------------------------------- *)
 
-(* The Domain-parallel sharded scatter is exercised through one dedicated
-   module instance: a 2-domain pool works even on a 1-core machine, and
-   [parallel_threshold:0] forces every query through the cross-domain
-   path.  Created once and reused across qcheck repetitions — the pool is
-   persistent by design, and repetition is what would catch a racy
-   scatter. *)
-let parallel_sharded_backend =
-  Sharded_registry.make ~shards:3 ~query_domains:2 ~parallel_threshold:0 ()
-
 let qcheck_batch_agreement =
-  QCheck.Test.make ~name:"insert_many/query_many match looped singletons" ~count:15
+  QCheck.Test.make ~name:"insert_many matches looped singletons" ~count:15
     QCheck.(make Gen.(pair small_nat bool))
     (fun (seed, waxman) ->
       let sc = if waxman then waxman_scenario ~seed else transit_stub_scenario ~seed in
       let rng = Prelude.Prng.create (seed + 23) in
-      let named =
-        List.map (fun spec -> (spec_name spec, backend_of spec)) specs
-        @ [ ("sharded:3+domains", parallel_sharded_backend) ]
-      in
       List.iter
-        (fun (name, backend) ->
+        (fun spec ->
+          let name = spec_name spec in
+          let backend = backend_of spec in
           let batched = Registry_intf.create backend ~landmark:sc.landmark in
           let looped = Registry_intf.create backend ~landmark:sc.landmark in
           let peers = 30 in
@@ -137,30 +126,23 @@ let qcheck_batch_agreement =
             (name ^ ": member count")
             (Registry_intf.member_count looped)
             (Registry_intf.member_count batched);
-          (* Newcomer paths, with a per-query-index exclude — the batched
-             side must thread the index through correctly. *)
-          let queries = Array.init 12 (fun _ -> sc.route_of (attach_router sc rng)) in
-          let exclude qi p = (p + qi) mod 5 = 0 in
+          (* The batch leaves the state the loop leaves: every newcomer and
+             member query answers the same on both. *)
           let k = 4 in
-          let batch = Registry_intf.query_many batched ~queries ~k ~exclude () in
-          Array.iteri
-            (fun qi routers ->
-              Alcotest.(check (list (pair int int)))
-                (Printf.sprintf "%s: query %d" name qi)
-                (Registry_intf.query looped ~routers ~k ~exclude:(exclude qi) ())
-                batch.(qi))
-            queries;
-          (* Member queries, batched vs looped. *)
-          let members = Array.init 10 (fun i -> i * 3 mod peers) in
-          let batch = Registry_intf.query_member_many batched ~peers:members ~k in
-          Array.iteri
-            (fun i peer ->
-              Alcotest.(check (list (pair int int)))
-                (Printf.sprintf "%s: query_member %d" name peer)
-                (Registry_intf.query_member looped ~peer ~k)
-                batch.(i))
-            members)
-        named;
+          for qi = 0 to 11 do
+            let routers = sc.route_of (attach_router sc rng) in
+            Alcotest.(check (list (pair int int)))
+              (Printf.sprintf "%s: query %d" name qi)
+              (Registry_intf.query looped ~routers ~k ())
+              (Registry_intf.query batched ~routers ~k ())
+          done;
+          for peer = 0 to peers - 1 do
+            Alcotest.(check (list (pair int int)))
+              (Printf.sprintf "%s: query_member %d" name peer)
+              (Registry_intf.query_member looped ~peer ~k)
+              (Registry_intf.query_member batched ~peer ~k)
+          done)
+        specs;
       true)
 
 (* Batch validation is atomic on every backend: a batch with any entry
@@ -420,9 +402,11 @@ let test_backend_names () =
          | Ok s -> spec_name s
          | Error e -> e)
        specs);
-  (match Eval.Backends.of_string "sharded:0" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "sharded:0 accepted");
+  (match Eval.Backends.of_string "sharded:4" with
+  | Error e ->
+      Alcotest.(check string) "error names the backends"
+        "unknown backend \"sharded:4\" (expected tree, naive or dht)" e
+  | Ok _ -> Alcotest.fail "sharded:4 accepted");
   match Eval.Backends.of_string "btree" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown backend accepted"

@@ -83,25 +83,16 @@ let compare ~baseline ~current =
 let names = List.map (fun (c : R.comparison) -> c.name)
 let failed ~baseline ~current = names (R.failures (compare ~baseline ~current))
 
-(* The registry emitter's gates, from its typed rows, on a machine with
-   domains to spare unless told otherwise. *)
+(* The registry emitter's gates, from its typed rows. *)
 module G = Eval.Registry_gates
 
 let row ?(identical = true) spec insert_ops query_ops = { G.spec; insert_ops; query_ops; identical }
 
-let sweep_row n spec query_ops =
-  {
-    G.sw_n = n;
-    sw_spec = spec;
-    sw_insert_ops = 1000.0;
-    sw_query_ops = query_ops;
-    sw_members = n;
-    sw_bytes = 100 * n;
-    sw_identical = true;
-  }
+let sweep_row n =
+  { G.sw_n = n; sw_insert_ops = 1000.0; sw_query_ops = 2000.0; sw_members = n; sw_bytes = 100 * n }
 
 let registry ?identical ~dht_query () =
-  G.registry ~domains:8
+  G.registry
     [ row Eval.Backends.Tree 1000.0 2000.0; row ?identical Eval.Backends.Dht 500.0 dht_query ]
     []
 
@@ -113,7 +104,7 @@ let test_gate_normalizes_to_tree () =
   (* Both backends 2x slower in absolute terms: relative gates are
      unchanged, so a slower CI machine does not fail the gate. *)
   let scaled =
-    G.registry ~domains:8
+    G.registry
       [ row Eval.Backends.Tree 500.0 1000.0; row Eval.Backends.Dht 250.0 500.0 ]
       []
   in
@@ -134,7 +125,7 @@ let test_gate_fails_on_flipped_invariant () =
        ~current:(registry ~identical:false ~dht_query:1000.0 ()))
 
 let test_gate_fails_on_missing_metric () =
-  let shrunk = G.registry ~domains:8 [ row Eval.Backends.Tree 1000.0 2000.0 ] [] in
+  let shrunk = G.registry [ row Eval.Backends.Tree 1000.0 2000.0 ] [] in
   let failures =
     R.failures (compare ~baseline:(registry ~dht_query:1000.0 ()) ~current:shrunk)
   in
@@ -144,32 +135,22 @@ let test_gate_fails_on_missing_metric () =
       Alcotest.(check bool) "flagged as missing" true (c.current = None && c.status = Fail "missing"))
     failures
 
-(* A sharded:4 query measured with fewer domains than shards is skipped
-   with its reason, never silently passed, in the backends row and in the
-   sweep; with enough domains the same collapse fails as it should.  Sweep
-   points above 100k members are not gated. *)
-let test_gate_skips_sharded_query_below_shard_count () =
-  let sharded = Eval.Backends.Sharded { shards = 4 } in
-  let gates ~domains query =
-    G.registry ~domains
-      [ row Eval.Backends.Tree 1000.0 2000.0; row sharded 900.0 query ]
-      (List.concat_map
-         (fun n -> [ sweep_row n Eval.Backends.Tree 2000.0; sweep_row n sharded query ])
-         [ 10_000; 1_000_000 ])
+(* The sweep gates each tree point's members and bytes/member; points
+   above 100k members are not gated, because CI sweeps to 100k. *)
+let test_gate_sweep_stops_at_100k () =
+  let gates =
+    G.registry [ row Eval.Backends.Tree 1000.0 2000.0 ]
+      (List.map sweep_row [ 10_000; 100_000; 1_000_000 ])
   in
-  let baseline = gates ~domains:8 2000.0 in
-  let compare domains = compare ~baseline ~current:(gates ~domains 300.0) in
-  let query_gates =
-    [ "registry/sharded:4/query_rel_tree"; "registry/sweep/10000/sharded:4/query_rel_tree" ]
-  in
-  let on_two = compare 2 in
-  Alcotest.(check (list string)) "no failure on 2 domains" [] (names (R.failures on_two));
-  Alcotest.(check (list string)) "query gates skipped" query_gates
-    (names (List.filter (fun (c : R.comparison) -> c.status = Skipped "2 domains < 4 shards") on_two));
-  Alcotest.(check (list string)) "gated on 4 domains" query_gates (names (R.failures (compare 4)));
-  Alcotest.(check bool) "no 1M sweep gate" false
-    (List.exists (fun (g : R.gate) -> String.starts_with ~prefix:"registry/sweep/1000000/" g.name)
-       baseline)
+  Alcotest.(check (list string)) "members and bytes/member to 100k"
+    [
+      "registry/tree/answers_identical";
+      "registry/sweep/10000/tree/members";
+      "registry/sweep/10000/tree/bytes_per_member";
+      "registry/sweep/100000/tree/members";
+      "registry/sweep/100000/tree/bytes_per_member";
+    ]
+    (List.map (fun (g : R.gate) -> g.name) gates)
 
 let resilience_result : Eval.Resilience_exp.result =
   {
@@ -218,7 +199,6 @@ let test_gates_round_trip () =
     R.
       [
         gate "a/higher" 1234.5 Higher_better 0.6;
-        gate ~skip:"2 domains < 4 shards" "a/skipped" 0.25 Higher_better 0.5;
         gate "a/lower" 0.125 Lower_better 1.5;
         flag "a/flag" true;
         exact "a/members" 100000.0;
@@ -283,8 +263,7 @@ let suite =
       Alcotest.test_case "flipped invariant fails" `Quick test_gate_fails_on_flipped_invariant;
       Alcotest.test_case "missing metric fails" `Quick test_gate_fails_on_missing_metric;
       Alcotest.test_case "resilience tolerances" `Quick test_resilience_metrics_shape;
-      Alcotest.test_case "sharded query skipped below shard count" `Quick
-        test_gate_skips_sharded_query_below_shard_count;
+      Alcotest.test_case "sweep gated to 100k" `Quick test_gate_sweep_stops_at_100k;
       Alcotest.test_case "gates round-trip through a document" `Quick test_gates_round_trip;
       Alcotest.test_case "null gate value fails, no exception" `Quick test_null_gate_value_fails;
     ] )

@@ -516,7 +516,6 @@ module Clipped_tree : Registry_intf.S = struct
     let landmark = landmark
     let mem = mem
     let insert = insert
-    let query = query
   end)
 end
 
