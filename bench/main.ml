@@ -303,6 +303,29 @@ let run_fig2 ~full =
     Printf.printf "wrote BENCH_fig2.json (%d population sizes)\n%!" (List.length rows)
   end
 
+(* E5, the paper's motivation.  As for fig2, only the paper configuration
+   ([--full]) writes BENCH_setup.json and its gates. *)
+let run_setup_delay ~full =
+  banner "E5 setup delay vs quality";
+  let config = if full then Eval.Setup_delay.default_config else Eval.Setup_delay.quick_config in
+  let result = Eval.Setup_delay.run config in
+  Eval.Setup_delay.print result;
+  if full then begin
+    Simkit.Export.write_bench ~path:"BENCH_setup.json" ~seed:config.seed
+      ~params:
+        [
+          ("routers", string_of_int config.routers);
+          ("peers", string_of_int config.peers);
+          ("landmark_count", string_of_int config.landmark_count);
+          ("k", string_of_int config.k);
+        ]
+      [
+        ("rows", Simkit.Json_str.arr (List.map Eval.Setup_delay.row_json result.rows));
+        ("gates", Eval.Regression.to_json (Eval.Setup_delay.gates result));
+      ];
+    Printf.printf "wrote BENCH_setup.json (%d methods)\n%!" (List.length result.rows)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Registry backend throughput *)
 
@@ -932,8 +955,7 @@ let experiments =
         simple "E3 churn / failures / handover" default_config quick_config run print) );
     ( "truncate",
       Eval.Truncate_exp.(simple "E4 decreased traceroute" default_config quick_config run print) );
-    ( "setup-delay",
-      Eval.Setup_delay.(simple "E5 setup delay vs quality" default_config quick_config run print) );
+    ("setup-delay", run_setup_delay);
     ( "metric",
       Eval.Metric_ablation.(
         simple "ablation: hop vs latency dtree" default_config quick_config run print) );

@@ -29,8 +29,11 @@ let () =
   (* Stand the server up and pre-register the existing swarm. *)
   let engine = Simkit.Engine.create () in
   let server = Nearby.Server.create ?latency:w.ctx.latency w.ctx.oracle ~landmarks:w.landmarks in
-  let server_router = w.landmarks.(0) in
-  let protocol = Nearby.Protocol.create ?latency:w.ctx.latency ~engine ~server_router server in
+  let transport = Simkit.Transport.create ?latency:w.ctx.latency engine w.ctx.oracle in
+  let protocol =
+    Nearby.Protocol.create_resilient ~rpc:(Simkit.Rpc.create transport)
+      (Nearby.Cluster.single ~transport ~router:w.landmarks.(0) server)
+  in
   for peer = 0 to initial_swarm - 1 do
     ignore (Nearby.Server.join server ~peer ~attach_router:w.peer_routers.(peer))
   done;

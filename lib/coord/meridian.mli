@@ -34,8 +34,8 @@ type search_result = {
   probes_sent : int;  (** Target pings issued by ring members. *)
   elapsed_ms : float;
       (** Protocol time of the search: per step, the slowest parallel probe
-          relay, plus the forwarding hop — comparable with
-          {!Nearby.Protocol.estimate_join_delay}. *)
+          relay, plus the forwarding hop — comparable with the time a
+          [Nearby.Protocol.join] takes to complete. *)
 }
 
 val build :

@@ -142,7 +142,7 @@ let start (config : config) =
       let rpc =
         Simkit.Rpc.create ~rng:(Prelude.Prng.split w.rng) ~labeled:metrics transport
       in
-      let protocol = Nearby.Protocol.create_resilient ?latency:w.ctx.latency ~rpc cluster in
+      let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
       if config.replicas > 1 then
         Nearby.Cluster.start_sync cluster ~period_ms:config.sync_period_ms ~until:horizon;
       (* Bandwidth SLO watch: once per window, read the just-completed

@@ -125,7 +125,7 @@ let run (config : config) =
       ~routers:replica_routers ()
   in
   let rpc = Simkit.Rpc.create ~config:config.rpc ~rng:(Prelude.Prng.split w.rng) transport in
-  let protocol = Nearby.Protocol.create_resilient ?latency:w.ctx.latency ~rpc cluster in
+  let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
   let aw = config.arrival_window_ms in
   let loss_start = 0.25 *. aw in
   Simkit.Engine.schedule_at engine ~time:loss_start (fun () ->

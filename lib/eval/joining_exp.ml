@@ -63,8 +63,10 @@ let run_method config (w : Workload.t) spec =
       ~source_router:w.landmarks.(0) ~seed:(config.seed + 7) ()
   in
   let server = Nearby.Server.create ?latency w.ctx.oracle ~landmarks:w.landmarks in
+  let transport = Simkit.Transport.create ?latency engine w.ctx.oracle in
   let protocol =
-    Nearby.Protocol.create ?latency ~engine ~server_router:w.landmarks.(0) server
+    Nearby.Protocol.create_resilient ~rpc:(Simkit.Rpc.create transport)
+      (Nearby.Cluster.single ~transport ~router:w.landmarks.(0) server)
   in
   let rng = Prelude.Prng.create (config.seed + 11) in
   let n0 = config.initial_peers in

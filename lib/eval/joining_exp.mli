@@ -5,9 +5,10 @@
     start playback.  Discovery methods pay their real protocol time on the
     shared simulation clock:
 
-    - proposed: landmark pings + traceroute + server RPC
-      ({!Nearby.Protocol.estimate_join_delay}), then the server's regional
-      answer;
+    - proposed: one {!Nearby.Protocol.join} — landmark pings, one
+      traceroute ({!Nearby.Server.measurement_duration_ms}), then one RPC
+      to a lone server at the first landmark — whose reply is the
+      server's regional answer;
     - random: zero discovery time, uniform random neighbors — the fastest
       possible discovery with the worst proximity;
     - ideal-coords: an {e idealized} coordinate system — perfect closest

@@ -136,7 +136,7 @@ let run_instrumented ?(spans = Simkit.Span.noop) (config : config) =
     Simkit.Rpc.create ~config:config.rpc ~rng:(Prelude.Prng.split w.rng) ~recorder ~spans
       transport
   in
-  let protocol = Nearby.Protocol.create_resilient ?latency:w.ctx.latency ~rpc cluster in
+  let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
   (* Fault script wired to the real knobs. *)
   let fault = scenario_of config ~graph ~primary_router:replica_routers.(0) in
   Simkit.Fault.install ~recorder fault ~engine

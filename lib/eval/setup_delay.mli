@@ -5,7 +5,11 @@
     each method its real protocol time (simulated milliseconds) and score
     the neighbor sets it can produce at that point:
 
-    - proposed: parallel landmark pings + sequential traceroute + one RPC;
+    - proposed: a real {!Nearby.Protocol.join} per newcomer, timed from
+      its start to its reply: the RTT to the winning landmark, one RTT to
+      it for the traceroute ({!Nearby.Server.measurement_duration_ms}),
+      then one RPC to a lone server at the first landmark over a loss-free
+      transport;
     - GNP: parallel landmark pings + local minimization (free);
     - Meridian: one ring-walk search (parallel probes per step, forwarding
       hops accumulate; ring upkeep is steady-state and not charged);
@@ -31,5 +35,18 @@ type row = {
   hit_ratio : float;
 }
 
-val run : config -> row list
-val print : row list -> unit
+type result = {
+  rows : row list;
+  rpc_timeouts : int;  (** RPC timeouts across the proposed joins. *)
+}
+
+val run : config -> result
+
+val row_json : row -> string
+
+val gates : result -> Regression.gate list
+(** Proposed D/Dclosest and setup time (lower is better), flags for
+    "proposed has the lowest D/Dclosest" and "proposed is set up before
+    Meridian", and zero RPC timeouts (exact). *)
+
+val print : result -> unit

@@ -163,7 +163,7 @@ let run_phase (config : config) ~batched =
       ~routers:replica_routers ()
   in
   let rpc = Simkit.Rpc.create ~config:config.rpc ~rng:(Prelude.Prng.split w.rng) transport in
-  let protocol = Nearby.Protocol.create_resilient ?latency:w.ctx.latency ~rpc cluster in
+  let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
   (* Loss burst in the singleton phase only: lost fan-outs and replies
      force retries and anti-entropy snapshot repair, so the retry,
      dropped and snapshot buckets are all exercised by one scenario.  The

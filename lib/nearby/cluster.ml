@@ -14,7 +14,7 @@ type replica = {
 
 type t = {
   replicas : replica array;
-  transport : Simkit.Transport.t option;
+  transport : Simkit.Transport.t;
   detector : Simkit.Failure_detector.t option;
   trace : Simkit.Trace.t;
   recorder : Simkit.Flight_recorder.t option;
@@ -37,10 +37,7 @@ type t = {
   mutable amplification : Simkit.Metrics.gauge option;
 }
 
-let engine t = Option.map Simkit.Transport.engine t.transport
-
-let now t =
-  match t.transport with Some tr -> Simkit.Engine.now (Simkit.Transport.engine tr) | None -> 0.0
+let now t = Simkit.Engine.now (Simkit.Transport.engine t.transport)
 
 let record t ~args detail =
   match t.recorder with
@@ -49,29 +46,35 @@ let record t ~args detail =
 
 let make ~replicas ~transport ~detector ~trace ~recorder ~spans ~metrics =
   let cell = Simkit.Trace.counter_ref trace in
-  {
-    replicas;
-    transport;
-    detector;
-    trace;
-    recorder;
-    spans;
-    metrics;
-    divergence_started_at = None;
-    delays = Array.make (Array.length replicas) nan;
-    registered = cell "cluster_register";
-    client_report_bytes = cell "cluster_client_report_bytes";
-    replica_bytes = cell "cluster_replica_bytes";
-    replicate_send = cell "cluster_replicate_send";
-    replicate_apply = cell "cluster_replicate_apply";
-    replicate_skip = cell "cluster_replicate_skip";
-    amplification = None;
-  }
+  let t =
+    {
+      replicas;
+      transport;
+      detector;
+      trace;
+      recorder;
+      spans;
+      metrics;
+      divergence_started_at = None;
+      delays = Array.make (Array.length replicas) nan;
+      registered = cell "cluster_register";
+      client_report_bytes = cell "cluster_client_report_bytes";
+      replica_bytes = cell "cluster_replica_bytes";
+      replicate_send = cell "cluster_replicate_send";
+      replicate_apply = cell "cluster_replicate_apply";
+      replicate_skip = cell "cluster_replicate_skip";
+      amplification = None;
+    }
+  in
+  (* Registration stamps read the engine clock, so report staleness is in
+     engine milliseconds fleet-wide. *)
+  Array.iter (fun r -> Server.set_clock r.server (fun () -> now t)) replicas;
+  t
 
-let single ~router server =
+let single ~transport ~router server =
   make
     ~replicas:[| { id = 0; router; server; alive = true; recovered_at = None } |]
-    ~transport:None ~detector:None ~trace:(Simkit.Trace.create ()) ~recorder:None
+    ~transport ~detector:None ~trace:(Simkit.Trace.create ()) ~recorder:None
     ~spans:Simkit.Span.noop ~metrics:None
 
 let watch_replica t r =
@@ -111,13 +114,9 @@ let create ?(detector_config = Simkit.Failure_detector.default_config) ?recorder
         Log.debug (fun m -> m "replica %d suspected" id))
   in
   let t =
-    make ~replicas ~transport:(Some transport) ~detector:(Some detector) ~trace ~recorder ~spans
-      ~metrics
+    make ~replicas ~transport ~detector:(Some detector) ~trace ~recorder ~spans ~metrics
   in
   Array.iter (fun r -> watch_replica t r) replicas;
-  (* Registration stamps read the engine clock, so report staleness is in
-     engine milliseconds fleet-wide. *)
-  Array.iter (fun r -> Server.set_clock r.server (fun () -> now t)) replicas;
   t
 
 let replica_count t = Array.length t.replicas
@@ -176,17 +175,12 @@ let live_count t =
    of burning its whole budget on a dead primary.  The k-th candidate is
    the one with exactly k candidates ordered before it: no list, no sort. *)
 let target t ~src ~attempt =
-  let transport =
-    match t.transport with
-    | Some tr -> tr
-    | None -> invalid_arg "Cluster.target: single-server cluster has no transport"
-  in
   let n = Array.length t.replicas and d = t.delays in
   let live = ref 0 in
   for i = 0 to n - 1 do
     let r = t.replicas.(i) in
     if believed_live t r then begin
-      d.(i) <- Simkit.Transport.one_way_delay transport ~src ~dst:r.router;
+      d.(i) <- Simkit.Transport.one_way_delay t.transport ~src ~dst:r.router;
       incr live
     end
     else d.(i) <- nan
@@ -278,11 +272,8 @@ let send_to_others ?parent t ~from_replica ~msg ~name ~tid ~arg ~value deliver =
       in
       incr t.replicate_send;
       t.replica_bytes := !(t.replica_bytes) + bytes;
-      match t.transport with
-      | Some tr ->
-          Simkit.Transport.send ~kind:(Wire.kind msg) ~dir:"replica" tr ~src ~dst:o.router
-            ~size_bytes:bytes apply
-      | None -> apply ()
+      Simkit.Transport.send ~kind:(Wire.kind msg) ~dir:"replica" t.transport ~src ~dst:o.router
+        ~size_bytes:bytes apply
     end
   done;
   update_amplification t
@@ -383,16 +374,6 @@ let handle_registration_batch ?parent t ~replica ~entries ~k =
     Some (Array.map answer entries)
   end
 
-(* Direct path: both protocol rounds on one replica, exactly the pre-cluster
-   [Server.join] + [Server.neighbors] sequence. *)
-let handle_join ?rng t ~replica ~peer ~attach_router ~k =
-  let r = t.replicas.(replica) in
-  if not r.alive then None
-  else begin
-    let info = Server.join ?rng r.server ~peer ~attach_router in
-    Some (info, Server.neighbors r.server ~peer ~k)
-  end
-
 (* --- Crash / recover --------------------------------------------------- *)
 
 let crash t i =
@@ -490,11 +471,8 @@ let divergence_since t = t.divergence_started_at
    network. *)
 let charge_repair t ~src ~dst bytes =
   Simkit.Trace.add_count t.trace "cluster_sync_bytes" bytes;
-  match t.transport with
-  | Some tr ->
-      Simkit.Transport.charge ~kind:"snapshot" ~dir:"replica" tr ~src:src.router ~dst:dst.router
-        ~size_bytes:bytes
-  | None -> ()
+  Simkit.Transport.charge ~kind:"snapshot" ~dir:"replica" t.transport ~src:src.router
+    ~dst:dst.router ~size_bytes:bytes
 
 (* One sync round:
    1. pick the most complete live replica as the source (max registered
@@ -623,16 +601,14 @@ let sync_round t =
 
 let start_sync t ~period_ms ~until =
   if period_ms <= 0.0 then invalid_arg "Cluster.start_sync: period must be positive";
-  match engine t with
-  | None -> invalid_arg "Cluster.start_sync: single-server cluster has no engine"
-  | Some e ->
-      let rec tick at =
-        if at <= until then
-          Simkit.Engine.schedule_at e ~time:at (fun () ->
-              sync_round t;
-              tick (at +. period_ms))
-      in
-      tick (Simkit.Engine.now e +. period_ms)
+  let e = Simkit.Transport.engine t.transport in
+  let rec tick at =
+    if at <= until then
+      Simkit.Engine.schedule_at e ~time:at (fun () ->
+          sync_round t;
+          tick (at +. period_ms))
+  in
+  tick (Simkit.Engine.now e +. period_ms)
 
 let consistent t =
   let live = Array.to_list t.replicas |> List.filter (fun r -> r.alive) in

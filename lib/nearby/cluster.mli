@@ -10,16 +10,17 @@
     anti-entropy over {!Server}'s bucket digests, which moves only the
     buckets that differ.
 
-    A {!single}-replica cluster degenerates to a plain server with no
-    transport, detector or replication machinery, so the direct protocol
-    path behaves exactly as it did before clusters existed. *)
+    A {!single}-replica cluster is one server on the transport with no
+    failure detector: a lone server behind {!Protocol}, with the same join
+    path and the same timing as the replicated tier. *)
 
 type t
 
-val single : router:Topology.Graph.node -> Server.t -> t
-(** Wrap one server as a 1-replica cluster: no transport, no failure
-    detector, no replication.  {!target} and {!start_sync} are unavailable
-    ([Invalid_argument]); {!handle_join} is the whole protocol. *)
+val single : transport:Simkit.Transport.t -> router:Topology.Graph.node -> Server.t -> t
+(** Wrap one server as a 1-replica cluster on [transport], the transport
+    the RPC layer rides on.  No failure detector watches it: {!target} is
+    [Some 0] while the replica is alive and [None] after {!crash}.  The
+    server clock is set to the engine, as {!create} does. *)
 
 val create :
   ?detector_config:Simkit.Failure_detector.config ->
@@ -135,8 +136,9 @@ val replica_at : t -> router:Topology.Graph.node -> int option
 val target : t -> src:Topology.Graph.node -> attempt:int -> int option
 (** Failover routing for attempt [n] (1-based) of an RPC from [src]:
     believed-live replicas sorted by (one-way delay from [src], id), entry
-    [(n-1) mod live].  [None] when every replica is suspected.
-    @raise Invalid_argument on a {!single} cluster. *)
+    [(n-1) mod live].  [None] when every replica is suspected.  A
+    {!single} cluster has no detector, so its one replica is believed live
+    exactly while it is alive. *)
 
 val handle_registration :
   ?parent:Simkit.Span.context ->
@@ -147,7 +149,7 @@ val handle_registration :
   measurement:Server.measurement ->
   k:int ->
   (Server.peer_info * (int * int) list) option
-(** Server side of a resilient join RPC: register the client-measured path
+(** Server side of a join RPC: register the client-measured path
     on [replica], fan the write out to the other replicas, and answer the
     neighbor query.  Idempotent — a retried RPC whose first reply was lost
     re-answers without re-registering.  [None] when the replica is down
@@ -177,17 +179,6 @@ val handle_registration_batch :
     Already-registered entries count as duplicates and are re-answered
     idempotently; answers come back in entry order.  [None] when the
     replica is down. *)
-
-val handle_join :
-  ?rng:Prelude.Prng.t ->
-  t ->
-  replica:int ->
-  peer:int ->
-  attach_router:Topology.Graph.node ->
-  k:int ->
-  (Server.peer_info * (int * int) list) option
-(** Direct path: run both protocol rounds on one replica —
-    byte-for-byte the pre-cluster [Server.join] + [Server.neighbors]. *)
 
 val crash : t -> int -> unit
 (** Stop the replica: it answers no RPCs, applies no replication, sends no
@@ -222,8 +213,7 @@ val sync_round : t -> unit
 
 val start_sync : t -> period_ms:float -> until:float -> unit
 (** Schedule {!sync_round} every [period_ms] up to engine time [until].
-    @raise Invalid_argument on a {!single} cluster or non-positive
-    period. *)
+    @raise Invalid_argument on a non-positive period. *)
 
 val consistent : t -> bool
 (** Every live replica holds the same content: equal {!Server.digest}s

@@ -1,95 +1,23 @@
-type mode = Direct | Resilient of { rpc : Simkit.Rpc.t }
+type t = { engine : Simkit.Engine.t; cluster : Cluster.t; rpc : Simkit.Rpc.t }
 
-type t = {
-  latency : Topology.Latency.t option;
-  engine : Simkit.Engine.t;
-  cluster : Cluster.t;
-  oracle : Traceroute.Route_oracle.t;
-  mode : mode;
-}
-
-let create ?latency ~engine ~server_router server =
-  {
-    latency;
-    engine;
-    cluster = Cluster.single ~router:server_router server;
-    oracle = Traceroute.Route_oracle.create (Server.graph server);
-    mode = Direct;
-  }
-
-let create_resilient ?latency ~rpc cluster =
+let create_resilient ~rpc cluster =
   if Cluster.replica_count cluster < 1 then invalid_arg "Protocol.create_resilient: empty cluster";
-  {
-    latency;
-    engine = Simkit.Rpc.engine rpc;
-    cluster;
-    oracle = Traceroute.Route_oracle.create (Cluster.graph cluster);
-    mode = Resilient { rpc };
-  }
+  { engine = Simkit.Rpc.engine rpc; cluster; rpc }
 
 let server t = Cluster.measurement_server t.cluster
 let cluster t = t.cluster
 
-let rtt t src dst = Traceroute.Probe.ping ?latency:t.latency t.oracle ~src ~dst
-
-(* Sequential TTL probing: hop i costs one round trip to router i, so the
-   tool's completion time is the sum of prefix RTTs along the route. *)
-let traceroute_delay t ~src ~dst =
-  match Traceroute.Route_oracle.route_array t.oracle ~src ~dst with
-  | [||] -> infinity
-  | routers ->
-      let acc = ref 0.0 in
-      for i = 1 to Array.length routers - 1 do
-        acc := !acc +. rtt t src routers.(i)
-      done;
-      !acc
-
-let round1_delay t ~attach_router =
-  (* Parallel pings: the newcomer waits for the slowest landmark reply. *)
-  Array.fold_left
-    (fun worst lmk -> Float.max worst (rtt t attach_router lmk))
-    0.0
-    (Server.landmarks (server t))
-
-(* The server router the final RPC is expected to pay its RTT to: the lone
-   replica in direct mode, the closest believed-live replica otherwise. *)
-let expected_server_router t ~attach_router =
-  match t.mode with
-  | Direct -> Cluster.replica_router t.cluster 0
-  | Resilient _ -> (
-      match Cluster.target t.cluster ~src:attach_router ~attempt:1 with
-      | Some replica -> Cluster.replica_router t.cluster replica
-      | None -> Cluster.replica_router t.cluster 0)
-
-let measurement_delay t ~attach_router =
-  let lmk, _ =
-    Landmark.closest t.oracle ?latency:t.latency
-      ~landmarks:(Server.landmarks (server t))
-      attach_router
-  in
-  round1_delay t ~attach_router +. traceroute_delay t ~src:attach_router ~dst:lmk
-
-let estimate_join_delay t ~attach_router =
-  measurement_delay t ~attach_router
-  +. rtt t attach_router (expected_server_router t ~attach_router)
-
-let join_direct ?rng t ~peer ~attach_router ~k ~on_complete ~on_failure =
-  let delay = estimate_join_delay t ~attach_router in
-  Simkit.Engine.schedule t.engine ~delay (fun () ->
-      match Cluster.handle_join ?rng t.cluster ~replica:0 ~peer ~attach_router ~k with
-      | Some (info, reply) -> on_complete info reply
-      | None -> on_failure ())
-
-(* Resilient join: the newcomer measures locally (same rng draws, same
-   probe accounting as the direct path), then ships the recorded path to
-   the cluster through the retrying RPC layer.  Retries resend the same
+(* A join: the newcomer measures locally, waits out the measurement
+   ({!Server.measurement_duration_ms}), then ships the recorded path to the
+   cluster through the retrying RPC layer.  Retries resend the same
    measurement — the client does not re-traceroute on a lost packet.
 
    One root "join" span covers the whole client-observed join, on the
    engine clock; the measurement, every RPC attempt and (through the
    attempt's ambient context) the server-side registration subtree all
    hang off it, so a failed-over join is still one causal tree. *)
-let join_resilient ?rng ?on_trace t ~rpc ~peer ~attach_router ~k ~on_complete ~on_failure =
+let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~on_complete =
+  let rpc = t.rpc in
   let spans = Simkit.Rpc.spans rpc in
   let traced = Simkit.Span.enabled spans in
   let join_span =
@@ -149,9 +77,8 @@ let join_resilient ?rng ?on_trace t ~rpc ~peer ~attach_router ~k ~on_complete ~o
 
 (* Batched join: every newcomer measures locally (same rng draws, same
    probe accounting as n singleton joins), then the whole batch rides to
-   the server as ONE registration round — one engine event in direct mode,
-   one retrying RPC in resilient mode, with the recorded paths packed into
-   a single {!Wire.Path_report_batch} instead of n separate reports.  The
+   the server as ONE retrying RPC, with the recorded paths packed into a
+   single {!Wire.Path_report_batch} instead of n separate reports.  The
    batch waits for its slowest measurement (the newcomers measure
    concurrently) and the RPC originates at the first entry's attach router:
    the model is an aggregation point — the common access router of a flash
@@ -179,90 +106,74 @@ let join_many ?rng ?on_trace ?(on_failure = fun () -> ()) t ~entries ~k ~on_comp
           on_complete peer info reply)
         answers
     in
-    match t.mode with
-    | Direct ->
-        let server_router = Cluster.replica_router t.cluster 0 in
-        let rpc_ms =
-          Array.fold_left (fun acc (_, ar, _) -> Float.max acc (rtt t ar server_router)) 0.0 measured
-        in
-        Simkit.Engine.schedule t.engine ~delay:(measure_ms +. rpc_ms) (fun () ->
-            match Cluster.handle_registration_batch t.cluster ~replica:0 ~entries:measured ~k with
-            | Some answers -> answer answers
-            | None -> on_failure ())
-    | Resilient { rpc } ->
-        let spans = Simkit.Rpc.spans rpc in
-        let now () = Simkit.Engine.now t.engine in
-        let _, src, _ = measured.(0) in
-        let join_span =
-          Simkit.Span.start_span spans ~name:"join_batch" ~ts:(now ())
-            [ ("ops", Simkit.Span.Int n); ("src", Simkit.Span.Int src) ]
-        in
-        let join_ctx = Simkit.Span.context_of join_span in
-        (match on_trace with Some f -> f join_ctx | None -> ());
-        Simkit.Span.emit spans ~name:"measure" ~ts:(now ()) ~dur:measure_ms
-          ~ctx:(Simkit.Span.context spans ~parent:join_ctx ())
-          [
-            ("ops", Simkit.Span.Int n);
-            ( "probes",
-              Simkit.Span.Int
-                (Array.fold_left (fun acc (_, _, m) -> acc + Server.measurement_probes m) 0 measured)
-            );
-          ];
-        let reports =
-          Array.to_list
-            (Array.map (fun (peer, _, m) -> (peer, Server.measurement_path m)) measured)
-        in
-        let batch = Wire.Path_report_batch { reports } in
-        let query_bytes =
-          Array.fold_left
-            (fun acc (peer, _, _) -> acc + Wire.byte_size (Wire.Neighbor_request { peer; k }))
-            0 measured
-        in
-        let request_parts =
-          [
-            (Wire.kind batch, Wire.byte_size batch);
-            (Wire.kind (Wire.Neighbor_request { peer = 0; k }), query_bytes);
-          ]
-        in
-        let reply_parts answers =
-          let bytes = ref 0 in
-          Array.iteri
-            (fun i (_, neighbors) ->
-              let peer, _, _ = measured.(i) in
-              bytes := !bytes + Wire.byte_size (Wire.Neighbor_reply { peer; neighbors }))
-            answers;
-          [ (Wire.kind (Wire.Neighbor_reply { peer = 0; neighbors = [] }), !bytes) ]
-        in
-        let finish outcome =
-          Simkit.Span.add_arg join_span "outcome" (Simkit.Span.Str outcome);
-          Simkit.Span.finish ~ts:(now ()) join_span
-        in
-        Simkit.Engine.schedule t.engine ~delay:measure_ms (fun () ->
-            Simkit.Rpc.call ~parent:join_ctx rpc ~src
-              ~dst:(fun ~attempt ->
-                Cluster.target t.cluster ~src ~attempt
-                |> Option.map (Cluster.replica_router t.cluster))
-              ~request_parts ~reply_parts
-              ~handle:(fun ~dst ->
-                match Cluster.replica_at t.cluster ~router:dst with
-                | None -> None
-                | Some replica ->
-                    Cluster.handle_registration_batch
-                      ?parent:(Simkit.Span.current spans)
-                      t.cluster ~replica ~entries:measured ~k)
-              ~on_reply:(fun answers ->
-                finish "ok";
-                answer answers)
-              ~on_give_up:(fun () ->
-                finish "gave_up";
-                on_failure ()))
+    let rpc = t.rpc in
+    let spans = Simkit.Rpc.spans rpc in
+    let now () = Simkit.Engine.now t.engine in
+    let _, src, _ = measured.(0) in
+    let join_span =
+      Simkit.Span.start_span spans ~name:"join_batch" ~ts:(now ())
+        [ ("ops", Simkit.Span.Int n); ("src", Simkit.Span.Int src) ]
+    in
+    let join_ctx = Simkit.Span.context_of join_span in
+    (match on_trace with Some f -> f join_ctx | None -> ());
+    Simkit.Span.emit spans ~name:"measure" ~ts:(now ()) ~dur:measure_ms
+      ~ctx:(Simkit.Span.context spans ~parent:join_ctx ())
+      [
+        ("ops", Simkit.Span.Int n);
+        ( "probes",
+          Simkit.Span.Int
+            (Array.fold_left (fun acc (_, _, m) -> acc + Server.measurement_probes m) 0 measured)
+        );
+      ];
+    let reports =
+      Array.to_list
+        (Array.map (fun (peer, _, m) -> (peer, Server.measurement_path m)) measured)
+    in
+    let batch = Wire.Path_report_batch { reports } in
+    let query_bytes =
+      Array.fold_left
+        (fun acc (peer, _, _) -> acc + Wire.byte_size (Wire.Neighbor_request { peer; k }))
+        0 measured
+    in
+    let request_parts =
+      [
+        (Wire.kind batch, Wire.byte_size batch);
+        (Wire.kind (Wire.Neighbor_request { peer = 0; k }), query_bytes);
+      ]
+    in
+    let reply_parts answers =
+      let bytes = ref 0 in
+      Array.iteri
+        (fun i (_, neighbors) ->
+          let peer, _, _ = measured.(i) in
+          bytes := !bytes + Wire.byte_size (Wire.Neighbor_reply { peer; neighbors }))
+        answers;
+      [ (Wire.kind (Wire.Neighbor_reply { peer = 0; neighbors = [] }), !bytes) ]
+    in
+    let finish outcome =
+      Simkit.Span.add_arg join_span "outcome" (Simkit.Span.Str outcome);
+      Simkit.Span.finish ~ts:(now ()) join_span
+    in
+    Simkit.Engine.schedule t.engine ~delay:measure_ms (fun () ->
+        Simkit.Rpc.call ~parent:join_ctx rpc ~src
+          ~dst:(fun ~attempt ->
+            Cluster.target t.cluster ~src ~attempt
+            |> Option.map (Cluster.replica_router t.cluster))
+          ~request_parts ~reply_parts
+          ~handle:(fun ~dst ->
+            match Cluster.replica_at t.cluster ~router:dst with
+            | None -> None
+            | Some replica ->
+                Cluster.handle_registration_batch
+                  ?parent:(Simkit.Span.current spans)
+                  t.cluster ~replica ~entries:measured ~k)
+          ~on_reply:(fun answers ->
+            finish "ok";
+            answer answers)
+          ~on_give_up:(fun () ->
+            finish "gave_up";
+            on_failure ()))
   end
-
-let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~on_complete =
-  match t.mode with
-  | Direct -> join_direct ?rng t ~peer ~attach_router ~k ~on_complete ~on_failure
-  | Resilient { rpc } ->
-      join_resilient ?rng ?on_trace t ~rpc ~peer ~attach_router ~k ~on_complete ~on_failure
 
 let vivaldi_setup_delay ~rounds ~round_period_ms =
   if rounds < 0 || round_period_ms < 0.0 then invalid_arg "Protocol.vivaldi_setup_delay: negative input";

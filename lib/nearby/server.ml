@@ -277,7 +277,9 @@ let measure = record_path
 let measurement_landmark m = m.lmk
 let measurement_path m = m.reduced
 let measurement_probes m = m.cost
-let measurement_duration_ms m = m.ping_rtt_ms +. m.traceroute_ms
+(* The one measurement clock: every join waits this long before its server
+   round, and the join counters and spans below charge the same sum. *)
+let[@inline] measurement_duration_ms m = m.ping_rtt_ms +. m.traceroute_ms
 
 let registrable_path ~landmark path =
   (* The tree stores identified routers only; an incomplete trace is repaired
@@ -407,7 +409,7 @@ let count_join t (r : measurement) =
   Simkit.Trace.cell_observe c.path_hops (float_of_int (Traceroute.Path.hop_count r.reduced));
   Simkit.Trace.cell_observe c.ping_round_ms r.ping_rtt_ms;
   Simkit.Trace.cell_observe c.traceroute_ms r.traceroute_ms;
-  Simkit.Trace.cell_observe c.join_ms (r.ping_rtt_ms +. r.traceroute_ms)
+  Simkit.Trace.cell_observe c.join_ms (measurement_duration_ms r)
 
 (* Round 2 server side: store a client-measured path and answer the join
    counters/spans.  Split from [join] so a replicated cluster can measure
@@ -464,7 +466,7 @@ let register_measured ?parent t ~peer ~attach_router (r : measurement) =
         ("routers", Int (Array.length routers));
         ("probes_spent", Int probes_spent);
       ];
-    advance t.spans (r.ping_rtt_ms +. r.traceroute_ms);
+    advance t.spans (measurement_duration_ms r);
     Peer_tbl.replace t.open_joins peer (t0, join_ctx, Traceroute.Path.hop_count recorded_path)
   end;
   { attach_router; landmark; recorded_path; probes_spent }
@@ -542,7 +544,7 @@ let register_measured_batch ?parent t entries =
     let open Simkit.Span in
     let dur =
       Array.fold_left
-        (fun acc (_, _, (r : measurement)) -> Float.max acc (r.ping_rtt_ms +. r.traceroute_ms))
+        (fun acc (_, _, r) -> Float.max acc (measurement_duration_ms r))
         0.0 entries
     in
     emit t.spans ~name:"register_batch" ~ts:(now t.spans) ~dur ~ctx:batch_ctx [ ("ops", Int n) ];

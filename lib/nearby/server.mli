@@ -110,7 +110,10 @@ val measurement_probes : measurement -> int
 (** Total probe packets the measurement cost. *)
 
 val measurement_duration_ms : measurement -> float
-(** Simulated ping-round + traceroute time. *)
+(** The one measurement clock, in simulated ms: the RTT to the winning
+    landmark (the first ping reply names it), plus one RTT to it for the
+    traceroute, whose TTL probes are in flight together.  {!Protocol.join}
+    waits this long before its server round. *)
 
 val register_measured :
   ?parent:Simkit.Span.context ->

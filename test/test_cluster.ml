@@ -1,5 +1,6 @@
-(* Cluster: replicated management tier — direct-path equivalence, write
-   fan-out, crash/failover, anti-entropy, and join termination under loss. *)
+(* Cluster: replicated management tier — 1-replica equivalence with a plain
+   server, write fan-out, crash/failover, anti-entropy, and join
+   termination under loss. *)
 
 let detector_config =
   { Simkit.Failure_detector.heartbeat_period_ms = 100.0; timeout_ms = 350.0; heartbeat_bytes = 32 }
@@ -65,91 +66,68 @@ let run_joins ?(spacing = 10.0) fx protocol ~peers ~k ~horizon =
    be compared content-for-content. *)
 let serial_spacing = 500.0
 
-let test_direct_path_matches_plain_server () =
-  (* The 1-replica direct path must reproduce the pre-cluster protocol
-     exactly: same neighbor replies, same server-side accounting. *)
-  let fx = fixture ~seed:21 () in
+(* A lone server: [Cluster.single] on the fixture's transport, behind the
+   RPC layer. *)
+let single_protocol fx server =
+  let cluster = Nearby.Cluster.single ~transport:fx.transport ~router:fx.replica_routers.(0) server in
+  let rpc = Simkit.Rpc.create ~config:rpc_config fx.transport in
+  (cluster, rpc, Nearby.Protocol.create_resilient ~rpc cluster)
+
+let test_one_replica_matches_plain_server () =
+  (* Both 1-replica clusters — [single], and [create] with its failure
+     detector — behind the RPC layer on a clean network keep the replies,
+     the registered state and the server accounting of a plain server:
+     the RPC machinery must not change results, only survive faults. *)
   let peers = 15 and k = 4 in
-  let reference = make_server fx () in
+  let reference_fx = fixture ~replicas:1 ~seed:22 () in
+  let reference = make_server reference_fx () in
   let expected =
     List.init peers (fun peer ->
         ignore
           (Nearby.Server.join reference ~peer
-             ~attach_router:fx.map.leaves.(peer mod Array.length fx.map.leaves));
+             ~attach_router:reference_fx.map.leaves.(peer mod Array.length reference_fx.map.leaves));
         Nearby.Server.neighbors reference ~peer ~k)
   in
-  let server = make_server fx () in
-  let protocol =
-    Nearby.Protocol.create ~engine:fx.engine ~server_router:fx.replica_routers.(0) server
+  let check label fx (cluster, rpc, protocol) =
+    let replies, failed =
+      run_joins ~spacing:serial_spacing fx protocol ~peers ~k ~horizon:60_000.0
+    in
+    Alcotest.(check int) (label ^ ": no failures") 0 failed;
+    Alcotest.(check int) (label ^ ": all completed") peers (Hashtbl.length replies);
+    List.iteri
+      (fun peer expect ->
+        Alcotest.(check (list (pair int int)))
+          (Printf.sprintf "%s: peer %d reply identical" label peer)
+          expect (Hashtbl.find replies peer))
+      expected;
+    (* Byte-identical registered state: same landmark, same recorded path,
+       same probe cost for every peer. *)
+    let server = Nearby.Cluster.server_of cluster 0 in
+    for peer = 0 to peers - 1 do
+      let info s = Option.get (Nearby.Server.info s peer) in
+      let a = info reference and b = info server in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: peer %d registration identical" label peer)
+        true
+        (a.landmark = b.landmark && a.recorded_path = b.recorded_path
+       && a.probes_spent = b.probes_spent && a.attach_router = b.attach_router)
+    done;
+    List.iter
+      (fun name ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: %s counter identical" label name)
+          (Simkit.Trace.counter (Nearby.Server.trace reference) name)
+          (Simkit.Trace.counter (Nearby.Server.trace server) name))
+      [ "join"; "query"; "probe_packets"; "wire_bytes" ];
+    Alcotest.(check int) (label ^ ": single attempt per join") peers
+      (Simkit.Trace.counter (Simkit.Rpc.trace rpc) "rpc_attempts")
   in
-  let replies, failed =
-    run_joins ~spacing:serial_spacing fx protocol ~peers ~k ~horizon:60_000.0
-  in
-  Alcotest.(check int) "no failures" 0 failed;
-  Alcotest.(check int) "all completed" peers (Hashtbl.length replies);
-  List.iteri
-    (fun peer expect ->
-      Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "peer %d reply identical" peer)
-        expect (Hashtbl.find replies peer))
-    expected;
-  List.iter
-    (fun name ->
-      Alcotest.(check int)
-        (name ^ " counter identical")
-        (Simkit.Trace.counter (Nearby.Server.trace reference) name)
-        (Simkit.Trace.counter (Nearby.Server.trace server) name))
-    [ "join"; "query"; "probe_packets"; "wire_bytes" ]
-
-let test_resilient_single_replica_loss_free_matches_direct () =
-  (* A 1-replica cluster behind the RPC layer with a clean network keeps
-     the same replies and the same server accounting as the direct path —
-     the RPC machinery must not change results, only survive faults. *)
-  let direct = fixture ~replicas:1 ~seed:22 () in
-  let reference = make_server direct () in
-  let protocol_direct =
-    Nearby.Protocol.create ~engine:direct.engine ~server_router:direct.replica_routers.(0)
-      reference
-  in
-  let peers = 15 and k = 4 in
-  let expected, failed_direct =
-    run_joins ~spacing:serial_spacing direct protocol_direct ~peers ~k ~horizon:60_000.0
-  in
-  Alcotest.(check int) "direct all complete" 0 failed_direct;
+  let fx = fixture ~replicas:1 ~seed:22 () in
+  check "single" fx (single_protocol fx (make_server fx ()));
   let fx = fixture ~replicas:1 ~seed:22 () in
   let cluster = make_cluster fx in
   let rpc = Simkit.Rpc.create ~config:rpc_config fx.transport in
-  let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
-  let replies, failed =
-    run_joins ~spacing:serial_spacing fx protocol ~peers ~k ~horizon:60_000.0
-  in
-  Alcotest.(check int) "resilient all complete" 0 failed;
-  for peer = 0 to peers - 1 do
-    Alcotest.(check (list (pair int int)))
-      (Printf.sprintf "peer %d reply identical" peer)
-      (Hashtbl.find expected peer) (Hashtbl.find replies peer)
-  done;
-  (* Byte-identical registered state: same landmark, same recorded path,
-     same probe cost for every peer. *)
-  let server = Nearby.Cluster.server_of cluster 0 in
-  for peer = 0 to peers - 1 do
-    let info s = Option.get (Nearby.Server.info s peer) in
-    let a = info reference and b = info server in
-    Alcotest.(check bool)
-      (Printf.sprintf "peer %d registration identical" peer)
-      true
-      (a.landmark = b.landmark && a.recorded_path = b.recorded_path
-     && a.probes_spent = b.probes_spent && a.attach_router = b.attach_router)
-  done;
-  List.iter
-    (fun name ->
-      Alcotest.(check int)
-        (name ^ " counter identical")
-        (Simkit.Trace.counter (Nearby.Server.trace reference) name)
-        (Simkit.Trace.counter (Nearby.Server.trace server) name))
-    [ "join"; "query"; "probe_packets"; "wire_bytes" ];
-  Alcotest.(check int) "single attempt per join" peers
-    (Simkit.Trace.counter (Simkit.Rpc.trace rpc) "rpc_attempts")
+  check "create" fx (cluster, rpc, Nearby.Protocol.create_resilient ~rpc cluster)
 
 let test_fan_out_replicates_to_all () =
   let fx = fixture ~seed:23 () in
@@ -428,16 +406,21 @@ let test_joins_under_loss_always_terminate () =
   Nearby.Cluster.check_invariants cluster
 
 let test_single_cluster_guards () =
+  (* No detector watches a lone replica: it is the target exactly while it
+     is alive, and a join against it once crashed fails exactly once. *)
   let fx = fixture ~seed:27 () in
-  let server = make_server fx () in
-  let cluster = Nearby.Cluster.single ~router:fx.replica_routers.(0) server in
+  let cluster, _, protocol = single_protocol fx (make_server fx ()) in
   Alcotest.(check int) "one replica" 1 (Nearby.Cluster.replica_count cluster);
-  Alcotest.check_raises "no transport to target"
-    (Invalid_argument "Cluster.target: single-server cluster has no transport") (fun () ->
-      ignore (Nearby.Cluster.target cluster ~src:fx.map.core.(0) ~attempt:1));
-  Alcotest.check_raises "no engine to sync on"
-    (Invalid_argument "Cluster.start_sync: single-server cluster has no engine") (fun () ->
-      Nearby.Cluster.start_sync cluster ~period_ms:100.0 ~until:1_000.0)
+  let target () = Nearby.Cluster.target cluster ~src:fx.map.core.(0) ~attempt:1 in
+  Alcotest.(check (option int)) "alive replica is the target" (Some 0) (target ());
+  Nearby.Cluster.crash cluster 0;
+  Alcotest.(check (option int)) "crashed replica is no target" None (target ());
+  let completed = ref 0 and failed = ref 0 in
+  Nearby.Protocol.join protocol ~peer:0 ~attach_router:fx.map.leaves.(0) ~k:4
+    ~on_complete:(fun _ _ -> incr completed)
+    ~on_failure:(fun () -> incr failed);
+  Simkit.Engine.run fx.engine ~until:60_000.0;
+  Alcotest.(check (pair int int)) "on_failure exactly once" (0, 1) (!completed, !failed)
 
 (* --- Batched join ------------------------------------------------------ *)
 
@@ -473,14 +456,11 @@ let check_batch_replies ~expected replies =
         expect (Hashtbl.find replies peer))
     expected
 
-let test_join_many_direct_matches_bulk_server () =
+let test_join_many_single_matches_bulk_server () =
   let fx = fixture ~replicas:1 ~seed:31 () in
   let peers = 12 and k = 4 in
   let expected = batch_reference fx ~peers ~k in
-  let protocol =
-    Nearby.Protocol.create ~engine:fx.engine ~server_router:fx.replica_routers.(0)
-      (make_server fx ())
-  in
+  let _, _, protocol = single_protocol fx (make_server fx ()) in
   let replies, failed = run_join_many fx protocol ~peers ~k ~horizon:60_000.0 in
   Alcotest.(check int) "no failures" 0 failed;
   Alcotest.(check int) "all completed" peers (Hashtbl.length replies);
@@ -598,9 +578,8 @@ let test_registration_reply_shares_path () =
 let suite =
   ( "cluster",
     [
-      Alcotest.test_case "direct path = plain server" `Quick test_direct_path_matches_plain_server;
-      Alcotest.test_case "resilient 1-replica = direct" `Quick
-        test_resilient_single_replica_loss_free_matches_direct;
+      Alcotest.test_case "lone replica = plain server" `Quick
+        test_one_replica_matches_plain_server;
       Alcotest.test_case "fan-out replicates to all" `Quick test_fan_out_replicates_to_all;
       Alcotest.test_case "crash primary fails over" `Quick test_crash_primary_fails_over;
       Alcotest.test_case "anti-entropy heals stale replica" `Quick
@@ -614,8 +593,8 @@ let suite =
       Alcotest.test_case "joins under 20% loss terminate" `Quick
         test_joins_under_loss_always_terminate;
       Alcotest.test_case "single-cluster guards" `Quick test_single_cluster_guards;
-      Alcotest.test_case "join_many direct = bulk server" `Quick
-        test_join_many_direct_matches_bulk_server;
+      Alcotest.test_case "join_many single = bulk server" `Quick
+        test_join_many_single_matches_bulk_server;
       Alcotest.test_case "join_many replicates batch as one message" `Quick
         test_join_many_resilient_replicates_as_one_message;
       Alcotest.test_case "registration reply shares the measured path" `Quick

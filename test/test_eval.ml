@@ -53,16 +53,29 @@ let test_workload_deterministic () =
   Alcotest.(check bool) "seed changes placement" true
     (a.peer_routers <> c.peer_routers || a.landmarks <> c.landmarks)
 
+(* A lone server at [router] on a loss-free transport: the join path every
+   experiment uses. *)
+let single_protocol ?latency ~engine oracle ~router server =
+  let transport = Simkit.Transport.create ?latency engine oracle in
+  ( transport,
+    Nearby.Protocol.create_resilient ~rpc:(Simkit.Rpc.create transport)
+      (Nearby.Cluster.single ~transport ~router server) )
+
 let test_protocol_timing () =
   let d = Eval.Paper_drawing.build () in
   let oracle = Traceroute.Route_oracle.create d.graph in
   let server = Nearby.Server.create oracle ~landmarks:[| d.lmk |] in
   let engine = Simkit.Engine.create () in
-  let protocol = Nearby.Protocol.create ~engine ~server_router:d.lmk server in
-  (* p1: round 1 = RTT to the single landmark (10 ms at 1 ms/hop over 5
-     hops); traceroute = sum of prefix RTTs 2+4+6+8+10 = 30; RPC = 10. *)
-  Alcotest.(check (float 1e-9)) "join delay decomposition" 50.0
-    (Nearby.Protocol.estimate_join_delay protocol ~attach_router:d.p1);
+  let transport, protocol = single_protocol ~engine oracle ~router:d.lmk server in
+  (* p1 is 5 hops from the single landmark at 1 ms per hop: round 1 = the
+     RTT to the landmark (10 ms); the traceroute's probes are in flight
+     together, one more RTT (10 ms); the RPC to the server at the landmark
+     = 10 ms. *)
+  let measurement = Nearby.Server.measure server ~attach_router:d.p1 in
+  Alcotest.(check (float 1e-9)) "measurement = ping + traceroute" 20.0
+    (Nearby.Server.measurement_duration_ms measurement);
+  let server_rtt = 2.0 *. Simkit.Transport.one_way_delay transport ~src:d.p1 ~dst:d.lmk in
+  Alcotest.(check (float 1e-9)) "server RTT" 10.0 server_rtt;
   let completed = ref None in
   Nearby.Protocol.join protocol ~peer:0 ~attach_router:d.p1 ~k:2 ~on_complete:(fun info reply ->
       completed := Some (info, reply, Simkit.Engine.now engine));
@@ -70,11 +83,46 @@ let test_protocol_timing () =
   Simkit.Engine.run engine;
   (match !completed with
   | Some (info, reply, at) ->
-      Alcotest.(check (float 1e-9)) "completed at the estimated time" 50.0 at;
+      Alcotest.(check (float 1e-9)) "completed at 10 + 10 + 10 ms" 30.0 at;
+      Alcotest.(check (float 1e-9)) "completed at measurement + server RTT"
+        (Nearby.Server.measurement_duration_ms measurement +. server_rtt)
+        at;
       Alcotest.(check int) "registered under lmk" d.lmk info.landmark;
       Alcotest.(check (list (pair int int))) "no peers yet" [] reply
   | None -> Alcotest.fail "join never completed");
-  Alcotest.(check int) "server has the peer" 1 (Nearby.Server.peer_count server)
+  Alcotest.(check int) "server has the peer" 1 (Nearby.Server.peer_count server);
+  (* The same holds for every peer on E5's latency-weighted map, where the
+     measurement reads the latency table. *)
+  let w =
+    Eval.Workload.build ~routers:300 ~landmark_count:4
+      ~latency:(Topology.Latency.Core_weighted { core_ms = 2.0; edge_ms = 15.0; threshold = 8 })
+      ~peers:12 ~seed:3 ()
+  in
+  let latency = w.ctx.latency in
+  let server = Nearby.Server.create ?latency w.ctx.oracle ~landmarks:w.landmarks in
+  let router = w.landmarks.(0) in
+  let engine = Simkit.Engine.create () in
+  let transport, protocol = single_protocol ?latency ~engine w.ctx.oracle ~router server in
+  let expected =
+    Array.map
+      (fun attach_router ->
+        Nearby.Server.measurement_duration_ms (Nearby.Server.measure server ~attach_router)
+        +. (2.0 *. Simkit.Transport.one_way_delay transport ~src:attach_router ~dst:router))
+      w.peer_routers
+  in
+  let took = Array.make (Array.length w.peer_routers) nan in
+  Array.iteri
+    (fun peer attach_router ->
+      Nearby.Protocol.join protocol ~peer ~attach_router ~k:3 ~on_complete:(fun _ _ ->
+          took.(peer) <- Simkit.Engine.now engine))
+    w.peer_routers;
+  Simkit.Engine.run engine;
+  Array.iteri
+    (fun peer at ->
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "peer %d at measurement + server RTT" peer)
+        expected.(peer) at)
+    took
 
 let test_vivaldi_setup_delay () =
   Alcotest.(check (float 1e-9)) "rounds x period" 2500.0
@@ -267,7 +315,7 @@ let test_churn_heartbeat_mode () =
   Alcotest.(check bool) "staleness bounded" true (last.stale_fraction < 0.5)
 
 let test_setup_delay_smoke () =
-  let rows =
+  let { Eval.Setup_delay.rows; rpc_timeouts } =
     Eval.Setup_delay.run
       {
         Eval.Setup_delay.routers = 300;
@@ -291,6 +339,8 @@ let test_setup_delay_smoke () =
   List.iter
     (fun (r : Eval.Setup_delay.row) -> Alcotest.(check bool) "ratio >= 1" true (r.ratio >= 1.0))
     rows
+  ;
+  Alcotest.(check int) "loss-free joins never time out" 0 rpc_timeouts
 
 let test_topology_sensitivity_smoke () =
   let rows =
