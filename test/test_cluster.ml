@@ -73,11 +73,10 @@ let single_protocol fx server =
   let rpc = Simkit.Rpc.create ~config:rpc_config fx.transport in
   (cluster, rpc, Nearby.Protocol.create_resilient ~rpc cluster)
 
-let test_one_replica_matches_plain_server () =
-  (* Both 1-replica clusters — [single], and [create] with its failure
-     detector — behind the RPC layer on a clean network keep the replies,
-     the registered state and the server accounting of a plain server:
-     the RPC machinery must not change results, only survive faults. *)
+(* A 1-replica cluster behind the RPC layer on a clean network keeps the
+   replies, the registered state and the server accounting of a plain
+   server: the RPC machinery must not change results, only survive faults. *)
+let check_matches_plain_server label fx (cluster, rpc, protocol) =
   let peers = 15 and k = 4 in
   let reference_fx = fixture ~replicas:1 ~seed:22 () in
   let reference = make_server reference_fx () in
@@ -88,46 +87,51 @@ let test_one_replica_matches_plain_server () =
              ~attach_router:reference_fx.map.leaves.(peer mod Array.length reference_fx.map.leaves));
         Nearby.Server.neighbors reference ~peer ~k)
   in
-  let check label fx (cluster, rpc, protocol) =
-    let replies, failed =
-      run_joins ~spacing:serial_spacing fx protocol ~peers ~k ~horizon:60_000.0
-    in
-    Alcotest.(check int) (label ^ ": no failures") 0 failed;
-    Alcotest.(check int) (label ^ ": all completed") peers (Hashtbl.length replies);
-    List.iteri
-      (fun peer expect ->
-        Alcotest.(check (list (pair int int)))
-          (Printf.sprintf "%s: peer %d reply identical" label peer)
-          expect (Hashtbl.find replies peer))
-      expected;
-    (* Byte-identical registered state: same landmark, same recorded path,
-       same probe cost for every peer. *)
-    let server = Nearby.Cluster.server_of cluster 0 in
-    for peer = 0 to peers - 1 do
-      let info s = Option.get (Nearby.Server.info s peer) in
-      let a = info reference and b = info server in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: peer %d registration identical" label peer)
-        true
-        (a.landmark = b.landmark && a.recorded_path = b.recorded_path
-       && a.probes_spent = b.probes_spent && a.attach_router = b.attach_router)
-    done;
-    List.iter
-      (fun name ->
-        Alcotest.(check int)
-          (Printf.sprintf "%s: %s counter identical" label name)
-          (Simkit.Trace.counter (Nearby.Server.trace reference) name)
-          (Simkit.Trace.counter (Nearby.Server.trace server) name))
-      [ "join"; "query"; "probe_packets"; "wire_bytes" ];
-    Alcotest.(check int) (label ^ ": single attempt per join") peers
-      (Simkit.Trace.counter (Simkit.Rpc.trace rpc) "rpc_attempts")
+  let replies, failed =
+    run_joins ~spacing:serial_spacing fx protocol ~peers ~k ~horizon:60_000.0
   in
+  Alcotest.(check int) (label ^ ": no failures") 0 failed;
+  Alcotest.(check int) (label ^ ": all completed") peers (Hashtbl.length replies);
+  List.iteri
+    (fun peer expect ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "%s: peer %d reply identical" label peer)
+        expect (Hashtbl.find replies peer))
+    expected;
+  (* Byte-identical registered state: same landmark, same recorded path,
+     same probe cost for every peer. *)
+  let server = Nearby.Cluster.server_of cluster 0 in
+  for peer = 0 to peers - 1 do
+    let info s = Option.get (Nearby.Server.info s peer) in
+    let a = info reference and b = info server in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: peer %d registration identical" label peer)
+      true
+      (a.landmark = b.landmark && a.recorded_path = b.recorded_path
+     && a.probes_spent = b.probes_spent && a.attach_router = b.attach_router)
+  done;
+  List.iter
+    (fun name ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s counter identical" label name)
+        (Simkit.Trace.counter (Nearby.Server.trace reference) name)
+        (Simkit.Trace.counter (Nearby.Server.trace server) name))
+    [ "join"; "query"; "probe_packets"; "wire_bytes" ];
+  Alcotest.(check int) (label ^ ": single attempt per join") peers
+    (Simkit.Trace.counter (Simkit.Rpc.trace rpc) "rpc_attempts")
+
+let test_single_matches_plain_server () =
   let fx = fixture ~replicas:1 ~seed:22 () in
-  check "single" fx (single_protocol fx (make_server fx ()));
+  check_matches_plain_server "single" fx (single_protocol fx (make_server fx ()))
+
+let test_one_replica_create_matches_plain_server () =
+  (* [create] adds a failure detector; with one replica it must change
+     nothing either. *)
   let fx = fixture ~replicas:1 ~seed:22 () in
   let cluster = make_cluster fx in
   let rpc = Simkit.Rpc.create ~config:rpc_config fx.transport in
-  check "create" fx (cluster, rpc, Nearby.Protocol.create_resilient ~rpc cluster)
+  check_matches_plain_server "create" fx
+    (cluster, rpc, Nearby.Protocol.create_resilient ~rpc cluster)
 
 let test_fan_out_replicates_to_all () =
   let fx = fixture ~seed:23 () in
@@ -578,8 +582,9 @@ let test_registration_reply_shares_path () =
 let suite =
   ( "cluster",
     [
-      Alcotest.test_case "lone replica = plain server" `Quick
-        test_one_replica_matches_plain_server;
+      Alcotest.test_case "single = plain server" `Quick test_single_matches_plain_server;
+      Alcotest.test_case "resilient 1-replica = server" `Quick
+        test_one_replica_create_matches_plain_server;
       Alcotest.test_case "fan-out replicates to all" `Quick test_fan_out_replicates_to_all;
       Alcotest.test_case "crash primary fails over" `Quick test_crash_primary_fails_over;
       Alcotest.test_case "anti-entropy heals stale replica" `Quick
