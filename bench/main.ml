@@ -809,11 +809,11 @@ let run_load ~full =
 
 (* ------------------------------------------------------------------ *)
 (* Wire: bytes on the wire by message kind — bytes/join, bytes/query,
-   replication amplification, anti-entropy snapshot cost and the batching
-   saving, written to BENCH_wire.json for the CI gate. *)
+   replication amplification and anti-entropy snapshot cost, written to
+   BENCH_wire.json for the CI gate. *)
 
 let run_wire ~full =
-  banner "wire: bytes per join / per query, amplification, batching saving";
+  banner "wire: bytes per join / per query, amplification, snapshot repair";
   let config = if full then Eval.Wire_exp.default_config else Eval.Wire_exp.quick_config in
   let r = Eval.Wire_exp.run config in
   Eval.Wire_exp.print r;
@@ -823,7 +823,6 @@ let run_wire ~full =
         ("peers", string_of_int config.Eval.Wire_exp.peers);
         ("routers", string_of_int config.Eval.Wire_exp.routers);
         ("replicas", string_of_int config.Eval.Wire_exp.replicas);
-        ("batch", string_of_int config.Eval.Wire_exp.batch);
         ("loss", string_of_float config.Eval.Wire_exp.loss);
       ]
     [

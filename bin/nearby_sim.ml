@@ -945,11 +945,10 @@ let verify_cmd =
                 = Nearby.Server.neighbors server ~peer ~k:4)
             done
         | Error e -> failwith e);
-    check "join_many cluster = singleton-join cluster" (fun () ->
-        (* The same population joins two 3-replica clusters, through
-           [join_many] in chunks on one and [join] peer by peer on the
-           other: after a sync round every replica of both must hold the
-           same content and give the same answers. *)
+    check "3-replica cluster = plain server" (fun () ->
+        (* The same population joins a 3-replica cluster peer by peer and
+           a plain server: after a sync round every replica must hold the
+           plain server's content and give its answers. *)
         let map = Topology.Gen_magoni.generate (Topology.Gen_magoni.default_params 400) ~seed in
         let oracle = Traceroute.Route_oracle.create map.graph in
         let place_rng = Prelude.Prng.create (seed + 1000) in
@@ -959,59 +958,44 @@ let verify_cmd =
         let routers =
           Nearby.Landmark.place map.graph Nearby.Landmark.High_degree ~count:3 ~rng:place_rng
         in
-        let peers = 120 and chunk = 25 and k = 4 in
+        let peers = 120 and k = 4 in
         let attach peer = map.leaves.(peer mod Array.length map.leaves) in
+        let reference = Nearby.Server.create oracle ~landmarks in
+        for peer = 0 to peers - 1 do
+          ignore (Nearby.Server.join reference ~peer ~attach_router:(attach peer))
+        done;
+        let engine = Simkit.Engine.create () in
+        let transport = Simkit.Transport.create engine oracle in
+        let cluster =
+          Nearby.Cluster.create ~transport ~client_router:map.core.(0)
+            ~make_server:(fun () -> Nearby.Server.create oracle ~landmarks)
+            ~routers ()
+        in
+        let protocol =
+          Nearby.Protocol.create_resilient ~rpc:(Simkit.Rpc.create transport) cluster
+        in
         let failed = ref 0 in
-        let on_failure () = incr failed in
-        let deploy schedule =
-          let engine = Simkit.Engine.create () in
-          let transport = Simkit.Transport.create engine oracle in
-          let cluster =
-            Nearby.Cluster.create ~transport ~client_router:map.core.(0)
-              ~make_server:(fun () -> Nearby.Server.create oracle ~landmarks)
-              ~routers ()
-          in
-          let protocol =
-            Nearby.Protocol.create_resilient ~rpc:(Simkit.Rpc.create transport) cluster
-          in
-          schedule (fun ~time f -> Simkit.Engine.schedule_at engine ~time (fun () -> f protocol));
-          Simkit.Engine.run engine ~until:(100.0 *. float_of_int peers +. 10_000.0);
-          Nearby.Cluster.sync_round cluster;
+        for peer = 0 to peers - 1 do
+          Simkit.Engine.schedule_at engine ~time:(100.0 *. float_of_int peer) (fun () ->
+              Nearby.Protocol.join protocol ~peer ~attach_router:(attach peer) ~k
+                ~on_failure:(fun () -> incr failed)
+                ~on_complete:(fun _ _ -> ()))
+        done;
+        Simkit.Engine.run engine ~until:(100.0 *. float_of_int peers +. 10_000.0);
+        Nearby.Cluster.sync_round cluster;
+        assert (!failed = 0);
+        assert (Nearby.Server.peer_count reference = peers);
+        let replicas =
           List.init (Nearby.Cluster.replica_count cluster) (Nearby.Cluster.server_of cluster)
         in
-        let batched =
-          deploy (fun at ->
-              for c = 0 to (peers - 1) / chunk do
-                let entries =
-                  Array.init
-                    (min chunk (peers - (c * chunk)))
-                    (fun i -> (c * chunk) + i, attach ((c * chunk) + i))
-                in
-                at ~time:(500.0 *. float_of_int c) (fun protocol ->
-                    Nearby.Protocol.join_many protocol ~entries ~k ~on_failure
-                      ~on_complete:(fun _ _ _ -> ()))
-              done)
-        in
-        let single =
-          deploy (fun at ->
-              for peer = 0 to peers - 1 do
-                at ~time:(100.0 *. float_of_int peer) (fun protocol ->
-                    Nearby.Protocol.join protocol ~peer ~attach_router:(attach peer) ~k ~on_failure
-                      ~on_complete:(fun _ _ -> ()))
-              done)
-        in
-        assert (!failed = 0);
-        let servers = batched @ single in
-        let reference = List.hd servers in
-        assert (Nearby.Server.peer_count reference = peers);
         List.iter
           (fun s ->
             Nearby.Server.check_invariants s;
             assert (Int64.equal (Nearby.Server.digest s) (Nearby.Server.digest reference)))
-          servers;
+          replicas;
         for peer = 0 to peers - 1 do
           let answer = Nearby.Server.neighbors reference ~peer ~k in
-          List.iter (fun s -> assert (Nearby.Server.neighbors s ~peer ~k = answer)) servers
+          List.iter (fun s -> assert (Nearby.Server.neighbors s ~peer ~k = answer)) replicas
         done);
     check "replica snapshots survive restore byte for byte after a lossy run" (fun () ->
         (* Lossy probes and a lossy network: traces lose hops, joins retry

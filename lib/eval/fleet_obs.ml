@@ -82,18 +82,6 @@ type t = {
   failed : int ref;
 }
 
-(* Same pessimistic bound as Resilience_exp: every arrival has started and
-   the slowest possible RPC (all attempts timing out, backoffs included)
-   has resolved before the horizon. *)
-let worst_rpc_ms (c : Simkit.Rpc.config) =
-  let backoffs = ref 0.0 in
-  for a = 1 to c.max_attempts - 1 do
-    backoffs :=
-      !backoffs
-      +. (c.backoff_base_ms *. (c.backoff_multiplier ** float_of_int (a - 1)) *. (1.0 +. c.jitter_frac))
-  done;
-  (float_of_int c.max_attempts *. c.timeout_ms) +. !backoffs
-
 let start (config : config) =
   if config.replicas < 1 then invalid_arg "Fleet_obs: replicas must be >= 1";
   if config.window_ms <= 0.0 then invalid_arg "Fleet_obs: window_ms must be positive";
@@ -112,7 +100,7 @@ let start (config : config) =
       let horizon =
         config.arrival_window_ms
         +. (1_000.0 *. float_of_int config.peers /. config.admission_rate_per_s)
-        +. worst_rpc_ms Simkit.Rpc.default_config
+        +. Simkit.Rpc.worst_case_ms Simkit.Rpc.default_config
         +. (3.0 *. config.sync_period_ms) +. 1_000.0
       in
       let timeseries =

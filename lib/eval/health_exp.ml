@@ -89,15 +89,6 @@ let kind_bytes metrics kind =
     0
     (Simkit.Metrics.series metrics)
 
-let worst_rpc_ms (c : Simkit.Rpc.config) =
-  let backoffs = ref 0.0 in
-  for a = 1 to c.max_attempts - 1 do
-    backoffs :=
-      !backoffs
-      +. (c.backoff_base_ms *. (c.backoff_multiplier ** float_of_int (a - 1)) *. (1.0 +. c.jitter_frac))
-  done;
-  (float_of_int c.max_attempts *. c.timeout_ms) +. !backoffs
-
 let run (config : config) =
   if config.replicas < 2 then invalid_arg "Health_exp: divergence needs >= 2 replicas";
   if config.loss <= 0.0 || config.loss >= 1.0 then
@@ -133,7 +124,7 @@ let run (config : config) =
   Simkit.Engine.schedule_at engine ~time:(0.6 *. aw) (fun () ->
       Simkit.Transport.set_loss_prob transport 0.0);
   let horizon =
-    aw +. worst_rpc_ms config.rpc +. (3.0 *. config.sync_period_ms) +. 1_000.0
+    aw +. Simkit.Rpc.worst_case_ms config.rpc +. (3.0 *. config.sync_period_ms) +. 1_000.0
   in
   Nearby.Cluster.start_sync cluster ~period_ms:config.sync_period_ms ~until:horizon;
   (* The detection poll: much finer than the sync period, so an episode's

@@ -151,18 +151,9 @@ let run_instrumented ?(spans = Simkit.Span.noop) (config : config) =
   (* Horizon: every arrival has started, the slowest possible RPC (all
      attempts timing out, backoffs included) has resolved, and at least a
      couple of sync rounds have run past the last fault action. *)
-  let worst_rpc_ms =
-    let c = config.rpc in
-    let backoffs = ref 0.0 in
-    for a = 1 to c.max_attempts - 1 do
-      backoffs :=
-        !backoffs
-        +. (c.backoff_base_ms *. (c.backoff_multiplier ** float_of_int (a - 1)) *. (1.0 +. c.jitter_frac))
-    done;
-    (float_of_int c.max_attempts *. c.timeout_ms) +. !backoffs
-  in
   let horizon =
-    config.arrival_window_ms +. worst_rpc_ms +. (3.0 *. config.sync_period_ms) +. 1_000.0
+    config.arrival_window_ms +. Simkit.Rpc.worst_case_ms config.rpc
+    +. (3.0 *. config.sync_period_ms) +. 1_000.0
   in
   Nearby.Cluster.start_sync cluster ~period_ms:config.sync_period_ms ~until:horizon;
   let exp_trace = Simkit.Trace.create () in

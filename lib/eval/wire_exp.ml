@@ -1,16 +1,9 @@
 (* The bytes-on-wire experiment: how much traffic the protocol actually
-   moves, broken down by message kind, and what replication and batching
-   do to it.
+   moves, broken down by message kind, and what replication does to it.
 
-   Two phases over the same workload (same seed, same router map, same
-   peer arrival order):
-
-   - singleton: every peer joins through its own resilient RPC, with a
-     loss burst over part of the arrival window so the retry, dropped and
-     anti-entropy snapshot byte buckets are all nonzero in one run;
-   - batched: the same peers join through [Protocol.join_many] in chunks,
-     lossless, isolating what [Wire.Path_report_batch] saves on client
-     upload bytes.
+   Every peer joins through its own resilient RPC, with a loss burst over
+   part of the arrival window so the retry, dropped and anti-entropy
+   snapshot byte buckets are all nonzero in one run.
 
    Everything is read back from the transport's labeled wire accounting
    ([wire_bytes_total{kind,dir}] etc.), and the run re-checks the two
@@ -24,7 +17,6 @@ type config = {
   landmark_count : int;
   k : int;
   replicas : int;
-  batch : int;
   loss : float;
   arrival_window_ms : float;
   sync_period_ms : float;
@@ -39,7 +31,6 @@ let default_config =
     landmark_count = 8;
     k = 5;
     replicas = 3;
-    batch = 256;
     loss = 0.3;
     arrival_window_ms = 20_000.0;
     sync_period_ms = 2_000.0;
@@ -71,12 +62,6 @@ type result = {
   dropped_partition_bytes : int;
   kinds : kind_row list;
   top_talkers : Simkit.Transport.talker list;
-  singleton_report_bytes : int;
-  batch_joins : int;
-  batch_completed : int;
-  batch_report_bytes : int;
-  batch_saving_ratio : float;
-  batch_bytes_per_join : float;
   accounted : bool;
 }
 
@@ -122,34 +107,19 @@ let reconciled metrics transport =
   && sum_counters metrics "wire_dropped_bytes_total" ~where:(fun _ -> true)
      = Simkit.Transport.bytes_dropped transport
 
-(* --- One phase ---------------------------------------------------------- *)
+(* --- The run ------------------------------------------------------------ *)
 
-type phase = {
-  p_completed : int;
-  p_failed : int;
-  p_metrics : Simkit.Metrics.t;
-  p_transport : Simkit.Transport.t;
-  p_cluster : Nearby.Cluster.t;
-}
-
-let worst_rpc_ms (c : Simkit.Rpc.config) =
-  let backoffs = ref 0.0 in
-  for a = 1 to c.max_attempts - 1 do
-    backoffs :=
-      !backoffs
-      +. (c.backoff_base_ms *. (c.backoff_multiplier ** float_of_int (a - 1)) *. (1.0 +. c.jitter_frac))
-  done;
-  (float_of_int c.max_attempts *. c.timeout_ms) +. !backoffs
-
-let run_phase (config : config) ~batched =
+let run (config : config) =
+  if config.replicas < 1 then invalid_arg "Wire_exp: replicas must be >= 1";
+  if config.loss < 0.0 || config.loss >= 1.0 then invalid_arg "Wire_exp: loss outside [0, 1)";
   let w =
     Workload.build ~routers:config.routers ~landmark_count:config.landmark_count
       ~peers:config.peers ~seed:config.seed ()
   in
   let engine = Simkit.Engine.create () in
-  let metrics = Simkit.Metrics.create () in
-  let transport =
-    Simkit.Transport.create ~rng:(Prelude.Prng.split w.rng) ~metrics engine w.ctx.oracle
+  let m = Simkit.Metrics.create () in
+  let tr =
+    Simkit.Transport.create ~rng:(Prelude.Prng.split w.rng) ~metrics:m engine w.ctx.oracle
   in
   let replica_routers =
     Nearby.Landmark.place (Workload.graph w) Medium_degree ~count:config.replicas
@@ -157,86 +127,45 @@ let run_phase (config : config) ~batched =
   in
   let client_router = w.map.core.(0) in
   let cluster =
-    Nearby.Cluster.create ~metrics ~transport ~client_router
+    Nearby.Cluster.create ~metrics:m ~transport:tr ~client_router
       ~make_server:(fun () ->
         Nearby.Server.create ?latency:w.ctx.latency w.ctx.oracle ~landmarks:w.landmarks)
       ~routers:replica_routers ()
   in
-  let rpc = Simkit.Rpc.create ~config:config.rpc ~rng:(Prelude.Prng.split w.rng) transport in
+  let rpc = Simkit.Rpc.create ~config:config.rpc ~rng:(Prelude.Prng.split w.rng) tr in
   let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
-  (* Loss burst in the singleton phase only: lost fan-outs and replies
-     force retries and anti-entropy snapshot repair, so the retry,
-     dropped and snapshot buckets are all exercised by one scenario.  The
-     batched phase stays lossless — it isolates the batching saving. *)
-  if (not batched) && config.loss > 0.0 then begin
+  (* Lost fan-outs and replies during the burst force retries and
+     anti-entropy snapshot repair, so the retry, dropped and snapshot
+     buckets are all exercised by one scenario. *)
+  if config.loss > 0.0 then begin
     let aw = config.arrival_window_ms in
     Simkit.Engine.schedule_at engine ~time:(0.25 *. aw) (fun () ->
-        Simkit.Transport.set_loss_prob transport config.loss);
+        Simkit.Transport.set_loss_prob tr config.loss);
     Simkit.Engine.schedule_at engine ~time:(0.6 *. aw) (fun () ->
-        Simkit.Transport.set_loss_prob transport 0.0)
+        Simkit.Transport.set_loss_prob tr 0.0)
   end;
   let horizon =
-    config.arrival_window_ms +. worst_rpc_ms config.rpc +. (3.0 *. config.sync_period_ms)
+    config.arrival_window_ms +. Simkit.Rpc.worst_case_ms config.rpc +. (3.0 *. config.sync_period_ms)
     +. 1_000.0
   in
   Nearby.Cluster.start_sync cluster ~period_ms:config.sync_period_ms ~until:horizon;
   let completed = ref 0 and failed = ref 0 in
-  if batched then begin
-    let chunk = max 1 config.batch in
-    let n_chunks = (config.peers + chunk - 1) / chunk in
-    let spacing = config.arrival_window_ms /. float_of_int (max 1 n_chunks) in
-    let rec schedule_chunks at i =
-      if i < config.peers then begin
-        let len = min chunk (config.peers - i) in
-        let entries = Array.init len (fun j -> (i + j, w.peer_routers.(i + j))) in
-        Simkit.Engine.schedule_at engine ~time:at (fun () ->
-            Nearby.Protocol.join_many protocol ~entries ~k:config.k
-              ~on_complete:(fun _peer _info _reply -> incr completed)
-              ~on_failure:(fun () -> failed := !failed + len));
-        schedule_chunks (at +. spacing) (i + len)
-      end
-    in
-    schedule_chunks 0.0 0
-  end
-  else
-    for peer = 0 to config.peers - 1 do
-      let at = Prelude.Prng.float w.rng config.arrival_window_ms in
-      Simkit.Engine.schedule_at engine ~time:at (fun () ->
-          Nearby.Protocol.join protocol ~peer ~attach_router:w.peer_routers.(peer)
-            ~k:config.k
-            ~on_complete:(fun _info _reply -> incr completed)
-            ~on_failure:(fun () -> incr failed))
-    done;
+  for peer = 0 to config.peers - 1 do
+    let at = Prelude.Prng.float w.rng config.arrival_window_ms in
+    Simkit.Engine.schedule_at engine ~time:at (fun () ->
+        Nearby.Protocol.join protocol ~peer ~attach_router:w.peer_routers.(peer) ~k:config.k
+          ~on_complete:(fun _info _reply -> incr completed)
+          ~on_failure:(fun () -> incr failed))
+  done;
   Simkit.Engine.run engine ~until:horizon;
   Nearby.Cluster.sync_round cluster;
   Nearby.Cluster.check_invariants cluster;
-  {
-    p_completed = !completed;
-    p_failed = !failed;
-    p_metrics = metrics;
-    p_transport = transport;
-    p_cluster = cluster;
-  }
-
-let run (config : config) =
-  if config.replicas < 1 then invalid_arg "Wire_exp: replicas must be >= 1";
-  if config.loss < 0.0 || config.loss >= 1.0 then invalid_arg "Wire_exp: loss outside [0, 1)";
-  if config.batch < 1 then invalid_arg "Wire_exp: batch must be >= 1";
-  let s = run_phase config ~batched:false in
-  let b = run_phase config ~batched:true in
-  let m = s.p_metrics and tr = s.p_transport in
   let per v n = if n = 0 then Float.nan else float_of_int v /. float_of_int n in
-  let singleton_report_bytes =
-    Simkit.Trace.counter (Nearby.Cluster.trace s.p_cluster) "cluster_client_report_bytes"
-  in
-  let batch_report_bytes =
-    Simkit.Trace.counter (Nearby.Cluster.trace b.p_cluster) "cluster_client_report_bytes"
-  in
   {
     joins = config.peers;
-    completed = s.p_completed;
-    failed = s.p_failed;
-    completion_rate = per s.p_completed config.peers;
+    completed = !completed;
+    failed = !failed;
+    completion_rate = per !completed config.peers;
     bytes_sent = Simkit.Transport.bytes_sent tr;
     bytes_dropped = Simkit.Transport.bytes_dropped tr;
     messages = Simkit.Transport.messages_sent tr;
@@ -244,9 +173,9 @@ let run (config : config) =
        reports, queries, replies and every retried attempt — divided by
        the joins that completed.  Replica fan-out is the amplification
        number, not the per-join client cost. *)
-    bytes_per_join = per (dir_bytes m [ "request"; "reply" ]) s.p_completed;
-    bytes_per_query = per (kind_bytes m "query" + kind_bytes m "reply") s.p_completed;
-    replication_amplification = Nearby.Cluster.replication_amplification s.p_cluster;
+    bytes_per_join = per (dir_bytes m [ "request"; "reply" ]) !completed;
+    bytes_per_query = per (kind_bytes m "query" + kind_bytes m "reply") !completed;
+    replication_amplification = Nearby.Cluster.replication_amplification cluster;
     snapshot_bytes = kind_bytes m "snapshot";
     retry_bytes = kind_bytes m "retry";
     fd_probe_bytes = kind_bytes m "fd_probe";
@@ -255,14 +184,7 @@ let run (config : config) =
     dropped_partition_bytes = Simkit.Transport.dropped_partition_bytes tr;
     kinds = kind_rows m;
     top_talkers = Simkit.Transport.top_talkers tr ~k:5;
-    singleton_report_bytes;
-    batch_joins = config.peers;
-    batch_completed = b.p_completed;
-    batch_report_bytes;
-    batch_saving_ratio = float_of_int singleton_report_bytes /. float_of_int (max 1 batch_report_bytes);
-    batch_bytes_per_join =
-      per (dir_bytes b.p_metrics [ "request"; "reply" ]) b.p_completed;
-    accounted = reconciled m tr && reconciled b.p_metrics b.p_transport;
+    accounted = reconciled m tr;
   }
 
 (* --- Rendering ---------------------------------------------------------- *)
@@ -278,7 +200,7 @@ let result_json (r : result) =
       t.node t.sent_bytes t.recv_bytes t.sent_msgs t.recv_msgs
   in
   Printf.sprintf
-    {|{"joins": %d, "completed": %d, "failed": %d, "completion_rate": %.4f, "bytes_sent": %d, "bytes_dropped": %d, "messages": %d, "bytes_per_join": %s, "bytes_per_query": %s, "replication_amplification": %s, "snapshot_bytes": %d, "retry_bytes": %d, "fd_probe_bytes": %d, "dropped_loss_bytes": %d, "dropped_unreachable_bytes": %d, "dropped_partition_bytes": %d, "kinds": [%s], "top_talkers": [%s], "singleton_report_bytes": %d, "batch_joins": %d, "batch_completed": %d, "batch_report_bytes": %d, "batch_saving_ratio": %s, "batch_bytes_per_join": %s, "accounted": %b}|}
+    {|{"joins": %d, "completed": %d, "failed": %d, "completion_rate": %.4f, "bytes_sent": %d, "bytes_dropped": %d, "messages": %d, "bytes_per_join": %s, "bytes_per_query": %s, "replication_amplification": %s, "snapshot_bytes": %d, "retry_bytes": %d, "fd_probe_bytes": %d, "dropped_loss_bytes": %d, "dropped_unreachable_bytes": %d, "dropped_partition_bytes": %d, "kinds": [%s], "top_talkers": [%s], "accounted": %b}|}
     r.joins r.completed r.failed r.completion_rate r.bytes_sent r.bytes_dropped r.messages
     (fl r.bytes_per_join) (fl r.bytes_per_query)
     (fl r.replication_amplification)
@@ -286,8 +208,7 @@ let result_json (r : result) =
     r.dropped_unreachable_bytes r.dropped_partition_bytes
     (String.concat ", " (List.map kind_json r.kinds))
     (String.concat ", " (List.map talker_json r.top_talkers))
-    r.singleton_report_bytes r.batch_joins r.batch_completed r.batch_report_bytes
-    (fl r.batch_saving_ratio) (fl r.batch_bytes_per_join) r.accounted
+    r.accounted
 
 (* Byte counts on the simulated wire are pure functions of the seed, so
    everything gates tightly and the structural bits exactly. *)
@@ -302,8 +223,6 @@ let gates (r : result) =
       gate "wire/snapshot_bytes_per_join"
         (float_of_int r.snapshot_bytes /. Float.max 1.0 (float_of_int r.joins))
         Lower_better 0.5;
-      gate "wire/batch_saving_ratio" r.batch_saving_ratio Higher_better 0.05;
-      flag "wire/batch_saves_bytes" (r.batch_saving_ratio > 1.0);
       flag "wire/accounted" r.accounted;
       flag "wire/loss_burst_dropped_bytes" (r.dropped_loss_bytes > 0);
       flag "wire/top_talkers_tallied" (r.top_talkers <> []);
@@ -335,10 +254,6 @@ let print (r : result) =
       [ "dropped (loss) bytes"; string_of_int r.dropped_loss_bytes ];
       [ "dropped (unreachable) bytes"; string_of_int r.dropped_unreachable_bytes ];
       [ "dropped (partition) bytes"; string_of_int r.dropped_partition_bytes ];
-      [ "singleton report bytes"; string_of_int r.singleton_report_bytes ];
-      [ "batch report bytes"; string_of_int r.batch_report_bytes ];
-      [ "batch saving"; Prelude.Table.float_cell ~decimals:2 r.batch_saving_ratio ];
-      [ "batch bytes/join"; Prelude.Table.float_cell ~decimals:1 r.batch_bytes_per_join ];
     ];
   Printf.printf "per-kind bytes (both directions):\n";
   Prelude.Table.print

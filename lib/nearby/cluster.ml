@@ -227,10 +227,10 @@ let update_amplification t =
       g.value <- replication_amplification t
   | Some _ -> ()
 
-(* The apply rule of every replication message, per entry: a replica that
-   is down when the message lands, or already holds the peer, skips the
-   entry -- the idempotence a replayed fan-out needs; anti-entropy heals a
-   missed write later.  Returns whether the entry was applied. *)
+(* The apply rule of every replication message: a replica that is down
+   when the message lands, or already holds the peer, skips it -- the
+   idempotence a replayed fan-out needs; anti-entropy heals a missed write
+   later.  Returns whether the entry was applied. *)
 let apply_entry t (o : replica) ~peer ~attach_router ~measurement =
   if o.alive && not (Server.mem o.server peer) then begin
     Server.register_replica o.server ~peer ~attach_router
@@ -245,14 +245,15 @@ let apply_entry t (o : replica) ~peer ~attach_router ~measurement =
     false
   end
 
-(* Write fan-out: the processing replica sends [msg] to every other
-   replica, riding the transport (paying latency, loss and partitions);
-   [deliver o span] applies it when it lands on [o].  One [name] span per
-   target, tagged [arg = value], is open from send to transport delivery,
-   so in a trace tree the replication lag is visible next to the join that
-   caused it.  A message the transport drops leaves its span open (never
-   emitted), like the write it lost. *)
-let send_to_others ?parent t ~from_replica ~msg ~name ~tid ~arg ~value deliver =
+(* Write fan-out: the processing replica resends the client's report to
+   every other replica, riding the transport (paying latency, loss and
+   partitions), and [apply_entry] runs when it lands.  One "replicate"
+   span per target is open from send to transport delivery, so in a trace
+   tree the replication lag is visible next to the join that caused it.
+   A message the transport drops leaves its span open (never emitted),
+   like the write it lost. *)
+let fan_out ?parent t ~from_replica ~peer ~attach_router ~measurement =
+  let msg = Wire.Path_report { peer; path = Server.measurement_path measurement } in
   let src = t.replicas.(from_replica).router in
   let bytes = Wire.byte_size msg in
   let traced = Simkit.Span.enabled t.spans in
@@ -262,12 +263,14 @@ let send_to_others ?parent t ~from_replica ~msg ~name ~tid ~arg ~value deliver =
     if o.id <> from_replica then begin
       let span =
         if traced then
-          Simkit.Span.start_span t.spans ~name ~ts:(now t) ?parent ~tid
-            [ (arg, Simkit.Span.Int value); ("to_replica", Simkit.Span.Int o.id) ]
+          Simkit.Span.start_span t.spans ~name:"replicate" ~ts:(now t) ?parent ~tid:peer
+            [ ("peer", Simkit.Span.Int peer); ("to_replica", Simkit.Span.Int o.id) ]
         else Simkit.Span.none
       in
       let apply () =
-        deliver o span;
+        Simkit.Span.add_arg span "outcome"
+          (if apply_entry t o ~peer ~attach_router ~measurement then Simkit.Span.Str "applied"
+           else Simkit.Span.Str "skipped");
         if traced then Simkit.Span.finish ~ts:(now t) span
       in
       incr t.replicate_send;
@@ -277,35 +280,6 @@ let send_to_others ?parent t ~from_replica ~msg ~name ~tid ~arg ~value deliver =
     end
   done;
   update_amplification t
-
-let fan_out ?parent t ~from_replica ~peer ~attach_router ~measurement =
-  let msg = Wire.Path_report { peer; path = Server.measurement_path measurement } in
-  send_to_others ?parent t ~from_replica ~msg ~name:"replicate" ~tid:peer ~arg:"peer" ~value:peer
-    (fun o span ->
-      Simkit.Span.add_arg span "outcome"
-        (if apply_entry t o ~peer ~attach_router ~measurement then Simkit.Span.Str "applied"
-         else Simkit.Span.Str "skipped"))
-
-(* Batched write fan-out: the whole batch rides to each other replica as
-   one {!Wire.Path_report_batch} -- one transport send, one varint-packed
-   payload -- and lands as the singleton apply rule in a loop.  The
-   replicate_apply/skip counters add up per entry while the send counter
-   counts messages, which is exactly the batching win. *)
-let fan_out_batch ?parent t ~from_replica ~entries =
-  let n = Array.length entries in
-  if n > 0 then begin
-    let reports =
-      Array.to_list (Array.map (fun (peer, _, m) -> (peer, Server.measurement_path m)) entries)
-    in
-    send_to_others ?parent t ~from_replica ~msg:(Wire.Path_report_batch { reports })
-      ~name:"replicate_batch" ~tid:0 ~arg:"ops" ~value:n (fun o span ->
-        let applied = ref 0 in
-        Array.iter
-          (fun (peer, attach_router, measurement) ->
-            if apply_entry t o ~peer ~attach_router ~measurement then incr applied)
-          entries;
-        Simkit.Span.add_arg span "applied" (Simkit.Span.Int !applied))
-  end
 
 let handle_registration ?parent t ~replica ~peer ~attach_router ~measurement ~k =
   (* Sync the span sink's logical clock to the engine at message receipt,
@@ -331,47 +305,6 @@ let handle_registration ?parent t ~replica ~peer ~attach_router ~measurement ~k 
       end
     in
     Some (info, Server.neighbors r.server ~peer ~k)
-  end
-
-(* Batched registration: the replica applies all fresh entries as one
-   server-side batch, replicates them with one [fan_out_batch] (one message
-   per peer replica instead of one per entry), and answers every query.
-   Entries already registered — retries whose reply was lost — are counted
-   duplicate and re-answered idempotently, exactly the singleton rule. *)
-let handle_registration_batch ?parent t ~replica ~entries ~k =
-  Simkit.Span.advance t.spans (now t -. Simkit.Span.now t.spans);
-  let r = t.replicas.(replica) in
-  if not r.alive then None
-  else begin
-    let fresh =
-      Array.of_list
-        (List.filter (fun (peer, _, _) -> not (Server.mem r.server peer)) (Array.to_list entries))
-    in
-    let dup = Array.length entries - Array.length fresh in
-    if dup > 0 then Simkit.Trace.add_count t.trace "cluster_duplicate_register" dup;
-    let infos =
-      if Array.length fresh = 0 then [||]
-      else begin
-        let infos = Server.register_measured_batch ?parent r.server fresh in
-        t.registered := !(t.registered) + Array.length fresh;
-        fan_out_batch ?parent t ~from_replica:replica ~entries:fresh;
-        infos
-      end
-    in
-    (* [fresh] keeps the batch order, so its infos are taken in step; only
-       a duplicate's info is built by the server. *)
-    let next = ref 0 in
-    let answer (peer, _, _) =
-      let info =
-        if !next < Array.length fresh && (let p, _, _ = fresh.(!next) in p = peer) then begin
-          incr next;
-          infos.(!next - 1)
-        end
-        else Option.get (Server.info r.server peer)
-      in
-      (info, Server.neighbors r.server ~peer ~k)
-    in
-    Some (Array.map answer entries)
   end
 
 (* --- Crash / recover --------------------------------------------------- *)

@@ -164,22 +164,6 @@ val handle_registration :
     tree.  The [spans] sink of {!create} should be the same one the
     servers and the RPC layer write to (one id space per trace file). *)
 
-val handle_registration_batch :
-  ?parent:Simkit.Span.context ->
-  t ->
-  replica:int ->
-  entries:(int * Topology.Graph.node * Server.measurement) array ->
-  k:int ->
-  (Server.peer_info * (int * int) list) array option
-(** {!handle_registration} for a whole batch of [(peer, attach_router,
-    measurement)] entries: one {!Server.register_measured_batch} on
-    [replica], one ["replicate_batch"] fan-out message per peer replica
-    carrying the batch as a single {!Wire.Path_report_batch} (one transport
-    send instead of one per entry), then every neighbor query answered.
-    Already-registered entries count as duplicates and are re-answered
-    idempotently; answers come back in entry order.  [None] when the
-    replica is down. *)
-
 val crash : t -> int -> unit
 (** Stop the replica: it answers no RPCs, applies no replication, sends no
     heartbeats.  Its registered state survives (stable storage). *)

@@ -75,106 +75,6 @@ let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~
           finish "gave_up";
           on_failure ()))
 
-(* Batched join: every newcomer measures locally (same rng draws, same
-   probe accounting as n singleton joins), then the whole batch rides to
-   the server as ONE retrying RPC, with the recorded paths packed into a
-   single {!Wire.Path_report_batch} instead of n separate reports.  The
-   batch waits for its slowest measurement (the newcomers measure
-   concurrently) and the RPC originates at the first entry's attach router:
-   the model is an aggregation point — the common access router of a flash
-   crowd, or a gateway re-registering its tenants — shipping the batch
-   upstream.  [on_complete] fires once per entry, in entry order, at the
-   shared reply time. *)
-let join_many ?rng ?on_trace ?(on_failure = fun () -> ()) t ~entries ~k ~on_complete =
-  let n = Array.length entries in
-  if n > 0 then begin
-    let measured =
-      Array.map
-        (fun (peer, attach_router) ->
-          (peer, attach_router, Server.measure ?rng (server t) ~attach_router))
-        entries
-    in
-    let measure_ms =
-      Array.fold_left
-        (fun acc (_, _, m) -> Float.max acc (Server.measurement_duration_ms m))
-        0.0 measured
-    in
-    let answer answers =
-      Array.iteri
-        (fun i (info, reply) ->
-          let peer, _, _ = measured.(i) in
-          on_complete peer info reply)
-        answers
-    in
-    let rpc = t.rpc in
-    let spans = Simkit.Rpc.spans rpc in
-    let now () = Simkit.Engine.now t.engine in
-    let _, src, _ = measured.(0) in
-    let join_span =
-      Simkit.Span.start_span spans ~name:"join_batch" ~ts:(now ())
-        [ ("ops", Simkit.Span.Int n); ("src", Simkit.Span.Int src) ]
-    in
-    let join_ctx = Simkit.Span.context_of join_span in
-    (match on_trace with Some f -> f join_ctx | None -> ());
-    Simkit.Span.emit spans ~name:"measure" ~ts:(now ()) ~dur:measure_ms
-      ~ctx:(Simkit.Span.context spans ~parent:join_ctx ())
-      [
-        ("ops", Simkit.Span.Int n);
-        ( "probes",
-          Simkit.Span.Int
-            (Array.fold_left (fun acc (_, _, m) -> acc + Server.measurement_probes m) 0 measured)
-        );
-      ];
-    let reports =
-      Array.to_list
-        (Array.map (fun (peer, _, m) -> (peer, Server.measurement_path m)) measured)
-    in
-    let batch = Wire.Path_report_batch { reports } in
-    let query_bytes =
-      Array.fold_left
-        (fun acc (peer, _, _) -> acc + Wire.byte_size (Wire.Neighbor_request { peer; k }))
-        0 measured
-    in
-    let request_parts =
-      [
-        (Wire.kind batch, Wire.byte_size batch);
-        (Wire.kind (Wire.Neighbor_request { peer = 0; k }), query_bytes);
-      ]
-    in
-    let reply_parts answers =
-      let bytes = ref 0 in
-      Array.iteri
-        (fun i (_, neighbors) ->
-          let peer, _, _ = measured.(i) in
-          bytes := !bytes + Wire.byte_size (Wire.Neighbor_reply { peer; neighbors }))
-        answers;
-      [ (Wire.kind (Wire.Neighbor_reply { peer = 0; neighbors = [] }), !bytes) ]
-    in
-    let finish outcome =
-      Simkit.Span.add_arg join_span "outcome" (Simkit.Span.Str outcome);
-      Simkit.Span.finish ~ts:(now ()) join_span
-    in
-    Simkit.Engine.schedule t.engine ~delay:measure_ms (fun () ->
-        Simkit.Rpc.call ~parent:join_ctx rpc ~src
-          ~dst:(fun ~attempt ->
-            Cluster.target t.cluster ~src ~attempt
-            |> Option.map (Cluster.replica_router t.cluster))
-          ~request_parts ~reply_parts
-          ~handle:(fun ~dst ->
-            match Cluster.replica_at t.cluster ~router:dst with
-            | None -> None
-            | Some replica ->
-                Cluster.handle_registration_batch
-                  ?parent:(Simkit.Span.current spans)
-                  t.cluster ~replica ~entries:measured ~k)
-          ~on_reply:(fun answers ->
-            finish "ok";
-            answer answers)
-          ~on_give_up:(fun () ->
-            finish "gave_up";
-            on_failure ()))
-  end
-
 let vivaldi_setup_delay ~rounds ~round_period_ms =
   if rounds < 0 || round_period_ms < 0.0 then invalid_arg "Protocol.vivaldi_setup_delay: negative input";
   float_of_int rounds *. round_period_ms

@@ -62,31 +62,6 @@ val join :
     context (the null context with tracing off) — experiments use it to
     tag their latency samples with the join's trace id. *)
 
-val join_many :
-  ?rng:Prelude.Prng.t ->
-  ?on_trace:(Simkit.Span.context -> unit) ->
-  ?on_failure:(unit -> unit) ->
-  t ->
-  entries:(int * Topology.Graph.node) array ->
-  k:int ->
-  on_complete:(int -> Server.peer_info -> (int * int) list -> unit) ->
-  unit
-(** Batched {!join}: every [(peer, attach_router)] entry measures locally
-    (identical rng draws and probe accounting to n singleton joins), then
-    the batch registers through ONE server round — the recorded paths
-    packed into a single {!Wire.Path_report_batch}, applied server-side
-    with one {!Cluster.handle_registration_batch} and replicated as one
-    fan-out message per replica.  The round waits for the slowest
-    measurement (newcomers measure concurrently) and originates at the
-    first entry's attach router — the model is an aggregation point (a
-    flash crowd's common access router, a gateway re-registering its
-    tenants) shipping the batch upstream.  [on_complete peer info reply]
-    fires once per entry in entry order at the shared reply time;
-    [on_failure] fires once for the whole batch when the server round
-    cannot complete.  With a span sink, the batch is one root
-    ["join_batch"] span with a single ["measure"] child; [on_trace] sees
-    that root context. *)
-
 val vivaldi_setup_delay : rounds:int -> round_period_ms:float -> float
 (** Time before a Vivaldi newcomer has completed the given number of
     measurement rounds. *)

@@ -498,7 +498,7 @@ let register_replica t ~peer ~attach_router ~landmark ~path ~probes_spent =
    phase spans, no open join to close later).  The span clock advances by
    the slowest measurement — the batch is one round, its peers measured
    concurrently.  Returns the peer infos in entry order. *)
-let register_measured_batch ?parent t entries =
+let register_measured_batch t entries =
   let n = Array.length entries in
   let batch_seen = Peer_tbl.create n in
   Array.iter
@@ -516,7 +516,7 @@ let register_measured_batch ?parent t entries =
   let routers =
     Array.map (fun (_, _, (r : measurement)) -> registrable_path ~landmark:r.lmk r.reduced) entries
   in
-  let batch_ctx = Simkit.Span.context t.spans ?parent () in
+  let batch_ctx = Simkit.Span.context t.spans () in
   Simkit.Span.with_context t.spans batch_ctx (fun () ->
       Array.iter
         (fun lmk ->

@@ -127,10 +127,7 @@ val register_measured :
     @raise Invalid_argument when already registered. *)
 
 val register_measured_batch :
-  ?parent:Simkit.Span.context ->
-  t ->
-  (int * Topology.Graph.node * measurement) array ->
-  peer_info array
+  t -> (int * Topology.Graph.node * measurement) array -> peer_info array
 (** Round 2 for a whole batch of [(peer, attach_router, measurement)]
     entries: the batch is checked, then each entry is stored as
     {!register_measured} stores it, so registry state, per-peer counters

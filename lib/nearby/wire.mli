@@ -17,9 +17,9 @@ type message =
       (** [(peer id, inferred distance)], ascending. *)
   | Leave of { peer : int }
   | Path_report_batch of { reports : (int * Traceroute.Path.t) list }
-      (** Replication fan-out: a whole batch of registrations shipped to a
-          replica as one message instead of one {!Path_report} each —
-          varint-packed, it costs a fraction of n separate reports. *)
+      (** A whole batch of registrations as one message instead of one
+          {!Path_report} each — varint-packed, it costs a fraction of n
+          separate reports.  {!Server.register_measured_batch} charges it. *)
 
 val protocol_version : int
 

@@ -23,6 +23,16 @@ let validate_config c =
   if c.jitter_frac < 0.0 || c.jitter_frac >= 1.0 then
     invalid_arg "Rpc: jitter_frac outside [0, 1)"
 
+(* Every attempt times out and every backoff draws its largest jitter. *)
+let worst_case_ms c =
+  let backoffs = ref 0.0 in
+  for a = 1 to c.max_attempts - 1 do
+    backoffs :=
+      !backoffs
+      +. (c.backoff_base_ms *. (c.backoff_multiplier ** float_of_int (a - 1)) *. (1.0 +. c.jitter_frac))
+  done;
+  (float_of_int c.max_attempts *. c.timeout_ms) +. !backoffs
+
 (* The trace cells of the outcome counters and the latency stream, each
    resolved at its first write. *)
 type cells = {

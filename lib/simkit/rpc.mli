@@ -36,6 +36,12 @@ val default_config : config
 (** 1 s timeout, 4 attempts, 200 ms base backoff doubling per retry,
     20% jitter. *)
 
+val worst_case_ms : config -> float
+(** Upper bound on a call's time to settle or give up: [max_attempts]
+    timeouts plus every backoff at its largest jitter
+    ([1 + jitter_frac]).  Experiments size their horizons with it so no
+    call is still in flight when the run stops. *)
+
 val create :
   ?config:config -> ?rng:Prelude.Prng.t -> ?trace:Trace.t -> ?labeled:Metrics.t ->
   ?recorder:Flight_recorder.t -> ?spans:Span.sink -> Transport.t -> t

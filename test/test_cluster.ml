@@ -426,92 +426,34 @@ let test_single_cluster_guards () =
   Simkit.Engine.run fx.engine ~until:60_000.0;
   Alcotest.(check (pair int int)) "on_failure exactly once" (0, 1) (!completed, !failed)
 
-(* --- Batched join ------------------------------------------------------ *)
+(* --- Replayed fan-out ---------------------------------------------------- *)
 
-(* [join_many] semantics: every peer is registered before any query is
-   answered, so the reference is a plain server with all peers joined
-   first, then queried. *)
-let batch_reference fx ~peers ~k =
-  let reference = make_server fx () in
-  for peer = 0 to peers - 1 do
-    ignore
-      (Nearby.Server.join reference ~peer
-         ~attach_router:fx.map.leaves.(peer mod Array.length fx.map.leaves))
-  done;
-  List.init peers (fun peer -> Nearby.Server.neighbors reference ~peer ~k)
+let measured_entries cluster fx ~peers =
+  let measurer = Nearby.Cluster.measurement_server cluster in
+  Array.init peers (fun peer ->
+      let attach_router = fx.map.leaves.(peer mod Array.length fx.map.leaves) in
+      (peer, attach_router, Nearby.Server.measure measurer ~attach_router))
 
-let batch_entries fx ~peers =
-  Array.init peers (fun peer -> (peer, fx.map.leaves.(peer mod Array.length fx.map.leaves)))
-
-let run_join_many fx protocol ~peers ~k ~horizon =
-  let replies = Hashtbl.create peers in
-  let failed = ref 0 in
-  Nearby.Protocol.join_many protocol ~entries:(batch_entries fx ~peers) ~k
-    ~on_complete:(fun peer _info reply -> Hashtbl.replace replies peer reply)
-    ~on_failure:(fun () -> incr failed);
-  Simkit.Engine.run fx.engine ~until:horizon;
-  (replies, !failed)
-
-let check_batch_replies ~expected replies =
-  List.iteri
-    (fun peer expect ->
-      Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "peer %d batch reply" peer)
-        expect (Hashtbl.find replies peer))
-    expected
-
-let test_join_many_single_matches_bulk_server () =
-  let fx = fixture ~replicas:1 ~seed:31 () in
-  let peers = 12 and k = 4 in
-  let expected = batch_reference fx ~peers ~k in
-  let _, _, protocol = single_protocol fx (make_server fx ()) in
-  let replies, failed = run_join_many fx protocol ~peers ~k ~horizon:60_000.0 in
-  Alcotest.(check int) "no failures" 0 failed;
-  Alcotest.(check int) "all completed" peers (Hashtbl.length replies);
-  check_batch_replies ~expected replies
-
-let test_join_many_resilient_replicates_as_one_message () =
-  let fx = fixture ~seed:32 () in
-  let peers = 12 and k = 4 in
-  let expected = batch_reference fx ~peers ~k in
-  let cluster = make_cluster fx in
-  let rpc = Simkit.Rpc.create ~config:rpc_config fx.transport in
-  let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
-  let replies, failed = run_join_many fx protocol ~peers ~k ~horizon:60_000.0 in
-  Alcotest.(check int) "no failures" 0 failed;
-  Alcotest.(check int) "all completed" peers (Hashtbl.length replies);
-  check_batch_replies ~expected replies;
-  (* The batching headline: ONE replication send per peer replica, not one
-     per (entry, replica) — while the apply counter still accounts every
-     entry on every replica. *)
-  let c name = Simkit.Trace.counter (Nearby.Cluster.trace cluster) name in
-  let others = Array.length fx.replica_routers - 1 in
-  Alcotest.(check int) "register counter" peers (c "cluster_register");
-  Alcotest.(check int) "one send per replica" others (c "cluster_replicate_send");
-  Alcotest.(check int) "applies per entry" (peers * others) (c "cluster_replicate_apply");
-  Alcotest.(check bool) "replicas consistent" true (Nearby.Cluster.consistent cluster);
-  Nearby.Cluster.check_invariants cluster
-
-(* A replayed batch fan-out applies each entry once.  Registering one batch
-   on two replicas before either fan-out lands (a retry that failed over
-   before the first reply) sends the third replica the same batch twice:
-   the first delivery applies every entry, the replay and the two
-   primaries' copies skip them. *)
-let test_replayed_batch_fan_out_applies_once () =
+(* A replayed fan-out applies each entry once.  Registering every peer on
+   two replicas before either fan-out lands (a retry that failed over
+   before the first reply) sends the third replica each report twice: the
+   first delivery applies it, the replay and the two primaries' copies
+   skip it. *)
+let test_replayed_fan_out_applies_once () =
   let fx = fixture ~seed:33 () in
   let cluster = make_cluster fx in
   let n = 20 in
-  let measurer = Nearby.Cluster.measurement_server cluster in
-  let entries =
-    Array.map
-      (fun (peer, attach_router) ->
-        (peer, attach_router, Nearby.Server.measure measurer ~attach_router))
-      (batch_entries fx ~peers:n)
-  in
+  let entries = measured_entries cluster fx ~peers:n in
   let handle replica =
-    match Nearby.Cluster.handle_registration_batch cluster ~replica ~entries ~k:3 with
-    | Some replies -> Alcotest.(check int) "every entry answered" n (Array.length replies)
-    | None -> Alcotest.fail "live replica did not answer"
+    Array.iter
+      (fun (peer, attach_router, measurement) ->
+        match
+          Nearby.Cluster.handle_registration cluster ~replica ~peer ~attach_router ~measurement
+            ~k:3
+        with
+        | Some _ -> ()
+        | None -> Alcotest.fail "live replica did not answer")
+      entries
   in
   handle 0;
   handle 1;
@@ -520,7 +462,7 @@ let test_replayed_batch_fan_out_applies_once () =
   let applied i =
     Simkit.Trace.counter (Nearby.Server.trace (Nearby.Cluster.server_of cluster i)) "replica_register"
   in
-  Alcotest.(check int) "two batch messages per primary" 4 (c "cluster_replicate_send");
+  Alcotest.(check int) "two sends per registration" (4 * n) (c "cluster_replicate_send");
   Alcotest.(check (list int)) "each entry applied once, on the third replica" [ 0; 0; n ]
     (List.init 3 applied);
   Alcotest.(check int) "apply counter" n (c "cluster_replicate_apply");
@@ -528,7 +470,7 @@ let test_replayed_batch_fan_out_applies_once () =
     (c "cluster_replicate_skip");
   Alcotest.(check bool) "replicas consistent" true (Nearby.Cluster.consistent cluster);
   Nearby.Cluster.check_invariants cluster;
-  (* The apply rule's singleton step still rejects an unknown landmark. *)
+  (* The apply rule's step still rejects an unknown landmark. *)
   let _, attach_router, m = entries.(0) in
   match
     Nearby.Server.register_replica (Nearby.Cluster.server_of cluster 2) ~peer:(n + 50)
@@ -540,44 +482,22 @@ let test_replayed_batch_fan_out_applies_once () =
 
 (* A fresh registration's reply carries the measurement's own path, not a
    view rebuilt from the stored routers; only a retry's reply is rebuilt,
-   and it shows the same registration.  The batch reply does the same for
-   each entry, a repeated entry included. *)
+   and it shows the same registration. *)
 let test_registration_reply_shares_path () =
   let fx = fixture ~seed:34 () in
   let cluster = make_cluster fx in
-  let measurer = Nearby.Cluster.measurement_server cluster in
-  let entries =
-    Array.map
-      (fun (peer, attach_router) ->
-        (peer, attach_router, Nearby.Server.measure measurer ~attach_router))
-      (batch_entries fx ~peers:4)
-  in
+  let peer, attach_router, measurement = (measured_entries cluster fx ~peers:1).(0) in
   let single () =
-    let peer, attach_router, measurement = entries.(0) in
     match Nearby.Cluster.handle_registration cluster ~replica:0 ~peer ~attach_router ~measurement ~k:3 with
     | Some (info, _) -> info
     | None -> Alcotest.fail "live replica did not answer"
   in
-  let _, _, m0 = entries.(0) in
   let first = single () in
   Alcotest.(check bool) "fresh reply shares the path" true
-    (first.recorded_path == Nearby.Server.measurement_path m0);
+    (first.recorded_path == Nearby.Server.measurement_path measurement);
   let retry = single () in
   Alcotest.(check bool) "retry reply is rebuilt" false (retry.recorded_path == first.recorded_path);
-  Alcotest.(check bool) "retry shows the same registration" true (retry = first);
-  match Nearby.Cluster.handle_registration_batch cluster ~replica:0 ~entries ~k:3 with
-  | None -> Alcotest.fail "live replica did not answer"
-  | Some replies ->
-      Array.iteri
-        (fun i ((info : Nearby.Server.peer_info), _) ->
-          let _, _, m = entries.(i) in
-          Alcotest.(check bool)
-            (Printf.sprintf "entry %d: %s" i (if i = 0 then "repeat rebuilt" else "fresh shares"))
-            (i > 0)
-            (info.recorded_path == Nearby.Server.measurement_path m);
-          Alcotest.(check bool) (Printf.sprintf "entry %d: same path" i) true
-            (Traceroute.Path.equal info.recorded_path (Nearby.Server.measurement_path m)))
-        replies
+  Alcotest.(check bool) "retry shows the same registration" true (retry = first)
 
 let suite =
   ( "cluster",
@@ -598,12 +518,8 @@ let suite =
       Alcotest.test_case "joins under 20% loss terminate" `Quick
         test_joins_under_loss_always_terminate;
       Alcotest.test_case "single-cluster guards" `Quick test_single_cluster_guards;
-      Alcotest.test_case "join_many single = bulk server" `Quick
-        test_join_many_single_matches_bulk_server;
-      Alcotest.test_case "join_many replicates batch as one message" `Quick
-        test_join_many_resilient_replicates_as_one_message;
       Alcotest.test_case "registration reply shares the measured path" `Quick
         test_registration_reply_shares_path;
       Alcotest.test_case "replayed fan-out applies once" `Quick
-        test_replayed_batch_fan_out_applies_once;
+        test_replayed_fan_out_applies_once;
     ] )

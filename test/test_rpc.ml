@@ -77,11 +77,31 @@ let test_gives_up_after_max_attempts () =
   (* t=0 attempt 1; timeout 100, backoff 50; t=150 attempt 2; timeout 250,
      backoff 100; t=350 attempt 3; timeout and give-up at 450. *)
   Alcotest.(check (float 1e-9)) "terminates at the worst-case bound" 450.0 !gave_up_at;
+  Alcotest.(check (float 1e-9)) "worst_case_ms is that bound" 450.0 (Rpc.worst_case_ms config);
   Alcotest.(check int) "all attempts used" 3 (counter rpc "rpc_attempts");
   Alcotest.(check int) "two retries" 2 (counter rpc "rpc_retries");
   Alcotest.(check int) "three timeouts" 3 (counter rpc "rpc_timeouts");
   Alcotest.(check int) "gave up once" 1 (counter rpc "rpc_gave_up");
-  Alcotest.(check int) "never ok" 0 (counter rpc "rpc_ok")
+  Alcotest.(check int) "never ok" 0 (counter rpc "rpc_ok");
+  (* With jitter drawn from an rng the give-up time varies, but never
+     past the bound taken at the largest jitter. *)
+  let jittered = { config with jitter_frac = 0.2 } in
+  let e = Engine.create () in
+  let rpc =
+    Rpc.create ~config:jittered ~rng:(Prelude.Prng.create 7) (Transport.create e oracle)
+  in
+  let gave_up_at = ref nan in
+  Rpc.call rpc ~src:0
+    ~dst:(fun ~attempt:_ -> Some 2)
+    ~request_parts:[ ("other", 10) ]
+    ~reply_parts:(fun _ -> [ ("other", 10) ])
+    ~handle:(fun ~dst:_ -> Some ())
+    ~on_reply:(fun () -> Alcotest.fail "replied through a dead link")
+    ~on_give_up:(fun () -> gave_up_at := Engine.now e);
+  Engine.run e;
+  Alcotest.(check bool)
+    "jittered give-up within worst_case_ms" true
+    (!gave_up_at <= Rpc.worst_case_ms jittered)
 
 let test_retry_fails_over_to_second_target () =
   (* Attempt 1 goes to an isolated replica, attempt 2 to a live one: the

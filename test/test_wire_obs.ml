@@ -124,15 +124,13 @@ let test_top_talkers () =
 
 (* The end-to-end experiment on a small fixture: the two conservation
    invariants hold under a loss burst, amplification is exactly the
-   replica count, every protocol kind moved bytes, and batching beats
-   one-frame-per-report on client upload bytes. *)
+   replica count, and every protocol kind moved bytes. *)
 let test_wire_exp_invariants () =
   let config =
     {
       Eval.Wire_exp.quick_config with
       routers = 400;
       peers = 80;
-      batch = 16;
       arrival_window_ms = 3_000.0;
       sync_period_ms = 1_000.0;
       seed = 3;
@@ -153,8 +151,6 @@ let test_wire_exp_invariants () =
   Alcotest.(check bool) "loss burst dropped bytes" true (r.dropped_loss_bytes > 0);
   Alcotest.(check int) "kind rows sum to bytes_sent" r.bytes_sent
     (List.fold_left (fun acc (row : Eval.Wire_exp.kind_row) -> acc + row.bytes) 0 r.kinds);
-  Alcotest.(check bool) "batch uploads fewer client bytes" true
-    (r.batch_report_bytes < r.singleton_report_bytes);
   Alcotest.(check bool) "per-join cost is positive" true (r.bytes_per_join > 0.0);
   Alcotest.(check bool) "top talkers populated" true (r.top_talkers <> [])
 
