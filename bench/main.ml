@@ -326,6 +326,30 @@ let run_setup_delay ~full =
     Printf.printf "wrote BENCH_setup.json (%d methods)\n%!" (List.length result.rows)
   end
 
+(* E4, the decreased traceroute.  As for fig2, only the paper
+   configuration ([--full]) writes BENCH_truncate.json and its gates. *)
+let run_truncate ~full =
+  banner "E4 decreased traceroute";
+  let config = if full then Eval.Truncate_exp.default_config else Eval.Truncate_exp.quick_config in
+  let rows = Eval.Truncate_exp.run config in
+  Eval.Truncate_exp.print rows;
+  if full then begin
+    Simkit.Export.write_bench ~path:"BENCH_truncate.json"
+      ~params:
+        [
+          ("routers", string_of_int config.routers);
+          ("peers", string_of_int config.peers);
+          ("landmark_count", string_of_int config.landmark_count);
+          ("k", string_of_int config.k);
+          ("seeds", String.concat " " (List.map string_of_int config.seeds));
+        ]
+      [
+        ("rows", Simkit.Json_str.arr (List.map Eval.Truncate_exp.row_json rows));
+        ("gates", Eval.Regression.to_json (Eval.Truncate_exp.gates rows));
+      ];
+    Printf.printf "wrote BENCH_truncate.json (%d strategies)\n%!" (List.length rows)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Registry backend throughput *)
 
@@ -952,8 +976,7 @@ let experiments =
     ( "churn",
       Eval.Churn_exp.(
         simple "E3 churn / failures / handover" default_config quick_config run print) );
-    ( "truncate",
-      Eval.Truncate_exp.(simple "E4 decreased traceroute" default_config quick_config run print) );
+    ("truncate", run_truncate);
     ("setup-delay", run_setup_delay);
     ( "metric",
       Eval.Metric_ablation.(

@@ -698,7 +698,6 @@ let registry_cmd =
                 | Some a -> Nearby.Audit.neighbors a ~peer ~k
                 | None -> Nearby.Server.neighbors server ~peer ~k)
           in
-          Nearby.Server.flush_spans server;
           (server, answers, ts, auditor)
         in
         let _, reference, _, _ = run_backend Eval.Backends.Tree in

@@ -117,6 +117,7 @@ let run_instrumented ?(spans = Simkit.Span.noop) (config : config) =
       w.ctx.oracle
   in
   let recorder = Simkit.Flight_recorder.create ~capacity:1024 () in
+  Simkit.Span.set_clock spans (fun () -> Simkit.Engine.now engine);
   (* Replica hosts: medium-degree routers, like landmarks but an
      independent draw (management servers are infrastructure, not peers). *)
   let replica_routers =

@@ -96,7 +96,8 @@ val run_instrumented : ?spans:Simkit.Span.sink -> config -> result * artifacts
     attempts, server-side registration subtree and replication fan-out
     hanging off it, plus the cluster's ["sync_round"] roots.  The same
     sink is shared by the RPC layer, the cluster and every replica server,
-    so all parent links resolve within one file.  When tracing is on, the
+    so all parent links resolve within one file; it reads the engine
+    clock.  When tracing is on, the
     [exp_trace] ["join_ms"] samples are tagged with their join's trace id
     (tail exemplars) and SLO breach events carry an [exemplar_trace_id]
     pointing at the worst-bucket join seen so far. *)

@@ -75,6 +75,37 @@ let run config =
       })
     config.strategies
 
+let row_json r =
+  let num = Simkit.Json_str.number in
+  Simkit.Json_str.obj
+    [
+      ("strategy", Simkit.Json_str.quote (Traceroute.Truncate.describe r.strategy));
+      ("d_over_dclosest", num r.ratio);
+      ("hit_ratio", num r.hit_ratio);
+      ("probes_per_join", num r.mean_probes_per_join);
+    ]
+
+(* E4's trade-off, gated: every strategy's quality and cost, and the shape
+   the trade-off must keep — truncating never beats the full trace on
+   quality, and never costs more probes than it. *)
+let gates rows =
+  let full = List.find (fun r -> r.strategy = Traceroute.Truncate.Full) rows in
+  let lower r metric v =
+    let name = Printf.sprintf "truncate/%s/%s" (Traceroute.Truncate.describe r.strategy) metric in
+    Regression.gate name v Lower_better 0.05
+  in
+  List.concat_map
+    (fun r ->
+      [ lower r "d_over_dclosest" r.ratio; lower r "probes_per_join" r.mean_probes_per_join ])
+    rows
+  @ Regression.
+      [
+        flag "truncate/full_best_quality"
+          (List.for_all (fun r -> r == full || full.ratio < r.ratio) rows);
+        flag "truncate/full_probes_most"
+          (List.for_all (fun r -> r.mean_probes_per_join <= full.mean_probes_per_join) rows);
+      ]
+
 let print rows =
   print_endline "E4: decreased traceroute - quality vs probe cost";
   Prelude.Table.print

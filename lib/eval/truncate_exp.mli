@@ -25,4 +25,11 @@ type row = {
 }
 
 val run : config -> row list
+
+val row_json : row -> string
+
+val gates : row list -> Regression.gate list
+(** Per strategy, D/Dclosest and probes per join, plus flags "full has the
+    lowest D/Dclosest" and "no strategy probes more than full". *)
+
 val print : row list -> unit

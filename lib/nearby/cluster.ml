@@ -252,7 +252,7 @@ let apply_entry t (o : replica) ~peer ~attach_router ~measurement =
    tree the replication lag is visible next to the join that caused it.
    A message the transport drops leaves its span open (never emitted),
    like the write it lost. *)
-let fan_out ?parent t ~from_replica ~peer ~attach_router ~measurement =
+let fan_out t ~from_replica ~peer ~attach_router ~measurement =
   let msg = Wire.Path_report { peer; path = Server.measurement_path measurement } in
   let src = t.replicas.(from_replica).router in
   let bytes = Wire.byte_size msg in
@@ -263,7 +263,8 @@ let fan_out ?parent t ~from_replica ~peer ~attach_router ~measurement =
     if o.id <> from_replica then begin
       let span =
         if traced then
-          Simkit.Span.start_span t.spans ~name:"replicate" ~ts:(now t) ?parent ~tid:peer
+          Simkit.Span.start_span t.spans ~name:"replicate" ~tid:peer
+            ?parent:(Simkit.Span.current t.spans)
             [ ("peer", Simkit.Span.Int peer); ("to_replica", Simkit.Span.Int o.id) ]
         else Simkit.Span.none
       in
@@ -271,7 +272,7 @@ let fan_out ?parent t ~from_replica ~peer ~attach_router ~measurement =
         Simkit.Span.add_arg span "outcome"
           (if apply_entry t o ~peer ~attach_router ~measurement then Simkit.Span.Str "applied"
            else Simkit.Span.Str "skipped");
-        if traced then Simkit.Span.finish ~ts:(now t) span
+        if traced then Simkit.Span.finish span
       in
       incr t.replicate_send;
       t.replica_bytes := !(t.replica_bytes) + bytes;
@@ -281,13 +282,7 @@ let fan_out ?parent t ~from_replica ~peer ~attach_router ~measurement =
   done;
   update_amplification t
 
-let handle_registration ?parent t ~replica ~peer ~attach_router ~measurement ~k =
-  (* Sync the span sink's logical clock to the engine at message receipt,
-     so server-side spans land at (roughly) the simulated time the request
-     arrived rather than wherever the sink clock last stopped.  [advance]
-     ignores negative deltas, so this only ever moves forward. *)
-  if Simkit.Span.enabled t.spans then
-    Simkit.Span.advance t.spans (now t -. Simkit.Span.now t.spans);
+let handle_registration t ~replica ~peer ~attach_router ~measurement ~k =
   let r = t.replicas.(replica) in
   if not r.alive then None
   else begin
@@ -298,9 +293,9 @@ let handle_registration ?parent t ~replica ~peer ~attach_router ~measurement ~k 
         Option.get (Server.info r.server peer)
       end
       else begin
-        let info = Server.register_measured ?parent r.server ~peer ~attach_router measurement in
+        let info = Server.register_measured r.server ~peer ~attach_router measurement in
         incr t.registered;
-        fan_out ?parent t ~from_replica:replica ~peer ~attach_router ~measurement;
+        fan_out t ~from_replica:replica ~peer ~attach_router ~measurement;
         info
       end
     in
@@ -428,7 +423,6 @@ let charge_repair t ~src ~dst bytes =
    reconvergence is recorded the moment the repair lands. *)
 let sync_round t =
   Simkit.Span.with_span t.spans ~name:"sync_round"
-    ~clock:(fun () -> now t)
     [ ("live", Simkit.Span.Int (live_count t)) ]
   @@ fun _ctx ->
   Simkit.Trace.incr t.trace "cluster_sync_rounds";

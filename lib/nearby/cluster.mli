@@ -141,7 +141,6 @@ val target : t -> src:Topology.Graph.node -> attempt:int -> int option
     exactly while it is alive. *)
 
 val handle_registration :
-  ?parent:Simkit.Span.context ->
   t ->
   replica:int ->
   peer:int ->
@@ -157,11 +156,9 @@ val handle_registration :
     {!Server.register_measured}'s info, which shares the measurement's
     path; a retry answers with {!Server.info}.
 
-    [parent] (normally the RPC attempt's span context) parents both the
-    server-side join subtree and one ["replicate"] span per fan-out
-    target — open from send to transport delivery, tagged
-    applied/skipped — so replication lag shows inside the join's causal
-    tree.  The [spans] sink of {!create} should be the same one the
+    Each fan-out target gets a ["replicate"] span under the ambient context
+    (the RPC attempt), open from send to delivery and tagged
+    applied/skipped.  The [spans] sink of {!create} should be the one the
     servers and the RPC layer write to (one id space per trace file). *)
 
 val crash : t -> int -> unit

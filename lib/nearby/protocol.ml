@@ -12,29 +12,24 @@ let cluster t = t.cluster
    cluster through the retrying RPC layer.  Retries resend the same
    measurement — the client does not re-traceroute on a lost packet.
 
-   One root "join" span covers the whole client-observed join, on the
-   engine clock; the measurement, every RPC attempt and (through the
-   attempt's ambient context) the server-side registration subtree all
-   hang off it, so a failed-over join is still one causal tree. *)
+   One root "join" span covers the whole client-observed join; the
+   measurement, every RPC attempt and (through the attempt's ambient
+   context) the server-side registration subtree all hang off it, so a
+   failed-over join is still one causal tree. *)
 let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~on_complete =
   let rpc = t.rpc in
   let spans = Simkit.Rpc.spans rpc in
   let traced = Simkit.Span.enabled spans in
   let join_span =
     if traced then
-      Simkit.Span.start_span spans ~name:"join" ~ts:(Simkit.Engine.now t.engine) ~tid:peer
+      Simkit.Span.start_span spans ~name:"join" ~tid:peer
         [ ("peer", Simkit.Span.Int peer); ("attach_router", Simkit.Span.Int attach_router) ]
     else Simkit.Span.none
   in
   let join_ctx = Simkit.Span.context_of join_span in
   (match on_trace with Some f -> f join_ctx | None -> ());
   let measurement = Server.measure ?rng (server t) ~attach_router in
-  if traced then
-    Simkit.Span.emit spans ~name:"measure" ~ts:(Simkit.Engine.now t.engine)
-      ~dur:(Server.measurement_duration_ms measurement)
-      ~tid:peer
-      ~ctx:(Simkit.Span.context spans ~parent:join_ctx ())
-      [ ("probes", Simkit.Span.Int (Server.measurement_probes measurement)) ];
+  Server.measure_span spans ~parent:join_ctx ~peer measurement;
   (* Each part is sized once: the retries resend these bytes. *)
   let report = Wire.Path_report { peer; path = Server.measurement_path measurement } in
   let query = Wire.Neighbor_request { peer; k } in
@@ -46,10 +41,7 @@ let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~
     [ (Wire.kind reply, Wire.byte_size reply) ]
   in
   let finish outcome =
-    if traced then begin
-      Simkit.Span.add_arg join_span "outcome" (Simkit.Span.Str outcome);
-      Simkit.Span.finish ~ts:(Simkit.Engine.now t.engine) join_span
-    end
+    if traced then Simkit.Span.finish ~args:[ ("outcome", Simkit.Span.Str outcome) ] join_span
   in
   Simkit.Engine.schedule t.engine ~delay:(Server.measurement_duration_ms measurement) (fun () ->
       Simkit.Rpc.call ~parent:join_ctx rpc ~src:attach_router
@@ -62,12 +54,7 @@ let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~
           match Cluster.replica_at t.cluster ~router:dst with
           | None -> None
           | Some replica ->
-              (* The RPC layer installs the attempt's context as ambient
-                 around [handle], so the server-side subtree parents under
-                 the exact attempt that carried the request. *)
-              Cluster.handle_registration
-                ?parent:(Simkit.Span.current spans)
-                t.cluster ~replica ~peer ~attach_router ~measurement ~k)
+              Cluster.handle_registration t.cluster ~replica ~peer ~attach_router ~measurement ~k)
         ~on_reply:(fun (info, reply) ->
           finish "ok";
           on_complete info reply)

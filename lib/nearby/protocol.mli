@@ -55,8 +55,8 @@ val join :
     two callbacks runs per join.
 
     With a span sink attached (the RPC layer's), each join opens one root
-    ["join"] span on the engine clock; the ["measure"] phase, every
-    ["rpc_attempt"] and the server-side registration subtree hang off it,
+    ["join"] span; the ["measure"] phase, every ["rpc_attempt"] and the
+    server-side spans under the attempt that was served hang off it,
     so a join that failed over between replicas is still one causal tree
     under one trace id.  [on_trace] fires synchronously with that root
     context (the null context with tracing off) — experiments use it to

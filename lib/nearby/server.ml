@@ -86,12 +86,6 @@ type t = {
   trace : Simkit.Trace.t;
   cells : cells;
   spans : Simkit.Span.sink;
-  (* Peers whose join span is still open: closed by their first query (so
-     the span encloses the whole two-round protocol), or by leave/flush.
-     The context keeps the query and the close causally linked to the
-     join's trace.  The hop count is the measured path's, which the
-     member record does not keep. *)
-  open_joins : (float * Simkit.Span.context * int) Peer_tbl.t;
   (* Delta anti-entropy state.  The peers are split into [bucket_count]
      buckets by a mixed hash of the peer id; [bucket_digests] holds each
      bucket's content digest (the XOR of [entry_digest] over its entries)
@@ -146,7 +140,6 @@ let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Pr
     trace;
     cells = cells_of trace;
     spans;
-    open_joins = Peer_tbl.create 16;
     bucket_digests = Bytes.make (8 * bucket_count) '\000';
     bucket_members = Array.init bucket_count (fun _ -> Prelude.Vec.create ~capacity:1 ());
   }
@@ -281,6 +274,23 @@ let measurement_probes m = m.cost
    round, and the join counters and spans below charge the same sum. *)
 let[@inline] measurement_duration_ms m = m.ping_rtt_ms +. m.traceroute_ms
 
+(* The client's measurement, as long as the measurement clock says: one
+   span shape for the in-process [join] and [Protocol.join] alike. *)
+let measure_span spans ~parent ~peer m =
+  if Simkit.Span.enabled spans then
+    let open Simkit.Span in
+    emit spans ~name:"measure" ~ts:(now spans) ~dur:(measurement_duration_ms m) ~tid:peer
+      ~ctx:(context spans ~parent ())
+      [
+        ("peer", Int peer);
+        ("landmark", Int m.lmk);
+        ("landmarks_pinged", Int m.round1_pings);
+        ("rtt_ms", Float m.ping_rtt_ms);
+        ("full_hops", Int m.full_hops);
+        ("recorded_hops", Int (Traceroute.Path.hop_count m.reduced));
+        ("probes_spent", Int m.cost);
+      ]
+
 let registrable_path ~landmark path =
   (* The tree stores identified routers only; an incomplete trace is repaired
      by appending the landmark itself (the newcomer knows whom it probed). *)
@@ -374,32 +384,6 @@ let remove_entry t ~peer m =
   Peer_tbl.remove t.peers peer;
   account t ~peer ~routers:m.routers ~add:false
 
-(* Emit the still-open join span of [peer], closing it at the current span
-   clock; the span then encloses ping_round, traceroute, register and (when
-   one happened before the close) the peer's first query. *)
-let close_join_span t ~peer =
-  match Peer_tbl.find_opt t.open_joins peer with
-  | None -> ()
-  | Some (t0, ctx, hops) ->
-      Peer_tbl.remove t.open_joins peer;
-      let now = Simkit.Span.now t.spans in
-      let args =
-        match Peer_tbl.find_opt t.peers peer with
-        | None -> [ ("peer", Simkit.Span.Int peer) ]
-        | Some m ->
-            [
-              ("peer", Simkit.Span.Int peer);
-              ("landmark", Simkit.Span.Int m.home);
-              ("probes_spent", Simkit.Span.Int m.probes);
-              ("hops", Simkit.Span.Int hops);
-            ]
-      in
-      Simkit.Span.emit t.spans ~name:"join" ~ts:t0 ~dur:(now -. t0) ~tid:peer ~ctx args
-
-let flush_spans t =
-  Peer_tbl.fold (fun peer _ acc -> peer :: acc) t.open_joins []
-  |> List.iter (fun peer -> close_join_span t ~peer)
-
 (* The join counters and the per-phase cost of the two-round protocol, in
    simulated milliseconds: the same for a singleton and a batched join. *)
 let count_join t (r : measurement) =
@@ -411,22 +395,19 @@ let count_join t (r : measurement) =
   Simkit.Trace.cell_observe c.traceroute_ms r.traceroute_ms;
   Simkit.Trace.cell_observe c.join_ms (measurement_duration_ms r)
 
-(* Round 2 server side: store a client-measured path and answer the join
-   counters/spans.  Split from [join] so a replicated cluster can measure
-   once at the client and register the same measurement on any replica. *)
-let register_measured ?parent t ~peer ~attach_router (r : measurement) =
+(* Round 2 server side, split from [join] so a replicated cluster can
+   measure once at the client and register on any replica.  The registry
+   write runs under the "register" span, so its op spans nest there. *)
+let register_measured t ~peer ~attach_router (r : measurement) =
   if Peer_tbl.mem t.peers peer then
     invalid_arg "Server.register_measured: peer already registered";
   let landmark = r.lmk and recorded_path = r.reduced and probes_spent = r.cost in
   let routers = registrable_path ~landmark recorded_path in
-  (* The join span's context roots the server-side subtree — under [parent]
-     (the protocol/cluster span that carried the request here) when given,
-     a fresh trace otherwise.  The registry write runs with the register
-     span ambient, so timing middleware parents its op spans correctly. *)
-  let join_ctx = Simkit.Span.context t.spans ?parent () in
-  let register_ctx = Simkit.Span.context t.spans ~parent:join_ctx () in
   if Simkit.Span.enabled t.spans then
-    Simkit.Span.with_context t.spans register_ctx (fun () ->
+    Simkit.Span.(
+      with_span t.spans ~name:"register" ?parent:(current t.spans) ~tid:peer
+        [ ("peer", Int peer); ("landmark", Int landmark); ("routers", Int (Array.length routers)) ])
+      (fun _ ->
         store t ~peer ~routers ~refresh:true ~attach:attach_router ~home:landmark
           ~probes:probes_spent)
   else
@@ -438,42 +419,25 @@ let register_measured ?parent t ~peer ~attach_router (r : measurement) =
   count_join t r;
   Simkit.Trace.cell_add t.cells.wire_bytes
     (Wire.byte_size (Wire.Path_report { peer; path = recorded_path }));
-  if Simkit.Span.enabled t.spans then begin
-    let open Simkit.Span in
-    let t0 = now t.spans in
-    emit t.spans ~name:"ping_round" ~ts:t0 ~dur:r.ping_rtt_ms ~tid:peer
-      ~ctx:(context t.spans ~parent:join_ctx ())
-      [
-        ("peer", Int peer);
-        ("landmark", Int landmark);
-        ("landmarks_pinged", Int r.round1_pings);
-        ("rtt_ms", Float r.ping_rtt_ms);
-        ("probes_spent", Int r.round1_pings);
-      ];
-    let t1 = t0 +. r.ping_rtt_ms in
-    emit t.spans ~name:"traceroute" ~ts:t1 ~dur:r.traceroute_ms ~tid:peer
-      ~ctx:(context t.spans ~parent:join_ctx ())
-      [
-        ("peer", Int peer);
-        ("full_hops", Int r.full_hops);
-        ("recorded_hops", Int (Traceroute.Path.hop_count recorded_path));
-        ("probes_spent", Int (r.cost - r.round1_pings));
-      ];
-    emit t.spans ~name:"register" ~ts:(t1 +. r.traceroute_ms) ~tid:peer ~ctx:register_ctx
-      [
-        ("peer", Int peer);
-        ("landmark", Int landmark);
-        ("routers", Int (Array.length routers));
-        ("probes_spent", Int probes_spent);
-      ];
-    advance t.spans (measurement_duration_ms r);
-    Peer_tbl.replace t.open_joins peer (t0, join_ctx, Traceroute.Path.hop_count recorded_path)
-  end;
   { attach_router; landmark; recorded_path; probes_spent }
 
+(* Both rounds in process, under one root "join" span: the sink clock does
+   not see the measurement pass, so the join lasts at least as long. *)
 let join ?rng t ~peer ~attach_router =
   if Peer_tbl.mem t.peers peer then invalid_arg "Server.join: peer already registered";
-  register_measured t ~peer ~attach_router (measure ?rng t ~attach_router)
+  let r = measure ?rng t ~attach_router in
+  if Simkit.Span.enabled t.spans then begin
+    let open Simkit.Span in
+    let ctx = context t.spans () and t0 = now t.spans in
+    measure_span t.spans ~parent:ctx ~peer r;
+    let info = with_context t.spans ctx (fun () -> register_measured t ~peer ~attach_router r) in
+    emit t.spans ~name:"join" ~ts:t0
+      ~dur:(Float.max (measurement_duration_ms r) (now t.spans -. t0))
+      ~tid:peer ~ctx
+      [ ("peer", Int peer); ("attach_router", Int attach_router) ];
+    info
+  end
+  else register_measured t ~peer ~attach_router r
 
 (* Replication apply: a peer measured and registered elsewhere lands here
    verbatim.  No join counters or spans — this is cluster traffic, not a
@@ -488,16 +452,9 @@ let register_replica t ~peer ~attach_router ~landmark ~path ~probes_spent =
     ~refresh:true ~attach:attach_router ~home:landmark ~probes:probes_spent;
   Simkit.Trace.cell_incr t.cells.replica_registers
 
-(* Batch round 2: a whole array of client-measured joins, checked as a
-   whole and then stored entry by entry.  Per-peer effects (registry,
-   peers table, join/probe/path counters, the per-phase latency streams)
-   are exactly [register_measured]'s; what the batch changes is what a
-   batch changes on the wire: the accounting charges one packed
-   [Path_report_batch] instead of n separate reports, and with spans
-   enabled the batch emits a single "register_batch" span (no per-peer
-   phase spans, no open join to close later).  The span clock advances by
-   the slowest measurement — the batch is one round, its peers measured
-   concurrently.  Returns the peer infos in entry order. *)
+(* Batch round 2: checked as a whole, then stored entry by entry with
+   exactly [register_measured]'s per-peer effects; the wire is charged one
+   packed [Path_report_batch], and the trace gets one span. *)
 let register_measured_batch t entries =
   let n = Array.length entries in
   let batch_seen = Peer_tbl.create n in
@@ -516,8 +473,9 @@ let register_measured_batch t entries =
   let routers =
     Array.map (fun (_, _, (r : measurement)) -> registrable_path ~landmark:r.lmk r.reduced) entries
   in
-  let batch_ctx = Simkit.Span.context t.spans () in
-  Simkit.Span.with_context t.spans batch_ctx (fun () ->
+  Simkit.Span.(
+    with_span t.spans ~name:"register_batch" ?parent:(current t.spans) [ ("ops", Int n) ])
+    (fun _ ->
       Array.iter
         (fun lmk ->
           let registry = registry_of t lmk in
@@ -540,16 +498,6 @@ let register_measured_batch t entries =
   in
   Simkit.Trace.cell_add t.cells.wire_bytes (Wire.byte_size (Wire.Path_report_batch { reports }));
   Log.debug (fun m -> m "join batch n=%d" n);
-  if Simkit.Span.enabled t.spans && n > 0 then begin
-    let open Simkit.Span in
-    let dur =
-      Array.fold_left
-        (fun acc (_, _, r) -> Float.max acc (measurement_duration_ms r))
-        0.0 entries
-    in
-    emit t.spans ~name:"register_batch" ~ts:(now t.spans) ~dur ~ctx:batch_ctx [ ("ops", Int n) ];
-    advance t.spans dur
-  end;
   infos
 
 (* Landmarks ordered by hop distance from the peer's landmark: the top-up
@@ -596,46 +544,38 @@ let top_up t ~home ~k ~exclude result =
 
 (* A member's query walks the routers its record shares with its tree:
    nothing is rebuilt per query. *)
+let lookup t ~peer ~k m =
+  Simkit.Trace.cell_incr t.cells.queries;
+  let exclude = Int.equal peer in
+  top_up t ~home:m.home ~k ~exclude
+    (Registry_intf.query (registry_of t m.home) ~routers:m.routers ~k ~exclude ())
+
+(* Traced, the "query" span sits under the ambient request or roots a
+   trace of its own; registry op spans nest under it. *)
 let neighbors t ~peer ~k =
   match Peer_tbl.find_opt t.peers peer with
   | None -> raise Not_found
   | Some m ->
-      (* The query joins the peer's still-open join trace when there is
-         one; a later re-query starts a trace of its own.  Running the
-         lookup with the context ambient parents any registry op spans. *)
-      let parent =
-        Option.map (fun (_, ctx, _) -> ctx) (Peer_tbl.find_opt t.open_joins peer)
-      in
-      let query_ctx = Simkit.Span.context t.spans ?parent () in
       let reply =
-        Simkit.Span.with_context t.spans query_ctx (fun () ->
-            Simkit.Trace.cell_incr t.cells.queries;
-            let exclude = Int.equal peer in
-            top_up t ~home:m.home ~k ~exclude
-              (Registry_intf.query (registry_of t m.home) ~routers:m.routers ~k ~exclude ()))
+        if Simkit.Span.enabled t.spans then begin
+          let open Simkit.Span in
+          let span =
+            start_span t.spans ~name:"query" ?parent:(current t.spans) ~tid:peer
+              [ ("peer", Int peer); ("k", Int k); ("probes_spent", Int m.probes) ]
+          in
+          let reply = with_context t.spans (context_of span) (fun () -> lookup t ~peer ~k m) in
+          add_arg span "candidates" (Int (List.length reply));
+          add_arg span "dtree_best" (Int (match reply with (_, d) :: _ -> d | [] -> -1));
+          finish span;
+          reply
+        end
+        else lookup t ~peer ~k m
       in
       Simkit.Trace.cell_add t.cells.wire_bytes
         (Wire.byte_size (Wire.Neighbor_request { peer; k })
         + Wire.byte_size
             (Wire.Neighbor_reply
                { peer; neighbors = List.map (fun (p, d) -> (p, min d 0x3FFFFFF)) reply }));
-      if Simkit.Span.enabled t.spans then begin
-        let open Simkit.Span in
-        let tq = now t.spans in
-        let dtree_best = match reply with (_, d) :: _ -> d | [] -> -1 in
-        emit t.spans ~name:"query" ~ts:tq ~tid:peer ~ctx:query_ctx
-          [
-            ("peer", Int peer);
-            ("k", Int k);
-            ("candidates", Int (List.length reply));
-            ("dtree_best", Int dtree_best);
-            ("probes_spent", Int m.probes);
-          ];
-        (* The first query completes the newcomer's discovery: close its
-           join span here so the span covers the whole protocol. *)
-        close_join_span t ~peer;
-        advance t.spans 1.0
-      end;
       reply
 
 let reverse_introductions t ~peer ~k =
@@ -657,7 +597,6 @@ let leave t ~peer =
   match Peer_tbl.find_opt t.peers peer with
   | None -> raise Not_found
   | Some m ->
-      close_join_span t ~peer;
       remove_entry t ~peer m;
       Log.debug (fun log -> log "leave peer=%d landmark=%d" peer m.home);
       Simkit.Trace.cell_incr t.cells.leaves

@@ -47,10 +47,8 @@ val create :
 (** [backend] selects the per-landmark registry implementation (default
     {!Path_tree}); any module satisfying {!Registry_intf.S} plugs in and
     answers the same protocol.  [spans] (default {!Simkit.Span.noop})
-    receives structured protocol events: each join emits [ping_round],
-    [traceroute] and [register] events and opens a [join] span (tid = peer
-    id) that the peer's first {!neighbors} query closes — with attributes
-    like [probes_spent], [full_hops], [candidates] and [dtree_best].
+    receives one span (tid = peer id) per unit of work the server does,
+    under the ambient context ({!Simkit.Span.current}) when there is one.
     @raise Invalid_argument on an empty landmark array or duplicate
     landmarks. *)
 
@@ -86,7 +84,8 @@ val attach_router : t -> int -> Topology.Graph.node option
 val join : ?rng:Prelude.Prng.t -> t -> peer:int -> attach_router:Topology.Graph.node -> peer_info
 (** Execute both protocol rounds for a newcomer.  Deterministic without
     [rng] (perfect probes); with [rng], probe drops and RTT noise apply.
-    Exactly [register_measured] of [measure].
+    Exactly [register_measured] of [measure], traced as a root [join] span
+    around them that lasts at least {!measurement_duration_ms}.
     @raise Invalid_argument when the peer id is already registered. *)
 
 (** {1 Split join — the replication seam}
@@ -115,15 +114,16 @@ val measurement_duration_ms : measurement -> float
     traceroute, whose TTL probes are in flight together.  {!Protocol.join}
     waits this long before its server round. *)
 
+val measure_span :
+  Simkit.Span.sink -> parent:Simkit.Span.context -> peer:int -> measurement -> unit
+(** The ["measure"] span under [parent]: from now, for
+    {!measurement_duration_ms}, with the probe and hop counts. *)
+
 val register_measured :
-  ?parent:Simkit.Span.context ->
   t -> peer:int -> attach_router:Topology.Graph.node -> measurement -> peer_info
 (** Round 2 server side: register the measured path and account the join
-    (counters, spans).  The returned info shares the measurement's path.
-    With a span sink, the join span (and its
-    ping_round/traceroute/register children) roots a fresh trace, or joins
-    [parent]'s trace when given — that is how a cluster-routed registration
-    stays causally linked to the RPC attempt that carried it.
+    (counters, a [register] span).  The returned info shares the
+    measurement's path.
     @raise Invalid_argument when already registered. *)
 
 val register_measured_batch :
@@ -133,11 +133,8 @@ val register_measured_batch :
     {!register_measured} stores it, so registry state, per-peer counters
     and latency streams match n singleton calls.  What differs is what a
     batch changes on the wire: the accounting charges a single packed
-    {!Wire.Path_report_batch}, and with a span sink the batch is one
-    [register_batch] span (arg [ops]; no per-peer phase spans, no open
-    join span) whose duration — and the span clock advance — is the
-    slowest measurement, the batch being one concurrent round.  Returns
-    the infos in entry order, each sharing its measurement's path.
+    {!Wire.Path_report_batch}, and the batch is one [register_batch] span.
+    Returns the infos in entry order, each sharing its measurement's path.
     @raise Invalid_argument when any peer is already registered or
     repeated in the batch (nothing is applied). *)
 
@@ -189,7 +186,8 @@ val iter_registration_times : t -> (int -> float -> unit) -> unit
 val neighbors : t -> peer:int -> k:int -> (int * int) list
 (** [(peer, inferred distance)] ascending, at most [k], never containing the
     peer itself.  Cross-tree top-up entries carry inferred distance
-    [max_int].  @raise Not_found for an unregistered peer. *)
+    [max_int].  Traced as a [query] span.
+    @raise Not_found for an unregistered peer. *)
 
 val reverse_introductions : t -> peer:int -> k:int -> (int * int) list
 (** The push half of a join: registered peers for whom the newcomer now
@@ -214,11 +212,6 @@ val trace : t -> Simkit.Trace.t
     and query exchanges would occupy on the wire, per {!Wire});
     statistics ["path_hops"] and the per-phase join costs in simulated
     milliseconds ["ping_round_ms"], ["traceroute_ms"], ["join_ms"]. *)
-
-val flush_spans : t -> unit
-(** Close any join span still open (peers that joined but never queried) at
-    the current span clock.  Call before exporting the span buffer; a no-op
-    without a span sink. *)
 
 val check_invariants : t -> unit
 (** Every per-landmark tree is internally consistent; every registered

@@ -130,10 +130,7 @@ let record t ~args detail =
   | Some r -> Flight_recorder.record r ~ts:(Engine.now (engine t)) ~kind:"rpc" ~args detail
 
 let close t span outcome =
-  if Span.enabled t.spans then begin
-    Span.add_arg span "outcome" (Span.Str outcome);
-    Span.finish ~ts:(Engine.now (engine t)) span
-  end
+  if Span.enabled t.spans then Span.finish ~args:[ ("outcome", Span.Str outcome) ] span
 
 let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_give_up =
   let engine = engine t and traced = Span.enabled t.spans in
@@ -154,11 +151,10 @@ let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_g
       Trace.cell_incr t.cells.attempts;
       if n > 1 then Trace.cell_incr t.cells.retries;
       (* One child span per attempt: the retry index and per-attempt target
-         make client-side failover visible as sibling spans of one trace.
-         Spans run on the engine clock, not the sink's. *)
+         make client-side failover visible as sibling spans of one trace. *)
       let span =
         if traced then
-          Span.start_span t.spans ~name:"rpc_attempt" ~ts:(Engine.now engine) ?parent ~tid:src
+          Span.start_span t.spans ~name:"rpc_attempt" ?parent ~tid:src
             [ ("attempt", Span.Int n); ("src", Span.Int src) ]
         else Span.none
       in

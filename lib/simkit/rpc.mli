@@ -78,7 +78,7 @@ val call :
 
     With a span sink attached, each attempt becomes one ["rpc_attempt"]
     span — a child of [parent] when given, so retries and failovers show
-    as siblings in one causal tree — timed on the engine clock and
+    as siblings in one causal tree — ambient while [handle] runs, and
     annotated with the attempt index, the per-attempt target and the
     outcome (["ok"] / ["timeout"] / ["no_target"] / ["superseded"] for an
     attempt overtaken by another's late reply).

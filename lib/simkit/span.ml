@@ -20,7 +20,7 @@ type event = {
 
 type buffer = {
   pid : int;
-  mutable clock : float;
+  mutable clock : unit -> float;  (* see [set_clock] *)
   mutable events : event list;  (* newest first *)
   mutable count : int;
   mutable next_id : int;  (* span/trace id allocator, 1-based *)
@@ -34,15 +34,11 @@ type sink = Noop | Buffer of buffer
 let noop = Noop
 
 let buffer ?(pid = 1) () =
-  Buffer { pid; clock = 0.0; events = []; count = 0; next_id = 0; ambient = [] }
+  Buffer { pid; clock = (fun () -> 0.0); events = []; count = 0; next_id = 0; ambient = [] }
 
 let enabled = function Noop -> false | Buffer _ -> true
-let now = function Noop -> 0.0 | Buffer b -> b.clock
-
-let advance sink dt =
-  match sink with
-  | Noop -> ()
-  | Buffer b -> if dt > 0.0 then b.clock <- b.clock +. dt
+let now = function Noop -> 0.0 | Buffer b -> b.clock ()
+let set_clock sink clock = match sink with Noop -> () | Buffer b -> b.clock <- clock
 
 let fresh_id b =
   b.next_id <- b.next_id + 1;
@@ -96,12 +92,11 @@ let none =
   { sink = Noop; span_ctx = null_context; span_name = ""; t0 = 0.0; span_tid = 0; open_args = [];
     finished = true }
 
-let start_span sink ~name ?ts ?parent ?(tid = 0) args =
+let start_span sink ~name ?parent ?(tid = 0) args =
   match sink with
   | Noop -> none
   | Buffer _ ->
-      let ts = match ts with Some t -> t | None -> now sink in
-      { sink; span_ctx = context sink ?parent (); span_name = name; t0 = ts; span_tid = tid;
+      { sink; span_ctx = context sink ?parent (); span_name = name; t0 = now sink; span_tid = tid;
         open_args = args; finished = false }
 
 let context_of s = s.span_ctx
@@ -110,11 +105,10 @@ let add_arg s key v = if not s.finished then s.open_args <- (key, v) :: s.open_a
 (* Idempotent: a span can race its own timeout path (Rpc finishes the
    attempt span from both the reply and the stale timeout callback); only
    the first close emits. *)
-let finish ?ts ?(args = []) s =
+let finish ?(args = []) s =
   if not s.finished then begin
     s.finished <- true;
-    let t1 = match ts with Some t -> t | None -> now s.sink in
-    emit s.sink ~name:s.span_name ~ts:s.t0 ~dur:(Float.max 0.0 (t1 -. s.t0)) ~tid:s.span_tid
+    emit s.sink ~name:s.span_name ~ts:s.t0 ~dur:(Float.max 0.0 (now s.sink -. s.t0)) ~tid:s.span_tid
       ~ctx:s.span_ctx
       (List.rev s.open_args @ args)
   end
@@ -123,19 +117,18 @@ let finish ?ts ?(args = []) s =
    tagged with the exception text) and is ambient while [f] runs, so nested
    instrumentation — down to the registry middleware — parents itself under
    it without any signature threading. *)
-let with_span sink ~name ?clock ?parent ?tid args f =
+let with_span sink ~name ?parent ?tid args f =
   match sink with
   | Noop -> f null_context
   | Buffer _ ->
-      let clock = match clock with Some c -> c | None -> fun () -> now sink in
-      let s = start_span sink ~name ~ts:(clock ()) ?parent ?tid args in
+      let s = start_span sink ~name ?parent ?tid args in
       with_context sink s.span_ctx (fun () ->
           match f s.span_ctx with
           | v ->
-              finish ~ts:(clock ()) s;
+              finish s;
               v
           | exception e ->
-              finish ~ts:(clock ()) s ~args:[ ("error", Str (Printexc.to_string e)) ];
+              finish s ~args:[ ("error", Str (Printexc.to_string e)) ];
               raise e)
 
 let events = function Noop -> [] | Buffer b -> List.rev b.events

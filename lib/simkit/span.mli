@@ -3,16 +3,16 @@
 
     Protocol code emits named, timestamped, attributed events ("the join of
     peer 17 spent 12 probes; its traceroute covered 9 hops") into a sink.
-    The buffered sink keeps a logical millisecond clock that callers advance
-    by simulated durations; the noop sink makes every operation a constant —
+    The buffered sink reads the one clock its owner installs
+    ({!set_clock}); the noop sink makes every operation a constant —
     instrumentation sites guard on {!enabled} and pay nothing when tracing
     is off.
 
     Every span can carry a {!context} ([trace_id]/[span_id]/
     [parent_span_id]) linking it into one causal tree per request: the
-    protocol opens a root span per join, the RPC layer opens one child per
-    attempt, the cluster one per replicated write, the registry middleware
-    one per store operation.  {!Trace_analysis} reconstructs the trees.
+    protocol opens a root span per join, the RPC layer one per attempt, the
+    server and cluster one per unit of work, the registry middleware one
+    per store operation.  {!Trace_analysis} reconstructs the trees.
 
     Export is JSONL in the Chrome trace-event format (one complete ["X"]
     event per line, timestamps in microseconds), loadable in
@@ -55,11 +55,11 @@ val buffer : ?pid:int -> unit -> sink
 
 val enabled : sink -> bool
 val now : sink -> float
-(** Current logical clock (ms); 0 on the noop sink. *)
+(** The sink clock (ms); 0 on the noop sink. *)
 
-val advance : sink -> float -> unit
-(** Move the logical clock forward; non-positive deltas and the noop sink
-    are no-ops. *)
+val set_clock : sink -> (unit -> float) -> unit
+(** The clock every span is stamped with — the engine's, installed by
+    whoever owns it.  Default: constant 0. *)
 
 val context : sink -> ?parent:context -> unit -> context
 (** A fresh context: child of [parent] (same trace) when given, root of a
@@ -84,15 +84,12 @@ val emit :
 
     For spans whose duration is only known at completion time — an RPC
     attempt, a join waiting for its reply.  [start_span] captures the start
-    timestamp and allocates the context; [finish] emits the complete event.
-    Timestamps default to the sink clock but can be overridden for code
-    running on a different clock (e.g. the engine's). *)
+    timestamp and allocates the context; [finish] emits the complete event. *)
 
 type span
 
 val start_span :
-  sink -> name:string -> ?ts:float -> ?parent:context -> ?tid:int ->
-  (string * value) list -> span
+  sink -> name:string -> ?parent:context -> ?tid:int -> (string * value) list -> span
 
 val none : span
 (** What {!start_span} returns on the noop sink, allocating nothing: a
@@ -105,18 +102,17 @@ val context_of : span -> context
 val add_arg : span -> string -> value -> unit
 (** Attach an attribute discovered mid-flight (e.g. the attempt outcome). *)
 
-val finish : ?ts:float -> ?args:(string * value) list -> span -> unit
-(** Emit the complete event, [dur = ts - start] (clamped at 0).
+val finish : ?args:(string * value) list -> span -> unit
+(** Emit the complete event, [dur = now - start] (clamped at 0).
     Idempotent: only the first call emits — a reply and a stale timeout may
     both try to close the same attempt span. *)
 
 val with_span :
-  sink -> name:string -> ?clock:(unit -> float) -> ?parent:context -> ?tid:int ->
-  (string * value) list -> (context -> 'a) -> 'a
-(** Scoped span: starts at [clock ()] (default: the sink clock), runs [f]
-    with the span's context ambient ({!current}), and finishes on {e all}
-    exit paths — an exception closes the span with an ["error"] attribute
-    and re-raises.  This is the leak-proof form; prefer it over manual
+  sink -> name:string -> ?parent:context -> ?tid:int -> (string * value) list ->
+  (context -> 'a) -> 'a
+(** Scoped span: runs [f] with the span's context ambient ({!current}),
+    and finishes on {e all} exit paths — an exception closes the span with
+    an ["error"] attribute and re-raises.  This is the leak-proof form; prefer it over manual
     [start_span]/[finish] wherever the work is lexically scoped. *)
 
 val events : sink -> event list

@@ -191,46 +191,45 @@ let quantile sorted q =
   if n = 0 then nan
   else sorted.(min (n - 1) (int_of_float (Float.round (q *. float_of_int (n - 1)))))
 
+type root_stats = { root_name : string; roots : int; p50 : float; p99 : float; max : float }
+
 type report = {
   trace_count : int;
   span_count : int;
   untraced : int;
   orphan_count : int;
-  root_name : string;  (* most common root span kind *)
-  root_p50 : float;
-  root_p99 : float;
-  root_max : float;
+  root_kinds : root_stats list;  (* one per root span kind, most common first *)
   overall : breakdown list;  (* critical-path time by kind, all traces *)
-  tail : breakdown list;  (* same, over traces with root duration >= p99 *)
+  tail : breakdown list;  (* same, over traces with root duration >= p99 of all roots *)
   tail_traces : (int * float) list;  (* (trace_id, root_ms), slowest first *)
 }
 
-let analyze ?(untraced = 0) spans =
-  let ts = traces spans in
+let sorted_durations ts =
   let durs = List.map (fun t -> t.root.span.dur) ts |> Array.of_list in
   Array.sort compare durs;
-  let p99 = quantile durs 0.99 in
+  durs
+
+(* Root durations per root kind: a join and a query are different
+   requests, and one pooled quantile would describe neither. *)
+let root_kinds ts =
+  List.sort_uniq compare (List.map (fun t -> t.root.span.name) ts)
+  |> List.map (fun root_name ->
+         let durs = sorted_durations (List.filter (fun t -> t.root.span.name = root_name) ts) in
+         let n = Array.length durs in
+         let q = quantile durs in
+         { root_name; roots = n; p50 = q 0.5; p99 = q 0.99; max = durs.(n - 1) })
+  |> List.stable_sort (fun a b -> compare b.roots a.roots)
+
+let analyze ?(untraced = 0) spans =
+  let ts = traces spans in
+  let p99 = quantile (sorted_durations ts) 0.99 in
   let tail_ts = List.filter (fun t -> t.root.span.dur >= p99) ts in
-  let root_name =
-    let tbl = Hashtbl.create 4 in
-    List.iter
-      (fun t ->
-        let n = try Hashtbl.find tbl t.root.span.name with Not_found -> 0 in
-        Hashtbl.replace tbl t.root.span.name (n + 1))
-      ts;
-    Hashtbl.fold (fun k n acc -> (n, k) :: acc) tbl []
-    |> List.sort compare |> List.rev
-    |> function (_, k) :: _ -> k | [] -> "?"
-  in
   {
     trace_count = List.length ts;
     span_count = List.fold_left (fun acc (t : trace) -> acc + t.span_count + t.orphans) 0 ts;
     untraced;
     orphan_count = List.fold_left (fun acc (t : trace) -> acc + t.orphans) 0 ts;
-    root_name;
-    root_p50 = quantile durs 0.5;
-    root_p99 = p99;
-    root_max = (if Array.length durs = 0 then nan else durs.(Array.length durs - 1));
+    root_kinds = root_kinds ts;
     overall = by_kind (List.concat_map critical_path ts);
     tail = by_kind (List.concat_map critical_path tail_ts);
     tail_traces =
@@ -250,11 +249,14 @@ let report_to_string r =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "traces: %d  spans: %d  (untraced events: %d, orphan spans: %d)" r.trace_count r.span_count
     r.untraced r.orphan_count;
-  line "root span %S: p50=%.1fms  p99=%.1fms  max=%.1fms" r.root_name r.root_p50 r.root_p99
-    r.root_max;
+  List.iter
+    (fun k ->
+      line "root span %S: p50=%.1fms  p99=%.1fms  max=%.1fms  n=%d" k.root_name k.p50 k.p99 k.max
+        k.roots)
+    r.root_kinds;
   line "critical path by span kind, all traces:";
   List.iter (line "%s") (breakdown_lines r.overall);
-  line "critical path by span kind, tail traces (root >= p99, %d trace%s):"
+  line "critical path by span kind, tail traces (root >= p99 of all roots, %d trace%s):"
     (List.length r.tail_traces)
     (if List.length r.tail_traces = 1 then "" else "s");
   List.iter (line "%s") (breakdown_lines r.tail);

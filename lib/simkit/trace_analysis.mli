@@ -62,17 +62,20 @@ val by_kind : segment list -> breakdown list
 (** Critical-path time grouped by span kind, largest share first.
     [share] is of the summed segment time ([0] when that is [0]). *)
 
+type root_stats = { root_name : string; roots : int; p50 : float; p99 : float; max : float }
+(** Root-span duration quantiles (ms) over the [roots] traces whose root
+    is a [root_name] span. *)
+
 type report = {
   trace_count : int;
   span_count : int;
   untraced : int;
   orphan_count : int;
-  root_name : string;  (** Most common root span kind. *)
-  root_p50 : float;  (** Root-span duration quantiles, ms; [nan] if empty. *)
-  root_p99 : float;
-  root_max : float;
+  root_kinds : root_stats list;  (** One per root span kind, most common first. *)
   overall : breakdown list;  (** Critical-path time by kind, all traces. *)
-  tail : breakdown list;  (** Same, over traces with root duration >= p99. *)
+  tail : breakdown list;
+      (** Same, over traces whose root duration is at least the p99 of all
+          root durations, whatever their kind. *)
   tail_traces : (int * float) list;  (** [(trace_id, root_ms)], slowest first. *)
 }
 

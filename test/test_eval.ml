@@ -204,6 +204,48 @@ let test_truncate_exp_smoke () =
         (last.mean_probes_per_join < full.mean_probes_per_join)
   | _ -> Alcotest.fail "expected two rows"
 
+(* E4's gates on a tiny run: two gates per strategy, and the trade-off's
+   shape holds as flags. *)
+let test_truncate_gates () =
+  let rows =
+    Eval.Truncate_exp.run
+      {
+        Eval.Truncate_exp.routers = 300;
+        peers = 40;
+        landmark_count = 4;
+        k = 3;
+        strategies = Traceroute.Truncate.[ Full; Every_k 2; Last_k 2 ];
+        seeds = [ 1 ];
+      }
+  in
+  let gates = Eval.Truncate_exp.gates rows in
+  Alcotest.(check (list string)) "gate names"
+    [
+      "truncate/full/d_over_dclosest";
+      "truncate/full/probes_per_join";
+      "truncate/every-2/d_over_dclosest";
+      "truncate/every-2/probes_per_join";
+      "truncate/last-2/d_over_dclosest";
+      "truncate/last-2/probes_per_join";
+      "truncate/full_best_quality";
+      "truncate/full_probes_most";
+    ]
+    (List.map (fun (g : Eval.Regression.gate) -> g.name) gates);
+  List.iter
+    (fun (g : Eval.Regression.gate) ->
+      Alcotest.(check bool) (g.name ^ " finite") true (Float.is_finite g.value);
+      if g.direction = Eval.Regression.Exact then
+        Alcotest.(check (float 0.0)) (g.name ^ " holds") 1.0 g.value)
+    gates;
+  (* The gates survive their own JSON round trip, as [bench regress] reads them. *)
+  let doc = Printf.sprintf {|{"gates": %s}|} (Eval.Regression.to_json gates) in
+  match Result.bind (Simkit.Json.parse doc) Eval.Regression.of_document with
+  | Ok read ->
+      Alcotest.(check int) "all gates pass against themselves" 0
+        (List.length
+           (Eval.Regression.failures (Eval.Regression.compare_gates ~baseline:gates ~current:read)))
+  | Error e -> Alcotest.fail e
+
 let test_super_peer_exp_smoke () =
   let rows =
     Eval.Super_peer_exp.run
@@ -378,6 +420,7 @@ let suite =
       Alcotest.test_case "complexity rows" `Slow test_complexity_rows;
       Alcotest.test_case "landmark sweep" `Slow test_landmark_sweep_smoke;
       Alcotest.test_case "truncate experiment" `Slow test_truncate_exp_smoke;
+      Alcotest.test_case "truncate gates" `Slow test_truncate_gates;
       Alcotest.test_case "super-peer experiment" `Slow test_super_peer_exp_smoke;
       Alcotest.test_case "churn experiment" `Slow test_churn_exp_smoke;
       Alcotest.test_case "churn heartbeat mode" `Slow test_churn_heartbeat_mode;

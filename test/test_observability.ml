@@ -55,11 +55,17 @@ let test_with_span_closes_on_exception () =
 
 let test_finish_idempotent () =
   let s = Span.buffer () in
-  let span = Span.start_span s ~name:"attempt" ~ts:10.0 [] in
-  Span.finish ~ts:25.0 span;
-  Span.finish ~ts:99.0 span;
+  let now = ref 10.0 in
+  Span.set_clock s (fun () -> !now);
+  let span = Span.start_span s ~name:"attempt" [] in
+  now := 25.0;
+  Span.finish span;
+  now := 99.0;
+  Span.finish span;
   match Span.events s with
-  | [ e ] -> Alcotest.(check (float 1e-9)) "first close wins" 15.0 e.Span.dur
+  | [ e ] ->
+      Alcotest.(check (float 1e-9)) "starts on the installed clock" 10.0 e.Span.ts;
+      Alcotest.(check (float 1e-9)) "first close wins" 15.0 e.Span.dur
   | evs -> Alcotest.failf "expected exactly one event, got %d" (List.length evs)
 
 (* --- tail exemplars ----------------------------------------------------- *)
@@ -228,10 +234,30 @@ let test_critical_path () =
       Alcotest.(check (float 1e-6)) "parent keeps pre-child time" 5.0 (ms "rpc_attempt");
       Alcotest.(check (float 1e-6)) "sibling up to successor start" 20.0 (ms "measure");
       Alcotest.(check (float 1e-6)) "root self time" 20.0 (ms "join");
+      (* A second root kind gets quantiles of its own: three query traces
+         of 2, 4 and 6 ms beside the 100 ms join. *)
+      List.iter
+        (fun dur -> Span.emit s ~name:"query" ~ts:200.0 ~dur ~ctx:(Span.context s ()) [])
+        [ 2.0; 4.0; 6.0 ];
+      let spans, untraced = Trace_analysis.of_jsonl_string (Span.to_jsonl s) in
       let report = Trace_analysis.analyze ~untraced spans in
-      Alcotest.(check string) "root kind" "join" report.Trace_analysis.root_name;
-      Alcotest.(check bool) "report renders breakdown" true
-        (contains "rpc_attempt" (Trace_analysis.report_to_string report))
+      Alcotest.(check (list (pair string (list (float 1e-6)))))
+        "per-kind root quantiles, most common first"
+        [ ("query", [ 3.0; 4.0; 6.0; 6.0 ]); ("join", [ 1.0; 100.0; 100.0; 100.0 ]) ]
+        (List.map
+           (fun (k : Trace_analysis.root_stats) ->
+             ( k.Trace_analysis.root_name,
+               [ float_of_int k.Trace_analysis.roots; k.Trace_analysis.p50; k.Trace_analysis.p99;
+                 k.Trace_analysis.max ] ))
+           report.Trace_analysis.root_kinds);
+      let text = Trace_analysis.report_to_string report in
+      Alcotest.(check bool) "report renders breakdown" true (contains "rpc_attempt" text);
+      List.iter
+        (fun line -> Alcotest.(check bool) line true (contains line text))
+        [
+          {|root span "query": p50=4.0ms  p99=6.0ms  max=6.0ms  n=3|};
+          {|root span "join": p50=100.0ms  p99=100.0ms  max=100.0ms  n=1|};
+        ]
   | ts -> Alcotest.failf "expected 1 trace, got %d" (List.length ts)
 
 let test_multiple_roots_kept_longest () =
@@ -384,6 +410,54 @@ let test_failover_joins_stay_one_trace () =
         (root = "join" || root = "sync_round"))
     (Trace_analysis.traces spans')
 
+(* --- span reconciliation ------------------------------------------------ *)
+
+(* One span clock: in a traced crash-primary run every peer has exactly one
+   "join" and one "measure" span, and every span lies within its parent's
+   [ts, ts + dur] up to 1 µs.  Replication is the one exception by design:
+   it is delivered after the reply, so a "replicate" span may outlive the
+   attempt that sent it. *)
+let test_spans_reconcile () =
+  let spans = Span.buffer () in
+  let config =
+    { Eval.Resilience_exp.quick_config with Eval.Resilience_exp.scenario = "crash-primary" }
+  in
+  ignore (Eval.Resilience_exp.run_instrumented ~spans config);
+  let events = Span.events spans in
+  let peers = List.init config.Eval.Resilience_exp.peers Fun.id in
+  List.iter
+    (fun name ->
+      let tids =
+        List.filter_map
+          (fun (e : Span.event) -> if e.Span.name = name then Some e.Span.tid else None)
+          events
+      in
+      Alcotest.(check (list int)) ("one " ^ name ^ " span per peer") peers (List.sort compare tids))
+    [ "join"; "measure" ];
+  let by_id = Hashtbl.create 1024 in
+  List.iter
+    (fun (e : Span.event) ->
+      match e.Span.ctx with
+      | Some c -> Hashtbl.replace by_id c.Span.span_id e
+      | None -> Alcotest.failf "untraced %s event" e.Span.name)
+    events;
+  let slack = 1e-3 in
+  let outside =
+    List.filter
+      (fun (e : Span.event) ->
+        e.Span.name <> "replicate"
+        &&
+        match (Option.get e.Span.ctx).Span.parent_span_id with
+        | None -> false
+        | Some p ->
+            let parent = Hashtbl.find by_id p in
+            e.Span.ts < parent.Span.ts -. slack
+            || e.Span.ts +. e.Span.dur > parent.Span.ts +. parent.Span.dur +. slack)
+      events
+  in
+  Alcotest.(check (list string)) "spans outside their parent" []
+    (List.map (fun (e : Span.event) -> e.Span.name) outside)
+
 let suite =
   ( "observability",
     [
@@ -402,4 +476,5 @@ let suite =
         test_instrumented_spans_parent_on_ambient;
       Alcotest.test_case "failover joins stay one trace" `Quick
         test_failover_joins_stay_one_trace;
+      Alcotest.test_case "spans reconcile with their parents" `Quick test_spans_reconcile;
     ] )

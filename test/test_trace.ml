@@ -139,7 +139,7 @@ let test_span_noop () =
   let s = Span.noop in
   Alcotest.(check bool) "disabled" false (Span.enabled s);
   Span.emit s ~name:"x" ~ts:0.0 [];
-  Span.advance s 5.0;
+  Span.set_clock s (fun () -> 5.0);
   Alcotest.(check (float 1e-9)) "clock pinned" 0.0 (Span.now s);
   Alcotest.(check int) "no events" 0 (Span.event_count s);
   Alcotest.(check string) "empty jsonl" "" (Span.to_jsonl s)
@@ -147,11 +147,12 @@ let test_span_noop () =
 let test_span_buffer () =
   let s = Span.buffer ~pid:3 () in
   Alcotest.(check bool) "enabled" true (Span.enabled s);
+  Alcotest.(check (float 1e-9)) "default clock" 0.0 (Span.now s);
   Span.emit s ~name:"join" ~ts:(Span.now s) ~dur:2.5 ~tid:7
     [ ("peer", Span.Int 7); ("rtt", Span.Float 2.5); ("ok", Span.Bool true); ("who", Span.Str "p\"1") ];
-  Span.advance s 2.5;
+  Span.set_clock s (fun () -> 2.5);
   Span.emit s ~name:"query" ~ts:(Span.now s) ~tid:7 [];
-  Alcotest.(check (float 1e-9)) "clock advanced" 2.5 (Span.now s);
+  Alcotest.(check (float 1e-9)) "installed clock read" 2.5 (Span.now s);
   Alcotest.(check int) "two events" 2 (Span.event_count s);
   let lines = String.split_on_char '\n' (String.trim (Span.to_jsonl s)) in
   Alcotest.(check int) "one line per event" 2 (List.length lines);
@@ -172,47 +173,78 @@ let contains needle hay =
   let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+(* An in-process join is one root "join" span enclosing its "measure" and
+   "register" spans; a query is a root of its own. *)
 let test_server_spans () =
   let d = Eval.Paper_drawing.build () in
   let oracle = Traceroute.Route_oracle.create d.graph in
   let spans = Span.buffer () in
+  let now = ref 100.0 in
+  Span.set_clock spans (fun () -> !now);
   let server = Nearby.Server.create ~spans oracle ~landmarks:[| d.lmk |] in
   let attach = Eval.Paper_drawing.peer_attach_routers d in
   for peer = 0 to 2 do
-    ignore (Nearby.Server.join server ~peer ~attach_router:attach.(peer))
+    ignore (Nearby.Server.join server ~peer ~attach_router:attach.(peer));
+    now := !now +. 50.0
   done;
   ignore (Nearby.Server.neighbors server ~peer:0 ~k:2);
-  ignore (Nearby.Server.neighbors server ~peer:1 ~k:2);
-  (* Peer 2 never queries: flush must close its join span. *)
-  Nearby.Server.flush_spans server;
+  ignore (Nearby.Server.neighbors server ~peer:0 ~k:2);
   let events = Span.events spans in
-  let of_peer p = List.filter (fun (e : Span.event) -> e.tid = p) events in
+  let ctx (e : Span.event) = Option.get e.ctx in
   List.iter
     (fun peer ->
-      let evs = of_peer peer in
-      let find name = List.find (fun (e : Span.event) -> e.name = name) evs in
-      let join = find "join" in
+      let evs = List.filter (fun (e : Span.event) -> e.tid = peer) events in
+      let named name = List.filter (fun (e : Span.event) -> e.name = name) evs in
+      let join =
+        match named "join" with
+        | [ j ] -> j
+        | js -> Alcotest.failf "peer %d: %d join spans" peer (List.length js)
+      in
+      Alcotest.(check bool) (Printf.sprintf "peer %d: join is a root" peer) true
+        ((ctx join).parent_span_id = None);
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "peer %d: join starts on the sink clock" peer)
+        (100.0 +. (50.0 *. float_of_int peer))
+        join.ts;
       List.iter
-        (fun name ->
-          let e = find name in
+        (fun (name, keys) ->
+          let e =
+            match named name with
+            | [ e ] -> e
+            | es -> Alcotest.failf "peer %d: %d %s spans" peer (List.length es) name
+          in
           Alcotest.(check bool)
-            (Printf.sprintf "peer %d: %s starts inside join" peer name)
-            true (e.ts >= join.ts);
-          Alcotest.(check bool)
-            (Printf.sprintf "peer %d: %s ends inside join" peer name)
-            true (e.ts +. e.dur <= join.ts +. join.dur +. 1e-9);
-          Alcotest.(check bool)
-            (Printf.sprintf "peer %d: %s carries probes_spent" peer name)
+            (Printf.sprintf "peer %d: %s is a child of join" peer name)
             true
-            (List.mem_assoc "probes_spent" e.args))
-        ([ "ping_round"; "traceroute"; "register" ] @ if peer <= 1 then [ "query" ] else []))
+            ((ctx e).parent_span_id = Some (ctx join).span_id);
+          Alcotest.(check bool)
+            (Printf.sprintf "peer %d: %s lies inside join" peer name)
+            true
+            (e.ts >= join.ts && e.ts +. e.dur <= join.ts +. join.dur +. 1e-9);
+          List.iter
+            (fun key ->
+              Alcotest.(check bool)
+                (Printf.sprintf "peer %d: %s carries %s" peer name key)
+                true (List.mem_assoc key e.args))
+            keys)
+        [
+          ( "measure",
+            [ "landmark"; "landmarks_pinged"; "rtt_ms"; "full_hops"; "recorded_hops";
+              "probes_spent" ] );
+          ("register", [ "landmark"; "routers" ]);
+        ];
+      let measure = List.find (fun (e : Span.event) -> e.name = "measure") evs in
+      Alcotest.(check bool) (Printf.sprintf "peer %d: measurement takes time" peer) true
+        (measure.dur > 0.0 && join.dur >= measure.dur))
     [ 0; 1; 2 ];
-  (* A second query must not re-open or re-close the join span. *)
-  ignore (Nearby.Server.neighbors server ~peer:0 ~k:2);
-  let joins_of_0 =
-    List.filter (fun (e : Span.event) -> e.tid = 0 && e.name = "join") (Span.events spans)
-  in
-  Alcotest.(check int) "one join span per peer" 1 (List.length joins_of_0)
+  (* Each query roots a trace of its own and lasts no sink-clock time. *)
+  let queries = List.filter (fun (e : Span.event) -> e.name = "query") events in
+  Alcotest.(check int) "one span per query" 2 (List.length queries);
+  List.iter
+    (fun (q : Span.event) ->
+      Alcotest.(check bool) "query is a root" true ((ctx q).parent_span_id = None);
+      Alcotest.(check bool) "query carries candidates" true (List.mem_assoc "candidates" q.args))
+    queries
 
 (* --- exporters -------------------------------------------------------- *)
 
