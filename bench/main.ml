@@ -359,6 +359,17 @@ let time_ops f =
   let dt = Sys.time () -. t0 in
   float_of_int ops /. Float.max dt 1e-9
 
+(* Repeat [pass] (which returns its op count) until the CPU clock has run
+   for [min_s]: one pass of a thousand tree queries lasts about a
+   millisecond, too short a window for [Sys.time] on a shared machine. *)
+let time_repeated ~min_s pass =
+  let t0 = Sys.time () in
+  let ops = ref 0 in
+  while !ops = 0 || Sys.time () -. t0 < min_s do
+    ops := !ops + pass ()
+  done;
+  float_of_int !ops /. Float.max (Sys.time () -. t0) 1e-9
+
 (* The million-member scaling sweep of the path tree: built with the batch
    interface ([insert_many] in 8192-entry chunks), then queried with
    [query_member] in a loop.  One build per point -- a 1M build is seconds
@@ -392,16 +403,11 @@ let run_sweep ~sweep_max =
               n)
         in
         let query_ops =
-          time_ops (fun () ->
-              let t0 = Sys.time () in
-              let reps = ref 0 in
-              while !reps < 50 && (!reps < 3 || Sys.time () -. t0 < 0.5) do
-                for i = 0 to query_count - 1 do
-                  ignore (Nearby.Registry_intf.query_member reg ~peer:(i * stride) ~k)
-                done;
-                incr reps
+          time_repeated ~min_s:0.5 (fun () ->
+              for i = 0 to query_count - 1 do
+                ignore (Nearby.Registry_intf.query_member reg ~peer:(i * stride) ~k)
               done;
-              !reps * query_count)
+              query_count)
         in
         let intro = Nearby.Registry_intf.introspect reg in
         {
@@ -464,7 +470,7 @@ let run_registry ~full ~sweep_max =
     let reg = !reg in
     let answers = Array.make query_count [] in
     let query_ops =
-      time_ops (fun () ->
+      time_repeated ~min_s:0.2 (fun () ->
           for peer = 0 to query_count - 1 do
             answers.(peer) <- Nearby.Registry_intf.query_member reg ~peer ~k
           done;

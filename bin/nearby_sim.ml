@@ -1,5 +1,7 @@
-(* Command-line driver: run any experiment from DESIGN.md's index with
-   configurable size, either at the paper-scale default or in quick mode. *)
+(* Command-line driver for the runs that are more than a table: the
+   registry cross-check, fault injection, open-loop load, the live fleet
+   dashboard, trace analysis and the self-checks.  The experiment tables
+   of DESIGN.md's index are regenerated by bench/main.exe. *)
 
 open Cmdliner
 
@@ -58,203 +60,6 @@ let parse_slos specs =
 let override v f config = match v with Some x -> f config x | None -> config
 
 let exit_ok = `Ok ()
-
-let fig2_cmd =
-  let run quick seed routers k =
-    let config = if quick then Eval.Fig2.quick_config else Eval.Fig2.default_config in
-    let config = match seed with Some s -> { config with seeds = [ s ] } | None -> config in
-    let config = override routers (fun c v -> { c with Eval.Fig2.routers = v }) config in
-    let config = override k (fun c v -> { c with Eval.Fig2.k = v }) config in
-    Eval.Fig2.print (Eval.Fig2.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "fig2" ~doc:"Reproduce the paper's measured figure: quality ratios vs population.")
-    Term.(ret (const run $ quick_flag $ seed_opt $ routers_opt $ k_opt))
-
-let landmarks_cmd =
-  let run quick seed routers peers k =
-    let config = if quick then Eval.Landmark_sweep.quick_config else Eval.Landmark_sweep.default_config in
-    let config = match seed with Some s -> { config with seeds = [ s ] } | None -> config in
-    let config = override routers (fun c v -> { c with Eval.Landmark_sweep.routers = v }) config in
-    let config = override peers (fun c v -> { c with Eval.Landmark_sweep.peers = v }) config in
-    let config = override k (fun c v -> { c with Eval.Landmark_sweep.k = v }) config in
-    Eval.Landmark_sweep.print (Eval.Landmark_sweep.run config);
-    print_newline ();
-    Eval.Landmark_sweep.print_ablation (Eval.Landmark_sweep.run_round1_ablation config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "landmarks" ~doc:"E1: sweep landmark count and placement policy.")
-    Term.(ret (const run $ quick_flag $ seed_opt $ routers_opt $ peers_opt $ k_opt))
-
-let superpeers_cmd =
-  let run quick seed routers peers k =
-    let config = if quick then Eval.Super_peer_exp.quick_config else Eval.Super_peer_exp.default_config in
-    let config = match seed with Some s -> { config with seeds = [ s ] } | None -> config in
-    let config = override routers (fun c v -> { c with Eval.Super_peer_exp.routers = v }) config in
-    let config = override peers (fun c v -> { c with Eval.Super_peer_exp.peers = v }) config in
-    let config = override k (fun c v -> { c with Eval.Super_peer_exp.k = v }) config in
-    Eval.Super_peer_exp.print (Eval.Super_peer_exp.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "superpeers" ~doc:"E2: super-peer delegation vs centralized server.")
-    Term.(ret (const run $ quick_flag $ seed_opt $ routers_opt $ peers_opt $ k_opt))
-
-let churn_cmd =
-  let run quick seed =
-    let config = if quick then Eval.Churn_exp.quick_config else Eval.Churn_exp.default_config in
-    let config = match seed with Some s -> { config with seed = s } | None -> config in
-    Eval.Churn_exp.print (Eval.Churn_exp.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "churn" ~doc:"E3: quality under churn, crashes and handover.")
-    Term.(ret (const run $ quick_flag $ seed_opt))
-
-let truncate_cmd =
-  let run quick seed routers peers k =
-    let config = if quick then Eval.Truncate_exp.quick_config else Eval.Truncate_exp.default_config in
-    let config = match seed with Some s -> { config with seeds = [ s ] } | None -> config in
-    let config = override routers (fun c v -> { c with Eval.Truncate_exp.routers = v }) config in
-    let config = override peers (fun c v -> { c with Eval.Truncate_exp.peers = v }) config in
-    let config = override k (fun c v -> { c with Eval.Truncate_exp.k = v }) config in
-    Eval.Truncate_exp.print (Eval.Truncate_exp.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "truncate" ~doc:"E4: decreased traceroute - quality vs probe cost.")
-    Term.(ret (const run $ quick_flag $ seed_opt $ routers_opt $ peers_opt $ k_opt))
-
-let setup_delay_cmd =
-  let run quick seed =
-    let config = if quick then Eval.Setup_delay.quick_config else Eval.Setup_delay.default_config in
-    let config = match seed with Some s -> { config with seed = s } | None -> config in
-    Eval.Setup_delay.print (Eval.Setup_delay.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "setup-delay" ~doc:"E5: setup delay vs quality against Vivaldi and GNP.")
-    Term.(ret (const run $ quick_flag $ seed_opt))
-
-let complexity_cmd =
-  let run quick seed =
-    let config = if quick then Eval.Complexity.quick_config else Eval.Complexity.default_config in
-    let config = match seed with Some s -> { config with seed = s } | None -> config in
-    Eval.Complexity.print (Eval.Complexity.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "complexity" ~doc:"Path-tree insert/query cost vs population (the O(log n)/O(1) claim).")
-    Term.(ret (const run $ quick_flag $ seed_opt))
-
-let metric_cmd =
-  let run quick seed =
-    let config = if quick then Eval.Metric_ablation.quick_config else Eval.Metric_ablation.default_config in
-    let config = match seed with Some s -> { config with seeds = [ s ] } | None -> config in
-    Eval.Metric_ablation.print (Eval.Metric_ablation.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "metric" ~doc:"Ablation: hop-count dtree vs latency-weighted dtree.")
-    Term.(ret (const run $ quick_flag $ seed_opt))
-
-let streaming_cmd =
-  let run quick seed routers peers k =
-    let config = if quick then Eval.Streaming_exp.quick_config else Eval.Streaming_exp.default_config in
-    let config = match seed with Some s -> { config with seed = s } | None -> config in
-    let config = override routers (fun c v -> { c with Eval.Streaming_exp.routers = v }) config in
-    let config = override peers (fun c v -> { c with Eval.Streaming_exp.peers = v }) config in
-    let config = override k (fun c v -> { c with Eval.Streaming_exp.k = v }) config in
-    Eval.Streaming_exp.print (Eval.Streaming_exp.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "streaming" ~doc:"Mesh live streaming under different neighbor selectors.")
-    Term.(ret (const run $ quick_flag $ seed_opt $ routers_opt $ peers_opt $ k_opt))
-
-let stretch_cmd =
-  let run quick seed =
-    let config = if quick then Eval.Stretch_analysis.quick_config else Eval.Stretch_analysis.default_config in
-    let config = match seed with Some s -> { config with seed = s } | None -> config in
-    Eval.Stretch_analysis.print (Eval.Stretch_analysis.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "stretch" ~doc:"Graph-oriented analysis of dtree vs true distance.")
-    Term.(ret (const run $ quick_flag $ seed_opt))
-
-let maintenance_cmd =
-  let run quick seed =
-    let config = if quick then Eval.Maintenance_exp.quick_config else Eval.Maintenance_exp.default_config in
-    let config = match seed with Some s -> { config with seed = s } | None -> config in
-    Eval.Maintenance_exp.print (Eval.Maintenance_exp.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "maintenance" ~doc:"Neighbor-set decay under churn, frozen vs refreshed.")
-    Term.(ret (const run $ quick_flag $ seed_opt))
-
-let topologies_cmd =
-  let run quick seed =
-    let config =
-      if quick then Eval.Topology_sensitivity.quick_config else Eval.Topology_sensitivity.default_config
-    in
-    let config = match seed with Some s -> { config with seeds = [ s ] } | None -> config in
-    Eval.Topology_sensitivity.print (Eval.Topology_sensitivity.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "topologies" ~doc:"Quality across map families (heavy tail vs homogeneous).")
-    Term.(ret (const run $ quick_flag $ seed_opt))
-
-let dht_cmd =
-  let run quick seed routers peers k =
-    let config = if quick then Eval.Dht_exp.quick_config else Eval.Dht_exp.default_config in
-    let config = match seed with Some s -> { config with seed = s } | None -> config in
-    let config = override routers (fun c v -> { c with Eval.Dht_exp.routers = v }) config in
-    let config = override peers (fun c v -> { c with Eval.Dht_exp.peers = v }) config in
-    let config = override k (fun c v -> { c with Eval.Dht_exp.k = v }) config in
-    Eval.Dht_exp.print (Eval.Dht_exp.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "dht" ~doc:"Decentralize the management server over a Chord DHT.")
-    Term.(ret (const run $ quick_flag $ seed_opt $ routers_opt $ peers_opt $ k_opt))
-
-let inflation_cmd =
-  let run quick seed =
-    let config = if quick then Eval.Inflation_exp.quick_config else Eval.Inflation_exp.default_config in
-    let config = match seed with Some s -> { config with seed = s } | None -> config in
-    Eval.Inflation_exp.print (Eval.Inflation_exp.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "inflation" ~doc:"Robustness to policy routing (path inflation).")
-    Term.(ret (const run $ quick_flag $ seed_opt))
-
-let bulk_cmd =
-  let run quick seed =
-    let config = if quick then Eval.Bulk_exp.quick_config else Eval.Bulk_exp.default_config in
-    let config = match seed with Some s -> { config with seed = s } | None -> config in
-    Eval.Bulk_exp.print (Eval.Bulk_exp.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "bulk" ~doc:"Bulk file-swarm distribution under different selectors.")
-    Term.(ret (const run $ quick_flag $ seed_opt))
-
-let joining_cmd =
-  let run quick seed =
-    let config = if quick then Eval.Joining_exp.quick_config else Eval.Joining_exp.default_config in
-    let config = match seed with Some s -> { config with seed = s } | None -> config in
-    Eval.Joining_exp.print (Eval.Joining_exp.run config);
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "joining" ~doc:"Newcomer time-to-playback mid-stream (the paper's thesis, end to end).")
-    Term.(ret (const run $ quick_flag $ seed_opt))
 
 let resilience_cmd =
   let scenario_arg =
@@ -1066,12 +871,6 @@ let verify_cmd =
           | Ok m' -> assert (Nearby.Wire.equal m m')
           | Error e -> failwith e
         done);
-    check "cyclon invariants over 20 rounds" (fun () ->
-        let c = Nearby.Cyclon.create Nearby.Cyclon.default_params ~n:50 ~rng in
-        for _ = 1 to 20 do
-          Nearby.Cyclon.round c;
-          Nearby.Cyclon.check_invariants c
-        done);
     if !failures = 0 then begin
       Printf.printf "all checks passed\n";
       `Ok ()
@@ -1081,78 +880,6 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Run cross-subsystem structural self-checks on a random workload.")
     Term.(ret (const run $ seed_opt))
-
-let all_cmd =
-  let run quick seed =
-    let banner title =
-      Printf.printf "\n================ %s ================\n%!" title
-    in
-    banner "fig2";
-    let fig2 = if quick then Eval.Fig2.quick_config else Eval.Fig2.default_config in
-    let fig2 = match seed with Some s -> { fig2 with seeds = [ s ] } | None -> fig2 in
-    Eval.Fig2.print (Eval.Fig2.run fig2);
-    banner "complexity";
-    Eval.Complexity.print
-      (Eval.Complexity.run (if quick then Eval.Complexity.quick_config else Eval.Complexity.default_config));
-    banner "E1 landmarks";
-    let lm = if quick then Eval.Landmark_sweep.quick_config else Eval.Landmark_sweep.default_config in
-    Eval.Landmark_sweep.print (Eval.Landmark_sweep.run lm);
-    Eval.Landmark_sweep.print_ablation (Eval.Landmark_sweep.run_round1_ablation lm);
-    banner "E2 super-peers";
-    Eval.Super_peer_exp.print
-      (Eval.Super_peer_exp.run
-         (if quick then Eval.Super_peer_exp.quick_config else Eval.Super_peer_exp.default_config));
-    banner "E3 churn";
-    Eval.Churn_exp.print
-      (Eval.Churn_exp.run (if quick then Eval.Churn_exp.quick_config else Eval.Churn_exp.default_config));
-    banner "E4 truncate";
-    Eval.Truncate_exp.print
-      (Eval.Truncate_exp.run
-         (if quick then Eval.Truncate_exp.quick_config else Eval.Truncate_exp.default_config));
-    banner "E5 setup delay";
-    Eval.Setup_delay.print
-      (Eval.Setup_delay.run
-         (if quick then Eval.Setup_delay.quick_config else Eval.Setup_delay.default_config));
-    banner "metric ablation";
-    Eval.Metric_ablation.print
-      (Eval.Metric_ablation.run
-         (if quick then Eval.Metric_ablation.quick_config else Eval.Metric_ablation.default_config));
-    banner "streaming";
-    Eval.Streaming_exp.print
-      (Eval.Streaming_exp.run
-         (if quick then Eval.Streaming_exp.quick_config else Eval.Streaming_exp.default_config));
-    banner "stretch analysis";
-    Eval.Stretch_analysis.print
-      (Eval.Stretch_analysis.run
-         (if quick then Eval.Stretch_analysis.quick_config else Eval.Stretch_analysis.default_config));
-    banner "maintenance";
-    Eval.Maintenance_exp.print
-      (Eval.Maintenance_exp.run
-         (if quick then Eval.Maintenance_exp.quick_config else Eval.Maintenance_exp.default_config));
-    banner "topologies";
-    Eval.Topology_sensitivity.print
-      (Eval.Topology_sensitivity.run
-         (if quick then Eval.Topology_sensitivity.quick_config
-          else Eval.Topology_sensitivity.default_config));
-    banner "dht";
-    Eval.Dht_exp.print
-      (Eval.Dht_exp.run (if quick then Eval.Dht_exp.quick_config else Eval.Dht_exp.default_config));
-    banner "inflation";
-    Eval.Inflation_exp.print
-      (Eval.Inflation_exp.run
-         (if quick then Eval.Inflation_exp.quick_config else Eval.Inflation_exp.default_config));
-    banner "bulk";
-    Eval.Bulk_exp.print
-      (Eval.Bulk_exp.run (if quick then Eval.Bulk_exp.quick_config else Eval.Bulk_exp.default_config));
-    banner "joining";
-    Eval.Joining_exp.print
-      (Eval.Joining_exp.run
-         (if quick then Eval.Joining_exp.quick_config else Eval.Joining_exp.default_config));
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "all" ~doc:"Run every experiment in DESIGN.md's index.")
-    Term.(ret (const run $ quick_flag $ seed_opt))
 
 let top_cmd =
   let once_arg =
@@ -1264,34 +991,12 @@ let top_cmd =
 let () =
   let info =
     Cmd.info "nearby_sim" ~version:"1.0.0"
-      ~doc:"Experiments for the landmark/traceroute nearby-peer discovery system."
+      ~doc:
+        "Fault, load and observability runs for the landmark/traceroute nearby-peer \
+         discovery system (experiment tables: bench/main.exe)."
   in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [
-            fig2_cmd;
-            landmarks_cmd;
-            superpeers_cmd;
-            churn_cmd;
-            truncate_cmd;
-            setup_delay_cmd;
-            complexity_cmd;
-            metric_cmd;
-            streaming_cmd;
-            stretch_cmd;
-            maintenance_cmd;
-            topologies_cmd;
-            dht_cmd;
-            registry_cmd;
-            inflation_cmd;
-            bulk_cmd;
-            joining_cmd;
-            resilience_cmd;
-            load_cmd;
-            top_cmd;
-            trace_cmd;
-            verify_cmd;
-            all_cmd;
-          ]))
+          [ registry_cmd; resilience_cmd; load_cmd; top_cmd; trace_cmd; verify_cmd ]))

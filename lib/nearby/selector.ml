@@ -53,8 +53,6 @@ let select_oracle ctx ~k =
       let dist = Topology.Bfs.distances ctx.graph ctx.peer_routers.(i) in
       k_smallest_peers ~n ~k ~self:i (fun j -> dist.(ctx.peer_routers.(j))))
 
-let oracle_distance_sets ctx ~k = select_oracle ctx ~k
-
 let select_random ctx ~k ~rng =
   let n = Array.length ctx.peer_routers in
   Array.init n (fun i ->

@@ -3,8 +3,8 @@
     The paper's figure compares three selectors — the proposed server, the
     brute-force optimum and uniform-random choice; the motivation section
     adds the coordinate systems we include as further baselines.  A selector
-    maps every peer to a set of candidate neighbors; {!Quality} then scores
-    the sets against the optimum. *)
+    maps every peer to a set of candidate neighbors; [Eval.Measure] then
+    scores the sets against the optimum. *)
 
 module Top_k = Topk
 (** The bounded best-k accumulator shared by every registry backend,
@@ -43,7 +43,3 @@ val select : context -> strategy -> k:int -> rng:Prelude.Prng.t -> int array arr
     neighbor ids (at most [k]; fewer only when the population is smaller
     than [k + 1]).  A peer never selects itself.  Deterministic given [rng]
     and the context. *)
-
-val oracle_distance_sets : context -> k:int -> int array array
-(** The per-peer optimal neighbor sets ([Oracle_closest] without the rng
-    plumbing), exposed for reuse by metrics that need the optimum anyway. *)

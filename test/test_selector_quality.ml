@@ -1,4 +1,4 @@
-(* Selector strategies, Quality metrics, Measure scoring. *)
+(* Selector strategies and Measure scoring. *)
 
 open Nearby
 
@@ -49,9 +49,9 @@ let test_strategy_names () =
     (Selector.strategy_name (Selector.Vivaldi_rounds { rounds = 7; params = Coord.Vivaldi.default_params }))
 
 let test_oracle_sets_are_optimal () =
-  let ctx, _, _ = small_context ~peers:25 ~seed:2 in
+  let ctx, _, rng = small_context ~peers:25 ~seed:2 in
   let k = 4 in
-  let sets = Selector.oracle_distance_sets ctx ~k in
+  let sets = Selector.select ctx Selector.Oracle_closest ~k ~rng in
   (* For each peer, no non-chosen peer may be strictly closer than a chosen
      one. *)
   Array.iteri
@@ -71,9 +71,9 @@ let test_small_population_smaller_sets () =
   Array.iter (fun set -> Alcotest.(check int) "only 2 others exist" 2 (Array.length set)) sets
 
 let test_measure_oracle_ratio_is_one () =
-  let ctx, _, _ = small_context ~peers:20 ~seed:4 in
+  let ctx, _, rng = small_context ~peers:20 ~seed:4 in
   let k = 3 in
-  let optimal = Selector.oracle_distance_sets ctx ~k in
+  let optimal = Selector.select ctx Selector.Oracle_closest ~k ~rng in
   let outcome = Eval.Measure.score ctx ~k ~named_sets:[ ("opt", optimal) ] in
   match outcome.scored with
   | [ s ] ->
@@ -106,38 +106,28 @@ let test_measure_validation () =
     (Invalid_argument "Measure.score: selector \"x\" has 2 sets for 5 peers") (fun () ->
       ignore (Eval.Measure.score ctx ~k:2 ~named_sets:[ ("x", [| [||]; [||] |]) ]))
 
-let test_quality_evaluate () =
-  let ctx, _, _ = small_context ~peers:15 ~seed:7 in
-  let k = 3 in
-  let optimal = Selector.oracle_distance_sets ctx ~k in
-  let report = Quality.evaluate ctx optimal in
-  Alcotest.(check (float 1e-9)) "optimal per-peer ratio" 1.0 report.mean_per_peer_ratio;
-  Alcotest.(check (float 1e-9)) "optimal hit ratio" 1.0 report.hit_ratio;
-  Alcotest.(check bool) "mean distance positive" true (report.mean_neighbor_distance > 0.0);
-  Alcotest.(check bool) "total consistent" true
-    (abs_float (report.mean_d -. (float_of_int report.total_d /. 15.0)) < 1e-9)
-
-let test_quality_ratio_vs () =
-  let ctx, _, rng = small_context ~peers:20 ~seed:8 in
-  let k = 3 in
-  let optimal = Selector.oracle_distance_sets ctx ~k in
-  let random = Selector.select ctx Selector.Random_peers ~k ~rng in
-  let r = Quality.ratio_vs ctx ~chosen:random ~optimal in
-  Alcotest.(check bool) "ratio >= 1" true (r >= 1.0);
-  Alcotest.(check (float 1e-9)) "self ratio" 1.0 (Quality.ratio_vs ctx ~chosen:optimal ~optimal)
-
-let test_quality_distance_helpers () =
-  let ctx, _, _ = small_context ~peers:10 ~seed:9 in
-  let d = Quality.distance_to_peers ctx ~peer:0 in
-  Alcotest.(check int) "self distance" 0 d.(0);
-  Alcotest.(check int) "vector length" 10 (Array.length d);
-  let set = [| 1; 2 |] in
-  Alcotest.(check int) "d_of_set sums" (d.(1) + d.(2)) (Quality.d_of_set ctx ~peer:0 set)
-
-let test_hit_ratio_vs () =
-  let chosen = [| [| 1; 2 |]; [| 0; 3 |] |] in
-  let optimal = [| [| 1; 3 |]; [| 0; 3 |] |] in
-  Alcotest.(check (float 1e-9)) "half + full / 2" 0.75 (Quality.hit_ratio_vs ~chosen ~optimal)
+(* Four peers on the line 0-1-2-3-4, at routers 0, 1, 3 and 4, so every
+   pair distance is known by hand:
+     d(0,1) = 1  d(0,2) = 3  d(0,3) = 4  d(1,2) = 2  d(1,3) = 3  d(2,3) = 1.
+   With k = 2 the optimal sets are {1,2} {0,2} {3,1} {2,1}, summing to
+   4 + 3 + 3 + 4 = 14.  The chosen sets below swap one optimal neighbor for
+   a farther one at peers 0 and 2 (D = 5 and 4) and keep peers 1 and 3
+   optimal: total 16, and half-, full-, half- and full-hit average 0.75. *)
+let test_measure_exact_scores () =
+  let graph = Topology.Graph.of_edges ~node_count:5 [ (0, 1); (1, 2); (2, 3); (3, 4) ] in
+  let ctx = Selector.make_context graph ~peer_routers:[| 0; 1; 3; 4 |] in
+  let chosen = [| [| 1; 3 |]; [| 0; 2 |]; [| 0; 3 |]; [| 2; 1 |] |] in
+  let outcome = Eval.Measure.score ctx ~k:2 ~named_sets:[ ("chosen", chosen) ] in
+  Alcotest.(check int) "total_d_closest" 14 outcome.total_d_closest;
+  Alcotest.(check (array (array int))) "optimal sets"
+    [| [| 1; 2 |]; [| 0; 2 |]; [| 3; 1 |]; [| 2; 1 |] |]
+    outcome.optimal_sets;
+  match outcome.scored with
+  | [ s ] ->
+      Alcotest.(check int) "total_d" 16 s.total_d;
+      Alcotest.(check (float 1e-12)) "ratio" (16.0 /. 14.0) s.ratio;
+      Alcotest.(check (float 1e-12)) "hit ratio" 0.75 s.hit_ratio
+  | _ -> Alcotest.fail "one scored entry expected"
 
 let test_hybrid_composition () =
   let ctx, landmarks, rng = small_context ~peers:30 ~seed:15 in
@@ -210,10 +200,7 @@ let suite =
       Alcotest.test_case "measure oracle ratio" `Quick test_measure_oracle_ratio_is_one;
       Alcotest.test_case "measure ordering" `Slow test_measure_ratios_ordered;
       Alcotest.test_case "measure validation" `Quick test_measure_validation;
-      Alcotest.test_case "quality evaluate" `Quick test_quality_evaluate;
-      Alcotest.test_case "quality ratio_vs" `Quick test_quality_ratio_vs;
-      Alcotest.test_case "quality distances" `Quick test_quality_distance_helpers;
-      Alcotest.test_case "hit ratio" `Quick test_hit_ratio_vs;
+      Alcotest.test_case "measure exact scores" `Quick test_measure_exact_scores;
       Alcotest.test_case "hybrid composition" `Quick test_hybrid_composition;
       Alcotest.test_case "meridian selector" `Slow test_meridian_selector;
       Alcotest.test_case "proposed beats random across seeds" `Slow test_proposed_beats_random_consistently;

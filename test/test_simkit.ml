@@ -1,4 +1,4 @@
-(* Engine, Node, Transport, Churn, Trace. *)
+(* Engine, Transport, Churn, Trace. *)
 
 open Simkit
 
@@ -59,28 +59,6 @@ let test_engine_errors () =
   Engine.run e;
   Alcotest.check_raises "past time" (Invalid_argument "Engine.schedule_at: time is in the past")
     (fun () -> Engine.schedule_at e ~time:1.0 (fun () -> ()))
-
-let test_node_lifecycle () =
-  let n = Node.create ~id:0 ~attach_router:7 ~now:10.0 in
-  Alcotest.(check bool) "joining is live" true (Node.is_live n);
-  Alcotest.(check bool) "setup delay nan while joining" true (Float.is_nan (Node.setup_delay n));
-  Node.mark_up n ~now:25.0;
-  Alcotest.(check (float 1e-9)) "setup delay" 15.0 (Node.setup_delay n);
-  Node.depart n;
-  Alcotest.(check bool) "departed not live" false (Node.is_live n);
-  Alcotest.check_raises "cannot re-depart" (Invalid_argument "Node 0: expected up or joining, was departed")
-    (fun () -> Node.depart n);
-  Node.rejoin n ~attach_router:9 ~now:50.0;
-  Alcotest.(check int) "moved" 9 n.attach_router;
-  Alcotest.(check bool) "rejoining is live" true (Node.is_live n)
-
-let test_node_fail () =
-  let n = Node.create ~id:1 ~attach_router:2 ~now:0.0 in
-  Node.mark_up n ~now:1.0;
-  Node.fail n;
-  Alcotest.(check bool) "failed" false (Node.is_live n);
-  Alcotest.check_raises "mark_up after fail" (Invalid_argument "Node 1: expected joining, was failed")
-    (fun () -> Node.mark_up n ~now:2.0)
 
 let drawing_transport () =
   let d = Eval.Paper_drawing.build () in
@@ -387,8 +365,6 @@ let suite =
       Alcotest.test_case "engine until" `Quick test_engine_until;
       Alcotest.test_case "engine step" `Quick test_engine_step;
       Alcotest.test_case "engine errors" `Quick test_engine_errors;
-      Alcotest.test_case "node lifecycle" `Quick test_node_lifecycle;
-      Alcotest.test_case "node fail" `Quick test_node_fail;
       Alcotest.test_case "transport delay" `Quick test_transport_delay;
       Alcotest.test_case "transport rpc" `Quick test_transport_rpc;
       Alcotest.test_case "transport drop" `Quick test_transport_drop_unreachable;
