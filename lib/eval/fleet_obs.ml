@@ -22,7 +22,6 @@
 type config = {
   routers : int;
   peers : int;
-  landmark_count : int;
   k : int;
   replicas : int;
   arrival_window_ms : float;
@@ -51,7 +50,6 @@ let default_config =
   {
     routers = 2000;
     peers = 300;
-    landmark_count = 8;
     k = 5;
     replicas = 3;
     arrival_window_ms = 8_000.0;
@@ -67,19 +65,13 @@ let quick_config = { default_config with routers = 800; peers = 120 }
 
 type t = {
   config : config;
-  engine : Simkit.Engine.t;
-  transport : Simkit.Transport.t;
-  cluster : Nearby.Cluster.t;
-  rpc : Simkit.Rpc.t;
+  run : Cluster_run.t;
   metrics : Simkit.Metrics.t;
   timeseries : Simkit.Timeseries.t;
   admission : Nearby.Admission.t;
   runtime : Simkit.Runtime_profile.t;
   recorder : Simkit.Flight_recorder.t;
   wire_breaches : int ref;
-  horizon : float;
-  completed : int ref;
-  failed : int ref;
 }
 
 let start (config : config) =
@@ -88,51 +80,30 @@ let start (config : config) =
   let metrics = Simkit.Metrics.create () in
   let runtime = Simkit.Runtime_profile.create () in
   Simkit.Runtime_profile.phase runtime "build" (fun () ->
-      let w =
-        Workload.build ~routers:config.routers ~landmark_count:config.landmark_count
-          ~peers:config.peers ~seed:config.seed ()
+      let run_config =
+        {
+          Cluster_run.routers = config.routers;
+          peers = config.peers;
+          k = config.k;
+          replicas = config.replicas;
+          arrival_window_ms = config.arrival_window_ms;
+          sync_period_ms = config.sync_period_ms;
+          (* The admission queue drains every peer at its service rate. *)
+          drain_ms = 1_000.0 *. float_of_int config.peers /. config.admission_rate_per_s;
+          seed = config.seed;
+        }
       in
-      let engine = Simkit.Engine.create () in
-      (* The horizon is known before any component exists (the rpc layer
-         below runs the default config), so the windowed timeseries can be
-         sized up front and handed to the transport — every delivered byte
-         lands in the [wire_bytes] series from the first send on. *)
-      let horizon =
-        config.arrival_window_ms
-        +. (1_000.0 *. float_of_int config.peers /. config.admission_rate_per_s)
-        +. Simkit.Rpc.worst_case_ms Simkit.Rpc.default_config
-        +. (3.0 *. config.sync_period_ms) +. 1_000.0
-      in
-      let timeseries =
-        Simkit.Timeseries.create
-          ~capacity:(max 64 (int_of_float (horizon /. config.window_ms) + 8))
-          ~window_ms:config.window_ms ()
-      in
-      let transport =
-        Simkit.Transport.create ~rng:(Prelude.Prng.split w.rng) ~metrics ~timeseries engine
-          w.ctx.oracle
-      in
-      let replica_routers =
-        Nearby.Landmark.place (Workload.graph w) Medium_degree ~count:config.replicas
-          ~rng:(Prelude.Prng.split w.rng)
-      in
+      (* The horizon is known before the run is built, so the windowed
+         timeseries can be sized up front and handed to the transport —
+         every delivered byte lands in the [wire_bytes] series from the
+         first send on. *)
+      let timeseries = Cluster_run.timeseries run_config ~window_ms:config.window_ms in
       (* Every replica's backend writes its {backend=...} mirror into the
          shared registry. *)
       let backend = Nearby.Instrumented_registry.wrap ~labeled:metrics (module Nearby.Path_tree) in
       let recorder = Simkit.Flight_recorder.create () in
-      let cluster =
-        Nearby.Cluster.create ~recorder ~metrics ~transport ~client_router:w.map.core.(0)
-          ~make_server:(fun () ->
-            Nearby.Server.create ?latency:w.ctx.latency ~backend w.ctx.oracle
-              ~landmarks:w.landmarks)
-          ~routers:replica_routers ()
-      in
-      let rpc =
-        Simkit.Rpc.create ~rng:(Prelude.Prng.split w.rng) ~labeled:metrics transport
-      in
-      let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
-      if config.replicas > 1 then
-        Nearby.Cluster.start_sync cluster ~period_ms:config.sync_period_ms ~until:horizon;
+      let run = Cluster_run.create ~metrics ~recorder ~timeseries ~backend run_config in
+      let engine = run.engine in
       (* Bandwidth SLO watch: once per window, read the just-completed
          [wire_bytes] window and compare its delivered-bytes-per-second
          against the budget.  Breach and clear are edge events on the
@@ -140,57 +111,45 @@ let start (config : config) =
          breach line per loud window. *)
       let wire_breaches = ref 0 in
       let breached = ref false in
-      let rec bandwidth_poll at =
-        if at <= horizon then
-          Simkit.Engine.schedule_at engine ~time:at (fun () ->
-              let current = int_of_float (Simkit.Engine.now engine /. config.window_ms) in
-              let completed_bps =
-                Simkit.Timeseries.windows timeseries "wire_bytes"
-                |> List.fold_left
-                     (fun acc w ->
-                       match w with
-                       | Some (s : Simkit.Timeseries.summary) when s.index < current ->
-                           Some (s.rate_per_s *. s.mean)
-                       | _ -> acc)
-                     None
-              in
-              (match completed_bps with
-              | Some bps when bps > config.bandwidth_budget_bytes_per_s && not !breached ->
-                  breached := true;
-                  incr wire_breaches;
-                  Simkit.Flight_recorder.record recorder ~ts:(Simkit.Engine.now engine)
-                    ~kind:"wire"
-                    ~args:
-                      [
-                        ("bytes_per_s", Simkit.Span.Float bps);
-                        ("budget", Simkit.Span.Float config.bandwidth_budget_bytes_per_s);
-                      ]
-                    "bandwidth_breach"
-              | Some bps when bps <= config.bandwidth_budget_bytes_per_s && !breached ->
-                  breached := false;
-                  Simkit.Flight_recorder.record recorder ~ts:(Simkit.Engine.now engine)
-                    ~kind:"wire"
-                    ~args:[ ("bytes_per_s", Simkit.Span.Float bps) ]
-                    "bandwidth_clear"
-              | _ -> ());
-              bandwidth_poll (at +. config.window_ms))
-      in
-      bandwidth_poll config.window_ms;
+      Cluster_run.every run ~period_ms:config.window_ms (fun () ->
+          let current = int_of_float (Simkit.Engine.now engine /. config.window_ms) in
+          let completed_bps =
+            Simkit.Timeseries.windows timeseries "wire_bytes"
+            |> List.fold_left
+                 (fun acc w ->
+                   match w with
+                   | Some (s : Simkit.Timeseries.summary) when s.index < current ->
+                       Some (s.rate_per_s *. s.mean)
+                   | _ -> acc)
+                 None
+          in
+          match completed_bps with
+          | Some bps when bps > config.bandwidth_budget_bytes_per_s && not !breached ->
+              breached := true;
+              incr wire_breaches;
+              Simkit.Flight_recorder.record recorder ~ts:(Simkit.Engine.now engine) ~kind:"wire"
+                ~args:
+                  [
+                    ("bytes_per_s", Simkit.Span.Float bps);
+                    ("budget", Simkit.Span.Float config.bandwidth_budget_bytes_per_s);
+                  ]
+                "bandwidth_breach"
+          | Some bps when bps <= config.bandwidth_budget_bytes_per_s && !breached ->
+              breached := false;
+              Simkit.Flight_recorder.record recorder ~ts:(Simkit.Engine.now engine) ~kind:"wire"
+                ~args:[ ("bytes_per_s", Simkit.Span.Float bps) ]
+                "bandwidth_clear"
+          | _ -> ());
       (* Health poll: one digest check per window, so the divergence gauge,
          the episode edges on the flight recorder and the dashboard's
          divergent-replicas sparkline all track the fleet at SLO-window
          resolution. *)
-      (if config.replicas > 1 then
-         let rec health_poll at =
-           if at <= horizon then
-             Simkit.Engine.schedule_at engine ~time:at (fun () ->
-                 let divergent = Nearby.Cluster.digest_check cluster in
-                 Simkit.Timeseries.observe timeseries "divergent_replicas"
-                   ~now:(Simkit.Engine.now engine)
-                   (float_of_int (List.length divergent));
-                 health_poll (at +. config.window_ms))
-         in
-         health_poll config.window_ms);
+      if config.replicas > 1 then
+        Cluster_run.every run ~period_ms:config.window_ms (fun () ->
+            let divergent = Nearby.Cluster.digest_check run.cluster in
+            Simkit.Timeseries.observe timeseries "divergent_replicas"
+              ~now:(Simkit.Engine.now engine)
+              (float_of_int (List.length divergent)));
       (* Joins pass through a bounded admission queue before reaching the
          protocol layer: the same front door the overload experiments
          stress, here provisioned generously (capacity for every peer, a
@@ -205,85 +164,36 @@ let start (config : config) =
             policy = Nearby.Admission.Drop_tail;
           }
       in
-      let completed = ref 0 and failed = ref 0 in
-      for peer = 0 to config.peers - 1 do
-        let at = Prelude.Prng.float w.rng config.arrival_window_ms in
-        Simkit.Engine.schedule_at engine ~time:at (fun () ->
-            let started = Simkit.Engine.now engine in
-            Simkit.Timeseries.observe timeseries "join_started" ~now:started 1.0;
-            Nearby.Admission.submit admission
-              ~serve:(fun ~queued_ms:_ ->
-                Nearby.Protocol.join protocol ~peer ~attach_router:w.peer_routers.(peer)
-                  ~k:config.k
-                  ~on_complete:(fun _info _reply ->
-                    incr completed;
-                    let now = Simkit.Engine.now engine in
-                    Simkit.Timeseries.observe timeseries "join_ms" ~now (now -. started);
-                    Simkit.Timeseries.observe timeseries "join_completed" ~now 1.0)
-                  ~on_failure:(fun () ->
-                    incr failed;
-                    Simkit.Timeseries.observe timeseries "join_failed"
-                      ~now:(Simkit.Engine.now engine) 1.0))
-              ~shed:(fun ~reason:_ ->
-                incr failed;
-                Simkit.Timeseries.observe timeseries "join_failed"
-                  ~now:(Simkit.Engine.now engine) 1.0))
-      done;
-      {
-        config;
-        engine;
-        transport;
-        cluster;
-        rpc;
-        metrics;
-        timeseries;
-        admission;
-        runtime;
-        recorder;
-        wire_breaches;
-        horizon;
-        completed;
-        failed;
-      })
+      Cluster_run.arrivals run ~timeseries ~admit:(fun ~serve ~shed ->
+          Nearby.Admission.submit admission
+            ~serve:(fun ~queued_ms:_ -> serve ())
+            ~shed:(fun ~reason:_ -> shed ()));
+      { config; run; metrics; timeseries; admission; runtime; recorder; wire_breaches })
 
-let horizon t = t.horizon
-let now t = Simkit.Engine.now t.engine
-let finished t = now t >= t.horizon
+let horizon t = t.run.horizon
+let now t = Simkit.Engine.now t.run.engine
+let finished t = now t >= horizon t
 let metrics t = t.metrics
 let timeseries t = t.timeseries
 let runtime t = t.runtime
-let cluster t = t.cluster
-let transport t = t.transport
+let cluster t = t.run.cluster
+let transport t = t.run.transport
 let admission t = t.admission
 let recorder t = t.recorder
 let wire_breaches t = !(t.wire_breaches)
-let fleet_trace t = Nearby.Cluster.fleet_trace t.cluster
+let fleet_trace t = Nearby.Cluster.fleet_trace t.run.cluster
 
 let advance t ~until =
   Simkit.Runtime_profile.phase t.runtime "run" (fun () ->
-      Simkit.Engine.run t.engine ~until:(Float.min until t.horizon))
+      Simkit.Engine.run t.run.engine ~until:(Float.min until (horizon t)))
 
 (* A fresh per-replica scrape: replica-labeled series double-count if the
    same registry is scraped twice, so every caller that wants the
    {replica="i"} view asks for a new one. *)
 let scrape t =
   let m = Simkit.Metrics.create () in
-  Nearby.Cluster.scrape t.cluster ~into:m;
+  Nearby.Cluster.scrape t.run.cluster ~into:m;
   m
-
-(* Fleet staleness snapshot at the current engine time: fresh per-replica
-   trackers every call, ages merged into one sketch. *)
-let staleness_view t =
-  let ages = Prelude.Sketch.create () in
-  let oldest = ref 0.0 in
-  for i = 0 to Nearby.Cluster.replica_count t.cluster - 1 do
-    let tracker = Nearby.Staleness.create (Nearby.Cluster.server_of t.cluster i) in
-    let report = Nearby.Staleness.observe tracker ~now:(now t) in
-    if report.Nearby.Staleness.oldest_ms > !oldest then
-      oldest := report.Nearby.Staleness.oldest_ms;
-    Prelude.Sketch.merge_into ~into:ages (Nearby.Staleness.age_sketch tracker)
-  done;
-  (ages, !oldest)
 
 type result = {
   joins : int;
@@ -305,14 +215,14 @@ type result = {
 }
 
 let result t =
-  if not (finished t) then advance t ~until:t.horizon;
+  if not (finished t) then advance t ~until:t.run.horizon;
   let fleet = fleet_trace t in
   let scraped = scrape t in
   let q quant =
     match Simkit.Trace.quantile fleet "join_ms" quant with Some v -> v | None -> nan
   in
   let replica_join_p99_ms =
-    Array.init (Nearby.Cluster.replica_count t.cluster) (fun i ->
+    Array.init (Nearby.Cluster.replica_count t.run.cluster) (fun i ->
         match
           Simkit.Metrics.quantile scraped "join_ms"
             ~labels:[ ("replica", string_of_int i) ]
@@ -321,23 +231,23 @@ let result t =
         | Some v -> v
         | None -> nan)
   in
-  let rpc_trace = Simkit.Rpc.trace t.rpc in
-  let ages, oldest_age = staleness_view t in
+  let rpc_trace = Simkit.Rpc.trace t.run.rpc in
+  let ages, oldest_age = Cluster_run.staleness t.run in
   {
     joins = t.config.peers;
-    completed = !(t.completed);
-    failed = !(t.failed);
+    completed = t.run.completed;
+    failed = t.run.failed;
     fleet_join_p50_ms = q 0.5;
     fleet_join_p99_ms = q 0.99;
     replica_join_p99_ms;
     rpc_ok = Simkit.Trace.counter rpc_trace "rpc_ok";
     rpc_timeouts = Simkit.Trace.counter rpc_trace "rpc_timeouts";
     overhead_ns = Simkit.Runtime_profile.overhead_ns t.runtime;
-    wire_bytes = Simkit.Transport.bytes_sent t.transport;
-    wire_dropped_bytes = Simkit.Transport.bytes_dropped t.transport;
-    replication_amplification = Nearby.Cluster.replication_amplification t.cluster;
-    digest_checks = Simkit.Trace.counter (Nearby.Cluster.trace t.cluster) "cluster_digest_checks";
-    divergent_replicas = List.length (Nearby.Cluster.digest_check t.cluster);
+    wire_bytes = Simkit.Transport.bytes_sent t.run.transport;
+    wire_dropped_bytes = Simkit.Transport.bytes_dropped t.run.transport;
+    replication_amplification = Nearby.Cluster.replication_amplification t.run.cluster;
+    digest_checks = Simkit.Trace.counter (Nearby.Cluster.trace t.run.cluster) "cluster_digest_checks";
+    divergent_replicas = List.length (Nearby.Cluster.digest_check t.run.cluster);
     report_age_p50_ms =
       (if Prelude.Sketch.is_empty ages then nan else Prelude.Sketch.quantile ages 0.5);
     report_age_oldest_ms = oldest_age;
@@ -383,12 +293,12 @@ let render t =
   let fleet = fleet_trace t in
   let registrations = Simkit.Trace.counter fleet "cluster_register" in
   add "nearby fleet top — t=%.1fs / %.1fs  replicas=%d  live=%d/%d\n"
-    (now t /. 1000.0) (t.horizon /. 1000.0) t.config.replicas
-    (Nearby.Cluster.live_count t.cluster)
-    (Nearby.Cluster.replica_count t.cluster);
+    (now t /. 1000.0) (t.run.horizon /. 1000.0) t.config.replicas
+    (Nearby.Cluster.live_count t.run.cluster)
+    (Nearby.Cluster.replica_count t.run.cluster);
   add "joins: %d started, %d completed, %d failed (%d cluster registrations)\n\n"
-    (!(t.completed) + !(t.failed))
-    !(t.completed) !(t.failed) registrations;
+    (t.run.completed + t.run.failed)
+    t.run.completed t.run.failed registrations;
   (* Throughput and latency, per SLO window. *)
   add "%s\n"
     (plot_panel "[ops/s — joins completed per window]"
@@ -419,35 +329,20 @@ let render t =
     else if b >= 1024 then Printf.sprintf "%.1fKB" (float_of_int b /. 1024.0)
     else Printf.sprintf "%dB" b
   in
-  let amp = Nearby.Cluster.replication_amplification t.cluster in
+  let amp = Nearby.Cluster.replication_amplification t.run.cluster in
   add "[wire] total=%s dropped=%s amplification=%s slo_breaches=%d\n"
-    (fmt_bytes (Simkit.Transport.bytes_sent t.transport))
-    (fmt_bytes (Simkit.Transport.bytes_dropped t.transport))
+    (fmt_bytes (Simkit.Transport.bytes_sent t.run.transport))
+    (fmt_bytes (Simkit.Transport.bytes_dropped t.run.transport))
     (if Float.is_nan amp then "-" else Printf.sprintf "%.2fx" amp)
     !(t.wire_breaches);
-  let kinds = Hashtbl.create 8 in
+  let mix = Cluster_run.wire_kinds t.metrics in
+  let kmax = List.fold_left (fun acc (r : Cluster_run.kind_row) -> max acc r.bytes) 0 mix in
   List.iter
-    (fun (name, labels, _key) ->
-      if name = "wire_bytes_total" then
-        match List.assoc_opt "kind" labels with
-        | Some kind ->
-            let b = Simkit.Metrics.counter t.metrics "wire_bytes_total" ~labels in
-            Hashtbl.replace kinds kind
-              (b + Option.value ~default:0 (Hashtbl.find_opt kinds kind))
-        | None -> ())
-    (Simkit.Metrics.series t.metrics);
-  let mix =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) kinds []
-    |> List.sort (fun (ka, a) (kb, b) ->
-           match compare b a with 0 -> compare ka kb | c -> c)
-  in
-  let kmax = List.fold_left (fun acc (_, v) -> max acc v) 0 mix in
-  List.iter
-    (fun (k, v) ->
-      add "  %-18s %10s %s\n" k (fmt_bytes v)
-        (bar 28 (float_of_int v) (float_of_int kmax)))
+    (fun (r : Cluster_run.kind_row) ->
+      add "  %-18s %10s %s\n" r.kind (fmt_bytes r.bytes)
+        (bar 28 (float_of_int r.bytes) (float_of_int kmax)))
     mix;
-  (match Simkit.Transport.top_talkers t.transport ~k:3 with
+  (match Simkit.Transport.top_talkers t.run.transport ~k:3 with
   | [] -> ()
   | talkers ->
       add "  top talkers:\n";
@@ -467,7 +362,7 @@ let render t =
   (* State health: digest agreement across the replicas, divergence
      episodes and anti-entropy lag, and how stale the served reports
      are. *)
-  let ctrace = Nearby.Cluster.trace t.cluster in
+  let ctrace = Nearby.Cluster.trace t.run.cluster in
   let check_mix r =
     Simkit.Metrics.counter t.metrics "cluster_digest_checks_total" ~labels:[ ("result", r) ]
   in
@@ -490,7 +385,7 @@ let render t =
           (Option.value s.max ~default:nan)
           s.count
     | _ -> "(no closed episodes)");
-  (let ages, oldest_age = staleness_view t in
+  (let ages, oldest_age = Cluster_run.staleness t.run in
    if Prelude.Sketch.is_empty ages then add "  staleness: (no reports yet)\n"
    else
      add "  staleness: report age p50=%.0fms p90=%.0fms p99=%.0fms oldest=%.0fms refreshes=%d\n"

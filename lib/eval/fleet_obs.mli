@@ -17,7 +17,6 @@
 type config = {
   routers : int;
   peers : int;
-  landmark_count : int;
   k : int;
   replicas : int;
   arrival_window_ms : float;

@@ -18,14 +18,12 @@
 type config = {
   routers : int;
   peers : int;
-  landmark_count : int;
   k : int;
   replicas : int;
   loss : float;
   arrival_window_ms : float;
   sync_period_ms : float;
   check_period_ms : float;  (* digest-check poll period, << sync period *)
-  rpc : Simkit.Rpc.config;
   seed : int;
 }
 
@@ -33,14 +31,12 @@ let default_config =
   {
     routers = 2000;
     peers = 8_000;
-    landmark_count = 8;
     k = 5;
     replicas = 3;
     loss = 0.4;
     arrival_window_ms = 20_000.0;
     sync_period_ms = 2_000.0;
     check_period_ms = 250.0;
-    rpc = Simkit.Rpc.default_config;
     seed = 1;
   }
 
@@ -78,79 +74,43 @@ type result = {
   converged : bool;  (* every episode closed and the end-state agrees *)
 }
 
-(* Labeled-registry read-back: total [wire_bytes_total] carried under one
-   kind label, summed over directions. *)
-let kind_bytes metrics kind =
-  List.fold_left
-    (fun acc (n, labels, _) ->
-      if n = "wire_bytes_total" && List.assoc_opt "kind" labels = Some kind then
-        acc + Simkit.Metrics.counter metrics n ~labels
-      else acc)
-    0
-    (Simkit.Metrics.series metrics)
-
 let run (config : config) =
   if config.replicas < 2 then invalid_arg "Health_exp: divergence needs >= 2 replicas";
   if config.loss <= 0.0 || config.loss >= 1.0 then
     invalid_arg "Health_exp: loss outside (0, 1)";
   if config.check_period_ms <= 0.0 then invalid_arg "Health_exp: check period must be positive";
-  let w =
-    Workload.build ~routers:config.routers ~landmark_count:config.landmark_count
-      ~peers:config.peers ~seed:config.seed ()
+  let run_config =
+    {
+      Cluster_run.routers = config.routers;
+      peers = config.peers;
+      k = config.k;
+      replicas = config.replicas;
+      arrival_window_ms = config.arrival_window_ms;
+      sync_period_ms = config.sync_period_ms;
+      drain_ms = 0.0;
+      seed = config.seed;
+    }
   in
-  let engine = Simkit.Engine.create () in
   let metrics = Simkit.Metrics.create () in
   let recorder = Simkit.Flight_recorder.create ~capacity:4096 () in
-  let transport =
-    Simkit.Transport.create ~rng:(Prelude.Prng.split w.rng) ~metrics engine w.ctx.oracle
+  let loss_start, loss_end = Cluster_run.fault_window run_config in
+  let run =
+    Cluster_run.create ~metrics ~recorder
+      ~fault:(fun _ ->
+        Simkit.Fault.loss_burst ~from_ms:loss_start ~until_ms:loss_end ~loss:config.loss ())
+      run_config
   in
-  let replica_routers =
-    Nearby.Landmark.place (Workload.graph w) Medium_degree ~count:config.replicas
-      ~rng:(Prelude.Prng.split w.rng)
-  in
-  let client_router = w.map.core.(0) in
-  let cluster =
-    Nearby.Cluster.create ~recorder ~metrics ~transport ~client_router
-      ~make_server:(fun () ->
-        Nearby.Server.create ?latency:w.ctx.latency w.ctx.oracle ~landmarks:w.landmarks)
-      ~routers:replica_routers ()
-  in
-  let rpc = Simkit.Rpc.create ~config:config.rpc ~rng:(Prelude.Prng.split w.rng) transport in
-  let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
-  let aw = config.arrival_window_ms in
-  let loss_start = 0.25 *. aw in
-  Simkit.Engine.schedule_at engine ~time:loss_start (fun () ->
-      Simkit.Transport.set_loss_prob transport config.loss);
-  Simkit.Engine.schedule_at engine ~time:(0.6 *. aw) (fun () ->
-      Simkit.Transport.set_loss_prob transport 0.0);
-  let horizon =
-    aw +. Simkit.Rpc.worst_case_ms config.rpc +. (3.0 *. config.sync_period_ms) +. 1_000.0
-  in
-  Nearby.Cluster.start_sync cluster ~period_ms:config.sync_period_ms ~until:horizon;
+  let cluster = run.cluster in
   (* The detection poll: much finer than the sync period, so an episode's
      opening edge carries a timestamp close to when the drift happened, not
      just "sometime before the next repair". *)
   let max_divergent = ref 0 in
-  let rec poll at =
-    if at <= horizon then
-      Simkit.Engine.schedule_at engine ~time:at (fun () ->
-          let divergent = Nearby.Cluster.digest_check cluster in
-          max_divergent := max !max_divergent (List.length divergent);
-          poll (at +. config.check_period_ms))
-  in
-  poll config.check_period_ms;
-  let completed = ref 0 and failed = ref 0 in
-  for peer = 0 to config.peers - 1 do
-    let at = Prelude.Prng.float w.rng config.arrival_window_ms in
-    Simkit.Engine.schedule_at engine ~time:at (fun () ->
-        Nearby.Protocol.join protocol ~peer ~attach_router:w.peer_routers.(peer) ~k:config.k
-          ~on_complete:(fun _info _reply -> incr completed)
-          ~on_failure:(fun () -> incr failed))
-  done;
-  Simkit.Engine.run engine ~until:horizon;
-  Nearby.Cluster.sync_round cluster;
+  Cluster_run.every run ~period_ms:config.check_period_ms (fun () ->
+      let divergent = Nearby.Cluster.digest_check cluster in
+      max_divergent := max !max_divergent (List.length divergent));
+  Cluster_run.arrivals run;
+  Cluster_run.settle run;
   let final_divergent = List.length (Nearby.Cluster.digest_check cluster) in
-  Nearby.Cluster.check_invariants cluster;
   let ctrace = Nearby.Cluster.trace cluster in
   let counter = Simkit.Trace.counter ctrace in
   let check_count result =
@@ -175,20 +135,8 @@ let run (config : config) =
     | None -> Float.nan
   in
   let lag = Simkit.Trace.summary ctrace "cluster_antientropy_lag_ms" in
-  (* Fleet staleness at the horizon: one fresh tracker per replica, ages
-     merged into one sketch. *)
-  let fleet_ages = Prelude.Sketch.create () in
-  let oldest = ref 0.0 in
-  for i = 0 to Nearby.Cluster.replica_count cluster - 1 do
-    let tracker = Nearby.Staleness.create (Nearby.Cluster.server_of cluster i) in
-    let report =
-      Nearby.Staleness.observe ~metrics
-        ~labels:[ ("replica", string_of_int i) ]
-        tracker ~now:horizon
-    in
-    if report.oldest_ms > !oldest then oldest := report.oldest_ms;
-    Prelude.Sketch.merge_into ~into:fleet_ages (Nearby.Staleness.age_sketch tracker)
-  done;
+  (* Fleet staleness at the horizon. *)
+  let fleet_ages, oldest = Cluster_run.staleness run in
   let age q =
     if Prelude.Sketch.is_empty fleet_ages then Float.nan else Prelude.Sketch.quantile fleet_ages q
   in
@@ -199,11 +147,11 @@ let run (config : config) =
   let convergence_episodes = edges "convergence" in
   {
     joins = config.peers;
-    completed = !completed;
-    failed = !failed;
+    completed = run.completed;
+    failed = run.failed;
     completion_rate =
       (if config.peers = 0 then Float.nan
-       else float_of_int !completed /. float_of_int config.peers);
+       else float_of_int run.completed /. float_of_int config.peers);
     digest_checks = counter "cluster_digest_checks";
     checks_consistent = check_count "consistent";
     checks_divergent = check_count "divergent";
@@ -218,13 +166,13 @@ let run (config : config) =
     sync_restores = counter "cluster_sync_restores";
     sync_skipped = counter "cluster_sync_skipped";
     sync_bytes = counter "cluster_sync_bytes";
-    snapshot_wire_bytes = kind_bytes metrics "snapshot";
+    snapshot_wire_bytes = Cluster_run.(kind_bytes (wire_kinds metrics) "snapshot");
     report_age_p50_ms = age 0.5;
     report_age_p90_ms = age 0.9;
     report_age_p99_ms = age 0.99;
-    report_age_oldest_ms = !oldest;
+    report_age_oldest_ms = oldest;
     refresh_total;
-    refresh_rate_hz = float_of_int refresh_total /. (horizon /. 1000.0);
+    refresh_rate_hz = float_of_int refresh_total /. (run.horizon /. 1000.0);
     final_divergent;
     converged = final_divergent = 0 && divergence_episodes = convergence_episodes;
   }

@@ -11,7 +11,6 @@
 type config = {
   routers : int;
   peers : int;
-  landmark_count : int;
   k : int;
   replicas : int;
   loss : float;  (** Burst loss probability over 25%–60% of the window. *)
@@ -20,7 +19,6 @@ type config = {
   check_period_ms : float;
       (** Digest-check poll period — much finer than the sync period, so
           detection timestamps are close to the drift, not the repair. *)
-  rpc : Simkit.Rpc.config;
   seed : int;
 }
 

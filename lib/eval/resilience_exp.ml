@@ -1,15 +1,12 @@
 type config = {
   routers : int;
   peers : int;
-  landmark_count : int;
   k : int;
   replicas : int;
   loss : float;
   scenario : string;
   arrival_window_ms : float;
   sync_period_ms : float;
-  rpc : Simkit.Rpc.config;
-  detector : Simkit.Failure_detector.config;
   slos : Simkit.Slo.spec list;
   slo_window_ms : float;
   audit_rate : float;
@@ -20,15 +17,12 @@ let default_config =
   {
     routers = 2000;
     peers = 300;
-    landmark_count = 8;
     k = 5;
     replicas = 3;
     loss = 0.0;
     scenario = "crash-primary";
     arrival_window_ms = 8_000.0;
     sync_period_ms = 2_000.0;
-    rpc = Simkit.Rpc.default_config;
-    detector = Simkit.Failure_detector.default_config;
     slos = [];
     slo_window_ms = 500.0;
     audit_rate = 0.0;
@@ -85,93 +79,59 @@ type artifacts = {
 let partition_ball graph ~center =
   center :: Array.to_list (Topology.Graph.neighbors graph center)
 
-let scenario_of config ~graph ~primary_router : Simkit.Fault.t =
+let scenario_of config (run : Cluster_run.t) : Simkit.Fault.t =
   let w = config.arrival_window_ms in
+  let from_ms, until_ms = Cluster_run.fault_window run.config in
   match config.scenario with
   | "none" -> Simkit.Fault.none
   | "crash-primary" ->
       Simkit.Fault.crash_primary ~crash_at:(0.25 *. w) ~recover_at:(0.75 *. w) ()
-  | "loss-burst" ->
-      Simkit.Fault.loss_burst ~base:config.loss ~from_ms:(0.25 *. w) ~until_ms:(0.6 *. w)
-        ~loss:0.3 ()
+  | "loss-burst" -> Simkit.Fault.loss_burst ~base:config.loss ~from_ms ~until_ms ~loss:0.3 ()
   | "partition" ->
-      Simkit.Fault.partition_window ~from_ms:(0.25 *. w) ~until_ms:(0.6 *. w)
-        ~nodes:(partition_ball graph ~center:primary_router) ()
+      Simkit.Fault.partition_window ~from_ms ~until_ms
+        ~nodes:
+          (partition_ball (Workload.graph run.workload) ~center:run.replica_routers.(0))
+        ()
   | other ->
       invalid_arg
         (Printf.sprintf "Resilience_exp: unknown scenario %S (expected %s)" other
            (String.concat " | " scenario_names))
 
-let run_instrumented ?(spans = Simkit.Span.noop) (config : config) =
+let run_instrumented ?spans (config : config) =
   if config.replicas < 1 then invalid_arg "Resilience_exp: replicas must be >= 1";
   if config.loss < 0.0 || config.loss >= 1.0 then
     invalid_arg "Resilience_exp: loss outside [0, 1)";
-  let w =
-    Workload.build ~routers:config.routers ~landmark_count:config.landmark_count
-      ~peers:config.peers ~seed:config.seed ()
-  in
-  let graph = Workload.graph w in
-  let engine = Simkit.Engine.create () in
-  let transport =
-    Simkit.Transport.create ~rng:(Prelude.Prng.split w.rng) ~loss_prob:config.loss engine
-      w.ctx.oracle
+  if config.slo_window_ms <= 0.0 then invalid_arg "Resilience_exp: slo_window_ms must be positive";
+  let run_config =
+    {
+      Cluster_run.routers = config.routers;
+      peers = config.peers;
+      k = config.k;
+      replicas = config.replicas;
+      arrival_window_ms = config.arrival_window_ms;
+      sync_period_ms = config.sync_period_ms;
+      drain_ms = 0.0;
+      seed = config.seed;
+    }
   in
   let recorder = Simkit.Flight_recorder.create ~capacity:1024 () in
-  Simkit.Span.set_clock spans (fun () -> Simkit.Engine.now engine);
-  (* Replica hosts: medium-degree routers, like landmarks but an
-     independent draw (management servers are infrastructure, not peers). *)
-  let replica_routers =
-    Nearby.Landmark.place graph Medium_degree ~count:config.replicas
-      ~rng:(Prelude.Prng.split w.rng)
+  (* One shared span sink and flight recorder for cluster, RPC layer and
+     servers: a single span-id space, so cross-component parent links
+     resolve inside one file, and one dump with the faults in it. *)
+  let run =
+    Cluster_run.create ?spans ~recorder ~rpc_recorder:recorder ~base_loss:config.loss
+      ~fault:(scenario_of config) run_config
   in
-  let client_router = w.map.core.(0) in
-  (* One shared sink for cluster, RPC layer and servers: a single span-id
-     space, so cross-component parent links resolve inside one file. *)
-  let cluster =
-    Nearby.Cluster.create ~detector_config:config.detector ~transport ~client_router ~spans
-      ~make_server:(fun () ->
-        Nearby.Server.create ?latency:w.ctx.latency ~spans w.ctx.oracle ~landmarks:w.landmarks)
-      ~routers:replica_routers ~recorder ()
-  in
-  let rpc =
-    Simkit.Rpc.create ~config:config.rpc ~rng:(Prelude.Prng.split w.rng) ~recorder ~spans
-      transport
-  in
-  let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
-  (* Fault script wired to the real knobs. *)
-  let fault = scenario_of config ~graph ~primary_router:replica_routers.(0) in
-  Simkit.Fault.install ~recorder fault ~engine
-    ~hooks:
-      {
-        Simkit.Fault.crash_replica = (fun i -> Nearby.Cluster.crash cluster i);
-        recover_replica = (fun i -> Nearby.Cluster.recover cluster i);
-        set_loss = (fun p -> Simkit.Transport.set_loss_prob transport p);
-        partition = (fun nodes -> Simkit.Transport.set_partition_nodes transport nodes);
-        heal_partition = (fun () -> Simkit.Transport.clear_partition transport);
-      };
-  (* Horizon: every arrival has started, the slowest possible RPC (all
-     attempts timing out, backoffs included) has resolved, and at least a
-     couple of sync rounds have run past the last fault action. *)
-  let horizon =
-    config.arrival_window_ms +. Simkit.Rpc.worst_case_ms config.rpc
-    +. (3.0 *. config.sync_period_ms) +. 1_000.0
-  in
-  Nearby.Cluster.start_sync cluster ~period_ms:config.sync_period_ms ~until:horizon;
+  let engine = run.engine in
   let exp_trace = Simkit.Trace.create () in
-  (* The windowed view the SLOs are judged on: size the ring so no window
-     inside the horizon is ever evicted. *)
-  if config.slo_window_ms <= 0.0 then invalid_arg "Resilience_exp: slo_window_ms must be positive";
-  let timeseries =
-    Simkit.Timeseries.create
-      ~capacity:(max 64 (int_of_float (horizon /. config.slo_window_ms) + 8))
-      ~window_ms:config.slo_window_ms ()
-  in
+  (* The windowed view the SLOs are judged on. *)
+  let timeseries = Cluster_run.timeseries run_config ~window_ms:config.slo_window_ms in
   let auditor =
     if config.audit_rate > 0.0 then
       Some
         (Nearby.Audit.create ~rate:config.audit_rate ~seed:config.seed ~timeseries
            ~clock:(fun () -> Simkit.Engine.now engine)
-           (Nearby.Cluster.measurement_server cluster))
+           (Nearby.Cluster.measurement_server run.cluster))
     else None
   in
   let monitor = Simkit.Slo.monitor config.slos in
@@ -206,47 +166,19 @@ let run_instrumented ?(spans = Simkit.Span.noop) (config : config) =
         ~args:[ ("burn_rate", Simkit.Span.Float st.burn_rate) ]
         ("clear: " ^ st.spec.name)
     in
-    let rec poll_at t =
-      if t <= horizon then
-        Simkit.Engine.schedule_at engine ~time:t (fun () ->
-            ignore (Simkit.Slo.poll ~on_breach ~on_clear monitor timeseries);
-            poll_at (t +. config.slo_window_ms))
-    in
-    poll_at config.slo_window_ms
+    Cluster_run.every run ~period_ms:config.slo_window_ms (fun () ->
+        ignore (Simkit.Slo.poll ~on_breach ~on_clear monitor timeseries))
   end;
-  let completed = ref 0 and failed = ref 0 in
-  for peer = 0 to config.peers - 1 do
-    let at = Prelude.Prng.float w.rng config.arrival_window_ms in
-    Simkit.Engine.schedule_at engine ~time:at (fun () ->
-        let started = Simkit.Engine.now engine in
-        Simkit.Timeseries.observe timeseries "join_started" ~now:started 1.0;
-        (* Remember which trace this join opened so its latency sample can
-           carry the trace id as an exemplar tag (0 when tracing is off). *)
-        let join_trace = ref 0 in
-        Nearby.Protocol.join protocol ~peer ~attach_router:w.peer_routers.(peer) ~k:config.k
-          ~on_trace:(fun ctx -> join_trace := ctx.Simkit.Span.trace_id)
-          ~on_complete:(fun _info reply ->
-            incr completed;
-            let now = Simkit.Engine.now engine in
-            Simkit.Trace.observe ~trace_id:!join_trace exp_trace "join_ms" (now -. started);
-            Simkit.Timeseries.observe timeseries "join_ms" ~now (now -. started);
-            Simkit.Timeseries.observe timeseries "join_completed" ~now 1.0;
-            match auditor with
-            | Some a -> Nearby.Audit.sample_reply a ~peer ~reply
-            | None -> ())
-          ~on_failure:(fun () ->
-            incr failed;
-            let now = Simkit.Engine.now engine in
-            Simkit.Timeseries.observe timeseries "join_failed" ~now 1.0))
-  done;
-  Simkit.Engine.run engine ~until:horizon;
-  (* Settle: one final reconciliation so the consistency check sees the
-     state anti-entropy converges to, not a mid-period cut. *)
-  Nearby.Cluster.sync_round cluster;
-  Nearby.Cluster.check_invariants cluster;
-  let rpc_trace = Simkit.Rpc.trace rpc in
+  Cluster_run.arrivals run ~timeseries
+    ~on_complete:(fun ~peer ~trace_id ~latency_ms reply ->
+      (* The join's trace id tags its latency sample as an exemplar. *)
+      Simkit.Trace.observe ~trace_id exp_trace "join_ms" latency_ms;
+      match auditor with Some a -> Nearby.Audit.sample_reply a ~peer ~reply | None -> ());
+  Cluster_run.settle run;
+  let rpc_trace = Simkit.Rpc.trace run.rpc in
+  let cluster = run.cluster in
   let cluster_trace = Nearby.Cluster.trace cluster in
-  let transport_stat name = List.assoc name (Simkit.Transport.stats transport) in
+  let transport_stat name = List.assoc name (Simkit.Transport.stats run.transport) in
   let quantile q =
     match Simkit.Trace.quantile exp_trace "join_ms" q with Some v -> v | None -> nan
   in
@@ -256,13 +188,13 @@ let run_instrumented ?(spans = Simkit.Span.noop) (config : config) =
     |> List.map (fun i -> Nearby.Server.peer_count (Nearby.Cluster.server_of cluster i))
   in
   {
-    scenario = fault.name;
+    scenario = config.scenario;
     replicas = config.replicas;
     loss = config.loss;
     joins = config.peers;
-    completed = !completed;
-    failed = !failed;
-    completion_rate = float_of_int !completed /. float_of_int config.peers;
+    completed = run.completed;
+    failed = run.failed;
+    completion_rate = float_of_int run.completed /. float_of_int config.peers;
     join_p50_ms = quantile 0.5;
     join_p99_ms = quantile 0.99;
     rpc_attempts = Simkit.Trace.counter rpc_trace "rpc_attempts";
@@ -286,7 +218,7 @@ let run_instrumented ?(spans = Simkit.Span.noop) (config : config) =
     exp_trace;
     rpc_trace;
     cluster_trace;
-    transport_counters = Simkit.Transport.stats transport;
+    transport_counters = Simkit.Transport.stats run.transport;
     audit_trace = Option.map Nearby.Audit.trace auditor;
     timeseries;
     recorder;

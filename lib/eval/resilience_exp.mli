@@ -6,20 +6,18 @@
     primary's subtree.  The headline numbers are the ones the resilience
     layer is supposed to guarantee: join completion rate (must be 1.0 with
     a surviving replica), join-latency tail, and how long a recovered
-    replica takes to be back in sync. *)
+    replica takes to be back in sync.  The run itself (stack, fault
+    schedule, horizon, arrivals, settle) is {!Cluster_run}'s. *)
 
 type config = {
   routers : int;
   peers : int;
-  landmark_count : int;
   k : int;
   replicas : int;
   loss : float;  (** Baseline loss probability, [0, 1). *)
   scenario : string;  (** One of {!scenario_names}. *)
   arrival_window_ms : float;  (** Joins arrive uniformly in [0, window]. *)
   sync_period_ms : float;  (** Anti-entropy period. *)
-  rpc : Simkit.Rpc.config;
-  detector : Simkit.Failure_detector.config;
   slos : Simkit.Slo.spec list;
       (** Objectives polled once per [slo_window_ms]; breach / clear edges
           land in the flight recorder. *)

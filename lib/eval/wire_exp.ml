@@ -14,13 +14,11 @@
 type config = {
   routers : int;
   peers : int;
-  landmark_count : int;
   k : int;
   replicas : int;
   loss : float;
   arrival_window_ms : float;
   sync_period_ms : float;
-  rpc : Simkit.Rpc.config;
   seed : int;
 }
 
@@ -28,20 +26,18 @@ let default_config =
   {
     routers = 2000;
     peers = 10_000;
-    landmark_count = 8;
     k = 5;
     replicas = 3;
     loss = 0.3;
     arrival_window_ms = 20_000.0;
     sync_period_ms = 2_000.0;
-    rpc = Simkit.Rpc.default_config;
     seed = 1;
   }
 
 let quick_config =
   { default_config with routers = 800; peers = 1_500; arrival_window_ms = 8_000.0 }
 
-type kind_row = { kind : string; bytes : int; msgs : int }
+type kind_row = Cluster_run.kind_row = { kind : string; bytes : int; msgs : int }
 
 type result = {
   joins : int;
@@ -65,124 +61,72 @@ type result = {
   accounted : bool;
 }
 
-(* --- Reading the labeled registry back ---------------------------------- *)
-
-let label labels key = match List.assoc_opt key labels with Some v -> v | None -> ""
-
-let sum_counters metrics name ~where =
-  List.fold_left
-    (fun acc (n, labels, _) ->
-      if n = name && where labels then acc + Simkit.Metrics.counter metrics name ~labels
-      else acc)
-    0
-    (Simkit.Metrics.series metrics)
-
-let kind_bytes metrics kind =
-  sum_counters metrics "wire_bytes_total" ~where:(fun l -> label l "kind" = kind)
-
-let dir_bytes metrics dirs =
-  sum_counters metrics "wire_bytes_total" ~where:(fun l -> List.mem (label l "dir") dirs)
-
-(* Per-kind (bytes, msgs) summed over directions, largest first. *)
-let kind_rows metrics =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (n, labels, _) ->
-      if n = "wire_bytes_total" then begin
-        let kind = label labels "kind" in
-        let bytes = Simkit.Metrics.counter metrics "wire_bytes_total" ~labels in
-        let msgs = Simkit.Metrics.counter metrics "wire_msgs_total" ~labels in
-        let b0, m0 = Option.value (Hashtbl.find_opt tbl kind) ~default:(0, 0) in
-        Hashtbl.replace tbl kind (b0 + bytes, m0 + msgs)
-      end)
-    (Simkit.Metrics.series metrics);
-  Hashtbl.fold (fun kind (bytes, msgs) acc -> { kind; bytes; msgs } :: acc) tbl []
-  |> List.sort (fun a b -> compare (b.bytes, a.kind) (a.bytes, b.kind))
-
 (* The conservation invariants: every delivered byte carries exactly one
    kind label, every dropped byte exactly one reason label. *)
 let reconciled metrics transport =
-  sum_counters metrics "wire_bytes_total" ~where:(fun _ -> true)
-  = Simkit.Transport.bytes_sent transport
-  && sum_counters metrics "wire_dropped_bytes_total" ~where:(fun _ -> true)
+  Cluster_run.counter_sum metrics "wire_bytes_total" = Simkit.Transport.bytes_sent transport
+  && Cluster_run.counter_sum metrics "wire_dropped_bytes_total"
      = Simkit.Transport.bytes_dropped transport
-
-(* --- The run ------------------------------------------------------------ *)
 
 let run (config : config) =
   if config.replicas < 1 then invalid_arg "Wire_exp: replicas must be >= 1";
   if config.loss < 0.0 || config.loss >= 1.0 then invalid_arg "Wire_exp: loss outside [0, 1)";
-  let w =
-    Workload.build ~routers:config.routers ~landmark_count:config.landmark_count
-      ~peers:config.peers ~seed:config.seed ()
+  let run_config =
+    {
+      Cluster_run.routers = config.routers;
+      peers = config.peers;
+      k = config.k;
+      replicas = config.replicas;
+      arrival_window_ms = config.arrival_window_ms;
+      sync_period_ms = config.sync_period_ms;
+      drain_ms = 0.0;
+      seed = config.seed;
+    }
   in
-  let engine = Simkit.Engine.create () in
   let m = Simkit.Metrics.create () in
-  let tr =
-    Simkit.Transport.create ~rng:(Prelude.Prng.split w.rng) ~metrics:m engine w.ctx.oracle
-  in
-  let replica_routers =
-    Nearby.Landmark.place (Workload.graph w) Medium_degree ~count:config.replicas
-      ~rng:(Prelude.Prng.split w.rng)
-  in
-  let client_router = w.map.core.(0) in
-  let cluster =
-    Nearby.Cluster.create ~metrics:m ~transport:tr ~client_router
-      ~make_server:(fun () ->
-        Nearby.Server.create ?latency:w.ctx.latency w.ctx.oracle ~landmarks:w.landmarks)
-      ~routers:replica_routers ()
-  in
-  let rpc = Simkit.Rpc.create ~config:config.rpc ~rng:(Prelude.Prng.split w.rng) tr in
-  let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
   (* Lost fan-outs and replies during the burst force retries and
      anti-entropy snapshot repair, so the retry, dropped and snapshot
      buckets are all exercised by one scenario. *)
-  if config.loss > 0.0 then begin
-    let aw = config.arrival_window_ms in
-    Simkit.Engine.schedule_at engine ~time:(0.25 *. aw) (fun () ->
-        Simkit.Transport.set_loss_prob tr config.loss);
-    Simkit.Engine.schedule_at engine ~time:(0.6 *. aw) (fun () ->
-        Simkit.Transport.set_loss_prob tr 0.0)
-  end;
-  let horizon =
-    config.arrival_window_ms +. Simkit.Rpc.worst_case_ms config.rpc +. (3.0 *. config.sync_period_ms)
-    +. 1_000.0
+  let from_ms, until_ms = Cluster_run.fault_window run_config in
+  let run =
+    Cluster_run.create ~metrics:m
+      ~fault:(fun _ -> Simkit.Fault.loss_burst ~from_ms ~until_ms ~loss:config.loss ())
+      run_config
   in
-  Nearby.Cluster.start_sync cluster ~period_ms:config.sync_period_ms ~until:horizon;
-  let completed = ref 0 and failed = ref 0 in
-  for peer = 0 to config.peers - 1 do
-    let at = Prelude.Prng.float w.rng config.arrival_window_ms in
-    Simkit.Engine.schedule_at engine ~time:at (fun () ->
-        Nearby.Protocol.join protocol ~peer ~attach_router:w.peer_routers.(peer) ~k:config.k
-          ~on_complete:(fun _info _reply -> incr completed)
-          ~on_failure:(fun () -> incr failed))
-  done;
-  Simkit.Engine.run engine ~until:horizon;
-  Nearby.Cluster.sync_round cluster;
-  Nearby.Cluster.check_invariants cluster;
+  Cluster_run.arrivals run;
+  Cluster_run.settle run;
+  let tr = run.transport in
+  let kinds = Cluster_run.wire_kinds m in
+  let kind_bytes = Cluster_run.kind_bytes kinds in
   let per v n = if n = 0 then Float.nan else float_of_int v /. float_of_int n in
+  (* Client-facing wire cost of a join: the request and reply legs —
+     reports, queries, replies and every retried attempt — divided by the
+     joins that completed.  Replica fan-out is the amplification number,
+     not the per-join client cost. *)
+  let client_bytes =
+    Cluster_run.counter_sum m "wire_bytes_total" ~where:(fun l ->
+        match List.assoc_opt "dir" l with
+        | Some dir -> dir = "request" || dir = "reply"
+        | None -> false)
+  in
   {
     joins = config.peers;
-    completed = !completed;
-    failed = !failed;
-    completion_rate = per !completed config.peers;
+    completed = run.completed;
+    failed = run.failed;
+    completion_rate = per run.completed config.peers;
     bytes_sent = Simkit.Transport.bytes_sent tr;
     bytes_dropped = Simkit.Transport.bytes_dropped tr;
     messages = Simkit.Transport.messages_sent tr;
-    (* Client-facing wire cost of a join: the request and reply legs —
-       reports, queries, replies and every retried attempt — divided by
-       the joins that completed.  Replica fan-out is the amplification
-       number, not the per-join client cost. *)
-    bytes_per_join = per (dir_bytes m [ "request"; "reply" ]) !completed;
-    bytes_per_query = per (kind_bytes m "query" + kind_bytes m "reply") !completed;
-    replication_amplification = Nearby.Cluster.replication_amplification cluster;
-    snapshot_bytes = kind_bytes m "snapshot";
-    retry_bytes = kind_bytes m "retry";
-    fd_probe_bytes = kind_bytes m "fd_probe";
+    bytes_per_join = per client_bytes run.completed;
+    bytes_per_query = per (kind_bytes "query" + kind_bytes "reply") run.completed;
+    replication_amplification = Nearby.Cluster.replication_amplification run.cluster;
+    snapshot_bytes = kind_bytes "snapshot";
+    retry_bytes = kind_bytes "retry";
+    fd_probe_bytes = kind_bytes "fd_probe";
     dropped_loss_bytes = Simkit.Transport.dropped_loss_bytes tr;
     dropped_unreachable_bytes = Simkit.Transport.dropped_unreachable_bytes tr;
     dropped_partition_bytes = Simkit.Transport.dropped_partition_bytes tr;
-    kinds = kind_rows m;
+    kinds;
     top_talkers = Simkit.Transport.top_talkers tr ~k:5;
     accounted = reconciled m tr;
   }

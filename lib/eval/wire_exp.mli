@@ -13,13 +13,11 @@
 type config = {
   routers : int;
   peers : int;  (** Joins. *)
-  landmark_count : int;
   k : int;
   replicas : int;
   loss : float;  (** Burst loss probability over 25%–60% of the window. *)
   arrival_window_ms : float;
   sync_period_ms : float;
-  rpc : Simkit.Rpc.config;
   seed : int;
 }
 
@@ -29,7 +27,7 @@ val default_config : config
 val quick_config : config
 (** CI shape: 800 routers, 1.5k joins. *)
 
-type kind_row = { kind : string; bytes : int; msgs : int }
+type kind_row = Cluster_run.kind_row = { kind : string; bytes : int; msgs : int }
 (** One message kind summed over directions. *)
 
 type result = {

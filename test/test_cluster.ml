@@ -499,6 +499,21 @@ let test_registration_reply_shares_path () =
   Alcotest.(check bool) "retry reply is rebuilt" false (retry.recorded_path == first.recorded_path);
   Alcotest.(check bool) "retry shows the same registration" true (retry = first)
 
+(* The partition scenario end to end: the primary's subtree is cut off for
+   part of the arrival window, every join still resolves, the cut really
+   dropped traffic, and after the heal every live replica holds the same
+   peer set. *)
+let test_partition_scenario_heals () =
+  let config =
+    { Eval.Resilience_exp.quick_config with routers = 400; peers = 60; scenario = "partition" }
+  in
+  let r = Eval.Resilience_exp.run config in
+  Alcotest.(check int) "every join settles" r.joins (r.completed + r.failed);
+  Alcotest.(check bool) "the cut dropped messages" true (r.dropped_partition > 0);
+  Alcotest.(check bool) "consistent after the heal" true r.consistent;
+  Alcotest.(check int) "live peer counts agree" 1
+    (List.length (List.sort_uniq compare r.live_peer_counts))
+
 let suite =
   ( "cluster",
     [
@@ -522,4 +537,5 @@ let suite =
         test_registration_reply_shares_path;
       Alcotest.test_case "replayed fan-out applies once" `Quick
         test_replayed_fan_out_applies_once;
+      Alcotest.test_case "partition scenario heals" `Quick test_partition_scenario_heals;
     ] )
