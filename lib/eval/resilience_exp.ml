@@ -85,7 +85,9 @@ let scenario_of config (run : Cluster_run.t) : Simkit.Fault.t =
   match config.scenario with
   | "none" -> Simkit.Fault.none
   | "crash-primary" ->
-      Simkit.Fault.crash_primary ~crash_at:(0.25 *. w) ~recover_at:(0.75 *. w) ()
+      (* Recover off the sync grid: a recovery landing on a tick is repaired
+         in the same instant and would read as a 0 ms recovery. *)
+      Simkit.Fault.crash_primary ~crash_at:(0.25 *. w) ~recover_at:(0.7 *. w) ()
   | "loss-burst" -> Simkit.Fault.loss_burst ~base:config.loss ~from_ms ~until_ms ~loss:0.3 ()
   | "partition" ->
       Simkit.Fault.partition_window ~from_ms ~until_ms

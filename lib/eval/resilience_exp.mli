@@ -35,7 +35,7 @@ val quick_config : config
 
 val scenario_names : string list
 (** ["none"; "crash-primary"; "loss-burst"; "partition"].  Faults fire at
-    fixed fractions of the arrival window: crash at 25% / recover at 75%;
+    fixed fractions of the arrival window: crash at 25% / recover at 70%;
     loss and partition windows span 25%–60%. *)
 
 type result = {
@@ -55,7 +55,9 @@ type result = {
   suspicions : int;
   sync_rounds : int;
   recovery_ms : float option;
-      (** Mean crash-to-back-in-sync time; [None] when nothing recovered. *)
+      (** Mean recover-to-back-in-sync time: repair is synchronous, so this
+          is the wait for the next anti-entropy tick.  [None] when nothing
+          recovered. *)
   consistent : bool;  (** All live replicas hold the same peer set. *)
   live_peer_counts : int list;
   dropped_loss : int;
