@@ -41,6 +41,7 @@ type t = {
 
 let create ?(spans = Simkit.Span.noop) ?metrics ?recorder ?rpc_recorder ?timeseries ?backend
     ?(base_loss = 0.0) ?(fault = fun _ -> Simkit.Fault.none) config =
+  if config.replicas < 1 then invalid_arg "Cluster_run: replicas must be >= 1";
   let w = Workload.build ~routers:config.routers ~peers:config.peers ~seed:config.seed () in
   let engine = Simkit.Engine.create () in
   Simkit.Span.set_clock spans (fun () -> Simkit.Engine.now engine);

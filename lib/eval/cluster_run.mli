@@ -64,7 +64,8 @@ val create :
     the RPC layer's labeled outcomes; [recorder] to the cluster and the
     fault schedule; [rpc_recorder] to the RPC layer; [timeseries] to the
     transport; [backend] to every server.  [base_loss] (default 0) is the
-    loss probability outside any fault. *)
+    loss probability outside any fault.
+    @raise Invalid_argument when [replicas < 1]. *)
 
 val every : t -> period_ms:float -> (unit -> unit) -> unit
 (** Run [f] at every multiple of [period_ms] up to the horizon. *)

@@ -75,7 +75,6 @@ type t = {
 }
 
 let start (config : config) =
-  if config.replicas < 1 then invalid_arg "Fleet_obs: replicas must be >= 1";
   if config.window_ms <= 0.0 then invalid_arg "Fleet_obs: window_ms must be positive";
   let metrics = Simkit.Metrics.create () in
   let runtime = Simkit.Runtime_profile.create () in

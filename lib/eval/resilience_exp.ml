@@ -100,7 +100,6 @@ let scenario_of config (run : Cluster_run.t) : Simkit.Fault.t =
            (String.concat " | " scenario_names))
 
 let run_instrumented ?spans (config : config) =
-  if config.replicas < 1 then invalid_arg "Resilience_exp: replicas must be >= 1";
   if config.loss < 0.0 || config.loss >= 1.0 then
     invalid_arg "Resilience_exp: loss outside [0, 1)";
   if config.slo_window_ms <= 0.0 then invalid_arg "Resilience_exp: slo_window_ms must be positive";

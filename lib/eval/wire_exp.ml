@@ -69,7 +69,6 @@ let reconciled metrics transport =
      = Simkit.Transport.bytes_dropped transport
 
 let run (config : config) =
-  if config.replicas < 1 then invalid_arg "Wire_exp: replicas must be >= 1";
   if config.loss < 0.0 || config.loss >= 1.0 then invalid_arg "Wire_exp: loss outside [0, 1)";
   let run_config =
     {
@@ -105,9 +104,7 @@ let run (config : config) =
      not the per-join client cost. *)
   let client_bytes =
     Cluster_run.counter_sum m "wire_bytes_total" ~where:(fun l ->
-        match List.assoc_opt "dir" l with
-        | Some dir -> dir = "request" || dir = "reply"
-        | None -> false)
+        List.mem (List.assoc_opt "dir" l) [ Some "request"; Some "reply" ])
   in
   {
     joins = config.peers;

@@ -501,8 +501,8 @@ let test_registration_reply_shares_path () =
 
 (* The partition scenario end to end: the primary's subtree is cut off for
    part of the arrival window, every join still resolves, the cut really
-   dropped traffic, and after the heal every live replica holds the same
-   peer set. *)
+   dropped traffic, and after the heal and the settle round every live
+   replica holds the same peer set. *)
 let test_partition_scenario_heals () =
   let config =
     { Eval.Resilience_exp.quick_config with routers = 400; peers = 60; scenario = "partition" }
