@@ -1,3 +1,5 @@
+module Top_k = Nearby.Topk
+
 module Bucket = Set.Make (struct
   type t = int * int
 
@@ -68,6 +70,7 @@ let insert t ~peer ~routers =
   if Array.length routers = 0 then invalid_arg "Directory.insert: empty path";
   if routers.(Array.length routers - 1) <> t.landmark then
     invalid_arg "Directory.insert: path must end at the landmark";
+  if peer < 0 || peer >= Top_k.peer_limit then invalid_arg "Directory.insert: peer out of range";
   if Hashtbl.mem t.paths peer then invalid_arg "Directory.insert: peer already registered";
   Hashtbl.add t.paths peer (Array.copy routers);
   Array.iteri
@@ -96,16 +99,14 @@ let remove t ~peer =
    best candidates accumulate in the shared bounded selector (O(log k) per
    offer) instead of a sorted list re-scanned with List.nth per candidate
    (O(k) per offer, O(k^2) per bucket). *)
-module Top_k = Nearby.Selector.Top_k
-
 let beats_worst best cost =
-  match Top_k.worst best with None -> true | Some (w, _) -> cost <= w
+  (not (Top_k.is_full best)) || cost <= Top_k.cost_of (Top_k.worst_exn best)
 
 let query t ~routers ~k ?(exclude = fun _ -> false) () =
   if k <= 0 then []
   else begin
     let seen = Hashtbl.create 64 in
-    let best = Top_k.create ~k compare in
+    let best = Top_k.create ~k in
     let len = Array.length routers in
     let d = ref 0 in
     while !d < len && beats_worst best !d do
@@ -121,13 +122,13 @@ let query t ~routers ~k ?(exclude = fun _ -> false) () =
                  if not (beats_worst best candidate) then raise Exit;
                  if not (Hashtbl.mem seen p) then begin
                    Hashtbl.add seen p ();
-                   if not (exclude p) then Top_k.offer best (candidate, p)
+                   if not (exclude p) then Top_k.offer best (Top_k.pack ~cost:candidate ~peer:p)
                  end)
                !bucket
            with Exit -> ()));
       incr d
     done;
-    List.map (fun (c, p) -> (p, c)) (Top_k.to_sorted_list best)
+    Top_k.drain best
   end
 
 let query_member t ~peer ~k =

@@ -1,11 +1,38 @@
-include Path_tree_core.Make (struct
-  type t = float
+(* The integer-cost core with link latencies in microseconds, converted
+   from and to milliseconds at this API. *)
 
-  let zero = 0.0
-  let add = ( +. )
-  let compare = Float.compare
-  let blit = Array.blit
-end)
+module Core = Path_tree_core
+
+type t = Core.t
+type peer = int
+
+let create = Core.create
+let member_count = Core.member_count
+let mem = Core.mem
+let router_count = Core.router_count
+let remove = Core.remove
+let check_invariants = Core.check_invariants
+
+let us_of_ms ms =
+  let us = Float.round (ms *. 1000.0) in
+  if us >= 0.0 && us < float_of_int Topk.cost_limit then int_of_float us
+  else invalid_arg "Latency_tree: cost out of range"
+
+let ms_of_us us = float_of_int us /. 1000.0
+let routers hops = Array.map fst hops
+let costs hops = Array.map (fun (_, ms) -> us_of_ms ms) hops
+let answer_ms = List.map (fun (peer, us) -> (peer, ms_of_us us))
+let insert t ~peer ~hops = Core.insert_path t ~peer ~routers:(routers hops) ~costs:(costs hops)
+
+let meeting_point t p1 p2 =
+  Option.map (fun (r, c1, c2) -> (r, ms_of_us c1, ms_of_us c2)) (Core.meeting_point t p1 p2)
+
+let dtree t p1 p2 = Option.map ms_of_us (Core.dtree t p1 p2)
+
+let query t ~hops ~k ?exclude () =
+  answer_ms (Core.query_path t ~routers:(routers hops) ~costs:(costs hops) ~k ?exclude ())
+
+let query_member t ~peer ~k = answer_ms (Core.query_member t ~peer ~k)
 
 let hops_of_route ~latency route =
   let rec build prev acc_cost acc = function

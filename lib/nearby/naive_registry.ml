@@ -11,6 +11,7 @@ let insert t ~peer ~routers =
   if Array.length routers = 0 then invalid_arg "Naive_registry.insert: empty path";
   if routers.(Array.length routers - 1) <> t.landmark then
     invalid_arg "Naive_registry.insert: path must end at the landmark";
+  if peer < 0 || peer >= Topk.peer_limit then invalid_arg "Naive_registry.insert: peer out of range";
   if Hashtbl.mem t.paths peer then invalid_arg "Naive_registry.insert: peer already registered";
   Hashtbl.add t.paths peer (Array.copy routers)
 
@@ -35,15 +36,15 @@ let query t ~routers ~k ?(exclude = fun _ -> false) () =
   else begin
     (* Still the exhaustive O(n) scan the ablation is about; only the
        selection of the k best is bounded. *)
-    let best = Topk.create ~k compare in
+    let best = Topk.create ~k in
     Hashtbl.iter
       (fun peer path ->
         if not (exclude peer) then
           match dtree_paths routers path with
-          | Some d -> Topk.offer best (d, peer)
+          | Some d -> Topk.offer best (Topk.pack ~cost:d ~peer)
           | None -> ())
       t.paths;
-    List.map (fun (d, p) -> (p, d)) (Topk.to_sorted_list best)
+    Topk.drain best
   end
 
 let query_member t ~peer ~k =

@@ -32,8 +32,9 @@ val insert : t -> peer:peer -> routers:Topology.Graph.node array -> unit
     and [routers.(last)] the landmark.  Truncated paths (from a decreased
     traceroute) are accepted: distances are then positions in the truncated
     path, an approximation the E4 experiment quantifies.
-    @raise Invalid_argument when the path is empty, does not end at the
-    landmark, or the peer is already registered. *)
+    @raise Invalid_argument as {!Path_tree_core.insert_path}: on an empty
+    path, one not ending at the landmark, a negative router, a peer
+    outside [\[0, 2^31)], or a peer already registered. *)
 
 val remove : t -> peer -> unit
 (** @raise Not_found when the peer is not registered. *)

@@ -1,115 +1,85 @@
-(** Cost-generic core of the landmark path tree.
+(** Core of the landmark path tree, over integer costs.
 
     {!Path_tree} (hop counts, the paper's metric) and {!Latency_tree}
-    (milliseconds, ablation 1 in DESIGN.md) are both instances of this
-    functor.  A registered path is a sequence of [(router, cost)] pairs
-    where [cost] is the cumulative distance from the peer to that router;
-    the structure of meeting points depends only on the router sequence,
-    the metric only on the costs. *)
+    (link latency in integer microseconds, ablation 1 in DESIGN.md) both
+    store their paths here.  A registered path is a sequence of
+    [(router, cost)] pairs where [cost] is the cumulative distance from
+    the peer to that router; the structure of meeting points depends only
+    on the router sequence, the metric only on the costs.
 
-module type COST = sig
-  type t
+    A bucket entry is one packed int ({!Topk.pack}), so peer ids must lie
+    in [\[0, 2^31)] and every cost, inserted or queried, in [\[0, 2^30)]
+    ({!Topk.peer_limit}, {!Topk.cost_limit}): a walk cost plus an entry
+    cost then still packs.  Anything outside raises [Invalid_argument]
+    before any write. *)
 
-  val zero : t
-  val add : t -> t -> t
+type t
 
-  val compare : t -> t -> int
-  (** A total order.  Bind the monomorphic compare of the type
-      ([Int.compare], [Float.compare]): the bucket searches call it on every
-      probe, and the polymorphic [compare] would go through the runtime's
-      generic [caml_compare] each time. *)
+type peer = int
 
-  val blit : t array -> int -> t array -> int -> int -> unit
-  (** [Array.blit] on cost arrays: moves the chunk entries on every insert
-      and remove.  Immediate costs pass {!int_blit}, which skips the write
-      barrier; float arrays are flat, so [Array.blit] is already a
-      [memmove]; boxed costs must pass [Array.blit]. *)
-end
+val create : landmark:Topology.Graph.node -> t
+val landmark : t -> Topology.Graph.node
+val member_count : t -> int
+val mem : t -> peer -> bool
+val router_count : t -> int
+(** Routers whose bucket holds at least one entry. *)
 
-val int_blit : int array -> int -> int array -> int -> int -> unit
-(** [Array.blit] for int arrays, without the per-element write barrier
-    [Array.blit] pays when the destination is in the major heap.
-    @raise Invalid_argument on an out-of-bounds range. *)
+val insert_path :
+  t -> peer:peer -> routers:Topology.Graph.node array -> costs:int array -> unit
+(** Register a path: [routers.(i)] is the i-th router of the peer's
+    recorded path and [costs.(i)] the cost from the peer to it; the last
+    router must be the landmark and the costs non-decreasing.  Only the
+    first [Array.length routers] costs are read, so one long array can
+    serve many paths.  [routers] is copied; [costs] is kept by reference
+    and must not be mutated afterwards.
+    @raise Invalid_argument on an empty path, a path not ending at the
+    landmark, fewer costs than routers, a negative router, a peer or cost
+    out of range, decreasing costs, or a duplicate peer; the tree is then
+    unchanged. *)
 
-module Make (Cost : COST) : sig
-  type t
+val remove : t -> peer -> unit
+(** @raise Not_found when unregistered. *)
 
-  type peer = int
+val routers_of : t -> peer -> Topology.Graph.node array option
+(** The registered router sequence: the stored array, not a copy, which
+    the caller must not modify. *)
 
-  val create : landmark:Topology.Graph.node -> t
-  val landmark : t -> Topology.Graph.node
-  val member_count : t -> int
-  val mem : t -> peer -> bool
-  val router_count : t -> int
-  (** Routers whose bucket holds at least one entry. *)
+val meeting_point : t -> peer -> peer -> (Topology.Graph.node * int * int) option
+(** Deepest common router of the two registered paths and each peer's cost
+    to it; [None] when either peer is unregistered or the paths share no
+    router. *)
 
-  val insert : t -> peer:peer -> hops:(Topology.Graph.node * Cost.t) array -> unit
-  (** [hops.(i)] is the i-th router of the peer's recorded path paired with
-      the cost from the peer to it; the last entry must name the landmark.
-      Costs must be non-decreasing from [hops.(0)] (normally [(attach,
-      zero)]).
-      @raise Invalid_argument on an empty path, a path not ending at the
-      landmark, a negative router, decreasing costs, or a duplicate peer. *)
+val dtree : t -> peer -> peer -> int option
 
-  val insert_path :
-    t -> peer:peer -> routers:Topology.Graph.node array -> costs:Cost.t array -> unit
-  (** {!insert} with the path as parallel arrays: [costs.(i)] is the cost
-      to [routers.(i)].  Only the first [Array.length routers] costs are
-      read, so one long array can serve many paths.  [routers] is copied;
-      [costs] is kept by reference and must not be mutated afterwards.
-      @raise Invalid_argument as {!insert}, and when [costs] is shorter
-      than [routers]. *)
+val query_path :
+  t ->
+  routers:Topology.Graph.node array ->
+  costs:int array ->
+  k:int ->
+  ?exclude:(peer -> bool) ->
+  unit ->
+  (peer * int) list
+(** At most [k] registered peers with the smallest inferred distance to
+    the query path, read as {!insert_path} reads a path; ascending, ties
+    toward the lower peer id.
+    @raise Invalid_argument on fewer costs than routers or a cost out of
+    range. *)
 
-  val remove : t -> peer -> unit
-  (** @raise Not_found when unregistered. *)
+val query_member : t -> peer:peer -> k:int -> (peer * int) list
+(** {!query_path} along the member's stored path, excluding itself.
+    Allocates the selector and the answer, nothing per scanned entry.
+    @raise Not_found when unregistered. *)
 
-  val routers_of : t -> peer -> Topology.Graph.node array option
-  (** The registered router sequence: the stored array, not a copy, which
-      the caller must not modify. *)
+val iter_members : t -> (peer -> unit) -> unit
 
-  val meeting_point : t -> peer -> peer -> (Topology.Graph.node * Cost.t * Cost.t) option
-  (** Deepest common router of the two registered paths and each peer's cost
-      to it; [None] when either peer is unregistered or the paths share no
-      router. *)
+val iter_buckets : t -> (Topology.Graph.node -> int -> unit) -> unit
+(** [f router size] per non-empty router bucket, unspecified order — the
+    feed for registry introspection (occupancy histograms, hot routers). *)
 
-  val dtree : t -> peer -> peer -> Cost.t option
+val approx_bytes : t -> int
+(** Rough payload size (paths, the router index and buckets) in bytes,
+    not counting the callers' cost arrays; an estimate for cross-backend
+    comparison, not an exact heap measurement. *)
 
-  val query :
-    t ->
-    hops:(Topology.Graph.node * Cost.t) array ->
-    k:int ->
-    ?exclude:(peer -> bool) ->
-    unit ->
-    (peer * Cost.t) list
-  (** At most [k] registered peers with the smallest inferred distance to
-      the query path, ascending, ties toward the lower peer id. *)
-
-  val query_path :
-    t ->
-    routers:Topology.Graph.node array ->
-    costs:Cost.t array ->
-    k:int ->
-    ?exclude:(peer -> bool) ->
-    unit ->
-    (peer * Cost.t) list
-  (** {!query} with the path as parallel arrays, read as {!insert_path}
-      reads them. *)
-
-  val query_member : t -> peer:peer -> k:int -> (peer * Cost.t) list
-  (** {!query_path} along the member's stored path, excluding itself.
-      @raise Not_found when unregistered. *)
-
-  val iter_members : t -> (peer -> unit) -> unit
-
-  val iter_buckets : t -> (Topology.Graph.node -> int -> unit) -> unit
-  (** [f router size] per non-empty router bucket, unspecified order — the
-      feed for registry introspection (occupancy histograms, hot routers). *)
-
-  val approx_bytes : t -> int
-  (** Rough payload size (paths, the router index and buckets) in bytes,
-      not counting the callers' cost arrays; an estimate for cross-backend
-      comparison, not an exact heap measurement. *)
-
-  val check_invariants : t -> unit
-  (** @raise Failure on a violated structural invariant (test hook). *)
-end
+val check_invariants : t -> unit
+(** @raise Failure on a violated structural invariant (test hook). *)

@@ -9,10 +9,11 @@
    away.
 
    Conventions every implementation must honour:
-   - [insert] rejects empty paths, paths not ending at the landmark and
-     duplicate peers with [Invalid_argument] (the path tree, which indexes
-     buckets by router, also negative routers); [remove]/[query_member]
-     raise [Not_found] for unknown peers.
+   - [insert] rejects empty paths, paths not ending at the landmark,
+     peers outside [0, 2^31) (a {!Topk} key's range) and duplicate peers
+     with [Invalid_argument] (the path tree, which indexes buckets by
+     router, also negative routers); [remove]/[query_member] raise
+     [Not_found] for unknown peers.
    - [insert_many] is {!Derive_batch}'s: no backend writes its own.
    - [path_of] returns exactly the routers [insert] stored for the peer:
      the stored array itself, which callers only read.  The server's

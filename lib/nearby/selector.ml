@@ -1,8 +1,3 @@
-(* The bounded best-k accumulator every backend selects through; re-exported
-   here so consumers outside the library (e.g. the DHT directory) reach it
-   as [Nearby.Selector.Top_k]. *)
-module Top_k = Topk
-
 type context = {
   graph : Topology.Graph.t;
   oracle : Traceroute.Route_oracle.t;

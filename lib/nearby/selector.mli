@@ -6,10 +6,6 @@
     maps every peer to a set of candidate neighbors; [Eval.Measure] then
     scores the sets against the optimum. *)
 
-module Top_k = Topk
-(** The bounded best-k accumulator shared by every registry backend,
-    re-exported for consumers outside this library. *)
-
 type context = {
   graph : Topology.Graph.t;
   oracle : Traceroute.Route_oracle.t;

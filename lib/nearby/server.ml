@@ -74,7 +74,7 @@ type t = {
   choice_rng : Prelude.Prng.t;
   landmark_ids : Topology.Graph.node array;
   backend : (module Registry_intf.S);
-  registries : (Topology.Graph.node, Registry_intf.t) Hashtbl.t;
+  registries : Registry_intf.t array;  (* parallel to [landmark_ids] *)
   peers : member Peer_tbl.t;
   (* [clock] defaults to a constant 0.0 until {!set_clock} wires the
      simulation engine in. *)
@@ -120,10 +120,9 @@ let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Pr
       Hashtbl.add distinct lmk ())
     landmarks;
   let trace = Simkit.Trace.create () in
-  let registries = Hashtbl.create (Array.length landmarks) in
-  Array.iter
-    (fun lmk -> Hashtbl.add registries lmk (Registry_intf.create ~trace backend ~landmark:lmk))
-    landmarks;
+  let registries =
+    Array.map (fun lmk -> Registry_intf.create ~trace backend ~landmark:lmk) landmarks
+  in
   {
     oracle;
     latency;
@@ -151,20 +150,23 @@ let registration_time t peer =
 
 let iter_registration_times t f = Peer_tbl.iter (fun peer m -> f peer m.stamped_at) t.peers
 
-(* Membership by [Int.equal]: [Array.mem] would call the polymorphic
-   compare per landmark. *)
-let is_landmark t lmk =
-  let rec from i =
-    i < Array.length t.landmark_ids && (Int.equal t.landmark_ids.(i) lmk || from (i + 1))
-  in
-  from 0
+(* [lmk]'s slot in [landmark_ids] and [registries], or -1: an [Int.equal]
+   scan over a handful of landmarks, no polymorphic hash or compare. *)
+let rec landmark_index_from t lmk i =
+  if i >= Array.length t.landmark_ids then -1
+  else if Int.equal t.landmark_ids.(i) lmk then i
+  else landmark_index_from t lmk (i + 1)
+
+let is_landmark t lmk = landmark_index_from t lmk 0 >= 0
 
 let graph t = Traceroute.Route_oracle.graph t.oracle
 let landmarks t = Array.copy t.landmark_ids
 let peer_count t = Peer_tbl.length t.peers
 let mem t peer = Peer_tbl.mem t.peers peer
 let trace t = t.trace
-let registry_of t lmk = Hashtbl.find t.registries lmk
+let registry_of t lmk =
+  let i = landmark_index_from t lmk 0 in
+  if i < 0 then raise Not_found else t.registries.(i)
 
 (* The routers [peer]'s landmark tree stores: its own array, not a copy. *)
 let tree_path t ~home peer =
@@ -217,13 +219,13 @@ let backend_name t =
    into one view, whatever the backend. *)
 let registry_stats t =
   Registry_intf.merge_stats
-    (Hashtbl.fold (fun _ reg acc -> Registry_intf.stats reg :: acc) t.registries [])
+    (Array.fold_left (fun acc reg -> Registry_intf.stats reg :: acc) [] t.registries)
 
 (* The per-landmark registries partition the peers, so the bucket-wise
    merge (occupancies add, hot lists re-rank) is the whole-server truth. *)
 let introspection t =
   Registry_intf.merge_introspections
-    (Hashtbl.fold (fun _ reg acc -> Registry_intf.introspect reg :: acc) t.registries [])
+    (Array.fold_left (fun acc reg -> Registry_intf.introspect reg :: acc) [] t.registries)
 
 let peer_ids t = Peer_tbl.fold (fun peer _ acc -> peer :: acc) t.peers [] |> List.sort compare
 
@@ -550,6 +552,13 @@ let lookup t ~peer ~k m =
   top_up t ~home:m.home ~k ~exclude
     (Registry_intf.query (registry_of t m.home) ~routers:m.routers ~k ~exclude ())
 
+(* The reply as the wire charges it: a top-up entry's [max_int] distance
+   is clipped to [0x3FFFFFF].  Copied only when some entry needs it. *)
+let wire_neighbors reply =
+  if List.exists (fun (_, d) -> d > 0x3FFFFFF) reply then
+    List.map (fun (p, d) -> (p, min d 0x3FFFFFF)) reply
+  else reply
+
 (* Traced, the "query" span sits under the ambient request or roots a
    trace of its own; registry op spans nest under it. *)
 let neighbors t ~peer ~k =
@@ -574,8 +583,7 @@ let neighbors t ~peer ~k =
       Simkit.Trace.cell_add t.cells.wire_bytes
         (Wire.byte_size (Wire.Neighbor_request { peer; k })
         + Wire.byte_size
-            (Wire.Neighbor_reply
-               { peer; neighbors = List.map (fun (p, d) -> (p, min d 0x3FFFFFF)) reply }));
+            (Wire.Neighbor_reply { peer; neighbors = wire_neighbors reply }));
       reply
 
 let reverse_introductions t ~peer ~k =
@@ -609,7 +617,7 @@ let handover ?rng t ~peer ~attach_router =
   info
 
 let check_invariants t =
-  Hashtbl.iter (fun _ reg -> Registry_intf.check_invariants reg) t.registries;
+  Array.iter Registry_intf.check_invariants t.registries;
   let fresh = Bytes.make (8 * bucket_count) '\000' in
   Peer_tbl.iter
     (fun peer m ->
@@ -624,7 +632,7 @@ let check_invariants t =
       xor_entry_digest fresh (8 * bucket_of peer) ~peer ~routers)
     t.peers;
   let members =
-    Hashtbl.fold (fun _ reg acc -> acc + Registry_intf.member_count reg) t.registries 0
+    Array.fold_left (fun acc reg -> acc + Registry_intf.member_count reg) 0 t.registries
   in
   if members <> peer_count t then
     failwith

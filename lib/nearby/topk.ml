@@ -1,88 +1,95 @@
-(* Bounded best-k accumulator shared by every registry backend.
+(* The k smallest packed keys seen so far sit in a worst-at-the-root
+   binary max-heap: O(log k) per offer, one machine comparison per step,
+   no tuple and no compare closure. *)
 
-   Keeps the k smallest elements seen so far in a worst-at-the-root binary
-   max-heap, so offering a candidate costs O(log k) instead of the O(k)
-   sorted-list insertion (O(k^2) per query) it replaces.  The element order
-   is whatever [compare] says; backends pass a (cost, peer) lexicographic
-   compare so equal-cost ties break to the lower peer id everywhere. *)
+let peer_bits = 31
+let peer_mask = (1 lsl peer_bits) - 1
+let peer_limit = 1 lsl peer_bits
 
-type 'a t = {
+(* Two costs below 2^30 sum below 2^31, and that sum packed with a peer
+   stays below [max_int]: a walk cost plus an entry cost always packs. *)
+let cost_limit = 1 lsl 30
+
+let pack ~cost ~peer = (cost lsl peer_bits) lor peer
+let peer_of key = key land peer_mask
+let cost_of key = key lsr peer_bits
+
+type t = {
   k : int;
-  compare : 'a -> 'a -> int;  (* ascending: smaller is better *)
-  heap : 'a array;  (* slots [0, size): max-heap, worst element at the root *)
+  heap : int array;  (* slots [0, size): max-heap, worst key at the root *)
   mutable size : int;
 }
 
-let create ~k compare =
+let create ~k =
   if k < 0 then invalid_arg "Topk.create: negative k";
-  { k; compare; heap = Array.make (max k 1) (Obj.magic 0); size = 0 }
+  { k; heap = Array.make (max k 1) 0; size = 0 }
 
-let length t = t.size
 let is_full t = t.size >= t.k
 
-(* The current k-th best element, once k candidates are held. *)
-let worst t = if t.size < t.k then None else Some t.heap.(0)
-
-(* [worst] without the option, for scan loops that test [is_full] first. *)
+(* The current k-th best key; the scan loops test [is_full] first. *)
 let worst_exn t =
   if t.k = 0 || t.size < t.k then invalid_arg "Topk.worst_exn: fewer than k held";
-  t.heap.(0)
+  Array.unsafe_get t.heap 0
 
-(* The [i]-th held element in heap order, [0 <= i < length t]: lets a scan
-   probe what is held without a closure or a list. *)
-let get t i =
-  if i < 0 || i >= t.size then invalid_arg "Topk.get: index out of range";
-  t.heap.(i)
+(* Does [t] hold a key for [peer]?  At most k probes.  This loop and
+   [offer_from] are top-level functions, not local closures, so a scan
+   allocates nothing per entry. *)
+let rec holds_from t peer i =
+  i < t.size && (peer_of (Array.unsafe_get t.heap i) = peer || holds_from t peer (i + 1))
 
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let sift_up t start =
-  let i = ref start in
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if t.compare t.heap.(parent) t.heap.(!i) < 0 then begin
-      swap t parent !i;
-      i := parent
-    end
-    else continue := false
-  done
-
-let sift_down t =
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let largest = ref !i in
-    if l < t.size && t.compare t.heap.(l) t.heap.(!largest) > 0 then largest := l;
-    if r < t.size && t.compare t.heap.(r) t.heap.(!largest) > 0 then largest := r;
-    if !largest <> !i then begin
-      swap t !largest !i;
-      i := !largest
-    end
-    else continue := false
-  done
-
-let offer t x =
-  if t.k > 0 then begin
-    if t.size < t.k then begin
-      t.heap.(t.size) <- x;
-      t.size <- t.size + 1;
-      sift_up t (t.size - 1)
-    end
-    else if t.compare x t.heap.(0) < 0 then begin
-      (* Strictly better than the current worst: equal elements never
-         displace (first-come keeps its slot, as the sorted-list code did). *)
-      t.heap.(0) <- x;
-      sift_down t
-    end
+(* Move the hole at [i] toward the root until [x] fits there. *)
+let rec sift_up heap x i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && heap.(parent) < x then begin
+    heap.(i) <- heap.(parent);
+    sift_up heap x parent
   end
+  else heap.(i) <- x
 
-(* Ascending (best first); does not disturb the heap. *)
-let to_sorted_list t =
-  let out = Array.sub t.heap 0 t.size in
-  Array.sort t.compare out;
-  Array.to_list out
+(* Move the hole at [i] toward the leaves of [0, size) until [x] fits. *)
+let rec sift_down heap size x i =
+  let l = (2 * i) + 1 in
+  let c = if l + 1 < size && heap.(l + 1) > heap.(l) then l + 1 else l in
+  if l < size && heap.(c) > x then begin
+    heap.(i) <- heap.(c);
+    sift_down heap size x c
+  end
+  else heap.(i) <- x
+
+let offer t key =
+  if t.size < t.k then begin
+    t.size <- t.size + 1;
+    sift_up t.heap key (t.size - 1)
+  end
+  else if t.k > 0 && key < t.heap.(0) then
+    (* Strictly better than the current worst: an equal key never
+       displaces, so the first offer keeps its slot. *)
+    sift_down t.heap t.size key 0
+
+(* Full, and [key] loses to the worst held key.  At k = 0 a key that
+   passes is dropped by [offer]. *)
+let cannot_enter t key = t.size >= t.k && key > t.heap.(0)
+
+let rec offer_from t base keys len exclude e =
+  e >= len
+  ||
+  let key = base + keys.(e) in
+  (not (cannot_enter t key))
+  &&
+  let peer = peer_of key in
+  if not (exclude peer || holds_from t peer 0) then offer t key;
+  offer_from t base keys len exclude (e + 1)
+
+let offer_ascending t ~base keys ~len ~exclude = offer_from t base keys len exclude 0
+
+(* Pop the worst key onto the front of the list until the heap is empty,
+   so the pairs come out ascending. *)
+let drain t =
+  let out = ref [] in
+  while t.size > 0 do
+    let key = t.heap.(0) in
+    t.size <- t.size - 1;
+    if t.size > 0 then sift_down t.heap t.size t.heap.(t.size) 0;
+    out := (peer_of key, cost_of key) :: !out
+  done;
+  !out

@@ -183,6 +183,25 @@ let qcheck_bitset_model =
       Bitset.cardinal b = Hashtbl.length model
       && List.for_all (fun i -> Bitset.mem b i) ops)
 
+(* --- Int_tbl --- *)
+
+(* The table's own hash must be [Hashtbl.hash] bit for bit: buckets, and so
+   iteration order and every output built by iterating, depend on it. *)
+let test_int_tbl_hash_is_hashtbl_hash () =
+  let mismatches = ref 0 in
+  let check x = if Int_tbl.hash x <> Hashtbl.hash x then incr mismatches in
+  for x = -1_000_000 to 1_000_000 do
+    check x
+  done;
+  List.iter check
+    [ min_int; max_int; min_int + 1; max_int - 1; 1 lsl 31; -(1 lsl 31); (1 lsl 31) - 1;
+      -(1 lsl 31) - 1; 1 lsl 40; -(1 lsl 40); 1 lsl 61; -(1 lsl 61); 1 lsl 62 ];
+  let rng = Prng.create 97 in
+  for _ = 1 to 1_000_000 do
+    check (Int64.to_int (Prng.bits64 rng))
+  done;
+  Alcotest.(check int) "mismatches" 0 !mismatches
+
 (* --- Union_find --- *)
 
 let test_uf_basic () =
@@ -225,6 +244,7 @@ let suite =
       Alcotest.test_case "vec bounds" `Quick test_vec_bounds;
       Alcotest.test_case "vec roundtrip" `Quick test_vec_roundtrip;
       Alcotest.test_case "vec sort/iter" `Quick test_vec_sort_iter;
+      Alcotest.test_case "int_tbl hash = Hashtbl.hash" `Quick test_int_tbl_hash_is_hashtbl_hash;
       Alcotest.test_case "bitset basic" `Quick test_bitset_basic;
       Alcotest.test_case "bitset idempotent add" `Quick test_bitset_add_idempotent;
       Alcotest.test_case "bitset iter/clear" `Quick test_bitset_iter_clear;

@@ -1,5 +1,6 @@
-(* Latency_tree (the float-cost instance of the path-tree functor) and its
-   agreement with the hop tree under unit latencies. *)
+(* Latency_tree (the integer core with microsecond costs) and its
+   agreement with the hop tree under unit latencies; the core's own
+   structural and range checks. *)
 
 open Nearby
 
@@ -155,66 +156,92 @@ let qcheck_zero_latency_links_match_naive =
              = Naive_registry.query_member naive ~peer ~k)
            (List.init n_peers Fun.id))
 
-(* Exercise the functor with a third, non-numeric cost: lexicographic
-   (latency, hops) pairs - minimizing latency with hop count as the
-   tie-break.  This is what a deployment that records both would use. *)
-module Pair_cost = struct
-  type t = float * int
+(* The integer core both trees share, driven directly: the structural
+   cases the float API cannot reach. *)
+module Core = Nearby.Path_tree_core
 
-  let zero = (0.0, 0)
-  let add (a, b) (c, d) = (a +. c, b + d)
-  let compare = compare
+let split hops = (Array.map fst hops, Array.map snd hops)
 
-  (* Boxed entries: chunk shifts must keep the write barrier. *)
-  let blit = Array.blit
-end
+let insert t ~peer ~hops =
+  let routers, costs = split hops in
+  Core.insert_path t ~peer ~routers ~costs
 
-module Pair_tree = Nearby.Path_tree_core.Make (Pair_cost)
+let query t ~hops ~k =
+  let routers, costs = split hops in
+  Core.query_path t ~routers ~costs ~k ()
 
-let test_custom_cost_instance () =
-  let t = Pair_tree.create ~landmark:9 in
-  (* Peer 0: fast but long route; peer 1: slow but short.  A query meeting
-     both at router 5 must prefer the lower-latency peer 0, despite more
-     hops. *)
-  Pair_tree.insert t ~peer:0 ~hops:[| (10, (0.0, 0)); (11, (1.0, 1)); (5, (2.0, 2)); (9, (9.0, 3)) |];
-  Pair_tree.insert t ~peer:1 ~hops:[| (20, (0.0, 0)); (5, (8.0, 1)); (9, (15.0, 2)) |];
-  Pair_tree.check_invariants t;
-  (match Pair_tree.meeting_point t 0 1 with
-  | Some (router, c0, c1) ->
-      Alcotest.(check int) "meet at 5" 5 router;
-      Alcotest.(check bool) "costs carried" true (c0 = (2.0, 2) && c1 = (8.0, 1))
-  | None -> Alcotest.fail "no meeting point");
-  let query_hops = [| (30, (0.0, 0)); (5, (1.0, 1)); (9, (8.0, 2)) |] in
-  (match Pair_tree.query t ~hops:query_hops ~k:2 () with
-  | [ (first, (lat1, _)); (second, (lat2, _)) ] ->
-      Alcotest.(check int) "low latency wins" 0 first;
-      Alcotest.(check int) "slow peer second" 1 second;
-      Alcotest.(check bool) "latencies ordered" true (lat1 <= lat2)
-  | other -> Alcotest.fail (Printf.sprintf "unexpected reply of %d" (List.length other)));
+let test_core_structure () =
+  let t = Core.create ~landmark:9 in
+  insert t ~peer:0 ~hops:[| (10, 0); (11, 1); (5, 2); (9, 9) |];
+  insert t ~peer:1 ~hops:[| (20, 0); (5, 8); (9, 15) |];
+  Core.check_invariants t;
+  Alcotest.(check (option (triple int int int))) "meet at 5" (Some (5, 2, 8))
+    (Core.meeting_point t 0 1);
   (* Router-indexed buckets: a negative router is refused, a far router id
      grows the index, and emptied routers leave the count. *)
   Alcotest.check_raises "negative router" (Invalid_argument "Path_tree.insert: negative router")
-    (fun () -> Pair_tree.insert t ~peer:2 ~hops:[| (-1, (0.0, 0)); (9, (1.0, 1)) |]);
+    (fun () -> insert t ~peer:2 ~hops:[| (-1, 0); (9, 1) |]);
   (* One cost array longer than either path serves both, read only up to
      each path's length and kept as given. *)
-  let shared = [| (0.0, 0); (1.0, 1); (2.0, 2); (3.0, 3) |] in
-  Pair_tree.insert_path t ~peer:2 ~routers:[| 4000; 5; 9 |] ~costs:shared;
-  Pair_tree.insert_path t ~peer:3 ~routers:[| 4001; 9 |] ~costs:shared;
-  Pair_tree.check_invariants t;
-  Alcotest.(check int) "routers with far ids" 7 (Pair_tree.router_count t);
-  Alcotest.(check bool) "shared costs read per path" true
-    (Pair_tree.meeting_point t 2 3 = Some (9, (2.0, 2), (1.0, 1)));
-  Pair_tree.remove t 2;
-  Pair_tree.remove t 0;
-  Pair_tree.check_invariants t;
+  let shared = [| 0; 1; 2; 3 |] in
+  Core.insert_path t ~peer:2 ~routers:[| 4000; 5; 9 |] ~costs:shared;
+  Core.insert_path t ~peer:3 ~routers:[| 4001; 9 |] ~costs:shared;
+  Core.check_invariants t;
+  Alcotest.(check int) "routers with far ids" 7 (Core.router_count t);
+  Alcotest.(check (option (triple int int int))) "shared costs read per path" (Some (9, 2, 1))
+    (Core.meeting_point t 2 3);
+  Core.remove t 2;
+  Core.remove t 0;
+  Core.check_invariants t;
   (* Left: peer 1 (20, 5, 9) and peer 3 (4001, 9). *)
-  Alcotest.(check int) "emptied routers dropped" 4 (Pair_tree.router_count t);
+  Alcotest.(check int) "emptied routers dropped" 4 (Core.router_count t);
   let seen = ref [] in
-  Pair_tree.iter_buckets t (fun router size -> seen := (router, size) :: !seen);
+  Core.iter_buckets t (fun router size -> seen := (router, size) :: !seen);
   Alcotest.(check (list (pair int int)))
     "live buckets only"
     [ (5, 1); (9, 2); (20, 1); (4001, 1) ]
     (List.sort compare !seen)
+
+(* A bucket entry packs (cost, peer) into one int, so a peer outside
+   [0, 2^31) or a cost outside [0, 2^30) is refused before any write: the
+   tree is left exactly as it was. *)
+let test_core_ranges () =
+  let t = Core.create ~landmark:9 in
+  insert t ~peer:0 ~hops:[| (1, 0); (9, 3) |];
+  let snapshot () = (Core.member_count t, Core.router_count t, Core.query_member t ~peer:0 ~k:5) in
+  let before = snapshot () in
+  let refused name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) f;
+    Core.check_invariants t;
+    Alcotest.(check bool) (name ^ ": tree unchanged") true (snapshot () = before)
+  in
+  let peer_range = "Path_tree.insert: peer out of range" in
+  let cost_range = "Path_tree.insert: cost out of range" in
+  refused "negative peer" peer_range (fun () -> insert t ~peer:(-1) ~hops:[| (2, 0); (9, 1) |]);
+  refused "peer 2^31" peer_range (fun () -> insert t ~peer:(1 lsl 31) ~hops:[| (2, 0); (9, 1) |]);
+  refused "negative cost" cost_range (fun () -> insert t ~peer:1 ~hops:[| (2, -1); (9, 1) |]);
+  refused "cost 2^30" cost_range (fun () ->
+      insert t ~peer:1 ~hops:[| (2, 0); (3, 1); (9, 1 lsl 30) |]);
+  refused "query cost 2^30" "Path_tree.query: cost out of range" (fun () ->
+      ignore (query t ~hops:[| (1, 0); (9, 1 lsl 30) |] ~k:3));
+  refused "latency off the scale" "Latency_tree: cost out of range" (fun () ->
+      Latency_tree.insert (Latency_tree.create ~landmark:9) ~peer:1 ~hops:[| (2, 0.0); (9, 1e9) |]);
+  (* The extremes themselves pack, keep their order and come back. *)
+  let top_peer = (1 lsl 31) - 1 and top_cost = (1 lsl 30) - 1 in
+  insert t ~peer:top_peer ~hops:[| (1, 0); (9, top_cost) |];
+  insert t ~peer:1 ~hops:[| (1, 0); (9, top_cost) |];
+  Core.check_invariants t;
+  Alcotest.(check (list (pair int int)))
+    "extremes ordered by (cost, peer)"
+    [ (0, 0); (1, 0); (top_peer, 0) ]
+    (query t ~hops:[| (1, 0); (9, top_cost) |] ~k:3);
+  (* Two maximal costs still sum and pack: a member meeting them only at
+     the landmark. *)
+  insert t ~peer:2 ~hops:[| (3, 0); (9, top_cost) |];
+  Alcotest.(check (list (pair int int)))
+    "maximal walk plus maximal entry"
+    [ (0, top_cost + 3); (1, 2 * top_cost); (top_peer, 2 * top_cost) ]
+    (Core.query_member t ~peer:2 ~k:4)
 
 let suite =
   ( "latency_tree",
@@ -226,7 +253,8 @@ let suite =
       Alcotest.test_case "agrees with hop tree" `Quick test_agrees_with_hop_tree_under_unit_latency;
       Alcotest.test_case "remove" `Quick test_remove_and_members;
       Alcotest.test_case "metric ablation" `Slow test_metric_ablation_smoke;
-      Alcotest.test_case "custom cost functor instance" `Quick test_custom_cost_instance;
+      Alcotest.test_case "int core structure" `Quick test_core_structure;
+      Alcotest.test_case "int core ranges" `Quick test_core_ranges;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
         qcheck_zero_latency_links_match_naive;
     ] )

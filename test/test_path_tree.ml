@@ -472,6 +472,49 @@ let test_query_member_allocation () =
     (Printf.sprintf "%.1f words per k=%d member query" per_query k)
     true (per_query <= 150.0)
 
+(* One member query allocates the selector, the exclusion closure and
+   the answer (a pair and a cons per neighbor), nothing per scanned
+   entry: the same words over a 1-entry hub bucket as over a 4096-entry
+   one. *)
+let test_query_member_words_flat_in_bucket_size () =
+  let k = 8 in
+  List.iter
+    (fun bucket ->
+      let hub = 1 and lmk = 0 in
+      let t = Path_tree.create ~landmark:lmk in
+      for peer = 0 to bucket - 1 do
+        Path_tree.insert t ~peer ~routers:[| 10 + peer; hub; lmk |]
+      done;
+      ignore (Path_tree.query_member t ~peer:0 ~k);
+      let before = Gc.minor_words () in
+      let answer = Path_tree.query_member t ~peer:0 ~k in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) "answer size" (min k (bucket - 1)) (List.length answer);
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f words at bucket size %d, k=%d" words bucket k)
+        true
+        (words <= float_of_int (64 + (6 * k))))
+    [ 1; 2; 16; 256; 4096 ]
+
+(* The selector keeps exactly what sorting every offer and taking the
+   first k keeps, cost ties broken to the lower peer id, at both ends of
+   the peer range. *)
+let qcheck_topk_is_sort_and_take =
+  let top_peer = Topk.peer_limit - 1 in
+  let peer = QCheck.Gen.(frequency [ (1, return 0); (1, return top_peer); (6, int_bound 1000) ]) in
+  let offer = QCheck.Gen.(pair (int_bound 5) peer) in
+  QCheck.Test.make ~name:"topk: k smallest = sort all offers, take k" ~count:500
+    QCheck.(pair (int_range 0 12) (make ~print:Print.(list (pair int int)) Gen.(list_size (int_bound 40) offer)))
+    (fun (k, offers) ->
+      (* One offer per peer, as every caller guarantees. *)
+      let offers = List.sort_uniq (fun (_, p1) (_, p2) -> compare p1 p2) offers in
+      let best = Topk.create ~k in
+      List.iter (fun (cost, peer) -> Topk.offer best (Topk.pack ~cost ~peer)) offers;
+      let expected =
+        List.sort compare offers |> List.filteri (fun i _ -> i < k) |> List.map (fun (c, p) -> (p, c))
+      in
+      Topk.drain best = expected && Topk.drain best = [])
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t in
   ( "path_tree",
@@ -501,6 +544,9 @@ let suite =
         test_insert_allocates_no_cost_array;
       q qcheck_batch_layout;
       Alcotest.test_case "member query allocation" `Quick test_query_member_allocation;
+      Alcotest.test_case "member query words flat in bucket size" `Quick
+        test_query_member_words_flat_in_bucket_size;
+      q qcheck_topk_is_sort_and_take;
       Alcotest.test_case "small batch allocates like singletons" `Quick
         test_batch_allocates_like_singletons;
     ] )
