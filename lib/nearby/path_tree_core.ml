@@ -20,7 +20,7 @@ let int_blit (src : int array) soff (dst : int array) doff len =
       Array.unsafe_set dst (doff + i) (Array.unsafe_get src (soff + i))
     done
 
-module Itbl = Prelude.Int_tbl
+module Slot_index = Prelude.Slot_index
 
 (* --- Flat bucket storage -----------------------------------------------
 
@@ -41,15 +41,16 @@ let spare_limit = 64
 type chunk = { mutable keys : int array; mutable clen : int }
 type bucket = { mutable chunks : chunk array; mutable nchunks : int; mutable total : int }
 
-(* A registered path, flattened to parallel arrays.  [pcosts] is the
-   caller's array, kept by reference and read only up to
-   [Array.length routers]: every {!Path_tree} path shares one positions
-   array, so a hop path stores no costs of its own. *)
-type path = { routers : int array; pcosts : int array }
-
+(* A member is a slot of [index].  [routes.(slot)] is its registered
+   router array; [costs.(slot)] is the caller's cost array, kept by
+   reference and read only up to the route's length: every {!Path_tree}
+   path shares one positions array, so a hop path stores no costs of its
+   own.  A free slot holds [[||]] in both. *)
 type t = {
   landmark : Topology.Graph.node;
-  paths : path Itbl.t;
+  index : Slot_index.t;
+  mutable routes : int array array;
+  mutable costs : int array array;
   (* Router ids are dense graph node ids, so a router's bucket is found
      by indexing, not hashing.  The array grows to the largest router an
      insert names; a router without entries holds [empty_bucket]. *)
@@ -66,11 +67,20 @@ type t = {
 let empty_bucket = { chunks = [||]; nchunks = 0; total = 0 }
 
 let create ~landmark =
-  { landmark; paths = Itbl.create 64; buckets = [||]; live = 0; spare = []; nspare = 0 }
+  {
+    landmark;
+    index = Slot_index.create ();
+    routes = [||];
+    costs = [||];
+    buckets = [||];
+    live = 0;
+    spare = [];
+    nspare = 0;
+  }
 
 let landmark t = t.landmark
-let member_count t = Itbl.length t.paths
-let mem t p = Itbl.mem t.paths p
+let member_count t = Slot_index.length t.index
+let mem t p = Slot_index.mem t.index p
 let router_count t = t.live
 let fresh_chunk cap = { keys = Array.make cap 0; clen = 0 }
 
@@ -238,25 +248,45 @@ let validate t ~peer ~routers ~costs =
     if i > 0 && costs.(i - 1) > costs.(i) then
       invalid_arg "Path_tree.insert: costs must be non-decreasing"
   done;
-  if Itbl.mem t.paths peer then invalid_arg "Path_tree.insert: peer already registered"
+  if Slot_index.mem t.index peer then invalid_arg "Path_tree.insert: peer already registered"
+
+(* Room for [slot] in the per-slot arrays: as many slots as the index
+   holds keys. *)
+let ensure_slot t slot =
+  let n = Array.length t.routes in
+  if slot >= n then begin
+    let grow a =
+      let grown = Array.make (Slot_index.capacity t.index) [||] in
+      Array.blit a 0 grown 0 n;
+      grown
+    in
+    t.routes <- grow t.routes;
+    t.costs <- grow t.costs
+  end
 
 let insert_path t ~peer ~routers ~costs =
   validate t ~peer ~routers ~costs;
   let routers = Array.copy routers in
-  Itbl.add t.paths peer { routers; pcosts = costs };
+  let slot = Slot_index.add t.index peer in
+  ensure_slot t slot;
+  t.routes.(slot) <- routers;
+  t.costs.(slot) <- costs;
   for i = 0 to Array.length routers - 1 do
     bucket_add t (bucket_of t routers.(i)) (Topk.pack ~cost:costs.(i) ~peer)
   done
 
 let remove t peer =
-  let path = Itbl.find t.paths peer in
-  Itbl.remove t.paths peer;
-  for i = 0 to Array.length path.routers - 1 do
-    let router = path.routers.(i) in
+  let slot = Slot_index.remove t.index peer in
+  if slot < 0 then raise Not_found;
+  let routers = t.routes.(slot) and costs = t.costs.(slot) in
+  t.routes.(slot) <- [||];
+  t.costs.(slot) <- [||];
+  for i = 0 to Array.length routers - 1 do
+    let router = routers.(i) in
     let b = t.buckets.(router) in
     (* [empty_bucket] when a router repeats in the path. *)
     if b != empty_bucket then begin
-      bucket_remove t b (Topk.pack ~cost:path.pcosts.(i) ~peer);
+      bucket_remove t b (Topk.pack ~cost:costs.(i) ~peer);
       if b.total = 0 then begin
         t.buckets.(router) <- empty_bucket;
         t.live <- t.live - 1
@@ -265,23 +295,25 @@ let remove t peer =
   done
 
 let routers_of t peer =
-  match Itbl.find t.paths peer with p -> Some p.routers | exception Not_found -> None
+  let slot = Slot_index.find t.index peer in
+  if slot < 0 then None else Some t.routes.(slot)
+
+(* Length of the longest common suffix of [r1] and [r2], at most [max_j]. *)
+let rec common_suffix r1 r2 max_j j =
+  if j < max_j && r1.(Array.length r1 - 1 - j) = r2.(Array.length r2 - 1 - j) then
+    common_suffix r1 r2 max_j (j + 1)
+  else j
 
 let meeting_point t p1 p2 =
-  match (Itbl.find_opt t.paths p1, Itbl.find_opt t.paths p2) with
-  | Some path1, Some path2 ->
-      let len1 = Array.length path1.routers and len2 = Array.length path2.routers in
-      (* Longest common router suffix: both paths end at the landmark. *)
-      let max_j = min len1 len2 in
-      let rec suffix j =
-        if j < max_j && path1.routers.(len1 - 1 - j) = path2.routers.(len2 - 1 - j) then
-          suffix (j + 1)
-        else j
-      in
-      let j = suffix 0 in
-      if j = 0 then None
-      else Some (path1.routers.(len1 - j), path1.pcosts.(len1 - j), path2.pcosts.(len2 - j))
-  | None, _ | _, None -> None
+  let s1 = Slot_index.find t.index p1 and s2 = Slot_index.find t.index p2 in
+  if s1 < 0 || s2 < 0 then None
+  else begin
+    let r1 = t.routes.(s1) and r2 = t.routes.(s2) in
+    let len1 = Array.length r1 and len2 = Array.length r2 in
+    (* Longest common router suffix: both paths end at the landmark. *)
+    let j = common_suffix r1 r2 (min len1 len2) 0 in
+    if j = 0 then None else Some (r1.(len1 - j), t.costs.(s1).(len1 - j), t.costs.(s2).(len2 - j))
+  end
 
 let dtree t p1 p2 =
   match meeting_point t p1 p2 with Some (_, c1, c2) -> Some (c1 + c2) | None -> None
@@ -346,24 +378,28 @@ let query_path t ~routers ~costs ~k ?(exclude = fun _ -> false) () =
 (* The member's own stored path is the query path: nothing to copy, and
    its costs were checked when it was inserted. *)
 let query_member t ~peer ~k =
-  let path = Itbl.find t.paths peer in
-  run_query t ~routers:path.routers ~costs:path.pcosts ~k ~exclude:(Int.equal peer)
+  let slot = Slot_index.find t.index peer in
+  if slot < 0 then raise Not_found;
+  run_query t ~routers:t.routes.(slot) ~costs:t.costs.(slot) ~k ~exclude:(Int.equal peer)
 
-let iter_members t f = Itbl.iter (fun p _ -> f p) t.paths
+let iter_members t f = Slot_index.iter t.index (fun p _ -> f p)
 
 let iter_buckets t f =
   Array.iteri (fun router b -> if b != empty_bucket then f router b.total) t.buckets
 
-(* Rough payload estimate in machine words times 8.  Paths: hash binding
-   (3) + record (3) + the router array (1 + len); the cost arrays are the
-   caller's (one shared positions array for every hop path) and are not
-   counted.  Buckets: the router index (1 + its length), then per live
-   bucket a record (4) + chunk pointer array + per chunk a record (3) and
-   its key array (1 + allocated capacity).  Good for cross-backend
-   comparison, not accounting. *)
+(* Rough payload estimate in machine words times 8.  Paths: the peer
+   index, the two per-slot arrays (1 + their length each) and each
+   member's router array (1 + len); the cost arrays are the caller's (one
+   shared positions array for every hop path) and are not counted.
+   Buckets: the router index (1 + its length), then per live bucket a
+   record (4) + chunk pointer array + per chunk a record (3) and its key
+   array (1 + allocated capacity).  Good for cross-backend comparison, not
+   accounting. *)
 let approx_bytes t =
-  let words = ref (1 + Array.length t.buckets) in
-  Itbl.iter (fun _ p -> words := !words + 7 + Array.length p.routers) t.paths;
+  let words =
+    ref (1 + Array.length t.buckets + Slot_index.heap_words t.index + 2 + (2 * Array.length t.routes))
+  in
+  Slot_index.iter t.index (fun _ slot -> words := !words + 1 + Array.length t.routes.(slot));
   iter_buckets t (fun router _ ->
       let b = t.buckets.(router) in
       words := !words + 5 + Array.length b.chunks;
@@ -374,20 +410,20 @@ let approx_bytes t =
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in
-  Itbl.iter
-    (fun peer p ->
-      let len = Array.length p.routers in
+  Slot_index.check_invariants t.index;
+  if Array.length t.costs <> Array.length t.routes then fail "per-slot arrays differ in length";
+  Slot_index.iter t.index (fun peer slot ->
+      let routers = t.routes.(slot) and costs = t.costs.(slot) in
+      let len = Array.length routers in
       if len = 0 then fail "peer %d has an empty path" peer;
-      if Array.length p.pcosts < len then fail "peer %d has fewer costs than routers" peer;
-      if p.routers.(len - 1) <> t.landmark then
-        fail "peer %d path does not end at the landmark" peer;
+      if Array.length costs < len then fail "peer %d has fewer costs than routers" peer;
+      if routers.(len - 1) <> t.landmark then fail "peer %d path does not end at the landmark" peer;
       for i = 0 to len - 1 do
-        let b = find_bucket t p.routers.(i) in
-        if b == empty_bucket then fail "peer %d: router %d has no bucket" peer p.routers.(i);
-        if not (bucket_mem b (Topk.pack ~cost:p.pcosts.(i) ~peer)) then
-          fail "peer %d missing from bucket of router %d" peer p.routers.(i)
-      done)
-    t.paths;
+        let b = find_bucket t routers.(i) in
+        if b == empty_bucket then fail "peer %d: router %d has no bucket" peer routers.(i);
+        if not (bucket_mem b (Topk.pack ~cost:costs.(i) ~peer)) then
+          fail "peer %d missing from bucket of router %d" peer routers.(i)
+      done);
   if empty_bucket.nchunks <> 0 || empty_bucket.total <> 0 then fail "the empty bucket was written";
   let live = ref 0 in
   iter_buckets t (fun _ _ -> incr live);
@@ -410,15 +446,14 @@ let check_invariants t =
           if e > 0 && c.keys.(e - 1) > c.keys.(e) then fail "router %d: chunk %d not sorted" router ci;
           let key = c.keys.(e) in
           let peer = Topk.peer_of key and cost = Topk.cost_of key in
-          match Itbl.find_opt t.paths peer with
-          | None -> fail "bucket of router %d references unknown peer %d" router peer
-          | Some p ->
-              let justified = ref false in
-              for i = 0 to Array.length p.routers - 1 do
-                if p.routers.(i) = router && p.pcosts.(i) = cost then justified := true
-              done;
-              if not !justified then
-                fail "bucket of router %d has stale entry for peer %d" router peer
+          let slot = Slot_index.find t.index peer in
+          if slot < 0 then fail "bucket of router %d references unknown peer %d" router peer;
+          let routers = t.routes.(slot) and costs = t.costs.(slot) in
+          let justified = ref false in
+          for i = 0 to Array.length routers - 1 do
+            if routers.(i) = router && costs.(i) = cost then justified := true
+          done;
+          if not !justified then fail "bucket of router %d has stale entry for peer %d" router peer
         done
       done;
       if !counted <> b.total then

@@ -71,6 +71,8 @@ val query_member : t -> peer:peer -> k:int -> (peer * int) list
     @raise Not_found when unregistered. *)
 
 val iter_members : t -> (peer -> unit) -> unit
+(** In the peer index's cell order ({!Prelude.Slot_index.iter}): fixed by
+    the sequence of operations, but not sorted. *)
 
 val iter_buckets : t -> (Topology.Graph.node -> int -> unit) -> unit
 (** [f router size] per non-empty router bucket, unspecified order — the

@@ -17,7 +17,7 @@
    - [insert_many] is {!Derive_batch}'s: no backend writes its own.
    - [path_of] returns exactly the routers [insert] stored for the peer:
      the stored array itself, which callers only read.  The server's
-     member record references that array rather than keeping a copy.
+     per-member slot references that array rather than keeping a copy.
    - [query] returns at most [k] (peer, dtree) pairs in ascending
      (dtree, peer) order -- equal-cost ties break to the lower peer id --
      so two correct backends return byte-identical answers.
@@ -173,7 +173,7 @@ end
 module Derive_batch (B : SINGLETON) = struct
   let insert_many t entries =
     let landmark = B.landmark t in
-    let seen = Prelude.Int_tbl.create (Array.length entries) in
+    let seen = Prelude.Slot_index.create ~capacity:(Array.length entries) () in
     Array.iter
       (fun (peer, routers) ->
         let len = Array.length routers in
@@ -181,9 +181,11 @@ module Derive_batch (B : SINGLETON) = struct
         if routers.(len - 1) <> landmark then
           invalid_arg "insert_many: path must end at the landmark";
         Array.iter (fun r -> if r < 0 then invalid_arg "insert_many: negative router") routers;
-        if B.mem t peer || Prelude.Int_tbl.mem seen peer then
+        if peer < 0 || peer >= Prelude.Slot_index.key_limit then
+          invalid_arg "insert_many: peer out of range";
+        if B.mem t peer || Prelude.Slot_index.mem seen peer then
           invalid_arg "insert_many: peer already registered";
-        Prelude.Int_tbl.add seen peer ())
+        ignore (Prelude.Slot_index.add seen peer))
       entries;
     Array.iter (fun (peer, routers) -> B.insert t ~peer ~routers) entries
 end

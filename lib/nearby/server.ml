@@ -2,6 +2,11 @@ let log_src = Logs.Src.create "nearby.server" ~doc:"Management-server protocol e
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* Whether debug messages are on: a per-operation path tests it before
+   building a message closure, which would otherwise be allocated every
+   call. *)
+let debug_on () = match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
+
 type landmark_choice = Closest | Uniform
 
 type peer_info = {
@@ -11,9 +16,7 @@ type peer_info = {
   probes_spent : int;
 }
 
-(* Peer-keyed tables: monomorphic probes, and a generic table's iteration
-   order (see [Prelude.Int_tbl]). *)
-module Peer_tbl = Prelude.Int_tbl
+module Slot_index = Prelude.Slot_index
 
 (* The trace cells the server writes, each resolved at its first write. *)
 type cells = {
@@ -50,21 +53,6 @@ let cells_of trace =
     handovers = counter "handover";
   }
 
-(* What the server keeps per member.  [routers] is the array the member's
-   landmark tree stores, read back once at registration: the path exists
-   once, and a query or a leave reaches it without probing the tree's own
-   table (on query-250k that probe cost about a fifth of the query rate).
-   [stamped_at] is when this server last learned the member's report, the
-   staleness feed; it is not part of [snapshot], being a property of the
-   replica's view, not of the data. *)
-type member = {
-  attach : Topology.Graph.node;
-  home : Topology.Graph.node;
-  probes : int;
-  routers : Topology.Graph.node array;
-  stamped_at : float;
-}
-
 type t = {
   oracle : Traceroute.Route_oracle.t;
   latency : Topology.Latency.t option;
@@ -75,7 +63,20 @@ type t = {
   landmark_ids : Topology.Graph.node array;
   backend : (module Registry_intf.S);
   registries : Registry_intf.t array;  (* parallel to [landmark_ids] *)
-  peers : member Peer_tbl.t;
+  (* A member is a slot of [index]; its state is one cell of each per-slot
+     array.  [routers.(slot)] is the array the member's landmark tree
+     stores, read back once at registration: the path exists once, and a
+     query or a leave reaches it without probing the tree's own index.
+     Its last router is the member's landmark ([registrable_path] ends
+     every path there).  [stamps.(slot)] is when this server last learned
+     the member's report, the staleness feed; it is not part of
+     [snapshot], being a property of the replica's view, not of the data.
+     A free slot holds [[||]] in [routers]. *)
+  index : Slot_index.t;
+  mutable routers : Topology.Graph.node array array;
+  mutable attach : Topology.Graph.node array;
+  mutable probes : int array;
+  mutable stamps : Float.Array.t;
   (* [clock] defaults to a constant 0.0 until {!set_clock} wires the
      simulation engine in. *)
   mutable clock : unit -> float;
@@ -133,7 +134,11 @@ let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Pr
     landmark_ids = Array.copy landmarks;
     backend;
     registries;
-    peers = Peer_tbl.create 256;
+    index = Slot_index.create ();
+    routers = [||];
+    attach = [||];
+    probes = [||];
+    stamps = Float.Array.create 0;
     clock = (fun () -> 0.0);
     known = [||];
     trace;
@@ -145,10 +150,16 @@ let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Pr
 
 let set_clock t clock = t.clock <- clock
 
-let registration_time t peer =
-  Option.map (fun m -> m.stamped_at) (Peer_tbl.find_opt t.peers peer)
+(* A member's landmark: the last router of its path. *)
+let[@inline] landmark_of routers = routers.(Array.length routers - 1)
+let[@inline] home_of t slot = landmark_of t.routers.(slot)
 
-let iter_registration_times t f = Peer_tbl.iter (fun peer m -> f peer m.stamped_at) t.peers
+let registration_time t peer =
+  let slot = Slot_index.find t.index peer in
+  if slot < 0 then None else Some (Float.Array.get t.stamps slot)
+
+let iter_registration_times t f =
+  Slot_index.iter t.index (fun peer slot -> f peer (Float.Array.get t.stamps slot))
 
 (* [lmk]'s slot in [landmark_ids] and [registries], or -1: an [Int.equal]
    scan over a handful of landmarks, no polymorphic hash or compare. *)
@@ -161,8 +172,8 @@ let is_landmark t lmk = landmark_index_from t lmk 0 >= 0
 
 let graph t = Traceroute.Route_oracle.graph t.oracle
 let landmarks t = Array.copy t.landmark_ids
-let peer_count t = Peer_tbl.length t.peers
-let mem t peer = Peer_tbl.mem t.peers peer
+let peer_count t = Slot_index.length t.index
+let mem t peer = Slot_index.mem t.index peer
 let trace t = t.trace
 let registry_of t lmk =
   let i = landmark_index_from t lmk 0 in
@@ -174,7 +185,9 @@ let tree_path t ~home peer =
   | Some routers -> routers
   | None -> failwith (Printf.sprintf "peer %d: its landmark tree does not hold its path" peer)
 
-let path_of t peer = Option.map (fun m -> Array.copy m.routers) (Peer_tbl.find_opt t.peers peer)
+let path_of t peer =
+  let slot = Slot_index.find t.index peer in
+  if slot < 0 then None else Some (Array.copy t.routers.(slot))
 
 let known t router =
   let n = Array.length t.known in
@@ -192,24 +205,26 @@ let known t router =
 
 (* The view's path: the registered routers, fully identified, from the
    attach router. *)
-let view_path t m : Traceroute.Path.t =
-  { src = m.attach; dst = m.home; hops = Array.map (known t) m.routers }
+let view_path t slot : Traceroute.Path.t =
+  { src = t.attach.(slot); dst = home_of t slot; hops = Array.map (known t) t.routers.(slot) }
 
 let info t peer =
-  Option.map
-    (fun m ->
+  let slot = Slot_index.find t.index peer in
+  if slot < 0 then None
+  else
+    Some
       {
-        attach_router = m.attach;
-        landmark = m.home;
-        recorded_path = view_path t m;
-        probes_spent = m.probes;
-      })
-    (Peer_tbl.find_opt t.peers peer)
+        attach_router = t.attach.(slot);
+        landmark = home_of t slot;
+        recorded_path = view_path t slot;
+        probes_spent = t.probes.(slot);
+      }
 
-(* One [Some] per call, as a plain table lookup costs: audit asks this of
-   every member on every audited reply. *)
+(* One [Some] per call: audit asks this of every member on every audited
+   reply. *)
 let attach_router t peer =
-  match Peer_tbl.find t.peers peer with m -> Some m.attach | exception Not_found -> None
+  let slot = Slot_index.find t.index peer in
+  if slot < 0 then None else Some t.attach.(slot)
 
 let backend_name t =
   let module B = (val t.backend : Registry_intf.S) in
@@ -227,7 +242,7 @@ let introspection t =
   Registry_intf.merge_introspections
     (Array.fold_left (fun acc reg -> Registry_intf.introspect reg :: acc) [] t.registries)
 
-let peer_ids t = Peer_tbl.fold (fun peer _ acc -> peer :: acc) t.peers [] |> List.sort compare
+let peer_ids t = Slot_index.fold (fun peer _ acc -> peer :: acc) t.index [] |> List.sort compare
 
 (* Everything one join measured, kept so spans and per-phase stats can
    report simulated durations alongside the recorded path. *)
@@ -349,6 +364,9 @@ let digest t =
 
 (* --- Bucket state ------------------------------------------------------ *)
 
+let rec vec_position members peer i =
+  if Prelude.Vec.get members i = peer then i else vec_position members peer (i + 1)
+
 (* The one place a registration enters or leaves the bucket state: every
    insert and remove path calls it beside its registry write.  The digest
    toggle allocates nothing. *)
@@ -359,18 +377,42 @@ let account t ~peer ~routers ~add =
   if add then Prelude.Vec.push members peer
   else begin
     (* Swap-remove: order within a bucket carries no meaning. *)
-    let rec find i = if Prelude.Vec.get members i = peer then i else find (i + 1) in
-    Prelude.Vec.set members (find 0) (Prelude.Vec.get members (Prelude.Vec.length members - 1));
+    Prelude.Vec.set members (vec_position members peer 0)
+      (Prelude.Vec.get members (Prelude.Vec.length members - 1));
     ignore (Prelude.Vec.pop members)
   end
 
+(* Room for [slot] in the per-slot arrays: as many slots as the index
+   holds keys. *)
+let ensure_slot t slot =
+  let n = Array.length t.routers in
+  if slot >= n then begin
+    let size = Slot_index.capacity t.index in
+    let grow a fill =
+      let grown = Array.make size fill in
+      Array.blit a 0 grown 0 n;
+      grown
+    in
+    t.routers <- grow t.routers [||];
+    t.attach <- grow t.attach 0;
+    t.probes <- grow t.probes 0;
+    let stamps = Float.Array.make size 0.0 in
+    Float.Array.blit t.stamps 0 stamps 0 n;
+    t.stamps <- stamps
+  end
+
 (* The server's side of one registration whose path its landmark tree
-   holds: the member record, stamped now, and the bucket state.  Only a
+   holds: the member's slot, stamped now, and the bucket state.  Only a
    client's report counts as a [report_refresh]; learning a report through
    repair does not. *)
 let record t ~peer ~routers ~refresh ~attach ~home ~probes =
-  Peer_tbl.add t.peers peer
-    { attach; home; probes; routers = tree_path t ~home peer; stamped_at = t.clock () };
+  let stored = tree_path t ~home peer in
+  let slot = Slot_index.add t.index peer in
+  ensure_slot t slot;
+  t.routers.(slot) <- stored;
+  t.attach.(slot) <- attach;
+  t.probes.(slot) <- probes;
+  Float.Array.set t.stamps slot (t.clock ());
   account t ~peer ~routers ~add:true;
   if refresh then Simkit.Trace.cell_incr t.cells.refreshes
 
@@ -381,10 +423,13 @@ let store t ~peer ~routers ~refresh ~attach ~home ~probes =
   Registry_intf.insert (registry_of t home) ~peer ~routers;
   record t ~peer ~routers ~refresh ~attach ~home ~probes
 
-let remove_entry t ~peer m =
-  Registry_intf.remove (registry_of t m.home) peer;
-  Peer_tbl.remove t.peers peer;
-  account t ~peer ~routers:m.routers ~add:false
+(* Unregister the member [peer] holding [slot]. *)
+let remove_entry t ~peer slot =
+  let routers = t.routers.(slot) in
+  Registry_intf.remove (registry_of t (landmark_of routers)) peer;
+  ignore (Slot_index.remove t.index peer);
+  t.routers.(slot) <- [||];
+  account t ~peer ~routers ~add:false
 
 (* The join counters and the per-phase cost of the two-round protocol, in
    simulated milliseconds: the same for a singleton and a batched join. *)
@@ -401,7 +446,7 @@ let count_join t (r : measurement) =
    measure once at the client and register on any replica.  The registry
    write runs under the "register" span, so its op spans nest there. *)
 let register_measured t ~peer ~attach_router (r : measurement) =
-  if Peer_tbl.mem t.peers peer then
+  if mem t peer then
     invalid_arg "Server.register_measured: peer already registered";
   let landmark = r.lmk and recorded_path = r.reduced and probes_spent = r.cost in
   let routers = registrable_path ~landmark recorded_path in
@@ -414,10 +459,11 @@ let register_measured t ~peer ~attach_router (r : measurement) =
           ~probes:probes_spent)
   else
     store t ~peer ~routers ~refresh:true ~attach:attach_router ~home:landmark ~probes:probes_spent;
-  Log.debug (fun m ->
-      m "join peer=%d router=%d landmark=%d hops=%d probes=%d" peer attach_router landmark
-        (Traceroute.Path.hop_count recorded_path)
-        probes_spent);
+  if debug_on () then
+    Log.debug (fun m ->
+        m "join peer=%d router=%d landmark=%d hops=%d probes=%d" peer attach_router landmark
+          (Traceroute.Path.hop_count recorded_path)
+          probes_spent);
   count_join t r;
   Simkit.Trace.cell_add t.cells.wire_bytes
     (Wire.byte_size (Wire.Path_report { peer; path = recorded_path }));
@@ -426,7 +472,7 @@ let register_measured t ~peer ~attach_router (r : measurement) =
 (* Both rounds in process, under one root "join" span: the sink clock does
    not see the measurement pass, so the join lasts at least as long. *)
 let join ?rng t ~peer ~attach_router =
-  if Peer_tbl.mem t.peers peer then invalid_arg "Server.join: peer already registered";
+  if mem t peer then invalid_arg "Server.join: peer already registered";
   let r = measure ?rng t ~attach_router in
   if Simkit.Span.enabled t.spans then begin
     let open Simkit.Span in
@@ -445,8 +491,7 @@ let join ?rng t ~peer ~attach_router =
    verbatim.  No join counters or spans — this is cluster traffic, not a
    protocol join — only the [replica_register] counter. *)
 let register_replica t ~peer ~attach_router ~landmark ~path ~probes_spent =
-  if Peer_tbl.mem t.peers peer then
-    invalid_arg "Server.register_replica: peer already registered";
+  if mem t peer then invalid_arg "Server.register_replica: peer already registered";
   if not (is_landmark t landmark) then
     invalid_arg "Server.register_replica: unknown landmark";
   store t ~peer
@@ -454,17 +499,20 @@ let register_replica t ~peer ~attach_router ~landmark ~path ~probes_spent =
     ~refresh:true ~attach:attach_router ~home:landmark ~probes:probes_spent;
   Simkit.Trace.cell_incr t.cells.replica_registers
 
-(* Batch round 2: checked as a whole, then stored entry by entry with
+(* Batch round 2: checked as a whole -- every peer in range, new and
+   distinct -- before the first write, then stored entry by entry with
    exactly [register_measured]'s per-peer effects; the wire is charged one
    packed [Path_report_batch], and the trace gets one span. *)
 let register_measured_batch t entries =
   let n = Array.length entries in
-  let batch_seen = Peer_tbl.create n in
+  let batch_seen = Slot_index.create ~capacity:n () in
   Array.iter
     (fun (peer, _, _) ->
-      if Peer_tbl.mem t.peers peer || Peer_tbl.mem batch_seen peer then
+      if peer < 0 || peer >= Slot_index.key_limit then
+        invalid_arg "Server.register_measured: peer out of range";
+      if mem t peer || Slot_index.mem batch_seen peer then
         invalid_arg "Server.register_measured: peer already registered";
-      Peer_tbl.add batch_seen peer ())
+      ignore (Slot_index.add batch_seen peer))
     entries;
   (* [store] per entry, as two loops over the batch: first the registry
      writes, landmark by landmark and in batch order within each, then the
@@ -544,13 +592,13 @@ let top_up t ~home ~k ~exclude result =
     result @ List.rev !extra
   end
 
-(* A member's query walks the routers its record shares with its tree:
+(* A member's query walks the routers its slot shares with its tree:
    nothing is rebuilt per query. *)
-let lookup t ~peer ~k m =
+let lookup t ~peer ~k routers =
   Simkit.Trace.cell_incr t.cells.queries;
   let exclude = Int.equal peer in
-  top_up t ~home:m.home ~k ~exclude
-    (Registry_intf.query (registry_of t m.home) ~routers:m.routers ~k ~exclude ())
+  let home = landmark_of routers in
+  top_up t ~home ~k ~exclude (Registry_intf.query (registry_of t home) ~routers ~k ~exclude ())
 
 (* The reply as the wire charges it: a top-up entry's [max_int] distance
    is clipped to [0x3FFFFFF].  Copied only when some entry needs it. *)
@@ -562,55 +610,52 @@ let wire_neighbors reply =
 (* Traced, the "query" span sits under the ambient request or roots a
    trace of its own; registry op spans nest under it. *)
 let neighbors t ~peer ~k =
-  match Peer_tbl.find_opt t.peers peer with
-  | None -> raise Not_found
-  | Some m ->
-      let reply =
-        if Simkit.Span.enabled t.spans then begin
-          let open Simkit.Span in
-          let span =
-            start_span t.spans ~name:"query" ?parent:(current t.spans) ~tid:peer
-              [ ("peer", Int peer); ("k", Int k); ("probes_spent", Int m.probes) ]
-          in
-          let reply = with_context t.spans (context_of span) (fun () -> lookup t ~peer ~k m) in
-          add_arg span "candidates" (Int (List.length reply));
-          add_arg span "dtree_best" (Int (match reply with (_, d) :: _ -> d | [] -> -1));
-          finish span;
-          reply
-        end
-        else lookup t ~peer ~k m
+  let slot = Slot_index.find t.index peer in
+  if slot < 0 then raise Not_found;
+  let routers = t.routers.(slot) in
+  let reply =
+    if Simkit.Span.enabled t.spans then begin
+      let open Simkit.Span in
+      let span =
+        start_span t.spans ~name:"query" ?parent:(current t.spans) ~tid:peer
+          [ ("peer", Int peer); ("k", Int k); ("probes_spent", Int t.probes.(slot)) ]
       in
-      Simkit.Trace.cell_add t.cells.wire_bytes
-        (Wire.byte_size (Wire.Neighbor_request { peer; k })
-        + Wire.byte_size
-            (Wire.Neighbor_reply { peer; neighbors = wire_neighbors reply }));
+      let reply = with_context t.spans (context_of span) (fun () -> lookup t ~peer ~k routers) in
+      add_arg span "candidates" (Int (List.length reply));
+      add_arg span "dtree_best" (Int (match reply with (_, d) :: _ -> d | [] -> -1));
+      finish span;
       reply
+    end
+    else lookup t ~peer ~k routers
+  in
+  Simkit.Trace.cell_add t.cells.wire_bytes
+    (Wire.byte_size (Wire.Neighbor_request { peer; k })
+    + Wire.byte_size (Wire.Neighbor_reply { peer; neighbors = wire_neighbors reply }));
+  reply
 
 let reverse_introductions t ~peer ~k =
-  match Peer_tbl.find_opt t.peers peer with
-  | None -> raise Not_found
-  | Some m ->
-      let reg = registry_of t m.home in
-      (* Candidates: anyone near the newcomer (take extra in case of ties);
-         keep those whose own k-NN now contains the newcomer. *)
-      let nearby = Registry_intf.query_member reg ~peer ~k:(2 * k) in
-      List.filter
-        (fun (candidate, _) ->
-          Registry_intf.query_member reg ~peer:candidate ~k
-          |> List.exists (fun (p, _) -> p = peer))
-        nearby
-      |> List.filteri (fun i _ -> i < k)
+  let slot = Slot_index.find t.index peer in
+  if slot < 0 then raise Not_found;
+  let reg = registry_of t (home_of t slot) in
+  (* Candidates: anyone near the newcomer (take extra in case of ties);
+     keep those whose own k-NN now contains the newcomer. *)
+  let nearby = Registry_intf.query_member reg ~peer ~k:(2 * k) in
+  List.filter
+    (fun (candidate, _) ->
+      Registry_intf.query_member reg ~peer:candidate ~k |> List.exists (fun (p, _) -> p = peer))
+    nearby
+  |> List.filteri (fun i _ -> i < k)
 
 let leave t ~peer =
-  match Peer_tbl.find_opt t.peers peer with
-  | None -> raise Not_found
-  | Some m ->
-      remove_entry t ~peer m;
-      Log.debug (fun log -> log "leave peer=%d landmark=%d" peer m.home);
-      Simkit.Trace.cell_incr t.cells.leaves
+  let slot = Slot_index.find t.index peer in
+  if slot < 0 then raise Not_found;
+  let home = home_of t slot in
+  remove_entry t ~peer slot;
+  if debug_on () then Log.debug (fun log -> log "leave peer=%d landmark=%d" peer home);
+  Simkit.Trace.cell_incr t.cells.leaves
 
 let handover ?rng t ~peer ~attach_router =
-  if not (Peer_tbl.mem t.peers peer) then raise Not_found;
+  if not (mem t peer) then raise Not_found;
   leave t ~peer;
   let info = join ?rng t ~peer ~attach_router in
   Simkit.Trace.cell_incr t.cells.handovers;
@@ -618,19 +663,23 @@ let handover ?rng t ~peer ~attach_router =
 
 let check_invariants t =
   Array.iter Registry_intf.check_invariants t.registries;
+  Slot_index.check_invariants t.index;
+  let slots = Array.length t.routers in
+  if Array.length t.attach <> slots || Array.length t.probes <> slots
+     || Float.Array.length t.stamps <> slots
+  then failwith "per-slot arrays differ in length";
   let fresh = Bytes.make (8 * bucket_count) '\000' in
-  Peer_tbl.iter
-    (fun peer m ->
-      let routers = tree_path t ~home:m.home peer in
-      if routers != m.routers then
-        failwith (Printf.sprintf "peer %d: its record does not share its tree's path" peer);
+  Slot_index.iter t.index (fun peer slot ->
+      let home = home_of t slot in
+      let routers = tree_path t ~home peer in
+      if routers != t.routers.(slot) then
+        failwith (Printf.sprintf "peer %d: its slot does not share its tree's path" peer);
       Array.iter
         (fun lmk ->
-          if lmk <> m.home && Registry_intf.mem (registry_of t lmk) peer then
+          if lmk <> home && Registry_intf.mem (registry_of t lmk) peer then
             failwith (Printf.sprintf "peer %d registered in a foreign tree" peer))
         t.landmark_ids;
-      xor_entry_digest fresh (8 * bucket_of peer) ~peer ~routers)
-    t.peers;
+      xor_entry_digest fresh (8 * bucket_of peer) ~peer ~routers);
   let members =
     Array.fold_left (fun acc reg -> acc + Registry_intf.member_count reg) 0 t.registries
   in
@@ -639,15 +688,15 @@ let check_invariants t =
       (Printf.sprintf "landmark trees hold %d members, %d registered" members (peer_count t));
   if not (Bytes.equal fresh t.bucket_digests) then
     failwith "bucket digests differ from a recompute over the registrations";
-  let indexed = Hashtbl.create (Peer_tbl.length t.peers) in
+  let indexed = Hashtbl.create (peer_count t) in
   Array.iteri
     (fun b members ->
       Prelude.Vec.iter members (fun peer ->
-          if bucket_of peer <> b || (not (Peer_tbl.mem t.peers peer)) || Hashtbl.mem indexed peer
-          then failwith (Printf.sprintf "peer %d misindexed in bucket %d" peer b);
+          if bucket_of peer <> b || (not (mem t peer)) || Hashtbl.mem indexed peer then
+            failwith (Printf.sprintf "peer %d misindexed in bucket %d" peer b);
           Hashtbl.add indexed peer ()))
     t.bucket_members;
-  if Hashtbl.length indexed <> Peer_tbl.length t.peers then
+  if Hashtbl.length indexed <> peer_count t then
     failwith "registered peers missing from the bucket index"
 
 (* --- Bucket summaries -------------------------------------------------- *)
@@ -690,20 +739,25 @@ let snapshot_version = 1
 let write_entries t w entries =
   let open Prelude.Codec.Writer in
   list w
-    (fun (peer, m) ->
+    (fun (peer, slot) ->
       varint w peer;
-      varint w m.attach;
-      varint w m.home;
-      varint w m.probes;
-      bytes w (Wire.encode (Wire.Path_report { peer; path = view_path t m })))
+      varint w t.attach.(slot);
+      varint w (home_of t slot);
+      varint w t.probes.(slot);
+      bytes w (Wire.encode (Wire.Path_report { peer; path = view_path t slot })))
     (List.sort (fun (a, _) (b, _) -> Int.compare a b) entries)
 
 (* An entry decodes to [(peer, attach router, landmark, probes, routers)],
-   the routers as the server registers the reported path. *)
+   the routers as the server registers the reported path.  A peer no
+   registry could hold is malformed. *)
 let read_entry r =
   let open Prelude.Codec.Reader in
   let ( let* ) = Result.bind in
   let* peer = varint r in
+  let* () =
+    if peer < 0 || peer >= Slot_index.key_limit then Error (Malformed "snapshot peer out of range")
+    else Ok ()
+  in
   let* attach = varint r in
   let* home = varint r in
   let* probes = varint r in
@@ -719,7 +773,7 @@ let snapshot t =
   let open Prelude.Codec.Writer in
   u8 w snapshot_version;
   list w (varint w) (Array.to_list t.landmark_ids);
-  write_entries t w (Peer_tbl.fold (fun peer m acc -> (peer, m) :: acc) t.peers []);
+  write_entries t w (Slot_index.fold (fun peer slot acc -> (peer, slot) :: acc) t.index []);
   contents w
 
 let snapshot_buckets ?(only = fun _ -> true) t buckets =
@@ -727,7 +781,7 @@ let snapshot_buckets ?(only = fun _ -> true) t buckets =
   List.iter
     (fun b ->
       Prelude.Vec.iter t.bucket_members.(b) (fun peer ->
-          if only peer then entries := (peer, Peer_tbl.find t.peers peer) :: !entries))
+          if only peer then entries := (peer, Slot_index.find t.index peer) :: !entries))
     (List.sort_uniq Int.compare buckets);
   let w = Prelude.Codec.Writer.create () in
   write_entries t w !entries;
@@ -777,21 +831,22 @@ let apply_entries t ~replaced r =
               t.bucket_members;
             List.iter
               (fun peer ->
-                remove_entry t ~peer (Peer_tbl.find t.peers peer);
+                remove_entry t ~peer (Slot_index.find t.index peer);
                 incr changed)
               !stale)
           replaced;
         List.iter
           (fun (peer, attach, home, probes, routers) ->
-            match Peer_tbl.find_opt t.peers peer with
-            | Some held
-              when held.attach = attach && held.home = home && held.probes = probes
-                   && held.routers = routers ->
-                ()
-            | held ->
-                Option.iter (remove_entry t ~peer) held;
-                store t ~peer ~routers ~refresh:false ~attach ~home ~probes;
-                incr changed)
+            let held = Slot_index.find t.index peer in
+            if
+              not
+                (held >= 0 && t.attach.(held) = attach && home_of t held = home
+               && t.probes.(held) = probes && t.routers.(held) = routers)
+            then begin
+              if held >= 0 then remove_entry t ~peer held;
+              store t ~peer ~routers ~refresh:false ~attach ~home ~probes;
+              incr changed
+            end)
           entries
       in
       match write () with

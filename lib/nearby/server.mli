@@ -31,8 +31,8 @@ type peer_info = {
   probes_spent : int;  (** Total probe packets this peer's join cost. *)
 }
 (** A view of one registration.  The server does not store it: a member's
-    routers live only in its landmark's tree, whose array a small
-    per-member record references. *)
+    routers live only in its landmark's tree, whose array the member's
+    slot in the server's per-slot arrays references. *)
 
 val create :
   ?truncate:Traceroute.Truncate.strategy ->
@@ -70,7 +70,7 @@ val peer_count : t -> int
 val mem : t -> int -> bool
 
 val info : t -> int -> peer_info option
-(** The registration of a peer, built on demand from its member record and
+(** The registration of a peer, built on demand from its slot and
     the routers its landmark tree holds. *)
 
 val path_of : t -> int -> Topology.Graph.node array option
@@ -135,8 +135,8 @@ val register_measured_batch :
     batch changes on the wire: the accounting charges a single packed
     {!Wire.Path_report_batch}, and the batch is one [register_batch] span.
     Returns the infos in entry order, each sharing its measurement's path.
-    @raise Invalid_argument when any peer is already registered or
-    repeated in the batch (nothing is applied). *)
+    @raise Invalid_argument when any peer is outside [\[0, 2^31)], already
+    registered or repeated in the batch (nothing is applied). *)
 
 val register_replica :
   t ->

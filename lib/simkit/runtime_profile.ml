@@ -1,8 +1,11 @@
 (* Runtime (GC) profiling for measured phases.
 
-   [phase t name f] brackets [f] with Gc.quick_stat and wall-clock reads
-   and accumulates the deltas under [name].  quick_stat reads no heap
-   census (unlike Gc.stat), so the bracket itself is cheap — but not free,
+   [phase t name f] brackets [f] with Gc.quick_stat, Gc.minor_words and
+   wall-clock reads and accumulates the deltas under [name].  Minor words
+   come from Gc.minor_words: quick_stat's count advances only at a minor
+   collection, so a bracket that allocates less than a minor heap would
+   read 0.  quick_stat reads no heap census (unlike Gc.stat), so the
+   bracket itself is cheap — but not free,
    and a profiler that cannot see its own cost invites lying benchmarks,
    so the time spent inside the brackets is accumulated separately as
    [overhead_ns]. *)
@@ -47,7 +50,7 @@ let zero_gc =
     heap_words = 0;
   }
 
-let record t name ~wall_ns ~(g0 : Gc.stat) ~(g1 : Gc.stat) =
+let record t name ~wall_ns ~minor_words ~(g0 : Gc.stat) ~(g1 : Gc.stat) =
   let prev =
     match Hashtbl.find_opt t.phases name with
     | Some p -> p
@@ -57,7 +60,7 @@ let record t name ~wall_ns ~(g0 : Gc.stat) ~(g1 : Gc.stat) =
   in
   let gc =
     {
-      minor_words = prev.gc.minor_words +. (g1.minor_words -. g0.minor_words);
+      minor_words = prev.gc.minor_words +. minor_words;
       major_words = prev.gc.major_words +. (g1.major_words -. g0.major_words);
       promoted_words = prev.gc.promoted_words +. (g1.promoted_words -. g0.promoted_words);
       minor_collections =
@@ -75,11 +78,13 @@ let phase t name f =
   let t0 = t.clock () in
   let g0 = Gc.quick_stat () in
   let t1 = t.clock () in
+  let w0 = Gc.minor_words () in
   let finally () =
+    let w1 = Gc.minor_words () in
     let t2 = t.clock () in
     let g1 = Gc.quick_stat () in
     let t3 = t.clock () in
-    record t name ~wall_ns:(Float.max 0.0 (t2 -. t1)) ~g0 ~g1;
+    record t name ~wall_ns:(Float.max 0.0 (t2 -. t1)) ~minor_words:(w1 -. w0) ~g0 ~g1;
     t.overhead_ns <- t.overhead_ns +. Float.max 0.0 (t1 -. t0) +. Float.max 0.0 (t3 -. t2)
   in
   Fun.protect ~finally f

@@ -6,10 +6,11 @@
     counts, heap growth per named phase — so a tail regression can be
     attributed to GC rather than guessed at.  Readings come from
     [Gc.quick_stat] (no heap census, cheap enough to bracket every
-    phase). *)
+    phase), except minor words, which come from [Gc.minor_words]:
+    quick_stat's count advances only at a minor collection. *)
 
 type gc_delta = {
-  minor_words : float;  (** words allocated in the minor heap *)
+  minor_words : float;  (** words allocated in the minor heap, exact to the bracket's own few *)
   major_words : float;  (** words allocated in (or promoted to) the major heap *)
   promoted_words : float;
   minor_collections : int;

@@ -1,4 +1,4 @@
-(* Pqueue, Vec, Bitset, Union_find. *)
+(* Pqueue, Vec, Slot_index, Bitset, Union_find. *)
 
 open Prelude
 
@@ -183,24 +183,132 @@ let qcheck_bitset_model =
       Bitset.cardinal b = Hashtbl.length model
       && List.for_all (fun i -> Bitset.mem b i) ops)
 
-(* --- Int_tbl --- *)
+(* --- Slot_index --- *)
 
-(* The table's own hash must be [Hashtbl.hash] bit for bit: buckets, and so
-   iteration order and every output built by iterating, depend on it. *)
-let test_int_tbl_hash_is_hashtbl_hash () =
-  let mismatches = ref 0 in
-  let check x = if Int_tbl.hash x <> Hashtbl.hash x then incr mismatches in
-  for x = -1_000_000 to 1_000_000 do
-    check x
+let slot_index_keys t = List.rev (Slot_index.fold (fun key slot acc -> (key, slot) :: acc) t [])
+
+(* Random adds, removes and finds against a [Hashtbl] model of the live
+   keys and a stack of freed slots: every answer matches, slots are reused
+   last freed first, and the structure checks out after every step.  Keys
+   come from [0, 40] plus the extreme 2^31 - 1, so the table grows from
+   16 cells, stays well loaded and churns the same keys. *)
+let qcheck_slot_index_model =
+  let op = QCheck.Gen.(pair (int_range 0 2) (frequency [ (8, int_range 0 40); (1, return 0); (1, return ((1 lsl 31) - 1)) ])) in
+  QCheck.Test.make ~name:"slot_index = Hashtbl model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 400) op))
+    (fun ops ->
+      let t = Slot_index.create () in
+      let model = Hashtbl.create 16 and freed = ref [] and next = ref 0 in
+      List.iter
+        (fun (kind, key) ->
+          (match kind with
+          | 0 -> (
+              match Hashtbl.find_opt model key with
+              | Some _ -> (
+                  match Slot_index.add t key with
+                  | _ -> failwith "duplicate add accepted"
+                  | exception Invalid_argument _ -> ())
+              | None ->
+                  let expected =
+                    match !freed with
+                    | s :: rest ->
+                        freed := rest;
+                        s
+                    | [] ->
+                        incr next;
+                        !next - 1
+                  in
+                  let slot = Slot_index.add t key in
+                  if slot <> expected then failwith "slot not reused last freed first";
+                  Hashtbl.replace model key slot)
+          | 1 ->
+              let slot = Slot_index.remove t key in
+              let expected = Option.value ~default:(-1) (Hashtbl.find_opt model key) in
+              if slot <> expected then failwith "remove disagrees with the model";
+              if slot >= 0 then begin
+                Hashtbl.remove model key;
+                freed := slot :: !freed
+              end
+          | _ ->
+              let expected = Option.value ~default:(-1) (Hashtbl.find_opt model key) in
+              if Slot_index.find t key <> expected then failwith "find disagrees with the model");
+          Slot_index.check_invariants t)
+        ops;
+      Slot_index.length t = Hashtbl.length model
+      && Slot_index.slot_bound t = !next
+      && List.sort compare (slot_index_keys t)
+         = List.sort compare (Hashtbl.fold (fun k s acc -> (k, s) :: acc) model []))
+
+(* A cluster across the end of a 16-cell table.  [home16] is the index's
+   hash at 16 cells; the keys picked with home 14 or 15 land in cells 14,
+   15, 0, 1, 2, 3, so iteration (cell order) lists the last four first --
+   which also checks that this copy of the hash is still the index's.
+   Removing each key in turn shifts the rest back across the end. *)
+let test_slot_index_wrapping_cluster () =
+  let home16 key = (key * 0x4F1BBCDCBFA53E0B) lsr 59 in
+  let pick n pred =
+    let rec go key acc n = if n = 0 then List.rev acc else if pred key then go (key + 1) (key :: acc) (n - 1) else go (key + 1) acc n in
+    go 0 [] n
+  in
+  let keys = pick 2 (fun k -> home16 k = 14) @ pick 4 (fun k -> home16 k = 15) in
+  let fill () =
+    let t = Slot_index.create ~capacity:8 () in
+    List.iter (fun k -> ignore (Slot_index.add t k)) keys;
+    t
+  in
+  let t = fill () in
+  Slot_index.check_invariants t;
+  let order = List.map fst (slot_index_keys t) in
+  Alcotest.(check (list int)) "cluster wraps the end"
+    (List.filteri (fun i _ -> i >= 2) keys @ List.filteri (fun i _ -> i < 2) keys)
+    order;
+  List.iter
+    (fun gone ->
+      let t = fill () in
+      Alcotest.(check bool) "removed" true (Slot_index.remove t gone >= 0);
+      Slot_index.check_invariants t;
+      List.iter
+        (fun k -> Alcotest.(check bool) (Printf.sprintf "find %d" k) (k <> gone) (Slot_index.mem t k))
+        keys)
+    keys
+
+(* Growth keeps every key's slot, and a big index stays consistent. *)
+let test_slot_index_growth () =
+  let t = Slot_index.create () in
+  let n = 10_000 in
+  for k = 0 to n - 1 do
+    Alcotest.(check int) "dense slots" k (Slot_index.add t (k * 7919))
   done;
-  List.iter check
-    [ min_int; max_int; min_int + 1; max_int - 1; 1 lsl 31; -(1 lsl 31); (1 lsl 31) - 1;
-      -(1 lsl 31) - 1; 1 lsl 40; -(1 lsl 40); 1 lsl 61; -(1 lsl 61); 1 lsl 62 ];
-  let rng = Prng.create 97 in
-  for _ = 1 to 1_000_000 do
-    check (Int64.to_int (Prng.bits64 rng))
+  Slot_index.check_invariants t;
+  for k = 0 to n - 1 do
+    if Slot_index.find t (k * 7919) <> k then Alcotest.failf "key %d lost its slot" (k * 7919)
   done;
-  Alcotest.(check int) "mismatches" 0 !mismatches
+  for k = 0 to (n / 2) - 1 do
+    ignore (Slot_index.remove t (k * 2 * 7919))
+  done;
+  Slot_index.check_invariants t;
+  Alcotest.(check int) "half left" (n / 2) (Slot_index.length t);
+  Alcotest.(check int) "slot bound kept" n (Slot_index.slot_bound t)
+
+let test_slot_index_refusals () =
+  let t = Slot_index.create () in
+  List.iter (fun k -> ignore (Slot_index.add t k)) [ 0; 5; (1 lsl 31) - 1 ];
+  let before = slot_index_keys t in
+  List.iter
+    (fun k ->
+      (match Slot_index.add t k with
+      | _ -> Alcotest.failf "key %d accepted" k
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) (Printf.sprintf "find %d" k) (-1) (Slot_index.find t k);
+      Alcotest.(check int) (Printf.sprintf "remove %d" k) (-1) (Slot_index.remove t k))
+    [ -1; 1 lsl 31; max_int; min_int ];
+  (match Slot_index.add t 5 with
+  | _ -> Alcotest.fail "duplicate accepted"
+  | exception Invalid_argument _ -> ());
+  Slot_index.check_invariants t;
+  Alcotest.(check (list (pair int int))) "unchanged" before (slot_index_keys t);
+  Alcotest.(check int) "length" 3 (Slot_index.length t);
+  Alcotest.(check int) "slot bound" 3 (Slot_index.slot_bound t)
 
 (* --- Union_find --- *)
 
@@ -244,7 +352,10 @@ let suite =
       Alcotest.test_case "vec bounds" `Quick test_vec_bounds;
       Alcotest.test_case "vec roundtrip" `Quick test_vec_roundtrip;
       Alcotest.test_case "vec sort/iter" `Quick test_vec_sort_iter;
-      Alcotest.test_case "int_tbl hash = Hashtbl.hash" `Quick test_int_tbl_hash_is_hashtbl_hash;
+      q qcheck_slot_index_model;
+      Alcotest.test_case "slot_index wrapping cluster" `Quick test_slot_index_wrapping_cluster;
+      Alcotest.test_case "slot_index growth" `Quick test_slot_index_growth;
+      Alcotest.test_case "slot_index refusals" `Quick test_slot_index_refusals;
       Alcotest.test_case "bitset basic" `Quick test_bitset_basic;
       Alcotest.test_case "bitset idempotent add" `Quick test_bitset_add_idempotent;
       Alcotest.test_case "bitset iter/clear" `Quick test_bitset_iter_clear;

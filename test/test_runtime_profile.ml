@@ -38,6 +38,25 @@ let test_gc_deltas_nonzero_and_monotone () =
   Alcotest.(check bool) "collections monotone" true
     (second.gc.minor_collections >= first.gc.minor_collections)
 
+(* A bracket that allocates well under a minor heap still counts every
+   word: [Gc.quick_stat]'s minor count would read 0 here, since it only
+   advances at a minor collection.  60,000 words in 3-word blocks, plus
+   the bracket's own closure and float boxes. *)
+let test_minor_words_exact () =
+  let p = Runtime_profile.create () in
+  Gc.minor ();
+  Runtime_profile.phase p "small" (fun () ->
+      let acc = ref [] in
+      for i = 1 to 20_000 do
+        acc := i :: !acc
+      done;
+      ignore (Sys.opaque_identity !acc));
+  let words = (find_exn p "small").gc.minor_words in
+  Alcotest.(check bool)
+    (Printf.sprintf "60,000 words counted (%.0f)" words)
+    true
+    (words >= 60_000.0 && words <= 60_100.0)
+
 let test_phase_passes_result_and_exceptions () =
   let p = Runtime_profile.create () in
   Alcotest.(check int) "result passed through" 7
@@ -80,6 +99,7 @@ let suite =
         test_gc_deltas_nonzero_and_monotone;
       Alcotest.test_case "phase result and exceptions" `Quick
         test_phase_passes_result_and_exceptions;
+      Alcotest.test_case "minor words exact under a minor heap" `Quick test_minor_words_exact;
       Alcotest.test_case "phase order and find" `Quick test_phase_order_and_find;
       Alcotest.test_case "to_json shape" `Quick test_to_json_shape;
     ] )

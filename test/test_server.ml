@@ -429,6 +429,91 @@ let test_register_measured_batch_matches_singletons () =
   | _ -> Alcotest.fail "duplicate batch accepted");
   Alcotest.(check int) "nothing applied" n (Server.peer_count batch_server)
 
+(* A batch with a peer outside [0, 2^31) in its middle is refused before
+   the first write: no landmark tree takes the peers before it, and they
+   can register afterwards. *)
+let test_batch_out_of_range_writes_nothing () =
+  let map, oracle, lmks, _ = make_workload ~routers:300 ~landmarks:4 ~seed:8 () in
+  let server = Server.create oracle ~landmarks:lmks in
+  let entry peer =
+    let attach = map.leaves.(peer mod Array.length map.leaves) in
+    (peer, attach, Server.measure server ~attach_router:attach)
+  in
+  Alcotest.check_raises "refused" (Invalid_argument "Server.register_measured: peer out of range")
+    (fun () -> ignore (Server.register_measured_batch server (Array.map entry [| 1; 2; 1 lsl 31; 4 |])));
+  Alcotest.(check int) "nothing registered" 0 (Server.peer_count server);
+  Server.check_invariants server;
+  ignore (Server.register_measured_batch server (Array.map entry [| 1; 2; 4 |]));
+  Alcotest.(check int) "registered afterwards" 3 (Server.peer_count server);
+  Server.check_invariants server
+
+(* A partial snapshot naming a peer no registry could hold is malformed,
+   and nothing of it is applied: not even the valid entry before it. *)
+let test_snapshot_peer_out_of_range () =
+  let map, oracle, lmks, _ = make_workload ~seed:8 () in
+  let server = Server.create oracle ~landmarks:lmks in
+  let info = Server.join server ~peer:3 ~attach_router:map.leaves.(0) in
+  let entry w peer =
+    let open Prelude.Codec.Writer in
+    varint w peer;
+    varint w info.attach_router;
+    varint w info.landmark;
+    varint w info.probes_spent;
+    bytes w (Wire.encode (Wire.Path_report { peer; path = info.recorded_path }))
+  in
+  let w = Prelude.Codec.Writer.create () in
+  Prelude.Codec.Writer.list w (entry w) [ 5; 1 lsl 31 ];
+  let before = Server.digest server in
+  (match Server.apply_buckets server (Prelude.Codec.Writer.contents w) with
+  | Error msg -> Alcotest.(check string) "malformed" "malformed input: snapshot peer out of range" msg
+  | Ok _ -> Alcotest.fail "out-of-range peer applied");
+  Alcotest.(check int) "peer count" 1 (Server.peer_count server);
+  Alcotest.(check bool) "digest unchanged" true (Int64.equal before (Server.digest server));
+  Server.check_invariants server
+
+(* On a warmed server, a query and a leave allocate the same words at 1k
+   and at 64k members: the peer index is probed, not walked, and a leave
+   frees slots without allocating per member. *)
+let test_query_and_leave_words_flat_in_members () =
+  let map, oracle, lmks, _ = make_workload ~routers:300 ~landmarks:4 ~seed:9 () in
+  let words members =
+    let server = Server.create oracle ~landmarks:lmks in
+    let memo = Hashtbl.create 64 in
+    let entry peer =
+      let attach = map.leaves.(peer mod Array.length map.leaves) in
+      let m =
+        match Hashtbl.find_opt memo attach with
+        | Some m -> m
+        | None ->
+            let m = Server.measure server ~attach_router:attach in
+            Hashtbl.add memo attach m;
+            m
+      in
+      (peer, attach, m)
+    in
+    ignore (Server.register_measured_batch server (Array.init members entry));
+    (* Warm-up: one round of leaves and rejoins grows the free-slot stacks
+       the measured leaves use. *)
+    for peer = 200 to 455 do
+      Server.leave server ~peer
+    done;
+    ignore (Server.register_measured_batch server (Array.init 256 (fun i -> entry (200 + i))));
+    let per n f =
+      let before = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        f i
+      done;
+      (Gc.minor_words () -. before) /. float_of_int n
+    in
+    let query = per 500 (fun i -> ignore (Server.neighbors server ~peer:(i * 2) ~k:5)) in
+    let leave = per 200 (fun peer -> Server.leave server ~peer) in
+    Server.check_invariants server;
+    (query, leave)
+  in
+  let q1, l1 = words 1_000 and q64, l64 = words 64_000 in
+  Alcotest.(check (float 0.5)) (Printf.sprintf "query words %.2f / %.2f" q1 q64) q1 q64;
+  Alcotest.(check (float 0.5)) (Printf.sprintf "leave words %.2f / %.2f" l1 l64) l1 l64
+
 (* The measurement on a warm route oracle allocates the recorded path and
    the measurement record: pings read hop counts, the trace is read
    straight into its hop array, and the full strategy keeps that path. *)
@@ -449,7 +534,7 @@ let test_measure_allocation () =
     (Printf.sprintf "measure allocates %.0f words" words)
     true (words <= 88.0)
 
-(* A member's query walks the routers its record shares with its tree, so
+(* A member's query walks the routers its slot shares with its tree, so
    nothing is rebuilt per hop: a 3-hop and a 12-hop member whose k best
    candidates all sit on their first router allocate the same words. *)
 let test_neighbors_allocation_flat_in_hops () =
@@ -477,12 +562,13 @@ let test_neighbors_allocation_flat_in_hops () =
     (List.map (fun p -> Array.length (Option.get (Server.path_of server p)) - 1) [ 0; 100 ]);
   Alcotest.(check (float 0.0)) "same words for 3 and 12 hops" (words 0) (words 100)
 
-(* The server's state per member, the route oracle's excluded: the member
-   record and its table entry, the landmark tree (which alone holds the
-   routers) and the bucket index.  387 B per member measured, and the
-   bound is 5% above it; with a second copy of each path (a boxed
-   recorded path per member) and a separate stamp table, the same
-   population held 599 B. *)
+(* The server's state per member, the route oracle's excluded: the peer
+   index and per-slot arrays, the landmark trees (which alone hold the
+   routers) and the bucket index.  272 B per member measured, and the
+   bound is 5% above it; with a member record in a hash table, and a tree
+   path record in another, the same population held 387 B, and with a
+   second copy of each path (a boxed recorded path per member) and a
+   separate stamp table, 599 B. *)
 let test_state_bytes_per_member () =
   let map, oracle, lmks, _ = make_workload ~seed:8 () in
   let server = Server.create oracle ~landmarks:lmks in
@@ -494,7 +580,7 @@ let test_state_bytes_per_member () =
   let bytes =
     8 * (Obj.reachable_words (Obj.repr server) - Obj.reachable_words (Obj.repr oracle)) / members
   in
-  Alcotest.(check bool) (Printf.sprintf "%d B per member" bytes) true (bytes <= 406)
+  Alcotest.(check bool) (Printf.sprintf "%d B per member" bytes) true (bytes <= 285)
 
 (* A broken backend: the path tree, but each path is stored without its
    first router.  Its own structure stays sound, so only the server's
@@ -574,6 +660,11 @@ let suite =
         test_register_measured_batch_matches_singletons;
       Alcotest.test_case "join picks closest landmark" `Quick test_join_picks_closest_landmark;
       Alcotest.test_case "join duplicate" `Quick test_join_duplicate;
+      Alcotest.test_case "batch with an out-of-range peer writes nothing" `Quick
+        test_batch_out_of_range_writes_nothing;
+      Alcotest.test_case "snapshot peer out of range" `Quick test_snapshot_peer_out_of_range;
+      Alcotest.test_case "query and leave words flat in members" `Quick
+        test_query_and_leave_words_flat_in_members;
       Alcotest.test_case "neighbors sane" `Quick test_neighbors_sane;
       Alcotest.test_case "neighbors unknown" `Quick test_neighbors_unknown_peer;
       Alcotest.test_case "cross-tree top-up" `Quick test_cross_tree_topup;
