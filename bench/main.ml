@@ -303,6 +303,30 @@ let run_fig2 ~full =
     Printf.printf "wrote BENCH_fig2.json (%d population sizes)\n%!" (List.length rows)
   end
 
+(* E2, the super-peer split.  As for fig2, only the paper configuration
+   ([--full]) writes BENCH_superpeers.json and its gates. *)
+let run_superpeers ~full =
+  banner "E2 super-peers";
+  let config = if full then Eval.Super_peer_exp.default_config else Eval.Super_peer_exp.quick_config in
+  let rows = Eval.Super_peer_exp.run config in
+  Eval.Super_peer_exp.print rows;
+  if full then begin
+    Simkit.Export.write_bench ~path:"BENCH_superpeers.json"
+      ~params:
+        [
+          ("routers", string_of_int config.routers);
+          ("peers", string_of_int config.peers);
+          ("landmark_count", string_of_int config.landmark_count);
+          ("k", string_of_int config.k);
+          ("seeds", String.concat " " (List.map string_of_int config.seeds));
+        ]
+      [
+        ("rows", Simkit.Json_str.arr (List.map Eval.Super_peer_exp.row_json rows));
+        ("gates", Eval.Regression.to_json (Eval.Super_peer_exp.gates rows));
+      ];
+    Printf.printf "wrote BENCH_superpeers.json (%d seeds)\n%!" (List.length rows)
+  end
+
 (* E5, the paper's motivation.  As for fig2, only the paper configuration
    ([--full]) writes BENCH_setup.json and its gates. *)
 let run_setup_delay ~full =
@@ -978,7 +1002,7 @@ let experiments =
             print rows;
             print_newline ();
             print_ablation ablation)) );
-    ("superpeers", Eval.Super_peer_exp.(simple "E2 super-peers" default_config quick_config run print));
+    ("superpeers", run_superpeers);
     ( "churn",
       Eval.Churn_exp.(
         simple "E3 churn / failures / handover" default_config quick_config run print) );

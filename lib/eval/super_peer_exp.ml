@@ -64,6 +64,33 @@ let run config =
       })
     config.seeds
 
+let row_json r =
+  let num = Simkit.Json_str.number in
+  Simkit.Json_str.obj
+    [
+      ("seed", string_of_int r.seed);
+      ("central_d_over_dclosest", num r.ratio_central);
+      ("super_d_over_dclosest", num r.ratio_super);
+      ("load_imbalance", num r.load_imbalance);
+      ("max_region_members", string_of_int r.max_region_members);
+      ("min_region_members", string_of_int r.min_region_members);
+    ]
+
+(* E2, gated per seed: both answers' quality, and the region sizes the
+   load split rests on. *)
+let gates rows =
+  List.concat_map
+    (fun r ->
+      let name metric = Printf.sprintf "superpeers/%d/%s" r.seed metric in
+      Regression.
+        [
+          gate (name "central_d_over_dclosest") r.ratio_central Lower_better 0.05;
+          gate (name "super_d_over_dclosest") r.ratio_super Lower_better 0.05;
+          exact (name "max_region_members") (float_of_int r.max_region_members);
+          exact (name "min_region_members") (float_of_int r.min_region_members);
+        ])
+    rows
+
 let print rows =
   print_endline "E2: centralized server vs per-landmark super-peers";
   Prelude.Table.print

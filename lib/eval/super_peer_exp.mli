@@ -25,4 +25,11 @@ type row = {
 }
 
 val run : config -> row list
+val row_json : row -> string
+(** One row as a JSON object (the ["rows"] of BENCH_superpeers.json). *)
+
+val gates : row list -> Regression.gate list
+(** Per seed, central and super D/Dclosest (lower is better, 0.05) and the
+    largest and smallest region's member count (exact). *)
+
 val print : row list -> unit

@@ -255,7 +255,39 @@ let test_dht_exp_smoke () =
     (report.mean_lookups_per_join > 2.0 && report.mean_lookups_per_join < 20.0);
   Alcotest.(check bool) "hops bounded by ring size" true
     (report.mean_hops_per_lookup >= 0.0 && report.mean_hops_per_lookup <= 8.0);
-  Alcotest.(check bool) "balance >= 1" true (report.bucket_balance >= 1.0)
+  Alcotest.(check bool) "balance >= 1" true (report.bucket_balance >= 1.0);
+  (* Pinned: how the super-peer split and the backend sweep are built must
+     not move the report. *)
+  let close = Alcotest.(check (float 1e-9)) in
+  close "lookups per join" 6.1333333333333337 report.mean_lookups_per_join;
+  close "hops per lookup" 3.2717086834733893 report.mean_hops_per_lookup;
+  close "lookups per query" 5.7666666666666666 report.mean_lookups_per_query;
+  close "bucket balance" 2.3850931677018634 report.bucket_balance;
+  close "bucket balance v1" 3.1801242236024843 report.bucket_balance_v1;
+  close "super-peer balance" 2.85 report.super_peer_balance;
+  close "kademlia hops" 0.85054347826086951 report.mean_hops_kademlia;
+  close "join migration" 0.0 report.join_migration_fraction;
+  Alcotest.(check (list (triple string bool int)))
+    "backend rows: backend, answers = tree, queries"
+    [ ("tree", true, 60); ("naive", true, 60); ("dht", true, 60) ]
+    (List.map
+       (fun (b : Eval.Dht_exp.backend_row) -> (b.backend, b.identical, b.queries))
+       report.backend_rows);
+  Alcotest.(check (list (list (pair string int))))
+    "backend stats"
+    [
+      [ ("members", 60); ("routers", 161) ];
+      [ ("members", 60) ];
+      [
+        ("dht_nodes", 96);
+        ("lookups", 714);
+        ("members", 60);
+        ("migrations", 0);
+        ("overlay_hops", 3428);
+        ("routers", 161);
+      ];
+    ]
+    (List.map (fun (b : Eval.Dht_exp.backend_row) -> b.backend_stats) report.backend_rows)
 
 let suite =
   ( "dht",

@@ -256,7 +256,13 @@ let test_super_peer_exp_smoke () =
       Alcotest.(check bool) "ratios >= 1" true (r.ratio_central >= 1.0 && r.ratio_super >= 1.0);
       Alcotest.(check bool) "imbalance >= 1" true (r.load_imbalance >= 1.0);
       Alcotest.(check bool) "regions partition peers" true
-        (r.max_region_members >= r.min_region_members)
+        (r.max_region_members >= r.min_region_members);
+      (* Pinned: how the super-peer half is built must not move the row. *)
+      Alcotest.(check (float 1e-9)) "central D/Dclosest" 1.119327731092437 r.ratio_central;
+      Alcotest.(check (float 1e-9)) "super D/Dclosest" 1.0890756302521007 r.ratio_super;
+      Alcotest.(check (float 1e-9)) "imbalance" 2.4 r.load_imbalance;
+      Alcotest.(check int) "max region" 24 r.max_region_members;
+      Alcotest.(check int) "min region" 3 r.min_region_members
   | _ -> Alcotest.fail "expected one row"
 
 let test_churn_exp_smoke () =
