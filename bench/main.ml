@@ -307,7 +307,7 @@ let run_fig2 ~full =
    ([--full]) writes BENCH_superpeers.json and its gates. *)
 let run_superpeers ~full =
   banner "E2 super-peers";
-  let config = if full then Eval.Super_peer_exp.default_config else Eval.Super_peer_exp.quick_config in
+  let config = Eval.Super_peer_exp.(if full then default_config else quick_config) in
   let rows = Eval.Super_peer_exp.run config in
   Eval.Super_peer_exp.print rows;
   if full then begin

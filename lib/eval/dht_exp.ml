@@ -14,13 +14,13 @@ let default_config =
 let quick_config =
   { routers = 600; peers = 150; landmark_count = 4; dht_nodes = 16; virtual_nodes = 8; k = 5; seed = 1 }
 
-(* One row of the backend sweep: the same join/query workload replayed
-   against each registry backend through the unified interface. *)
+(* One row of the backend sweep: the same joins and queries on a server
+   of each registry backend. *)
 type backend_row = {
   backend : string;
-  identical : bool;  (* Same answers as the centralized path tree. *)
-  backend_stats : (string * int) list;  (* Merged per-landmark [stats]. *)
-  queries : int;  (* "registry_query" trace counter, all landmarks. *)
+  identical : bool;  (* Same answers as the path-tree server's. *)
+  backend_stats : (string * int) list;  (* [Server.registry_stats]. *)
+  queries : int;  (* The server's "registry_query" counter. *)
 }
 
 type report = {
@@ -46,16 +46,17 @@ let run config =
       ~peers:config.peers ~seed:config.seed ()
   in
   let n = Array.length w.Workload.peer_routers in
-  (* Centralized reference. *)
-  let server = Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks in
-  for peer = 0 to n - 1 do
-    ignore (Nearby.Server.join server ~peer ~attach_router:w.peer_routers.(peer))
-  done;
-  (* Super-peers, for the balance comparison. *)
-  let supers = Nearby.Super_peer.create w.ctx.oracle ~landmarks:w.landmarks ~super_routers:w.landmarks in
-  for peer = 0 to n - 1 do
-    ignore (Nearby.Super_peer.join supers ~peer ~attach_router:w.peer_routers.(peer))
-  done;
+  (* A server with every peer joined, deterministically (no rng). *)
+  let joined ?backend () =
+    let server = Nearby.Server.create ?backend w.ctx.oracle ~landmarks:w.landmarks in
+    for peer = 0 to n - 1 do
+      ignore (Nearby.Server.join server ~peer ~attach_router:w.peer_routers.(peer))
+    done;
+    server
+  in
+  (* Centralized reference; its landmark trees are also the super-peers'
+     regions, for the balance comparison. *)
+  let server = joined () in
   (* DHT: one directory shard per landmark over a shared node set (the
      first dht_nodes peers double as storage nodes, offset into their own
      id space). *)
@@ -102,15 +103,6 @@ let run config =
         in
         if dht_reply <> central_reply then identical := false
   done;
-  let balance_of counts =
-    let values = List.map float_of_int counts in
-    let total = List.fold_left ( +. ) 0.0 values in
-    if total = 0.0 then 1.0
-    else begin
-      let mean = total /. float_of_int (List.length values) in
-      List.fold_left Float.max 0.0 values /. mean
-    end
-  in
   (* Aggregate bucket counts per storage node across the landmark shards. *)
   let bucket_counts_of dirs =
     let per_node = Hashtbl.create config.dht_nodes in
@@ -137,9 +129,6 @@ let run config =
           ~routers:(Option.get (Nearby.Server.path_of server peer))
   done;
   let bucket_counts_v1 = bucket_counts_of directories_v1 in
-  let super_counts =
-    List.map (fun (l : Nearby.Super_peer.region_load) -> l.members) (Nearby.Super_peer.loads supers)
-  in
   (* Kademlia comparison: same storage nodes, same router keys, greedy XOR
      routing; hops averaged over one lookup per (peer path router). *)
   let kad = Dht.Kademlia.build storage_nodes in
@@ -180,52 +169,20 @@ let run config =
       float_of_int !moved /. float_of_int (trials * total)
     end
   in
-  (* Backend sweep: replay the recorded registrations against every backend
-     through the unified interface and check each one answers exactly like
-     the per-landmark path tree (the cross-tree top-up entries of the
-     central reply are server behaviour, not backend behaviour, so the
-     reference is the home-tree answer). *)
-  let reference = Hashtbl.create n in
+  (* Backend sweep: the same joins on a server of every backend, each
+     checked to answer exactly like the path tree's server. *)
+  let reference = ref [||] in
   let backend_rows =
     List.map
       (fun spec ->
-        let trace = Simkit.Trace.create () in
-        let backend = Backends.backend spec in
-        let registries = Hashtbl.create config.landmark_count in
-        Array.iter
-          (fun lmk ->
-            Hashtbl.add registries lmk (Nearby.Registry_intf.create ~trace backend ~landmark:lmk))
-          w.landmarks;
-        for peer = 0 to n - 1 do
-          match Nearby.Server.info server peer with
-          | None -> ()
-          | Some info ->
-              Nearby.Registry_intf.insert
-                (Hashtbl.find registries info.landmark)
-                ~peer
-                ~routers:(Option.get (Nearby.Server.path_of server peer))
-        done;
-        let identical = ref true in
-        for peer = 0 to n - 1 do
-          match Nearby.Server.info server peer with
-          | None -> ()
-          | Some info ->
-              let reply =
-                Nearby.Registry_intf.query_member
-                  (Hashtbl.find registries info.landmark)
-                  ~peer ~k:config.k
-              in
-              (match spec with
-              | Backends.Tree -> Hashtbl.replace reference peer reply
-              | _ -> if reply <> Hashtbl.find reference peer then identical := false)
-        done;
+        let sweep = joined ~backend:(Backends.backend spec) () in
+        let replies = Array.init n (fun peer -> Nearby.Server.neighbors sweep ~peer ~k:config.k) in
+        if spec = Backends.Tree then reference := replies;
         {
           backend = Backends.to_string spec;
-          identical = !identical;
-          backend_stats =
-            Nearby.Registry_intf.merge_stats
-              (Hashtbl.fold (fun _ reg acc -> Nearby.Registry_intf.stats reg :: acc) registries []);
-          queries = Simkit.Trace.counter trace "registry_query";
+          identical = replies = !reference;
+          backend_stats = Nearby.Server.registry_stats sweep;
+          queries = Simkit.Trace.counter (Nearby.Server.trace sweep) "registry_query";
         })
       Backends.all
   in
@@ -237,9 +194,9 @@ let run config =
     mean_hops_per_lookup =
       (if total_lookups = 0 then 0.0 else float_of_int total_hops /. float_of_int total_lookups);
     mean_lookups_per_query = float_of_int !query_lookups /. float_of_int (max 1 n);
-    bucket_balance = balance_of bucket_counts;
-    bucket_balance_v1 = balance_of bucket_counts_v1;
-    super_peer_balance = balance_of super_counts;
+    bucket_balance = Measure.max_over_mean bucket_counts;
+    bucket_balance_v1 = Measure.max_over_mean bucket_counts_v1;
+    super_peer_balance = Measure.max_over_mean (Measure.landmark_members server);
     ring_size = config.dht_nodes;
     mean_hops_kademlia =
       (if !kad_lookups = 0 then 0.0 else float_of_int !kad_hops /. float_of_int !kad_lookups);

@@ -68,3 +68,23 @@ let score (ctx : Nearby.Selector.context) ~k ~named_sets =
       named_sets
   in
   { total_d_closest = !d_closest; optimal_sets; scored }
+
+(* --- Load split -------------------------------------------------------- *)
+
+let landmark_members server =
+  let landmarks = Nearby.Server.landmarks server in
+  let counts = Array.make (Array.length landmarks) 0 in
+  List.iter
+    (fun peer ->
+      let info = Option.get (Nearby.Server.info server peer) in
+      let i = Option.get (Array.find_index (Int.equal info.landmark) landmarks) in
+      counts.(i) <- counts.(i) + 1)
+    (Nearby.Server.peer_ids server);
+  Array.to_list counts
+
+let max_over_mean counts =
+  let total = List.fold_left ( + ) 0 counts in
+  if total = 0 then 1.0
+  else
+    float_of_int (List.fold_left max 0 counts)
+    /. (float_of_int total /. float_of_int (List.length counts))

@@ -24,3 +24,14 @@ val score :
     Unreachable chosen neighbors cost [max_int / 4] hops each.
     @raise Invalid_argument when a set array's length differs from the peer
     population. *)
+
+(** {1 Load split} *)
+
+val landmark_members : Nearby.Server.t -> int list
+(** How many of the server's peers each landmark's tree holds, in
+    {!Nearby.Server.landmarks} order: the load of the super-peer that
+    would serve the region.  They sum to {!Nearby.Server.peer_count}. *)
+
+val max_over_mean : int list -> float
+(** The largest count over the mean count: 1.0 is a perfectly even split.
+    1.0 when the counts sum to zero, so it is never below 1. *)

@@ -12,6 +12,10 @@ type row = {
   min_region_members : int;
 }
 
+(* A region's super-peer holds its landmark's tree and answers out of it
+   alone, so the super-peers together are a second server whose answers
+   drop the cross-tree top-up (distance [max_int]).  Each server joins
+   with its own split of the workload rng. *)
 let run config =
   List.map
     (fun seed ->
@@ -20,29 +24,23 @@ let run config =
           ~peers:config.peers ~seed ()
       in
       let n = Array.length w.Workload.peer_routers in
-      (* Centralized server. *)
-      let server = Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks in
-      let join_rng = Prelude.Prng.split w.rng in
-      for peer = 0 to n - 1 do
-        ignore (Nearby.Server.join ~rng:join_rng server ~peer ~attach_router:w.peer_routers.(peer))
-      done;
-      let central_sets =
+      let joined rng =
+        let server = Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks in
+        for peer = 0 to n - 1 do
+          ignore (Nearby.Server.join ~rng server ~peer ~attach_router:w.peer_routers.(peer))
+        done;
+        server
+      in
+      let answers ~home_only server =
         Array.init n (fun peer ->
-            Nearby.Server.neighbors server ~peer ~k:config.k |> List.map fst |> Array.of_list)
+            Nearby.Server.neighbors server ~peer ~k:config.k
+            |> List.filter_map (fun (p, d) -> if home_only && d = max_int then None else Some p)
+            |> Array.of_list)
       in
-      (* Super-peers: each landmark's super-peer attaches next to its
-         landmark (the landmark router itself hosts it). *)
-      let supers =
-        Nearby.Super_peer.create w.ctx.oracle ~landmarks:w.landmarks ~super_routers:w.landmarks
-      in
-      let join_rng2 = Prelude.Prng.split w.rng in
-      for peer = 0 to n - 1 do
-        ignore (Nearby.Super_peer.join ~rng:join_rng2 supers ~peer ~attach_router:w.peer_routers.(peer))
-      done;
-      let super_sets =
-        Array.init n (fun peer ->
-            Nearby.Super_peer.neighbors supers ~peer ~k:config.k |> List.map fst |> Array.of_list)
-      in
+      let central = joined (Prelude.Prng.split w.rng) in
+      let central_sets = answers ~home_only:false central in
+      let supers = joined (Prelude.Prng.split w.rng) in
+      let super_sets = answers ~home_only:true supers in
       let outcome =
         Measure.score w.ctx ~k:config.k
           ~named_sets:[ ("central", central_sets); ("super", super_sets) ]
@@ -52,13 +50,12 @@ let run config =
         | [ c; s ] -> (c.ratio, s.ratio)
         | _ -> assert false
       in
-      let loads = Nearby.Super_peer.loads supers in
-      let members = List.map (fun (l : Nearby.Super_peer.region_load) -> l.members) loads in
+      let members = Measure.landmark_members supers in
       {
         seed;
         ratio_central;
         ratio_super;
-        load_imbalance = Nearby.Super_peer.load_imbalance supers;
+        load_imbalance = Measure.max_over_mean members;
         max_region_members = List.fold_left max 0 members;
         min_region_members = List.fold_left min max_int members;
       })

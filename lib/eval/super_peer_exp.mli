@@ -2,7 +2,10 @@
 
     Compares the centralized management server against per-landmark
     super-peers: discovery quality (identical data structure, minus
-    cross-tree top-up), and the load split across super-peers. *)
+    cross-tree top-up), and the load split across super-peers.  A
+    super-peer serves one landmark's tree, so the super-peers together are
+    a second {!Nearby.Server} answering without its top-up, and a region's
+    load is its landmark's member count ({!Measure.landmark_members}). *)
 
 type config = {
   routers : int;
@@ -19,7 +22,7 @@ type row = {
   seed : int;
   ratio_central : float;
   ratio_super : float;
-  load_imbalance : float;  (** Max region size / mean region size. *)
+  load_imbalance : float;  (** {!Measure.max_over_mean} of the region sizes. *)
   max_region_members : int;
   min_region_members : int;
 }

@@ -1,10 +1,11 @@
 (* Timing middleware over any registry backend.
 
-   [make] wraps a packed [Registry_intf.S] so every insert/remove/query is
-   timed with a monotonic-enough wall clock and folded into a shared
-   [Simkit.Trace] under uniform stream names — the same names for [tree],
-   [naive] and [dht], which is what lets the metrics exporter and
-   `bench obs` report identical per-backend latency quantiles.
+   [wrap] wraps a packed [Registry_intf.S] so every insert/remove/query is
+   timed with a monotonic-enough wall clock and folded into the sinks it
+   is given -- a flat [Simkit.Trace], a labeled [Simkit.Metrics], or both
+   -- under uniform stream names: the same names for [tree], [naive] and
+   [dht], which is what lets the metrics exporter and `bench obs` report
+   identical per-backend latency quantiles.
 
    With a span sink attached, every operation additionally becomes one
    span, parented under whatever context is ambient ([Span.with_context] /
@@ -13,10 +14,11 @@
    is tagged with that trace id, cross-linking the stream's tail exemplars
    to concrete traces.
 
-   [wrap] is the zero-cost-when-disabled entry point: with neither a
-   metrics trace nor a span sink it returns the backend module unchanged
-   (physically the same first-class module), so the disabled path is a
-   direct call into the backend — no closure, no clock read, no branch. *)
+   Instrumentation costs nothing when disabled: with no metrics trace,
+   labeled registry or span sink, [wrap] returns the backend module
+   unchanged (physically the same first-class module), so the disabled
+   path is a direct call into the backend — no closure, no clock read, no
+   branch. *)
 
 let insert_ns = "registry_insert_ns"
 let remove_ns = "registry_remove_ns"
@@ -29,79 +31,76 @@ let query_candidates = "registry_query_candidates"
    survives quantization). *)
 let default_clock () = Unix.gettimeofday () *. 1e9
 
-let make ?(clock = default_clock) ?(spans = Simkit.Span.noop) ?labeled ~metrics
-    (module B : Registry_intf.S) : (module Registry_intf.S) =
-  (module struct
-    type t = B.t
-
-    let backend_name = B.backend_name
-    let create = B.create
-    let landmark = B.landmark
-
-    (* The dimensional mirror: same stream names as the flat trace, filed
-       under the backend's identity so per-backend series merge into one
-       fleet view without name mangling. *)
-    let backend_labels = [ ("backend", B.backend_name) ]
-
-    let labeled_observe ?trace_id stream v =
-      match labeled with
-      | None -> ()
-      | Some m -> Simkit.Metrics.observe ?trace_id m stream ~labels:backend_labels v
-
-    (* The span runs on the sink's simulated clock (duration ~0 there: a
-       store op is instantaneous in simulated time); the wall-clock cost
-       goes to the metrics stream, tagged with the span's trace so the
-       stream's exemplars point back at the causing trace.  [with_span]
-       closes the span even when the backend raises. *)
-    let timed span_name stream f =
-      Simkit.Span.with_span spans ~name:span_name ?parent:(Simkit.Span.current spans) []
-        (fun ctx ->
-          let t0 = clock () in
-          let r = f () in
-          let elapsed = clock () -. t0 in
-          Simkit.Trace.observe ~trace_id:ctx.Simkit.Span.trace_id metrics stream elapsed;
-          labeled_observe ~trace_id:ctx.Simkit.Span.trace_id stream elapsed;
-          r)
-
-    let insert t ~peer ~routers =
-      timed "registry_insert" insert_ns (fun () -> B.insert t ~peer ~routers)
-
-    let remove t peer = timed "registry_remove" remove_ns (fun () -> B.remove t peer)
-    let mem = B.mem
-    let member_count = B.member_count
-    let path_of = B.path_of
-    let iter_members = B.iter_members
-    let dtree = B.dtree
-
-    let observe_query result =
-      Simkit.Trace.observe metrics query_candidates (float_of_int (List.length result));
-      labeled_observe query_candidates (float_of_int (List.length result));
-      result
-
-    let query t ~routers ~k ?(exclude = fun _ -> false) () =
-      observe_query (timed "registry_query" query_ns (fun () -> B.query t ~routers ~k ~exclude ()))
-
-    let query_member t ~peer ~k =
-      observe_query (timed "registry_query" query_ns (fun () -> B.query_member t ~peer ~k))
-
-    (* A batch insert is the timed [insert] in a loop: one span and one
-       sample per entry. *)
-    include Registry_intf.Derive_batch (struct
-      type nonrec t = t
-
-      let landmark = landmark
-      let mem = mem
-      let insert = insert
-    end)
-
-    let stats = B.stats
-    let introspect = B.introspect
-    let check_invariants = B.check_invariants
-  end)
-
-let wrap ?clock ?metrics ?labeled ?spans backend =
+let wrap ?(clock = default_clock) ?metrics ?labeled ?spans backend : (module Registry_intf.S) =
   match (metrics, labeled, spans) with
   | None, None, None -> backend
   | _ ->
-      let metrics = match metrics with Some m -> m | None -> Simkit.Trace.create () in
-      make ?clock ?spans ?labeled ~metrics backend
+      let module B = (val backend : Registry_intf.S) in
+      let spans = Option.value spans ~default:Simkit.Span.noop in
+      (module struct
+        type t = B.t
+
+        let backend_name = B.backend_name
+        let create = B.create
+        let landmark = B.landmark
+
+        (* The dimensional mirror: same stream names as the flat trace,
+           filed under the backend's identity so per-backend series merge
+           into one fleet view without name mangling. *)
+        let backend_labels = [ ("backend", B.backend_name) ]
+
+        (* A sample goes to each sink that was given, once. *)
+        let observe ?trace_id stream v =
+          (match metrics with Some m -> Simkit.Trace.observe ?trace_id m stream v | None -> ());
+          match labeled with
+          | Some m -> Simkit.Metrics.observe ?trace_id m stream ~labels:backend_labels v
+          | None -> ()
+
+        (* The span runs on the sink's simulated clock (duration ~0 there:
+           a store op is instantaneous in simulated time); the wall-clock
+           cost goes to the metrics streams, tagged with the span's trace
+           so the streams' exemplars point back at the causing trace.
+           [with_span] closes the span even when the backend raises. *)
+        let timed span_name stream f =
+          Simkit.Span.with_span spans ~name:span_name ?parent:(Simkit.Span.current spans) []
+            (fun ctx ->
+              let t0 = clock () in
+              let r = f () in
+              observe ~trace_id:ctx.Simkit.Span.trace_id stream (clock () -. t0);
+              r)
+
+        let insert t ~peer ~routers =
+          timed "registry_insert" insert_ns (fun () -> B.insert t ~peer ~routers)
+
+        let remove t peer = timed "registry_remove" remove_ns (fun () -> B.remove t peer)
+        let mem = B.mem
+        let member_count = B.member_count
+        let path_of = B.path_of
+        let iter_members = B.iter_members
+        let dtree = B.dtree
+
+        let observe_query result =
+          observe query_candidates (float_of_int (List.length result));
+          result
+
+        let query t ~routers ~k ?(exclude = fun _ -> false) () =
+          observe_query
+            (timed "registry_query" query_ns (fun () -> B.query t ~routers ~k ~exclude ()))
+
+        let query_member t ~peer ~k =
+          observe_query (timed "registry_query" query_ns (fun () -> B.query_member t ~peer ~k))
+
+        (* A batch insert is the timed [insert] in a loop: one span and
+           one sample per entry. *)
+        include Registry_intf.Derive_batch (struct
+          type nonrec t = t
+
+          let landmark = landmark
+          let mem = mem
+          let insert = insert
+        end)
+
+        let stats = B.stats
+        let introspect = B.introspect
+        let check_invariants = B.check_invariants
+      end)

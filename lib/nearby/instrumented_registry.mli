@@ -2,8 +2,8 @@
 
     Wraps a packed backend module so [insert], [remove], [query] and
     [query_member] are individually timed and recorded into a shared
-    {!Simkit.Trace} under uniform stream names, identical for every
-    backend:
+    {!Simkit.Trace}, a labeled {!Simkit.Metrics} registry, or both, under
+    uniform stream names, identical for every backend:
 
     - ["registry_insert_ns"], ["registry_remove_ns"], ["registry_query_ns"]
       — per-operation wall time, nanoseconds;
@@ -26,21 +26,6 @@ val query_candidates : string
 (** The stream names above, as values (exporters and benches reference
     them rather than retyping the literals). *)
 
-val make :
-  ?clock:(unit -> float) ->
-  ?spans:Simkit.Span.sink ->
-  ?labeled:Simkit.Metrics.t ->
-  metrics:Simkit.Trace.t ->
-  (module Registry_intf.S) ->
-  (module Registry_intf.S)
-(** [make ~metrics b] is [b] with timed hot paths.  [clock] (default
-    [Unix.gettimeofday]-based, nanoseconds) is injectable for
-    deterministic tests; [spans] (default {!Simkit.Span.noop}) receives
-    one per-operation span parented on the ambient context.  [labeled]
-    additionally mirrors every sample dimensionally under the same stream
-    names with a [{backend="<backend_name>"}] label, so several wrapped
-    backends write distinct series into one registry. *)
-
 val wrap :
   ?clock:(unit -> float) ->
   ?metrics:Simkit.Trace.t ->
@@ -48,7 +33,13 @@ val wrap :
   ?spans:Simkit.Span.sink ->
   (module Registry_intf.S) ->
   (module Registry_intf.S)
-(** [wrap ?metrics ?labeled ?spans b] is [make] when a metrics trace, a
-    labeled registry or a span sink is given and {e physically} [b] itself
-    when none is — instrumentation compiles down to direct backend calls
-    when disabled. *)
+(** [wrap ?metrics ?labeled ?spans b] is [b] with timed hot paths, each
+    sample observed once into each sink given: [metrics], the flat trace,
+    and [labeled], which files it under the same stream name with a
+    [{backend="<backend_name>"}] label, so several wrapped backends write
+    distinct series into one registry.  [spans] receives one
+    per-operation span parented on the ambient context.  [clock]
+    (default [Unix.gettimeofday]-based, nanoseconds) is injectable for
+    deterministic tests.  With none of the three sinks, the result is
+    {e physically} [b] itself: instrumentation compiles down to direct
+    backend calls when disabled. *)

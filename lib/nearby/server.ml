@@ -633,19 +633,6 @@ let neighbors t ~peer ~k =
     + Wire.byte_size (Wire.Neighbor_reply { peer; neighbors = wire_neighbors reply }));
   reply
 
-let reverse_introductions t ~peer ~k =
-  let slot = Slot_index.find t.index peer in
-  if slot < 0 then raise Not_found;
-  let reg = registry_of t (home_of t slot) in
-  (* Candidates: anyone near the newcomer (take extra in case of ties);
-     keep those whose own k-NN now contains the newcomer. *)
-  let nearby = Registry_intf.query_member reg ~peer ~k:(2 * k) in
-  List.filter
-    (fun (candidate, _) ->
-      Registry_intf.query_member reg ~peer:candidate ~k |> List.exists (fun (p, _) -> p = peer))
-    nearby
-  |> List.filteri (fun i _ -> i < k)
-
 let leave t ~peer =
   let slot = Slot_index.find t.index peer in
   if slot < 0 then raise Not_found;
@@ -787,22 +774,35 @@ let snapshot_buckets ?(only = fun _ -> true) t buckets =
   write_entries t w !entries;
   Prelude.Codec.Writer.contents w
 
+(* Whether a router is a node of a graph of [nodes] routers.  The check
+   pass below runs on every repair, so it allocates nothing. *)
+let[@inline] in_graph ~nodes router = router >= 0 && router < nodes
+
+let rec routers_in_graph ~nodes routers i =
+  i >= Array.length routers
+  || (in_graph ~nodes routers.(i) && routers_in_graph ~nodes routers (i + 1))
+
 (* Decode the rest of [r] as snapshot entries and make [t] agree with them:
    an entry [t] already holds verbatim is left alone, any other is written
    (replacing a differing registration of the same peer), and with
    [replaced] the registrations of the marked buckets that the entries lack
-   are removed.  Everything is decoded and checked before [t] changes.  A
+   are removed.  Everything is decoded and checked before [t] changes,
+   down to every router being a node of the graph: a registry indexes its
+   buckets by router, so a foreign one must never reach it.  A
    written entry is stamped now, but not counted as a [report_refresh]:
    learning a report through repair is not a client refresh. *)
 let apply_entries t ~replaced r =
   let open Prelude.Codec.Reader in
   let ( let* ) = Result.bind in
+  let nodes = Topology.Graph.node_count (graph t) in
   let rec check prev = function
     | [] -> Ok ()
-    | (peer, _, home, _, _) :: rest ->
+    | (peer, attach, home, _, routers) :: rest ->
         if peer <= prev then Error (Malformed "snapshot entries out of order")
         else if not (is_landmark t home) then
           Error (Malformed "snapshot references an unknown landmark")
+        else if not (in_graph ~nodes attach && routers_in_graph ~nodes routers 0) then
+          Error (Malformed "snapshot names a router outside the graph")
         else if not (match replaced with None -> true | Some set -> set.(bucket_of peer)) then
           Error (Malformed "snapshot entry outside the replaced buckets")
         else check peer rest

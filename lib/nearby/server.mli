@@ -189,13 +189,6 @@ val neighbors : t -> peer:int -> k:int -> (int * int) list
     [max_int].  Traced as a [query] span.
     @raise Not_found for an unregistered peer. *)
 
-val reverse_introductions : t -> peer:int -> k:int -> (int * int) list
-(** The push half of a join: registered peers for whom the newcomer now
-    ranks among their [k] closest (so the server can notify them to
-    consider the newcomer).  Computed over the newcomer's same-tree
-    candidates; [(peer, inferred distance)] pairs, ascending.
-    @raise Not_found for an unregistered peer. *)
-
 val leave : t -> peer:int -> unit
 (** Deregister (graceful or detected failure).  @raise Not_found when
     unregistered. *)
@@ -277,7 +270,8 @@ val apply_buckets : ?replace:int list -> t -> string -> (int, string) result
     are stamped at the current clock (not counted as ["report_refresh"]).
     Returns the number of registrations written or removed.  Total:
     corrupt input yields [Error], and is rejected before anything is
-    applied. *)
+    applied; an entry naming a router outside {!graph} (a hop or its
+    attach router) is corrupt. *)
 
 val restore :
   ?truncate:Traceroute.Truncate.strategy ->

@@ -262,8 +262,35 @@ let test_super_peer_exp_smoke () =
       Alcotest.(check (float 1e-9)) "super D/Dclosest" 1.0890756302521007 r.ratio_super;
       Alcotest.(check (float 1e-9)) "imbalance" 2.4 r.load_imbalance;
       Alcotest.(check int) "max region" 24 r.max_region_members;
-      Alcotest.(check int) "min region" 3 r.min_region_members
+      Alcotest.(check int) "min region" 3 r.min_region_members;
+      Alcotest.(check (list string))
+        "gates per seed"
+        [
+          "superpeers/1/central_d_over_dclosest";
+          "superpeers/1/super_d_over_dclosest";
+          "superpeers/1/max_region_members";
+          "superpeers/1/min_region_members";
+        ]
+        (List.map (fun (g : Eval.Regression.gate) -> g.name) (Eval.Super_peer_exp.gates rows))
   | _ -> Alcotest.fail "expected one row"
+
+let test_load_split () =
+  let w = Eval.Workload.build ~routers:300 ~landmark_count:4 ~peers:40 ~seed:2 () in
+  let server = Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks in
+  Alcotest.(check (list int)) "empty server" [ 0; 0; 0; 0 ] (Eval.Measure.landmark_members server);
+  Alcotest.(check (float 0.0)) "no members is an even split" 1.0
+    (Eval.Measure.max_over_mean (Eval.Measure.landmark_members server));
+  Alcotest.(check (float 0.0)) "no counts either" 1.0 (Eval.Measure.max_over_mean []);
+  Array.iteri
+    (fun peer attach_router -> ignore (Nearby.Server.join server ~peer ~attach_router))
+    w.peer_routers;
+  let members = Eval.Measure.landmark_members server in
+  Alcotest.(check int) "one count per landmark" 4 (List.length members);
+  Alcotest.(check int) "counts sum to the population" (Nearby.Server.peer_count server)
+    (List.fold_left ( + ) 0 members);
+  Alcotest.(check bool) "at least 1" true (Eval.Measure.max_over_mean members >= 1.0);
+  Alcotest.(check (float 1e-12)) "max over mean" 1.5 (Eval.Measure.max_over_mean [ 3; 1 ]);
+  Alcotest.(check (float 1e-12)) "even" 1.0 (Eval.Measure.max_over_mean [ 2; 2; 2 ])
 
 let test_churn_exp_smoke () =
   let config =
@@ -434,4 +461,5 @@ let suite =
       Alcotest.test_case "stretch analysis" `Slow test_stretch_analysis_smoke;
       Alcotest.test_case "complexity naive column" `Slow test_complexity_naive_column;
       Alcotest.test_case "topology sensitivity" `Slow test_topology_sensitivity_smoke;
+      Alcotest.test_case "load split" `Quick test_load_split;
     ] )

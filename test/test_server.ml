@@ -85,7 +85,31 @@ let test_cross_tree_topup () =
   ignore (Server.join server ~peer:1 ~attach_router:map.leaves.(Array.length map.leaves - 1));
   let reply = Server.neighbors server ~peer:0 ~k:3 in
   Alcotest.(check int) "the one other peer is returned" 1 (List.length reply);
-  Alcotest.(check int) "it is peer 1" 1 (fst (List.hd reply))
+  Alcotest.(check int) "it is peer 1" 1 (fst (List.hd reply));
+  (* Asking for more than the population: every answer is the whole rest
+     of it, the asker's own tree first, then the top-up. *)
+  let n = 30 in
+  let server = Server.create oracle ~landmarks:lmks in
+  for peer = 0 to n - 1 do
+    let attach_router = map.leaves.(peer * 7 mod Array.length map.leaves) in
+    ignore (Server.join server ~peer ~attach_router)
+  done;
+  let home peer = (Option.get (Server.info server peer)).landmark in
+  let topups = ref 0 in
+  for peer = 0 to n - 1 do
+    let reply = Server.neighbors server ~peer ~k:n in
+    Alcotest.(check int) "everyone else" (n - 1) (List.length reply);
+    let regional, topup = List.partition (fun (_, d) -> d <> max_int) reply in
+    Alcotest.(check bool) "regional entries first" true (reply = regional @ topup);
+    List.iter
+      (fun (p, _) -> Alcotest.(check int) "regional entry shares its landmark" (home peer) (home p))
+      regional;
+    List.iter
+      (fun (p, _) -> Alcotest.(check bool) "a top-up is another tree's" true (home p <> home peer))
+      topup;
+    topups := !topups + List.length topup
+  done;
+  Alcotest.(check bool) "some answers needed a top-up" true (!topups > 0)
 
 let test_leave () =
   let map, oracle, lmks, _ = make_workload ~seed:8 () in
@@ -210,31 +234,6 @@ let test_matches_naive_reference () =
       true
       (prefix got expected)
   done
-
-let test_reverse_introductions () =
-  let map, oracle, lmks, _ = make_workload ~seed:21 () in
-  let server = Server.create oracle ~landmarks:lmks in
-  let n = 50 in
-  for peer = 0 to n - 1 do
-    ignore (Server.join server ~peer ~attach_router:map.leaves.(peer))
-  done;
-  for peer = 0 to n - 1 do
-    let intros = Server.reverse_introductions server ~peer ~k:4 in
-    Alcotest.(check bool) "bounded" true (List.length intros <= 4);
-    List.iter
-      (fun (candidate, d) ->
-        Alcotest.(check bool) "not self" true (candidate <> peer);
-        Alcotest.(check bool) "distance sane" true (d >= 0);
-        (* Definition: the newcomer is in the candidate's own k-NN. *)
-        let candidate_knn = Server.neighbors server ~peer:candidate ~k:4 |> List.map fst in
-        Alcotest.(check bool)
-          (Printf.sprintf "peer %d really in %d's k-NN" peer candidate)
-          true
-          (List.mem peer candidate_knn))
-      intros
-  done;
-  Alcotest.check_raises "unregistered" Not_found (fun () ->
-      ignore (Server.reverse_introductions server ~peer:999 ~k:3))
 
 let test_deterministic_without_rng () =
   let run () =
@@ -675,7 +674,6 @@ let suite =
       Alcotest.test_case "probe noise" `Quick test_probe_noise_does_not_break_registration;
       Alcotest.test_case "trace counters" `Quick test_trace_counters;
       Alcotest.test_case "matches naive reference" `Quick test_matches_naive_reference;
-      Alcotest.test_case "reverse introductions" `Quick test_reverse_introductions;
       Alcotest.test_case "deterministic" `Quick test_deterministic_without_rng;
       Alcotest.test_case "measure allocation" `Quick test_measure_allocation;
       Alcotest.test_case "invariants check content" `Quick test_invariants_check_content;

@@ -172,6 +172,66 @@ let test_apply_compares_registered_routers () =
   written "a repeated landmark is a router: written" 1 (entry 2 [| known 7; known l |]);
   Server.check_invariants server
 
+(* A snapshot naming a router the graph does not have is corrupt: as a
+   hop it would size the tree's router-indexed buckets, as an attach
+   router it would index past the graph on the next audited query. *)
+let test_routers_outside_graph_rejected () =
+  let map, oracle, server = populated ~seed:1 ~peers:20 in
+  let outside = Topology.Graph.node_count map.graph + 5_000_000 in
+  let valid = Option.get (Server.info server 0) in
+  let lmk = valid.landmark in
+  let entries w second_attach second_hops =
+    let open Prelude.Codec.Writer in
+    let entry (peer, attach, hops) =
+      varint w peer;
+      varint w attach;
+      varint w lmk;
+      varint w valid.probes_spent;
+      bytes w (Wire.encode (Wire.Path_report { peer; path = { src = attach; dst = lmk; hops } }))
+    in
+    list w entry
+      [ (0, valid.attach_router, valid.recorded_path.hops); (1, second_attach, second_hops) ]
+  in
+  let known r = Traceroute.Path.Known r in
+  let bad =
+    [
+      ("a hop outside the graph", valid.attach_router, [| known outside; known lmk |]);
+      ("an attach router outside the graph", outside, valid.recorded_path.hops);
+    ]
+  in
+  let before = Server.digest server and count = Server.peer_count server in
+  List.iter
+    (fun (name, attach, hops) ->
+      let full =
+        let w = Prelude.Codec.Writer.create () in
+        Prelude.Codec.Writer.u8 w 1;
+        Prelude.Codec.Writer.list w (Prelude.Codec.Writer.varint w)
+          (Array.to_list (Server.landmarks server));
+        entries w attach hops;
+        Prelude.Codec.Writer.contents w
+      in
+      (match Server.restore oracle full with
+      | Error msg ->
+          Alcotest.(check string) (name ^ ": restore")
+            "malformed input: snapshot names a router outside the graph" msg
+      | Ok _ -> Alcotest.fail (name ^ ": restored"));
+      let partial =
+        let w = Prelude.Codec.Writer.create () in
+        entries w attach hops;
+        Prelude.Codec.Writer.contents w
+      in
+      List.iter
+        (fun replace ->
+          match Server.apply_buckets ?replace server partial with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.fail (name ^ ": applied"))
+        [ None; Some [ Server.bucket_of 0; Server.bucket_of 1 ] ];
+      Alcotest.(check bool) (name ^ ": digest unchanged") true
+        (Int64.equal before (Server.digest server));
+      Alcotest.(check int) (name ^ ": peer count unchanged") count (Server.peer_count server))
+    bad;
+  Server.check_invariants server
+
 let suite =
   ( "snapshot",
     [
@@ -183,4 +243,6 @@ let suite =
       Alcotest.test_case "bucket repair" `Quick test_bucket_repair;
       Alcotest.test_case "apply compares registered routers" `Quick
         test_apply_compares_registered_routers;
+      Alcotest.test_case "routers outside the graph rejected" `Quick
+        test_routers_outside_graph_rejected;
     ] )

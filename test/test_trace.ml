@@ -354,7 +354,7 @@ let test_instrumented_registry () =
     !tick
   in
   let backend =
-    Nearby.Instrumented_registry.make ~clock ~metrics (module Nearby.Path_tree)
+    Nearby.Instrumented_registry.wrap ~clock ~metrics (module Nearby.Path_tree)
   in
   let lmk = 99 in
   let reg = Nearby.Registry_intf.create backend ~landmark:lmk in
@@ -371,7 +371,25 @@ let test_instrumented_registry () =
   Alcotest.(check int) "one timed remove" 1 (summary Nearby.Instrumented_registry.remove_ns).Trace.count;
   Alcotest.(check (float 1e-9))
     "candidates recorded" 1.0
-    (summary Nearby.Instrumented_registry.query_candidates).Trace.p50
+    (summary Nearby.Instrumented_registry.query_candidates).Trace.p50;
+  (* Labeled only: each op lands once, in its {backend="tree"} series. *)
+  let labeled = Simkit.Metrics.create () in
+  let backend = Nearby.Instrumented_registry.wrap ~clock ~labeled (module Nearby.Path_tree) in
+  let reg = Nearby.Registry_intf.create backend ~landmark:lmk in
+  Nearby.Registry_intf.insert reg ~peer:0 ~routers:[| 1; 5; lmk |];
+  Nearby.Registry_intf.insert reg ~peer:1 ~routers:[| 2; 5; lmk |];
+  ignore (Nearby.Registry_intf.query_member reg ~peer:0 ~k:1);
+  Nearby.Registry_intf.remove reg 1;
+  let count name =
+    match Simkit.Metrics.summary labeled name ~labels:[ ("backend", "tree") ] with
+    | Some s -> s.Trace.count
+    | None -> 0
+  in
+  List.iter
+    (fun (name, expected) -> Alcotest.(check int) ("labeled " ^ name) expected (count name))
+    Nearby.Instrumented_registry.
+      [ (insert_ns, 2); (query_ns, 1); (remove_ns, 1); (query_candidates, 1) ];
+  Alcotest.(check int) "one series per stream" 4 (List.length (Simkit.Metrics.series labeled))
 
 let test_wrap_disabled_is_identity () =
   let backend = (module Nearby.Path_tree : Nearby.Registry_intf.S) in
