@@ -159,7 +159,7 @@ let micro_tests () =
     Array.iter
       (fun dst -> ignore (Traceroute.Route_oracle.route_length oracle ~src:map.core.(0) ~dst))
       (Array.concat [ landmarks; replicas; peers ]);
-    let server = Nearby.Server.create oracle ~landmarks in
+    let client = Nearby.Client.create oracle ~landmarks in
     let engine = Simkit.Engine.create () in
     let transport =
       Simkit.Transport.create ~rng:(Prelude.Prng.create 2) ~metrics:(Simkit.Metrics.create ())
@@ -186,22 +186,20 @@ let micro_tests () =
        peers' measurements are taken once, and each run registers a fresh
        peer id and leaves it again, so the population stays put. *)
     let replica = Nearby.Server.create oracle ~landmarks in
-    let measured = Array.map (fun r -> (r, Nearby.Server.measure server ~attach_router:r)) peers in
+    let measured = Array.map (fun r -> (r, Nearby.Client.measure client ~attach_router:r)) peers in
     let register peer =
-      let attach_router, m = measured.(peer land 63) in
-      Nearby.Server.register_replica replica ~peer ~attach_router
-        ~landmark:(Nearby.Server.measurement_landmark m)
-        ~path:(Nearby.Server.measurement_path m)
-        ~probes_spent:(Nearby.Server.measurement_probes m)
+      let attach_router, (m : Nearby.Client.measurement) = measured.(peer land 63) in
+      Nearby.Server.register_replica replica ~peer ~attach_router ~landmark:m.landmark ~path:m.path
+        ~probes_spent:m.probes
     in
     for peer = 0 to 1_999 do
       register peer
     done;
     let next_replica_peer = ref 2_000 in
     [
-      Test.make ~name:"nearby/server/measure"
+      Test.make ~name:"nearby/client/measure"
         (Staged.stage (fun () ->
-             ignore (Nearby.Server.measure server ~attach_router:(next_peer ()))));
+             ignore (Nearby.Client.measure client ~attach_router:(next_peer ()))));
       Test.make ~name:"nearby/server/register_replica"
         (Staged.stage (fun () ->
              let peer = !next_replica_peer in

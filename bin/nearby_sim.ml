@@ -475,13 +475,13 @@ let registry_cmd =
               ?spans:(if Simkit.Span.enabled spans then Some spans else None)
               (Eval.Backends.backend spec)
           in
-          let server =
-            Nearby.Server.create ~backend ~spans w.Eval.Workload.ctx.Nearby.Selector.oracle
-              ~landmarks:w.Eval.Workload.landmarks
-          in
+          let oracle = w.Eval.Workload.ctx.Nearby.Selector.oracle
+          and landmarks = w.Eval.Workload.landmarks in
+          let server = Nearby.Server.create ~backend ~spans oracle ~landmarks in
+          let client = Nearby.Client.create oracle ~landmarks in
           for peer = 0 to n - 1 do
             ignore
-              (Nearby.Server.join server ~peer
+              (Nearby.Server.join server ~client ~peer
                  ~attach_router:w.Eval.Workload.peer_routers.(peer))
           done;
           let ts =
@@ -710,19 +710,20 @@ let verify_cmd =
         let oracle = Traceroute.Route_oracle.create map.graph in
         let landmarks = Nearby.Landmark.place map.graph Nearby.Landmark.Medium_degree ~count:4 ~rng in
         let server = Nearby.Server.create oracle ~landmarks in
+        let client = Nearby.Client.create oracle ~landmarks in
         for i = 0 to 499 do
           let peer = Prelude.Prng.int rng 60 in
           (match Prelude.Prng.int rng 4 with
           | 0 ->
               if not (Nearby.Server.mem server peer) then
                 ignore
-                  (Nearby.Server.join server ~peer
+                  (Nearby.Server.join server ~client ~peer
                      ~attach_router:map.leaves.(Prelude.Prng.int rng (Array.length map.leaves)))
           | 1 -> if Nearby.Server.mem server peer then Nearby.Server.leave server ~peer
           | 2 ->
               if Nearby.Server.mem server peer then
                 ignore
-                  (Nearby.Server.handover server ~peer
+                  (Nearby.Server.handover server ~client ~peer
                      ~attach_router:map.leaves.(Prelude.Prng.int rng (Array.length map.leaves)))
           | _ ->
               if Nearby.Server.mem server peer then
@@ -735,8 +736,9 @@ let verify_cmd =
         let oracle = Traceroute.Route_oracle.create map.graph in
         let landmarks = Nearby.Landmark.place map.graph Nearby.Landmark.Medium_degree ~count:3 ~rng in
         let server = Nearby.Server.create oracle ~landmarks in
+        let client = Nearby.Client.create oracle ~landmarks in
         for peer = 0 to 30 do
-          ignore (Nearby.Server.join server ~peer ~attach_router:map.leaves.(peer))
+          ignore (Nearby.Server.join server ~client ~peer ~attach_router:map.leaves.(peer))
         done;
         match Nearby.Server.restore oracle (Nearby.Server.snapshot server) with
         | Ok restored ->
@@ -765,8 +767,9 @@ let verify_cmd =
         let peers = 120 and k = 4 in
         let attach peer = map.leaves.(peer mod Array.length map.leaves) in
         let reference = Nearby.Server.create oracle ~landmarks in
+        let client = Nearby.Client.create oracle ~landmarks in
         for peer = 0 to peers - 1 do
-          ignore (Nearby.Server.join reference ~peer ~attach_router:(attach peer))
+          ignore (Nearby.Server.join reference ~client ~peer ~attach_router:(attach peer))
         done;
         let engine = Simkit.Engine.create () in
         let transport = Simkit.Transport.create engine oracle in
@@ -823,10 +826,14 @@ let verify_cmd =
         in
         let cluster =
           Nearby.Cluster.create ~transport ~client_router:map.core.(0)
-            ~make_server:(fun () -> Nearby.Server.create ~probe_config oracle ~landmarks)
+            ~make_server:(fun () -> Nearby.Server.create oracle ~landmarks)
             ~routers ()
         in
-        let protocol = Nearby.Protocol.create_resilient ~rpc:(Simkit.Rpc.create transport) cluster in
+        let protocol =
+          Nearby.Protocol.create_resilient
+            ~client:(Nearby.Client.create ~probe_config oracle ~landmarks)
+            ~rpc:(Simkit.Rpc.create transport) cluster
+        in
         let probe_rng = Prelude.Prng.create (seed + 4000) in
         let peers = 120 in
         for peer = 0 to peers - 1 do

@@ -12,11 +12,12 @@ let () =
   let rng = Prelude.Prng.create 3 in
   let landmarks = Nearby.Landmark.place map.graph Nearby.Landmark.Medium_degree ~count:4 ~rng in
   let server = Nearby.Server.create oracle ~landmarks in
+  let client = Nearby.Client.create oracle ~landmarks in
   let home = map.leaves.(0) and away = map.leaves.(Array.length map.leaves - 1) in
-  let info = Nearby.Server.join server ~peer:0 ~attach_router:home in
+  let info = Nearby.Server.join server ~client ~peer:0 ~attach_router:home in
   Format.printf "peer 0 joins at router %d -> landmark %d, %d-hop path@." home info.landmark
     (Traceroute.Path.hop_count info.recorded_path);
-  let info' = Nearby.Server.handover server ~peer:0 ~attach_router:away in
+  let info' = Nearby.Server.handover server ~client ~peer:0 ~attach_router:away in
   Format.printf "peer 0 hands over to router %d -> landmark %d, %d-hop path@." away info'.landmark
     (Traceroute.Path.hop_count info'.recorded_path);
   Format.printf "  (the server re-registered the peer under its new closest landmark)@.@.";

@@ -28,13 +28,14 @@ let () =
   let landmarks = Nearby.Landmark.place graph Nearby.Landmark.Spread ~count:4 ~rng in
   let oracle = Traceroute.Route_oracle.create graph in
   let server = Nearby.Server.create oracle ~landmarks in
+  let client = Nearby.Client.create oracle ~landmarks in
   let leaves = Array.of_list (Topology.Graph.nodes_with_degree graph 1) in
   Format.printf "landmarks on routers: %s; %d degree-1 attachment routers@."
     (String.concat ", " (Array.to_list (Array.map string_of_int landmarks)))
     (Array.length leaves);
   let peer_count = min 100 (Array.length leaves) in
   for peer = 0 to peer_count - 1 do
-    ignore (Nearby.Server.join server ~peer ~attach_router:leaves.(peer))
+    ignore (Nearby.Server.join server ~client ~peer ~attach_router:leaves.(peer))
   done;
   let reply = Nearby.Server.neighbors server ~peer:0 ~k:5 in
   Format.printf "peer 0's neighbors (peer, inferred distance): %s@."

@@ -18,10 +18,11 @@ let () =
   let attach = Array.init peers (fun i -> map.leaves.(i mod Array.length map.leaves)) in
 
   (* One server per backend, same join sequence. *)
+  let client = Nearby.Client.create oracle ~landmarks in
   let deploy backend =
     let server = Nearby.Server.create ~backend oracle ~landmarks in
     for peer = 0 to peers - 1 do
-      ignore (Nearby.Server.join server ~peer ~attach_router:attach.(peer))
+      ignore (Nearby.Server.join server ~client ~peer ~attach_router:attach.(peer))
     done;
     server
   in

@@ -28,14 +28,15 @@ let () =
 
   (* Stand the server up and pre-register the existing swarm. *)
   let engine = Simkit.Engine.create () in
-  let server = Nearby.Server.create ?latency:w.ctx.latency w.ctx.oracle ~landmarks:w.landmarks in
+  let server = Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks in
+  let client = Nearby.Client.create ?latency:w.ctx.latency w.ctx.oracle ~landmarks:w.landmarks in
   let transport = Simkit.Transport.create ?latency:w.ctx.latency engine w.ctx.oracle in
   let protocol =
-    Nearby.Protocol.create_resilient ~rpc:(Simkit.Rpc.create transport)
+    Nearby.Protocol.create_resilient ~client ~rpc:(Simkit.Rpc.create transport)
       (Nearby.Cluster.single ~transport ~router:w.landmarks.(0) server)
   in
   for peer = 0 to initial_swarm - 1 do
-    ignore (Nearby.Server.join server ~peer ~attach_router:w.peer_routers.(peer))
+    ignore (Nearby.Server.join server ~client ~peer ~attach_router:w.peer_routers.(peer))
   done;
 
   (* Newcomers join through the timed protocol. *)

@@ -37,9 +37,13 @@ let () =
   let true_d = Topology.Bfs.distance d.graph d.p1 d.p2 in
   Format.printf "true shortest path d(p1, p2) = %d hops (via the stub cross link r1 - r3)@." true_d;
 
-  (* 4. Same thing through the management-server front door. *)
+  (* 4. Same thing through the protocol: each newcomer's client measures,
+     the management server registers and answers. *)
   let server = Nearby.Server.create oracle ~landmarks:[| d.lmk |] in
-  Array.iteri (fun peer attach_router -> ignore (Nearby.Server.join server ~peer ~attach_router)) peers;
+  let client = Nearby.Client.create oracle ~landmarks:[| d.lmk |] in
+  Array.iteri
+    (fun peer attach_router -> ignore (Nearby.Server.join server ~client ~peer ~attach_router))
+    peers;
   Format.printf "@.server reply for p1 (closest first):@.";
   List.iter
     (fun (peer, dtree) -> Format.printf "  p%d at inferred distance %d@." (peer + 1) dtree)

@@ -45,7 +45,7 @@ let run config =
   let rng = w.rng in
   let seed_router = w.landmarks.(0) in
   let proposed =
-    Nearby.Selector.Proposed { landmarks = w.landmarks; truncate = Traceroute.Truncate.Full }
+    Nearby.Selector.Proposed { landmarks = w.landmarks }
   in
   let strategies =
     [

@@ -73,6 +73,7 @@ let run config =
   let landmarks = Nearby.Landmark.place graph Nearby.Landmark.Medium_degree ~count:config.landmark_count ~rng in
   let oracle = Traceroute.Route_oracle.create graph in
   let server = Nearby.Server.create oracle ~landmarks in
+  let client = Nearby.Client.create oracle ~landmarks in
   let leaves = map.leaves in
   let random_leaf () = leaves.(Prelude.Prng.int rng (Array.length leaves)) in
   let sessions = Simkit.Churn.generate config.spec ~rng:(Prelude.Prng.split rng) in
@@ -99,7 +100,7 @@ let run config =
       Simkit.Engine.schedule_at engine ~time:s.join_at (fun () ->
           let router = random_leaf () in
           Hashtbl.replace states peer { router; alive = true };
-          ignore (Nearby.Server.join ~rng:join_rng server ~peer ~attach_router:router);
+          ignore (Nearby.Server.join ~rng:join_rng server ~client ~peer ~attach_router:router);
           match detector with
           | None -> ()
           | Some d ->
@@ -137,7 +138,7 @@ let run config =
               | Simkit.Churn.Handover ->
                   incr handovers;
                   st.router <- random_leaf ();
-                  ignore (Nearby.Server.handover ~rng:join_rng server ~peer ~attach_router:st.router);
+                  ignore (Nearby.Server.handover ~rng:join_rng server ~client ~peer ~attach_router:st.router);
                   (* The heartbeat stream moves with the peer. *)
                   (match detector with
                   | None -> ()

@@ -58,8 +58,7 @@ let create ?(spans = Simkit.Span.noop) ?metrics ?recorder ?rpc_recorder ?timeser
   let cluster =
     Nearby.Cluster.create ?recorder ?metrics ~spans ~transport ~client_router:w.map.core.(0)
       ~make_server:(fun () ->
-        Nearby.Server.create ?latency:w.ctx.latency ?backend ~spans w.ctx.oracle
-          ~landmarks:w.landmarks)
+        Nearby.Server.create ?backend ~spans w.ctx.oracle ~landmarks:w.landmarks)
       ~routers:replica_routers ()
   in
   let rpc =

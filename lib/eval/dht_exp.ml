@@ -49,8 +49,9 @@ let run config =
   (* A server with every peer joined, deterministically (no rng). *)
   let joined ?backend () =
     let server = Nearby.Server.create ?backend w.ctx.oracle ~landmarks:w.landmarks in
+    let client = Nearby.Client.create w.ctx.oracle ~landmarks:w.landmarks in
     for peer = 0 to n - 1 do
-      ignore (Nearby.Server.join server ~peer ~attach_router:w.peer_routers.(peer))
+      ignore (Nearby.Server.join server ~client ~peer ~attach_router:w.peer_routers.(peer))
     done;
     server
   in

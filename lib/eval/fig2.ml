@@ -32,7 +32,7 @@ let run_one config ~n ~seed =
   let rng = w.rng in
   let proposed =
     Nearby.Selector.select w.ctx
-      (Proposed { landmarks = w.landmarks; truncate = Traceroute.Truncate.Full })
+      (Proposed { landmarks = w.landmarks })
       ~k:config.k ~rng
   in
   let random = Nearby.Selector.select w.ctx Random_peers ~k:config.k ~rng in

@@ -44,7 +44,7 @@ let run config =
       let rng = Prelude.Prng.create (config.seed + 23) in
       let proposed =
         Nearby.Selector.select ctx
-          (Proposed { landmarks = base.landmarks; truncate = Traceroute.Truncate.Full })
+          (Proposed { landmarks = base.landmarks })
           ~k:config.k ~rng
       in
       let random = Nearby.Selector.select ctx Random_peers ~k:config.k ~rng in

@@ -62,10 +62,11 @@ let run_method config (w : Workload.t) spec =
     Streaming.Session.create ~params:config.session ?latency ~engine ~graph:w.ctx.graph
       ~source_router:w.landmarks.(0) ~seed:(config.seed + 7) ()
   in
-  let server = Nearby.Server.create ?latency w.ctx.oracle ~landmarks:w.landmarks in
+  let server = Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks in
+  let client = Nearby.Client.create ?latency w.ctx.oracle ~landmarks:w.landmarks in
   let transport = Simkit.Transport.create ?latency engine w.ctx.oracle in
   let protocol =
-    Nearby.Protocol.create_resilient ~rpc:(Simkit.Rpc.create transport)
+    Nearby.Protocol.create_resilient ~client ~rpc:(Simkit.Rpc.create transport)
       (Nearby.Cluster.single ~transport ~router:w.landmarks.(0) server)
   in
   let rng = Prelude.Prng.create (config.seed + 11) in
@@ -84,7 +85,7 @@ let run_method config (w : Workload.t) spec =
     Nearby.Selector.select boot_ctx
       (Hybrid
          {
-           primary = Proposed { landmarks = w.landmarks; truncate = Traceroute.Truncate.Full };
+           primary = Proposed { landmarks = w.landmarks };
            random_links = 1;
          })
       ~k:config.k ~rng
@@ -92,7 +93,7 @@ let run_method config (w : Workload.t) spec =
   for i = 0 to n0 - 1 do
     let id = Streaming.Session.add_peer session ~router:w.peer_routers.(i) ~neighbors:[] in
     assert (id = i);
-    ignore (Nearby.Server.join server ~peer:i ~attach_router:w.peer_routers.(i))
+    ignore (Nearby.Server.join server ~client ~peer:i ~attach_router:w.peer_routers.(i))
   done;
   (* Install the bootstrap mesh (ids = indices). *)
   Array.iteri
@@ -167,7 +168,7 @@ let run_method config (w : Workload.t) spec =
                 Prelude.Prng.sample_without_replacement rng ~k:(min (config.k + 1) current)
                   ~n:current
               in
-              ignore (Nearby.Server.join server ~peer ~attach_router:router);
+              ignore (Nearby.Server.join server ~client ~peer ~attach_router:router);
               attach_with (Array.to_list picks)
           | Ideal_coords ->
               let delay =
@@ -175,7 +176,7 @@ let run_method config (w : Workload.t) spec =
                   ~round_period_ms:config.round_period_ms
               in
               Simkit.Engine.schedule engine ~delay (fun () ->
-                  ignore (Nearby.Server.join server ~peer ~attach_router:router);
+                  ignore (Nearby.Server.join server ~client ~peer ~attach_router:router);
                   (* Perfect proximity: the true closest current peers. *)
                   let dist = Topology.Bfs.distances w.ctx.graph router in
                   let current = Streaming.Session.peer_count session in

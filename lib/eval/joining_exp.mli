@@ -6,7 +6,7 @@
     shared simulation clock:
 
     - proposed: one {!Nearby.Protocol.join} — landmark pings, one
-      traceroute ({!Nearby.Server.measurement_duration_ms}), then one RPC
+      traceroute ({!Nearby.Client.duration_ms}), then one RPC
       to a lone server at the first landmark — whose reply is the
       server's regional answer;
     - random: zero discovery time, uniform random neighbors — the fastest

@@ -29,11 +29,12 @@ let quick_config =
 
 type row = { policy : Nearby.Landmark.policy; count : int; ratio : float; hit_ratio : float }
 
-let score_with_server w ~k ~server =
+let score_joins w ~k ~client =
   let n = Array.length w.Workload.peer_routers in
+  let server = Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks in
   let join_rng = Prelude.Prng.split w.rng in
   for peer = 0 to n - 1 do
-    ignore (Nearby.Server.join ~rng:join_rng server ~peer ~attach_router:w.peer_routers.(peer))
+    ignore (Nearby.Server.join ~rng:join_rng server ~client ~peer ~attach_router:w.peer_routers.(peer))
   done;
   let sets =
     Array.init n (fun peer -> Nearby.Server.neighbors server ~peer ~k |> List.map fst |> Array.of_list)
@@ -53,10 +54,8 @@ let run config =
                 Workload.build ~routers:config.routers ~landmark_count:count
                   ~landmark_policy:policy ~peers:config.peers ~seed ()
               in
-              let server =
-                Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks
-              in
-              let r, h = score_with_server w ~k:config.k ~server in
+              let client = Nearby.Client.create w.ctx.oracle ~landmarks:w.landmarks in
+              let r, h = score_joins w ~k:config.k ~client in
               Prelude.Stats.add ratio r;
               Prelude.Stats.add hit h)
             config.seeds;
@@ -91,12 +90,12 @@ let run_round1_ablation config =
               Workload.build ~routers:config.routers ~landmark_count:count
                 ~peers:config.peers ~seed ()
             in
-            let server = Nearby.Server.create ~choice w.ctx.oracle ~landmarks:w.landmarks in
-            let r, _ = score_with_server w ~k:config.k ~server in
+            let client = Nearby.Client.create ~choice w.ctx.oracle ~landmarks:w.landmarks in
+            let r, _ = score_joins w ~k:config.k ~client in
             Prelude.Stats.add acc r
           in
-          measure Nearby.Server.Closest closest;
-          measure Nearby.Server.Uniform random)
+          measure Nearby.Client.Closest closest;
+          measure Nearby.Client.Uniform random)
         config.seeds;
       {
         count;

@@ -105,9 +105,8 @@ let run_instrumented (config : config) =
   in
   let leaves = w.map.leaves in
   let engine = Simkit.Engine.create () in
-  let server =
-    Nearby.Server.create ?latency:w.ctx.latency w.ctx.oracle ~landmarks:w.landmarks
-  in
+  let server = Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks in
+  let client = Nearby.Client.create w.ctx.oracle ~landmarks:w.landmarks in
   let metrics = Simkit.Metrics.create () in
   let recorder = Simkit.Flight_recorder.create ~capacity:1024 () in
   (* Horizon: arrivals stop at [duration_ms]; whatever is queued then drains
@@ -125,14 +124,12 @@ let run_instrumented (config : config) =
   let churn_rng = Prelude.Prng.split w.rng in
   (* Round 1 is deterministic per attachment router (no probe rng), so a
      crowd arriving at the same leaf shares one measurement. *)
-  let memo : (Topology.Graph.node, Nearby.Server.measurement) Hashtbl.t =
-    Hashtbl.create 1024
-  in
+  let memo : (Topology.Graph.node, Nearby.Client.measurement) Hashtbl.t = Hashtbl.create 1024 in
   let measure_of router =
     match Hashtbl.find_opt memo router with
     | Some m -> m
     | None ->
-        let m = Nearby.Server.measure server ~attach_router:router in
+        let m = Nearby.Client.measure client ~attach_router:router in
         Hashtbl.add memo router m;
         m
   in
@@ -145,7 +142,7 @@ let run_instrumented (config : config) =
       if tries = 0 then fallback
       else
         let r = pick_router () in
-        if Nearby.Server.measurement_landmark (measure_of r) <> old_landmark then r
+        if (measure_of r).landmark <> old_landmark then r
         else go (tries - 1) r
     in
     go 8 (pick_router ())
@@ -172,9 +169,7 @@ let run_instrumented (config : config) =
     let started = Simkit.Engine.now engine in
     Simkit.Timeseries.observe ts "join_started" ~now:started 1.0;
     let meas = measure_of router in
-    Simkit.Engine.schedule engine
-      ~delay:(Nearby.Server.measurement_duration_ms meas)
-      (fun () ->
+    Simkit.Engine.schedule engine ~delay:(Nearby.Client.duration_ms meas) (fun () ->
         Nearby.Admission.submit admission
           ~serve:(fun ~queued_ms ->
             Simkit.Trace.observe exp_trace "admission_wait_ms" queued_ms;

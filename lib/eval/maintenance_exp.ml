@@ -60,6 +60,7 @@ let run config =
   in
   let oracle = Traceroute.Route_oracle.create map.graph in
   let server = Nearby.Server.create oracle ~landmarks in
+  let client = Nearby.Client.create oracle ~landmarks in
   let engine = Simkit.Engine.create () in
   let alive : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let is_alive p = Hashtbl.mem alive p in
@@ -74,7 +75,7 @@ let run config =
     (fun peer (s : Simkit.Churn.session) ->
       Simkit.Engine.schedule_at engine ~time:s.join_at (fun () ->
           let attach_router = leaves.(Prelude.Prng.int rng (Array.length leaves)) in
-          ignore (Nearby.Server.join server ~peer ~attach_router);
+          ignore (Nearby.Server.join server ~client ~peer ~attach_router);
           Hashtbl.replace alive peer ();
           Hashtbl.replace frozen peer (List.map fst (Nearby.Server.neighbors server ~peer ~k:config.k));
           Nearby.Maintenance.track maintainer ~peer);

@@ -32,9 +32,10 @@ let proposed_setup (w : Workload.t) ~k =
   let engine = Simkit.Engine.create () in
   let transport = Simkit.Transport.create ?latency:w.ctx.latency engine w.ctx.oracle in
   let rpc = Simkit.Rpc.create transport in
-  let server = Nearby.Server.create ?latency:w.ctx.latency w.ctx.oracle ~landmarks:w.landmarks in
+  let server = Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks in
+  let client = Nearby.Client.create ?latency:w.ctx.latency w.ctx.oracle ~landmarks:w.landmarks in
   let protocol =
-    Nearby.Protocol.create_resilient ~rpc
+    Nearby.Protocol.create_resilient ~client ~rpc
       (Nearby.Cluster.single ~transport ~router:w.landmarks.(0) server)
   in
   let start = Simkit.Engine.now engine in
@@ -60,7 +61,7 @@ let run config =
   (* Proposed: quality from the server, time from real joins. *)
   let proposed_sets =
     Nearby.Selector.select w.ctx
-      (Proposed { landmarks = w.landmarks; truncate = Traceroute.Truncate.Full })
+      (Proposed { landmarks = w.landmarks })
       ~k ~rng
   in
   let proposed_delay, rpc_timeouts = proposed_setup w ~k in

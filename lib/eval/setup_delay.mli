@@ -7,7 +7,7 @@
 
     - proposed: a real {!Nearby.Protocol.join} per newcomer, timed from
       its start to its reply: the RTT to the winning landmark, one RTT to
-      it for the traceroute ({!Nearby.Server.measurement_duration_ms}),
+      it for the traceroute ({!Nearby.Client.duration_ms}),
       then one RPC to a lone server at the first landmark over a loss-free
       transport;
     - GNP: parallel landmark pings + local minimization (free);

@@ -49,7 +49,7 @@ let run config =
      injection point, as a CDN-fed head-end would be. *)
   let source_router = w.landmarks.(0) in
   let proposed =
-    Nearby.Selector.Proposed { landmarks = w.landmarks; truncate = Traceroute.Truncate.Full }
+    Nearby.Selector.Proposed { landmarks = w.landmarks }
   in
   let strategies =
     [

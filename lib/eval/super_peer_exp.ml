@@ -26,8 +26,9 @@ let run config =
       let n = Array.length w.Workload.peer_routers in
       let joined rng =
         let server = Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks in
+        let client = Nearby.Client.create w.ctx.oracle ~landmarks:w.landmarks in
         for peer = 0 to n - 1 do
-          ignore (Nearby.Server.join ~rng server ~peer ~attach_router:w.peer_routers.(peer))
+          ignore (Nearby.Server.join ~rng server ~client ~peer ~attach_router:w.peer_routers.(peer))
         done;
         server
       in

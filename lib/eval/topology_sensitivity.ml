@@ -82,7 +82,7 @@ let run_one config family ~seed =
       let ctx = Nearby.Selector.make_context graph ~peer_routers in
       let proposed =
         Nearby.Selector.select ctx
-          (Proposed { landmarks; truncate = Traceroute.Truncate.Full })
+          (Proposed { landmarks })
           ~k:config.k ~rng
       in
       let random = Nearby.Selector.select ctx Random_peers ~k:config.k ~rng in

@@ -49,11 +49,12 @@ let run config =
             Workload.build ~routers:config.routers ~landmark_count:config.landmark_count
               ~peers:config.peers ~seed ()
           in
-          let server = Nearby.Server.create ~truncate:strategy w.ctx.oracle ~landmarks:w.landmarks in
+          let server = Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks in
+          let client = Nearby.Client.create ~truncate:strategy w.ctx.oracle ~landmarks:w.landmarks in
           let n = Array.length w.peer_routers in
           let join_rng = Prelude.Prng.split w.rng in
           for peer = 0 to n - 1 do
-            let info = Nearby.Server.join ~rng:join_rng server ~peer ~attach_router:w.peer_routers.(peer) in
+            let info = Nearby.Server.join ~rng:join_rng server ~client ~peer ~attach_router:w.peer_routers.(peer) in
             Prelude.Stats.add probes (float_of_int info.probes_spent)
           done;
           let sets =

@@ -234,9 +234,8 @@ let update_amplification t =
 let apply_entry t (o : replica) ~peer ~attach_router ~measurement =
   if o.alive && not (Server.mem o.server peer) then begin
     Server.register_replica o.server ~peer ~attach_router
-      ~landmark:(Server.measurement_landmark measurement)
-      ~path:(Server.measurement_path measurement)
-      ~probes_spent:(Server.measurement_probes measurement);
+      ~landmark:measurement.Client.landmark ~path:measurement.path
+      ~probes_spent:measurement.probes;
     incr t.replicate_apply;
     true
   end
@@ -253,7 +252,7 @@ let apply_entry t (o : replica) ~peer ~attach_router ~measurement =
    A message the transport drops leaves its span open (never emitted),
    like the write it lost. *)
 let fan_out t ~from_replica ~peer ~attach_router ~measurement =
-  let msg = Wire.Path_report { peer; path = Server.measurement_path measurement } in
+  let msg = Wire.Path_report { peer; path = measurement.Client.path } in
   let src = t.replicas.(from_replica).router in
   let bytes = Wire.byte_size msg in
   let traced = Simkit.Span.enabled t.spans in

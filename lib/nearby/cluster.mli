@@ -57,9 +57,7 @@ val is_alive : t -> int -> bool
 val live_count : t -> int
 
 val measurement_server : t -> Server.t
-(** Replica 0's server — the configuration authority clients measure
-    against (landmark set, probe config).  All replicas share these, so any
-    would do; fixing replica 0 keeps rng consumption deterministic. *)
+(** Replica 0's server, for readers of replica state. *)
 
 val graph : t -> Topology.Graph.t
 val trace : t -> Simkit.Trace.t
@@ -145,7 +143,7 @@ val handle_registration :
   replica:int ->
   peer:int ->
   attach_router:Topology.Graph.node ->
-  measurement:Server.measurement ->
+  measurement:Client.measurement ->
   k:int ->
   (Server.peer_info * (int * int) list) option
 (** Server side of a join RPC: register the client-measured path

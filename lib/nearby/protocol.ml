@@ -1,14 +1,18 @@
-type t = { engine : Simkit.Engine.t; cluster : Cluster.t; rpc : Simkit.Rpc.t }
+type t = { engine : Simkit.Engine.t; cluster : Cluster.t; rpc : Simkit.Rpc.t; client : Client.t }
 
-let create_resilient ~rpc cluster =
+let create_resilient ?client ~rpc cluster =
   if Cluster.replica_count cluster < 1 then invalid_arg "Protocol.create_resilient: empty cluster";
-  { engine = Simkit.Rpc.engine rpc; cluster; rpc }
-
-let server t = Cluster.measurement_server t.cluster
-let cluster t = t.cluster
+  let client =
+    match client with
+    | Some client -> client
+    | None ->
+        let s = Cluster.measurement_server cluster in
+        Client.create (Server.oracle s) ~landmarks:(Server.landmarks s)
+  in
+  { engine = Simkit.Rpc.engine rpc; cluster; rpc; client }
 
 (* A join: the newcomer measures locally, waits out the measurement
-   ({!Server.measurement_duration_ms}), then ships the recorded path to the
+   ({!Client.duration_ms}), then ships the recorded path to the
    cluster through the retrying RPC layer.  Retries resend the same
    measurement — the client does not re-traceroute on a lost packet.
 
@@ -28,10 +32,10 @@ let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~
   in
   let join_ctx = Simkit.Span.context_of join_span in
   (match on_trace with Some f -> f join_ctx | None -> ());
-  let measurement = Server.measure ?rng (server t) ~attach_router in
-  Server.measure_span spans ~parent:join_ctx ~peer measurement;
+  let measurement = Client.measure ?rng t.client ~attach_router in
+  Client.measure_span spans ~parent:join_ctx ~peer measurement;
   (* Each part is sized once: the retries resend these bytes. *)
-  let report = Wire.Path_report { peer; path = Server.measurement_path measurement } in
+  let report = Wire.Path_report { peer; path = measurement.path } in
   let query = Wire.Neighbor_request { peer; k } in
   let request_parts =
     [ (Wire.kind report, Wire.byte_size report); (Wire.kind query, Wire.byte_size query) ]
@@ -43,7 +47,7 @@ let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~
   let finish outcome =
     if traced then Simkit.Span.finish ~args:[ ("outcome", Simkit.Span.Str outcome) ] join_span
   in
-  Simkit.Engine.schedule t.engine ~delay:(Server.measurement_duration_ms measurement) (fun () ->
+  Simkit.Engine.schedule t.engine ~delay:(Client.duration_ms measurement) (fun () ->
       Simkit.Rpc.call ~parent:join_ctx rpc ~src:attach_router
         ~dst:(fun ~attempt ->
           match Cluster.target t.cluster ~src:attach_router ~attempt with

@@ -5,10 +5,10 @@
     {!Simkit.Engine} clock, so experiments and the replicated service
     time the same join in the same simulated milliseconds:
 
-    + the newcomer measures locally ({!Server.measure}): it pings every
+    + the newcomer measures locally ({!Client.measure}): it pings every
       landmark, and the first reply names the closest; then it runs one
       traceroute toward it.  The measurement costs
-      {!Server.measurement_duration_ms}: the RTT to the winning landmark
+      {!Client.duration_ms}: the RTT to the winning landmark
       plus one RTT to it for the traceroute, whose TTL probes are in
       flight together;
     + it then registers and asks for neighbors in one {!Simkit.Rpc} call
@@ -22,17 +22,13 @@
 
 type t
 
-val create_resilient : rpc:Simkit.Rpc.t -> Cluster.t -> t
-(** Joins measure locally, then register through [rpc] against the
-    cluster, failing over between replicas per {!Cluster.target}.  The
+val create_resilient : ?client:Client.t -> rpc:Simkit.Rpc.t -> Cluster.t -> t
+(** Joins measure locally with [client] (default: a {!Client.create} over
+    replica 0's oracle and landmarks), then register through [rpc] against
+    the cluster, failing over between replicas per {!Cluster.target}.  The
     engine is the RPC layer's engine.  A lone server is a
     {!Cluster.single} on the RPC layer's transport.
     @raise Invalid_argument on a cluster without replicas. *)
-
-val server : t -> Server.t
-(** The configuration-authority server (replica 0 of the cluster). *)
-
-val cluster : t -> Cluster.t
 
 val join :
   ?rng:Prelude.Prng.t ->
@@ -48,7 +44,7 @@ val join :
     the simulated completion time with the registration info and the
     neighbor reply.  State changes (registration) happen at reply time, not
     at call time.  On a loss-free network the completion time is
-    {!Server.measurement_duration_ms} of the peer's measurement plus the
+    {!Client.duration_ms} of the peer's measurement plus the
     RTT to the closest live replica.  When the server round cannot
     complete — every RPC attempt timed out, or no replica is live —
     [on_failure] (default: do nothing) fires instead; exactly one of the

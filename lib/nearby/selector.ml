@@ -9,7 +9,7 @@ let make_context ?latency graph ~peer_routers =
   { graph; oracle = Traceroute.Route_oracle.create graph; latency; peer_routers }
 
 type strategy =
-  | Proposed of { landmarks : Topology.Graph.node array; truncate : Traceroute.Truncate.strategy }
+  | Proposed of { landmarks : Topology.Graph.node array }
   | Random_peers
   | Oracle_closest
   | Vivaldi_rounds of { rounds : int; params : Coord.Vivaldi.params }
@@ -59,12 +59,13 @@ let select_random ctx ~k ~rng =
         Array.map (fun j -> if j >= i then j + 1 else j) picks
       end)
 
-let select_proposed ctx ~landmarks ~truncate ~k ~rng =
+let select_proposed ctx ~landmarks ~k ~rng =
   let n = Array.length ctx.peer_routers in
-  let server = Server.create ~truncate ?latency:ctx.latency ctx.oracle ~landmarks in
+  let server = Server.create ctx.oracle ~landmarks in
+  let client = Client.create ?latency:ctx.latency ctx.oracle ~landmarks in
   let join_rng = Prelude.Prng.split rng in
   for peer = 0 to n - 1 do
-    ignore (Server.join ~rng:join_rng server ~peer ~attach_router:ctx.peer_routers.(peer))
+    ignore (Server.join ~rng:join_rng server ~client ~peer ~attach_router:ctx.peer_routers.(peer))
   done;
   Array.init n (fun peer ->
       Server.neighbors server ~peer ~k |> List.map fst |> Array.of_list)
@@ -119,7 +120,7 @@ let select_meridian ctx ~params ~k ~rng =
 let rec select ctx strategy ~k ~rng =
   if k < 0 then invalid_arg "Selector.select: negative k";
   match strategy with
-  | Proposed { landmarks; truncate } -> select_proposed ctx ~landmarks ~truncate ~k ~rng
+  | Proposed { landmarks } -> select_proposed ctx ~landmarks ~k ~rng
   | Random_peers -> select_random ctx ~k ~rng
   | Oracle_closest -> select_oracle ctx ~k
   | Vivaldi_rounds { rounds; params } -> select_vivaldi ctx ~rounds ~params ~k ~rng

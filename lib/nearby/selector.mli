@@ -18,7 +18,8 @@ val make_context :
 (** Builds the hop-count route oracle internally. *)
 
 type strategy =
-  | Proposed of { landmarks : Topology.Graph.node array; truncate : Traceroute.Truncate.strategy }
+  | Proposed of { landmarks : Topology.Graph.node array }
+      (** The paper's server, joined by a full-traceroute {!Client}. *)
   | Random_peers
   | Oracle_closest  (** Brute force on true hop distances — [Dclosest]. *)
   | Vivaldi_rounds of { rounds : int; params : Coord.Vivaldi.params }

@@ -7,8 +7,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    call. *)
 let debug_on () = match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
 
-type landmark_choice = Closest | Uniform
-
 type peer_info = {
   attach_router : Topology.Graph.node;
   landmark : Topology.Graph.node;
@@ -55,11 +53,6 @@ let cells_of trace =
 
 type t = {
   oracle : Traceroute.Route_oracle.t;
-  latency : Topology.Latency.t option;
-  truncate : Traceroute.Truncate.strategy;
-  probe_config : Traceroute.Probe.config;
-  choice : landmark_choice;
-  choice_rng : Prelude.Prng.t;
   landmark_ids : Topology.Graph.node array;
   backend : (module Registry_intf.S);
   registries : Registry_intf.t array;  (* parallel to [landmark_ids] *)
@@ -110,9 +103,8 @@ let bucket_of peer =
   let h = peer * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 32)) land (bucket_count - 1)
 
-let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Probe.default_config)
-    ?latency ?(choice = Closest) ?(backend = (module Path_tree : Registry_intf.S))
-    ?(spans = Simkit.Span.noop) oracle ~landmarks =
+let create ?(backend = (module Path_tree : Registry_intf.S)) ?(spans = Simkit.Span.noop) oracle
+    ~landmarks =
   if Array.length landmarks = 0 then invalid_arg "Server.create: no landmarks";
   let distinct = Hashtbl.create 8 in
   Array.iter
@@ -126,11 +118,6 @@ let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Pr
   in
   {
     oracle;
-    latency;
-    truncate;
-    probe_config;
-    choice;
-    choice_rng = Prelude.Prng.create 0x5eed;
     landmark_ids = Array.copy landmarks;
     backend;
     registries;
@@ -170,6 +157,7 @@ let rec landmark_index_from t lmk i =
 
 let is_landmark t lmk = landmark_index_from t lmk 0 >= 0
 
+let oracle t = t.oracle
 let graph t = Traceroute.Route_oracle.graph t.oracle
 let landmarks t = Array.copy t.landmark_ids
 let peer_count t = Slot_index.length t.index
@@ -244,69 +232,16 @@ let introspection t =
 
 let peer_ids t = Slot_index.fold (fun peer _ acc -> peer :: acc) t.index [] |> List.sort compare
 
-(* Everything one join measured, kept so spans and per-phase stats can
-   report simulated durations alongside the recorded path. *)
-type measurement = {
-  lmk : Topology.Graph.node;
-  reduced : Traceroute.Path.t;
-  cost : int;  (* total probe packets *)
-  round1_pings : int;
-  ping_rtt_ms : float;  (* round-1 duration: RTT to the winning landmark *)
-  traceroute_ms : float;
-  full_hops : int;
-}
+type measurement = Client.measurement
 
-(* Round 1 + recording: ping all landmarks, traceroute to the winner,
-   truncate per the configured decreased-tool strategy. *)
-let record_path ?rng t ~attach_router =
-  let lmk, ping_rtt_ms =
-    match t.choice with
-    | Closest ->
-        Landmark.closest t.oracle ?latency:t.latency ?rng ~landmarks:t.landmark_ids attach_router
-    | Uniform -> (Prelude.Prng.choose t.choice_rng t.landmark_ids, 0.0)
-  in
-  let probe =
-    Traceroute.Probe.run ~config:t.probe_config ?latency:t.latency ?rng t.oracle ~src:attach_router ~dst:lmk
-  in
-  let full_hops = Traceroute.Path.hop_count probe.path in
-  let reduced = Traceroute.Truncate.apply ~graph:(graph t) t.truncate probe.path in
-  (* Probe cost: one ping per landmark (round 1) plus the per-hop packets the
-     decreased tool would really send. *)
-  let round1_pings = match t.choice with Closest -> Array.length t.landmark_ids | Uniform -> 0 in
-  let cost =
-    round1_pings + (Traceroute.Truncate.probe_cost t.truncate ~full_hops * t.probe_config.probes_per_hop)
-  in
-  (* Traceroute duration: the measured RTT when a latency table produced
-     one, else the hop-count convention (1 ms per link, there and back). *)
-  let traceroute_ms =
-    match probe.rtt_ms with Some rtt -> rtt | None -> 2.0 *. float_of_int full_hops
-  in
-  { lmk; reduced; cost; round1_pings; ping_rtt_ms; traceroute_ms; full_hops }
-
-let measure = record_path
-let measurement_landmark m = m.lmk
-let measurement_path m = m.reduced
-let measurement_probes m = m.cost
-(* The one measurement clock: every join waits this long before its server
-   round, and the join counters and spans below charge the same sum. *)
-let[@inline] measurement_duration_ms m = m.ping_rtt_ms +. m.traceroute_ms
-
-(* The client's measurement, as long as the measurement clock says: one
-   span shape for the in-process [join] and [Protocol.join] alike. *)
-let measure_span spans ~parent ~peer m =
-  if Simkit.Span.enabled spans then
-    let open Simkit.Span in
-    emit spans ~name:"measure" ~ts:(now spans) ~dur:(measurement_duration_ms m) ~tid:peer
-      ~ctx:(context spans ~parent ())
-      [
-        ("peer", Int peer);
-        ("landmark", Int m.lmk);
-        ("landmarks_pinged", Int m.round1_pings);
-        ("rtt_ms", Float m.ping_rtt_ms);
-        ("full_hops", Int m.full_hops);
-        ("recorded_hops", Int (Traceroute.Path.hop_count m.reduced));
-        ("probes_spent", Int m.cost);
-      ]
+(* bench/stack only: a default client over this server's oracle and
+   landmarks, and the measurement's fields. *)
+let measure ?rng t ~attach_router =
+  Client.measure ?rng (Client.create t.oracle ~landmarks:t.landmark_ids) ~attach_router
+let measurement_landmark (m : measurement) = m.landmark
+let measurement_path (m : measurement) = m.path
+let measurement_probes (m : measurement) = m.probes
+let measurement_duration_ms = Client.duration_ms
 
 let registrable_path ~landmark path =
   (* The tree stores identified routers only; an incomplete trace is repaired
@@ -433,22 +368,22 @@ let remove_entry t ~peer slot =
 
 (* The join counters and the per-phase cost of the two-round protocol, in
    simulated milliseconds: the same for a singleton and a batched join. *)
-let count_join t (r : measurement) =
+let count_join t (m : Client.measurement) =
   let c = t.cells in
   Simkit.Trace.cell_incr c.joins;
-  Simkit.Trace.cell_add c.probe_packets r.cost;
-  Simkit.Trace.cell_observe c.path_hops (float_of_int (Traceroute.Path.hop_count r.reduced));
-  Simkit.Trace.cell_observe c.ping_round_ms r.ping_rtt_ms;
-  Simkit.Trace.cell_observe c.traceroute_ms r.traceroute_ms;
-  Simkit.Trace.cell_observe c.join_ms (measurement_duration_ms r)
+  Simkit.Trace.cell_add c.probe_packets m.probes;
+  Simkit.Trace.cell_observe c.path_hops (float_of_int (Traceroute.Path.hop_count m.path));
+  Simkit.Trace.cell_observe c.ping_round_ms m.ping_ms;
+  Simkit.Trace.cell_observe c.traceroute_ms m.traceroute_ms;
+  Simkit.Trace.cell_observe c.join_ms (Client.duration_ms m)
 
 (* Round 2 server side, split from [join] so a replicated cluster can
    measure once at the client and register on any replica.  The registry
    write runs under the "register" span, so its op spans nest there. *)
-let register_measured t ~peer ~attach_router (r : measurement) =
+let register_measured t ~peer ~attach_router (m : Client.measurement) =
   if mem t peer then
     invalid_arg "Server.register_measured: peer already registered";
-  let landmark = r.lmk and recorded_path = r.reduced and probes_spent = r.cost in
+  let landmark = m.landmark and recorded_path = m.path and probes_spent = m.probes in
   let routers = registrable_path ~landmark recorded_path in
   if Simkit.Span.enabled t.spans then
     Simkit.Span.(
@@ -464,28 +399,28 @@ let register_measured t ~peer ~attach_router (r : measurement) =
         m "join peer=%d router=%d landmark=%d hops=%d probes=%d" peer attach_router landmark
           (Traceroute.Path.hop_count recorded_path)
           probes_spent);
-  count_join t r;
+  count_join t m;
   Simkit.Trace.cell_add t.cells.wire_bytes
     (Wire.byte_size (Wire.Path_report { peer; path = recorded_path }));
   { attach_router; landmark; recorded_path; probes_spent }
 
 (* Both rounds in process, under one root "join" span: the sink clock does
    not see the measurement pass, so the join lasts at least as long. *)
-let join ?rng t ~peer ~attach_router =
+let join ?rng t ~client ~peer ~attach_router =
   if mem t peer then invalid_arg "Server.join: peer already registered";
-  let r = measure ?rng t ~attach_router in
+  let m = Client.measure ?rng client ~attach_router in
   if Simkit.Span.enabled t.spans then begin
     let open Simkit.Span in
     let ctx = context t.spans () and t0 = now t.spans in
-    measure_span t.spans ~parent:ctx ~peer r;
-    let info = with_context t.spans ctx (fun () -> register_measured t ~peer ~attach_router r) in
+    Client.measure_span t.spans ~parent:ctx ~peer m;
+    let info = with_context t.spans ctx (fun () -> register_measured t ~peer ~attach_router m) in
     emit t.spans ~name:"join" ~ts:t0
-      ~dur:(Float.max (measurement_duration_ms r) (now t.spans -. t0))
+      ~dur:(Float.max (Client.duration_ms m) (now t.spans -. t0))
       ~tid:peer ~ctx
       [ ("peer", Int peer); ("attach_router", Int attach_router) ];
     info
   end
-  else register_measured t ~peer ~attach_router r
+  else register_measured t ~peer ~attach_router m
 
 (* Replication apply: a peer measured and registered elsewhere lands here
    verbatim.  No join counters or spans — this is cluster traffic, not a
@@ -521,7 +456,9 @@ let register_measured_batch t entries =
      query-250k set-up (250,000 members in 8,192-entry batches) about 15%
      slower taken landmark by landmark, about 30% in plain batch order. *)
   let routers =
-    Array.map (fun (_, _, (r : measurement)) -> registrable_path ~landmark:r.lmk r.reduced) entries
+    Array.map
+      (fun (_, _, (m : Client.measurement)) -> registrable_path ~landmark:m.landmark m.path)
+      entries
   in
   Simkit.Span.(
     with_span t.spans ~name:"register_batch" ?parent:(current t.spans) [ ("ops", Int n) ])
@@ -530,21 +467,21 @@ let register_measured_batch t entries =
         (fun lmk ->
           let registry = registry_of t lmk in
           Array.iteri
-            (fun i (peer, _, (r : measurement)) ->
-              if r.lmk = lmk then Registry_intf.insert registry ~peer ~routers:routers.(i))
+            (fun i (peer, _, (m : Client.measurement)) ->
+              if m.landmark = lmk then Registry_intf.insert registry ~peer ~routers:routers.(i))
             entries)
         t.landmark_ids);
   let infos =
     Array.mapi
-      (fun i (peer, attach_router, (r : measurement)) ->
-        record t ~peer ~routers:routers.(i) ~refresh:true ~attach:attach_router ~home:r.lmk
-          ~probes:r.cost;
-        count_join t r;
-        { attach_router; landmark = r.lmk; recorded_path = r.reduced; probes_spent = r.cost })
+      (fun i (peer, attach_router, (m : Client.measurement)) ->
+        record t ~peer ~routers:routers.(i) ~refresh:true ~attach:attach_router ~home:m.landmark
+          ~probes:m.probes;
+        count_join t m;
+        { attach_router; landmark = m.landmark; recorded_path = m.path; probes_spent = m.probes })
       entries
   in
   let reports =
-    Array.to_list (Array.map (fun (peer, _, (r : measurement)) -> (peer, r.reduced)) entries)
+    Array.to_list (Array.map (fun (peer, _, (m : Client.measurement)) -> (peer, m.path)) entries)
   in
   Simkit.Trace.cell_add t.cells.wire_bytes (Wire.byte_size (Wire.Path_report_batch { reports }));
   Log.debug (fun m -> m "join batch n=%d" n);
@@ -641,10 +578,10 @@ let leave t ~peer =
   if debug_on () then Log.debug (fun log -> log "leave peer=%d landmark=%d" peer home);
   Simkit.Trace.cell_incr t.cells.leaves
 
-let handover ?rng t ~peer ~attach_router =
+let handover ?rng t ~client ~peer ~attach_router =
   if not (mem t peer) then raise Not_found;
   leave t ~peer;
-  let info = join ?rng t ~peer ~attach_router in
+  let info = join ?rng t ~client ~peer ~attach_router in
   Simkit.Trace.cell_incr t.cells.handovers;
   info
 
@@ -864,7 +801,7 @@ let apply_buckets ?replace t data =
   in
   apply_entries t ~replaced (Prelude.Codec.Reader.of_string data)
 
-let restore ?truncate ?probe_config ?latency ?choice ?backend ?spans oracle data =
+let restore ?backend ?spans oracle data =
   let open Prelude.Codec.Reader in
   let ( let* ) = Result.bind in
   let r = of_string data in
@@ -878,8 +815,7 @@ let restore ?truncate ?probe_config ?latency ?choice ?backend ?spans oracle data
   | Error e -> Error (error_to_string e)
   | Ok landmark_list -> (
       match
-        create ?truncate ?probe_config ?latency ?choice ?backend ?spans oracle
-          ~landmarks:(Array.of_list landmark_list)
+        create ?backend ?spans oracle ~landmarks:(Array.of_list landmark_list)
       with
       | exception Invalid_argument msg -> Error msg
       | t ->

@@ -1,9 +1,10 @@
-(** The management server and the two-round join protocol (paper §2).
+(** The management server: the server's side of the join (paper §2).
 
-    Round 1: the newcomer pings every landmark and keeps the closest, then
-    traceroutes toward it.  Round 2: the server registers the recorded path
-    in that landmark's {!Path_tree} and answers the k registered peers with
-    the smallest inferred distance.
+    Round 1 is the newcomer's ({!Client}): it pings every landmark and
+    keeps the closest, then traceroutes toward it.  Round 2 is the
+    server's: it registers the recorded path in that landmark's
+    {!Path_tree} and answers the k registered peers with the smallest
+    inferred distance.
 
     With several landmarks the server holds one path tree per landmark and
     answers a newcomer out of the tree of {e its} landmark — peers that
@@ -13,12 +14,6 @@
     populations. *)
 
 type t
-
-type landmark_choice =
-  | Closest  (** The paper's round 1: ping every landmark, keep the best. *)
-  | Uniform
-      (** Ablation: register under a uniformly random landmark (skips the
-          ping round entirely, so it is cheaper but regionally blind). *)
 
 type peer_info = {
   attach_router : Topology.Graph.node;
@@ -35,10 +30,6 @@ type peer_info = {
     slot in the server's per-slot arrays references. *)
 
 val create :
-  ?truncate:Traceroute.Truncate.strategy ->
-  ?probe_config:Traceroute.Probe.config ->
-  ?latency:Topology.Latency.t ->
-  ?choice:landmark_choice ->
   ?backend:(module Registry_intf.S) ->
   ?spans:Simkit.Span.sink ->
   Traceroute.Route_oracle.t ->
@@ -64,6 +55,7 @@ val introspection : t -> Registry_intf.introspection
     per-landmark registries (they partition the peers, so counts add and
     occupancies merge bucket-wise). *)
 
+val oracle : t -> Traceroute.Route_oracle.t
 val graph : t -> Topology.Graph.t
 val landmarks : t -> Topology.Graph.node array
 val peer_count : t -> int
@@ -81,53 +73,34 @@ val attach_router : t -> int -> Topology.Graph.node option
 (** The router a peer registered from, without building its {!info} view;
     [None] when unregistered. *)
 
-val join : ?rng:Prelude.Prng.t -> t -> peer:int -> attach_router:Topology.Graph.node -> peer_info
-(** Execute both protocol rounds for a newcomer.  Deterministic without
-    [rng] (perfect probes); with [rng], probe drops and RTT noise apply.
-    Exactly [register_measured] of [measure], traced as a root [join] span
-    around them that lasts at least {!measurement_duration_ms}.
+val join :
+  ?rng:Prelude.Prng.t ->
+  t ->
+  client:Client.t ->
+  peer:int ->
+  attach_router:Topology.Graph.node ->
+  peer_info
+(** Both protocol rounds in process: [client] measures
+    ({!Client.measure}, with [rng] when given), then the server registers
+    the measurement.  Exactly {!register_measured} of {!Client.measure},
+    traced as one root [join] span, lasting at least {!Client.duration_ms},
+    around the ["measure"] span and the registration.
     @raise Invalid_argument when the peer id is already registered. *)
 
 (** {1 Split join — the replication seam}
 
     A replicated cluster measures once at the client and registers the same
-    recorded path on several replicas, so the two halves of {!join} are
-    exposed separately. *)
-
-type measurement
-(** One newcomer's round-1 output: chosen landmark, recorded (possibly
-    truncated) path, probe cost and the per-phase simulated durations. *)
-
-val measure : ?rng:Prelude.Prng.t -> t -> attach_router:Topology.Graph.node -> measurement
-(** Round 1 only: ping the landmarks, traceroute toward the winner,
-    truncate.  Pure measurement — consumes rng draws but registers
-    nothing and touches no counter. *)
-
-val measurement_landmark : measurement -> Topology.Graph.node
-val measurement_path : measurement -> Traceroute.Path.t
-val measurement_probes : measurement -> int
-(** Total probe packets the measurement cost. *)
-
-val measurement_duration_ms : measurement -> float
-(** The one measurement clock, in simulated ms: the RTT to the winning
-    landmark (the first ping reply names it), plus one RTT to it for the
-    traceroute, whose TTL probes are in flight together.  {!Protocol.join}
-    waits this long before its server round. *)
-
-val measure_span :
-  Simkit.Span.sink -> parent:Simkit.Span.context -> peer:int -> measurement -> unit
-(** The ["measure"] span under [parent]: from now, for
-    {!measurement_duration_ms}, with the probe and hop counts. *)
+    recorded path on several replicas, so round 2 is exposed on its own. *)
 
 val register_measured :
-  t -> peer:int -> attach_router:Topology.Graph.node -> measurement -> peer_info
+  t -> peer:int -> attach_router:Topology.Graph.node -> Client.measurement -> peer_info
 (** Round 2 server side: register the measured path and account the join
     (counters, a [register] span).  The returned info shares the
     measurement's path.
     @raise Invalid_argument when already registered. *)
 
 val register_measured_batch :
-  t -> (int * Topology.Graph.node * measurement) array -> peer_info array
+  t -> (int * Topology.Graph.node * Client.measurement) array -> peer_info array
 (** Round 2 for a whole batch of [(peer, attach_router, measurement)]
     entries: the batch is checked, then each entry is stored as
     {!register_measured} stores it, so registry state, per-peer counters
@@ -193,9 +166,16 @@ val leave : t -> peer:int -> unit
 (** Deregister (graceful or detected failure).  @raise Not_found when
     unregistered. *)
 
-val handover : ?rng:Prelude.Prng.t -> t -> peer:int -> attach_router:Topology.Graph.node -> peer_info
-(** Mobility: atomically deregister and re-join at a new attachment router
-    (extension E3).  @raise Not_found when unregistered. *)
+val handover :
+  ?rng:Prelude.Prng.t ->
+  t ->
+  client:Client.t ->
+  peer:int ->
+  attach_router:Topology.Graph.node ->
+  peer_info
+(** Mobility: atomically deregister and re-join, measured by [client], at a
+    new attachment router (extension E3).  @raise Not_found when
+    unregistered. *)
 
 val trace : t -> Simkit.Trace.t
 (** Protocol counters: ["join"], ["leave"], ["handover"], ["probe_packets"],
@@ -204,7 +184,9 @@ val trace : t -> Simkit.Trace.t
     refresh-rate feed), ["wire_bytes"] (bytes the join uploads
     and query exchanges would occupy on the wire, per {!Wire});
     statistics ["path_hops"] and the per-phase join costs in simulated
-    milliseconds ["ping_round_ms"], ["traceroute_ms"], ["join_ms"]. *)
+    milliseconds ["ping_round_ms"], ["traceroute_ms"], ["join_ms"].  The
+    probe, hop and time figures are the client's, read from its
+    {!Client.measurement} at registration. *)
 
 val check_invariants : t -> unit
 (** Every per-landmark tree is internally consistent; every registered
@@ -252,9 +234,8 @@ val differing_buckets : t -> string -> (int list, string) result
     encoding. *)
 
 val snapshot : t -> string
-(** Serialize the registration state (not the counters, not the probe/
-    truncation configuration — those belong to the process, not the
-    data). *)
+(** Serialize the registration state (not the counters, which belong to
+    the process, not the data). *)
 
 val snapshot_buckets : ?only:(int -> bool) -> t -> int list -> string
 (** A partial snapshot: the registrations of the listed buckets (of those
@@ -274,10 +255,6 @@ val apply_buckets : ?replace:int list -> t -> string -> (int, string) result
     attach router) is corrupt. *)
 
 val restore :
-  ?truncate:Traceroute.Truncate.strategy ->
-  ?probe_config:Traceroute.Probe.config ->
-  ?latency:Topology.Latency.t ->
-  ?choice:landmark_choice ->
   ?backend:(module Registry_intf.S) ->
   ?spans:Simkit.Span.sink ->
   Traceroute.Route_oracle.t ->
@@ -287,3 +264,19 @@ val restore :
     graph itself is not serialized — the map outlives server restarts):
     {!create} with the snapshot's landmarks, then apply every bucket as
     {!apply_buckets} does.  Total: corrupt input yields [Error]. *)
+
+(** {1 bench/stack only}
+
+    Forwards kept for the end-to-end benchmark under [bench/stack], which
+    measures through the server; nothing else calls them. *)
+
+type measurement = Client.measurement
+
+val measure : ?rng:Prelude.Prng.t -> t -> attach_router:Topology.Graph.node -> measurement
+(** {!Client.measure} by a default client over this server's oracle and
+    landmarks. *)
+
+val measurement_landmark : measurement -> Topology.Graph.node
+val measurement_path : measurement -> Traceroute.Path.t
+val measurement_probes : measurement -> int
+val measurement_duration_ms : measurement -> float

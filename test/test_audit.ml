@@ -10,11 +10,12 @@ let make_workload ?(routers = 300) ?(peers = 40) ~seed () =
   let rng = Prelude.Prng.create seed in
   let landmarks = Landmark.place map.graph Landmark.Medium_degree ~count:4 ~rng in
   let server = Server.create oracle ~landmarks in
+  let client = Client.create oracle ~landmarks in
   let peer_routers =
     Array.init peers (fun peer -> map.leaves.(peer mod Array.length map.leaves))
   in
   Array.iteri
-    (fun peer attach_router -> ignore (Server.join server ~peer ~attach_router))
+    (fun peer attach_router -> ignore (Server.join server ~client ~peer ~attach_router))
     peer_routers;
   (map, server, peer_routers)
 

@@ -38,6 +38,7 @@ let fixture ?(routers = 300) ?(replicas = 3) ?rng ?loss_prob ~seed () =
   { map; oracle; landmarks; replica_routers; engine; transport }
 
 let make_server fx () = Nearby.Server.create fx.oracle ~landmarks:fx.landmarks
+let make_client fx = Nearby.Client.create fx.oracle ~landmarks:fx.landmarks
 
 let make_cluster ?(detector_config = detector_config) fx =
   Nearby.Cluster.create ~detector_config ~transport:fx.transport
@@ -80,10 +81,11 @@ let check_matches_plain_server label fx (cluster, rpc, protocol) =
   let peers = 15 and k = 4 in
   let reference_fx = fixture ~replicas:1 ~seed:22 () in
   let reference = make_server reference_fx () in
+  let client = make_client reference_fx in
   let expected =
     List.init peers (fun peer ->
         ignore
-          (Nearby.Server.join reference ~peer
+          (Nearby.Server.join reference ~client ~peer
              ~attach_router:reference_fx.map.leaves.(peer mod Array.length reference_fx.map.leaves));
         Nearby.Server.neighbors reference ~peer ~k)
   in
@@ -223,11 +225,12 @@ let test_consistent_compares_paths () =
   let fx = fixture ~seed:28 () in
   let cluster = make_cluster fx in
   let leaves = fx.map.leaves in
+  let client = make_client fx in
   for i = 0 to Nearby.Cluster.replica_count cluster - 1 do
     let server = Nearby.Cluster.server_of cluster i in
     for peer = 0 to 5 do
       let attach = if peer = 0 && i = 0 then leaves.(Array.length leaves - 1) else leaves.(peer) in
-      ignore (Nearby.Server.join server ~peer ~attach_router:attach)
+      ignore (Nearby.Server.join server ~client ~peer ~attach_router:attach)
     done
   done;
   let server i = Nearby.Cluster.server_of cluster i in
@@ -246,20 +249,18 @@ let test_repair_bytes_scale_with_the_difference () =
   Simkit.Transport.set_wire_sinks ~metrics fx.transport;
   let cluster = make_cluster fx in
   let members = 10_000 and withheld = 8 in
-  let measurer = Nearby.Cluster.measurement_server cluster in
+  let client = make_client fx in
   let entries =
     Array.init members (fun peer ->
         let attach_router = fx.map.leaves.(peer mod Array.length fx.map.leaves) in
-        (peer, attach_router, Nearby.Server.measure measurer ~attach_router))
+        (peer, attach_router, Nearby.Client.measure client ~attach_router))
   in
   for i = 0 to 2 do
     let held = if i = 2 then Array.sub entries withheld (members - withheld) else entries in
     Array.iter
-      (fun (peer, attach_router, m) ->
+      (fun (peer, attach_router, (m : Nearby.Client.measurement)) ->
         Nearby.Server.register_replica (Nearby.Cluster.server_of cluster i) ~peer ~attach_router
-          ~landmark:(Nearby.Server.measurement_landmark m)
-          ~path:(Nearby.Server.measurement_path m)
-          ~probes_spent:(Nearby.Server.measurement_probes m))
+          ~landmark:m.landmark ~path:m.path ~probes_spent:m.probes)
       held
   done;
   let snapshot_bytes =
@@ -317,7 +318,7 @@ let qcheck_delta_repair_matches_full_restore =
     match Hashtbl.find_opt measured (peer, v) with
     | Some m -> (attach_router, m)
     | None ->
-        let m = Nearby.Server.measure (make_server fx0 ()) ~attach_router in
+        let m = Nearby.Client.measure (make_client fx0) ~attach_router in
         Hashtbl.add measured (peer, v) m;
         (attach_router, m)
   in
@@ -336,11 +337,9 @@ let qcheck_delta_repair_matches_full_restore =
             match slot peer i with
             | Absent -> ()
             | Version v ->
-                let attach_router, m = info peer v in
+                let attach_router, (m : Nearby.Client.measurement) = info peer v in
                 Nearby.Server.register_replica (Nearby.Cluster.server_of cluster i) ~peer
-                  ~attach_router ~landmark:(Nearby.Server.measurement_landmark m)
-                  ~path:(Nearby.Server.measurement_path m)
-                  ~probes_spent:(Nearby.Server.measurement_probes m))
+                  ~attach_router ~landmark:m.landmark ~path:m.path ~probes_spent:m.probes)
           slots
       done;
       (* The old full restore's outcome: the source (most peers, ties to the
@@ -375,14 +374,14 @@ let qcheck_delta_repair_matches_full_restore =
                     match expected.(peer) with
                     | Absent -> true
                     | Version v ->
-                        let attach_router, m = info peer v in
+                        let attach_router, (m : Nearby.Client.measurement) = info peer v in
                         Nearby.Server.info server peer
                         = Some
                             {
                               Nearby.Server.attach_router;
-                              landmark = Nearby.Server.measurement_landmark m;
-                              recorded_path = Nearby.Server.measurement_path m;
-                              probes_spent = Nearby.Server.measurement_probes m;
+                              landmark = m.landmark;
+                              recorded_path = m.path;
+                              probes_spent = m.probes;
                             })
                   expected_ids)
            [ 0; 1; 2 ])
@@ -428,11 +427,11 @@ let test_single_cluster_guards () =
 
 (* --- Replayed fan-out ---------------------------------------------------- *)
 
-let measured_entries cluster fx ~peers =
-  let measurer = Nearby.Cluster.measurement_server cluster in
+let measured_entries fx ~peers =
+  let client = make_client fx in
   Array.init peers (fun peer ->
       let attach_router = fx.map.leaves.(peer mod Array.length fx.map.leaves) in
-      (peer, attach_router, Nearby.Server.measure measurer ~attach_router))
+      (peer, attach_router, Nearby.Client.measure client ~attach_router))
 
 (* A replayed fan-out applies each entry once.  Registering every peer on
    two replicas before either fan-out lands (a retry that failed over
@@ -443,7 +442,7 @@ let test_replayed_fan_out_applies_once () =
   let fx = fixture ~seed:33 () in
   let cluster = make_cluster fx in
   let n = 20 in
-  let entries = measured_entries cluster fx ~peers:n in
+  let entries = measured_entries fx ~peers:n in
   let handle replica =
     Array.iter
       (fun (peer, attach_router, measurement) ->
@@ -471,11 +470,10 @@ let test_replayed_fan_out_applies_once () =
   Alcotest.(check bool) "replicas consistent" true (Nearby.Cluster.consistent cluster);
   Nearby.Cluster.check_invariants cluster;
   (* The apply rule's step still rejects an unknown landmark. *)
-  let _, attach_router, m = entries.(0) in
+  let _, attach_router, (m : Nearby.Client.measurement) = entries.(0) in
   match
     Nearby.Server.register_replica (Nearby.Cluster.server_of cluster 2) ~peer:(n + 50)
-      ~attach_router ~landmark:(-1) ~path:(Nearby.Server.measurement_path m)
-      ~probes_spent:(Nearby.Server.measurement_probes m)
+      ~attach_router ~landmark:(-1) ~path:m.path ~probes_spent:m.probes
   with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "unknown landmark accepted"
@@ -486,7 +484,7 @@ let test_replayed_fan_out_applies_once () =
 let test_registration_reply_shares_path () =
   let fx = fixture ~seed:34 () in
   let cluster = make_cluster fx in
-  let peer, attach_router, measurement = (measured_entries cluster fx ~peers:1).(0) in
+  let peer, attach_router, measurement = (measured_entries fx ~peers:1).(0) in
   let single () =
     match Nearby.Cluster.handle_registration cluster ~replica:0 ~peer ~attach_router ~measurement ~k:3 with
     | Some (info, _) -> info
@@ -494,7 +492,7 @@ let test_registration_reply_shares_path () =
   in
   let first = single () in
   Alcotest.(check bool) "fresh reply shares the path" true
-    (first.recorded_path == Nearby.Server.measurement_path measurement);
+    (first.recorded_path == measurement.path);
   let retry = single () in
   Alcotest.(check bool) "retry reply is rebuilt" false (retry.recorded_path == first.recorded_path);
   Alcotest.(check bool) "retry shows the same registration" true (retry = first)

@@ -55,10 +55,10 @@ let test_workload_deterministic () =
 
 (* A lone server at [router] on a loss-free transport: the join path every
    experiment uses. *)
-let single_protocol ?latency ~engine oracle ~router server =
+let single_protocol ?client ?latency ~engine oracle ~router server =
   let transport = Simkit.Transport.create ?latency engine oracle in
   ( transport,
-    Nearby.Protocol.create_resilient ~rpc:(Simkit.Rpc.create transport)
+    Nearby.Protocol.create_resilient ?client ~rpc:(Simkit.Rpc.create transport)
       (Nearby.Cluster.single ~transport ~router server) )
 
 let test_protocol_timing () =
@@ -71,9 +71,11 @@ let test_protocol_timing () =
      RTT to the landmark (10 ms); the traceroute's probes are in flight
      together, one more RTT (10 ms); the RPC to the server at the landmark
      = 10 ms. *)
-  let measurement = Nearby.Server.measure server ~attach_router:d.p1 in
+  let measurement =
+    Nearby.Client.measure (Nearby.Client.create oracle ~landmarks:[| d.lmk |]) ~attach_router:d.p1
+  in
   Alcotest.(check (float 1e-9)) "measurement = ping + traceroute" 20.0
-    (Nearby.Server.measurement_duration_ms measurement);
+    (Nearby.Client.duration_ms measurement);
   let server_rtt = 2.0 *. Simkit.Transport.one_way_delay transport ~src:d.p1 ~dst:d.lmk in
   Alcotest.(check (float 1e-9)) "server RTT" 10.0 server_rtt;
   let completed = ref None in
@@ -85,7 +87,7 @@ let test_protocol_timing () =
   | Some (info, reply, at) ->
       Alcotest.(check (float 1e-9)) "completed at 10 + 10 + 10 ms" 30.0 at;
       Alcotest.(check (float 1e-9)) "completed at measurement + server RTT"
-        (Nearby.Server.measurement_duration_ms measurement +. server_rtt)
+        (Nearby.Client.duration_ms measurement +. server_rtt)
         at;
       Alcotest.(check int) "registered under lmk" d.lmk info.landmark;
       Alcotest.(check (list (pair int int))) "no peers yet" [] reply
@@ -99,14 +101,17 @@ let test_protocol_timing () =
       ~peers:12 ~seed:3 ()
   in
   let latency = w.ctx.latency in
-  let server = Nearby.Server.create ?latency w.ctx.oracle ~landmarks:w.landmarks in
+  let server = Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks in
+  let client = Nearby.Client.create ?latency w.ctx.oracle ~landmarks:w.landmarks in
   let router = w.landmarks.(0) in
   let engine = Simkit.Engine.create () in
-  let transport, protocol = single_protocol ?latency ~engine w.ctx.oracle ~router server in
+  let transport, protocol =
+    single_protocol ~client ?latency ~engine w.ctx.oracle ~router server
+  in
   let expected =
     Array.map
       (fun attach_router ->
-        Nearby.Server.measurement_duration_ms (Nearby.Server.measure server ~attach_router)
+        Nearby.Client.duration_ms (Nearby.Client.measure client ~attach_router)
         +. (2.0 *. Simkit.Transport.one_way_delay transport ~src:attach_router ~dst:router))
       w.peer_routers
   in
@@ -277,12 +282,13 @@ let test_super_peer_exp_smoke () =
 let test_load_split () =
   let w = Eval.Workload.build ~routers:300 ~landmark_count:4 ~peers:40 ~seed:2 () in
   let server = Nearby.Server.create w.ctx.oracle ~landmarks:w.landmarks in
+  let client = Nearby.Client.create w.ctx.oracle ~landmarks:w.landmarks in
   Alcotest.(check (list int)) "empty server" [ 0; 0; 0; 0 ] (Eval.Measure.landmark_members server);
   Alcotest.(check (float 0.0)) "no members is an even split" 1.0
     (Eval.Measure.max_over_mean (Eval.Measure.landmark_members server));
   Alcotest.(check (float 0.0)) "no counts either" 1.0 (Eval.Measure.max_over_mean []);
   Array.iteri
-    (fun peer attach_router -> ignore (Nearby.Server.join server ~peer ~attach_router))
+    (fun peer attach_router -> ignore (Nearby.Server.join server ~client ~peer ~attach_router))
     w.peer_routers;
   let members = Eval.Measure.landmark_members server in
   Alcotest.(check int) "one count per landmark" 4 (List.length members);

@@ -8,12 +8,13 @@ open Test_cluster
 
 let test_staleness_tracking () =
   let fx = fixture ~seed:41 () in
+  let client = make_client fx in
   let server = make_server fx () in
   let clock = ref 0.0 in
   Nearby.Server.set_clock server (fun () -> !clock);
-  ignore (Nearby.Server.join server ~peer:0 ~attach_router:fx.map.leaves.(0));
+  ignore (Nearby.Server.join server ~client ~peer:0 ~attach_router:fx.map.leaves.(0));
   clock := 400.0;
-  ignore (Nearby.Server.join server ~peer:1 ~attach_router:fx.map.leaves.(1));
+  ignore (Nearby.Server.join server ~client ~peer:1 ~attach_router:fx.map.leaves.(1));
   Alcotest.(check (option (float 1e-9)))
     "peer 0 stamped at join time" (Some 0.0)
     (Nearby.Server.registration_time server 0);
@@ -37,7 +38,7 @@ let test_staleness_tracking () =
   (* A leave removes the stamp immediately; a refresh counts in the rate. *)
   Nearby.Server.leave server ~peer:0;
   clock := 3000.0;
-  ignore (Nearby.Server.join server ~peer:2 ~attach_router:fx.map.leaves.(2));
+  ignore (Nearby.Server.join server ~client ~peer:2 ~attach_router:fx.map.leaves.(2));
   let report = Nearby.Staleness.observe tracker ~now:!clock in
   Alcotest.(check int) "left peer stops contributing" 2 report.members;
   Alcotest.(check (float 1e-9)) "oldest is now the t=400 report" 2600.0 report.oldest_ms;
@@ -53,6 +54,7 @@ let events_with ~detail recorder =
 
 let test_divergence_edges_once_per_episode () =
   let fx = fixture ~seed:42 () in
+  let client = make_client fx in
   let recorder = Simkit.Flight_recorder.create ~capacity:64 () in
   let metrics = Simkit.Metrics.create () in
   let cluster =
@@ -66,7 +68,7 @@ let test_divergence_edges_once_per_episode () =
      never fans out, so replicas 1 and 2 miss it.  Replica 0 is then the
      most complete replica (the reference), and the others are divergent. *)
   ignore
-    (Nearby.Server.join (Nearby.Cluster.server_of cluster 0) ~peer:7
+    (Nearby.Server.join (Nearby.Cluster.server_of cluster 0) ~client ~peer:7
        ~attach_router:fx.map.leaves.(0));
   Simkit.Engine.schedule_at fx.engine ~time:100.0 (fun () ->
       Alcotest.(check (list int)) "replicas 1,2 divergent" [ 1; 2 ]
@@ -122,7 +124,7 @@ let test_divergence_edges_once_per_episode () =
     > 0);
   (* A second drift after convergence opens a second episode: a new edge. *)
   ignore
-    (Nearby.Server.join (Nearby.Cluster.server_of cluster 1) ~peer:8
+    (Nearby.Server.join (Nearby.Cluster.server_of cluster 1) ~client ~peer:8
        ~attach_router:fx.map.leaves.(1));
   ignore (Nearby.Cluster.digest_check cluster);
   Alcotest.(check int) "second episode, second edge" 2
@@ -141,6 +143,7 @@ let kind_bytes metrics kind =
 
 let test_digest_gate_saves_snapshot_bytes () =
   let fx = fixture ~seed:43 () in
+  let client = make_client fx in
   let metrics = Simkit.Metrics.create () in
   Simkit.Transport.set_wire_sinks ~metrics fx.transport;
   let cluster = make_cluster fx in
@@ -160,7 +163,7 @@ let test_digest_gate_saves_snapshot_bytes () =
   Alcotest.(check int) "no snapshot bytes on the wire" 0 (kind_bytes metrics "snapshot");
   (* Diverge one replica; only then does anti-entropy pay for transfers. *)
   ignore
-    (Nearby.Server.join (Nearby.Cluster.server_of cluster 0) ~peer:99
+    (Nearby.Server.join (Nearby.Cluster.server_of cluster 0) ~client ~peer:99
        ~attach_router:fx.map.leaves.(0));
   Nearby.Cluster.sync_round cluster;
   Simkit.Engine.run fx.engine ~until:40_000.0;

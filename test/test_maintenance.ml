@@ -9,10 +9,10 @@ let fixture ~seed =
   let oracle = Traceroute.Route_oracle.create map.graph in
   let server = Server.create oracle ~landmarks in
   let engine = Simkit.Engine.create () in
-  (map, server, engine)
+  (map, server, Client.create oracle ~landmarks, engine)
 
 let test_create_validation () =
-  let _, server, engine = fixture ~seed:1 in
+  let _, server, _, engine = fixture ~seed:1 in
   Alcotest.check_raises "bad k" (Invalid_argument "Maintenance.create: k must be >= 1") (fun () ->
       ignore
         (Maintenance.create ~engine ~server ~is_alive:(fun _ -> true)
@@ -24,13 +24,13 @@ let test_create_validation () =
            { k = 3; refresh_period_ms = 0.0 }))
 
 let test_track_untrack () =
-  let map, server, engine = fixture ~seed:2 in
+  let map, server, client, engine = fixture ~seed:2 in
   let m =
     Maintenance.create ~engine ~server ~is_alive:(fun _ -> true) { k = 3; refresh_period_ms = 100.0 }
   in
   Alcotest.check_raises "unregistered peer" Not_found (fun () -> Maintenance.track m ~peer:0);
   for peer = 0 to 9 do
-    ignore (Server.join server ~peer ~attach_router:map.leaves.(peer))
+    ignore (Server.join server ~client ~peer ~attach_router:map.leaves.(peer))
   done;
   Maintenance.track m ~peer:0;
   Alcotest.(check bool) "tracked" true (Maintenance.is_tracked m ~peer:0);
@@ -45,12 +45,12 @@ let test_track_untrack () =
   Alcotest.(check (list int)) "empty set" [] (Maintenance.current_set m ~peer:0)
 
 let test_refresh_replaces_dead () =
-  let map, server, engine = fixture ~seed:3 in
+  let map, server, client, engine = fixture ~seed:3 in
   let dead : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let is_alive p = not (Hashtbl.mem dead p) in
   let m = Maintenance.create ~engine ~server ~is_alive { k = 3; refresh_period_ms = 100.0 } in
   for peer = 0 to 19 do
-    ignore (Server.join server ~peer ~attach_router:map.leaves.(peer))
+    ignore (Server.join server ~client ~peer ~attach_router:map.leaves.(peer))
   done;
   Maintenance.track m ~peer:0;
   let before = Maintenance.current_set m ~peer:0 in
@@ -69,12 +69,12 @@ let test_refresh_replaces_dead () =
   Alcotest.(check bool) "replacement counted" true (Maintenance.replacements m >= 1)
 
 let test_refresh_stops_after_untrack () =
-  let map, server, engine = fixture ~seed:4 in
+  let map, server, client, engine = fixture ~seed:4 in
   let m =
     Maintenance.create ~engine ~server ~is_alive:(fun _ -> true) { k = 2; refresh_period_ms = 50.0 }
   in
   for peer = 0 to 5 do
-    ignore (Server.join server ~peer ~attach_router:map.leaves.(peer))
+    ignore (Server.join server ~client ~peer ~attach_router:map.leaves.(peer))
   done;
   Maintenance.track m ~peer:0;
   Maintenance.untrack m ~peer:0;
@@ -84,12 +84,12 @@ let test_refresh_stops_after_untrack () =
   Alcotest.(check int) "engine drained" 0 (Simkit.Engine.pending engine)
 
 let test_untracks_when_server_forgets () =
-  let map, server, engine = fixture ~seed:5 in
+  let map, server, client, engine = fixture ~seed:5 in
   let m =
     Maintenance.create ~engine ~server ~is_alive:(fun _ -> true) { k = 2; refresh_period_ms = 50.0 }
   in
   for peer = 0 to 5 do
-    ignore (Server.join server ~peer ~attach_router:map.leaves.(peer))
+    ignore (Server.join server ~client ~peer ~attach_router:map.leaves.(peer))
   done;
   Maintenance.track m ~peer:0;
   Server.leave server ~peer:0;

@@ -268,10 +268,11 @@ let qcheck_digest =
       let rng = Prelude.Prng.create (seed + 13) in
       let landmarks = Landmark.place sc.graph Landmark.Medium_degree ~count:3 ~rng in
       let attach = List.init 30 (fun peer -> (peer, attach_router sc rng)) in
+      let client = Client.create oracle ~landmarks in
       let server_of spec joins =
         let server = Server.create ~backend:(backend_of spec) oracle ~landmarks in
         List.iter
-          (fun (peer, attach_router) -> ignore (Server.join server ~peer ~attach_router))
+          (fun (peer, attach_router) -> ignore (Server.join server ~client ~peer ~attach_router))
           joins;
         server
       in
@@ -309,8 +310,9 @@ let populated_server spec ~seed ~peers =
   let rng = Prelude.Prng.create (seed + 3) in
   let landmarks = Landmark.place sc.graph Landmark.Medium_degree ~count:3 ~rng in
   let server = Server.create ~backend:(backend_of spec) oracle ~landmarks in
+  let client = Client.create oracle ~landmarks in
   for peer = 0 to peers - 1 do
-    ignore (Server.join server ~peer ~attach_router:(attach_router sc rng))
+    ignore (Server.join server ~client ~peer ~attach_router:(attach_router sc rng))
   done;
   (sc, oracle, server)
 
@@ -338,7 +340,8 @@ let test_snapshot_roundtrip () =
               (Server.neighbors restored ~peer ~k:5)
           done;
           (* The restored server must keep working. *)
-          ignore (Server.join restored ~peer:100 ~attach_router:0);
+          let client = Client.create oracle ~landmarks:(Server.landmarks restored) in
+          ignore (Server.join restored ~client ~peer:100 ~attach_router:0);
           Server.leave restored ~peer:0;
           Server.check_invariants restored;
           Alcotest.(check int) (name ^ ": evolved population") 30 (Server.peer_count restored))

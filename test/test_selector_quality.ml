@@ -35,7 +35,7 @@ let test_all_strategies_produce_valid_sets () =
       let sets = Selector.select ctx strategy ~k ~rng in
       check_valid_sets ~n:30 ~k sets)
     [
-      Selector.Proposed { landmarks; truncate = Traceroute.Truncate.Full };
+      Selector.Proposed { landmarks };
       Selector.Random_peers;
       Selector.Oracle_closest;
       Selector.Vivaldi_rounds { rounds = 3; params = Coord.Vivaldi.default_params };
@@ -86,7 +86,7 @@ let test_measure_ratios_ordered () =
   let ctx, landmarks, rng = small_context ~peers:60 ~seed:5 in
   let k = 5 in
   let proposed =
-    Selector.select ctx (Selector.Proposed { landmarks; truncate = Traceroute.Truncate.Full }) ~k ~rng
+    Selector.select ctx (Selector.Proposed { landmarks }) ~k ~rng
   in
   let random = Selector.select ctx Selector.Random_peers ~k ~rng in
   let outcome = Eval.Measure.score ctx ~k ~named_sets:[ ("p", proposed); ("r", random) ] in
@@ -136,7 +136,7 @@ let test_hybrid_composition () =
     Selector.select ctx
       (Selector.Hybrid
          {
-           primary = Selector.Proposed { landmarks; truncate = Traceroute.Truncate.Full };
+           primary = Selector.Proposed { landmarks };
            random_links;
          })
       ~k ~rng
@@ -180,7 +180,7 @@ let test_proposed_beats_random_consistently () =
     let ctx, landmarks, rng = small_context ~peers:40 ~seed in
     let k = 4 in
     let proposed =
-      Selector.select ctx (Selector.Proposed { landmarks; truncate = Traceroute.Truncate.Full }) ~k ~rng
+      Selector.select ctx (Selector.Proposed { landmarks }) ~k ~rng
     in
     let random = Selector.select ctx Selector.Random_peers ~k ~rng in
     let outcome = Eval.Measure.score ctx ~k ~named_sets:[ ("p", proposed); ("r", random) ] in

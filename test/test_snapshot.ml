@@ -12,8 +12,9 @@ let fixture ~seed =
 let populated ~seed ~peers =
   let map, oracle, landmarks = fixture ~seed in
   let server = Server.create oracle ~landmarks in
+  let client = Client.create oracle ~landmarks in
   for peer = 0 to peers - 1 do
-    ignore (Server.join server ~peer ~attach_router:map.leaves.(peer mod Array.length map.leaves))
+    ignore (Server.join server ~client ~peer ~attach_router:map.leaves.(peer mod Array.length map.leaves))
   done;
   (map, oracle, server)
 
@@ -39,14 +40,15 @@ let test_restored_server_keeps_working () =
   | Error e -> Alcotest.fail e
   | Ok restored ->
       (* New joins, leaves and handovers must work on the restored state. *)
-      ignore (Server.join restored ~peer:100 ~attach_router:map.leaves.(30));
+      let client = Client.create oracle ~landmarks:(Server.landmarks restored) in
+      ignore (Server.join restored ~client ~peer:100 ~attach_router:map.leaves.(30));
       Server.leave restored ~peer:0;
-      ignore (Server.handover restored ~peer:1 ~attach_router:map.leaves.(31));
+      ignore (Server.handover restored ~client ~peer:1 ~attach_router:map.leaves.(31));
       Server.check_invariants restored;
       Alcotest.(check int) "population evolved" 20 (Server.peer_count restored);
       Alcotest.check_raises "old duplicate still rejected"
         (Invalid_argument "Server.join: peer already registered") (fun () ->
-          ignore (Server.join restored ~peer:5 ~attach_router:map.leaves.(0)))
+          ignore (Server.join restored ~client ~peer:5 ~attach_router:map.leaves.(0)))
 
 let test_snapshot_deterministic () =
   let _, _, server = populated ~seed:3 ~peers:25 in
@@ -85,13 +87,14 @@ let test_bucket_repair () =
   (* The straggler misses peers 0-4, holds peer 5 from another router and
      an extra peer 70 the source never saw. *)
   let straggler = Server.create oracle ~landmarks in
+  let client = Client.create oracle ~landmarks in
   for peer = 6 to 59 do
     let info = Option.get (Server.info source peer) in
     Server.register_replica straggler ~peer ~attach_router:info.attach_router
       ~landmark:info.landmark ~path:info.recorded_path ~probes_spent:info.probes_spent
   done;
-  ignore (Server.join straggler ~peer:5 ~attach_router:map.leaves.(40));
-  ignore (Server.join straggler ~peer:70 ~attach_router:map.leaves.(41));
+  ignore (Server.join straggler ~client ~peer:5 ~attach_router:map.leaves.(40));
+  ignore (Server.join straggler ~client ~peer:70 ~attach_router:map.leaves.(41));
   let buckets =
     match Server.differing_buckets source (Server.bucket_summary straggler) with
     | Ok b -> b

@@ -182,9 +182,10 @@ let test_server_spans () =
   let now = ref 100.0 in
   Span.set_clock spans (fun () -> !now);
   let server = Nearby.Server.create ~spans oracle ~landmarks:[| d.lmk |] in
+  let client = Nearby.Client.create oracle ~landmarks:[| d.lmk |] in
   let attach = Eval.Paper_drawing.peer_attach_routers d in
   for peer = 0 to 2 do
-    ignore (Nearby.Server.join server ~peer ~attach_router:attach.(peer));
+    ignore (Nearby.Server.join server ~client ~peer ~attach_router:attach.(peer));
     now := !now +. 50.0
   done;
   ignore (Nearby.Server.neighbors server ~peer:0 ~k:2);
