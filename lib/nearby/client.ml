@@ -13,7 +13,8 @@ type t = {
 let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Probe.default_config)
     ?latency ?(choice = Closest) oracle ~landmarks =
   if Array.length landmarks = 0 then invalid_arg "Client.create: no landmarks";
-  { oracle; landmarks; latency; truncate; probe_config; choice; choice_rng = Prelude.Prng.create 0x5eed }
+  let choice_rng = Prelude.Prng.create 0x5eed in
+  { oracle; landmarks; latency; truncate; probe_config; choice; choice_rng }
 
 type measurement = {
   landmark : Topology.Graph.node;

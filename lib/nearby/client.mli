@@ -1,10 +1,7 @@
-(** The newcomer's side of the join (paper §2, round 1).
-
-    A newcomer pings every landmark and keeps the closest, then traceroutes
-    toward it; the recorded (possibly truncated) path is what it uploads.
-    The client needs no server: the management server only stores what a
-    client measured ({!Server.register_measured}), and the wire report
-    ({!Wire.Path_report}) is the interface between the two sides. *)
+(** The newcomer's side of the join (paper §2, round 1): ping every
+    landmark and keep the closest, then traceroute toward it.  The client
+    needs no server: the wire report ({!Wire.Path_report}) of its
+    measurement is the interface to {!Server.register_measured}. *)
 
 type choice =
   | Closest  (** The paper's round 1: ping every landmark, keep the best. *)
@@ -22,36 +19,30 @@ val create :
   Traceroute.Route_oracle.t ->
   landmarks:Topology.Graph.node array ->
   t
-(** A client measuring against [landmarks] over [oracle]: [truncate]
-    (default {!Traceroute.Truncate.Full}) is the decreased traceroute tool,
-    [probe_config] (default {!Traceroute.Probe.default_config}) its probe
-    loss and count, [latency] (default: none) the link delays pings and
-    traceroutes see, [choice] (default [Closest]) the landmark rule.  A
-    [Uniform] client draws its landmarks from its own generator, seeded
-    [0x5eed] at creation.
+(** Defaults: the full traceroute, {!Traceroute.Probe.default_config}, hop
+    counts for delays, and [Closest].  A [Uniform] client draws from its
+    own generator, seeded [0x5eed] at creation.
     @raise Invalid_argument on an empty landmark array. *)
 
 type measurement = {
   landmark : Topology.Graph.node;  (** The chosen landmark. *)
   path : Traceroute.Path.t;  (** The recorded path, truncated per the tool. *)
   probes : int;  (** Total probe packets: the pings plus the traceroute's. *)
-  landmarks_pinged : int;  (** Round-1 pings: every landmark, or none for [Uniform]. *)
+  landmarks_pinged : int;  (** Every landmark, or none for [Uniform]. *)
   ping_ms : float;  (** Round-1 duration: the RTT to the winning landmark. *)
   traceroute_ms : float;  (** One RTT to the landmark; TTL probes fly together. *)
   full_hops : int;  (** Hops of the trace before truncation. *)
 }
-(** One newcomer's round-1 output. *)
 
 val measure : ?rng:Prelude.Prng.t -> t -> attach_router:Topology.Graph.node -> measurement
-(** Round 1 from [attach_router]: choose the landmark, traceroute toward
-    it, truncate.  Deterministic without [rng] (perfect probes); with
-    [rng], probe drops and RTT noise apply, drawn by the landmark choice
-    first, then by the traceroute. *)
+(** Round 1 from [attach_router].  Deterministic without [rng] (perfect
+    probes); with [rng], probe drops and RTT noise apply, drawn by the
+    landmark choice first, then by the traceroute. *)
 
 val duration_ms : measurement -> float
-(** The one measurement clock, in simulated ms: [ping_ms + traceroute_ms].
-    {!Protocol.join} waits this long before its server round, and the
-    server's [join_ms] stream records it. *)
+(** The one measurement clock, [ping_ms + traceroute_ms]: {!Protocol.join}
+    waits this long before its server round, and the server's [join_ms]
+    stream records it. *)
 
 val measure_span :
   Simkit.Span.sink -> parent:Simkit.Span.context -> peer:int -> measurement -> unit

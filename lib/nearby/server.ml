@@ -234,8 +234,7 @@ let peer_ids t = Slot_index.fold (fun peer _ acc -> peer :: acc) t.index [] |> L
 
 type measurement = Client.measurement
 
-(* bench/stack only: a default client over this server's oracle and
-   landmarks, and the measurement's fields. *)
+(* bench/stack only: a client over this server's oracle and landmarks. *)
 let measure ?rng t ~attach_router =
   Client.measure ?rng (Client.create t.oracle ~landmarks:t.landmark_ids) ~attach_router
 let measurement_landmark (m : measurement) = m.landmark
@@ -368,7 +367,7 @@ let remove_entry t ~peer slot =
 
 (* The join counters and the per-phase cost of the two-round protocol, in
    simulated milliseconds: the same for a singleton and a batched join. *)
-let count_join t (m : Client.measurement) =
+let count_join t (m : measurement) =
   let c = t.cells in
   Simkit.Trace.cell_incr c.joins;
   Simkit.Trace.cell_add c.probe_packets m.probes;
@@ -380,7 +379,7 @@ let count_join t (m : Client.measurement) =
 (* Round 2 server side, split from [join] so a replicated cluster can
    measure once at the client and register on any replica.  The registry
    write runs under the "register" span, so its op spans nest there. *)
-let register_measured t ~peer ~attach_router (m : Client.measurement) =
+let register_measured t ~peer ~attach_router (m : measurement) =
   if mem t peer then
     invalid_arg "Server.register_measured: peer already registered";
   let landmark = m.landmark and recorded_path = m.path and probes_spent = m.probes in
@@ -456,9 +455,7 @@ let register_measured_batch t entries =
      query-250k set-up (250,000 members in 8,192-entry batches) about 15%
      slower taken landmark by landmark, about 30% in plain batch order. *)
   let routers =
-    Array.map
-      (fun (_, _, (m : Client.measurement)) -> registrable_path ~landmark:m.landmark m.path)
-      entries
+    Array.map (fun (_, _, (m : measurement)) -> registrable_path ~landmark:m.landmark m.path) entries
   in
   Simkit.Span.(
     with_span t.spans ~name:"register_batch" ?parent:(current t.spans) [ ("ops", Int n) ])
@@ -467,13 +464,13 @@ let register_measured_batch t entries =
         (fun lmk ->
           let registry = registry_of t lmk in
           Array.iteri
-            (fun i (peer, _, (m : Client.measurement)) ->
+            (fun i (peer, _, (m : measurement)) ->
               if m.landmark = lmk then Registry_intf.insert registry ~peer ~routers:routers.(i))
             entries)
         t.landmark_ids);
   let infos =
     Array.mapi
-      (fun i (peer, attach_router, (m : Client.measurement)) ->
+      (fun i (peer, attach_router, (m : measurement)) ->
         record t ~peer ~routers:routers.(i) ~refresh:true ~attach:attach_router ~home:m.landmark
           ~probes:m.probes;
         count_join t m;
@@ -481,7 +478,7 @@ let register_measured_batch t entries =
       entries
   in
   let reports =
-    Array.to_list (Array.map (fun (peer, _, (m : Client.measurement)) -> (peer, m.path)) entries)
+    Array.to_list (Array.map (fun (peer, _, (m : measurement)) -> (peer, m.path)) entries)
   in
   Simkit.Trace.cell_add t.cells.wire_bytes (Wire.byte_size (Wire.Path_report_batch { reports }));
   Log.debug (fun m -> m "join batch n=%d" n);
@@ -814,9 +811,7 @@ let restore ?backend ?spans oracle data =
   match header with
   | Error e -> Error (error_to_string e)
   | Ok landmark_list -> (
-      match
-        create ?backend ?spans oracle ~landmarks:(Array.of_list landmark_list)
-      with
+      match create ?backend ?spans oracle ~landmarks:(Array.of_list landmark_list) with
       | exception Invalid_argument msg -> Error msg
       | t ->
           apply_entries t ~replaced:(Some (Array.make bucket_count true)) r

@@ -74,17 +74,11 @@ val attach_router : t -> int -> Topology.Graph.node option
     [None] when unregistered. *)
 
 val join :
-  ?rng:Prelude.Prng.t ->
-  t ->
-  client:Client.t ->
-  peer:int ->
-  attach_router:Topology.Graph.node ->
-  peer_info
-(** Both protocol rounds in process: [client] measures
-    ({!Client.measure}, with [rng] when given), then the server registers
-    the measurement.  Exactly {!register_measured} of {!Client.measure},
-    traced as one root [join] span, lasting at least {!Client.duration_ms},
-    around the ["measure"] span and the registration.
+  ?rng:Prelude.Prng.t -> t -> client:Client.t -> peer:int -> attach_router:Topology.Graph.node -> peer_info
+(** Both rounds in process: {!register_measured} of [client]'s
+    {!Client.measure} (with [rng] when given), traced as one root [join]
+    span around the ["measure"] span and the registration that lasts at
+    least {!Client.duration_ms}.
     @raise Invalid_argument when the peer id is already registered. *)
 
 (** {1 Split join — the replication seam}
@@ -167,15 +161,9 @@ val leave : t -> peer:int -> unit
     unregistered. *)
 
 val handover :
-  ?rng:Prelude.Prng.t ->
-  t ->
-  client:Client.t ->
-  peer:int ->
-  attach_router:Topology.Graph.node ->
-  peer_info
-(** Mobility: atomically deregister and re-join, measured by [client], at a
-    new attachment router (extension E3).  @raise Not_found when
-    unregistered. *)
+  ?rng:Prelude.Prng.t -> t -> client:Client.t -> peer:int -> attach_router:Topology.Graph.node -> peer_info
+(** Mobility: atomically deregister and re-join at a new attachment router
+    (extension E3).  @raise Not_found when unregistered. *)
 
 val trace : t -> Simkit.Trace.t
 (** Protocol counters: ["join"], ["leave"], ["handover"], ["probe_packets"],
@@ -265,16 +253,12 @@ val restore :
     {!create} with the snapshot's landmarks, then apply every bucket as
     {!apply_buckets} does.  Total: corrupt input yields [Error]. *)
 
-(** {1 bench/stack only}
-
-    Forwards kept for the end-to-end benchmark under [bench/stack], which
-    measures through the server; nothing else calls them. *)
+(** {1 bench/stack only: forwards to {!Client}, called by nothing else} *)
 
 type measurement = Client.measurement
 
 val measure : ?rng:Prelude.Prng.t -> t -> attach_router:Topology.Graph.node -> measurement
-(** {!Client.measure} by a default client over this server's oracle and
-    landmarks. *)
+(** {!Client.measure} by a client over this server's oracle and landmarks. *)
 
 val measurement_landmark : measurement -> Topology.Graph.node
 val measurement_path : measurement -> Traceroute.Path.t

@@ -61,7 +61,8 @@ let test_jsonl_shape () =
 
 (* The acceptance path: crash the primary under a join-latency SLO that
    cannot hold, and the run must both report the breach and leave a flight
-   dump with the RPC traffic and the injected fault around it. *)
+   dump with the RPC traffic and the injected fault around it.  With a span
+   sink attached, the breach links to a tail join's trace. *)
 let test_slo_breach_dumps_context () =
   let config =
     {
@@ -71,7 +72,7 @@ let test_slo_breach_dumps_context () =
       audit_rate = 0.5;
     }
   in
-  let result, artifacts = Eval.Resilience_exp.run_instrumented config in
+  let result, artifacts = Eval.Resilience_exp.run_instrumented ~spans:(Span.buffer ()) config in
   Alcotest.(check (list string)) "breach reported in the result" [ "join_p99_ms=1" ]
     result.Eval.Resilience_exp.slo_breaches;
   Alcotest.(check bool) "breach visible in final statuses" true
@@ -83,6 +84,11 @@ let test_slo_breach_dumps_context () =
   Alcotest.(check bool) "slo transition recorded" true (has "slo");
   Alcotest.(check bool) "cluster events recorded" true (has "cluster");
   Alcotest.(check bool) "injected fault recorded" true (has "fault");
+  Alcotest.(check bool) "a breach event carries an exemplar trace id" true
+    (List.exists
+       (fun (e : Flight_recorder.event) ->
+         e.kind = "slo" && List.mem_assoc "exemplar_trace_id" e.args)
+       events);
   (* Timestamps are the engine clock, oldest first. *)
   let rec sorted = function
     | (a : Flight_recorder.event) :: (b :: _ as rest) -> a.ts <= b.ts && sorted rest

@@ -383,23 +383,46 @@ let test_failover_joins_stay_one_trace () =
   in
   let result, _ = Eval.Resilience_exp.run_instrumented ~spans config in
   Alcotest.(check int) "every join completed" config.Eval.Resilience_exp.peers result.completed;
+  Alcotest.(check bool) "live replicas consistent" true result.consistent;
+  Alcotest.(check bool) "some replica is live" true (result.live_peer_counts <> []);
+  Alcotest.(check (list int)) "every live replica holds every join"
+    (List.map (fun _ -> result.joins) result.live_peer_counts)
+    result.live_peer_counts;
   let spans', untraced = Trace_analysis.of_jsonl_string (Span.to_jsonl spans) in
   Alcotest.(check int) "no untraced events" 0 untraced;
   (* At least one join must have failed over between replicas — and its
      attempts against different targets must still share one trace. *)
   let by_trace = Hashtbl.create 64 in
   List.iter
-    (fun (s : Trace_analysis.span) ->
-      if s.Trace_analysis.name = "rpc_attempt" then
-        Hashtbl.replace by_trace s.Trace_analysis.trace_id
-          (s :: (Option.value ~default:[] (Hashtbl.find_opt by_trace s.Trace_analysis.trace_id))))
-    spans';
-  let failover_traces =
-    Hashtbl.fold (fun _ atts acc -> if List.length atts > 1 then acc + 1 else acc) by_trace 0
+    (fun (e : Span.event) ->
+      if e.Span.name = "rpc_attempt" then begin
+        let trace_id = (Option.get e.Span.ctx).Span.trace_id in
+        let arg name = List.assoc_opt name e.Span.args in
+        let attempt = (e.Span.ts, arg "target", arg "outcome") in
+        Hashtbl.replace by_trace trace_id
+          (attempt :: Option.value ~default:[] (Hashtbl.find_opt by_trace trace_id))
+      end)
+    (Span.events spans);
+  let failovers =
+    Hashtbl.fold
+      (fun _ atts acc ->
+        let targets = List.sort_uniq compare (List.filter_map (fun (_, t, _) -> t) atts) in
+        if List.length targets >= 2 then
+          List.sort (fun (a, _, _) (b, _, _) -> Float.compare a b) atts :: acc
+        else acc)
+      by_trace []
   in
   Alcotest.(check bool)
-    (Printf.sprintf "retried joins keep one trace id (%d found)" failover_traces)
-    true (failover_traces > 0);
+    (Printf.sprintf "retried joins keep one trace id (%d found)" (List.length failovers))
+    true (failovers <> []);
+  let ok = Some (Span.Str "ok") in
+  let rec failed_then_ok = function
+    | (_, _, outcome) :: later ->
+        (outcome <> ok && List.exists (fun (_, _, o) -> o = ok) later) || failed_then_ok later
+    | [] -> false
+  in
+  Alcotest.(check bool) "a failed-over join fails an attempt, then succeeds" true
+    (List.exists failed_then_ok failovers);
   (* Every tree must reconstruct rooted at a join (or a sync round). *)
   List.iter
     (fun (t : Trace_analysis.trace) ->
