@@ -497,6 +497,92 @@ let test_registration_reply_shares_path () =
   Alcotest.(check bool) "retry reply is rebuilt" false (retry.recorded_path == first.recorded_path);
   Alcotest.(check bool) "retry shows the same registration" true (retry = first)
 
+(* --- Replica state pins -----------------------------------------------------
+
+   What the replicas end up holding, pinned to values taken from the
+   write path that resends every report verbatim: however replication
+   encodes a registration, each replica must store the same routers for
+   every peer. *)
+
+let state_of server =
+  (Printf.sprintf "%016Lx" (Nearby.Server.digest server), Nearby.Server.peer_count server)
+
+let replica_states cluster =
+  List.init (Nearby.Cluster.replica_count cluster) (fun i ->
+      state_of (Nearby.Cluster.server_of cluster i))
+
+let states = Alcotest.(list (pair string int))
+
+(* A hand-built fan-out sequence: primaries rotate, one registration is
+   retried on a second replica, and replica 2 is down for two joins, so
+   the joins after its recovery replicate routes whose nearest stored
+   neighbours it never received.  Before the sync round only replica 2
+   lags, by exactly the two joins it missed; after it, all agree. *)
+let test_hand_built_fan_out_pinned () =
+  let fx = fixture ~seed:35 () in
+  let cluster = make_cluster fx in
+  let entries = measured_entries fx ~peers:24 in
+  let register replica (peer, attach_router, measurement) =
+    match
+      Nearby.Cluster.handle_registration cluster ~replica ~peer ~attach_router ~measurement ~k:3
+    with
+    | Some _ -> ()
+    | None -> Alcotest.fail "live replica did not answer"
+  in
+  let settle () = Simkit.Engine.run fx.engine ~until:(Simkit.Engine.now fx.engine +. 200.0) in
+  Array.iteri
+    (fun i entry ->
+      if i = 10 then Nearby.Cluster.crash cluster 2;
+      if i = 12 then Nearby.Cluster.recover cluster 2;
+      register (i mod 2) entry;
+      if i = 5 then register 2 entry;
+      settle ())
+    entries;
+  Alcotest.check states "before sync"
+    [ ("6af9f441bf8a3c4b", 24); ("6af9f441bf8a3c4b", 24); ("abda4d2445c751b9", 22) ]
+    (replica_states cluster);
+  Nearby.Cluster.sync_round cluster;
+  Alcotest.(check bool) "consistent after sync" true (Nearby.Cluster.consistent cluster);
+  Alcotest.check states "after sync"
+    [ ("6af9f441bf8a3c4b", 24); ("6af9f441bf8a3c4b", 24); ("6af9f441bf8a3c4b", 24) ]
+    (replica_states cluster);
+  Nearby.Cluster.check_invariants cluster
+
+(* Every replica's digest and peer count after a quick [Cluster_run] and
+   its settle step, with no fault, a loss burst and a crashed primary. *)
+let pinned_run_config =
+  {
+    Eval.Cluster_run.routers = 800;
+    peers = 120;
+    k = 5;
+    replicas = 3;
+    arrival_window_ms = 8_000.0;
+    sync_period_ms = 2_000.0;
+    drain_ms = 0.0;
+    seed = 1;
+  }
+
+let settled_states fault =
+  let run = Eval.Cluster_run.create ~fault pinned_run_config in
+  Eval.Cluster_run.arrivals run;
+  Eval.Cluster_run.settle run;
+  replica_states run.cluster
+
+(* Every join completes in all three scenarios and a join's route does
+   not depend on the network, so the three settle to one state. *)
+let test_cluster_run_states_pinned () =
+  let w = pinned_run_config.arrival_window_ms in
+  let from_ms, until_ms = Eval.Cluster_run.fault_window pinned_run_config in
+  let settled = List.init 3 (fun _ -> ("ac4d097fde103361", 120)) in
+  List.iter
+    (fun (label, fault) -> Alcotest.check states label settled (settled_states (fun _ -> fault)))
+    [
+      ("no fault", Simkit.Fault.none);
+      ("loss burst", Simkit.Fault.loss_burst ~from_ms ~until_ms ~loss:0.3 ());
+      ( "crash primary",
+        Simkit.Fault.crash_primary ~crash_at:(0.25 *. w) ~recover_at:(0.7 *. w) () );
+    ]
+
 (* The partition scenario end to end: the primary's subtree is cut off for
    part of the arrival window, every join still resolves, the cut really
    dropped traffic, and after the heal and the settle round every live
@@ -536,4 +622,6 @@ let suite =
       Alcotest.test_case "replayed fan-out applies once" `Quick
         test_replayed_fan_out_applies_once;
       Alcotest.test_case "partition scenario heals" `Quick test_partition_scenario_heals;
+      Alcotest.test_case "hand-built fan-out states pinned" `Quick test_hand_built_fan_out_pinned;
+      Alcotest.test_case "cluster_run replica states pinned" `Quick test_cluster_run_states_pinned;
     ] )
