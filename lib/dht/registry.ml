@@ -29,6 +29,10 @@ module Make (Config : CONFIG) : Nearby.Registry_intf.S with type t = Directory.t
   let member_count = Directory.member_count
   let path_of = Directory.path_of
   let iter_members = Directory.iter_members
+
+  (* The directory keeps router buckets on the storage nodes, reached by
+     an overlay lookup each; replication does not pay for one. *)
+  let member_through _ _ ~except:_ = -1
   let dtree = Directory.dtree
   let query = Directory.query
   let query_member = Directory.query_member

@@ -34,6 +34,8 @@ type t = {
   replicate_send : int ref;
   replicate_apply : int ref;
   replicate_skip : int ref;
+  replicate_prefix : int ref;
+  replicate_nack : int ref;
   mutable amplification : Simkit.Metrics.gauge option;
 }
 
@@ -63,6 +65,8 @@ let make ~replicas ~transport ~detector ~trace ~recorder ~spans ~metrics =
       replicate_send = cell "cluster_replicate_send";
       replicate_apply = cell "cluster_replicate_apply";
       replicate_skip = cell "cluster_replicate_skip";
+      replicate_prefix = cell "cluster_replicate_prefix";
+      replicate_nack = cell "cluster_replicate_nack";
       amplification = None;
     }
   in
@@ -203,10 +207,13 @@ let target t ~src ~attempt =
 
 (* Replication amplification: how many bytes the cluster moves per byte a
    client uploads — (client report bytes + replica fan-out bytes) / client
-   report bytes.  With N replicas and write fan-out resending the client's
-   report verbatim to the other N-1, the ratio is exactly N; anti-entropy
-   snapshot traffic is deliberately excluded (it is repair cost, not write
-   cost).  [nan] until the first client report arrives. *)
+   report bytes.  Fan-out bytes are every replication message sent:
+   prefixes, full reports, and a refused prefix's NACK and resent report.
+   A replica is sent only the routers it does not already store, so the
+   ratio lies between 1 and N for N replicas, and is N only when every
+   report goes out whole.  Anti-entropy snapshot traffic is deliberately
+   excluded (it is repair cost, not write cost).  [nan] until the first
+   client report arrives. *)
 let replication_amplification t =
   let client = !(t.client_report_bytes) in
   if client = 0 then Float.nan
@@ -244,39 +251,82 @@ let apply_entry t (o : replica) ~peer ~attach_router ~measurement =
     false
   end
 
-(* Write fan-out: the processing replica resends the client's report to
-   every other replica, riding the transport (paying latency, loss and
-   partitions), and [apply_entry] runs when it lands.  One "replicate"
-   span per target is open from send to transport delivery, so in a trace
-   tree the replication lag is visible next to the join that caused it.
-   A message the transport drops leaves its span open (never emitted),
-   like the write it lost. *)
+(* One "replicate" span per replication message, open from send to its
+   outcome, so in a trace tree the replication lag is visible next to the
+   join that caused it.  A message the transport drops leaves its span
+   open (never emitted), like the write it lost. *)
+let replicate_span t ~parent ~peer (o : replica) =
+  if Simkit.Span.enabled t.spans then
+    Simkit.Span.start_span t.spans ~name:"replicate" ~tid:peer ?parent
+      [ ("peer", Simkit.Span.Int peer); ("to_replica", Simkit.Span.Int o.id) ]
+  else Simkit.Span.none
+
+let close_span t span outcome =
+  if Simkit.Span.enabled t.spans then
+    Simkit.Span.finish ~args:[ ("outcome", Simkit.Span.Str outcome) ] span
+
+(* Replication traffic rides the transport (paying latency, loss and
+   partitions), charged as replica path-report bytes. *)
+let send_replication t ~src ~dst msg ~bytes deliver =
+  t.replica_bytes := !(t.replica_bytes) + bytes;
+  Simkit.Transport.send ~kind:(Wire.kind msg) ~dir:"replica" t.transport ~src ~dst
+    ~size_bytes:bytes deliver
+
+(* [msg] has landed on replica [o].  A full report is applied by
+   [apply_entry].  A prefix is completed from the replica's own store;
+   when it cannot be, the replica sends a NACK back and the primary, if
+   still up, answers with the full report in a fresh span. *)
+let rec deliver t ~primary (o : replica) span ~peer msg ~attach_router ~measurement =
+  match msg with
+  | Wire.Replica_prefix { donor; probes; prefix; _ } ->
+      if (not o.alive) || Server.mem o.server peer then begin
+        incr t.replicate_skip;
+        close_span t span "skipped"
+      end
+      else if Server.register_replica_prefix o.server ~peer ~donor ~prefix ~probes_spent:probes
+      then begin
+        incr t.replicate_apply;
+        close_span t span "applied"
+      end
+      else begin
+        incr t.replicate_nack;
+        close_span t span "nacked";
+        let nack = Wire.Replica_nack { peer } in
+        send_replication t ~src:o.router ~dst:primary.router nack ~bytes:(Wire.byte_size nack)
+          (fun () ->
+            if primary.alive then begin
+              let report = Wire.Path_report { peer; path = measurement.Client.path } in
+              let parent = Simkit.Span.context_of span in
+              replicate t ~primary o ~parent:(Some parent) ~peer report
+                ~bytes:(Wire.byte_size report) ~attach_router ~measurement;
+              update_amplification t
+            end)
+      end
+  | _ ->
+      close_span t span
+        (if apply_entry t o ~peer ~attach_router ~measurement then "applied" else "skipped")
+
+and replicate t ~primary (o : replica) ~parent ~peer msg ~bytes ~attach_router ~measurement =
+  let span = replicate_span t ~parent ~peer o in
+  incr t.replicate_send;
+  send_replication t ~src:primary.router ~dst:o.router msg ~bytes (fun () ->
+      deliver t ~primary o span ~peer msg ~attach_router ~measurement)
+
+(* Write fan-out: the processing replica sends every other replica the
+   registration, as the shortest message that replica can complete
+   ({!Server.replication_message}), and [deliver] runs when it lands. *)
 let fan_out t ~from_replica ~peer ~attach_router ~measurement =
-  let msg = Wire.Path_report { peer; path = measurement.Client.path } in
-  let src = t.replicas.(from_replica).router in
+  let primary = t.replicas.(from_replica) in
+  let report = Wire.Path_report { peer; path = measurement.Client.path } in
+  t.client_report_bytes := !(t.client_report_bytes) + Wire.byte_size report;
+  let msg = Server.replication_message primary.server ~peer ~report in
   let bytes = Wire.byte_size msg in
-  let traced = Simkit.Span.enabled t.spans in
-  t.client_report_bytes := !(t.client_report_bytes) + bytes;
+  let parent = Simkit.Span.current t.spans in
   for i = 0 to Array.length t.replicas - 1 do
     let o = t.replicas.(i) in
     if o.id <> from_replica then begin
-      let span =
-        if traced then
-          Simkit.Span.start_span t.spans ~name:"replicate" ~tid:peer
-            ?parent:(Simkit.Span.current t.spans)
-            [ ("peer", Simkit.Span.Int peer); ("to_replica", Simkit.Span.Int o.id) ]
-        else Simkit.Span.none
-      in
-      let apply () =
-        Simkit.Span.add_arg span "outcome"
-          (if apply_entry t o ~peer ~attach_router ~measurement then Simkit.Span.Str "applied"
-           else Simkit.Span.Str "skipped");
-        if traced then Simkit.Span.finish span
-      in
-      incr t.replicate_send;
-      t.replica_bytes := !(t.replica_bytes) + bytes;
-      Simkit.Transport.send ~kind:(Wire.kind msg) ~dir:"replica" t.transport ~src ~dst:o.router
-        ~size_bytes:bytes apply
+      (match msg with Wire.Replica_prefix _ -> incr t.replicate_prefix | _ -> ());
+      replicate t ~primary o ~parent ~peer msg ~bytes ~attach_router ~measurement
     end
   done;
   update_amplification t

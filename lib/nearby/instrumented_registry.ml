@@ -77,6 +77,7 @@ let wrap ?(clock = default_clock) ?metrics ?labeled ?spans backend : (module Reg
         let member_count = B.member_count
         let path_of = B.path_of
         let iter_members = B.iter_members
+        let member_through = B.member_through
         let dtree = B.dtree
 
         let observe_query result =

@@ -7,6 +7,9 @@ let mem t peer = Hashtbl.mem t.paths peer
 let path_of t peer = Hashtbl.find_opt t.paths peer
 let iter_members t f = Hashtbl.iter (fun p _ -> f p) t.paths
 
+(* No router index: answering would scan every path. *)
+let member_through _ _ ~except:_ = -1
+
 let insert t ~peer ~routers =
   if Array.length routers = 0 then invalid_arg "Naive_registry.insert: empty path";
   if routers.(Array.length routers - 1) <> t.landmark then

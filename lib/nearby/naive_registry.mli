@@ -18,6 +18,10 @@ val path_of : t -> int -> Topology.Graph.node array option
 
 val iter_members : t -> (int -> unit) -> unit
 
+val member_through : t -> Topology.Graph.node -> except:int -> int
+(** Always -1: without a router index, finding a member through a router
+    is a scan of every path, so replication sends full reports. *)
+
 val insert : t -> peer:int -> routers:Topology.Graph.node array -> unit
 (** Same contract as {!Path_tree.insert}. *)
 

@@ -42,6 +42,10 @@ val remove : t -> peer -> unit
 val path_of : t -> peer -> Topology.Graph.node array option
 (** The stored routers, not a copy ({!Registry_intf.S.path_of}). *)
 
+val member_through : t -> Topology.Graph.node -> except:peer -> peer
+(** A member other than [except] whose path crosses the router, or -1:
+    the head of the router's bucket ({!Path_tree_core.member_through}). *)
+
 val depth : t -> peer -> int option
 (** Links between the peer's attachment router and the landmark. *)
 

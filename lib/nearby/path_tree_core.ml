@@ -294,6 +294,21 @@ let remove t peer =
     end
   done
 
+(* The first entry of [b] from chunk [ci], position [pos] on, whose peer
+   is not [except]; -1 when there is none.  Only a router repeated in
+   [except]'s own path puts more than one of its entries at the head. *)
+let rec first_other b ci pos ~except =
+  if ci >= b.nchunks then -1
+  else
+    let c = b.chunks.(ci) in
+    if pos >= c.clen then first_other b (ci + 1) 0 ~except
+    else
+      let peer = Topk.peer_of c.keys.(pos) in
+      if peer <> except then peer else first_other b ci (pos + 1) ~except
+
+(* The head of [router]'s bucket: the member nearest to the router. *)
+let member_through t router ~except = first_other (find_bucket t router) 0 0 ~except
+
 let routers_of t peer =
   let slot = Slot_index.find t.index peer in
   if slot < 0 then None else Some t.routes.(slot)

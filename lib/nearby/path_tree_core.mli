@@ -44,6 +44,11 @@ val routers_of : t -> peer -> Topology.Graph.node array option
 (** The registered router sequence: the stored array, not a copy, which
     the caller must not modify. *)
 
+val member_through : t -> Topology.Graph.node -> except:peer -> peer
+(** A member other than [except] whose path crosses [router], or -1: the
+    head of the router's bucket, the member nearest to it (ties to the
+    lower peer id).  Reads the bucket, scans nothing. *)
+
 val meeting_point : t -> peer -> peer -> (Topology.Graph.node * int * int) option
 (** Deepest common router of the two registered paths and each peer's cost
     to it; [None] when either peer is unregistered or the paths share no

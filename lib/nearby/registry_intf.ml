@@ -18,6 +18,10 @@
    - [path_of] returns exactly the routers [insert] stored for the peer:
      the stored array itself, which callers only read.  The server's
      per-member slot references that array rather than keeping a copy.
+   - [member_through t router ~except] names a member other than [except]
+     whose stored path crosses [router], or returns -1.  It is a read of
+     an index the backend already keeps: a backend without a router index
+     answers -1 always, and replication then sends full reports.
    - [query] returns at most [k] (peer, dtree) pairs in ascending
      (dtree, peer) order -- equal-cost ties break to the lower peer id --
      so two correct backends return byte-identical answers.
@@ -134,6 +138,7 @@ module type S = sig
   val member_count : t -> int
   val path_of : t -> peer -> Topology.Graph.node array option
   val iter_members : t -> (peer -> unit) -> unit
+  val member_through : t -> Topology.Graph.node -> except:peer -> peer
   val dtree : t -> peer -> peer -> int option
 
   val query :
@@ -251,6 +256,10 @@ let path_of (Registry r) peer =
 let iter_members (Registry r) f =
   let module B = (val r.backend) in
   B.iter_members r.state f
+
+let member_through (Registry r) router ~except =
+  let module B = (val r.backend) in
+  B.member_through r.state router ~except
 
 let dtree (Registry r) p1 p2 =
   let module B = (val r.backend) in

@@ -433,6 +433,92 @@ let register_replica t ~peer ~attach_router ~landmark ~path ~probes_spent =
     ~refresh:true ~attach:attach_router ~home:landmark ~probes:probes_spent;
   Simkit.Trace.cell_incr t.cells.replica_registers
 
+(* --- Prefix replication --------------------------------------------------
+
+   Routes toward one landmark form a tree, so a replica already stores a
+   fresh member's route above the first router where another member's
+   route runs on the same way.  The primary sends only the routers up to
+   that one and names the other member as the donor; the replica takes
+   the rest from its own copy of the donor's route. *)
+
+(* Whether [a.(i ..)] equals [b.(j ..)], both running to their ends. *)
+let rec same_tail a i b j =
+  i >= Array.length a || (a.(i) = b.(j) && same_tail a (i + 1) b (j + 1))
+
+(* Whether [donor]'s stored route ends with [routers.(i ..)]. *)
+let donor_shares t donor routers i =
+  let slot = Slot_index.find t.index donor in
+  slot >= 0
+  &&
+  let stored = t.routers.(slot) in
+  let j = Array.length stored - Array.length routers + i in
+  j >= 0 && same_tail routers i stored j
+
+(* The first position of [routers] whose router another member of [reg]
+   crosses with the same route on to the landmark, or -1. *)
+let rec prefix_end t reg ~peer routers i =
+  if i >= Array.length routers then -1
+  else
+    let donor = Registry_intf.member_through reg routers.(i) ~except:peer in
+    if donor >= 0 && donor_shares t donor routers i then i
+    else prefix_end t reg ~peer routers (i + 1)
+
+let replication_message t ~peer ~report =
+  let slot = Slot_index.find t.index peer in
+  if slot < 0 then report
+  else
+    let routers = t.routers.(slot) in
+    (* The replica takes the attach router from the prefix. *)
+    if t.attach.(slot) <> routers.(0) then report
+    else
+      let reg = registry_of t (landmark_of routers) in
+      let i = prefix_end t reg ~peer routers 0 in
+      if i < 0 then report
+      else
+        Wire.Replica_prefix
+          {
+            peer;
+            donor = Registry_intf.member_through reg routers.(i) ~except:peer;
+            probes = t.probes.(slot);
+            prefix = Array.sub routers 0 (i + 1);
+          }
+
+(* Whether a router is a node of a graph of [nodes] routers.  The check
+   passes run on every repair and prefix apply, so they allocate
+   nothing. *)
+let[@inline] in_graph ~nodes router = router >= 0 && router < nodes
+
+let rec routers_in_graph ~nodes routers i =
+  i >= Array.length routers
+  || (in_graph ~nodes routers.(i) && routers_in_graph ~nodes routers (i + 1))
+
+let rec position_of routers router i =
+  if i >= Array.length routers then -1
+  else if routers.(i) = router then i
+  else position_of routers router (i + 1)
+
+(* The route is built in one array: the prefix without its last router,
+   then the donor's stored route from that router on. *)
+let register_replica_prefix t ~peer ~donor ~prefix ~probes_spent =
+  if mem t peer then invalid_arg "Server.register_replica_prefix: peer already registered";
+  let n = Array.length prefix and slot = Slot_index.find t.index donor in
+  let nodes = Topology.Graph.node_count (graph t) in
+  if n = 0 || slot < 0 || not (routers_in_graph ~nodes prefix 0) then false
+  else
+    let stored = t.routers.(slot) in
+    let j = position_of stored prefix.(n - 1) 0 in
+    if j < 0 then false
+    else begin
+      let tail = Array.length stored - j in
+      let routers = Array.make (n - 1 + tail) 0 in
+      Array.blit prefix 0 routers 0 (n - 1);
+      Array.blit stored j routers (n - 1) tail;
+      store t ~peer ~routers ~refresh:true ~attach:prefix.(0) ~home:(landmark_of stored)
+        ~probes:probes_spent;
+      Simkit.Trace.cell_incr t.cells.replica_registers;
+      true
+    end
+
 (* Batch round 2: checked as a whole -- every peer in range, new and
    distinct -- before the first write, then stored entry by entry with
    exactly [register_measured]'s per-peer effects; the wire is charged one
@@ -707,14 +793,6 @@ let snapshot_buckets ?(only = fun _ -> true) t buckets =
   let w = Prelude.Codec.Writer.create () in
   write_entries t w !entries;
   Prelude.Codec.Writer.contents w
-
-(* Whether a router is a node of a graph of [nodes] routers.  The check
-   pass below runs on every repair, so it allocates nothing. *)
-let[@inline] in_graph ~nodes router = router >= 0 && router < nodes
-
-let rec routers_in_graph ~nodes routers i =
-  i >= Array.length routers
-  || (in_graph ~nodes routers.(i) && routers_in_graph ~nodes routers (i + 1))
 
 (* Decode the rest of [r] as snapshot entries and make [t] agree with them:
    an entry [t] already holds verbatim is left alone, any other is written

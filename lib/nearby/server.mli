@@ -118,6 +118,29 @@ val register_replica :
     counters, no spans.  @raise Invalid_argument when the peer is already
     registered or the landmark is unknown. *)
 
+val replication_message : t -> peer:int -> report:Wire.message -> Wire.message
+(** What the other replicas are sent for [peer]'s fresh registration.
+    Walking its stored routers from the attach router toward the
+    landmark, the first router that another member of the same landmark
+    tree crosses ({!Registry_intf.S.member_through}) with the same stored
+    route from there on ends a {!Wire.Replica_prefix}: the routers up to
+    it, that member as the donor, and the stored probe cost.  When no
+    router qualifies (the tree's first member, a backend without a router
+    index) or the stored route does not start at the attach router, the
+    answer is [report], the client's own {!Wire.Path_report}.  Reads at
+    most one bucket head and one path comparison per router. *)
+
+val register_replica_prefix :
+  t -> peer:int -> donor:int -> prefix:Topology.Graph.node array -> probes_spent:int -> bool
+(** Replication apply of a {!Wire.Replica_prefix}: register [prefix]
+    without its last router, followed by this server's stored route of
+    [donor] from that router to its landmark, with attach router
+    [prefix.(0)]; counted as {!register_replica} counts.  [false], with
+    nothing changed, when the donor is not held here, its route does not
+    cross the prefix's last router, or the prefix is empty or names a
+    router outside {!graph}: the sender must then send the full report.
+    @raise Invalid_argument when the peer is already registered. *)
+
 val peer_ids : t -> int list
 (** Registered peer ids, ascending — the anti-entropy comparison key. *)
 

@@ -6,6 +6,8 @@ type message =
   | Neighbor_reply of { peer : int; neighbors : (int * int) list }
   | Leave of { peer : int }
   | Path_report_batch of { reports : (int * Traceroute.Path.t) list }
+  | Replica_prefix of { peer : int; donor : int; probes : int; prefix : Topology.Graph.node array }
+  | Replica_nack of { peer : int }
 
 let protocol_version = 1
 
@@ -13,10 +15,12 @@ let protocol_version = 1
    family, the values `wire_bytes_total{kind=...}` series are keyed by.
    Requests for neighbors are the protocol's "query" and their answers
    the "reply" — named for the role, not the constructor, so the metric
-   vocabulary matches the bench and dashboard headings. *)
+   vocabulary matches the bench and dashboard headings.  A replica's
+   prefix and its refusal are path-report traffic too, so the bytes
+   replication saves show in the [path_report] series. *)
 let kind = function
   | Ping_request _ | Ping_reply _ -> "ping"
-  | Path_report _ -> "path_report"
+  | Path_report _ | Replica_prefix _ | Replica_nack _ -> "path_report"
   | Neighbor_request _ -> "query"
   | Neighbor_reply _ -> "reply"
   | Leave _ -> "leave"
@@ -30,6 +34,8 @@ let tag = function
   | Neighbor_reply _ -> 4
   | Leave _ -> 5
   | Path_report_batch _ -> 6
+  | Replica_prefix _ -> 7
+  | Replica_nack _ -> 8
 
 (* The encoder is written once against [Codec.SINK] and instantiated twice:
    over [Writer] to produce bytes, over [Sizer] to measure them — so
@@ -66,7 +72,12 @@ module Emit (S : Prelude.Codec.SINK) = struct
             S.varint w p;
             S.varint w d)
           neighbors
-    | Leave { peer } -> S.varint w peer
+    | Leave { peer } | Replica_nack { peer } -> S.varint w peer
+    | Replica_prefix { peer; donor; probes; prefix } ->
+        S.varint w peer;
+        S.varint w donor;
+        S.varint w probes;
+        S.array w S.varint prefix
 end
 
 module Emit_bytes = Emit (Prelude.Codec.Writer)
@@ -130,6 +141,15 @@ let decode_body r t =
   | 6 ->
       let* reports = list r decode_report in
       Ok (Path_report_batch { reports })
+  | 7 ->
+      let* peer = varint r in
+      let* donor = varint r in
+      let* probes = varint r in
+      let* prefix = list r varint in
+      Ok (Replica_prefix { peer; donor; probes; prefix = Array.of_list prefix })
+  | 8 ->
+      let* peer = varint r in
+      Ok (Replica_nack { peer })
   | other -> Error (Malformed (Printf.sprintf "unknown tag %d" other))
 
 let decode data =
@@ -162,3 +182,7 @@ let pp ppf = function
   | Path_report_batch { reports } ->
       Format.fprintf ppf "path-report-batch n=%d [%s]" (List.length reports)
         (String.concat "; " (List.map (fun (p, _) -> string_of_int p) reports))
+  | Replica_prefix { peer; donor; probes; prefix } ->
+      Format.fprintf ppf "replica-prefix peer=%d donor=%d probes=%d [%s]" peer donor probes
+        (String.concat " -> " (Array.to_list (Array.map string_of_int prefix)))
+  | Replica_nack { peer } -> Format.fprintf ppf "replica-nack peer=%d" peer

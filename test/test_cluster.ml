@@ -548,6 +548,71 @@ let test_hand_built_fan_out_pinned () =
     (replica_states cluster);
   Nearby.Cluster.check_invariants cluster
 
+(* A replica that missed the donor refuses the prefix, and the primary
+   resends the full report: peer 1 attaches where peer 0 did, so peer 0
+   is its donor, and replica 2 was down for peer 0's fan-out.  The span of
+   the refused prefix ends "nacked"; the resend gets a span of its own. *)
+let test_refused_prefix_is_resent_whole () =
+  let fx = fixture ~seed:36 () in
+  let spans = Simkit.Span.buffer () in
+  Simkit.Span.set_clock spans (fun () -> Simkit.Engine.now fx.engine);
+  let cluster =
+    Nearby.Cluster.create ~detector_config ~spans ~transport:fx.transport
+      ~client_router:fx.map.core.(0) ~make_server:(make_server fx) ~routers:fx.replica_routers ()
+  in
+  let client = make_client fx in
+  let attach_router = fx.map.leaves.(0) in
+  let register peer =
+    let measurement = Nearby.Client.measure client ~attach_router in
+    ignore
+      (Nearby.Cluster.handle_registration cluster ~replica:0 ~peer ~attach_router ~measurement ~k:3);
+    let report = Nearby.Wire.Path_report { peer; path = measurement.path } in
+    let msg =
+      Nearby.Server.replication_message (Nearby.Cluster.server_of cluster 0) ~peer ~report
+    in
+    Simkit.Engine.run fx.engine ~until:(Simkit.Engine.now fx.engine +. 200.0);
+    (Nearby.Wire.byte_size report, Nearby.Wire.byte_size msg)
+  in
+  Nearby.Cluster.crash cluster 2;
+  let report0, _ = register 0 in
+  Nearby.Cluster.recover cluster 2;
+  let report1, prefix1 = register 1 in
+  let c name = Simkit.Trace.counter (Nearby.Cluster.trace cluster) name in
+  Alcotest.(check int) "peer 1 went as a prefix to both" 2 (c "cluster_replicate_prefix");
+  Alcotest.(check int) "replica 2 refused it" 1 (c "cluster_replicate_nack");
+  Alcotest.(check int) "four sends and the resend" 5 (c "cluster_replicate_send");
+  Alcotest.(check int) "applied: peer 0 and 1 on replica 1, the resent peer 1" 3
+    (c "cluster_replicate_apply");
+  Alcotest.(check int) "skipped: peer 0 on the crashed replica" 1 (c "cluster_replicate_skip");
+  let path i = Nearby.Server.path_of (Nearby.Cluster.server_of cluster i) 1 in
+  Alcotest.(check (option (array int))) "replica 1 completed the route" (path 0) (path 1);
+  Alcotest.(check (option (array int))) "replica 2 stored the resent report" (path 0) (path 2);
+  Alcotest.(check bool) "replica 2 still lacks peer 0" false
+    (Nearby.Server.mem (Nearby.Cluster.server_of cluster 2) 0);
+  let outcomes =
+    List.filter_map
+      (fun (e : Simkit.Span.event) ->
+        if e.name = "replicate" then
+          match List.assoc_opt "outcome" e.args with
+          | Some (Simkit.Span.Str o) -> Some o
+          | _ -> None
+        else None)
+      (Simkit.Span.events spans)
+  in
+  Alcotest.(check (list string)) "replicate outcomes"
+    [ "applied"; "applied"; "applied"; "nacked"; "skipped" ]
+    (List.sort compare outcomes);
+  (* Every replication message is charged: peer 0's two reports, peer 1's
+     two prefixes, the NACK and the resent report. *)
+  let nack = Nearby.Wire.byte_size (Nearby.Wire.Replica_nack { peer = 1 }) in
+  Alcotest.(check bool) "prefix, not the report" true (prefix1 < report1);
+  Alcotest.(check int) "replica bytes"
+    ((2 * report0) + (2 * prefix1) + nack + report1)
+    (c "cluster_replica_bytes");
+  Alcotest.(check (float 1e-12)) "amplification"
+    (1.0 +. (float_of_int (c "cluster_replica_bytes") /. float_of_int (report0 + report1)))
+    (Nearby.Cluster.replication_amplification cluster)
+
 (* Every replica's digest and peer count after a quick [Cluster_run] and
    its settle step, with no fault, a loss burst and a crashed primary. *)
 let pinned_run_config =
@@ -623,5 +688,7 @@ let suite =
         test_replayed_fan_out_applies_once;
       Alcotest.test_case "partition scenario heals" `Quick test_partition_scenario_heals;
       Alcotest.test_case "hand-built fan-out states pinned" `Quick test_hand_built_fan_out_pinned;
+      Alcotest.test_case "refused prefix is resent whole" `Quick
+        test_refused_prefix_is_resent_whole;
       Alcotest.test_case "cluster_run replica states pinned" `Quick test_cluster_run_states_pinned;
     ] )

@@ -132,6 +132,37 @@ let test_remove () =
   Alcotest.(check int) "routers shrunk" 6 (Path_tree.router_count t);
   Alcotest.check_raises "double remove" Not_found (fun () -> Path_tree.remove t 1)
 
+(* The member a replica can complete a route from: the head of the
+   router's bucket, nearest first, ties to the lower id, never [except]. *)
+let test_member_through () =
+  let t = populated () in
+  let through router ~except = Path_tree.member_through t router ~except in
+  Alcotest.(check int) "router 3: nearest, lower id" 0 (through 3 ~except:(-1));
+  Alcotest.(check int) "router 3 except 0" 1 (through 3 ~except:0);
+  Alcotest.(check int) "router 2: the peer one hop away" 2 (through 2 ~except:0);
+  Alcotest.(check int) "router 2 except 2" 0 (through 2 ~except:2);
+  Alcotest.(check int) "router 10 holds only peer 0" (-1) (through 10 ~except:0);
+  Alcotest.(check int) "unknown router" (-1) (through 999 ~except:(-1));
+  Alcotest.(check int) "negative router" (-1) (through (-1) ~except:(-1));
+  (* A router repeated in one path puts two of its entries in the bucket,
+     with another member's entry between them. *)
+  Path_tree.insert t ~peer:5 ~routers:[| 7; 8; 7; lmk |];
+  Alcotest.(check int) "repeat only" (-1) (through 7 ~except:5);
+  Path_tree.insert t ~peer:6 ~routers:[| 50; 7; lmk |];
+  Alcotest.(check int) "past both of its entries" 6 (through 7 ~except:5);
+  Path_tree.remove t 0;
+  Alcotest.(check int) "a removed member is gone" 1 (through 3 ~except:(-1));
+  (* The naive scan has no router index; the timing wrapper forwards. *)
+  let naive = Naive_registry.create ~landmark:lmk in
+  Naive_registry.insert naive ~peer:0 ~routers:path_a;
+  Alcotest.(check int) "naive" (-1) (Naive_registry.member_through naive 3 ~except:(-1));
+  let module W =
+    (val Instrumented_registry.wrap ~metrics:(Simkit.Trace.create ()) (module Path_tree))
+  in
+  let w = W.create ~landmark:lmk in
+  W.insert w ~peer:4 ~routers:path_b;
+  Alcotest.(check int) "instrumented" 4 (W.member_through w 21 ~except:(-1))
+
 let test_invariants_detect_nothing_on_good_tree () =
   Path_tree.check_invariants (populated ())
 
@@ -535,6 +566,7 @@ let suite =
       Alcotest.test_case "invariants" `Quick test_invariants_detect_nothing_on_good_tree;
       Alcotest.test_case "truncated registration" `Quick test_truncated_path_registration;
       Alcotest.test_case "iter members" `Quick test_iter_members;
+      Alcotest.test_case "member through a router" `Quick test_member_through;
       q qcheck_query_matches_bruteforce;
       q qcheck_insert_remove_roundtrip;
       Alcotest.test_case "naive registry fixture" `Quick test_naive_matches_on_fixture;

@@ -538,6 +538,107 @@ let test_state_bytes_per_member () =
   in
   Alcotest.(check bool) (Printf.sprintf "%d B per member" bytes) true (bytes <= 285)
 
+(* Replication by prefix: a replica applying what [replication_message]
+   says for each join, in join order, ends holding exactly the primary's
+   registrations, while most joins travel as a prefix and a donor. *)
+let test_prefix_replication_completes_routes () =
+  let map, oracle, lmks, _ = make_workload ~seed:12 () in
+  let primary = Server.create oracle ~landmarks:lmks in
+  let replica = Server.create oracle ~landmarks:lmks in
+  let client = Client.create oracle ~landmarks:lmks in
+  let prefixes = ref 0 and reports = ref 0 and prefix_bytes = ref 0 and report_bytes = ref 0 in
+  for peer = 0 to 79 do
+    let attach_router = map.leaves.(peer mod Array.length map.leaves) in
+    let m = Client.measure client ~attach_router in
+    ignore (Server.register_measured primary ~peer ~attach_router m);
+    let report = Wire.Path_report { peer; path = m.path } in
+    let msg = Server.replication_message primary ~peer ~report in
+    report_bytes := !report_bytes + Wire.byte_size report;
+    match msg with
+    | Wire.Replica_prefix { peer = p; donor; probes; prefix } ->
+        incr prefixes;
+        prefix_bytes := !prefix_bytes + Wire.byte_size msg;
+        Alcotest.(check int) "names the peer" peer p;
+        Alcotest.(check bool) "donor held" true (Server.mem replica donor);
+        Alcotest.(check bool) "completed" true
+          (Server.register_replica_prefix replica ~peer ~donor ~prefix ~probes_spent:probes)
+    | Wire.Path_report _ ->
+        incr reports;
+        Alcotest.(check bool) "the report itself" true (msg == report);
+        Server.register_replica replica ~peer ~attach_router ~landmark:m.landmark ~path:m.path
+          ~probes_spent:m.probes
+    | _ -> Alcotest.fail "unexpected replication message"
+  done;
+  Alcotest.(check bool) "a tree's first member goes whole" true (!reports >= 1);
+  Alcotest.(check bool) "most joins go as a prefix" true (!prefixes > 60);
+  Alcotest.(check bool)
+    (Printf.sprintf "prefixes %dB against %dB of reports" !prefix_bytes !report_bytes)
+    true (!prefix_bytes < !report_bytes);
+  Alcotest.(check int64) "same digest" (Server.digest primary) (Server.digest replica);
+  for peer = 0 to 79 do
+    Alcotest.(check bool)
+      (Printf.sprintf "peer %d registration identical" peer)
+      true
+      (Server.info primary peer = Server.info replica peer)
+  done;
+  Server.check_invariants replica
+
+(* What a replica refuses, changing nothing: an unknown donor, a donor
+   whose route misses the prefix's last router, an empty prefix, a router
+   outside the map.  A held peer is an error, as for a full report. *)
+let test_prefix_replication_refusals () =
+  let map, oracle, lmks, _ = make_workload ~seed:13 () in
+  let server = Server.create oracle ~landmarks:lmks in
+  let client = Client.create oracle ~landmarks:lmks in
+  let attach_router = map.leaves.(0) in
+  ignore (Server.join server ~client ~peer:0 ~attach_router);
+  let routers = Option.get (Server.path_of server 0) in
+  let off_route =
+    let rec find r = if Array.mem r routers then find (r + 1) else r in
+    find 0
+  in
+  let digest = Server.digest server in
+  let refuse what ~donor prefix =
+    Alcotest.(check bool) what false
+      (Server.register_replica_prefix server ~peer:1 ~donor ~prefix ~probes_spent:3);
+    Alcotest.(check int) (what ^ ": nothing stored") 1 (Server.peer_count server);
+    Alcotest.(check int64) (what ^ ": digest kept") digest (Server.digest server)
+  in
+  refuse "unknown donor" ~donor:9 [| attach_router |];
+  refuse "router off the donor's route" ~donor:0 [| off_route |];
+  refuse "empty prefix" ~donor:0 [||];
+  refuse "router outside the map" ~donor:0 [| off_route; 1_000_000 |];
+  Alcotest.check_raises "held peer"
+    (Invalid_argument "Server.register_replica_prefix: peer already registered") (fun () ->
+      ignore
+        (Server.register_replica_prefix server ~peer:0 ~donor:0 ~prefix:[| attach_router |]
+           ~probes_spent:3));
+  (* The completion itself: a new router, then the donor's route. *)
+  Alcotest.(check bool) "completes" true
+    (Server.register_replica_prefix server ~peer:1 ~donor:0
+       ~prefix:[| off_route; routers.(1) |] ~probes_spent:3);
+  Alcotest.(check (option (array int))) "prefix then the donor's tail"
+    (Some (Array.append [| off_route |] (Array.sub routers 1 (Array.length routers - 1))))
+    (Server.path_of server 1);
+  Alcotest.(check (option int)) "attach router from the prefix" (Some off_route)
+    (Server.attach_router server 1);
+  Server.check_invariants server;
+  (* A backend without a router index, and a route not starting at the
+     attach router, both go out whole. *)
+  let naive = Server.create ~backend:(module Naive_registry) oracle ~landmarks:lmks in
+  let other = Server.create oracle ~landmarks:lmks in
+  for peer = 0 to 9 do
+    let attach_router = map.leaves.(peer mod 2) in
+    let m = Client.measure client ~attach_router in
+    ignore (Server.register_measured naive ~peer ~attach_router m);
+    ignore (Server.register_measured other ~peer ~attach_router:map.leaves.(2) m);
+    let report = Wire.Path_report { peer; path = m.path } in
+    Alcotest.(check bool) "naive: the report" true
+      (Server.replication_message naive ~peer ~report == report);
+    Alcotest.(check bool) "moved attach router: the report" true
+      (Server.replication_message other ~peer ~report == report)
+  done
+
 (* A broken backend: the path tree, but each path is stored without its
    first router.  Its own structure stays sound, so only the server's
    content check against the registrations can tell. *)
@@ -632,6 +733,9 @@ let suite =
       Alcotest.test_case "matches naive reference" `Quick test_matches_naive_reference;
       Alcotest.test_case "deterministic" `Quick test_deterministic_without_rng;
       Alcotest.test_case "invariants check content" `Quick test_invariants_check_content;
+      Alcotest.test_case "prefix replication completes routes" `Quick
+        test_prefix_replication_completes_routes;
+      Alcotest.test_case "prefix replication refusals" `Quick test_prefix_replication_refusals;
       Alcotest.test_case "neighbors allocation flat in hops" `Quick
         test_neighbors_allocation_flat_in_hops;
       Alcotest.test_case "state bytes per member" `Quick test_state_bytes_per_member;

@@ -176,6 +176,9 @@ let sample_messages =
               } );
           ];
       };
+    Wire.Replica_prefix { peer = 42; donor = 9; probes = 14; prefix = [| 7 |] };
+    Wire.Replica_prefix { peer = 300; donor = 0; probes = 0; prefix = [| 7; 130; 99 |] };
+    Wire.Replica_nack { peer = 42 };
   ]
 
 let test_wire_roundtrip () =
@@ -241,6 +244,69 @@ let test_wire_report_size_allocates_nothing () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check int) "size = encode length" (String.length (Wire.encode m)) size;
   Alcotest.(check (float 0.0)) "minor words over 1,000 sizings" 0.0 words
+
+(* Tags 7 and 8, the replication of a report as the prefix a replica
+   cannot rebuild, and a replica's refusal of one: the exact bytes, the
+   decode of every strict prefix (an [Error], never an exception), and
+   sizing without allocating, as for a full report. *)
+let test_wire_replica_messages () =
+  let prefix =
+    Wire.Replica_prefix { peer = 1000; donor = 300; probes = 21; prefix = [| 150; 1800 |] }
+  and nack = Wire.Replica_nack { peer = 1000 } in
+  Alcotest.(check string) "prefix bytes" "\x01\x07\xe8\x07\xac\x02\x15\x02\x96\x01\x88\x0e"
+    (Wire.encode prefix);
+  Alcotest.(check string) "nack bytes" "\x01\x08\xe8\x07" (Wire.encode nack);
+  List.iter
+    (fun m ->
+      let encoded = Wire.encode m in
+      Alcotest.(check int) "size = encode length" (String.length encoded) (Wire.byte_size m);
+      Alcotest.(check string) "kind" "path_report" (Wire.kind m);
+      (match Wire.decode encoded with
+      | Ok m' ->
+          Alcotest.(check bool) (Format.asprintf "roundtrip %a" Wire.pp m) true (Wire.equal m m')
+      | Error e -> Alcotest.fail e);
+      for len = 0 to String.length encoded - 1 do
+        match Wire.decode (String.sub encoded 0 len) with
+        | Error _ -> ()
+        | Ok m' -> Alcotest.failf "prefix %d of %a decoded as %a" len Wire.pp m Wire.pp m'
+        | exception e -> Alcotest.failf "prefix %d raised %s" len (Printexc.to_string e)
+      done;
+      let before = Gc.minor_words () in
+      for _ = 1 to 1_000 do
+        ignore (Sys.opaque_identity (Wire.byte_size m))
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.0)) "minor words over 1,000 sizings" 0.0 words)
+    [ prefix; nack ];
+  (* A one-router prefix, the common case, is about half a full report of
+     the same join. *)
+  let report =
+    Wire.Path_report
+      {
+        peer = 1000;
+        path =
+          {
+            Traceroute.Path.src = 150;
+            dst = 1800;
+            hops = Array.map (fun r -> Traceroute.Path.Known r) [| 150; 420; 777; 1300; 1800 |];
+          };
+      }
+  in
+  let one = Wire.Replica_prefix { peer = 1000; donor = 300; probes = 21; prefix = [| 150 |] } in
+  Alcotest.(check bool)
+    (Printf.sprintf "prefix %dB < report %dB" (Wire.byte_size one) (Wire.byte_size report))
+    true
+    (2 * Wire.byte_size one <= Wire.byte_size report + 2)
+
+let qcheck_wire_replica_prefix_exact =
+  QCheck.Test.make ~name:"replica prefix: byte_size = encode length, roundtrip" ~count:200
+    QCheck.(
+      quad (int_bound 100_000) (int_bound 100_000) (int_bound 200)
+        (array_of_size Gen.(int_range 1 12) (int_bound 5000)))
+    (fun (peer, donor, probes, prefix) ->
+      let m = Wire.Replica_prefix { peer; donor; probes; prefix } in
+      Wire.byte_size m = String.length (Wire.encode m)
+      && match Wire.decode (Wire.encode m) with Ok m' -> Wire.equal m m' | Error _ -> false)
 
 let qcheck_wire_neighbor_reply_roundtrip =
   QCheck.Test.make ~name:"wire neighbor-reply roundtrip" ~count:300
@@ -323,6 +389,8 @@ let suite =
       Alcotest.test_case "report sizing allocates nothing" `Quick
         test_wire_report_size_allocates_nothing;
       Alcotest.test_case "batch beats singleton reports" `Quick test_wire_batch_beats_singletons;
+      Alcotest.test_case "replica prefix and nack" `Quick test_wire_replica_messages;
+      q qcheck_wire_replica_prefix_exact;
       q qcheck_wire_batch_size_exact;
       q qcheck_wire_neighbor_reply_roundtrip;
       q qcheck_wire_decode_total;

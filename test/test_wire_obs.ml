@@ -1,7 +1,7 @@
 (* Wire-level observability: the transport's per-kind/per-direction byte
    accounting, dropped-byte reasons, top talkers, and the end-to-end
-   Wire_exp invariants (accounting reconciles, amplification equals the
-   replica count, batching saves upload bytes). *)
+   Wire_exp invariants (accounting reconciles, replication sends less
+   than a full report per replica). *)
 
 open Simkit
 
@@ -123,8 +123,12 @@ let test_top_talkers () =
     (fun () -> ignore (Transport.top_talkers t ~k:(-1)))
 
 (* The end-to-end experiment on a small fixture: the two conservation
-   invariants hold under a loss burst, amplification is exactly the
-   replica count, and every protocol kind moved bytes. *)
+   invariants hold under a loss burst, and every protocol kind moved
+   bytes.  Amplification counts the replication bytes sent against the
+   reports registered, so under loss it is not a ratio of delivered
+   books (the gauge test below reconciles it on a loss-free fleet); it
+   is above 1, since every write is replicated, and below the replica
+   count, since most replicas are sent only a prefix. *)
 let test_wire_exp_invariants () =
   let config =
     {
@@ -138,7 +142,11 @@ let test_wire_exp_invariants () =
   in
   let r = Eval.Wire_exp.run config in
   Alcotest.(check bool) "accounting reconciles" true r.accounted;
-  Alcotest.(check (float 1e-9)) "amplification = replicas" 3.0 r.replication_amplification;
+  let amp = r.replication_amplification in
+  Alcotest.(check bool)
+    (Printf.sprintf "1 < amplification %.4f < replicas" amp)
+    true
+    (amp > 1.0 && amp < float_of_int config.replicas);
   Alcotest.(check bool) "joins completed" true (r.completed > 0);
   let kind_bytes k =
     match List.find_opt (fun (row : Eval.Wire_exp.kind_row) -> row.kind = k) r.kinds with
@@ -155,13 +163,32 @@ let test_wire_exp_invariants () =
   Alcotest.(check bool) "top talkers populated" true (r.top_talkers <> [])
 
 (* The cluster mirrors its amplification into the labeled gauge the [wire]
-   dashboard panel reads. *)
+   dashboard panel reads, and on a loss-free fleet, where every upload
+   registers on its first attempt and every replication message lands,
+   it reconciles exactly with the delivered wire books: 1 + replica
+   path-report bytes / client path-report bytes. *)
 let test_amplification_gauge () =
   let config = { Eval.Fleet_obs.quick_config with routers = 400; peers = 40; seed = 4 } in
-  let _, t = Eval.Fleet_obs.run config in
+  let r, t = Eval.Fleet_obs.run config in
   let m = Eval.Fleet_obs.metrics t in
+  Alcotest.(check int) "every join completed" r.joins r.completed;
+  Alcotest.(check int) "no retries" 0 r.rpc_timeouts;
+  Alcotest.(check int) "nothing dropped" 0 r.wire_dropped_bytes;
+  let client = counter m "wire_bytes_total" ~kind:"path_report" ~dir:"request"
+  and replica = counter m "wire_bytes_total" ~kind:"path_report" ~dir:"replica" in
+  Alcotest.(check bool) "client reports moved bytes" true (client > 0);
   match Metrics.gauge m "wire_replication_amplification" ~labels:[] with
-  | Some v -> Alcotest.(check (float 1e-9)) "gauge = replica count" 3.0 v
+  | Some v ->
+      Alcotest.(check (float 1e-12)) "gauge = 1 + replica / client path-report bytes"
+        (1.0 +. (float_of_int replica /. float_of_int client))
+        v;
+      Alcotest.(check (float 0.0)) "gauge = Cluster.replication_amplification"
+        (Nearby.Cluster.replication_amplification (Eval.Fleet_obs.cluster t))
+        v;
+      Alcotest.(check bool)
+        (Printf.sprintf "1 < amplification %.4f < replicas" v)
+        true
+        (v > 1.0 && v < float_of_int config.replicas)
   | None -> Alcotest.fail "wire_replication_amplification gauge missing"
 
 (* A labeled two-part frame walks its route once and bumps cells resolved
