@@ -954,31 +954,12 @@ let top_cmd =
             end;
             (match metrics_out with
             | Some file ->
-                let meta =
-                  Simkit.Export.capture_meta ~seed:config.Eval.Fleet_obs.seed
-                    ~extra:[ ("replicas", string_of_int replicas) ]
-                    ()
-                in
-                Simkit.Export.write_file file
-                  (Simkit.Export.metrics_json ~meta
-                     ~timeseries:[ ("fleet", Eval.Fleet_obs.timeseries t) ]
-                     ~labeled:
-                       [
-                         ("fleet", Eval.Fleet_obs.metrics t);
-                         ("replicas", Eval.Fleet_obs.scrape t);
-                       ]
-                     ~runtime:(Eval.Fleet_obs.runtime t)
-                     [ ("fleet", Eval.Fleet_obs.fleet_trace t) ]);
+                Simkit.Export.write_file file (Eval.Fleet_obs.metrics_json t);
                 Printf.printf "wrote metrics snapshot to %s\n%!" file
             | None -> ());
             (match prom_out with
             | Some file ->
-                Simkit.Export.write_file file
-                  (Simkit.Export.prometheus_labeled
-                     [
-                       ("fleet", Eval.Fleet_obs.metrics t);
-                       ("replicas", Eval.Fleet_obs.scrape t);
-                     ]);
+                Simkit.Export.write_file file (Eval.Fleet_obs.prometheus t);
                 Printf.printf "wrote Prometheus exposition to %s\n%!" file
             | None -> ());
             exit_ok)

@@ -194,6 +194,23 @@ let scrape t =
   Nearby.Cluster.scrape t.run.cluster ~into:m;
   m
 
+(* The artifacts `nearby_sim top` writes: one JSON snapshot and one
+   exposition, each holding the fleet registry next to a fresh per-replica
+   scrape. *)
+let metrics_json t =
+  let meta =
+    Simkit.Export.capture_meta ~seed:t.config.seed
+      ~extra:[ ("replicas", string_of_int t.config.replicas) ]
+      ()
+  in
+  Simkit.Export.metrics_json ~meta
+    ~timeseries:[ ("fleet", t.timeseries) ]
+    ~labeled:[ ("fleet", t.metrics); ("replicas", scrape t) ]
+    ~runtime:t.runtime
+    [ ("fleet", fleet_trace t) ]
+
+let prometheus t = Simkit.Export.prometheus_labeled [ ("fleet", t.metrics); ("replicas", scrape t) ]
+
 type result = {
   joins : int;
   completed : int;

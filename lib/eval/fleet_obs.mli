@@ -94,6 +94,16 @@ val scrape : t -> Simkit.Metrics.t
     fresh each call because scraping the same registry twice
     double-counts. *)
 
+val metrics_json : t -> string
+(** The [top --metrics-out] snapshot: [meta] (seed, [replicas] extra),
+    the fleet timeseries, the labeled fleet registry and a fresh
+    {!scrape} as ["fleet"] and ["replicas"], the runtime profile, and the
+    merged {!fleet_trace} as section ["fleet"]. *)
+
+val prometheus : t -> string
+(** The [top --prom-out] exposition: the fleet registry and a fresh
+    {!scrape}, labeled sections ["fleet"] and ["replicas"]. *)
+
 type result = {
   joins : int;
   completed : int;

@@ -276,9 +276,9 @@ let send_replication t ~src ~dst msg ~bytes deliver =
    [apply_entry].  A prefix is completed from the replica's own store;
    when it cannot be, the replica sends a NACK back and the primary, if
    still up, answers with the full report in a fresh span. *)
-let rec deliver t ~primary (o : replica) span ~peer msg ~attach_router ~measurement =
+let rec deliver t ~primary (o : replica) span msg ~attach_router ~measurement =
   match msg with
-  | Wire.Replica_prefix { donor; probes; prefix; _ } ->
+  | Wire.Replica_prefix { peer; donor; probes; prefix } ->
       if (not o.alive) || Server.mem o.server peer then begin
         incr t.replicate_skip;
         close_span t span "skipped"
@@ -302,15 +302,16 @@ let rec deliver t ~primary (o : replica) span ~peer msg ~attach_router ~measurem
               update_amplification t
             end)
       end
-  | _ ->
+  | Wire.Path_report { peer; _ } ->
       close_span t span
         (if apply_entry t o ~peer ~attach_router ~measurement then "applied" else "skipped")
+  | _ -> invalid_arg "Cluster: not a replication message"
 
 and replicate t ~primary (o : replica) ~parent ~peer msg ~bytes ~attach_router ~measurement =
   let span = replicate_span t ~parent ~peer o in
   incr t.replicate_send;
   send_replication t ~src:primary.router ~dst:o.router msg ~bytes (fun () ->
-      deliver t ~primary o span ~peer msg ~attach_router ~measurement)
+      deliver t ~primary o span msg ~attach_router ~measurement)
 
 (* Write fan-out: the processing replica sends every other replica the
    registration, as the shortest message that replica can complete

@@ -361,6 +361,142 @@ let test_fleet_merged_trace_acceptance () =
     totals.Nearby.Admission.admitted;
   Alcotest.(check int) "healthy fleet sheds nothing" 0 totals.Nearby.Admission.shed_total
 
+(* --- The fleet smoke: `nearby_sim top --once --quick --seed 1` -----------
+
+   One session as the command runs it: to the horizon, one frame, then
+   the metrics snapshot and the exposition it writes. *)
+let smoke =
+  lazy
+    (let t = Eval.Fleet_obs.start { Eval.Fleet_obs.quick_config with seed = 1 } in
+     Eval.Fleet_obs.advance t ~until:(Eval.Fleet_obs.horizon t);
+     let frame = Eval.Fleet_obs.render t in
+     (t, frame, Json.parse_exn (Eval.Fleet_obs.metrics_json t), Eval.Fleet_obs.prometheus t))
+
+let json_at doc path =
+  match Json.path path doc with
+  | Some v -> v
+  | None -> Alcotest.failf "snapshot has no %s" (String.concat "." path)
+
+let json_float doc path =
+  match Json.to_float (json_at doc path) with
+  | Some v -> v
+  | None -> Alcotest.failf "%s is not a number" (String.concat "." path)
+
+(* The snapshot: host meta, per-replica labeled streams beside the merged
+   fleet section, a merged p99 inside the replicas' envelope, and the
+   phased runtime profile. *)
+let test_fleet_smoke_snapshot () =
+  let _, _, doc, _ = Lazy.force smoke in
+  let meta = Json.keys (json_at doc [ "meta" ]) in
+  List.iter
+    (fun key -> Alcotest.(check bool) ("meta has " ^ key) true (List.mem key meta))
+    [ "ocaml_version"; "word_size"; "domains" ];
+  let replica_p99 =
+    List.filter_map
+      (fun s ->
+        match (Json.member "name" s, Json.member "kind" s) with
+        | Some (Json.String "join_ms"), Some (Json.String "stream") ->
+            let replica = Option.bind (Json.path [ "labels"; "replica" ] s) Json.to_string in
+            Option.map (fun p99 -> (Option.get replica, p99)) (Json.to_float (json_at s [ "stats"; "p99" ]))
+        | _ -> None)
+      (Option.get (Json.to_list (json_at doc [ "labeled"; "replicas"; "series" ])))
+  in
+  Alcotest.(check (list string)) "a join_ms stream per replica" [ "0"; "1"; "2" ]
+    (List.sort compare (List.map fst replica_p99));
+  Alcotest.(check (float 0.0)) "merged samples = cluster registrations"
+    (json_float doc [ "sections"; "fleet"; "counters"; "cluster_register" ])
+    (json_float doc [ "sections"; "fleet"; "stats"; "join_ms"; "count" ]);
+  (* Both sides are sketch reads at alpha = 1%: the envelope is stretched
+     by twice that bound. *)
+  let merged = json_float doc [ "sections"; "fleet"; "stats"; "join_ms"; "p99" ] in
+  let p99s = List.map snd replica_p99 in
+  let lo = List.fold_left Float.min infinity p99s and hi = List.fold_left Float.max 0.0 p99s in
+  Alcotest.(check bool)
+    (Printf.sprintf "merged p99 %.2f within [%.2f, %.2f]" merged lo hi)
+    true
+    ((lo *. 0.98) -. 1e-9 <= merged && merged <= (hi *. 1.02) +. 1e-9);
+  let phases = Json.keys (json_at doc [ "runtime"; "phases" ]) in
+  List.iter
+    (fun phase -> Alcotest.(check bool) ("runtime phase " ^ phase) true (List.mem phase phases))
+    [ "build"; "run" ]
+
+(* One exposition sample line: name, optional {k="v",...} labels with
+   backslash escapes, one space, a value without spaces. *)
+let sample_line_ok line =
+  let n = String.length line in
+  let is_start c = c = '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') in
+  let is_name c = is_start c || (c >= '0' && c <= '9') in
+  let rec ident i = if i < n && is_name line.[i] then ident (i + 1) else i in
+  let name i = if i < n && is_start line.[i] then ident (i + 1) else -1 in
+  let rec quoted i =
+    if i >= n then -1
+    else if line.[i] = '\\' then if i + 1 < n then quoted (i + 2) else -1
+    else if line.[i] = '"' then i + 1
+    else quoted (i + 1)
+  in
+  let rec labels i =
+    let j = name i in
+    if j < 0 || j + 1 >= n || line.[j] <> '=' || line.[j + 1] <> '"' then -1
+    else
+      let k = quoted (j + 2) in
+      if k < 0 || k >= n then -1
+      else if line.[k] = ',' then labels (k + 1)
+      else if line.[k] = '}' then k + 1
+      else -1
+  in
+  let i = name 0 in
+  let i = if i >= 0 && i < n && line.[i] = '{' then labels (i + 1) else i in
+  i >= 0 && i + 1 < n && line.[i] = ' '
+  && not (String.contains (String.sub line (i + 1) (n - i - 1)) ' ')
+
+let test_fleet_smoke_exposition () =
+  let _, _, _, prom = Lazy.force smoke in
+  List.iter (check_has "exposition" prom)
+    [
+      "nearby_replicas_join_ms{replica=\"0\",quantile=\"0.99\"}";
+      "nearby_fleet_rpc_outcomes_total{outcome=\"ok\"}";
+    ];
+  let samples =
+    List.filter (fun l -> l <> "" && l.[0] <> '#') (String.split_on_char '\n' prom)
+  in
+  Alcotest.(check bool) "samples exported" true (samples <> []);
+  List.iter
+    (fun line -> Alcotest.(check bool) ("exposition grammar: " ^ line) true (sample_line_ok line))
+    samples;
+  Alcotest.(check bool) "the checker rejects a bad line" false
+    (sample_line_ok "nearby_x{replica=0} 1")
+
+(* The frame: every panel, escape-free; a healthy fleet that never
+   diverges, tracks report ages and sheds nothing; a wire panel that saw
+   traffic and prints the cluster's amplification. *)
+let test_fleet_smoke_frame () =
+  let t, frame, _, _ = Lazy.force smoke in
+  List.iter (check_has "frame" frame)
+    [
+      "nearby fleet top";
+      "[ops/s";
+      "[join latency";
+      "[slo]";
+      "[rpc]";
+      "[wire]";
+      "[health]";
+      "[admission";
+      "[runtime]";
+      "digest checks=";
+      "divergent_now=0";
+      "staleness: report age";
+      "shed: none";
+    ];
+  Alcotest.(check bool) "no escape sequences" false (String.contains frame '\027');
+  Alcotest.(check bool) "not flagged divergent" false (contains frame "[DIVERGED]");
+  Alcotest.(check bool) "the wire panel saw traffic" false (contains frame "total=0B");
+  let amp = Nearby.Cluster.replication_amplification (Eval.Fleet_obs.cluster t) in
+  check_has "frame" frame (Printf.sprintf "amplification=%.2fx" amp);
+  Alcotest.(check bool)
+    (Printf.sprintf "1 < amplification %.4f < 3 replicas" amp)
+    true
+    (amp > 1.0 && amp < 3.0)
+
 let suite =
   ( "metrics",
     [
@@ -378,6 +514,9 @@ let suite =
         test_reset_keeps_cached_cells;
       Alcotest.test_case "merge_trace under label" `Quick test_merge_trace_under_label;
       Alcotest.test_case "merge_into" `Quick test_merge_into;
+      Alcotest.test_case "fleet smoke: snapshot" `Quick test_fleet_smoke_snapshot;
+      Alcotest.test_case "fleet smoke: exposition" `Quick test_fleet_smoke_exposition;
+      Alcotest.test_case "fleet smoke: dashboard frame" `Quick test_fleet_smoke_frame;
       Alcotest.test_case "labeled exporters" `Quick test_prometheus_labeled;
       Alcotest.test_case "exposition escaping round-trips" `Quick
         test_prometheus_labeled_escaping;
