@@ -43,8 +43,9 @@ type result = {
           retries — not replica fan-out) per completed join. *)
   bytes_per_query : float;  (** (query + reply kind bytes) per completed join. *)
   replication_amplification : float;
-      (** {!Nearby.Cluster.replication_amplification} — exactly the
-          replica count under verbatim write fan-out. *)
+      (** {!Nearby.Cluster.replication_amplification} — between 1 and
+          the replica count: most replicas are sent a route prefix, not the
+          full report. *)
   snapshot_bytes : int;  (** Anti-entropy repair traffic ([kind="snapshot"]). *)
   retry_bytes : int;
   fd_probe_bytes : int;

@@ -2,7 +2,10 @@
 
     [N] replicas each own a full {!Server.t} (any {!Registry_intf.S}
     backend).  Writes fan out: the replica that processes a registration
-    pushes it to every other replica over the transport.  Reads are served
+    pushes it to every other replica over the transport, as the part of
+    its route they do not already store ({!Server.replication_message}).
+    A replica that cannot complete the route refuses it, and the full
+    report follows.  Reads are served
     by one replica — clients pick the closest {e believed-live} replica,
     where "believed" is a {!Simkit.Failure_detector} fed by per-replica
     heartbeats, and fail over to the next-closest on retry.  Replicas that
@@ -62,7 +65,11 @@ val measurement_server : t -> Server.t
 val graph : t -> Topology.Graph.t
 val trace : t -> Simkit.Trace.t
 (** Counters: ["cluster_register"], ["cluster_duplicate_register"],
-    ["cluster_replicate_send"/"_apply"/"_skip"], ["cluster_suspected"],
+    ["cluster_replicate_send"/"_apply"/"_skip"] (replication messages
+    carrying a registration, a NACK's resend included, and their
+    outcomes), ["cluster_replicate_prefix"] (of those, route prefixes),
+    ["cluster_replicate_nack"] (prefixes a replica refused),
+    ["cluster_suspected"],
     ["cluster_crashes"], ["cluster_recoveries"], ["cluster_sync_rounds"],
     ["cluster_sync_union"] (entries pushed into the source),
     ["cluster_sync_restores"] (stragglers repaired),
@@ -106,10 +113,12 @@ val divergence_since : t -> float option
 val replication_amplification : t -> float
 (** Bytes the cluster moves per byte a client uploads:
     [(client report bytes + replica fan-out bytes) / client report bytes].
-    Exactly the replica count when write fan-out resends each report
-    verbatim to the other replicas; anti-entropy snapshot traffic is
-    excluded (repair cost, not write cost).  [nan] before the first
-    report.  Mirrored as the [wire_replication_amplification] gauge when
+    Fan-out bytes are every replication message sent: route prefixes,
+    full reports, and a refused prefix's NACK and resent report.  With
+    [N] replicas it lies in [(1, N)] once most registrations go out as a
+    prefix, and is [N] only when every report goes out whole (a backend
+    without a router index).  Anti-entropy snapshot traffic is excluded
+    (repair cost, not write cost).  [nan] before the first report.  Mirrored as the [wire_replication_amplification] gauge when
     {!create} was given [~metrics]. *)
 
 val fleet_trace : t -> Simkit.Trace.t
@@ -148,7 +157,13 @@ val handle_registration :
   (Server.peer_info * (int * int) list) option
 (** Server side of a join RPC: register the client-measured path
     on [replica], fan the write out to the other replicas, and answer the
-    neighbor query.  Idempotent — a retried RPC whose first reply was lost
+    neighbor query.  Each other replica is sent one
+    {!Server.replication_message}: a {!Wire.Replica_prefix} it completes
+    from its own copy of the donor's route, or the full report.  A replica
+    that is down or already holds the peer skips it; one that cannot
+    complete a prefix sends a {!Wire.Replica_nack} back, and the primary,
+    if still up, answers with the full report.  All of it is charged as
+    [kind="path_report"], [dir="replica"].  Idempotent — a retried RPC whose first reply was lost
     re-answers without re-registering.  [None] when the replica is down
     (the RPC times out).  A fresh registration answers with
     {!Server.register_measured}'s info, which shares the measurement's
@@ -156,7 +171,8 @@ val handle_registration :
 
     Each fan-out target gets a ["replicate"] span under the ambient context
     (the RPC attempt), open from send to delivery and tagged
-    applied/skipped.  The [spans] sink of {!create} should be the one the
+    applied/skipped/nacked; a resend after a NACK gets its own span under
+    the refused one's.  The [spans] sink of {!create} should be the one the
     servers and the RPC layer write to (one id space per trace file). *)
 
 val crash : t -> int -> unit
