@@ -480,7 +480,7 @@ let replication_message t ~peer ~report =
             peer;
             donor = Registry_intf.member_through reg routers.(i) ~except:peer;
             probes = t.probes.(slot);
-            prefix = Array.sub routers 0 (i + 1);
+            prefix = (if i = 0 then [| routers.(0) |] else Array.sub routers 0 (i + 1));
           }
 
 (* Whether a router is a node of a graph of [nodes] routers.  The check
@@ -497,8 +497,10 @@ let rec position_of routers router i =
   else if routers.(i) = router then i
   else position_of routers router (i + 1)
 
-(* The route is built in one array: the prefix without its last router,
-   then the donor's stored route from that router on. *)
+(* The route is the prefix without its last router, then the donor's
+   stored route from that router on, built in one array.  When the newcomer
+   attached where the donor did, the route is the donor's own array:
+   every registry copies what it is given. *)
 let register_replica_prefix t ~peer ~donor ~prefix ~probes_spent =
   if mem t peer then invalid_arg "Server.register_replica_prefix: peer already registered";
   let n = Array.length prefix and slot = Slot_index.find t.index donor in
@@ -509,10 +511,16 @@ let register_replica_prefix t ~peer ~donor ~prefix ~probes_spent =
     let j = position_of stored prefix.(n - 1) 0 in
     if j < 0 then false
     else begin
-      let tail = Array.length stored - j in
-      let routers = Array.make (n - 1 + tail) 0 in
-      Array.blit prefix 0 routers 0 (n - 1);
-      Array.blit stored j routers (n - 1) tail;
+      let routers =
+        if n = 1 && j = 0 then stored
+        else begin
+          let tail = Array.length stored - j in
+          let routers = Array.make (n - 1 + tail) 0 in
+          Array.blit prefix 0 routers 0 (n - 1);
+          Array.blit stored j routers (n - 1) tail;
+          routers
+        end
+      in
       store t ~peer ~routers ~refresh:true ~attach:prefix.(0) ~home:(landmark_of stored)
         ~probes:probes_spent;
       Simkit.Trace.cell_incr t.cells.replica_registers;
