@@ -320,16 +320,19 @@ let fan_out t ~from_replica ~peer ~attach_router ~measurement =
   let primary = t.replicas.(from_replica) in
   let report = Wire.Path_report { peer; path = measurement.Client.path } in
   t.client_report_bytes := !(t.client_report_bytes) + Wire.byte_size report;
-  let msg = Server.replication_message primary.server ~peer ~report in
-  let bytes = Wire.byte_size msg in
-  let parent = Simkit.Span.current t.spans in
-  for i = 0 to Array.length t.replicas - 1 do
-    let o = t.replicas.(i) in
-    if o.id <> from_replica then begin
-      (match msg with Wire.Replica_prefix _ -> incr t.replicate_prefix | _ -> ());
-      replicate t ~primary o ~parent ~peer msg ~bytes ~attach_router ~measurement
-    end
-  done;
+  (* A lone replica has no one to send to: skip the donor search. *)
+  if Array.length t.replicas > 1 then begin
+    let msg = Server.replication_message primary.server ~peer ~report in
+    let bytes = Wire.byte_size msg in
+    let parent = Simkit.Span.current t.spans in
+    for i = 0 to Array.length t.replicas - 1 do
+      let o = t.replicas.(i) in
+      if o.id <> from_replica then begin
+        (match msg with Wire.Replica_prefix _ -> incr t.replicate_prefix | _ -> ());
+        replicate t ~primary o ~parent ~peer msg ~bytes ~attach_router ~measurement
+      end
+    done
+  end;
   update_amplification t
 
 let handle_registration t ~replica ~peer ~attach_router ~measurement ~k =
