@@ -540,48 +540,61 @@ let test_state_bytes_per_member () =
 
 (* Replication by prefix: a replica applying what [replication_message]
    says for each join, in join order, ends holding exactly the primary's
-   registrations, while most joins travel as a prefix and a donor. *)
+   registrations, while most joins travel as a prefix and a donor.  The
+   donor's stored route must match from the meeting router on: with
+   truncated or lossy traces, two routes through one router need not
+   (stored routes skip what the tool dropped), and the walk goes on up. *)
 let test_prefix_replication_completes_routes () =
   let map, oracle, lmks, _ = make_workload ~seed:12 () in
-  let primary = Server.create oracle ~landmarks:lmks in
-  let replica = Server.create oracle ~landmarks:lmks in
-  let client = Client.create oracle ~landmarks:lmks in
-  let prefixes = ref 0 and reports = ref 0 and prefix_bytes = ref 0 and report_bytes = ref 0 in
-  for peer = 0 to 79 do
-    let attach_router = map.leaves.(peer mod Array.length map.leaves) in
-    let m = Client.measure client ~attach_router in
-    ignore (Server.register_measured primary ~peer ~attach_router m);
-    let report = Wire.Path_report { peer; path = m.path } in
-    let msg = Server.replication_message primary ~peer ~report in
-    report_bytes := !report_bytes + Wire.byte_size report;
-    match msg with
-    | Wire.Replica_prefix { peer = p; donor; probes; prefix } ->
-        incr prefixes;
-        prefix_bytes := !prefix_bytes + Wire.byte_size msg;
-        Alcotest.(check int) "names the peer" peer p;
-        Alcotest.(check bool) "donor held" true (Server.mem replica donor);
-        Alcotest.(check bool) "completed" true
-          (Server.register_replica_prefix replica ~peer ~donor ~prefix ~probes_spent:probes)
-    | Wire.Path_report _ ->
-        incr reports;
-        Alcotest.(check bool) "the report itself" true (msg == report);
-        Server.register_replica replica ~peer ~attach_router ~landmark:m.landmark ~path:m.path
-          ~probes_spent:m.probes
-    | _ -> Alcotest.fail "unexpected replication message"
-  done;
-  Alcotest.(check bool) "a tree's first member goes whole" true (!reports >= 1);
-  Alcotest.(check bool) "most joins go as a prefix" true (!prefixes > 60);
-  Alcotest.(check bool)
-    (Printf.sprintf "prefixes %dB against %dB of reports" !prefix_bytes !report_bytes)
-    true (!prefix_bytes < !report_bytes);
-  Alcotest.(check int64) "same digest" (Server.digest primary) (Server.digest replica);
-  for peer = 0 to 79 do
+  let check label ?truncate ?probe_config ?rng () =
+    let primary = Server.create oracle ~landmarks:lmks in
+    let replica = Server.create oracle ~landmarks:lmks in
+    let client = Client.create ?truncate ?probe_config oracle ~landmarks:lmks in
+    let prefixes = ref 0 and prefix_bytes = ref 0 and report_bytes = ref 0 in
+    let reports = ref 0 and past_attach = ref 0 in
+    for peer = 0 to 79 do
+      let attach_router = map.leaves.(peer mod Array.length map.leaves) in
+      let m = Client.measure ?rng client ~attach_router in
+      ignore (Server.register_measured primary ~peer ~attach_router m);
+      let report = Wire.Path_report { peer; path = m.path } in
+      let msg = Server.replication_message primary ~peer ~report in
+      report_bytes := !report_bytes + Wire.byte_size report;
+      match msg with
+      | Wire.Replica_prefix { peer = p; donor; probes; prefix } ->
+          incr prefixes;
+          if Array.length prefix > 1 then incr past_attach;
+          prefix_bytes := !prefix_bytes + Wire.byte_size msg;
+          Alcotest.(check int) (label ^ ": names the peer") peer p;
+          Alcotest.(check bool) (label ^ ": completed") true
+            (Server.register_replica_prefix replica ~peer ~donor ~prefix ~probes_spent:probes)
+      | Wire.Path_report _ ->
+          incr reports;
+          Alcotest.(check bool) (label ^ ": the report itself") true (msg == report);
+          Server.register_replica replica ~peer ~attach_router ~landmark:m.landmark ~path:m.path
+            ~probes_spent:m.probes
+      | _ -> Alcotest.fail "unexpected replication message"
+    done;
+    Alcotest.(check bool) (label ^ ": a tree's first member goes whole") true (!reports >= 1);
+    Alcotest.(check bool) (label ^ ": most joins go as a prefix") true (!prefixes > 60);
+    Alcotest.(check bool) (label ^ ": some prefixes run past the attach router") true
+      (!past_attach > 0);
     Alcotest.(check bool)
-      (Printf.sprintf "peer %d registration identical" peer)
-      true
-      (Server.info primary peer = Server.info replica peer)
-  done;
-  Server.check_invariants replica
+      (Printf.sprintf "%s: prefixes %dB against %dB of reports" label !prefix_bytes !report_bytes)
+      true (!prefix_bytes < !report_bytes);
+    Alcotest.(check int64) (label ^ ": same digest") (Server.digest primary) (Server.digest replica);
+    for peer = 0 to 79 do
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: peer %d registration identical" label peer)
+        true
+        (Server.info primary peer = Server.info replica peer)
+    done;
+    Server.check_invariants replica
+  in
+  check "full traces" ();
+  check "every other hop" ~truncate:(Traceroute.Truncate.Every_k 2) ();
+  check "lossy probes"
+    ~probe_config:{ Traceroute.Probe.default_config with drop_prob = 0.3 }
+    ~rng:(Prelude.Prng.create 5) ()
 
 (* What a replica refuses, changing nothing: an unknown donor, a donor
    whose route misses the prefix's last router, an empty prefix, a router

@@ -247,8 +247,8 @@ let test_wire_report_size_allocates_nothing () =
 
 (* Tags 7 and 8, the replication of a report as the prefix a replica
    cannot rebuild, and a replica's refusal of one: the exact bytes, the
-   decode of every strict prefix (an [Error], never an exception), and
-   sizing without allocating, as for a full report. *)
+   path-report kind, and sizing without allocating, as for a full report
+   (round trips and truncations run over [sample_messages]). *)
 let test_wire_replica_messages () =
   let prefix =
     Wire.Replica_prefix { peer = 1000; donor = 300; probes = 21; prefix = [| 150; 1800 |] }
@@ -258,19 +258,8 @@ let test_wire_replica_messages () =
   Alcotest.(check string) "nack bytes" "\x01\x08\xe8\x07" (Wire.encode nack);
   List.iter
     (fun m ->
-      let encoded = Wire.encode m in
-      Alcotest.(check int) "size = encode length" (String.length encoded) (Wire.byte_size m);
+      Alcotest.(check int) "size = encode length" (String.length (Wire.encode m)) (Wire.byte_size m);
       Alcotest.(check string) "kind" "path_report" (Wire.kind m);
-      (match Wire.decode encoded with
-      | Ok m' ->
-          Alcotest.(check bool) (Format.asprintf "roundtrip %a" Wire.pp m) true (Wire.equal m m')
-      | Error e -> Alcotest.fail e);
-      for len = 0 to String.length encoded - 1 do
-        match Wire.decode (String.sub encoded 0 len) with
-        | Error _ -> ()
-        | Ok m' -> Alcotest.failf "prefix %d of %a decoded as %a" len Wire.pp m Wire.pp m'
-        | exception e -> Alcotest.failf "prefix %d raised %s" len (Printexc.to_string e)
-      done;
       let before = Gc.minor_words () in
       for _ = 1 to 1_000 do
         ignore (Sys.opaque_identity (Wire.byte_size m))
