@@ -194,10 +194,23 @@ let scrape t =
   Nearby.Cluster.scrape t.run.cluster ~into:m;
   m
 
+(* What a join costs the client, read off the merged server counters:
+   probe packets per registered join, and first rounds answered
+   [Continue] per registered join.  Gauges of the fleet registry, set
+   whenever it is exported. *)
+let set_join_gauges t =
+  let count = Simkit.Trace.counter (fleet_trace t) in
+  let joins = count "join" in
+  let per name = if joins = 0 then Float.nan else float_of_int (count name) /. float_of_int joins in
+  let set name v = (Simkit.Metrics.gauge_ref t.metrics name ~labels:[]).value <- v in
+  set "join_probes_per_join" (per "probe_packets");
+  set "join_continue_per_join" (per "join_continue")
+
 (* The artifacts `nearby_sim top` writes: one JSON snapshot and one
    exposition, each holding the fleet registry next to a fresh per-replica
    scrape. *)
 let metrics_json t =
+  set_join_gauges t;
   let meta =
     Simkit.Export.capture_meta ~seed:t.config.seed
       ~extra:[ ("replicas", string_of_int t.config.replicas) ]
@@ -209,7 +222,9 @@ let metrics_json t =
     ~runtime:t.runtime
     [ ("fleet", fleet_trace t) ]
 
-let prometheus t = Simkit.Export.prometheus_labeled [ ("fleet", t.metrics); ("replicas", scrape t) ]
+let prometheus t =
+  set_join_gauges t;
+  Simkit.Export.prometheus_labeled [ ("fleet", t.metrics); ("replicas", scrape t) ]
 
 type result = {
   joins : int;

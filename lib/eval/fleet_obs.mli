@@ -98,11 +98,16 @@ val metrics_json : t -> string
 (** The [top --metrics-out] snapshot: [meta] (seed, [replicas] extra),
     the fleet timeseries, the labeled fleet registry and a fresh
     {!scrape} as ["fleet"] and ["replicas"], the runtime profile, and the
-    merged {!fleet_trace} as section ["fleet"]. *)
+    merged {!fleet_trace} as section ["fleet"] (its counters include the
+    servers' ["join_continue"]).  Before exporting, it sets the fleet
+    registry's gauges ["join_probes_per_join"] and
+    ["join_continue_per_join"]: the merged servers' probe packets and
+    continue answers per registered join. *)
 
 val prometheus : t -> string
-(** The [top --prom-out] exposition: the fleet registry and a fresh
-    {!scrape}, labeled sections ["fleet"] and ["replicas"]. *)
+(** The [top --prom-out] exposition: the fleet registry (with the join
+    gauges {!metrics_json} sets) and a fresh {!scrape}, labeled sections
+    ["fleet"] and ["replicas"]. *)
 
 type result = {
   joins : int;

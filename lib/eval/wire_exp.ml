@@ -50,6 +50,8 @@ type result = {
   bytes_per_join : float;
   bytes_per_query : float;
   replication_amplification : float;
+  continue_per_join : float;
+  probes_per_join : float;
   snapshot_bytes : int;
   retry_bytes : int;
   fd_probe_bytes : int;
@@ -102,6 +104,11 @@ let run (config : config) =
      reports, queries, replies and every retried attempt — divided by the
      joins that completed.  Replica fan-out is the amplification number,
      not the per-join client cost. *)
+  (* A join's client cost besides bytes: the first rounds answered
+     [Continue] (a retried one counts again) and the probe packets, per
+     registered join, summed over the replicas' servers. *)
+  let fleet = Nearby.Cluster.fleet_trace run.cluster in
+  let joins = Simkit.Trace.counter fleet "join" in
   let client_bytes =
     Cluster_run.counter_sum m "wire_bytes_total" ~where:(fun l ->
         List.mem (List.assoc_opt "dir" l) [ Some "request"; Some "reply" ])
@@ -117,6 +124,8 @@ let run (config : config) =
     bytes_per_join = per client_bytes run.completed;
     bytes_per_query = per (kind_bytes "query" + kind_bytes "reply") run.completed;
     replication_amplification = Nearby.Cluster.replication_amplification run.cluster;
+    continue_per_join = per (Simkit.Trace.counter fleet "join_continue") joins;
+    probes_per_join = per (Simkit.Trace.counter fleet "probe_packets") joins;
     snapshot_bytes = kind_bytes "snapshot";
     retry_bytes = kind_bytes "retry";
     fd_probe_bytes = kind_bytes "fd_probe";
@@ -141,11 +150,11 @@ let result_json (r : result) =
       t.node t.sent_bytes t.recv_bytes t.sent_msgs t.recv_msgs
   in
   Printf.sprintf
-    {|{"joins": %d, "completed": %d, "failed": %d, "completion_rate": %.4f, "bytes_sent": %d, "bytes_dropped": %d, "messages": %d, "bytes_per_join": %s, "bytes_per_query": %s, "replication_amplification": %s, "snapshot_bytes": %d, "retry_bytes": %d, "fd_probe_bytes": %d, "dropped_loss_bytes": %d, "dropped_unreachable_bytes": %d, "dropped_partition_bytes": %d, "kinds": [%s], "top_talkers": [%s], "accounted": %b}|}
+    {|{"joins": %d, "completed": %d, "failed": %d, "completion_rate": %.4f, "bytes_sent": %d, "bytes_dropped": %d, "messages": %d, "bytes_per_join": %s, "bytes_per_query": %s, "replication_amplification": %s, "continue_per_join": %s, "probes_per_join": %s, "snapshot_bytes": %d, "retry_bytes": %d, "fd_probe_bytes": %d, "dropped_loss_bytes": %d, "dropped_unreachable_bytes": %d, "dropped_partition_bytes": %d, "kinds": [%s], "top_talkers": [%s], "accounted": %b}|}
     r.joins r.completed r.failed r.completion_rate r.bytes_sent r.bytes_dropped r.messages
     (fl r.bytes_per_join) (fl r.bytes_per_query)
     (fl r.replication_amplification)
-    r.snapshot_bytes r.retry_bytes r.fd_probe_bytes r.dropped_loss_bytes
+    (fl r.continue_per_join) (fl r.probes_per_join) r.snapshot_bytes r.retry_bytes r.fd_probe_bytes r.dropped_loss_bytes
     r.dropped_unreachable_bytes r.dropped_partition_bytes
     (String.concat ", " (List.map kind_json r.kinds))
     (String.concat ", " (List.map talker_json r.top_talkers))
@@ -161,6 +170,8 @@ let gates (r : result) =
       gate "wire/bytes_per_join" r.bytes_per_join Lower_better 0.1;
       gate "wire/bytes_per_query" r.bytes_per_query Lower_better 0.1;
       exact "wire/replication_amplification" r.replication_amplification;
+      gate "wire/continue_per_join" r.continue_per_join Lower_better 0.1;
+      gate "wire/probes_per_join" r.probes_per_join Lower_better 0.004;
       gate "wire/snapshot_bytes_per_join"
         (float_of_int r.snapshot_bytes /. Float.max 1.0 (float_of_int r.joins))
         Lower_better 0.5;
@@ -189,6 +200,8 @@ let print (r : result) =
         "replication amplification";
         Prelude.Table.float_cell ~decimals:2 r.replication_amplification;
       ];
+      [ "continue rounds/join"; Prelude.Table.float_cell ~decimals:3 r.continue_per_join ];
+      [ "probes/join"; Prelude.Table.float_cell ~decimals:2 r.probes_per_join ];
       [ "snapshot bytes"; string_of_int r.snapshot_bytes ];
       [ "retry bytes"; string_of_int r.retry_bytes ];
       [ "fd probe bytes"; string_of_int r.fd_probe_bytes ];

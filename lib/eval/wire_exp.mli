@@ -43,9 +43,13 @@ type result = {
           retries — not replica fan-out) per completed join. *)
   bytes_per_query : float;  (** (query + reply kind bytes) per completed join. *)
   replication_amplification : float;
-      (** {!Nearby.Cluster.replication_amplification} — between 1 and
-          the replica count: most replicas are sent a route prefix, not the
-          full report. *)
+      (** {!Nearby.Cluster.replication_amplification}: replica fan-out
+          bytes per client upload byte, where a join's upload is mostly
+          its first-round prefix. *)
+  continue_per_join : float;
+      (** First rounds answered [Continue] per registered join (a retried
+          first round answered twice counts twice). *)
+  probes_per_join : float;  (** The client's probe packets per registered join. *)
   snapshot_bytes : int;  (** Anti-entropy repair traffic ([kind="snapshot"]). *)
   retry_bytes : int;
   fd_probe_bytes : int;

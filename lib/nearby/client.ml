@@ -26,46 +26,95 @@ type measurement = {
   full_hops : int;
 }
 
+(* Round 1's landmark: the closest by ping, or a uniform draw. *)
+let choose ?rng t ~attach_router =
+  match t.choice with
+  | Closest -> Landmark.closest t.oracle ?latency:t.latency ?rng ~landmarks:t.landmarks attach_router
+  | Uniform -> (Prelude.Prng.choose t.choice_rng t.landmarks, 0.0)
+
+let pinged t = match t.choice with Closest -> Array.length t.landmarks | Uniform -> 0
+
+(* The client's one traceroute: TTLs from the end of [resume] (default 1)
+   up to [stop_ttl] (default the probe config's ceiling). *)
+let trace ?rng ?resume ?stop_ttl t ~attach_router ~landmark =
+  Traceroute.Probe.run ~config:t.probe_config ?latency:t.latency ?rng ?resume ?stop_ttl t.oracle
+    ~src:attach_router ~dst:landmark
+
+(* The trace's duration: the measured RTT when the trace produced one,
+   else the hop-count convention (1 ms per link, there and back). *)
+let rtt_or_hops (probe : Traceroute.Probe.result) ~hops =
+  match probe.rtt_ms with Some rtt -> rtt | None -> 2.0 *. float_of_int hops
+
 (* Round 1 + recording: ping all landmarks, traceroute to the winner,
    truncate per the configured decreased-tool strategy. *)
 let measure ?rng t ~attach_router =
-  let landmark, ping_ms =
-    match t.choice with
-    | Closest ->
-        Landmark.closest t.oracle ?latency:t.latency ?rng ~landmarks:t.landmarks attach_router
-    | Uniform -> (Prelude.Prng.choose t.choice_rng t.landmarks, 0.0)
-  in
-  let probe =
-    Traceroute.Probe.run ~config:t.probe_config ?latency:t.latency ?rng t.oracle ~src:attach_router
-      ~dst:landmark
-  in
+  let landmark, ping_ms = choose ?rng t ~attach_router in
+  let probe = trace ?rng t ~attach_router ~landmark in
   let full_hops = Traceroute.Path.hop_count probe.path in
   let graph = Traceroute.Route_oracle.graph t.oracle in
   let path = Traceroute.Truncate.apply ~graph t.truncate probe.path in
   (* Probe cost: one ping per landmark (round 1) plus the per-hop packets the
      decreased tool would really send. *)
-  let landmarks_pinged = match t.choice with Closest -> Array.length t.landmarks | Uniform -> 0 in
+  let landmarks_pinged = pinged t in
   let probes =
     landmarks_pinged
     + (Traceroute.Truncate.probe_cost t.truncate ~full_hops * t.probe_config.probes_per_hop)
   in
-  (* Traceroute duration: the measured RTT when a latency table produced
-     one, else the hop-count convention (1 ms per link, there and back). *)
-  let traceroute_ms =
-    match probe.rtt_ms with Some rtt -> rtt | None -> 2.0 *. float_of_int full_hops
-  in
+  let traceroute_ms = rtt_or_hops probe ~hops:full_hops in
   { landmark; path; probes; landmarks_pinged; ping_ms; traceroute_ms; full_hops }
+
+(* Two hops: on bench/stack's join-steady stream 2.5-2.7% of joins find
+   neither of the first two held by the landmark tree, nearly all while
+   the trees are still sparse, and the median join takes 26 ms against 32
+   with the full trace.  Each hop fewer sends more joins round again. *)
+let prefix_hops = 2
+
+let measure_prefix ?rng t ~attach_router =
+  let landmark, ping_ms = choose ?rng t ~attach_router in
+  let probe = trace ?rng ~stop_ttl:prefix_hops t ~attach_router ~landmark in
+  let hops = Traceroute.Path.hop_count probe.path in
+  let landmarks_pinged = pinged t in
+  {
+    landmark;
+    path = probe.path;
+    probes = landmarks_pinged + probe.probes_sent;
+    landmarks_pinged;
+    ping_ms;
+    traceroute_ms = rtt_or_hops probe ~hops;
+    full_hops = hops;
+  }
+
+let resume ?rng t (m : measurement) =
+  let probe =
+    trace ?rng ~resume:m.path t ~attach_router:m.path.Traceroute.Path.src ~landmark:m.landmark
+  in
+  let full_hops = Traceroute.Path.hop_count probe.path in
+  let graph = Traceroute.Route_oracle.graph t.oracle in
+  {
+    m with
+    path = Traceroute.Truncate.apply ~graph t.truncate probe.path;
+    probes = m.probes + probe.probes_sent;
+    traceroute_ms = m.traceroute_ms +. rtt_or_hops probe ~hops:full_hops;
+    full_hops;
+  }
 
 (* The one measurement clock: every join waits this long before its server
    round, and the server's join counters charge the same sum. *)
 let[@inline] duration_ms m = m.ping_ms +. m.traceroute_ms
 
 (* The client's measurement, as long as the measurement clock says: one
-   span shape for the in-process [Server.join] and [Protocol.join] alike. *)
-let measure_span spans ~parent ~peer m =
+   span shape for the in-process [Server.join] and [Protocol.join] alike.
+   A continue round's span is a "resume", as long as the resumed trace
+   added. *)
+let measure_span ?since spans ~parent ~peer m =
   if Simkit.Span.enabled spans then
     let open Simkit.Span in
-    emit spans ~name:"measure" ~ts:(now spans) ~dur:(duration_ms m) ~tid:peer
+    let name, dur =
+      match since with
+      | Some s -> ("resume", duration_ms m -. duration_ms s)
+      | None -> ("measure", duration_ms m)
+    in
+    emit spans ~name ~ts:(now spans) ~dur ~tid:peer
       ~ctx:(context spans ~parent ())
       [
         ("peer", Int peer);

@@ -39,12 +39,39 @@ val measure : ?rng:Prelude.Prng.t -> t -> attach_router:Topology.Graph.node -> m
     probes); with [rng], probe drops and RTT noise apply, drawn by the
     landmark choice first, then by the traceroute. *)
 
+val prefix_hops : int
+(** The TTLs a join's first round traces: 2. *)
+
+val measure_prefix : ?rng:Prelude.Prng.t -> t -> attach_router:Topology.Graph.node -> measurement
+(** A join's first round ({!Protocol.join}): the ping round as in {!measure},
+    then the traceroute's first {!prefix_hops} TTLs only.  [path] is that
+    prefix (it reaches the landmark only on a route that short), [probes]
+    the pings plus the TTL packets sent, [full_hops] the prefix's hops,
+    and [traceroute_ms] the RTT to its last hop: [2 h] ms on hop counts,
+    twice the latency over its routers on a latency table.  No truncation
+    applies to the prefix. *)
+
+val resume : ?rng:Prelude.Prng.t -> t -> measurement -> measurement
+(** The continue round: trace the TTLs past [m]'s path up to the landmark
+    and return the whole measurement.  The path is the prefix and the rest
+    (truncated per the client's tool), [probes] and [traceroute_ms] add the
+    rest's packets and RTT, and [full_hops] is the whole trace's.  For the
+    full tool, a prefix then its resume record the path and probe count
+    one {!measure} records, at the same landmark. *)
+
 val duration_ms : measurement -> float
 (** The one measurement clock, [ping_ms + traceroute_ms]: {!Protocol.join}
     waits this long before its server round, and the server's [join_ms]
     stream records it. *)
 
 val measure_span :
-  Simkit.Span.sink -> parent:Simkit.Span.context -> peer:int -> measurement -> unit
+  ?since:measurement ->
+  Simkit.Span.sink ->
+  parent:Simkit.Span.context ->
+  peer:int ->
+  measurement ->
+  unit
 (** The ["measure"] span under [parent]: from now, for {!duration_ms},
-    with the probe and hop counts. *)
+    with the probe and hop counts.  With [since] (the first round's
+    measurement), a continue round's ["resume"] span instead, lasting the
+    time the resumed trace added. *)

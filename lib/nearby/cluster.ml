@@ -206,14 +206,14 @@ let target t ~src ~attempt =
   end
 
 (* Replication amplification: how many bytes the cluster moves per byte a
-   client uploads — (client report bytes + replica fan-out bytes) / client
-   report bytes.  Fan-out bytes are every replication message sent:
-   prefixes, full reports, and a refused prefix's NACK and resent report.
-   A replica is sent only the routers it does not already store, so the
-   ratio lies between 1 and N for N replicas, and is N only when every
-   report goes out whole.  Anti-entropy snapshot traffic is deliberately
-   excluded (it is repair cost, not write cost).  [nan] until the first
-   client report arrives. *)
+   client uploads — (client upload bytes + replica fan-out bytes) / client
+   upload bytes.  Uploads are first-round prefixes and full reports;
+   fan-out bytes are every replication message sent: prefixes, full
+   reports, and a refused prefix's NACK and resent report.  A replica may
+   need more of a route than the client's prefix carried, so the ratio is
+   not bounded by the replica count.  Anti-entropy snapshot traffic is
+   deliberately excluded (it is repair cost, not write cost).  [nan] until
+   the first client upload arrives. *)
 let replication_amplification t =
   let client = !(t.client_report_bytes) in
   if client = 0 then Float.nan
@@ -238,11 +238,10 @@ let update_amplification t =
    when the message lands, or already holds the peer, skips it -- the
    idempotence a replayed fan-out needs; anti-entropy heals a missed write
    later.  Returns whether the entry was applied. *)
-let apply_entry t (o : replica) ~peer ~attach_router ~measurement =
+let apply_entry t (o : replica) ~peer ~path ~probes =
   if o.alive && not (Server.mem o.server peer) then begin
-    Server.register_replica o.server ~peer ~attach_router
-      ~landmark:measurement.Client.landmark ~path:measurement.path
-      ~probes_spent:measurement.probes;
+    Server.register_replica o.server ~peer ~attach_router:path.Traceroute.Path.src
+      ~landmark:path.dst ~path ~probes_spent:probes;
     incr t.replicate_apply;
     true
   end
@@ -275,8 +274,9 @@ let send_replication t ~src ~dst msg ~bytes deliver =
 (* [msg] has landed on replica [o].  A full report is applied by
    [apply_entry].  A prefix is completed from the replica's own store;
    when it cannot be, the replica sends a NACK back and the primary, if
-   still up, answers with the full report in a fresh span. *)
-let rec deliver t ~primary (o : replica) span msg ~attach_router ~measurement =
+   still up and still holding the peer, answers with the route it stores
+   as a full report, in a fresh span. *)
+let rec deliver t ~primary (o : replica) span msg ~probes =
   match msg with
   | Wire.Replica_prefix { peer; donor; probes; prefix } ->
       if (not o.alive) || Server.mem o.server peer then begin
@@ -294,65 +294,88 @@ let rec deliver t ~primary (o : replica) span msg ~attach_router ~measurement =
         let nack = Wire.Replica_nack { peer } in
         send_replication t ~src:o.router ~dst:primary.router nack ~bytes:(Wire.byte_size nack)
           (fun () ->
-            if primary.alive then begin
-              let report = Wire.Path_report { peer; path = measurement.Client.path } in
+            if primary.alive && Server.mem primary.server peer then begin
+              let report = Server.stored_report primary.server ~peer in
               let parent = Simkit.Span.context_of span in
               replicate t ~primary o ~parent:(Some parent) ~peer report
-                ~bytes:(Wire.byte_size report) ~attach_router ~measurement;
+                ~bytes:(Wire.byte_size report) ~probes;
               update_amplification t
             end)
       end
-  | Wire.Path_report { peer; _ } ->
-      close_span t span
-        (if apply_entry t o ~peer ~attach_router ~measurement then "applied" else "skipped")
+  | Wire.Path_report { peer; path } ->
+      close_span t span (if apply_entry t o ~peer ~path ~probes then "applied" else "skipped")
   | _ -> invalid_arg "Cluster: not a replication message"
 
-and replicate t ~primary (o : replica) ~parent ~peer msg ~bytes ~attach_router ~measurement =
+and replicate t ~primary (o : replica) ~parent ~peer msg ~bytes ~probes =
   let span = replicate_span t ~parent ~peer o in
   incr t.replicate_send;
   send_replication t ~src:primary.router ~dst:o.router msg ~bytes (fun () ->
-      deliver t ~primary o span msg ~attach_router ~measurement)
+      deliver t ~primary o span msg ~probes)
 
 (* Write fan-out: the processing replica sends every other replica the
    registration, as the shortest message that replica can complete
-   ({!Server.replication_message}), and [deliver] runs when it lands. *)
-let fan_out t ~from_replica ~peer ~attach_router ~measurement =
+   ({!Server.replication_prefix}), else as the full [report ()], and
+   [deliver] runs when it lands. *)
+let fan_out t ~from_replica ~peer ~probes ~report =
   let primary = t.replicas.(from_replica) in
-  let report = Wire.Path_report { peer; path = measurement.Client.path } in
-  t.client_report_bytes := !(t.client_report_bytes) + Wire.byte_size report;
   (* A lone replica has no one to send to: skip the donor search. *)
   if Array.length t.replicas > 1 then begin
-    let msg = Server.replication_message primary.server ~peer ~report in
+    let msg =
+      match Server.replication_prefix primary.server ~peer with
+      | Some prefix -> prefix
+      | None -> report ()
+    in
     let bytes = Wire.byte_size msg in
     let parent = Simkit.Span.current t.spans in
     for i = 0 to Array.length t.replicas - 1 do
       let o = t.replicas.(i) in
       if o.id <> from_replica then begin
         (match msg with Wire.Replica_prefix _ -> incr t.replicate_prefix | _ -> ());
-        replicate t ~primary o ~parent ~peer msg ~bytes ~attach_router ~measurement
+        replicate t ~primary o ~parent ~peer msg ~bytes ~probes
       end
     done
   end;
   update_amplification t
 
+(* A client upload the cluster handled: the amplification's denominator. *)
+let count_upload t msg = t.client_report_bytes := !(t.client_report_bytes) + Wire.byte_size msg
+
+type answer = Registered of Server.peer_info * (int * int) list | Continue of { replica : int }
+
+(* A retry whose predecessor's reply was lost: idempotent re-answer. *)
+let reanswer t (r : replica) ~peer ~k =
+  Simkit.Trace.incr t.trace "cluster_duplicate_register";
+  (Option.get (Server.info r.server peer), Server.neighbors r.server ~peer ~k)
+
 let handle_registration t ~replica ~peer ~attach_router ~measurement ~k =
   let r = t.replicas.(replica) in
   if not r.alive then None
+  else if Server.mem r.server peer then Some (reanswer t r ~peer ~k)
   else begin
-    let info =
-      if Server.mem r.server peer then begin
-        (* A retry whose predecessor's reply was lost: idempotent re-answer. *)
-        Simkit.Trace.incr t.trace "cluster_duplicate_register";
-        Option.get (Server.info r.server peer)
-      end
-      else begin
-        let info = Server.register_measured r.server ~peer ~attach_router measurement in
-        incr t.registered;
-        fan_out t ~from_replica:replica ~peer ~attach_router ~measurement;
-        info
-      end
-    in
+    let info = Server.register_measured r.server ~peer ~attach_router measurement in
+    let report = Wire.Path_report { peer; path = measurement.Client.path } in
+    incr t.registered;
+    count_upload t report;
+    fan_out t ~from_replica:replica ~peer ~probes:measurement.probes ~report:(fun () -> report);
     Some (info, Server.neighbors r.server ~peer ~k)
+  end
+
+let handle_prefix t ~replica ~peer ~attach_router ~measurement ~prefix ~k =
+  let r = t.replicas.(replica) in
+  if not r.alive then None
+  else if Server.mem r.server peer then
+    let info, neighbors = reanswer t r ~peer ~k in
+    Some (Registered (info, neighbors))
+  else begin
+    let m = measurement in
+    count_upload t (Wire.Path_prefix { peer; landmark = m.Client.landmark; probes = m.probes; prefix });
+    match Server.register_prefix r.server ~peer ~attach_router ~prefix m with
+    | None -> Some (Continue { replica })
+    | Some info ->
+        incr t.registered;
+        fan_out t ~from_replica:replica ~peer ~probes:m.probes ~report:(fun () ->
+            Server.stored_report r.server ~peer);
+        Some (Registered (info, Server.neighbors r.server ~peer ~k))
   end
 
 (* --- Crash / recover --------------------------------------------------- *)

@@ -3,7 +3,7 @@
     [N] replicas each own a full {!Server.t} (any {!Registry_intf.S}
     backend).  Writes fan out: the replica that processes a registration
     pushes it to every other replica over the transport, as the part of
-    its route they do not already store ({!Server.replication_message}).
+    its route they do not already store ({!Server.replication_prefix}).
     A replica that cannot complete the route refuses it, and the full
     report follows.  Reads are served
     by one replica — clients pick the closest {e believed-live} replica,
@@ -113,11 +113,12 @@ val divergence_since : t -> float option
 val replication_amplification : t -> float
 (** Bytes the cluster moves per byte a client uploads:
     [(client report bytes + replica fan-out bytes) / client report bytes].
-    Fan-out bytes are every replication message sent: route prefixes,
-    full reports, and a refused prefix's NACK and resent report.  With
-    [N] replicas it lies in [(1, N)] once most registrations go out as a
-    prefix, and is [N] only when every report goes out whole (a backend
-    without a router index).  Anti-entropy snapshot traffic is excluded
+    Client report bytes are every fresh upload a replica handled: a
+    first round's {!Wire.Path_prefix} (answered or continued) and a full
+    {!Wire.Path_report}.  Fan-out bytes are every replication message
+    sent: route prefixes, full reports, and a refused prefix's NACK and
+    resent report.  Above 1; not bounded by the replica count, since a
+    replica may be sent more of a route than the client uploaded.  Anti-entropy snapshot traffic is excluded
     (repair cost, not write cost).  [nan] before the first report.  Mirrored as the [wire_replication_amplification] gauge when
     {!create} was given [~metrics]. *)
 
@@ -155,10 +156,11 @@ val handle_registration :
   measurement:Client.measurement ->
   k:int ->
   (Server.peer_info * (int * int) list) option
-(** Server side of a join RPC: register the client-measured path
+(** Server side of a join RPC carrying a whole trace (a continue round,
+    or a caller with a full {!Client.measure}): register the client-measured path
     on [replica], fan the write out to the other replicas, and answer the
     neighbor query.  Each other replica is sent one
-    {!Server.replication_message}: a {!Wire.Replica_prefix} it completes
+    {!Server.replication_prefix}: a {!Wire.Replica_prefix} it completes
     from its own copy of the donor's route, or the full report.  A replica
     that is down or already holds the peer skips it; one that cannot
     complete a prefix sends a {!Wire.Replica_nack} back, and the primary,
@@ -174,6 +176,34 @@ val handle_registration :
     applied/skipped/nacked; a resend after a NACK gets its own span under
     the refused one's.  The [spans] sink of {!create} should be the one the
     servers and the RPC layer write to (one id space per trace file). *)
+
+type answer =
+  | Registered of Server.peer_info * (int * int) list
+      (** The registration and the neighbor reply. *)
+  | Continue of { replica : int }
+      (** Nothing registered: the client must send the rest, best to
+          [replica], the one that asked. *)
+
+val handle_prefix :
+  t ->
+  replica:int ->
+  peer:int ->
+  attach_router:Topology.Graph.node ->
+  measurement:Client.measurement ->
+  prefix:Topology.Graph.node array ->
+  k:int ->
+  answer option
+(** Server side of a join's first round ({!Wire.Path_prefix}):
+    [measurement] is the client's {!Client.measure_prefix} and [prefix] the
+    routers of it that answered, the {!Wire.Path_prefix} payload.  The replica
+    completes the route ({!Server.register_prefix}), fans it out as
+    {!handle_registration} does (the full report, when one is needed, is
+    the route the replica stored) and answers the neighbor query; or,
+    holding none of the prefix's routers, answers [Continue] and registers
+    nothing — the client then sends its whole trace through
+    {!handle_registration}.  Idempotent as {!handle_registration} is;
+    [None] when the replica is down.  Every fresh first round counts its
+    {!Wire.Path_prefix} in {!replication_amplification}'s denominator. *)
 
 val crash : t -> int -> unit
 (** Stop the replica: it answers no RPCs, applies no replication, sends no

@@ -11,60 +11,132 @@ let create_resilient ?client ~rpc cluster =
   in
   { engine = Simkit.Rpc.engine rpc; cluster; rpc; client }
 
-(* A join: the newcomer measures locally, waits out the measurement
-   ({!Client.duration_ms}), then ships the recorded path to the
-   cluster through the retrying RPC layer.  Retries resend the same
-   measurement — the client does not re-traceroute on a lost packet.
+(* A join: the newcomer pings the landmarks and traces the first
+   {!Client.prefix_hops} hops toward the closest ({!Client.measure_prefix}),
+   waits out that measurement, then ships the prefix with its neighbor
+   request through the retrying RPC layer.  The replica completes the route
+   from its landmark tree and answers; or, holding none of the prefix's
+   routers, answers [Continue], and the client traces the rest of the route
+   ({!Client.resume}), waits that out, and ships the whole trace in a
+   second call.  Retries resend the same measurement — the client does not
+   re-traceroute on a lost packet.
 
-   One root "join" span covers the whole client-observed join; the
-   measurement, every RPC attempt and (through the attempt's ambient
-   context) the server-side registration subtree all hang off it, so a
-   failed-over join is still one causal tree. *)
+   One root "join" span covers the whole client-observed join; each
+   round's measurement span, every RPC attempt and (through the attempt's
+   ambient context) the server-side registration subtree all hang off it,
+   so a failed-over or continued join is still one causal tree. *)
+
+(* What both rounds of one join share. *)
+type join = {
+  p : t;
+  rng : Prelude.Prng.t option;
+  peer : int;
+  attach_router : Topology.Graph.node;
+  k : int;
+  span : Simkit.Span.span;
+  ctx : Simkit.Span.context;
+  query : string * int;  (* the neighbor request's part, sized once: every round resends it *)
+  on_complete : Server.peer_info -> (int * int) list -> unit;
+  on_failure : unit -> unit;
+}
+
+let finish j outcome =
+  if Simkit.Span.enabled (Simkit.Rpc.spans j.p.rpc) then
+    Simkit.Span.finish ~args:[ ("outcome", Simkit.Span.Str outcome) ] j.span
+
+let reply_part j neighbors =
+  let reply = Wire.Neighbor_reply { peer = j.peer; neighbors } in
+  (Wire.kind reply, Wire.byte_size reply)
+
+(* One server round: [request] and the neighbor request, to the closest
+   believed-live replica, failing over per {!Cluster.target}; [handle] runs
+   at the replica that receives it.  With [first], the first attempt goes
+   to that replica and the failover order follows. *)
+let call ?first j request ~reply_parts ~handle ~on_reply =
+  let cluster = j.p.cluster in
+  Simkit.Rpc.call ~parent:j.ctx j.p.rpc ~src:j.attach_router
+    ~dst:(fun ~attempt ->
+      let target =
+        match first with
+        | Some replica when attempt = 1 -> Some replica
+        | Some _ -> Cluster.target cluster ~src:j.attach_router ~attempt:(attempt - 1)
+        | None -> Cluster.target cluster ~src:j.attach_router ~attempt
+      in
+      Option.map (Cluster.replica_router cluster) target)
+    ~request_parts:[ (Wire.kind request, Wire.byte_size request); j.query ]
+    ~reply_parts
+    ~handle:(fun ~dst ->
+      match Cluster.replica_at cluster ~router:dst with None -> None | Some r -> handle r)
+    ~on_reply
+    ~on_give_up:(fun () ->
+      finish j "gave_up";
+      j.on_failure ())
+
+let complete j info reply =
+  finish j "ok";
+  j.on_complete info reply
+
+(* The continue round: the rest of the trace, then the whole of it, to
+   the replica that asked for it — it was up a moment ago, where the
+   closest replica may be down and not yet suspected. *)
+let continue_round j first ~replica =
+  let m = Client.resume ?rng:j.rng j.p.client first in
+  Client.measure_span ~since:first (Simkit.Rpc.spans j.p.rpc) ~parent:j.ctx ~peer:j.peer m;
+  Simkit.Engine.schedule j.p.engine
+    ~delay:(Client.duration_ms m -. Client.duration_ms first)
+    (fun () ->
+      call ~first:replica j
+        (Wire.Path_report { peer = j.peer; path = m.path })
+        ~reply_parts:(fun (_, neighbors) -> [ reply_part j neighbors ])
+        ~handle:(fun replica ->
+          Cluster.handle_registration j.p.cluster ~replica ~peer:j.peer
+            ~attach_router:j.attach_router ~measurement:m ~k:j.k)
+        ~on_reply:(fun (info, reply) -> complete j info reply))
+
+let first_round j (m : Client.measurement) =
+  let prefix = Traceroute.Path.known_routers m.path in
+  call j
+    (Wire.Path_prefix { peer = j.peer; landmark = m.landmark; probes = m.probes; prefix })
+    ~reply_parts:(function
+      | Cluster.Registered (_, neighbors) -> [ reply_part j neighbors ]
+      | Cluster.Continue _ ->
+          let c = Wire.Continue { peer = j.peer } in
+          [ (Wire.kind c, Wire.byte_size c) ])
+    ~handle:(fun replica ->
+      Cluster.handle_prefix j.p.cluster ~replica ~peer:j.peer ~attach_router:j.attach_router
+        ~measurement:m ~prefix ~k:j.k)
+    ~on_reply:(function
+      | Cluster.Registered (info, reply) -> complete j info reply
+      | Cluster.Continue { replica } -> continue_round j m ~replica)
+
 let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~on_complete =
-  let rpc = t.rpc in
-  let spans = Simkit.Rpc.spans rpc in
-  let traced = Simkit.Span.enabled spans in
-  let join_span =
-    if traced then
+  let spans = Simkit.Rpc.spans t.rpc in
+  let span =
+    if Simkit.Span.enabled spans then
       Simkit.Span.start_span spans ~name:"join" ~tid:peer
         [ ("peer", Simkit.Span.Int peer); ("attach_router", Simkit.Span.Int attach_router) ]
     else Simkit.Span.none
   in
-  let join_ctx = Simkit.Span.context_of join_span in
-  (match on_trace with Some f -> f join_ctx | None -> ());
-  let measurement = Client.measure ?rng t.client ~attach_router in
-  Client.measure_span spans ~parent:join_ctx ~peer measurement;
-  (* Each part is sized once: the retries resend these bytes. *)
-  let report = Wire.Path_report { peer; path = measurement.path } in
+  let ctx = Simkit.Span.context_of span in
+  (match on_trace with Some f -> f ctx | None -> ());
   let query = Wire.Neighbor_request { peer; k } in
-  let request_parts =
-    [ (Wire.kind report, Wire.byte_size report); (Wire.kind query, Wire.byte_size query) ]
+  let j =
+    {
+      p = t;
+      rng;
+      peer;
+      attach_router;
+      k;
+      span;
+      ctx;
+      query = (Wire.kind query, Wire.byte_size query);
+      on_complete;
+      on_failure;
+    }
   in
-  let reply_parts (_, neighbors) =
-    let reply = Wire.Neighbor_reply { peer; neighbors } in
-    [ (Wire.kind reply, Wire.byte_size reply) ]
-  in
-  let finish outcome =
-    if traced then Simkit.Span.finish ~args:[ ("outcome", Simkit.Span.Str outcome) ] join_span
-  in
-  Simkit.Engine.schedule t.engine ~delay:(Client.duration_ms measurement) (fun () ->
-      Simkit.Rpc.call ~parent:join_ctx rpc ~src:attach_router
-        ~dst:(fun ~attempt ->
-          match Cluster.target t.cluster ~src:attach_router ~attempt with
-          | Some replica -> Some (Cluster.replica_router t.cluster replica)
-          | None -> None)
-        ~request_parts ~reply_parts
-        ~handle:(fun ~dst ->
-          match Cluster.replica_at t.cluster ~router:dst with
-          | None -> None
-          | Some replica ->
-              Cluster.handle_registration t.cluster ~replica ~peer ~attach_router ~measurement ~k)
-        ~on_reply:(fun (info, reply) ->
-          finish "ok";
-          on_complete info reply)
-        ~on_give_up:(fun () ->
-          finish "gave_up";
-          on_failure ()))
+  let m = Client.measure_prefix ?rng t.client ~attach_router in
+  Client.measure_span spans ~parent:ctx ~peer m;
+  Simkit.Engine.schedule t.engine ~delay:(Client.duration_ms m) (fun () -> first_round j m)
 
 let vivaldi_setup_delay ~rounds ~round_period_ms =
   if rounds < 0 || round_period_ms < 0.0 then invalid_arg "Protocol.vivaldi_setup_delay: negative input";

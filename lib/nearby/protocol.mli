@@ -5,16 +5,23 @@
     {!Simkit.Engine} clock, so experiments and the replicated service
     time the same join in the same simulated milliseconds:
 
-    + the newcomer measures locally ({!Client.measure}): it pings every
-      landmark, and the first reply names the closest; then it runs one
-      traceroute toward it.  The measurement costs
-      {!Client.duration_ms}: the RTT to the winning landmark
-      plus one RTT to it for the traceroute, whose TTL probes are in
+    + the newcomer measures locally ({!Client.measure_prefix}): it pings
+      every landmark, and the first reply names the closest; then it
+      traces only the first {!Client.prefix_hops} hops toward it.  The
+      measurement costs {!Client.duration_ms}: the RTT to the winning
+      landmark plus the RTT to the last hop traced, whose TTL probes are in
       flight together;
-    + it then registers and asks for neighbors in one {!Simkit.Rpc} call
-      against a {!Cluster}: per-call timeouts, retries with backoff, and
-      failover to another replica when the closest one is suspected.  On
-      a loss-free network the call costs one RTT to the closest replica.
+    + it then uploads that prefix and asks for neighbors in one
+      {!Simkit.Rpc} call against a {!Cluster}: per-call timeouts, retries
+      with backoff, and failover to another replica when the closest one is
+      suspected.  The replica completes the route from the first prefix
+      router its landmark tree holds ({!Cluster.handle_prefix}).  On a
+      loss-free network the call costs one RTT to the closest replica;
+    + when the tree holds none of the prefix's routers the reply is
+      [Continue]: the newcomer traces the rest of the route
+      ({!Client.resume}, one more RTT to the landmark) and uploads the
+      whole trace with its neighbor request in a second call
+      ({!Cluster.handle_registration}).  A join takes at most two rounds.
 
     A join always terminates — [on_complete] or [on_failure], never a
     silent stall.  Vivaldi's setup time, for comparison, is
@@ -40,21 +47,22 @@ val join :
   k:int ->
   on_complete:(Server.peer_info -> (int * int) list -> unit) ->
   unit
-(** Schedule the full two-round join starting now; [on_complete] fires at
-    the simulated completion time with the registration info and the
-    neighbor reply.  State changes (registration) happen at reply time, not
-    at call time.  On a loss-free network the completion time is
-    {!Client.duration_ms} of the peer's measurement plus the
-    RTT to the closest live replica.  When the server round cannot
-    complete — every RPC attempt timed out, or no replica is live —
-    [on_failure] (default: do nothing) fires instead; exactly one of the
-    two callbacks runs per join.
+(** Schedule the whole join starting now; [on_complete] fires at the
+    simulated completion time with the registration info and the neighbor
+    reply.  State changes (registration) happen at reply time, not at call
+    time.  On a loss-free network the completion time is
+    {!Client.duration_ms} of the peer's first-round measurement plus the
+    RTT to the closest live replica, and a continued join adds the rest's
+    trace RTT and a second server RTT.  When a server round cannot complete
+    — every RPC attempt timed out, or no replica is live — [on_failure]
+    (default: do nothing) fires instead; exactly one of the two callbacks
+    runs per join.
 
     With a span sink attached (the RPC layer's), each join opens one root
-    ["join"] span; the ["measure"] phase, every ["rpc_attempt"] and the
-    server-side spans under the attempt that was served hang off it,
-    so a join that failed over between replicas is still one causal tree
-    under one trace id.  [on_trace] fires synchronously with that root
+    ["join"] span; each round's ["measure"] phase, every ["rpc_attempt"]
+    and the server-side spans under the attempt that was served hang off
+    it, so a join that failed over between replicas, or went round twice,
+    is still one causal tree under one trace id.  [on_trace] fires synchronously with that root
     context (the null context with tracing off) — experiments use it to
     tag their latency samples with the join's trace id. *)
 

@@ -376,23 +376,24 @@ let count_join t (m : measurement) =
   Simkit.Trace.cell_observe c.traceroute_ms m.traceroute_ms;
   Simkit.Trace.cell_observe c.join_ms (Client.duration_ms m)
 
+(* A client's registration: the registry write runs under the "register"
+   span, so its op spans nest there. *)
+let store_join t ~peer ~routers ~attach_router ~landmark ~probes =
+  if Simkit.Span.enabled t.spans then
+    Simkit.Span.(
+      with_span t.spans ~name:"register" ?parent:(current t.spans) ~tid:peer
+        [ ("peer", Int peer); ("landmark", Int landmark); ("routers", Int (Array.length routers)) ])
+      (fun _ -> store t ~peer ~routers ~refresh:true ~attach:attach_router ~home:landmark ~probes)
+  else store t ~peer ~routers ~refresh:true ~attach:attach_router ~home:landmark ~probes
+
 (* Round 2 server side, split from [join] so a replicated cluster can
-   measure once at the client and register on any replica.  The registry
-   write runs under the "register" span, so its op spans nest there. *)
+   measure once at the client and register on any replica. *)
 let register_measured t ~peer ~attach_router (m : measurement) =
   if mem t peer then
     invalid_arg "Server.register_measured: peer already registered";
   let landmark = m.landmark and recorded_path = m.path and probes_spent = m.probes in
   let routers = registrable_path ~landmark recorded_path in
-  if Simkit.Span.enabled t.spans then
-    Simkit.Span.(
-      with_span t.spans ~name:"register" ?parent:(current t.spans) ~tid:peer
-        [ ("peer", Int peer); ("landmark", Int landmark); ("routers", Int (Array.length routers)) ])
-      (fun _ ->
-        store t ~peer ~routers ~refresh:true ~attach:attach_router ~home:landmark
-          ~probes:probes_spent)
-  else
-    store t ~peer ~routers ~refresh:true ~attach:attach_router ~home:landmark ~probes:probes_spent;
+  store_join t ~peer ~routers ~attach_router ~landmark ~probes:probes_spent;
   if debug_on () then
     Log.debug (fun m ->
         m "join peer=%d router=%d landmark=%d hops=%d probes=%d" peer attach_router landmark
@@ -463,25 +464,34 @@ let rec prefix_end t reg ~peer routers i =
     if donor >= 0 && donor_shares t donor routers i then i
     else prefix_end t reg ~peer routers (i + 1)
 
-let replication_message t ~peer ~report =
+let replication_prefix t ~peer =
   let slot = Slot_index.find t.index peer in
-  if slot < 0 then report
+  if slot < 0 then None
   else
     let routers = t.routers.(slot) in
     (* The replica takes the attach router from the prefix. *)
-    if t.attach.(slot) <> routers.(0) then report
+    if t.attach.(slot) <> routers.(0) then None
     else
       let reg = registry_of t (landmark_of routers) in
       let i = prefix_end t reg ~peer routers 0 in
-      if i < 0 then report
+      if i < 0 then None
       else
-        Wire.Replica_prefix
-          {
-            peer;
-            donor = Registry_intf.member_through reg routers.(i) ~except:peer;
-            probes = t.probes.(slot);
-            prefix = (if i = 0 then [| routers.(0) |] else Array.sub routers 0 (i + 1));
-          }
+        Some
+          (Wire.Replica_prefix
+             {
+               peer;
+               donor = Registry_intf.member_through reg routers.(i) ~except:peer;
+               probes = t.probes.(slot);
+               prefix = (if i = 0 then [| routers.(0) |] else Array.sub routers 0 (i + 1));
+             })
+
+let replication_message t ~peer ~report =
+  match replication_prefix t ~peer with Some m -> m | None -> report
+
+let stored_report t ~peer =
+  let slot = Slot_index.find t.index peer in
+  if slot < 0 then raise Not_found;
+  Wire.Path_report { peer; path = view_path t slot }
 
 (* Whether a router is a node of a graph of [nodes] routers.  The check
    passes run on every repair and prefix apply, so they allocate
@@ -497,35 +507,73 @@ let rec position_of routers router i =
   else if routers.(i) = router then i
   else position_of routers router (i + 1)
 
-(* The route is the prefix without its last router, then the donor's
-   stored route from that router on, built in one array.  When the newcomer
-   attached where the donor did, the route is the donor's own array:
-   every registry copies what it is given. *)
+(* [prefix.(0 .. n-2)] followed by the route stored in [slot] from
+   [prefix.(n-1)] on, built in one array; [[||]] when that route does not
+   cross [prefix.(n-1)].  When the newcomer attached where the donor did,
+   the route is the donor's own array: every registry copies what it is
+   given. *)
+let completed_route t slot prefix n =
+  let stored = t.routers.(slot) in
+  let j = position_of stored prefix.(n - 1) 0 in
+  if j < 0 then [||]
+  else if n = 1 && j = 0 then stored
+  else begin
+    let tail = Array.length stored - j in
+    let routers = Array.make (n - 1 + tail) 0 in
+    Array.blit prefix 0 routers 0 (n - 1);
+    Array.blit stored j routers (n - 1) tail;
+    routers
+  end
+
 let register_replica_prefix t ~peer ~donor ~prefix ~probes_spent =
   if mem t peer then invalid_arg "Server.register_replica_prefix: peer already registered";
   let n = Array.length prefix and slot = Slot_index.find t.index donor in
   let nodes = Topology.Graph.node_count (graph t) in
   if n = 0 || slot < 0 || not (routers_in_graph ~nodes prefix 0) then false
   else
-    let stored = t.routers.(slot) in
-    let j = position_of stored prefix.(n - 1) 0 in
-    if j < 0 then false
+    let routers = completed_route t slot prefix n in
+    if Array.length routers = 0 then false
     else begin
-      let routers =
-        if n = 1 && j = 0 then stored
-        else begin
-          let tail = Array.length stored - j in
-          let routers = Array.make (n - 1 + tail) 0 in
-          Array.blit prefix 0 routers 0 (n - 1);
-          Array.blit stored j routers (n - 1) tail;
-          routers
-        end
-      in
-      store t ~peer ~routers ~refresh:true ~attach:prefix.(0) ~home:(landmark_of stored)
+      store t ~peer ~routers ~refresh:true ~attach:prefix.(0) ~home:(landmark_of routers)
         ~probes:probes_spent;
       Simkit.Trace.cell_incr t.cells.replica_registers;
       true
     end
+
+(* The route a first-round prefix registers, completed from a member
+   crossing its first held router, from position [i] on; [[||]] when the
+   tree holds none of them. *)
+let rec prefix_route t reg ~peer prefix i =
+  if i >= Array.length prefix then [||]
+  else
+    let donor = Registry_intf.member_through reg prefix.(i) ~except:peer in
+    let slot = if donor >= 0 then Slot_index.find t.index donor else -1 in
+    if slot >= 0 then completed_route t slot prefix (i + 1)
+    else prefix_route t reg ~peer prefix (i + 1)
+
+let register_prefix t ~peer ~attach_router ~prefix (m : measurement) =
+  if mem t peer then invalid_arg "Server.register_prefix: peer already registered";
+  let landmark = m.landmark in
+  if not (is_landmark t landmark) then invalid_arg "Server.register_prefix: unknown landmark";
+  Simkit.Trace.cell_add t.cells.wire_bytes
+    (Wire.byte_size (Wire.Path_prefix { peer; landmark; probes = m.probes; prefix }));
+  let routers = prefix_route t (registry_of t landmark) ~peer prefix 0 in
+  (* A prefix that reached the landmark needs no donor. *)
+  let routers =
+    if Array.length routers = 0 && Traceroute.Path.is_complete m.path then
+      registrable_path ~landmark m.path
+    else routers
+  in
+  if Array.length routers = 0 then begin
+    (* Rare once the trees fill: a name lookup, not a cell in every server. *)
+    Simkit.Trace.incr t.trace "join_continue";
+    None
+  end
+  else begin
+    store_join t ~peer ~routers ~attach_router ~landmark ~probes:m.probes;
+    count_join t m;
+    Some { attach_router; landmark; recorded_path = m.path; probes_spent = m.probes }
+  end
 
 (* Batch round 2: checked as a whole -- every peer in range, new and
    distinct -- before the first write, then stored entry by entry with

@@ -22,7 +22,8 @@ type peer_info = {
       (** From {!info}: the registered routers as a fully identified path
           from [attach_router] to [landmark].  Anonymous hops of the
           original trace are not kept, and a trace that stopped short ends
-          at the appended landmark.  From a join: the measured path itself. *)
+          at the appended landmark.  From a join: the measured path itself
+          (from {!register_prefix}: the prefix the client traced). *)
   probes_spent : int;  (** Total probe packets this peer's join cost. *)
 }
 (** A view of one registration.  The server does not store it: a member's
@@ -93,6 +94,31 @@ val register_measured :
     measurement's path.
     @raise Invalid_argument when already registered. *)
 
+val register_prefix :
+  t ->
+  peer:int ->
+  attach_router:Topology.Graph.node ->
+  prefix:Topology.Graph.node array ->
+  Client.measurement ->
+  peer_info option
+(** A join's first round server side ({!Wire.Path_prefix}): [m.path] is the
+    client's trace cut at its first hops ({!Client.measure_prefix}) and
+    [prefix] its routers that answered.  The
+    first of them, from the attach router on, that a member
+    of [m.landmark]'s tree crosses ({!Registry_intf.S.member_through}) ends
+    the prefix: the registered route is the routers before it, then that
+    member's stored route from it to the landmark — the route a full trace
+    records, since routes toward one landmark form a tree.  A prefix that
+    already reached the landmark is registered as it is.  Either way the
+    join is accounted as {!register_measured} accounts it, and the info
+    shares the measurement's path, the prefix.  [None],
+    with nothing registered, when no router of the prefix is held and it
+    stops short of the landmark: the client must send the rest
+    ({!Wire.Continue}), counted as ["join_continue"].  The prefix's
+    {!Wire.Path_prefix} bytes are charged either way.
+    @raise Invalid_argument when already registered or the landmark is
+    unknown. *)
+
 val register_measured_batch :
   t -> (int * Topology.Graph.node * Client.measurement) array -> peer_info array
 (** Round 2 for a whole batch of [(peer, attach_router, measurement)]
@@ -118,17 +144,26 @@ val register_replica :
     counters, no spans.  @raise Invalid_argument when the peer is already
     registered or the landmark is unknown. *)
 
+val replication_prefix : t -> peer:int -> Wire.message option
+(** What the other replicas are sent for [peer]'s fresh registration, when
+    it can be shorter than the full report.  Walking its stored routers
+    from the attach router toward the landmark, the first router that
+    another member of the same landmark tree crosses
+    ({!Registry_intf.S.member_through}) with the same stored route from
+    there on ends a {!Wire.Replica_prefix}: the routers up to it, that
+    member as the donor, and the stored probe cost.  [None] when no router
+    qualifies (the tree's first member, a backend without a router index)
+    or the stored route does not start at the attach router: the fan-out
+    then builds and sends the full report.  Reads at most one bucket head
+    and one path comparison per router. *)
+
 val replication_message : t -> peer:int -> report:Wire.message -> Wire.message
-(** What the other replicas are sent for [peer]'s fresh registration.
-    Walking its stored routers from the attach router toward the
-    landmark, the first router that another member of the same landmark
-    tree crosses ({!Registry_intf.S.member_through}) with the same stored
-    route from there on ends a {!Wire.Replica_prefix}: the routers up to
-    it, that member as the donor, and the stored probe cost.  When no
-    router qualifies (the tree's first member, a backend without a router
-    index) or the stored route does not start at the attach router, the
-    answer is [report], the client's own {!Wire.Path_report}.  Reads at
-    most one bucket head and one path comparison per router. *)
+(** {!replication_prefix}, or [report] where it answers [None]. *)
+
+val stored_report : t -> peer:int -> Wire.message
+(** The {!Wire.Path_report} of the route stored for [peer], fully
+    identified from its attach router: what a replica that cannot complete
+    a prefix is resent.  @raise Not_found when unregistered. *)
 
 val register_replica_prefix :
   t -> peer:int -> donor:int -> prefix:Topology.Graph.node array -> probes_spent:int -> bool
@@ -189,12 +224,14 @@ val handover :
     (extension E3).  @raise Not_found when unregistered. *)
 
 val trace : t -> Simkit.Trace.t
-(** Protocol counters: ["join"], ["leave"], ["handover"], ["probe_packets"],
+(** Protocol counters: ["join"], ["join_continue"] (first rounds answered
+    {!Wire.Continue}), ["leave"], ["handover"], ["probe_packets"],
     ["query"], ["cross_tree_topup"], ["report_refresh"] (registrations
     stamped — joins, replica applies and handovers, the staleness
     refresh-rate feed), ["wire_bytes"] (bytes the join uploads
     and query exchanges would occupy on the wire, per {!Wire});
-    statistics ["path_hops"] and the per-phase join costs in simulated
+    statistics ["path_hops"] (hops the client traced) and the per-phase
+    join costs in simulated
     milliseconds ["ping_round_ms"], ["traceroute_ms"], ["join_ms"].  The
     probe, hop and time figures are the client's, read from its
     {!Client.measurement} at registration. *)

@@ -8,6 +8,8 @@ type message =
   | Path_report_batch of { reports : (int * Traceroute.Path.t) list }
   | Replica_prefix of { peer : int; donor : int; probes : int; prefix : Topology.Graph.node array }
   | Replica_nack of { peer : int }
+  | Path_prefix of { peer : int; landmark : int; probes : int; prefix : Topology.Graph.node array }
+  | Continue of { peer : int }
 
 let protocol_version = 1
 
@@ -17,10 +19,11 @@ let protocol_version = 1
    the "reply" — named for the role, not the constructor, so the metric
    vocabulary matches the bench and dashboard headings.  A replica's
    prefix and its refusal are path-report traffic too, so the bytes
-   replication saves show in the [path_report] series. *)
+   replication saves show in the [path_report] series.  So are a client's
+   first-round prefix and the server's request for the rest of it. *)
 let kind = function
   | Ping_request _ | Ping_reply _ -> "ping"
-  | Path_report _ | Replica_prefix _ | Replica_nack _ -> "path_report"
+  | Path_report _ | Replica_prefix _ | Replica_nack _ | Path_prefix _ | Continue _ -> "path_report"
   | Neighbor_request _ -> "query"
   | Neighbor_reply _ -> "reply"
   | Leave _ -> "leave"
@@ -36,6 +39,8 @@ let tag = function
   | Path_report_batch _ -> 6
   | Replica_prefix _ -> 7
   | Replica_nack _ -> 8
+  | Path_prefix _ -> 9
+  | Continue _ -> 10
 
 (* The encoder is written once against [Codec.SINK] and instantiated twice:
    over [Writer] to produce bytes, over [Sizer] to measure them — so
@@ -72,10 +77,15 @@ module Emit (S : Prelude.Codec.SINK) = struct
             S.varint w p;
             S.varint w d)
           neighbors
-    | Leave { peer } | Replica_nack { peer } -> S.varint w peer
+    | Leave { peer } | Replica_nack { peer } | Continue { peer } -> S.varint w peer
     | Replica_prefix { peer; donor; probes; prefix } ->
         S.varint w peer;
         S.varint w donor;
+        S.varint w probes;
+        S.array w S.varint prefix
+    | Path_prefix { peer; landmark; probes; prefix } ->
+        S.varint w peer;
+        S.varint w landmark;
         S.varint w probes;
         S.array w S.varint prefix
 end
@@ -150,6 +160,15 @@ let decode_body r t =
   | 8 ->
       let* peer = varint r in
       Ok (Replica_nack { peer })
+  | 9 ->
+      let* peer = varint r in
+      let* landmark = varint r in
+      let* probes = varint r in
+      let* prefix = list r varint in
+      Ok (Path_prefix { peer; landmark; probes; prefix = Array.of_list prefix })
+  | 10 ->
+      let* peer = varint r in
+      Ok (Continue { peer })
   | other -> Error (Malformed (Printf.sprintf "unknown tag %d" other))
 
 let decode data =
@@ -186,3 +205,7 @@ let pp ppf = function
       Format.fprintf ppf "replica-prefix peer=%d donor=%d probes=%d [%s]" peer donor probes
         (String.concat " -> " (Array.to_list (Array.map string_of_int prefix)))
   | Replica_nack { peer } -> Format.fprintf ppf "replica-nack peer=%d" peer
+  | Path_prefix { peer; landmark; probes; prefix } ->
+      Format.fprintf ppf "path-prefix peer=%d landmark=%d probes=%d [%s]" peer landmark probes
+        (String.concat " -> " (Array.to_list (Array.map string_of_int prefix)))
+  | Continue { peer } -> Format.fprintf ppf "continue peer=%d" peer

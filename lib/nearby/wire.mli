@@ -31,6 +31,17 @@ type message =
   | Replica_nack of { peer : int }
       (** A replica's refusal of a {!Replica_prefix} it cannot complete;
           the primary answers with the full {!Path_report}. *)
+  | Path_prefix of { peer : int; landmark : int; probes : int; prefix : Topology.Graph.node array }
+      (** A join's first-round upload: the routers that answered the
+          traceroute toward [landmark] up to its first hops, from the
+          attach router on, and the probes spent so far.  The server
+          completes the route from the first of them its landmark tree
+          holds ({!Server.register_prefix}), or asks for the rest with
+          {!Continue}. *)
+  | Continue of { peer : int }
+      (** The server's answer to a {!Path_prefix} none of whose routers
+          its landmark tree holds: the client traces the rest of the route
+          and uploads the whole trace as a {!Path_report}. *)
 
 val protocol_version : int
 
@@ -45,14 +56,16 @@ val byte_size : message -> int
 (** Exactly [String.length (encode m)], computed by a counting pass over
     the same emitter ({!Prelude.Codec.Sizer}) — no buffer is allocated,
     and sizing a {!Path_report}, {!Replica_prefix}, {!Replica_nack},
-    {!Neighbor_request} or {!Ping_request} allocates nothing at all.  Used
+    {!Path_prefix}, {!Continue}, {!Neighbor_request} or {!Ping_request}
+    allocates nothing at all.  Used
     by the simulator to charge realistic message sizes on hot paths. *)
 
 val kind : message -> string
 (** The wire-observability label for the message family — the [kind=]
     value its bytes are charged under in [wire_bytes_total]: ["ping"],
     ["path_report"] (also {!Replica_prefix} and {!Replica_nack}: the
-    replication of a report is path-report traffic), ["query"] (neighbor
+    replication of a report is path-report traffic; and {!Path_prefix} and
+    {!Continue}, the first round of a report), ["query"] (neighbor
     request), ["reply"] (neighbor reply), ["leave"],
     ["path_report_batch"]. *)
 

@@ -105,6 +105,56 @@ let test_measure_allocation () =
     (Printf.sprintf "measure allocates %.0f words" words)
     true (words <= 88.0)
 
+(* The first round is charged the RTT to the last hop it traced, not the
+   hop-count convention for a trace that stopped short: 2 h ms on hop
+   counts, twice the latency over routers 0..h on a latency table.  Its
+   resume then adds the RTT to the landmark, and the two rounds record the
+   full trace's path and probe count. *)
+let test_prefix_round_clock () =
+  let map, oracle, landmarks, _ = make_workload ~landmarks:5 ~seed:21 () in
+  let latency =
+    Topology.Latency.assign map.graph
+      (Topology.Latency.Core_weighted { core_ms = 2.0; edge_ms = 15.0; threshold = 8 })
+      ~seed:22
+  in
+  let h = Client.prefix_hops in
+  let checked = ref 0 in
+  List.iter
+    (fun latency ->
+      let client = Client.create ?latency oracle ~landmarks in
+      Array.iteri
+        (fun i attach_router ->
+          if i mod 5 = 0 then begin
+            let full = Client.measure client ~attach_router in
+            let m = Client.measure_prefix client ~attach_router in
+            let route =
+              Traceroute.Route_oracle.route_array oracle ~src:attach_router ~dst:full.landmark
+            in
+            let n = Array.length route - 1 in
+            if n > h then begin
+              incr checked;
+              let one_way =
+                match latency with
+                | None -> float_of_int h
+                | Some table -> Topology.Latency.path_latency table (Array.sub route 0 (h + 1))
+              in
+              Alcotest.(check (float 1e-9)) "prefix RTT to hop h" (2.0 *. one_way) m.traceroute_ms;
+              Alcotest.(check (float 1e-9)) "same ping round" full.ping_ms m.ping_ms;
+              Alcotest.(check int) "prefix probes" (full.landmarks_pinged + h) m.probes;
+              Alcotest.(check int) "prefix hops" h (Traceroute.Path.hop_count m.path);
+              let r = Client.resume client m in
+              Alcotest.(check bool) "resume records the full path" true
+                (Traceroute.Path.equal full.path r.path);
+              Alcotest.(check int) "resume probes = full probes" full.probes r.probes;
+              Alcotest.(check int) "full hops" full.full_hops r.full_hops;
+              Alcotest.(check (float 1e-9)) "resume adds the RTT to the landmark"
+                (m.traceroute_ms +. full.traceroute_ms) r.traceroute_ms
+            end
+          end)
+        map.leaves)
+    [ None; Some latency ];
+  Alcotest.(check bool) "some routes longer than the prefix" true (!checked > 10)
+
 let suite =
   ( "client",
     [
@@ -114,4 +164,5 @@ let suite =
       Alcotest.test_case "truncated tool" `Quick test_truncated_tool;
       Alcotest.test_case "probe noise" `Quick test_probe_noise_does_not_break_registration;
       Alcotest.test_case "measure allocation" `Quick test_measure_allocation;
+      Alcotest.test_case "prefix round clock" `Quick test_prefix_round_clock;
     ] )

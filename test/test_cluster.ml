@@ -74,9 +74,22 @@ let single_protocol fx server =
   let rpc = Simkit.Rpc.create ~config:rpc_config fx.transport in
   (cluster, rpc, Nearby.Protocol.create_resilient ~rpc cluster)
 
+(* The join's rounds in process, without the RPC layer: the first-round
+   prefix, and the whole trace when the server asks for the rest. *)
+let join_in_process server ~client ~peer ~attach_router =
+  let m = Nearby.Client.measure_prefix client ~attach_router in
+  let prefix = Traceroute.Path.known_routers m.path in
+  match Nearby.Server.register_prefix server ~peer ~attach_router ~prefix m with
+  | Some _ -> ()
+  | None ->
+      ignore
+        (Nearby.Server.register_measured server ~peer ~attach_router
+           (Nearby.Client.resume client m))
+
 (* A 1-replica cluster behind the RPC layer on a clean network keeps the
    replies, the registered state and the server accounting of a plain
-   server: the RPC machinery must not change results, only survive faults. *)
+   server taking the same rounds: the RPC machinery must not change
+   results, only survive faults. *)
 let check_matches_plain_server label fx (cluster, rpc, protocol) =
   let peers = 15 and k = 4 in
   let reference_fx = fixture ~replicas:1 ~seed:22 () in
@@ -84,9 +97,8 @@ let check_matches_plain_server label fx (cluster, rpc, protocol) =
   let client = make_client reference_fx in
   let expected =
     List.init peers (fun peer ->
-        ignore
-          (Nearby.Server.join reference ~client ~peer
-             ~attach_router:reference_fx.map.leaves.(peer mod Array.length reference_fx.map.leaves));
+        join_in_process reference ~client ~peer
+          ~attach_router:reference_fx.map.leaves.(peer mod Array.length reference_fx.map.leaves);
         Nearby.Server.neighbors reference ~peer ~k)
   in
   let replies, failed =
@@ -118,8 +130,10 @@ let check_matches_plain_server label fx (cluster, rpc, protocol) =
         (Printf.sprintf "%s: %s counter identical" label name)
         (Simkit.Trace.counter (Nearby.Server.trace reference) name)
         (Simkit.Trace.counter (Nearby.Server.trace server) name))
-    [ "join"; "query"; "probe_packets"; "wire_bytes" ];
-  Alcotest.(check int) (label ^ ": single attempt per join") peers
+    [ "join"; "join_continue"; "query"; "probe_packets"; "wire_bytes" ];
+  Alcotest.(check int)
+    (label ^ ": single attempt per round")
+    (peers + Simkit.Trace.counter (Nearby.Server.trace reference) "join_continue")
     (Simkit.Trace.counter (Simkit.Rpc.trace rpc) "rpc_attempts")
 
 let test_single_matches_plain_server () =
@@ -399,9 +413,22 @@ let test_joins_under_loss_always_terminate () =
   let replies, failed = run_joins fx protocol ~peers ~k:4 ~horizon:120_000.0 in
   let completed = Hashtbl.length replies in
   Alcotest.(check int) "every join terminated" peers (completed + failed);
-  Alcotest.(check int) "rpc outcomes account for every join" peers
-    (Simkit.Trace.counter (Simkit.Rpc.trace rpc) "rpc_ok"
-    + Simkit.Trace.counter (Simkit.Rpc.trace rpc) "rpc_gave_up");
+  (* A join is one call, or two when its first round was answered
+     [Continue]; a retried first round can be answered [Continue] twice. *)
+  let rpc_count = Simkit.Trace.counter (Simkit.Rpc.trace rpc) in
+  let continues =
+    List.fold_left ( + ) 0
+      (List.init (Nearby.Cluster.replica_count cluster) (fun i ->
+           Simkit.Trace.counter (Nearby.Server.trace (Nearby.Cluster.server_of cluster i))
+             "join_continue"))
+  in
+  Alcotest.(check int) "rpc outcomes account for every call" (rpc_count "rpc_calls")
+    (rpc_count "rpc_ok" + rpc_count "rpc_gave_up");
+  Alcotest.(check bool)
+    (Printf.sprintf "one call per join, one more per continue (%d calls, %d joins, %d continues)"
+       (rpc_count "rpc_calls") peers continues)
+    true
+    (rpc_count "rpc_calls" >= peers && rpc_count "rpc_calls" <= peers + continues);
   Alcotest.(check bool)
     (Printf.sprintf "retries carry most joins through (%d/%d)" completed peers)
     true
@@ -663,6 +690,162 @@ let test_partition_scenario_heals () =
   Alcotest.(check int) "live peer counts agree" 1
     (List.length (List.sort_uniq compare r.live_peer_counts))
 
+(* --- The prefix round ------------------------------------------------------ *)
+
+(* Joins through the prefix round register, on every replica, the route a
+   full trace records, whatever the routing (every oracle builds one sink
+   tree per destination) and whatever the order and overlap of the joins:
+   each replica's digest equals that of a server joined with full traces. *)
+let qcheck_prefix_round_matches_full_traces =
+  QCheck.Test.make ~name:"prefix-round joins = full-trace joins" ~count:24
+    QCheck.(
+      triple (int_bound 2) (int_range 1 1000)
+        (list_of_size (Gen.return 30) (pair (int_bound 10_000) (float_bound_inclusive 300.0))))
+    (fun (mode, seed, joins) ->
+      let map = Topology.Gen_magoni.generate (Topology.Gen_magoni.default_params 250) ~seed in
+      let oracle =
+        match mode with
+        | 0 -> Traceroute.Route_oracle.create map.graph
+        | 1 ->
+            Traceroute.Route_oracle.create_weighted map.graph ~weight:(fun u v ->
+                1.0 +. float_of_int (((u * v) + u + v) mod 5))
+        | _ -> Traceroute.Route_oracle.create_inflated map.graph ~inflation:2.0 ~seed
+      in
+      let rng = Prelude.Prng.create seed in
+      let landmarks =
+        Nearby.Landmark.place map.graph Nearby.Landmark.Medium_degree ~count:3 ~rng
+      in
+      let replica_routers =
+        Nearby.Landmark.place map.graph Nearby.Landmark.High_degree ~count:3 ~rng
+      in
+      let engine = Simkit.Engine.create () in
+      let transport = Simkit.Transport.create engine oracle in
+      let make_server () = Nearby.Server.create oracle ~landmarks in
+      let cluster =
+        Nearby.Cluster.create ~detector_config ~transport ~client_router:map.core.(0)
+          ~make_server ~routers:replica_routers ()
+      in
+      let rpc = Simkit.Rpc.create ~config:rpc_config transport in
+      let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
+      let reference = make_server () in
+      let client = Nearby.Client.create oracle ~landmarks in
+      let completed = ref 0 in
+      List.iteri
+        (fun peer (leaf, at) ->
+          let attach_router = map.leaves.(leaf mod Array.length map.leaves) in
+          ignore (Nearby.Server.join reference ~client ~peer ~attach_router);
+          Simkit.Engine.schedule_at engine ~time:at (fun () ->
+              Nearby.Protocol.join protocol ~peer ~attach_router ~k:3
+                ~on_complete:(fun _ _ -> incr completed)))
+        joins;
+      Simkit.Engine.run engine ~until:60_000.0;
+      let expected = state_of reference in
+      let paths_equal i =
+        List.for_all
+          (fun peer ->
+            Nearby.Server.path_of (Nearby.Cluster.server_of cluster i) peer
+            = Nearby.Server.path_of reference peer)
+          (Nearby.Server.peer_ids reference)
+      in
+      !completed = List.length joins
+      && List.for_all (fun st -> st = expected) (replica_states cluster)
+      && List.for_all paths_equal [ 0; 1; 2 ])
+
+(* A backend without a router index ([member_through] = -1) holds no
+   prefix router, so every join whose route is longer than the prefix
+   takes the continue round, and the registrations still equal the tree
+   backend's. *)
+let test_naive_backend_always_continues () =
+  let fx = fixture ~seed:37 () in
+  let run backend =
+    let cluster =
+      Nearby.Cluster.create ~detector_config ~transport:fx.transport
+        ~client_router:fx.map.core.(0)
+        ~make_server:(fun () -> Nearby.Server.create ~backend fx.oracle ~landmarks:fx.landmarks)
+        ~routers:fx.replica_routers ()
+    in
+    let rpc = Simkit.Rpc.create ~config:rpc_config fx.transport in
+    let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
+    let base = Simkit.Engine.now fx.engine in
+    let peers = 20 in
+    let done_ = ref 0 in
+    for peer = 0 to peers - 1 do
+      Simkit.Engine.schedule_at fx.engine ~time:(base +. (float_of_int peer *. 50.0)) (fun () ->
+          Nearby.Protocol.join protocol ~peer
+            ~attach_router:fx.map.leaves.(peer mod Array.length fx.map.leaves)
+            ~k:4
+            ~on_complete:(fun _ _ -> incr done_))
+    done;
+    Simkit.Engine.run fx.engine ~until:(base +. 60_000.0);
+    Alcotest.(check int) "every join completed" peers !done_;
+    (cluster, rpc)
+  in
+  let tree, _ = run (module Nearby.Path_tree : Nearby.Registry_intf.S) in
+  let naive, rpc = run (module Nearby.Naive_registry) in
+  let client = make_client fx in
+  let long =
+    List.length
+      (List.filter
+         (fun peer ->
+           (Nearby.Client.measure client
+              ~attach_router:fx.map.leaves.(peer mod Array.length fx.map.leaves))
+             .full_hops > Nearby.Client.prefix_hops)
+         (List.init 20 Fun.id))
+  in
+  Alcotest.(check int) "one call per join, one more per long route" (20 + long)
+    (Simkit.Trace.counter (Simkit.Rpc.trace rpc) "rpc_calls");
+  Alcotest.(check states) "same registrations as the tree backend" (replica_states tree)
+    (replica_states naive)
+
+(* The continue round and a refused prefix under a loss burst and a
+   crashed primary: every join settles exactly once, every RPC call ends
+   in one reply or one give-up, and after the heal every acknowledged join
+   is on every live replica.  The run really exercises both paths. *)
+let test_prefix_round_under_faults () =
+  let w = pinned_run_config.arrival_window_ms in
+  let from_ms, until_ms = Eval.Cluster_run.fault_window pinned_run_config in
+  List.iter
+    (fun (label, fault) ->
+      let run = Eval.Cluster_run.create ~fault:(fun _ -> fault) pinned_run_config in
+      let acked = Array.make pinned_run_config.peers 0 in
+      Eval.Cluster_run.arrivals run ~on_complete:(fun ~peer ~trace_id:_ ~latency_ms:_ _ ->
+          acked.(peer) <- acked.(peer) + 1);
+      Eval.Cluster_run.settle run;
+      let peers = pinned_run_config.peers in
+      Alcotest.(check int) (label ^ ": every join settles") peers (run.completed + run.failed);
+      Alcotest.(check bool) (label ^ ": acknowledged at most once") true
+        (Array.for_all (fun c -> c <= 1) acked);
+      let rc = Simkit.Trace.counter (Simkit.Rpc.trace run.rpc) in
+      Alcotest.(check int) (label ^ ": every call settles once") (rc "rpc_calls")
+        (rc "rpc_ok" + rc "rpc_gave_up");
+      let cluster = run.cluster in
+      let sum name =
+        List.fold_left ( + ) 0
+          (List.init (Nearby.Cluster.replica_count cluster) (fun i ->
+               Simkit.Trace.counter (Nearby.Server.trace (Nearby.Cluster.server_of cluster i)) name))
+      in
+      Alcotest.(check bool) (label ^ ": some join continued") true (sum "join_continue" > 0);
+      Alcotest.(check bool)
+        (label ^ ": a replica refused a prefix")
+        true
+        (Simkit.Trace.counter (Nearby.Cluster.trace cluster) "cluster_replicate_nack" > 0);
+      for i = 0 to Nearby.Cluster.replica_count cluster - 1 do
+        if Nearby.Cluster.is_alive cluster i then
+          Array.iteri
+            (fun peer c ->
+              if c = 1 then
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: replica %d holds acknowledged peer %d" label i peer)
+                  true
+                  (Nearby.Server.mem (Nearby.Cluster.server_of cluster i) peer))
+            acked
+      done)
+    [
+      ("loss burst", Simkit.Fault.loss_burst ~from_ms ~until_ms ~loss:0.3 ());
+      ( "crash primary",
+        Simkit.Fault.crash_primary ~crash_at:(0.25 *. w) ~recover_at:(0.7 *. w) () );
+    ]
+
 let suite =
   ( "cluster",
     [
@@ -691,4 +874,9 @@ let suite =
       Alcotest.test_case "refused prefix is resent whole" `Quick
         test_refused_prefix_is_resent_whole;
       Alcotest.test_case "cluster_run replica states pinned" `Quick test_cluster_run_states_pinned;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
+        qcheck_prefix_round_matches_full_traces;
+      Alcotest.test_case "naive backend always continues" `Quick
+        test_naive_backend_always_continues;
+      Alcotest.test_case "prefix round under faults" `Quick test_prefix_round_under_faults;
     ] )

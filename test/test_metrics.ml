@@ -327,8 +327,26 @@ let test_fleet_merged_trace_acceptance () =
       true
       (Float.abs (labeled -. source) <= (bound *. Float.abs source) +. 1e-9)
   done;
-  (* The merged fleet p99 lands inside the per-replica envelope, stretched
-     by the sketch bound. *)
+  (* The merged stream is the replicas' streams added bucket by bucket. *)
+  let replica_traces =
+    List.init 3 (fun i -> Nearby.Server.trace (Nearby.Cluster.server_of cluster i))
+  in
+  let summed = Hashtbl.create 64 in
+  List.iter
+    (fun tr ->
+      List.iter
+        (fun (b, _, c) ->
+          Hashtbl.replace summed b (c + Option.value (Hashtbl.find_opt summed b) ~default:0))
+        (Trace.buckets tr "join_ms"))
+    replica_traces;
+  Alcotest.(check (list (pair int int))) "merged buckets = the replicas' summed"
+    (List.sort compare (List.of_seq (Hashtbl.to_seq summed)))
+    (List.sort compare (List.map (fun (b, _, c) -> (b, c)) (Trace.buckets fleet "join_ms")));
+  (* The merged fleet p99 lands between the lowest replica p99 and the
+     highest replica maximum, stretched by the sketch bound.  (Not below
+     the highest replica p99: at a rank of floor(q (n - 1)), a replica of
+     5 joins reports its 4th-smallest as p99, so one slow continued join
+     per replica can lift the pooled p99 above every replica's.) *)
   let merged =
     match Trace.quantile fleet "join_ms" 0.99 with
     | Some v -> v
@@ -336,7 +354,14 @@ let test_fleet_merged_trace_acceptance () =
   in
   Alcotest.(check (float 1e-9)) "result exposes the merged p99" merged r.fleet_join_p99_ms;
   let lo = Array.fold_left Float.min infinity r.replica_join_p99_ms in
-  let hi = Array.fold_left Float.max neg_infinity r.replica_join_p99_ms in
+  let hi =
+    List.fold_left
+      (fun acc tr ->
+        match Trace.summary tr "join_ms" with
+        | Some { Trace.max = Some m; _ } -> Float.max acc m
+        | _ -> acc)
+      neg_infinity replica_traces
+  in
   Alcotest.(check bool)
     (Printf.sprintf "merged p99 %.3f within [%.3f, %.3f] envelope" merged lo hi)
     true
@@ -415,6 +440,31 @@ let test_fleet_smoke_snapshot () =
     (Printf.sprintf "merged p99 %.2f within [%.2f, %.2f]" merged lo hi)
     true
     ((lo *. 0.98) -. 1e-9 <= merged && merged <= (hi *. 1.02) +. 1e-9);
+  (* The join's client cost: continue answers and probe packets per
+     registered join, gauges of the fleet registry that reconcile with the
+     merged counters. *)
+  let counter name = json_float doc [ "sections"; "fleet"; "counters"; name ] in
+  let gauge name =
+    match
+      List.find_map
+        (fun s ->
+          match (Json.member "name" s, Json.member "kind" s) with
+          | Some (Json.String n), Some (Json.String "gauge") when n = name ->
+              Json.to_float (json_at s [ "value" ])
+          | _ -> None)
+        (Option.get (Json.to_list (json_at doc [ "labeled"; "fleet"; "series" ])))
+    with
+    | Some v -> v
+    | None -> Alcotest.failf "no %s gauge" name
+  in
+  Alcotest.(check bool) "some first round continued" true (counter "join_continue" > 0.0);
+  (* The snapshot prints floats to 6 significant digits. *)
+  Alcotest.(check (float 1e-4)) "continues per join"
+    (counter "join_continue" /. counter "join")
+    (gauge "join_continue_per_join");
+  Alcotest.(check (float 1e-4)) "probes per join"
+    (counter "probe_packets" /. counter "join")
+    (gauge "join_probes_per_join");
   let phases = Json.keys (json_at doc [ "runtime"; "phases" ]) in
   List.iter
     (fun phase -> Alcotest.(check bool) ("runtime phase " ^ phase) true (List.mem phase phases))
@@ -455,6 +505,9 @@ let test_fleet_smoke_exposition () =
     [
       "nearby_replicas_join_ms{replica=\"0\",quantile=\"0.99\"}";
       "nearby_fleet_rpc_outcomes_total{outcome=\"ok\"}";
+      "nearby_fleet_join_probes_per_join ";
+      "nearby_fleet_join_continue_per_join ";
+      "nearby_replicas_join_continue_total{replica=\"0\"}";
     ];
   let samples =
     List.filter (fun l -> l <> "" && l.[0] <> '#') (String.split_on_char '\n' prom)

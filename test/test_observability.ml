@@ -433,6 +433,60 @@ let test_failover_joins_stay_one_trace () =
         (root = "join" || root = "sync_round"))
     (Trace_analysis.traces spans')
 
+(* The critical-path report of a replicated run whose traces include a
+   continued join (a root "join" holding a "resume" and the attempts of
+   two calls): no event lacks its causal ids, the breakdown by span kind
+   is not empty, and every root's duration is attributed in full. *)
+let test_critical_path_of_continued_joins () =
+  let spans = Span.buffer () in
+  let config =
+    {
+      Eval.Cluster_run.routers = 800;
+      peers = 120;
+      k = 5;
+      replicas = 3;
+      arrival_window_ms = 8_000.0;
+      sync_period_ms = 2_000.0;
+      drain_ms = 0.0;
+      seed = 1;
+    }
+  in
+  let run = Eval.Cluster_run.create ~spans config in
+  Eval.Cluster_run.arrivals run;
+  Eval.Cluster_run.settle run;
+  let spans', untraced = Trace_analysis.of_jsonl_string (Span.to_jsonl spans) in
+  Alcotest.(check int) "untraced events: 0" 0 untraced;
+  let traces = Trace_analysis.traces spans' in
+  let continued (t : Trace_analysis.trace) =
+    let root = t.root in
+    let count name =
+      List.length
+        (List.filter (fun (c : Trace_analysis.tree) -> c.span.Trace_analysis.name = name) root.children)
+    in
+    root.span.Trace_analysis.name = "join" && count "resume" = 1 && count "rpc_attempt" >= 2
+  in
+  Alcotest.(check bool) "a join root with two RPC rounds" true (List.exists continued traces);
+  List.iter
+    (fun (t : Trace_analysis.trace) ->
+      let segs = Trace_analysis.critical_path t in
+      let total = List.fold_left (fun acc (s : Trace_analysis.segment) -> acc +. (s.to_ms -. s.from_ms)) 0.0 segs in
+      Alcotest.(check (float 1e-6))
+        (Printf.sprintf "trace #%d: the whole root duration attributed" t.trace_id)
+        t.root.span.Trace_analysis.dur total)
+    traces;
+  let report = Trace_analysis.analyze ~untraced spans' in
+  Alcotest.(check bool) "non-empty breakdown by span kind" true (report.overall <> []);
+  let text = Trace_analysis.report_to_string report in
+  let contains needle =
+    let n = String.length needle and h = String.length text in
+    let rec at i = i + n <= h && (String.sub text i n = needle || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "report has the breakdown heading" true
+    (contains "critical path by span kind");
+  Alcotest.(check bool) "report states untraced events: 0" true (contains "untraced events: 0");
+  Alcotest.(check bool) "a breakdown row with a share" true (contains "%")
+
 (* --- span reconciliation ------------------------------------------------ *)
 
 (* One span clock: in a traced crash-primary run every peer has exactly one
@@ -500,4 +554,6 @@ let suite =
       Alcotest.test_case "failover joins stay one trace" `Quick
         test_failover_joins_stay_one_trace;
       Alcotest.test_case "spans reconcile with their parents" `Quick test_spans_reconcile;
+      Alcotest.test_case "critical path of continued joins" `Quick
+        test_critical_path_of_continued_joins;
     ] )

@@ -723,6 +723,73 @@ let test_trace_names_after_one_join () =
     [ ("join_ms", 1); ("path_hops", 1); ("ping_round_ms", 1); ("traceroute_ms", 1) ]
     (List.map (fun (name, (s : Simkit.Trace.summary)) -> (name, s.count)) (Simkit.Trace.summaries trace))
 
+(* The first round's server side: an empty tree asks for the rest and
+   registers nothing; a prefix that reached the landmark registers as it
+   is; once the tree holds a prefix router, the route completed from it is
+   the one a full trace records, and the join costs only the prefix's
+   probes.  A backend without a router index always asks for the rest. *)
+let test_register_prefix () =
+  let map, oracle, lmks, _ = make_workload ~seed:31 () in
+  let client = Client.create oracle ~landmarks:lmks in
+  let first_round server peer attach_router =
+    let m = Client.measure_prefix client ~attach_router in
+    (m, Server.register_prefix server ~peer ~attach_router ~prefix:(Traceroute.Path.known_routers m.path) m)
+  in
+  let long_route r =
+    let m = Client.measure client ~attach_router:r in
+    m.full_hops > Client.prefix_hops
+  in
+  let leaves = Array.of_list (List.filter long_route (Array.to_list map.leaves)) in
+  let server = Server.create oracle ~landmarks:lmks in
+  let m0, answer = first_round server 0 leaves.(0) in
+  Alcotest.(check bool) "empty tree: continue" true (answer = None);
+  Alcotest.(check int) "nothing registered" 0 (Server.peer_count server);
+  Alcotest.(check int) "counted" 1 (Simkit.Trace.counter (Server.trace server) "join_continue");
+  ignore (Server.register_measured server ~peer:0 ~attach_router:leaves.(0) (Client.resume client m0));
+  (* A reference of full traces, joined in the same order. *)
+  let reference = Server.create oracle ~landmarks:lmks in
+  ignore (Server.join reference ~client ~peer:0 ~attach_router:leaves.(0));
+  let completed = ref 0 in
+  for peer = 1 to 40 do
+    let attach_router = leaves.(peer * 13 mod Array.length leaves) in
+    ignore (Server.join reference ~client ~peer ~attach_router);
+    match first_round server peer attach_router with
+    | m, Some info ->
+        incr completed;
+        Alcotest.(check int) "only the prefix's probes" m.probes info.probes_spent;
+        Alcotest.(check (option (array int)))
+          (Printf.sprintf "peer %d: the full trace's route" peer)
+          (Server.path_of reference peer) (Server.path_of server peer)
+    | m, None -> ignore (Server.register_measured server ~peer ~attach_router (Client.resume client m))
+  done;
+  Alcotest.(check bool) (Printf.sprintf "some first rounds complete (%d of 40)" !completed) true (!completed > 10);
+  Alcotest.(check string) "same digest as full traces"
+    (Printf.sprintf "%Lx" (Server.digest reference))
+    (Printf.sprintf "%Lx" (Server.digest server));
+  Server.check_invariants server;
+  Alcotest.check_raises "already registered"
+    (Invalid_argument "Server.register_prefix: peer already registered") (fun () ->
+      ignore (first_round server 0 leaves.(0)));
+  (* A route no longer than the prefix needs no donor. *)
+  (match
+     List.find_opt
+       (fun r -> not (long_route r))
+       (Array.to_list (Array.init (Topology.Graph.node_count map.graph) Fun.id))
+   with
+  | Some r ->
+      let fresh = Server.create oracle ~landmarks:lmks in
+      let _, answer = first_round fresh 0 r in
+      Alcotest.(check bool) "reached the landmark: registered" true (answer <> None);
+      Alcotest.(check (option (array int))) "its own route"
+        (Some (Traceroute.Route_oracle.route_array oracle ~src:r
+                 ~dst:(Client.measure client ~attach_router:r).landmark))
+        (Server.path_of fresh 0)
+  | None -> Alcotest.fail "no short route");
+  let naive = Server.create ~backend:(module Naive_registry) oracle ~landmarks:lmks in
+  ignore (Server.join naive ~client ~peer:0 ~attach_router:leaves.(0));
+  let _, answer = first_round naive 1 leaves.(0) in
+  Alcotest.(check bool) "no router index: continue" true (answer = None)
+
 let suite =
   ( "server",
     [
@@ -749,6 +816,7 @@ let suite =
       Alcotest.test_case "prefix replication completes routes" `Quick
         test_prefix_replication_completes_routes;
       Alcotest.test_case "prefix replication refusals" `Quick test_prefix_replication_refusals;
+      Alcotest.test_case "register prefix" `Quick test_register_prefix;
       Alcotest.test_case "neighbors allocation flat in hops" `Quick
         test_neighbors_allocation_flat_in_hops;
       Alcotest.test_case "state bytes per member" `Quick test_state_bytes_per_member;

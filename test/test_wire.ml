@@ -179,6 +179,9 @@ let sample_messages =
     Wire.Replica_prefix { peer = 42; donor = 9; probes = 14; prefix = [| 7 |] };
     Wire.Replica_prefix { peer = 300; donor = 0; probes = 0; prefix = [| 7; 130; 99 |] };
     Wire.Replica_nack { peer = 42 };
+    Wire.Path_prefix { peer = 42; landmark = 99; probes = 10; prefix = [| 7; 130 |] };
+    Wire.Path_prefix { peer = 0; landmark = 7; probes = 0; prefix = [| 7 |] };
+    Wire.Continue { peer = 42 };
   ]
 
 let test_wire_roundtrip () =
@@ -297,6 +300,52 @@ let qcheck_wire_replica_prefix_exact =
       Wire.byte_size m = String.length (Wire.encode m)
       && match Wire.decode (Wire.encode m) with Ok m' -> Wire.equal m m' | Error _ -> false)
 
+(* Tags 9 and 10, a join's first-round prefix and the server's request for
+   the rest: the exact bytes, the path-report kind and sizing without
+   allocating (round trips and truncations run over [sample_messages]). *)
+let test_wire_prefix_round_messages () =
+  let prefix = Wire.Path_prefix { peer = 1000; landmark = 1800; probes = 10; prefix = [| 150; 420 |] }
+  and continue = Wire.Continue { peer = 1000 } in
+  Alcotest.(check string) "prefix bytes" "\x01\x09\xe8\x07\x88\x0e\x0a\x02\x96\x01\xa4\x03"
+    (Wire.encode prefix);
+  Alcotest.(check string) "continue bytes" "\x01\x0a\xe8\x07" (Wire.encode continue);
+  List.iter
+    (fun m ->
+      Alcotest.(check int) "size = encode length" (String.length (Wire.encode m)) (Wire.byte_size m);
+      Alcotest.(check string) "kind" "path_report" (Wire.kind m);
+      let before = Gc.minor_words () in
+      for _ = 1 to 1_000 do
+        ignore (Sys.opaque_identity (Wire.byte_size m))
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.0)) "minor words over 1,000 sizings" 0.0 words)
+    [ prefix; continue ]
+
+let qcheck_wire_path_prefix_exact =
+  QCheck.Test.make ~name:"path prefix: byte_size = encode length, roundtrip" ~count:200
+    QCheck.(
+      quad (int_bound 100_000) (int_bound 5000) (int_bound 200)
+        (array_of_size Gen.(int_range 1 4) (int_bound 5000)))
+    (fun (peer, landmark, probes, prefix) ->
+      List.for_all
+        (fun m ->
+          Wire.byte_size m = String.length (Wire.encode m)
+          && match Wire.decode (Wire.encode m) with Ok m' -> Wire.equal m m' | Error _ -> false)
+        [ Wire.Path_prefix { peer; landmark; probes; prefix }; Wire.Continue { peer } ])
+
+(* Decoding stays total on a valid frame with 1-4 bytes overwritten, for
+   every message kind: it returns [Ok] or [Error], never raises. *)
+let qcheck_wire_decode_mutations =
+  let samples = Array.of_list (List.map Wire.encode sample_messages) in
+  QCheck.Test.make ~name:"wire decode never raises on 1-4 byte mutations" ~count:2000
+    QCheck.(
+      pair (int_bound (Array.length samples - 1))
+        (list_of_size Gen.(int_range 1 4) (pair (int_bound 1000) (int_bound 255))))
+    (fun (which, edits) ->
+      let b = Bytes.of_string samples.(which) in
+      List.iter (fun (pos, v) -> Bytes.set b (pos mod Bytes.length b) (Char.chr v)) edits;
+      match Wire.decode (Bytes.to_string b) with Ok _ | Error _ -> true)
+
 let qcheck_wire_neighbor_reply_roundtrip =
   QCheck.Test.make ~name:"wire neighbor-reply roundtrip" ~count:300
     QCheck.(pair (int_bound 10000) (small_list (pair (int_bound 5000) (int_bound 64))))
@@ -380,6 +429,9 @@ let suite =
       Alcotest.test_case "batch beats singleton reports" `Quick test_wire_batch_beats_singletons;
       Alcotest.test_case "replica prefix and nack" `Quick test_wire_replica_messages;
       q qcheck_wire_replica_prefix_exact;
+      Alcotest.test_case "path prefix and continue" `Quick test_wire_prefix_round_messages;
+      q qcheck_wire_path_prefix_exact;
+      q qcheck_wire_decode_mutations;
       q qcheck_wire_batch_size_exact;
       q qcheck_wire_neighbor_reply_roundtrip;
       q qcheck_wire_decode_total;
