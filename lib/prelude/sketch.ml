@@ -120,8 +120,12 @@ let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Sketch.quantile: q outside [0, 1]";
   if t.total = 0 then nan
   else begin
-    (* 0-based rank of the order statistic we are after. *)
-    let rank = int_of_float (q *. float_of_int (t.total - 1)) in
+    (* 0-based rank of the order statistic we are after: the smallest
+       value with at least a share [q] of the stream at or below it (the
+       inverse of the empirical CDF), so a pooled stream's quantile lies
+       between its parts'.  The epsilon keeps [q n] that is whole in
+       exact arithmetic from rounding up a rank. *)
+    let rank = max 0 (int_of_float (Float.ceil ((q *. float_of_int t.total) -. 1e-9)) - 1) in
     if rank < t.zero then Float.max 0.0 t.min_v
     else begin
       let rec walk j seen =

@@ -31,7 +31,11 @@ val add : t -> float -> unit
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [\[0, 1\]]: an estimate within relative
     error [alpha t] of the true q-quantile, clamped to the observed
-    min/max.  NaN on an empty sketch.
+    min/max.  The q-quantile of [n] values is the one of rank
+    [ceil (q n)] (1-based; the minimum for [q = 0]): the smallest with a
+    share [q] of the values at or below it.  So a merged sketch's quantile
+    lies between its parts', up to the error bound.  NaN on an empty
+    sketch.
     @raise Invalid_argument on [q] outside [\[0, 1\]]. *)
 
 val merge_into : into:t -> t -> unit

@@ -26,39 +26,20 @@ let ping ?latency ?rng oracle ~src ~dst =
   let one_way = one_way_latency ?latency oracle ~src ~dst in
   if one_way = infinity then infinity else noisy rng (2.0 *. one_way)
 
-(* One-way latency from [routers.(0)] to [routers.(last)]. *)
-let latency_to ?latency routers last =
-  match latency with
-  | None -> float_of_int last
-  | Some table ->
-      let acc = ref 0.0 in
-      for i = 1 to last do
-        acc := !acc +. Topology.Latency.get table routers.(i - 1) routers.(i)
-      done;
-      !acc
-
-let run ?(config = default_config) ?latency ?rng ?resume ?stop_ttl oracle ~src ~dst =
+let run ?(config = default_config) ?latency ?rng oracle ~src ~dst =
   if config.max_ttl < 1 then invalid_arg "Probe.run: max_ttl must be >= 1";
   if config.probes_per_hop < 1 then invalid_arg "Probe.run: probes_per_hop must be >= 1";
   if config.drop_prob < 0.0 || config.drop_prob >= 1.0 then
     invalid_arg "Probe.run: drop_prob must be in [0,1)";
-  (match stop_ttl with Some s when s < 1 -> invalid_arg "Probe.run: stop_ttl must be >= 1" | _ -> ());
   match Route_oracle.route_array oracle ~src ~dst with
   | [||] -> { path = { Path.src; dst; hops = [||] }; probes_sent = 0; rtt_ms = None }
   | routers ->
       let n_hops = Array.length routers - 1 in
-      let cap = match stop_ttl with Some s -> min s config.max_ttl | None -> config.max_ttl in
-      let recorded = min n_hops cap in
-      (* A resumed trace keeps the hops already recorded and probes on from
-         the next TTL. *)
-      let first =
-        match resume with Some (p : Path.t) when Array.length p.hops > 0 -> Array.length p.hops | _ -> 1
-      in
+      let recorded = min n_hops config.max_ttl in
       let probes = ref 0 in
-      let hops = Array.make (max first (recorded + 1)) Path.Anonymous in
-      if first > 1 then Array.blit (Option.get resume).hops 0 hops 0 first
-      else hops.(0) <- Path.Known src;
-      for i = first to recorded do
+      let hops = Array.make (recorded + 1) Path.Anonymous in
+      hops.(0) <- Path.Known src;
+      for i = 1 to recorded do
         probes := !probes + config.probes_per_hop;
         let router = routers.(i) in
         let responds =
@@ -77,13 +58,15 @@ let run ?(config = default_config) ?latency ?rng ?resume ?stop_ttl oracle ~src ~
         hops.(i) <- (if responds then Path.Known router else Path.Anonymous)
       done;
       let path = { Path.src; dst; hops } in
-      (* The RTT to the farthest TTL probed: the landmark's when the trace
-         reached it, hop [stop_ttl]'s when it stopped there on purpose; a
-         trace that [max_ttl] cut short measured no RTT. *)
       let rtt_ms =
-        let stopped = match stop_ttl with Some s -> recorded = s | None -> false in
-        if Path.is_complete path || stopped then
-          Some (noisy rng (2.0 *. latency_to ?latency routers (Array.length hops - 1)))
+        if Path.is_complete path then begin
+          let one_way =
+            match latency with
+            | Some table -> Topology.Latency.path_latency table routers
+            | None -> float_of_int n_hops
+          in
+          Some (noisy rng (2.0 *. one_way))
+        end
         else None
       in
       { path; probes_sent = !probes; rtt_ms }

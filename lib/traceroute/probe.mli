@@ -16,18 +16,13 @@ type config = {
 val default_config : config
 
 type result = { path : Path.t; probes_sent : int; rtt_ms : float option }
-(** [rtt_ms] is the measured round-trip (with noise when an rng is given)
-    to the farthest hop probed — the destination when the trace completed,
-    hop [stop_ttl] when it stopped there — over the latency table, or at
-    1 ms per link without one.  [None] when [max_ttl] cut the trace short
-    of the destination, or the destination is unreachable. *)
+(** [rtt_ms] is the measured round-trip to the destination (with noise) when
+    the trace completed and a latency table was supplied. *)
 
 val run :
   ?config:config ->
   ?latency:Topology.Latency.t ->
   ?rng:Prelude.Prng.t ->
-  ?resume:Path.t ->
-  ?stop_ttl:int ->
   Route_oracle.t ->
   src:Topology.Graph.node ->
   dst:Topology.Graph.node ->
@@ -35,15 +30,7 @@ val run :
 (** [run oracle ~src ~dst] emulates one traceroute.  Without [rng], probing
     is perfect (no drops, no noise) regardless of [drop_prob].  The endpoints
     themselves always respond ([src] knows itself; [dst] answers the final
-    probe directly).
-
-    The TTL range: [stop_ttl] (at most [max_ttl]) is the last TTL probed,
-    and [resume], an earlier trace from [src] toward [dst], says where to
-    start: its hops are kept and probing goes on from the next TTL, so the
-    result is the whole trace so far while [probes_sent] counts only the
-    new packets.  Tracing TTLs [1..h] and then resuming records the same
-    path, with the same probe total, as one full trace.
-    @raise Invalid_argument when [stop_ttl < 1]. *)
+    probe directly). *)
 
 val ping :
   ?latency:Topology.Latency.t ->

@@ -6,13 +6,14 @@ open Prelude
 
 let alpha = Sketch.default_alpha
 
-(* The sketch answers rank [int (q * (n - 1))]; compare against the same
-   order statistic, not an interpolated percentile, so the relative-error
-   bound is the one the data structure actually promises. *)
+(* The sketch answers rank [ceil (q n)] (1-based); compare against the
+   same order statistic, not an interpolated percentile, so the
+   relative-error bound is the one the data structure actually promises. *)
 let exact_rank samples q =
   let sorted = Array.copy samples in
   Array.sort compare sorted;
-  sorted.(int_of_float (q *. float_of_int (Array.length sorted - 1)))
+  let n = float_of_int (Array.length sorted) in
+  sorted.(max 0 (int_of_float (Float.ceil ((q *. n) -. 1e-9)) - 1))
 
 let within_bound ~est ~exact = Float.abs (est -. exact) <= (alpha *. Float.abs exact) +. 1e-9
 
