@@ -26,95 +26,97 @@ type measurement = {
   full_hops : int;
 }
 
-(* Round 1's landmark: the closest by ping, or a uniform draw. *)
-let choose ?rng t ~attach_router =
-  match t.choice with
-  | Closest -> Landmark.closest t.oracle ?latency:t.latency ?rng ~landmarks:t.landmarks attach_router
-  | Uniform -> (Prelude.Prng.choose t.choice_rng t.landmarks, 0.0)
-
-let pinged t = match t.choice with Closest -> Array.length t.landmarks | Uniform -> 0
-
-(* The client's one traceroute: TTLs from the end of [resume] (default 1)
-   up to [stop_ttl] (default the probe config's ceiling). *)
-let trace ?rng ?resume ?stop_ttl t ~attach_router ~landmark =
-  Traceroute.Probe.run ~config:t.probe_config ?latency:t.latency ?rng ?resume ?stop_ttl t.oracle
-    ~src:attach_router ~dst:landmark
-
-(* The trace's duration: the measured RTT when the trace produced one,
-   else the hop-count convention (1 ms per link, there and back). *)
-let rtt_or_hops (probe : Traceroute.Probe.result) ~hops =
-  match probe.rtt_ms with Some rtt -> rtt | None -> 2.0 *. float_of_int hops
-
 (* Round 1 + recording: ping all landmarks, traceroute to the winner,
    truncate per the configured decreased-tool strategy. *)
-let measure ?rng t ~attach_router =
-  let landmark, ping_ms = choose ?rng t ~attach_router in
-  let probe = trace ?rng t ~attach_router ~landmark in
+let measure_with ?rng ~extra_probes t ~attach_router =
+  let landmark, ping_ms =
+    match t.choice with
+    | Closest ->
+        Landmark.closest t.oracle ?latency:t.latency ?rng ~landmarks:t.landmarks attach_router
+    | Uniform -> (Prelude.Prng.choose t.choice_rng t.landmarks, 0.0)
+  in
+  let probe =
+    Traceroute.Probe.run ~config:t.probe_config ?latency:t.latency ?rng t.oracle ~src:attach_router
+      ~dst:landmark
+  in
   let full_hops = Traceroute.Path.hop_count probe.path in
   let graph = Traceroute.Route_oracle.graph t.oracle in
   let path = Traceroute.Truncate.apply ~graph t.truncate probe.path in
   (* Probe cost: one ping per landmark (round 1) plus the per-hop packets the
      decreased tool would really send. *)
-  let landmarks_pinged = pinged t in
+  let landmarks_pinged = match t.choice with Closest -> Array.length t.landmarks | Uniform -> 0 in
   let probes =
     landmarks_pinged
     + (Traceroute.Truncate.probe_cost t.truncate ~full_hops * t.probe_config.probes_per_hop)
+    + extra_probes
   in
-  let traceroute_ms = rtt_or_hops probe ~hops:full_hops in
+  (* Traceroute duration: the measured RTT when a latency table produced
+     one, else the hop-count convention (1 ms per link, there and back). *)
+  let traceroute_ms =
+    match probe.rtt_ms with Some rtt -> rtt | None -> 2.0 *. float_of_int full_hops
+  in
   { landmark; path; probes; landmarks_pinged; ping_ms; traceroute_ms; full_hops }
 
-(* Two hops: on bench/stack's join-steady stream 2.5-2.7% of joins find
-   neither of the first two held by the landmark tree, nearly all while
-   the trees are still sparse, and the median join takes 26 ms against 32
-   with the full trace.  Each hop fewer sends more joins round again. *)
-let prefix_hops = 2
+let measure ?rng t ~attach_router = measure_with ?rng ~extra_probes:0 t ~attach_router
 
-let measure_prefix ?rng t ~attach_router =
-  let landmark, ping_ms = choose ?rng t ~attach_router in
-  let probe = trace ?rng ~stop_ttl:prefix_hops t ~attach_router ~landmark in
-  let hops = Traceroute.Path.hop_count probe.path in
-  let landmarks_pinged = pinged t in
-  {
-    landmark;
-    path = probe.path;
-    probes = landmarks_pinged + probe.probes_sent;
-    landmarks_pinged;
-    ping_ms;
-    traceroute_ms = rtt_or_hops probe ~hops;
-    full_hops = hops;
-  }
+(* Three hops: their answers are back before the closest landmark's echo
+   on most routes, so the first round seldom waits for them, and each hop
+   costs one probe per other landmark.  Each hop fewer sends more joins
+   round again: at two, E5's 400 joins at once into an empty server
+   continued 342 times, and its mean setup rose 5.3% over the full trace;
+   at three, 1.5% of bench/stack join-steady joins continue. *)
+let prefix_hops = 3
 
-let resume ?rng t (m : measurement) =
-  let probe =
-    trace ?rng ~resume:m.path t ~attach_router:m.path.Traceroute.Path.src ~landmark:m.landmark
+(* TTLs 1..h go toward every landmark with the pings, so the first round
+   waits for the closest landmark's echo, or for hop h when it answers
+   later; the rest of the TTLs toward the winner leave then. *)
+let measure_join ?rng t ~attach_router =
+  let others = match t.choice with Closest -> Array.length t.landmarks - 1 | Uniform -> 0 in
+  measure_with ?rng ~extra_probes:(others * prefix_hops * t.probe_config.probes_per_hop) t
+    ~attach_router
+
+let first_round_ms t (m : measurement) =
+  let rtt_h =
+    if m.full_hops <= prefix_hops then m.traceroute_ms
+    else
+      match t.latency with
+      | None -> 2.0 *. float_of_int prefix_hops
+      | Some table ->
+          let route =
+            Traceroute.Route_oracle.route_array t.oracle ~src:m.path.src ~dst:m.landmark
+          in
+          2.0 *. Topology.Latency.path_latency table (Array.sub route 0 (prefix_hops + 1))
   in
-  let full_hops = Traceroute.Path.hop_count probe.path in
-  let graph = Traceroute.Route_oracle.graph t.oracle in
-  {
-    m with
-    path = Traceroute.Truncate.apply ~graph t.truncate probe.path;
-    probes = m.probes + probe.probes_sent;
-    traceroute_ms = m.traceroute_ms +. rtt_or_hops probe ~hops:full_hops;
-    full_hops;
-  }
+  Float.max m.ping_ms rtt_h
+
+let prefix (m : measurement) =
+  let hops = m.path.hops in
+  let n = min (Array.length hops) (prefix_hops + 1) in
+  let known = ref 0 in
+  for i = 0 to n - 1 do
+    match hops.(i) with Traceroute.Path.Known _ -> incr known | Anonymous -> ()
+  done;
+  let routers = Array.make !known 0 and j = ref 0 in
+  for i = 0 to n - 1 do
+    match hops.(i) with
+    | Traceroute.Path.Known r ->
+        routers.(!j) <- r;
+        incr j
+    | Anonymous -> ()
+  done;
+  routers
 
 (* The one measurement clock: every join waits this long before its server
    round, and the server's join counters charge the same sum. *)
 let[@inline] duration_ms m = m.ping_ms +. m.traceroute_ms
 
 (* The client's measurement, as long as the measurement clock says: one
-   span shape for the in-process [Server.join] and [Protocol.join] alike.
-   A continue round's span is a "resume", as long as the resumed trace
-   added. *)
-let measure_span ?since spans ~parent ~peer m =
+   span shape for the in-process [Server.join] and [Protocol.join] alike. *)
+let measure_span ?dur spans ~parent ~peer m =
   if Simkit.Span.enabled spans then
     let open Simkit.Span in
-    let name, dur =
-      match since with
-      | Some s -> ("resume", duration_ms m -. duration_ms s)
-      | None -> ("measure", duration_ms m)
-    in
-    emit spans ~name ~ts:(now spans) ~dur ~tid:peer
+    let dur = match dur with Some d -> d | None -> duration_ms m in
+    emit spans ~name:"measure" ~ts:(now spans) ~dur ~tid:peer
       ~ctx:(context spans ~parent ())
       [
         ("peer", Int peer);

@@ -40,24 +40,26 @@ val measure : ?rng:Prelude.Prng.t -> t -> attach_router:Topology.Graph.node -> m
     landmark choice first, then by the traceroute. *)
 
 val prefix_hops : int
-(** The TTLs a join's first round traces: 2. *)
+(** The hops a join's first round uploads: 2. *)
 
-val measure_prefix : ?rng:Prelude.Prng.t -> t -> attach_router:Topology.Graph.node -> measurement
-(** A join's first round ({!Protocol.join}): the ping round as in {!measure},
-    then the traceroute's first {!prefix_hops} TTLs only.  [path] is that
-    prefix (it reaches the landmark only on a route that short), [probes]
-    the pings plus the TTL packets sent, [full_hops] the prefix's hops,
-    and [traceroute_ms] the RTT to its last hop: [2 h] ms on hop counts,
-    twice the latency over its routers on a latency table.  No truncation
-    applies to the prefix. *)
+val measure_join : ?rng:Prelude.Prng.t -> t -> attach_router:Topology.Graph.node -> measurement
+(** A join's measurement ({!Protocol.join}): {!measure}'s landmark, path,
+    clock and draws, and its probes plus {!prefix_hops} TTL probes toward
+    each other landmark pinged.  Those go with the pings, so the first
+    round can leave once the closest landmark's echo is back
+    ({!first_round_ms}); the rest of the TTLs toward it leave then, and
+    the whole trace is in after {!duration_ms}. *)
 
-val resume : ?rng:Prelude.Prng.t -> t -> measurement -> measurement
-(** The continue round: trace the TTLs past [m]'s path up to the landmark
-    and return the whole measurement.  The path is the prefix and the rest
-    (truncated per the client's tool), [probes] and [traceroute_ms] add the
-    rest's packets and RTT, and [full_hops] is the whole trace's.  For the
-    full tool, a prefix then its resume record the path and probe count
-    one {!measure} records, at the same landmark. *)
+val first_round_ms : t -> measurement -> float
+(** When a join's first round leaves, from the start of its measurement:
+    the later of the closest landmark's echo ([ping_ms]) and the RTT to
+    hop {!prefix_hops} (to the landmark, on a route that short).  The RTT
+    to hop h is [2 h] ms on hop counts and twice the latency over routers
+    [0..h] on a latency table, without noise. *)
+
+val prefix : measurement -> Topology.Graph.node array
+(** The routers of the first {!prefix_hops} hops that answered, in route
+    order from the attach router: what a join's first round uploads. *)
 
 val duration_ms : measurement -> float
 (** The one measurement clock, [ping_ms + traceroute_ms]: {!Protocol.join}
@@ -65,13 +67,6 @@ val duration_ms : measurement -> float
     stream records it. *)
 
 val measure_span :
-  ?since:measurement ->
-  Simkit.Span.sink ->
-  parent:Simkit.Span.context ->
-  peer:int ->
-  measurement ->
-  unit
-(** The ["measure"] span under [parent]: from now, for {!duration_ms},
-    with the probe and hop counts.  With [since] (the first round's
-    measurement), a continue round's ["resume"] span instead, lasting the
-    time the resumed trace added. *)
+  ?dur:float -> Simkit.Span.sink -> parent:Simkit.Span.context -> peer:int -> measurement -> unit
+(** The ["measure"] span under [parent]: from now, for [dur] (default
+    {!duration_ms}), with the probe and hop counts. *)

@@ -178,13 +178,16 @@ let live_count t =
    fails over to the next-closest believed-live replica immediately instead
    of burning its whole budget on a dead primary.  The k-th candidate is
    the one with exactly k candidates ordered before it: no list, no sort. *)
-let target t ~src ~attempt =
+let target ?first t ~src ~attempt =
   let n = Array.length t.replicas and d = t.delays in
   let live = ref 0 in
   for i = 0 to n - 1 do
     let r = t.replicas.(i) in
     if believed_live t r then begin
-      d.(i) <- Simkit.Transport.one_way_delay t.transport ~src ~dst:r.router;
+      d.(i) <-
+        (match first with
+        | Some f when f = r.id -> neg_infinity
+        | _ -> Simkit.Transport.one_way_delay t.transport ~src ~dst:r.router);
       incr live
     end
     else d.(i) <- nan
@@ -343,14 +346,15 @@ let count_upload t msg = t.client_report_bytes := !(t.client_report_bytes) + Wir
 type answer = Registered of Server.peer_info * (int * int) list | Continue of { replica : int }
 
 (* A retry whose predecessor's reply was lost: idempotent re-answer. *)
-let reanswer t (r : replica) ~peer ~k =
+let reanswer t (r : replica) ~peer ~k info =
   Simkit.Trace.incr t.trace "cluster_duplicate_register";
-  (Option.get (Server.info r.server peer), Server.neighbors r.server ~peer ~k)
+  (info, Server.neighbors r.server ~peer ~k)
 
 let handle_registration t ~replica ~peer ~attach_router ~measurement ~k =
   let r = t.replicas.(replica) in
   if not r.alive then None
-  else if Server.mem r.server peer then Some (reanswer t r ~peer ~k)
+  else if Server.mem r.server peer then
+    Some (reanswer t r ~peer ~k (Option.get (Server.info r.server peer)))
   else begin
     let info = Server.register_measured r.server ~peer ~attach_router measurement in
     let report = Wire.Path_report { peer; path = measurement.Client.path } in
@@ -364,7 +368,10 @@ let handle_prefix t ~replica ~peer ~attach_router ~measurement ~prefix ~k =
   let r = t.replicas.(replica) in
   if not r.alive then None
   else if Server.mem r.server peer then
-    let info, neighbors = reanswer t r ~peer ~k in
+    (* The info a fresh answer carried: its path is the prefix. *)
+    let info, neighbors =
+      reanswer t r ~peer ~k (Server.measured_info ~attach_router measurement)
+    in
     Some (Registered (info, neighbors))
   else begin
     let m = measurement in

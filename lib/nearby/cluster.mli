@@ -141,10 +141,12 @@ val scrape : t -> into:Simkit.Metrics.t -> unit
 val replica_at : t -> router:Topology.Graph.node -> int option
 (** The replica hosted at [router], if any. *)
 
-val target : t -> src:Topology.Graph.node -> attempt:int -> int option
+val target : ?first:int -> t -> src:Topology.Graph.node -> attempt:int -> int option
 (** Failover routing for attempt [n] (1-based) of an RPC from [src]:
     believed-live replicas sorted by (one-way delay from [src], id), entry
-    [(n-1) mod live].  [None] when every replica is suspected.  A
+    [(n-1) mod live].  With [first], that replica heads the order while it
+    is believed live, and attempt 2 goes to the closest other one.  [None]
+    when every replica is suspected.  A
     {!single} cluster has no detector, so its one replica is believed live
     exactly while it is alive. *)
 
@@ -194,14 +196,17 @@ val handle_prefix :
   k:int ->
   answer option
 (** Server side of a join's first round ({!Wire.Path_prefix}):
-    [measurement] is the client's {!Client.measure_prefix} and [prefix] the
-    routers of it that answered, the {!Wire.Path_prefix} payload.  The replica
+    [measurement] is the client's {!Client.measure_join} and [prefix] the
+    routers of its first hops that answered ({!Client.prefix}), the
+    {!Wire.Path_prefix} payload.  The replica
     completes the route ({!Server.register_prefix}), fans it out as
     {!handle_registration} does (the full report, when one is needed, is
     the route the replica stored) and answers the neighbor query; or,
     holding none of the prefix's routers, answers [Continue] and registers
     nothing — the client then sends its whole trace through
-    {!handle_registration}.  Idempotent as {!handle_registration} is;
+    {!handle_registration}.  Idempotent as {!handle_registration} is, and
+    a retry's re-answer carries the fresh answer's info
+    ({!Server.measured_info});
     [None] when the replica is down.  Every fresh first round counts its
     {!Wire.Path_prefix} in {!replication_amplification}'s denominator. *)
 

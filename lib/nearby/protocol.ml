@@ -11,30 +11,34 @@ let create_resilient ?client ~rpc cluster =
   in
   { engine = Simkit.Rpc.engine rpc; cluster; rpc; client }
 
-(* A join: the newcomer pings the landmarks and traces the first
-   {!Client.prefix_hops} hops toward the closest ({!Client.measure_prefix}),
-   waits out that measurement, then ships the prefix with its neighbor
-   request through the retrying RPC layer.  The replica completes the route
-   from its landmark tree and answers; or, holding none of the prefix's
-   routers, answers [Continue], and the client traces the rest of the route
-   ({!Client.resume}), waits that out, and ships the whole trace in a
-   second call.  Retries resend the same measurement — the client does not
+(* A join: the newcomer pings the landmarks, with the first
+   {!Client.prefix_hops} TTLs toward each, and traceroutes on toward the
+   closest ({!Client.measure_join}).  Once the closest landmark has
+   answered ({!Client.first_round_ms}) it ships the first hops toward it
+   ({!Client.prefix}) with its neighbor request through the retrying RPC
+   layer.  The replica completes the route from its landmark tree and
+   answers; or, holding none of the prefix's routers, answers [Continue],
+   and the client ships the whole trace in a second call as soon as its
+   last answer is in (at once when it arrived during the first call).
+   Retries resend the same measurement -- the client does not
    re-traceroute on a lost packet.
 
-   One root "join" span covers the whole client-observed join; each
-   round's measurement span, every RPC attempt and (through the attempt's
-   ambient context) the server-side registration subtree all hang off it,
-   so a failed-over or continued join is still one causal tree. *)
+   One root "join" span covers the whole client-observed join; the
+   measurement span, a continued join's wait for the rest of its trace,
+   every RPC attempt and (through the attempt's ambient context) the
+   server-side registration subtree all hang off it, so a failed-over or
+   continued join is still one causal tree. *)
 
 (* What both rounds of one join share. *)
 type join = {
   p : t;
-  rng : Prelude.Prng.t option;
   peer : int;
   attach_router : Topology.Graph.node;
   k : int;
   span : Simkit.Span.span;
   ctx : Simkit.Span.context;
+  m : Client.measurement;  (* the whole measurement ... *)
+  whole_at : float;  (* ... and when its last answer is in *)
   query : string * int;  (* the neighbor request's part, sized once: every round resends it *)
   on_complete : Server.peer_info -> (int * int) list -> unit;
   on_failure : unit -> unit;
@@ -50,19 +54,14 @@ let reply_part j neighbors =
 
 (* One server round: [request] and the neighbor request, to the closest
    believed-live replica, failing over per {!Cluster.target}; [handle] runs
-   at the replica that receives it.  With [first], the first attempt goes
-   to that replica and the failover order follows. *)
+   at the replica that receives it.  With [first], that replica heads the
+   failover order while it is believed live. *)
 let call ?first j request ~reply_parts ~handle ~on_reply =
   let cluster = j.p.cluster in
   Simkit.Rpc.call ~parent:j.ctx j.p.rpc ~src:j.attach_router
     ~dst:(fun ~attempt ->
-      let target =
-        match first with
-        | Some replica when attempt = 1 -> Some replica
-        | Some _ -> Cluster.target cluster ~src:j.attach_router ~attempt:(attempt - 1)
-        | None -> Cluster.target cluster ~src:j.attach_router ~attempt
-      in
-      Option.map (Cluster.replica_router cluster) target)
+      Option.map (Cluster.replica_router cluster)
+        (Cluster.target ?first cluster ~src:j.attach_router ~attempt))
     ~request_parts:[ (Wire.kind request, Wire.byte_size request); j.query ]
     ~reply_parts
     ~handle:(fun ~dst ->
@@ -76,15 +75,21 @@ let complete j info reply =
   finish j "ok";
   j.on_complete info reply
 
-(* The continue round: the rest of the trace, then the whole of it, to
-   the replica that asked for it — it was up a moment ago, where the
-   closest replica may be down and not yet suspected. *)
-let continue_round j first ~replica =
-  let m = Client.resume ?rng:j.rng j.p.client first in
-  Client.measure_span ~since:first (Simkit.Rpc.spans j.p.rpc) ~parent:j.ctx ~peer:j.peer m;
-  Simkit.Engine.schedule j.p.engine
-    ~delay:(Client.duration_ms m -. Client.duration_ms first)
-    (fun () ->
+(* The continue round: the whole trace, once its last answer is in, to
+   the replica that asked for it -- it was up a moment ago, where the
+   closest replica may be down and not yet suspected.  The wait for the
+   rest is a "rest" span, empty when the trace finished during the first
+   call. *)
+let continue_round j ~replica =
+  let wait = Float.max 0.0 (j.whole_at -. Simkit.Engine.now j.p.engine) in
+  let spans = Simkit.Rpc.spans j.p.rpc in
+  if Simkit.Span.enabled spans then
+    Simkit.Span.(
+      emit spans ~name:"rest" ~ts:(now spans) ~dur:wait ~tid:j.peer
+        ~ctx:(context spans ~parent:j.ctx ())
+        [ ("peer", Int j.peer); ("full_hops", Int j.m.full_hops) ]);
+  Simkit.Engine.schedule j.p.engine ~delay:wait (fun () ->
+      let m = j.m in
       call ~first:replica j
         (Wire.Path_report { peer = j.peer; path = m.path })
         ~reply_parts:(fun (_, neighbors) -> [ reply_part j neighbors ])
@@ -93,8 +98,9 @@ let continue_round j first ~replica =
             ~attach_router:j.attach_router ~measurement:m ~k:j.k)
         ~on_reply:(fun (info, reply) -> complete j info reply))
 
-let first_round j (m : Client.measurement) =
-  let prefix = Traceroute.Path.known_routers m.path in
+let first_round j =
+  let m = j.m in
+  let prefix = Client.prefix m in
   call j
     (Wire.Path_prefix { peer = j.peer; landmark = m.landmark; probes = m.probes; prefix })
     ~reply_parts:(function
@@ -107,7 +113,7 @@ let first_round j (m : Client.measurement) =
         ~measurement:m ~prefix ~k:j.k)
     ~on_reply:(function
       | Cluster.Registered (info, reply) -> complete j info reply
-      | Cluster.Continue { replica } -> continue_round j m ~replica)
+      | Cluster.Continue { replica } -> continue_round j ~replica)
 
 let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~on_complete =
   let spans = Simkit.Rpc.spans t.rpc in
@@ -120,23 +126,25 @@ let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~
   let ctx = Simkit.Span.context_of span in
   (match on_trace with Some f -> f ctx | None -> ());
   let query = Wire.Neighbor_request { peer; k } in
+  let m = Client.measure_join ?rng t.client ~attach_router in
+  let first_ms = Client.first_round_ms t.client m in
   let j =
     {
       p = t;
-      rng;
       peer;
       attach_router;
       k;
       span;
       ctx;
       query = (Wire.kind query, Wire.byte_size query);
+      m;
+      whole_at = Simkit.Engine.now t.engine +. Client.duration_ms m;
       on_complete;
       on_failure;
     }
   in
-  let m = Client.measure_prefix ?rng t.client ~attach_router in
-  Client.measure_span spans ~parent:ctx ~peer m;
-  Simkit.Engine.schedule t.engine ~delay:(Client.duration_ms m) (fun () -> first_round j m)
+  if Simkit.Span.enabled spans then Client.measure_span ~dur:first_ms spans ~parent:ctx ~peer m;
+  Simkit.Engine.schedule t.engine ~delay:first_ms (fun () -> first_round j)
 
 let vivaldi_setup_delay ~rounds ~round_period_ms =
   if rounds < 0 || round_period_ms < 0.0 then invalid_arg "Protocol.vivaldi_setup_delay: negative input";

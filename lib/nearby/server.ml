@@ -386,6 +386,9 @@ let store_join t ~peer ~routers ~attach_router ~landmark ~probes =
       (fun _ -> store t ~peer ~routers ~refresh:true ~attach:attach_router ~home:landmark ~probes)
   else store t ~peer ~routers ~refresh:true ~attach:attach_router ~home:landmark ~probes
 
+let measured_info ~attach_router (m : measurement) =
+  { attach_router; landmark = m.landmark; recorded_path = m.path; probes_spent = m.probes }
+
 (* Round 2 server side, split from [join] so a replicated cluster can
    measure once at the client and register on any replica. *)
 let register_measured t ~peer ~attach_router (m : measurement) =
@@ -402,7 +405,7 @@ let register_measured t ~peer ~attach_router (m : measurement) =
   count_join t m;
   Simkit.Trace.cell_add t.cells.wire_bytes
     (Wire.byte_size (Wire.Path_report { peer; path = recorded_path }));
-  { attach_router; landmark; recorded_path; probes_spent }
+  measured_info ~attach_router m
 
 (* Both rounds in process, under one root "join" span: the sink clock does
    not see the measurement pass, so the join lasts at least as long. *)
@@ -485,9 +488,6 @@ let replication_prefix t ~peer =
                prefix = (if i = 0 then [| routers.(0) |] else Array.sub routers 0 (i + 1));
              })
 
-let replication_message t ~peer ~report =
-  match replication_prefix t ~peer with Some m -> m | None -> report
-
 let stored_report t ~peer =
   let slot = Slot_index.find t.index peer in
   if slot < 0 then raise Not_found;
@@ -559,10 +559,9 @@ let register_prefix t ~peer ~attach_router ~prefix (m : measurement) =
     (Wire.byte_size (Wire.Path_prefix { peer; landmark; probes = m.probes; prefix }));
   let routers = prefix_route t (registry_of t landmark) ~peer prefix 0 in
   (* A prefix that reached the landmark needs no donor. *)
+  let n = Array.length prefix in
   let routers =
-    if Array.length routers = 0 && Traceroute.Path.is_complete m.path then
-      registrable_path ~landmark m.path
-    else routers
+    if Array.length routers = 0 && n > 0 && prefix.(n - 1) = landmark then prefix else routers
   in
   if Array.length routers = 0 then begin
     (* Rare once the trees fill: a name lookup, not a cell in every server. *)
@@ -572,7 +571,7 @@ let register_prefix t ~peer ~attach_router ~prefix (m : measurement) =
   else begin
     store_join t ~peer ~routers ~attach_router ~landmark ~probes:m.probes;
     count_join t m;
-    Some { attach_router; landmark; recorded_path = m.path; probes_spent = m.probes }
+    Some (measured_info ~attach_router m)
   end
 
 (* Batch round 2: checked as a whole -- every peer in range, new and

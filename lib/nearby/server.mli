@@ -87,11 +87,16 @@ val join :
     A replicated cluster measures once at the client and registers the same
     recorded path on several replicas, so round 2 is exposed on its own. *)
 
+val measured_info : attach_router:Topology.Graph.node -> Client.measurement -> peer_info
+(** The info a join's answer carries: the attach router and the
+    measurement's landmark, path and probe count.  A retried call's
+    re-answer carries the same, so a join's info does not depend on which
+    of its replies arrived. *)
+
 val register_measured :
   t -> peer:int -> attach_router:Topology.Graph.node -> Client.measurement -> peer_info
 (** Round 2 server side: register the measured path and account the join
-    (counters, a [register] span).  The returned info shares the
-    measurement's path.
+    (counters, a [register] span).  Returns {!measured_info}.
     @raise Invalid_argument when already registered. *)
 
 val register_prefix :
@@ -101,17 +106,19 @@ val register_prefix :
   prefix:Topology.Graph.node array ->
   Client.measurement ->
   peer_info option
-(** A join's first round server side ({!Wire.Path_prefix}): [m.path] is the
-    client's trace cut at its first hops ({!Client.measure_prefix}) and
-    [prefix] its routers that answered.  The
-    first of them, from the attach router on, that a member
+(** A join's first round server side ({!Wire.Path_prefix}): [prefix] is
+    the routers of the client's first hops that answered
+    ({!Client.prefix}), the message's payload, and [m] the client's
+    measurement ({!Client.measure_join}), read only for its landmark, probe
+    count and clock — never for its path.  The
+    first prefix router, from the attach router on, that a member
     of [m.landmark]'s tree crosses ({!Registry_intf.S.member_through}) ends
     the prefix: the registered route is the routers before it, then that
     member's stored route from it to the landmark — the route a full trace
     records, since routes toward one landmark form a tree.  A prefix that
     already reached the landmark is registered as it is.  Either way the
     join is accounted as {!register_measured} accounts it, and the info
-    shares the measurement's path, the prefix.  [None],
+    is {!measured_info}'s.  [None],
     with nothing registered, when no router of the prefix is held and it
     stops short of the landmark: the client must send the rest
     ({!Wire.Continue}), counted as ["join_continue"].  The prefix's
@@ -156,9 +163,6 @@ val replication_prefix : t -> peer:int -> Wire.message option
     or the stored route does not start at the attach router: the fan-out
     then builds and sends the full report.  Reads at most one bucket head
     and one path comparison per router. *)
-
-val replication_message : t -> peer:int -> report:Wire.message -> Wire.message
-(** {!replication_prefix}, or [report] where it answers [None]. *)
 
 val stored_report : t -> peer:int -> Wire.message
 (** The {!Wire.Path_report} of the route stored for [peer], fully

@@ -105,12 +105,13 @@ let test_measure_allocation () =
     (Printf.sprintf "measure allocates %.0f words" words)
     true (words <= 88.0)
 
-(* The first round is charged the RTT to the last hop it traced, not the
-   hop-count convention for a trace that stopped short: 2 h ms on hop
-   counts, twice the latency over routers 0..h on a latency table.  Its
-   resume then adds the RTT to the landmark, and the two rounds record the
-   full trace's path and probe count. *)
-let test_prefix_round_clock () =
+(* The first round leaves at the later of the closest landmark's echo and
+   the RTT to hop h, not at the hop-count convention for a trace that
+   stops short: 2 h ms on hop counts, twice the latency over routers 0..h
+   on a latency table.  It uploads the trace's first h hops; the join's
+   measurement is {!Client.measure}'s, counting h more TTL probes per
+   other landmark. *)
+let test_first_round_clock () =
   let map, oracle, landmarks, _ = make_workload ~landmarks:5 ~seed:21 () in
   let latency =
     Topology.Latency.assign map.graph
@@ -126,29 +127,33 @@ let test_prefix_round_clock () =
         (fun i attach_router ->
           if i mod 5 = 0 then begin
             let full = Client.measure client ~attach_router in
-            let m = Client.measure_prefix client ~attach_router in
+            let m = Client.measure_join client ~attach_router in
+            let probes = full.probes + ((Array.length landmarks - 1) * h) in
+            Alcotest.(check bool) "measure's, with h probes per other landmark" true
+              (m = { full with probes });
             let route =
               Traceroute.Route_oracle.route_array oracle ~src:attach_router ~dst:full.landmark
             in
-            let n = Array.length route - 1 in
-            if n > h then begin
+            let first = Client.first_round_ms client m in
+            if Array.length route - 1 > h then begin
               incr checked;
               let one_way =
                 match latency with
                 | None -> float_of_int h
                 | Some table -> Topology.Latency.path_latency table (Array.sub route 0 (h + 1))
               in
-              Alcotest.(check (float 1e-9)) "prefix RTT to hop h" (2.0 *. one_way) m.traceroute_ms;
-              Alcotest.(check (float 1e-9)) "same ping round" full.ping_ms m.ping_ms;
-              Alcotest.(check int) "prefix probes" (full.landmarks_pinged + h) m.probes;
-              Alcotest.(check int) "prefix hops" h (Traceroute.Path.hop_count m.path);
-              let r = Client.resume client m in
-              Alcotest.(check bool) "resume records the full path" true
-                (Traceroute.Path.equal full.path r.path);
-              Alcotest.(check int) "resume probes = full probes" full.probes r.probes;
-              Alcotest.(check int) "full hops" full.full_hops r.full_hops;
-              Alcotest.(check (float 1e-9)) "resume adds the RTT to the landmark"
-                (m.traceroute_ms +. full.traceroute_ms) r.traceroute_ms
+              Alcotest.(check (float 1e-9)) "the echo or the RTT to hop h"
+                (Float.max full.ping_ms (2.0 *. one_way))
+                first;
+              Alcotest.(check bool) "before the whole trace" true (first < Client.duration_ms m);
+              Alcotest.(check (array int)) "the route's first h hops" (Array.sub route 0 (h + 1))
+                (Client.prefix m)
+            end
+            else begin
+              Alcotest.(check (float 1e-9)) "a short route: the echo or the trace"
+                (Float.max full.ping_ms full.traceroute_ms)
+                first;
+              Alcotest.(check (array int)) "a short route is its own prefix" route (Client.prefix m)
             end
           end)
         map.leaves)
@@ -164,5 +169,5 @@ let suite =
       Alcotest.test_case "truncated tool" `Quick test_truncated_tool;
       Alcotest.test_case "probe noise" `Quick test_probe_noise_does_not_break_registration;
       Alcotest.test_case "measure allocation" `Quick test_measure_allocation;
-      Alcotest.test_case "prefix round clock" `Quick test_prefix_round_clock;
+      Alcotest.test_case "prefix round clock" `Quick test_first_round_clock;
     ] )

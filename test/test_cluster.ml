@@ -77,14 +77,10 @@ let single_protocol fx server =
 (* The join's rounds in process, without the RPC layer: the first-round
    prefix, and the whole trace when the server asks for the rest. *)
 let join_in_process server ~client ~peer ~attach_router =
-  let m = Nearby.Client.measure_prefix client ~attach_router in
-  let prefix = Traceroute.Path.known_routers m.path in
-  match Nearby.Server.register_prefix server ~peer ~attach_router ~prefix m with
+  let m = Nearby.Client.measure_join client ~attach_router in
+  match Nearby.Server.register_prefix server ~peer ~attach_router ~prefix:(Nearby.Client.prefix m) m with
   | Some _ -> ()
-  | None ->
-      ignore
-        (Nearby.Server.register_measured server ~peer ~attach_router
-           (Nearby.Client.resume client m))
+  | None -> ignore (Nearby.Server.register_measured server ~peer ~attach_router m)
 
 (* A 1-replica cluster behind the RPC layer on a clean network keeps the
    replies, the registered state and the server accounting of a plain
@@ -595,7 +591,9 @@ let test_refused_prefix_is_resent_whole () =
       (Nearby.Cluster.handle_registration cluster ~replica:0 ~peer ~attach_router ~measurement ~k:3);
     let report = Nearby.Wire.Path_report { peer; path = measurement.path } in
     let msg =
-      Nearby.Server.replication_message (Nearby.Cluster.server_of cluster 0) ~peer ~report
+      match Nearby.Server.replication_prefix (Nearby.Cluster.server_of cluster 0) ~peer with
+      | Some prefix -> prefix
+      | None -> report
     in
     Simkit.Engine.run fx.engine ~until:(Simkit.Engine.now fx.engine +. 200.0);
     (Nearby.Wire.byte_size report, Nearby.Wire.byte_size msg)
@@ -846,6 +844,47 @@ let test_prefix_round_under_faults () =
         Simkit.Fault.crash_primary ~crash_at:(0.25 *. w) ~recover_at:(0.7 *. w) () );
     ]
 
+(* A continued join whose replica crashed between its two rounds, before
+   anyone suspects it: the second call's first attempt goes to that
+   replica and times out, and the failover's next attempt goes to the
+   closest other replica, not back to the crashed one. *)
+let test_continue_round_fails_over_past_a_crash () =
+  let fx = fixture ~seed:24 () in
+  let cluster = make_cluster fx in
+  let rpc = Simkit.Rpc.create ~config:rpc_config fx.transport in
+  let client = make_client fx in
+  let protocol = Nearby.Protocol.create_resilient ~client ~rpc cluster in
+  let attach_router =
+    List.find
+      (fun r -> (Nearby.Client.measure client ~attach_router:r).full_hops > Nearby.Client.prefix_hops)
+      (Array.to_list fx.map.leaves)
+  in
+  let closest = Option.get (Nearby.Cluster.target cluster ~src:attach_router ~attempt:1) in
+  let after = Option.get (Nearby.Cluster.target ~first:closest cluster ~src:attach_router ~attempt:2) in
+  Alcotest.(check int) "first heads the order" closest
+    (Option.get (Nearby.Cluster.target ~first:closest cluster ~src:attach_router ~attempt:1));
+  Alcotest.(check bool) "attempt 2 goes elsewhere" true (after <> closest);
+  (* The empty tree continues the join; the replica crashes once it has
+     sent that answer. *)
+  let m = Nearby.Client.measure_join client ~attach_router in
+  let answered =
+    Nearby.Client.first_round_ms client m
+    +. Simkit.Transport.one_way_delay fx.transport ~src:attach_router
+         ~dst:(Nearby.Cluster.replica_router cluster closest)
+  in
+  Simkit.Engine.schedule_at fx.engine ~time:(answered +. 0.5) (fun () ->
+      Nearby.Cluster.crash cluster closest);
+  let done_ = ref false in
+  Nearby.Protocol.join protocol ~peer:0 ~attach_router ~k:3 ~on_complete:(fun _ _ -> done_ := true);
+  Simkit.Engine.run fx.engine ~until:5_000.0;
+  Alcotest.(check bool) "completed" true !done_;
+  let server i = Nearby.Cluster.server_of cluster i in
+  Alcotest.(check int) "one continue" 1
+    (Simkit.Trace.counter (Nearby.Server.trace (server closest)) "join_continue");
+  Alcotest.(check bool) "registered where attempt 2 went" true (Nearby.Server.mem (server after) 0);
+  Alcotest.(check bool) "not on the crashed replica" false (Nearby.Server.mem (server closest) 0);
+  Alcotest.(check int) "one timeout" 1 (Simkit.Trace.counter (Simkit.Rpc.trace rpc) "rpc_timeouts")
+
 let suite =
   ( "cluster",
     [
@@ -879,4 +918,6 @@ let suite =
       Alcotest.test_case "naive backend always continues" `Quick
         test_naive_backend_always_continues;
       Alcotest.test_case "prefix round under faults" `Quick test_prefix_round_under_faults;
+      Alcotest.test_case "continue round fails over past a crash" `Quick
+        test_continue_round_fails_over_past_a_crash;
     ] )

@@ -68,18 +68,19 @@ let test_protocol_timing () =
   let engine = Simkit.Engine.create () in
   let transport, protocol = single_protocol ~engine oracle ~router:d.lmk server in
   (* p1 is 5 hops from the single landmark at 1 ms per hop: round 1 = the
-     RTT to the landmark (10 ms); the first two hops' probes are in flight
-     together, the RTT to hop 2 (4 ms); the RPC to the server at the
-     landmark = 10 ms.  The tree is empty, so the server asks for the
-     rest: one RTT to the landmark for hops 3-5 (10 ms), then a second
-     RPC (10 ms). *)
+     RTT to the landmark (10 ms), by when hop 2 has answered the TTL probes
+     sent with the ping; the RPC to the server at the landmark = 10 ms.
+     The tree is empty, so the server asks for the rest, whose TTLs left
+     with the first round and were back as it ended; a second RPC
+     (10 ms). *)
   let client = Nearby.Client.create oracle ~landmarks:[| d.lmk |] in
   let measurement = Nearby.Client.measure client ~attach_router:d.p1 in
   Alcotest.(check (float 1e-9)) "measurement = ping + traceroute" 20.0
     (Nearby.Client.duration_ms measurement);
-  let prefix = Nearby.Client.measure_prefix client ~attach_router:d.p1 in
-  Alcotest.(check (float 1e-9)) "first round = ping + RTT to hop 2" 14.0
-    (Nearby.Client.duration_ms prefix);
+  let first_ms =
+    Nearby.Client.first_round_ms client (Nearby.Client.measure_join client ~attach_router:d.p1)
+  in
+  Alcotest.(check (float 1e-9)) "first round = ping" 10.0 first_ms;
   let server_rtt = 2.0 *. Simkit.Transport.one_way_delay transport ~src:d.p1 ~dst:d.lmk in
   Alcotest.(check (float 1e-9)) "server RTT" 10.0 server_rtt;
   let completed = ref None in
@@ -96,9 +97,9 @@ let test_protocol_timing () =
     | None -> Alcotest.fail "join never completed"
   in
   let info, reply, took = join 0 in
-  Alcotest.(check (float 1e-9)) "completed at 10 + 4 + 10 + 10 + 10 ms" 44.0 took;
+  Alcotest.(check (float 1e-9)) "completed at 10 + 10 + 10 ms" 30.0 took;
   Alcotest.(check (float 1e-9)) "completed at both rounds"
-    (Nearby.Client.duration_ms prefix +. server_rtt +. measurement.traceroute_ms +. server_rtt)
+    (first_ms +. server_rtt +. server_rtt)
     took;
   Alcotest.(check int) "registered under lmk" d.lmk info.landmark;
   Alcotest.(check (list (pair int int))) "no peers yet" [] reply;
@@ -106,16 +107,16 @@ let test_protocol_timing () =
   (* The tree now holds p1's routers: the next join from p1 stops after
      its first round. *)
   let _, reply', took' = join 1 in
-  Alcotest.(check (float 1e-9)) "completed at 10 + 4 + 10 ms" 24.0 took';
+  Alcotest.(check (float 1e-9)) "completed at 10 + 10 ms" 20.0 took';
   Alcotest.(check (list (pair int int))) "peer 0 answers" [ (0, 0) ] reply';
   Alcotest.(check (option (array int))) "same route as the full trace"
     (Nearby.Server.path_of server 0) (Nearby.Server.path_of server 1);
   Alcotest.(check int) "one continue round" 1
     (Simkit.Trace.counter (Nearby.Server.trace server) "join_continue");
   (* The same holds for every peer on E5's latency-weighted map, where the
-     measurement reads the latency table: a join takes its first round,
-     or its first round, the rest's RTT to the landmark and a second
-     server RTT. *)
+     measurement reads the latency table: a join takes its first round
+     and a server RTT, or, continued, the later of that and its whole
+     trace, then a second server RTT. *)
   let w =
     Eval.Workload.build ~routers:300 ~landmark_count:4
       ~latency:(Topology.Latency.Core_weighted { core_ms = 2.0; edge_ms = 15.0; threshold = 8 })
@@ -133,8 +134,9 @@ let test_protocol_timing () =
     Array.map
       (fun attach_router ->
         let rtt = 2.0 *. Simkit.Transport.one_way_delay transport ~src:attach_router ~dst:router in
-        let first = Nearby.Client.duration_ms (Nearby.Client.measure_prefix client ~attach_router) +. rtt in
-        (first, first +. (Nearby.Client.measure client ~attach_router).traceroute_ms +. rtt))
+        let m = Nearby.Client.measure_join client ~attach_router in
+        let first = Nearby.Client.first_round_ms client m +. rtt in
+        (first, Float.max first (Nearby.Client.duration_ms m) +. rtt))
       w.peer_routers
   in
   let took = Array.make (Array.length w.peer_routers) nan in

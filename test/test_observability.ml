@@ -434,7 +434,7 @@ let test_failover_joins_stay_one_trace () =
     (Trace_analysis.traces spans')
 
 (* The critical-path report of a replicated run whose traces include a
-   continued join (a root "join" holding a "resume" and the attempts of
+   continued join (a root "join" holding a "rest" and the attempts of
    two calls): no event lacks its causal ids, the breakdown by span kind
    is not empty, and every root's duration is attributed in full. *)
 let test_critical_path_of_continued_joins () =
@@ -463,7 +463,7 @@ let test_critical_path_of_continued_joins () =
       List.length
         (List.filter (fun (c : Trace_analysis.tree) -> c.span.Trace_analysis.name = name) root.children)
     in
-    root.span.Trace_analysis.name = "join" && count "resume" = 1 && count "rpc_attempt" >= 2
+    root.span.Trace_analysis.name = "join" && count "rest" = 1 && count "rpc_attempt" >= 2
   in
   Alcotest.(check bool) "a join root with two RPC rounds" true (List.exists continued traces);
   List.iter

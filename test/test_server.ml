@@ -538,8 +538,8 @@ let test_state_bytes_per_member () =
   in
   Alcotest.(check bool) (Printf.sprintf "%d B per member" bytes) true (bytes <= 285)
 
-(* Replication by prefix: a replica applying what [replication_message]
-   says for each join, in join order, ends holding exactly the primary's
+(* Replication by prefix: a replica applying what [replication_prefix]
+   says for each join (the full report where it says [None]), in join order, ends holding exactly the primary's
    registrations, while most joins travel as a prefix and a donor.  The
    donor's stored route must match from the meeting router on: with
    truncated or lossy traces, two routes through one router need not
@@ -557,19 +557,17 @@ let test_prefix_replication_completes_routes () =
       let m = Client.measure ?rng client ~attach_router in
       ignore (Server.register_measured primary ~peer ~attach_router m);
       let report = Wire.Path_report { peer; path = m.path } in
-      let msg = Server.replication_message primary ~peer ~report in
       report_bytes := !report_bytes + Wire.byte_size report;
-      match msg with
-      | Wire.Replica_prefix { peer = p; donor; probes; prefix } ->
+      match Server.replication_prefix primary ~peer with
+      | Some (Wire.Replica_prefix { peer = p; donor; probes; prefix } as msg) ->
           incr prefixes;
           if Array.length prefix > 1 then incr past_attach;
           prefix_bytes := !prefix_bytes + Wire.byte_size msg;
           Alcotest.(check int) (label ^ ": names the peer") peer p;
           Alcotest.(check bool) (label ^ ": completed") true
             (Server.register_replica_prefix replica ~peer ~donor ~prefix ~probes_spent:probes)
-      | Wire.Path_report _ ->
+      | None ->
           incr reports;
-          Alcotest.(check bool) (label ^ ": the report itself") true (msg == report);
           Server.register_replica replica ~peer ~attach_router ~landmark:m.landmark ~path:m.path
             ~probes_spent:m.probes
       | _ -> Alcotest.fail "unexpected replication message"
@@ -645,11 +643,9 @@ let test_prefix_replication_refusals () =
     let m = Client.measure client ~attach_router in
     ignore (Server.register_measured naive ~peer ~attach_router m);
     ignore (Server.register_measured other ~peer ~attach_router:map.leaves.(2) m);
-    let report = Wire.Path_report { peer; path = m.path } in
-    Alcotest.(check bool) "naive: the report" true
-      (Server.replication_message naive ~peer ~report == report);
+    Alcotest.(check bool) "naive: the report" true (Server.replication_prefix naive ~peer = None);
     Alcotest.(check bool) "moved attach router: the report" true
-      (Server.replication_message other ~peer ~report == report)
+      (Server.replication_prefix other ~peer = None)
   done
 
 (* A broken backend: the path tree, but each path is stored without its
@@ -726,14 +722,15 @@ let test_trace_names_after_one_join () =
 (* The first round's server side: an empty tree asks for the rest and
    registers nothing; a prefix that reached the landmark registers as it
    is; once the tree holds a prefix router, the route completed from it is
-   the one a full trace records, and the join costs only the prefix's
-   probes.  A backend without a router index always asks for the rest. *)
+   the one a full trace records, and the info is the stored route's, as a
+   retry's re-answer gives it.  A backend without a router index always
+   asks for the rest. *)
 let test_register_prefix () =
   let map, oracle, lmks, _ = make_workload ~seed:31 () in
   let client = Client.create oracle ~landmarks:lmks in
   let first_round server peer attach_router =
-    let m = Client.measure_prefix client ~attach_router in
-    (m, Server.register_prefix server ~peer ~attach_router ~prefix:(Traceroute.Path.known_routers m.path) m)
+    let m = Client.measure_join client ~attach_router in
+    (m, Server.register_prefix server ~peer ~attach_router ~prefix:(Client.prefix m) m)
   in
   let long_route r =
     let m = Client.measure client ~attach_router:r in
@@ -745,7 +742,7 @@ let test_register_prefix () =
   Alcotest.(check bool) "empty tree: continue" true (answer = None);
   Alcotest.(check int) "nothing registered" 0 (Server.peer_count server);
   Alcotest.(check int) "counted" 1 (Simkit.Trace.counter (Server.trace server) "join_continue");
-  ignore (Server.register_measured server ~peer:0 ~attach_router:leaves.(0) (Client.resume client m0));
+  ignore (Server.register_measured server ~peer:0 ~attach_router:leaves.(0) m0);
   (* A reference of full traces, joined in the same order. *)
   let reference = Server.create oracle ~landmarks:lmks in
   ignore (Server.join reference ~client ~peer:0 ~attach_router:leaves.(0));
@@ -756,11 +753,12 @@ let test_register_prefix () =
     match first_round server peer attach_router with
     | m, Some info ->
         incr completed;
-        Alcotest.(check int) "only the prefix's probes" m.probes info.probes_spent;
+        Alcotest.(check int) "the trace's probes" m.probes info.probes_spent;
+        Alcotest.(check bool) "info = the stored route's" true (Some info = Server.info server peer);
         Alcotest.(check (option (array int)))
           (Printf.sprintf "peer %d: the full trace's route" peer)
           (Server.path_of reference peer) (Server.path_of server peer)
-    | m, None -> ignore (Server.register_measured server ~peer ~attach_router (Client.resume client m))
+    | m, None -> ignore (Server.register_measured server ~peer ~attach_router m)
   done;
   Alcotest.(check bool) (Printf.sprintf "some first rounds complete (%d of 40)" !completed) true (!completed > 10);
   Alcotest.(check string) "same digest as full traces"
