@@ -368,7 +368,7 @@ let handle_prefix t ~replica ~peer ~attach_router ~measurement ~prefix ~k =
   let r = t.replicas.(replica) in
   if not r.alive then None
   else if Server.mem r.server peer then
-    (* The info a fresh answer carried: its path is the prefix. *)
+    (* The info the fresh answer carried. *)
     let info, neighbors =
       reanswer t r ~peer ~k (Server.measured_info ~attach_router measurement)
     in

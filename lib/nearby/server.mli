@@ -109,8 +109,9 @@ val register_prefix :
 (** A join's first round server side ({!Wire.Path_prefix}): [prefix] is
     the routers of the client's first hops that answered
     ({!Client.prefix}), the message's payload, and [m] the client's
-    measurement ({!Client.measure_join}), read only for its landmark, probe
-    count and clock — never for its path.  The
+    measurement ({!Client.measure_join}).  The registered route comes from
+    [prefix] and the tree alone; [m] gives the landmark, and its probes,
+    clock and path only feed the join's counters and the returned info.  The
     first prefix router, from the attach router on, that a member
     of [m.landmark]'s tree crosses ({!Registry_intf.S.member_through}) ends
     the prefix: the registered route is the routers before it, then that
