@@ -63,7 +63,7 @@ let measure ?rng t ~attach_router = measure_with ?rng ~extra_probes:0 t ~attach_
    on most routes, so the first round seldom waits for them, and each hop
    costs one probe per other landmark.  Each hop fewer sends more joins
    round again: at two, E5's 400 joins at once into an empty server
-   continued 342 times, and its mean setup rose 5.3% over the full trace;
+   continued 340 times, and its mean setup rose 5.3% over the full trace;
    at three, 1.5% of bench/stack join-steady joins continue. *)
 let prefix_hops = 3
 
