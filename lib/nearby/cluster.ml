@@ -155,10 +155,12 @@ let measurement_server t = t.replicas.(0).server
 let graph t = Server.graph t.replicas.(0).server
 let is_alive t i = t.replicas.(i).alive
 
-let replica_at t ~router =
-  let found = ref None in
-  Array.iter (fun r -> if r.router = router then found := Some r.id) t.replicas;
-  !found
+(* Replica routers are distinct ([create] checks), so the first match is
+   the one. *)
+let rec replica_from t router i =
+  if i < 0 || t.replicas.(i).router = router then i else replica_from t router (i - 1)
+
+let replica_at t ~router = replica_from t router (Array.length t.replicas - 1)
 
 (* The client's failure-detector view: a replica is a candidate target
    unless the monitor currently suspects it.  Ground-truth [alive] is never
@@ -340,15 +342,24 @@ let fan_out t ~from_replica ~peer ~probes ~report =
   end;
   update_amplification t
 
-(* A client upload the cluster handled: the amplification's denominator. *)
-let count_upload t msg = t.client_report_bytes := !(t.client_report_bytes) + Wire.byte_size msg
+(* A client upload the cluster handled, [bytes] long: the amplification's
+   denominator. *)
+let count_upload t bytes = t.client_report_bytes := !(t.client_report_bytes) + bytes
 
-type answer = Registered of Server.peer_info * (int * int) list | Continue of { replica : int }
+type answer =
+  | Registered of { info : Server.peer_info; neighbors : (int * int) list; reply_bytes : int }
+  | Continue of { replica : int }
+
+(* The answer to a join [r] holds: its info, and the neighbor reply with
+   the size the server charged it. *)
+let registered (r : replica) ~peer ~k info =
+  let neighbors, reply_bytes = Server.sized_neighbors r.server ~peer ~k in
+  Registered { info; neighbors; reply_bytes }
 
 (* A retry whose predecessor's reply was lost: idempotent re-answer. *)
 let reanswer t (r : replica) ~peer ~k info =
   Simkit.Trace.incr t.trace "cluster_duplicate_register";
-  (info, Server.neighbors r.server ~peer ~k)
+  registered r ~peer ~k info
 
 let handle_registration t ~replica ~peer ~attach_router ~measurement ~k =
   let r = t.replicas.(replica) in
@@ -359,30 +370,27 @@ let handle_registration t ~replica ~peer ~attach_router ~measurement ~k =
     let info = Server.register_measured r.server ~peer ~attach_router measurement in
     let report = Wire.Path_report { peer; path = measurement.Client.path } in
     incr t.registered;
-    count_upload t report;
+    count_upload t (Wire.byte_size report);
     fan_out t ~from_replica:replica ~peer ~probes:measurement.probes ~report:(fun () -> report);
-    Some (info, Server.neighbors r.server ~peer ~k)
+    Some (registered r ~peer ~k info)
   end
 
-let handle_prefix t ~replica ~peer ~attach_router ~measurement ~prefix ~k =
+let handle_prefix t ~replica ~peer ~attach_router ~measurement ~prefix ~bytes ~k =
   let r = t.replicas.(replica) in
   if not r.alive then None
   else if Server.mem r.server peer then
     (* The info the fresh answer carried. *)
-    let info, neighbors =
-      reanswer t r ~peer ~k (Server.measured_info ~attach_router measurement)
-    in
-    Some (Registered (info, neighbors))
+    Some (reanswer t r ~peer ~k (Server.measured_info ~attach_router measurement))
   else begin
     let m = measurement in
-    count_upload t (Wire.Path_prefix { peer; landmark = m.Client.landmark; probes = m.probes; prefix });
-    match Server.register_prefix r.server ~peer ~attach_router ~prefix m with
+    count_upload t bytes;
+    match Server.register_prefix r.server ~peer ~attach_router ~prefix ~bytes m with
     | None -> Some (Continue { replica })
     | Some info ->
         incr t.registered;
         fan_out t ~from_replica:replica ~peer ~probes:m.probes ~report:(fun () ->
             Server.stored_report r.server ~peer);
-        Some (Registered (info, Server.neighbors r.server ~peer ~k))
+        Some (registered r ~peer ~k info)
   end
 
 (* --- Crash / recover --------------------------------------------------- *)

@@ -138,8 +138,9 @@ val scrape : t -> into:Simkit.Metrics.t -> unit
     registry holds.  Scraping twice double-counts — scrape into a fresh
     registry per export. *)
 
-val replica_at : t -> router:Topology.Graph.node -> int option
-(** The replica hosted at [router], if any. *)
+val replica_at : t -> router:Topology.Graph.node -> int
+(** The replica hosted at [router], or -1: a lookup on every request a
+    replica serves, so it allocates nothing. *)
 
 val target : ?first:int -> t -> src:Topology.Graph.node -> attempt:int -> int option
 (** Failover routing for attempt [n] (1-based) of an RPC from [src]:
@@ -150,6 +151,15 @@ val target : ?first:int -> t -> src:Topology.Graph.node -> attempt:int -> int op
     {!single} cluster has no detector, so its one replica is believed live
     exactly while it is alive. *)
 
+type answer =
+  | Registered of { info : Server.peer_info; neighbors : (int * int) list; reply_bytes : int }
+      (** The registration and the neighbor reply, with the size of the
+          {!Wire.Neighbor_reply} carrying it, as the replica sized it
+          ({!Server.sized_neighbors}). *)
+  | Continue of { replica : int }
+      (** Nothing registered: the client must send the rest, best to
+          [replica], the one that asked. *)
+
 val handle_registration :
   t ->
   replica:int ->
@@ -157,7 +167,7 @@ val handle_registration :
   attach_router:Topology.Graph.node ->
   measurement:Client.measurement ->
   k:int ->
-  (Server.peer_info * (int * int) list) option
+  answer option
 (** Server side of a join RPC carrying a whole trace (a continue round,
     or a caller with a full {!Client.measure}): register the client-measured path
     on [replica], fan the write out to the other replicas, and answer the
@@ -169,22 +179,15 @@ val handle_registration :
     if still up, answers with the full report.  All of it is charged as
     [kind="path_report"], [dir="replica"].  Idempotent — a retried RPC whose first reply was lost
     re-answers without re-registering.  [None] when the replica is down
-    (the RPC times out).  A fresh registration answers with
-    {!Server.register_measured}'s info, which shares the measurement's
-    path; a retry answers with {!Server.info}.
+    (the RPC times out); otherwise [Registered].  A fresh registration
+    answers with {!Server.register_measured}'s info, which shares the
+    measurement's path; a retry answers with {!Server.info}.
 
     Each fan-out target gets a ["replicate"] span under the ambient context
     (the RPC attempt), open from send to delivery and tagged
     applied/skipped/nacked; a resend after a NACK gets its own span under
     the refused one's.  The [spans] sink of {!create} should be the one the
     servers and the RPC layer write to (one id space per trace file). *)
-
-type answer =
-  | Registered of Server.peer_info * (int * int) list
-      (** The registration and the neighbor reply. *)
-  | Continue of { replica : int }
-      (** Nothing registered: the client must send the rest, best to
-          [replica], the one that asked. *)
 
 val handle_prefix :
   t ->
@@ -193,12 +196,13 @@ val handle_prefix :
   attach_router:Topology.Graph.node ->
   measurement:Client.measurement ->
   prefix:Topology.Graph.node array ->
+  bytes:int ->
   k:int ->
   answer option
 (** Server side of a join's first round ({!Wire.Path_prefix}):
     [measurement] is the client's {!Client.measure_join} and [prefix] the
     routers of its first hops that answered ({!Client.prefix}), the
-    {!Wire.Path_prefix} payload.  The replica
+    {!Wire.Path_prefix} payload, [bytes] long.  The replica
     completes the route ({!Server.register_prefix}), fans it out as
     {!handle_registration} does (the full report, when one is needed, is
     the route the replica stored) and answers the neighbor query; or,
@@ -208,7 +212,7 @@ val handle_prefix :
     a retry's re-answer carries the fresh answer's info
     ({!Server.measured_info});
     [None] when the replica is down.  Every fresh first round counts its
-    {!Wire.Path_prefix} in {!replication_amplification}'s denominator. *)
+    [bytes] in {!replication_amplification}'s denominator. *)
 
 val crash : t -> int -> unit
 (** Stop the replica: it answers no RPCs, applies no replication, sends no

@@ -80,13 +80,4 @@ let place g policy ~count ~rng =
 
 let closest oracle ?latency ?rng ~landmarks router =
   if Array.length landmarks = 0 then invalid_arg "Landmark.closest: no landmarks";
-  let best = ref landmarks.(0) and best_rtt = ref infinity in
-  for i = 0 to Array.length landmarks - 1 do
-    let lmk = landmarks.(i) in
-    let rtt = Traceroute.Probe.ping ?latency ?rng oracle ~src:router ~dst:lmk in
-    if rtt < !best_rtt || (rtt = !best_rtt && lmk < !best) then begin
-      best := lmk;
-      best_rtt := rtt
-    end
-  done;
-  (!best, !best_rtt)
+  Traceroute.Probe.closest ?latency ?rng oracle ~src:router landmarks

@@ -1,4 +1,12 @@
-type t = { engine : Simkit.Engine.t; cluster : Cluster.t; rpc : Simkit.Rpc.t; client : Client.t }
+type t = {
+  engine : Simkit.Engine.t;
+  cluster : Cluster.t;
+  rpc : Simkit.Rpc.t;
+  client : Client.t;
+  (* [Some] of each replica's router, built once: an attempt's target
+     costs no allocation of its own. *)
+  targets : Topology.Graph.node option array;
+}
 
 let create_resilient ?client ~rpc cluster =
   if Cluster.replica_count cluster < 1 then invalid_arg "Protocol.create_resilient: empty cluster";
@@ -9,7 +17,10 @@ let create_resilient ?client ~rpc cluster =
         let s = Cluster.measurement_server cluster in
         Client.create (Server.oracle s) ~landmarks:(Server.landmarks s)
   in
-  { engine = Simkit.Rpc.engine rpc; cluster; rpc; client }
+  let targets =
+    Array.init (Cluster.replica_count cluster) (fun i -> Some (Cluster.replica_router cluster i))
+  in
+  { engine = Simkit.Rpc.engine rpc; cluster; rpc; client; targets }
 
 (* A join: the newcomer pings the landmarks, with the first
    {!Client.prefix_hops} TTLs toward each, and traceroutes on toward the
@@ -27,7 +38,10 @@ let create_resilient ?client ~rpc cluster =
    measurement span, a continued join's wait for the rest of its trace,
    every RPC attempt and (through the attempt's ambient context) the
    server-side registration subtree all hang off it, so a failed-over or
-   continued join is still one causal tree. *)
+   continued join is still one causal tree.
+
+   A join is one record; each round's RPC callbacks are closures over it
+   alone, calling the top-level functions below. *)
 
 (* What both rounds of one join share. *)
 type join = {
@@ -36,10 +50,13 @@ type join = {
   attach_router : Topology.Graph.node;
   k : int;
   span : Simkit.Span.span;
-  ctx : Simkit.Span.context;
+  parent : Simkit.Span.context option;  (* the root span's context, when traced *)
   m : Client.measurement;  (* the whole measurement ... *)
   whole_at : float;  (* ... and when its last answer is in *)
+  prefix : Topology.Graph.node array;  (* the first round's payload ... *)
+  prefix_bytes : int;  (* ... and its {!Wire.Path_prefix}'s size *)
   query : string * int;  (* the neighbor request's part, sized once: every round resends it *)
+  mutable first : int option;  (* the replica a continue round goes to first *)
   on_complete : Server.peer_info -> (int * int) list -> unit;
   on_failure : unit -> unit;
 }
@@ -48,77 +65,95 @@ let finish j outcome =
   if Simkit.Span.enabled (Simkit.Rpc.spans j.p.rpc) then
     Simkit.Span.finish ~args:[ ("outcome", Simkit.Span.Str outcome) ] j.span
 
-let reply_part j neighbors =
-  let reply = Wire.Neighbor_reply { peer = j.peer; neighbors } in
-  (Wire.kind reply, Wire.byte_size reply)
+(* The kinds of the parts a join's messages charge, fixed per message
+   type. *)
+let reply_kind = Wire.kind (Wire.Neighbor_reply { peer = 0; neighbors = [] })
+let continue_kind = Wire.kind (Wire.Continue { peer = 0 })
+let path_prefix_kind =
+  Wire.kind (Wire.Path_prefix { peer = 0; landmark = 0; probes = 0; prefix = [||] })
 
-(* One server round: [request] and the neighbor request, to the closest
-   believed-live replica, failing over per {!Cluster.target}; [handle] runs
-   at the replica that receives it.  With [first], that replica heads the
-   failover order while it is believed live. *)
-let call ?first j request ~reply_parts ~handle ~on_reply =
-  let cluster = j.p.cluster in
-  Simkit.Rpc.call ~parent:j.ctx j.p.rpc ~src:j.attach_router
-    ~dst:(fun ~attempt ->
-      Option.map (Cluster.replica_router cluster)
-        (Cluster.target ?first cluster ~src:j.attach_router ~attempt))
-    ~request_parts:[ (Wire.kind request, Wire.byte_size request); j.query ]
-    ~reply_parts
-    ~handle:(fun ~dst ->
-      match Cluster.replica_at cluster ~router:dst with None -> None | Some r -> handle r)
-    ~on_reply
-    ~on_give_up:(fun () ->
-      finish j "gave_up";
-      j.on_failure ())
+(* Attempt [attempt]'s target: the closest believed-live replica, failing
+   over per {!Cluster.target}; a continue round's first choice heads the
+   order while it is believed live. *)
+let target j ~attempt =
+  match Cluster.target ?first:j.first j.p.cluster ~src:j.attach_router ~attempt with
+  | None -> None
+  | Some i -> j.p.targets.(i)
 
-let complete j info reply =
-  finish j "ok";
-  j.on_complete info reply
+let reply_parts j = function
+  | Cluster.Registered { reply_bytes; _ } -> [ (reply_kind, reply_bytes) ]
+  | Cluster.Continue _ -> [ (continue_kind, Wire.byte_size (Wire.Continue { peer = j.peer })) ]
+
+let gave_up j =
+  finish j "gave_up";
+  j.on_failure ()
+
+(* The server side of each round, at the replica hosted where the request
+   arrived: the first round's prefix, or the continue round's whole
+   trace. *)
+let prefix_at j router =
+  match Cluster.replica_at j.p.cluster ~router with
+  | -1 -> None
+  | replica ->
+      Cluster.handle_prefix j.p.cluster ~replica ~peer:j.peer ~attach_router:j.attach_router
+        ~measurement:j.m ~prefix:j.prefix ~bytes:j.prefix_bytes ~k:j.k
+
+let rest_at j router =
+  match Cluster.replica_at j.p.cluster ~router with
+  | -1 -> None
+  | replica ->
+      Cluster.handle_registration j.p.cluster ~replica ~peer:j.peer
+        ~attach_router:j.attach_router ~measurement:j.m ~k:j.k
+
+(* One server round: [request_parts], the neighbor request among them,
+   to the closest believed-live replica; [handle] runs at the router the
+   request reaches. *)
+let call j ~request_parts ~handle ~on_reply =
+  Simkit.Rpc.call ?parent:j.parent j.p.rpc ~src:j.attach_router
+    ~dst:(fun ~attempt -> target j ~attempt)
+    ~request_parts ~reply_parts:(fun a -> reply_parts j a) ~handle ~on_reply
+    ~on_give_up:(fun () -> gave_up j)
+
+let rec answered j = function
+  | Cluster.Registered { info; neighbors; _ } ->
+      finish j "ok";
+      j.on_complete info neighbors
+  | Cluster.Continue { replica } -> continue_round j ~replica
 
 (* The continue round: the whole trace, once its last answer is in, to
    the replica that asked for it -- it was up a moment ago, where the
    closest replica may be down and not yet suspected.  The wait for the
    rest is a "rest" span, empty when the trace finished during the first
    call. *)
-let continue_round j ~replica =
+and continue_round j ~replica =
   let wait = Float.max 0.0 (j.whole_at -. Simkit.Engine.now j.p.engine) in
   let spans = Simkit.Rpc.spans j.p.rpc in
   if Simkit.Span.enabled spans then
     Simkit.Span.(
       emit spans ~name:"rest" ~ts:(now spans) ~dur:wait ~tid:j.peer
-        ~ctx:(context spans ~parent:j.ctx ())
+        ~ctx:(context spans ?parent:j.parent ())
         [ ("peer", Int j.peer); ("full_hops", Int j.m.full_hops) ]);
-  Simkit.Engine.schedule j.p.engine ~delay:wait (fun () ->
-      let m = j.m in
-      call ~first:replica j
-        (Wire.Path_report { peer = j.peer; path = m.path })
-        ~reply_parts:(fun (_, neighbors) -> [ reply_part j neighbors ])
-        ~handle:(fun replica ->
-          Cluster.handle_registration j.p.cluster ~replica ~peer:j.peer
-            ~attach_router:j.attach_router ~measurement:m ~k:j.k)
-        ~on_reply:(fun (info, reply) -> complete j info reply))
+  j.first <- Some replica;
+  Simkit.Engine.schedule j.p.engine ~delay:wait (fun () -> rest_round j)
+
+and rest_round j =
+  let report = Wire.Path_report { peer = j.peer; path = j.m.path } in
+  call j
+    ~request_parts:[ (Wire.kind report, Wire.byte_size report); j.query ]
+    ~handle:(fun ~dst -> rest_at j dst)
+    ~on_reply:(fun a -> answered j a)
 
 let first_round j =
-  let m = j.m in
-  let prefix = Client.prefix m in
   call j
-    (Wire.Path_prefix { peer = j.peer; landmark = m.landmark; probes = m.probes; prefix })
-    ~reply_parts:(function
-      | Cluster.Registered (_, neighbors) -> [ reply_part j neighbors ]
-      | Cluster.Continue _ ->
-          let c = Wire.Continue { peer = j.peer } in
-          [ (Wire.kind c, Wire.byte_size c) ])
-    ~handle:(fun replica ->
-      Cluster.handle_prefix j.p.cluster ~replica ~peer:j.peer ~attach_router:j.attach_router
-        ~measurement:m ~prefix ~k:j.k)
-    ~on_reply:(function
-      | Cluster.Registered (info, reply) -> complete j info reply
-      | Cluster.Continue { replica } -> continue_round j ~replica)
+    ~request_parts:[ (path_prefix_kind, j.prefix_bytes); j.query ]
+    ~handle:(fun ~dst -> prefix_at j dst)
+    ~on_reply:(fun a -> answered j a)
 
 let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~on_complete =
   let spans = Simkit.Rpc.spans t.rpc in
+  let traced = Simkit.Span.enabled spans in
   let span =
-    if Simkit.Span.enabled spans then
+    if traced then
       Simkit.Span.start_span spans ~name:"join" ~tid:peer
         [ ("peer", Simkit.Span.Int peer); ("attach_router", Simkit.Span.Int attach_router) ]
     else Simkit.Span.none
@@ -128,6 +163,7 @@ let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~
   let query = Wire.Neighbor_request { peer; k } in
   let m = Client.measure_join ?rng t.client ~attach_router in
   let first_ms = Client.first_round_ms t.client m in
+  let prefix = Client.prefix m in
   let j =
     {
       p = t;
@@ -135,15 +171,20 @@ let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~
       attach_router;
       k;
       span;
-      ctx;
+      parent = (if traced then Some ctx else None);
       query = (Wire.kind query, Wire.byte_size query);
       m;
       whole_at = Simkit.Engine.now t.engine +. Client.duration_ms m;
+      prefix;
+      prefix_bytes =
+        Wire.byte_size
+          (Wire.Path_prefix { peer; landmark = m.landmark; probes = m.probes; prefix });
+      first = None;
       on_complete;
       on_failure;
     }
   in
-  if Simkit.Span.enabled spans then Client.measure_span ~dur:first_ms spans ~parent:ctx ~peer m;
+  if traced then Client.measure_span ~dur:first_ms spans ~parent:ctx ~peer m;
   Simkit.Engine.schedule t.engine ~delay:first_ms (fun () -> first_round j)
 
 let vivaldi_setup_delay ~rounds ~round_period_ms =

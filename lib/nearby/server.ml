@@ -177,10 +177,12 @@ let path_of t peer =
   let slot = Slot_index.find t.index peer in
   if slot < 0 then None else Some (Array.copy t.routers.(slot))
 
+(* [known] doubles as it grows, but never past the graph's last router. *)
 let known t router =
   let n = Array.length t.known in
   if router >= n then begin
-    let grown = Array.make (max (router + 1) (2 * n)) Traceroute.Path.Anonymous in
+    let size = min (Topology.Graph.node_count (graph t)) (max (router + 1) (2 * n)) in
+    let grown = Array.make size Traceroute.Path.Anonymous in
     Array.blit t.known 0 grown 0 n;
     t.known <- grown
   end;
@@ -551,12 +553,11 @@ let rec prefix_route t reg ~peer prefix i =
     if slot >= 0 then completed_route t slot prefix (i + 1)
     else prefix_route t reg ~peer prefix (i + 1)
 
-let register_prefix t ~peer ~attach_router ~prefix (m : measurement) =
+let register_prefix t ~peer ~attach_router ~prefix ~bytes (m : measurement) =
   if mem t peer then invalid_arg "Server.register_prefix: peer already registered";
   let landmark = m.landmark in
   if not (is_landmark t landmark) then invalid_arg "Server.register_prefix: unknown landmark";
-  Simkit.Trace.cell_add t.cells.wire_bytes
-    (Wire.byte_size (Wire.Path_prefix { peer; landmark; probes = m.probes; prefix }));
+  Simkit.Trace.cell_add t.cells.wire_bytes bytes;
   let routers = prefix_route t (registry_of t landmark) ~peer prefix 0 in
   (* A prefix that reached the landmark needs no donor. *)
   let n = Array.length prefix in
@@ -684,29 +685,46 @@ let wire_neighbors reply =
 
 (* Traced, the "query" span sits under the ambient request or roots a
    trace of its own; registry op spans nest under it. *)
-let neighbors t ~peer ~k =
+let answer t ~peer ~k =
   let slot = Slot_index.find t.index peer in
   if slot < 0 then raise Not_found;
   let routers = t.routers.(slot) in
-  let reply =
-    if Simkit.Span.enabled t.spans then begin
-      let open Simkit.Span in
-      let span =
-        start_span t.spans ~name:"query" ?parent:(current t.spans) ~tid:peer
-          [ ("peer", Int peer); ("k", Int k); ("probes_spent", Int t.probes.(slot)) ]
-      in
-      let reply = with_context t.spans (context_of span) (fun () -> lookup t ~peer ~k routers) in
-      add_arg span "candidates" (Int (List.length reply));
-      add_arg span "dtree_best" (Int (match reply with (_, d) :: _ -> d | [] -> -1));
-      finish span;
-      reply
-    end
-    else lookup t ~peer ~k routers
+  if Simkit.Span.enabled t.spans then begin
+    let open Simkit.Span in
+    let span =
+      start_span t.spans ~name:"query" ?parent:(current t.spans) ~tid:peer
+        [ ("peer", Int peer); ("k", Int k); ("probes_spent", Int t.probes.(slot)) ]
+    in
+    let reply = with_context t.spans (context_of span) (fun () -> lookup t ~peer ~k routers) in
+    add_arg span "candidates" (Int (List.length reply));
+    add_arg span "dtree_best" (Int (match reply with (_, d) :: _ -> d | [] -> -1));
+    finish span;
+    reply
+  end
+  else lookup t ~peer ~k routers
+
+(* Charge a query and its [reply] to the wire counter; the size of the
+   reply as sent, top-up distances unclipped.  Sized once unless a top-up
+   entry makes the two differ. *)
+let count_query t ~peer ~k reply =
+  let reply_bytes = Wire.byte_size (Wire.Neighbor_reply { peer; neighbors = reply }) in
+  let clipped = wire_neighbors reply in
+  let counted =
+    if clipped == reply then reply_bytes
+    else Wire.byte_size (Wire.Neighbor_reply { peer; neighbors = clipped })
   in
   Simkit.Trace.cell_add t.cells.wire_bytes
-    (Wire.byte_size (Wire.Neighbor_request { peer; k })
-    + Wire.byte_size (Wire.Neighbor_reply { peer; neighbors = wire_neighbors reply }));
+    (Wire.byte_size (Wire.Neighbor_request { peer; k }) + counted);
+  reply_bytes
+
+let neighbors t ~peer ~k =
+  let reply = answer t ~peer ~k in
+  ignore (count_query t ~peer ~k reply);
   reply
+
+let sized_neighbors t ~peer ~k =
+  let reply = answer t ~peer ~k in
+  (reply, count_query t ~peer ~k reply)
 
 let leave t ~peer =
   let slot = Slot_index.find t.index peer in

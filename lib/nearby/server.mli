@@ -104,6 +104,7 @@ val register_prefix :
   peer:int ->
   attach_router:Topology.Graph.node ->
   prefix:Topology.Graph.node array ->
+  bytes:int ->
   Client.measurement ->
   peer_info option
 (** A join's first round server side ({!Wire.Path_prefix}): [prefix] is
@@ -122,8 +123,9 @@ val register_prefix :
     is {!measured_info}'s.  [None],
     with nothing registered, when no router of the prefix is held and it
     stops short of the landmark: the client must send the rest
-    ({!Wire.Continue}), counted as ["join_continue"].  The prefix's
-    {!Wire.Path_prefix} bytes are charged either way.
+    ({!Wire.Continue}), counted as ["join_continue"].  [bytes], the size
+    of the {!Wire.Path_prefix} that carried the prefix (sized once, where
+    the client built it), is charged either way.
     @raise Invalid_argument when already registered or the landmark is
     unknown. *)
 
@@ -218,6 +220,13 @@ val neighbors : t -> peer:int -> k:int -> (int * int) list
     peer itself.  Cross-tree top-up entries carry inferred distance
     [max_int].  Traced as a [query] span.
     @raise Not_found for an unregistered peer. *)
+
+val sized_neighbors : t -> peer:int -> k:int -> (int * int) list * int
+(** {!neighbors}, and the size of the {!Wire.Neighbor_reply} carrying the
+    answer, as a replica's RPC reply sends it: the server sizes it for its
+    wire counter, and a replica answering a join hands the size on.  The
+    counter clips a top-up entry's [max_int] distance to [0x3FFFFFF]; the
+    size returned does not. *)
 
 val leave : t -> peer:int -> unit
 (** Deregister (graceful or detected failure).  @raise Not_found when

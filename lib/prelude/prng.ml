@@ -1,4 +1,19 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256**'s 256-bit state, as four 64-bit words in one 32-byte
+   buffer.  Mutable [int64] record fields would box every write (six per
+   draw); words read and written with [Bytes.get/set_int64_ne] stay
+   unboxed, so a draw allocates nothing of its own. *)
+type t = Bytes.t
+
+let[@inline] s0 g = Bytes.get_int64_ne g 0
+let[@inline] s1 g = Bytes.get_int64_ne g 8
+let[@inline] s2 g = Bytes.get_int64_ne g 16
+let[@inline] s3 g = Bytes.get_int64_ne g 24
+
+let[@inline] set g s0 s1 s2 s3 =
+  Bytes.set_int64_ne g 0 s0;
+  Bytes.set_int64_ne g 8 s1;
+  Bytes.set_int64_ne g 16 s2;
+  Bytes.set_int64_ne g 24 s3
 
 (* splitmix64 is used only to expand the user seed into the 256-bit xoshiro
    state, as recommended by Vigna: it guarantees the state is never all
@@ -11,64 +26,64 @@ let splitmix64_next state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
+let of_splitmix seed =
+  let state = ref seed in
+  let g = Bytes.create 32 in
   let s0 = splitmix64_next state in
   let s1 = splitmix64_next state in
   let s2 = splitmix64_next state in
   let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+  set g s0 s1 s2 s3;
+  g
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let create seed = of_splitmix (Int64.of_int seed)
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 g =
+(* One xoshiro256** step.  Inlined into every draw below, so its result
+   is boxed only where a draw returns it as an [int64]. *)
+let[@inline] next g =
   let open Int64 in
-  let result = mul (rotl (mul g.s1 5L) 7) 9L in
-  let t = shift_left g.s1 17 in
-  g.s2 <- logxor g.s2 g.s0;
-  g.s3 <- logxor g.s3 g.s1;
-  g.s1 <- logxor g.s1 g.s2;
-  g.s0 <- logxor g.s0 g.s3;
-  g.s2 <- logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+  let s0 = s0 g and s1 = s1 g and s2 = s2 g and s3 = s3 g in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let t = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set g s0 s1 (logxor s2 t) (rotl s3 45);
   result
 
-let split g =
-  let state = ref (bits64 g) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+let bits64 g = next g
+let split g = of_splitmix (next g)
 
 (* Non-negative 62-bit integer, cheap and unbiased enough as a base for
    rejection sampling. *)
-let bits62 g = Int64.to_int (Int64.shift_right_logical (bits64 g) 2)
+let[@inline] bits62 g = Int64.to_int (Int64.shift_right_logical (next g) 2)
+
+(* Rejection sampling to avoid modulo bias: a top-level loop, so a draw
+   builds no closure. *)
+let rec below g ~limit bound =
+  let v = bits62 g in
+  if v >= limit then below g ~limit bound else v mod bound
 
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
   let mask_range = 0x3FFF_FFFF_FFFF_FFFF in
-  let limit = mask_range - (mask_range mod bound) in
-  let rec loop () =
-    let v = bits62 g in
-    if v >= limit then loop () else v mod bound
-  in
-  loop ()
+  below g ~limit:(mask_range - (mask_range mod bound)) bound
 
 let int_in_range g ~lo ~hi =
   if hi < lo then invalid_arg "Prng.int_in_range: hi < lo";
   lo + int g (hi - lo + 1)
 
-let unit_float g =
+let[@inline] unit_float g =
   (* 53 random bits scaled into [0,1). *)
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 g) 11) in
+  let v = Int64.to_int (Int64.shift_right_logical (next g) 11) in
   float_of_int v *. 0x1p-53
 
 let float g bound = unit_float g *. bound
-let bool g = Int64.logand (bits64 g) 1L = 1L
+let bool g = Int64.logand (next g) 1L = 1L
 
 let exponential g ~mean =
   if mean <= 0.0 then invalid_arg "Prng.exponential: mean must be positive";

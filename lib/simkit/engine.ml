@@ -56,8 +56,9 @@ let earlier t i j =
   let ti = t.times.(i) and tj = t.times.(j) in
   ti < tj || (ti = tj && t.seqs.(i) < t.seqs.(j))
 
-let schedule_at t ~time f =
-  if time < t.time then invalid_arg "Engine.schedule_at: time is in the past";
+(* Queue [f] at [time], which the callers check is not in the past.
+   Inlined into both, so [schedule]'s sum stays an unboxed float. *)
+let[@inline] push t time f =
   if t.size = Array.length t.times then grow t;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -74,9 +75,13 @@ let schedule_at t ~time f =
   t.bodies.(!i) <- f;
   t.size <- t.size + 1
 
+let schedule_at t ~time f =
+  if time < t.time then invalid_arg "Engine.schedule_at: time is in the past";
+  push t time f
+
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~time:(t.time +. delay) f
+  push t (t.time +. delay) f
 
 let step t =
   if t.size = 0 then false

@@ -67,7 +67,7 @@ let rec schedule_check t peer w =
 
 let rec heartbeat_loop t peer w ~alive =
   if w.active && alive () then begin
-    Transport.send ~kind:"fd_probe" t.transport ~src:w.router ~dst:t.monitor_router
+    Transport.send ~kind:"fd_probe" ~dir:"oneway" t.transport ~src:w.router ~dst:t.monitor_router
       ~size_bytes:t.config.heartbeat_bytes (fun () ->
         if w.active then w.last_seen <- Engine.now (engine t));
     Engine.schedule (engine t) ~delay:t.config.heartbeat_period_ms (fun () ->

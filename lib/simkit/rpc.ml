@@ -132,112 +132,165 @@ let record t ~args detail =
 let close t span outcome =
   if Span.enabled t.spans then Span.finish ~args:[ ("outcome", Span.Str outcome) ] span
 
-let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_give_up =
-  let engine = engine t and traced = Span.enabled t.spans in
-  Trace.cell_incr t.cells.calls;
-  let started_at = Engine.now engine in
-  (* What a timeout does while the call is unsettled.  Settling empties the
-     cell: a timeout still queued for a settled call holds the cell alone,
-     not the callbacks and what they capture.  The first reply to arrive
-     settles the call; later replies and stale timeouts find it empty. *)
-  let on_timeout = ref None in
-  let settle () =
-    let unsettled = Option.is_some !on_timeout in
-    on_timeout := None;
-    unsettled
+(* One call: what its attempts share, in one record, driven by the
+   top-level functions below. *)
+type 'a call = {
+  rpc : t;
+  parent : Span.context option;
+  src : Topology.Graph.node;
+  dst : attempt:int -> Topology.Graph.node option;
+  request_parts : (string * int) list;
+  reply_parts : 'a -> (string * int) list;
+  handle : dst:Topology.Graph.node -> 'a option;
+  on_reply : 'a -> unit;
+  on_give_up : unit -> unit;
+  started_at : float;
+  timer : 'a timer;
+  expire : unit -> unit;  (* [timed_out timer], queued after every attempt *)
+}
+
+(* What the call's queued timeout holds: the call while it is unsettled,
+   and the attempt that timeout belongs to.  Settling empties [live], so
+   a timeout still queued for a settled call holds this cell alone, not
+   the callbacks and what they capture.  The first reply to arrive
+   settles the call; later replies and stale timeouts find it empty.
+   Attempts run one after another, so one cell serves them all. *)
+and 'a timer = { mutable live : 'a call option; mutable n : int; mutable span : Span.span }
+
+let settle timer =
+  let unsettled = Option.is_some timer.live in
+  timer.live <- None;
+  unsettled
+
+(* A reply to attempt [n] has landed. *)
+let replied c ~n ~target span v =
+  if settle c.timer then begin
+    let t = c.rpc in
+    let latency = Engine.now (engine t) -. c.started_at in
+    Trace.cell_incr t.cells.ok_count;
+    Trace.cell_observe t.cells.latency latency;
+    (match t.labeled_ok with
+    | Some s ->
+        Trace.cell_incr s.outcome;
+        Trace.cell_observe s.ok_latency latency
+    | None -> ());
+    if Option.is_some t.recorder then
+      record t "ok"
+        ~args:
+          [ ("src", Span.Int c.src); ("dst", Span.Int target); ("attempts", Span.Int n);
+            ("latency_ms", Span.Float latency) ];
+    close t span "ok";
+    c.on_reply v
+  end
+
+(* Attempt [n]'s request has reached [target].  The attempt's context is
+   ambient while the server-side handler runs, so its instrumentation
+   parents under this exact attempt without signature threading.  A
+   request still in flight when the call settles is served all the
+   same. *)
+let serve c ~n ~target span =
+  let t = c.rpc in
+  match
+    if Span.enabled t.spans then
+      Span.with_context t.spans (Span.context_of span) (fun () -> c.handle ~dst:target)
+    else c.handle ~dst:target
+  with
+  | None ->
+      (* The server was down when the request arrived: it is consumed
+         without a reply, exactly like a lost one. *)
+      Trace.cell_incr t.cells.unserved;
+      labeled_outcome t [ ("outcome", "unserved") ];
+      if Option.is_some t.recorder then
+        record t ~args:[ ("src", Span.Int c.src); ("dst", Span.Int target) ] "unserved"
+  | Some v ->
+      Transport.send_parts ~dir:"reply" t.transport ~src:target ~dst:c.src ~parts:(c.reply_parts v)
+        (fun () -> replied c ~n ~target span v)
+
+let rec attempt c n =
+  let t = c.rpc in
+  Trace.cell_incr t.cells.attempts;
+  if n > 1 then Trace.cell_incr t.cells.retries;
+  (* One child span per attempt: the retry index and per-attempt target
+     make client-side failover visible as sibling spans of one trace. *)
+  let span =
+    if Span.enabled t.spans then
+      Span.start_span t.spans ~name:"rpc_attempt" ?parent:c.parent ~tid:c.src
+        [ ("attempt", Span.Int n); ("src", Span.Int c.src) ]
+    else Span.none
   in
-  let attempt n =
-    if Option.is_some !on_timeout then begin
-      Trace.cell_incr t.cells.attempts;
-      if n > 1 then Trace.cell_incr t.cells.retries;
-      (* One child span per attempt: the retry index and per-attempt target
-         make client-side failover visible as sibling spans of one trace. *)
-      let span =
-        if traced then
-          Span.start_span t.spans ~name:"rpc_attempt" ?parent ~tid:src
-            [ ("attempt", Span.Int n); ("src", Span.Int src) ]
-        else Span.none
+  (match c.dst ~attempt:n with
+  | None ->
+      (* No live target known right now; the backoff below doubles as a
+         wait for one to come back. *)
+      Trace.cell_incr t.cells.no_target;
+      labeled_outcome t [ ("outcome", "no_target") ];
+      if Option.is_some t.recorder then
+        record t ~args:[ ("src", Span.Int c.src); ("attempt", Span.Int n) ] "no_target";
+      close t span "no_target"
+  | Some target ->
+      if Span.enabled t.spans then Span.add_arg span "target" (Span.Int target);
+      (* Wire attribution: attempt 1 charges the caller's kind breakdown;
+         every later attempt is overhead the retry loop added, so its bytes
+         are relabeled wholesale as kind "retry". *)
+      let parts =
+        if n = 1 then c.request_parts
+        else [ ("retry", List.fold_left (fun acc (_, b) -> acc + b) 0 c.request_parts) ]
       in
-      (match dst ~attempt:n with
-      | None ->
-          (* No live target known right now; the backoff below doubles as
-             a wait for one to come back. *)
-          Trace.cell_incr t.cells.no_target;
-          labeled_outcome t [ ("outcome", "no_target") ];
-          if Option.is_some t.recorder then
-            record t ~args:[ ("src", Span.Int src); ("attempt", Span.Int n) ] "no_target";
-          close t span "no_target"
-      | Some target ->
-          if traced then Span.add_arg span "target" (Span.Int target);
-          (* Wire attribution: attempt 1 charges the caller's kind
-             breakdown; every later attempt is overhead the retry loop
-             added, so its bytes are relabeled wholesale as kind "retry". *)
-          let parts =
-            if n = 1 then request_parts
-            else [ ("retry", List.fold_left (fun acc (_, b) -> acc + b) 0 request_parts) ]
-          in
-          Transport.send_parts ~dir:"request" t.transport ~src ~dst:target ~parts (fun () ->
-              (* The attempt's context is ambient while the server-side
-                 handler runs, so its instrumentation parents under this
-                 exact attempt without signature threading.  A request
-                 still in flight when the call settles is served all the
-                 same. *)
-              match
-                if traced then
-                  Span.with_context t.spans (Span.context_of span) (fun () -> handle ~dst:target)
-                else handle ~dst:target
-              with
-              | None ->
-                  (* The server was down when the request arrived: it is
-                     consumed without a reply, exactly like a lost one. *)
-                  Trace.cell_incr t.cells.unserved;
-                  labeled_outcome t [ ("outcome", "unserved") ];
-                  if Option.is_some t.recorder then
-                    record t ~args:[ ("src", Span.Int src); ("dst", Span.Int target) ] "unserved"
-              | Some v ->
-                  Transport.send_parts ~dir:"reply" t.transport ~src:target ~dst:src
-                    ~parts:(reply_parts v) (fun () ->
-                      if settle () then begin
-                        let latency = Engine.now engine -. started_at in
-                        Trace.cell_incr t.cells.ok_count;
-                        Trace.cell_observe t.cells.latency latency;
-                        (match t.labeled_ok with
-                        | Some s ->
-                            Trace.cell_incr s.outcome;
-                            Trace.cell_observe s.ok_latency latency
-                        | None -> ());
-                        if Option.is_some t.recorder then
-                          record t "ok"
-                            ~args:
-                              [ ("src", Span.Int src); ("dst", Span.Int target);
-                                ("attempts", Span.Int n); ("latency_ms", Span.Float latency) ];
-                        close t span "ok";
-                        on_reply v
-                      end)));
-      Engine.schedule engine ~delay:t.config.timeout_ms (fun () ->
-          match !on_timeout with
-          | Some expire -> expire n span
-          | None ->
-              (* The call settled through another attempt while this one
-                 was in flight; [finish] is idempotent, so this only closes
-                 spans that were left open (e.g. an unserved request). *)
-              close t span "superseded")
-    end
+      Transport.send_parts ~dir:"request" t.transport ~src:c.src ~dst:target ~parts (fun () ->
+          serve c ~n ~target span));
+  c.timer.n <- n;
+  c.timer.span <- span;
+  Engine.schedule (engine t) ~delay:t.config.timeout_ms c.expire
+
+(* The timeout of the timer's attempt has fired. *)
+and timed_out timer =
+  match timer.live with
+  | None ->
+      (* The call settled through another attempt while this one was in
+         flight; [finish] is idempotent, so this only closes spans that
+         were left open (e.g. an unserved request).  Untraced, the span
+         is {!Span.none}, already finished. *)
+      Span.finish ~args:[ ("outcome", Span.Str "superseded") ] timer.span
+  | Some c ->
+      let t = c.rpc and n = timer.n in
+      Trace.cell_incr t.cells.timeouts;
+      labeled_outcome t [ ("outcome", "timeout") ];
+      if Option.is_some t.recorder then
+        record t ~args:[ ("src", Span.Int c.src); ("attempt", Span.Int n) ] "timeout";
+      close t timer.span "timeout";
+      if n < t.config.max_attempts then
+        Engine.schedule (engine t) ~delay:(backoff_ms t ~attempt:n) (fun () -> retry timer)
+      else if settle timer then begin
+        Trace.cell_incr t.cells.gave_up;
+        labeled_outcome t [ ("outcome", "gave_up") ];
+        if Option.is_some t.recorder then record t ~args:[ ("src", Span.Int c.src) ] "gave_up";
+        c.on_give_up ()
+      end
+
+(* The backoff after the timer's attempt is over: try again, unless a late
+   reply settled the call meanwhile. *)
+and retry timer = match timer.live with Some c -> attempt c (timer.n + 1) | None -> ()
+
+let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_give_up =
+  Trace.cell_incr t.cells.calls;
+  let timer = { live = None; n = 0; span = Span.none } in
+  let c =
+    {
+      rpc = t;
+      parent;
+      src;
+      dst;
+      request_parts;
+      reply_parts;
+      handle;
+      on_reply;
+      on_give_up;
+      started_at = Engine.now (engine t);
+      timer;
+      (* Built here, outside the recursive functions, it holds [timer]
+         alone. *)
+      expire = (fun () -> timed_out timer);
+    }
   in
-  on_timeout :=
-    Some
-      (fun n span ->
-        Trace.cell_incr t.cells.timeouts;
-        labeled_outcome t [ ("outcome", "timeout") ];
-        if Option.is_some t.recorder then
-          record t ~args:[ ("src", Span.Int src); ("attempt", Span.Int n) ] "timeout";
-        close t span "timeout";
-        if n < t.config.max_attempts then
-          Engine.schedule engine ~delay:(backoff_ms t ~attempt:n) (fun () -> attempt (n + 1))
-        else if settle () then begin
-          Trace.cell_incr t.cells.gave_up;
-          labeled_outcome t [ ("outcome", "gave_up") ];
-          if Option.is_some t.recorder then record t ~args:[ ("src", Span.Int src) ] "gave_up";
-          on_give_up ()
-        end);
-  attempt 1
+  timer.live <- Some c;
+  attempt c 1

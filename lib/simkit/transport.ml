@@ -39,9 +39,6 @@ type t = {
   mutable endpoints : int;  (* nodes with at least one message tallied *)
 }
 
-let default_kind = "other"
-let default_dir = "oneway"
-
 let check_loss_prob ~who ~rng loss_prob =
   if loss_prob < 0.0 || loss_prob >= 1.0 then
     invalid_arg (who ^ ": loss_prob outside [0, 1)");
@@ -119,7 +116,8 @@ let walk t ~src ~dst =
 
 let one_way_delay t ~src ~dst = if walk t ~src ~dst = max_int then infinity else t.delay.(0)
 
-let jitter t delay =
+(* Inlined, so the delay reaches [Engine.schedule] boxed once. *)
+let[@inline] jitter t delay =
   match t.rng with
   | None -> delay
   | Some rng -> delay *. (1.0 +. (0.05 *. (Prelude.Prng.unit_float rng -. 0.5) *. 2.0))
@@ -144,12 +142,15 @@ let rec wire_cells t m ~kind ~dir = function
       t.wire_cells <- c :: t.wire_cells;
       c
 
+let count_part t m ~dir ~kind bytes =
+  let c = wire_cells t m ~kind ~dir t.wire_cells in
+  c.bytes := !(c.bytes) + bytes;
+  incr c.msgs
+
 let rec count_parts t m ~dir = function
   | [] -> ()
   | (kind, bytes) :: rest ->
-      let c = wire_cells t m ~kind ~dir t.wire_cells in
-      c.bytes := !(c.bytes) + bytes;
-      incr c.msgs;
+      count_part t m ~dir ~kind bytes;
       count_parts t m ~dir rest
 
 let account_drop t ~reason ~total =
@@ -175,11 +176,9 @@ let account_drop t ~reason ~total =
       Metrics.add_count m "wire_dropped_bytes_total" ~labels:[ ("reason", reason) ] total;
       Metrics.incr m "wire_dropped_msgs_total" ~labels:[ ("reason", reason) ]
 
-(* One delivered message over a route of [hops] links: whole-run counters,
-   per-endpoint tallies, then the dimensional view — each [(kind, bytes)]
-   part feeds its own labeled series, so one frame carrying a report and a
-   query splits cleanly by kind while counting once in [messages_sent]. *)
-let account_delivered t ~src ~dst ~dir ~parts ~total ~hops =
+(* One delivered message over a route of [hops] links: whole-run counters
+   and per-endpoint tallies. *)
+let account_delivered t ~src ~dst ~total ~hops =
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + total;
   if hops <> max_int then t.link_bytes <- t.link_bytes + (total * hops);
@@ -188,10 +187,23 @@ let account_delivered t ~src ~dst ~dir ~parts ~total ~hops =
   t.out_msgs.(src) <- t.out_msgs.(src) + 1;
   touch t dst;
   t.in_bytes.(dst) <- t.in_bytes.(dst) + total;
-  t.in_msgs.(dst) <- t.in_msgs.(dst) + 1;
-  (match t.metrics with
+  t.in_msgs.(dst) <- t.in_msgs.(dst) + 1
+
+(* The dimensional view of a delivered message: each [(kind, bytes)] part
+   feeds its own labeled series, so one frame carrying a report and a
+   query splits cleanly by kind while counting once in [messages_sent].
+   A one-part message is labeled without building a part list. *)
+let label_part t ~dir ~kind bytes =
+  (match t.metrics with None -> () | Some m -> count_part t m ~dir ~kind bytes);
+  match t.timeseries with
   | None -> ()
-  | Some m -> count_parts t m ~dir parts);
+  | Some ts ->
+      let now = Engine.now t.engine in
+      Timeseries.observe ts "wire_bytes" ~now (float_of_int bytes);
+      Timeseries.observe ts ("wire_bytes:" ^ kind) ~now (float_of_int bytes)
+
+let label_parts t ~dir ~total parts =
+  (match t.metrics with None -> () | Some m -> count_parts t m ~dir parts);
   match t.timeseries with
   | None -> ()
   | Some ts ->
@@ -202,23 +214,35 @@ let account_delivered t ~src ~dst ~dir ~parts ~total ~hops =
           Timeseries.observe ts ("wire_bytes:" ^ kind) ~now (float_of_int bytes))
         parts
 
-let send_parts ?(dir = default_dir) t ~src ~dst ~parts handler =
-  let total = parts_total parts in
+(* Route a message of [total] bytes: count it into its drop bucket, or
+   count it delivered and say so. *)
+let routed t ~src ~dst ~total =
   let hops = walk t ~src ~dst in
-  if hops = max_int then account_drop t ~reason:`Unreachable ~total
-  else if partitioned t ~src ~dst then account_drop t ~reason:`Partition ~total
-  else if lost t then account_drop t ~reason:`Loss ~total
-  else begin
-    account_delivered t ~src ~dst ~dir ~parts ~total ~hops;
-    Engine.schedule t.engine ~delay:(jitter t t.delay.(0)) handler
+  if hops = max_int then (account_drop t ~reason:`Unreachable ~total; false)
+  else if partitioned t ~src ~dst then (account_drop t ~reason:`Partition ~total; false)
+  else if lost t then (account_drop t ~reason:`Loss ~total; false)
+  else (account_delivered t ~src ~dst ~total ~hops; true)
+
+(* Deliver after the delay the route walk left in [t.delay]. *)
+let deliver t handler = Engine.schedule t.engine ~delay:(jitter t t.delay.(0)) handler
+
+let send_parts ~dir t ~src ~dst ~parts handler =
+  let total = parts_total parts in
+  if routed t ~src ~dst ~total then begin
+    label_parts t ~dir ~total parts;
+    deliver t handler
   end
 
-let send ?(kind = default_kind) ?dir t ~src ~dst ~size_bytes handler =
-  send_parts ?dir t ~src ~dst ~parts:[ (kind, size_bytes) ] handler
+let send ~kind ~dir t ~src ~dst ~size_bytes handler =
+  if routed t ~src ~dst ~total:size_bytes then begin
+    label_part t ~dir ~kind size_bytes;
+    deliver t handler
+  end
 
-let charge ?(kind = default_kind) ?(dir = default_dir) t ~src ~dst ~size_bytes =
-  account_delivered t ~src ~dst ~dir ~parts:[ (kind, size_bytes) ] ~total:size_bytes
-    ~hops:(Traceroute.Route_oracle.route_length t.oracle ~src ~dst)
+let charge ~kind ~dir t ~src ~dst ~size_bytes =
+  account_delivered t ~src ~dst ~total:size_bytes
+    ~hops:(Traceroute.Route_oracle.route_length t.oracle ~src ~dst);
+  label_part t ~dir ~kind size_bytes
 
 let messages_sent t = t.messages
 let link_bytes t = t.link_bytes

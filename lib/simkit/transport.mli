@@ -72,8 +72,8 @@ val clear_partition : t -> unit
 (** Heal the partition. *)
 
 val send :
-  ?kind:string ->
-  ?dir:string ->
+  kind:string ->
+  dir:string ->
   t ->
   src:Topology.Graph.node ->
   dst:Topology.Graph.node ->
@@ -83,11 +83,11 @@ val send :
 (** [send t ~src ~dst ~size_bytes handler] delivers [handler] after the
     one-way delay.  Messages between unreachable routers, across a
     partition, or hit by loss injection are dropped (each counted in its
-    bucket, messages and bytes).  [kind] defaults to ["other"], [dir] to
-    ["oneway"]. *)
+    bucket, messages and bytes).  [kind] and [dir] label the bytes (see
+    the wire accounting above); one-way traffic is [~dir:"oneway"]. *)
 
 val send_parts :
-  ?dir:string ->
+  dir:string ->
   t ->
   src:Topology.Graph.node ->
   dst:Topology.Graph.node ->
@@ -100,8 +100,8 @@ val send_parts :
     is the sum of the parts. *)
 
 val charge :
-  ?kind:string ->
-  ?dir:string ->
+  kind:string ->
+  dir:string ->
   t ->
   src:Topology.Graph.node ->
   dst:Topology.Graph.node ->

@@ -98,7 +98,8 @@ let run ?(params = default_params) ?latency ~graph ~seed_router ~peer_routers ~n
     Simkit.Engine.schedule engine ~delay:params.chunk_transfer_ms (fun () ->
         let target = peers.(dst) in
         if Buffer_map.has p.bitfield c then
-          Simkit.Transport.send ~kind:"bulk_chunk" transport ~src:p.router ~dst:target.router
+          Simkit.Transport.send ~kind:"bulk_chunk" ~dir:"oneway"
+            transport ~src:p.router ~dst:target.router
             ~size_bytes:params.chunk_bytes (fun () -> receive_chunk target c);
         p.busy_slots <- p.busy_slots - 1;
         service_queue p)
@@ -134,7 +135,8 @@ let run ?(params = default_params) ?latency ~graph ~seed_router ~peer_routers ~n
       (fun c ->
         Hashtbl.replace p.requested c now;
         let owner = peers.(from) in
-        Simkit.Transport.send ~kind:"bulk_request" transport ~src:p.router ~dst:owner.router
+        Simkit.Transport.send ~kind:"bulk_request" ~dir:"oneway"
+          transport ~src:p.router ~dst:owner.router
           ~size_bytes:16 (fun () -> receive_request owner ~from:p.id c))
       to_request
   in
@@ -144,7 +146,8 @@ let run ?(params = default_params) ?latency ~graph ~seed_router ~peer_routers ~n
       Array.iter
         (fun q ->
           let target = peers.(q) in
-          Simkit.Transport.send ~kind:"bulk_gossip" transport ~src:p.router ~dst:target.router
+          Simkit.Transport.send ~kind:"bulk_gossip" ~dir:"oneway"
+            transport ~src:p.router ~dst:target.router
             ~size_bytes:(16 + (params.chunks / 8)) (fun () ->
               receive_field target ~from:p.id holdings))
         p.neighbors;
@@ -162,7 +165,7 @@ let run ?(params = default_params) ?latency ~graph ~seed_router ~peer_routers ~n
         Simkit.Engine.schedule engine
           ~delay:(float_of_int c *. params.chunk_transfer_ms)
           (fun () ->
-            Simkit.Transport.send ~kind:"bulk_chunk" transport ~src:seed_router
+            Simkit.Transport.send ~kind:"bulk_chunk" ~dir:"oneway" transport ~src:seed_router
               ~dst:target.router ~size_bytes:params.chunk_bytes (fun () ->
                 receive_chunk target c)))
       targets

@@ -131,7 +131,7 @@ let rec start_upload t p (dst, c) =
       (* Slot frees once serialization is done; propagation is pipelined. *)
       (match Hashtbl.find_opt t.peers dst with
       | Some target when Buffer_map.has p.buffer c ->
-          Simkit.Transport.send ~kind:"stream_chunk" t.transport ~src:p.router
+          Simkit.Transport.send ~kind:"stream_chunk" ~dir:"oneway" t.transport ~src:p.router
             ~dst:target.router ~size_bytes:t.params.chunk_bytes (fun () ->
               receive_chunk t target c)
       | Some _ | None -> ());
@@ -193,7 +193,7 @@ let receive_map t p ~from holdings =
       match Hashtbl.find_opt t.peers owner_id with
       | None -> ()
       | Some owner ->
-          Simkit.Transport.send ~kind:"stream_request" t.transport ~src:p.router
+          Simkit.Transport.send ~kind:"stream_request" ~dir:"oneway" t.transport ~src:p.router
             ~dst:owner.router ~size_bytes:16 (fun () -> receive_request t owner ~from:p.id c))
     to_request
 
@@ -205,7 +205,7 @@ let rec gossip_tick t p () =
         match Hashtbl.find_opt t.peers q with
         | None -> ()
         | Some target ->
-            Simkit.Transport.send ~kind:"stream_gossip" t.transport ~src:p.router
+            Simkit.Transport.send ~kind:"stream_gossip" ~dir:"oneway" t.transport ~src:p.router
               ~dst:target.router ~size_bytes:(16 + (t.params.window / 8)) (fun () ->
                 receive_map t target ~from:p.id holdings))
       p.neighbors;
@@ -227,7 +227,8 @@ let source_emit t source_router c =
         | None -> ()
         | Some target ->
             Simkit.Engine.schedule t.engine ~delay:t.params.chunk_transfer_ms (fun () ->
-                Simkit.Transport.send ~kind:"stream_chunk" t.transport ~src:source_router
+                Simkit.Transport.send ~kind:"stream_chunk" ~dir:"oneway"
+                  t.transport ~src:source_router
                   ~dst:target.router ~size_bytes:t.params.chunk_bytes (fun () ->
                     receive_chunk t target c)))
       picks

@@ -6,7 +6,7 @@ type result = { path : Path.t; probes_sent : int; rtt_ms : float option }
 
 (* Without a latency table a link costs 1 ms, so the hop count is the
    one-way latency and no route is materialized. *)
-let one_way_latency ?latency oracle ~src ~dst =
+let[@inline] one_way_latency latency oracle ~src ~dst =
   match latency with
   | None -> (
       match Route_oracle.route_length oracle ~src ~dst with
@@ -17,14 +17,33 @@ let one_way_latency ?latency oracle ~src ~dst =
       | [||] -> infinity
       | routers -> Topology.Latency.path_latency table routers)
 
-let noisy rng v =
+let[@inline] noisy rng v =
   match rng with
   | None -> v
   | Some rng -> v *. (1.0 +. (0.05 *. (Prelude.Prng.unit_float rng -. 0.5) *. 2.0))
 
-let ping ?latency ?rng oracle ~src ~dst =
-  let one_way = one_way_latency ?latency oracle ~src ~dst in
+(* Inlined into [ping] and [closest], so the RTT stays an unboxed float
+   until a caller receives it. *)
+let[@inline] rtt latency rng oracle ~src ~dst =
+  let one_way = one_way_latency latency oracle ~src ~dst in
   if one_way = infinity then infinity else noisy rng (2.0 *. one_way)
+
+let ping ?latency ?rng oracle ~src ~dst = rtt latency rng oracle ~src ~dst
+
+(* One ping per destination, in array order, so a noisy run draws what
+   [ping] in a loop would; nothing is boxed until the winner's RTT is
+   returned. *)
+let closest ?latency ?rng oracle ~src dsts =
+  let best = ref dsts.(0) and best_rtt = ref infinity in
+  for i = 0 to Array.length dsts - 1 do
+    let dst = dsts.(i) in
+    let rtt = rtt latency rng oracle ~src ~dst in
+    if rtt < !best_rtt || (rtt = !best_rtt && dst < !best) then begin
+      best := dst;
+      best_rtt := rtt
+    end
+  done;
+  (!best, !best_rtt)
 
 let run ?(config = default_config) ?latency ?rng oracle ~src ~dst =
   if config.max_ttl < 1 then invalid_arg "Probe.run: max_ttl must be >= 1";

@@ -43,3 +43,15 @@ val ping :
     5% multiplicative noise when [rng] is given); [infinity] when
     unreachable.  Hop-count routing without a latency table counts 1 ms per
     link. *)
+
+val closest :
+  ?latency:Topology.Latency.t ->
+  ?rng:Prelude.Prng.t ->
+  Route_oracle.t ->
+  src:Topology.Graph.node ->
+  Topology.Graph.node array ->
+  Topology.Graph.node * float
+(** [closest oracle ~src dsts] pings every destination in array order, as
+    {!ping} would one by one, and returns the one with the least RTT (ties
+    to the lower id) with that RTT; [infinity] when none is reachable.
+    The destinations must not be empty. *)

@@ -78,7 +78,12 @@ let single_protocol fx server =
    prefix, and the whole trace when the server asks for the rest. *)
 let join_in_process server ~client ~peer ~attach_router =
   let m = Nearby.Client.measure_join client ~attach_router in
-  match Nearby.Server.register_prefix server ~peer ~attach_router ~prefix:(Nearby.Client.prefix m) m with
+  let prefix = Nearby.Client.prefix m in
+  let bytes =
+    Nearby.Wire.byte_size
+      (Nearby.Wire.Path_prefix { peer; landmark = m.landmark; probes = m.probes; prefix })
+  in
+  match Nearby.Server.register_prefix server ~peer ~attach_router ~prefix ~bytes m with
   | Some _ -> ()
   | None -> ignore (Nearby.Server.register_measured server ~peer ~attach_router m)
 
@@ -510,8 +515,8 @@ let test_registration_reply_shares_path () =
   let peer, attach_router, measurement = (measured_entries fx ~peers:1).(0) in
   let single () =
     match Nearby.Cluster.handle_registration cluster ~replica:0 ~peer ~attach_router ~measurement ~k:3 with
-    | Some (info, _) -> info
-    | None -> Alcotest.fail "live replica did not answer"
+    | Some (Nearby.Cluster.Registered { info; _ }) -> info
+    | Some (Continue _) | None -> Alcotest.fail "live replica did not answer"
   in
   let first = single () in
   Alcotest.(check bool) "fresh reply shares the path" true
@@ -885,10 +890,51 @@ let test_continue_round_fails_over_past_a_crash () =
   Alcotest.(check bool) "not on the crashed replica" false (Nearby.Server.mem (server closest) 0);
   Alcotest.(check int) "one timeout" 1 (Simkit.Trace.counter (Simkit.Rpc.trace rpc) "rpc_timeouts")
 
+(* Minor words a replicated join allocates: Protocol over Rpc, a
+   jittered Transport and a 3-replica Cluster with its failure detector,
+   on a 300-router map, 200 joins after 200 that warm the first-write
+   cells and the grown arrays.  The count is exact and deterministic for
+   a build, so the budget is the measured value plus 2%: a layer that
+   starts boxing per message (a mutable [int64] or [float] field, a
+   closure per call) fails it. *)
+let words_per_join () =
+  let fx = fixture ~rng:(Prelude.Prng.create 5) ~seed:41 () in
+  let rpc = Simkit.Rpc.create ~config:rpc_config ~rng:(Prelude.Prng.create 6) fx.transport in
+  let protocol = Nearby.Protocol.create_resilient ~rpc (make_cluster fx) in
+  let joins = 200 and completed = ref 0 in
+  let leaves = fx.map.leaves in
+  let stream ~first =
+    for i = 0 to joins - 1 do
+      let peer = first + i in
+      Simkit.Engine.schedule fx.engine ~delay:(float_of_int i *. 2.0) (fun () ->
+          Nearby.Protocol.join protocol ~peer
+            ~attach_router:leaves.(peer mod Array.length leaves)
+            ~k:5
+            ~on_complete:(fun _ _ -> incr completed)
+            ~on_failure:(fun () -> Alcotest.fail "a join failed on a loss-free network"))
+    done;
+    Simkit.Engine.run fx.engine
+      ~until:(Simkit.Engine.now fx.engine +. (float_of_int joins *. 2.0) +. 1_000.0)
+  in
+  stream ~first:0;
+  let before = Gc.minor_words () in
+  stream ~first:joins;
+  let words = (Gc.minor_words () -. before) /. float_of_int joins in
+  Alcotest.(check int) "every join completed" (2 * joins) !completed;
+  words
+
+let test_join_words_budget () =
+  let words = words_per_join () in
+  let budget = 415.9 *. 1.02 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per join, budget %.1f" words budget)
+    true (words <= budget)
+
 let suite =
   ( "cluster",
     [
       Alcotest.test_case "single = plain server" `Quick test_single_matches_plain_server;
+      Alcotest.test_case "words per replicated join" `Quick test_join_words_budget;
       Alcotest.test_case "resilient 1-replica = server" `Quick
         test_one_replica_create_matches_plain_server;
       Alcotest.test_case "fan-out replicates to all" `Quick test_fan_out_replicates_to_all;

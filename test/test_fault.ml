@@ -83,10 +83,12 @@ let test_loss_burst_drives_transport () =
   for i = 0 to 49 do
     (* 50 messages inside the window, 50 after it closes. *)
     Engine.schedule_at engine ~time:(1_100.0 +. float_of_int i) (fun () ->
-        Transport.send transport ~src:d.p1 ~dst:d.p2 ~size_bytes:10 (fun () ->
+        Transport.send ~kind:"other" ~dir:"oneway"
+          transport ~src:d.p1 ~dst:d.p2 ~size_bytes:10 (fun () ->
             incr delivered_in));
     Engine.schedule_at engine ~time:(2_100.0 +. float_of_int i) (fun () ->
-        Transport.send transport ~src:d.p1 ~dst:d.p2 ~size_bytes:10 (fun () ->
+        Transport.send ~kind:"other" ~dir:"oneway"
+          transport ~src:d.p1 ~dst:d.p2 ~size_bytes:10 (fun () ->
             incr delivered_out))
   done;
   Engine.run engine;

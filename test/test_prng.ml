@@ -20,9 +20,91 @@ let test_copy_independent () =
   let a = Prng.create 7 in
   let b = Prng.copy a in
   Alcotest.(check int64) "copies agree" (Prng.bits64 a) (Prng.bits64 b);
+  (* Draws from [a] do not advance [b]: it replays them. *)
+  let a1 = Prng.bits64 a in
+  let a2 = Prng.bits64 a in
+  Alcotest.(check int64) "the copy replays draw 1" a1 (Prng.bits64 b);
+  Alcotest.(check int64) "the copy replays draw 2" a2 (Prng.bits64 b);
   ignore (Prng.bits64 a);
   let a' = Prng.bits64 a and b' = Prng.bits64 b in
-  Alcotest.(check bool) "streams diverge after unequal draws" true (a' <> b' || true)
+  Alcotest.(check bool) "streams diverge after unequal draws" true (a' <> b')
+
+(* The first 8 outputs, as xoshiro256** seeded through splitmix64 gave
+   them when the state was four mutable [int64] fields: a change to how
+   the state is held must reproduce them bit for bit. *)
+let pinned =
+  [
+    ( "seed 0",
+      (fun () -> Prng.create 0),
+      [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L; 0x6aa594f1262d2d2cL;
+        0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL; 0x6c160deed2f54c98L; 0x8920ad648fc30a3fL ] );
+    ( "seed 1",
+      (fun () -> Prng.create 1),
+      [ 0xb3f2af6d0fc710c5L; 0x853b559647364ceaL; 0x92f89756082a4514L; 0x642e1c7bc266a3a7L;
+        0xb27a48e29a233673L; 0x24c123126ffda722L; 0x123004ef8df510e6L; 0x61954dcc47b1e89dL ] );
+    ( "seed 42",
+      (fun () -> Prng.create 42),
+      [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L; 0xecb8ad4703b360a1L;
+        0xfde6dc7fe2ec5e64L; 0xc50da53101795238L; 0xb82154855a65ddb2L; 0xd99a2743ebe60087L ] );
+    ( "split child of seed 42",
+      (fun () -> Prng.split (Prng.create 42)),
+      [ 0x8ee445d14631c453L; 0x106fa1a13296fe62L; 0x729a768806244ce5L; 0x91d83a17b20e6585L;
+        0x38c33df442fc70fdL; 0xe33cd1b92e2e42f1L; 0x3162280b9dcfa5efL; 0xb4f9f0541228b854L ] );
+    ( "seed 42 after a split",
+      (fun () ->
+        let g = Prng.create 42 in
+        ignore (Prng.split g);
+        g),
+      [ 0x6104d9866d113a7eL; 0xae17533239e499a1L; 0xecb8ad4703b360a1L; 0xfde6dc7fe2ec5e64L;
+        0xc50da53101795238L; 0xb82154855a65ddb2L; 0xd99a2743ebe60087L; 0xc2e96e726e97647eL ] );
+    ( "copy of seed 1 after 2 draws",
+      (fun () ->
+        let g = Prng.create 1 in
+        ignore (Prng.bits64 g);
+        ignore (Prng.bits64 g);
+        Prng.copy g),
+      [ 0x92f89756082a4514L; 0x642e1c7bc266a3a7L; 0xb27a48e29a233673L; 0x24c123126ffda722L;
+        0x123004ef8df510e6L; 0x61954dcc47b1e89dL; 0xddfdb48ab9ed4a21L; 0x8d3cdb8c3aa5b1d0L ] );
+  ]
+
+let test_pinned_stream () =
+  List.iter
+    (fun (name, make, expected) ->
+      let g = make () in
+      Alcotest.(check (list int64)) name expected (List.map (fun _ -> Prng.bits64 g) expected))
+    pinned
+
+(* Minor words [draw] allocates over 10,000 calls.  [Gc.minor_words] is
+   read unboxed, so the probe itself allocates nothing. *)
+let words_per_10k draw =
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    draw ()
+  done;
+  Gc.minor_words () -. before
+
+(* A draw allocates nothing of its own: the state is never boxed.  A
+   draw returning an [int64] or a [float] to another module still boxes
+   that result, unless the call is inlined (dune's dev profile compiles
+   with [-opaque], which forbids it), so those draws are held to their
+   result's box: 3 words for an [int64], 2 for a [float]. *)
+let test_draws_allocate_nothing () =
+  let g = Prng.create 3 in
+  let sink = ref 0 in
+  let check name ~box draw =
+    let words = words_per_10k draw in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f words over 10,000 draws, at most %d" name words (box * 10_000))
+      true
+      (words <= float_of_int (box * 10_000))
+  in
+  check "int" ~box:0 (fun () -> sink := !sink + Prng.int g 1000);
+  check "bool" ~box:0 (fun () -> if Prng.bool g then incr sink);
+  check "int_in_range" ~box:0 (fun () -> sink := !sink + Prng.int_in_range g ~lo:3 ~hi:9);
+  check "bits64" ~box:3 (fun () -> sink := !sink + Int64.to_int (Prng.bits64 g));
+  check "unit_float" ~box:2 (fun () -> if Prng.unit_float g < 0.5 then incr sink);
+  check "float" ~box:2 (fun () -> if Prng.float g 4.0 < 2.0 then incr sink);
+  Alcotest.(check bool) "draws were used" true (!sink > 0)
 
 let test_split_differs () =
   let a = Prng.create 13 in
@@ -291,6 +373,8 @@ let suite =
       Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
       Alcotest.test_case "copy" `Quick test_copy_independent;
       Alcotest.test_case "split" `Quick test_split_differs;
+      Alcotest.test_case "stream pinned" `Quick test_pinned_stream;
+      Alcotest.test_case "draws allocate no state" `Quick test_draws_allocate_nothing;
       Alcotest.test_case "int range" `Quick test_int_range;
       Alcotest.test_case "int covers values" `Quick test_int_covers_all_values;
       Alcotest.test_case "int invalid bound" `Quick test_int_invalid;

@@ -730,7 +730,11 @@ let test_register_prefix () =
   let client = Client.create oracle ~landmarks:lmks in
   let first_round server peer attach_router =
     let m = Client.measure_join client ~attach_router in
-    (m, Server.register_prefix server ~peer ~attach_router ~prefix:(Client.prefix m) m)
+    let prefix = Client.prefix m in
+    let bytes =
+      Wire.byte_size (Wire.Path_prefix { peer; landmark = m.landmark; probes = m.probes; prefix })
+    in
+    (m, Server.register_prefix server ~peer ~attach_router ~prefix ~bytes m)
   in
   let long_route r =
     let m = Client.measure client ~attach_router:r in

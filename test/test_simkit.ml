@@ -71,7 +71,8 @@ let test_transport_delay () =
   let e = Transport.engine t in
   Alcotest.(check (float 1e-9)) "one-way = hops" 5.0 (Transport.one_way_delay t ~src:d.p1 ~dst:d.lmk);
   let arrived = ref (-1.0) in
-  Transport.send t ~src:d.p1 ~dst:d.lmk ~size_bytes:100 (fun () -> arrived := Engine.now e);
+  Transport.send ~kind:"other" ~dir:"oneway"
+    t ~src:d.p1 ~dst:d.lmk ~size_bytes:100 (fun () -> arrived := Engine.now e);
   Engine.run e;
   Alcotest.(check (float 1e-9)) "delivered after delay" 5.0 !arrived;
   Alcotest.(check int) "counted" 1 (Transport.messages_sent t);
@@ -104,7 +105,8 @@ let test_transport_drop_unreachable () =
   let e = Engine.create () in
   let t = Transport.create e oracle in
   let delivered = ref false in
-  Transport.send t ~src:0 ~dst:2 ~size_bytes:10 (fun () -> delivered := true);
+  Transport.send ~kind:"other" ~dir:"oneway"
+    t ~src:0 ~dst:2 ~size_bytes:10 (fun () -> delivered := true);
   Engine.run e;
   Alcotest.(check bool) "not delivered" false !delivered;
   Alcotest.(check int) "dropped" 1 (Transport.messages_dropped t)
@@ -117,7 +119,8 @@ let test_transport_loss_injection () =
   let t = Transport.create ~rng ~loss_prob:0.5 e oracle in
   let delivered = ref 0 in
   for _ = 1 to 200 do
-    Transport.send t ~src:d.p1 ~dst:d.p2 ~size_bytes:10 (fun () -> incr delivered)
+    Transport.send ~kind:"other" ~dir:"oneway"
+      t ~src:d.p1 ~dst:d.p2 ~size_bytes:10 (fun () -> incr delivered)
   done;
   Engine.run e;
   Alcotest.(check int) "delivered + dropped = sent" 200 (!delivered + Transport.messages_dropped t);
@@ -138,25 +141,27 @@ let test_transport_drop_buckets () =
   let t = Transport.create ~rng e oracle in
   let stat name = List.assoc name (Transport.stats t) in
   (* Unreachable: node 4 is isolated. *)
-  Transport.send t ~src:0 ~dst:4 ~size_bytes:10 (fun () -> ());
+  Transport.send ~kind:"other" ~dir:"oneway" t ~src:0 ~dst:4 ~size_bytes:10 (fun () -> ());
   (* Partition: cut {0, 1} off; a cross-boundary message dies, an
      intra-side one survives. *)
   Transport.set_partition_nodes t [ 0; 1 ];
   let intra = ref false in
-  Transport.send t ~src:0 ~dst:1 ~size_bytes:10 (fun () -> intra := true);
-  Transport.send t ~src:1 ~dst:2 ~size_bytes:10 (fun () -> ());
+  Transport.send ~kind:"other" ~dir:"oneway"
+    t ~src:0 ~dst:1 ~size_bytes:10 (fun () -> intra := true);
+  Transport.send ~kind:"other" ~dir:"oneway" t ~src:1 ~dst:2 ~size_bytes:10 (fun () -> ());
   Engine.run e;
   Alcotest.(check bool) "intra-side delivered" true !intra;
   Transport.clear_partition t;
   let healed = ref false in
-  Transport.send t ~src:1 ~dst:2 ~size_bytes:10 (fun () -> healed := true);
+  Transport.send ~kind:"other" ~dir:"oneway"
+    t ~src:1 ~dst:2 ~size_bytes:10 (fun () -> healed := true);
   Engine.run e;
   Alcotest.(check bool) "healed partition delivers" true !healed;
   (* Loss: certain-loss probability drops everything into its own bucket. *)
   Transport.set_loss_prob t 0.999;
   let lost = ref 0 in
   for _ = 1 to 50 do
-    Transport.send t ~src:0 ~dst:1 ~size_bytes:10 (fun () -> ())
+    Transport.send ~kind:"other" ~dir:"oneway" t ~src:0 ~dst:1 ~size_bytes:10 (fun () -> ())
   done;
   Engine.run e;
   lost := stat "dropped_loss";

@@ -35,7 +35,7 @@ let test_labeled_accounting () =
   let e = Transport.engine t in
   Transport.send ~kind:"path_report" ~dir:"request" t ~src:d.p1 ~dst:d.lmk ~size_bytes:100
     (fun () -> ());
-  Transport.send t ~src:d.p1 ~dst:d.lmk ~size_bytes:40 (fun () -> ());
+  Transport.send ~kind:"other" ~dir:"oneway" t ~src:d.p1 ~dst:d.lmk ~size_bytes:40 (fun () -> ());
   Transport.send_parts ~dir:"request" t ~src:d.p1 ~dst:d.lmk
     ~parts:[ ("path_report", 30); ("query", 20) ]
     (fun () -> ());
@@ -66,16 +66,16 @@ let test_dropped_bytes_by_reason () =
   let rng = Prelude.Prng.create 11 in
   let t = Transport.create ~rng ~metrics e oracle in
   (* Unreachable: node 3 is disconnected. *)
-  Transport.send t ~src:0 ~dst:3 ~size_bytes:50 (fun () -> ());
+  Transport.send ~kind:"other" ~dir:"oneway" t ~src:0 ~dst:3 ~size_bytes:50 (fun () -> ());
   (* Partition: node 2 walled off. *)
   Transport.set_partition_nodes t [ 2 ];
-  Transport.send t ~src:0 ~dst:2 ~size_bytes:30 (fun () -> ());
+  Transport.send ~kind:"other" ~dir:"oneway" t ~src:0 ~dst:2 ~size_bytes:30 (fun () -> ());
   Transport.clear_partition t;
   (* Loss: deterministic bookkeeping regardless of which sends the rng
      drops — all frames are 20 bytes, so loss bytes = 20 x loss count. *)
   Transport.set_loss_prob t 0.5;
   for _ = 1 to 40 do
-    Transport.send t ~src:0 ~dst:2 ~size_bytes:20 (fun () -> ())
+    Transport.send ~kind:"other" ~dir:"oneway" t ~src:0 ~dst:2 ~size_bytes:20 (fun () -> ())
   done;
   Engine.run e;
   Alcotest.(check int) "unreachable bytes" 50 (Transport.dropped_unreachable_bytes t);
@@ -104,9 +104,9 @@ let test_dropped_bytes_by_reason () =
 let test_top_talkers () =
   let d, t = fixture () in
   let e = Transport.engine t in
-  Transport.send t ~src:d.p1 ~dst:d.lmk ~size_bytes:500 (fun () -> ());
-  Transport.send t ~src:d.p2 ~dst:d.lmk ~size_bytes:100 (fun () -> ());
-  Transport.send t ~src:d.lmk ~dst:d.p1 ~size_bytes:50 (fun () -> ());
+  Transport.send ~kind:"other" ~dir:"oneway" t ~src:d.p1 ~dst:d.lmk ~size_bytes:500 (fun () -> ());
+  Transport.send ~kind:"other" ~dir:"oneway" t ~src:d.p2 ~dst:d.lmk ~size_bytes:100 (fun () -> ());
+  Transport.send ~kind:"other" ~dir:"oneway" t ~src:d.lmk ~dst:d.p1 ~size_bytes:50 (fun () -> ());
   Engine.run e;
   let talkers = Transport.top_talkers t ~k:2 in
   Alcotest.(check int) "k bounds the list" 2 (List.length talkers);
@@ -209,8 +209,10 @@ let test_send_parts_allocation () =
   Alcotest.(check int) "both frames counted" 4
     (counter metrics "wire_msgs_total" ~kind:"path_report" ~dir:"request"
     + counter metrics "wire_msgs_total" ~kind:"query" ~dir:"request");
-  (* 31 words measured, most of them the jitter draw. *)
-  Alcotest.(check bool) (Printf.sprintf "one send allocates %.0f words" words) true (words <= 36.0)
+  (* 4 words measured: the jitter draw's float and the delay handed to
+     the engine, each boxed across a module boundary.  The generator's
+     state and the accounting allocate nothing. *)
+  Alcotest.(check bool) (Printf.sprintf "one send allocates %.0f words" words) true (words <= 4.0)
 
 let suite =
   ( "wire-obs",
