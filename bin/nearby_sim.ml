@@ -214,20 +214,20 @@ let load_cmd =
     Arg.(value & opt (some float) None & info [ "spike-rate" ] ~doc ~docv:"R")
   in
   let spike_at_arg =
-    let doc = "Flash-crowd spike onset, seconds into the run (flash only)." in
-    Arg.(value & opt float 2.0 & info [ "spike-at" ] ~doc ~docv:"S")
+    let doc = "Flash-crowd spike onset, seconds into the run (flash only; default 2)." in
+    Arg.(value & opt (some float) None & info [ "spike-at" ] ~doc ~docv:"S")
   in
   let spike_len_arg =
-    let doc = "Flash-crowd spike length, seconds (flash only)." in
-    Arg.(value & opt float 4.0 & info [ "spike-len" ] ~doc ~docv:"S")
+    let doc = "Flash-crowd spike length, seconds (flash only; default 4)." in
+    Arg.(value & opt (some float) None & info [ "spike-len" ] ~doc ~docv:"S")
   in
   let amplitude_arg =
-    let doc = "Diurnal modulation amplitude in [0, 1] (diurnal only)." in
-    Arg.(value & opt float 0.5 & info [ "amplitude" ] ~doc ~docv:"A")
+    let doc = "Diurnal modulation amplitude in [0, 1] (diurnal only; default 0.5)." in
+    Arg.(value & opt (some float) None & info [ "amplitude" ] ~doc ~docv:"A")
   in
   let period_arg =
-    let doc = "Diurnal period, seconds (diurnal only)." in
-    Arg.(value & opt float 60.0 & info [ "period" ] ~doc ~docv:"S")
+    let doc = "Diurnal period, seconds (diurnal only; default 60)." in
+    Arg.(value & opt (some float) None & info [ "period" ] ~doc ~docv:"S")
   in
   let duration_arg =
     let doc = "Arrival window in milliseconds (the run continues until the queue drains)." in
@@ -305,33 +305,10 @@ let load_cmd =
     let config =
       override slo_budget_ms (fun (c : Eval.Load_exp.config) v -> { c with slo_budget_ms = v }) config
     in
-    let service = config.Eval.Load_exp.service_rate_per_s in
     let arrival_process =
-      (* Defaults put the flash peak (and the diurnal crest) at 2x the
-         service rate so the headline comparison works out of the box. *)
-      match arrival with
-      | "poisson" ->
-          Ok
-            (Simkit.Workload.Poisson
-               { rate_per_s = Option.value rate ~default:(0.8 *. service) })
-      | "diurnal" ->
-          Ok
-            (Simkit.Workload.Diurnal
-               {
-                 base_per_s = Option.value rate ~default:(2.0 *. service /. (1.0 +. amplitude));
-                 amplitude;
-                 period_s = period;
-               })
-      | "flash" ->
-          Ok
-            (Simkit.Workload.Flash
-               {
-                 base_per_s = Option.value rate ~default:(0.25 *. service);
-                 spike_per_s = Option.value spike_rate ~default:(2.0 *. service);
-                 spike_at_s = spike_at;
-                 spike_len_s = spike_len;
-               })
-      | other -> Error (Printf.sprintf "unknown arrival process %S (poisson|diurnal|flash)" other)
+      Eval.Load_exp.arrival ?rate_per_s:rate ?spike_per_s:spike_rate ?spike_at_s:spike_at
+        ?spike_len_s:spike_len ?amplitude ?period_s:period
+        ~service_rate_per_s:config.Eval.Load_exp.service_rate_per_s arrival
     in
     match arrival_process with
     | Error e -> `Error (false, e)

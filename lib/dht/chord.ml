@@ -135,11 +135,6 @@ let lookup t ~from ~key =
   in
   route start 0
 
-let ring_distance t a b =
-  let ia = index_of t a and ib = index_of t b in
-  if ia < 0 || ib < 0 then invalid_arg "Chord.ring_distance: unknown member";
-  (t.ring.(ib).ring_id - t.ring.(ia).ring_id + space) land mask
-
 let check_invariants t =
   let n = Array.length t.ring in
   let fail fmt = Printf.ksprintf failwith fmt in

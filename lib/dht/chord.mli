@@ -45,10 +45,6 @@ val lookup : t -> from:int -> key:int -> int * int
     (0 when [from] already owns the key).
     @raise Invalid_argument when [from] is not a member. *)
 
-val ring_distance : t -> int -> int -> int
-(** Clockwise identifier distance between two members' ring ids (for
-    tests). *)
-
 val check_invariants : t -> unit
 (** Fingers point at the true successors of their targets; successor
     pointers form a single cycle.  @raise Failure on violation. *)

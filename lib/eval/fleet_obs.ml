@@ -179,7 +179,6 @@ let cluster t = t.run.cluster
 let transport t = t.run.transport
 let admission t = t.admission
 let recorder t = t.recorder
-let wire_breaches t = !(t.wire_breaches)
 let fleet_trace t = Nearby.Cluster.fleet_trace t.run.cluster
 
 let advance t ~until =

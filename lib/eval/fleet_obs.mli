@@ -79,9 +79,6 @@ val transport : t -> Simkit.Transport.t
 val recorder : t -> Simkit.Flight_recorder.t
 (** Receives the ["wire"]-kind bandwidth breach / clear events. *)
 
-val wire_breaches : t -> int
-(** Bandwidth-SLO breach edges seen so far. *)
-
 val admission : t -> Nearby.Admission.t
 (** The bounded queue in front of the cluster (depth / totals for the
     dashboard's admission panel). *)

@@ -38,6 +38,22 @@ let default_config =
   }
 
 let quick_config = { default_config with routers = 800 }
+
+(* Defaults put the flash peak (and the diurnal crest) at 2x the service
+   rate, so the headline comparison works out of the box. *)
+let arrival ?rate_per_s ?spike_per_s ?(spike_at_s = 2.0) ?(spike_len_s = 4.0) ?(amplitude = 0.5)
+    ?(period_s = 60.0) ~service_rate_per_s:service name =
+  let open Simkit.Workload in
+  let rate default = Option.value rate_per_s ~default in
+  match name with
+  | "poisson" -> Ok (Poisson { rate_per_s = rate (0.8 *. service) })
+  | "diurnal" ->
+      Ok (Diurnal { base_per_s = rate (2.0 *. service /. (1.0 +. amplitude)); amplitude; period_s })
+  | "flash" ->
+      let spike_per_s = Option.value spike_per_s ~default:(2.0 *. service) in
+      Ok (Flash { base_per_s = rate (0.25 *. service); spike_per_s; spike_at_s; spike_len_s })
+  | other -> Error (Printf.sprintf "unknown arrival process %S (poisson|diurnal|flash)" other)
+
 let policies = [ "drop-tail"; "deadline"; "slo" ]
 
 type result = {

@@ -57,6 +57,22 @@ val default_config : config
 val quick_config : config
 (** [default_config] on an 800-router map. *)
 
+val arrival :
+  ?rate_per_s:float ->
+  ?spike_per_s:float ->
+  ?spike_at_s:float ->
+  ?spike_len_s:float ->
+  ?amplitude:float ->
+  ?period_s:float ->
+  service_rate_per_s:float ->
+  string ->
+  (Simkit.Workload.process, string) result
+(** The arrival process named ["poisson"], ["diurnal"] or ["flash"], as
+    [nearby_sim load --arrival] builds it.  Unset rates put the flash spike
+    and the diurnal crest at 2x [service_rate_per_s], Poisson at 0.8x and
+    the flash base at 0.25x; the spike starts at 2 s and lasts 4 s, the
+    diurnal amplitude is 0.5 and its period 60 s. *)
+
 val policies : string list
 (** ["drop-tail"; "deadline"; "slo"]. *)
 

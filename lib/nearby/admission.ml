@@ -17,11 +17,6 @@ let slo_shed ?(lookback = 4) ?(burn_threshold = 0.5) ?(poll_every_ms = 100.0)
       poll_every_ms;
     }
 
-let policy_kind = function
-  | Drop_tail -> "drop-tail"
-  | Deadline _ -> "deadline"
-  | Slo_shed _ -> "slo"
-
 type config = {
   capacity : int;
   service_rate_per_s : float;

@@ -51,9 +51,6 @@ val slo_shed :
     [wait_p99_limit_ms], defaults [lookback = 4], [burn_threshold = 0.5],
     [poll_every_ms = 100.0]. *)
 
-val policy_kind : policy -> string
-(** ["drop-tail"], ["deadline"] or ["slo"]. *)
-
 type config = {
   capacity : int;  (** Queue slots; submits beyond shed as ["queue_full"]. *)
   service_rate_per_s : float;  (** Drain throughput. *)

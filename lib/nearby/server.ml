@@ -676,13 +676,6 @@ let lookup t ~peer ~k routers =
   let home = landmark_of routers in
   top_up t ~home ~k ~exclude (Registry_intf.query (registry_of t home) ~routers ~k ~exclude ())
 
-(* The reply as the wire charges it: a top-up entry's [max_int] distance
-   is clipped to [0x3FFFFFF].  Copied only when some entry needs it. *)
-let wire_neighbors reply =
-  if List.exists (fun (_, d) -> d > 0x3FFFFFF) reply then
-    List.map (fun (p, d) -> (p, min d 0x3FFFFFF)) reply
-  else reply
-
 (* Traced, the "query" span sits under the ambient request or roots a
    trace of its own; registry op spans nest under it. *)
 let answer t ~peer ~k =
@@ -703,18 +696,11 @@ let answer t ~peer ~k =
   end
   else lookup t ~peer ~k routers
 
-(* Charge a query and its [reply] to the wire counter; the size of the
-   reply as sent, top-up distances unclipped.  Sized once unless a top-up
-   entry makes the two differ. *)
+(* Charge a query and its [reply] to the wire counter; the reply's size. *)
 let count_query t ~peer ~k reply =
   let reply_bytes = Wire.byte_size (Wire.Neighbor_reply { peer; neighbors = reply }) in
-  let clipped = wire_neighbors reply in
-  let counted =
-    if clipped == reply then reply_bytes
-    else Wire.byte_size (Wire.Neighbor_reply { peer; neighbors = clipped })
-  in
   Simkit.Trace.cell_add t.cells.wire_bytes
-    (Wire.byte_size (Wire.Neighbor_request { peer; k }) + counted);
+    (Wire.byte_size (Wire.Neighbor_request { peer; k }) + reply_bytes);
   reply_bytes
 
 let neighbors t ~peer ~k =
@@ -810,25 +796,24 @@ let differing_buckets t summary =
 
 (* --- Persistence and partial snapshots --------------------------------- *)
 
-let snapshot_version = 1
+let snapshot_version = 2
 
-(* The snapshot entry codec, shared by full and partial snapshots.  Entries
-   go out ascending by peer id, which the decoder enforces.  The path is
-   the registered routers as a fully identified path from the attach
-   router: for a complete trace, exactly the report the client sent. *)
+(* The snapshot entry codec, shared by full and partial snapshots: an entry
+   is the registration as the server stores it -- peer, attach router,
+   probe cost, then the registered routers, whose last is the member's
+   landmark.  Entries go out ascending by peer id, which the decoder
+   enforces. *)
 let write_entries t w entries =
   let open Prelude.Codec.Writer in
   list w
     (fun (peer, slot) ->
       varint w peer;
       varint w t.attach.(slot);
-      varint w (home_of t slot);
       varint w t.probes.(slot);
-      bytes w (Wire.encode (Wire.Path_report { peer; path = view_path t slot })))
+      array w varint t.routers.(slot))
     (List.sort (fun (a, _) (b, _) -> Int.compare a b) entries)
 
-(* An entry decodes to [(peer, attach router, landmark, probes, routers)],
-   the routers as the server registers the reported path.  A peer no
+(* An entry decodes to [(peer, attach router, probes, routers)].  A peer no
    registry could hold is malformed. *)
 let read_entry r =
   let open Prelude.Codec.Reader in
@@ -839,14 +824,9 @@ let read_entry r =
     else Ok ()
   in
   let* attach = varint r in
-  let* home = varint r in
   let* probes = varint r in
-  let* encoded_path = bytes r in
-  match Wire.decode encoded_path with
-  | Ok (Wire.Path_report { peer = p; path }) when p = peer ->
-      Ok (peer, attach, home, probes, registrable_path ~landmark:home path)
-  | Ok _ -> Error (Malformed "snapshot entry is not a path report")
-  | Error e -> Error (Malformed e)
+  let* routers = list r varint in
+  Ok (peer, attach, probes, Array.of_list routers)
 
 let snapshot t =
   let w = Prelude.Codec.Writer.create ~capacity:4096 () in
@@ -882,10 +862,11 @@ let apply_entries t ~replaced r =
   let nodes = Topology.Graph.node_count (graph t) in
   let rec check prev = function
     | [] -> Ok ()
-    | (peer, attach, home, _, routers) :: rest ->
+    | (peer, attach, _, routers) :: rest ->
         if peer <= prev then Error (Malformed "snapshot entries out of order")
-        else if not (is_landmark t home) then
-          Error (Malformed "snapshot references an unknown landmark")
+        else if Array.length routers = 0 then Error (Malformed "snapshot entry has an empty route")
+        else if not (is_landmark t (landmark_of routers)) then
+          Error (Malformed "snapshot route does not end at a landmark")
         else if not (in_graph ~nodes attach && routers_in_graph ~nodes routers 0) then
           Error (Malformed "snapshot names a router outside the graph")
         else if not (match replaced with None -> true | Some set -> set.(bucket_of peer)) then
@@ -906,7 +887,7 @@ let apply_entries t ~replaced r =
         Option.iter
           (fun set ->
             let incoming = Hashtbl.create (List.length entries) in
-            List.iter (fun (peer, _, _, _, _) -> Hashtbl.replace incoming peer ()) entries;
+            List.iter (fun (peer, _, _, _) -> Hashtbl.replace incoming peer ()) entries;
             let stale = ref [] in
             Array.iteri
               (fun b members ->
@@ -921,15 +902,15 @@ let apply_entries t ~replaced r =
               !stale)
           replaced;
         List.iter
-          (fun (peer, attach, home, probes, routers) ->
+          (fun (peer, attach, probes, routers) ->
             let held = Slot_index.find t.index peer in
             if
               not
-                (held >= 0 && t.attach.(held) = attach && home_of t held = home
-               && t.probes.(held) = probes && t.routers.(held) = routers)
+                (held >= 0 && t.attach.(held) = attach && t.probes.(held) = probes
+               && t.routers.(held) = routers)
             then begin
               if held >= 0 then remove_entry t ~peer held;
-              store t ~peer ~routers ~refresh:false ~attach ~home ~probes;
+              store t ~peer ~routers ~refresh:false ~attach ~home:(landmark_of routers) ~probes;
               incr changed
             end)
           entries

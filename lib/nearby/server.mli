@@ -223,10 +223,9 @@ val neighbors : t -> peer:int -> k:int -> (int * int) list
 
 val sized_neighbors : t -> peer:int -> k:int -> (int * int) list * int
 (** {!neighbors}, and the size of the {!Wire.Neighbor_reply} carrying the
-    answer, as a replica's RPC reply sends it: the server sizes it for its
-    wire counter, and a replica answering a join hands the size on.  The
-    counter clips a top-up entry's [max_int] distance to [0x3FFFFFF]; the
-    size returned does not. *)
+    answer, as a replica's RPC reply sends it: the server sizes it once,
+    for its wire counter, and a replica answering a join hands the size
+    on. *)
 
 val leave : t -> peer:int -> unit
 (** Deregister (graceful or detected failure).  @raise Not_found when
@@ -287,13 +286,13 @@ val differing_buckets : t -> string -> (int list, string) result
 
     A management server is a single point of failure; restarting it must
     not force every peer to re-traceroute.  The snapshot is the registered
-    state (landmarks; per peer its attach router, landmark, probe cost and
-    registered routers, the routers as a fully identified
-    {!Wire.Path_report}) in the {!Prelude.Codec} binary format — the one
+    state in the {!Prelude.Codec} binary format: a version byte (2), the
+    landmarks, then per member, ascending by peer id, the registration as
+    the server stores it: peer id, attach router, probe cost and routers,
+    a varint array ending at the member's landmark.  It is the one
     persistence format: registry backends have none, and restoring
-    re-inserts every path into whichever backend is given.  A
-    partial snapshot carries the entries of some buckets in the same entry
-    encoding. *)
+    re-inserts every path into whichever backend is given.  A partial
+    snapshot, what anti-entropy exchanges, carries some buckets' entries. *)
 
 val snapshot : t -> string
 (** Serialize the registration state (not the counters, which belong to
@@ -313,8 +312,9 @@ val apply_buckets : ?replace:int list -> t -> string -> (int, string) result
     are stamped at the current clock (not counted as ["report_refresh"]).
     Returns the number of registrations written or removed.  Total:
     corrupt input yields [Error], and is rejected before anything is
-    applied; an entry naming a router outside {!graph} (a hop or its
-    attach router) is corrupt. *)
+    applied; so is an entry whose route is empty, does not end at a
+    landmark, or names a router outside {!graph} (or whose attach router
+    does). *)
 
 val restore :
   ?backend:(module Registry_intf.S) ->
@@ -325,7 +325,8 @@ val restore :
 (** Rebuild a server from {!snapshot} output over the given oracle (the
     graph itself is not serialized — the map outlives server restarts):
     {!create} with the snapshot's landmarks, then apply every bucket as
-    {!apply_buckets} does.  Total: corrupt input yields [Error]. *)
+    {!apply_buckets} does.  Total: corrupt input, or a snapshot of another
+    version, yields [Error]. *)
 
 (** {1 bench/stack only: forwards to {!Client}, called by nothing else} *)
 

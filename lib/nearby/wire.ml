@@ -29,6 +29,9 @@ let kind = function
   | Leave _ -> "leave"
   | Path_report_batch _ -> "path_report_batch"
 
+(* A reply's largest distance, a 4-byte varint: a top-up's [max_int]. *)
+let far = 0x3FFFFFF
+
 let tag = function
   | Ping_request _ -> 0
   | Ping_reply _ -> 1
@@ -75,7 +78,7 @@ module Emit (S : Prelude.Codec.SINK) = struct
         S.list w
           (fun (p, d) ->
             S.varint w p;
-            S.varint w d)
+            S.varint w (if d >= far then far else d))
           neighbors
     | Leave { peer } | Replica_nack { peer } | Continue { peer } -> S.varint w peer
     | Replica_prefix { peer; donor; probes; prefix } ->
@@ -142,7 +145,7 @@ let decode_body r t =
         list r (fun r ->
             let* p = varint r in
             let* d = varint r in
-            Ok (p, d))
+            Ok (p, if d = far then max_int else d))
       in
       Ok (Neighbor_reply { peer; neighbors })
   | 5 ->

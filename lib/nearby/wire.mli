@@ -15,7 +15,9 @@ type message =
       (** Round 2 upload: the traceroute output, anonymous hops included. *)
   | Neighbor_request of { peer : int; k : int }
   | Neighbor_reply of { peer : int; neighbors : (int * int) list }
-      (** [(peer id, inferred distance)], ascending. *)
+      (** [(peer id, inferred distance)], ascending.  A distance of at
+          least [0x3FFFFFF] (a cross-tree top-up entry's [max_int]) is sent
+          as [0x3FFFFFF], four bytes, and decodes as [max_int]. *)
   | Leave of { peer : int }
   | Path_report_batch of { reports : (int * Traceroute.Path.t) list }
       (** A whole batch of registrations as one message instead of one

@@ -130,6 +130,43 @@ let test_instrumented_artifacts () =
   in
   Alcotest.(check bool) "flight recorder saw the shed" true (sheds <> [])
 
+(* `nearby_sim load --quick --arrival flash --shed-policy slo`: a flash
+   crowd at 2x the service rate through the SLO shedder completes every
+   admitted join, sheds for the slo reason, holds the admitted p99 in the
+   budget, and leaves the labeled shed counter, the queue-depth series and
+   both shed transitions in its artifacts. *)
+let test_load_smoke () =
+  let config = Eval.Load_exp.quick_config in
+  let arrival =
+    match Eval.Load_exp.arrival ~service_rate_per_s:config.service_rate_per_s "flash" with
+    | Ok a -> a
+    | Error e -> Alcotest.fail e
+  in
+  let r, art = Eval.Load_exp.run_instrumented { config with arrival; policy = "slo" } in
+  let shed_total = List.fold_left (fun acc (_, n) -> acc + n) 0 r.shed in
+  Alcotest.(check bool) (Printf.sprintf "over-saturated (%.2f)" r.saturation) true
+    (r.saturation >= 1.5);
+  Alcotest.(check (float 0.0)) "admitted-join completion" 1.0 r.completion_rate;
+  Alcotest.(check bool) "slo sheds under overload" true
+    (match List.assoc_opt "slo" r.shed with Some n -> n > 0 | None -> false);
+  Alcotest.(check bool) "the shedder opened" true (r.slo_sheds_opened >= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "admitted p99 %.0f ms within the %.0f ms budget" r.join_p99_ms r.slo_budget_ms)
+    true r.p99_within_budget;
+  Alcotest.(check int) "labeled slo sheds = result sheds" shed_total
+    (Simkit.Metrics.counter art.metrics "admission_shed_total" ~labels:[ ("reason", "slo") ]);
+  Alcotest.(check bool) "queue-depth series present" true
+    (List.mem "admission_queue_depth" (Simkit.Timeseries.names art.timeseries));
+  let details =
+    List.filter_map
+      (fun (e : Simkit.Flight_recorder.event) ->
+        if e.kind = "admission" then Some e.detail else None)
+      (Simkit.Flight_recorder.events art.recorder)
+  in
+  let starts prefix = List.exists (String.starts_with ~prefix) details in
+  Alcotest.(check bool) "shed open recorded" true (starts "shed open:");
+  Alcotest.(check bool) "shed close recorded" true (starts "shed close:")
+
 let test_scale_smoke () =
   (* ~10k arrivals under-saturation: a healthy fleet sheds nothing and the
      memoized measurement path keeps this fast. *)
@@ -162,4 +199,5 @@ let suite =
       Alcotest.test_case "result json shape" `Slow test_result_json_shape;
       Alcotest.test_case "instrumented artifacts" `Slow test_instrumented_artifacts;
       Alcotest.test_case "scale smoke" `Slow test_scale_smoke;
+      Alcotest.test_case "load smoke: flash crowd through the SLO shedder" `Slow test_load_smoke;
     ] )

@@ -116,6 +116,31 @@ let test_cross_tree_topup () =
   done;
   Alcotest.(check bool) "some answers needed a top-up" true (!topups > 0)
 
+(* A reply with a cross-tree top-up is charged at the size it is sent: the
+   counter's increment, the size [sized_neighbors] hands on and the encoded
+   frame agree. *)
+let test_topup_reply_sized_as_sent () =
+  let map, oracle, lmks, _ = make_workload ~seed:7 () in
+  let server = Server.create oracle ~landmarks:lmks in
+  let client = Client.create oracle ~landmarks:lmks in
+  let n = 30 in
+  for peer = 0 to n - 1 do
+    let attach_router = map.leaves.(peer * 7 mod Array.length map.leaves) in
+    ignore (Server.join server ~client ~peer ~attach_router)
+  done;
+  let wire () = Simkit.Trace.counter (Server.trace server) "wire_bytes" in
+  let topups = ref 0 in
+  for peer = 0 to n - 1 do
+    let before = wire () in
+    let reply, size = Server.sized_neighbors server ~peer ~k:n in
+    let counted = wire () - before - Wire.byte_size (Wire.Neighbor_request { peer; k = n }) in
+    let frame = String.length (Wire.encode (Wire.Neighbor_reply { peer; neighbors = reply })) in
+    if List.exists (fun (_, d) -> d = max_int) reply then incr topups;
+    Alcotest.(check int) (Printf.sprintf "peer %d: counted = returned" peer) counted size;
+    Alcotest.(check int) (Printf.sprintf "peer %d: returned = frame" peer) frame size
+  done;
+  Alcotest.(check bool) "some replies carried a top-up" true (!topups > 0)
+
 let test_leave () =
   let map, oracle, lmks, _ = make_workload ~seed:8 () in
   let server = Server.create oracle ~landmarks:lmks in
@@ -430,13 +455,13 @@ let test_snapshot_peer_out_of_range () =
   let server = Server.create oracle ~landmarks:lmks in
   let client = Client.create oracle ~landmarks:lmks in
   let info = Server.join server ~client ~peer:3 ~attach_router:map.leaves.(0) in
+  let routers = Option.get (Server.path_of server 3) in
   let entry w peer =
     let open Prelude.Codec.Writer in
     varint w peer;
     varint w info.attach_router;
-    varint w info.landmark;
     varint w info.probes_spent;
-    bytes w (Wire.encode (Wire.Path_report { peer; path = info.recorded_path }))
+    array w varint routers
   in
   let w = Prelude.Codec.Writer.create () in
   Prelude.Codec.Writer.list w (entry w) [ 5; 1 lsl 31 ];
@@ -809,6 +834,7 @@ let suite =
       Alcotest.test_case "neighbors sane" `Quick test_neighbors_sane;
       Alcotest.test_case "neighbors unknown" `Quick test_neighbors_unknown_peer;
       Alcotest.test_case "cross-tree top-up" `Quick test_cross_tree_topup;
+      Alcotest.test_case "top-up reply sized as sent" `Quick test_topup_reply_sized_as_sent;
       Alcotest.test_case "leave" `Quick test_leave;
       Alcotest.test_case "handover" `Quick test_handover;
       Alcotest.test_case "trace counters" `Quick test_trace_counters;

@@ -132,9 +132,30 @@ let test_bucket_repair () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated summary accepted"
 
-(* An incoming entry is already held when it would register the routers
-   the tree stores, whatever anonymous hops its trace kept or whether it
-   stopped short of the landmark; anything else is written. *)
+(* The flat entry layout: peer, attach router, probe cost, then the routers
+   as a varint array ending at the landmark. *)
+let write_entry w (peer, attach, probes, routers) =
+  let open Prelude.Codec.Writer in
+  varint w peer;
+  varint w attach;
+  varint w probes;
+  array w varint routers
+
+let partial entries =
+  let w = Prelude.Codec.Writer.create () in
+  Prelude.Codec.Writer.list w (write_entry w) entries;
+  Prelude.Codec.Writer.contents w
+
+let full landmarks entries =
+  let open Prelude.Codec.Writer in
+  let w = create () in
+  u8 w 2;
+  list w (varint w) (Array.to_list landmarks);
+  list w (write_entry w) entries;
+  contents w
+
+(* An incoming entry is already held when it carries the attach router,
+   probe cost and routers the server stores; anything else is written. *)
 let test_apply_compares_registered_routers () =
   let _, oracle, _ = fixture ~seed:9 in
   let l = 0 in
@@ -147,33 +168,36 @@ let test_apply_compares_registered_routers () =
   in
   register 1 [ 5; 6; l ];
   register 2 [ 7; l; l ];
-  let entry peer hops =
-    let open Prelude.Codec.Writer in
-    let src = match hops.(0) with Traceroute.Path.Known r -> r | Anonymous -> 0 in
-    let w = create () in
-    list w
-      (fun () ->
-        varint w peer;
-        varint w src;
-        varint w l;
-        varint w 3;
-        bytes w (Wire.encode (Wire.Path_report { peer; path = { src; dst = l; hops } })))
-      [ () ];
-    contents w
-  in
+  let entry peer routers = partial [ (peer, routers.(0), 3, routers) ] in
   let written name expected data =
     match Server.apply_buckets server data with
     | Ok n -> Alcotest.(check int) name expected n
     | Error e -> Alcotest.fail e
   in
-  let known r = Traceroute.Path.Known r in
-  written "an anonymous hop, same routers: held" 0
-    (entry 1 [| known 5; Anonymous; known 6; known l |]);
-  written "stopped short, same routers: held" 0 (entry 1 [| known 5; known 6 |]);
-  written "other routers: written" 1 (entry 1 [| known 5; known 8; known l |]);
+  written "same routers: held" 0 (entry 1 [| 5; 6; l |]);
+  written "other probes: written" 1 (partial [ (1, 5, 4, [| 5; 6; l |]) ]);
+  written "other routers: written" 1 (entry 1 [| 5; 8; l |]);
   Alcotest.(check (option (array int))) "the new routers" (Some [| 5; 8; l |]) (Server.path_of server 1);
-  written "a repeated landmark is a router: written" 1 (entry 2 [| known 7; known l |]);
+  written "a repeated landmark is a router: written" 1 (entry 2 [| 7; l |]);
   Server.check_invariants server
+
+(* [entries] are refused with [msg] both under a full snapshot's header
+   ([restore]) and as a partial snapshot ([apply_buckets]), and the server
+   is left as it was. *)
+let check_rejected server oracle ~name ~msg entries =
+  let before = Server.digest server and count = Server.peer_count server in
+  (match Server.restore oracle (full (Server.landmarks server) entries) with
+  | Error e -> Alcotest.(check string) (name ^ ": restore") msg e
+  | Ok _ -> Alcotest.fail (name ^ ": restored"));
+  List.iter
+    (fun replace ->
+      match Server.apply_buckets ?replace server (partial entries) with
+      | Error e -> Alcotest.(check string) (name ^ ": apply") msg e
+      | Ok _ -> Alcotest.fail (name ^ ": applied"))
+    [ None; Some (List.map (fun (peer, _, _, _) -> Server.bucket_of peer) entries) ];
+  Alcotest.(check bool) (name ^ ": digest unchanged") true
+    (Int64.equal before (Server.digest server));
+  Alcotest.(check int) (name ^ ": peer count unchanged") count (Server.peer_count server)
 
 (* A snapshot naming a router the graph does not have is corrupt: as a
    hop it would size the tree's router-indexed buckets, as an attach
@@ -182,58 +206,89 @@ let test_routers_outside_graph_rejected () =
   let map, oracle, server = populated ~seed:1 ~peers:20 in
   let outside = Topology.Graph.node_count map.graph + 5_000_000 in
   let valid = Option.get (Server.info server 0) in
+  let routers = Option.get (Server.path_of server 0) in
   let lmk = valid.landmark in
-  let entries w second_attach second_hops =
-    let open Prelude.Codec.Writer in
-    let entry (peer, attach, hops) =
-      varint w peer;
-      varint w attach;
-      varint w lmk;
-      varint w valid.probes_spent;
-      bytes w (Wire.encode (Wire.Path_report { peer; path = { src = attach; dst = lmk; hops } }))
-    in
-    list w entry
-      [ (0, valid.attach_router, valid.recorded_path.hops); (1, second_attach, second_hops) ]
+  let probes = valid.probes_spent in
+  let entries attach routers_1 =
+    [ (0, valid.attach_router, probes, routers); (1, attach, probes, routers_1) ]
   in
-  let known r = Traceroute.Path.Known r in
-  let bad =
+  List.iter
+    (fun (name, attach, routers_1) ->
+      check_rejected server oracle ~name
+        ~msg:"malformed input: snapshot names a router outside the graph"
+        (entries attach routers_1))
     [
-      ("a hop outside the graph", valid.attach_router, [| known outside; known lmk |]);
-      ("an attach router outside the graph", outside, valid.recorded_path.hops);
-    ]
+      ("a hop outside the graph", valid.attach_router, [| outside; lmk |]);
+      ("an attach router outside the graph", outside, routers);
+    ];
+  Server.check_invariants server
+
+(* A route is registered as it arrives, so one that is empty or does not
+   end at a landmark is corrupt, not repaired. *)
+let test_routes_not_ending_at_a_landmark_rejected () =
+  let _, oracle, server = populated ~seed:1 ~peers:20 in
+  let valid = Option.get (Server.info server 0) in
+  let routers = Option.get (Server.path_of server 0) in
+  let entry routers = [ (0, valid.attach_router, valid.probes_spent, routers) ] in
+  check_rejected server oracle ~name:"an empty route"
+    ~msg:"malformed input: snapshot entry has an empty route" (entry [||]);
+  let stopped_short = Array.sub routers 0 (Array.length routers - 1) in
+  check_rejected server oracle ~name:"a route stopped short of its landmark"
+    ~msg:"malformed input: snapshot route does not end at a landmark" (entry stopped_short);
+  Server.check_invariants server
+
+(* Version 1 nested each route in a wire path report; it is refused, not
+   read. *)
+let test_version_1_rejected () =
+  let _, oracle, server = populated ~seed:2 ~peers:10 in
+  let v1 =
+    let open Prelude.Codec.Writer in
+    let w = create () in
+    u8 w 1;
+    list w (varint w) (Array.to_list (Server.landmarks server));
+    list w
+      (fun peer ->
+        let info = Option.get (Server.info server peer) in
+        varint w peer;
+        varint w info.attach_router;
+        varint w info.landmark;
+        varint w info.probes_spent;
+        bytes w (Wire.encode (Wire.Path_report { peer; path = info.recorded_path })))
+      (Server.peer_ids server);
+    contents w
   in
   let before = Server.digest server and count = Server.peer_count server in
-  List.iter
-    (fun (name, attach, hops) ->
-      let full =
-        let w = Prelude.Codec.Writer.create () in
-        Prelude.Codec.Writer.u8 w 1;
-        Prelude.Codec.Writer.list w (Prelude.Codec.Writer.varint w)
-          (Array.to_list (Server.landmarks server));
-        entries w attach hops;
-        Prelude.Codec.Writer.contents w
-      in
-      (match Server.restore oracle full with
-      | Error msg ->
-          Alcotest.(check string) (name ^ ": restore")
-            "malformed input: snapshot names a router outside the graph" msg
-      | Ok _ -> Alcotest.fail (name ^ ": restored"));
-      let partial =
-        let w = Prelude.Codec.Writer.create () in
-        entries w attach hops;
-        Prelude.Codec.Writer.contents w
-      in
-      List.iter
-        (fun replace ->
-          match Server.apply_buckets ?replace server partial with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.fail (name ^ ": applied"))
-        [ None; Some [ Server.bucket_of 0; Server.bucket_of 1 ] ];
-      Alcotest.(check bool) (name ^ ": digest unchanged") true
-        (Int64.equal before (Server.digest server));
-      Alcotest.(check int) (name ^ ": peer count unchanged") count (Server.peer_count server))
-    bad;
-  Server.check_invariants server
+  (match Server.restore oracle v1 with
+  | Error e -> Alcotest.(check string) "refused" "malformed input: unsupported snapshot version 1" e
+  | Ok _ -> Alcotest.fail "a version-1 snapshot restored");
+  Alcotest.(check bool) "digest unchanged" true (Int64.equal before (Server.digest server));
+  Alcotest.(check int) "peer count unchanged" count (Server.peer_count server)
+
+(* An entry's bytes are the varints of its four fields, and a snapshot is
+   the version byte, the landmarks and the entries. *)
+let test_entry_layout () =
+  let _, _, server = populated ~seed:3 ~peers:12 in
+  let varint v =
+    let w = Prelude.Codec.Writer.create () in
+    Prelude.Codec.Writer.varint w v;
+    Prelude.Codec.Writer.contents w
+  in
+  let varints vs = String.concat "" (List.map varint vs) in
+  let entry peer =
+    let info = Option.get (Server.info server peer) in
+    let routers = Array.to_list (Option.get (Server.path_of server peer)) in
+    varints ([ peer; info.attach_router; info.probes_spent; List.length routers ] @ routers)
+  in
+  let entries peers = varint (List.length peers) ^ String.concat "" (List.map entry peers) in
+  let peers = Server.peer_ids server in
+  let landmarks = Array.to_list (Server.landmarks server) in
+  Alcotest.(check string) "snapshot"
+    ("\x02" ^ varints (List.length landmarks :: landmarks) ^ entries peers)
+    (Server.snapshot server);
+  let bucket = Server.bucket_of (List.nth peers 5) in
+  Alcotest.(check string) "partial snapshot"
+    (entries (List.filter (fun p -> Server.bucket_of p = bucket) peers))
+    (Server.snapshot_buckets server [ bucket ])
 
 let suite =
   ( "snapshot",
@@ -248,4 +303,8 @@ let suite =
         test_apply_compares_registered_routers;
       Alcotest.test_case "routers outside the graph rejected" `Quick
         test_routers_outside_graph_rejected;
+      Alcotest.test_case "routes not ending at a landmark rejected" `Quick
+        test_routes_not_ending_at_a_landmark_rejected;
+      Alcotest.test_case "version 1 rejected" `Quick test_version_1_rejected;
+      Alcotest.test_case "entry layout" `Quick test_entry_layout;
     ] )

@@ -161,6 +161,7 @@ let sample_messages =
     Wire.Neighbor_request { peer = 3; k = 5 };
     Wire.Neighbor_reply { peer = 3; neighbors = [ (9, 4); (12, 6) ] };
     Wire.Neighbor_reply { peer = 0; neighbors = [] };
+    Wire.Neighbor_reply { peer = 3; neighbors = [ (9, 4); (12, max_int) ] };
     Wire.Leave { peer = 77 };
     Wire.Path_report_batch { reports = [] };
     Wire.Path_report_batch
@@ -192,6 +193,20 @@ let test_wire_roundtrip () =
           Alcotest.(check bool) (Format.asprintf "roundtrip %a" Wire.pp m) true (Wire.equal m m')
       | Error e -> Alcotest.fail e)
     sample_messages
+
+(* A top-up entry's [max_int] distance travels as the 4-byte [0x3FFFFFF]
+   and comes back as [max_int] (its roundtrip is in [sample_messages]). *)
+let test_wire_topup_distance () =
+  let m = Wire.Neighbor_reply { peer = 3; neighbors = [ (9, 4); (12, max_int) ] } in
+  let encoded = Wire.encode m in
+  Alcotest.(check int) "byte_size = encode length" (String.length encoded) (Wire.byte_size m);
+  Alcotest.(check int) "sent as 0x3FFFFFF" (String.length encoded)
+    (Wire.byte_size (Wire.Neighbor_reply { peer = 3; neighbors = [ (9, 4); (12, 0x3FFFFFF) ] }));
+  let edge = Wire.Neighbor_reply { peer = 3; neighbors = [ (12, 0x3FFFFFF) ] } in
+  match Wire.decode (Wire.encode edge) with
+  | Ok (Wire.Neighbor_reply { neighbors = [ (12, d) ]; _ }) ->
+      Alcotest.(check int) "0x3FFFFFF decodes as max_int" max_int d
+  | _ -> Alcotest.fail "reply did not decode"
 
 let test_wire_every_truncation_fails_cleanly () =
   List.iter
@@ -420,6 +435,7 @@ let suite =
       Alcotest.test_case "list roundtrip" `Quick test_list_roundtrip;
       Alcotest.test_case "absurd list count" `Quick test_list_absurd_count;
       Alcotest.test_case "message roundtrip" `Quick test_wire_roundtrip;
+      Alcotest.test_case "top-up distance roundtrip" `Quick test_wire_topup_distance;
       Alcotest.test_case "all truncations rejected" `Quick test_wire_every_truncation_fails_cleanly;
       Alcotest.test_case "trailing garbage" `Quick test_wire_trailing_garbage;
       Alcotest.test_case "bad version/tag" `Quick test_wire_bad_version_and_tag;
