@@ -426,10 +426,11 @@ let registry_cmd =
     match parse_slos slos with
     | Error e -> `Error (false, e)
     | Ok slos -> (
-    let seed = Option.value ~default:1 seed in
-    let routers = Option.value ~default:(if quick then 600 else 2000) routers in
-    let peers = Option.value ~default:(if quick then 150 else 600) peers in
-    let k = Option.value ~default:5 k in
+    let q = Eval.Registry_run.quick_config in
+    let seed = Option.value ~default:q.seed seed in
+    let routers = Option.value ~default:(if quick then q.routers else 2000) routers in
+    let peers = Option.value ~default:(if quick then q.peers else 600) peers in
+    let k = Option.value ~default:q.k k in
     let specs =
       if String.lowercase_ascii (String.trim backend_spec) = "all" then Ok Eval.Backends.all
       else Result.map (fun s -> [ s ]) (Eval.Backends.of_string backend_spec)
@@ -437,74 +438,28 @@ let registry_cmd =
     match specs with
     | Error e -> `Error (false, e)
     | Ok specs ->
-        let w = Eval.Workload.build ~routers ~landmark_count:4 ~peers ~seed () in
-        let n = Array.length w.Eval.Workload.peer_routers in
-        (* Registry runs have no simulated clock; the audit timeseries
-           ticks on the query index instead, 100 queries per window. *)
-        let want_timeseries = audit_rate > 0.0 || slos <> [] in
-        (* The same scenario for every backend: join the whole population
-           through the server, then ask everyone's k nearest. *)
-        let run_backend ?(spans = Simkit.Span.noop) ?metrics spec =
-          (* The middleware gets the sink too, so with --trace-out every
-             store op is a span inside the join/query that caused it. *)
-          let backend =
-            Nearby.Instrumented_registry.wrap ?metrics
-              ?spans:(if Simkit.Span.enabled spans then Some spans else None)
-              (Eval.Backends.backend spec)
-          in
-          let oracle = w.Eval.Workload.ctx.Nearby.Selector.oracle
-          and landmarks = w.Eval.Workload.landmarks in
-          let server = Nearby.Server.create ~backend ~spans oracle ~landmarks in
-          let client = Nearby.Client.create oracle ~landmarks in
-          for peer = 0 to n - 1 do
-            ignore
-              (Nearby.Server.join server ~client ~peer
-                 ~attach_router:w.Eval.Workload.peer_routers.(peer))
-          done;
-          let ts =
-            if want_timeseries then Some (Simkit.Timeseries.create ~window_ms:100.0 ()) else None
-          in
-          let queries = ref 0 in
-          let auditor =
-            if audit_rate > 0.0 then
-              Some
-                (Nearby.Audit.create ~rate:audit_rate ~seed ?timeseries:ts
-                   ~clock:(fun () -> float_of_int !queries)
-                   server)
-            else None
-          in
-          let answers =
-            Array.init n (fun peer ->
-                incr queries;
-                match auditor with
-                | Some a -> Nearby.Audit.neighbors a ~peer ~k
-                | None -> Nearby.Server.neighbors server ~peer ~k)
-          in
-          (server, answers, ts, auditor)
-        in
-        let _, reference, _, _ = run_backend Eval.Backends.Tree in
-        Printf.printf "registry backends on the same scenario (%d routers, %d peers, k=%d)\n"
-          routers peers k;
-        let runs =
-          List.mapi
-            (fun idx spec ->
-              let spans =
-                match trace_out with
-                | Some _ -> Simkit.Span.buffer ~pid:(idx + 1) ()
-                | None -> Simkit.Span.noop
-              in
-              let metrics =
-                match (metrics_out, prom_out) with
-                | None, None -> None
-                | _ -> Some (Simkit.Trace.create ())
-              in
-              let server, answers, ts, auditor = run_backend ~spans ?metrics spec in
-              (spec, server, answers, spans, metrics, ts, auditor))
+        let result =
+          Eval.Registry_run.run
+            {
+              routers;
+              peers;
+              k;
+              seed;
+              audit_rate;
+              timeseries = slos <> [];
+              traced = trace_out <> None;
+              metered = metrics_out <> None || prom_out <> None;
+            }
             specs
         in
+        let runs = result.runs in
+        let n = Array.length result.reference in
+        Printf.printf "registry backends on the same scenario (%d routers, %d peers, k=%d)\n"
+          routers peers k;
         let rows =
           List.map
-            (fun (_, server, answers, _, _, _, auditor) ->
+            (fun (r : Eval.Registry_run.run) ->
+              let server = r.server in
               let stats =
                 Nearby.Server.registry_stats server
                 |> List.filter (fun (key, _) -> key <> "members")
@@ -512,7 +467,7 @@ let registry_cmd =
                 |> String.concat " "
               in
               let audit_cell =
-                match auditor with
+                match r.auditor with
                 | None -> "-"
                 | Some a -> (
                     let t = Nearby.Audit.trace a in
@@ -528,7 +483,7 @@ let registry_cmd =
               in
               [
                 Nearby.Server.backend_name server;
-                string_of_bool (answers = reference);
+                string_of_bool (r.answers = result.reference);
                 string_of_int (Simkit.Trace.counter (Nearby.Server.trace server) "registry_insert");
                 string_of_int (Simkit.Trace.counter (Nearby.Server.trace server) "registry_query");
                 audit_cell;
@@ -542,60 +497,35 @@ let registry_cmd =
         (* Structural introspection: how the stored state is actually laid
            out per backend (bucket occupancy, hottest routers, footprint). *)
         List.iter
-          (fun (_, server, _, _, _, _, _) ->
-            Printf.printf "introspect %s: %s\n" (Nearby.Server.backend_name server)
-              (Nearby.Registry_intf.introspection_json (Nearby.Server.introspection server)))
+          (fun (r : Eval.Registry_run.run) ->
+            Printf.printf "introspect %s: %s\n" (Nearby.Server.backend_name r.server)
+              (Nearby.Registry_intf.introspection_json (Nearby.Server.introspection r.server)))
           runs;
         (match trace_out with
         | None -> ()
         | Some file ->
-            let sinks = List.map (fun (_, _, _, spans, _, _, _) -> spans) runs in
-            Simkit.Span.write_jsonl sinks file;
+            Simkit.Export.write_file file (Eval.Registry_run.trace_jsonl result);
             Printf.printf "wrote %d span events to %s\n"
-              (List.fold_left (fun acc s -> acc + Simkit.Span.event_count s) 0 sinks)
+              (List.fold_left
+                 (fun acc (r : Eval.Registry_run.run) -> acc + Simkit.Span.event_count r.spans)
+                 0 runs)
               file);
-        let sections =
-          List.concat_map
-            (fun (spec, server, _, _, metrics, _, auditor) ->
-              let name = Eval.Backends.to_string spec in
-              (("server:" ^ name, Nearby.Server.trace server)
-              :: (match metrics with
-                 | Some m -> [ ("registry:" ^ name, m) ]
-                 | None -> []))
-              @
-              match auditor with
-              | Some a -> [ ("audit:" ^ name, Nearby.Audit.trace a) ]
-              | None -> [])
-            runs
-        in
-        let timeseries =
-          List.filter_map
-            (fun (spec, _, _, _, _, ts, _) ->
-              Option.map (fun t -> (Eval.Backends.to_string spec, t)) ts)
-            runs
-        in
         (match metrics_out with
         | None -> ()
         | Some file ->
-            let meta =
-              Simkit.Export.capture_meta ~seed
-                ~backends:(List.map Eval.Backends.to_string specs)
-                ~extra:
-                  [
-                    ("routers", string_of_int routers);
-                    ("peers", string_of_int peers);
-                    ("k", string_of_int k);
-                  ]
-                ()
-            in
-            Simkit.Export.write_file file
-              (Simkit.Export.metrics_json ~meta ~timeseries sections);
+            Simkit.Export.write_file file (Eval.Registry_run.metrics_json result);
             Printf.printf "wrote metrics snapshot to %s\n" file);
         (match prom_out with
         | None -> ()
         | Some file ->
-            Simkit.Export.write_file file (Simkit.Export.prometheus sections);
+            Simkit.Export.write_file file (Eval.Registry_run.prometheus result);
             Printf.printf "wrote Prometheus exposition to %s\n" file);
+        let timeseries =
+          List.filter_map
+            (fun (r : Eval.Registry_run.run) ->
+              Option.map (fun t -> (Eval.Backends.to_string r.spec, t)) r.timeseries)
+            runs
+        in
         (* SLO breaches here are report-only: the exit code gates answer
            consistency, not performance (that is [bench regress]'s job). *)
         (if slos <> [] || flight_out <> None then begin

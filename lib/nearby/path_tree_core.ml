@@ -41,16 +41,21 @@ let spare_limit = 64
 type chunk = { mutable keys : int array; mutable clen : int }
 type bucket = { mutable chunks : chunk array; mutable nchunks : int; mutable total : int }
 
-(* A member is a slot of [index].  [routes.(slot)] is its registered
-   router array; [costs.(slot)] is the caller's cost array, kept by
-   reference and read only up to the route's length: every {!Path_tree}
-   path shares one positions array, so a hop path stores no costs of its
-   own.  A free slot holds [[||]] in both. *)
+(* A stored route: the router array and the cost array of the insert
+   that first stored it, the costs kept by reference and read only up to
+   the route's length (every {!Path_tree} path shares one positions
+   array, so a hop path stores no costs of its own).  Never written after
+   it is built, so members with equal routes share one. *)
+type route = { routers : Topology.Graph.node array; costs : int array }
+
+(* Fills every free slot. *)
+let no_route = { routers = [||]; costs = [||] }
+
+(* A member is a slot of [index]; [routes.(slot)] is its route. *)
 type t = {
   landmark : Topology.Graph.node;
   index : Slot_index.t;
-  mutable routes : int array array;
-  mutable costs : int array array;
+  mutable routes : route array;
   (* Router ids are dense graph node ids, so a router's bucket is found
      by indexing, not hashing.  The array grows to the largest router an
      insert names; a router without entries holds [empty_bucket]. *)
@@ -71,7 +76,6 @@ let create ~landmark =
     landmark;
     index = Slot_index.create ();
     routes = [||];
-    costs = [||];
     buckets = [||];
     live = 0;
     spare = [];
@@ -229,9 +233,12 @@ let find_bucket t router =
 
    A path arrives as parallel [routers]/[costs] arrays, where only the
    first [Array.length routers] costs are read (so {!Path_tree} can pass
-   one shared positions array).  The routers are copied; the costs are
-   kept as given.  Every check runs before the first write, so a refused
-   insert leaves the tree as it was. *)
+   one shared positions array).  Routes toward one landmark form a tree,
+   so members on one router mostly register one route: an insert shares
+   the route of the member heading its first router's bucket when the
+   two are equal, and stores a copy of the routers (the costs kept as
+   given) only when they differ.  Every check runs before the first
+   write, so a refused insert leaves the tree as it was. *)
 
 let cost_in_range c = c >= 0 && c < Topk.cost_limit
 
@@ -255,44 +262,10 @@ let validate t ~peer ~routers ~costs =
 let ensure_slot t slot =
   let n = Array.length t.routes in
   if slot >= n then begin
-    let grow a =
-      let grown = Array.make (Slot_index.capacity t.index) [||] in
-      Array.blit a 0 grown 0 n;
-      grown
-    in
-    t.routes <- grow t.routes;
-    t.costs <- grow t.costs
+    let grown = Array.make (Slot_index.capacity t.index) no_route in
+    Array.blit t.routes 0 grown 0 n;
+    t.routes <- grown
   end
-
-let insert_path t ~peer ~routers ~costs =
-  validate t ~peer ~routers ~costs;
-  let routers = Array.copy routers in
-  let slot = Slot_index.add t.index peer in
-  ensure_slot t slot;
-  t.routes.(slot) <- routers;
-  t.costs.(slot) <- costs;
-  for i = 0 to Array.length routers - 1 do
-    bucket_add t (bucket_of t routers.(i)) (Topk.pack ~cost:costs.(i) ~peer)
-  done
-
-let remove t peer =
-  let slot = Slot_index.remove t.index peer in
-  if slot < 0 then raise Not_found;
-  let routers = t.routes.(slot) and costs = t.costs.(slot) in
-  t.routes.(slot) <- [||];
-  t.costs.(slot) <- [||];
-  for i = 0 to Array.length routers - 1 do
-    let router = routers.(i) in
-    let b = t.buckets.(router) in
-    (* [empty_bucket] when a router repeats in the path. *)
-    if b != empty_bucket then begin
-      bucket_remove t b (Topk.pack ~cost:costs.(i) ~peer);
-      if b.total = 0 then begin
-        t.buckets.(router) <- empty_bucket;
-        t.live <- t.live - 1
-      end
-    end
-  done
 
 (* The first entry of [b] from chunk [ci], position [pos] on, whose peer
    is not [except]; -1 when there is none.  Only a router repeated in
@@ -309,9 +282,58 @@ let rec first_other b ci pos ~except =
 (* The head of [router]'s bucket: the member nearest to the router. *)
 let member_through t router ~except = first_other (find_bucket t router) 0 0 ~except
 
+(* Whether [a.(0 .. len-1)] equals [b.(0 .. len-1)]. *)
+let rec same_prefix (a : int array) (b : int array) len i =
+  i >= len || (Array.unsafe_get a i = Array.unsafe_get b i && same_prefix a b len (i + 1))
+
+(* [route] stores [routers] with [costs]' first [Array.length routers]
+   costs.  [routers] is often the stored array itself: a server completes
+   a route from a donor's. *)
+let same_route route routers costs =
+  let len = Array.length routers in
+  Array.length route.routers = len
+  && (route.routers == routers || same_prefix route.routers routers len 0)
+  && (route.costs == costs || same_prefix route.costs costs len 0)
+
+(* The route of the member heading [routers.(0)]'s bucket when it equals
+   the new one, else a fresh route holding a copy of [routers]. *)
+let shared_route t routers costs =
+  let slot = Slot_index.find t.index (member_through t routers.(0) ~except:(-1)) in
+  if slot >= 0 && same_route t.routes.(slot) routers costs then t.routes.(slot)
+  else { routers = Array.copy routers; costs }
+
+let insert_path t ~peer ~routers ~costs =
+  validate t ~peer ~routers ~costs;
+  let route = shared_route t routers costs in
+  let slot = Slot_index.add t.index peer in
+  ensure_slot t slot;
+  t.routes.(slot) <- route;
+  let routers = route.routers in
+  for i = 0 to Array.length routers - 1 do
+    bucket_add t (bucket_of t routers.(i)) (Topk.pack ~cost:costs.(i) ~peer)
+  done
+
+let remove t peer =
+  let slot = Slot_index.remove t.index peer in
+  if slot < 0 then raise Not_found;
+  let { routers; costs } = t.routes.(slot) in
+  t.routes.(slot) <- no_route;
+  for i = 0 to Array.length routers - 1 do
+    let router = routers.(i) in
+    let b = t.buckets.(router) in
+    (* [empty_bucket] when a router repeats in the path. *)
+    if b != empty_bucket then begin
+      bucket_remove t b (Topk.pack ~cost:costs.(i) ~peer);
+      if b.total = 0 then begin
+        t.buckets.(router) <- empty_bucket;
+        t.live <- t.live - 1
+      end
+    end
+  done
+
 let routers_of t peer =
   let slot = Slot_index.find t.index peer in
-  if slot < 0 then None else Some t.routes.(slot)
+  if slot < 0 then None else Some t.routes.(slot).routers
 
 (* Length of the longest common suffix of [r1] and [r2], at most [max_j]. *)
 let rec common_suffix r1 r2 max_j j =
@@ -323,11 +345,12 @@ let meeting_point t p1 p2 =
   let s1 = Slot_index.find t.index p1 and s2 = Slot_index.find t.index p2 in
   if s1 < 0 || s2 < 0 then None
   else begin
-    let r1 = t.routes.(s1) and r2 = t.routes.(s2) in
+    let m1 = t.routes.(s1) and m2 = t.routes.(s2) in
+    let r1 = m1.routers and r2 = m2.routers in
     let len1 = Array.length r1 and len2 = Array.length r2 in
     (* Longest common router suffix: both paths end at the landmark. *)
     let j = common_suffix r1 r2 (min len1 len2) 0 in
-    if j = 0 then None else Some (r1.(len1 - j), t.costs.(s1).(len1 - j), t.costs.(s2).(len2 - j))
+    if j = 0 then None else Some (r1.(len1 - j), m1.costs.(len1 - j), m2.costs.(len2 - j))
   end
 
 let dtree t p1 p2 =
@@ -395,7 +418,8 @@ let query_path t ~routers ~costs ~k ?(exclude = fun _ -> false) () =
 let query_member t ~peer ~k =
   let slot = Slot_index.find t.index peer in
   if slot < 0 then raise Not_found;
-  run_query t ~routers:t.routes.(slot) ~costs:t.costs.(slot) ~k ~exclude:(Int.equal peer)
+  let { routers; costs } = t.routes.(slot) in
+  run_query t ~routers ~costs ~k ~exclude:(Int.equal peer)
 
 let iter_members t f = Slot_index.iter t.index (fun p _ -> f p)
 
@@ -403,18 +427,26 @@ let iter_buckets t f =
   Array.iteri (fun router b -> if b != empty_bucket then f router b.total) t.buckets
 
 (* Rough payload estimate in machine words times 8.  Paths: the peer
-   index, the two per-slot arrays (1 + their length each) and each
-   member's router array (1 + len); the cost arrays are the caller's (one
-   shared positions array for every hop path) and are not counted.
-   Buckets: the router index (1 + its length), then per live bucket a
-   record (4) + chunk pointer array + per chunk a record (3) and its key
-   array (1 + allocated capacity).  Good for cross-backend comparison, not
+   index, the per-slot array (1 + its length) and each distinct route
+   once, however many members share it: a record (3) and its router
+   array (1 + len); the cost arrays are the caller's (one shared
+   positions array for every hop path) and are not counted.  Buckets:
+   the router index (1 + its length), then per live bucket a record (4)
+   + chunk pointer array + per chunk a record (3) and its key array (1 +
+   allocated capacity).  Good for cross-backend comparison, not
    accounting. *)
 let approx_bytes t =
   let words =
-    ref (1 + Array.length t.buckets + Slot_index.heap_words t.index + 2 + (2 * Array.length t.routes))
+    ref (1 + Array.length t.buckets + Slot_index.heap_words t.index + 1 + Array.length t.routes)
   in
-  Slot_index.iter t.index (fun _ slot -> words := !words + 1 + Array.length t.routes.(slot));
+  let seen = Hashtbl.create 64 in
+  Slot_index.iter t.index (fun _ slot ->
+      let route = t.routes.(slot) in
+      let key = Hashtbl.hash route.routers in
+      if not (List.memq route (Hashtbl.find_all seen key)) then begin
+        Hashtbl.add seen key route;
+        words := !words + 4 + Array.length route.routers
+      end);
   iter_buckets t (fun router _ ->
       let b = t.buckets.(router) in
       words := !words + 5 + Array.length b.chunks;
@@ -426,9 +458,8 @@ let approx_bytes t =
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in
   Slot_index.check_invariants t.index;
-  if Array.length t.costs <> Array.length t.routes then fail "per-slot arrays differ in length";
   Slot_index.iter t.index (fun peer slot ->
-      let routers = t.routes.(slot) and costs = t.costs.(slot) in
+      let { routers; costs } = t.routes.(slot) in
       let len = Array.length routers in
       if len = 0 then fail "peer %d has an empty path" peer;
       if Array.length costs < len then fail "peer %d has fewer costs than routers" peer;
@@ -463,7 +494,7 @@ let check_invariants t =
           let peer = Topk.peer_of key and cost = Topk.cost_of key in
           let slot = Slot_index.find t.index peer in
           if slot < 0 then fail "bucket of router %d references unknown peer %d" router peer;
-          let routers = t.routes.(slot) and costs = t.costs.(slot) in
+          let { routers; costs } = t.routes.(slot) in
           let justified = ref false in
           for i = 0 to Array.length routers - 1 do
             if routers.(i) = router && costs.(i) = cost then justified := true

@@ -30,8 +30,11 @@ val insert_path :
     recorded path and [costs.(i)] the cost from the peer to it; the last
     router must be the landmark and the costs non-decreasing.  Only the
     first [Array.length routers] costs are read, so one long array can
-    serve many paths.  [routers] is copied; [costs] is kept by reference
-    and must not be mutated afterwards.
+    serve many paths.  Each distinct route is stored once: when the member
+    heading the bucket of [routers.(0)] stored the same routers and the
+    same first costs, the new member shares its route; otherwise
+    [routers] is copied.  [costs] is kept by reference and must not be
+    mutated afterwards.
     @raise Invalid_argument on an empty path, a path not ending at the
     landmark, fewer costs than routers, a negative router, a peer or cost
     out of range, decreasing costs, or a duplicate peer; the tree is then
@@ -42,7 +45,8 @@ val remove : t -> peer -> unit
 
 val routers_of : t -> peer -> Topology.Graph.node array option
 (** The registered router sequence: the stored array, not a copy, which
-    the caller must not modify. *)
+    other members with the same route may share; the caller must not
+    modify it. *)
 
 val member_through : t -> Topology.Graph.node -> except:peer -> peer
 (** A member other than [except] whose path crosses [router], or -1: the
@@ -84,9 +88,10 @@ val iter_buckets : t -> (Topology.Graph.node -> int -> unit) -> unit
     feed for registry introspection (occupancy histograms, hot routers). *)
 
 val approx_bytes : t -> int
-(** Rough payload size (paths, the router index and buckets) in bytes,
-    not counting the callers' cost arrays; an estimate for cross-backend
-    comparison, not an exact heap measurement. *)
+(** Rough payload size (paths, each shared route counted once, the router
+    index and buckets) in bytes, not counting the callers' cost arrays; an
+    estimate for cross-backend comparison, not an exact heap
+    measurement. *)
 
 val check_invariants : t -> unit
 (** @raise Failure on a violated structural invariant (test hook). *)

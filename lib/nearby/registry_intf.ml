@@ -16,8 +16,9 @@
      [Not_found] for unknown peers.
    - [insert_many] is {!Derive_batch}'s: no backend writes its own.
    - [path_of] returns exactly the routers [insert] stored for the peer:
-     the stored array itself, which callers only read.  The server's
-     per-member slot references that array rather than keeping a copy.
+     the stored array itself, which several members with the same route
+     may share, so callers never write into it.  The server's per-member
+     slot references that array rather than keeping a copy.
    - [member_through t router ~except] names a member other than [except]
      whose stored path crosses [router], or returns -1.  It is a read of
      an index the backend already keeps: a backend without a router index

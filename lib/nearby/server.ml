@@ -58,8 +58,10 @@ type t = {
   registries : Registry_intf.t array;  (* parallel to [landmark_ids] *)
   (* A member is a slot of [index]; its state is one cell of each per-slot
      array.  [routers.(slot)] is the array the member's landmark tree
-     stores, read back once at registration: the path exists once, and a
-     query or a leave reaches it without probing the tree's own index.
+     stores, read back once at registration: the path exists once (the
+     path tree keeps one array per distinct route, shared by the members
+     registering it), and a query or a leave reaches it without probing
+     the tree's own index.
      Its last router is the member's landmark ([registrable_path] ends
      every path there).  [stamps.(slot)] is when this server last learned
      the member's report, the staleness feed; it is not part of
@@ -512,8 +514,8 @@ let rec position_of routers router i =
 (* [prefix.(0 .. n-2)] followed by the route stored in [slot] from
    [prefix.(n-1)] on, built in one array; [[||]] when that route does not
    cross [prefix.(n-1)].  When the newcomer attached where the donor did,
-   the route is the donor's own array: every registry copies what it is
-   given. *)
+   the route is the donor's own array, which the path tree then shares
+   rather than copies (a registry never keeps the array it is given). *)
 let completed_route t slot prefix n =
   let stored = t.routers.(slot) in
   let j = position_of stored prefix.(n - 1) 0 in

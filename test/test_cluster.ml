@@ -890,51 +890,69 @@ let test_continue_round_fails_over_past_a_crash () =
   Alcotest.(check bool) "not on the crashed replica" false (Nearby.Server.mem (server closest) 0);
   Alcotest.(check int) "one timeout" 1 (Simkit.Trace.counter (Simkit.Rpc.trace rpc) "rpc_timeouts")
 
-(* Minor words a replicated join allocates: Protocol over Rpc, a
-   jittered Transport and a 3-replica Cluster with its failure detector,
-   on a 300-router map, 200 joins after 200 that warm the first-write
-   cells and the grown arrays.  The count is exact and deterministic for
-   a build, so the budget is the measured value plus 2%: a layer that
-   starts boxing per message (a mutable [int64] or [float] field, a
-   closure per call) fails it. *)
-let words_per_join () =
-  let fx = fixture ~rng:(Prelude.Prng.create 5) ~seed:41 () in
-  let rpc = Simkit.Rpc.create ~config:rpc_config ~rng:(Prelude.Prng.create 6) fx.transport in
-  let protocol = Nearby.Protocol.create_resilient ~rpc (make_cluster fx) in
-  let joins = 200 and completed = ref 0 in
-  let leaves = fx.map.leaves in
-  let stream ~first =
-    for i = 0 to joins - 1 do
-      let peer = first + i in
-      Simkit.Engine.schedule fx.engine ~delay:(float_of_int i *. 2.0) (fun () ->
-          Nearby.Protocol.join protocol ~peer
-            ~attach_router:leaves.(peer mod Array.length leaves)
-            ~k:5
-            ~on_complete:(fun _ _ -> incr completed)
-            ~on_failure:(fun () -> Alcotest.fail "a join failed on a loss-free network"))
-    done;
-    Simkit.Engine.run fx.engine
-      ~until:(Simkit.Engine.now fx.engine +. (float_of_int joins *. 2.0) +. 1_000.0)
-  in
-  stream ~first:0;
-  let before = Gc.minor_words () in
-  stream ~first:joins;
-  let words = (Gc.minor_words () -. before) /. float_of_int joins in
-  Alcotest.(check int) "every join completed" (2 * joins) !completed;
-  words
+(* A replicated join's cost, on a 300-router map: 200 joins after 200
+   that warm the first-write cells and the grown arrays, through Protocol
+   over Rpc, a jittered Transport and a 3-replica Cluster with its
+   failure detector.  Both counts are exact and deterministic for a
+   build, so each budget is the measured value plus 2%.
+
+   - Minor words per join of the second 200: a layer that starts boxing
+     per message (a mutable [int64] or [float] field, a closure per call)
+     fails it.
+   - Words reachable from the cluster after all 400, less the router map
+     and its route trees, per registration held over the replicas: a
+     replica that copies a route another member already stores fails
+     it. *)
+let replicated_joins =
+  lazy
+    (let fx = fixture ~rng:(Prelude.Prng.create 5) ~seed:41 () in
+     let rpc = Simkit.Rpc.create ~config:rpc_config ~rng:(Prelude.Prng.create 6) fx.transport in
+     let cluster = make_cluster fx in
+     let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
+     let joins = 200 and completed = ref 0 in
+     let leaves = fx.map.leaves in
+     let stream ~first =
+       for i = 0 to joins - 1 do
+         let peer = first + i in
+         Simkit.Engine.schedule fx.engine ~delay:(float_of_int i *. 2.0) (fun () ->
+             Nearby.Protocol.join protocol ~peer
+               ~attach_router:leaves.(peer mod Array.length leaves)
+               ~k:5
+               ~on_complete:(fun _ _ -> incr completed)
+               ~on_failure:(fun () -> Alcotest.fail "a join failed on a loss-free network"))
+       done;
+       Simkit.Engine.run fx.engine
+         ~until:(Simkit.Engine.now fx.engine +. (float_of_int joins *. 2.0) +. 1_000.0)
+     in
+     stream ~first:0;
+     let before = Gc.minor_words () in
+     stream ~first:joins;
+     let words = (Gc.minor_words () -. before) /. float_of_int joins in
+     Alcotest.(check int) "every join completed" (2 * joins) !completed;
+     let members =
+       List.init (Nearby.Cluster.replica_count cluster) (fun i ->
+           Nearby.Server.peer_count (Nearby.Cluster.server_of cluster i))
+     in
+     let state =
+       Obj.reachable_words (Obj.repr cluster) - Obj.reachable_words (Obj.repr fx.oracle)
+     in
+     (words, float_of_int state /. float_of_int (List.fold_left ( + ) 0 members)))
+
+let within_budget what value budget =
+  Alcotest.(check bool) (Printf.sprintf "%.1f %s, budget %.1f" value what budget) true (value <= budget)
 
 let test_join_words_budget () =
-  let words = words_per_join () in
-  let budget = 415.9 *. 1.02 in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per join, budget %.1f" words budget)
-    true (words <= budget)
+  within_budget "minor words per join" (fst (Lazy.force replicated_joins)) (392.3 *. 1.02)
+
+let test_state_words_budget () =
+  within_budget "words per member" (snd (Lazy.force replicated_joins)) (50.05 *. 1.02)
 
 let suite =
   ( "cluster",
     [
       Alcotest.test_case "single = plain server" `Quick test_single_matches_plain_server;
       Alcotest.test_case "words per replicated join" `Quick test_join_words_budget;
+      Alcotest.test_case "state per member" `Quick test_state_words_budget;
       Alcotest.test_case "resilient 1-replica = server" `Quick
         test_one_replica_create_matches_plain_server;
       Alcotest.test_case "fan-out replicates to all" `Quick test_fan_out_replicates_to_all;

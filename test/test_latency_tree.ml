@@ -202,6 +202,38 @@ let test_core_structure () =
     [ (5, 1); (9, 2); (20, 1); (4001, 1) ]
     (List.sort compare !seen)
 
+(* Two members with the same routers share one stored route only when
+   their costs are equal too: a latency route is its routers and its
+   costs.  Each keeps its own costs' answers either way. *)
+let test_core_shares_equal_costs_only () =
+  let t = Core.create ~landmark:9 in
+  let routers () = [| 1; 5; 9 |] in
+  Core.insert_path t ~peer:0 ~routers:(routers ()) ~costs:[| 0; 300; 700 |];
+  Core.insert_path t ~peer:1 ~routers:(routers ()) ~costs:[| 0; 300; 700 |];
+  Core.insert_path t ~peer:2 ~routers:(routers ()) ~costs:[| 0; 400; 700 |];
+  let stored peer = Option.get (Core.routers_of t peer) in
+  Alcotest.(check bool) "equal costs share" true (stored 0 == stored 1);
+  Alcotest.(check bool) "different costs do not" false (stored 2 == stored 0);
+  Alcotest.(check (array int)) "same routers" (stored 0) (stored 2);
+  Alcotest.(check (list (pair int int))) "answers by own costs" [ (0, 0); (2, 0) ]
+    (Core.query_member t ~peer:1 ~k:2);
+  Alcotest.(check (option (triple int int int))) "meeting point" (Some (1, 0, 0))
+    (Core.meeting_point t 0 2);
+  Core.remove t 0;
+  Core.check_invariants t;
+  Alcotest.(check (array int)) "the sharer keeps the route" [| 1; 5; 9 |] (stored 1);
+  (* Through the float API: equal latencies share, and read back exactly. *)
+  let l = Latency_tree.create ~landmark:lmk in
+  let hops = [| (1, 0.0); (2, 3.5); (lmk, 5.0) |] in
+  Latency_tree.insert l ~peer:0 ~hops;
+  Latency_tree.insert l ~peer:1 ~hops;
+  Latency_tree.insert l ~peer:2 ~hops:[| (1, 0.0); (2, 1.5); (lmk, 5.0) |];
+  Latency_tree.check_invariants l;
+  Alcotest.(check (option (float 1e-9))) "dtree of sharers" (Some 0.0) (Latency_tree.dtree l 0 1);
+  Alcotest.(check (list (pair int (float 1e-9)))) "query_member"
+    [ (1, 0.0); (2, 0.0) ]
+    (Latency_tree.query_member l ~peer:0 ~k:2)
+
 (* A bucket entry packs (cost, peer) into one int, so a peer outside
    [0, 2^31) or a cost outside [0, 2^30) is refused before any write: the
    tree is left exactly as it was. *)
@@ -255,6 +287,7 @@ let suite =
       Alcotest.test_case "metric ablation" `Slow test_metric_ablation_smoke;
       Alcotest.test_case "int core structure" `Quick test_core_structure;
       Alcotest.test_case "int core ranges" `Quick test_core_ranges;
+      Alcotest.test_case "int core shares equal costs only" `Quick test_core_shares_equal_costs_only;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
         qcheck_zero_latency_links_match_naive;
     ] )

@@ -535,6 +535,83 @@ let test_spans_reconcile () =
   Alcotest.(check (list string)) "spans outside their parent" []
     (List.map (fun (e : Span.event) -> e.Span.name) outside)
 
+(* --- The registry smoke: `nearby_sim registry --quick --backend tree
+   --audit-rate 0.1 --slo ... --metrics-out --prom-out --trace-out` ---
+
+   The snapshot, exposition and trace that command writes, from the
+   library function it calls. *)
+let test_registry_smoke () =
+  let r =
+    Eval.Registry_run.run
+      {
+        Eval.Registry_run.quick_config with
+        audit_rate = 0.1;
+        timeseries = true;
+        traced = true;
+        metered = true;
+      }
+      [ Eval.Backends.Tree ]
+  in
+  let doc = Json.parse_exn (Eval.Registry_run.metrics_json r) in
+  let keys = Json.keys doc in
+  List.iter
+    (fun key -> Alcotest.(check bool) ("snapshot has " ^ key) true (List.mem key keys))
+    [ "meta"; "sections" ];
+  let section prefix =
+    match Json.member "sections" doc with
+    | Some (Json.Obj sections) -> (
+        match List.find_opt (fun (k, _) -> String.starts_with ~prefix k) sections with
+        | Some (_, v) -> v
+        | None -> Alcotest.failf "no %s section" prefix)
+    | _ -> Alcotest.fail "sections is not an object"
+  in
+  let number v path =
+    match Option.bind (Json.path path v) Json.to_float with
+    | Some x -> x
+    | None -> Alcotest.failf "%s is not a number" (String.concat "." path)
+  in
+  let registry = section "registry:" in
+  List.iter
+    (fun stream ->
+      List.iter (fun q -> ignore (number registry [ "stats"; stream; q ])) [ "p50"; "p90"; "p99" ])
+    [ "registry_insert_ns"; "registry_query_ns" ];
+  let audit = section "audit:" in
+  Alcotest.(check bool) "audited replies" true (number audit [ "counters"; "audit_samples" ] > 0.0);
+  Alcotest.(check bool) "audit recall stat" true
+    (Json.path [ "stats"; "audit_recall_at_k" ] audit <> None);
+  let series =
+    match Json.path [ "timeseries"; "tree"; "series" ] doc with
+    | Some v -> Json.keys v
+    | None -> Alcotest.fail "no tree timeseries"
+  in
+  List.iter
+    (fun name -> Alcotest.(check bool) ("series " ^ name) true (List.mem name series))
+    [ "audit_recall_at_k"; "audit_stretch" ];
+  Alcotest.(check bool) "prometheus audit series" true
+    (contains "nearby_audit_tree_audit_recall_at_k" (Eval.Registry_run.prometheus r));
+  let events =
+    String.split_on_char '\n' (Eval.Registry_run.trace_jsonl r)
+    |> List.filter (fun l -> l <> "")
+    |> List.map Json.parse_exn
+  in
+  Alcotest.(check bool) "trace not empty" true (events <> []);
+  let field name e =
+    match Json.member name e with
+    | Some (Json.String s) -> s
+    | Some (Json.Number x) -> Printf.sprintf "%g" x
+    | _ -> Alcotest.failf "event without %s" name
+  in
+  let names = List.sort_uniq compare (List.map (field "name") events) in
+  List.iter
+    (fun name -> Alcotest.(check bool) ("span " ^ name) true (List.mem name names))
+    [ "join"; "measure"; "register"; "query" ];
+  (* One join span per registered peer, each its own thread. *)
+  let joins = List.filter (fun e -> field "name" e = "join") events in
+  let peers = Eval.Registry_run.quick_config.peers in
+  Alcotest.(check int) "join spans" peers (List.length joins);
+  Alcotest.(check int) "join threads" peers
+    (List.length (List.sort_uniq compare (List.map (field "tid") joins)))
+
 let suite =
   ( "observability",
     [
@@ -556,4 +633,6 @@ let suite =
       Alcotest.test_case "spans reconcile with their parents" `Quick test_spans_reconcile;
       Alcotest.test_case "critical path of continued joins" `Quick
         test_critical_path_of_continued_joins;
+      Alcotest.test_case "registry smoke: snapshot, exposition and trace" `Quick
+        test_registry_smoke;
     ] )

@@ -379,6 +379,83 @@ let test_insert_allocates_no_cost_array () =
     true
     (words <= float_of_int (len + 16))
 
+(* --- One stored route per distinct route --- *)
+
+let stored t peer = Option.get (Path_tree.path_of t peer)
+
+(* Members on one router with one route share the stored array; a
+   different route from that router, or a route starting inside another
+   member's route, gets its own. *)
+let test_equal_routes_share_one_array () =
+  let t = Path_tree.create ~landmark:lmk in
+  Path_tree.insert t ~peer:0 ~routers:(Array.copy path_a);
+  Path_tree.insert t ~peer:1 ~routers:(Array.copy path_a);
+  Alcotest.(check bool) "equal routes share one array" true (stored t 0 == stored t 1);
+  Path_tree.insert t ~peer:2 ~routers:[| 10; 12; 3; 2; lmk |];
+  Alcotest.(check bool) "a different route from the same router" false (stored t 2 == stored t 0);
+  Alcotest.(check (array int)) "its own route" [| 10; 12; 3; 2; lmk |] (stored t 2);
+  (* Router 11 lies inside peers 0 and 1's route; peer 3 starts there. *)
+  Path_tree.insert t ~peer:3 ~routers:[| 11; 3; 2; lmk |];
+  Alcotest.(check (array int)) "a route starting mid-route" [| 11; 3; 2; lmk |] (stored t 3);
+  Alcotest.(check (array int)) "the route it starts inside" path_a (stored t 0);
+  (* Peer 3 now heads router 11's bucket: the next equal route shares it. *)
+  Path_tree.insert t ~peer:4 ~routers:[| 11; 3; 2; lmk |];
+  Alcotest.(check bool) "shares with the member starting there" true (stored t 4 == stored t 3);
+  Path_tree.check_invariants t
+
+(* Removing the member whose route others share (the head of their first
+   router's bucket) leaves them their route, their answers and their
+   meeting points; the next equal route shares again. *)
+let test_remove_bucket_head_keeps_shared_route () =
+  let t = Path_tree.create ~landmark:lmk in
+  List.iter (fun peer -> Path_tree.insert t ~peer ~routers:(Array.copy path_a)) [ 0; 1; 2 ];
+  Path_tree.insert t ~peer:3 ~routers:path_b;
+  Alcotest.(check int) "peer 0 heads router 10" 0 (Path_tree.member_through t 10 ~except:(-1));
+  Path_tree.remove t 0;
+  Path_tree.check_invariants t;
+  Alcotest.(check (array int)) "route kept" path_a (stored t 1);
+  Alcotest.(check bool) "still one array" true (stored t 1 == stored t 2);
+  Alcotest.(check (list (pair int int))) "query_member" [ (2, 0); (3, 4) ]
+    (Path_tree.query_member t ~peer:1 ~k:3);
+  Alcotest.(check (option (triple int int int))) "meeting point" (Some (3, 2, 2))
+    (Path_tree.meeting_point t 1 3);
+  Alcotest.(check (option int)) "dtree" (Some 0) (Path_tree.dtree t 1 2);
+  Path_tree.insert t ~peer:5 ~routers:(Array.copy path_a);
+  Alcotest.(check bool) "the next insert shares again" true (stored t 5 == stored t 1);
+  Path_tree.check_invariants t
+
+(* The tree never keeps the array it is given: writing into it after the
+   insert, whether that insert copied it or shared an older route, leaves
+   every stored route as it was. *)
+let test_caller_array_not_kept () =
+  let t = Path_tree.create ~landmark:lmk in
+  let first = [| 40; 3; 2; lmk |] and second = [| 40; 3; 2; lmk |] in
+  Path_tree.insert t ~peer:0 ~routers:first;
+  Path_tree.insert t ~peer:1 ~routers:second;
+  first.(0) <- 41;
+  second.(1) <- 4;
+  Alcotest.(check (array int)) "first route" [| 40; 3; 2; lmk |] (stored t 0);
+  Alcotest.(check (array int)) "second route" [| 40; 3; 2; lmk |] (stored t 1);
+  Path_tree.check_invariants t
+
+(* Each distinct route counts once in the payload estimate.  Eight
+   members on one router sequence either share one route (equal costs) or
+   hold eight (each a different last cost): the bucket layout is the
+   same, so the estimates differ by exactly seven routes, each a record
+   (3 words) and a 5-router array (1 + 5). *)
+let test_approx_bytes_counts_shared_route_once () =
+  let bytes costs_of =
+    let t = Path_tree_core.create ~landmark:lmk in
+    for peer = 0 to 7 do
+      Path_tree_core.insert_path t ~peer ~routers:path_a ~costs:(costs_of peer)
+    done;
+    Path_tree_core.check_invariants t;
+    Path_tree_core.approx_bytes t
+  in
+  let shared = bytes (fun _ -> [| 0; 1; 2; 3; 4 |]) in
+  let own = bytes (fun peer -> [| 0; 1; 2; 3; 4 + peer |]) in
+  Alcotest.(check int) "seven routes more" (7 * (3 + 1 + 5) * 8) (own - shared)
+
 (* --- Batch insert = looped singletons, down to the layout --- *)
 
 (* What a tree looks like from outside: payload estimate, every member's
@@ -567,6 +644,12 @@ let suite =
       Alcotest.test_case "truncated registration" `Quick test_truncated_path_registration;
       Alcotest.test_case "iter members" `Quick test_iter_members;
       Alcotest.test_case "member through a router" `Quick test_member_through;
+      Alcotest.test_case "equal routes share one array" `Quick test_equal_routes_share_one_array;
+      Alcotest.test_case "removing the sharing head keeps the route" `Quick
+        test_remove_bucket_head_keeps_shared_route;
+      Alcotest.test_case "caller's array not kept" `Quick test_caller_array_not_kept;
+      Alcotest.test_case "approx_bytes counts a shared route once" `Quick
+        test_approx_bytes_counts_shared_route_once;
       q qcheck_query_matches_bruteforce;
       q qcheck_insert_remove_roundtrip;
       Alcotest.test_case "naive registry fixture" `Quick test_naive_matches_on_fixture;

@@ -62,18 +62,39 @@ let qcheck_equivalence =
       let rng = Prelude.Prng.create (seed + 7) in
       let regs = fresh_registries sc in
       let peers = 35 in
-      for peer = 0 to peers - 1 do
-        let routers = sc.route_of (attach_router sc rng) in
+      (* Half the peers attach at one of four routers, so attach routers
+         repeat and members share stored routes. *)
+      let pool = Array.init 4 (fun _ -> attach_router sc rng) in
+      let attach () =
+        if Prelude.Prng.bool rng then pool.(Prelude.Prng.int rng 4) else attach_router sc rng
+      in
+      let insert peer =
+        let routers = sc.route_of (attach ()) in
         List.iter (fun reg -> Registry_intf.insert reg ~peer ~routers) regs
-      done;
-      (* Member queries: everyone's k nearest. *)
+      in
+      (* Member queries: everyone's k nearest, and the stored paths. *)
+      let agree ~what live =
+        List.iter
+          (fun peer ->
+            check_agreement
+              ~what:(Printf.sprintf "%s: query_member peer %d" what peer)
+              (List.map2
+                 (fun spec reg -> (spec_name spec, Registry_intf.query_member reg ~peer ~k:5))
+                 specs regs);
+            match List.map (fun reg -> Registry_intf.path_of reg peer) regs with
+            | [] -> ()
+            | reference :: rest ->
+                List.iter
+                  (Alcotest.(check (option (array int)))
+                     (Printf.sprintf "%s: path_of peer %d" what peer)
+                     reference)
+                  rest)
+          live
+      in
       for peer = 0 to peers - 1 do
-        check_agreement
-          ~what:(Printf.sprintf "query_member peer %d" peer)
-          (List.map2
-             (fun spec reg -> (spec_name spec, Registry_intf.query_member reg ~peer ~k:5))
-             specs regs)
+        insert peer
       done;
+      agree ~what:"registered" (List.init peers Fun.id);
       (* Newcomer queries from paths never registered, several k values. *)
       for trial = 0 to 9 do
         let routers = sc.route_of (attach_router sc rng) in
@@ -99,6 +120,20 @@ let qcheck_equivalence =
         done
       done;
       List.iter Registry_intf.check_invariants regs;
+      (* Remove every third peer -- peer 0 first, often the head whose
+         route later members on its router share -- then register more on
+         the same routers. *)
+      for peer = 0 to peers - 1 do
+        if peer mod 3 = 0 then List.iter (fun reg -> Registry_intf.remove reg peer) regs
+      done;
+      List.iter Registry_intf.check_invariants regs;
+      let live = List.filter (fun peer -> peer mod 3 <> 0) (List.init peers Fun.id) in
+      agree ~what:"after removals" live;
+      for peer = peers to peers + 9 do
+        insert peer
+      done;
+      List.iter Registry_intf.check_invariants regs;
+      agree ~what:"re-registered" (live @ List.init 10 (fun i -> peers + i));
       true)
 
 (* --- Batch/singleton agreement ----------------------------------------- *)

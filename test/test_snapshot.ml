@@ -132,6 +132,85 @@ let test_bucket_repair () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated summary accepted"
 
+(* --- Shared routes survive restore and repair --- *)
+
+(* The path tree, remembering every tree it creates so a test can read the
+   arrays they store. *)
+let capturing () =
+  let trees = ref [] in
+  let module B = struct
+    include Path_tree
+
+    let create ~landmark =
+      let t = Path_tree.create ~landmark in
+      trees := t :: !trees;
+      t
+  end in
+  ((module B : Registry_intf.S), trees)
+
+(* Per tree, members with equal stored routes hold one array; returns how
+   many distinct arrays the trees hold. *)
+let check_sharing what trees =
+  List.fold_left
+    (fun distinct tree ->
+      let seen = ref [] in
+      Path_tree.iter_members tree (fun peer ->
+          let routers = Option.get (Path_tree.path_of tree peer) in
+          match List.assoc_opt routers !seen with
+          | Some first ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: peer %d shares its route" what peer)
+                true (first == routers)
+          | None -> seen := (routers, routers) :: !seen);
+      distinct + List.length !seen)
+    0 !trees
+
+(* 80 peers on 12 attach routers share routes at the source; a restored
+   server and a straggler repaired by anti-entropy share them the same
+   way, since every registration goes through the tree's insert. *)
+let test_restore_and_repair_keep_sharing () =
+  let map, oracle, landmarks = fixture ~seed:7 in
+  let peers = 80 in
+  let attach peer = map.leaves.(peer mod 12) in
+  let backend, source_trees = capturing () in
+  let source = Server.create ~backend oracle ~landmarks in
+  let client = Client.create oracle ~landmarks in
+  for peer = 0 to peers - 1 do
+    ignore (Server.join source ~client ~peer ~attach_router:(attach peer))
+  done;
+  let routes = check_sharing "source" source_trees in
+  Alcotest.(check bool) (Printf.sprintf "%d routes for %d peers" routes peers) true (routes <= 12);
+  let backend, restored_trees = capturing () in
+  (match Server.restore ~backend oracle (Server.snapshot source) with
+  | Error e -> Alcotest.fail e
+  | Ok restored ->
+      Server.check_invariants restored;
+      Alcotest.(check bool) "restored digest" true
+        (Int64.equal (Server.digest source) (Server.digest restored)));
+  Alcotest.(check int) "restored routes" routes (check_sharing "restored" restored_trees);
+  (* The straggler holds every third peer; repair writes the rest. *)
+  let backend, straggler_trees = capturing () in
+  let straggler = Server.create ~backend oracle ~landmarks in
+  for peer = 0 to peers - 1 do
+    if peer mod 3 = 0 then begin
+      let info = Option.get (Server.info source peer) in
+      Server.register_replica straggler ~peer ~attach_router:info.attach_router
+        ~landmark:info.landmark ~path:info.recorded_path ~probes_spent:info.probes_spent
+    end
+  done;
+  let buckets =
+    match Server.differing_buckets source (Server.bucket_summary straggler) with
+    | Ok b -> b
+    | Error e -> Alcotest.fail e
+  in
+  (match Server.apply_buckets ~replace:buckets straggler (Server.snapshot_buckets source buckets) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Server.check_invariants straggler;
+  Alcotest.(check bool) "repaired digest" true
+    (Int64.equal (Server.digest source) (Server.digest straggler));
+  Alcotest.(check int) "repaired routes" routes (check_sharing "repaired" straggler_trees)
+
 (* The flat entry layout: peer, attach router, probe cost, then the routers
    as a varint array ending at the landmark. *)
 let write_entry w (peer, attach, probes, routers) =
@@ -307,4 +386,6 @@ let suite =
         test_routes_not_ending_at_a_landmark_rejected;
       Alcotest.test_case "version 1 rejected" `Quick test_version_1_rejected;
       Alcotest.test_case "entry layout" `Quick test_entry_layout;
+      Alcotest.test_case "restore and repair keep shared routes" `Quick
+        test_restore_and_repair_keep_sharing;
     ] )
