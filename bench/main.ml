@@ -913,6 +913,29 @@ let run_health ~full =
     config.Eval.Health_exp.peers config.Eval.Health_exp.replicas
 
 (* ------------------------------------------------------------------ *)
+(* bench/stack's deterministic metrics at tiny scale: the last line of
+   each `bench/stack/main.exe --workload W --scale tiny --seconds 0 --seed 1`
+   run, saved as stack_W.json in the working directory, becomes one
+   gates document, BENCH_stack_tiny.json, for `regress`. *)
+
+let run_stack_gates () =
+  let gates =
+    List.concat_map
+      (fun w ->
+        let file = Printf.sprintf "stack_%s.json" w in
+        match Simkit.Json.of_file file with
+        | Ok summary -> Eval.Stack_gates.gates w summary
+        | Error e ->
+            Printf.eprintf "stack-gates: %s: %s\n" file e;
+            exit 1)
+      Eval.Stack_gates.workloads
+  in
+  Simkit.Export.write_bench ~path:"BENCH_stack_tiny.json"
+    [ ("gates", Eval.Regression.to_json_exact gates) ];
+  Printf.printf "wrote BENCH_stack_tiny.json (%d gates over %d workloads)\n%!" (List.length gates)
+    (List.length Eval.Stack_gates.workloads)
+
+(* ------------------------------------------------------------------ *)
 (* Regression gate: the gates each BENCH_*.json in the working directory
    carries vs the committed baselines under bench/baselines/; `--update`
    refreshes the baselines instead of judging. *)
@@ -1049,7 +1072,8 @@ let () =
   let baseline_dir = ref (Filename.concat "bench" "baselines") in
   let names = String.concat " " (List.map fst experiments) in
   let usage =
-    Printf.sprintf "usage: main.exe [SECTION | regress [FILE...]] [OPTION...]\nsections: %s\n"
+    Printf.sprintf
+      "usage: main.exe [SECTION | stack-gates | regress [FILE...]] [OPTION...]\nsections: %s\n"
       names
   in
   let specs =
@@ -1078,8 +1102,10 @@ let () =
   match List.rev !args with
   | [] -> List.iter (fun (_, run) -> run ~full:!full) experiments
   | "regress" :: files -> run_regress ~baseline_dir:!baseline_dir ~update:!update files
+  | [ "stack-gates" ] -> run_stack_gates ()
   | [ name ] when List.mem_assoc name experiments -> (List.assoc name experiments) ~full:!full
   | other ->
-      Printf.eprintf "unknown bench %S; available: %s regress [--full]\n" (String.concat " " other)
+      Printf.eprintf "unknown bench %S; available: %s stack-gates regress [--full]\n"
+        (String.concat " " other)
         names;
       exit 1

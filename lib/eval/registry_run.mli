@@ -46,8 +46,9 @@ type t = {
 }
 
 val run : config -> Backends.spec list -> t
-(** Build the workload and run the scenario once untraced on the path
-    tree (the reference) and once per spec. *)
+(** Build the workload and run the scenario once per spec.  The path
+    tree's run among them gives the reference answers; without one, an
+    untraced, unaudited tree run is made for them. *)
 
 val metrics_json : t -> string
 (** The [--metrics-out] snapshot: [meta] (seed, backends, routers, peers,

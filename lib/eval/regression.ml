@@ -33,8 +33,8 @@ let flag name b = exact name (if b then 1.0 else 0.0)
 
 let directions = [ (Higher_better, "higher"); (Lower_better, "lower"); (Exact, "exact") ]
 
-let to_json gates =
-  let q = Simkit.Json_str.quote and num = Simkit.Json_str.number in
+let render num gates =
+  let q = Simkit.Json_str.quote in
   Simkit.Json_str.arr
     (List.map
        (fun (g : gate) ->
@@ -46,6 +46,9 @@ let to_json gates =
              ("tolerance", num g.tolerance);
            ])
        gates)
+
+let to_json = render Simkit.Json_str.number
+let to_json_exact = render Simkit.Json_str.number_exact
 
 (* A null value (how a nan is written) reads back as nan: the comparison
    then fails that gate alone. *)

@@ -32,7 +32,12 @@ val exact : string -> float -> gate
 val flag : string -> bool -> gate  (** Exact; true is 1, false is 0. *)
 
 val to_json : gate list -> string
-(** The ["gates"] array, as one more field of a bench document. *)
+(** The ["gates"] array, as one more field of a bench document.  Values
+    are written to 9 significant digits. *)
+
+val to_json_exact : gate list -> string
+(** {!to_json} with every value written to the digits that read back as
+    the same float, for exact gates over values printed in full. *)
 
 val of_document : Simkit.Json.t -> (gate list, string) result
 (** The document's ["gates"] array; [Error] when absent or malformed. *)

@@ -769,32 +769,47 @@ let check_invariants t =
 
 (* --- Bucket summaries -------------------------------------------------- *)
 
-let bucket_summary t =
-  let open Prelude.Codec.Writer in
-  let w = create ~capacity:(8 * bucket_count + 2) () in
-  varint w bucket_count;
-  for b = 0 to bucket_count - 1 do
-    int64 w (Bytes.get_int64_ne t.bucket_digests (8 * b))
-  done;
-  contents w
+(* A summary's header: the bucket count as a varint. *)
+let summary_header =
+  let w = Prelude.Codec.Writer.create () in
+  Prelude.Codec.Writer.varint w bucket_count;
+  Prelude.Codec.Writer.contents w
 
+(* The header, then every bucket digest as 8 little-endian bytes, copied
+   from [bucket_digests] without boxing one. *)
+let bucket_summary t =
+  let h = String.length summary_header in
+  let out = Bytes.create (h + (8 * bucket_count)) in
+  Bytes.blit_string summary_header 0 out 0 h;
+  for b = 0 to bucket_count - 1 do
+    Bytes.set_int64_le out (h + (8 * b)) (Bytes.get_int64_ne t.bucket_digests (8 * b))
+  done;
+  Bytes.unsafe_to_string out
+
+(* The digests are compared where they lie in [summary]; a summary too
+   short for every digest is truncated, a longer one has trailing bytes. *)
 let differing_buckets t summary =
   let open Prelude.Codec.Reader in
-  let ( let* ) = Result.bind in
   let r = of_string summary in
-  let rec scan b acc =
-    if b = bucket_count then
-      if is_exhausted r then Ok (List.rev acc) else Error (Malformed "trailing bytes")
-    else
-      let* d = int64 r in
-      let same = Int64.equal d (Bytes.get_int64_ne t.bucket_digests (8 * b)) in
-      scan (b + 1) (if same then acc else b :: acc)
-  in
-  Result.map_error error_to_string
-    (let* n = varint r in
-     if n <> bucket_count then
-       Error (Malformed (Printf.sprintf "summary of %d buckets, expected %d" n bucket_count))
-     else scan 0 [])
+  match varint r with
+  | Error e -> Error (error_to_string e)
+  | Ok n when n <> bucket_count ->
+      Error
+        (error_to_string
+           (Malformed (Printf.sprintf "summary of %d buckets, expected %d" n bucket_count)))
+  | Ok _ ->
+      let off = pos r in
+      let rest = String.length summary - off in
+      if rest < 8 * bucket_count then Error (error_to_string Truncated)
+      else if rest > 8 * bucket_count then Error (error_to_string (Malformed "trailing bytes"))
+      else begin
+        let differ = ref [] in
+        for b = bucket_count - 1 downto 0 do
+          if String.get_int64_le summary (off + (8 * b)) <> Bytes.get_int64_ne t.bucket_digests (8 * b)
+          then differ := b :: !differ
+        done;
+        Ok !differ
+      end
 
 (* --- Persistence and partial snapshots --------------------------------- *)
 
@@ -804,121 +819,186 @@ let snapshot_version = 2
    is the registration as the server stores it -- peer, attach router,
    probe cost, then the registered routers, whose last is the member's
    landmark.  Entries go out ascending by peer id, which the decoder
-   enforces. *)
-let write_entries t w entries =
+   enforces; [peers] is sorted in place. *)
+let write_entries t w peers =
   let open Prelude.Codec.Writer in
-  list w
-    (fun (peer, slot) ->
+  Array.sort Int.compare peers;
+  array w
+    (fun w peer ->
+      let slot = Slot_index.find t.index peer in
       varint w peer;
       varint w t.attach.(slot);
       varint w t.probes.(slot);
       array w varint t.routers.(slot))
-    (List.sort (fun (a, _) (b, _) -> Int.compare a b) entries)
-
-(* An entry decodes to [(peer, attach router, probes, routers)].  A peer no
-   registry could hold is malformed. *)
-let read_entry r =
-  let open Prelude.Codec.Reader in
-  let ( let* ) = Result.bind in
-  let* peer = varint r in
-  let* () =
-    if peer < 0 || peer >= Slot_index.key_limit then Error (Malformed "snapshot peer out of range")
-    else Ok ()
-  in
-  let* attach = varint r in
-  let* probes = varint r in
-  let* routers = list r varint in
-  Ok (peer, attach, probes, Array.of_list routers)
+    peers
 
 let snapshot t =
   let w = Prelude.Codec.Writer.create ~capacity:4096 () in
   let open Prelude.Codec.Writer in
   u8 w snapshot_version;
-  list w (varint w) (Array.to_list t.landmark_ids);
-  write_entries t w (Slot_index.fold (fun peer slot acc -> (peer, slot) :: acc) t.index []);
+  array w varint t.landmark_ids;
+  let peers = Array.make (peer_count t) 0 in
+  let n = ref 0 in
+  Slot_index.iter t.index (fun peer _ ->
+      peers.(!n) <- peer;
+      incr n);
+  write_entries t w peers;
   contents w
 
 let snapshot_buckets ?(only = fun _ -> true) t buckets =
-  let entries = ref [] in
+  let buckets = List.sort_uniq Int.compare buckets in
+  let held = List.fold_left (fun n b -> n + Prelude.Vec.length t.bucket_members.(b)) 0 buckets in
+  let peers = Array.make held 0 in
+  let n = ref 0 in
   List.iter
     (fun b ->
-      Prelude.Vec.iter t.bucket_members.(b) (fun peer ->
-          if only peer then entries := (peer, Slot_index.find t.index peer) :: !entries))
-    (List.sort_uniq Int.compare buckets);
+      let members = t.bucket_members.(b) in
+      for i = 0 to Prelude.Vec.length members - 1 do
+        let peer = Prelude.Vec.get members i in
+        if only peer then begin
+          peers.(!n) <- peer;
+          incr n
+        end
+      done)
+    buckets;
   let w = Prelude.Codec.Writer.create () in
-  write_entries t w !entries;
+  write_entries t w (if !n = held then peers else Array.sub peers 0 !n);
   Prelude.Codec.Writer.contents w
+
+(* What an apply reuses from one repair to the next in a domain: the
+   incoming peers, ascending, and one entry's routers. *)
+type apply_scratch = { incoming : Prelude.Vec.t; mutable routers : int array }
+
+let apply_scratch =
+  Domain.DLS.new_key (fun () -> { incoming = Prelude.Vec.create (); routers = Array.make 16 0 })
+
+(* Whether the ascending [peers] hold [peer], between [lo] and [hi]
+   exclusive. *)
+let rec holds_peer peers peer lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) / 2 in
+  let p = Prelude.Vec.get peers mid in
+  p = peer || if p < peer then holds_peer peers peer (mid + 1) hi else holds_peer peers peer lo mid
+
+(* The first pass of [apply_entries]: decode and check every entry without
+   building one, and collect the incoming peers.  A decode error raises
+   [Reader.Failed], and wins over a check error anywhere, as does trailing
+   input; otherwise the first entry's first failed check is returned. *)
+let check_entries t ~replaced r incoming =
+  let open Prelude.Codec.Reader in
+  let nodes = Topology.Graph.node_count (graph t) in
+  let failed = ref None and prev = ref (-1) in
+  for _ = 1 to count_exn r do
+    let peer = varint_exn r in
+    if peer < 0 || peer >= Slot_index.key_limit then
+      raise (Failed (Malformed "snapshot peer out of range"));
+    let attach = varint_exn r in
+    ignore (varint_exn r : int);
+    let len = count_exn r in
+    let last = ref (-1) and inside = ref (in_graph ~nodes attach) in
+    for _ = 1 to len do
+      let router = varint_exn r in
+      if not (in_graph ~nodes router) then inside := false;
+      last := router
+    done;
+    if Option.is_none !failed then begin
+      if peer <= !prev then failed := Some "snapshot entries out of order"
+      else if len = 0 then failed := Some "snapshot entry has an empty route"
+      else if not (is_landmark t !last) then
+        failed := Some "snapshot route does not end at a landmark"
+      else if not !inside then failed := Some "snapshot names a router outside the graph"
+      else if not (match replaced with None -> true | Some set -> set.(bucket_of peer)) then
+        failed := Some "snapshot entry outside the replaced buckets";
+      prev := peer
+    end;
+    Prelude.Vec.push incoming peer
+  done;
+  if not (is_exhausted r) then raise (Failed (Malformed "trailing bytes"));
+  !failed
+
+(* Remove the registrations of the marked buckets that are not incoming.
+   Walking each bucket down from its last member, a swap-remove only
+   moves a member already walked past, so the walk meets every member
+   once and removes in the reverse of a forward scan's order. *)
+let remove_stale t set incoming =
+  let removed = ref 0 in
+  for b = bucket_count - 1 downto 0 do
+    if set.(b) then begin
+      let members = t.bucket_members.(b) in
+      for i = Prelude.Vec.length members - 1 downto 0 do
+        let peer = Prelude.Vec.get members i in
+        if not (holds_peer incoming peer 0 (Prelude.Vec.length incoming)) then begin
+          remove_entry t ~peer (Slot_index.find t.index peer);
+          incr removed
+        end
+      done
+    end
+  done;
+  !removed
+
+let rec same_routers held buf n i = i = n || (held.(i) = buf.(i) && same_routers held buf n (i + 1))
+
+(* The second pass: read each checked entry's routers into the scratch
+   buffer and write the entry only when [t] does not hold it verbatim;
+   only a written entry gets an array of its own. *)
+let apply_checked t r scratch =
+  let open Prelude.Codec.Reader in
+  let changed = ref 0 in
+  for _ = 1 to count_exn r do
+    let peer = varint_exn r in
+    let attach = varint_exn r in
+    let probes = varint_exn r in
+    let len = count_exn r in
+    if Array.length scratch.routers < len then
+      scratch.routers <- Array.make (max len (2 * Array.length scratch.routers)) 0;
+    let buf = scratch.routers in
+    for i = 0 to len - 1 do
+      buf.(i) <- varint_exn r
+    done;
+    let held = Slot_index.find t.index peer in
+    if
+      not
+        (held >= 0 && t.attach.(held) = attach && t.probes.(held) = probes
+        && Array.length t.routers.(held) = len
+        && same_routers t.routers.(held) buf len 0)
+    then begin
+      let routers = Array.sub buf 0 len in
+      if held >= 0 then remove_entry t ~peer held;
+      store t ~peer ~routers ~refresh:false ~attach ~home:(landmark_of routers) ~probes;
+      incr changed
+    end
+  done;
+  !changed
 
 (* Decode the rest of [r] as snapshot entries and make [t] agree with them:
    an entry [t] already holds verbatim is left alone, any other is written
    (replacing a differing registration of the same peer), and with
    [replaced] the registrations of the marked buckets that the entries lack
-   are removed.  Everything is decoded and checked before [t] changes,
+   are removed.  Every entry is decoded and checked before [t] changes,
    down to every router being a node of the graph: a registry indexes its
-   buckets by router, so a foreign one must never reach it.  A
-   written entry is stamped now, but not counted as a [report_refresh]:
-   learning a report through repair is not a client refresh. *)
+   buckets by router, so a foreign one must never reach it.  The bytes are
+   then read a second time to write, so an entry [t] already holds
+   allocates nothing.  A written entry is stamped now, but not counted as
+   a [report_refresh]: learning a report through repair is not a client
+   refresh. *)
 let apply_entries t ~replaced r =
   let open Prelude.Codec.Reader in
-  let ( let* ) = Result.bind in
-  let nodes = Topology.Graph.node_count (graph t) in
-  let rec check prev = function
-    | [] -> Ok ()
-    | (peer, attach, _, routers) :: rest ->
-        if peer <= prev then Error (Malformed "snapshot entries out of order")
-        else if Array.length routers = 0 then Error (Malformed "snapshot entry has an empty route")
-        else if not (is_landmark t (landmark_of routers)) then
-          Error (Malformed "snapshot route does not end at a landmark")
-        else if not (in_graph ~nodes attach && routers_in_graph ~nodes routers 0) then
-          Error (Malformed "snapshot names a router outside the graph")
-        else if not (match replaced with None -> true | Some set -> set.(bucket_of peer)) then
-          Error (Malformed "snapshot entry outside the replaced buckets")
-        else check peer rest
-  in
-  let decoded =
-    let* entries = list r read_entry in
-    let* () = if is_exhausted r then Ok () else Error (Malformed "trailing bytes") in
-    let* () = check (-1) entries in
-    Ok entries
-  in
-  match decoded with
-  | Error e -> Error (error_to_string e)
-  | Ok entries -> (
-      let changed = ref 0 in
-      let write () =
-        Option.iter
-          (fun set ->
-            let incoming = Hashtbl.create (List.length entries) in
-            List.iter (fun (peer, _, _, _) -> Hashtbl.replace incoming peer ()) entries;
-            let stale = ref [] in
-            Array.iteri
-              (fun b members ->
-                if set.(b) then
-                  Prelude.Vec.iter members (fun peer ->
-                      if not (Hashtbl.mem incoming peer) then stale := peer :: !stale))
-              t.bucket_members;
-            List.iter
-              (fun peer ->
-                remove_entry t ~peer (Slot_index.find t.index peer);
-                incr changed)
-              !stale)
-          replaced;
-        List.iter
-          (fun (peer, attach, probes, routers) ->
-            let held = Slot_index.find t.index peer in
-            if
-              not
-                (held >= 0 && t.attach.(held) = attach && t.probes.(held) = probes
-               && t.routers.(held) = routers)
-            then begin
-              if held >= 0 then remove_entry t ~peer held;
-              store t ~peer ~routers ~refresh:false ~attach ~home:(landmark_of routers) ~probes;
-              incr changed
-            end)
-          entries
-      in
-      match write () with
-      | () -> Ok !changed
+  let scratch = Domain.DLS.get apply_scratch in
+  Prelude.Vec.clear scratch.incoming;
+  let start = pos r in
+  match check_entries t ~replaced r scratch.incoming with
+  | exception Failed e -> Error (error_to_string e)
+  | Some reason -> Error (error_to_string (Malformed reason))
+  | None -> (
+      seek r start;
+      match
+        let removed =
+          match replaced with None -> 0 | Some set -> remove_stale t set scratch.incoming
+        in
+        removed + apply_checked t r scratch
+      with
+      | changed -> Ok changed
       | exception (Failure msg | Invalid_argument msg) -> Error msg)
 
 let apply_buckets ?replace t data =

@@ -4,7 +4,14 @@
     for integers (path distances and node ids are small), length-prefixed
     byte strings.  The reader never reads past the buffer; all failures are
     reported as [Error], not exceptions, because the input is untrusted
-    network data. *)
+    network data -- except by the [_exn] readers, which raise
+    {!Reader.Failed} for a decoder that checks many values under one
+    handler.
+
+    A decode or encode step allocates only its result: a reader's [Ok]
+    box (and the value it holds when that is boxed: an [int64], a
+    string, a list), an [Error] on failure, and nothing at all for an
+    [_exn] reader's int or a writer's byte when the buffer has room. *)
 
 module Writer : sig
   type t
@@ -77,10 +84,31 @@ module Reader : sig
 
   type error = Truncated | Malformed of string
 
+  exception Failed of error
+  (** Raised by the [_exn] readers where their result-returning
+      counterparts return [Error]. *)
+
   val of_string : string -> t
+  val pos : t -> int
+  (** Bytes read so far, including those of a read that failed. *)
+
+  val seek : t -> int -> unit
+  (** Continue reading at an earlier {!pos}, to decode the same bytes a
+      second time.  @raise Invalid_argument outside the input. *)
+
   val is_exhausted : t -> bool
   val u8 : t -> (int, error) result
   val varint : t -> (int, error) result
+
+  val varint_exn : t -> int
+  (** {!varint}'s value without its [Ok] box, leaving {!pos} where
+      {!varint} does.  @raise Failed with {!varint}'s error. *)
+
+  val count_exn : t -> int
+  (** The element count {!list} reads first, with {!list}'s check that
+      every element could still take a byte.  @raise Failed with the error
+      {!list} returns at its count. *)
+
   val bool : t -> (bool, error) result
   val int64 : t -> (int64, error) result
   val bytes : t -> (string, error) result

@@ -29,6 +29,16 @@ let number v =
   else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.9g" v
 
+(* The fewest significant digits, 15 to 17, that read back as [v]. *)
+let number_exact v =
+  if not (Float.is_finite v) then "null"
+  else
+    let fits digits =
+      let s = Printf.sprintf "%.*g" digits v in
+      if float_of_string s = v then Some s else None
+    in
+    match List.find_map fits [ 15; 16 ] with Some s -> s | None -> Printf.sprintf "%.17g" v
+
 let number_opt = function None -> "null" | Some v -> number v
 
 (* Object/array assembly from already-rendered member values: the one

@@ -10,6 +10,10 @@ val number : float -> string
 (** A float as a JSON value; nan and infinities render as [null] so the
     document always parses. *)
 
+val number_exact : float -> string
+(** Like {!number}, with as many digits (at most 17) as reading the value
+    back as the same float takes. *)
+
 val number_opt : float option -> string
 (** [None] renders as [null]. *)
 

@@ -612,6 +612,25 @@ let test_registry_smoke () =
   Alcotest.(check int) "join threads" peers
     (List.length (List.sort_uniq compare (List.map (field "tid") joins)))
 
+(* A tree run among the specs gives the reference answers, traced, metered
+   and audited or not: they equal an untraced tree run's, which a run
+   without the tree makes for its reference. *)
+let test_registry_reference_from_tree_run () =
+  let open Eval.Registry_run in
+  let untraced = (run quick_config [ Eval.Backends.Naive ]).reference in
+  List.iter
+    (fun (name, config) ->
+      let r = run config [ Eval.Backends.Tree ] in
+      Alcotest.(check (array (list (pair int int))))
+        (name ^ ": reference") untraced r.reference;
+      Alcotest.(check bool) (name ^ ": the tree run's answers") true
+        ((List.hd r.runs).answers == r.reference))
+    [
+      ("plain", quick_config);
+      ( "traced, metered and audited",
+        { quick_config with audit_rate = 0.1; timeseries = true; traced = true; metered = true } );
+    ]
+
 let suite =
   ( "observability",
     [
@@ -635,4 +654,6 @@ let suite =
         test_critical_path_of_continued_joins;
       Alcotest.test_case "registry smoke: snapshot, exposition and trace" `Quick
         test_registry_smoke;
+      Alcotest.test_case "registry reference from the tree run" `Quick
+        test_registry_reference_from_tree_run;
     ] )

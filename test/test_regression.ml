@@ -250,6 +250,58 @@ let test_null_gate_value_fails () =
   Alcotest.(check bool) "with its reason" true
     (List.exists (fun (c : R.comparison) -> c.status = Fail "not a finite number") comparisons)
 
+(* The tiny bench/stack gates: a summary line in, exact gates that read
+   back bit for bit out; a failed check, a failed operation, a moved or a
+   missing metric each fail the comparison. *)
+let test_stack_gates () =
+  let summary ~correct ~failed ~p99 =
+    parse_exn
+      (Printf.sprintf
+         {|{"correct": %b, "attempted": 10, "failed": %d, "metrics": {"state_bytes_per_member": {"value": 436.84, "unit": "B"}, "client_bytes_per_op": {"value": 33.945, "unit": "B"}, "wire_bytes_per_op": {"value": 95.035, "unit": "B"}, "latency_p50_ms": {"value": 18.04756693329341, "unit": "ms"}%s}}|}
+         correct failed
+         (match p99 with
+         | Some v -> Printf.sprintf {|, "latency_p99_ms": {"value": %.17g, "unit": "ms"}|} v
+         | None -> ""))
+  in
+  let p99 = 34.04699761520732 in
+  let gates s =
+    R.of_document (parse_exn (Printf.sprintf {|{"gates": %s}|} (R.to_json_exact s)))
+    |> Result.get_ok
+  in
+  let baseline = gates (Eval.Stack_gates.gates "join-steady" (summary ~correct:true ~failed:0 ~p99:(Some p99))) in
+  Alcotest.(check (list string)) "names"
+    [
+      "stack/join-steady/correct";
+      "stack/join-steady/no_failed";
+      "stack/join-steady/state_bytes_per_member";
+      "stack/join-steady/client_bytes_per_op";
+      "stack/join-steady/wire_bytes_per_op";
+      "stack/join-steady/latency_p50_ms";
+      "stack/join-steady/latency_p99_ms";
+    ]
+    (List.map (fun (g : R.gate) -> g.name) baseline);
+  Alcotest.(check bool) "every gate exact" true
+    (List.for_all (fun (g : R.gate) -> g.direction = R.Exact) baseline);
+  Alcotest.(check (float 0.0)) "p99 read back bit for bit" p99 (List.nth baseline 6).value;
+  let failures current =
+    List.map
+      (fun (c : R.comparison) -> c.name)
+      (R.failures (R.compare_gates ~baseline ~current:(gates (Eval.Stack_gates.gates "join-steady" current))))
+  in
+  Alcotest.(check (list string)) "the same run passes" []
+    (failures (summary ~correct:true ~failed:0 ~p99:(Some p99)));
+  Alcotest.(check (list string)) "a failed check" [ "stack/join-steady/correct" ]
+    (failures (summary ~correct:false ~failed:0 ~p99:(Some p99)));
+  Alcotest.(check (list string)) "a failed operation" [ "stack/join-steady/no_failed" ]
+    (failures (summary ~correct:true ~failed:1 ~p99:(Some p99)));
+  Alcotest.(check (list string)) "p99 one ulp off" [ "stack/join-steady/latency_p99_ms" ]
+    (failures (summary ~correct:true ~failed:0 ~p99:(Some (Float.succ p99))));
+  Alcotest.(check (list string)) "p99 missing" [ "stack/join-steady/latency_p99_ms" ]
+    (failures (summary ~correct:true ~failed:0 ~p99:None));
+  Alcotest.(check (list string)) "query-250k gates no latency"
+    [ "state_bytes_per_member"; "client_bytes_per_op"; "wire_bytes_per_op" ]
+    (Eval.Stack_gates.metrics "query-250k")
+
 let suite =
   ( "regression-gate",
     [
@@ -266,4 +318,5 @@ let suite =
       Alcotest.test_case "sweep gated to 100k" `Quick test_gate_sweep_stops_at_100k;
       Alcotest.test_case "gates round-trip through a document" `Quick test_gates_round_trip;
       Alcotest.test_case "null gate value fails, no exception" `Quick test_null_gate_value_fails;
+      Alcotest.test_case "stack gates are exact" `Quick test_stack_gates;
     ] )
