@@ -498,28 +498,43 @@ let run_registry ~full ~sweep_max =
           done;
           query_count)
     in
-    (spec, !insert_ops, query_ops, answers)
+    (* One more pass of the same loop, untimed, counting the minor words
+       it allocates against the neighbors it returns. *)
+    let returned = ref 0 in
+    let before = Gc.minor_words () in
+    for peer = 0 to query_count - 1 do
+      returned := !returned + List.length (Nearby.Registry_intf.query_member reg ~peer ~k)
+    done;
+    let words = Gc.minor_words () -. before in
+    (spec, !insert_ops, query_ops, words /. float_of_int (Int.max 1 !returned), answers)
   in
   let results = List.map run_backend Eval.Backends.all in
   let reference =
     match results with
-    | (Eval.Backends.Tree, _, _, answers) :: _ -> answers
+    | (Eval.Backends.Tree, _, _, _, answers) :: _ -> answers
     | _ -> failwith "registry bench: tree backend must run first"
   in
   let rows =
     List.map
-      (fun (spec, insert_ops, query_ops, answers) ->
-        { Eval.Registry_gates.spec; insert_ops; query_ops; identical = answers = reference })
+      (fun (spec, insert_ops, query_ops, query_words_per_answer, answers) ->
+        {
+          Eval.Registry_gates.spec;
+          insert_ops;
+          query_ops;
+          query_words_per_answer;
+          identical = answers = reference;
+        })
       results
   in
   Prelude.Table.print
-    ~header:[ "backend"; "insert ops/s"; "query ops/s"; "answers = tree" ]
+    ~header:[ "backend"; "insert ops/s"; "query ops/s"; "words/answer"; "answers = tree" ]
     (List.map
        (fun (r : Eval.Registry_gates.row) ->
          [
            Eval.Backends.to_string r.spec;
            Prelude.Table.float_cell ~decimals:0 r.insert_ops;
            Prelude.Table.float_cell ~decimals:0 r.query_ops;
+           Prelude.Table.float_cell ~decimals:1 r.query_words_per_answer;
            string_of_bool r.identical;
          ])
        rows);
@@ -527,8 +542,9 @@ let run_registry ~full ~sweep_max =
   let row_json (r : Eval.Registry_gates.row) =
     Printf.sprintf
       "{\"backend\": %s, \"insert_ops_per_s\": %.0f, \"query_ops_per_s\": %.0f, \
-       \"answers_identical\": %b}"
-      (Simkit.Json_str.quote (Eval.Backends.to_string r.spec)) r.insert_ops r.query_ops r.identical
+       \"query_words_per_answer\": %.2f, \"answers_identical\": %b}"
+      (Simkit.Json_str.quote (Eval.Backends.to_string r.spec)) r.insert_ops r.query_ops
+      r.query_words_per_answer r.identical
   in
   let gates = Eval.Registry_gates.registry rows sweep_rows in
   Simkit.Export.write_bench ~path:"BENCH_registry.json" ~seed:7

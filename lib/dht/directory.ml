@@ -106,7 +106,7 @@ let query t ~routers ~k ?(exclude = fun _ -> false) () =
   if k <= 0 then []
   else begin
     let seen = Hashtbl.create 64 in
-    let best = Top_k.create ~k in
+    let best = Top_k.shared ~k in
     let len = Array.length routers in
     let d = ref 0 in
     while !d < len && beats_worst best !d do
@@ -134,7 +134,7 @@ let query t ~routers ~k ?(exclude = fun _ -> false) () =
 let query_member t ~peer ~k =
   match Hashtbl.find_opt t.paths peer with
   | None -> raise Not_found
-  | Some routers -> query t ~routers ~k ~exclude:(fun p -> p = peer) ()
+  | Some routers -> query t ~routers ~k ?exclude:(Top_k.excluding peer) ()
 
 let stats t =
   let per_node =

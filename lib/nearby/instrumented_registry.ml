@@ -84,9 +84,9 @@ let wrap ?(clock = default_clock) ?metrics ?labeled ?spans backend : (module Reg
           observe query_candidates (float_of_int (List.length result));
           result
 
-        let query t ~routers ~k ?(exclude = fun _ -> false) () =
+        let query t ~routers ~k ?exclude () =
           observe_query
-            (timed "registry_query" query_ns (fun () -> B.query t ~routers ~k ~exclude ()))
+            (timed "registry_query" query_ns (fun () -> B.query t ~routers ~k ?exclude ()))
 
         let query_member t ~peer ~k =
           observe_query (timed "registry_query" query_ns (fun () -> B.query_member t ~peer ~k))

@@ -39,7 +39,7 @@ let query t ~routers ~k ?(exclude = fun _ -> false) () =
   else begin
     (* Still the exhaustive O(n) scan the ablation is about; only the
        selection of the k best is bounded. *)
-    let best = Topk.create ~k in
+    let best = Topk.shared ~k in
     Hashtbl.iter
       (fun peer path ->
         if not (exclude peer) then
@@ -53,7 +53,7 @@ let query t ~routers ~k ?(exclude = fun _ -> false) () =
 let query_member t ~peer ~k =
   match Hashtbl.find_opt t.paths peer with
   | None -> raise Not_found
-  | Some routers -> query t ~routers ~k ~exclude:(fun p -> p = peer) ()
+  | Some routers -> query t ~routers ~k ?exclude:(Topk.excluding peer) ()
 
 (* --- Registry_intf.S ---------------------------------------------------- *)
 

@@ -390,10 +390,10 @@ let scan_bucket t router walk_cost best exclude =
 
 (* Walk the query path outward, offering every candidate into the k best.
    The walk stops once the walk cost alone can no longer tie the k-th. *)
-let run_query t ~routers ~costs ~k ~exclude =
+let run_query t ~routers ~costs ~k ?(exclude = fun _ -> false) () =
   if k <= 0 then []
   else begin
-    let best = Topk.create ~k in
+    let best = Topk.shared ~k in
     let i = ref 0 in
     while
       !i < Array.length routers
@@ -405,13 +405,13 @@ let run_query t ~routers ~costs ~k ~exclude =
     Topk.drain best
   end
 
-let query_path t ~routers ~costs ~k ?(exclude = fun _ -> false) () =
+let query_path t ~routers ~costs ~k ?exclude () =
   if Array.length costs < Array.length routers then
     invalid_arg "Path_tree.query: fewer costs than routers";
   for i = 0 to Array.length routers - 1 do
     if not (cost_in_range costs.(i)) then invalid_arg "Path_tree.query: cost out of range"
   done;
-  run_query t ~routers ~costs ~k ~exclude
+  run_query t ~routers ~costs ~k ?exclude ()
 
 (* The member's own stored path is the query path: nothing to copy, and
    its costs were checked when it was inserted. *)
@@ -419,7 +419,7 @@ let query_member t ~peer ~k =
   let slot = Slot_index.find t.index peer in
   if slot < 0 then raise Not_found;
   let { routers; costs } = t.routes.(slot) in
-  run_query t ~routers ~costs ~k ~exclude:(Int.equal peer)
+  run_query t ~routers ~costs ~k ?exclude:(Topk.excluding peer) ()
 
 let iter_members t f = Slot_index.iter t.index (fun p _ -> f p)
 

@@ -76,7 +76,7 @@ val query_path :
 
 val query_member : t -> peer:peer -> k:int -> (peer * int) list
 (** {!query_path} along the member's stored path, excluding itself.
-    Allocates the selector and the answer, nothing per scanned entry.
+    Allocates the answer alone: a pair and a cons per neighbor.
     @raise Not_found when unregistered. *)
 
 val iter_members : t -> (peer -> unit) -> unit

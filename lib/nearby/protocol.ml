@@ -67,6 +67,7 @@ let finish j outcome =
 
 (* The kinds of the parts a join's messages charge, fixed per message
    type. *)
+let query_kind = Wire.kind (Wire.Neighbor_request { peer = 0; k = 0 })
 let reply_kind = Wire.kind (Wire.Neighbor_reply { peer = 0; neighbors = [] })
 let continue_kind = Wire.kind (Wire.Continue { peer = 0 })
 let path_prefix_kind =
@@ -160,7 +161,6 @@ let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~
   in
   let ctx = Simkit.Span.context_of span in
   (match on_trace with Some f -> f ctx | None -> ());
-  let query = Wire.Neighbor_request { peer; k } in
   let m = Client.measure_join ?rng t.client ~attach_router in
   let first_ms = Client.first_round_ms t.client m in
   let prefix = Client.prefix m in
@@ -172,7 +172,7 @@ let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~
       k;
       span;
       parent = (if traced then Some ctx else None);
-      query = (Wire.kind query, Wire.byte_size query);
+      query = (query_kind, Wire.neighbor_request_size ~peer ~k);
       m;
       whole_at = Simkit.Engine.now t.engine +. Client.duration_ms m;
       prefix;

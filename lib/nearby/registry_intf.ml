@@ -266,10 +266,11 @@ let dtree (Registry r) p1 p2 =
   let module B = (val r.backend) in
   B.dtree r.state p1 p2
 
-let query (Registry r) ~routers ~k ?(exclude = fun _ -> false) () =
+(* [?exclude] goes through as given: no default to re-box per query. *)
+let query (Registry r) ~routers ~k ?exclude () =
   let module B = (val r.backend) in
   Simkit.Trace.cell_incr r.queries;
-  B.query r.state ~routers ~k ~exclude ()
+  B.query r.state ~routers ~k ?exclude ()
 
 let query_member (Registry r) ~peer ~k =
   let module B = (val r.backend) in

@@ -640,43 +640,41 @@ let topup_order t ~home =
     others
 
 (* Fill a home-tree answer up to [k] from the other landmark registries,
-   closest landmark first; top-up entries carry distance [max_int]. *)
-let top_up t ~home ~k ~exclude result =
-  if List.length result >= k then result
+   closest landmark first; top-up entries carry distance [max_int].  Each
+   tree gives its lowest member ids, by a bounded selection over them:
+   the answer does not depend on the backend's internal order.  The trees
+   partition the members, so no other tree holds the asker or a peer of
+   [result]. *)
+let top_up t ~home ~k result =
+  let held = List.length result in
+  if held >= k then result
   else begin
-    let missing = ref (k - List.length result) in
-    let already = Hashtbl.create 16 in
-    List.iter (fun (p, _) -> Hashtbl.add already p ()) result;
-    let extra = ref [] in
+    let missing = ref (k - held) and extra = ref [] in
     List.iter
       (fun lmk ->
         if !missing > 0 then begin
-          let reg = registry_of t lmk in
-          (* Ascending peer id, not table order: the answer must not depend
-             on the backend's internal hashing. *)
-          let members = ref [] in
-          Registry_intf.iter_members reg (fun p -> members := p :: !members);
+          let lowest = Topk.shared ~k:!missing in
+          Registry_intf.iter_members (registry_of t lmk) (fun p ->
+              Topk.offer lowest (Topk.pack ~cost:0 ~peer:p));
           List.iter
-            (fun p ->
-              if !missing > 0 && (not (Hashtbl.mem already p)) && not (exclude p) then begin
-                Hashtbl.add already p ();
-                extra := (p, max_int) :: !extra;
-                decr missing;
-                Simkit.Trace.cell_incr t.cells.topups
-              end)
-            (List.sort compare !members)
+            (fun (p, _) ->
+              extra := (p, max_int) :: !extra;
+              decr missing;
+              Simkit.Trace.cell_incr t.cells.topups)
+            (Topk.drain lowest)
         end)
       (topup_order t ~home);
     result @ List.rev !extra
   end
 
 (* A member's query walks the routers its slot shares with its tree:
-   nothing is rebuilt per query. *)
+   nothing is rebuilt per query, and the asker is named through
+   {!Topk.excluding}, so no closure or [Some] is built for it either. *)
 let lookup t ~peer ~k routers =
   Simkit.Trace.cell_incr t.cells.queries;
-  let exclude = Int.equal peer in
   let home = landmark_of routers in
-  top_up t ~home ~k ~exclude (Registry_intf.query (registry_of t home) ~routers ~k ~exclude ())
+  top_up t ~home ~k
+    (Registry_intf.query (registry_of t home) ~routers ~k ?exclude:(Topk.excluding peer) ())
 
 (* Traced, the "query" span sits under the ambient request or roots a
    trace of its own; registry op spans nest under it. *)
@@ -698,11 +696,11 @@ let answer t ~peer ~k =
   end
   else lookup t ~peer ~k routers
 
-(* Charge a query and its [reply] to the wire counter; the reply's size. *)
+(* Charge a query and its [reply] to the wire counter; the reply's size.
+   Both are sized from their fields: no message is built. *)
 let count_query t ~peer ~k reply =
-  let reply_bytes = Wire.byte_size (Wire.Neighbor_reply { peer; neighbors = reply }) in
-  Simkit.Trace.cell_add t.cells.wire_bytes
-    (Wire.byte_size (Wire.Neighbor_request { peer; k }) + reply_bytes);
+  let reply_bytes = Wire.neighbor_reply_size ~peer reply in
+  Simkit.Trace.cell_add t.cells.wire_bytes (Wire.neighbor_request_size ~peer ~k + reply_bytes);
   reply_bytes
 
 let neighbors t ~peer ~k =

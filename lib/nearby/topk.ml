@@ -15,14 +15,38 @@ let peer_of key = key land peer_mask
 let cost_of key = key lsr peer_bits
 
 type t = {
-  k : int;
-  heap : int array;  (* slots [0, size): max-heap, worst key at the root *)
+  mutable k : int;
+  mutable heap : int array;  (* slots [0, size): max-heap, worst key at the root *)
   mutable size : int;
 }
 
-let create ~k =
-  if k < 0 then invalid_arg "Topk.create: negative k";
-  { k; heap = Array.make (max k 1) 0; size = 0 }
+(* One selector per domain, reset by each query: a query allocates no
+   selector, and no server or tree holds one.  Its heap grows only as far
+   as a query fills it, so a large [k] over a small population costs
+   nothing up front. *)
+let selector = Domain.DLS.new_key (fun () -> { k = 0; heap = Array.make 8 0; size = 0 })
+
+let shared ~k =
+  if k < 0 then invalid_arg "Topk.shared: negative k";
+  let t = Domain.DLS.get selector in
+  t.k <- k;
+  t.size <- 0;
+  t
+
+(* The peer a member's query leaves out of its own answer, one cell per
+   domain, and a predicate over it built with the cell: naming the asker
+   allocates no closure and no [Some]. *)
+type asker = { mutable peer : int; is_asker : (int -> bool) option }
+
+let asker =
+  Domain.DLS.new_key (fun () ->
+      let rec cell = { peer = -1; is_asker = Some (fun p -> p = cell.peer) } in
+      cell)
+
+let excluding peer =
+  let cell = Domain.DLS.get asker in
+  cell.peer <- peer;
+  cell.is_asker
 
 let is_full t = t.size >= t.k
 
@@ -56,8 +80,14 @@ let rec sift_down heap size x i =
   end
   else heap.(i) <- x
 
+let grow t =
+  let heap = Array.make (min t.k (2 * Array.length t.heap)) 0 in
+  Array.blit t.heap 0 heap 0 t.size;
+  t.heap <- heap
+
 let offer t key =
   if t.size < t.k then begin
+    if t.size = Array.length t.heap then grow t;
     t.size <- t.size + 1;
     sift_up t.heap key (t.size - 1)
   end

@@ -15,9 +15,17 @@ val cost_of : int -> int
 
 type t
 
-val create : k:int -> t
-(** Keeps the [k] smallest keys offered.  @raise Invalid_argument when
-    [k < 0]. *)
+val shared : k:int -> t
+(** The calling domain's selector, emptied, keeping the [k] smallest keys
+    offered from now on: a query takes it instead of allocating one, and
+    must {!drain} it before the next query in the domain starts.
+    @raise Invalid_argument when [k < 0]. *)
+
+val excluding : int -> (int -> bool) option
+(** [excluding peer] is [Some p], where [p] is true of [peer] alone: the calling domain's one
+    predicate, over a cell this call sets, so naming the asker a query
+    leaves out allocates nothing.  Valid until the next [excluding] in the
+    domain. *)
 
 val is_full : t -> bool
 

@@ -57,10 +57,16 @@ val decode : string -> (message, string) result
 val byte_size : message -> int
 (** Exactly [String.length (encode m)], computed by a counting pass over
     the same emitter ({!Prelude.Codec.Sizer}) — no buffer is allocated,
-    and sizing a {!Path_report}, {!Replica_prefix}, {!Replica_nack},
-    {!Path_prefix}, {!Continue}, {!Neighbor_request} or {!Ping_request}
-    allocates nothing at all.  Used
+    and sizing any message allocates nothing at all.  Used
     by the simulator to charge realistic message sizes on hot paths. *)
+
+val neighbor_request_size : peer:int -> k:int -> int
+(** [byte_size (Neighbor_request { peer; k })], from the same emitter,
+    without building the message; allocates nothing. *)
+
+val neighbor_reply_size : peer:int -> (int * int) list -> int
+(** [byte_size (Neighbor_reply { peer; neighbors })], from the same
+    emitter, without building the message; allocates nothing. *)
 
 val kind : message -> string
 (** The wire-observability label for the message family — the [kind=]

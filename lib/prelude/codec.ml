@@ -1,3 +1,11 @@
+(* A list's elements, each handed the sink by a top-level loop: emitting
+   a list allocates no closure, in [Writer] or in [Sizer]. *)
+let rec emit_all t encode = function
+  | [] -> ()
+  | x :: rest ->
+      encode t x;
+      emit_all t encode rest
+
 module Writer = struct
   type t = Buffer.t
 
@@ -30,7 +38,7 @@ module Writer = struct
 
   let list t encode items =
     varint t (List.length items);
-    List.iter encode items
+    emit_all t encode items
 
   let array t encode items =
     varint t (Array.length items);
@@ -49,7 +57,7 @@ module type SINK = sig
   val bool : t -> bool -> unit
   val int64 : t -> int64 -> unit
   val bytes : t -> string -> unit
-  val list : t -> ('a -> unit) -> 'a list -> unit
+  val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val array : t -> (t -> 'a -> unit) -> 'a array -> unit
 end
 
@@ -80,7 +88,7 @@ module Sizer = struct
 
   let list t encode items =
     varint t (List.length items);
-    List.iter encode items
+    emit_all t encode items
 
   let array t encode items =
     varint t (Array.length items);
@@ -178,7 +186,8 @@ module Reader = struct
   let bytes t =
     let len = varint_from t 0 0 in
     if len < 0 then Error (error_of_code len)
-    else if t.pos + len > String.length t.data then Error Truncated
+    (* [t.pos + len] overflows for a length near [max_int]. *)
+    else if len > String.length t.data - t.pos then Error Truncated
     else begin
       let s = String.sub t.data t.pos len in
       t.pos <- t.pos + len;

@@ -33,14 +33,13 @@ module Writer : sig
   val bytes : t -> string -> unit
   (** Varint length prefix followed by the raw bytes. *)
 
-  val list : t -> ('a -> unit) -> 'a list -> unit
-  (** Varint count followed by each element (use a closure over the
-      writer). *)
+  val list : t -> (t -> 'a -> unit) -> 'a list -> unit
+  (** Varint count followed by each element.  The element encoder is
+      handed the writer, so a closed function encodes without a closure
+      per call. *)
 
   val array : t -> (t -> 'a -> unit) -> 'a array -> unit
-  (** Varint count followed by each element, the same bytes {!list} writes
-      for the array's elements.  The element encoder is handed the writer,
-      so a closed function encodes without a closure per call. *)
+  (** The bytes {!list} writes for the array's elements. *)
 end
 
 module type SINK = sig
@@ -51,7 +50,7 @@ module type SINK = sig
   val bool : t -> bool -> unit
   val int64 : t -> int64 -> unit
   val bytes : t -> string -> unit
-  val list : t -> ('a -> unit) -> 'a list -> unit
+  val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val array : t -> (t -> 'a -> unit) -> 'a array -> unit
 end
 (** The emitting surface shared by {!Writer} and {!Sizer}.  Encoders written
@@ -75,7 +74,7 @@ module Sizer : sig
   val bool : t -> bool -> unit
   val int64 : t -> int64 -> unit
   val bytes : t -> string -> unit
-  val list : t -> ('a -> unit) -> 'a list -> unit
+  val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val array : t -> (t -> 'a -> unit) -> 'a array -> unit
 end
 

@@ -175,7 +175,7 @@ let decode_both (data, script) =
 let entry_bytes entries =
   let w = Writer.create () in
   Writer.list w
-    (fun (peer, attach, probes, routers) ->
+    (fun w (peer, attach, probes, routers) ->
       Writer.varint w peer;
       Writer.varint w attach;
       Writer.varint w probes;
@@ -311,6 +311,13 @@ let test_held_entries_apply_in_constant_words () =
 
 (* --- Frames keep their bytes --- *)
 
+(* A byte-string length near [max_int] would overflow [pos + len] and
+   pass the bounds check; it is truncated input like any length beyond
+   the data. *)
+let test_bytes_length_overflow_truncated () =
+  let r = Reader.of_string "\xff\xff\xff\xff\xff\xff\xff\xff\x3f" in
+  Alcotest.(check bool) "truncated" true (Reader.bytes r = Error Reader.Truncated)
+
 (* A fixed server's snapshot, bucket summary and partial snapshot, pinned
    by length and MD5 of the bytes the result-monad codec wrote. *)
 let test_frames_pinned () =
@@ -335,5 +342,7 @@ let suite =
         test_varint_encode_allocates_nothing;
       Alcotest.test_case "held entries apply in constant words" `Quick
         test_held_entries_apply_in_constant_words;
+      Alcotest.test_case "bytes length overflow is truncated" `Quick
+        test_bytes_length_overflow_truncated;
       Alcotest.test_case "frames pinned" `Quick test_frames_pinned;
     ] )

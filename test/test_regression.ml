@@ -86,7 +86,8 @@ let failed ~baseline ~current = names (R.failures (compare ~baseline ~current))
 (* The registry emitter's gates, from its typed rows. *)
 module G = Eval.Registry_gates
 
-let row ?(identical = true) spec insert_ops query_ops = { G.spec; insert_ops; query_ops; identical }
+let row ?(identical = true) ?(query_words_per_answer = 6.0) spec insert_ops query_ops =
+  { G.spec; insert_ops; query_ops; query_words_per_answer; identical }
 
 let sweep_row n =
   { G.sw_n = n; sw_insert_ops = 1000.0; sw_query_ops = 2000.0; sw_members = n; sw_bytes = 100 * n }
@@ -124,6 +125,21 @@ let test_gate_fails_on_flipped_invariant () =
     (failed ~baseline:(registry ~dht_query:1000.0 ())
        ~current:(registry ~identical:false ~dht_query:1000.0 ()))
 
+(* The tree's words per answer are exact: a query allocating one more
+   word per neighbor fails, whatever the machine. *)
+let test_gate_catches_query_allocation () =
+  let words w =
+    G.registry
+      [
+        row ~query_words_per_answer:w Eval.Backends.Tree 1000.0 2000.0;
+        row ~query_words_per_answer:(2.0 *. w) Eval.Backends.Dht 500.0 1000.0;
+      ]
+      []
+  in
+  Alcotest.(check (list string)) "exactly the words gate"
+    [ "registry/tree/query_words_per_answer" ]
+    (failed ~baseline:(words 6.0) ~current:(words 7.0))
+
 let test_gate_fails_on_missing_metric () =
   let shrunk = G.registry [ row Eval.Backends.Tree 1000.0 2000.0 ] [] in
   let failures =
@@ -145,6 +161,7 @@ let test_gate_sweep_stops_at_100k () =
   Alcotest.(check (list string)) "members and bytes/member to 100k"
     [
       "registry/tree/answers_identical";
+      "registry/tree/query_words_per_answer";
       "registry/sweep/10000/tree/members";
       "registry/sweep/10000/tree/bytes_per_member";
       "registry/sweep/100000/tree/members";
@@ -313,6 +330,7 @@ let suite =
       Alcotest.test_case "machine speed cancels" `Quick test_gate_normalizes_to_tree;
       Alcotest.test_case "relative regression fails" `Quick test_gate_catches_relative_regression;
       Alcotest.test_case "flipped invariant fails" `Quick test_gate_fails_on_flipped_invariant;
+      Alcotest.test_case "query words per answer gate" `Quick test_gate_catches_query_allocation;
       Alcotest.test_case "missing metric fails" `Quick test_gate_fails_on_missing_metric;
       Alcotest.test_case "resilience tolerances" `Quick test_resilience_metrics_shape;
       Alcotest.test_case "sweep gated to 100k" `Quick test_gate_sweep_stops_at_100k;

@@ -464,7 +464,7 @@ let test_snapshot_peer_out_of_range () =
     array w varint routers
   in
   let w = Prelude.Codec.Writer.create () in
-  Prelude.Codec.Writer.list w (entry w) [ 5; 1 lsl 31 ];
+  Prelude.Codec.Writer.list w entry [ 5; 1 lsl 31 ];
   let before = Server.digest server in
   (match Server.apply_buckets server (Prelude.Codec.Writer.contents w) with
   | Error msg -> Alcotest.(check string) "malformed" "malformed input: snapshot peer out of range" msg
@@ -541,6 +541,93 @@ let test_neighbors_allocation_flat_in_hops () =
   Alcotest.(check (list int)) "hops" [ 3; 12 ]
     (List.map (fun p -> Array.length (Option.get (Server.path_of server p)) - 1) [ 0; 100 ]);
   Alcotest.(check (float 0.0)) "same words for 3 and 12 hops" (words 0) (words 100)
+
+(* A query allocates its answer and nothing else: 5 neighbors are 5
+   pairs and 5 cons cells, 30 words.  The selector, the asker's
+   exclusion and the sizing of the request and the reply allocate
+   nothing. *)
+let test_neighbors_allocate_only_the_answer () =
+  let map, oracle, lmks, _ = make_workload ~seed:11 () in
+  let server = Server.create oracle ~landmarks:lmks in
+  let client = Client.create oracle ~landmarks:lmks in
+  let members = 400 and k = 5 in
+  for peer = 0 to members - 1 do
+    ignore
+      (Server.join server ~client ~peer ~attach_router:map.leaves.(peer mod Array.length map.leaves))
+  done;
+  for peer = 0 to members - 1 do
+    ignore (Server.neighbors server ~peer ~k)
+  done;
+  for peer = 0 to members - 1 do
+    let before = Gc.minor_words () in
+    let answer = Server.neighbors server ~peer ~k in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "a full answer" k (List.length answer);
+    Alcotest.(check (float 0.0)) (Printf.sprintf "peer %d: words" peer) 30.0 words
+  done
+
+(* Top-ups pinned to the selection they replaced: the home tree's answer,
+   then from each other tree, closest landmark first, its lowest member
+   ids after a sort of all of them.  A cold server, queried after every
+   join at several k, runs short of its home tree on most queries. *)
+let test_topup_matches_full_sort () =
+  let map, oracle, lmks, _ = make_workload ~seed:7 () in
+  let server = Server.create oracle ~landmarks:lmks in
+  let client = Client.create oracle ~landmarks:lmks in
+  let n = 40 in
+  let joined = ref [] and topups = ref 0 in
+  let reference peer k =
+    let info = Option.get (Server.info server peer) in
+    let home = info.landmark in
+    let tree_of lmk =
+      let t = Path_tree.create ~landmark:lmk in
+      List.iter
+        (fun p ->
+          if (Option.get (Server.info server p)).landmark = lmk then
+            Path_tree.insert t ~peer:p ~routers:(Option.get (Server.path_of server p)))
+        (List.rev !joined);
+      t
+    in
+    let regional = Path_tree.query_member (tree_of home) ~peer ~k in
+    let others =
+      List.filter (fun l -> l <> home) (Array.to_list lmks)
+      |> List.stable_sort (fun a b ->
+             compare
+               (Traceroute.Route_oracle.route_length oracle ~src:home ~dst:a)
+               (Traceroute.Route_oracle.route_length oracle ~src:home ~dst:b))
+    in
+    let missing = ref (k - List.length regional) and extra = ref [] in
+    List.iter
+      (fun lmk ->
+        let members = ref [] in
+        Path_tree.iter_members (tree_of lmk) (fun p -> members := p :: !members);
+        List.iter
+          (fun p ->
+            if !missing > 0 then begin
+              extra := (p, max_int) :: !extra;
+              decr missing
+            end)
+          (List.sort compare !members))
+      others;
+    regional @ List.rev !extra
+  in
+  for peer = 0 to n - 1 do
+    let attach_router = map.leaves.(peer * 7 mod Array.length map.leaves) in
+    ignore (Server.join server ~client ~peer ~attach_router);
+    joined := peer :: !joined;
+    List.iter
+      (fun asker ->
+        List.iter
+          (fun k ->
+            let answer = Server.neighbors server ~peer:asker ~k in
+            if List.exists (fun (_, d) -> d = max_int) answer then incr topups;
+            Alcotest.(check (list (pair int int)))
+              (Printf.sprintf "peer %d asking for %d among %d" asker k (peer + 1))
+              (reference asker k) answer)
+          [ 1; 3; 5; n ])
+      !joined
+  done;
+  Alcotest.(check bool) "top-ups fired" true (!topups > 100)
 
 (* The server's state per member, the route oracle's excluded: the peer
    index and per-slot arrays, the landmark trees (which alone hold the
@@ -847,6 +934,9 @@ let suite =
       Alcotest.test_case "register prefix" `Quick test_register_prefix;
       Alcotest.test_case "neighbors allocation flat in hops" `Quick
         test_neighbors_allocation_flat_in_hops;
+      Alcotest.test_case "neighbors allocate only the answer" `Quick
+        test_neighbors_allocate_only_the_answer;
+      Alcotest.test_case "top-up = full sort" `Quick test_topup_matches_full_sort;
       Alcotest.test_case "state bytes per member" `Quick test_state_bytes_per_member;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) qcheck_server_model;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])

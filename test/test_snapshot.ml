@@ -222,15 +222,15 @@ let write_entry w (peer, attach, probes, routers) =
 
 let partial entries =
   let w = Prelude.Codec.Writer.create () in
-  Prelude.Codec.Writer.list w (write_entry w) entries;
+  Prelude.Codec.Writer.list w write_entry entries;
   Prelude.Codec.Writer.contents w
 
 let full landmarks entries =
   let open Prelude.Codec.Writer in
   let w = create () in
   u8 w 2;
-  list w (varint w) (Array.to_list landmarks);
-  list w (write_entry w) entries;
+  list w varint (Array.to_list landmarks);
+  list w write_entry entries;
   contents w
 
 (* An incoming entry is already held when it carries the attach router,
@@ -324,9 +324,9 @@ let test_version_1_rejected () =
     let open Prelude.Codec.Writer in
     let w = create () in
     u8 w 1;
-    list w (varint w) (Array.to_list (Server.landmarks server));
+    list w varint (Array.to_list (Server.landmarks server));
     list w
-      (fun peer ->
+      (fun w peer ->
         let info = Option.get (Server.info server peer) in
         varint w peer;
         varint w info.attach_router;

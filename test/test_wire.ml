@@ -127,7 +127,7 @@ let test_bool_roundtrip () =
 
 let test_list_roundtrip () =
   let w = Codec.Writer.create () in
-  Codec.Writer.list w (Codec.Writer.varint w) [ 1; 2; 300 ];
+  Codec.Writer.list w Codec.Writer.varint [ 1; 2; 300 ];
   let r = Codec.Reader.of_string (Codec.Writer.contents w) in
   Alcotest.(check bool) "list" true (Codec.Reader.list r Codec.Reader.varint = Ok [ 1; 2; 300 ])
 
@@ -368,6 +368,36 @@ let qcheck_wire_neighbor_reply_roundtrip =
       let m = Wire.Neighbor_reply { peer; neighbors } in
       match Wire.decode (Wire.encode m) with Ok m' -> Wire.equal m m' | Error _ -> false)
 
+(* The neighbor request and reply are sized from their fields, by the
+   emitter [encode] runs: the same byte count, top-up distances of
+   [max_int] sent as [far] included. *)
+let qcheck_wire_neighbor_sizers_exact =
+  let distance =
+    QCheck.Gen.(frequency [ (4, int_bound 5000); (1, return max_int); (1, int_range 0x3FFFFF0 0x4000010) ])
+  in
+  let id = QCheck.Gen.(frequency [ (4, int_bound 10000); (1, int_bound max_int) ]) in
+  QCheck.Test.make ~name:"neighbor request and reply sizers = encode length" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(triple int int (list (pair int int)))
+       QCheck.Gen.(triple id (int_bound 1000) (list_size (int_bound 12) (pair id distance))))
+    (fun (peer, k, neighbors) ->
+      Wire.neighbor_request_size ~peer ~k
+      = String.length (Wire.encode (Wire.Neighbor_request { peer; k }))
+      && Wire.neighbor_reply_size ~peer neighbors
+         = String.length (Wire.encode (Wire.Neighbor_reply { peer; neighbors })))
+
+(* A query's two messages are sized without building either, and without
+   allocating. *)
+let test_wire_neighbor_sizing_allocates_nothing () =
+  let neighbors = [ (3, 0); (17, 2); (300, 5); (4000, 9); (12, max_int) ] in
+  let before = Gc.minor_words () in
+  for peer = 1 to 1_000 do
+    ignore (Sys.opaque_identity (Wire.neighbor_request_size ~peer ~k:5));
+    ignore (Sys.opaque_identity (Wire.neighbor_reply_size ~peer neighbors))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words over 1,000 of each" 0.0 words
+
 (* A batched fan-out must cost less than the reports shipped one message
    each — that is its reason to exist — and the allocation-free [byte_size]
    must agree with the bytes [encode] actually produces. *)
@@ -450,5 +480,8 @@ let suite =
       q qcheck_wire_decode_mutations;
       q qcheck_wire_batch_size_exact;
       q qcheck_wire_neighbor_reply_roundtrip;
+      q qcheck_wire_neighbor_sizers_exact;
+      Alcotest.test_case "neighbor sizing allocates nothing" `Quick
+        test_wire_neighbor_sizing_allocates_nothing;
       q qcheck_wire_decode_total;
     ] )
