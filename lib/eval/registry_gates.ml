@@ -4,13 +4,7 @@
 
 open Regression
 
-type row = {
-  spec : Backends.spec;
-  insert_ops : float;
-  query_ops : float;
-  query_words_per_answer : float;
-  identical : bool;
-}
+type row = { spec : Backends.spec; insert_ops : float; query_ops : float; identical : bool }
 
 type sweep_row = {
   sw_n : int;
@@ -60,7 +54,7 @@ let sweep rows =
    answers-identical invariant, and the tree's minor words per returned
    neighbor: a query allocates its answer alone, 6 words per neighbor,
    so the count is exact on any machine. *)
-let registry rows sweep_rows =
+let registry ~query_words_per_answer rows sweep_rows =
   let column f = List.map (fun r -> (r.spec, f r)) rows in
   rel_tree (Printf.sprintf "registry/%s/insert_rel_tree") Higher_better 0.6
     (column (fun r -> r.insert_ops))
@@ -70,12 +64,7 @@ let registry rows sweep_rows =
       (fun r ->
         flag (Printf.sprintf "registry/%s/answers_identical" (Backends.to_string r.spec)) r.identical)
       rows
-  @ List.filter_map
-      (fun r ->
-        if r.spec = Backends.Tree then
-          Some (exact "registry/tree/query_words_per_answer" r.query_words_per_answer)
-        else None)
-      rows
+  @ [ exact "registry/tree/query_words_per_answer" query_words_per_answer ]
   @ sweep sweep_rows
 
 (* p99 relative to the tree backend: tails are the noisiest numbers

@@ -5,8 +5,6 @@ type row = {
   spec : Backends.spec;
   insert_ops : float;
   query_ops : float;
-  query_words_per_answer : float;
-      (** Minor words a query loop allocates per neighbor it returns. *)
   identical : bool;  (** Answers equal the tree backend's. *)
 }
 
@@ -39,11 +37,12 @@ val rel_tree :
     row's from the same run — machine speed cancels.
     @raise Invalid_argument without a tree row. *)
 
-val registry : row list -> sweep_row list -> Regression.gate list
+val registry :
+  query_words_per_answer:float -> row list -> sweep_row list -> Regression.gate list
 (** Insert and query throughput relative to tree (0.6) and the
-    answers-identical flag per backend row; the tree row's query words per
-    answer, exact; per sweep point at n ≤ 100k, members and
-    bytes/member. *)
+    answers-identical flag per backend row; the tree's minor words per
+    neighbor its queries return, exact; per sweep point at n ≤ 100k,
+    members and bytes/member. *)
 
 val obs :
   sketch_max_err:float ->

@@ -32,13 +32,26 @@ let kind = function
 (* A reply's largest distance, a 4-byte varint: a top-up's [max_int]. *)
 let far = 0x3FFFFFF
 
+let tag = function
+  | Ping_request _ -> 0
+  | Ping_reply _ -> 1
+  | Path_report _ -> 2
+  | Neighbor_request _ -> 3
+  | Neighbor_reply _ -> 4
+  | Leave _ -> 5
+  | Path_report_batch _ -> 6
+  | Replica_prefix _ -> 7
+  | Replica_nack _ -> 8
+  | Path_prefix _ -> 9
+  | Continue _ -> 10
+
 (* The encoder is written once against [Codec.SINK] and instantiated twice:
    over [Writer] to produce bytes, over [Sizer] to measure them — so
-   [byte_size] cannot drift from [encode].  A message's emitter takes its
-   fields, so the neighbor request and reply, sized on every query, are
-   measured from their fields without building either message.  Sizing
-   them, or a report, allocates nothing: lists and arrays are emitted by
-   closed functions, into the domain's shared sizer. *)
+   [byte_size] cannot drift from [encode].  The neighbor request and
+   reply, sized on every query, have emitters over their fields, so they
+   are measured without building either message.  Sizing them, or a
+   report, allocates nothing: lists and arrays are emitted by closed
+   functions, into the domain's shared sizer. *)
 module Emit (S : Prelude.Codec.SINK) = struct
   (* Version byte, then the message's tag. *)
   let header w tag =
@@ -57,54 +70,38 @@ module Emit (S : Prelude.Codec.SINK) = struct
     S.varint w path.dst;
     S.array w hop path.hops
 
-  let batch_entry w (peer, path) = report w peer path
-
   let neighbor w (p, d) =
     S.varint w p;
     S.varint w (if d >= far then far else d)
 
+  (* The bodies of a neighbor request and reply, after the header. *)
   let neighbor_request w ~peer ~k =
-    header w 3;
     S.varint w peer;
     S.varint w k
 
   let neighbor_reply w ~peer neighbors =
-    header w 4;
     S.varint w peer;
     S.list w neighbor neighbors
 
-  (* A message whose body is one varint. *)
-  let single w tag v =
-    header w tag;
-    S.varint w v
-
-  (* A replica's or a first round's prefix: [from] is the donor or the
-     landmark. *)
-  let prefix_message w tag ~peer ~from ~probes prefix =
-    header w tag;
-    S.varint w peer;
-    S.varint w from;
-    S.varint w probes;
-    S.array w S.varint prefix
-
-  let message w = function
-    | Ping_request { nonce } -> single w 0 nonce
-    | Ping_reply { nonce } -> single w 1 nonce
-    | Path_report { peer; path } ->
-        header w 2;
-        report w peer path
+  let message w m =
+    header w (tag m);
+    match m with
+    | Ping_request { nonce } | Ping_reply { nonce } -> S.varint w nonce
+    | Path_report { peer; path } -> report w peer path
+    | Path_report_batch { reports } -> S.list w (fun w (peer, path) -> report w peer path) reports
     | Neighbor_request { peer; k } -> neighbor_request w ~peer ~k
     | Neighbor_reply { peer; neighbors } -> neighbor_reply w ~peer neighbors
-    | Leave { peer } -> single w 5 peer
-    | Path_report_batch { reports } ->
-        header w 6;
-        S.list w batch_entry reports
+    | Leave { peer } | Replica_nack { peer } | Continue { peer } -> S.varint w peer
     | Replica_prefix { peer; donor; probes; prefix } ->
-        prefix_message w 7 ~peer ~from:donor ~probes prefix
-    | Replica_nack { peer } -> single w 8 peer
+        S.varint w peer;
+        S.varint w donor;
+        S.varint w probes;
+        S.array w S.varint prefix
     | Path_prefix { peer; landmark; probes; prefix } ->
-        prefix_message w 9 ~peer ~from:landmark ~probes prefix
-    | Continue { peer } -> single w 10 peer
+        S.varint w peer;
+        S.varint w landmark;
+        S.varint w probes;
+        S.array w S.varint prefix
 end
 
 module Emit_bytes = Emit (Prelude.Codec.Writer)
@@ -126,12 +123,14 @@ let byte_size message =
 let neighbor_request_size ~peer ~k =
   let s = Prelude.Codec.Sizer.shared () in
   let before = Prelude.Codec.Sizer.size s in
+  Emit_size.header s 3;
   Emit_size.neighbor_request s ~peer ~k;
   Prelude.Codec.Sizer.size s - before
 
 let neighbor_reply_size ~peer neighbors =
   let s = Prelude.Codec.Sizer.shared () in
   let before = Prelude.Codec.Sizer.size s in
+  Emit_size.header s 4;
   Emit_size.neighbor_reply s ~peer neighbors;
   Prelude.Codec.Sizer.size s - before
 

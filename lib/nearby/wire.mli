@@ -57,7 +57,9 @@ val decode : string -> (message, string) result
 val byte_size : message -> int
 (** Exactly [String.length (encode m)], computed by a counting pass over
     the same emitter ({!Prelude.Codec.Sizer}) — no buffer is allocated,
-    and sizing any message allocates nothing at all.  Used
+    and sizing a {!Path_report}, {!Replica_prefix}, {!Replica_nack},
+    {!Path_prefix}, {!Continue}, {!Neighbor_request}, {!Neighbor_reply}
+    or {!Ping_request} allocates nothing at all.  Used
     by the simulator to charge realistic message sizes on hot paths. *)
 
 val neighbor_request_size : peer:int -> k:int -> int

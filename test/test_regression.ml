@@ -86,14 +86,13 @@ let failed ~baseline ~current = names (R.failures (compare ~baseline ~current))
 (* The registry emitter's gates, from its typed rows. *)
 module G = Eval.Registry_gates
 
-let row ?(identical = true) ?(query_words_per_answer = 6.0) spec insert_ops query_ops =
-  { G.spec; insert_ops; query_ops; query_words_per_answer; identical }
+let row ?(identical = true) spec insert_ops query_ops = { G.spec; insert_ops; query_ops; identical }
 
 let sweep_row n =
   { G.sw_n = n; sw_insert_ops = 1000.0; sw_query_ops = 2000.0; sw_members = n; sw_bytes = 100 * n }
 
 let registry ?identical ~dht_query () =
-  G.registry
+  G.registry ~query_words_per_answer:6.0
     [ row Eval.Backends.Tree 1000.0 2000.0; row ?identical Eval.Backends.Dht 500.0 dht_query ]
     []
 
@@ -105,7 +104,7 @@ let test_gate_normalizes_to_tree () =
   (* Both backends 2x slower in absolute terms: relative gates are
      unchanged, so a slower CI machine does not fail the gate. *)
   let scaled =
-    G.registry
+    G.registry ~query_words_per_answer:6.0
       [ row Eval.Backends.Tree 500.0 1000.0; row Eval.Backends.Dht 250.0 500.0 ]
       []
   in
@@ -129,11 +128,8 @@ let test_gate_fails_on_flipped_invariant () =
    word per neighbor fails, whatever the machine. *)
 let test_gate_catches_query_allocation () =
   let words w =
-    G.registry
-      [
-        row ~query_words_per_answer:w Eval.Backends.Tree 1000.0 2000.0;
-        row ~query_words_per_answer:(2.0 *. w) Eval.Backends.Dht 500.0 1000.0;
-      ]
+    G.registry ~query_words_per_answer:w
+      [ row Eval.Backends.Tree 1000.0 2000.0; row Eval.Backends.Dht 500.0 1000.0 ]
       []
   in
   Alcotest.(check (list string)) "exactly the words gate"
@@ -141,7 +137,7 @@ let test_gate_catches_query_allocation () =
     (failed ~baseline:(words 6.0) ~current:(words 7.0))
 
 let test_gate_fails_on_missing_metric () =
-  let shrunk = G.registry [ row Eval.Backends.Tree 1000.0 2000.0 ] [] in
+  let shrunk = G.registry ~query_words_per_answer:6.0 [ row Eval.Backends.Tree 1000.0 2000.0 ] [] in
   let failures =
     R.failures (compare ~baseline:(registry ~dht_query:1000.0 ()) ~current:shrunk)
   in
@@ -155,7 +151,7 @@ let test_gate_fails_on_missing_metric () =
    above 100k members are not gated, because CI sweeps to 100k. *)
 let test_gate_sweep_stops_at_100k () =
   let gates =
-    G.registry [ row Eval.Backends.Tree 1000.0 2000.0 ]
+    G.registry ~query_words_per_answer:6.0 [ row Eval.Backends.Tree 1000.0 2000.0 ]
       (List.map sweep_row [ 10_000; 100_000; 1_000_000 ])
   in
   Alcotest.(check (list string)) "members and bytes/member to 100k"
