@@ -501,21 +501,24 @@ let run_registry ~full ~sweep_max =
     (spec, reg, !insert_ops, query_ops, answers)
   in
   let results = List.map run_backend Eval.Backends.all in
-  let tree, reference =
+  let reference =
     match results with
-    | (Eval.Backends.Tree, reg, _, _, answers) :: _ -> (reg, answers)
+    | (Eval.Backends.Tree, _, _, _, answers) :: _ -> answers
     | _ -> failwith "registry bench: tree backend must run first"
   in
-  (* The tree's query loop once more, untimed, counting the minor words it
-     allocates against the neighbors it returns. *)
-  let query_words_per_answer =
+  (* A backend's query loop once more, untimed, counting the minor words
+     it allocates against the neighbors it returns. *)
+  let words_per_answer spec =
+    let _, reg, _, _, _ = List.find (fun (s, _, _, _, _) -> s = spec) results in
     let returned = ref 0 in
     let before = Gc.minor_words () in
     for peer = 0 to query_count - 1 do
-      returned := !returned + List.length (Nearby.Registry_intf.query_member tree ~peer ~k)
+      returned := !returned + List.length (Nearby.Registry_intf.query_member reg ~peer ~k)
     done;
     (Gc.minor_words () -. before) /. float_of_int (Int.max 1 !returned)
   in
+  let query_words_per_answer = words_per_answer Eval.Backends.Tree in
+  let dht_words_per_answer = words_per_answer Eval.Backends.Dht in
   let rows =
     List.map
       (fun (spec, _, insert_ops, query_ops, answers) ->
@@ -533,7 +536,8 @@ let run_registry ~full ~sweep_max =
            string_of_bool r.identical;
          ])
        rows);
-  Printf.printf "tree: %.1f minor words per returned neighbor\n" query_words_per_answer;
+  Printf.printf "minor words per returned neighbor: tree %.1f, dht %.1f\n" query_words_per_answer
+    dht_words_per_answer;
   let sweep_rows = run_sweep ~sweep_max in
   let row_json (r : Eval.Registry_gates.row) =
     Printf.sprintf

@@ -93,9 +93,12 @@ let member_count t = Array.length (members t)
 
 (* First ring position of the member: where its lookups start. *)
 let index_of t app_id =
-  let found = ref (-1) in
-  Array.iteri (fun i m -> if !found = -1 && m.app_id = app_id then found := i) t.ring;
-  !found
+  let n = Array.length t.ring in
+  let i = ref 0 in
+  while !i < n && t.ring.(!i).app_id <> app_id do
+    incr i
+  done;
+  if !i < n then !i else -1
 
 let owner_of t ~key = t.ring.(successor_index t.ring (hash_key key)).app_id
 
@@ -103,37 +106,37 @@ let owner_of t ~key = t.ring.(successor_index t.ring (hash_key key)).app_id
 let in_interval x ~after:a ~upto:b =
   if a < b then x > a && x <= b else x > a || x <= b
 
+(* The hop after ring position [current] toward [target]: the successor
+   when the target lies between the two, else the farthest finger that
+   precedes the target. *)
+let next_hop t current target =
+  let succ = (current + 1) mod Array.length t.ring in
+  if in_interval target ~after:t.ring.(current).ring_id ~upto:t.ring.(succ).ring_id then succ
+  else begin
+    let best = ref succ in
+    let fingers = t.ring.(current).fingers in
+    for i = 0 to Array.length fingers - 1 do
+      let f = fingers.(i) in
+      if
+        f <> current
+        && in_interval t.ring.(f).ring_id ~after:t.ring.(current).ring_id ~upto:target
+        && in_interval t.ring.(f).ring_id ~after:t.ring.(!best).ring_id ~upto:target
+      then best := f
+    done;
+    if !best = current then succ else !best
+  end
+
 let lookup t ~from ~key =
   let start = index_of t from in
   if start < 0 then invalid_arg "Chord.lookup: unknown member";
   let target = hash_key key in
   let owner_index = successor_index t.ring target in
-  let n = Array.length t.ring in
-  let rec route current hops =
-    if current = owner_index then (t.ring.(current).app_id, hops)
-    else begin
-      (* Successor rule: if the target lies between us and our successor,
-         the successor owns it. *)
-      let succ = (current + 1) mod n in
-      if in_interval target ~after:t.ring.(current).ring_id ~upto:t.ring.(succ).ring_id then
-        route succ (hops + 1)
-      else begin
-        (* Farthest finger that precedes the target. *)
-        let best = ref succ in
-        Array.iter
-          (fun f ->
-            if
-              f <> current
-              && in_interval t.ring.(f).ring_id ~after:t.ring.(current).ring_id ~upto:target
-              && in_interval t.ring.(f).ring_id ~after:t.ring.(!best).ring_id ~upto:target
-            then best := f)
-          t.ring.(current).fingers;
-        let next = if !best = current then succ else !best in
-        route next (hops + 1)
-      end
-    end
-  in
-  route start 0
+  let current = ref start and hops = ref 0 in
+  while !current <> owner_index do
+    current := next_hop t !current target;
+    incr hops
+  done;
+  (t.ring.(owner_index).app_id, !hops)
 
 let check_invariants t =
   let n = Array.length t.ring in

@@ -14,9 +14,14 @@ type stats = {
 
 type node_store = { mutable buckets : (int, Bucket.t ref) Hashtbl.t }
 
+(* A query's walk while it scans one bucket.  [offer_entry] is the one
+   closure over it, built with the directory, so a scan builds none. *)
+type scan = { mutable walk_cost : int; mutable best : Top_k.t; mutable exclude : int -> bool }
+
 type t = {
   landmark : Topology.Graph.node;
   mutable ring : Chord.t;
+  mutable ring_members : int array;  (* [Chord.members ring] *)
   virtual_nodes : int option;
   stores : (int, node_store) Hashtbl.t;  (* dht node -> its shard *)
   paths : (int, int array) Hashtbl.t;  (* peer -> registered path *)
@@ -26,15 +31,31 @@ type t = {
   (* The requester-side entry point rotates round robin, as a real client
      would pick a random known ring member. *)
   mutable entry_cursor : int;
+  scan : scan;
+  offer_entry : int * int -> unit;
 }
+
+let no_exclusion _ = false
+
+(* Offer a bucket entry at the scan's walk cost; stop the bucket's
+   iteration at the first that cannot enter. *)
+let offer_entry scan (dist, peer) =
+  if
+    not
+      (Top_k.offer_new scan.best (Top_k.pack ~cost:(scan.walk_cost + dist) ~peer)
+         ~exclude:scan.exclude)
+  then raise_notrace Exit
 
 let create ?virtual_nodes ~landmark dht_nodes =
   let ring = Chord.build ?virtual_nodes dht_nodes in
   let stores = Hashtbl.create (Array.length dht_nodes) in
   Array.iter (fun node -> Hashtbl.add stores node { buckets = Hashtbl.create 32 }) dht_nodes;
+  (* Any selector: each query sets the one it fills. *)
+  let scan = { walk_cost = 0; best = Top_k.shared ~k:0; exclude = no_exclusion } in
   {
     landmark;
     ring;
+    ring_members = Chord.members ring;
     virtual_nodes;
     stores;
     paths = Hashtbl.create 256;
@@ -42,6 +63,8 @@ let create ?virtual_nodes ~landmark dht_nodes =
     overlay_hops = 0;
     migrated = 0;
     entry_cursor = 0;
+    scan;
+    offer_entry = offer_entry scan;
   }
 
 let landmark t = t.landmark
@@ -50,8 +73,7 @@ let member_count t = Hashtbl.length t.paths
 (* One DHT lookup for the bucket of [router]: route from a rotating entry
    member and account the overlay hops. *)
 let locate t router =
-  let ring_members = Chord.members t.ring in
-  let entry = ring_members.(t.entry_cursor mod Array.length ring_members) in
+  let entry = t.ring_members.(t.entry_cursor mod Array.length t.ring_members) in
   t.entry_cursor <- t.entry_cursor + 1;
   let owner, hops = Chord.lookup t.ring ~from:entry ~key:router in
   t.lookups <- t.lookups + 1;
@@ -95,50 +117,40 @@ let remove t ~peer =
               if Bucket.is_empty !b then Hashtbl.remove store.buckets router)
         routers
 
-(* Same walk as Path_tree.query, buckets fetched through the ring; the k
-   best candidates accumulate in the shared bounded selector (O(log k) per
-   offer) instead of a sorted list re-scanned with List.nth per candidate
-   (O(k) per offer, O(k^2) per bucket). *)
-let beats_worst best cost =
-  (not (Top_k.is_full best)) || cost <= Top_k.cost_of (Top_k.worst_exn best)
-
-let query t ~routers ~k ?(exclude = fun _ -> false) () =
+(* Same walk as Path_tree.query, buckets fetched through the ring, and
+   the same argument for needing no seen-table: a bucket iterates
+   ascending by (distance, peer), so a peer met again later in the walk
+   comes at a distance no smaller than before, and the selector either
+   still holds it or has k strictly better. *)
+let query t ~routers ~k ?(exclude = no_exclusion) () =
   if k <= 0 then []
   else begin
-    let seen = Hashtbl.create 64 in
     let best = Top_k.shared ~k in
+    let scan = t.scan in
+    scan.best <- best;
+    scan.exclude <- exclude;
     let len = Array.length routers in
     let d = ref 0 in
-    while !d < len && beats_worst best !d do
+    while !d < len && ((not (Top_k.is_full best)) || !d <= Top_k.cost_of (Top_k.worst_exn best)) do
       let router = routers.(!d) in
       let store = locate t router in
-      (match Hashtbl.find_opt store.buckets router with
-      | None -> ()
-      | Some bucket ->
-          (try
-             Bucket.iter
-               (fun (dist, p) ->
-                 let candidate = !d + dist in
-                 if not (beats_worst best candidate) then raise Exit;
-                 if not (Hashtbl.mem seen p) then begin
-                   Hashtbl.add seen p ();
-                   if not (exclude p) then Top_k.offer best (Top_k.pack ~cost:candidate ~peer:p)
-                 end)
-               !bucket
-           with Exit -> ()));
+      (match Hashtbl.find store.buckets router with
+      | bucket -> (
+          scan.walk_cost <- !d;
+          try Bucket.iter t.offer_entry !bucket with Exit -> ())
+      | exception Not_found -> ());
       incr d
     done;
+    scan.exclude <- no_exclusion;
     Top_k.drain best
   end
 
 let query_member t ~peer ~k =
-  match Hashtbl.find_opt t.paths peer with
-  | None -> raise Not_found
-  | Some routers -> query t ~routers ~k ?exclude:(Top_k.excluding peer) ()
+  query t ~routers:(Hashtbl.find t.paths peer) ~k ?exclude:(Top_k.excluding peer) ()
 
 let stats t =
   let per_node =
-    Array.to_list (Chord.members t.ring)
+    Array.to_list t.ring_members
     |> List.map (fun node -> (node, Hashtbl.length (Hashtbl.find t.stores node).buckets))
   in
   { lookups = t.lookups; overlay_hops = t.overlay_hops; buckets_per_node = per_node }
@@ -246,17 +258,18 @@ let rebuild_and_migrate t members =
       incr moved)
     !relocations;
   t.ring <- new_ring;
+  t.ring_members <- Chord.members new_ring;
   t.migrated <- t.migrated + !moved;
   !moved
 
 let add_node t ~node =
-  let members = Chord.members t.ring in
+  let members = t.ring_members in
   if Array.mem node members then invalid_arg "Directory.add_node: already a member";
   Hashtbl.replace t.stores node { buckets = Hashtbl.create 32 };
   rebuild_and_migrate t (Array.append members [| node |])
 
 let remove_node t ~node =
-  let members = Chord.members t.ring in
+  let members = t.ring_members in
   if not (Array.mem node members) then invalid_arg "Directory.remove_node: not a member";
   if Array.length members <= 1 then invalid_arg "Directory.remove_node: last node";
   let remaining = Array.of_list (List.filter (fun m -> m <> node) (Array.to_list members)) in

@@ -28,15 +28,25 @@ module Slot_index = Prelude.Slot_index
    An entry is one packed int, [cost lsl 31 lor peer] ({!Topk.pack}), so
    ascending int order is ascending (cost, peer) order: a search compares
    ints, a shift moves one array, a scan reads one array.  Insertion is a
-   binary search to the right chunk plus a shift; a chunk starts at
-   [seed_cap] slots, doubles as it fills and splits at [chunk_cap], so a
-   single insert never moves more than [chunk_cap] entries.  There is one
+   binary search to the right chunk plus a shift; a chunk's array is a
+   power of two from [seed_cap] to [chunk_cap] slots, so a single insert
+   never moves more than [chunk_cap] entries.
+
+   Chunks are kept full.  Members join in id order, so a bucket takes its
+   inserts at the ends of its cost groups, always at the same few points,
+   and a chunk split in half would leave the half without such a point
+   half full for good.  So a key falling between two chunks goes to the
+   end of the earlier one; a full chunk first moves entries into a
+   neighbour that has room; and only a full chunk between full
+   neighbours splits, at the insertion point.  A removal leaving a chunk
+   at most a quarter full merges it into a neighbour that can take it.
+   [chunk_cap] is 256, not 512: a full chunk's insert then shifts about
+   as many entries as a half-full 512-entry one did.  There is one
    insertion path, so a tree's layout depends only on the sequence of
    operations. *)
 
-let chunk_cap = 512
+let chunk_cap = 256
 let seed_cap = 8
-let spare_limit = 64
 
 type chunk = { mutable keys : int array; mutable clen : int }
 type bucket = { mutable chunks : chunk array; mutable nchunks : int; mutable total : int }
@@ -61,10 +71,6 @@ type t = {
      insert names; a router without entries holds [empty_bucket]. *)
   mutable buckets : bucket array;
   mutable live : int;  (* routers whose bucket is not [empty_bucket] *)
-  (* Arena of retired full-size chunks, reused by splits so churn does
-     not hammer the allocator. *)
-  mutable spare : chunk list;
-  mutable nspare : int;
 }
 
 (* Shared by every empty slot of every tree: never written, since
@@ -72,42 +78,26 @@ type t = {
 let empty_bucket = { chunks = [||]; nchunks = 0; total = 0 }
 
 let create ~landmark =
-  {
-    landmark;
-    index = Slot_index.create ();
-    routes = [||];
-    buckets = [||];
-    live = 0;
-    spare = [];
-    nspare = 0;
-  }
+  { landmark; index = Slot_index.create (); routes = [||]; buckets = [||]; live = 0 }
 
 let landmark t = t.landmark
 let member_count t = Slot_index.length t.index
 let mem t p = Slot_index.mem t.index p
 let router_count t = t.live
-let fresh_chunk cap = { keys = Array.make cap 0; clen = 0 }
 
-let alloc_full t =
-  match t.spare with
-  | c :: rest ->
-      t.spare <- rest;
-      t.nspare <- t.nspare - 1;
-      c.clen <- 0;
-      c
-  | [] -> fresh_chunk chunk_cap
+(* The array size for [n] entries: the next power of two, from
+   [seed_cap] to [chunk_cap]. *)
+let capacity_for n =
+  let cap = ref seed_cap in
+  while !cap < n do
+    cap := 2 * !cap
+  done;
+  min chunk_cap !cap
 
-let retire_chunk t c =
-  if Array.length c.keys = chunk_cap && t.nspare < spare_limit then begin
-    c.clen <- 0;
-    t.spare <- c :: t.spare;
-    t.nspare <- t.nspare + 1
-  end
-
-let ensure_room c =
-  let cap = Array.length c.keys in
-  if c.clen = cap then begin
-    let keys = Array.make (min chunk_cap (2 * cap)) 0 in
+(* Room for [n] entries in [c]. *)
+let reserve c n =
+  if n > Array.length c.keys then begin
+    let keys = Array.make (capacity_for n) 0 in
     int_blit c.keys 0 keys 0 c.clen;
     c.keys <- keys
   end
@@ -145,44 +135,86 @@ let bucket_insert_chunk b ci c =
   b.chunks.(ci) <- c;
   b.nchunks <- n + 1
 
-let split_chunk t b ci =
-  let c = b.chunks.(ci) in
-  let half = c.clen / 2 in
-  let upper = alloc_full t in
-  let ulen = c.clen - half in
-  int_blit c.keys half upper.keys 0 ulen;
-  upper.clen <- ulen;
-  c.clen <- half;
-  bucket_insert_chunk b (ci + 1) upper
+let bucket_drop_chunk b ci =
+  Array.blit b.chunks (ci + 1) b.chunks ci (b.nchunks - ci - 1);
+  b.nchunks <- b.nchunks - 1
 
 let chunk_insert_at c pos key =
-  ensure_room c;
+  reserve c (c.clen + 1);
   let n = c.clen in
   int_blit c.keys pos c.keys (pos + 1) (n - pos);
   c.keys.(pos) <- key;
   c.clen <- n + 1
 
-let bucket_add t b key =
-  (if b.nchunks = 0 then begin
-     let c = fresh_chunk seed_cap in
-     c.keys.(0) <- key;
-     c.clen <- 1;
-     bucket_insert_chunk b 0 c
-   end
+(* Move the first [m] entries of [c] to the end of [left]. *)
+let move_to_left left c m =
+  reserve left (left.clen + m);
+  int_blit c.keys 0 left.keys left.clen m;
+  left.clen <- left.clen + m;
+  int_blit c.keys m c.keys 0 (c.clen - m);
+  c.clen <- c.clen - m
+
+(* Move the last [m] entries of [c] to the front of [right]. *)
+let move_to_right c right m =
+  reserve right (right.clen + m);
+  int_blit right.keys 0 right.keys m right.clen;
+  int_blit c.keys (c.clen - m) right.keys 0 m;
+  right.clen <- right.clen + m;
+  c.clen <- c.clen - m
+
+(* Split the full chunk [ci] where [key] goes, at [pos]: the entries
+   below [pos] and those from [pos] on.  The key joins the smaller part,
+   which gets the smallest array that holds it; the larger part keeps the
+   old array. *)
+let split_at b ci pos key =
+  let c = b.chunks.(ci) in
+  let n = c.clen in
+  if 2 * pos <= n then begin
+    let lower = { keys = Array.make (capacity_for (pos + 1)) key; clen = pos + 1 } in
+    int_blit c.keys 0 lower.keys 0 pos;
+    int_blit c.keys pos c.keys 0 (n - pos);
+    c.clen <- n - pos;
+    bucket_insert_chunk b ci lower
+  end
+  else begin
+    let upper = { keys = Array.make (capacity_for (n - pos + 1)) key; clen = n - pos + 1 } in
+    int_blit c.keys pos upper.keys 1 (n - pos);
+    c.clen <- pos;
+    bucket_insert_chunk b (ci + 1) upper
+  end
+
+let room c = chunk_cap - c.clen
+
+let bucket_add b key =
+  (if b.nchunks = 0 then bucket_insert_chunk b 0 { keys = Array.make seed_cap key; clen = 1 }
    else begin
-     let ci = ref (bucket_chunk_for b key) in
-     if b.chunks.(!ci).clen >= chunk_cap then begin
-       split_chunk t b !ci;
-       if last_key b.chunks.(!ci) < key then incr ci
-     end;
-     let c = b.chunks.(!ci) in
-     chunk_insert_at c (chunk_lower c key) key
+     let ci = bucket_chunk_for b key in
+     let c = b.chunks.(ci) in
+     let pos = chunk_lower c key in
+     let left = if ci > 0 then b.chunks.(ci - 1) else c in
+     let right = if ci + 1 < b.nchunks then b.chunks.(ci + 1) else c in
+     if pos = 0 && left != c && room left > 0 then chunk_insert_at left left.clen key
+     else if room c > 0 then chunk_insert_at c pos key
+     else if pos > 0 && left != c && room left > 0 then begin
+       let m = min pos (room left) in
+       move_to_left left c m;
+       chunk_insert_at c (pos - m) key
+     end
+     else if pos < c.clen && right != c && room right > 0 then begin
+       move_to_right c right (min (c.clen - pos) (room right));
+       chunk_insert_at c pos key
+     end
+     else split_at b ci pos key
    end);
   b.total <- b.total + 1
 
+(* Whether chunk [i] of [b] exists and can take every entry of [c]. *)
+let takes b i c = i >= 0 && i < b.nchunks && b.chunks.(i).clen + c.clen <= chunk_cap
+
 (* Silent no-op when absent; the structural invariants guarantee presence
-   on every live code path. *)
-let bucket_remove t b key =
+   on every live code path.  A chunk left at most a quarter full merges
+   into a neighbour that can take all of it. *)
+let bucket_remove b key =
   if b.nchunks > 0 then begin
     let ci = bucket_chunk_for b key in
     let c = b.chunks.(ci) in
@@ -191,10 +223,16 @@ let bucket_remove t b key =
       int_blit c.keys (pos + 1) c.keys pos (c.clen - pos - 1);
       c.clen <- c.clen - 1;
       b.total <- b.total - 1;
-      if c.clen = 0 then begin
-        Array.blit b.chunks (ci + 1) b.chunks ci (b.nchunks - ci - 1);
-        b.nchunks <- b.nchunks - 1;
-        retire_chunk t c
+      if c.clen = 0 then bucket_drop_chunk b ci
+      else if 4 * c.clen <= chunk_cap then begin
+        if takes b (ci - 1) c then begin
+          move_to_left b.chunks.(ci - 1) c c.clen;
+          bucket_drop_chunk b ci
+        end
+        else if takes b (ci + 1) c then begin
+          move_to_right c b.chunks.(ci + 1) c.clen;
+          bucket_drop_chunk b ci
+        end
       end
     end
   end
@@ -310,7 +348,7 @@ let insert_path t ~peer ~routers ~costs =
   t.routes.(slot) <- route;
   let routers = route.routers in
   for i = 0 to Array.length routers - 1 do
-    bucket_add t (bucket_of t routers.(i)) (Topk.pack ~cost:costs.(i) ~peer)
+    bucket_add (bucket_of t routers.(i)) (Topk.pack ~cost:costs.(i) ~peer)
   done
 
 let remove t peer =
@@ -323,7 +361,7 @@ let remove t peer =
     let b = t.buckets.(router) in
     (* [empty_bucket] when a router repeats in the path. *)
     if b != empty_bucket then begin
-      bucket_remove t b (Topk.pack ~cost:costs.(i) ~peer);
+      bucket_remove b (Topk.pack ~cost:costs.(i) ~peer);
       if b.total = 0 then begin
         t.buckets.(router) <- empty_bucket;
         t.live <- t.live - 1
@@ -454,6 +492,21 @@ let approx_bytes t =
         words := !words + 4 + Array.length b.chunks.(ci).keys
       done);
   8 * !words
+
+(* Entries, chunks and allocated key slots over every bucket: entries
+   over slots is how full the placement keeps the chunks. *)
+type fill = { entries : int; chunks : int; slots : int }
+
+let fill t =
+  let chunks = ref 0 and slots = ref 0 and entries = ref 0 in
+  iter_buckets t (fun router total ->
+      let b = t.buckets.(router) in
+      entries := !entries + total;
+      chunks := !chunks + b.nchunks;
+      for ci = 0 to b.nchunks - 1 do
+        slots := !slots + Array.length b.chunks.(ci).keys
+      done);
+  { entries = !entries; chunks = !chunks; slots = !slots }
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in

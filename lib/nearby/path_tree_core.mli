@@ -93,5 +93,12 @@ val approx_bytes : t -> int
     estimate for cross-backend comparison, not an exact heap
     measurement. *)
 
+type fill = { entries : int; chunks : int; slots : int }
+
+val fill : t -> fill
+(** Bucket entries, the chunks holding them and the key slots those
+    chunks allocate, summed over every router: [entries / slots] is how
+    full the placement keeps its chunks. *)
+
 val check_invariants : t -> unit
 (** @raise Failure on a violated structural invariant (test hook). *)

@@ -123,3 +123,12 @@ let drain t =
     out := (peer_of key, cost_of key) :: !out
   done;
   !out
+
+(* One step of [offer_from], for a caller that does not scan an array.
+   Defined last: it leaves the code of the scan above where it was. *)
+let offer_new t key ~exclude =
+  (not (cannot_enter t key))
+  &&
+  let peer = peer_of key in
+  if not (exclude peer || holds_from t peer 0) then offer t key;
+  true

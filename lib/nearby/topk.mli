@@ -37,10 +37,14 @@ val offer : t -> int -> unit
 (** O(log k).  Once full, only a key strictly smaller than the worst held
     displaces it. *)
 
+val offer_new : t -> int -> exclude:(int -> bool) -> bool
+(** Offers [key] unless [exclude] names its peer or [t] already holds
+    that peer.  [false], offering nothing, when [key] cannot enter: in an
+    ascending scan, nothing after it could either. *)
+
 val offer_ascending : t -> base:int -> int array -> len:int -> exclude:(int -> bool) -> bool
-(** Offers [base + keys.(i)] for [i = 0 .. len - 1] of an ascending
-    [keys], skipping a peer [exclude] names or [t] already holds, and
-    stops at the first that cannot enter: nothing later could.  [false]
+(** {!offer_new} of [base + keys.(i)] for [i = 0 .. len - 1] of an
+    ascending [keys], stopping at the first that cannot enter.  [false]
     when it stopped there, [true] when it offered the whole run. *)
 
 val drain : t -> (int * int) list

@@ -87,8 +87,9 @@ let create ?(config = default_config) ?rng ?trace ?labeled ?recorder
     Option.map
       (fun m ->
         {
-          outcome = lazy (Metrics.counter_ref m "rpc_outcomes" ~labels:ok);
-          ok_latency = lazy (Metrics.stream_ref m "rpc_latency_ms" ~labels:ok);
+          outcome = Trace.counter_cell_of (fun () -> Metrics.counter_ref m "rpc_outcomes" ~labels:ok);
+          ok_latency =
+            Trace.stream_cell_of (fun () -> Metrics.stream_ref m "rpc_latency_ms" ~labels:ok);
         })
       labeled
   in

@@ -84,19 +84,49 @@ let observe_ref ?trace_id s v =
 let observe ?trace_id t name v = observe_ref ?trace_id (stream_ref t name) v
 
 (* Cells resolved at their first write: a hot path holds the cell, not the
-   name, and a name it never writes stays out of [counters]/[summaries]. *)
-type counter_cell = int ref Lazy.t
-type stream_cell = stream Lazy.t
+   name, and a name it never writes stays out of [counters]/[summaries].
+   A cell holds a shared placeholder until then, and drops its resolver
+   once it has run, so a written cell is the record and its target alone.
+   (A forced [Lazy.t] stays a forwarding block until a minor collection
+   short-circuits it, so its size would depend on collector timing.) *)
+type 'a cell = { mutable target : 'a; mutable resolve : unit -> 'a }
+type counter_cell = int ref cell
+type stream_cell = stream cell
 
-let counter_cell t name = lazy (counter_ref t name)
-let stream_cell t name = lazy (stream_ref t name)
-let cell_incr (c : counter_cell) = Stdlib.incr (Lazy.force c)
+(* Never written: a cell is resolved before its first write. *)
+let unresolved_counter = ref 0
 
-let cell_add (c : counter_cell) k =
-  let r = Lazy.force c in
+let unresolved_stream =
+  { st = Prelude.Stats.create (); sketch = Prelude.Sketch.create (); exemplars = Hashtbl.create 1 }
+
+let counter_resolved () = unresolved_counter
+let stream_resolved () = unresolved_stream
+let counter_cell_of resolve = { target = unresolved_counter; resolve }
+let stream_cell_of resolve = { target = unresolved_stream; resolve }
+let counter_cell t name = counter_cell_of (fun () -> counter_ref t name)
+let stream_cell t name = stream_cell_of (fun () -> stream_ref t name)
+
+let counter_of (c : counter_cell) =
+  if c.target == unresolved_counter then begin
+    c.target <- c.resolve ();
+    c.resolve <- counter_resolved
+  end;
+  c.target
+
+let stream_of (c : stream_cell) =
+  if c.target == unresolved_stream then begin
+    c.target <- c.resolve ();
+    c.resolve <- stream_resolved
+  end;
+  c.target
+
+let cell_incr c = Stdlib.incr (counter_of c)
+
+let cell_add c k =
+  let r = counter_of c in
   r := !r + k
 
-let cell_observe (c : stream_cell) v = observe_ref (Lazy.force c) v
+let cell_observe c v = observe_ref (stream_of c) v
 
 let exemplars t name =
   match Hashtbl.find_opt t.streams name with

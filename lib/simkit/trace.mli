@@ -57,15 +57,22 @@ val stream_ref : t -> string -> stream
 val observe_ref : ?trace_id:int -> stream -> float -> unit
 (** {!observe} into a stream obtained from {!stream_ref}. *)
 
-type counter_cell = int ref Lazy.t
-(** A counter cell resolved at its first [Lazy.force]: hot paths build
-    one per name up front and write it without hashing the name, while a
-    name never written still does not appear in {!counters}.  A labeled
-    series' cell is [lazy (Metrics.counter_ref m name ~labels)]. *)
+type counter_cell
+(** A counter cell resolved at its first write: hot paths build one per
+    name up front and write it without hashing the name, while a name
+    never written still does not appear in {!counters}.  Once written, a
+    cell holds the counter and nothing else, whenever the collector runs.
+    A labeled series' cell is
+    [counter_cell_of (fun () -> Metrics.counter_ref m name ~labels)]. *)
 
-type stream_cell = stream Lazy.t
+type stream_cell
 (** {!counter_cell} for an observe stream. *)
 
+val counter_cell_of : (unit -> int ref) -> counter_cell
+(** A cell that calls the function once, at its first write, and keeps
+    the counter it returns. *)
+
+val stream_cell_of : (unit -> stream) -> stream_cell
 val counter_cell : t -> string -> counter_cell
 val stream_cell : t -> string -> stream_cell
 

@@ -289,6 +289,37 @@ let test_dht_exp_smoke () =
     ]
     (List.map (fun (b : Eval.Dht_exp.backend_row) -> b.backend_stats) report.backend_rows)
 
+(* A member query allocates its answer (a pair and a cons per neighbor)
+   and one [(owner, hops)] pair per ring lookup: no seen-table, no
+   closure per bucket and no member array per lookup. *)
+let test_directory_query_allocation () =
+  let rng = Prelude.Prng.create 41 in
+  let n_routers = 60 in
+  let parent = Array.init n_routers (fun r -> if r = 0 then -1 else Prelude.Prng.int rng r) in
+  let path_from r =
+    let rec climb r acc = if r = 0 then List.rev (0 :: acc) else climb parent.(r) (r :: acc) in
+    Array.of_list (climb r [])
+  in
+  let d = Directory.create ~landmark:0 (members 10) in
+  for peer = 0 to 399 do
+    Directory.insert d ~peer ~routers:(path_from (Prelude.Prng.int rng n_routers))
+  done;
+  let k = 5 in
+  ignore (Directory.query_member d ~peer:0 ~k);
+  let lookups_before = (Directory.stats d).lookups in
+  let returned = ref 0 in
+  let before = Gc.minor_words () in
+  for peer = 0 to 99 do
+    returned := !returned + List.length (Directory.query_member d ~peer ~k)
+  done;
+  let words = Gc.minor_words () -. before in
+  let lookups = (Directory.stats d).lookups - lookups_before in
+  Alcotest.(check int) "full answers" (k * 100) !returned;
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "words over 100 member queries, %d lookups" lookups)
+    (float_of_int ((6 * !returned) + (3 * lookups)))
+    words
+
 let suite =
   ( "dht",
     [
@@ -303,6 +334,7 @@ let suite =
       Alcotest.test_case "directory = path tree (random)" `Quick test_directory_random_equivalence;
       Alcotest.test_case "directory remove" `Quick test_directory_remove;
       Alcotest.test_case "directory stats" `Quick test_directory_stats;
+      Alcotest.test_case "directory query allocation" `Quick test_directory_query_allocation;
       Alcotest.test_case "kademlia validation" `Quick test_kademlia_build_validation;
       Alcotest.test_case "kademlia invariants" `Quick test_kademlia_invariants;
       Alcotest.test_case "kademlia lookup" `Quick test_kademlia_lookup_finds_owner;

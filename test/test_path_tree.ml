@@ -485,7 +485,7 @@ let answer t ~peer =
    [insert_many] in sub-batches of 1-64 with a few removes after each; the
    batched tree and the looped one must be indistinguishable after every
    step.  Up to 700 members, so the landmark bucket also splits past its
-   512-entry chunk. *)
+   256-entry chunk. *)
 let qcheck_batch_layout =
   QCheck.Test.make ~name:"path_tree: insert_many builds the looped-insert tree" ~count:25
     QCheck.(pair small_int (int_range 1 700))
@@ -625,6 +625,134 @@ let qcheck_topk_is_sort_and_take =
       in
       Topk.drain best = expected && Topk.drain best = [])
 
+(* --- Chunk placement: a full chunk splits where inserts land --- *)
+
+let hop_costs = Array.init 16 Fun.id
+
+(* A sink tree of 12 routers toward landmark 0, attach routers at depths
+   1-4: the landmark's and the inner routers' buckets hold several cost
+   groups each, and past 256 entries they split. *)
+let placement_parent = [| -1; 0; 0; 1; 1; 2; 3; 3; 4; 5; 6; 8 |]
+
+let placement_path r =
+  let rec climb r acc = if r = 0 then List.rev (0 :: acc) else climb placement_parent.(r) (r :: acc) in
+  Array.of_list (climb r [])
+
+type placement_op = Add of int * int | Drop of int
+
+(* Grow to [n] members, churn (half inserts, half removes), then remove
+   four in five of those left: splits, shifts and merges all happen.  New
+   ids ascend, descend or come in random order. *)
+let placement_ops ~order ~seed ~n =
+  let rng = Prelude.Prng.create seed in
+  let limit = 2 * n in
+  let fresh =
+    match order with
+    | `Ascending -> Array.init limit Fun.id
+    | `Descending -> Array.init limit (fun i -> limit - 1 - i)
+    | `Random ->
+        let ids = Array.init limit Fun.id in
+        for i = limit - 1 downto 1 do
+          let j = Prelude.Prng.int rng (i + 1) in
+          let x = ids.(i) in
+          ids.(i) <- ids.(j);
+          ids.(j) <- x
+        done;
+        ids
+  in
+  let next = ref 0 and live = ref [||] and ops = ref [] in
+  let add () =
+    let peer = fresh.(!next) in
+    incr next;
+    live := Array.append !live [| peer |];
+    ops := Add (peer, 1 + Prelude.Prng.int rng (Array.length placement_parent - 1)) :: !ops
+  in
+  let drop () =
+    let i = Prelude.Prng.int rng (Array.length !live) in
+    ops := Drop !live.(i) :: !ops;
+    live := Array.append (Array.sub !live 0 i) (Array.sub !live (i + 1) (Array.length !live - i - 1))
+  in
+  for _ = 1 to n do
+    add ()
+  done;
+  for _ = 1 to n / 2 do
+    if Prelude.Prng.int rng 2 = 0 then add () else drop ()
+  done;
+  for _ = 1 to 4 * Array.length !live / 5 do
+    drop ()
+  done;
+  List.rev !ops
+
+(* Apply [ops] to a fresh tree, calling [step] after each. *)
+let replay ops step =
+  let t = Path_tree_core.create ~landmark:0 in
+  List.iter
+    (fun op ->
+      (match op with
+      | Add (peer, r) -> Path_tree_core.insert_path t ~peer ~routers:(placement_path r) ~costs:hop_costs
+      | Drop peer -> Path_tree_core.remove t peer);
+      step t op)
+    ops;
+  t
+
+let placement_layout t =
+  let f = Path_tree_core.fill t in
+  (f.chunks, f.slots)
+
+(* After every insert and remove the tree passes its invariants and
+   answers as the naive scan does, both for a path from a random router
+   and for a random member; the same sequence fed twice builds the same
+   chunks, step by step, and the same payload estimate. *)
+let qcheck_placement_matches_naive =
+  QCheck.Test.make ~name:"chunk placement: invariants, naive answers, same layout twice" ~count:2
+    QCheck.(pair small_nat (int_range 560 760))
+    (fun (seed, n) ->
+      List.for_all
+        (fun order ->
+          let ops = placement_ops ~order ~seed ~n in
+          let rng = Prelude.Prng.create (seed + 1) in
+          let naive = Naive_registry.create ~landmark:0 in
+          let ok = ref true and layouts = ref [] in
+          let once =
+            replay ops (fun t op ->
+                (match op with
+                | Add (peer, r) -> Naive_registry.insert naive ~peer ~routers:(placement_path r)
+                | Drop peer -> Naive_registry.remove naive peer);
+                Path_tree_core.check_invariants t;
+                let routers = placement_path (Prelude.Prng.int rng (Array.length placement_parent)) in
+                if
+                  Path_tree_core.query_path t ~routers ~costs:hop_costs ~k:5 ()
+                  <> Naive_registry.query naive ~routers ~k:5 ()
+                then ok := false;
+                (match op with
+                | Add (peer, _) ->
+                    if Path_tree_core.query_member t ~peer ~k:5 <> Naive_registry.query_member naive ~peer ~k:5
+                    then ok := false
+                | Drop _ -> ());
+                layouts := placement_layout t :: !layouts)
+          in
+          let again = ref [] in
+          let twice = replay ops (fun t _ -> again := placement_layout t :: !again) in
+          !ok && !layouts = !again && Path_tree_core.approx_bytes once = Path_tree_core.approx_bytes twice)
+        [ `Ascending; `Random; `Descending ])
+
+(* Members joining in id order put each insert at the end of its cost
+   group.  Chunks that split in half left each split's lower half half
+   full for good: this tree then held 134,144 key slots for its 70,818
+   entries (53% full).  Splitting where the inserts land holds them in
+   72,448 (98%). *)
+let test_id_order_inserts_fill_chunks () =
+  let rng = Prelude.Prng.create 5 in
+  let t = Path_tree_core.create ~landmark:0 in
+  for peer = 0 to 19_999 do
+    let r = 1 + Prelude.Prng.int rng (Array.length placement_parent - 1) in
+    Path_tree_core.insert_path t ~peer ~routers:(placement_path r) ~costs:hop_costs
+  done;
+  Path_tree_core.check_invariants t;
+  let f = Path_tree_core.fill t in
+  Alcotest.(check int) "entries" 70_818 f.entries;
+  Alcotest.(check int) "key slots" 72_448 f.slots
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t in
   ( "path_tree",
@@ -666,4 +794,7 @@ let suite =
       q qcheck_topk_is_sort_and_take;
       Alcotest.test_case "small batch allocates like singletons" `Quick
         test_batch_allocates_like_singletons;
+      q qcheck_placement_matches_naive;
+      Alcotest.test_case "id-order inserts fill their chunks" `Quick
+        test_id_order_inserts_fill_chunks;
     ] )
