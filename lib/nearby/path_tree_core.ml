@@ -94,7 +94,6 @@ let capacity_for n =
   done;
   min chunk_cap !cap
 
-(* Room for [n] entries in [c]. *)
 let reserve c n =
   if n > Array.length c.keys then begin
     let keys = Array.make (capacity_for n) 0 in
