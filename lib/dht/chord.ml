@@ -20,7 +20,10 @@ type member = {
   fingers : int array;
 }
 
-type t = { ring : member array (* ascending ring_id *) }
+type t = {
+  ring : member array;  (* ascending ring_id *)
+  member_count : int;  (* distinct app ids: [build] rejects duplicates *)
+}
 
 (* Index of the member owning [id]: the first member with ring_id >= id,
    wrapping to 0. *)
@@ -81,7 +84,7 @@ let build ?(virtual_nodes = 1) members =
         { m with fingers })
       with_ids
   in
-  { ring }
+  { ring; member_count = n0 }
 
 let members t =
   Array.to_list t.ring
@@ -89,7 +92,7 @@ let members t =
   |> List.sort_uniq compare
   |> Array.of_list
 
-let member_count t = Array.length (members t)
+let member_count t = t.member_count
 
 (* First ring position of the member: where its lookups start. *)
 let index_of t app_id =

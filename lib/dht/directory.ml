@@ -233,7 +233,7 @@ let reset_counters t =
 
 (* --- Membership dynamics ---------------------------------------------- *)
 
-let node_count t = Chord.member_count t.ring
+let node_count t = Array.length t.ring_members
 let migrations t = t.migrated
 
 (* Rebuild the ring over [members] and move every bucket whose owner

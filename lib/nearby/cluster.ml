@@ -26,6 +26,7 @@ type t = {
          divergence/convergence flight-recorder events and the
          ["cluster_antientropy_lag_ms"] stopwatch. *)
   delays : float array;  (* [target]'s per-replica scratch; nan = not a candidate *)
+  ids : int option array;  (* [Some id] of each replica: [target] allocates nothing *)
   (* The write path's counters, resolved once in [trace], and the
      amplification gauge, resolved at its first value. *)
   registered : int ref;
@@ -59,6 +60,7 @@ let make ~replicas ~transport ~detector ~trace ~recorder ~spans ~metrics =
       metrics;
       divergence_started_at = None;
       delays = Array.make (Array.length replicas) nan;
+      ids = Array.map (fun r -> Some r.id) replicas;
       registered = cell "cluster_register";
       client_report_bytes = cell "cluster_client_report_bytes";
       replica_bytes = cell "cluster_replica_bytes";
@@ -179,17 +181,17 @@ let live_count t =
    [src], id).  Attempt n takes the (n-1 mod live)-th of them, so a retry
    fails over to the next-closest believed-live replica immediately instead
    of burning its whole budget on a dead primary.  The k-th candidate is
-   the one with exactly k candidates ordered before it: no list, no sort. *)
+   the one with exactly k candidates ordered before it: no list, no sort,
+   and the delays are read from the scratch cells unboxed. *)
 let target ?first t ~src ~attempt =
   let n = Array.length t.replicas and d = t.delays in
   let live = ref 0 in
   for i = 0 to n - 1 do
     let r = t.replicas.(i) in
     if believed_live t r then begin
-      d.(i) <-
-        (match first with
-        | Some f when f = r.id -> neg_infinity
-        | _ -> Simkit.Transport.one_way_delay t.transport ~src ~dst:r.router);
+      (match first with
+      | Some f when f = r.id -> d.(i) <- neg_infinity
+      | _ -> Simkit.Transport.one_way_delay_into t.transport ~src ~dst:r.router d i);
       incr live
     end
     else d.(i) <- nan
@@ -207,7 +209,7 @@ let target ?first t ~src ~attempt =
       end;
       incr i
     done;
-    Some t.replicas.(!found).id
+    t.ids.(!found)
   end
 
 (* Replication amplification: how many bytes the cluster moves per byte a
@@ -319,16 +321,17 @@ and replicate t ~primary (o : replica) ~parent ~peer msg ~bytes ~probes =
 
 (* Write fan-out: the processing replica sends every other replica the
    registration, as the shortest message that replica can complete
-   ({!Server.replication_prefix}), else as the full [report ()], and
-   [deliver] runs when it lands. *)
-let fan_out t ~from_replica ~peer ~probes ~report =
+   ({!Server.replication_prefix}), else as the full [report] -- by
+   default the route it stores -- and [deliver] runs when it lands. *)
+let fan_out ?report t ~from_replica ~peer ~probes =
   let primary = t.replicas.(from_replica) in
   (* A lone replica has no one to send to: skip the donor search. *)
   if Array.length t.replicas > 1 then begin
     let msg =
       match Server.replication_prefix primary.server ~peer with
       | Some prefix -> prefix
-      | None -> report ()
+      | None -> (
+          match report with Some r -> r | None -> Server.stored_report primary.server ~peer)
     in
     let bytes = Wire.byte_size msg in
     let parent = Simkit.Span.current t.spans in
@@ -371,7 +374,7 @@ let handle_registration t ~replica ~peer ~attach_router ~measurement ~k =
     let report = Wire.Path_report { peer; path = measurement.Client.path } in
     incr t.registered;
     count_upload t (Wire.byte_size report);
-    fan_out t ~from_replica:replica ~peer ~probes:measurement.probes ~report:(fun () -> report);
+    fan_out ~report t ~from_replica:replica ~peer ~probes:measurement.probes;
     Some (registered r ~peer ~k info)
   end
 
@@ -388,8 +391,7 @@ let handle_prefix t ~replica ~peer ~attach_router ~measurement ~prefix ~bytes ~k
     | None -> Some (Continue { replica })
     | Some info ->
         incr t.registered;
-        fan_out t ~from_replica:replica ~peer ~probes:m.probes ~report:(fun () ->
-            Server.stored_report r.server ~peer);
+        fan_out t ~from_replica:replica ~peer ~probes:m.probes;
         Some (registered r ~peer ~k info)
   end
 

@@ -26,11 +26,12 @@ let create_resilient ?client ~rpc cluster =
    {!Client.prefix_hops} TTLs toward each, and traceroutes on toward the
    closest ({!Client.measure_join}).  Once the closest landmark has
    answered ({!Client.first_round_ms}) it ships the first hops toward it
-   ({!Client.prefix}) with its neighbor request through the retrying RPC
-   layer.  The replica completes the route from its landmark tree and
-   answers; or, holding none of the prefix's routers, answers [Continue],
-   and the client ships the whole trace in a second call as soon as its
-   last answer is in (at once when it arrived during the first call).
+   ({!Client.prefix}) and the [k] it wants, one {!Wire.Path_prefix}
+   frame, through the retrying RPC layer.  The replica completes the
+   route from its landmark tree and answers; or, holding none of the
+   prefix's routers, answers [Continue], and the client ships the whole
+   trace with a neighbor request in a second call as soon as its last
+   answer is in (at once when it arrived during the first call).
    Retries resend the same measurement -- the client does not
    re-traceroute on a lost packet.
 
@@ -55,7 +56,6 @@ type join = {
   whole_at : float;  (* ... and when its last answer is in *)
   prefix : Topology.Graph.node array;  (* the first round's payload ... *)
   prefix_bytes : int;  (* ... and its {!Wire.Path_prefix}'s size *)
-  query : string * int;  (* the neighbor request's part, sized once: every round resends it *)
   mutable first : int option;  (* the replica a continue round goes to first *)
   on_complete : Server.peer_info -> (int * int) list -> unit;
   on_failure : unit -> unit;
@@ -71,7 +71,7 @@ let query_kind = Wire.kind (Wire.Neighbor_request { peer = 0; k = 0 })
 let reply_kind = Wire.kind (Wire.Neighbor_reply { peer = 0; neighbors = [] })
 let continue_kind = Wire.kind (Wire.Continue { peer = 0 })
 let path_prefix_kind =
-  Wire.kind (Wire.Path_prefix { peer = 0; landmark = 0; probes = 0; prefix = [||] })
+  Wire.kind (Wire.Path_prefix { peer = 0; k = 0; landmark = 0; probes = 0; prefix = [||] })
 
 (* Attempt [attempt]'s target: the closest believed-live replica, failing
    over per {!Cluster.target}; a continue round's first choice heads the
@@ -106,7 +106,7 @@ let rest_at j router =
       Cluster.handle_registration j.p.cluster ~replica ~peer:j.peer
         ~attach_router:j.attach_router ~measurement:j.m ~k:j.k
 
-(* One server round: [request_parts], the neighbor request among them,
+(* One server round: [request_parts], which carry the neighbor request,
    to the closest believed-live replica; [handle] runs at the router the
    request reaches. *)
 let call j ~request_parts ~handle ~on_reply =
@@ -140,13 +140,17 @@ and continue_round j ~replica =
 and rest_round j =
   let report = Wire.Path_report { peer = j.peer; path = j.m.path } in
   call j
-    ~request_parts:[ (Wire.kind report, Wire.byte_size report); j.query ]
+    ~request_parts:
+      [
+        (Wire.kind report, Wire.byte_size report);
+        (query_kind, Wire.neighbor_request_size ~peer:j.peer ~k:j.k);
+      ]
     ~handle:(fun ~dst -> rest_at j dst)
     ~on_reply:(fun a -> answered j a)
 
 let first_round j =
   call j
-    ~request_parts:[ (path_prefix_kind, j.prefix_bytes); j.query ]
+    ~request_parts:[ (path_prefix_kind, j.prefix_bytes) ]
     ~handle:(fun ~dst -> prefix_at j dst)
     ~on_reply:(fun a -> answered j a)
 
@@ -172,13 +176,12 @@ let join ?rng ?on_trace ?(on_failure = fun () -> ()) t ~peer ~attach_router ~k ~
       k;
       span;
       parent = (if traced then Some ctx else None);
-      query = (query_kind, Wire.neighbor_request_size ~peer ~k);
       m;
       whole_at = Simkit.Engine.now t.engine +. Client.duration_ms m;
       prefix;
       prefix_bytes =
         Wire.byte_size
-          (Wire.Path_prefix { peer; landmark = m.landmark; probes = m.probes; prefix });
+          (Wire.Path_prefix { peer; k; landmark = m.landmark; probes = m.probes; prefix });
       first = None;
       on_complete;
       on_failure;

@@ -12,9 +12,10 @@
       round leaves after {!Client.first_round_ms}: the RTT to the winning
       landmark, or to hop {!Client.prefix_hops} when that is later;
     + it then uploads those hops ({!Client.prefix}) and asks for neighbors
-      in one {!Simkit.Rpc} call against a {!Cluster}: per-call timeouts,
-      retries with backoff, and failover to another replica when the
-      closest one is suspected.  The replica completes the route from the
+      in one {!Wire.Path_prefix} frame, one {!Simkit.Rpc} call against a
+      {!Cluster}: per-attempt deadlines of twice the round trip, retries
+      with backoff, and failover to another replica when the closest one
+      is suspected.  The replica completes the route from the
       first prefix router its landmark tree holds
       ({!Cluster.handle_prefix}).  On a loss-free network the call costs
       one RTT to the closest replica;

@@ -8,10 +8,16 @@ type message =
   | Path_report_batch of { reports : (int * Traceroute.Path.t) list }
   | Replica_prefix of { peer : int; donor : int; probes : int; prefix : Topology.Graph.node array }
   | Replica_nack of { peer : int }
-  | Path_prefix of { peer : int; landmark : int; probes : int; prefix : Topology.Graph.node array }
+  | Path_prefix of {
+      peer : int;
+      k : int;
+      landmark : int;
+      probes : int;
+      prefix : Topology.Graph.node array;
+    }
   | Continue of { peer : int }
 
-let protocol_version = 1
+let protocol_version = 2
 
 (* The wire-observability kind labels: one stable string per message
    family, the values `wire_bytes_total{kind=...}` series are keyed by.
@@ -97,8 +103,9 @@ module Emit (S : Prelude.Codec.SINK) = struct
         S.varint w donor;
         S.varint w probes;
         S.array w S.varint prefix
-    | Path_prefix { peer; landmark; probes; prefix } ->
+    | Path_prefix { peer; k; landmark; probes; prefix } ->
         S.varint w peer;
+        S.varint w k;
         S.varint w landmark;
         S.varint w probes;
         S.array w S.varint prefix
@@ -192,10 +199,11 @@ let decode_body r t =
       Ok (Replica_nack { peer })
   | 9 ->
       let* peer = varint r in
+      let* k = varint r in
       let* landmark = varint r in
       let* probes = varint r in
       let* prefix = list r varint in
-      Ok (Path_prefix { peer; landmark; probes; prefix = Array.of_list prefix })
+      Ok (Path_prefix { peer; k; landmark; probes; prefix = Array.of_list prefix })
   | 10 ->
       let* peer = varint r in
       Ok (Continue { peer })
@@ -235,7 +243,7 @@ let pp ppf = function
       Format.fprintf ppf "replica-prefix peer=%d donor=%d probes=%d [%s]" peer donor probes
         (String.concat " -> " (Array.to_list (Array.map string_of_int prefix)))
   | Replica_nack { peer } -> Format.fprintf ppf "replica-nack peer=%d" peer
-  | Path_prefix { peer; landmark; probes; prefix } ->
-      Format.fprintf ppf "path-prefix peer=%d landmark=%d probes=%d [%s]" peer landmark probes
+  | Path_prefix { peer; k; landmark; probes; prefix } ->
+      Format.fprintf ppf "path-prefix peer=%d k=%d landmark=%d probes=%d [%s]" peer k landmark probes
         (String.concat " -> " (Array.to_list (Array.map string_of_int prefix)))
   | Continue { peer } -> Format.fprintf ppf "continue peer=%d" peer

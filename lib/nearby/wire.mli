@@ -33,13 +33,20 @@ type message =
   | Replica_nack of { peer : int }
       (** A replica's refusal of a {!Replica_prefix} it cannot complete;
           the primary answers with the full {!Path_report}. *)
-  | Path_prefix of { peer : int; landmark : int; probes : int; prefix : Topology.Graph.node array }
-      (** A join's first-round upload: the routers that answered the
+  | Path_prefix of {
+      peer : int;
+      k : int;
+      landmark : int;
+      probes : int;
+      prefix : Topology.Graph.node array;
+    }
+      (** A join's first-round upload and its neighbor request in one
+          frame: the [k] neighbors wanted, the routers that answered the
           traceroute toward [landmark] up to its first hops, from the
           attach router on, and the probes spent so far.  The server
           completes the route from the first of them its landmark tree
-          holds ({!Server.register_prefix}), or asks for the rest with
-          {!Continue}. *)
+          holds ({!Server.register_prefix}) and answers with a
+          {!Neighbor_reply}, or asks for the rest with {!Continue}. *)
   | Continue of { peer : int }
       (** The server's answer to a {!Path_prefix} none of whose routers
           its landmark tree holds: the client traces the rest of the route
@@ -75,8 +82,8 @@ val kind : message -> string
     value its bytes are charged under in [wire_bytes_total]: ["ping"],
     ["path_report"] (also {!Replica_prefix} and {!Replica_nack}: the
     replication of a report is path-report traffic; and {!Path_prefix} and
-    {!Continue}, the first round of a report), ["query"] (neighbor
-    request), ["reply"] (neighbor reply), ["leave"],
+    {!Continue}, the first round of a report, so a first round's [k]
+    counts as path-report bytes), ["query"] (neighbor request), ["reply"] (neighbor reply), ["leave"],
     ["path_report_batch"]. *)
 
 val equal : message -> message -> bool

@@ -53,6 +53,8 @@ type ok_series = { outcome : Trace.counter_cell; ok_latency : Trace.stream_cell 
 
 type t = {
   config : config;
+  budget : float;  (* [worst_case_ms config]: how long a call may run *)
+  legs : float array;  (* the one-way delays out to the attempt's target and back *)
   transport : Transport.t;
   rng : Prelude.Prng.t option;
   trace : Trace.t;
@@ -93,7 +95,19 @@ let create ?(config = default_config) ?rng ?trace ?labeled ?recorder
         })
       labeled
   in
-  { config; transport; rng; trace; cells; labeled; labeled_ok; recorder; spans }
+  {
+    config;
+    budget = worst_case_ms config;
+    legs = [| 0.0; 0.0 |];
+    transport;
+    rng;
+    trace;
+    cells;
+    labeled;
+    labeled_ok;
+    recorder;
+    spans;
+  }
 
 (* Dimensional mirror of the outcome counters: one `rpc_outcomes` series
    per outcome label, so a fleet dashboard reads the ok/timeout mix
@@ -140,22 +154,27 @@ type 'a call = {
   parent : Span.context option;
   src : Topology.Graph.node;
   dst : attempt:int -> Topology.Graph.node option;
-  request_parts : (string * int) list;
+  mutable request_parts : (string * int) list;
+      (* the first attempt's parts, relabeled as one "retry" part by the
+         second attempt for it and every later one *)
   reply_parts : 'a -> (string * int) list;
   handle : dst:Topology.Graph.node -> 'a option;
   on_reply : 'a -> unit;
   on_give_up : unit -> unit;
   started_at : float;
   timer : 'a timer;
-  expire : unit -> unit;  (* [timed_out timer], queued after every attempt *)
+  expire : unit -> unit;  (* [fire timer], queued after every attempt and every backoff *)
 }
 
-(* What the call's queued timeout holds: the call while it is unsettled,
-   and the attempt that timeout belongs to.  Settling empties [live], so
-   a timeout still queued for a settled call holds this cell alone, not
-   the callbacks and what they capture.  The first reply to arrive
-   settles the call; later replies and stale timeouts find it empty.
-   Attempts run one after another, so one cell serves them all. *)
+(* What the call's queued event -- an attempt's deadline, or the backoff
+   after it -- holds: the call while it is unsettled, and the attempt the
+   event belongs to.  Settling empties [live], so an event still queued
+   for a settled call holds this cell alone, not the callbacks and what
+   they capture.  The first reply to arrive settles the call; later
+   replies and stale events find it empty.  Attempts run one after
+   another, so one cell serves them all, and an unsettled call has one
+   event queued: [n] is the attempt whose deadline it is, or minus the
+   attempt whose backoff it is. *)
 and 'a timer = { mutable live : 'a call option; mutable n : int; mutable span : Span.span }
 
 let settle timer =
@@ -219,31 +238,45 @@ let rec attempt c n =
         [ ("attempt", Span.Int n); ("src", Span.Int c.src) ]
     else Span.none
   in
-  (match c.dst ~attempt:n with
+  c.timer.n <- n;
+  c.timer.span <- span;
+  match c.dst ~attempt:n with
   | None ->
-      (* No live target known right now; the backoff below doubles as a
-         wait for one to come back. *)
+      (* No live target known right now; waiting out the whole ceiling
+         doubles as a wait for one to come back. *)
       Trace.cell_incr t.cells.no_target;
       labeled_outcome t [ ("outcome", "no_target") ];
       if Option.is_some t.recorder then
         record t ~args:[ ("src", Span.Int c.src); ("attempt", Span.Int n) ] "no_target";
-      close t span "no_target"
+      close t span "no_target";
+      Engine.schedule (engine t) ~delay:t.config.timeout_ms c.expire
   | Some target ->
       if Span.enabled t.spans then Span.add_arg span "target" (Span.Int target);
       (* Wire attribution: attempt 1 charges the caller's kind breakdown;
          every later attempt is overhead the retry loop added, so its bytes
          are relabeled wholesale as kind "retry". *)
-      let parts =
-        if n = 1 then c.request_parts
-        else [ ("retry", List.fold_left (fun acc (_, b) -> acc + b) 0 c.request_parts) ]
-      in
-      Transport.send_parts ~dir:"request" t.transport ~src:c.src ~dst:target ~parts (fun () ->
-          serve c ~n ~target span));
-  c.timer.n <- n;
-  c.timer.span <- span;
-  Engine.schedule (engine t) ~delay:t.config.timeout_ms c.expire
+      if n = 2 then
+        c.request_parts <-
+          [ ("retry", List.fold_left (fun acc (_, b) -> acc + b) 0 c.request_parts) ];
+      Transport.send_parts ~dir:"request" t.transport ~src:c.src ~dst:target
+        ~parts:c.request_parts (fun () -> serve c ~n ~target span);
+      (* The deadline: twice the modeled round trip, at least 1 ms and at
+         most the ceiling.  Transport jitter stretches a leg by 5% at most,
+         so a reply that is not lost always beats it. *)
+      Transport.one_way_delay_into t.transport ~src:c.src ~dst:target t.legs 0;
+      Transport.one_way_delay_into t.transport ~src:target ~dst:c.src t.legs 1;
+      let deadline = 2.0 *. (t.legs.(0) +. t.legs.(1)) in
+      if deadline >= t.config.timeout_ms then
+        Engine.schedule (engine t) ~delay:t.config.timeout_ms c.expire
+      else Engine.schedule (engine t) ~delay:(if deadline < 1.0 then 1.0 else deadline) c.expire
 
-(* The timeout of the timer's attempt has fired. *)
+(* The timer's queued event has fired: an attempt's deadline, or the end
+   of the backoff after one. *)
+and fire timer =
+  if timer.n > 0 then timed_out timer
+  else match timer.live with Some c -> attempt c (1 - timer.n) | None -> ()
+
+(* The deadline of the timer's attempt has passed. *)
 and timed_out timer =
   match timer.live with
   | None ->
@@ -259,18 +292,26 @@ and timed_out timer =
       if Option.is_some t.recorder then
         record t ~args:[ ("src", Span.Int c.src); ("attempt", Span.Int n) ] "timeout";
       close t timer.span "timeout";
-      if n < t.config.max_attempts then
-        Engine.schedule (engine t) ~delay:(backoff_ms t ~attempt:n) (fun () -> retry timer)
+      (* The budget has room for one more attempt at the full ceiling
+         while it starts by [last].  Retry after the backoff if that
+         attempt still does; if not, make one last attempt at [last]
+         itself.  So a call gives up only after an attempt whose deadline
+         passes [last], one sent less than [timeout_ms] before it -- a
+         loss burst that ends earlier cannot use the call up -- and no
+         call outlives [worst_case_ms], however short its deadlines. *)
+      let e = engine t and backoff = backoff_ms t ~attempt:n in
+      let now = Engine.now e and last = c.started_at +. t.budget -. t.config.timeout_ms in
+      if now <= last then begin
+        timer.n <- -n;
+        if now +. backoff <= last then Engine.schedule e ~delay:backoff c.expire
+        else Engine.schedule e ~delay:(last -. now) c.expire
+      end
       else if settle timer then begin
         Trace.cell_incr t.cells.gave_up;
         labeled_outcome t [ ("outcome", "gave_up") ];
         if Option.is_some t.recorder then record t ~args:[ ("src", Span.Int c.src) ] "gave_up";
         c.on_give_up ()
       end
-
-(* The backoff after the timer's attempt is over: try again, unless a late
-   reply settled the call meanwhile. *)
-and retry timer = match timer.live with Some c -> attempt c (timer.n + 1) | None -> ()
 
 let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_give_up =
   Trace.cell_incr t.cells.calls;
@@ -290,7 +331,7 @@ let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_g
       timer;
       (* Built here, outside the recursive functions, it holds [timer]
          alone. *)
-      expire = (fun () -> timed_out timer);
+      expire = (fun () -> fire timer);
     }
   in
   timer.live <- Some c;

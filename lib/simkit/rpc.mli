@@ -9,13 +9,32 @@
 
     Per-call life cycle:
     + attempt [n] asks [dst ~attempt:n] for a target and sends the request;
-    + if the reply arrives within [timeout_ms], the call {e settles}:
-      [on_reply] fires exactly once, even if slower duplicate replies from
-      earlier attempts arrive later;
+    + if the reply arrives within the attempt's deadline, the call
+      {e settles}: [on_reply] fires exactly once, even if slower duplicate
+      replies from earlier attempts arrive later.  The deadline is twice
+      the modeled round trip to the attempt's target
+      ({!Transport.one_way_delay} out and back), at least 1 ms and at most
+      [timeout_ms]; an attempt without a target waits the whole
+      [timeout_ms].  The client is taken to know its modeled delay to
+      each target, as failover's ranking of replicas already does, and
+      transport jitter stretches a leg by at most 5%, so a reply that is
+      not lost always beats its deadline;
     + on timeout, wait [backoff_base_ms * multiplier^(n-1)] (spread by
-      [+-jitter_frac]) and retry;
-    + after [max_attempts] timeouts, [on_give_up] fires — a call {e always}
-      terminates, which is what fixes the silent-stall joins under loss.
+      [+-jitter_frac]) and retry -- if one more attempt at the full
+      [timeout_ms], after that backoff, would still end within
+      {!worst_case_ms} of the call's start.  If it would not, but one
+      started right away still would, wait only until the last moment
+      such an attempt fits and make it;
+    + otherwise [on_give_up] fires -- a call {e always} terminates, within
+      {!worst_case_ms}, which is what fixes the silent-stall joins under
+      loss.
+
+    The retry budget is the call's time, not a count of attempts: a lost
+    packet costs a round trip or two, not [timeout_ms], so a call may make
+    more than [max_attempts] attempts inside the time [max_attempts]
+    full-length attempts would take, and a loss burst cannot use it up
+    faster than its backoffs grow.  [max_attempts = 1] still means one
+    attempt.
 
     Retries re-execute the server-side [handle] when both the original
     request and its retry get through, so handlers must be idempotent. *)
@@ -23,8 +42,10 @@
 type t
 
 type config = {
-  timeout_ms : float;  (** Per-attempt reply deadline. *)
-  max_attempts : int;  (** Total attempts (first try included). *)
+  timeout_ms : float;  (** Ceiling of an attempt's reply deadline. *)
+  max_attempts : int;
+      (** Sizes the call's budget, {!worst_case_ms}: the time this many
+          attempts (first try included) would take at the ceiling. *)
   backoff_base_ms : float;  (** Wait after the first timeout. *)
   backoff_multiplier : float;  (** Growth factor per further timeout. *)
   jitter_frac : float;
@@ -33,12 +54,13 @@ type config = {
 }
 
 val default_config : config
-(** 1 s timeout, 4 attempts, 200 ms base backoff doubling per retry,
-    20% jitter. *)
+(** 1 s ceiling, a budget of 4 attempts, 200 ms base backoff doubling per
+    retry, 20% jitter. *)
 
 val worst_case_ms : config -> float
-(** Upper bound on a call's time to settle or give up: [max_attempts]
-    timeouts plus every backoff at its largest jitter
+(** A call's budget, and so the upper bound on its time to settle or give
+    up: [max_attempts] timeouts at the ceiling plus the first
+    [max_attempts - 1] backoffs at their largest jitter
     ([1 + jitter_frac]).  Experiments size their horizons with it so no
     call is still in flight when the run stops. *)
 
@@ -69,9 +91,9 @@ val call :
   unit
 (** [dst ~attempt] picks the target for each attempt (1-based) — return a
     different replica on retries for client-side failover, or [None] when
-    no target is believed live (the attempt is skipped but still consumes
-    one of the [max_attempts], with the backoff doubling as a wait for a
-    target to return).  [handle ~dst] runs at the target when the request
+    no target is believed live (the attempt is skipped, and its wait of
+    [timeout_ms] and the backoff after it double as a wait for a target to
+    return).  [handle ~dst] runs at the target when the request
     arrives: [Some v] sends [v] back in a reply, [None] means the server
     was down and the request died unanswered.  Exactly one of [on_reply] /
     [on_give_up] fires per call.

@@ -116,6 +116,9 @@ let walk t ~src ~dst =
 
 let one_way_delay t ~src ~dst = if walk t ~src ~dst = max_int then infinity else t.delay.(0)
 
+let one_way_delay_into t ~src ~dst cells i =
+  cells.(i) <- (if walk t ~src ~dst = max_int then infinity else t.delay.(0))
+
 (* Inlined, so the delay reaches [Engine.schedule] boxed once. *)
 let[@inline] jitter t delay =
   match t.rng with

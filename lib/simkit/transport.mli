@@ -116,6 +116,12 @@ val charge :
 val one_way_delay : t -> src:Topology.Graph.node -> dst:Topology.Graph.node -> float
 (** The delay [send] would use right now (jitter-free). *)
 
+val one_way_delay_into :
+  t -> src:Topology.Graph.node -> dst:Topology.Graph.node -> float array -> int -> unit
+(** [one_way_delay_into t ~src ~dst cells i] stores [one_way_delay t ~src
+    ~dst] in [cells.(i)], where the caller reads it unboxed: no float is
+    boxed per call. *)
+
 val messages_sent : t -> int
 val bytes_sent : t -> int
 val link_bytes : t -> int

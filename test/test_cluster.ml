@@ -76,12 +76,12 @@ let single_protocol fx server =
 
 (* The join's rounds in process, without the RPC layer: the first-round
    prefix, and the whole trace when the server asks for the rest. *)
-let join_in_process server ~client ~peer ~attach_router =
+let join_in_process server ~client ~peer ~attach_router ~k =
   let m = Nearby.Client.measure_join client ~attach_router in
   let prefix = Nearby.Client.prefix m in
   let bytes =
     Nearby.Wire.byte_size
-      (Nearby.Wire.Path_prefix { peer; landmark = m.landmark; probes = m.probes; prefix })
+      (Nearby.Wire.Path_prefix { peer; k; landmark = m.landmark; probes = m.probes; prefix })
   in
   match Nearby.Server.register_prefix server ~peer ~attach_router ~prefix ~bytes m with
   | Some _ -> ()
@@ -99,7 +99,8 @@ let check_matches_plain_server label fx (cluster, rpc, protocol) =
   let expected =
     List.init peers (fun peer ->
         join_in_process reference ~client ~peer
-          ~attach_router:reference_fx.map.leaves.(peer mod Array.length reference_fx.map.leaves);
+          ~attach_router:reference_fx.map.leaves.(peer mod Array.length reference_fx.map.leaves)
+          ~k;
         Nearby.Server.neighbors reference ~peer ~k)
   in
   let replies, failed =

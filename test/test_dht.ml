@@ -13,6 +13,23 @@ let test_build_and_invariants () =
   Array.sort compare sorted;
   Alcotest.(check int) "all members present" 32 (Array.length (Array.of_list (List.sort_uniq compare (Array.to_list ms))))
 
+(* The ring keeps its member count: it equals the distinct members it
+   lists, with and without virtual positions, and a directory's node
+   count follows its ring through a join and a leave. *)
+let test_member_count_kept () =
+  List.iter
+    (fun (n, virtual_nodes) ->
+      let ring = Chord.build ~virtual_nodes (members n) in
+      Alcotest.(check int)
+        (Printf.sprintf "%d members, %d virtual nodes" n virtual_nodes)
+        (Array.length (Chord.members ring)) (Chord.member_count ring))
+    [ (1, 1); (2, 3); (32, 1); (32, 4); (100, 2) ];
+  let d = Directory.create ~virtual_nodes:3 ~landmark:0 (members 10) in
+  Alcotest.(check int) "directory nodes" 10 (Directory.node_count d);
+  ignore (Directory.add_node d ~node:555_000);
+  ignore (Directory.remove_node d ~node:(List.hd (Array.to_list (members 10))));
+  Alcotest.(check int) "after a join and a leave" 10 (Directory.node_count d)
+
 let test_build_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Chord.build: no members") (fun () ->
       ignore (Chord.build [||]));
@@ -325,6 +342,7 @@ let suite =
     [
       Alcotest.test_case "build + invariants" `Quick test_build_and_invariants;
       Alcotest.test_case "build validation" `Quick test_build_validation;
+      Alcotest.test_case "member count kept" `Quick test_member_count_kept;
       Alcotest.test_case "lookup finds owner" `Quick test_lookup_finds_owner;
       Alcotest.test_case "owner lookup free" `Quick test_lookup_from_owner_is_free;
       Alcotest.test_case "lookup unknown member" `Quick test_lookup_unknown_member;

@@ -229,8 +229,9 @@ let test_settled_call_lets_go () =
       ~on_give_up:(fun () -> Alcotest.fail "gave up on a clean call")
   in
   start ();
-  (* The reply lands at 10 ms; the 100 ms timeout stays queued. *)
-  Engine.run ~until:50.0 e;
+  (* The reply lands at 10 ms; the attempt's 20 ms deadline stays
+     queued. *)
+  Engine.run ~until:15.0 e;
   Alcotest.(check bool) "settled" true !replied;
   Alcotest.(check int) "timeout still queued" 1 (Engine.pending e);
   Gc.full_major ();
@@ -238,6 +239,130 @@ let test_settled_call_lets_go () =
   Engine.run e;
   Alcotest.(check int) "one attempt" 1 (counter rpc "rpc_attempts");
   Alcotest.(check int) "no timeout counted" 0 (counter rpc "rpc_timeouts")
+
+(* The words a call allocates, beyond those of one answered at once,
+   when its first requests reach a server that is down: for the first
+   retried attempt, and for each later one. *)
+let retry_words () =
+  let g = Topology.Graph.of_edges ~node_count:6 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5) ] in
+  let e = Engine.create () in
+  let transport = Transport.create e (Traceroute.Route_oracle.create g) in
+  let rpc = Rpc.create ~config transport in
+  let request_parts = [ ("other", 10) ] and reply_parts () = [ ("other", 10) ] in
+  let left = ref 0 and replies = ref 0 in
+  let handle ~dst:_ = if !left > 0 then (decr left; None) else Some () in
+  let on_reply () = incr replies in
+  let words ~unserved =
+    let calls = 100 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      left := unserved;
+      Rpc.call rpc ~src:0 ~dst:(fun ~attempt:_ -> Some 5) ~request_parts ~reply_parts ~handle
+        ~on_reply ~on_give_up:ignore;
+      Engine.run e
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  (* Warm up each latency the stream will see. *)
+  List.iter (fun unserved -> ignore (words ~unserved)) [ 0; 1; 2 ];
+  let clean = words ~unserved:0 in
+  let one = words ~unserved:1 and two = words ~unserved:2 in
+  Alcotest.(check int) "every call answered" 600 !replies;
+  (one -. clean, two -. one)
+
+(* A retried attempt costs 19 words: its backoff and its deadline, a
+   boxed float each (4); its request's delivery closure (7) and delay (2);
+   and the engine's clock, boxed at each of the attempt's three events
+   (6).  No closure per backoff, no boxed round trip.  The first retry
+   also relabels the request as one "retry" part, a pair and a cons cell
+   (6), once per call. *)
+let test_retried_attempt_words () =
+  let first, later = retry_words () in
+  Alcotest.(check (float 0.0)) "a later retried attempt" 19.0 later;
+  Alcotest.(check (float 0.0)) "the first retried attempt" 25.0 first
+
+(* Random connected graphs, loss in [0, 0.6], random configs (one in five
+   with [max_attempts = 1]) and a server that is sometimes down: every
+   call settles exactly once, within [worst_case_ms] of its start, and
+   gives up no sooner than [timeout_ms] before that, after its last
+   attempt.
+   Without loss or a down server, and with a ceiling above the longest
+   round trip (1 ms a hop each way, plus 5% jitter), no attempt times
+   out and every call makes one; with [max_attempts = 1] every call sends
+   one request. *)
+let qcheck_calls_settle_within_budget =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((seed, nodes, loss, down), (timeout, single, attempts, base), (mult, jitter)) ->
+          (seed, nodes, loss, down, timeout, (if single then 1 else attempts), base, mult, jitter))
+        (triple
+           (quad int (int_range 2 30) (oneof [ return 0.0; float_range 0.0 0.6 ]) bool)
+           (quad (float_range 1.0 300.0) (frequency [ (1, return true); (4, return false) ])
+              (int_range 1 6) (float_range 0.0 150.0))
+           (pair (float_range 1.0 3.0) (float_range 0.0 0.5))))
+  in
+  let print (seed, nodes, loss, down, timeout, attempts, base, mult, jitter) =
+    Printf.sprintf
+      "seed=%d nodes=%d loss=%.3f down=%b timeout=%.1f attempts=%d base=%.1f mult=%.2f jitter=%.2f"
+      seed nodes loss down timeout attempts base mult jitter
+  in
+  QCheck.Test.make ~name:"rpc: every call settles once, within worst_case_ms" ~count:200
+    (QCheck.make ~print gen)
+    (fun (seed, nodes, loss, down, timeout_ms, max_attempts, backoff_base_ms, backoff_multiplier, jitter_frac) ->
+      let rng = Prelude.Prng.create seed in
+      (* A random spanning tree, then a few chords. *)
+      let edges = Hashtbl.create 64 in
+      let add u v = if u <> v then Hashtbl.replace edges (min u v, max u v) () in
+      for v = 1 to nodes - 1 do
+        add v (Prelude.Prng.int rng v)
+      done;
+      for _ = 1 to nodes / 3 do
+        add (Prelude.Prng.int rng nodes) (Prelude.Prng.int rng nodes)
+      done;
+      let g =
+        Topology.Graph.of_edges ~node_count:nodes (Hashtbl.fold (fun e () acc -> e :: acc) edges [])
+      in
+      let e = Engine.create () in
+      let transport =
+        Transport.create ~rng:(Prelude.Prng.split rng) ~loss_prob:loss e
+          (Traceroute.Route_oracle.create g)
+      in
+      let config = { Rpc.timeout_ms; max_attempts; backoff_base_ms; backoff_multiplier; jitter_frac } in
+      let rpc = Rpc.create ~config ~rng:(Prelude.Prng.split rng) transport in
+      let budget = Rpc.worst_case_ms config in
+      let calls = 20 in
+      let settled = Array.make calls 0 and late = ref 0 and early = ref 0 in
+      for i = 0 to calls - 1 do
+        let start = Prelude.Prng.float rng 100.0 in
+        let src = Prelude.Prng.int rng nodes in
+        let targets = Array.init 3 (fun _ -> Prelude.Prng.int rng nodes) in
+        Engine.schedule_at e ~time:start (fun () ->
+            let settle () =
+              settled.(i) <- settled.(i) + 1;
+              if Engine.now e > start +. budget +. 1e-9 then incr late
+            in
+            let give_up () =
+              settle ();
+              if Engine.now e < start +. budget -. timeout_ms -. 1e-9 then incr early
+            in
+            Rpc.call rpc ~src
+              ~dst:(fun ~attempt -> Some targets.((attempt - 1) mod 3))
+              ~request_parts:[ ("other", 10) ]
+              ~reply_parts:(fun () -> [ ("other", 10) ])
+              ~handle:(fun ~dst:_ -> if down && Prelude.Prng.bool rng then None else Some ())
+              ~on_reply:settle ~on_give_up:give_up)
+      done;
+      Engine.run e;
+      let counter = counter rpc in
+      Array.for_all (fun n -> n = 1) settled
+      && !late = 0
+      && !early = 0
+      && counter "rpc_calls" = calls
+      && (loss > 0.0 || down
+         || timeout_ms <= 2.1 *. float_of_int (nodes - 1)
+         || (counter "rpc_timeouts" = 0 && counter "rpc_attempts" = calls))
+      && (max_attempts > 1 || counter "rpc_attempts" = calls && counter "rpc_retries" = 0))
 
 (* One clean call writes the flat and labeled names a per-name write
    created, through cells resolved at their first write: no failure-path
@@ -306,4 +431,7 @@ let suite =
       Alcotest.test_case "backoff jitter spread" `Quick test_backoff_jitter_spread;
       Alcotest.test_case "a settled call lets go" `Quick test_settled_call_lets_go;
       Alcotest.test_case "trace names after one call" `Quick test_trace_names_after_one_call;
+      Alcotest.test_case "a retried attempt's words" `Quick test_retried_attempt_words;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
+        qcheck_calls_settle_within_budget;
     ] )

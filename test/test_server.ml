@@ -844,7 +844,8 @@ let test_register_prefix () =
     let m = Client.measure_join client ~attach_router in
     let prefix = Client.prefix m in
     let bytes =
-      Wire.byte_size (Wire.Path_prefix { peer; landmark = m.landmark; probes = m.probes; prefix })
+      Wire.byte_size
+        (Wire.Path_prefix { peer; k = 5; landmark = m.landmark; probes = m.probes; prefix })
     in
     (m, Server.register_prefix server ~peer ~attach_router ~prefix ~bytes m)
   in

@@ -180,8 +180,8 @@ let sample_messages =
     Wire.Replica_prefix { peer = 42; donor = 9; probes = 14; prefix = [| 7 |] };
     Wire.Replica_prefix { peer = 300; donor = 0; probes = 0; prefix = [| 7; 130; 99 |] };
     Wire.Replica_nack { peer = 42 };
-    Wire.Path_prefix { peer = 42; landmark = 99; probes = 10; prefix = [| 7; 130 |] };
-    Wire.Path_prefix { peer = 0; landmark = 7; probes = 0; prefix = [| 7 |] };
+    Wire.Path_prefix { peer = 42; k = 5; landmark = 99; probes = 10; prefix = [| 7; 130 |] };
+    Wire.Path_prefix { peer = 0; k = 0; landmark = 7; probes = 0; prefix = [| 7 |] };
     Wire.Continue { peer = 42 };
   ]
 
@@ -231,7 +231,7 @@ let test_wire_bad_version_and_tag () =
   (match Wire.decode "\x09\x00\x00" with
   | Error e -> Alcotest.(check bool) "version error mentioned" true (String.length e > 0)
   | Ok _ -> Alcotest.fail "bad version accepted");
-  match Wire.decode "\x01\x63\x00" with
+  match Wire.decode "\x02\x63\x00" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown tag accepted"
 
@@ -252,7 +252,7 @@ let test_wire_report_size_allocates_nothing () =
   in
   let m = Wire.Path_report { peer = 1000; path = { Traceroute.Path.src = 0; dst = 1800; hops } } in
   Alcotest.(check string) "encoded bytes"
-    "\x01\x02\xe8\x07\x00\x88\x0e\x0d\x01\x97\x01\xad\x02\xc3\x03\xd9\x04\xef\x05\x00\x9b\x08\xb1\x09\xc7\x0a\xdd\x0b\xf3\x0c\x89\x0e"
+    "\x02\x02\xe8\x07\x00\x88\x0e\x0d\x01\x97\x01\xad\x02\xc3\x03\xd9\x04\xef\x05\x00\x9b\x08\xb1\x09\xc7\x0a\xdd\x0b\xf3\x0c\x89\x0e"
     (Wire.encode m);
   let size = Wire.byte_size m in
   let before = Gc.minor_words () in
@@ -271,9 +271,9 @@ let test_wire_replica_messages () =
   let prefix =
     Wire.Replica_prefix { peer = 1000; donor = 300; probes = 21; prefix = [| 150; 1800 |] }
   and nack = Wire.Replica_nack { peer = 1000 } in
-  Alcotest.(check string) "prefix bytes" "\x01\x07\xe8\x07\xac\x02\x15\x02\x96\x01\x88\x0e"
+  Alcotest.(check string) "prefix bytes" "\x02\x07\xe8\x07\xac\x02\x15\x02\x96\x01\x88\x0e"
     (Wire.encode prefix);
-  Alcotest.(check string) "nack bytes" "\x01\x08\xe8\x07" (Wire.encode nack);
+  Alcotest.(check string) "nack bytes" "\x02\x08\xe8\x07" (Wire.encode nack);
   List.iter
     (fun m ->
       Alcotest.(check int) "size = encode length" (String.length (Wire.encode m)) (Wire.byte_size m);
@@ -315,15 +315,23 @@ let qcheck_wire_replica_prefix_exact =
       Wire.byte_size m = String.length (Wire.encode m)
       && match Wire.decode (Wire.encode m) with Ok m' -> Wire.equal m m' | Error _ -> false)
 
-(* Tags 9 and 10, a join's first-round prefix and the server's request for
-   the rest: the exact bytes, the path-report kind and sizing without
-   allocating (round trips and truncations run over [sample_messages]). *)
+(* Tags 9 and 10, a join's first-round prefix with its neighbor request,
+   and the server's request for the rest: the exact bytes, the
+   path-report kind and sizing without allocating (round trips and
+   truncations run over [sample_messages]).  The one frame costs less
+   than the prefix and a separate {!Wire.Neighbor_request}: one version
+   byte, one tag and one peer id fewer. *)
 let test_wire_prefix_round_messages () =
-  let prefix = Wire.Path_prefix { peer = 1000; landmark = 1800; probes = 10; prefix = [| 150; 420 |] }
+  let prefix =
+    Wire.Path_prefix { peer = 1000; k = 5; landmark = 1800; probes = 10; prefix = [| 150; 420 |] }
   and continue = Wire.Continue { peer = 1000 } in
-  Alcotest.(check string) "prefix bytes" "\x01\x09\xe8\x07\x88\x0e\x0a\x02\x96\x01\xa4\x03"
+  Alcotest.(check string) "prefix bytes" "\x02\x09\xe8\x07\x05\x88\x0e\x0a\x02\x96\x01\xa4\x03"
     (Wire.encode prefix);
-  Alcotest.(check string) "continue bytes" "\x01\x0a\xe8\x07" (Wire.encode continue);
+  Alcotest.(check string) "continue bytes" "\x02\x0a\xe8\x07" (Wire.encode continue);
+  (* The prefix's 12 bytes before [k] joined it, plus k's byte, where a
+     separate request took 5. *)
+  Alcotest.(check int) "one frame, one byte for k" 13 (Wire.byte_size prefix);
+  Alcotest.(check int) "the request it replaces" 5 (Wire.neighbor_request_size ~peer:1000 ~k:5);
   List.iter
     (fun m ->
       Alcotest.(check int) "size = encode length" (String.length (Wire.encode m)) (Wire.byte_size m);
@@ -339,14 +347,16 @@ let test_wire_prefix_round_messages () =
 let qcheck_wire_path_prefix_exact =
   QCheck.Test.make ~name:"path prefix: byte_size = encode length, roundtrip" ~count:200
     QCheck.(
-      quad (int_bound 100_000) (int_bound 5000) (int_bound 200)
-        (array_of_size Gen.(int_range 1 4) (int_bound 5000)))
-    (fun (peer, landmark, probes, prefix) ->
+      pair
+        (quad (int_bound 100_000) (int_bound 5000) (int_bound 200)
+           (array_of_size Gen.(int_range 1 4) (int_bound 5000)))
+        (int_bound 1000))
+    (fun ((peer, landmark, probes, prefix), k) ->
       List.for_all
         (fun m ->
           Wire.byte_size m = String.length (Wire.encode m)
           && match Wire.decode (Wire.encode m) with Ok m' -> Wire.equal m m' | Error _ -> false)
-        [ Wire.Path_prefix { peer; landmark; probes; prefix }; Wire.Continue { peer } ])
+        [ Wire.Path_prefix { peer; k; landmark; probes; prefix }; Wire.Continue { peer } ])
 
 (* Decoding stays total on a valid frame with 1-4 bytes overwritten, for
    every message kind: it returns [Ok] or [Error], never raises. *)
