@@ -585,7 +585,8 @@ let run_obs ~full =
        1,000 ns and makes its p99 a coin flip. *)
     let spans = Simkit.Span.buffer () in
     let backend =
-      Nearby.Instrumented_registry.wrap ~clock:Monotonic_clock.get ~metrics ~spans
+      Nearby.Instrumented_registry.wrap ~clock:Monotonic_clock.get
+        ~sink:(Simkit.Trace.stream_ref metrics) ~spans
         (Eval.Backends.backend spec)
     in
     let reg = Nearby.Registry_intf.create backend ~landmark in
@@ -996,25 +997,26 @@ let run_regress ~baseline_dir ~update files =
     let gates path = Result.bind (Simkit.Json.of_file path) Eval.Regression.of_document in
     (* An unreadable document fails its file and the others are still
        compared. *)
-    let failed =
+    let failed, moved =
       List.fold_left
-        (fun failed file ->
+        (fun (failed, moved) file ->
           Printf.printf "\n-- %s --\n" file;
           match (gates (baseline_of file), gates file) with
           | Ok baseline, Ok current ->
               let comparisons = Eval.Regression.compare_gates ~baseline ~current in
               Eval.Regression.print comparisons;
-              failed + List.length (Eval.Regression.failures comparisons)
+              ( failed + List.length (Eval.Regression.failures comparisons),
+                moved + List.length (List.filter_map Eval.Regression.change comparisons) )
           | Error e, _ | _, Error e ->
               Printf.printf "FAIL: %s\n" e;
-              failed + 1)
-        0 files
+              (failed + 1, moved))
+        (0, 0) files
     in
     if failed > 0 then begin
-      Printf.eprintf "\nregress: %d gate(s) failed\n" failed;
+      Printf.eprintf "\nregress: %d gate(s) failed, %d moved\n" failed moved;
       exit 1
     end
-    else Printf.printf "\nregress: all gates within tolerance\n"
+    else Printf.printf "\nregress: all gates within tolerance, %d moved\n" moved
   end
 
 (* ------------------------------------------------------------------ *)

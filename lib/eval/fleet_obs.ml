@@ -97,9 +97,13 @@ let start (config : config) =
          every delivered byte lands in the [wire_bytes] series from the
          first send on. *)
       let timeseries = Cluster_run.timeseries run_config ~window_ms:config.window_ms in
-      (* Every replica's backend writes its {backend=...} mirror into the
-         shared registry. *)
-      let backend = Nearby.Instrumented_registry.wrap ~labeled:metrics (module Nearby.Path_tree) in
+      (* Every replica's backend writes its {backend="tree"} series into
+         the shared registry. *)
+      let backend =
+        Nearby.Instrumented_registry.wrap
+          ~sink:(fun name -> Simkit.Metrics.stream_ref metrics name ~labels:[ ("backend", "tree") ])
+          (module Nearby.Path_tree)
+      in
       let recorder = Simkit.Flight_recorder.create () in
       let run = Cluster_run.create ~metrics ~recorder ~timeseries ~backend run_config in
       let engine = run.engine in

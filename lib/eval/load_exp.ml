@@ -187,9 +187,7 @@ let run_instrumented (config : config) =
     let meas = measure_of router in
     Simkit.Engine.schedule engine ~delay:(Nearby.Client.duration_ms meas) (fun () ->
         Nearby.Admission.submit admission
-          ~serve:(fun ~queued_ms ->
-            Simkit.Trace.observe exp_trace "admission_wait_ms" queued_ms;
-            pending := (peer, router, meas, started, kind) :: !pending)
+          ~serve:(fun ~queued_ms:_ -> pending := (peer, router, meas, started, kind) :: !pending)
           ~shed:(fun ~reason:_ ->
             Simkit.Timeseries.observe ts "join_shed" ~now:(Simkit.Engine.now engine) 1.0))
   in
@@ -250,6 +248,10 @@ let run_instrumented (config : config) =
   in
   Simkit.Engine.run engine ~until:horizon;
   let totals = Nearby.Admission.totals admission in
+  (* The experiment's wait stream is Admission's, listed once more. *)
+  let wait = Nearby.Admission.wait_series_name in
+  if totals.admitted > 0 then
+    Simkit.Trace.bind_stream exp_trace wait (Simkit.Metrics.stream_ref metrics wait ~labels:[]);
   let quantile name q =
     match Simkit.Trace.quantile exp_trace name q with Some v -> v | None -> nan
   in
@@ -278,8 +280,8 @@ let run_instrumented (config : config) =
       goodput_per_s = float_of_int !completed /. (config.duration_ms /. 1000.0);
       join_p50_ms = quantile "join_ms" 0.5;
       join_p99_ms = join_p99;
-      wait_p50_ms = quantile "admission_wait_ms" 0.5;
-      wait_p99_ms = quantile "admission_wait_ms" 0.99;
+      wait_p50_ms = quantile wait 0.5;
+      wait_p99_ms = quantile wait 0.99;
       max_queue_depth = totals.Nearby.Admission.max_depth;
       slo_budget_ms = config.slo_budget_ms;
       p99_within_budget = (not (Float.is_nan join_p99)) && join_p99 <= config.slo_budget_ms;

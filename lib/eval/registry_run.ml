@@ -44,7 +44,8 @@ type t = {
    is a span inside the join or query that caused it. *)
 let run_backend (c : config) (w : Workload.t) ~spans ~metrics spec =
   let backend =
-    Nearby.Instrumented_registry.wrap ?metrics
+    Nearby.Instrumented_registry.wrap
+      ?sink:(Option.map Simkit.Trace.stream_ref metrics)
       ?spans:(if Simkit.Span.enabled spans then Some spans else None)
       (Backends.backend spec)
   in

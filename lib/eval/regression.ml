@@ -97,9 +97,16 @@ let compare_gates ~baseline ~current =
 let failures comparisons =
   List.filter (fun c -> match c.status with Fail _ -> true | Pass -> false) comparisons
 
+(* A move inside a band passes, so it is shown: a gain not locked in
+   and a drift toward the bound both read here. *)
+let change c =
+  match c.current with
+  | Some v when v <> c.baseline -> Some ((v -. c.baseline) /. Float.abs c.baseline)
+  | _ -> None
+
 let print comparisons =
   Prelude.Table.print
-    ~header:[ "metric"; "baseline"; "current"; "status" ]
+    ~header:[ "metric"; "baseline"; "current"; "change"; "status" ]
     (List.map
        (fun c ->
          [
@@ -108,6 +115,10 @@ let print comparisons =
            (match c.current with
            | Some v -> Prelude.Table.float_cell ~decimals:4 v
            | None -> "MISSING");
+           (match change c with Some r -> Printf.sprintf "%+.2f%%" (100.0 *. r) | None -> "");
            (match c.status with Pass -> "ok" | Fail reason -> "FAIL: " ^ reason);
          ])
-       comparisons)
+       comparisons);
+  Printf.printf "moved: %d of %d gates\n"
+    (List.length (List.filter_map change comparisons))
+    (List.length comparisons)

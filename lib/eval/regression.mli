@@ -47,4 +47,10 @@ val compare_gates : baseline:gate list -> current:gate list -> comparison list
     baseline side.  A missing or non-finite gate fails with its reason. *)
 
 val failures : comparison list -> comparison list
+
+val change : comparison -> float option
+(** The signed change relative to the baseline of a gate that moved,
+    within its band or not. *)
+
 val print : comparison list -> unit
+(** One row per gate with its {!change}, then the count of moved gates. *)

@@ -51,15 +51,19 @@ type t = {
   queue : request Queue.t;
   mutable depth : int;
   mutable max_depth : int;
-  mutable submitted : int;
-  mutable admitted : int;
-  shed_counts : (string, int) Hashtbl.t;
+  (* The registry's [admission_*_total] series, when there is one. *)
+  submitted : Simkit.Trace.counter_cell;
+  admitted : Simkit.Trace.counter_cell;
+  sheds : (string * Simkit.Trace.counter_cell) list;  (* by reason, alphabetical *)
+  mutable depth_gauge : Simkit.Metrics.gauge option;  (* from its first value *)
+  wait : Simkit.Trace.stream_cell option;  (* the registry's [admission_wait_ms] *)
   mutable drains : int;
   mutable drain_armed : bool;
   monitor : Simkit.Slo.monitor option;
   mutable shedding : bool;
   mutable poll_armed : bool;
-  mutable slo_sheds_opened : int;
+  opened : Simkit.Trace.counter_cell;  (* shed-state edges, [admission_slo_transitions_total] *)
+  closed : Simkit.Trace.counter_cell;
   tick : float;
   wait_series : Simkit.Timeseries.series;
   depth_series : Simkit.Timeseries.series;
@@ -68,6 +72,13 @@ type t = {
 let tick_ms t = t.tick
 let depth t = t.depth
 let shedding t = t.shedding
+
+(* A tally of its own, listed in the registry as [name{labels}]. *)
+let tally metrics name labels =
+  Simkit.Trace.counter_cell_of (fun () ->
+      let r = ref 0 in
+      Option.iter (fun m -> Simkit.Metrics.bind_counter m name ~labels r) metrics;
+      r)
 
 let create ~engine ?metrics ?timeseries ?recorder ?on_drain config =
   validate config;
@@ -91,33 +102,44 @@ let create ~engine ?metrics ?timeseries ?recorder ?on_drain config =
     queue = Queue.create ();
     depth = 0;
     max_depth = 0;
-    submitted = 0;
-    admitted = 0;
-    shed_counts = Hashtbl.create 4;
+    submitted = tally metrics "admission_submitted_total" [];
+    admitted = tally metrics "admission_admitted_total" [];
+    sheds =
+      List.map
+        (fun reason -> (reason, tally metrics "admission_shed_total" [ ("reason", reason) ]))
+        [ "deadline"; "queue_full"; "slo" ];
+    depth_gauge = None;
+    wait =
+      Option.map
+        (fun m ->
+          Simkit.Trace.stream_cell_of (fun () ->
+              Simkit.Metrics.stream_ref m wait_series_name ~labels:[]))
+        metrics;
     drains = 0;
     drain_armed = false;
     monitor;
     shedding = false;
     poll_armed = false;
-    slo_sheds_opened = 0;
+    opened = tally metrics "admission_slo_transitions_total" [ ("edge", "breach") ];
+    closed = tally metrics "admission_slo_transitions_total" [ ("edge", "clear") ];
     tick = 1000.0 *. float_of_int config.batch /. config.service_rate_per_s;
     wait_series = Simkit.Timeseries.series ts wait_series_name;
     depth_series = Simkit.Timeseries.series ts depth_series_name;
   }
 
-let with_metrics t f = match t.metrics with Some m -> f m | None -> ()
-
 let observe_depth t ~now =
-  Simkit.Timeseries.observe_series t.ts t.depth_series ~now (float_of_int t.depth);
-  with_metrics t (fun m ->
-      Simkit.Metrics.set m depth_series_name ~labels:[] (float_of_int t.depth))
+  let depth = float_of_int t.depth in
+  Simkit.Timeseries.observe_series t.ts t.depth_series ~now depth;
+  match (t.depth_gauge, t.metrics) with
+  | Some g, _ -> g.value <- depth
+  | None, Some m ->
+      let g = Simkit.Metrics.gauge_ref m depth_series_name ~labels:[] in
+      t.depth_gauge <- Some g;
+      g.value <- depth
+  | None, None -> ()
 
 let do_shed t req ~reason =
-  (match Hashtbl.find_opt t.shed_counts reason with
-  | Some n -> Hashtbl.replace t.shed_counts reason (n + 1)
-  | None -> Hashtbl.replace t.shed_counts reason 1);
-  with_metrics t (fun m ->
-      Simkit.Metrics.incr m "admission_shed_total" ~labels:[ ("reason", reason) ]);
+  Simkit.Trace.cell_incr (List.assoc reason t.sheds);
   req.shed ~reason
 
 (* One drain tick: serve the oldest [batch] requests at the current engine
@@ -137,10 +159,8 @@ let rec drain t () =
     | Deadline { max_wait_ms } when waited > max_wait_ms -> do_shed t req ~reason:"deadline"
     | _ ->
         Simkit.Timeseries.observe_series t.ts t.wait_series ~now waited;
-        with_metrics t (fun m ->
-            Simkit.Metrics.incr m "admission_admitted_total" ~labels:[];
-            Simkit.Metrics.observe m wait_series_name ~labels:[] waited);
-        t.admitted <- t.admitted + 1;
+        Simkit.Trace.cell_incr t.admitted;
+        (match t.wait with Some c -> Simkit.Trace.cell_observe c waited | None -> ());
         incr served;
         req.serve ~queued_ms:waited
   done;
@@ -154,7 +174,9 @@ and arm_drain t =
     Simkit.Engine.schedule t.engine ~delay:t.tick (drain t)
   end
 
+(* A shed-state edge: counted, and recorded in the flight recorder. *)
 let record_transition t ~now (st : Simkit.Slo.status) ~opening =
+  Simkit.Trace.cell_incr (if opening then t.opened else t.closed);
   match t.recorder with
   | None -> ()
   | Some r ->
@@ -186,16 +208,9 @@ let rec poll t () =
         (Simkit.Slo.poll
            ~on_breach:(fun st ->
              t.shedding <- true;
-             t.slo_sheds_opened <- t.slo_sheds_opened + 1;
-             with_metrics t (fun m ->
-                 Simkit.Metrics.incr m "admission_slo_transitions_total"
-                   ~labels:[ ("edge", "breach") ]);
              record_transition t ~now st ~opening:true)
            ~on_clear:(fun st ->
              t.shedding <- false;
-             with_metrics t (fun m ->
-                 Simkit.Metrics.incr m "admission_slo_transitions_total"
-                   ~labels:[ ("edge", "clear") ]);
              record_transition t ~now st ~opening:false)
            monitor t.ts);
       if t.depth > 0 || t.shedding then arm_poll t
@@ -211,8 +226,7 @@ and arm_poll t =
 
 let submit t ~serve ~shed =
   let now = Simkit.Engine.now t.engine in
-  t.submitted <- t.submitted + 1;
-  with_metrics t (fun m -> Simkit.Metrics.incr m "admission_submitted_total" ~labels:[]);
+  Simkit.Trace.cell_incr t.submitted;
   let req = { submitted_at = now; serve; shed } in
   arm_poll t;
   if t.shedding then do_shed t req ~reason:"slo"
@@ -237,15 +251,17 @@ type totals = {
 
 let totals t =
   let shed =
-    Hashtbl.fold (fun reason n acc -> (reason, n) :: acc) t.shed_counts []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    List.filter_map
+      (fun (reason, tally) ->
+        match Simkit.Trace.cell_count tally with 0 -> None | n -> Some (reason, n))
+      t.sheds
   in
   {
-    submitted = t.submitted;
-    admitted = t.admitted;
+    submitted = Simkit.Trace.cell_count t.submitted;
+    admitted = Simkit.Trace.cell_count t.admitted;
     shed;
     shed_total = List.fold_left (fun acc (_, n) -> acc + n) 0 shed;
     max_depth = t.max_depth;
     drains = t.drains;
-    slo_sheds_opened = t.slo_sheds_opened;
+    slo_sheds_opened = Simkit.Trace.cell_count t.opened;
   }

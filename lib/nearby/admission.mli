@@ -27,7 +27,8 @@
     [admission_queue_depth], counters [admission_submitted_total],
     [admission_admitted_total], [admission_shed_total{reason=...}] and
     [admission_slo_transitions_total{edge=...}], plus the pure dequeue
-    wait stream [admission_wait_ms].  The timeseries carries windowed
+    wait stream [admission_wait_ms]; its counters are the cells {!totals}
+    reads ({!Simkit.Metrics.bind_counter}).  The timeseries carries windowed
     [admission_queue_depth] and [admission_wait_ms] series — the latter is
     the {e control signal}: dequeue waits plus, for {!Slo_shed}, a
     poll-time sample of the queue head's age (0 when idle) so the monitor

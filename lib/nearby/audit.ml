@@ -31,13 +31,13 @@ type t = {
   clock : unit -> float;
 }
 
-let create ?(rate = 0.01) ?(seed = 0x5eed) ?trace ?timeseries ?clock server =
+let create ?(rate = 0.01) ?(seed = 0x5eed) ?timeseries ?clock server =
   if rate < 0.0 || rate > 1.0 then invalid_arg "Audit.create: rate outside [0, 1]";
   {
     server;
     rate;
     rng = Prelude.Prng.create seed;
-    trace = (match trace with Some t -> t | None -> Simkit.Trace.create ());
+    trace = Simkit.Trace.create ();
     timeseries;
     clock = Option.value clock ~default:(fun () -> 0.0);
   }

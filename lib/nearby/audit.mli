@@ -28,7 +28,6 @@ type t
 val create :
   ?rate:float ->
   ?seed:int ->
-  ?trace:Simkit.Trace.t ->
   ?timeseries:Simkit.Timeseries.t ->
   ?clock:(unit -> float) ->
   Server.t ->

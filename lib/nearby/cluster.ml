@@ -354,36 +354,38 @@ type answer =
   | Continue of { replica : int }
 
 (* The answer to a join [r] holds: its info, and the neighbor reply with
-   the size the server charged it. *)
-let registered (r : replica) ~peer ~k info =
-  let neighbors, reply_bytes = Server.sized_neighbors r.server ~peer ~k in
+   the size the server charged it, with [request_bytes] for the query. *)
+let registered (r : replica) ~peer ~k ~request_bytes info =
+  let neighbors, reply_bytes = Server.sized_neighbors r.server ~peer ~k ~request_bytes in
   Registered { info; neighbors; reply_bytes }
 
 (* A retry whose predecessor's reply was lost: idempotent re-answer. *)
-let reanswer t (r : replica) ~peer ~k info =
+let reanswer t (r : replica) ~peer ~k ~request_bytes info =
   Simkit.Trace.incr t.trace "cluster_duplicate_register";
-  registered r ~peer ~k info
+  registered r ~peer ~k ~request_bytes info
 
 let handle_registration t ~replica ~peer ~attach_router ~measurement ~k =
-  let r = t.replicas.(replica) in
+  let r = t.replicas.(replica) and request_bytes = Wire.neighbor_request_size ~peer ~k in
   if not r.alive then None
   else if Server.mem r.server peer then
-    Some (reanswer t r ~peer ~k (Option.get (Server.info r.server peer)))
+    Some (reanswer t r ~peer ~k ~request_bytes (Option.get (Server.info r.server peer)))
   else begin
     let info = Server.register_measured r.server ~peer ~attach_router measurement in
     let report = Wire.Path_report { peer; path = measurement.Client.path } in
     incr t.registered;
     count_upload t (Wire.byte_size report);
     fan_out ~report t ~from_replica:replica ~peer ~probes:measurement.probes;
-    Some (registered r ~peer ~k info)
+    Some (registered r ~peer ~k ~request_bytes info)
   end
 
 let handle_prefix t ~replica ~peer ~attach_router ~measurement ~prefix ~bytes ~k =
   let r = t.replicas.(replica) in
   if not r.alive then None
   else if Server.mem r.server peer then
-    (* The info the fresh answer carried. *)
-    Some (reanswer t r ~peer ~k (Server.measured_info ~attach_router measurement))
+    (* The info the fresh answer carried; the frame arrived again. *)
+    Some
+      (reanswer t r ~peer ~k ~request_bytes:bytes
+         (Server.measured_info ~attach_router measurement))
   else begin
     let m = measurement in
     count_upload t bytes;
@@ -392,7 +394,8 @@ let handle_prefix t ~replica ~peer ~attach_router ~measurement ~prefix ~bytes ~k
     | Some info ->
         incr t.registered;
         fan_out t ~from_replica:replica ~peer ~probes:m.probes;
-        Some (registered r ~peer ~k info)
+        (* [register_prefix] charged the frame, [k] included. *)
+        Some (registered r ~peer ~k ~request_bytes:0 info)
   end
 
 (* --- Crash / recover --------------------------------------------------- *)

@@ -1,11 +1,11 @@
 (* Timing middleware over any registry backend.
 
    [wrap] wraps a packed [Registry_intf.S] so every insert/remove/query is
-   timed with a monotonic-enough wall clock and folded into the sinks it
-   is given -- a flat [Simkit.Trace], a labeled [Simkit.Metrics], or both
-   -- under uniform stream names: the same names for [tree], [naive] and
-   [dht], which is what lets the metrics exporter and `bench obs` report
-   identical per-backend latency quantiles.
+   timed with a monotonic-enough wall clock and folded into the stream
+   its sink gives for each name -- a flat [Simkit.Trace]'s, or a labeled
+   [Simkit.Metrics]'s -- under uniform stream names: the same names for
+   [tree], [naive] and [dht], which is what lets the metrics exporter and
+   `bench obs` report identical per-backend latency quantiles.
 
    With a span sink attached, every operation additionally becomes one
    span, parented under whatever context is ambient ([Span.with_context] /
@@ -14,8 +14,8 @@
    is tagged with that trace id, cross-linking the stream's tail exemplars
    to concrete traces.
 
-   Instrumentation costs nothing when disabled: with no metrics trace,
-   labeled registry or span sink, [wrap] returns the backend module
+   Instrumentation costs nothing when disabled: with no sink and no span
+   sink, [wrap] returns the backend module
    unchanged (physically the same first-class module), so the disabled
    path is a direct call into the backend — no closure, no clock read, no
    branch. *)
@@ -31,9 +31,9 @@ let query_candidates = "registry_query_candidates"
    survives quantization). *)
 let default_clock () = Unix.gettimeofday () *. 1e9
 
-let wrap ?(clock = default_clock) ?metrics ?labeled ?spans backend : (module Registry_intf.S) =
-  match (metrics, labeled, spans) with
-  | None, None, None -> backend
+let wrap ?(clock = default_clock) ?sink ?spans backend : (module Registry_intf.S) =
+  match (sink, spans) with
+  | None, None -> backend
   | _ ->
       let module B = (val backend : Registry_intf.S) in
       let spans = Option.value spans ~default:Simkit.Span.noop in
@@ -44,16 +44,9 @@ let wrap ?(clock = default_clock) ?metrics ?labeled ?spans backend : (module Reg
         let create = B.create
         let landmark = B.landmark
 
-        (* The dimensional mirror: same stream names as the flat trace,
-           filed under the backend's identity so per-backend series merge
-           into one fleet view without name mangling. *)
-        let backend_labels = [ ("backend", B.backend_name) ]
-
-        (* A sample goes to each sink that was given, once. *)
         let observe ?trace_id stream v =
-          (match metrics with Some m -> Simkit.Trace.observe ?trace_id m stream v | None -> ());
-          match labeled with
-          | Some m -> Simkit.Metrics.observe ?trace_id m stream ~labels:backend_labels v
+          match sink with
+          | Some cell -> Simkit.Trace.observe_ref ?trace_id (cell stream) v
           | None -> ()
 
         (* The span runs on the sink's simulated clock (duration ~0 there:

@@ -2,7 +2,7 @@
 
     Wraps a packed backend module so [insert], [remove], [query] and
     [query_member] are individually timed and recorded into a shared
-    {!Simkit.Trace}, a labeled {!Simkit.Metrics} registry, or both, under
+    {!Simkit.Trace} or a labeled {!Simkit.Metrics} registry, under
     uniform stream names, identical for every backend:
 
     - ["registry_insert_ns"], ["registry_remove_ns"], ["registry_query_ns"]
@@ -28,18 +28,17 @@ val query_candidates : string
 
 val wrap :
   ?clock:(unit -> float) ->
-  ?metrics:Simkit.Trace.t ->
-  ?labeled:Simkit.Metrics.t ->
+  ?sink:(string -> Simkit.Trace.stream) ->
   ?spans:Simkit.Span.sink ->
   (module Registry_intf.S) ->
   (module Registry_intf.S)
-(** [wrap ?metrics ?labeled ?spans b] is [b] with timed hot paths, each
-    sample observed once into each sink given: [metrics], the flat trace,
-    and [labeled], which files it under the same stream name with a
-    [{backend="<backend_name>"}] label, so several wrapped backends write
-    distinct series into one registry.  [spans] receives one
-    per-operation span parented on the ambient context.  [clock]
-    (default [Unix.gettimeofday]-based, nanoseconds) is injectable for
-    deterministic tests.  With none of the three sinks, the result is
-    {e physically} [b] itself: instrumentation compiles down to direct
-    backend calls when disabled. *)
+(** [wrap ?sink ?spans b] is [b] with timed hot paths, each sample
+    observed once into [sink name], the stream of its name: a flat
+    trace's ({!Simkit.Trace.stream_ref}), or a series of a labeled
+    registry, where a [{backend="<backend_name>"}] label keeps several
+    wrapped backends apart.  [spans] receives one per-operation span
+    parented on the ambient context.  [clock] (default
+    [Unix.gettimeofday]-based, nanoseconds) is injectable for
+    deterministic tests.  With neither sink, the result is {e physically}
+    [b] itself: instrumentation compiles down to direct backend calls
+    when disabled. *)

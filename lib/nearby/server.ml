@@ -696,21 +696,22 @@ let answer t ~peer ~k =
   end
   else lookup t ~peer ~k routers
 
-(* Charge a query and its [reply] to the wire counter; the reply's size.
-   Both are sized from their fields: no message is built. *)
-let count_query t ~peer ~k reply =
+(* Charge a query's [request_bytes] and its [reply] to the wire counter;
+   the reply's size.  Both are sized from their fields: no message is
+   built. *)
+let count_query t ~peer ~request_bytes reply =
   let reply_bytes = Wire.neighbor_reply_size ~peer reply in
-  Simkit.Trace.cell_add t.cells.wire_bytes (Wire.neighbor_request_size ~peer ~k + reply_bytes);
+  Simkit.Trace.cell_add t.cells.wire_bytes (request_bytes + reply_bytes);
   reply_bytes
 
 let neighbors t ~peer ~k =
   let reply = answer t ~peer ~k in
-  ignore (count_query t ~peer ~k reply);
+  ignore (count_query t ~peer ~request_bytes:(Wire.neighbor_request_size ~peer ~k) reply);
   reply
 
-let sized_neighbors t ~peer ~k =
+let sized_neighbors t ~peer ~k ~request_bytes =
   let reply = answer t ~peer ~k in
-  (reply, count_query t ~peer ~k reply)
+  (reply, count_query t ~peer ~request_bytes reply)
 
 let leave t ~peer =
   let slot = Slot_index.find t.index peer in

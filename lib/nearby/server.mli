@@ -221,11 +221,13 @@ val neighbors : t -> peer:int -> k:int -> (int * int) list
     [max_int].  Traced as a [query] span.
     @raise Not_found for an unregistered peer. *)
 
-val sized_neighbors : t -> peer:int -> k:int -> (int * int) list * int
+val sized_neighbors : t -> peer:int -> k:int -> request_bytes:int -> (int * int) list * int
 (** {!neighbors}, and the size of the {!Wire.Neighbor_reply} carrying the
     answer, as a replica's RPC reply sends it: the server sizes it once,
     for its wire counter, and a replica answering a join hands the size
-    on. *)
+    on.  The wire counter is charged [request_bytes] for the request, not
+    a {!Wire.Neighbor_request}: what of the frame that asked has not been
+    counted yet (0 after {!register_prefix}, whose frame carried [k]). *)
 
 val leave : t -> peer:int -> unit
 (** Deregister (graceful or detected failure).  @raise Not_found when

@@ -198,6 +198,22 @@ let series t =
 let series_count t name =
   Option.value ~default:0 (Hashtbl.find_opt t.per_name name)
 
+(* The series itself, never rerouted to the overflow one. *)
+let own_series t name labels =
+  if (not (Hashtbl.mem t.series (canonical_key name labels))) && series_count t name >= t.max_series
+  then invalid_arg ("Metrics: " ^ name ^ " is at its cardinality cap");
+  resolve t name labels
+
+let bind_counter t name ~labels r =
+  let s = own_series t name labels in
+  Trace.bind_counter t.trace s.key r;
+  s.counter <- Some r
+
+let bind_stream t name ~labels st =
+  let s = own_series t name labels in
+  Trace.bind_stream t.trace s.key st;
+  s.stream <- Some st
+
 let overflow_routed t = t.overflow_routed
 let trace t = t.trace
 let gauge_bindings t =

@@ -60,6 +60,13 @@ val gauge_ref : t -> string -> labels:labels -> gauge
 (** The gauge's cell, for hot paths to set directly; it reads [nan] until
     set, so resolve it where its first value is set. *)
 
+val bind_counter : t -> string -> labels:labels -> int ref -> unit
+(** {!Trace.bind_counter} for a series: it shows a component's cell, never
+    a copy.  @raise Invalid_argument as that does, and past the name's
+    cap rather than fold the cell into the overflow series. *)
+
+val bind_stream : t -> string -> labels:labels -> Trace.stream -> unit
+
 (** {1 Reading} *)
 
 val counter : t -> string -> labels:labels -> int

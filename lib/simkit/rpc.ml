@@ -34,7 +34,8 @@ let worst_case_ms c =
   (float_of_int c.max_attempts *. c.timeout_ms) +. !backoffs
 
 (* The trace cells of the outcome counters and the latency stream, each
-   resolved at its first write. *)
+   resolved at its first write, where it is also listed in the labeled
+   registry. *)
 type cells = {
   calls : Trace.counter_cell;
   attempts : Trace.counter_cell;
@@ -47,10 +48,6 @@ type cells = {
   gave_up : Trace.counter_cell;
 }
 
-(* The labeled series every successful call writes; a cell keeps the
-   series its first write resolved to. *)
-type ok_series = { outcome : Trace.counter_cell; ok_latency : Trace.stream_cell }
-
 type t = {
   config : config;
   budget : float;  (* [worst_case_ms config]: how long a call may run *)
@@ -59,41 +56,42 @@ type t = {
   rng : Prelude.Prng.t option;
   trace : Trace.t;
   cells : cells;
-  labeled : Metrics.t option;
-  labeled_ok : ok_series option;
   recorder : Flight_recorder.t option;
   spans : Span.sink;
 }
 
-let ok = [ ("outcome", "ok") ]
-
-let create ?(config = default_config) ?rng ?trace ?labeled ?recorder
-    ?(spans = Span.noop) transport =
+let create ?(config = default_config) ?rng ?labeled ?recorder ?(spans = Span.noop) transport =
   validate_config config;
-  let trace = match trace with Some t -> t | None -> Trace.create () in
+  let trace = Trace.create () in
   let cell = Trace.counter_cell trace in
+  (* One [rpc_outcomes] series per outcome, so a fleet dashboard reads the
+     ok/timeout mix without knowing each flat counter name. *)
+  let outcome name label =
+    Trace.counter_cell_of (fun () ->
+        let r = Trace.counter_ref trace name in
+        Option.iter
+          (fun m -> Metrics.bind_counter m "rpc_outcomes" ~labels:[ ("outcome", label) ] r)
+          labeled;
+        r)
+  in
   let cells =
     {
       calls = cell "rpc_calls";
       attempts = cell "rpc_attempts";
       retries = cell "rpc_retries";
-      no_target = cell "rpc_no_target";
-      unserved = cell "rpc_unserved";
-      ok_count = cell "rpc_ok";
-      latency = Trace.stream_cell trace "rpc_latency_ms";
-      timeouts = cell "rpc_timeouts";
-      gave_up = cell "rpc_gave_up";
+      no_target = outcome "rpc_no_target" "no_target";
+      unserved = outcome "rpc_unserved" "unserved";
+      ok_count = outcome "rpc_ok" "ok";
+      latency =
+        Trace.stream_cell_of (fun () ->
+            let s = Trace.stream_ref trace "rpc_latency_ms" in
+            Option.iter
+              (fun m -> Metrics.bind_stream m "rpc_latency_ms" ~labels:[ ("outcome", "ok") ] s)
+              labeled;
+            s);
+      timeouts = outcome "rpc_timeouts" "timeout";
+      gave_up = outcome "rpc_gave_up" "gave_up";
     }
-  in
-  let labeled_ok =
-    Option.map
-      (fun m ->
-        {
-          outcome = Trace.counter_cell_of (fun () -> Metrics.counter_ref m "rpc_outcomes" ~labels:ok);
-          ok_latency =
-            Trace.stream_cell_of (fun () -> Metrics.stream_ref m "rpc_latency_ms" ~labels:ok);
-        })
-      labeled
   in
   {
     config;
@@ -103,18 +101,9 @@ let create ?(config = default_config) ?rng ?trace ?labeled ?recorder
     rng;
     trace;
     cells;
-    labeled;
-    labeled_ok;
     recorder;
     spans;
   }
-
-(* Dimensional mirror of the outcome counters: one `rpc_outcomes` series
-   per outcome label, so a fleet dashboard reads the ok/timeout mix
-   without knowing each flat counter name.  Call sites pass constant label
-   lists, so a write builds none. *)
-let labeled_outcome t labels =
-  match t.labeled with None -> () | Some m -> Metrics.incr m "rpc_outcomes" ~labels
 
 let trace t = t.trace
 let spans t = t.spans
@@ -189,11 +178,6 @@ let replied c ~n ~target span v =
     let latency = Engine.now (engine t) -. c.started_at in
     Trace.cell_incr t.cells.ok_count;
     Trace.cell_observe t.cells.latency latency;
-    (match t.labeled_ok with
-    | Some s ->
-        Trace.cell_incr s.outcome;
-        Trace.cell_observe s.ok_latency latency
-    | None -> ());
     if Option.is_some t.recorder then
       record t "ok"
         ~args:
@@ -219,7 +203,6 @@ let serve c ~n ~target span =
       (* The server was down when the request arrived: it is consumed
          without a reply, exactly like a lost one. *)
       Trace.cell_incr t.cells.unserved;
-      labeled_outcome t [ ("outcome", "unserved") ];
       if Option.is_some t.recorder then
         record t ~args:[ ("src", Span.Int c.src); ("dst", Span.Int target) ] "unserved"
   | Some v ->
@@ -245,7 +228,6 @@ let rec attempt c n =
       (* No live target known right now; waiting out the whole ceiling
          doubles as a wait for one to come back. *)
       Trace.cell_incr t.cells.no_target;
-      labeled_outcome t [ ("outcome", "no_target") ];
       if Option.is_some t.recorder then
         record t ~args:[ ("src", Span.Int c.src); ("attempt", Span.Int n) ] "no_target";
       close t span "no_target";
@@ -288,7 +270,6 @@ and timed_out timer =
   | Some c ->
       let t = c.rpc and n = timer.n in
       Trace.cell_incr t.cells.timeouts;
-      labeled_outcome t [ ("outcome", "timeout") ];
       if Option.is_some t.recorder then
         record t ~args:[ ("src", Span.Int c.src); ("attempt", Span.Int n) ] "timeout";
       close t timer.span "timeout";
@@ -308,7 +289,6 @@ and timed_out timer =
       end
       else if settle timer then begin
         Trace.cell_incr t.cells.gave_up;
-        labeled_outcome t [ ("outcome", "gave_up") ];
         if Option.is_some t.recorder then record t ~args:[ ("src", Span.Int c.src) ] "gave_up";
         c.on_give_up ()
       end

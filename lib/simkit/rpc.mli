@@ -65,16 +65,16 @@ val worst_case_ms : config -> float
     call is still in flight when the run stops. *)
 
 val create :
-  ?config:config -> ?rng:Prelude.Prng.t -> ?trace:Trace.t -> ?labeled:Metrics.t ->
+  ?config:config -> ?rng:Prelude.Prng.t -> ?labeled:Metrics.t ->
   ?recorder:Flight_recorder.t -> ?spans:Span.sink -> Transport.t -> t
 (** [recorder] receives one ["rpc"]-kind event per notable outcome
     (timeout, failed-over attempt without a target, unserved request,
     settled reply, give-up), stamped with the engine clock.  [spans]
     receives one ["rpc_attempt"] span per attempt (see {!call}); default
-    {!Span.noop}.  [labeled] mirrors the outcome counters dimensionally:
-    one [rpc_outcomes{outcome="ok"|"timeout"|"no_target"|"unserved"|
-    "gave_up"}] series per outcome, plus an
-    [rpc_latency_ms{outcome="ok"}] stream.
+    {!Span.noop}.  [labeled] lists {!trace}'s outcome counters as one
+    [rpc_outcomes{outcome="ok"|"timeout"|"no_target"|"unserved"|
+    "gave_up"}] series each, and its latency stream as
+    [rpc_latency_ms{outcome="ok"}]: the same cells, not copies.
     @raise Invalid_argument on a non-positive timeout, [max_attempts < 1],
     negative backoff, multiplier below 1 or jitter outside [0, 1). *)
 

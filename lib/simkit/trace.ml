@@ -128,6 +128,17 @@ let cell_add c k =
 
 let cell_observe c v = observe_ref (stream_of c) v
 
+let cell_count (c : counter_cell) = !(c.target)
+
+(* The table holds the cell itself: [reset] and [merge_into] see one count. *)
+let bind fn table name cell =
+  match Hashtbl.find table name with
+  | c -> if c != cell then invalid_arg (Printf.sprintf "Trace.%s: %S has another cell" fn name)
+  | exception Not_found -> Hashtbl.add table name cell
+
+let bind_counter t name r = bind "bind_counter" t.counters name r
+let bind_stream t name s = bind "bind_stream" t.streams name s
+
 let exemplars t name =
   match Hashtbl.find_opt t.streams name with
   | None -> []

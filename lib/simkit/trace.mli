@@ -62,8 +62,7 @@ type counter_cell
     name up front and write it without hashing the name, while a name
     never written still does not appear in {!counters}.  Once written, a
     cell holds the counter and nothing else, whenever the collector runs.
-    A labeled series' cell is
-    [counter_cell_of (fun () -> Metrics.counter_ref m name ~labels)]. *)
+    Its resolver is where a {!bind_counter} lists it under another name. *)
 
 type stream_cell
 (** {!counter_cell} for an observe stream. *)
@@ -84,6 +83,16 @@ val cell_add : counter_cell -> int -> unit
 
 val cell_observe : stream_cell -> float -> unit
 (** {!observe} (untagged) through a cell. *)
+
+val cell_count : counter_cell -> int
+(** 0 before the cell's first write. *)
+
+val bind_counter : t -> string -> int ref -> unit
+(** List an existing cell under [name] too: one count, two names.  Call
+    it from a cell's resolver, so an unwritten cell appears nowhere.
+    @raise Invalid_argument when [name] has another cell. *)
+
+val bind_stream : t -> string -> stream -> unit
 
 type exemplar = {
   bucket : int;  (** {!Prelude.Sketch.bucket_index} of the sample. *)

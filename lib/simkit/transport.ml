@@ -1,6 +1,18 @@
 (* The [wire_bytes_total] / [wire_msgs_total] cells of one (kind, dir)
-   pair, resolved at its first frame. *)
-type wire_cells = { kind : string; dir : string; bytes : int ref; msgs : int ref }
+   pair (private without a registry) and its kind's [wire_bytes:<kind>]
+   window series, resolved at its first frame. *)
+type wire_cells = {
+  kind : string;
+  dir : string;
+  bytes : int ref;
+  msgs : int ref;
+  series : Timeseries.series option;
+}
+
+(* A drop bucket's messages and bytes: with a registry, its
+   [wire_dropped_msgs_total] / [wire_dropped_bytes_total] series, bound at
+   its first drop. *)
+type bucket = { reason : string; msgs : int ref; bytes : int ref }
 
 type talker = {
   node : Topology.Graph.node;
@@ -20,16 +32,14 @@ type t = {
   mutable messages : int;
   mutable bytes : int;
   mutable link_bytes : int;
-  mutable dropped_loss : int;
-  mutable dropped_unreachable : int;
-  mutable dropped_partition : int;
-  mutable dropped_loss_bytes : int;
-  mutable dropped_unreachable_bytes : int;
-  mutable dropped_partition_bytes : int;
+  loss : bucket;
+  unreachable : bucket;
+  partition_drops : bucket;
   delay : float array;  (* one cell: the delay the last route walk found *)
-  mutable metrics : Metrics.t option;
+  metrics : Metrics.t option;
+  timeseries : Timeseries.t option;
   mutable wire_cells : wire_cells list;
-  mutable timeseries : Timeseries.t option;
+  wire_series : Timeseries.series option;  (* [wire_bytes] *)
   (* Per-endpoint tallies, indexed by graph node: endpoints are nodes, so
      a delivery bumps four array cells instead of probing a table. *)
   out_bytes : int array;
@@ -44,6 +54,8 @@ let check_loss_prob ~who ~rng loss_prob =
     invalid_arg (who ^ ": loss_prob outside [0, 1)");
   if loss_prob > 0.0 && rng = None then invalid_arg (who ^ ": loss_prob needs ~rng")
 
+let bucket reason = { reason; msgs = ref 0; bytes = ref 0 }
+
 let create ?latency ?rng ?(loss_prob = 0.0) ?metrics ?timeseries engine oracle =
   check_loss_prob ~who:"Transport.create" ~rng loss_prob;
   let nodes = Topology.Graph.node_count (Traceroute.Route_oracle.graph oracle) in
@@ -57,16 +69,14 @@ let create ?latency ?rng ?(loss_prob = 0.0) ?metrics ?timeseries engine oracle =
     messages = 0;
     bytes = 0;
     link_bytes = 0;
-    dropped_loss = 0;
-    dropped_unreachable = 0;
-    dropped_partition = 0;
-    dropped_loss_bytes = 0;
-    dropped_unreachable_bytes = 0;
-    dropped_partition_bytes = 0;
+    loss = bucket "loss";
+    unreachable = bucket "unreachable";
+    partition_drops = bucket "partition";
     delay = [| 0.0 |];
     metrics;
-    wire_cells = [];
     timeseries;
+    wire_cells = [];
+    wire_series = Option.map (fun ts -> Timeseries.series ts "wire_bytes") timeseries;
     out_bytes = Array.make nodes 0;
     in_bytes = Array.make nodes 0;
     out_msgs = Array.make nodes 0;
@@ -75,10 +85,6 @@ let create ?latency ?rng ?(loss_prob = 0.0) ?metrics ?timeseries engine oracle =
   }
 
 let engine t = t.engine
-
-let set_wire_sinks ?metrics ?timeseries t =
-  if Option.is_some metrics then (t.metrics <- metrics; t.wire_cells <- []);
-  match timeseries with Some _ -> t.timeseries <- timeseries | None -> ()
 
 let set_loss_prob t loss_prob =
   check_loss_prob ~who:"Transport.set_loss_prob" ~rng:t.rng loss_prob;
@@ -135,49 +141,49 @@ let parts_total parts = List.fold_left (fun acc (_, b) -> acc + b) 0 parts
 let touch t node =
   if t.out_msgs.(node) = 0 && t.in_msgs.(node) = 0 then t.endpoints <- t.endpoints + 1
 
-let rec wire_cells t m ~kind ~dir = function
+let rec wire_cells t ~kind ~dir = function
   | c :: _ when String.equal c.kind kind && String.equal c.dir dir -> c
-  | _ :: rest -> wire_cells t m ~kind ~dir rest
+  | _ :: rest -> wire_cells t ~kind ~dir rest
   | [] ->
       let labels = [ ("kind", kind); ("dir", dir) ] in
-      let bytes = Metrics.counter_ref m "wire_bytes_total" ~labels in
-      let c = { kind; dir; bytes; msgs = Metrics.counter_ref m "wire_msgs_total" ~labels } in
+      let counter name =
+        match t.metrics with Some m -> Metrics.counter_ref m name ~labels | None -> ref 0
+      in
+      let bytes = counter "wire_bytes_total" in
+      let series =
+        Option.map (fun ts -> Timeseries.series ts ("wire_bytes:" ^ kind)) t.timeseries
+      in
+      let c = { kind; dir; bytes; msgs = counter "wire_msgs_total"; series } in
       t.wire_cells <- c :: t.wire_cells;
       c
 
-let count_part t m ~dir ~kind bytes =
-  let c = wire_cells t m ~kind ~dir t.wire_cells in
-  c.bytes := !(c.bytes) + bytes;
-  incr c.msgs
+let observe t series ~now bytes =
+  match (t.timeseries, series) with
+  | Some ts, Some s -> Timeseries.observe_series ts s ~now (float_of_int bytes)
+  | _ -> ()
 
-let rec count_parts t m ~dir = function
+(* One part of a delivered message, at [now] on the window clock. *)
+let count_part t ~now ~dir ~kind bytes =
+  let c = wire_cells t ~kind ~dir t.wire_cells in
+  c.bytes := !(c.bytes) + bytes;
+  incr c.msgs;
+  observe t c.series ~now bytes
+
+let rec count_parts t ~now ~dir = function
   | [] -> ()
   | (kind, bytes) :: rest ->
-      count_part t m ~dir ~kind bytes;
-      count_parts t m ~dir rest
+      count_part t ~now ~dir ~kind bytes;
+      count_parts t ~now ~dir rest
 
-let account_drop t ~reason ~total =
-  (match reason with
-  | `Loss ->
-      t.dropped_loss <- t.dropped_loss + 1;
-      t.dropped_loss_bytes <- t.dropped_loss_bytes + total
-  | `Unreachable ->
-      t.dropped_unreachable <- t.dropped_unreachable + 1;
-      t.dropped_unreachable_bytes <- t.dropped_unreachable_bytes + total
-  | `Partition ->
-      t.dropped_partition <- t.dropped_partition + 1;
-      t.dropped_partition_bytes <- t.dropped_partition_bytes + total);
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-      let reason =
-        match reason with
-        | `Loss -> "loss"
-        | `Unreachable -> "unreachable"
-        | `Partition -> "partition"
-      in
-      Metrics.add_count m "wire_dropped_bytes_total" ~labels:[ ("reason", reason) ] total;
-      Metrics.incr m "wire_dropped_msgs_total" ~labels:[ ("reason", reason) ]
+let account_drop t b ~total =
+  (match t.metrics with
+  | Some m when !(b.msgs) = 0 ->
+      let labels = [ ("reason", b.reason) ] in
+      Metrics.bind_counter m "wire_dropped_bytes_total" ~labels b.bytes;
+      Metrics.bind_counter m "wire_dropped_msgs_total" ~labels b.msgs
+  | _ -> ());
+  b.bytes := !(b.bytes) + total;
+  incr b.msgs
 
 (* One delivered message over a route of [hops] links: whole-run counters
    and per-endpoint tallies. *)
@@ -192,38 +198,37 @@ let account_delivered t ~src ~dst ~total ~hops =
   t.in_bytes.(dst) <- t.in_bytes.(dst) + total;
   t.in_msgs.(dst) <- t.in_msgs.(dst) + 1
 
+(* The window clock of a delivered message of [total] bytes, counted in
+   [wire_bytes]; 0 without a timeseries. *)
+let observe_total t ~total =
+  if Option.is_none t.timeseries then 0.0
+  else begin
+    let now = Engine.now t.engine in
+    observe t t.wire_series ~now total;
+    now
+  end
+
 (* The dimensional view of a delivered message: each [(kind, bytes)] part
    feeds its own labeled series, so one frame carrying a report and a
    query splits cleanly by kind while counting once in [messages_sent].
    A one-part message is labeled without building a part list. *)
 let label_part t ~dir ~kind bytes =
-  (match t.metrics with None -> () | Some m -> count_part t m ~dir ~kind bytes);
-  match t.timeseries with
-  | None -> ()
-  | Some ts ->
-      let now = Engine.now t.engine in
-      Timeseries.observe ts "wire_bytes" ~now (float_of_int bytes);
-      Timeseries.observe ts ("wire_bytes:" ^ kind) ~now (float_of_int bytes)
+  match (t.metrics, t.timeseries) with
+  | None, None -> ()
+  | _ -> count_part t ~now:(observe_total t ~total:bytes) ~dir ~kind bytes
 
 let label_parts t ~dir ~total parts =
-  (match t.metrics with None -> () | Some m -> count_parts t m ~dir parts);
-  match t.timeseries with
-  | None -> ()
-  | Some ts ->
-      let now = Engine.now t.engine in
-      Timeseries.observe ts "wire_bytes" ~now (float_of_int total);
-      List.iter
-        (fun (kind, bytes) ->
-          Timeseries.observe ts ("wire_bytes:" ^ kind) ~now (float_of_int bytes))
-        parts
+  match (t.metrics, t.timeseries) with
+  | None, None -> ()
+  | _ -> count_parts t ~now:(observe_total t ~total) ~dir parts
 
 (* Route a message of [total] bytes: count it into its drop bucket, or
    count it delivered and say so. *)
 let routed t ~src ~dst ~total =
   let hops = walk t ~src ~dst in
-  if hops = max_int then (account_drop t ~reason:`Unreachable ~total; false)
-  else if partitioned t ~src ~dst then (account_drop t ~reason:`Partition ~total; false)
-  else if lost t then (account_drop t ~reason:`Loss ~total; false)
+  if hops = max_int then (account_drop t t.unreachable ~total; false)
+  else if partitioned t ~src ~dst then (account_drop t t.partition_drops ~total; false)
+  else if lost t then (account_drop t t.loss ~total; false)
   else (account_delivered t ~src ~dst ~total ~hops; true)
 
 (* Deliver after the delay the route walk left in [t.delay]. *)
@@ -250,14 +255,14 @@ let charge ~kind ~dir t ~src ~dst ~size_bytes =
 let messages_sent t = t.messages
 let link_bytes t = t.link_bytes
 let bytes_sent t = t.bytes
-let dropped_loss t = t.dropped_loss
-let messages_dropped t = t.dropped_loss + t.dropped_unreachable + t.dropped_partition
-let dropped_loss_bytes t = t.dropped_loss_bytes
-let dropped_unreachable_bytes t = t.dropped_unreachable_bytes
-let dropped_partition_bytes t = t.dropped_partition_bytes
+let dropped_loss t = !(t.loss.msgs)
+let messages_dropped t = !(t.loss.msgs) + !(t.unreachable.msgs) + !(t.partition_drops.msgs)
+let dropped_loss_bytes t = !(t.loss.bytes)
+let dropped_unreachable_bytes t = !(t.unreachable.bytes)
+let dropped_partition_bytes t = !(t.partition_drops.bytes)
 
 let bytes_dropped t =
-  t.dropped_loss_bytes + t.dropped_unreachable_bytes + t.dropped_partition_bytes
+  dropped_loss_bytes t + dropped_unreachable_bytes t + dropped_partition_bytes t
 
 let endpoint_count t = t.endpoints
 
@@ -290,10 +295,10 @@ let stats t =
     ("messages", t.messages);
     ("bytes", t.bytes);
     ("link_bytes", t.link_bytes);
-    ("dropped_loss", t.dropped_loss);
-    ("dropped_unreachable", t.dropped_unreachable);
-    ("dropped_partition", t.dropped_partition);
-    ("dropped_loss_bytes", t.dropped_loss_bytes);
-    ("dropped_unreachable_bytes", t.dropped_unreachable_bytes);
-    ("dropped_partition_bytes", t.dropped_partition_bytes);
+    ("dropped_loss", !(t.loss.msgs));
+    ("dropped_unreachable", !(t.unreachable.msgs));
+    ("dropped_partition", !(t.partition_drops.msgs));
+    ("dropped_loss_bytes", !(t.loss.bytes));
+    ("dropped_unreachable_bytes", !(t.unreachable.bytes));
+    ("dropped_partition_bytes", !(t.partition_drops.bytes));
   ]

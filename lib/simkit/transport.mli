@@ -45,16 +45,11 @@ val create :
     adds 5% jitter per message and enables [loss_prob]: each message is
     silently dropped with that probability (failure injection for protocol
     robustness tests).  [metrics] / [timeseries] enable the labeled wire
-    accounting described above; without them only the whole-run counters
-    are kept.  @raise Invalid_argument if [loss_prob] is outside [0, 1) or
-    given without [rng]. *)
+    accounting described above, fixed for the transport's life; without
+    them only the whole-run counters are kept.  @raise Invalid_argument
+    if [loss_prob] is outside [0, 1) or given without [rng]. *)
 
 val engine : t -> Engine.t
-
-val set_wire_sinks : ?metrics:Metrics.t -> ?timeseries:Timeseries.t -> t -> unit
-(** Attach (or swap) the wire-accounting sinks after creation — for
-    harnesses that build the transport before the metrics registry.
-    Omitted sinks are left unchanged. *)
 
 val set_loss_prob : t -> float -> unit
 (** Change the loss probability mid-run (scripted loss windows).

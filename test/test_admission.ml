@@ -210,6 +210,60 @@ let test_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check bool) "identical outcomes" true (a = b)
 
+(* A flash crowd through each policy: the totals are the labeled
+   counters (one cell each), and a run without a registry keeps the same
+   totals. *)
+let test_totals_are_the_labeled_counters () =
+  let flash ?metrics policy =
+    let engine, t = mk ?metrics ~capacity:40 ~rate:100.0 ~batch:4 policy in
+    let arrivals =
+      Simkit.Workload.install ~engine ~rng:(Prelude.Prng.create 5)
+        (Simkit.Workload.Flash
+           { base_per_s = 50.0; spike_per_s = 400.0; spike_at_s = 1.0; spike_len_s = 2.0 })
+        ~until_ms:5_000.0
+        ~on_arrival:(fun _ ->
+          Nearby.Admission.submit t ~serve:(fun ~queued_ms:_ -> ()) ~shed:(fun ~reason:_ -> ()))
+    in
+    Simkit.Engine.run engine ~until:60_000.0;
+    (arrivals, Nearby.Admission.totals t)
+  in
+  List.iter
+    (fun (name, policy) ->
+      let metrics = Simkit.Metrics.create () in
+      let arrivals, totals = flash ~metrics policy in
+      let counter ?(labels = []) series = Simkit.Metrics.counter metrics series ~labels in
+      Alcotest.(check int) (name ^ ": every arrival submitted") arrivals totals.submitted;
+      Alcotest.(check bool) (name ^ ": the crowd was shed") true (totals.shed_total > 0);
+      Alcotest.(check int)
+        (name ^ ": submitted") totals.submitted
+        (counter "admission_submitted_total");
+      Alcotest.(check int)
+        (name ^ ": admitted") totals.admitted
+        (counter "admission_admitted_total");
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": shed series, one per reason hit")
+        totals.shed
+        (List.filter_map
+           (fun (series, labels, _) ->
+             if series = "admission_shed_total" then
+               Some (List.assoc "reason" labels, counter series ~labels)
+             else None)
+           (Simkit.Metrics.series metrics));
+      Alcotest.(check (option int))
+        (name ^ ": one wait sample per admitted") (Some totals.admitted)
+        (Option.map
+           (fun (s : Simkit.Trace.summary) -> s.count)
+           (Simkit.Metrics.summary metrics Nearby.Admission.wait_series_name ~labels:[]));
+      Alcotest.(check bool) (name ^ ": same totals without a registry") true
+        (snd (flash policy) = totals))
+    [
+      ("drop-tail", Nearby.Admission.Drop_tail);
+      ("deadline", Nearby.Admission.Deadline { max_wait_ms = 150.0 });
+      ( "slo",
+        Nearby.Admission.slo_shed ~lookback:2 ~burn_threshold:0.5 ~poll_every_ms:50.0
+          ~wait_p99_limit_ms:100.0 () );
+    ]
+
 let suite =
   ( "admission",
     [
@@ -220,4 +274,6 @@ let suite =
       Alcotest.test_case "on_drain batches" `Quick test_on_drain_batches;
       Alcotest.test_case "slo shedder cycle" `Quick test_slo_shedder_cycle;
       Alcotest.test_case "deterministic" `Quick test_deterministic;
+      Alcotest.test_case "totals are the labeled counters" `Quick
+        test_totals_are_the_labeled_counters;
     ] )

@@ -23,7 +23,7 @@ type fixture = {
   transport : Simkit.Transport.t;
 }
 
-let fixture ?(routers = 300) ?(replicas = 3) ?rng ?loss_prob ~seed () =
+let fixture ?(routers = 300) ?(replicas = 3) ?rng ?loss_prob ?metrics ~seed () =
   let map = Topology.Gen_magoni.generate (Topology.Gen_magoni.default_params routers) ~seed in
   let oracle = Traceroute.Route_oracle.create map.graph in
   let place_rng = Prelude.Prng.create (seed + 1000) in
@@ -34,7 +34,7 @@ let fixture ?(routers = 300) ?(replicas = 3) ?rng ?loss_prob ~seed () =
     Nearby.Landmark.place map.graph Nearby.Landmark.High_degree ~count:replicas ~rng:place_rng
   in
   let engine = Simkit.Engine.create () in
-  let transport = Simkit.Transport.create ?rng ?loss_prob engine oracle in
+  let transport = Simkit.Transport.create ?rng ?loss_prob ?metrics engine oracle in
   { map; oracle; landmarks; replica_routers; engine; transport }
 
 let make_server fx () = Nearby.Server.create fx.oracle ~landmarks:fx.landmarks
@@ -75,7 +75,9 @@ let single_protocol fx server =
   (cluster, rpc, Nearby.Protocol.create_resilient ~rpc cluster)
 
 (* The join's rounds in process, without the RPC layer: the first-round
-   prefix, and the whole trace when the server asks for the rest. *)
+   prefix, and the whole trace when the server asks for the rest.  The
+   request bytes the neighbor query adds: none after a first round, whose
+   frame carried [k]. *)
 let join_in_process server ~client ~peer ~attach_router ~k =
   let m = Nearby.Client.measure_join client ~attach_router in
   let prefix = Nearby.Client.prefix m in
@@ -84,8 +86,10 @@ let join_in_process server ~client ~peer ~attach_router ~k =
       (Nearby.Wire.Path_prefix { peer; k; landmark = m.landmark; probes = m.probes; prefix })
   in
   match Nearby.Server.register_prefix server ~peer ~attach_router ~prefix ~bytes m with
-  | Some _ -> ()
-  | None -> ignore (Nearby.Server.register_measured server ~peer ~attach_router m)
+  | Some _ -> 0
+  | None ->
+      ignore (Nearby.Server.register_measured server ~peer ~attach_router m);
+      Nearby.Wire.neighbor_request_size ~peer ~k
 
 (* A 1-replica cluster behind the RPC layer on a clean network keeps the
    replies, the registered state and the server accounting of a plain
@@ -98,10 +102,12 @@ let check_matches_plain_server label fx (cluster, rpc, protocol) =
   let client = make_client reference_fx in
   let expected =
     List.init peers (fun peer ->
-        join_in_process reference ~client ~peer
-          ~attach_router:reference_fx.map.leaves.(peer mod Array.length reference_fx.map.leaves)
-          ~k;
-        Nearby.Server.neighbors reference ~peer ~k)
+        let request_bytes =
+          join_in_process reference ~client ~peer
+            ~attach_router:reference_fx.map.leaves.(peer mod Array.length reference_fx.map.leaves)
+            ~k
+        in
+        fst (Nearby.Server.sized_neighbors reference ~peer ~k ~request_bytes))
   in
   let replies, failed =
     run_joins ~spacing:serial_spacing fx protocol ~peers ~k ~horizon:60_000.0
@@ -260,9 +266,8 @@ let test_consistent_compares_paths () =
 (* 10,000 members on every replica but 8 of them withheld from one: the
    repair must cost the differing buckets, not the member count. *)
 let test_repair_bytes_scale_with_the_difference () =
-  let fx = fixture ~seed:29 () in
   let metrics = Simkit.Metrics.create () in
-  Simkit.Transport.set_wire_sinks ~metrics fx.transport;
+  let fx = fixture ~metrics ~seed:29 () in
   let cluster = make_cluster fx in
   let members = 10_000 and withheld = 8 in
   let client = make_client fx in
@@ -948,6 +953,84 @@ let test_join_words_budget () =
 let test_state_words_budget () =
   within_budget "words per member" (snd (Lazy.force replicated_joins)) (50.05 *. 1.02)
 
+(* A replica's wire counter charges the frames a join sent it and the
+   replies it sent back: a first round's [Path_prefix] frame carries [k],
+   so its answer adds the reply alone.  Checked against the transport's
+   labeled request and reply bytes for a first round, a retry whose first
+   request was lost, and a re-answer after a lost reply (whose dropped
+   reply the server did send). *)
+let test_join_server_bytes_match_transport () =
+  let metrics = Simkit.Metrics.create () in
+  let fx = fixture ~metrics ~replicas:1 ~seed:22 () in
+  let server = make_server fx () in
+  let cluster =
+    Nearby.Cluster.single ~transport:fx.transport ~router:fx.replica_routers.(0) server
+  in
+  let rpc = Simkit.Rpc.create ~config:rpc_config fx.transport in
+  let protocol = Nearby.Protocol.create_resilient ~rpc cluster in
+  let client = make_client fx in
+  let attach_router = fx.map.leaves.(0) in
+  let server_bytes () = Simkit.Trace.counter (Nearby.Server.trace server) "wire_bytes" in
+  let labeled () =
+    List.fold_left
+      (fun acc (name, labels, _) ->
+        if name = "wire_bytes_total" && List.mem (List.assoc "dir" labels) [ "request"; "reply" ]
+        then acc + Simkit.Metrics.counter metrics name ~labels
+        else acc)
+      0 (Simkit.Metrics.series metrics)
+  in
+  let counter trace name = Simkit.Trace.counter trace name in
+  let rpcs name = counter (Simkit.Rpc.trace rpc) name in
+  (* Join [peer] with the client cut off from [from] to [until] ms after
+     its first round is sent; the deltas of the server's bytes, the
+     labeled bytes and the dropped bytes. *)
+  let join ?cut peer =
+    let start = Simkit.Engine.now fx.engine in
+    let m = Nearby.Client.measure_join client ~attach_router in
+    let sent = start +. Nearby.Client.first_round_ms client m in
+    Option.iter
+      (fun (from, until) ->
+        Simkit.Engine.schedule_at fx.engine ~time:(sent +. from) (fun () ->
+            Simkit.Transport.set_partition_nodes fx.transport [ attach_router ]);
+        Simkit.Engine.schedule_at fx.engine ~time:(sent +. until) (fun () ->
+            Simkit.Transport.clear_partition fx.transport))
+      cut;
+    let dropped () = Simkit.Transport.bytes_dropped fx.transport in
+    let s0 = server_bytes () and l0 = labeled () and d0 = dropped () in
+    let completed = ref false in
+    Nearby.Protocol.join protocol ~peer ~attach_router ~k:4
+      ~on_complete:(fun _ _ -> completed := true);
+    Simkit.Engine.run fx.engine ~until:(start +. 5_000.0);
+    Alcotest.(check bool) (Printf.sprintf "peer %d joined" peer) true !completed;
+    (server_bytes () - s0, labeled () - l0, dropped () - d0)
+  in
+  ignore (join 0);
+  let continued = counter (Nearby.Server.trace server) "join_continue" in
+  let attempts = rpcs "rpc_attempts" in
+  let s, l, d = join 1 in
+  Alcotest.(check int) "first round: one attempt" (attempts + 1) (rpcs "rpc_attempts");
+  Alcotest.(check int) "first round: nothing dropped" 0 d;
+  Alcotest.(check int) "first round: server bytes = labeled request + reply" l s;
+  (* The first request is lost: the partition is up when it is sent. *)
+  let retries = rpcs "rpc_retries" in
+  let s, l, d = join ~cut:(-0.001, 0.001) 2 in
+  Alcotest.(check int) "lost request: one retry" (retries + 1) (rpcs "rpc_retries");
+  Alcotest.(check bool) "lost request: dropped" true (d > 0);
+  Alcotest.(check int) "lost request: server bytes = labeled request + reply" l s;
+  (* The first reply is lost: it is sent into the partition once the
+     request has arrived, and the retry is answered again. *)
+  let duplicates () = counter (Nearby.Cluster.trace cluster) "cluster_duplicate_register" in
+  let dup = duplicates () in
+  let one_way =
+    Simkit.Transport.one_way_delay fx.transport ~src:attach_router ~dst:fx.replica_routers.(0)
+  in
+  let s, l, d = join ~cut:(0.001, one_way +. 0.001) 3 in
+  Alcotest.(check int) "lost reply: re-answered" (dup + 1) (duplicates ());
+  Alcotest.(check bool) "lost reply: dropped" true (d > 0);
+  Alcotest.(check int) "lost reply: server bytes = labeled + the dropped reply" (l + d) s;
+  Alcotest.(check int) "every join answered in its first round" continued
+    (counter (Nearby.Server.trace server) "join_continue")
+
 let suite =
   ( "cluster",
     [
@@ -985,4 +1068,6 @@ let suite =
       Alcotest.test_case "prefix round under faults" `Quick test_prefix_round_under_faults;
       Alcotest.test_case "continue round fails over past a crash" `Quick
         test_continue_round_fails_over_past_a_crash;
+      Alcotest.test_case "join server bytes match the transport" `Quick
+        test_join_server_bytes_match_transport;
     ] )

@@ -282,6 +282,26 @@ let test_truncate_gates () =
            (Eval.Regression.failures (Eval.Regression.compare_gates ~baseline:gates ~current:read)))
   | Error e -> Alcotest.fail e
 
+(* [regress] shows a move inside a band: the moved gate passes, carries
+   its signed change and counts as moved; the unmoved gate carries
+   none. *)
+let test_regression_shows_moves () =
+  let open Eval.Regression in
+  let read gates =
+    match
+      Result.bind (Simkit.Json.parse (Printf.sprintf {|{"gates": %s}|} (to_json gates))) of_document
+    with
+    | Ok gates -> gates
+    | Error e -> Alcotest.fail e
+  in
+  let baseline = read [ gate "x/moved" 200.0 Lower_better 0.1; exact "x/still" 3.0 ] in
+  let current = read [ gate "x/moved" 190.0 Lower_better 0.1; exact "x/still" 3.0 ] in
+  let comparisons = compare_gates ~baseline ~current in
+  Alcotest.(check int) "both pass" 0 (List.length (failures comparisons));
+  Alcotest.(check (list (option (float 1e-12))))
+    "signed relative change" [ Some (-0.05); None ] (List.map change comparisons);
+  Alcotest.(check int) "moved gates counted" 1 (List.length (List.filter_map change comparisons))
+
 let test_super_peer_exp_smoke () =
   let rows =
     Eval.Super_peer_exp.run
@@ -491,6 +511,7 @@ let suite =
       Alcotest.test_case "landmark sweep" `Slow test_landmark_sweep_smoke;
       Alcotest.test_case "truncate experiment" `Slow test_truncate_exp_smoke;
       Alcotest.test_case "truncate gates" `Slow test_truncate_gates;
+      Alcotest.test_case "regress shows moves" `Quick test_regression_shows_moves;
       Alcotest.test_case "super-peer experiment" `Slow test_super_peer_exp_smoke;
       Alcotest.test_case "churn experiment" `Slow test_churn_exp_smoke;
       Alcotest.test_case "churn heartbeat mode" `Slow test_churn_heartbeat_mode;

@@ -142,10 +142,9 @@ let kind_bytes metrics kind =
        0
 
 let test_digest_gate_saves_snapshot_bytes () =
-  let fx = fixture ~seed:43 () in
-  let client = make_client fx in
   let metrics = Simkit.Metrics.create () in
-  Simkit.Transport.set_wire_sinks ~metrics fx.transport;
+  let fx = fixture ~metrics ~seed:43 () in
+  let client = make_client fx in
   let cluster = make_cluster fx in
   let rpc = Simkit.Rpc.create ~config:rpc_config fx.transport in
   let protocol = Nearby.Protocol.create_resilient ~rpc cluster in

@@ -150,6 +150,90 @@ let test_reset_keeps_cached_cells () =
       Alcotest.(check int) "stream written after reset" 1 s.count;
       Alcotest.(check (float 1e-9)) "only the new sample" 7.0 s.mean
 
+(* A component's own counter and stream, listed as labeled series at
+   their first write ({!Metrics.bind_counter}): one cell, two names. *)
+let bound_cells () =
+  let flat = Trace.create () and m = Metrics.create () in
+  let ok = [ ("outcome", "ok") ] in
+  let count =
+    Trace.counter_cell_of (fun () ->
+        let r = Trace.counter_ref flat "rpc_ok" in
+        Metrics.bind_counter m "rpc_outcomes" ~labels:ok r;
+        r)
+  in
+  let latency =
+    Trace.stream_cell_of (fun () ->
+        let s = Trace.stream_ref flat "rpc_latency_ms" in
+        Metrics.bind_stream m "rpc_latency_ms" ~labels:ok s;
+        s)
+  in
+  (flat, m, ok, count, latency)
+
+let test_bound_cell () =
+  let flat, m, ok, count, latency = bound_cells () in
+  Alcotest.(check (list (pair string int))) "unwritten: no flat counter" [] (Trace.counters flat);
+  Alcotest.(check int) "unwritten: no series" 0 (List.length (Metrics.series m));
+  Alcotest.(check int) "unwritten: no labeled cell" 0
+    (List.length (Trace.counters (Metrics.trace m)));
+  Trace.cell_incr count;
+  Trace.cell_incr count;
+  Trace.cell_observe latency 5.0;
+  let labeled () = Metrics.counter m "rpc_outcomes" ~labels:ok in
+  let samples () =
+    List.map
+      (fun s -> Option.map (fun (s : Trace.summary) -> s.count) s)
+      [ Trace.summary flat "rpc_latency_ms"; Metrics.summary m "rpc_latency_ms" ~labels:ok ]
+  in
+  Alcotest.(check (pair int int)) "one write, both names" (2, 2)
+    (Trace.counter flat "rpc_ok", labeled ());
+  Alcotest.(check int) "the cell reads it" 2 (Trace.cell_count count);
+  Alcotest.(check (list (option int))) "one sample, both names" [ Some 1; Some 1 ] (samples ());
+  Alcotest.(check (list string))
+    "labeled series"
+    [ {|rpc_latency_ms{outcome="ok"}|}; {|rpc_outcomes{outcome="ok"}|} ]
+    (List.map (fun (_, _, key) -> key) (Metrics.series m));
+  let into = Trace.create () in
+  Trace.merge_into ~into flat;
+  Alcotest.(check (list (pair string int))) "merged once" [ ("rpc_ok", 2) ] (Trace.counters into);
+  Alcotest.(check (option int)) "merged samples once" (Some 1)
+    (Option.map (fun (s : Trace.summary) -> s.count) (Trace.summary into "rpc_latency_ms"));
+  Trace.reset (Metrics.trace m);
+  Alcotest.(check (pair int int)) "reset zeroes the one cell" (0, 0)
+    (Trace.counter flat "rpc_ok", labeled ());
+  Alcotest.(check (list (option int))) "and its stream" [ Some 0; Some 0 ] (samples ());
+  Trace.cell_incr count;
+  Alcotest.(check (pair int int))
+    "written after reset" (1, 1)
+    (Trace.counter flat "rpc_ok", labeled ())
+
+let test_bind_conflicts () =
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.fail (what ^ ": accepted")
+  in
+  let m = Metrics.create ~max_series_per_name:2 () in
+  Metrics.incr m "hits" ~labels:[ ("a", "1") ];
+  raises "series with its own cell" (fun () ->
+      Metrics.bind_counter m "hits" ~labels:[ ("a", "1") ] (ref 0));
+  let r = ref 0 in
+  Metrics.bind_counter m "hits" ~labels:[ ("a", "2") ] r;
+  Metrics.bind_counter m "hits" ~labels:[ ("a", "2") ] r;
+  incr r;
+  Alcotest.(check int)
+    "the same cell again binds" 1
+    (Metrics.counter m "hits" ~labels:[ ("a", "2") ]);
+  raises "past the cap" (fun () -> Metrics.bind_counter m "hits" ~labels:[ ("a", "3") ] (ref 0));
+  raises "stream past the cap" (fun () ->
+      Metrics.bind_stream m "hits" ~labels:[ ("a", "4") ] (Trace.stream_ref (Trace.create ()) "s"));
+  Alcotest.(check int) "nothing overflowed" 0 (Metrics.overflow_routed m);
+  Alcotest.(check int) "at the cap" 2 (Metrics.series_count m "hits");
+  let t = Trace.create () in
+  Trace.incr t "x";
+  Trace.observe t "s" 1.0;
+  raises "flat counter" (fun () -> Trace.bind_counter t "x" (ref 0));
+  raises "flat stream" (fun () -> Trace.bind_stream t "s" (Trace.stream_ref (Trace.create ()) "s"))
+
 let test_merge_trace_under_label () =
   let flat = Trace.create () in
   Trace.add_count flat "join" 3;
@@ -540,6 +624,88 @@ let test_fleet_smoke_frame () =
     true
     (amp > 1.0 && amp < 3.0)
 
+(* --- Export pins ---------------------------------------------------------
+
+   Digests of what `nearby_sim top --once --quick --seed 1` and a quick
+   `nearby_sim load` export, with the host [meta], the [runtime] profile
+   and the wall-clock registry timings left out: every other number is
+   computed on the simulated clock, so a change that moves none of them
+   keeps these digests.  Before a first round's answer stopped charging
+   its server a separate neighbor request, the two fleet digests read
+   d98583d86f6bd8f25d3691374fd4aad8 and 70bfa2433a75ac3043f658cd69a628e6:
+   the servers' [wire_bytes] counters were the only difference. *)
+
+let wall_clock text =
+  List.exists (contains text)
+    Nearby.Instrumented_registry.[ insert_ns; remove_ns; query_ns ]
+
+(* The document, printed canonically (floats in hex) without the parts
+   above. *)
+let canonical doc =
+  let buf = Buffer.create 65536 in
+  let rec print = function
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool b -> Buffer.add_string buf (string_of_bool b)
+    | Json.Number f -> Buffer.add_string buf (Printf.sprintf "%h" f)
+    | Json.String s -> Buffer.add_string buf (Printf.sprintf "%S" s)
+    | Json.List items ->
+        Buffer.add_char buf '[';
+        List.iter
+          (fun v ->
+            match Json.member "name" v with
+            | Some (Json.String name) when wall_clock name -> ()
+            | _ ->
+                print v;
+                Buffer.add_char buf ',')
+          items;
+        Buffer.add_char buf ']'
+    | Json.Obj fields ->
+        Buffer.add_char buf '{';
+        List.iter
+          (fun (key, v) ->
+            if not (key = "meta" || key = "runtime" || wall_clock key) then begin
+              Buffer.add_string buf (Printf.sprintf "%S:" key);
+              print v;
+              Buffer.add_char buf ','
+            end)
+          fields;
+        Buffer.add_char buf '}'
+  in
+  print doc;
+  Buffer.contents buf
+
+let simulated_lines text =
+  String.split_on_char '\n' text
+  |> List.filter (fun line -> not (wall_clock line))
+  |> String.concat "\n"
+
+let digest text = Digest.to_hex (Digest.string text)
+
+let test_export_pins () =
+  let _, _, doc, exposition = Lazy.force smoke in
+  let result, a = Eval.Load_exp.run_instrumented Eval.Load_exp.quick_config in
+  let sections = [ ("load", a.exp_trace); ("server", a.server_trace) ] in
+  let labeled = [ ("admission", a.metrics) ] in
+  Alcotest.(check (list (pair string string)))
+    "digests"
+    [
+      ("top --metrics-out", "8f80d4d57d7bf3b44e75835cb055d678");
+      ("top --prom-out", "9f97439f1387f0874a2c148bf83bd43a");
+      ("load", "abec840073050e485b2a65520815db70");
+    ]
+    [
+      ("top --metrics-out", digest (canonical doc));
+      ("top --prom-out", digest (simulated_lines exposition));
+      ( "load",
+        digest
+          (String.concat "\n"
+             [
+               Eval.Load_exp.result_json result;
+               Export.metrics_json ~timeseries:[ ("load", a.timeseries) ] ~labeled sections;
+               Export.prometheus sections ^ Export.prometheus_labeled labeled;
+             ]) );
+    ]
+
 let suite =
   ( "metrics",
     [
@@ -555,11 +721,14 @@ let suite =
         test_memo_keeps_overflow_routing;
       Alcotest.test_case "memo: reset keeps cached cells live" `Quick
         test_reset_keeps_cached_cells;
+      Alcotest.test_case "bound cell: one write, two names" `Quick test_bound_cell;
+      Alcotest.test_case "bound cell: conflicts and cap raise" `Quick test_bind_conflicts;
       Alcotest.test_case "merge_trace under label" `Quick test_merge_trace_under_label;
       Alcotest.test_case "merge_into" `Quick test_merge_into;
       Alcotest.test_case "fleet smoke: snapshot" `Quick test_fleet_smoke_snapshot;
       Alcotest.test_case "fleet smoke: exposition" `Quick test_fleet_smoke_exposition;
       Alcotest.test_case "fleet smoke: dashboard frame" `Quick test_fleet_smoke_frame;
+      Alcotest.test_case "export pins" `Quick test_export_pins;
       Alcotest.test_case "labeled exporters" `Quick test_prometheus_labeled;
       Alcotest.test_case "exposition escaping round-trips" `Quick
         test_prometheus_labeled_escaping;

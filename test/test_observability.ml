@@ -351,7 +351,8 @@ let test_instrumented_spans_parent_on_ambient () =
   let metrics = Trace.create () in
   let spans = Span.buffer () in
   let backend =
-    Nearby.Instrumented_registry.wrap ~spans ~metrics (module Nearby.Path_tree)
+    Nearby.Instrumented_registry.wrap ~spans ~sink:(Trace.stream_ref metrics)
+      (module Nearby.Path_tree)
   in
   let reg = Nearby.Registry_intf.create backend ~landmark:lmk in
   let outer = Span.context spans () in

@@ -157,7 +157,9 @@ let test_member_through () =
   Naive_registry.insert naive ~peer:0 ~routers:path_a;
   Alcotest.(check int) "naive" (-1) (Naive_registry.member_through naive 3 ~except:(-1));
   let module W =
-    (val Instrumented_registry.wrap ~metrics:(Simkit.Trace.create ()) (module Path_tree))
+    (val Instrumented_registry.wrap
+           ~sink:(Simkit.Trace.stream_ref (Simkit.Trace.create ()))
+           (module Path_tree))
   in
   let w = W.create ~landmark:lmk in
   W.insert w ~peer:4 ~routers:path_b;

@@ -132,8 +132,9 @@ let test_topup_reply_sized_as_sent () =
   let topups = ref 0 in
   for peer = 0 to n - 1 do
     let before = wire () in
-    let reply, size = Server.sized_neighbors server ~peer ~k:n in
-    let counted = wire () - before - Wire.byte_size (Wire.Neighbor_request { peer; k = n }) in
+    let request_bytes = Wire.byte_size (Wire.Neighbor_request { peer; k = n }) in
+    let reply, size = Server.sized_neighbors server ~peer ~k:n ~request_bytes in
+    let counted = wire () - before - request_bytes in
     let frame = String.length (Wire.encode (Wire.Neighbor_reply { peer; neighbors = reply })) in
     if List.exists (fun (_, d) -> d = max_int) reply then incr topups;
     Alcotest.(check int) (Printf.sprintf "peer %d: counted = returned" peer) counted size;

@@ -355,7 +355,8 @@ let test_instrumented_registry () =
     !tick
   in
   let backend =
-    Nearby.Instrumented_registry.wrap ~clock ~metrics (module Nearby.Path_tree)
+    Nearby.Instrumented_registry.wrap ~clock ~sink:(Trace.stream_ref metrics)
+      (module Nearby.Path_tree)
   in
   let lmk = 99 in
   let reg = Nearby.Registry_intf.create backend ~landmark:lmk in
@@ -375,7 +376,8 @@ let test_instrumented_registry () =
     (summary Nearby.Instrumented_registry.query_candidates).Trace.p50;
   (* Labeled only: each op lands once, in its {backend="tree"} series. *)
   let labeled = Simkit.Metrics.create () in
-  let backend = Nearby.Instrumented_registry.wrap ~clock ~labeled (module Nearby.Path_tree) in
+  let sink name = Simkit.Metrics.stream_ref labeled name ~labels:[ ("backend", "tree") ] in
+  let backend = Nearby.Instrumented_registry.wrap ~clock ~sink (module Nearby.Path_tree) in
   let reg = Nearby.Registry_intf.create backend ~landmark:lmk in
   Nearby.Registry_intf.insert reg ~peer:0 ~routers:[| 1; 5; lmk |];
   Nearby.Registry_intf.insert reg ~peer:1 ~routers:[| 2; 5; lmk |];

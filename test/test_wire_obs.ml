@@ -12,11 +12,11 @@ let labels = Alcotest.testable (fun fmt l ->
 
 let _ = labels
 
-let fixture ?metrics ?rng ?loss_prob () =
+let fixture ?metrics ?timeseries ?rng ?loss_prob () =
   let d = Eval.Paper_drawing.build () in
   let oracle = Traceroute.Route_oracle.create d.graph in
   let e = Engine.create () in
-  (d, Transport.create ?rng ?loss_prob ?metrics e oracle)
+  (d, Transport.create ?rng ?loss_prob ?metrics ?timeseries e oracle)
 
 let counter m name ~kind ~dir =
   Metrics.counter m name ~labels:[ ("kind", kind); ("dir", dir) ]
@@ -214,6 +214,33 @@ let test_send_parts_allocation () =
      state and the accounting allocate nothing. *)
   Alcotest.(check bool) (Printf.sprintf "one send allocates %.0f words" words) true (words <= 4.0)
 
+(* With a timeseries attached too, each part's window series is kept
+   beside its (kind, dir) cells and the all-kinds [wire_bytes] series is
+   resolved once: a send builds no series name. *)
+let test_send_parts_timeseries_allocation () =
+  let metrics = Metrics.create () in
+  let timeseries = Timeseries.create ~window_ms:1e6 () in
+  let d, t = fixture ~metrics ~timeseries ~rng:(Prelude.Prng.create 3) () in
+  let e = Transport.engine t in
+  let parts = [ ("path_report", 30); ("query", 20) ] and handler () = () in
+  let send () = Transport.send_parts ~dir:"request" t ~src:d.p1 ~dst:d.lmk ~parts handler in
+  send ();
+  Engine.run e;
+  let before = Gc.minor_words () in
+  send ();
+  let words = Gc.minor_words () -. before in
+  Engine.run e;
+  let count name =
+    match Timeseries.windows timeseries name with [ Some w ] -> w.Timeseries.count | _ -> 0
+  in
+  Alcotest.(check (list int)) "windowed frames" [ 2; 2; 2 ]
+    [ count "wire_bytes"; count "wire_bytes:path_report"; count "wire_bytes:query" ];
+  (* 10 words measured: the send's 4, then the engine clock read for the
+     window and the sizes handed to [Timeseries], floats boxed across a
+     module boundary.  Building a [wire_bytes:<kind>] name per part
+     made it 24. *)
+  Alcotest.(check bool) (Printf.sprintf "one send allocates %.0f words" words) true (words <= 10.0)
+
 let suite =
   ( "wire-obs",
     [
@@ -223,4 +250,6 @@ let suite =
       Alcotest.test_case "wire_exp invariants" `Slow test_wire_exp_invariants;
       Alcotest.test_case "amplification gauge" `Quick test_amplification_gauge;
       Alcotest.test_case "labeled two-part send allocation" `Quick test_send_parts_allocation;
+      Alcotest.test_case "windowed two-part send allocation" `Quick
+        test_send_parts_timeseries_allocation;
     ] )
