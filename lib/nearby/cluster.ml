@@ -366,12 +366,15 @@ let reanswer t (r : replica) ~peer ~k ~request_bytes info =
 
 let handle_registration t ~replica ~peer ~attach_router ~measurement ~k =
   let r = t.replicas.(replica) and request_bytes = Wire.neighbor_request_size ~peer ~k in
+  let report = Wire.Path_report { peer; path = measurement.Client.path } in
   if not r.alive then None
   else if Server.mem r.server peer then
-    Some (reanswer t r ~peer ~k ~request_bytes (Option.get (Server.info r.server peer)))
+    (* The report arrived again, in the same frame as the query. *)
+    Some
+      (reanswer t r ~peer ~k ~request_bytes:(request_bytes + Wire.byte_size report)
+         (Option.get (Server.info r.server peer)))
   else begin
     let info = Server.register_measured r.server ~peer ~attach_router measurement in
-    let report = Wire.Path_report { peer; path = measurement.Client.path } in
     incr t.registered;
     count_upload t (Wire.byte_size report);
     fan_out ~report t ~from_replica:replica ~peer ~probes:measurement.probes;

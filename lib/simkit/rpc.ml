@@ -110,17 +110,35 @@ let spans t = t.spans
 let config t = t.config
 let engine t = Transport.engine t.transport
 
-(* Backoff before attempt [n+1] after attempt [n] timed out:
-   base * multiplier^(n-1), spread by +-jitter_frac so a burst of calls that
-   timed out together does not retry in lockstep (the thundering-herd
-   avoidance every retry loop needs). *)
-let backoff_ms t ~attempt =
-  let raw =
-    t.config.backoff_base_ms *. (t.config.backoff_multiplier ** float_of_int (attempt - 1))
-  in
+(* The deadline of an attempt to [target] ([-1] for none): twice the
+   modeled round trip, at least 1 ms and at most the ceiling; the whole
+   ceiling without a target.  Routes do not change, so the deadline is
+   read again at the attempt's timeout rather than kept as a boxed float.
+   Inlined, so the float stays unboxed. *)
+let[@inline] deadline_ms t ~src ~target =
+  if target < 0 then t.config.timeout_ms
+  else begin
+    Transport.one_way_delay_into t.transport ~src ~dst:target t.legs 0;
+    Transport.one_way_delay_into t.transport ~src:target ~dst:src t.legs 1;
+    let d = 2.0 *. (t.legs.(0) +. t.legs.(1)) in
+    if d >= t.config.timeout_ms then t.config.timeout_ms else if d < 1.0 then 1.0 else d
+  end
+
+(* Backoff before attempt [n+1] after attempt [n], whose deadline was
+   [deadline_ms], timed out: min(base, deadline) * multiplier^(n-1), spread
+   by +-jitter_frac so a burst of calls that timed out together does not
+   retry in lockstep (the thundering-herd avoidance every retry loop
+   needs).  A lost packet costs about a round trip, so waiting longer
+   than the attempt's own deadline buys nothing against independent
+   losses; [base] caps it for slow targets and targetless attempts.
+   Inlined into [timed_out], so the deadline is not boxed. *)
+let[@inline] backoff_ms t ~attempt ~deadline_ms =
+  let c = t.config in
+  let base = if deadline_ms < c.backoff_base_ms then deadline_ms else c.backoff_base_ms in
+  let raw = base *. (c.backoff_multiplier ** float_of_int (attempt - 1)) in
   match t.rng with
-  | Some rng when t.config.jitter_frac > 0.0 ->
-      let spread = t.config.jitter_frac *. ((2.0 *. Prelude.Prng.unit_float rng) -. 1.0) in
+  | Some rng when c.jitter_frac > 0.0 ->
+      let spread = c.jitter_frac *. ((2.0 *. Prelude.Prng.unit_float rng) -. 1.0) in
       raw *. (1.0 +. spread)
   | _ -> raw
 
@@ -151,6 +169,10 @@ type 'a call = {
   on_reply : 'a -> unit;
   on_give_up : unit -> unit;
   started_at : float;
+  mutable target : Topology.Graph.node;
+      (* the current attempt's target, [-1] for none: its deadline is read
+         again at its timeout.  Here, not in the timer, so an event still
+         queued for a settled call holds no more than before. *)
   timer : 'a timer;
   expire : unit -> unit;  (* [fire timer], queued after every attempt and every backoff *)
 }
@@ -227,12 +249,14 @@ let rec attempt c n =
   | None ->
       (* No live target known right now; waiting out the whole ceiling
          doubles as a wait for one to come back. *)
+      c.target <- -1;
       Trace.cell_incr t.cells.no_target;
       if Option.is_some t.recorder then
         record t ~args:[ ("src", Span.Int c.src); ("attempt", Span.Int n) ] "no_target";
       close t span "no_target";
       Engine.schedule (engine t) ~delay:t.config.timeout_ms c.expire
   | Some target ->
+      c.target <- target;
       if Span.enabled t.spans then Span.add_arg span "target" (Span.Int target);
       (* Wire attribution: attempt 1 charges the caller's kind breakdown;
          every later attempt is overhead the retry loop added, so its bytes
@@ -242,15 +266,13 @@ let rec attempt c n =
           [ ("retry", List.fold_left (fun acc (_, b) -> acc + b) 0 c.request_parts) ];
       Transport.send_parts ~dir:"request" t.transport ~src:c.src ~dst:target
         ~parts:c.request_parts (fun () -> serve c ~n ~target span);
-      (* The deadline: twice the modeled round trip, at least 1 ms and at
-         most the ceiling.  Transport jitter stretches a leg by 5% at most,
-         so a reply that is not lost always beats it. *)
-      Transport.one_way_delay_into t.transport ~src:c.src ~dst:target t.legs 0;
-      Transport.one_way_delay_into t.transport ~src:target ~dst:c.src t.legs 1;
-      let deadline = 2.0 *. (t.legs.(0) +. t.legs.(1)) in
+      (* Transport jitter stretches a leg by 5% at most, so a reply that
+         is not lost always beats the deadline.  At the ceiling, the
+         config's own float is passed, not a fresh box. *)
+      let deadline = deadline_ms t ~src:c.src ~target in
       if deadline >= t.config.timeout_ms then
         Engine.schedule (engine t) ~delay:t.config.timeout_ms c.expire
-      else Engine.schedule (engine t) ~delay:(if deadline < 1.0 then 1.0 else deadline) c.expire
+      else Engine.schedule (engine t) ~delay:deadline c.expire
 
 (* The timer's queued event has fired: an attempt's deadline, or the end
    of the backoff after one. *)
@@ -280,7 +302,8 @@ and timed_out timer =
          passes [last], one sent less than [timeout_ms] before it -- a
          loss burst that ends earlier cannot use the call up -- and no
          call outlives [worst_case_ms], however short its deadlines. *)
-      let e = engine t and backoff = backoff_ms t ~attempt:n in
+      let deadline = deadline_ms t ~src:c.src ~target:c.target in
+      let e = engine t and backoff = backoff_ms t ~attempt:n ~deadline_ms:deadline in
       let now = Engine.now e and last = c.started_at +. t.budget -. t.config.timeout_ms in
       if now <= last then begin
         timer.n <- -n;
@@ -308,6 +331,7 @@ let call ?parent t ~src ~dst ~request_parts ~reply_parts ~handle ~on_reply ~on_g
       on_reply;
       on_give_up;
       started_at = Engine.now (engine t);
+      target = -1;
       timer;
       (* Built here, outside the recursive functions, it holds [timer]
          alone. *)

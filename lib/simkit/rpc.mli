@@ -19,8 +19,9 @@
       each target, as failover's ranking of replicas already does, and
       transport jitter stretches a leg by at most 5%, so a reply that is
       not lost always beats its deadline;
-    + on timeout, wait [backoff_base_ms * multiplier^(n-1)] (spread by
-      [+-jitter_frac]) and retry -- if one more attempt at the full
+    + on timeout, wait [min(backoff_base_ms, deadline) * multiplier^(n-1)]
+      (spread by [+-jitter_frac]), where [deadline] is the attempt's own,
+      and retry -- if one more attempt at the full
       [timeout_ms], after that backoff, would still end within
       {!worst_case_ms} of the call's start.  If it would not, but one
       started right away still would, wait only until the last moment
@@ -46,7 +47,12 @@ type config = {
   max_attempts : int;
       (** Sizes the call's budget, {!worst_case_ms}: the time this many
           attempts (first try included) would take at the ceiling. *)
-  backoff_base_ms : float;  (** Wait after the first timeout. *)
+  backoff_base_ms : float;
+      (** Ceiling of the wait after the first timeout: the wait is the
+          timed-out attempt's deadline when that is shorter, so a lost
+          packet to a nearby target costs about a round trip, and an
+          attempt without a target (whose deadline is [timeout_ms])
+          waits this. *)
   backoff_multiplier : float;  (** Growth factor per further timeout. *)
   jitter_frac : float;
       (** Uniform spread of each backoff in [[1-j, 1+j]]; needs the [rng]
@@ -54,8 +60,8 @@ type config = {
 }
 
 val default_config : config
-(** 1 s ceiling, a budget of 4 attempts, 200 ms base backoff doubling per
-    retry, 20% jitter. *)
+(** 1 s ceiling, a budget of 4 attempts, a backoff of the attempt's
+    deadline up to 200 ms doubling per retry, 20% jitter. *)
 
 val worst_case_ms : config -> float
 (** A call's budget, and so the upper bound on its time to settle or give
@@ -115,9 +121,13 @@ val call :
     Settling (the first reply, or the give-up) releases the callbacks and
     what they capture, though the call's last timeout may stay queued. *)
 
-val backoff_ms : t -> attempt:int -> float
-(** The (jittered) backoff charged after attempt [attempt] times out —
-    consumes a draw from the rng when jitter is active. *)
+val backoff_ms : t -> attempt:int -> deadline_ms:float -> float
+(** The (jittered) backoff charged after attempt [attempt], whose deadline
+    was [deadline_ms], times out:
+    [min(backoff_base_ms, deadline_ms) * backoff_multiplier^(attempt-1)],
+    spread by [+-jitter_frac] — consumes a draw from the rng when jitter is
+    active.  Never more than the configured backoff, so {!worst_case_ms}
+    still bounds every call. *)
 
 val trace : t -> Trace.t
 (** Outcome counters: ["rpc_calls"], ["rpc_attempts"], ["rpc_retries"],

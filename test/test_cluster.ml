@@ -958,7 +958,9 @@ let test_state_words_budget () =
    so its answer adds the reply alone.  Checked against the transport's
    labeled request and reply bytes for a first round, a retry whose first
    request was lost, and a re-answer after a lost reply (whose dropped
-   reply the server did send). *)
+   reply the server did send), in a first round and in a continue round,
+   whose retry carries the report again.  The counter covers uploads and
+   query exchanges, not the [Continue] answer that asks for the rest. *)
 let test_join_server_bytes_match_transport () =
   let metrics = Simkit.Metrics.create () in
   let fx = fixture ~metrics ~replicas:1 ~seed:22 () in
@@ -981,13 +983,25 @@ let test_join_server_bytes_match_transport () =
   in
   let counter trace name = Simkit.Trace.counter trace name in
   let rpcs name = counter (Simkit.Rpc.trace rpc) name in
+  let one_way =
+    Simkit.Transport.one_way_delay fx.transport ~src:attach_router ~dst:fx.replica_routers.(0)
+  in
+  let back =
+    Simkit.Transport.one_way_delay fx.transport ~src:fx.replica_routers.(0) ~dst:attach_router
+  in
   (* Join [peer] with the client cut off from [from] to [until] ms after
-     its first round is sent; the deltas of the server's bytes, the
-     labeled bytes and the dropped bytes. *)
-  let join ?cut peer =
+     its first round is sent -- or, [~continued], its continue round,
+     sent once the [Continue] answer is back and the whole trace is in;
+     the deltas of the server's bytes, the labeled bytes and the dropped
+     bytes. *)
+  let join ?cut ?(continued = false) peer =
     let start = Simkit.Engine.now fx.engine in
     let m = Nearby.Client.measure_join client ~attach_router in
-    let sent = start +. Nearby.Client.first_round_ms client m in
+    let first = start +. Nearby.Client.first_round_ms client m in
+    let sent =
+      if continued then Float.max (start +. Nearby.Client.duration_ms m) (first +. one_way +. back)
+      else first
+    in
     Option.iter
       (fun (from, until) ->
         Simkit.Engine.schedule_at fx.engine ~time:(sent +. from) (fun () ->
@@ -1004,8 +1018,17 @@ let test_join_server_bytes_match_transport () =
     Alcotest.(check bool) (Printf.sprintf "peer %d joined" peer) true !completed;
     (server_bytes () - s0, labeled () - l0, dropped () - d0)
   in
-  ignore (join 0);
+  (* The first join finds the trees empty and continues; its continue
+     round's first reply is lost, and the retry is answered again. *)
+  let duplicates () = counter (Nearby.Cluster.trace cluster) "cluster_duplicate_register" in
+  let s, l, d = join ~continued:true ~cut:(0.001, one_way +. 0.001) 0 in
   let continued = counter (Nearby.Server.trace server) "join_continue" in
+  Alcotest.(check int) "lost continue reply: the first round continued" 1 continued;
+  Alcotest.(check int) "lost continue reply: re-answered" 1 (duplicates ());
+  Alcotest.(check bool) "lost continue reply: dropped" true (d > 0);
+  let continue_bytes = Nearby.Wire.byte_size (Nearby.Wire.Continue { peer = 0 }) in
+  Alcotest.(check int) "lost continue reply: server bytes = labeled - Continue + the dropped reply"
+    (l - continue_bytes + d) s;
   let attempts = rpcs "rpc_attempts" in
   let s, l, d = join 1 in
   Alcotest.(check int) "first round: one attempt" (attempts + 1) (rpcs "rpc_attempts");
@@ -1019,11 +1042,7 @@ let test_join_server_bytes_match_transport () =
   Alcotest.(check int) "lost request: server bytes = labeled request + reply" l s;
   (* The first reply is lost: it is sent into the partition once the
      request has arrived, and the retry is answered again. *)
-  let duplicates () = counter (Nearby.Cluster.trace cluster) "cluster_duplicate_register" in
   let dup = duplicates () in
-  let one_way =
-    Simkit.Transport.one_way_delay fx.transport ~src:attach_router ~dst:fx.replica_routers.(0)
-  in
   let s, l, d = join ~cut:(0.001, one_way +. 0.001) 3 in
   Alcotest.(check int) "lost reply: re-answered" (dup + 1) (duplicates ());
   Alcotest.(check bool) "lost reply: dropped" true (d > 0);

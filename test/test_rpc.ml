@@ -130,12 +130,13 @@ let test_retry_fails_over_to_second_target () =
 
 let test_unserved_then_recovered () =
   (* The server is down when the first request arrives (handle = None) and
-     back up for the retry. *)
+     back up for the retry: the first request lands at 5 ms, the retry
+     (after the 20 ms deadline and a 20 ms backoff) at 45 ms. *)
   let d, transport = drawing () in
   let e = Transport.engine transport in
   let rpc = Rpc.create ~config transport in
   let up = ref false in
-  Engine.schedule e ~delay:50.0 (fun () -> up := true);
+  Engine.schedule e ~delay:30.0 (fun () -> up := true);
   let got = ref None in
   Rpc.call rpc ~src:d.p1
     ~dst:(fun ~attempt:_ -> Some d.lmk)
@@ -199,7 +200,7 @@ let test_backoff_jitter_spread () =
   ignore d;
   let base = 50.0 in
   for _ = 1 to 50 do
-    let b = Rpc.backoff_ms rpc ~attempt:1 in
+    let b = Rpc.backoff_ms rpc ~attempt:1 ~deadline_ms:config.timeout_ms in
     Alcotest.(check bool)
       (Printf.sprintf "within +-20%% of base (%.1f)" b)
       true
@@ -207,7 +208,57 @@ let test_backoff_jitter_spread () =
   done;
   let no_jitter = Rpc.create ~config transport in
   Alcotest.(check (float 1e-9)) "deterministic without jitter" 100.0
-    (Rpc.backoff_ms no_jitter ~attempt:2)
+    (Rpc.backoff_ms no_jitter ~attempt:2 ~deadline_ms:config.timeout_ms)
+
+(* The times [dst] is asked for a target, one per attempt, and the
+   give-up's, of one call from [src] that every attempt loses. *)
+let attempt_times rpc ~src ~target =
+  let e = Rpc.engine rpc in
+  let starts = ref [] and gave_up_at = ref nan in
+  Rpc.call rpc ~src
+    ~dst:(fun ~attempt:_ ->
+      starts := Engine.now e :: !starts;
+      target)
+    ~request_parts:[ ("other", 10) ]
+    ~reply_parts:(fun _ -> [ ("other", 10) ])
+    ~handle:(fun ~dst:_ -> Some ())
+    ~on_reply:(fun () -> Alcotest.fail "replied to a lost request")
+    ~on_give_up:(fun () -> gave_up_at := Engine.now e);
+  Engine.run e;
+  (List.rev !starts, !gave_up_at)
+
+(* p1 -> lmk is 5 hops each way, so an attempt's deadline is 20 ms and
+   each backoff is min(50, 20) * 2^(n-1): attempts at 0, 40 (20 + 20),
+   100 (60 + 40) and 200 (120 + 80).  The next backoff, 160 ms, would
+   pass the last start that fits the budget (450 - 100 = 350), so the
+   fifth attempt starts there, and its deadline ends the call. *)
+let test_backoff_from_the_deadline () =
+  let d, transport = drawing () in
+  let rpc = Rpc.create ~config transport in
+  Transport.set_partition_nodes transport [ d.p1 ];
+  let starts, gave_up_at = attempt_times rpc ~src:d.p1 ~target:(Some d.lmk) in
+  Alcotest.(check (list (float 1e-9))) "attempt starts" [ 0.0; 40.0; 100.0; 200.0; 350.0 ] starts;
+  Alcotest.(check (float 1e-9)) "gave up at the last deadline" 370.0 gave_up_at;
+  List.iteri
+    (fun i b ->
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "backoff_ms after attempt %d" (i + 1))
+        b
+        (Rpc.backoff_ms rpc ~attempt:(i + 1) ~deadline_ms:20.0))
+    [ 20.0; 40.0; 80.0; 160.0 ];
+  (* A deadline above the base leaves the configured backoff. *)
+  Alcotest.(check (float 1e-9)) "base caps the backoff" 100.0
+    (Rpc.backoff_ms rpc ~attempt:2 ~deadline_ms:80.0)
+
+(* An attempt without a target waits [timeout_ms], so the backoff after
+   it is the configured one: attempts at 0, 150 (100 + 50) and 350
+   (250 + 100), and the give-up at 450, [worst_case_ms]. *)
+let test_no_target_keeps_the_configured_backoff () =
+  let d, transport = drawing () in
+  let rpc = Rpc.create ~config transport in
+  let starts, gave_up_at = attempt_times rpc ~src:d.p1 ~target:None in
+  Alcotest.(check (list (float 1e-9))) "attempt starts" [ 0.0; 150.0; 350.0 ] starts;
+  Alcotest.(check (float 1e-9)) "gave up at worst_case_ms" (Rpc.worst_case_ms config) gave_up_at
 
 (* Settling releases what the call's callbacks capture, although the
    attempt's timeout is still queued: a block only [on_reply] holds is
@@ -285,7 +336,9 @@ let test_retried_attempt_words () =
    with [max_attempts = 1]) and a server that is sometimes down: every
    call settles exactly once, within [worst_case_ms] of its start, and
    gives up no sooner than [timeout_ms] before that, after its last
-   attempt.
+   attempt.  No backoff -- the gap between an attempt's deadline and the
+   next attempt -- exceeds min(base, deadline) * mult^(n-1) * (1 + jitter),
+   so none exceeds the configured base * mult^(n-1) * (1 + jitter).
    Without loss or a down server, and with a ceiling above the longest
    round trip (1 ms a hop each way, plus 5% jitter), no attempt times
    out and every call makes one; with [max_attempts = 1] every call sends
@@ -333,6 +386,7 @@ let qcheck_calls_settle_within_budget =
       let budget = Rpc.worst_case_ms config in
       let calls = 20 in
       let settled = Array.make calls 0 and late = ref 0 and early = ref 0 in
+      let over = ref 0 in
       for i = 0 to calls - 1 do
         let start = Prelude.Prng.float rng 100.0 in
         let src = Prelude.Prng.int rng nodes in
@@ -346,8 +400,24 @@ let qcheck_calls_settle_within_budget =
               settle ();
               if Engine.now e < start +. budget -. timeout_ms -. 1e-9 then incr early
             in
+            (* The latest the next attempt may start: the current one's
+               deadline plus its largest backoff. *)
+            let next_by = ref infinity in
             Rpc.call rpc ~src
-              ~dst:(fun ~attempt -> Some targets.((attempt - 1) mod 3))
+              ~dst:(fun ~attempt ->
+                let target = targets.((attempt - 1) mod 3) and now = Engine.now e in
+                if now > !next_by +. 1e-6 then incr over;
+                let rtt =
+                  Transport.one_way_delay transport ~src ~dst:target
+                  +. Transport.one_way_delay transport ~src:target ~dst:src
+                in
+                let deadline = Float.max 1.0 (Float.min timeout_ms (2.0 *. rtt)) in
+                next_by :=
+                  now +. deadline
+                  +. Float.min backoff_base_ms deadline
+                     *. (backoff_multiplier ** float_of_int (attempt - 1))
+                     *. (1.0 +. jitter_frac);
+                Some target)
               ~request_parts:[ ("other", 10) ]
               ~reply_parts:(fun () -> [ ("other", 10) ])
               ~handle:(fun ~dst:_ -> if down && Prelude.Prng.bool rng then None else Some ())
@@ -358,6 +428,7 @@ let qcheck_calls_settle_within_budget =
       Array.for_all (fun n -> n = 1) settled
       && !late = 0
       && !early = 0
+      && !over = 0
       && counter "rpc_calls" = calls
       && (loss > 0.0 || down
          || timeout_ms <= 2.1 *. float_of_int (nodes - 1)
@@ -429,6 +500,9 @@ let suite =
         test_settles_once_under_duplicate_replies;
       Alcotest.test_case "no target terminates" `Quick test_no_target_still_terminates;
       Alcotest.test_case "backoff jitter spread" `Quick test_backoff_jitter_spread;
+      Alcotest.test_case "backoff from the deadline" `Quick test_backoff_from_the_deadline;
+      Alcotest.test_case "no target keeps the configured backoff" `Quick
+        test_no_target_keeps_the_configured_backoff;
       Alcotest.test_case "a settled call lets go" `Quick test_settled_call_lets_go;
       Alcotest.test_case "trace names after one call" `Quick test_trace_names_after_one_call;
       Alcotest.test_case "a retried attempt's words" `Quick test_retried_attempt_words;
