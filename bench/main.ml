@@ -277,6 +277,12 @@ let simple title default quick run print ~full =
   banner title;
   print (run (if full then default else quick))
 
+(* Every gated section writes its BENCH file here: its fields, then the
+   "gates" field `regress` reads, then one line naming the file. *)
+let write_gated ?seed ?backends ?params ?(json = Eval.Regression.to_json) path fields gates summary =
+  Simkit.Export.write_bench ~path ?seed ?backends ?params (fields @ [ ("gates", json gates) ]);
+  Printf.printf "wrote %s (%s)\n%!" path summary
+
 (* The paper's measured figure.  Only the paper configuration ([--full])
    writes BENCH_fig2.json and its gates: quick scale does not show the
    flat shape, so its numbers would not match the baseline. *)
@@ -285,8 +291,8 @@ let run_fig2 ~full =
   let config = if full then Eval.Fig2.default_config else Eval.Fig2.quick_config in
   let rows = Eval.Fig2.run config in
   Eval.Fig2.print rows;
-  if full then begin
-    Simkit.Export.write_bench ~path:"BENCH_fig2.json"
+  if full then
+    write_gated "BENCH_fig2.json"
       ~params:
         [
           ("routers", string_of_int config.routers);
@@ -294,12 +300,9 @@ let run_fig2 ~full =
           ("k", string_of_int config.k);
           ("seeds", String.concat " " (List.map string_of_int config.seeds));
         ]
-      [
-        ("rows", Simkit.Json_str.arr (List.map Eval.Fig2.row_json rows));
-        ("gates", Eval.Regression.to_json (Eval.Fig2.gates rows));
-      ];
-    Printf.printf "wrote BENCH_fig2.json (%d population sizes)\n%!" (List.length rows)
-  end
+      [ ("rows", Simkit.Json_str.arr (List.map Eval.Fig2.row_json rows)) ]
+      (Eval.Fig2.gates rows)
+      (Printf.sprintf "%d population sizes" (List.length rows))
 
 (* E2, the super-peer split.  As for fig2, only the paper configuration
    ([--full]) writes BENCH_superpeers.json and its gates. *)
@@ -308,8 +311,8 @@ let run_superpeers ~full =
   let config = Eval.Super_peer_exp.(if full then default_config else quick_config) in
   let rows = Eval.Super_peer_exp.run config in
   Eval.Super_peer_exp.print rows;
-  if full then begin
-    Simkit.Export.write_bench ~path:"BENCH_superpeers.json"
+  if full then
+    write_gated "BENCH_superpeers.json"
       ~params:
         [
           ("routers", string_of_int config.routers);
@@ -318,12 +321,9 @@ let run_superpeers ~full =
           ("k", string_of_int config.k);
           ("seeds", String.concat " " (List.map string_of_int config.seeds));
         ]
-      [
-        ("rows", Simkit.Json_str.arr (List.map Eval.Super_peer_exp.row_json rows));
-        ("gates", Eval.Regression.to_json (Eval.Super_peer_exp.gates rows));
-      ];
-    Printf.printf "wrote BENCH_superpeers.json (%d seeds)\n%!" (List.length rows)
-  end
+      [ ("rows", Simkit.Json_str.arr (List.map Eval.Super_peer_exp.row_json rows)) ]
+      (Eval.Super_peer_exp.gates rows)
+      (Printf.sprintf "%d seeds" (List.length rows))
 
 (* E5, the paper's motivation.  As for fig2, only the paper configuration
    ([--full]) writes BENCH_setup.json and its gates. *)
@@ -332,8 +332,8 @@ let run_setup_delay ~full =
   let config = if full then Eval.Setup_delay.default_config else Eval.Setup_delay.quick_config in
   let result = Eval.Setup_delay.run config in
   Eval.Setup_delay.print result;
-  if full then begin
-    Simkit.Export.write_bench ~path:"BENCH_setup.json" ~seed:config.seed
+  if full then
+    write_gated "BENCH_setup.json" ~seed:config.seed
       ~params:
         [
           ("routers", string_of_int config.routers);
@@ -341,12 +341,9 @@ let run_setup_delay ~full =
           ("landmark_count", string_of_int config.landmark_count);
           ("k", string_of_int config.k);
         ]
-      [
-        ("rows", Simkit.Json_str.arr (List.map Eval.Setup_delay.row_json result.rows));
-        ("gates", Eval.Regression.to_json (Eval.Setup_delay.gates result));
-      ];
-    Printf.printf "wrote BENCH_setup.json (%d methods)\n%!" (List.length result.rows)
-  end
+      [ ("rows", Simkit.Json_str.arr (List.map Eval.Setup_delay.row_json result.rows)) ]
+      (Eval.Setup_delay.gates result)
+      (Printf.sprintf "%d methods" (List.length result.rows))
 
 (* E4, the decreased traceroute.  As for fig2, only the paper
    configuration ([--full]) writes BENCH_truncate.json and its gates. *)
@@ -355,8 +352,8 @@ let run_truncate ~full =
   let config = if full then Eval.Truncate_exp.default_config else Eval.Truncate_exp.quick_config in
   let rows = Eval.Truncate_exp.run config in
   Eval.Truncate_exp.print rows;
-  if full then begin
-    Simkit.Export.write_bench ~path:"BENCH_truncate.json"
+  if full then
+    write_gated "BENCH_truncate.json"
       ~params:
         [
           ("routers", string_of_int config.routers);
@@ -365,12 +362,9 @@ let run_truncate ~full =
           ("k", string_of_int config.k);
           ("seeds", String.concat " " (List.map string_of_int config.seeds));
         ]
-      [
-        ("rows", Simkit.Json_str.arr (List.map Eval.Truncate_exp.row_json rows));
-        ("gates", Eval.Regression.to_json (Eval.Truncate_exp.gates rows));
-      ];
-    Printf.printf "wrote BENCH_truncate.json (%d strategies)\n%!" (List.length rows)
-  end
+      [ ("rows", Simkit.Json_str.arr (List.map Eval.Truncate_exp.row_json rows)) ]
+      (Eval.Truncate_exp.gates rows)
+      (Printf.sprintf "%d strategies" (List.length rows))
 
 (* ------------------------------------------------------------------ *)
 (* Registry backend throughput *)
@@ -545,8 +539,7 @@ let run_registry ~full ~sweep_max =
        \"answers_identical\": %b}"
       (Simkit.Json_str.quote (Eval.Backends.to_string r.spec)) r.insert_ops r.query_ops r.identical
   in
-  let gates = Eval.Registry_gates.registry ~query_words_per_answer rows sweep_rows in
-  Simkit.Export.write_bench ~path:"BENCH_registry.json" ~seed:7
+  write_gated "BENCH_registry.json" ~seed:7
     ~backends:(List.map Eval.Backends.to_string Eval.Backends.all)
     [
       ("population", string_of_int population);
@@ -555,10 +548,10 @@ let run_registry ~full ~sweep_max =
       ("backends", "[" ^ String.concat ", " (List.map row_json rows) ^ "]");
       ( "sweep",
         "[" ^ String.concat ", " (List.map (fun r -> String.trim (sweep_row_json r)) sweep_rows) ^ "]" );
-      ("gates", Eval.Regression.to_json gates);
-    ];
-  Printf.printf "wrote BENCH_registry.json (%d-peer workload, sweep to %d)\n%!" population
-    (List.fold_left (fun acc (r : Eval.Registry_gates.sweep_row) -> Int.max acc r.sw_n) 0 sweep_rows)
+    ]
+    (Eval.Registry_gates.registry ~query_words_per_answer rows sweep_rows)
+    (Printf.sprintf "%d-peer workload, sweep to %d" population
+       (List.fold_left (fun acc (r : Eval.Registry_gates.sweep_row) -> Int.max acc r.sw_n) 0 sweep_rows))
 
 (* ------------------------------------------------------------------ *)
 (* Observability: per-backend latency quantiles through the instrumented
@@ -739,11 +732,7 @@ let run_obs ~full =
          (List.map Simkit.Json_str.number (Array.to_list r.Eval.Fleet_obs.replica_join_p99_ms)))
       fleet_within r.Eval.Fleet_obs.rpc_ok
   in
-  let gates =
-    Eval.Registry_gates.obs ~sketch_max_err ~sketch_within ~fleet:fleet_result ~fleet_completion
-      ~fleet_within results
-  in
-  Simkit.Export.write_bench ~path:"BENCH_obs.json" ~seed
+  write_gated "BENCH_obs.json" ~seed
     ~backends:(List.map Eval.Backends.to_string Eval.Backends.all)
     ~params:
       [
@@ -755,9 +744,10 @@ let run_obs ~full =
       ("backends", "[" ^ String.concat ", " (List.map (fun r -> String.trim (row_json r)) results) ^ "]");
       ("sketch", sketch_json);
       ("fleet", fleet_json);
-      ("gates", Eval.Regression.to_json gates);
-    ];
-  Printf.printf "wrote BENCH_obs.json (%d-peer workload, %d queries)\n%!" population query_count
+    ]
+    (Eval.Registry_gates.obs ~sketch_max_err ~sketch_within ~fleet:fleet_result ~fleet_completion
+       ~fleet_within results)
+    (Printf.sprintf "%d-peer workload, %d queries" population query_count)
 
 (* ------------------------------------------------------------------ *)
 (* Resilience: join completion, latency tail and recovery time as the
@@ -800,19 +790,16 @@ let run_resilience ~full =
            string_of_bool r.consistent;
          ])
        results);
-  Simkit.Export.write_bench ~path:"BENCH_resilience.json" ~seed:base.seed
+  write_gated "BENCH_resilience.json" ~seed:base.seed
     ~params:
       [
         ("peers", string_of_int base.peers);
         ("routers", string_of_int base.routers);
         ("scenarios", String.concat " " scenarios);
       ]
-    [
-      ( "runs",
-        "[" ^ String.concat ", " (List.map Eval.Resilience_exp.result_json results) ^ "]" );
-      ("gates", Eval.Regression.to_json (List.concat_map Eval.Resilience_exp.gates results));
-    ];
-  Printf.printf "wrote BENCH_resilience.json (%d runs)\n%!" (List.length results)
+    [ ("runs", "[" ^ String.concat ", " (List.map Eval.Resilience_exp.result_json results) ^ "]") ]
+    (List.concat_map Eval.Resilience_exp.gates results)
+    (Printf.sprintf "%d runs" (List.length results))
 
 (* ------------------------------------------------------------------ *)
 (* Load: open-loop arrivals vs admission control.  The flash crowd at 2x
@@ -861,7 +848,7 @@ let run_load ~full =
         r)
       configs
   in
-  Simkit.Export.write_bench ~path:"BENCH_load.json" ~seed:base.Eval.Load_exp.seed
+  write_gated "BENCH_load.json" ~seed:base.Eval.Load_exp.seed
     ~params:
       [
         ("routers", string_of_int base.Eval.Load_exp.routers);
@@ -869,11 +856,9 @@ let run_load ~full =
         ("queue_cap", string_of_int base.Eval.Load_exp.queue_cap);
         ("slo_budget_ms", string_of_float base.Eval.Load_exp.slo_budget_ms);
       ]
-    [
-      ("runs", "[" ^ String.concat ", " (List.map Eval.Load_exp.result_json results) ^ "]");
-      ("gates", Eval.Regression.to_json (List.concat_map Eval.Load_exp.gates results));
-    ];
-  Printf.printf "wrote BENCH_load.json (%d runs)\n%!" (List.length results)
+    [ ("runs", "[" ^ String.concat ", " (List.map Eval.Load_exp.result_json results) ^ "]") ]
+    (List.concat_map Eval.Load_exp.gates results)
+    (Printf.sprintf "%d runs" (List.length results))
 
 (* ------------------------------------------------------------------ *)
 (* Wire: bytes on the wire by message kind — bytes/join, bytes/query,
@@ -885,7 +870,7 @@ let run_wire ~full =
   let config = if full then Eval.Wire_exp.default_config else Eval.Wire_exp.quick_config in
   let r = Eval.Wire_exp.run config in
   Eval.Wire_exp.print r;
-  Simkit.Export.write_bench ~path:"BENCH_wire.json" ~seed:config.Eval.Wire_exp.seed
+  write_gated "BENCH_wire.json" ~seed:config.Eval.Wire_exp.seed
     ~params:
       [
         ("peers", string_of_int config.Eval.Wire_exp.peers);
@@ -893,12 +878,9 @@ let run_wire ~full =
         ("replicas", string_of_int config.Eval.Wire_exp.replicas);
         ("loss", string_of_float config.Eval.Wire_exp.loss);
       ]
-    [
-      ("wire", Eval.Wire_exp.result_json r);
-      ("gates", Eval.Regression.to_json (Eval.Wire_exp.gates r));
-    ];
-  Printf.printf "wrote BENCH_wire.json (%d joins x %d replicas)\n%!" config.Eval.Wire_exp.peers
-    config.Eval.Wire_exp.replicas
+    [ ("wire", Eval.Wire_exp.result_json r) ]
+    (Eval.Wire_exp.gates r)
+    (Printf.sprintf "%d joins x %d replicas" config.Eval.Wire_exp.peers config.Eval.Wire_exp.replicas)
 
 (* ------------------------------------------------------------------ *)
 (* Health: state-health observability — a loss burst forces replica
@@ -911,7 +893,7 @@ let run_health ~full =
   let config = if full then Eval.Health_exp.default_config else Eval.Health_exp.quick_config in
   let r = Eval.Health_exp.run config in
   Eval.Health_exp.print r;
-  Simkit.Export.write_bench ~path:"BENCH_health.json" ~seed:config.Eval.Health_exp.seed
+  write_gated "BENCH_health.json" ~seed:config.Eval.Health_exp.seed
     ~params:
       [
         ("peers", string_of_int config.Eval.Health_exp.peers);
@@ -921,12 +903,10 @@ let run_health ~full =
         ("sync_period_ms", string_of_float config.Eval.Health_exp.sync_period_ms);
         ("check_period_ms", string_of_float config.Eval.Health_exp.check_period_ms);
       ]
-    [
-      ("health", Eval.Health_exp.result_json r);
-      ("gates", Eval.Regression.to_json (Eval.Health_exp.gates r));
-    ];
-  Printf.printf "wrote BENCH_health.json (%d joins x %d replicas)\n%!"
-    config.Eval.Health_exp.peers config.Eval.Health_exp.replicas
+    [ ("health", Eval.Health_exp.result_json r) ]
+    (Eval.Health_exp.gates r)
+    (Printf.sprintf "%d joins x %d replicas" config.Eval.Health_exp.peers
+       config.Eval.Health_exp.replicas)
 
 (* ------------------------------------------------------------------ *)
 (* bench/stack's deterministic metrics at tiny scale: the last line of
@@ -946,10 +926,9 @@ let run_stack_gates () =
             exit 1)
       Eval.Stack_gates.workloads
   in
-  Simkit.Export.write_bench ~path:"BENCH_stack_tiny.json"
-    [ ("gates", Eval.Regression.to_json_exact gates) ];
-  Printf.printf "wrote BENCH_stack_tiny.json (%d gates over %d workloads)\n%!" (List.length gates)
-    (List.length Eval.Stack_gates.workloads)
+  write_gated "BENCH_stack_tiny.json" ~json:Eval.Regression.to_json_exact [] gates
+    (Printf.sprintf "%d gates over %d workloads" (List.length gates)
+       (List.length Eval.Stack_gates.workloads))
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate: the gates each BENCH_*.json in the working directory

@@ -83,7 +83,7 @@ let row_json r =
 let gates rows =
   Regression.(
     List.map
-      (fun r -> gate (Printf.sprintf "fig2/%d/d_over_dclosest" r.n) r.ratio_proposed Lower_better 0.05)
+      (fun r -> exact (Printf.sprintf "fig2/%d/d_over_dclosest" r.n) r.ratio_proposed)
       rows
     @ [
         flag "fig2/d_over_dclosest_in_1.0_1.3"

@@ -193,16 +193,16 @@ let result_json (r : result) =
 let gates (r : result) =
   Regression.
     [
-      gate "health/completion_rate" r.completion_rate Higher_better 0.02;
+      exact "health/completion_rate" r.completion_rate;
       (* Structural: the loss burst produces a detected divergence episode,
          every episode closes, and anti-entropy pays for real repairs while
          the digest gate saves transfers on the healthy rounds. *)
       flag "health/divergence_detected" (r.divergence_episodes > 0);
       flag "health/episodes_closed" (r.divergence_episodes = r.convergence_episodes);
       flag "health/converged" r.converged;
-      gate "health/detection_latency_ms" r.detection_latency_ms Lower_better 0.5;
-      gate "health/lag_p50_ms" r.lag_p50_ms Lower_better 0.5;
-      gate "health/report_age_p50_ms" r.report_age_p50_ms Lower_better 0.25;
+      exact "health/detection_latency_ms" r.detection_latency_ms;
+      exact "health/lag_p50_ms" r.lag_p50_ms;
+      exact "health/report_age_p50_ms" r.report_age_p50_ms;
       flag "health/digest_gate_saves_transfers" (r.sync_skipped > 0);
       flag "health/check_read_divergent" (r.checks_divergent >= 1);
       flag "health/replica_diverged" (r.max_divergent_replicas >= 1);

@@ -31,12 +31,11 @@ let rel_tree key direction tolerance rows =
         (fun (spec, v) ->
           if spec = Backends.Tree then None
           else
-            Some (gate (key (Backends.to_string spec)) (v /. tree) direction tolerance))
+            Some (wall_clock_ratio (key (Backends.to_string spec)) (v /. tree) direction tolerance))
         rows
 
-(* Per tree sweep point: the exact member count and bytes/member (a pure
-   allocation count, so it needs no normalization, only slack for
-   rounding).  Points above 100k members are not gated: CI sweeps to 100k,
+(* Per tree sweep point: the member count and bytes/member, both counts,
+   so exact.  Points above 100k members are not gated: CI sweeps to 100k,
    and a gate present in the baseline but missing from the current
    document fails by design. *)
 let sweep rows =
@@ -45,9 +44,8 @@ let sweep rows =
          let key = Printf.sprintf "registry/sweep/%d/tree/%s" r.sw_n in
          [
            exact (key "members") (float_of_int r.sw_members);
-           gate (key "bytes_per_member")
-             (float_of_int r.sw_bytes /. Float.max 1.0 (float_of_int r.sw_members))
-             Lower_better 0.5;
+           exact (key "bytes_per_member")
+             (float_of_int r.sw_bytes /. Float.max 1.0 (float_of_int r.sw_members));
          ])
 
 (* Throughput relative to the tree backend of the same run, the
@@ -69,9 +67,9 @@ let registry ~query_words_per_answer rows sweep_rows =
 
 (* p99 relative to the tree backend: tails are the noisiest numbers
    gated, hence the widest tolerance.  Exemplars must be present (the
-   trace-id tagging path stays wired up) and the introspection counts,
-   the sketch error and the simulated-clock fleet view are deterministic
-   in the seed. *)
+   trace-id tagging path stays wired up); the introspection counts, the
+   sketch error and the simulated-clock fleet view are deterministic in
+   the seed, so exact. *)
 let obs ~sketch_max_err ~sketch_within ~(fleet : Fleet_obs.result) ~fleet_completion ~fleet_within
     rows =
   let p99 (pick : obs_row -> Simkit.Trace.summary) = List.map (fun r -> (r.o_spec, (pick r).p99)) rows in
@@ -88,8 +86,8 @@ let obs ~sketch_max_err ~sketch_within ~(fleet : Fleet_obs.result) ~fleet_comple
       rows
   @ [
       flag "obs/sketch/within_bound" sketch_within;
-      gate "obs/sketch/max_rel_err" sketch_max_err Lower_better 0.5;
-      gate "obs/fleet/completion_rate" fleet_completion Higher_better 0.02;
-      gate "obs/fleet/merged_p99_ms" fleet.fleet_join_p99_ms Lower_better 0.15;
+      exact "obs/sketch/max_rel_err" sketch_max_err;
+      exact "obs/fleet/completion_rate" fleet_completion;
+      exact "obs/fleet/merged_p99_ms" fleet.fleet_join_p99_ms;
       flag "obs/fleet/within_bound" fleet_within;
     ]

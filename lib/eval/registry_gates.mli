@@ -32,17 +32,18 @@ val rel_tree :
   float ->
   (Backends.spec * float) list ->
   Regression.gate list
-(** [rel_tree key direction tolerance rows]: one gate per non-tree row,
-    named [key backend], valued as the row's measurement over the tree
-    row's from the same run — machine speed cancels.
+(** [rel_tree key direction tolerance rows]: one
+    {!Regression.wall_clock_ratio} gate per non-tree row, named
+    [key backend], valued as the row's measurement over the tree row's
+    from the same run — machine speed cancels.  The only banded gates.
     @raise Invalid_argument without a tree row. *)
 
 val registry :
   query_words_per_answer:float -> row list -> sweep_row list -> Regression.gate list
 (** Insert and query throughput relative to tree (0.6) and the
     answers-identical flag per backend row; the tree's minor words per
-    neighbor its queries return, exact; per sweep point at n ≤ 100k,
-    members and bytes/member. *)
+    neighbor its queries return; per sweep point at n ≤ 100k, members
+    and bytes/member.  Every gate but the [*_rel_tree] ratios is exact. *)
 
 val obs :
   sketch_max_err:float ->
@@ -54,4 +55,5 @@ val obs :
   Regression.gate list
 (** Insert/query p99 relative to tree (1.5), exemplar presence and
     introspection counts per backend, the sketch's error bound and the
-    fleet view's completion, merged p99 and envelope flag. *)
+    fleet view's completion, merged p99 and envelope flag.  Every gate but
+    the [*_rel_tree] ratios is exact. *)

@@ -25,8 +25,9 @@ type comparison = {
   status : status;
 }
 
-let gate name value direction tolerance = { name; value; direction; tolerance }
-let exact name value = gate name value Exact 0.0
+(* The only banded gate: anything simulated or counted is exact. *)
+let wall_clock_ratio name value direction tolerance = { name; value; direction; tolerance }
+let exact name value = { name; value; direction = Exact; tolerance = 0.0 }
 let flag name b = exact name (if b then 1.0 else 0.0)
 
 (* --- The "gates" array ------------------------------------------------- *)
@@ -61,7 +62,7 @@ let gate_of_json item =
   match (field "name" Simkit.Json.to_string, direction, field "tolerance" Simkit.Json.to_float) with
   | Some name, Some direction, Some tolerance ->
       let value = Option.value (field "value" Simkit.Json.to_float) ~default:Float.nan in
-      Ok (gate name value direction tolerance)
+      Ok { name; value; direction; tolerance }
   | _ -> Error "malformed gate entry"
 
 let of_document doc =

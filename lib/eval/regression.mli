@@ -4,7 +4,11 @@
     into its document as a ["gates"] array ({!to_json}); this module reads
     that array back ({!of_document}) and compares a current document's
     gates against a baseline's.  It knows no document's layout.  Driven by
-    [bench/main.exe -- regress]; wired as a CI job. *)
+    [bench/main.exe -- regress]; wired as a CI job.
+
+    A number read from the simulated clock or a count is a pure function
+    of the seed, so it is {!exact}: a change that moves it re-takes the
+    baseline. *)
 
 type direction =
   | Higher_better  (** Fails when current < baseline × (1 − tolerance). *)
@@ -27,7 +31,10 @@ type comparison = {
   status : status;
 }
 
-val gate : string -> float -> direction -> float -> gate
+val wall_clock_ratio : string -> float -> direction -> float -> gate
+(** The only banded gate: a ratio of two wall-clock readings from the
+    same run, where machine speed cancels but noise does not. *)
+
 val exact : string -> float -> gate
 val flag : string -> bool -> gate  (** Exact; true is 1, false is 0. *)
 

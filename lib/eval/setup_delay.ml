@@ -155,8 +155,8 @@ let gates result =
   let proposed = find "proposed" and meridian = find "meridian" in
   Regression.
     [
-      gate "setup/proposed/d_over_dclosest" proposed.ratio Lower_better 0.05;
-      gate "setup/proposed/setup_ms" proposed.setup_ms Lower_better 0.05;
+      exact "setup/proposed/d_over_dclosest" proposed.ratio;
+      exact "setup/proposed/setup_ms" proposed.setup_ms;
       flag "setup/proposed_best_quality"
         (List.for_all (fun r -> r == proposed || proposed.ratio < r.ratio) result.rows);
       flag "setup/proposed_faster_than_meridian" (proposed.setup_ms < meridian.setup_ms);

@@ -82,8 +82,8 @@ let gates rows =
       let name metric = Printf.sprintf "superpeers/%d/%s" r.seed metric in
       Regression.
         [
-          gate (name "central_d_over_dclosest") r.ratio_central Lower_better 0.05;
-          gate (name "super_d_over_dclosest") r.ratio_super Lower_better 0.05;
+          exact (name "central_d_over_dclosest") r.ratio_central;
+          exact (name "super_d_over_dclosest") r.ratio_super;
           exact (name "max_region_members") (float_of_int r.max_region_members);
           exact (name "min_region_members") (float_of_int r.min_region_members);
         ])

@@ -91,21 +91,21 @@ let row_json r =
    quality, and never costs more probes than it. *)
 let gates rows =
   let full = List.find (fun r -> r.strategy = Traceroute.Truncate.Full) rows in
-  let lower r metric v =
-    let name = Printf.sprintf "truncate/%s/%s" (Traceroute.Truncate.describe r.strategy) metric in
-    Regression.gate name v Lower_better 0.05
-  in
-  List.concat_map
-    (fun r ->
-      [ lower r "d_over_dclosest" r.ratio; lower r "probes_per_join" r.mean_probes_per_join ])
-    rows
-  @ Regression.
-      [
+  Regression.(
+    List.concat_map
+      (fun r ->
+        let name = Printf.sprintf "truncate/%s/%s" (Traceroute.Truncate.describe r.strategy) in
+        [
+          exact (name "d_over_dclosest") r.ratio;
+          exact (name "probes_per_join") r.mean_probes_per_join;
+        ])
+      rows
+    @ [
         flag "truncate/full_best_quality"
           (List.for_all (fun r -> r == full || full.ratio < r.ratio) rows);
         flag "truncate/full_probes_most"
           (List.for_all (fun r -> r.mean_probes_per_join <= full.mean_probes_per_join) rows);
-      ]
+      ])
 
 let print rows =
   print_endline "E4: decreased traceroute - quality vs probe cost";

@@ -161,20 +161,19 @@ let result_json (r : result) =
     r.accounted
 
 (* Byte counts on the simulated wire are pure functions of the seed, so
-   everything gates tightly and the structural bits exactly. *)
+   every gate is exact. *)
 let gates (r : result) =
   let moved kind = List.exists (fun (k : kind_row) -> k.kind = kind && k.bytes > 0) r.kinds in
   Regression.(
     [
-      gate "wire/completion_rate" r.completion_rate Higher_better 0.02;
-      gate "wire/bytes_per_join" r.bytes_per_join Lower_better 0.1;
-      gate "wire/bytes_per_query" r.bytes_per_query Lower_better 0.1;
+      exact "wire/completion_rate" r.completion_rate;
+      exact "wire/bytes_per_join" r.bytes_per_join;
+      exact "wire/bytes_per_query" r.bytes_per_query;
       exact "wire/replication_amplification" r.replication_amplification;
-      gate "wire/continue_per_join" r.continue_per_join Lower_better 0.1;
-      gate "wire/probes_per_join" r.probes_per_join Lower_better 0.004;
-      gate "wire/snapshot_bytes_per_join"
-        (float_of_int r.snapshot_bytes /. Float.max 1.0 (float_of_int r.joins))
-        Lower_better 0.5;
+      exact "wire/continue_per_join" r.continue_per_join;
+      exact "wire/probes_per_join" r.probes_per_join;
+      exact "wire/snapshot_bytes_per_join"
+        (float_of_int r.snapshot_bytes /. Float.max 1.0 (float_of_int r.joins));
       flag "wire/accounted" r.accounted;
       flag "wire/loss_burst_dropped_bytes" (r.dropped_loss_bytes > 0);
       flag "wire/top_talkers_tallied" (r.top_talkers <> []);

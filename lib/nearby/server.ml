@@ -569,6 +569,7 @@ let register_prefix t ~peer ~attach_router ~prefix ~bytes (m : measurement) =
   if Array.length routers = 0 then begin
     (* Rare once the trees fill: a name lookup, not a cell in every server. *)
     Simkit.Trace.incr t.trace "join_continue";
+    Simkit.Trace.cell_add t.cells.wire_bytes (Wire.byte_size (Wire.Continue { peer }));
     None
   end
   else begin

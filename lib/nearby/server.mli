@@ -123,9 +123,10 @@ val register_prefix :
     is {!measured_info}'s.  [None],
     with nothing registered, when no router of the prefix is held and it
     stops short of the landmark: the client must send the rest
-    ({!Wire.Continue}), counted as ["join_continue"].  [bytes], the size
-    of the {!Wire.Path_prefix} that carried the prefix (sized once, where
-    the client built it), is charged either way.
+    ({!Wire.Continue}), counted as ["join_continue"] and charged with
+    the [Continue] answer's bytes.  [bytes], the size of the
+    {!Wire.Path_prefix} that carried the prefix (sized once, where the
+    client built it), is charged either way.
     @raise Invalid_argument when already registered or the landmark is
     unknown. *)
 

@@ -1026,9 +1026,7 @@ let test_join_server_bytes_match_transport () =
   Alcotest.(check int) "lost continue reply: the first round continued" 1 continued;
   Alcotest.(check int) "lost continue reply: re-answered" 1 (duplicates ());
   Alcotest.(check bool) "lost continue reply: dropped" true (d > 0);
-  let continue_bytes = Nearby.Wire.byte_size (Nearby.Wire.Continue { peer = 0 }) in
-  Alcotest.(check int) "lost continue reply: server bytes = labeled - Continue + the dropped reply"
-    (l - continue_bytes + d) s;
+  Alcotest.(check int) "lost continue reply: server bytes = labeled + the dropped reply" (l + d) s;
   let attempts = rpcs "rpc_attempts" in
   let s, l, d = join 1 in
   Alcotest.(check int) "first round: one attempt" (attempts + 1) (rpcs "rpc_attempts");

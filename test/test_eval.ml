@@ -270,17 +270,33 @@ let test_truncate_gates () =
   List.iter
     (fun (g : Eval.Regression.gate) ->
       Alcotest.(check bool) (g.name ^ " finite") true (Float.is_finite g.value);
-      if g.direction = Eval.Regression.Exact then
+      if List.mem g.name [ "truncate/full_best_quality"; "truncate/full_probes_most" ] then
         Alcotest.(check (float 0.0)) (g.name ^ " holds") 1.0 g.value)
     gates;
-  (* The gates survive their own JSON round trip, as [bench regress] reads them. *)
-  let doc = Printf.sprintf {|{"gates": %s}|} (Eval.Regression.to_json gates) in
-  match Result.bind (Simkit.Json.parse doc) Eval.Regression.of_document with
-  | Ok read ->
-      Alcotest.(check int) "all gates pass against themselves" 0
-        (List.length
-           (Eval.Regression.failures (Eval.Regression.compare_gates ~baseline:gates ~current:read)))
-  | Error e -> Alcotest.fail e
+  (* The gates survive their JSON round trip, as [bench regress] reads
+     them: each keeps its name, direction and tolerance, and its value to
+     the 9 significant digits it is written with; a document written again
+     from what was read compares equal to it, gate for gate. *)
+  let read gates =
+    let doc = Printf.sprintf {|{"gates": %s}|} (Eval.Regression.to_json gates) in
+    match Result.bind (Simkit.Json.parse doc) Eval.Regression.of_document with
+    | Ok read -> read
+    | Error e -> Alcotest.fail e
+  in
+  let once = read gates in
+  Alcotest.(check int) "every gate read back" (List.length gates) (List.length once);
+  List.iter2
+    (fun (g : Eval.Regression.gate) (r : Eval.Regression.gate) ->
+      Alcotest.(check string) "name kept" g.name r.name;
+      Alcotest.(check bool) (g.name ^ " direction kept") true (g.direction = r.direction);
+      Alcotest.(check (float 0.0)) (g.name ^ " tolerance kept") g.tolerance r.tolerance;
+      Alcotest.(check bool) (g.name ^ " value kept") true
+        (Float.abs (r.value -. g.value) <= 1e-8 *. Float.abs g.value))
+    gates once;
+  Alcotest.(check int) "a re-written document passes against the first" 0
+    (List.length
+       (Eval.Regression.failures
+          (Eval.Regression.compare_gates ~baseline:once ~current:(read once))))
 
 (* [regress] shows a move inside a band: the moved gate passes, carries
    its signed change and counts as moved; the unmoved gate carries
@@ -294,8 +310,8 @@ let test_regression_shows_moves () =
     | Ok gates -> gates
     | Error e -> Alcotest.fail e
   in
-  let baseline = read [ gate "x/moved" 200.0 Lower_better 0.1; exact "x/still" 3.0 ] in
-  let current = read [ gate "x/moved" 190.0 Lower_better 0.1; exact "x/still" 3.0 ] in
+  let baseline = read [ wall_clock_ratio "x/moved" 200.0 Lower_better 0.1; exact "x/still" 3.0 ] in
+  let current = read [ wall_clock_ratio "x/moved" 190.0 Lower_better 0.1; exact "x/still" 3.0 ] in
   let comparisons = compare_gates ~baseline ~current in
   Alcotest.(check int) "both pass" 0 (List.length (failures comparisons));
   Alcotest.(check (list (option (float 1e-12))))

@@ -689,8 +689,8 @@ let test_export_pins () =
   Alcotest.(check (list (pair string string)))
     "digests"
     [
-      ("top --metrics-out", "8f80d4d57d7bf3b44e75835cb055d678");
-      ("top --prom-out", "9f97439f1387f0874a2c148bf83bd43a");
+      ("top --metrics-out", "5d3fdd657f0f89c1b579f610c3ddb094");
+      ("top --prom-out", "14d9cf98ebce824b6562bfca8456d198");
       ("load", "abec840073050e485b2a65520815db70");
     ]
     [

@@ -200,19 +200,19 @@ let test_resilience_metrics_shape () =
       "resilience/crash-primary/r3/consistent";
     ]
     (List.map (fun (g : R.gate) -> g.name) (gates resilience_result));
-  (* join_p99 is Lower_better: a 10% slowdown sits inside the 15% band,
-     a 30% one does not. *)
+  (* join_p99 reads the simulated clock, so it is exact: a 1% slowdown
+     fails. *)
   let slower f = gates { resilience_result with join_p99_ms = resilience_result.join_p99_ms *. f } in
   let baseline = gates resilience_result in
-  Alcotest.(check int) "10%% slower passes" 0 (List.length (failed ~baseline ~current:(slower 1.10)));
-  Alcotest.(check int) "30%% slower fails" 1 (List.length (failed ~baseline ~current:(slower 1.30)))
+  Alcotest.(check (list string)) "1%% slower fails" [ "resilience/crash-primary/r3/join_p99_ms" ]
+    (failed ~baseline ~current:(slower 1.01))
 
 let test_gates_round_trip () =
   let gates =
     R.
       [
-        gate "a/higher" 1234.5 Higher_better 0.6;
-        gate "a/lower" 0.125 Lower_better 1.5;
+        wall_clock_ratio "a/higher" 1234.5 Higher_better 0.6;
+        wall_clock_ratio "a/lower" 0.125 Lower_better 1.5;
         flag "a/flag" true;
         exact "a/members" 100000.0;
       ]
@@ -315,6 +315,29 @@ let test_stack_gates () =
     [ "state_bytes_per_member"; "client_bytes_per_op"; "wire_bytes_per_op" ]
     (Eval.Stack_gates.metrics "query-250k")
 
+(* The rule every committed baseline keeps: a simulated number or a count
+   is exact, and only the same-run wall-clock ratios carry a band. *)
+let test_baselines_banded_only_wall_ratios () =
+  let dir = "../bench/baselines" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+  in
+  Alcotest.(check bool) "baselines found" true (files <> []);
+  let banded file =
+    match Result.bind (Simkit.Json.of_file (Filename.concat dir file)) R.of_document with
+    | Ok gates ->
+        List.filter_map
+          (fun (g : R.gate) ->
+            if g.direction = R.Exact && g.tolerance = 0.0 then None else Some (file ^ " " ^ g.name))
+          gates
+    | Error e -> Alcotest.fail (file ^ ": " ^ e)
+  in
+  Alcotest.(check (list string)) "banded gates other than *_rel_tree" []
+    (List.filter
+       (fun g -> not (String.ends_with ~suffix:"_rel_tree" g))
+       (List.concat_map banded files))
+
 let suite =
   ( "regression-gate",
     [
@@ -328,9 +351,11 @@ let suite =
       Alcotest.test_case "flipped invariant fails" `Quick test_gate_fails_on_flipped_invariant;
       Alcotest.test_case "query words per answer gate" `Quick test_gate_catches_query_allocation;
       Alcotest.test_case "missing metric fails" `Quick test_gate_fails_on_missing_metric;
-      Alcotest.test_case "resilience tolerances" `Quick test_resilience_metrics_shape;
+      Alcotest.test_case "resilience p99 is exact" `Quick test_resilience_metrics_shape;
       Alcotest.test_case "sweep gated to 100k" `Quick test_gate_sweep_stops_at_100k;
       Alcotest.test_case "gates round-trip through a document" `Quick test_gates_round_trip;
       Alcotest.test_case "null gate value fails, no exception" `Quick test_null_gate_value_fails;
       Alcotest.test_case "stack gates are exact" `Quick test_stack_gates;
+      Alcotest.test_case "baselines band only wall-clock ratios" `Quick
+        test_baselines_banded_only_wall_ratios;
     ] )
