@@ -386,6 +386,18 @@ let time_repeated ~min_s pass =
   done;
   float_of_int !ops /. Float.max (Sys.time () -. t0) 1e-9
 
+(* Router-bucket entries of a tree holding peers [0, n) on [route_of]'s
+   routes, from a second, untimed build: [Registry_intf] does not reach
+   the tree's [fill]. *)
+let router_entries ~landmark ~n route_of =
+  let tree = Nearby.Path_tree_core.create ~landmark in
+  for peer = 0 to n - 1 do
+    let routers = route_of peer in
+    Nearby.Path_tree_core.insert_path tree ~peer ~routers
+      ~costs:(Array.init (Array.length routers) Fun.id)
+  done;
+  (Nearby.Path_tree_core.fill tree).entries
+
 (* The million-member scaling sweep of the path tree: built with the batch
    interface ([insert_many] in 8192-entry chunks), then queried with
    [query_member] in a loop.  One build per point -- a 1M build is seconds
@@ -432,11 +444,12 @@ let run_sweep ~sweep_max =
           sw_query_ops = query_ops;
           sw_members = intro.Nearby.Registry_intf.members;
           sw_bytes = intro.Nearby.Registry_intf.approx_bytes;
+          sw_router_entries = router_entries ~landmark ~n route_of;
         })
       sizes
   in
   Prelude.Table.print
-    ~header:[ "n"; "insert ops/s"; "query ops/s"; "members"; "~MiB"; "B/member" ]
+    ~header:[ "n"; "insert ops/s"; "query ops/s"; "members"; "~MiB"; "B/member"; "entries/member" ]
     (List.map
        (fun (r : Eval.Registry_gates.sweep_row) ->
          [
@@ -446,6 +459,8 @@ let run_sweep ~sweep_max =
            string_of_int r.sw_members;
            Prelude.Table.float_cell ~decimals:1 (float_of_int r.sw_bytes /. 1048576.0);
            string_of_int (r.sw_bytes / Int.max 1 r.sw_members);
+           Prelude.Table.float_cell ~decimals:4
+             (float_of_int r.sw_router_entries /. float_of_int (Int.max 1 r.sw_members));
          ])
        rows);
   rows
@@ -453,8 +468,8 @@ let run_sweep ~sweep_max =
 let sweep_row_json (r : Eval.Registry_gates.sweep_row) =
   Printf.sprintf
     "    {\"n\": %d, \"backend\": \"tree\", \"insert_ops_per_s\": %.0f, \"query_ops_per_s\": %.0f, \
-     \"members\": %d, \"approx_bytes\": %d}"
-    r.sw_n r.sw_insert_ops r.sw_query_ops r.sw_members r.sw_bytes
+     \"members\": %d, \"approx_bytes\": %d, \"router_entries\": %d}"
+    r.sw_n r.sw_insert_ops r.sw_query_ops r.sw_members r.sw_bytes r.sw_router_entries
 
 let run_registry ~full ~sweep_max =
   banner "registry backends: insert/query throughput (unified interface)";

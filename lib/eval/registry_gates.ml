@@ -12,6 +12,7 @@ type sweep_row = {
   sw_query_ops : float;
   sw_members : int;
   sw_bytes : int;
+  sw_router_entries : int;  (* router-bucket entries: one per stored route and router on it *)
 }
 
 type obs_row = {
@@ -34,10 +35,11 @@ let rel_tree key direction tolerance rows =
             Some (wall_clock_ratio (key (Backends.to_string spec)) (v /. tree) direction tolerance))
         rows
 
-(* Per tree sweep point: the member count and bytes/member, both counts,
-   so exact.  Points above 100k members are not gated: CI sweeps to 100k,
-   and a gate present in the baseline but missing from the current
-   document fails by design. *)
+(* Per tree sweep point: the member count, bytes/member and router-bucket
+   entries per member (the tree keeps one per route and router, not one
+   per member), all counts, so exact.  Points above 100k members are not
+   gated: CI sweeps to 100k, and a gate present in the baseline but
+   missing from the current document fails by design. *)
 let sweep rows =
   List.filter (fun r -> r.sw_n <= 100_000) rows
   |> List.concat_map (fun r ->
@@ -46,6 +48,8 @@ let sweep rows =
            exact (key "members") (float_of_int r.sw_members);
            exact (key "bytes_per_member")
              (float_of_int r.sw_bytes /. Float.max 1.0 (float_of_int r.sw_members));
+           exact (key "router_entries_per_member")
+             (float_of_int r.sw_router_entries /. Float.max 1.0 (float_of_int r.sw_members));
          ])
 
 (* Throughput relative to the tree backend of the same run, the

@@ -15,6 +15,7 @@ type sweep_row = {
   sw_query_ops : float;
   sw_members : int;
   sw_bytes : int;
+  sw_router_entries : int;  (** router-bucket entries ({!Nearby.Path_tree_core.fill}) *)
 }
 
 type obs_row = {

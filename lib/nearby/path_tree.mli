@@ -8,12 +8,16 @@
     router, and the inferred distance is
     [dtree(p1,p2) = dist(p1, meeting) + dist(p2, meeting)].
 
-    Storage follows the paper's complexity sketch: a hash table maps each
-    router to the bucket of peers whose path crosses it, every bucket kept
-    ordered by the peer's distance to that router — so registering a peer is
-    an O(log n) ordered insertion per router of its path, and a query walks
-    the newcomer's own path, accessing each router bucket in O(1) and
-    scanning it in ascending inferred-distance order with early cutoff. *)
+    Storage follows the paper's complexity sketch: each router has a
+    bucket of the peers whose path crosses it, kept ordered by the peer's
+    distance to that router, and a query walks the newcomer's own path,
+    accessing each router bucket in O(1) and scanning it in ascending
+    inferred-distance order with early cutoff.  Peers registering one
+    route share its entries: a bucket holds one entry per route, ordered
+    by the route's distance and lowest peer, and each route its peers in
+    order, so registering a peer on a stored route is one O(log n)
+    ordered insertion, and a new route one per router of its path
+    ({!Path_tree_core}). *)
 
 type t
 
@@ -44,7 +48,7 @@ val path_of : t -> peer -> Topology.Graph.node array option
 
 val member_through : t -> Topology.Graph.node -> except:peer -> peer
 (** A member other than [except] whose path crosses the router, or -1:
-    the head of the router's bucket ({!Path_tree_core.member_through}). *)
+    the member nearest to it ({!Path_tree_core.member_through}). *)
 
 val depth : t -> peer -> int option
 (** Links between the peer's attachment router and the landmark. *)

@@ -30,11 +30,13 @@ val insert_path :
     recorded path and [costs.(i)] the cost from the peer to it; the last
     router must be the landmark and the costs non-decreasing.  Only the
     first [Array.length routers] costs are read, so one long array can
-    serve many paths.  Each distinct route is stored once: when the member
-    heading the bucket of [routers.(0)] stored the same routers and the
-    same first costs, the new member shares its route; otherwise
-    [routers] is copied.  [costs] is kept by reference and must not be
-    mutated afterwards.
+    serve many paths.  Each distinct route is stored once, with its
+    members in one sorted run: when a stored route entering [routers.(0)]
+    at [costs.(0)] has the same routers and the same first costs, the new
+    member joins it, and router buckets change only when it becomes the
+    route's lowest member; otherwise [routers] is copied into a new
+    route, which gets one entry in the bucket of each router on it.
+    [costs] is kept by reference and must not be mutated afterwards.
     @raise Invalid_argument on an empty path, a path not ending at the
     landmark, fewer costs than routers, a negative router, a peer or cost
     out of range, decreasing costs, or a duplicate peer; the tree is then
@@ -50,8 +52,10 @@ val routers_of : t -> peer -> Topology.Graph.node array option
 
 val member_through : t -> Topology.Graph.node -> except:peer -> peer
 (** A member other than [except] whose path crosses [router], or -1: the
-    head of the router's bucket, the member nearest to it (ties to the
-    lower peer id).  Reads the bucket, scans nothing. *)
+    member nearest to it, ties to the lower peer id.  That is the lowest
+    member of the route heading the router's bucket, or, when it is
+    [except], the smaller of that route's second member and the next
+    entry's; a read of one or two entries, not a scan. *)
 
 val meeting_point : t -> peer -> peer -> (Topology.Graph.node * int * int) option
 (** Deepest common router of the two registered paths and each peer's cost
@@ -84,8 +88,10 @@ val iter_members : t -> (peer -> unit) -> unit
     the sequence of operations, but not sorted. *)
 
 val iter_buckets : t -> (Topology.Graph.node -> int -> unit) -> unit
-(** [f router size] per non-empty router bucket, unspecified order — the
-    feed for registry introspection (occupancy histograms, hot routers). *)
+(** [f router size] per non-empty router bucket, [size] the members of
+    the routes crossing it (a route counted once per entry), unspecified
+    order — the feed for registry introspection (occupancy histograms,
+    hot routers). *)
 
 val approx_bytes : t -> int
 (** Rough payload size (paths, each shared route counted once, the router
@@ -93,12 +99,22 @@ val approx_bytes : t -> int
     estimate for cross-backend comparison, not an exact heap
     measurement. *)
 
-type fill = { entries : int; chunks : int; slots : int }
+type fill = {
+  entries : int;
+  chunks : int;
+  slots : int;
+  stored_routes : int;
+  member_chunks : int;
+  member_slots : int;
+}
 
 val fill : t -> fill
-(** Bucket entries, the chunks holding them and the key slots those
-    chunks allocate, summed over every router: [entries / slots] is how
-    full the placement keeps its chunks. *)
+(** Router-bucket entries (one per route and router on it, however many
+    members the route has), the chunks holding them and the key slots
+    those chunks allocate, summed over every router; then the distinct
+    stored routes and the chunks and key slots of their member runs,
+    which hold one key per member.  Entries over slots is how full the
+    placement keeps its chunks. *)
 
 val check_invariants : t -> unit
 (** @raise Failure on a violated structural invariant (test hook). *)

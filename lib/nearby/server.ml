@@ -355,8 +355,7 @@ let record t ~peer ~routers ~refresh ~attach ~home ~probes =
   if refresh then Simkit.Trace.cell_incr t.cells.refreshes
 
 (* The per-entry store every registration path goes through -- join,
-   replica apply and snapshot apply; a batch join runs its two halves as
-   two loops (see [register_measured_batch]). *)
+   batch join, replica apply and snapshot apply. *)
 let store t ~peer ~routers ~refresh ~attach ~home ~probes =
   Registry_intf.insert (registry_of t home) ~peer ~routers;
   record t ~peer ~routers ~refresh ~attach ~home ~probes
@@ -593,34 +592,17 @@ let register_measured_batch t entries =
         invalid_arg "Server.register_measured: peer already registered";
       ignore (Slot_index.add batch_seen peer))
     entries;
-  (* [store] per entry, as two loops over the batch: first the registry
-     writes, landmark by landmark and in batch order within each, then the
-     rest in batch order.  A tree then takes its inserts back to back with
-     its hot chunks in cache.  One loop of [store] made the bench/stack
-     query-250k set-up (250,000 members in 8,192-entry batches) about 15%
-     slower taken landmark by landmark, about 30% in plain batch order. *)
-  let routers =
-    Array.map (fun (_, _, (m : measurement)) -> registrable_path ~landmark:m.landmark m.path) entries
-  in
-  Simkit.Span.(
-    with_span t.spans ~name:"register_batch" ?parent:(current t.spans) [ ("ops", Int n) ])
-    (fun _ ->
-      Array.iter
-        (fun lmk ->
-          let registry = registry_of t lmk in
-          Array.iteri
-            (fun i (peer, _, (m : measurement)) ->
-              if m.landmark = lmk then Registry_intf.insert registry ~peer ~routers:routers.(i))
-            entries)
-        t.landmark_ids);
   let infos =
-    Array.mapi
-      (fun i (peer, attach_router, (m : measurement)) ->
-        record t ~peer ~routers:routers.(i) ~refresh:true ~attach:attach_router ~home:m.landmark
-          ~probes:m.probes;
-        count_join t m;
-        { attach_router; landmark = m.landmark; recorded_path = m.path; probes_spent = m.probes })
-      entries
+    Simkit.Span.(
+      with_span t.spans ~name:"register_batch" ?parent:(current t.spans) [ ("ops", Int n) ])
+      (fun _ ->
+        Array.map
+          (fun (peer, attach_router, (m : measurement)) ->
+            store t ~peer ~routers:(registrable_path ~landmark:m.landmark m.path) ~refresh:true
+              ~attach:attach_router ~home:m.landmark ~probes:m.probes;
+            count_join t m;
+            measured_info ~attach_router m)
+          entries)
   in
   let reports =
     Array.to_list (Array.map (fun (peer, _, (m : measurement)) -> (peer, m.path)) entries)

@@ -948,10 +948,10 @@ let within_budget what value budget =
   Alcotest.(check bool) (Printf.sprintf "%.1f %s, budget %.1f" value what budget) true (value <= budget)
 
 let test_join_words_budget () =
-  within_budget "minor words per join" (fst (Lazy.force replicated_joins)) (392.3 *. 1.02)
+  within_budget "minor words per join" (fst (Lazy.force replicated_joins)) (337.25 *. 1.02)
 
 let test_state_words_budget () =
-  within_budget "words per member" (snd (Lazy.force replicated_joins)) (50.05 *. 1.02)
+  within_budget "words per member" (snd (Lazy.force replicated_joins)) (49.09 *. 1.02)
 
 (* A replica's wire counter charges the frames a join sent it and the
    replies it sent back: a first round's [Path_prefix] frame carries [k],

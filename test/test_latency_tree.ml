@@ -275,6 +275,53 @@ let test_core_ranges () =
     [ (0, top_cost + 3); (1, 2 * top_cost); (top_peer, 2 * top_cost) ]
     (Core.query_member t ~peer:2 ~k:4)
 
+(* Latency of the link leaving router [r] toward the landmark, in µs:
+   1 or 2 ms, so routes entering one router over different links often
+   tie there. *)
+let link_us r = if r mod 3 = 0 then 2000 else 1000
+
+(* Cumulative latency along [routers]; a router named twice in a row adds
+   nothing. *)
+let latency_costs routers =
+  let costs = Array.make (Array.length routers) 0 in
+  for i = 1 to Array.length routers - 1 do
+    costs.(i) <-
+      (costs.(i - 1) + if routers.(i) = routers.(i - 1) then 0 else link_us routers.(i - 1))
+  done;
+  costs
+
+(* The latency core under {!Tree_model.ops}' churn (many members per
+   route, ties at inner routers, members sorting below their route's
+   lowest, lowest members leaving, stuttering paths): after every step it
+   passes its invariants and answers, asked by a route's lowest member
+   too, and names the members through a router, as the model does.  Each
+   insert passes a fresh cost array, so equal routes share by content. *)
+let qcheck_core_matches_model =
+  QCheck.Test.make ~name:"int core under churn: invariants, model answers" ~count:2
+    QCheck.(pair small_nat (int_range 300 400))
+    (fun (seed, n) ->
+      List.for_all
+        (fun order ->
+          let rng = Prelude.Prng.create (seed + 1) in
+          let model = Tree_model.create () and t = Core.create ~landmark:0 in
+          List.for_all
+            (fun op ->
+              (match op with
+              | Tree_model.Add (peer, routers) ->
+                  let costs = latency_costs routers in
+                  Core.insert_path t ~peer ~routers ~costs;
+                  Tree_model.add model ~peer ~routers ~costs
+              | Drop peer ->
+                  Core.remove t peer;
+                  Tree_model.remove model peer);
+              Core.check_invariants t;
+              Tree_model.agrees ~rng ~costs_of:latency_costs model
+                ~tree_query:(fun ~routers ~costs ~k -> Core.query_path t ~routers ~costs ~k ())
+                ~tree_query_member:(Core.query_member t) ~tree_member_through:(Core.member_through t)
+                op)
+            (Tree_model.ops ~order ~seed ~n ()))
+        [ `Random; `Descending ])
+
 let suite =
   ( "latency_tree",
     [
@@ -290,4 +337,5 @@ let suite =
       Alcotest.test_case "int core shares equal costs only" `Quick test_core_shares_equal_costs_only;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
         qcheck_zero_latency_links_match_naive;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) qcheck_core_matches_model;
     ] )

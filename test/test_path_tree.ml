@@ -385,9 +385,10 @@ let test_insert_allocates_no_cost_array () =
 
 let stored t peer = Option.get (Path_tree.path_of t peer)
 
-(* Members on one router with one route share the stored array; a
-   different route from that router, or a route starting inside another
-   member's route, gets its own. *)
+(* Members on one router with one route share the stored array, whichever
+   route from that router heads its bucket; a different route from that
+   router, or a route starting inside another member's route, gets its
+   own. *)
 let test_equal_routes_share_one_array () =
   let t = Path_tree.create ~landmark:lmk in
   Path_tree.insert t ~peer:0 ~routers:(Array.copy path_a);
@@ -396,6 +397,10 @@ let test_equal_routes_share_one_array () =
   Path_tree.insert t ~peer:2 ~routers:[| 10; 12; 3; 2; lmk |];
   Alcotest.(check bool) "a different route from the same router" false (stored t 2 == stored t 0);
   Alcotest.(check (array int)) "its own route" [| 10; 12; 3; 2; lmk |] (stored t 2);
+  (* Peers 0 and 1's route heads router 10's bucket; an equal route
+     behind it is found too. *)
+  Path_tree.insert t ~peer:5 ~routers:[| 10; 12; 3; 2; lmk |];
+  Alcotest.(check bool) "shares a route behind the head" true (stored t 5 == stored t 2);
   (* Router 11 lies inside peers 0 and 1's route; peer 3 starts there. *)
   Path_tree.insert t ~peer:3 ~routers:[| 11; 3; 2; lmk |];
   Alcotest.(check (array int)) "a route starting mid-route" [| 11; 3; 2; lmk |] (stored t 3);
@@ -442,9 +447,12 @@ let test_caller_array_not_kept () =
 
 (* Each distinct route counts once in the payload estimate.  Eight
    members on one router sequence either share one route (equal costs) or
-   hold eight (each a different last cost): the bucket layout is the
-   same, so the estimates differ by exactly seven routes, each a record
-   (3 words) and a 5-router array (1 + 5). *)
+   hold eight (each a different last cost).  Shared: one route record
+   (5 words), its 5-router array (1 + 5) and an eight-member run (record
+   3, chunk array 2, chunk 4, keys 1 + 8), 29 words, and one entry at each
+   router.  Apart: eight such routes with one-member runs, 22 words each,
+   and eight entries at each of the five routers, whose key and route
+   arrays grow from 1 to 8 slots, 14 words more per router. *)
 let test_approx_bytes_counts_shared_route_once () =
   let bytes costs_of =
     let t = Path_tree_core.create ~landmark:lmk in
@@ -456,7 +464,7 @@ let test_approx_bytes_counts_shared_route_once () =
   in
   let shared = bytes (fun _ -> [| 0; 1; 2; 3; 4 |]) in
   let own = bytes (fun peer -> [| 0; 1; 2; 3; 4 + peer |]) in
-  Alcotest.(check int) "seven routes more" (7 * (3 + 1 + 5) * 8) (own - shared)
+  Alcotest.(check int) "seven routes more" (((8 * 22) - 29 + (5 * 14)) * 8) (own - shared)
 
 (* --- Batch insert = looped singletons, down to the layout --- *)
 
@@ -630,60 +638,7 @@ let qcheck_topk_is_sort_and_take =
 (* --- Chunk placement: a full chunk splits where inserts land --- *)
 
 let hop_costs = Array.init 16 Fun.id
-
-(* A sink tree of 12 routers toward landmark 0, attach routers at depths
-   1-4: the landmark's and the inner routers' buckets hold several cost
-   groups each, and past 256 entries they split. *)
-let placement_parent = [| -1; 0; 0; 1; 1; 2; 3; 3; 4; 5; 6; 8 |]
-
-let placement_path r =
-  let rec climb r acc = if r = 0 then List.rev (0 :: acc) else climb placement_parent.(r) (r :: acc) in
-  Array.of_list (climb r [])
-
-type placement_op = Add of int * int | Drop of int
-
-(* Grow to [n] members, churn (half inserts, half removes), then remove
-   four in five of those left: splits, shifts and merges all happen.  New
-   ids ascend, descend or come in random order. *)
-let placement_ops ~order ~seed ~n =
-  let rng = Prelude.Prng.create seed in
-  let limit = 2 * n in
-  let fresh =
-    match order with
-    | `Ascending -> Array.init limit Fun.id
-    | `Descending -> Array.init limit (fun i -> limit - 1 - i)
-    | `Random ->
-        let ids = Array.init limit Fun.id in
-        for i = limit - 1 downto 1 do
-          let j = Prelude.Prng.int rng (i + 1) in
-          let x = ids.(i) in
-          ids.(i) <- ids.(j);
-          ids.(j) <- x
-        done;
-        ids
-  in
-  let next = ref 0 and live = ref [||] and ops = ref [] in
-  let add () =
-    let peer = fresh.(!next) in
-    incr next;
-    live := Array.append !live [| peer |];
-    ops := Add (peer, 1 + Prelude.Prng.int rng (Array.length placement_parent - 1)) :: !ops
-  in
-  let drop () =
-    let i = Prelude.Prng.int rng (Array.length !live) in
-    ops := Drop !live.(i) :: !ops;
-    live := Array.append (Array.sub !live 0 i) (Array.sub !live (i + 1) (Array.length !live - i - 1))
-  in
-  for _ = 1 to n do
-    add ()
-  done;
-  for _ = 1 to n / 2 do
-    if Prelude.Prng.int rng 2 = 0 then add () else drop ()
-  done;
-  for _ = 1 to 4 * Array.length !live / 5 do
-    drop ()
-  done;
-  List.rev !ops
+let hop_costs_of routers = Array.sub hop_costs 0 (Array.length routers)
 
 (* Apply [ops] to a fresh tree, calling [step] after each. *)
 let replay ops step =
@@ -691,69 +646,121 @@ let replay ops step =
   List.iter
     (fun op ->
       (match op with
-      | Add (peer, r) -> Path_tree_core.insert_path t ~peer ~routers:(placement_path r) ~costs:hop_costs
+      | Tree_model.Add (peer, routers) -> Path_tree_core.insert_path t ~peer ~routers ~costs:hop_costs
       | Drop peer -> Path_tree_core.remove t peer);
       step t op)
     ops;
   t
 
-let placement_layout t =
-  let f = Path_tree_core.fill t in
-  (f.chunks, f.slots)
-
 (* After every insert and remove the tree passes its invariants and
-   answers as the naive scan does, both for a path from a random router
-   and for a random member; the same sequence fed twice builds the same
-   chunks, step by step, and the same payload estimate. *)
+   answers as {!Tree_model} does ({!Tree_model.agrees}: many members per
+   route, routes tying at inner routers, members sorting below their
+   route's lowest, lowest members leaving and asking, [member_through]
+   excepting the head); without stuttering paths, as the naive scan does
+   too.  The same sequence fed twice builds the same chunks, step by
+   step, and the same payload estimate. *)
 let qcheck_placement_matches_naive =
   QCheck.Test.make ~name:"chunk placement: invariants, naive answers, same layout twice" ~count:2
     QCheck.(pair small_nat (int_range 560 760))
     (fun (seed, n) ->
       List.for_all
-        (fun order ->
-          let ops = placement_ops ~order ~seed ~n in
+        (fun (order, stutters) ->
+          let ops = Tree_model.ops ~stutters ~order ~seed ~n () in
           let rng = Prelude.Prng.create (seed + 1) in
-          let naive = Naive_registry.create ~landmark:0 in
+          let naive = Naive_registry.create ~landmark:0 and model = Tree_model.create () in
           let ok = ref true and layouts = ref [] in
           let once =
             replay ops (fun t op ->
                 (match op with
-                | Add (peer, r) -> Naive_registry.insert naive ~peer ~routers:(placement_path r)
-                | Drop peer -> Naive_registry.remove naive peer);
+                | Add (peer, routers) ->
+                    Naive_registry.insert naive ~peer ~routers;
+                    Tree_model.add model ~peer ~routers ~costs:hop_costs
+                | Drop peer ->
+                    Naive_registry.remove naive peer;
+                    Tree_model.remove model peer);
                 Path_tree_core.check_invariants t;
-                let routers = placement_path (Prelude.Prng.int rng (Array.length placement_parent)) in
                 if
-                  Path_tree_core.query_path t ~routers ~costs:hop_costs ~k:5 ()
-                  <> Naive_registry.query naive ~routers ~k:5 ()
+                  not
+                    (Tree_model.agrees ~rng ~costs_of:hop_costs_of model
+                       ~tree_query:(fun ~routers ~costs ~k ->
+                         Path_tree_core.query_path t ~routers ~costs ~k ())
+                       ~tree_query_member:(Path_tree_core.query_member t)
+                       ~tree_member_through:(Path_tree_core.member_through t) op)
                 then ok := false;
-                (match op with
-                | Add (peer, _) ->
-                    if Path_tree_core.query_member t ~peer ~k:5 <> Naive_registry.query_member naive ~peer ~k:5
-                    then ok := false
-                | Drop _ -> ());
-                layouts := placement_layout t :: !layouts)
+                (* The naive scan reads a path naming a router twice by
+                   its suffix, not by its entries. *)
+                if not stutters then begin
+                  let routers =
+                    Tree_model.path (Prelude.Prng.int rng (Array.length Tree_model.parent))
+                  in
+                  if
+                    Path_tree_core.query_path t ~routers ~costs:hop_costs ~k:5 ()
+                    <> Naive_registry.query naive ~routers ~k:5 ()
+                  then ok := false;
+                  match op with
+                  | Add (peer, _) ->
+                      if
+                        Path_tree_core.query_member t ~peer ~k:5
+                        <> Naive_registry.query_member naive ~peer ~k:5
+                      then ok := false
+                  | Drop _ -> ()
+                end;
+                layouts := Path_tree_core.fill t :: !layouts)
           in
           let again = ref [] in
-          let twice = replay ops (fun t _ -> again := placement_layout t :: !again) in
+          let twice = replay ops (fun t _ -> again := Path_tree_core.fill t :: !again) in
           !ok && !layouts = !again && Path_tree_core.approx_bytes once = Path_tree_core.approx_bytes twice)
-        [ `Ascending; `Random; `Descending ])
+        [ (`Ascending, false); (`Random, false); (`Random, true); (`Descending, true) ])
 
-(* Members joining in id order put each insert at the end of its cost
-   group.  Chunks that split in half left each split's lower half half
-   full for good: this tree then held 134,144 key slots for its 70,818
-   entries (53% full).  Splitting where the inserts land holds them in
-   72,448 (98%). *)
+(* Members joining in id order join their route's member run at its
+   end, and a full chunk splits where the inserts land, not in half
+   (which left each lower half half full for good), so the runs stay
+   full: the 11 routes' runs hold the 20,000 members in 20,368 key slots
+   (98%), beside 39 router entries. *)
 let test_id_order_inserts_fill_chunks () =
   let rng = Prelude.Prng.create 5 in
   let t = Path_tree_core.create ~landmark:0 in
   for peer = 0 to 19_999 do
-    let r = 1 + Prelude.Prng.int rng (Array.length placement_parent - 1) in
-    Path_tree_core.insert_path t ~peer ~routers:(placement_path r) ~costs:hop_costs
+    let r = 1 + Prelude.Prng.int rng (Array.length Tree_model.parent - 1) in
+    Path_tree_core.insert_path t ~peer ~routers:(Tree_model.path r) ~costs:hop_costs
   done;
   Path_tree_core.check_invariants t;
   let f = Path_tree_core.fill t in
-  Alcotest.(check int) "entries" 70_818 f.entries;
-  Alcotest.(check int) "key slots" 72_448 f.slots
+  Alcotest.(check int) "stored routes" 11 f.stored_routes;
+  Alcotest.(check int) "router entries" 39 f.entries;
+  Alcotest.(check int) "member key slots" 20_368 f.member_slots
+
+(* However many members share one route, the routers on it hold one
+   entry each for it and the tree one stored route.  Removing members
+   lowest first re-keys those entries every time and keeps them down to
+   the last member, whose removal empties every router. *)
+let test_one_route_one_entry_per_router () =
+  let routers = [| 10; 11; 12; 13; 14; lmk |] in
+  let len = Array.length routers in
+  let t = Path_tree_core.create ~landmark:lmk in
+  let m = 600 in
+  for peer = 0 to m - 1 do
+    Path_tree_core.insert_path t ~peer ~routers:(Array.copy routers) ~costs:hop_costs
+  done;
+  Path_tree_core.check_invariants t;
+  let check_fill what ~entries ~stored =
+    let f = Path_tree_core.fill t in
+    Alcotest.(check (pair int int)) what (entries, stored) (f.entries, f.stored_routes)
+  in
+  check_fill "m members" ~entries:len ~stored:1;
+  (* Two full 256-slot chunks and one of 128 for the last 88. *)
+  Alcotest.(check int) "member slots span chunks" 640 (Path_tree_core.fill t).member_slots;
+  for peer = 0 to m - 2 do
+    Path_tree_core.remove t peer;
+    Alcotest.(check int) "the next lowest heads" (peer + 1) (Path_tree_core.member_through t 12 ~except:(-1))
+  done;
+  Path_tree_core.check_invariants t;
+  check_fill "one member" ~entries:len ~stored:1;
+  Alcotest.(check int) "routers" len (Path_tree_core.router_count t);
+  Path_tree_core.remove t (m - 1);
+  Path_tree_core.check_invariants t;
+  check_fill "none" ~entries:0 ~stored:0;
+  Alcotest.(check int) "no routers" 0 (Path_tree_core.router_count t)
 
 let suite =
   let q t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t in
@@ -797,6 +804,7 @@ let suite =
       Alcotest.test_case "small batch allocates like singletons" `Quick
         test_batch_allocates_like_singletons;
       q qcheck_placement_matches_naive;
+      Alcotest.test_case "one route, one entry per router" `Quick test_one_route_one_entry_per_router;
       Alcotest.test_case "id-order inserts fill their chunks" `Quick
         test_id_order_inserts_fill_chunks;
     ] )

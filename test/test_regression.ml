@@ -89,7 +89,14 @@ module G = Eval.Registry_gates
 let row ?(identical = true) spec insert_ops query_ops = { G.spec; insert_ops; query_ops; identical }
 
 let sweep_row n =
-  { G.sw_n = n; sw_insert_ops = 1000.0; sw_query_ops = 2000.0; sw_members = n; sw_bytes = 100 * n }
+  {
+    G.sw_n = n;
+    sw_insert_ops = 1000.0;
+    sw_query_ops = 2000.0;
+    sw_members = n;
+    sw_bytes = 100 * n;
+    sw_router_entries = n / 10;
+  }
 
 let registry ?identical ~dht_query () =
   G.registry ~query_words_per_answer:6.0
@@ -147,21 +154,24 @@ let test_gate_fails_on_missing_metric () =
       Alcotest.(check bool) "flagged as missing" true (c.current = None && c.status = Fail "missing"))
     failures
 
-(* The sweep gates each tree point's members and bytes/member; points
-   above 100k members are not gated, because CI sweeps to 100k. *)
+(* The sweep gates each tree point's members, bytes/member and router
+   entries per member; points above 100k members are not gated, because
+   CI sweeps to 100k. *)
 let test_gate_sweep_stops_at_100k () =
   let gates =
     G.registry ~query_words_per_answer:6.0 [ row Eval.Backends.Tree 1000.0 2000.0 ]
       (List.map sweep_row [ 10_000; 100_000; 1_000_000 ])
   in
-  Alcotest.(check (list string)) "members and bytes/member to 100k"
+  Alcotest.(check (list string)) "members, bytes and entries per member to 100k"
     [
       "registry/tree/answers_identical";
       "registry/tree/query_words_per_answer";
       "registry/sweep/10000/tree/members";
       "registry/sweep/10000/tree/bytes_per_member";
+      "registry/sweep/10000/tree/router_entries_per_member";
       "registry/sweep/100000/tree/members";
       "registry/sweep/100000/tree/bytes_per_member";
+      "registry/sweep/100000/tree/router_entries_per_member";
     ]
     (List.map (fun (g : R.gate) -> g.name) gates)
 
