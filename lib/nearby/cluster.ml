@@ -437,8 +437,8 @@ let recover t i =
 let most_complete live =
   List.fold_left
     (fun best r ->
-      let key r = (-Server.peer_count r.server, r.id) in
-      if key r < key best then r else best)
+      let n = Server.peer_count r.server and m = Server.peer_count best.server in
+      if n > m || (n = m && r.id < best.id) then r else best)
     (List.hd live) (List.tl live)
 
 (* One digest comparison across the live replicas.  O(replicas) int64

@@ -1,3 +1,10 @@
+(* Every comparison in this module is at [int] ({!Prelude.Int_compare} is
+   open): router ids, costs, peer ids and packed keys are all ints, so a
+   comparison is one machine instruction, and one of any other type does
+   not compile rather than calling the runtime's generic compare. *)
+
+open Prelude.Int_compare
+
 type peer = int
 
 (* [Array.blit] for int arrays without the write barrier.  [Array.blit]
@@ -731,7 +738,7 @@ let check_bucket what id b ~strict ~routed =
     let c = b.chunks.(ci) in
     if c.clen = 0 then fail "empty chunk %d" ci;
     if c.clen > Array.length c.keys then fail "chunk %d overflows" ci;
-    if paired c <> routed then fail "chunk %d has the wrong kind" ci;
+    if not (Bool.equal (paired c) routed) then fail "chunk %d has the wrong kind" ci;
     if routed && Array.length c.vals <> Array.length c.keys then
       fail "chunk %d has %d route slots for %d keys" ci (Array.length c.vals)
         (Array.length c.keys);

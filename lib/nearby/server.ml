@@ -448,8 +448,10 @@ let register_replica t ~peer ~attach_router ~landmark ~path ~probes_spent =
    that one and names the other member as the donor; the replica takes
    the rest from its own copy of the donor's route. *)
 
-(* Whether [a.(i ..)] equals [b.(j ..)], both running to their ends. *)
-let rec same_tail a i b j =
+(* Whether [a.(i ..)] equals [b.(j ..)], both running to their ends.
+   This loop, [position_of] and [same_routers] name [int array]: left
+   generic, each element comparison would be a runtime call. *)
+let rec same_tail (a : int array) i (b : int array) j =
   i >= Array.length a || (a.(i) = b.(j) && same_tail a (i + 1) b (j + 1))
 
 (* Whether [donor]'s stored route ends with [routers.(i ..)]. *)
@@ -505,7 +507,7 @@ let rec routers_in_graph ~nodes routers i =
   i >= Array.length routers
   || (in_graph ~nodes routers.(i) && routers_in_graph ~nodes routers (i + 1))
 
-let rec position_of routers router i =
+let rec position_of (routers : int array) router i =
   if i >= Array.length routers then -1
   else if routers.(i) = router then i
   else position_of routers router (i + 1)
@@ -919,7 +921,8 @@ let remove_stale t set incoming =
   done;
   !removed
 
-let rec same_routers held buf n i = i = n || (held.(i) = buf.(i) && same_routers held buf n (i + 1))
+let rec same_routers (held : int array) (buf : int array) n i =
+  i = n || (held.(i) = buf.(i) && same_routers held buf n (i + 1))
 
 (* The second pass: read each checked entry's routers into the scratch
    buffer and write the entry only when [t] does not hold it verbatim;

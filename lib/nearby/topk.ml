@@ -1,6 +1,13 @@
 (* The k smallest packed keys seen so far sit in a worst-at-the-root
-   binary max-heap: O(log k) per offer, one machine comparison per step,
-   no tuple and no compare closure. *)
+   binary max-heap: O(log k) per offer, no tuple and no compare closure.
+   Every comparison here is at [int] ({!Prelude.Int_compare} is open), so
+   a heap step is one machine comparison and a store into an [int array]
+   needs no write barrier; a comparison of any other type does not
+   compile.  Without that open, inference would leave [sift_up] and
+   [sift_down] generic over ['a array], at a runtime call per comparison
+   and a [caml_modify] per store. *)
+
+open Prelude.Int_compare
 
 let peer_bits = 31
 let peer_mask = (1 lsl peer_bits) - 1

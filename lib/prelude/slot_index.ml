@@ -8,7 +8,11 @@
    left and probe lengths depend only on the live keys.
 
    The probe and shift loops are top-level functions over explicit
-   arguments: a local closure would be allocated on every call. *)
+   arguments: a local closure would be allocated on every call.  Every
+   comparison here is at [int] ({!Int_compare} is open): a comparison of
+   another type does not compile, so none becomes a runtime call. *)
+
+open Int_compare
 
 let key_limit = 1 lsl 31
 let slot_mask = key_limit - 1

@@ -635,6 +635,72 @@ let qcheck_topk_is_sort_and_take =
       in
       Topk.drain best = expected && Topk.drain best = [])
 
+(* The scan entry points against the same reference: ascending runs fed
+   through [offer_ascending] at a walk cost, or key by key through
+   [offer_new], leave out the excluded peer and keep each peer's first
+   offer only.  A peer offered again is offered at no lower cost, as a
+   query walking toward the landmark offers it, so the reference keeps
+   each peer's lowest cost.  [k] runs to 40, past the heap's 8-slot
+   seed, and costs and peers reach [cost_limit - 1] and [peer_limit - 1].
+   Each case runs in a fresh domain, whose selector starts at its seed,
+   so [grow] runs whenever the answer holds more than 8. *)
+let qcheck_topk_scans_are_sort_and_take =
+  let top_peer = Topk.peer_limit - 1 and top_cost = Topk.cost_limit - 1 in
+  let peer = QCheck.Gen.(frequency [ (1, return 0); (1, return top_peer); (6, int_bound 60) ]) in
+  let cost = QCheck.Gen.(frequency [ (1, return top_cost); (6, int_bound 5) ]) in
+  let walk = QCheck.Gen.(frequency [ (1, return top_cost); (4, int_bound 3) ]) in
+  let run = QCheck.Gen.(triple bool walk (list_size (int_bound 12) (pair cost peer))) in
+  let print = QCheck.Print.(triple int int (list (triple bool int (list (pair int int))))) in
+  QCheck.Test.make ~name:"topk: ascending scans and offer_new = sort, dedup, take k" ~count:300
+    (QCheck.make ~print QCheck.Gen.(triple (int_range 0 40) peer (list_size (int_bound 14) run)))
+    (fun (k, asker, runs) ->
+      (* Each run ascending; a later offer of a peer below its first
+         offer's total is dropped, as no query makes it. *)
+      let first = Hashtbl.create 64 in
+      let runs =
+        List.map
+          (fun (by_key, walk, entries) ->
+            let entries =
+              List.sort compare entries
+              |> List.filter (fun (cost, peer) ->
+                     match Hashtbl.find_opt first peer with
+                     | Some total -> walk + cost >= total
+                     | None ->
+                         Hashtbl.add first peer (walk + cost);
+                         true)
+            in
+            (by_key, walk, entries))
+          runs
+      in
+      let offered =
+        List.concat_map (fun (_, walk, entries) -> List.map (fun (c, p) -> (walk + c, p)) entries) runs
+      in
+      let expected =
+        List.filter (fun (_, p) -> p <> asker) offered
+        |> List.sort compare
+        |> List.fold_left (fun acc (c, p) -> if List.mem_assoc p acc then acc else (p, c) :: acc) []
+        |> List.rev
+        |> List.sort (fun (p1, c1) (p2, c2) -> compare (c1, p1) (c2, p2))
+        |> List.filteri (fun i _ -> i < k)
+      in
+      Domain.join
+        (Domain.spawn (fun () ->
+             let best = Topk.shared ~k in
+             let exclude = Option.get (Topk.excluding asker) in
+             List.iter
+               (fun (by_key, walk, entries) ->
+                 let keys = Array.of_list (List.map (fun (cost, peer) -> Topk.pack ~cost ~peer) entries) in
+                 if by_key then
+                   Array.iter
+                     (fun key -> ignore (Topk.offer_new best (Topk.pack ~cost:walk ~peer:0 + key) ~exclude))
+                     keys
+                 else
+                   ignore
+                     (Topk.offer_ascending best ~base:(Topk.pack ~cost:walk ~peer:0) keys
+                        ~len:(Array.length keys) ~exclude))
+               runs;
+             Topk.drain best = expected && Topk.drain best = [])))
+
 (* --- Chunk placement: a full chunk splits where inserts land --- *)
 
 let hop_costs = Array.init 16 Fun.id
@@ -801,6 +867,7 @@ let suite =
       Alcotest.test_case "member query words flat in bucket size" `Quick
         test_query_member_words_flat_in_bucket_size;
       q qcheck_topk_is_sort_and_take;
+      q qcheck_topk_scans_are_sort_and_take;
       Alcotest.test_case "small batch allocates like singletons" `Quick
         test_batch_allocates_like_singletons;
       q qcheck_placement_matches_naive;
